@@ -216,14 +216,12 @@ func BenchmarkThroughputParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkKNNBackends compares the three k-NN search structures used
-// for graph construction (brute force, VP-tree, IVF) on one query
-// workload; recall against brute force is attached for the
-// approximate backend.
+// BenchmarkKNNBackends compares the two k-NN search structures used
+// for graph construction (brute force, IVF) on one query workload;
+// recall against brute force is attached for the approximate backend.
 func BenchmarkKNNBackends(b *testing.B) {
 	ds := dataset.INRIASim(4000, 5)
 	bf := knn.NewBruteForce(ds.Points)
-	vp := knn.NewVPTree(ds.Points, 1)
 	ivf, err := knn.NewIVF(ds.Points, knn.IVFConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -242,7 +240,6 @@ func BenchmarkKNNBackends(b *testing.B) {
 		s    knn.Searcher
 	}{
 		{"BruteForce", bf},
-		{"VPTree", vp},
 		{"IVF", ivf},
 	}
 	for _, be := range backends {

@@ -121,72 +121,77 @@ func TestTopKAllocsWithDeltaAndTombstones(t *testing.T) {
 	}
 }
 
-// TestSpectralTopKAllocs: the spectral engine's streaming scan plus
-// the epoch-stamped hop expansion must also run allocation-free in
-// steady state, on both the dedicated-Searcher path and the pooled
-// path, including with live delta items and tombstones in play.
-func TestSpectralTopKAllocs(t *testing.T) {
+// TestEngineAllocs: the EMR and spectral engines' streaming scans (and
+// the spectral epoch-stamped hop expansion) must run allocation-free in
+// steady state — the returned []Result is the one allocation — on every
+// query entry point of a warmed dedicated searcher and on the pooled
+// path, with live delta items and tombstones in play.
+func TestEngineAllocs(t *testing.T) {
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: 2100, Classes: 100, Dim: 16, WithinStd: 0.3, Separation: 2.5, Seed: 21,
 	})
-	e, err := BuildSpectral(ds.Points[:2000], Options{}, SpectralOptions{Rank: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ds.Points[2000:2050] {
-		if _, err := e.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []int{5, 800, 1999, 2001} {
-		if err := e.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sr := e.NewSearcher()
-	if _, err := sr.TopK(11, 10); err != nil { // warm: sizes the scratch
-		t.Fatal(err)
+	builds := map[string]func() (Retriever, error){
+		"EMR": func() (Retriever, error) {
+			return BuildEMR(ds.Points[:2000], Options{}, EMROptions{NumAnchors: 64})
+		},
+		"spectral": func() (Retriever, error) {
+			return BuildSpectral(ds.Points[:2000], Options{}, SpectralOptions{Rank: 32})
+		},
 	}
 	queries := []int{3, 500, 999, 2010} // includes a live delta item
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := sr.TopK(queries[i%len(queries)], 10); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs > 1 {
-		t.Fatalf("SpectralSearcher.TopK allocates %.1f objects/op in steady state, want 1 (the returned []Result)", allocs)
-	}
-
+	seedSets := [][]int{{3, 500, 2010}, {999, 7, 999, 12}, {2010}}
 	pool := ds.Points[2050:]
-	if _, err := sr.TopKVector(pool[0], 10); err != nil { // warm the attachment scratch
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := sr.TopKVector(pool[i%len(pool)], 10); err != nil {
+	for name, build := range builds {
+		e, err := build()
+		if err != nil {
 			t.Fatal(err)
 		}
-		i++
-	})
-	if allocs > 1 {
-		t.Fatalf("SpectralSearcher.TopKVector allocates %.1f objects/op in steady state, want 1 (the returned []Result)", allocs)
-	}
+		for _, p := range ds.Points[2000:2050] {
+			if _, err := e.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []int{5, 800, 1999, 2001} {
+			if err := e.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sr := e.NewQuerier()
+		i := 0
+		entryPoints := map[string]func() error{
+			"TopK":       func() error { _, err := sr.TopK(queries[i%len(queries)], 10); return err },
+			"TopKVector": func() error { _, err := sr.TopKVector(pool[i%len(pool)], 10); return err },
+			"TopKSet":    func() error { _, err := sr.TopKSet(seedSets[i%len(seedSets)], 10); return err },
+		}
+		for entry, query := range entryPoints {
+			if err := query(); err != nil { // warm: sizes the scratch
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := query(); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs > 1 {
+				t.Errorf("%s searcher %s allocates %.1f objects/op in steady state, want 1 (the returned []Result)", name, entry, allocs)
+			}
+		}
 
-	if _, err := e.TopK(11, 10); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := e.TopK(queries[i%len(queries)], 10); err != nil {
+		if _, err := e.TopK(11, 10); err != nil { // warm the pool
 			t.Fatal(err)
 		}
-		i++
-	})
-	// As with Index.TopK: a GC clearing the pool mid-measurement may
-	// force one refill; a real per-query regression still fails.
-	if allocs > 2 {
-		t.Fatalf("SpectralIndex.TopK allocates %.1f objects/op in steady state, want 1 (the returned []Result)", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := e.TopK(queries[i%len(queries)], 10); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		// As with Index.TopK: a GC clearing the pool mid-measurement may
+		// force one refill; a real per-query regression still fails.
+		if allocs > 2 {
+			t.Errorf("%s pooled TopK allocates %.1f objects/op in steady state, want 1 (the returned []Result)", name, allocs)
+		}
 	}
 }
 

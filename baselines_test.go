@@ -20,11 +20,13 @@ import (
 )
 
 // benchBaselineRefs collects the set of BENCH_*.json names referenced
-// by CI and the user-facing docs (historical notes in CHANGES.md and
-// the per-PR ISSUE.md do not pin baselines).
+// by CI and the user-facing docs. Historical notes in CHANGES.md, the
+// per-PR ISSUE.md, and the ROADMAP do not pin baselines: a planning
+// document must be free to name a baseline that does not exist yet
+// (one that did once turned tier-1 red).
 func benchBaselineRefs(t *testing.T) []string {
 	t.Helper()
-	sources := []string{".github/workflows/ci.yml", "README.md", "ROADMAP.md"}
+	sources := []string{".github/workflows/ci.yml", "README.md"}
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,9 @@ type BatchResult struct {
 }
 
 // runBatch is the shared worker-pool engine behind the batch entry
-// points of Index and ShardedIndex: n work items are fanned out to the
-// workers, each of which builds one run closure over a private query
-// engine (a Searcher or ShardedSearcher) for its whole run, so a batch
+// points of every engine: n work items are fanned out to the workers,
+// each of which builds one run closure over a private query engine (a
+// Querier) for its whole run, so a batch
 // of thousands of queries performs thousands of searches on a handful
 // of reusable workspaces. Results land at their item's index; per-item
 // failures are recorded, never fatal. parallelism <= 0 selects
@@ -55,6 +55,29 @@ func runBatch(n, parallelism int, worker func() func(i int) BatchResult) []Batch
 	return out
 }
 
+// topKBatch and topKVectorBatch are the batch entry points of every
+// engine: one pinned Querier per worker, results in input order.
+func topKBatch(newQuerier func() Querier, queries []int, k, parallelism int) []BatchResult {
+	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
+		sr := newQuerier()
+		return func(i int) BatchResult {
+			q := queries[i]
+			res, err := sr.TopK(q, k)
+			return BatchResult{Query: q, Results: res, Err: err}
+		}
+	})
+}
+
+func topKVectorBatch(newQuerier func() Querier, queries []Vector, k, parallelism int) []BatchResult {
+	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
+		sr := newQuerier()
+		return func(i int) BatchResult {
+			res, err := sr.TopKVector(queries[i], k)
+			return BatchResult{Query: i, Results: res, Err: err}
+		}
+	})
+}
+
 // TopKBatch answers many in-database queries concurrently. Searches
 // only take the index's read lock, so queries parallelize perfectly;
 // this is the bulk-evaluation entry point (e.g. scoring a whole query
@@ -65,25 +88,12 @@ func runBatch(n, parallelism int, worker func() func(i int) BatchResult) []Batch
 // reported in the corresponding BatchResult rather than aborting the
 // batch.
 func (ix *Index) TopKBatch(queries []int, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
-		sr := ix.NewSearcher()
-		return func(i int) BatchResult {
-			q := queries[i]
-			res, err := sr.TopK(q, k)
-			return BatchResult{Query: q, Results: res, Err: err}
-		}
-	})
+	return topKBatch(ix.NewQuerier, queries, k, parallelism)
 }
 
 // TopKVectorBatch answers many out-of-sample queries concurrently,
 // mirroring TopKBatch. The i-th BatchResult's Query field holds i (the
 // position in the input slice).
 func (ix *Index) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
-		sr := ix.NewSearcher()
-		return func(i int) BatchResult {
-			res, err := sr.TopKVector(queries[i], k)
-			return BatchResult{Query: i, Results: res, Err: err}
-		}
-	})
+	return topKVectorBatch(ix.NewQuerier, queries, k, parallelism)
 }

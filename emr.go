@@ -33,16 +33,12 @@ package mogul
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mogul/internal/baseline"
 	"mogul/internal/dense"
 	"mogul/internal/kmeans"
 	"mogul/internal/par"
-	"mogul/internal/topk"
 	"mogul/internal/vec"
 )
 
@@ -78,103 +74,55 @@ func (o EMROptions) withDefaults() EMROptions {
 // emrState is everything a query touches, grouped so Compact can build
 // a replacement off-line and swap it in atomically under the write
 // lock. Within a state, anchors/lambda/colSum/gram are frozen at build
-// time; points/hAnchor/hVal/dead grow or flip under the write lock.
+// time; the header's points/dead and hAnchor/hVal grow or flip under
+// the write lock.
 type emrState struct {
-	dim  int
+	engineHeader
 	p, s int
 	// anchors are the k-means centers; colSum[k] = sum_i Z_ki over the
 	// base build and lambda[k] = 1/colSum[k] (frozen — delta columns
 	// are attached against the base graph's normalization).
 	anchors        []Vector
 	colSum, lambda []float64
-	// points holds every item ever inserted, by id; dead tombstones. In
-	// mixed-precision mode points is nil and the vectors live flattened
-	// in pts32 with stride dim.
-	points []Vector
-	pts32  []float32
-	dead   []bool
 	// hAnchor/hVal store the H columns flat with stride s (item i owns
 	// [i*s, (i+1)*s)): one cache-friendly streaming array instead of n
 	// little slices, which is what keeps the per-query scan
 	// memory-bandwidth bound. In mixed-precision mode hVal is nil and
 	// the attachment weights live in hVal32; anchors, colSum, lambda,
 	// and the gram factor stay float64 (p-sized, cold next to the scan).
+	// Columns past baseN are scored but do not contribute to the gram
+	// factor until Compact folds them in.
 	hVal32  []float32
 	hAnchor []int32
 	hVal    []float64
-	// deadCount counts all tombstones; deadBase only those in the base
-	// build (the auto-compact policy counts a deleted delta item once:
-	// it is already in the inserted-items term). baseN is how many
-	// columns the gram factorization covers (items inserted later are
-	// scored but do not contribute to the factor until Compact folds
-	// them in).
-	deadCount int
-	deadBase  int
-	baseN     int
 	// gram is the prefactored p x p system I_p - alpha H H^T.
-	gram  *dense.LU
-	stats Stats
-}
-
-// f32 reports whether the state stores its bulk arrays narrowed.
-func (st *emrState) f32() bool { return st.hVal32 != nil }
-
-// numPoints returns the id-space size in either precision.
-func (st *emrState) numPoints() int {
-	if st.pts32 != nil {
-		return len(st.pts32) / st.dim
-	}
-	return len(st.points)
-}
-
-// pointVec returns item i's stored vector. In f64 mode the returned
-// slice aliases state storage; in f32 mode it is freshly widened —
-// callers that retain it must copy in either case.
-func (st *emrState) pointVec(i int) Vector {
-	if st.pts32 != nil {
-		return Vector(vec.Widen64(nil, st.pts32[i*st.dim:(i+1)*st.dim]))
-	}
-	return st.points[i]
+	gram *dense.LU
 }
 
 // narrow32 moves the state into mixed-precision storage: the point
 // matrix flattens to float32 rows and the H attachment weights round to
-// float32, halving the bytes the per-query scan streams. Applied
-// exactly once, after the (always float64) build; anchors, column
-// sums, and the gram factor keep full precision.
+// float32, halving the bytes the per-query scan streams; anchors,
+// column sums, and the gram factor keep full precision.
 func (st *emrState) narrow32() {
-	if st.f32() {
-		return
-	}
-	st.pts32, _ = vec.Flatten32(st.points)
-	st.points = nil
+	st.narrowPoints()
 	st.hVal32 = vec.Narrow32(nil, st.hVal)
 	st.hVal = nil
 }
 
 // EMRIndex is the anchor-graph (Efficient Manifold Ranking) serving
-// engine built by BuildEMR. It implements Retriever: searches run
-// concurrently against the immutable base structures (read lock) on
-// pooled per-searcher scratch, while Insert/Delete/Compact mutate the
-// delta state (or swap the whole anchor graph) behind the write lock.
+// engine built by BuildEMR. It implements Retriever through the shared
+// engine lifecycle (engine.go): searches run concurrently against the
+// immutable base structures (read lock) on pooled per-searcher scratch,
+// while Insert/Delete/Compact mutate the delta state (or swap the
+// whole anchor graph) behind the write lock. In-database queries seed
+// the anchor-space right-hand side from the items' stored H columns;
+// out-of-sample queries compute their anchor weights on the fly (EMR's
+// native out-of-sample mechanism — no surrogate neighbours needed).
 type EMRIndex struct {
-	alpha float64
-	// seed/autoCompact/eopts are the recorded recipe Compact rebuilds
-	// with, so Insert...Compact converges to exactly what a fresh
-	// BuildEMR over the live points would produce.
-	seed        int64
-	autoCompact float64
-	eopts       EMROptions
-
-	// mu guards st; mutMu serializes mutators so Compact's off-line
-	// rebuild never races another Insert/Delete/Compact while searches
-	// proceed against the old state.
-	mu    sync.RWMutex
-	mutMu sync.Mutex
-	st    *emrState
-
-	version   atomic.Uint64
-	searchers sync.Pool
+	engine[*emrState]
+	// eopts is the recorded anchor recipe (pre-clamping) Compact rebuilds
+	// with, alongside the engine's alpha and seed.
+	eopts EMROptions
 }
 
 // Both the engine and its searcher implement the shared serving
@@ -184,60 +132,34 @@ var (
 	_ Querier   = (*EMRSearcher)(nil)
 )
 
+func newEMRIndex(alpha float64, seed int64, autoCompact float64, eopts EMROptions, st *emrState) *EMRIndex {
+	e := &EMRIndex{eopts: eopts}
+	e.init(e, &emrFrame, alpha, seed, autoCompact, st)
+	return e
+}
+
 // BuildEMR constructs the anchor-graph engine over the given feature
 // vectors. opts supplies Alpha, Seed, and AutoCompactFraction (its
 // graph fields are ignored); eopts sizes the anchor graph. The build
 // is deterministic for a fixed seed and query independent: one engine
 // serves any query item, any vector, any k.
 func BuildEMR(points []Vector, opts Options, eopts EMROptions) (*EMRIndex, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("mogul: BuildEMR needs at least one point")
-	}
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 0.99
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("mogul: alpha must lie in (0,1), got %g", alpha)
-	}
-	if opts.AutoCompactFraction < 0 || math.IsNaN(opts.AutoCompactFraction) || math.IsInf(opts.AutoCompactFraction, 0) {
-		return nil, fmt.Errorf("mogul: auto-compact fraction must be finite and non-negative, got %g", opts.AutoCompactFraction)
-	}
-	dim := len(points[0])
-	if dim == 0 {
-		return nil, fmt.Errorf("mogul: BuildEMR needs non-empty feature vectors")
-	}
-	for i, pt := range points {
-		if len(pt) != dim {
-			return nil, fmt.Errorf("mogul: point %d has dim %d, want %d", i, len(pt), dim)
-		}
-		for _, x := range pt {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("mogul: point %d has non-finite component %g", i, x)
-			}
-		}
+	if err := checkBuildInput("BuildEMR", points, 1, &opts); err != nil {
+		return nil, err
 	}
 	eopts = eopts.withDefaults()
-	st, err := buildEMRState(points, alpha, opts.Seed, eopts)
+	st, err := buildEMRState(points, opts.Alpha, opts.Seed, eopts)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Precision == F32 {
-		// The build itself always runs in float64 (k-means, attachment,
-		// gram factorization); narrowing once at the end is the only
-		// lossy step, so an f32 engine differs from its f64 twin by one
-		// rounding of each stored value, never by accumulated error.
 		st.narrow32()
 	}
-	e := &EMRIndex{
-		alpha:       alpha,
-		seed:        opts.Seed,
-		autoCompact: opts.AutoCompactFraction,
-		eopts:       eopts,
-		st:          st,
-	}
-	e.version.Store(1)
-	return e, nil
+	return newEMRIndex(opts.Alpha, opts.Seed, opts.AutoCompactFraction, eopts, st), nil
+}
+
+func (e *EMRIndex) build(points []Vector) (*emrState, error) {
+	return buildEMRState(points, e.alpha, e.seed, e.eopts)
 }
 
 // buildEMRState runs the offline half of EMR: k-means anchors, the
@@ -267,17 +189,14 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions)
 	ag := baseline.BuildAnchorGraph(points, km.Centroids, s)
 
 	st := &emrState{
-		dim:     len(points[0]),
-		p:       p,
-		s:       ag.S,
-		anchors: ag.Anchors,
-		colSum:  ag.ColSum,
-		lambda:  ag.Lambda,
-		points:  points,
-		dead:    make([]bool, n),
-		hAnchor: make([]int32, n*ag.S),
-		hVal:    make([]float64, n*ag.S),
-		baseN:   n,
+		engineHeader: engineHeader{dim: len(points[0]), points: points, dead: make([]bool, n), baseN: n},
+		p:            p,
+		s:            ag.S,
+		anchors:      ag.Anchors,
+		colSum:       ag.ColSum,
+		lambda:       ag.Lambda,
+		hAnchor:      make([]int32, n*ag.S),
+		hVal:         make([]float64, n*ag.S),
 	}
 	for i := range ag.HIdx {
 		off := i * st.s
@@ -362,61 +281,23 @@ func (st *emrState) attachColumn(v Vector, sc *baseline.AnchorScratch, idx []int
 	}
 }
 
-// Len returns the number of live (searchable) items.
-func (e *EMRIndex) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.numPoints() - e.st.deadCount
-}
-
-// Exact reports false: EMR scores approximate exact Manifold Ranking
-// through the anchor graph.
-func (e *EMRIndex) Exact() bool { return false }
-
-// Precision reports the storage precision the engine was built (or
-// loaded) with.
-func (e *EMRIndex) Precision() Precision {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.st.f32() {
-		return F32
-	}
-	return F64
-}
-
-// Stats reports what the latest base build did, mapped onto the shared
-// Stats shape: NumClusters is the anchor count p, FactorNNZ the dense
-// p x p gram factor, ClusterTime the k-means run, FactorTime the gram
-// assembly + factorization.
-func (e *EMRIndex) Stats() Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.stats
-}
-
-// Delta reports the dynamic state: items inserted since the base build
-// and tombstones awaiting compaction.
-func (e *EMRIndex) Delta() DeltaStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	st := e.st
-	deltaDead := 0
-	for i := st.baseN; i < len(st.dead); i++ {
-		if st.dead[i] {
-			deltaDead++
+// attach computes and appends the H column of a point arriving after
+// the base build. Attachment runs in full precision against the f64
+// anchors; in f32 mode the stored weights round once.
+func (e *EMRIndex) attach(st *emrState, v Vector) {
+	var sc baseline.AnchorScratch
+	dstIdx := make([]int32, st.s)
+	dstVal := make([]float64, st.s)
+	st.attachColumn(v, &sc, make([]int, 0, st.s), make([]float64, 0, st.s), dstIdx, dstVal)
+	if st.f32() {
+		for _, x := range dstVal {
+			st.hVal32 = append(st.hVal32, float32(x))
 		}
+	} else {
+		st.hVal = append(st.hVal, dstVal...)
 	}
-	return DeltaStats{
-		BaseItems:  st.baseN,
-		DeltaItems: st.numPoints() - st.baseN - deltaDead,
-		Tombstones: st.deadCount,
-	}
+	st.hAnchor = append(st.hAnchor, dstIdx...)
 }
-
-// Version is the monotonic mutation counter (same contract as
-// Index.Version): unchanged Version means unchanged answers, which is
-// what lets the serve layer cache results and invalidate implicitly.
-func (e *EMRIndex) Version() uint64 { return e.version.Load() }
 
 // NumAnchors returns p, the current anchor count.
 func (e *EMRIndex) NumAnchors() int {
@@ -436,41 +317,28 @@ func (e *EMRIndex) Neighbors(item int) ([]int, []float64, error) {
 // top-k collector, and the anchor-attachment scratch, so a steady
 // query load runs allocation-free. Use one searcher per worker
 // goroutine (the EMRIndex query methods draw from an internal pool).
+// TopK, TopKWithInfo, TopKVector and TopKSet come from the shared
+// searcher half (engine.go).
 type EMRSearcher struct {
+	searcher[*emrState]
 	e      *EMRIndex
 	rhs, z []float64
-	col    topk.Collector
 	sc     baseline.AnchorScratch
 	wIdx   []int
 	wVal   []float64
-	seeds  []seedWeight
-	// aff is the raw kernel affinity of the last out-of-sample
-	// attachment (the unnormalized Epanechnikov mass), the same
-	// density proxy the sharded fan-out scales merges with.
-	aff float64
-	// scanned counts items scored by the last query (for SearchInfo).
-	scanned int
-}
-
-type seedWeight struct {
-	id int
-	w  float64
 }
 
 // NewSearcher returns a fresh dedicated searcher.
-func (e *EMRIndex) NewSearcher() *EMRSearcher { return &EMRSearcher{e: e} }
+func (e *EMRIndex) NewSearcher() *EMRSearcher {
+	sr := &EMRSearcher{e: e}
+	sr.eng, sr.be = &e.engine, sr
+	return sr
+}
 
 // NewQuerier is NewSearcher behind the interface surface (Retriever).
 func (e *EMRIndex) NewQuerier() Querier { return e.NewSearcher() }
 
-func (e *EMRIndex) acquire() *EMRSearcher {
-	if v := e.searchers.Get(); v != nil {
-		return v.(*EMRSearcher)
-	}
-	return e.NewSearcher()
-}
-
-func (e *EMRIndex) release(sr *EMRSearcher) { e.searchers.Put(sr) }
+func (e *EMRIndex) newSearcher() *searcher[*emrState] { return &e.NewSearcher().searcher }
 
 // ensure sizes the dense solve buffers for the current anchor count
 // (Compact may change p). Callers hold e.mu.
@@ -497,11 +365,7 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 	st := e.st
 	z := st.gram.SolveInto(sr.z, sr.rhs)
 	n := st.numPoints()
-	live := n - st.deadCount
-	if k > live {
-		k = live
-	}
-	sr.col.Reset(k)
+	sr.resetCollector(k)
 	si := 0
 	s := st.s
 	hv32 := st.hVal32
@@ -530,134 +394,15 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 		}
 		sr.col.Offer(i, (1-e.alpha)*sum)
 	}
-	sr.scanned = live
-	items := sr.col.Drain()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Node: it.ID, Score: it.Score}
-	}
-	return out
+	return sr.results()
 }
 
-// checkItem validates an item id against the current state. Callers
-// hold e.mu.
-func (st *emrState) checkItem(id int) error {
-	if n := st.numPoints(); id < 0 || id >= n {
-		return fmt.Errorf("mogul: item %d outside [0,%d)", id, n)
-	}
-	if st.dead[id] {
-		return fmt.Errorf("mogul: item %d deleted", id)
-	}
-	return nil
-}
-
-// TopK ranks database items against an in-database query item, best
-// first. The query item itself is included (it typically ranks first).
-func (sr *EMRSearcher) TopK(query, k int) ([]Result, error) {
-	e := sr.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	st := e.st
-	if err := st.checkItem(query); err != nil {
-		return nil, err
-	}
+// scoreSeeds accumulates the seeds' stored H columns into the
+// anchor-space right-hand side and runs the solve + scan.
+func (sr *EMRSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
+	st := sr.e.st
 	sr.ensure(st.p)
-	off := query * st.s
-	if st.hVal32 != nil {
-		for t := 0; t < st.s; t++ {
-			sr.rhs[st.hAnchor[off+t]] = float64(st.hVal32[off+t])
-		}
-	} else {
-		for t := 0; t < st.s; t++ {
-			sr.rhs[st.hAnchor[off+t]] = st.hVal[off+t]
-		}
-	}
-	sr.seeds = append(sr.seeds[:0], seedWeight{id: query, w: 1})
-	sr.aff = 0
-	return sr.collect(k, sr.seeds), nil
-}
-
-// TopKWithInfo is TopK plus work counters: the EMR engine has no
-// pruning, so every anchor is "scanned" and every live item scored.
-func (sr *EMRSearcher) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	res, err := sr.TopK(query, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	e := sr.e
-	e.mu.RLock()
-	p := e.st.p
-	e.mu.RUnlock()
-	return res, &SearchInfo{ClustersScanned: p, ScoresComputed: sr.scanned}, nil
-}
-
-// TopKVector ranks database items against an out-of-sample query
-// vector: the query's anchor weights are computed on the fly (EMR's
-// native out-of-sample mechanism — no surrogate neighbours needed) and
-// the anchor graph is queried with them.
-func (sr *EMRSearcher) TopKVector(q Vector, k int) ([]Result, error) {
-	e := sr.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	st := e.st
-	if len(q) != st.dim {
-		return nil, fmt.Errorf("mogul: query dimension %d, want %d", len(q), st.dim)
-	}
-	sr.ensure(st.p)
-	var mass float64
-	sr.wIdx, sr.wVal, mass = baseline.NearestAnchorWeights(q, st.anchors, st.s, &sr.sc, sr.wIdx[:0], sr.wVal[:0])
-	for t, a := range sr.wIdx {
-		sr.rhs[a] = sr.wVal[t]
-	}
-	sr.aff = mass
-	return sr.collect(k, nil), nil
-}
-
-// TopKSet ranks database items against a set of seed items with equal
-// weights 1/len(seeds), so query mass matches a single-item query.
-func (sr *EMRSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSet needs at least one seed item")
-	}
-	return sr.topKSetWeighted(seeds, 1/float64(len(seeds)), k)
-}
-
-// topKSetWeighted seeds the query vector with q[seed] = weight for
-// every seed (duplicates accumulate).
-func (sr *EMRSearcher) topKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
-	e := sr.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	st := e.st
-	sr.seeds = sr.seeds[:0]
-	for _, id := range seeds {
-		if err := st.checkItem(id); err != nil {
-			return nil, err
-		}
-		sr.seeds = append(sr.seeds, seedWeight{id: id, w: weight})
-	}
-	sort.Slice(sr.seeds, func(i, j int) bool { return sr.seeds[i].id < sr.seeds[j].id })
-	// Merge duplicate seeds so the scan's cursor sees unique ascending ids.
-	uniq := sr.seeds[:0]
-	for _, sw := range sr.seeds {
-		if len(uniq) > 0 && uniq[len(uniq)-1].id == sw.id {
-			uniq[len(uniq)-1].w += sw.w
-			continue
-		}
-		uniq = append(uniq, sw)
-	}
-	sr.seeds = uniq
-	sr.ensure(st.p)
-	for _, sw := range sr.seeds {
+	for _, sw := range seeds {
 		off := sw.id * st.s
 		if st.hVal32 != nil {
 			for t := 0; t < st.s; t++ {
@@ -669,288 +414,26 @@ func (sr *EMRSearcher) topKSetWeighted(seeds []int, weight float64, k int) ([]Re
 			}
 		}
 	}
-	sr.aff = 0
-	return sr.collect(k, sr.seeds), nil
+	return sr.collect(k, seeds)
 }
 
-// TopK is EMRSearcher.TopK on a pooled searcher.
-func (e *EMRIndex) TopK(query, k int) ([]Result, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopK(query, k)
+// scoreVector uses the query's own anchor weights as the right-hand
+// side; the affinity is their unnormalized Epanechnikov mass.
+func (sr *EMRSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
+	st := sr.e.st
+	sr.ensure(st.p)
+	mass := sr.affinity(q)
+	for t, a := range sr.wIdx {
+		sr.rhs[a] = sr.wVal[t]
+	}
+	return sr.collect(k, nil), mass
 }
 
-// TopKWithInfo is EMRSearcher.TopKWithInfo on a pooled searcher.
-func (e *EMRIndex) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopKWithInfo(query, k)
-}
-
-// TopKVector is EMRSearcher.TopKVector on a pooled searcher.
-func (e *EMRIndex) TopKVector(q Vector, k int) ([]Result, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopKVector(q, k)
-}
-
-// TopKSet is EMRSearcher.TopKSet on a pooled searcher.
-func (e *EMRIndex) TopKSet(seeds []int, k int) ([]Result, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopKSet(seeds, k)
-}
-
-// TopKBatch answers many in-database queries on a bounded worker pool
-// (parallelism <= 0 selects GOMAXPROCS); results land at their query's
-// index and per-query failures are recorded, never fatal.
-func (e *EMRIndex) TopKBatch(queries []int, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(i int) BatchResult {
-		sr := e.NewSearcher()
-		return func(i int) BatchResult {
-			res, err := sr.TopK(queries[i], k)
-			return BatchResult{Query: queries[i], Results: res, Err: err}
-		}
-	})
-}
-
-// TopKVectorBatch answers many out-of-sample queries on a bounded
-// worker pool; see TopKBatch.
-func (e *EMRIndex) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(i int) BatchResult {
-		sr := e.NewSearcher()
-		return func(i int) BatchResult {
-			res, err := sr.TopKVector(queries[i], k)
-			return BatchResult{Query: i, Results: res, Err: err}
-		}
-	})
-}
-
-// Insert adds a new point without rebuilding and returns its item id.
-// The point becomes immediately searchable: its H column is attached
-// against the frozen anchor set in O(p·dim), no refactorization. It is
-// scored by every query but does not contribute to the gram system
-// until Compact folds it in, so accuracy degrades gently as the delta
-// grows — size the delta with Options.AutoCompactFraction or call
-// Compact. Safe for concurrent use with searches.
-func (e *EMRIndex) Insert(v Vector) (int, error) {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, fmt.Errorf("mogul: inserted vector has non-finite component %g", x)
-		}
-	}
-	e.mu.Lock()
-	st := e.st
-	if len(v) != st.dim {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("mogul: inserted vector has dim %d, want %d", len(v), st.dim)
-	}
-	id := st.numPoints()
-	stored := append(Vector(nil), v...)
-	var sc baseline.AnchorScratch
-	dstIdx := make([]int32, st.s)
-	dstVal := make([]float64, st.s)
-	st.attachColumn(stored, &sc, make([]int, 0, st.s), make([]float64, 0, st.s), dstIdx, dstVal)
-	if st.f32() {
-		// Attachment ran in full precision against the f64 anchors; the
-		// stored copies round once, like everything else in this mode.
-		// (A state loaded from a mapped file appends safely: views have
-		// cap == len, so the first append reallocates onto the heap.)
-		for _, x := range stored {
-			st.pts32 = append(st.pts32, float32(x))
-		}
-		for _, x := range dstVal {
-			st.hVal32 = append(st.hVal32, float32(x))
-		}
-	} else {
-		st.points = append(st.points, stored)
-		st.hVal = append(st.hVal, dstVal...)
-	}
-	st.dead = append(st.dead, false)
-	st.hAnchor = append(st.hAnchor, dstIdx...)
-	needCompact := e.needsCompactLocked()
-	e.version.Add(1)
-	e.mu.Unlock()
-
-	if needCompact {
-		if err := e.compactLocked(); err != nil {
-			return id, fmt.Errorf("mogul: auto-compact after insert: %w", err)
-		}
-	}
-	return id, nil
-}
-
-// Delete tombstones an item: it stops appearing in results and stops
-// being a valid query, its id is never reused, and Compact reclaims
-// the storage. Deleting the last live item is refused.
-func (e *EMRIndex) Delete(id int) error {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-
-	e.mu.Lock()
-	st := e.st
-	if n := st.numPoints(); id < 0 || id >= n {
-		e.mu.Unlock()
-		return fmt.Errorf("mogul: item %d outside [0,%d)", id, n)
-	}
-	if st.dead[id] {
-		e.mu.Unlock()
-		return fmt.Errorf("mogul: item %d already deleted", id)
-	}
-	if st.numPoints()-st.deadCount <= 1 {
-		e.mu.Unlock()
-		return fmt.Errorf("mogul: cannot delete the last live item")
-	}
-	st.dead[id] = true
-	st.deadCount++
-	if id < st.baseN {
-		st.deadBase++
-	}
-	needCompact := e.needsCompactLocked()
-	e.version.Add(1)
-	e.mu.Unlock()
-
-	if needCompact {
-		if err := e.compactLocked(); err != nil {
-			return fmt.Errorf("mogul: auto-compact after delete: %w", err)
-		}
-	}
-	return nil
-}
-
-// needsCompactLocked applies the AutoCompactFraction policy: the
-// pending delta is the items inserted since the base build plus the
-// tombstones in the base. A deleted delta item must count once, not
-// twice — it is already in the inserted-items term — or churny
-// insert-then-delete workloads trip compaction at half the configured
-// threshold. Callers hold e.mu (any mode) and e.mutMu.
-func (e *EMRIndex) needsCompactLocked() bool {
-	if e.autoCompact <= 0 {
-		return false
-	}
-	st := e.st
-	pending := (st.numPoints() - st.baseN) + st.deadBase
-	return float64(pending) > e.autoCompact*float64(st.baseN)
-}
-
-// Compact folds the delta into a fresh base: k-means anchors, anchor
-// attachment, and gram factorization re-run over the live points in id
-// order (renumbering ids contiguously from zero, exactly as a fresh
-// BuildEMR over those points — the rebuild is deterministic for the
-// recorded seed). Searches proceed against the old state until the
-// swap; mutators queue behind it.
-func (e *EMRIndex) Compact() error {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	return e.compactLocked()
-}
-
-// compactLocked is Compact with mutMu already held.
-func (e *EMRIndex) compactLocked() error {
-	e.mu.RLock()
-	st := e.st
-	n := st.numPoints()
-	if n == st.baseN && st.deadCount == 0 {
-		e.mu.RUnlock()
-		return nil
-	}
-	wasF32 := st.f32()
-	live := make([]Vector, 0, n-st.deadCount)
-	for i := 0; i < n; i++ {
-		if !st.dead[i] {
-			live = append(live, st.pointVec(i))
-		}
-	}
-	e.mu.RUnlock()
-
-	// The heavy rebuild runs outside every lock; mutMu keeps the live
-	// snapshot authoritative (no mutator can run until the swap). An
-	// f32 engine rebuilds from its widened points (exact) in float64
-	// and narrows the result, preserving the storage mode.
-	fresh, err := buildEMRState(live, e.alpha, e.seed, e.eopts)
-	if err != nil {
-		return err
-	}
-	if wasF32 {
-		fresh.narrow32()
-	}
-	e.mu.Lock()
-	e.st = fresh
-	e.version.Add(1)
-	e.mu.Unlock()
-	return nil
-}
-
-// --- The extended surface the distributed layer fans out over ---
-
-// IDSpace returns the upper bound of the id space, tombstones
-// included (ids of deleted items are retired until Compact renumbers).
-func (e *EMRIndex) IDSpace() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.numPoints()
-}
-
-// Alive reports whether id addresses a live (non-deleted, in-range)
-// item.
-func (e *EMRIndex) Alive(id int) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return id >= 0 && id < e.st.numPoints() && !e.st.dead[id]
-}
-
-// LogLen reports 0: the EMR engine keeps no replayable delta log, so
-// followers replicate it by snapshot only.
-func (e *EMRIndex) LogLen() int { return 0 }
-
-// TopKWithVector is TopK plus the query item's stored vector and the
-// engine's raw kernel affinity to it — what the distributed
-// coordinator needs from the owner shard in one round trip to probe
-// the remaining shards and scale their answers.
-func (e *EMRIndex) TopKWithVector(query, k int) ([]Result, Vector, float64, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	res, err := sr.TopK(query, k)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	e.mu.RLock()
-	st := e.st
-	if err := st.checkItem(query); err != nil {
-		e.mu.RUnlock()
-		return nil, nil, 0, err
-	}
-	qvec := append(Vector(nil), st.pointVec(query)...)
-	_, _, aff := baseline.NearestAnchorWeights(qvec, st.anchors, st.s, &sr.sc, sr.wIdx[:0], sr.wVal[:0])
-	e.mu.RUnlock()
-	return res, qvec, aff, nil
-}
-
-// TopKVectorWithAffinity is TopKVector plus the engine's raw kernel
-// affinity to the query (the unnormalized Epanechnikov mass of the
-// anchor attachment), the same density proxy the sharded fan-out
-// scales cross-shard merges with.
-func (e *EMRIndex) TopKVectorWithAffinity(q Vector, k int) ([]Result, float64, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	res, err := sr.TopKVector(q, k)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, sr.aff, nil
-}
-
-// TopKSetWeighted ranks items against seed items all carrying the
-// given weight (the coordinator's cross-shard set query, where the
-// global 1/len(seeds) is applied before the fan-out).
-func (e *EMRIndex) TopKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSetWeighted needs at least one seed item")
-	}
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.topKSetWeighted(seeds, weight, k)
+// affinity attaches q to its nearest anchors (weights land in
+// sr.wIdx/sr.wVal) and returns the raw kernel mass.
+func (sr *EMRSearcher) affinity(q Vector) float64 {
+	st := sr.e.st
+	var mass float64
+	sr.wIdx, sr.wVal, mass = baseline.NearestAnchorWeights(q, st.anchors, st.s, &sr.sc, sr.wIdx[:0], sr.wVal[:0])
+	return mass
 }

@@ -168,44 +168,3 @@ func TestEMRNoDriftCompactBitIdentical(t *testing.T) {
 		t.Fatal("no-drift Compact changed the serialized state")
 	}
 }
-
-// TestEMRAutoCompactCountsDeletedDeltaOnce pins the accounting fix: a
-// deleted delta item is one unit of pending compaction work (it is
-// already counted as an inserted item), so churny insert-then-delete
-// workloads must not trip the threshold at half its nominal value.
-func TestEMRAutoCompactCountsDeletedDeltaOnce(t *testing.T) {
-	ds := NewMixture(MixtureConfig{N: 140, Classes: 4, Dim: 6, WithinStd: 0.4, Separation: 2.5, Seed: 13})
-	e, err := BuildEMR(ds.Points[:100], Options{Alpha: 0.99, Seed: 13, AutoCompactFraction: 0.5},
-		EMROptions{NumAnchors: 16, NumNearestAnchors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 30 inserts then 30 deletes of those same delta items: pending
-	// work is 30 (not 60), under the threshold of 50 — no compaction.
-	ids := make([]int, 0, 30)
-	for _, p := range ds.Points[100:130] {
-		id, err := e.Insert(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		if err := e.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := e.Delta(); d.BaseItems != 100 || d.Tombstones != 30 {
-		t.Fatalf("churny delta workload tripped auto-compact early: %+v", d)
-	}
-	// 21 base deletions push pending to 30+21=51 > 50: now it compacts,
-	// leaving 79 live base items and a clean delta.
-	for id := 0; id < 21; id++ {
-		if err := e.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := e.Delta(); d.BaseItems != 79 || d.DeltaItems != 0 || d.Tombstones != 0 {
-		t.Fatalf("base tombstones past the threshold did not compact: %+v", d)
-	}
-}

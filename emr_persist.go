@@ -6,21 +6,17 @@ package mogul
 // base-column normalization, the flat H columns, the stored points,
 // the tombstone set, and the prefactored gram system — so a loaded
 // engine answers bit-identically to the one that saved it without
-// re-running k-means or refactorizing. Same container discipline as
-// MOGULIDX/MOGULSHD: an 8-byte magic, a format version, tag/length
-// section framing (unknown tags skipped for additive evolution), an
-// end marker, and a trailing CRC-32 over everything before it.
-// mogul.Load sniffs the magic and dispatches here; malformed input of
-// any kind yields an error, never a panic.
+// re-running k-means or refactorizing. The container frame, the
+// Save/SaveAligned dispatch, and the two format versions are shared
+// with the spectral engine (container.go, engine.go); this file holds
+// only the section codecs. mogul.Load sniffs the magic and dispatches
+// here; malformed input of any kind yields an error, never a panic.
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"mogul/internal/binio"
 	"mogul/internal/dense"
@@ -29,17 +25,6 @@ import (
 // emrMagic identifies an EMR (anchor-graph) engine file.
 const emrMagic = "MOGULEMR"
 
-// emrFormatVersion is the container version plain float64 saves write
-// (kept at 1 so existing files reproduce byte for byte);
-// emrFormatVersionPrec the version carrying precision and alignment
-// metadata (written for f32 engines and aligned saves);
-// emrMinReadVersion the oldest this build reads.
-const (
-	emrFormatVersion     = 1
-	emrFormatVersionPrec = 2
-	emrMinReadVersion    = 1
-)
-
 // EMR container section tags.
 var (
 	tagEmet = [4]byte{'E', 'M', 'E', 'T'} // scalars: alpha, recipe, shapes, timings
@@ -47,469 +32,33 @@ var (
 	tagEpts = [4]byte{'E', 'P', 'T', 'S'} // stored feature vectors
 	tagEhco = [4]byte{'E', 'H', 'C', 'O'} // flat H columns + tombstones
 	tagEgrm = [4]byte{'E', 'G', 'R', 'M'} // prefactored gram system (LU)
-	tagEend = [4]byte{'E', 'N', 'D', 0}
 )
 
-// Save writes the engine in the versioned MOGULEMR format. Mutators
-// block for the duration; searches proceed. A float64 engine writes
-// version 1, byte-identical to previous releases; a mixed-precision
-// engine writes version 2 with its arrays narrowed.
-func (e *EMRIndex) Save(w io.Writer) error {
-	// mutMu freezes the delta state so the two-pass section framing
-	// sees identical bytes; the read lock covers the reads themselves.
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-
-	if e.st.f32() {
-		return e.savePrecLocked(w, 0)
-	}
-
-	buffered := bufio.NewWriterSize(w, 1<<20)
-	bw := binio.NewWriter(buffered)
-	bw.Raw([]byte(emrMagic))
-	bw.Uint32(emrFormatVersion)
-
-	sections := []struct {
-		tag     [4]byte
-		payload func(w io.Writer) error
-	}{
-		{tagEmet, e.writeEMRMeta},
-		{tagEanc, e.writeEMRAnchors},
-		{tagEpts, e.writeEMRPoints},
-		{tagEhco, e.writeEMRColumns},
-		{tagEgrm, e.writeEMRGram},
-	}
-	for _, s := range sections {
-		if err := writeShardSection(bw, s.tag, s.payload); err != nil {
-			return fmt.Errorf("mogul: writing %q section: %w", s.tag[:], err)
-		}
-	}
-	bw.Raw(tagEend[:])
-	bw.Uint64(0)
-	bw.Uint32(bw.Sum32())
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return buffered.Flush()
+var emrFrame = frame{
+	magic:      emrMagic,
+	kind:       "EMR engine",
+	minVersion: engineFormatVersion,
+	maxVersion: engineFormatVersionPrec,
+	tags:       [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm},
 }
 
-func (e *EMRIndex) writeEMRMeta(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	bw.Float64(e.alpha)
-	bw.Int(int(e.seed))
-	bw.Float64(e.autoCompact)
-	// The recorded anchor recipe (pre-clamping), so Compact on a
-	// loaded engine rebuilds with the options the original build got.
-	bw.Int(e.eopts.NumAnchors)
-	bw.Int(e.eopts.NumNearestAnchors)
-	bw.Int(st.dim)
-	bw.Int(st.p)
-	bw.Int(st.s)
-	bw.Int(st.baseN)
-	bw.Int(st.numPoints())
-	bw.Int(int(st.stats.ClusterTime))
-	bw.Int(int(st.stats.FactorTime))
-	return bw.Err()
-}
-
-func (e *EMRIndex) writeEMRAnchors(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	for _, c := range st.anchors {
-		bw.Floats(c)
-	}
-	bw.Floats(st.colSum)
-	return bw.Err()
-}
-
-func (e *EMRIndex) writeEMRPoints(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	for _, pt := range st.points {
-		bw.Floats(pt)
-	}
-	return bw.Err()
-}
-
-func (e *EMRIndex) writeEMRColumns(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	cols := make([]int, len(st.hAnchor))
-	for i, a := range st.hAnchor {
-		cols[i] = int(a)
-	}
-	bw.Ints(cols)
-	bw.Floats(st.hVal)
-	dead := make([]int, 0, st.deadCount)
-	for id, d := range st.dead {
-		if d {
-			dead = append(dead, id)
-		}
-	}
-	bw.Ints(dead)
-	return bw.Err()
-}
-
-func (e *EMRIndex) writeEMRGram(w io.Writer) error {
-	lu, pivot, signDet := e.st.gram.Components()
-	bw := binio.NewWriter(w)
-	bw.Int(lu.Rows)
-	bw.Floats(lu.Data)
-	bw.Ints(pivot)
-	bw.Float64(signDet)
-	return bw.Err()
-}
-
-// SaveFile writes the engine to a file via Save with the same atomic
-// temp-file-and-rename protocol as Index.SaveFile.
-func (e *EMRIndex) SaveFile(path string) error {
-	return saveFileAtomic(path, e.Save)
-}
-
-// SaveFileAligned is SaveAligned to a file with the same atomic
-// temp-file-and-rename protocol as SaveFile.
-func (e *EMRIndex) SaveFileAligned(path string, align int) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return e.SaveAligned(w, align) })
-}
-
-// LoadEMR reads an engine written by EMRIndex.Save. Malformed input of
-// any kind — wrong magic, unknown version, truncation, checksum
-// mismatch, shape mismatches between sections, a corrupt gram factor —
-// yields an error, never a panic. Callers normally go through Load,
-// which sniffs the magic and dispatches here.
-func LoadEMR(r io.Reader) (*EMRIndex, error) {
-	br := binio.NewReader(r)
-	var magic [len(emrMagic)]byte
-	br.Raw(magic[:])
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading EMR engine header: %w", err)
-	}
-	if string(magic[:]) != emrMagic {
-		return nil, fmt.Errorf("mogul: not an EMR engine file (magic %q)", magic[:])
-	}
-	version := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading EMR engine header: %w", err)
-	}
-	if version < emrMinReadVersion || version > emrFormatVersionPrec {
-		return nil, fmt.Errorf("mogul: EMR engine format version %d, this build reads versions %d-%d", version, emrMinReadVersion, emrFormatVersionPrec)
-	}
-
-	payloads := map[[4]byte][]byte{}
-	bases := map[[4]byte]int64{}
-	for {
-		var tag [4]byte
-		br.Raw(tag[:])
-		n := br.Uint64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading section header: %w", err)
-		}
-		if tag == tagEend {
-			if n != 0 {
-				return nil, fmt.Errorf("mogul: end marker carries %d payload bytes", n)
-			}
-			break
-		}
-		if n > binio.MaxCount {
-			return nil, fmt.Errorf("mogul: section %q claims %d bytes", tag[:], n)
-		}
-		switch tag {
-		case tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm:
-			if payloads[tag] != nil {
-				return nil, fmt.Errorf("mogul: duplicate %q section", tag[:])
-			}
-			bases[tag] = br.Count()
-			payload, err := readShardPayload(br, n)
-			if err != nil {
-				return nil, fmt.Errorf("mogul: reading %q section: %w", tag[:], err)
-			}
-			payloads[tag] = payload
-		default:
-			// A section from a newer writer: skip (the bytes still
-			// count toward the checksum), keeping additive evolution
-			// open.
-			br.Skip(int64(n))
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("mogul: skipping %q section: %w", tag[:], err)
-			}
-		}
-	}
-	want := br.Sum32()
-	got := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("mogul: checksum mismatch (file %08x, computed %08x): EMR engine file is corrupt", got, want)
-	}
-	for _, tag := range [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm} {
-		if payloads[tag] == nil {
-			return nil, fmt.Errorf("mogul: EMR engine file is missing its %q section", tag[:])
-		}
-	}
-	if version >= emrFormatVersionPrec {
-		return assembleEMRPrec(payloads, bases)
-	}
-	return assembleEMR(payloads)
-}
-
-// assembleEMR decodes the section payloads and cross-validates every
-// shape and value invariant the engine relies on.
-func assembleEMR(payloads map[[4]byte][]byte) (*EMRIndex, error) {
-	mr := binio.NewReader(bytes.NewReader(payloads[tagEmet]))
-	alpha := mr.Float64()
-	seed := mr.Int()
-	autoCompact := mr.Float64()
-	recipeAnchors := mr.Int()
-	recipeNearest := mr.Int()
-	dim := mr.Int()
-	p := mr.Int()
-	s := mr.Int()
-	baseN := mr.Int()
-	n := mr.Int()
-	clusterTime := mr.Int()
-	factorTime := mr.Int()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding EMR metadata: %w", err)
-	}
-	switch {
-	case math.IsNaN(alpha) || alpha <= 0 || alpha >= 1:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: alpha %g", alpha)
-	case math.IsNaN(autoCompact) || math.IsInf(autoCompact, 0) || autoCompact < 0:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: auto-compact fraction %g", autoCompact)
-	case dim < 1 || dim > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: dimension %d", dim)
-	case p < 1 || p > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d anchors", p)
-	case s < 1 || s > p:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d nearest anchors for %d anchors", s, p)
-	case n < 1 || n > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d points", n)
-	case baseN < 1 || baseN > n:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: base size %d of %d points", baseN, n)
-	case recipeAnchors < 1 || recipeNearest < 1:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: anchor recipe %d/%d", recipeAnchors, recipeNearest)
-	case clusterTime < 0 || factorTime < 0:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: negative build timings")
-	}
-
-	ar := binio.NewReader(bytes.NewReader(payloads[tagEanc]))
-	anchors := make([]Vector, p)
-	for a := range anchors {
-		v := ar.Floats(binio.MaxCount)
-		if err := ar.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding anchor %d: %w", a, err)
-		}
-		if len(v) != dim {
-			return nil, fmt.Errorf("mogul: anchor %d has dim %d, want %d", a, len(v), dim)
-		}
-		for _, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("mogul: anchor %d has non-finite component", a)
-			}
-		}
-		anchors[a] = v
-	}
-	colSum := ar.Floats(binio.MaxCount)
-	if err := ar.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding column sums: %w", err)
-	}
-	if len(colSum) != p {
-		return nil, fmt.Errorf("mogul: %d column sums for %d anchors", len(colSum), p)
-	}
-	lambda := make([]float64, p)
-	for k, cs := range colSum {
-		if math.IsNaN(cs) || math.IsInf(cs, 0) || cs < 0 {
-			return nil, fmt.Errorf("mogul: corrupt column sum %g at anchor %d", cs, k)
-		}
-		if cs > 0 {
-			lambda[k] = 1 / cs
-		}
-	}
-
-	pr := binio.NewReader(bytes.NewReader(payloads[tagEpts]))
-	points := make([]Vector, n)
-	for i := range points {
-		v := pr.Floats(binio.MaxCount)
-		if err := pr.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding point %d: %w", i, err)
-		}
-		if len(v) != dim {
-			return nil, fmt.Errorf("mogul: point %d has dim %d, want %d", i, len(v), dim)
-		}
-		for _, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("mogul: point %d has non-finite component", i)
-			}
-		}
-		points[i] = v
-	}
-
-	hr := binio.NewReader(bytes.NewReader(payloads[tagEhco]))
-	cols := hr.Ints(binio.MaxCount)
-	hVal := hr.Floats(binio.MaxCount)
-	deadIDs := hr.Ints(binio.MaxCount)
-	if err := hr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding H columns: %w", err)
-	}
-	if len(cols) != n*s || len(hVal) != n*s {
-		return nil, fmt.Errorf("mogul: H columns carry %d ids / %d values, want %d", len(cols), len(hVal), n*s)
-	}
-	hAnchor := make([]int32, len(cols))
-	for i, a := range cols {
-		if a < 0 || a >= p {
-			return nil, fmt.Errorf("mogul: H column entry %d names anchor %d outside [0,%d)", i, a, p)
-		}
-		hAnchor[i] = int32(a)
-	}
-	for i, v := range hVal {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("mogul: H column entry %d is non-finite", i)
-		}
-	}
-	dead := make([]bool, n)
-	deadBase := 0
-	prev := -1
-	for _, id := range deadIDs {
-		if id <= prev || id >= n {
-			return nil, fmt.Errorf("mogul: corrupt tombstone list (id %d after %d, %d points)", id, prev, n)
-		}
-		dead[id] = true
-		if id < baseN {
-			deadBase++
-		}
-		prev = id
-	}
-	if len(deadIDs) >= n {
-		return nil, fmt.Errorf("mogul: every item tombstoned")
-	}
-
-	gr := binio.NewReader(bytes.NewReader(payloads[tagEgrm]))
-	order := gr.Int()
-	if err := gr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding gram factor: %w", err)
-	}
-	if order != p {
-		return nil, fmt.Errorf("mogul: gram factor of order %d for %d anchors", order, p)
-	}
-	luData := gr.Floats(binio.MaxCount)
-	pivot := gr.Ints(binio.MaxCount)
-	signDet := gr.Float64()
-	if err := gr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding gram factor: %w", err)
-	}
-	if len(luData) != p*p {
-		return nil, fmt.Errorf("mogul: gram factor carries %d elements, want %d", len(luData), p*p)
-	}
-	lu, err := dense.NewLUFromComponents(&dense.Matrix{Data: luData, Rows: p, Cols: p}, pivot, signDet)
-	if err != nil {
-		return nil, fmt.Errorf("mogul: corrupt gram factor: %w", err)
-	}
-
-	e := &EMRIndex{
-		alpha:       alpha,
-		seed:        int64(seed),
-		autoCompact: autoCompact,
-		eopts:       EMROptions{NumAnchors: recipeAnchors, NumNearestAnchors: recipeNearest},
-		st: &emrState{
-			dim:       dim,
-			p:         p,
-			s:         s,
-			anchors:   anchors,
-			colSum:    colSum,
-			lambda:    lambda,
-			points:    points,
-			dead:      dead,
-			hAnchor:   hAnchor,
-			hVal:      hVal,
-			deadCount: len(deadIDs),
-			deadBase:  deadBase,
-			baseN:     baseN,
-			gram:      lu,
-			stats: Stats{
-				NumNodes:    baseN,
-				NumClusters: p,
-				FactorNNZ:   p * p,
-				ClusterTime: time.Duration(clusterTime),
-				FactorTime:  time.Duration(factorTime),
-			},
-		},
-	}
-	e.version.Store(1)
-	return e, nil
-}
-
-// LoadEMRFile reads an EMR engine file written by EMRIndex.SaveFile.
-func LoadEMRFile(path string) (*EMRIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadEMR(f)
-}
-
-// --- Version 2: precision + alignment ---
-//
-// Version 2 generalizes version 1 the same two ways the core index's
-// version 4 does (docs/FORMAT.md): the EMET section additionally
-// records a precision flag and an alignment, the stored points become
-// ONE flat row-major array, the H columns store int32 anchor ids, and
-// — when the engine is mixed-precision — the point matrix and the
-// attachment weights are written as float32. When a positive alignment
-// is recorded, every large array in the bulk sections starts on that
-// boundary, so LoadEMRBytes over an mmap'd image hands out zero-copy
-// views. Anchors, column sums, and the gram factor stay float64.
-
-// SaveAligned writes the engine in the version-2 aligned layout: large
-// arrays start on align-byte boundaries (use the page size for mmap
-// sharing). Works in either precision; align must be a positive power
-// of two.
-func (e *EMRIndex) SaveAligned(w io.Writer, align int) error {
-	if align <= 0 || align&(align-1) != 0 {
-		return fmt.Errorf("mogul: alignment %d is not a positive power of two", align)
-	}
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.savePrecLocked(w, align)
-}
-
-// savePrecLocked writes the version-2 container; align == 0 selects
-// the packed (unaligned) variant used for plain f32 saves. Callers
-// hold mutMu and e.mu.
-func (e *EMRIndex) savePrecLocked(w io.Writer, align int) error {
-	st := e.st
-	buffered := bufio.NewWriterSize(w, 1<<20)
-	bw := binio.NewWriter(buffered)
-	bw.Raw([]byte(emrMagic))
-	bw.Uint32(emrFormatVersionPrec)
-
-	prec := 0
-	if st.f32() {
-		prec = 1
-	}
-	writeMeta := func(w io.Writer) error {
-		if err := e.writeEMRMeta(w); err != nil {
-			return err
-		}
-		mw := binio.NewWriter(w)
-		mw.Int(prec)
-		mw.Int(align)
-		return mw.Err()
-	}
-	if err := writeShardSection(bw, tagEmet, writeMeta); err != nil {
-		return fmt.Errorf("mogul: writing %q section: %w", tagEmet[:], err)
-	}
-
-	sections := []struct {
-		tag     [4]byte
-		payload func(sw *binio.Writer) error
-	}{
+// sections encodes the engine. Version 2 stores the anchor ids as
+// int32 and, when the engine is mixed-precision, the attachment weights
+// as float32; anchors, column sums, and the gram factor stay float64.
+func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
+	return []section{
+		{tagEmet, func(sw *binio.Writer) error {
+			e.writeMetaHead(sw)
+			// The recorded anchor recipe (pre-clamping), so Compact on a
+			// loaded engine rebuilds with the options the original build got.
+			sw.Int(e.eopts.NumAnchors)
+			sw.Int(e.eopts.NumNearestAnchors)
+			sw.Int(st.dim)
+			sw.Int(st.p)
+			sw.Int(st.s)
+			st.writeMetaTail(sw, version, align)
+			return sw.Err()
+		}},
 		{tagEanc, func(sw *binio.Writer) error {
 			for _, c := range st.anchors {
 				sw.Floats(c)
@@ -517,32 +66,24 @@ func (e *EMRIndex) savePrecLocked(w io.Writer, align int) error {
 			sw.Floats(st.colSum)
 			return sw.Err()
 		}},
-		{tagEpts, func(sw *binio.Writer) error {
-			if st.f32() {
-				sw.Float32s(st.pts32)
-			} else {
-				flat := make([]float64, 0, len(st.points)*st.dim)
-				for _, pt := range st.points {
-					flat = append(flat, pt...)
-				}
-				sw.Floats(flat)
-			}
-			return sw.Err()
-		}},
+		{tagEpts, func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
 		{tagEhco, func(sw *binio.Writer) error {
-			sw.Int32s(st.hAnchor)
-			if st.f32() {
+			switch {
+			case version < engineFormatVersionPrec:
+				cols := make([]int, len(st.hAnchor))
+				for i, a := range st.hAnchor {
+					cols[i] = int(a)
+				}
+				sw.Ints(cols)
+				sw.Floats(st.hVal)
+			case st.f32():
+				sw.Int32s(st.hAnchor)
 				sw.Float32s(st.hVal32)
-			} else {
+			default:
+				sw.Int32s(st.hAnchor)
 				sw.Floats(st.hVal)
 			}
-			dead := make([]int, 0, st.deadCount)
-			for id, d := range st.dead {
-				if d {
-					dead = append(dead, id)
-				}
-			}
-			sw.Ints(dead)
+			st.writeTombstones(sw)
 			return sw.Err()
 		}},
 		{tagEgrm, func(sw *binio.Writer) error {
@@ -554,60 +95,14 @@ func (e *EMRIndex) savePrecLocked(w io.Writer, align int) error {
 			return sw.Err()
 		}},
 	}
-	for _, s := range sections {
-		if err := writeEMRSectionPrec(bw, s.tag, align, s.payload); err != nil {
-			return fmt.Errorf("mogul: writing %q section: %w", s.tag[:], err)
-		}
-	}
-	bw.Raw(tagEend[:])
-	bw.Uint64(0)
-	bw.Uint32(bw.Sum32())
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return buffered.Flush()
 }
 
-// writeEMRSectionPrec frames a payload whose codec needs the
-// container's binio.Writer directly plus the absolute base offset of
-// its payload, so alignment pads come out identical in the counting
-// pass and the real pass (same two-pass protocol as writeShardSection).
-func writeEMRSectionPrec(bw *binio.Writer, tag [4]byte, align int, payload func(sw *binio.Writer) error) error {
-	base := bw.Count() + 12 // the 4-byte tag and 8-byte length precede the payload
-	var count int64
-	cw := binio.NewWriter(writerFunc(func(p []byte) (int, error) {
-		count += int64(len(p))
-		return len(p), nil
-	}))
-	cw.EnableAlign(align, base)
-	if err := payload(cw); err != nil {
-		return err
-	}
-	if err := cw.Err(); err != nil {
-		return err
-	}
-	bw.Raw(tag[:])
-	bw.Uint64(uint64(count))
-	before := bw.Count()
-	sw := binio.NewWriter(writerFunc(func(p []byte) (int, error) {
-		bw.Raw(p)
-		if err := bw.Err(); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	}))
-	sw.EnableAlign(align, base)
-	if err := payload(sw); err != nil {
-		return err
-	}
-	if err := sw.Err(); err != nil {
-		return err
-	}
-	if got := bw.Count() - before; got != count {
-		return fmt.Errorf("mogul: section produced %d bytes, declared %d", got, count)
-	}
-	return bw.Err()
-}
+// LoadEMR reads an engine written by EMRIndex.Save. Malformed input of
+// any kind — wrong magic, unknown version, truncation, checksum
+// mismatch, shape mismatches between sections, a corrupt gram factor —
+// yields an error, never a panic. Callers normally go through Load,
+// which sniffs the magic and dispatches here.
+func LoadEMR(r io.Reader) (*EMRIndex, error) { return loadEMR(binio.NewReader(r)) }
 
 // LoadEMRBytes parses a complete EMR engine image held in memory —
 // typically an mmap'd file (LoadFileMapped) — using zero-copy views
@@ -616,134 +111,59 @@ func writeEMRSectionPrec(bw *binio.Writer, tag [4]byte, align int, payload func(
 // lifetime. The trailing CRC is NOT verified (hashing the image would
 // fault in every page); all structural and index-range validation
 // still runs, so corrupt input errors rather than panicking later.
-func LoadEMRBytes(data []byte) (*EMRIndex, error) {
-	br := binio.NewBytesReader(data)
-	var magic [len(emrMagic)]byte
-	br.Raw(magic[:])
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading EMR engine header: %w", err)
-	}
-	if string(magic[:]) != emrMagic {
-		return nil, fmt.Errorf("mogul: not an EMR engine file (magic %q)", magic[:])
-	}
-	version := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading EMR engine header: %w", err)
-	}
-	if version < emrMinReadVersion || version > emrFormatVersionPrec {
-		return nil, fmt.Errorf("mogul: EMR engine format version %d, this build reads versions %d-%d", version, emrMinReadVersion, emrFormatVersionPrec)
-	}
+func LoadEMRBytes(data []byte) (*EMRIndex, error) { return loadEMR(binio.NewBytesReader(data)) }
 
-	payloads := map[[4]byte][]byte{}
-	bases := map[[4]byte]int64{}
-	for {
-		var tag [4]byte
-		br.Raw(tag[:])
-		n := br.Uint64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading section header: %w", err)
-		}
-		if tag == tagEend {
-			if n != 0 {
-				return nil, fmt.Errorf("mogul: end marker carries %d payload bytes", n)
-			}
-			break
-		}
-		if n > binio.MaxCount {
-			return nil, fmt.Errorf("mogul: section %q claims %d bytes", tag[:], n)
-		}
-		base := br.Count()
-		payload := br.View(int(n))
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading %q section: %w", tag[:], err)
-		}
-		switch tag {
-		case tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm:
-			if payloads[tag] != nil {
-				return nil, fmt.Errorf("mogul: duplicate %q section", tag[:])
-			}
-			payloads[tag] = payload
-			bases[tag] = base
-		default:
-			// Unknown section from a newer writer: View already advanced
-			// past it.
-		}
+// LoadEMRFile reads an EMR engine file written by EMRIndex.SaveFile.
+func LoadEMRFile(path string) (*EMRIndex, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	// The trailing checksum must at least be present, so a file cut
-	// right after the end marker still errors.
-	br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading checksum: %w", err)
-	}
-	for _, tag := range [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm} {
-		if payloads[tag] == nil {
-			return nil, fmt.Errorf("mogul: EMR engine file is missing its %q section", tag[:])
-		}
-	}
-	if version >= emrFormatVersionPrec {
-		return assembleEMRPrec(payloads, bases)
-	}
-	return assembleEMR(payloads)
+	defer f.Close()
+	return LoadEMR(f)
 }
 
-// assembleEMRPrec decodes a version-2 section set. The big arrays come
-// out as views into the payload bytes (zero-copy when the image is
-// aligned and the host is little-endian, copied otherwise); unlike the
-// version-1 path, the per-element finiteness scans over the point
-// matrix and the attachment weights are skipped — a NaN there degrades
-// a score but can never panic, and scanning would fault in every page
-// of a mapped image.
-func assembleEMRPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*EMRIndex, error) {
-	mr := binio.NewBytesReader(payloads[tagEmet])
-	alpha := mr.Float64()
-	seed := mr.Int()
-	autoCompact := mr.Float64()
+func loadEMR(br *binio.Reader) (*EMRIndex, error) {
+	version, secs, err := readSections(br, &emrFrame)
+	if err != nil {
+		return nil, err
+	}
+	return assembleEMR(version, secs)
+}
+
+// assembleEMR decodes the section payloads and cross-validates every
+// shape and value invariant the engine relies on. Version 2's big
+// arrays come out as views into the payload bytes (zero-copy when the
+// image is aligned and the host is little-endian, copied otherwise),
+// without the per-element finiteness scan version 1 runs over the
+// attachment weights — see readPoints for why.
+func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, error) {
+	var m engineMeta
+	mr := binio.NewBytesReader(secs[tagEmet].payload)
+	m.readHead(mr)
 	recipeAnchors := mr.Int()
 	recipeNearest := mr.Int()
-	dim := mr.Int()
+	m.hdr.dim = mr.Int()
 	p := mr.Int()
 	s := mr.Int()
-	baseN := mr.Int()
-	n := mr.Int()
-	clusterTime := mr.Int()
-	factorTime := mr.Int()
-	prec := mr.Int()
-	align := mr.Int()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding EMR metadata: %w", err)
+	if err := m.readTail(mr, version, "EMR", s); err != nil {
+		return nil, err
 	}
 	switch {
-	case math.IsNaN(alpha) || alpha <= 0 || alpha >= 1:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: alpha %g", alpha)
-	case math.IsNaN(autoCompact) || math.IsInf(autoCompact, 0) || autoCompact < 0:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: auto-compact fraction %g", autoCompact)
-	case dim < 1 || dim > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: dimension %d", dim)
 	case p < 1 || p > binio.MaxCount:
 		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d anchors", p)
 	case s < 1 || s > p:
 		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d nearest anchors for %d anchors", s, p)
-	case n < 1 || n > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d points", n)
-	case n > binio.MaxCount/dim:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d points of dim %d", n, dim)
-	case baseN < 1 || baseN > n:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: base size %d of %d points", baseN, n)
 	case recipeAnchors < 1 || recipeNearest < 1:
 		return nil, fmt.Errorf("mogul: corrupt EMR metadata: anchor recipe %d/%d", recipeAnchors, recipeNearest)
-	case clusterTime < 0 || factorTime < 0:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: negative build timings")
-	case prec != 0 && prec != 1:
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: precision flag %d", prec)
-	case align < 0 || align > binio.MaxCount || (align != 0 && align&(align-1) != 0):
-		return nil, fmt.Errorf("mogul: corrupt EMR metadata: alignment %d", align)
 	}
-	f32 := prec == 1
+	n, dim := m.n, m.hdr.dim
+	v2 := version >= engineFormatVersionPrec
 
-	ar := binio.NewBytesReader(payloads[tagEanc])
-	ar.EnableAlign(align, bases[tagEanc])
-	anchors := make([]Vector, p)
-	for a := range anchors {
+	ar := m.sectionReader(secs[tagEanc])
+	// Grow as anchors arrive rather than trusting p for the allocation.
+	anchors := make([]Vector, 0, min(p, 1<<16))
+	for a := 0; a < p; a++ {
 		v := ar.Floats(binio.MaxCount)
 		if err := ar.Err(); err != nil {
 			return nil, fmt.Errorf("mogul: decoding anchor %d: %w", a, err)
@@ -756,7 +176,7 @@ func assembleEMRPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*EMR
 				return nil, fmt.Errorf("mogul: anchor %d has non-finite component", a)
 			}
 		}
-		anchors[a] = v
+		anchors = append(anchors, v)
 	}
 	colSum := ar.Floats(binio.MaxCount)
 	if err := ar.Err(); err != nil {
@@ -775,42 +195,38 @@ func assembleEMRPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*EMR
 		}
 	}
 
-	pr := binio.NewBytesReader(payloads[tagEpts])
-	pr.EnableAlign(align, bases[tagEpts])
-	var points []Vector
-	var pts32 []float32
-	if f32 {
-		pts32 = pr.Float32sView(binio.MaxCount)
-		if err := pr.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding point matrix: %w", err)
-		}
-		if len(pts32) != n*dim {
-			return nil, fmt.Errorf("mogul: point matrix carries %d values, want %d", len(pts32), n*dim)
-		}
-	} else {
-		flat := pr.FloatsView(binio.MaxCount)
-		if err := pr.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding point matrix: %w", err)
-		}
-		if len(flat) != n*dim {
-			return nil, fmt.Errorf("mogul: point matrix carries %d values, want %d", len(flat), n*dim)
-		}
-		points = make([]Vector, n)
-		for i := range points {
-			points[i] = Vector(flat[i*dim : (i+1)*dim : (i+1)*dim])
-		}
+	if err := m.readPoints(m.sectionReader(secs[tagEpts]), version); err != nil {
+		return nil, err
 	}
 
-	hr := binio.NewBytesReader(payloads[tagEhco])
-	hr.EnableAlign(align, bases[tagEhco])
-	hAnchor := hr.Int32sView(binio.MaxCount)
+	hr := m.sectionReader(secs[tagEhco])
+	var hAnchor []int32
 	var hVal []float64
 	var hVal32 []float32
-	var hLen int
-	if f32 {
+	hLen := 0
+	switch {
+	case !v2:
+		cols := hr.Ints(binio.MaxCount)
+		hVal = hr.Floats(binio.MaxCount)
+		hLen = len(hVal)
+		hAnchor = make([]int32, len(cols))
+		for i, a := range cols {
+			if a < 0 || a >= p {
+				return nil, fmt.Errorf("mogul: H column entry %d names anchor %d outside [0,%d)", i, a, p)
+			}
+			hAnchor[i] = int32(a)
+		}
+		for i, v := range hVal {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("mogul: H column entry %d is non-finite", i)
+			}
+		}
+	case m.f32:
+		hAnchor = hr.Int32sView(binio.MaxCount)
 		hVal32 = hr.Float32sView(binio.MaxCount)
 		hLen = len(hVal32)
-	} else {
+	default:
+		hAnchor = hr.Int32sView(binio.MaxCount)
 		hVal = hr.FloatsView(binio.MaxCount)
 		hLen = len(hVal)
 	}
@@ -821,30 +237,18 @@ func assembleEMRPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*EMR
 	if len(hAnchor) != n*s || hLen != n*s {
 		return nil, fmt.Errorf("mogul: H columns carry %d ids / %d values, want %d", len(hAnchor), hLen, n*s)
 	}
-	for i, a := range hAnchor {
-		if a < 0 || int(a) >= p {
-			return nil, fmt.Errorf("mogul: H column entry %d names anchor %d outside [0,%d)", i, a, p)
+	if v2 {
+		for i, a := range hAnchor {
+			if a < 0 || int(a) >= p {
+				return nil, fmt.Errorf("mogul: H column entry %d names anchor %d outside [0,%d)", i, a, p)
+			}
 		}
 	}
-	dead := make([]bool, n)
-	deadBase := 0
-	prev := -1
-	for _, id := range deadIDs {
-		if id <= prev || id >= n {
-			return nil, fmt.Errorf("mogul: corrupt tombstone list (id %d after %d, %d points)", id, prev, n)
-		}
-		dead[id] = true
-		if id < baseN {
-			deadBase++
-		}
-		prev = id
-	}
-	if len(deadIDs) >= n {
-		return nil, fmt.Errorf("mogul: every item tombstoned")
+	if err := m.readTombstones(deadIDs); err != nil {
+		return nil, err
 	}
 
-	gr := binio.NewBytesReader(payloads[tagEgrm])
-	gr.EnableAlign(align, bases[tagEgrm])
+	gr := m.sectionReader(secs[tagEgrm])
 	order := gr.Int()
 	if err := gr.Err(); err != nil {
 		return nil, fmt.Errorf("mogul: decoding gram factor: %w", err)
@@ -852,7 +256,12 @@ func assembleEMRPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*EMR
 	if order != p {
 		return nil, fmt.Errorf("mogul: gram factor of order %d for %d anchors", order, p)
 	}
-	luData := gr.FloatsView(binio.MaxCount)
+	var luData []float64
+	if v2 {
+		luData = gr.FloatsView(binio.MaxCount)
+	} else {
+		luData = gr.Floats(binio.MaxCount)
+	}
 	pivot := gr.Ints(binio.MaxCount)
 	signDet := gr.Float64()
 	if err := gr.Err(); err != nil {
@@ -866,37 +275,19 @@ func assembleEMRPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*EMR
 		return nil, fmt.Errorf("mogul: corrupt gram factor: %w", err)
 	}
 
-	e := &EMRIndex{
-		alpha:       alpha,
-		seed:        int64(seed),
-		autoCompact: autoCompact,
-		eopts:       EMROptions{NumAnchors: recipeAnchors, NumNearestAnchors: recipeNearest},
-		st: &emrState{
-			dim:       dim,
-			p:         p,
-			s:         s,
-			anchors:   anchors,
-			colSum:    colSum,
-			lambda:    lambda,
-			points:    points,
-			pts32:     pts32,
-			dead:      dead,
-			hAnchor:   hAnchor,
-			hVal:      hVal,
-			hVal32:    hVal32,
-			deadCount: len(deadIDs),
-			deadBase:  deadBase,
-			baseN:     baseN,
-			gram:      lu,
-			stats: Stats{
-				NumNodes:    baseN,
-				NumClusters: p,
-				FactorNNZ:   p * p,
-				ClusterTime: time.Duration(clusterTime),
-				FactorTime:  time.Duration(factorTime),
-			},
-		},
+	m.hdr.stats.NumClusters, m.hdr.stats.FactorNNZ = p, p*p
+	st := &emrState{
+		engineHeader: m.hdr,
+		p:            p,
+		s:            s,
+		anchors:      anchors,
+		colSum:       colSum,
+		lambda:       lambda,
+		hAnchor:      hAnchor,
+		hVal:         hVal,
+		hVal32:       hVal32,
+		gram:         lu,
 	}
-	e.version.Store(1)
-	return e, nil
+	eopts := EMROptions{NumAnchors: recipeAnchors, NumNearestAnchors: recipeNearest}
+	return newEMRIndex(m.alpha, int64(m.seed), m.autoCompact, eopts, st), nil
 }

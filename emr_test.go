@@ -10,7 +10,6 @@ package mogul
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"mogul/internal/baseline"
@@ -214,79 +213,6 @@ func TestEMRInsertCompactEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestEMRDynamicBasics: tombstones leave results and queries, deleted
-// ids stay retired, inserted items are immediately searchable, and the
-// auto-compact policy folds the delta in.
-func TestEMRDynamicBasics(t *testing.T) {
-	ds := NewMixture(MixtureConfig{N: 140, Classes: 4, Dim: 6, WithinStd: 0.4, Separation: 2.5, Seed: 13})
-	e, err := BuildEMR(ds.Points[:120], Options{Alpha: 0.99, Seed: 13}, EMROptions{NumAnchors: 16, NumNearestAnchors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := e.Insert(ds.Points[120])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 120 {
-		t.Fatalf("first insert got id %d", id)
-	}
-	res, err := e.TopK(id, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Node != id {
-		t.Fatalf("inserted item does not rank first for itself: %+v", res[0])
-	}
-	if err := e.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.TopK(7, 5); err == nil {
-		t.Fatal("deleted item served as query")
-	}
-	if err := e.Delete(7); err == nil {
-		t.Fatal("double delete accepted")
-	}
-	res, err = e.TopK(0, e.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if r.Node == 7 {
-			t.Fatal("tombstoned item appeared in results")
-		}
-	}
-	// Errors: bad k, bad ids, dimension mismatch.
-	if _, err := e.TopK(0, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := e.TopK(-1, 5); err == nil {
-		t.Fatal("negative query accepted")
-	}
-	if _, err := e.TopKVector(Vector{1, 2}, 5); err == nil {
-		t.Fatal("wrong-dimension vector accepted")
-	}
-	if _, err := e.TopKSet(nil, 5); err == nil {
-		t.Fatal("empty seed set accepted")
-	}
-	if _, _, err := e.Neighbors(0); err == nil {
-		t.Fatal("Neighbors should be unavailable on the anchor graph")
-	}
-
-	// Auto-compaction: with a tight fraction, inserts fold the delta in.
-	ac, err := BuildEMR(ds.Points[:100], Options{Alpha: 0.99, Seed: 13, AutoCompactFraction: 0.05}, EMROptions{NumAnchors: 16, NumNearestAnchors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 100; i < 110; i++ {
-		if _, err := ac.Insert(ds.Points[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := ac.Delta(); d.DeltaItems > 5 {
-		t.Fatalf("auto-compact never ran: %+v", d)
-	}
-}
-
 // TestEMRBatch: the batch entry points answer per-item, record
 // per-item failures without failing the batch, and agree with the
 // sequential paths.
@@ -350,65 +276,5 @@ func TestEMRRetrieverSurface(t *testing.T) {
 	}
 	if _, info, err := r.TopKWithInfo(0, 5); err != nil || info.ScoresComputed != 100 || info.ClustersScanned != 16 {
 		t.Fatalf("info = %+v, err = %v", nil, err)
-	}
-}
-
-// TestEMRConcurrentQueries hammers one engine from many goroutines —
-// searches on pooled scratch racing Insert/Delete/Compact — and checks
-// nothing tears: run under -race (the CI race job does), this is the
-// regression test for the cachedGram class of bug at the engine level.
-func TestEMRConcurrentQueries(t *testing.T) {
-	ds := NewMixture(MixtureConfig{N: 400, Classes: 6, Dim: 8, WithinStd: 0.4, Separation: 2.5, Seed: 23})
-	e, err := BuildEMR(ds.Points[:300], Options{Alpha: 0.99, Seed: 23}, EMROptions{NumAnchors: 24, NumNearestAnchors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				switch rng.Intn(4) {
-				case 0:
-					// Ids may be tombstoned or (after Compact)
-					// renumbered away concurrently; errors are fine,
-					// panics and races are not.
-					_, _ = e.TopK(rng.Intn(280), 10)
-				case 1:
-					_, _ = e.TopKVector(ds.Points[300+rng.Intn(100)], 10)
-				case 2:
-					_, _ = e.TopKSet([]int{rng.Intn(100), rng.Intn(100)}, 10)
-				case 3:
-					_, _, _ = e.TopKWithInfo(rng.Intn(280), 10)
-				}
-			}
-		}(w)
-	}
-	// Mutations race the searches.
-	for i := 0; i < 30; i++ {
-		if _, err := e.Insert(ds.Points[300+i%100]); err != nil {
-			t.Fatal(err)
-		}
-		if i%7 == 0 {
-			_ = e.Delete(i) // may legitimately fail after renumbering
-		}
-		if i%11 == 0 {
-			if err := e.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if _, err := e.TopK(0, 5); err != nil {
-		t.Fatal(err)
 	}
 }

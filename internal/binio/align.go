@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"unsafe"
 )
@@ -302,10 +303,19 @@ func (r *Reader) View(n int) []byte {
 		r.n += int64(n)
 		return v
 	}
-	out := make([]byte, n)
-	r.Raw(out)
-	if r.err != nil {
-		return nil
+	// Stream mode grows the copy in bounded steps as the bytes arrive, so
+	// a corrupt length fails with a read error instead of a giant
+	// allocation.
+	const chunk = 1 << 20
+	out := make([]byte, 0, min(n, chunk))
+	for len(out) < n {
+		k := min(n-len(out), chunk)
+		off := len(out)
+		out = slices.Grow(out, k)[:off+k]
+		r.Raw(out[off:])
+		if r.err != nil {
+			return nil
+		}
 	}
 	return out
 }

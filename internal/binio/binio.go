@@ -81,6 +81,16 @@ func (w *Writer) Raw(p []byte) {
 	}
 }
 
+// Write is Raw behind io.Writer, so a nested stream codec can write
+// straight into an enclosing section.
+func (w *Writer) Write(p []byte) (int, error) {
+	w.Raw(p)
+	if w.err != nil {
+		return 0, w.err
+	}
+	return len(p), nil
+}
+
 // Uint32 writes a little-endian uint32.
 func (w *Writer) Uint32(v uint32) {
 	var b [4]byte

@@ -396,44 +396,6 @@ func TestOutOfSampleSearch(t *testing.T) {
 	}
 }
 
-func TestLabelPropClusterer(t *testing.T) {
-	g := testGraph(t, 300, 6, 51)
-	ix, err := NewIndex(g, Options{Clusterer: ClustererLabelProp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same correctness contract as the default clusterer: pruned
-	// search equals full substitution.
-	a, _, err := ix.Search(9, SearchOptions{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := ix.Search(9, SearchOptions{K: 10, FullSubstitution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRanking(t, a, b, "labelprop pruned vs full")
-	// Exact mode still matches the oracle under this clusterer.
-	exact, err := NewIndex(g, Options{Clusterer: ClustererLabelProp, Exact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := baselinetest.InverseScores(g, exact.Alpha())
-	got, err := exact.AllScores(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := want(9)
-	for i := range got {
-		if math.Abs(got[i]-ref[i]) > 1e-8*(1+math.Abs(ref[i])) {
-			t.Fatalf("labelprop exact score[%d] = %g, want %g", i, got[i], ref[i])
-		}
-	}
-	if _, err := NewIndex(g, Options{Clusterer: Clusterer(42)}); err == nil {
-		t.Fatal("unknown clusterer accepted")
-	}
-}
-
 func TestExactScoresCG(t *testing.T) {
 	g := testGraph(t, 250, 5, 14)
 	ix, err := NewIndex(g, Options{})

@@ -55,8 +55,6 @@ type Options struct {
 	MinPivot float64
 	// Cluster configures the modularity optimizer; zero value is fine.
 	Cluster cluster.Config
-	// Clusterer selects the community detector behind Algorithm 1.
-	Clusterer Clusterer
 	// Graph records how the k-NN graph was built so Compact can rebuild
 	// it over the merged point set; nil disables compaction (Insert and
 	// Delete still work, the delta just never folds in).
@@ -72,20 +70,6 @@ type Options struct {
 	// All query-time accumulation stays float64; only storage rounds.
 	F32 bool
 }
-
-// Clusterer selects the graph clustering algorithm feeding
-// Algorithm 1. The paper uses the modularity-based method of Shiokawa
-// et al. [17]; the permutation only needs a partition with few
-// cross-cluster edges, so alternatives are offered as ablations.
-type Clusterer int
-
-const (
-	// ClustererLouvain is the default modularity optimizer.
-	ClustererLouvain Clusterer = iota
-	// ClustererLabelProp uses label propagation (Raghavan et al.),
-	// the other classic linear-time community detector.
-	ClustererLabelProp
-)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -224,16 +208,7 @@ func NewIndex(g *knn.Graph, opts Options) (*Index, error) {
 	t0 := time.Now()
 	switch o.Ordering {
 	case OrderingMogul:
-		var cl *cluster.Clustering
-		var err error
-		switch o.Clusterer {
-		case ClustererLouvain:
-			cl, err = cluster.Louvain(g.Adj, o.Cluster)
-		case ClustererLabelProp:
-			cl, err = cluster.LabelPropagation(g.Adj, o.Cluster.MaxSweeps, o.Seed)
-		default:
-			return nil, fmt.Errorf("core: unknown clusterer %d", o.Clusterer)
-		}
+		cl, err := cluster.Louvain(g.Adj, o.Cluster)
 		if err != nil {
 			return nil, fmt.Errorf("core: clustering: %w", err)
 		}

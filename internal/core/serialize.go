@@ -241,7 +241,7 @@ func (ix *Index) writeBuildConfig(w io.Writer) error {
 	}
 	bw := binio.NewWriter(w)
 	bw.Int(int(ix.opts.Ordering))
-	bw.Int(int(ix.opts.Clusterer))
+	bw.Int(0) // reserved: the removed clusterer selector, always Louvain
 	// Full 64 bits, not narrowed through int (32 bits on some
 	// platforms).
 	bw.Uint64(uint64(ix.opts.Seed))
@@ -552,7 +552,12 @@ func (ix *Index) readBuildConfig(payload []byte) error {
 	if ordering < int(OrderingMogul) || ordering > int(OrderingRCM) {
 		return fmt.Errorf("core: corrupt build config: ordering %d", ordering)
 	}
-	if clusterer < int(ClustererLouvain) || clusterer > int(ClustererLabelProp) {
+	if clusterer != 0 {
+		// The slot once selected an alternate community detector; Compact
+		// would silently re-cluster such an index with Louvain, so refuse.
+		if clusterer == 1 {
+			return fmt.Errorf("core: build config selects the removed label-propagation clusterer (id 1); this build only supports Louvain (0)")
+		}
 		return fmt.Errorf("core: corrupt build config: clusterer %d", clusterer)
 	}
 	for name, v := range map[string]float64{
@@ -574,7 +579,6 @@ func (ix *Index) readBuildConfig(payload []byte) error {
 		Seed:                seed,
 		MinPivot:            minPivot,
 		Cluster:             cluster.Config{MaxLevels: maxLevels, MaxSweeps: maxSweeps, MinGain: minGain, Resolution: resolution},
-		Clusterer:           Clusterer(clusterer),
 		Graph:               cfg,
 		AutoCompactFraction: autoCompact,
 	}

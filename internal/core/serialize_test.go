@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
+
+	"mogul/internal/knn"
 )
 
 // crc32OfTest mirrors the container's whole-stream checksum.
@@ -139,6 +142,60 @@ func TestReadIndexDetectsCorruption(t *testing.T) {
 		data[pos] ^= 0xFF
 		if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 			t.Fatalf("corruption at byte %d not detected", pos)
+		}
+	}
+}
+
+// TestReadIndexRejectsRemovedAlternates: the BCFG backend and clusterer
+// slots are reserved (writers emit 0). A file from a build that
+// selected a since-removed k-NN backend or clusterer must fail the load
+// with an error naming it — Compact would otherwise silently rebuild
+// the index with a different algorithm than the one that made it.
+func TestReadIndexRejectsRemovedAlternates(t *testing.T) {
+	g := testGraph(t, 100, 3, 22)
+	ix, err := NewIndex(g, Options{Graph: &knn.GraphConfig{K: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	bcfg := bytes.Index(data, tagBcfg[:])
+	if bcfg < 0 {
+		t.Fatal("BCFG section not found")
+	}
+	payload := bcfg + 12 // tag + length
+	// BCFG layout: the graph config's eight 8-byte scalars (backend is
+	// the fourth), then ordering, then clusterer.
+	const backendSlot, clustererSlot = 3 * 8, 9 * 8
+	for _, slot := range []int{backendSlot, clustererSlot} {
+		if v := binary.LittleEndian.Uint64(data[payload+slot:]); v != 0 {
+			t.Fatalf("writer emitted %d in reserved BCFG slot at +%d, want 0", v, slot)
+		}
+	}
+	cases := []struct {
+		slot   int
+		id     uint64
+		wantIn string
+	}{
+		{backendSlot, 3, "VP-tree"},
+		{backendSlot, 4, "IVF-PQ"},
+		{backendSlot, 9, "corrupt"},
+		{clustererSlot, 1, "label-propagation"},
+		{clustererSlot, 2, "corrupt"},
+	}
+	for _, tc := range cases {
+		bad := bytes.Clone(data[:len(data)-4])
+		binary.LittleEndian.PutUint64(bad[payload+tc.slot:], tc.id)
+		bad = binary.LittleEndian.AppendUint32(bad, crc32OfTest(bad))
+		_, err := ReadIndex(bytes.NewReader(bad))
+		if err == nil {
+			t.Fatalf("BCFG slot +%d = %d accepted", tc.slot, tc.id)
+		}
+		if !strings.Contains(err.Error(), tc.wantIn) {
+			t.Fatalf("BCFG slot +%d = %d: error %q does not mention %q", tc.slot, tc.id, err, tc.wantIn)
 		}
 	}
 }

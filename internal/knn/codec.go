@@ -50,7 +50,7 @@ func (cfg *GraphConfig) WriteConfig(w io.Writer) (int64, error) {
 	bw.Int(cfg.K)
 	bw.Int(boolInt(cfg.Mutual))
 	bw.Float64(cfg.Sigma)
-	bw.Int(int(cfg.Backend))
+	bw.Int(0) // reserved: the removed backend selector, always automatic
 	bw.Int(boolInt(cfg.Approximate))
 	bw.Int(cfg.ApproxThreshold)
 	bw.Int(cfg.NProbe)
@@ -66,6 +66,10 @@ func boolInt(b bool) int {
 	}
 	return 0
 }
+
+// removedBackends names the backend selectors earlier builds could
+// persist in the reserved BCFG slot.
+var removedBackends = map[int]string{1: "forced brute-force", 2: "forced IVF", 3: "VP-tree", 4: "IVF-PQ"}
 
 // ReadConfig reads a configuration written by WriteConfig, validating
 // every field so corrupt input errors rather than producing a config
@@ -90,7 +94,13 @@ func ReadConfig(r io.Reader) (*GraphConfig, error) {
 	if mutual != 0 && mutual != 1 || approx != 0 && approx != 1 {
 		return nil, fmt.Errorf("knn: corrupt graph config: flags %d/%d", mutual, approx)
 	}
-	if backend < int(BackendAuto) || backend > int(BackendIVFPQ) {
+	if backend != 0 {
+		// The slot once selected a forced search structure. Those are
+		// gone; rebuilding such a graph with the automatic choice would
+		// silently change it, so refuse.
+		if name, ok := removedBackends[backend]; ok {
+			return nil, fmt.Errorf("knn: graph config selects the removed %s backend (id %d); this build only supports the automatic choice (0)", name, backend)
+		}
 		return nil, fmt.Errorf("knn: corrupt graph config: backend %d", backend)
 	}
 	if math.IsNaN(cfg.Sigma) || math.IsInf(cfg.Sigma, 0) || cfg.Sigma < 0 {
@@ -101,7 +111,6 @@ func ReadConfig(r io.Reader) (*GraphConfig, error) {
 		return nil, fmt.Errorf("knn: corrupt graph config: threshold=%d nprobe=%d", cfg.ApproxThreshold, cfg.NProbe)
 	}
 	cfg.Mutual = mutual == 1
-	cfg.Backend = Backend(backend)
 	cfg.Approximate = approx == 1
 	return cfg, nil
 }

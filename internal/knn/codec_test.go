@@ -2,8 +2,10 @@ package knn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mogul/internal/vec"
@@ -87,5 +89,39 @@ func TestReadGraphRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadGraph(&b3); err == nil {
 		t.Fatal("zero bandwidth accepted")
+	}
+}
+
+// TestReadConfigRejectsRemovedBackend: the BCFG backend slot is
+// reserved (writers emit 0). A file from a build that forced a since
+// removed search structure must fail loudly, naming it — rebuilding its
+// graph with the automatic choice would silently change the graph.
+func TestReadConfigRejectsRemovedBackend(t *testing.T) {
+	cfg := GraphConfig{K: 5, Mutual: true, Sigma: 0.5, Approximate: true, ApproxThreshold: 100, NProbe: 4, Seed: -3}
+	var buf bytes.Buffer
+	if _, err := cfg.WriteConfig(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadConfig(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != cfg {
+		t.Fatalf("config round trip: %+v, want %+v", *got, cfg)
+	}
+	const backendSlot = 3 * 8 // after K, the mutual flag, and sigma
+	if slot := binary.LittleEndian.Uint64(buf.Bytes()[backendSlot:]); slot != 0 {
+		t.Fatalf("writer emitted %d in the reserved backend slot, want 0", slot)
+	}
+	for id, wantIn := range map[uint64]string{1: "brute-force", 2: "IVF", 3: "VP-tree", 4: "IVF-PQ", 5: "corrupt", 1 << 40: "corrupt"} {
+		bad := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(bad[backendSlot:], id)
+		_, err := ReadConfig(bytes.NewReader(bad))
+		if err == nil {
+			t.Fatalf("backend id %d accepted", id)
+		}
+		if !strings.Contains(err.Error(), wantIn) {
+			t.Fatalf("backend id %d: error %q does not mention %q", id, err, wantIn)
+		}
 	}
 }

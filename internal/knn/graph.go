@@ -31,28 +31,6 @@ type Graph struct {
 	Dim32 int
 }
 
-// Backend selects the nearest-neighbour search structure used during
-// graph construction.
-type Backend int
-
-const (
-	// BackendAuto picks brute force, or IVF for large inputs when
-	// Approximate is set.
-	BackendAuto Backend = iota
-	// BackendBruteForce forces the exact O(n^2 d) scan.
-	BackendBruteForce
-	// BackendIVF forces the approximate inverted-file index.
-	BackendIVF
-	// BackendVPTree forces the exact vantage-point tree (best for low
-	// to moderate dimensionality).
-	BackendVPTree
-	// BackendIVFPQ forces the product-quantized inverted file: lowest
-	// memory, approximate, suited to the largest datasets (requires
-	// the dimension to be divisible by 8 or PQM to be set via NProbe
-	// conventions; see IVFPQConfig).
-	BackendIVFPQ
-)
-
 // GraphConfig controls graph construction.
 type GraphConfig struct {
 	// K is the number of nearest neighbours per node; the paper uses
@@ -67,19 +45,16 @@ type GraphConfig struct {
 	// (Section 3: "sigma is the standard variation of the function
 	// scores").
 	Sigma float64
-	// Backend selects the search structure; BackendAuto honours
-	// Approximate/ApproxThreshold below.
-	Backend Backend
-	// Approximate selects the IVF backend instead of exact brute
-	// force under BackendAuto. Exact is used regardless when
-	// n <= ApproxThreshold.
+	// Approximate selects the IVF index instead of exact brute force
+	// once the input is large enough to pay for it; exact search is used
+	// regardless when n <= ApproxThreshold.
 	Approximate bool
 	// ApproxThreshold is the point count below which exact search is
-	// always used under BackendAuto (default 4096).
+	// always used (default 4096).
 	ApproxThreshold int
 	// NProbe configures IVF probing (default 8).
 	NProbe int
-	// Seed drives the IVF quantizer and VP-tree vantage choice.
+	// Seed drives the IVF quantizer.
 	Seed int64
 }
 
@@ -101,50 +76,15 @@ func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 		threshold = 4096
 	}
 
-	var searcher Searcher
-	switch cfg.Backend {
-	case BackendBruteForce:
-		searcher = NewBruteForce(points)
-	case BackendVPTree:
-		searcher = NewVPTree(points, cfg.Seed)
-	case BackendIVF:
+	// The search structure is chosen from the input, not by a knob:
+	// brute force, or IVF for large inputs when approximation is allowed.
+	var searcher Searcher = NewBruteForce(points)
+	if cfg.Approximate && n > threshold {
 		ix, err := NewIVF(points, IVFConfig{NProbe: cfg.NProbe, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
 		searcher = ix
-	case BackendIVFPQ:
-		m := 8
-		if dim := len(points[0]); dim%m != 0 {
-			// Pick the largest divisor of dim no greater than 8 so PQ
-			// training succeeds for any dimensionality.
-			for m = 8; m > 1; m-- {
-				if dim%m == 0 {
-					break
-				}
-			}
-		}
-		ix, err := NewIVFPQ(points, IVFPQConfig{
-			NProbe: cfg.NProbe,
-			Seed:   cfg.Seed,
-			PQ:     PQConfig{M: m, KSub: 64, Seed: cfg.Seed},
-		})
-		if err != nil {
-			return nil, err
-		}
-		searcher = ix
-	case BackendAuto:
-		if cfg.Approximate && n > threshold {
-			ix, err := NewIVF(points, IVFConfig{NProbe: cfg.NProbe, Seed: cfg.Seed})
-			if err != nil {
-				return nil, err
-			}
-			searcher = ix
-		} else {
-			searcher = NewBruteForce(points)
-		}
-	default:
-		return nil, fmt.Errorf("knn: unknown backend %d", cfg.Backend)
 	}
 
 	neighbors := AllKNN(points, searcher, k)

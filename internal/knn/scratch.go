@@ -16,7 +16,6 @@ import (
 // collector allocation alone shows up in build profiles.
 type Scratch struct {
 	col    topk.Collector
-	pool   topk.Collector
 	out    []Neighbor
 	cellID []int
 	cellD  []float64

@@ -29,15 +29,9 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivfpq, err := NewIVFPQ(pts, IVFPQConfig{Seed: 5, PQ: PQConfig{M: 3, KSub: 16, Seed: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	backends := map[string]IntoSearcher{
-		"brute":  NewBruteForce(pts),
-		"vptree": NewVPTree(pts, 5),
-		"ivf":    ivf,
-		"ivfpq":  ivfpq,
+		"brute": NewBruteForce(pts),
+		"ivf":   ivf,
 	}
 	for name, s := range backends {
 		var sc Scratch
@@ -58,13 +52,12 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 }
 
 // TestSearchIntoDoesNotAllocate is the satellite guarantee: a warmed
-// scratch makes brute-force and VP-tree queries allocation-free, so
-// the n queries of a graph build no longer create n collectors.
+// scratch makes brute-force queries allocation-free, so the n queries
+// of a graph build no longer create n collectors.
 func TestSearchIntoDoesNotAllocate(t *testing.T) {
 	pts := scratchTestPoints(500, 6, 4)
 	for name, s := range map[string]IntoSearcher{
-		"brute":  NewBruteForce(pts),
-		"vptree": NewVPTree(pts, 7),
+		"brute": NewBruteForce(pts),
 	} {
 		var sc Scratch
 		s.SearchInto(&sc, pts[0], 12) // warm the scratch

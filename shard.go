@@ -774,26 +774,13 @@ func (six *ShardedIndex) TopKSet(seeds []int, k int) ([]Result, error) {
 // TopKBatch answers many in-database queries concurrently, one pinned
 // ShardedSearcher per worker, mirroring Index.TopKBatch.
 func (six *ShardedIndex) TopKBatch(queries []int, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
-		ss := six.NewSearcher()
-		return func(i int) BatchResult {
-			q := queries[i]
-			res, err := ss.TopK(q, k)
-			return BatchResult{Query: q, Results: res, Err: err}
-		}
-	})
+	return topKBatch(six.NewQuerier, queries, k, parallelism)
 }
 
 // TopKVectorBatch answers many out-of-sample queries concurrently,
 // mirroring Index.TopKVectorBatch.
 func (six *ShardedIndex) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
-		ss := six.NewSearcher()
-		return func(i int) BatchResult {
-			res, err := ss.TopKVector(queries[i], k)
-			return BatchResult{Query: i, Results: res, Err: err}
-		}
-	})
+	return topKVectorBatch(six.NewQuerier, queries, k, parallelism)
 }
 
 // routeInsert picks the owning shard for a new point: the nearest

@@ -14,14 +14,12 @@ package mogul
 // to the right reader, so callers never branch on file kind.
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"mogul/internal/binio"
 	"mogul/internal/core"
@@ -45,47 +43,15 @@ var (
 	tagSctr = [4]byte{'S', 'C', 'T', 'R'}
 	tagSmap = [4]byte{'S', 'M', 'A', 'P'}
 	tagSidx = [4]byte{'S', 'I', 'D', 'X'}
-	tagSend = [4]byte{'E', 'N', 'D', 0}
 )
 
-// writeShardSection frames one payload with the two-pass scheme the
-// plain container uses (count first, then stream), which keeps Save at
-// O(1) extra memory even though every SIDX payload is a whole nested
-// index stream. The payload writers are deterministic while the locks
-// held by Save freeze the index, so both passes produce identical
-// bytes.
-func writeShardSection(bw *binio.Writer, tag [4]byte, payload func(w io.Writer) error) error {
-	var count int64
-	counter := writerFunc(func(p []byte) (int, error) {
-		count += int64(len(p))
-		return len(p), nil
-	})
-	if err := payload(counter); err != nil {
-		return err
-	}
-	bw.Raw(tag[:])
-	bw.Uint64(uint64(count))
-	before := bw.Count()
-	sink := writerFunc(func(p []byte) (int, error) {
-		bw.Raw(p)
-		if err := bw.Err(); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	})
-	if err := payload(sink); err != nil {
-		return err
-	}
-	if got := bw.Count() - before; got != count {
-		return fmt.Errorf("mogul: section produced %d bytes, declared %d", got, count)
-	}
-	return bw.Err()
+var shardedFrame = frame{
+	magic:      shardedMagic,
+	kind:       "sharded index",
+	minVersion: shardedMinReadVersion,
+	maxVersion: shardedFormatVersion,
+	tags:       [][4]byte{tagSmet, tagSctr, tagSmap, tagSidx},
 }
-
-// writerFunc adapts a function to io.Writer.
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // maxRetiredIDs bounds how far the global id space may outgrow the
 // mapped shard slots (each delete+Compact retires one id forever).
@@ -115,39 +81,19 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 		return fmt.Errorf("mogul: %d retired global ids exceed the format's %d limit; rebuild the index fresh (BuildSharded over the live points) before saving", retired, maxRetiredIDs)
 	}
 
-	buffered := bufio.NewWriterSize(w, 1<<20)
-	bw := binio.NewWriter(buffered)
-	bw.Raw([]byte(shardedMagic))
-	bw.Uint32(shardedFormatVersion)
-
-	if err := writeShardSection(bw, tagSmet, six.writeShardMeta); err != nil {
-		return fmt.Errorf("mogul: writing %q section: %w", tagSmet[:], err)
-	}
+	sections := []section{{tagSmet, six.writeShardMeta}}
 	if len(six.centroids) > 0 {
-		if err := writeShardSection(bw, tagSctr, six.writeCentroids); err != nil {
-			return fmt.Errorf("mogul: writing %q section: %w", tagSctr[:], err)
-		}
+		sections = append(sections, section{tagSctr, six.writeCentroids})
 	}
-	if err := writeShardSection(bw, tagSmap, six.writeIDMaps); err != nil {
-		return fmt.Errorf("mogul: writing %q section: %w", tagSmap[:], err)
+	sections = append(sections, section{tagSmap, six.writeIDMaps})
+	for _, sh := range six.shards {
+		// Every SIDX payload is a whole nested index stream.
+		sections = append(sections, section{tagSidx, func(sw *binio.Writer) error { return sh.Save(sw) }})
 	}
-	for s, sh := range six.shards {
-		if err := writeShardSection(bw, tagSidx, sh.Save); err != nil {
-			return fmt.Errorf("mogul: writing shard %d: %w", s, err)
-		}
-	}
-	bw.Raw(tagSend[:])
-	bw.Uint64(0)
-	crc := bw.Sum32()
-	bw.Uint32(crc)
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return buffered.Flush()
+	return writeContainer(w, shardedMagic, shardedFormatVersion, 0, sections)
 }
 
-func (six *ShardedIndex) writeShardMeta(w io.Writer) error {
-	bw := binio.NewWriter(w)
+func (six *ShardedIndex) writeShardMeta(bw *binio.Writer) error {
 	bw.Int(len(six.shards))
 	bw.Int(int(six.part))
 	bw.Int(len(six.locOf))
@@ -155,8 +101,7 @@ func (six *ShardedIndex) writeShardMeta(w io.Writer) error {
 	return bw.Err()
 }
 
-func (six *ShardedIndex) writeCentroids(w io.Writer) error {
-	bw := binio.NewWriter(w)
+func (six *ShardedIndex) writeCentroids(bw *binio.Writer) error {
 	bw.Int(len(six.centroids))
 	for _, c := range six.centroids {
 		bw.Floats(c)
@@ -167,8 +112,7 @@ func (six *ShardedIndex) writeCentroids(w io.Writer) error {
 // writeIDMaps stores one dense local->global table per shard; locOf is
 // their inverse and is rebuilt on load (retired global ids are exactly
 // the ones no table mentions).
-func (six *ShardedIndex) writeIDMaps(w io.Writer) error {
-	bw := binio.NewWriter(w)
+func (six *ShardedIndex) writeIDMaps(bw *binio.Writer) error {
 	for _, m := range six.l2g {
 		bw.Ints(m)
 	}
@@ -231,100 +175,28 @@ func saveFileAtomic(path string, save func(io.Writer) error) error {
 // normally go through Load, which sniffs the magic and dispatches
 // here on its own.
 func LoadSharded(r io.Reader) (*ShardedIndex, error) {
-	br := binio.NewReader(r)
-	var magic [len(shardedMagic)]byte
-	br.Raw(magic[:])
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading sharded index header: %w", err)
+	_, secs, err := readContainer(binio.NewReader(r), &shardedFrame)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic[:]) != shardedMagic {
-		return nil, fmt.Errorf("mogul: not a sharded mogul index file (magic %q)", magic[:])
-	}
-	version := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading sharded index header: %w", err)
-	}
-	if version < shardedMinReadVersion || version > shardedFormatVersion {
-		return nil, fmt.Errorf("mogul: sharded index format version %d, this build reads versions %d-%d", version, shardedMinReadVersion, shardedFormatVersion)
-	}
-
 	var meta, centroids, idMaps []byte
 	var shardPayloads [][]byte
-	for {
-		var tag [4]byte
-		br.Raw(tag[:])
-		n := br.Uint64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading section header: %w", err)
-		}
-		if tag == tagSend {
-			if n != 0 {
-				return nil, fmt.Errorf("mogul: end marker carries %d payload bytes", n)
-			}
-			break
-		}
-		if n > binio.MaxCount {
-			return nil, fmt.Errorf("mogul: section %q claims %d bytes", tag[:], n)
-		}
-		switch tag {
-		case tagSmet, tagSctr, tagSmap:
-			payload, err := readShardPayload(br, n)
-			if err != nil {
-				return nil, fmt.Errorf("mogul: reading %q section: %w", tag[:], err)
-			}
-			switch tag {
-			case tagSmet:
-				meta = payload
-			case tagSctr:
-				centroids = payload
-			case tagSmap:
-				idMaps = payload
-			}
+	for _, s := range secs {
+		switch s.tag {
+		case tagSmet:
+			meta = s.payload
+		case tagSctr:
+			centroids = s.payload
+		case tagSmap:
+			idMaps = s.payload
 		case tagSidx:
-			payload, err := readShardPayload(br, n)
-			if err != nil {
-				return nil, fmt.Errorf("mogul: reading shard %d: %w", len(shardPayloads), err)
-			}
-			shardPayloads = append(shardPayloads, payload)
-		default:
-			// A section from a newer writer: skip (the bytes still count
-			// toward the checksum), keeping additive evolution open.
-			br.Skip(int64(n))
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("mogul: skipping %q section: %w", tag[:], err)
-			}
+			shardPayloads = append(shardPayloads, s.payload)
 		}
-	}
-	want := br.Sum32()
-	got := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("mogul: checksum mismatch (file %08x, computed %08x): sharded index file is corrupt", got, want)
 	}
 	if meta == nil || idMaps == nil {
 		return nil, fmt.Errorf("mogul: sharded index file is missing a required manifest section")
 	}
 	return assembleSharded(meta, centroids, idMaps, shardPayloads)
-}
-
-// readShardPayload reads exactly n bytes, growing the buffer in
-// bounded steps so a corrupt length fails with an I/O error instead of
-// a giant allocation (mirrors the plain container's reader).
-func readShardPayload(br *binio.Reader, n uint64) ([]byte, error) {
-	const chunk = uint64(1 << 20)
-	buf := make([]byte, 0, min(n, chunk))
-	for uint64(len(buf)) < n {
-		k := int(min(n-uint64(len(buf)), chunk))
-		off := len(buf)
-		buf = slices.Grow(buf, k)[:off+k]
-		br.Raw(buf[off:])
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // assembleSharded decodes the manifest payloads, loads every nested

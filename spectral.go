@@ -56,14 +56,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mogul/internal/knn"
 	"mogul/internal/sparse"
 	"mogul/internal/spectral"
-	"mogul/internal/topk"
 	"mogul/internal/vec"
 )
 
@@ -131,11 +128,11 @@ const hopMassTol = 1e-10
 
 // spectralState is everything a query touches, grouped so Compact can
 // build a replacement off-line and swap it in atomically under the
-// write lock. Within a state, graph/vals/tail/sigma are frozen at
-// build time; points/emb/dead and the attachment arrays grow or flip
-// under the write lock.
+// write lock. Within a state, graph/vals/sigma are frozen at build
+// time; the header's points/dead, emb and the attachment arrays grow
+// or flip under the write lock.
 type spectralState struct {
-	dim  int
+	engineHeader
 	rank int
 	// graph is the normalized adjacency S over the base build — the
 	// sparse operator the exact query-time hops run on. Tombstoned
@@ -150,12 +147,6 @@ type spectralState struct {
 	// its spectral-tail coefficients (alpha*vals[j])^T / (1 -
 	// alpha*vals[j]) from them with its own adaptive horizon T.
 	vals []float64
-	// points holds every item ever inserted, by id; dead tombstones. In
-	// mixed-precision mode points is nil and the vectors live flattened
-	// in pts32 with stride dim.
-	points []Vector
-	pts32  []float32
-	dead   []bool
 	// emb stores the embedding rows flat with stride rank (item i owns
 	// [i*rank, (i+1)*rank)): one cache-friendly streaming array, which
 	// is what keeps the per-query scan memory-bandwidth bound. In
@@ -172,79 +163,31 @@ type spectralState struct {
 	attPtr []int
 	attID  []int
 	attW   []float64
-	// deadCount counts all tombstones; deadBase only those in the base
-	// build (the auto-compact policy counts a deleted delta item once:
-	// it is already in the inserted-items term). baseN is how many
-	// rows the eigenbasis and the graph cover.
-	deadCount int
-	deadBase  int
-	baseN     int
-	stats     Stats
-}
-
-// f32 reports whether the state stores its bulk arrays narrowed.
-func (st *spectralState) f32() bool { return st.emb32 != nil }
-
-// numPoints returns the id-space size in either precision.
-func (st *spectralState) numPoints() int {
-	if st.pts32 != nil {
-		return len(st.pts32) / st.dim
-	}
-	return len(st.points)
-}
-
-// pointVec returns item i's stored vector. In f64 mode the returned
-// slice aliases state storage; in f32 mode it is freshly widened —
-// callers that retain it must copy in either case.
-func (st *spectralState) pointVec(i int) Vector {
-	if st.pts32 != nil {
-		return Vector(vec.Widen64(nil, st.pts32[i*st.dim:(i+1)*st.dim]))
-	}
-	return st.points[i]
 }
 
 // narrow32 moves the state into mixed-precision storage: the point
 // matrix flattens to float32 rows, the embedding rows and the base
 // graph's edge weights round to float32, halving the bytes each query
-// streams (the O(n*r) embedding scan dominates). Applied exactly once,
-// after the (always float64) build; the eigenvalues and the delta
-// attachment weights keep full precision.
+// streams (the O(n*r) embedding scan dominates); the eigenvalues and
+// the delta attachment weights keep full precision.
 func (st *spectralState) narrow32() {
-	if st.f32() {
-		return
-	}
-	st.pts32, _ = vec.Flatten32(st.points)
-	st.points = nil
+	st.narrowPoints()
 	st.emb32 = vec.Narrow32(nil, st.emb)
 	st.emb = nil
 	st.graph.Narrow32()
 }
 
 // SpectralIndex is the truncated-eigenbasis (Fast Spectral Ranking)
-// serving engine built by BuildSpectral. It implements Retriever:
-// searches run concurrently against the immutable base structures
-// (read lock) on pooled per-searcher scratch, while
-// Insert/Delete/Compact mutate the delta state (or swap the whole
-// basis) behind the write lock.
+// serving engine built by BuildSpectral. It implements Retriever
+// through the shared engine lifecycle (engine.go): searches run
+// concurrently against the immutable base structures (read lock) on
+// pooled per-searcher scratch, while Insert/Delete/Compact mutate the
+// delta state (or swap the whole basis) behind the write lock.
 type SpectralIndex struct {
-	alpha float64
-	// ropts/sopts/seed/autoCompact are the recorded recipe Compact
-	// rebuilds with, so Insert...Compact converges to exactly what a
-	// fresh BuildSpectral over the live points would produce.
-	seed        int64
-	autoCompact float64
-	ropts       Options // graph recipe (GraphK, Approximate, Mutual, Sigma)
-	sopts       SpectralOptions
-
-	// mu guards st; mutMu serializes mutators so Compact's off-line
-	// rebuild never races another Insert/Delete/Compact while searches
-	// proceed against the old state.
-	mu    sync.RWMutex
-	mutMu sync.Mutex
-	st    *spectralState
-
-	version   atomic.Uint64
-	searchers sync.Pool
+	engine[*spectralState]
+	// ropts/sopts are the recorded recipe Compact rebuilds with.
+	ropts Options // graph recipe (GraphK, Approximate, Mutual, Sigma) + Seed
+	sopts SpectralOptions
 }
 
 // Both the engine and its searcher implement the shared serving
@@ -254,6 +197,12 @@ var (
 	_ Querier   = (*SpectralSearcher)(nil)
 )
 
+func newSpectralIndex(ropts Options, sopts SpectralOptions, st *spectralState) *SpectralIndex {
+	e := &SpectralIndex{ropts: ropts, sopts: sopts}
+	e.init(e, &spectralFrame, ropts.Alpha, ropts.Seed, ropts.AutoCompactFraction, st)
+	return e
+}
+
 // BuildSpectral constructs the spectral engine over the given feature
 // vectors. opts supplies the graph recipe, Alpha, Seed, and
 // AutoCompactFraction (Exact is ignored — truncation is the point);
@@ -262,31 +211,8 @@ var (
 // and query independent: one engine serves any query item, any
 // vector, any k.
 func BuildSpectral(points []Vector, opts Options, sopts SpectralOptions) (*SpectralIndex, error) {
-	if len(points) < 2 {
-		return nil, fmt.Errorf("mogul: BuildSpectral needs at least 2 points, got %d", len(points))
-	}
-	if opts.Alpha == 0 {
-		opts.Alpha = 0.99
-	}
-	if opts.Alpha <= 0 || opts.Alpha >= 1 {
-		return nil, fmt.Errorf("mogul: alpha must lie in (0,1), got %g", opts.Alpha)
-	}
-	if opts.AutoCompactFraction < 0 || math.IsNaN(opts.AutoCompactFraction) || math.IsInf(opts.AutoCompactFraction, 0) {
-		return nil, fmt.Errorf("mogul: auto-compact fraction must be finite and non-negative, got %g", opts.AutoCompactFraction)
-	}
-	dim := len(points[0])
-	if dim == 0 {
-		return nil, fmt.Errorf("mogul: BuildSpectral needs non-empty feature vectors")
-	}
-	for i, pt := range points {
-		if len(pt) != dim {
-			return nil, fmt.Errorf("mogul: point %d has dim %d, want %d", i, len(pt), dim)
-		}
-		for _, x := range pt {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("mogul: point %d has non-finite component %g", i, x)
-			}
-		}
+	if err := checkBuildInput("BuildSpectral", points, 2, &opts); err != nil {
+		return nil, err
 	}
 	sopts = sopts.withDefaults()
 	st, err := buildSpectralState(points, opts, sopts)
@@ -294,20 +220,13 @@ func BuildSpectral(points []Vector, opts Options, sopts SpectralOptions) (*Spect
 		return nil, err
 	}
 	if opts.Precision == F32 {
-		// The build itself always runs in float64 (graph, Lanczos);
-		// narrowing once at the end is the only lossy step.
 		st.narrow32()
 	}
-	e := &SpectralIndex{
-		alpha:       opts.Alpha,
-		seed:        opts.Seed,
-		autoCompact: opts.AutoCompactFraction,
-		ropts:       opts,
-		sopts:       sopts,
-		st:          st,
-	}
-	e.version.Store(1)
-	return e, nil
+	return newSpectralIndex(opts, sopts, st), nil
+}
+
+func (e *SpectralIndex) build(points []Vector) (*spectralState, error) {
+	return buildSpectralState(points, e.ropts, e.sopts)
 }
 
 // buildSpectralState runs the offline half of the engine: the k-NN
@@ -339,16 +258,13 @@ func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions) (*
 		return nil, fmt.Errorf("mogul: spectral decomposition: %w", err)
 	}
 	st := &spectralState{
-		dim:    len(points[0]),
-		rank:   basis.Rank,
-		graph:  S,
-		sigma:  g.Sigma,
-		vals:   basis.Vals,
-		points: points,
-		dead:   make([]bool, n),
-		emb:    basis.Vecs,
-		attPtr: []int{0},
-		baseN:  n,
+		engineHeader: engineHeader{dim: len(points[0]), points: points, dead: make([]bool, n), baseN: n},
+		rank:         basis.Rank,
+		graph:        S,
+		sigma:        g.Sigma,
+		vals:         basis.Vals,
+		emb:          basis.Vecs,
+		attPtr:       []int{0},
 	}
 	st.stats = Stats{
 		NumNodes:    n,
@@ -374,57 +290,6 @@ func tailCoefficient(alpha, lambda float64, hops int) float64 {
 	return p / (1 - av)
 }
 
-// Len returns the number of live (searchable) items.
-func (e *SpectralIndex) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.numPoints() - e.st.deadCount
-}
-
-// Exact reports false: spectral scores approximate exact Manifold
-// Ranking through the truncated eigenbasis.
-func (e *SpectralIndex) Exact() bool { return false }
-
-// Precision reports the storage precision the engine was built (or
-// loaded) with.
-func (e *SpectralIndex) Precision() Precision {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.st.f32() {
-		return F32
-	}
-	return F64
-}
-
-// Stats reports what the latest base build did, mapped onto the
-// shared Stats shape: NumClusters is the retained rank r, FactorNNZ
-// the n x r embedding, ClusterTime the graph construction, FactorTime
-// the Lanczos decomposition.
-func (e *SpectralIndex) Stats() Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.stats
-}
-
-// Delta reports the dynamic state: items inserted since the base
-// build and tombstones awaiting compaction.
-func (e *SpectralIndex) Delta() DeltaStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	st := e.st
-	deltaDead := st.deadCount - st.deadBase
-	return DeltaStats{
-		BaseItems:  st.baseN,
-		DeltaItems: st.numPoints() - st.baseN - deltaDead,
-		Tombstones: st.deadCount,
-	}
-}
-
-// Version is the monotonic mutation counter (same contract as
-// Index.Version): unchanged Version means unchanged answers, which is
-// what lets the serve layer cache results and invalidate implicitly.
-func (e *SpectralIndex) Version() uint64 { return e.version.Load() }
-
 // Rank returns r, the number of eigenpairs the current basis retains.
 func (e *SpectralIndex) Rank() int {
 	e.mu.RLock()
@@ -444,11 +309,12 @@ func (e *SpectralIndex) Neighbors(item int) ([]int, []float64, error) {
 // top-k collector, the hop-expansion frontier, and the attachment
 // scratch, so a steady query load runs allocation-free. Use one
 // searcher per worker goroutine (the SpectralIndex query methods draw
-// from an internal pool).
+// from an internal pool). TopK, TopKWithInfo, TopKVector and TopKSet
+// come from the shared searcher half (engine.go).
 type SpectralSearcher struct {
+	searcher[*spectralState]
 	e        *SpectralIndex
 	b, coeff []float64
-	col      topk.Collector
 	// Hop-expansion scratch: hop accumulates the exact Neumann prefix
 	// over base items, pw/tmp carry the current power, and the stamp
 	// arrays make "is this entry mine" O(1) without ever clearing the
@@ -463,33 +329,23 @@ type SpectralSearcher struct {
 	dist  []float64
 	nbrID []int
 	nbrW  []float64
-	// seeds/baseSeeds/deltaSelf are the query's seed distribution: raw
-	// seeds as given, their base-graph redistribution (delta seeds
-	// forwarded to their anchors), and the t=0 self terms of delta
-	// seeds.
-	seeds, baseSeeds, deltaSelf []seedWeight
-	// aff is the raw heat-kernel affinity of the last out-of-sample
-	// attachment (the unnormalized kernel mass), the same density
-	// proxy the sharded fan-out scales merges with.
-	aff float64
-	// scanned counts items scored by the last query (for SearchInfo).
-	scanned int
+	// baseSeeds/deltaSelf split the query's seed distribution: its
+	// base-graph redistribution (delta seeds forwarded to their
+	// anchors), and the t=0 self terms of delta seeds.
+	baseSeeds, deltaSelf []seedWeight
 }
 
 // NewSearcher returns a fresh dedicated searcher.
-func (e *SpectralIndex) NewSearcher() *SpectralSearcher { return &SpectralSearcher{e: e} }
+func (e *SpectralIndex) NewSearcher() *SpectralSearcher {
+	sr := &SpectralSearcher{e: e}
+	sr.eng, sr.be = &e.engine, sr
+	return sr
+}
 
 // NewQuerier is NewSearcher behind the interface surface (Retriever).
 func (e *SpectralIndex) NewQuerier() Querier { return e.NewSearcher() }
 
-func (e *SpectralIndex) acquire() *SpectralSearcher {
-	if v := e.searchers.Get(); v != nil {
-		return v.(*SpectralSearcher)
-	}
-	return e.NewSearcher()
-}
-
-func (e *SpectralIndex) release(sr *SpectralSearcher) { e.searchers.Put(sr) }
+func (e *SpectralIndex) newSearcher() *searcher[*spectralState] { return &e.NewSearcher().searcher }
 
 // ensure sizes the scratch for the current state (Compact may change
 // the rank and base size; Insert grows the id space). Callers hold
@@ -521,22 +377,6 @@ func (sr *SpectralSearcher) ensure(st *spectralState) {
 	sr.estamp = sr.estamp[:base]
 }
 
-// sortSeedsByID orders a seed list ascending by id with a plain
-// insertion sort: seed lists are tiny (a query item, or AttachK
-// anchors), and unlike sort.Slice this never boxes the slice, keeping
-// the steady-state query path allocation-free.
-func sortSeedsByID(s []seedWeight) {
-	for i := 1; i < len(s); i++ {
-		sw := s[i]
-		j := i
-		for j > 0 && s[j-1].id > sw.id {
-			s[j] = s[j-1]
-			j--
-		}
-		s[j] = sw
-	}
-}
-
 // splitSeeds converts the raw seed list into the base distribution
 // (delta seeds forwarded to their stored anchors, entries merged and
 // ascending) and the delta self-term list. Callers hold e.mu; the raw
@@ -556,16 +396,7 @@ func (sr *SpectralSearcher) splitSeeds(raw []seedWeight) {
 			sr.baseSeeds = append(sr.baseSeeds, seedWeight{id: st.attID[t], w: sw.w * st.attW[t]})
 		}
 	}
-	sortSeedsByID(sr.baseSeeds)
-	uniq := sr.baseSeeds[:0]
-	for _, sw := range sr.baseSeeds {
-		if len(uniq) > 0 && uniq[len(uniq)-1].id == sw.id {
-			uniq[len(uniq)-1].w += sw.w
-			continue
-		}
-		uniq = append(uniq, sw)
-	}
-	sr.baseSeeds = uniq
+	sr.baseSeeds = normalizeSeeds(sr.baseSeeds)
 }
 
 // expandHops evaluates the exact Neumann prefix sum_{t<T} (alpha S)^t
@@ -668,12 +499,8 @@ func (sr *SpectralSearcher) collect(k int) []Result {
 		sr.coeff[j] = tailCoefficient(e.alpha, st.vals[j], hops) * sr.b[j]
 	}
 	n := st.numPoints()
-	live := n - st.deadCount
-	if k > live {
-		k = live
-	}
 	emb32 := st.emb32
-	sr.col.Reset(k)
+	sr.resetCollector(k)
 	for i := 0; i < st.baseN; i++ {
 		if st.dead[i] {
 			continue
@@ -723,65 +550,7 @@ func (sr *SpectralSearcher) collect(k int) []Result {
 		}
 		sr.col.Offer(i, (1-e.alpha)*sum)
 	}
-	sr.scanned = live
-	items := sr.col.Drain()
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Node: it.ID, Score: it.Score}
-	}
-	return out
-}
-
-// checkItem validates an item id against the current state. Callers
-// hold e.mu.
-func (st *spectralState) checkItem(id int) error {
-	if n := st.numPoints(); id < 0 || id >= n {
-		return fmt.Errorf("mogul: item %d outside [0,%d)", id, n)
-	}
-	if st.dead[id] {
-		return fmt.Errorf("mogul: item %d deleted", id)
-	}
-	return nil
-}
-
-// TopK ranks database items against an in-database query item, best
-// first. The query item itself is included (it typically ranks first).
-func (sr *SpectralSearcher) TopK(query, k int) ([]Result, error) {
-	e := sr.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	st := e.st
-	if err := st.checkItem(query); err != nil {
-		return nil, err
-	}
-	sr.ensure(st)
-	if st.emb32 != nil {
-		vec.Widen64(sr.b[:0], st.emb32[query*st.rank:(query+1)*st.rank])
-	} else {
-		copy(sr.b, st.emb[query*st.rank:(query+1)*st.rank])
-	}
-	sr.seeds = append(sr.seeds[:0], seedWeight{id: query, w: 1})
-	sr.splitSeeds(sr.seeds)
-	sr.aff = 0
-	return sr.collect(k), nil
-}
-
-// TopKWithInfo is TopK plus work counters: the spectral engine has no
-// pruning, so every retained eigenpair is "scanned" and every live
-// item scored.
-func (sr *SpectralSearcher) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	res, err := sr.TopK(query, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	e := sr.e
-	e.mu.RLock()
-	r := e.st.rank
-	e.mu.RUnlock()
-	return res, &SearchInfo{ClustersScanned: r, ScoresComputed: sr.scanned}, nil
+	return sr.results()
 }
 
 // attachLive finds the engine's surrogate seeds for an out-of-sample
@@ -864,380 +633,78 @@ func (sr *SpectralSearcher) attachLive(q Vector, baseOnly bool) (int, float64) {
 	return len(sr.nbrID), mass
 }
 
-// TopKVector ranks database items against an out-of-sample query
-// vector: the query attaches to its AttachK nearest live points as
-// heat-kernel-weighted surrogate seeds, whose embedding rows project
-// it into the basis and whose graph neighbourhoods seed the exact
-// hops.
-func (sr *SpectralSearcher) TopKVector(q Vector, k int) ([]Result, error) {
-	e := sr.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
+// axpyRow accumulates w times item id's embedding row into dst
+// (float64 accumulation in either storage precision).
+func (st *spectralState) axpyRow(dst []float64, w float64, id int) {
+	off := id * st.rank
+	if st.emb32 != nil {
+		vec.Axpy32(dst, w, st.emb32[off:off+st.rank])
+	} else {
+		vec.Axpy(dst, w, st.emb[off:off+st.rank])
 	}
-	st := e.st
-	if len(q) != st.dim {
-		return nil, fmt.Errorf("mogul: query dimension %d, want %d", len(q), st.dim)
+}
+
+// scoreSeeds projects the seeds into the basis through their embedding
+// rows and seeds the exact hops from their base redistribution.
+func (sr *SpectralSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
+	st := sr.e.st
+	sr.ensure(st)
+	for _, sw := range seeds {
+		st.axpyRow(sr.b, sw.w, sw.id)
 	}
+	sr.splitSeeds(seeds)
+	return sr.collect(k)
+}
+
+// scoreVector attaches the query to its AttachK nearest live points as
+// heat-kernel-weighted surrogate seeds, whose embedding rows project it
+// into the basis (accumulated nearest first) and whose graph
+// neighbourhoods seed the exact hops; the affinity is the unnormalized
+// kernel mass of that attachment.
+func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
+	st := sr.e.st
 	sr.ensure(st)
 	m, mass := sr.attachLive(q, false)
 	sr.seeds = sr.seeds[:0]
 	for t := 0; t < m; t++ {
 		id, w := sr.nbrID[t], sr.nbrW[t]
-		off := id * st.rank
-		if st.emb32 != nil {
-			vec.Axpy32(sr.b, w, st.emb32[off:off+st.rank])
-		} else {
-			vec.Axpy(sr.b, w, st.emb[off:off+st.rank])
-		}
+		st.axpyRow(sr.b, w, id)
 		sr.seeds = append(sr.seeds, seedWeight{id: id, w: w})
 	}
-	sortSeedsByID(sr.seeds)
+	sr.seeds = normalizeSeeds(sr.seeds)
 	sr.splitSeeds(sr.seeds)
-	sr.aff = mass
-	return sr.collect(k), nil
+	return sr.collect(k), mass
 }
 
-// TopKSet ranks database items against a set of seed items with equal
-// weights 1/len(seeds), so query mass matches a single-item query.
-func (sr *SpectralSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSet needs at least one seed item")
-	}
-	return sr.topKSetWeighted(seeds, 1/float64(len(seeds)), k)
+func (sr *SpectralSearcher) affinity(q Vector) float64 {
+	_, mass := sr.attachLive(q, false)
+	return mass
 }
 
-// topKSetWeighted seeds the query vector with q[seed] = weight for
-// every seed (duplicates accumulate).
-func (sr *SpectralSearcher) topKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
-	e := sr.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	st := e.st
-	sr.seeds = sr.seeds[:0]
-	for _, id := range seeds {
-		if err := st.checkItem(id); err != nil {
-			return nil, err
-		}
-		sr.seeds = append(sr.seeds, seedWeight{id: id, w: weight})
-	}
-	sortSeedsByID(sr.seeds)
-	// Merge duplicate seeds so the downstream cursors see unique
-	// ascending ids.
-	uniq := sr.seeds[:0]
-	for _, sw := range sr.seeds {
-		if len(uniq) > 0 && uniq[len(uniq)-1].id == sw.id {
-			uniq[len(uniq)-1].w += sw.w
-			continue
-		}
-		uniq = append(uniq, sw)
-	}
-	sr.seeds = uniq
-	sr.ensure(st)
-	for _, sw := range sr.seeds {
-		off := sw.id * st.rank
-		if st.emb32 != nil {
-			vec.Axpy32(sr.b, sw.w, st.emb32[off:off+st.rank])
-		} else {
-			vec.Axpy(sr.b, sw.w, st.emb[off:off+st.rank])
-		}
-	}
-	sr.splitSeeds(sr.seeds)
-	sr.aff = 0
-	return sr.collect(k), nil
-}
-
-// TopK is SpectralSearcher.TopK on a pooled searcher.
-func (e *SpectralIndex) TopK(query, k int) ([]Result, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopK(query, k)
-}
-
-// TopKWithInfo is SpectralSearcher.TopKWithInfo on a pooled searcher.
-func (e *SpectralIndex) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopKWithInfo(query, k)
-}
-
-// TopKVector is SpectralSearcher.TopKVector on a pooled searcher.
-func (e *SpectralIndex) TopKVector(q Vector, k int) ([]Result, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopKVector(q, k)
-}
-
-// TopKSet is SpectralSearcher.TopKSet on a pooled searcher.
-func (e *SpectralIndex) TopKSet(seeds []int, k int) ([]Result, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.TopKSet(seeds, k)
-}
-
-// TopKBatch answers many in-database queries on a bounded worker pool
-// (parallelism <= 0 selects GOMAXPROCS); results land at their
-// query's index and per-query failures are recorded, never fatal.
-func (e *SpectralIndex) TopKBatch(queries []int, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(i int) BatchResult {
-		sr := e.NewSearcher()
-		return func(i int) BatchResult {
-			res, err := sr.TopK(queries[i], k)
-			return BatchResult{Query: queries[i], Results: res, Err: err}
-		}
-	})
-}
-
-// TopKVectorBatch answers many out-of-sample queries on a bounded
-// worker pool; see TopKBatch.
-func (e *SpectralIndex) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(i int) BatchResult {
-		sr := e.NewSearcher()
-		return func(i int) BatchResult {
-			res, err := sr.TopKVector(queries[i], k)
-			return BatchResult{Query: i, Results: res, Err: err}
-		}
-	})
-}
-
-// Insert adds a new point without rebuilding and returns its item id.
-// The point becomes immediately searchable: it attaches to its
-// AttachK nearest live base points (one batched distance sweep, no
-// decomposition), its embedding row is the attachment-weighted
-// combination of theirs, and it reads the exact hop scores through
-// the same anchors. It does not contribute an eigendirection or graph
-// edges of its own until Compact folds it in, so accuracy degrades
-// gently as the delta grows — size the delta with
-// Options.AutoCompactFraction or call Compact. Safe for concurrent
-// use with searches.
-func (e *SpectralIndex) Insert(v Vector) (int, error) {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, fmt.Errorf("mogul: inserted vector has non-finite component %g", x)
-		}
-	}
-	e.mu.Lock()
-	st := e.st
-	if len(v) != st.dim {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("mogul: inserted vector has dim %d, want %d", len(v), st.dim)
-	}
-	id := st.numPoints()
-	stored := append(Vector(nil), v...)
-	// The attachment runs on a throwaway searcher: Insert is not the
-	// hot path, and the helper shares the exact code the query-time
-	// attachment uses. The row is always accumulated in float64 and
-	// narrowed only on append, matching the build's narrow-last rule.
+// attach appends the embedding row and the stored attachment of a point
+// arriving after the base build: it attaches to its AttachK nearest
+// live base points (anchors the hop expansion can reach directly; one
+// batched distance sweep, no decomposition), and its row is the
+// attachment-weighted combination of theirs. The attachment runs on a
+// throwaway searcher — Insert is not the hot path, and the helper
+// shares the exact code the query-time attachment uses. The row is
+// always accumulated in float64 and narrowed only on append, matching
+// the build's narrow-last rule.
+func (e *SpectralIndex) attach(st *spectralState, v Vector) {
 	sr := e.NewSearcher()
-	m, _ := sr.attachLive(stored, true)
+	m, _ := sr.attachLive(v, true)
 	row := make([]float64, st.rank)
 	for t := 0; t < m; t++ {
-		off := sr.nbrID[t] * st.rank
-		if st.emb32 != nil {
-			vec.Axpy32(row, sr.nbrW[t], st.emb32[off:off+st.rank])
-		} else {
-			vec.Axpy(row, sr.nbrW[t], st.emb[off:off+st.rank])
-		}
+		st.axpyRow(row, sr.nbrW[t], sr.nbrID[t])
 	}
 	if st.f32() {
-		for _, x := range stored {
-			st.pts32 = append(st.pts32, float32(x))
-		}
 		for _, x := range row {
 			st.emb32 = append(st.emb32, float32(x))
 		}
 	} else {
-		st.points = append(st.points, stored)
 		st.emb = append(st.emb, row...)
 	}
-	st.dead = append(st.dead, false)
 	st.attID = append(st.attID, sr.nbrID[:m]...)
 	st.attW = append(st.attW, sr.nbrW[:m]...)
 	st.attPtr = append(st.attPtr, len(st.attID))
-	needCompact := e.needsCompactLocked()
-	e.version.Add(1)
-	e.mu.Unlock()
-
-	if needCompact {
-		if err := e.compactLocked(); err != nil {
-			return id, fmt.Errorf("mogul: auto-compact after insert: %w", err)
-		}
-	}
-	return id, nil
-}
-
-// Delete tombstones an item: it stops appearing in results and stops
-// being a valid query, its id is never reused, and Compact reclaims
-// the storage. Deleting the last live item is refused.
-func (e *SpectralIndex) Delete(id int) error {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-
-	e.mu.Lock()
-	st := e.st
-	if n := st.numPoints(); id < 0 || id >= n {
-		e.mu.Unlock()
-		return fmt.Errorf("mogul: item %d outside [0,%d)", id, n)
-	}
-	if st.dead[id] {
-		e.mu.Unlock()
-		return fmt.Errorf("mogul: item %d already deleted", id)
-	}
-	if st.numPoints()-st.deadCount <= 1 {
-		e.mu.Unlock()
-		return fmt.Errorf("mogul: cannot delete the last live item")
-	}
-	st.dead[id] = true
-	st.deadCount++
-	if id < st.baseN {
-		st.deadBase++
-	}
-	needCompact := e.needsCompactLocked()
-	e.version.Add(1)
-	e.mu.Unlock()
-
-	if needCompact {
-		if err := e.compactLocked(); err != nil {
-			return fmt.Errorf("mogul: auto-compact after delete: %w", err)
-		}
-	}
-	return nil
-}
-
-// needsCompactLocked applies the AutoCompactFraction policy: the
-// pending delta is the items inserted since the base build plus the
-// tombstones in the base (a deleted delta item already counts through
-// the first term). Callers hold e.mu (any mode) and e.mutMu.
-func (e *SpectralIndex) needsCompactLocked() bool {
-	if e.autoCompact <= 0 {
-		return false
-	}
-	st := e.st
-	pending := (st.numPoints() - st.baseN) + st.deadBase
-	return float64(pending) > e.autoCompact*float64(st.baseN)
-}
-
-// Compact folds the delta into a fresh base: graph construction and
-// the Lanczos decomposition re-run over the live points in id order
-// (renumbering ids contiguously from zero, exactly as a fresh
-// BuildSpectral over those points — the rebuild is deterministic for
-// the recorded seed). Searches proceed against the old state until
-// the swap; mutators queue behind it.
-func (e *SpectralIndex) Compact() error {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	return e.compactLocked()
-}
-
-// compactLocked is Compact with mutMu already held.
-func (e *SpectralIndex) compactLocked() error {
-	e.mu.RLock()
-	st := e.st
-	if st.numPoints() == st.baseN && st.deadCount == 0 {
-		e.mu.RUnlock()
-		return nil
-	}
-	wasF32 := st.f32()
-	live := make([]Vector, 0, st.numPoints()-st.deadCount)
-	for i, n := 0, st.numPoints(); i < n; i++ {
-		if !st.dead[i] {
-			live = append(live, st.pointVec(i))
-		}
-	}
-	e.mu.RUnlock()
-
-	// The heavy rebuild runs outside every lock; mutMu keeps the live
-	// snapshot authoritative (no mutator can run until the swap). The
-	// rebuild itself is always float64; a narrowed engine re-narrows
-	// the fresh state after, preserving the storage mode.
-	fresh, err := buildSpectralState(live, e.ropts, e.sopts)
-	if err != nil {
-		return err
-	}
-	if wasF32 {
-		fresh.narrow32()
-	}
-	e.mu.Lock()
-	e.st = fresh
-	e.version.Add(1)
-	e.mu.Unlock()
-	return nil
-}
-
-// --- The extended surface the distributed layer fans out over ---
-
-// IDSpace returns the upper bound of the id space, tombstones
-// included (ids of deleted items are retired until Compact renumbers).
-func (e *SpectralIndex) IDSpace() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.numPoints()
-}
-
-// Alive reports whether id addresses a live (non-deleted, in-range)
-// item.
-func (e *SpectralIndex) Alive(id int) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return id >= 0 && id < e.st.numPoints() && !e.st.dead[id]
-}
-
-// LogLen reports 0: the spectral engine keeps no replayable delta
-// log, so followers replicate it by snapshot only.
-func (e *SpectralIndex) LogLen() int { return 0 }
-
-// TopKWithVector is TopK plus the query item's stored vector and the
-// engine's raw kernel affinity to it — what the distributed
-// coordinator needs from the owner shard in one round trip to probe
-// the remaining shards and scale their answers.
-func (e *SpectralIndex) TopKWithVector(query, k int) ([]Result, Vector, float64, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	res, err := sr.TopK(query, k)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	e.mu.RLock()
-	st := e.st
-	if err := st.checkItem(query); err != nil {
-		e.mu.RUnlock()
-		return nil, nil, 0, err
-	}
-	qvec := append(Vector(nil), st.pointVec(query)...)
-	_, aff := sr.attachLive(qvec, false)
-	e.mu.RUnlock()
-	return res, qvec, aff, nil
-}
-
-// TopKVectorWithAffinity is TopKVector plus the engine's raw kernel
-// affinity to the query (the unnormalized heat-kernel mass of the
-// attachment), the same density proxy the sharded fan-out scales
-// cross-shard merges with.
-func (e *SpectralIndex) TopKVectorWithAffinity(q Vector, k int) ([]Result, float64, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	res, err := sr.TopKVector(q, k)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, sr.aff, nil
-}
-
-// TopKSetWeighted ranks items against seed items all carrying the
-// given weight (the coordinator's cross-shard set query, where the
-// global 1/len(seeds) is applied before the fan-out).
-func (e *SpectralIndex) TopKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSetWeighted needs at least one seed item")
-	}
-	sr := e.acquire()
-	defer e.release(sr)
-	return sr.topKSetWeighted(seeds, weight, k)
 }

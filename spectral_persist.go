@@ -10,22 +10,17 @@ package mogul
 // it without re-running the graph build or the Lanczos decomposition
 // (the spectral-tail coefficients are re-derived from the eigenvalues
 // with the same expression the build used, so they match to the
-// bit). Same
-// container discipline as MOGULIDX/MOGULSHD/MOGULEMR: an 8-byte
-// magic, a format version, tag/length section framing (unknown tags
-// skipped for additive evolution), an end marker, and a trailing
-// CRC-32 over everything before it. mogul.Load sniffs the magic and
-// dispatches here; malformed input of any kind yields an error, never
-// a panic.
+// bit). The container frame, the Save/SaveAligned dispatch, and the
+// two format versions are shared with the EMR engine (container.go,
+// engine.go); this file holds only the section codecs. mogul.Load
+// sniffs the magic and dispatches here; malformed input of any kind
+// yields an error, never a panic.
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"mogul/internal/binio"
 	"mogul/internal/sparse"
@@ -35,19 +30,7 @@ import (
 // file.
 const spectralMagic = "MOGULSPC"
 
-// spectralFormatVersion is the container version plain float64 saves
-// write (kept at 1 so existing files reproduce byte for byte);
-// spectralFormatVersionPrec the version carrying precision and
-// alignment metadata (written for f32 engines and aligned saves);
-// spectralMinReadVersion the oldest this build reads.
-const (
-	spectralFormatVersion     = 1
-	spectralFormatVersionPrec = 2
-	spectralMinReadVersion    = 1
-)
-
-// Spectral container section tags (the end marker is the shared
-// tagEend).
+// Spectral container section tags.
 var (
 	tagSpMet = [4]byte{'S', 'M', 'E', 'T'} // scalars: alpha, recipe, shapes, timings
 	tagSpVal = [4]byte{'S', 'V', 'A', 'L'} // retained eigenvalues, descending
@@ -57,79 +40,12 @@ var (
 	tagSpAtt = [4]byte{'S', 'A', 'T', 'T'} // delta attachments (anchors + weights)
 )
 
-// Save writes the engine in the versioned MOGULSPC format. Mutators
-// block for the duration; searches proceed. A float64 engine writes
-// version 1, byte-identical to previous releases; a mixed-precision
-// engine writes version 2 with its arrays narrowed.
-func (e *SpectralIndex) Save(w io.Writer) error {
-	// mutMu freezes the delta state so the two-pass section framing
-	// sees identical bytes; the read lock covers the reads themselves.
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-
-	if e.st.f32() {
-		return e.savePrecLocked(w, 0)
-	}
-
-	buffered := bufio.NewWriterSize(w, 1<<20)
-	bw := binio.NewWriter(buffered)
-	bw.Raw([]byte(spectralMagic))
-	bw.Uint32(spectralFormatVersion)
-
-	sections := []struct {
-		tag     [4]byte
-		payload func(w io.Writer) error
-	}{
-		{tagSpMet, e.writeSpectralMeta},
-		{tagSpVal, e.writeSpectralValues},
-		{tagSpGph, e.writeSpectralGraph},
-		{tagSpPts, e.writeSpectralPoints},
-		{tagSpEmb, e.writeSpectralEmbedding},
-		{tagSpAtt, e.writeSpectralAttachments},
-	}
-	for _, s := range sections {
-		if err := writeShardSection(bw, s.tag, s.payload); err != nil {
-			return fmt.Errorf("mogul: writing %q section: %w", s.tag[:], err)
-		}
-	}
-	bw.Raw(tagEend[:])
-	bw.Uint64(0)
-	bw.Uint32(bw.Sum32())
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return buffered.Flush()
-}
-
-func (e *SpectralIndex) writeSpectralMeta(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	bw.Float64(e.alpha)
-	bw.Int(int(e.seed))
-	bw.Float64(e.autoCompact)
-	// The recorded build recipe (pre-clamping), so Compact on a loaded
-	// engine rebuilds with the options the original build got: the
-	// graph half of Options, then the SpectralOptions.
-	bw.Int(e.ropts.GraphK)
-	bw.Int(boolInt(e.ropts.ApproximateGraph))
-	bw.Int(boolInt(e.ropts.MutualGraph))
-	bw.Float64(e.ropts.Sigma)
-	bw.Int(e.sopts.Rank)
-	bw.Int(e.sopts.Steps)
-	bw.Int(e.sopts.Hops)
-	bw.Int(e.sopts.HopBudget)
-	bw.Int(e.sopts.AttachK)
-	// The realized shapes and the derived attachment bandwidth.
-	bw.Int(st.dim)
-	bw.Int(st.rank)
-	bw.Float64(st.sigma)
-	bw.Int(st.baseN)
-	bw.Int(st.numPoints())
-	bw.Int(int(st.stats.ClusterTime))
-	bw.Int(int(st.stats.FactorTime))
-	return bw.Err()
+var spectralFrame = frame{
+	magic:      spectralMagic,
+	kind:       "spectral engine",
+	minVersion: engineFormatVersion,
+	maxVersion: engineFormatVersionPrec,
+	tags:       [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt},
 }
 
 func boolInt(b bool) int {
@@ -139,428 +55,32 @@ func boolInt(b bool) int {
 	return 0
 }
 
-func (e *SpectralIndex) writeSpectralValues(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Floats(e.st.vals)
-	return bw.Err()
-}
-
-func (e *SpectralIndex) writeSpectralGraph(w io.Writer) error {
-	S := e.st.graph
-	bw := binio.NewWriter(w)
-	bw.Ints(S.RowPtr)
-	bw.Ints(S.Col)
-	bw.Floats(S.Val)
-	return bw.Err()
-}
-
-func (e *SpectralIndex) writeSpectralAttachments(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	bw.Ints(st.attPtr)
-	bw.Ints(st.attID)
-	bw.Floats(st.attW)
-	return bw.Err()
-}
-
-func (e *SpectralIndex) writeSpectralPoints(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	for _, pt := range st.points {
-		bw.Floats(pt)
-	}
-	return bw.Err()
-}
-
-func (e *SpectralIndex) writeSpectralEmbedding(w io.Writer) error {
-	st := e.st
-	bw := binio.NewWriter(w)
-	bw.Floats(st.emb)
-	dead := make([]int, 0, st.deadCount)
-	for id, d := range st.dead {
-		if d {
-			dead = append(dead, id)
-		}
-	}
-	bw.Ints(dead)
-	return bw.Err()
-}
-
-// SaveFile writes the engine to a file via Save with the same atomic
-// temp-file-and-rename protocol as Index.SaveFile.
-func (e *SpectralIndex) SaveFile(path string) error {
-	return saveFileAtomic(path, e.Save)
-}
-
-// SaveFileAligned is SaveAligned to a file with the same atomic
-// temp-file-and-rename protocol as SaveFile.
-func (e *SpectralIndex) SaveFileAligned(path string, align int) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return e.SaveAligned(w, align) })
-}
-
-// LoadSpectral reads an engine written by SpectralIndex.Save.
-// Malformed input of any kind — wrong magic, unknown version,
-// truncation, checksum mismatch, shape mismatches between sections —
-// yields an error, never a panic. Callers normally go through Load,
-// which sniffs the magic and dispatches here.
-func LoadSpectral(r io.Reader) (*SpectralIndex, error) {
-	br := binio.NewReader(r)
-	var magic [len(spectralMagic)]byte
-	br.Raw(magic[:])
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading spectral engine header: %w", err)
-	}
-	if string(magic[:]) != spectralMagic {
-		return nil, fmt.Errorf("mogul: not a spectral engine file (magic %q)", magic[:])
-	}
-	version := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading spectral engine header: %w", err)
-	}
-	if version < spectralMinReadVersion || version > spectralFormatVersionPrec {
-		return nil, fmt.Errorf("mogul: spectral engine format version %d, this build reads versions %d-%d", version, spectralMinReadVersion, spectralFormatVersionPrec)
-	}
-
-	payloads := map[[4]byte][]byte{}
-	bases := map[[4]byte]int64{}
-	for {
-		var tag [4]byte
-		br.Raw(tag[:])
-		n := br.Uint64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading section header: %w", err)
-		}
-		if tag == tagEend {
-			if n != 0 {
-				return nil, fmt.Errorf("mogul: end marker carries %d payload bytes", n)
-			}
-			break
-		}
-		if n > binio.MaxCount {
-			return nil, fmt.Errorf("mogul: section %q claims %d bytes", tag[:], n)
-		}
-		switch tag {
-		case tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt:
-			if payloads[tag] != nil {
-				return nil, fmt.Errorf("mogul: duplicate %q section", tag[:])
-			}
-			bases[tag] = br.Count()
-			payload, err := readShardPayload(br, n)
-			if err != nil {
-				return nil, fmt.Errorf("mogul: reading %q section: %w", tag[:], err)
-			}
-			payloads[tag] = payload
-		default:
-			// A section from a newer writer: skip (the bytes still
-			// count toward the checksum), keeping additive evolution
-			// open.
-			br.Skip(int64(n))
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("mogul: skipping %q section: %w", tag[:], err)
-			}
-		}
-	}
-	want := br.Sum32()
-	got := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("mogul: checksum mismatch (file %08x, computed %08x): spectral engine file is corrupt", got, want)
-	}
-	for _, tag := range [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt} {
-		if payloads[tag] == nil {
-			return nil, fmt.Errorf("mogul: spectral engine file is missing its %q section", tag[:])
-		}
-	}
-	if version >= spectralFormatVersionPrec {
-		return assembleSpectralPrec(payloads, bases)
-	}
-	return assembleSpectral(payloads)
-}
-
-// assembleSpectral decodes the section payloads and cross-validates
-// every shape and value invariant the engine relies on.
-func assembleSpectral(payloads map[[4]byte][]byte) (*SpectralIndex, error) {
-	mr := binio.NewReader(bytes.NewReader(payloads[tagSpMet]))
-	alpha := mr.Float64()
-	seed := mr.Int()
-	autoCompact := mr.Float64()
-	graphK := mr.Int()
-	approx := mr.Int()
-	mutual := mr.Int()
-	sigmaOpt := mr.Float64()
-	recipeRank := mr.Int()
-	recipeSteps := mr.Int()
-	hops := mr.Int()
-	hopBudget := mr.Int()
-	attachK := mr.Int()
-	dim := mr.Int()
-	rank := mr.Int()
-	sigma := mr.Float64()
-	baseN := mr.Int()
-	n := mr.Int()
-	clusterTime := mr.Int()
-	factorTime := mr.Int()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding spectral metadata: %w", err)
-	}
-	switch {
-	case math.IsNaN(alpha) || alpha <= 0 || alpha >= 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: alpha %g", alpha)
-	case math.IsNaN(autoCompact) || math.IsInf(autoCompact, 0) || autoCompact < 0:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: auto-compact fraction %g", autoCompact)
-	case graphK < 0 || approx < 0 || approx > 1 || mutual < 0 || mutual > 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: graph recipe %d/%d/%d", graphK, approx, mutual)
-	case math.IsNaN(sigmaOpt) || math.IsInf(sigmaOpt, 0) || sigmaOpt < 0:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: recipe bandwidth %g", sigmaOpt)
-	case recipeRank < 1 || recipeSteps < 0 || hops < 1 || hopBudget < 1 || attachK < 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: spectral recipe %d/%d/%d/%d/%d", recipeRank, recipeSteps, hops, hopBudget, attachK)
-	case dim < 1 || dim > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: dimension %d", dim)
-	case n < 1 || n > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: %d points", n)
-	case baseN < 2 || baseN > n:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: base size %d of %d points", baseN, n)
-	case rank < 1 || rank > baseN:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: rank %d for base size %d", rank, baseN)
-	case math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: attachment bandwidth %g", sigma)
-	case clusterTime < 0 || factorTime < 0:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: negative build timings")
-	}
-
-	vr := binio.NewReader(bytes.NewReader(payloads[tagSpVal]))
-	vals := vr.Floats(binio.MaxCount)
-	if err := vr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding eigenvalues: %w", err)
-	}
-	if len(vals) != rank {
-		return nil, fmt.Errorf("mogul: %d eigenvalues for rank %d", len(vals), rank)
-	}
-	for t, v := range vals {
-		if math.IsNaN(v) || v < -1 || v > 1 {
-			return nil, fmt.Errorf("mogul: eigenvalue %d outside [-1,1]: %g", t, v)
-		}
-		if t > 0 && v > vals[t-1] {
-			return nil, fmt.Errorf("mogul: eigenvalues not descending at %d (%g after %g)", t, v, vals[t-1])
-		}
-	}
-
-	pr := binio.NewReader(bytes.NewReader(payloads[tagSpPts]))
-	points := make([]Vector, n)
-	for i := range points {
-		v := pr.Floats(binio.MaxCount)
-		if err := pr.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding point %d: %w", i, err)
-		}
-		if len(v) != dim {
-			return nil, fmt.Errorf("mogul: point %d has dim %d, want %d", i, len(v), dim)
-		}
-		for _, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("mogul: point %d has non-finite component", i)
-			}
-		}
-		points[i] = v
-	}
-
-	er := binio.NewReader(bytes.NewReader(payloads[tagSpEmb]))
-	emb := er.Floats(binio.MaxCount)
-	deadIDs := er.Ints(binio.MaxCount)
-	if err := er.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding embedding: %w", err)
-	}
-	if len(emb) != n*rank {
-		return nil, fmt.Errorf("mogul: embedding carries %d elements, want %d", len(emb), n*rank)
-	}
-	for i, v := range emb {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("mogul: embedding element %d is non-finite", i)
-		}
-	}
-	dead := make([]bool, n)
-	deadBase := 0
-	prev := -1
-	for _, id := range deadIDs {
-		if id <= prev || id >= n {
-			return nil, fmt.Errorf("mogul: corrupt tombstone list (id %d after %d, %d points)", id, prev, n)
-		}
-		dead[id] = true
-		if id < baseN {
-			deadBase++
-		}
-		prev = id
-	}
-	if len(deadIDs) >= n {
-		return nil, fmt.Errorf("mogul: every item tombstoned")
-	}
-
-	gr := binio.NewReader(bytes.NewReader(payloads[tagSpGph]))
-	rowPtr := gr.Ints(binio.MaxCount)
-	col := gr.Ints(binio.MaxCount)
-	val := gr.Floats(binio.MaxCount)
-	if err := gr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding base graph: %w", err)
-	}
-	if len(rowPtr) != baseN+1 || rowPtr[0] != 0 {
-		return nil, fmt.Errorf("mogul: base graph row index carries %d entries for base size %d", len(rowPtr), baseN)
-	}
-	for i := 1; i < len(rowPtr); i++ {
-		if rowPtr[i] < rowPtr[i-1] {
-			return nil, fmt.Errorf("mogul: base graph row index decreases at row %d", i)
-		}
-	}
-	if rowPtr[baseN] != len(col) || len(col) != len(val) {
-		return nil, fmt.Errorf("mogul: base graph shape mismatch (%d row-index end, %d columns, %d values)", rowPtr[baseN], len(col), len(val))
-	}
-	for x, c := range col {
-		if c < 0 || c >= baseN {
-			return nil, fmt.Errorf("mogul: base graph edge %d targets %d outside [0,%d)", x, c, baseN)
-		}
-		if v := val[x]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("mogul: base graph edge %d has non-finite weight", x)
-		}
-	}
-
-	ar := binio.NewReader(bytes.NewReader(payloads[tagSpAtt]))
-	attPtr := ar.Ints(binio.MaxCount)
-	attID := ar.Ints(binio.MaxCount)
-	attW := ar.Floats(binio.MaxCount)
-	if err := ar.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding delta attachments: %w", err)
-	}
-	if len(attPtr) != (n-baseN)+1 || attPtr[0] != 0 {
-		return nil, fmt.Errorf("mogul: attachment index carries %d entries for %d delta items", len(attPtr), n-baseN)
-	}
-	for i := 1; i < len(attPtr); i++ {
-		if attPtr[i] < attPtr[i-1] {
-			return nil, fmt.Errorf("mogul: attachment index decreases at delta item %d", i-1)
-		}
-	}
-	if attPtr[len(attPtr)-1] != len(attID) || len(attID) != len(attW) {
-		return nil, fmt.Errorf("mogul: attachment shape mismatch (%d index end, %d anchors, %d weights)", attPtr[len(attPtr)-1], len(attID), len(attW))
-	}
-	for t, id := range attID {
-		if id < 0 || id >= baseN {
-			return nil, fmt.Errorf("mogul: attachment anchor %d targets %d outside [0,%d)", t, id, baseN)
-		}
-		if w := attW[t]; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return nil, fmt.Errorf("mogul: attachment anchor %d has invalid weight %g", t, attW[t])
-		}
-	}
-
-	e := &SpectralIndex{
-		alpha:       alpha,
-		seed:        int64(seed),
-		autoCompact: autoCompact,
-		ropts: Options{
-			GraphK:              graphK,
-			ApproximateGraph:    approx == 1,
-			MutualGraph:         mutual == 1,
-			Sigma:               sigmaOpt,
-			Alpha:               alpha,
-			Seed:                int64(seed),
-			AutoCompactFraction: autoCompact,
-		},
-		sopts: SpectralOptions{Rank: recipeRank, Steps: recipeSteps, Hops: hops, HopBudget: hopBudget, AttachK: attachK},
-		st: &spectralState{
-			dim:       dim,
-			rank:      rank,
-			graph:     &sparse.CSR{RowPtr: rowPtr, Col: col, Val: val, Rows: baseN, Cols: baseN},
-			sigma:     sigma,
-			vals:      vals,
-			points:    points,
-			dead:      dead,
-			emb:       emb,
-			attPtr:    attPtr,
-			attID:     attID,
-			attW:      attW,
-			deadCount: len(deadIDs),
-			deadBase:  deadBase,
-			baseN:     baseN,
-			stats: Stats{
-				NumNodes:    baseN,
-				NumClusters: rank,
-				FactorNNZ:   baseN * rank,
-				ClusterTime: time.Duration(clusterTime),
-				FactorTime:  time.Duration(factorTime),
-			},
-		},
-	}
-	e.version.Store(1)
-	return e, nil
-}
-
-// LoadSpectralFile reads a spectral engine file written by
-// SpectralIndex.SaveFile.
-func LoadSpectralFile(path string) (*SpectralIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSpectral(f)
-}
-
-// --- Version 2: precision + alignment ---
-//
-// Version 2 generalizes version 1 the same two ways MOGULEMR's
-// version 2 does (docs/FORMAT.md): the SMET section additionally
-// records a precision flag and an alignment, the stored points become
-// ONE flat row-major array, and — when the engine is mixed-precision —
-// the point matrix, the embedding rows, and the base graph's edge
-// weights are written as float32. When a positive alignment is
-// recorded, every large array in the bulk sections starts on that
-// boundary, so LoadSpectralBytes over an mmap'd image hands out
-// zero-copy views. Eigenvalues and attachment weights stay float64.
-
-// SaveAligned writes the engine in the version-2 aligned layout: large
-// arrays start on align-byte boundaries (use the page size for mmap
-// sharing). Works in either precision; align must be a positive power
-// of two.
-func (e *SpectralIndex) SaveAligned(w io.Writer, align int) error {
-	if align <= 0 || align&(align-1) != 0 {
-		return fmt.Errorf("mogul: alignment %d is not a positive power of two", align)
-	}
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.savePrecLocked(w, align)
-}
-
-// savePrecLocked writes the version-2 container; align == 0 selects
-// the packed (unaligned) variant used for plain f32 saves. Callers
-// hold mutMu and e.mu.
-func (e *SpectralIndex) savePrecLocked(w io.Writer, align int) error {
-	st := e.st
-	buffered := bufio.NewWriterSize(w, 1<<20)
-	bw := binio.NewWriter(buffered)
-	bw.Raw([]byte(spectralMagic))
-	bw.Uint32(spectralFormatVersionPrec)
-
-	prec := 0
-	if st.f32() {
-		prec = 1
-	}
-	writeMeta := func(w io.Writer) error {
-		if err := e.writeSpectralMeta(w); err != nil {
-			return err
-		}
-		mw := binio.NewWriter(w)
-		mw.Int(prec)
-		mw.Int(align)
-		return mw.Err()
-	}
-	if err := writeShardSection(bw, tagSpMet, writeMeta); err != nil {
-		return fmt.Errorf("mogul: writing %q section: %w", tagSpMet[:], err)
-	}
-
-	sections := []struct {
-		tag     [4]byte
-		payload func(sw *binio.Writer) error
-	}{
+// sections encodes the engine. When it is mixed-precision (version 2
+// only) the embedding rows and the base graph's edge weights are
+// written as float32; eigenvalues and attachment weights stay float64.
+func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) []section {
+	return []section{
+		{tagSpMet, func(sw *binio.Writer) error {
+			e.writeMetaHead(sw)
+			// The recorded build recipe (pre-clamping), so Compact on a loaded
+			// engine rebuilds with the options the original build got: the
+			// graph half of Options, then the SpectralOptions.
+			sw.Int(e.ropts.GraphK)
+			sw.Int(boolInt(e.ropts.ApproximateGraph))
+			sw.Int(boolInt(e.ropts.MutualGraph))
+			sw.Float64(e.ropts.Sigma)
+			sw.Int(e.sopts.Rank)
+			sw.Int(e.sopts.Steps)
+			sw.Int(e.sopts.Hops)
+			sw.Int(e.sopts.HopBudget)
+			sw.Int(e.sopts.AttachK)
+			// The realized shapes and the derived attachment bandwidth.
+			sw.Int(st.dim)
+			sw.Int(st.rank)
+			sw.Float64(st.sigma)
+			st.writeMetaTail(sw, version, align)
+			return sw.Err()
+		}},
 		{tagSpVal, func(sw *binio.Writer) error {
 			sw.Floats(st.vals)
 			return sw.Err()
@@ -576,31 +96,14 @@ func (e *SpectralIndex) savePrecLocked(w io.Writer, align int) error {
 			}
 			return sw.Err()
 		}},
-		{tagSpPts, func(sw *binio.Writer) error {
-			if st.f32() {
-				sw.Float32s(st.pts32)
-			} else {
-				flat := make([]float64, 0, len(st.points)*st.dim)
-				for _, pt := range st.points {
-					flat = append(flat, pt...)
-				}
-				sw.Floats(flat)
-			}
-			return sw.Err()
-		}},
+		{tagSpPts, func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
 		{tagSpEmb, func(sw *binio.Writer) error {
 			if st.f32() {
 				sw.Float32s(st.emb32)
 			} else {
 				sw.Floats(st.emb)
 			}
-			dead := make([]int, 0, st.deadCount)
-			for id, d := range st.dead {
-				if d {
-					dead = append(dead, id)
-				}
-			}
-			sw.Ints(dead)
+			st.writeTombstones(sw)
 			return sw.Err()
 		}},
 		{tagSpAtt, func(sw *binio.Writer) error {
@@ -610,19 +113,14 @@ func (e *SpectralIndex) savePrecLocked(w io.Writer, align int) error {
 			return sw.Err()
 		}},
 	}
-	for _, s := range sections {
-		if err := writeEMRSectionPrec(bw, s.tag, align, s.payload); err != nil {
-			return fmt.Errorf("mogul: writing %q section: %w", s.tag[:], err)
-		}
-	}
-	bw.Raw(tagEend[:])
-	bw.Uint64(0)
-	bw.Uint32(bw.Sum32())
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return buffered.Flush()
 }
+
+// LoadSpectral reads an engine written by SpectralIndex.Save.
+// Malformed input of any kind — wrong magic, unknown version,
+// truncation, checksum mismatch, shape mismatches between sections —
+// yields an error, never a panic. Callers normally go through Load,
+// which sniffs the magic and dispatches here.
+func LoadSpectral(r io.Reader) (*SpectralIndex, error) { return loadSpectral(binio.NewReader(r)) }
 
 // LoadSpectralBytes parses a complete spectral engine image held in
 // memory — typically an mmap'd file (LoadFileMapped) — using zero-copy
@@ -632,144 +130,67 @@ func (e *SpectralIndex) savePrecLocked(w io.Writer, align int) error {
 // fault in every page); all structural and index-range validation
 // still runs, so corrupt input errors rather than panicking later.
 func LoadSpectralBytes(data []byte) (*SpectralIndex, error) {
-	br := binio.NewBytesReader(data)
-	var magic [len(spectralMagic)]byte
-	br.Raw(magic[:])
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading spectral engine header: %w", err)
-	}
-	if string(magic[:]) != spectralMagic {
-		return nil, fmt.Errorf("mogul: not a spectral engine file (magic %q)", magic[:])
-	}
-	version := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading spectral engine header: %w", err)
-	}
-	if version < spectralMinReadVersion || version > spectralFormatVersionPrec {
-		return nil, fmt.Errorf("mogul: spectral engine format version %d, this build reads versions %d-%d", version, spectralMinReadVersion, spectralFormatVersionPrec)
-	}
-
-	payloads := map[[4]byte][]byte{}
-	bases := map[[4]byte]int64{}
-	for {
-		var tag [4]byte
-		br.Raw(tag[:])
-		n := br.Uint64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading section header: %w", err)
-		}
-		if tag == tagEend {
-			if n != 0 {
-				return nil, fmt.Errorf("mogul: end marker carries %d payload bytes", n)
-			}
-			break
-		}
-		if n > binio.MaxCount {
-			return nil, fmt.Errorf("mogul: section %q claims %d bytes", tag[:], n)
-		}
-		base := br.Count()
-		payload := br.View(int(n))
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: reading %q section: %w", tag[:], err)
-		}
-		switch tag {
-		case tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt:
-			if payloads[tag] != nil {
-				return nil, fmt.Errorf("mogul: duplicate %q section", tag[:])
-			}
-			payloads[tag] = payload
-			bases[tag] = base
-		default:
-			// Unknown section from a newer writer: View already advanced
-			// past it.
-		}
-	}
-	// The trailing checksum must at least be present, so a file cut
-	// right after the end marker still errors.
-	br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: reading checksum: %w", err)
-	}
-	for _, tag := range [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt} {
-		if payloads[tag] == nil {
-			return nil, fmt.Errorf("mogul: spectral engine file is missing its %q section", tag[:])
-		}
-	}
-	if version >= spectralFormatVersionPrec {
-		return assembleSpectralPrec(payloads, bases)
-	}
-	return assembleSpectral(payloads)
+	return loadSpectral(binio.NewBytesReader(data))
 }
 
-// assembleSpectralPrec decodes a version-2 section set. The big arrays
-// come out as views into the payload bytes (zero-copy when the image is
-// aligned and the host is little-endian, copied otherwise); unlike the
-// version-1 path, the per-element finiteness scans over the point
-// matrix, the embedding, and the graph's edge weights are skipped — a
-// NaN there degrades a score but can never panic, and scanning would
-// fault in every page of a mapped image.
-func assembleSpectralPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*SpectralIndex, error) {
-	mr := binio.NewBytesReader(payloads[tagSpMet])
-	alpha := mr.Float64()
-	seed := mr.Int()
-	autoCompact := mr.Float64()
+// LoadSpectralFile reads a spectral engine file written by
+// SpectralIndex.SaveFile.
+func LoadSpectralFile(path string) (*SpectralIndex, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadSpectral(f)
+}
+
+func loadSpectral(br *binio.Reader) (*SpectralIndex, error) {
+	version, secs, err := readSections(br, &spectralFrame)
+	if err != nil {
+		return nil, err
+	}
+	return assembleSpectral(version, secs)
+}
+
+// assembleSpectral decodes the section payloads and cross-validates
+// every shape and value invariant the engine relies on. Version 2's big
+// arrays come out as views into the payload bytes (zero-copy when the
+// image is aligned and the host is little-endian, copied otherwise),
+// without the per-element finiteness scans version 1 runs over the
+// embedding and the graph's edge weights — see readPoints for why.
+func assembleSpectral(version uint32, secs map[[4]byte]frameSection) (*SpectralIndex, error) {
+	var m engineMeta
+	mr := binio.NewBytesReader(secs[tagSpMet].payload)
+	m.readHead(mr)
 	graphK := mr.Int()
 	approx := mr.Int()
 	mutual := mr.Int()
 	sigmaOpt := mr.Float64()
-	recipeRank := mr.Int()
-	recipeSteps := mr.Int()
-	hops := mr.Int()
-	hopBudget := mr.Int()
-	attachK := mr.Int()
-	dim := mr.Int()
+	sopts := SpectralOptions{Rank: mr.Int(), Steps: mr.Int(), Hops: mr.Int(), HopBudget: mr.Int(), AttachK: mr.Int()}
+	m.hdr.dim = mr.Int()
 	rank := mr.Int()
 	sigma := mr.Float64()
-	baseN := mr.Int()
-	n := mr.Int()
-	clusterTime := mr.Int()
-	factorTime := mr.Int()
-	prec := mr.Int()
-	align := mr.Int()
-	if err := mr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding spectral metadata: %w", err)
+	if err := m.readTail(mr, version, "spectral", rank); err != nil {
+		return nil, err
 	}
+	n, baseN := m.n, m.hdr.baseN
 	switch {
-	case math.IsNaN(alpha) || alpha <= 0 || alpha >= 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: alpha %g", alpha)
-	case math.IsNaN(autoCompact) || math.IsInf(autoCompact, 0) || autoCompact < 0:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: auto-compact fraction %g", autoCompact)
 	case graphK < 0 || approx < 0 || approx > 1 || mutual < 0 || mutual > 1:
 		return nil, fmt.Errorf("mogul: corrupt spectral metadata: graph recipe %d/%d/%d", graphK, approx, mutual)
 	case math.IsNaN(sigmaOpt) || math.IsInf(sigmaOpt, 0) || sigmaOpt < 0:
 		return nil, fmt.Errorf("mogul: corrupt spectral metadata: recipe bandwidth %g", sigmaOpt)
-	case recipeRank < 1 || recipeSteps < 0 || hops < 1 || hopBudget < 1 || attachK < 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: spectral recipe %d/%d/%d/%d/%d", recipeRank, recipeSteps, hops, hopBudget, attachK)
-	case dim < 1 || dim > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: dimension %d", dim)
-	case n < 1 || n > binio.MaxCount:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: %d points", n)
-	case n > binio.MaxCount/dim:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: %d points of dim %d", n, dim)
-	case baseN < 2 || baseN > n:
+	case sopts.Rank < 1 || sopts.Steps < 0 || sopts.Hops < 1 || sopts.HopBudget < 1 || sopts.AttachK < 1:
+		return nil, fmt.Errorf("mogul: corrupt spectral metadata: spectral recipe %+v", sopts)
+	case baseN < 2:
 		return nil, fmt.Errorf("mogul: corrupt spectral metadata: base size %d of %d points", baseN, n)
 	case rank < 1 || rank > baseN:
 		return nil, fmt.Errorf("mogul: corrupt spectral metadata: rank %d for base size %d", rank, baseN)
-	case n > binio.MaxCount/rank:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: %d points of rank %d", n, rank)
 	case math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0:
 		return nil, fmt.Errorf("mogul: corrupt spectral metadata: attachment bandwidth %g", sigma)
-	case clusterTime < 0 || factorTime < 0:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: negative build timings")
-	case prec != 0 && prec != 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: precision flag %d", prec)
-	case align < 0 || align > binio.MaxCount || (align != 0 && align&(align-1) != 0):
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: alignment %d", align)
 	}
-	f32 := prec == 1
+	v2 := version >= engineFormatVersionPrec
 
-	vr := binio.NewBytesReader(payloads[tagSpVal])
-	vr.EnableAlign(align, bases[tagSpVal])
+	vr := m.sectionReader(secs[tagSpVal])
 	vals := vr.Floats(binio.MaxCount)
 	if err := vr.Err(); err != nil {
 		return nil, fmt.Errorf("mogul: decoding eigenvalues: %w", err)
@@ -786,17 +207,30 @@ func assembleSpectralPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) 
 		}
 	}
 
-	gr := binio.NewBytesReader(payloads[tagSpGph])
-	gr.EnableAlign(align, bases[tagSpGph])
-	rowPtr := gr.IntsView(binio.MaxCount)
-	col := gr.IntsView(binio.MaxCount)
+	gr := m.sectionReader(secs[tagSpGph])
+	var rowPtr, col []int
 	var val []float64
 	var val32 []float32
-	var nnz int
-	if f32 {
+	nnz := 0
+	switch {
+	case !v2:
+		rowPtr = gr.Ints(binio.MaxCount)
+		col = gr.Ints(binio.MaxCount)
+		val = gr.Floats(binio.MaxCount)
+		nnz = len(val)
+		for x, v := range val {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("mogul: base graph edge %d has non-finite weight", x)
+			}
+		}
+	case m.f32:
+		rowPtr = gr.IntsView(binio.MaxCount)
+		col = gr.IntsView(binio.MaxCount)
 		val32 = gr.Float32sView(binio.MaxCount)
 		nnz = len(val32)
-	} else {
+	default:
+		rowPtr = gr.IntsView(binio.MaxCount)
+		col = gr.IntsView(binio.MaxCount)
 		val = gr.FloatsView(binio.MaxCount)
 		nnz = len(val)
 	}
@@ -820,41 +254,27 @@ func assembleSpectralPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) 
 		}
 	}
 
-	pr := binio.NewBytesReader(payloads[tagSpPts])
-	pr.EnableAlign(align, bases[tagSpPts])
-	var points []Vector
-	var pts32 []float32
-	if f32 {
-		pts32 = pr.Float32sView(binio.MaxCount)
-		if err := pr.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding point matrix: %w", err)
-		}
-		if len(pts32) != n*dim {
-			return nil, fmt.Errorf("mogul: point matrix carries %d values, want %d", len(pts32), n*dim)
-		}
-	} else {
-		flat := pr.FloatsView(binio.MaxCount)
-		if err := pr.Err(); err != nil {
-			return nil, fmt.Errorf("mogul: decoding point matrix: %w", err)
-		}
-		if len(flat) != n*dim {
-			return nil, fmt.Errorf("mogul: point matrix carries %d values, want %d", len(flat), n*dim)
-		}
-		points = make([]Vector, n)
-		for i := range points {
-			points[i] = Vector(flat[i*dim : (i+1)*dim : (i+1)*dim])
-		}
+	if err := m.readPoints(m.sectionReader(secs[tagSpPts]), version); err != nil {
+		return nil, err
 	}
 
-	er := binio.NewBytesReader(payloads[tagSpEmb])
-	er.EnableAlign(align, bases[tagSpEmb])
+	er := m.sectionReader(secs[tagSpEmb])
 	var emb []float64
 	var emb32 []float32
-	var embLen int
-	if f32 {
+	embLen := 0
+	switch {
+	case !v2:
+		emb = er.Floats(binio.MaxCount)
+		embLen = len(emb)
+		for i, v := range emb {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("mogul: embedding element %d is non-finite", i)
+			}
+		}
+	case m.f32:
 		emb32 = er.Float32sView(binio.MaxCount)
 		embLen = len(emb32)
-	} else {
+	default:
 		emb = er.FloatsView(binio.MaxCount)
 		embLen = len(emb)
 	}
@@ -865,25 +285,11 @@ func assembleSpectralPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) 
 	if embLen != n*rank {
 		return nil, fmt.Errorf("mogul: embedding carries %d elements, want %d", embLen, n*rank)
 	}
-	dead := make([]bool, n)
-	deadBase := 0
-	prev := -1
-	for _, id := range deadIDs {
-		if id <= prev || id >= n {
-			return nil, fmt.Errorf("mogul: corrupt tombstone list (id %d after %d, %d points)", id, prev, n)
-		}
-		dead[id] = true
-		if id < baseN {
-			deadBase++
-		}
-		prev = id
-	}
-	if len(deadIDs) >= n {
-		return nil, fmt.Errorf("mogul: every item tombstoned")
+	if err := m.readTombstones(deadIDs); err != nil {
+		return nil, err
 	}
 
-	ar := binio.NewBytesReader(payloads[tagSpAtt])
-	ar.EnableAlign(align, bases[tagSpAtt])
+	ar := m.sectionReader(secs[tagSpAtt])
 	attPtr := ar.Ints(binio.MaxCount)
 	attID := ar.Ints(binio.MaxCount)
 	attW := ar.Floats(binio.MaxCount)
@@ -915,47 +321,22 @@ func assembleSpectralPrec(payloads map[[4]byte][]byte, bases map[[4]byte]int64) 
 		ApproximateGraph:    approx == 1,
 		MutualGraph:         mutual == 1,
 		Sigma:               sigmaOpt,
-		Alpha:               alpha,
-		Seed:                int64(seed),
-		AutoCompactFraction: autoCompact,
+		Alpha:               m.alpha,
+		Seed:                int64(m.seed),
+		AutoCompactFraction: m.autoCompact,
 	}
-	if f32 {
-		// Compact on a loaded engine rebuilds with the recorded recipe;
-		// restoring the precision keeps the rebuilt state narrowed.
-		ropts.Precision = F32
+	m.hdr.stats.NumClusters, m.hdr.stats.FactorNNZ = rank, baseN*rank
+	st := &spectralState{
+		engineHeader: m.hdr,
+		rank:         rank,
+		graph:        &sparse.CSR{RowPtr: rowPtr, Col: col, Val: val, Val32: val32, Rows: baseN, Cols: baseN},
+		sigma:        sigma,
+		vals:         vals,
+		emb:          emb,
+		emb32:        emb32,
+		attPtr:       attPtr,
+		attID:        attID,
+		attW:         attW,
 	}
-	e := &SpectralIndex{
-		alpha:       alpha,
-		seed:        int64(seed),
-		autoCompact: autoCompact,
-		ropts:       ropts,
-		sopts:       SpectralOptions{Rank: recipeRank, Steps: recipeSteps, Hops: hops, HopBudget: hopBudget, AttachK: attachK},
-		st: &spectralState{
-			dim:       dim,
-			rank:      rank,
-			graph:     &sparse.CSR{RowPtr: rowPtr, Col: col, Val: val, Val32: val32, Rows: baseN, Cols: baseN},
-			sigma:     sigma,
-			vals:      vals,
-			points:    points,
-			pts32:     pts32,
-			dead:      dead,
-			emb:       emb,
-			emb32:     emb32,
-			attPtr:    attPtr,
-			attID:     attID,
-			attW:      attW,
-			deadCount: len(deadIDs),
-			deadBase:  deadBase,
-			baseN:     baseN,
-			stats: Stats{
-				NumNodes:    baseN,
-				NumClusters: rank,
-				FactorNNZ:   baseN * rank,
-				ClusterTime: time.Duration(clusterTime),
-				FactorTime:  time.Duration(factorTime),
-			},
-		},
-	}
-	e.version.Store(1)
-	return e, nil
+	return newSpectralIndex(ropts, sopts, st), nil
 }

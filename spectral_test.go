@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -412,50 +411,6 @@ func TestSpectralDynamicOps(t *testing.T) {
 	}
 }
 
-// TestSpectralAutoCompact: the policy threshold folds the delta in
-// (counting a deleted delta item once, not twice).
-func TestSpectralAutoCompact(t *testing.T) {
-	pts := spectralTestPoints(100, 5, 4, 3)
-	e, err := BuildSpectral(pts, Options{Seed: 3, AutoCompactFraction: 0.1}, SpectralOptions{Rank: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(44))
-	for i := 0; i < 11; i++ {
-		v := make(Vector, 5)
-		for d := range v {
-			v[d] = rng.NormFloat64()
-		}
-		if _, err := e.Insert(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 11 inserts over a base of 100 at fraction 0.1: the 11th crossed
-	// the threshold and compacted.
-	d := e.Delta()
-	if d.BaseItems != 111 || d.DeltaItems != 0 || d.Tombstones != 0 {
-		t.Fatalf("Delta after auto-compact: %+v", d)
-	}
-}
-
-// TestSpectralLastLiveItem: the engine refuses to delete itself empty.
-func TestSpectralLastLiveItem(t *testing.T) {
-	pts := spectralTestPoints(3, 4, 1, 8)
-	e, err := BuildSpectral(pts, Options{Seed: 8}, SpectralOptions{Rank: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(2); err == nil {
-		t.Fatal("deleted the last live item")
-	}
-}
-
 // TestSpectralSaveLoadRoundTrip: Save → Load answers bit-identically,
 // and a second Save of the loaded engine reproduces the bytes.
 func TestSpectralSaveLoadRoundTrip(t *testing.T) {
@@ -548,62 +503,4 @@ func TestSpectralSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("post-compact divergence at %d", i)
 		}
 	}
-}
-
-// TestSpectralConcurrentQueryMutate: searches race inserts, deletes,
-// and compactions without data races or contract violations (run
-// under -race in CI).
-func TestSpectralConcurrentQueryMutate(t *testing.T) {
-	pts := spectralTestPoints(300, 6, 6, 17)
-	e, err := BuildSpectral(pts, Options{Seed: 17}, SpectralOptions{Rank: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := e.TopK(rng.Intn(100), 10); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := e.TopKVector(pts[rng.Intn(300)], 10); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	rng := rand.New(rand.NewSource(1234))
-	for i := 0; i < 50; i++ {
-		v := make(Vector, 6)
-		for d := range v {
-			v[d] = rng.NormFloat64()
-		}
-		id, err := e.Insert(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%5 == 0 {
-			if err := e.Delete(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i%20 == 19 {
-			if err := e.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
