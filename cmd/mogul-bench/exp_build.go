@@ -16,9 +16,9 @@ import (
 //	exact engine:  knn (graph build), cluster (Louvain + permute),
 //	               factor (LDL^T + bound tables)
 //	anchor engine: anchors (k-means), attach (anchor attachment + H),
-//	               gram (G assembly + LU)
+//	               gram (G assembly + SPD inversion)
 //
-// The parallel stages are knn, anchors, attach, and the gram assembly;
+// The parallel stages are knn, anchors, attach, and the gram stage;
 // Louvain and the sparse factorization are serial, so their share of
 // the total bounds the achievable end-to-end speedup (Amdahl).
 func expBuild(l *lab) {
@@ -71,6 +71,6 @@ func expBuild(l *lab) {
 
 		runtime.GOMAXPROCS(prev)
 	}
-	fmt.Printf("Build-stage breakdown on %s (n=%d, EMR p=2560 s=24; knn/anchors+attach+gram-assembly parallel, Louvain+LDL^T serial)\n", ds.Name, n)
+	fmt.Printf("Build-stage breakdown on %s (n=%d, EMR p=2560 s=24; knn/anchors+attach+gram parallel, Louvain+LDL^T serial)\n", ds.Name, n)
 	emitTable(rows)
 }

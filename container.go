@@ -27,6 +27,10 @@ type frame struct {
 	// kind names the container in error messages ("EMR engine").
 	kind                   string
 	minVersion, maxVersion uint32
+	// plainVersion is what an unaligned float64 engine Save writes; f32
+	// and aligned saves write maxVersion (engine.save; unused by
+	// MOGULSHD, which has one layout per version).
+	plainVersion uint32
 	// tags are the sections this build decodes; any other is skipped.
 	tags [][4]byte
 }

@@ -14,14 +14,16 @@ package mogul
 //
 //	x = (1-alpha) (q + alpha H^T (I_p - alpha H H^T)^{-1} H q),
 //
-// whose factorization is query independent. BuildEMR factorizes it
-// exactly once (the baseline's lazily cached factorization raced under
-// concurrent queries; prefactoring removes the race by construction),
-// so a query is a dense p-vector solve plus one streaming pass over
-// the H columns: O(p^2 + n s) with tiny constants, flat in n for the
-// p^2 term and memory-bandwidth bound for the scan. Insert appends an
-// H column against the frozen anchor set (O(p) — no refactorization),
-// Delete tombstones, and Compact re-runs k-means over the live points.
+// whose p x p system is query independent, symmetric positive definite
+// (eigenvalues in [1-alpha, 1]) and met only by right-hand sides H q
+// with as many non-zeros as the query's seeds touch anchors (s for one
+// item or one vector). BuildEMR therefore inverts it exactly once and
+// holds M = (I_p - alpha H H^T)^{-1} explicitly, so a query combines
+// the rows of M its right-hand side touches and makes one streaming
+// pass over the H columns: O(p s + n s), flat in n for the first term
+// and memory-bandwidth bound for the scan. Insert appends an H column
+// against the frozen anchor set (O(p) — M is untouched), Delete
+// tombstones, and Compact re-runs k-means over the live points.
 //
 // *EMRIndex implements the full Retriever surface, so it serves
 // through the serve package, the dist coordinator, and mogul-server
@@ -49,8 +51,9 @@ import (
 // ignored — EMR's anchor graph replaces the k-NN graph).
 type EMROptions struct {
 	// NumAnchors is p, the anchor count (k-means centers). More
-	// anchors buy recall at O(p^2) per-query solve cost: the default
-	// 128 suits coarse class-level retrieval; fine-grained workloads
+	// anchors buy recall at O(p^3) build cost and p^2 floats of memory
+	// (a query pays only O(p s) of it): the default 128 suits coarse
+	// class-level retrieval; fine-grained workloads
 	// (near-duplicate lookup over micro-clusters) want 2560 with
 	// NumNearestAnchors 24, which holds recall@10 >= 0.9 against the
 	// exact engine at n = 10^5 on the evaluation mixture (docs/EMR.md
@@ -73,9 +76,9 @@ func (o EMROptions) withDefaults() EMROptions {
 
 // emrState is everything a query touches, grouped so Compact can build
 // a replacement off-line and swap it in atomically under the write
-// lock. Within a state, anchors/lambda/colSum/gram are frozen at build
-// time; the header's points/dead and hAnchor/hVal grow or flip under
-// the write lock.
+// lock. Within a state, anchors/lambda/colSum/gramInv are frozen at
+// build time; the header's points/dead and hAnchor/hVal grow or flip
+// under the write lock.
 type emrState struct {
 	engineHeader
 	p, s int
@@ -89,20 +92,21 @@ type emrState struct {
 	// little slices, which is what keeps the per-query scan
 	// memory-bandwidth bound. In mixed-precision mode hVal is nil and
 	// the attachment weights live in hVal32; anchors, colSum, lambda,
-	// and the gram factor stay float64 (p-sized, cold next to the scan).
+	// and the gram inverse stay float64 (p-sized, cold next to the scan).
 	// Columns past baseN are scored but do not contribute to the gram
-	// factor until Compact folds them in.
+	// system until Compact folds them in.
 	hVal32  []float32
 	hAnchor []int32
 	hVal    []float64
-	// gram is the prefactored p x p system I_p - alpha H H^T.
-	gram *dense.LU
+	// gramInv is M = (I_p - alpha H H^T)^{-1}, symmetric: a query reads
+	// the rows its right-hand side touches.
+	gramInv *dense.Matrix
 }
 
 // narrow32 moves the state into mixed-precision storage: the point
 // matrix flattens to float32 rows and the H attachment weights round to
 // float32, halving the bytes the per-query scan streams; anchors,
-// column sums, and the gram factor keep full precision.
+// column sums, and the gram inverse keep full precision.
 func (st *emrState) narrow32() {
 	st.narrowPoints()
 	st.hVal32 = vec.Narrow32(nil, st.hVal)
@@ -123,6 +127,14 @@ type EMRIndex struct {
 	// eopts is the recorded anchor recipe (pre-clamping) Compact rebuilds
 	// with, alongside the engine's alpha and seed.
 	eopts EMROptions
+	// att is Insert's attachment scratch, reused under the write lock.
+	att struct {
+		sc     baseline.AnchorScratch
+		idx    []int
+		val    []float64
+		dstIdx []int32
+		dstVal []float64
+	}
 }
 
 // Both the engine and its searcher implement the shared serving
@@ -165,7 +177,7 @@ func (e *EMRIndex) build(points []Vector) (*emrState, error) {
 // buildEMRState runs the offline half of EMR: k-means anchors, the
 // shared anchor attachment (baseline.BuildAnchorGraph — the engine and
 // the baseline produce bit-identical graphs from the same inputs), and
-// the prefactored gram system.
+// the explicit inverse of the gram system.
 func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions) (*emrState, error) {
 	n := len(points)
 	p := eopts.NumAnchors
@@ -206,17 +218,13 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions)
 		}
 	}
 
-	// Gram system G = I_p - alpha H H^T. The baseline's factorGram
-	// accumulates it serially over points; here the rows are
-	// partitioned by anchor, with an inverted anchor -> flat-position
-	// list (built in ascending point order) driving each row. A given
-	// cell (r, c) then receives the exact contributions of the serial
-	// loop in the exact same order — ascending point, then ascending
-	// support position — and ((-alpha)*val[a])*val[b] reproduces the
-	// serial expression bit-for-bit (negation is exact), so the
-	// factorization — and every score downstream of it — stays
-	// bit-identical to baseline.EMR over the same graph, at any
-	// GOMAXPROCS.
+	// Gram system G = I_p - alpha H H^T. The rows are partitioned by
+	// anchor, with an inverted anchor -> flat-position list (built in
+	// ascending point order) driving each row, so a given cell (r, c)
+	// receives its contributions in one fixed order — ascending point,
+	// then ascending support position — at any GOMAXPROCS. G is
+	// symmetric positive definite (H H^T is PSD with spectral radius at
+	// most 1), which is what lets dense.InvertSPD replace a pivoted LU.
 	t1 := time.Now()
 	g := dense.Identity(p)
 	if st.s > 0 {
@@ -243,11 +251,10 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions)
 			}
 		})
 	}
-	lu, err := dense.Factorize(g)
+	st.gramInv, err = dense.InvertSPD(g)
 	if err != nil {
-		return nil, fmt.Errorf("mogul: EMR gram factorization: %w", err)
+		return nil, fmt.Errorf("mogul: EMR gram inversion: %w", err)
 	}
-	st.gram = lu
 	st.stats = Stats{
 		NumNodes:    n,
 		NumClusters: p,
@@ -285,10 +292,13 @@ func (st *emrState) attachColumn(v Vector, sc *baseline.AnchorScratch, idx []int
 // the base build. Attachment runs in full precision against the f64
 // anchors; in f32 mode the stored weights round once.
 func (e *EMRIndex) attach(st *emrState, v Vector) {
-	var sc baseline.AnchorScratch
-	dstIdx := make([]int32, st.s)
-	dstVal := make([]float64, st.s)
-	st.attachColumn(v, &sc, make([]int, 0, st.s), make([]float64, 0, st.s), dstIdx, dstVal)
+	a := &e.att
+	if cap(a.dstIdx) < st.s { // first Insert, or Compact changed s
+		a.idx, a.val = make([]int, 0, st.s), make([]float64, 0, st.s)
+		a.dstIdx, a.dstVal = make([]int32, st.s), make([]float64, st.s)
+	}
+	dstIdx, dstVal := a.dstIdx[:st.s], a.dstVal[:st.s]
+	st.attachColumn(v, &a.sc, a.idx, a.val, dstIdx, dstVal)
 	if st.f32() {
 		for _, x := range dstVal {
 			st.hVal32 = append(st.hVal32, float32(x))
@@ -313,8 +323,8 @@ func (e *EMRIndex) Neighbors(item int) ([]int, []float64, error) {
 }
 
 // EMRSearcher is a dedicated reusable query engine over an EMRIndex:
-// it owns the dense rhs/solution vectors of the p x p solve, the
-// top-k collector, and the anchor-attachment scratch, so a steady
+// it owns the dense anchor-space vectors (right-hand side and z = M rhs),
+// the top-k collector, and the anchor-attachment scratch, so a steady
 // query load runs allocation-free. Use one searcher per worker
 // goroutine (the EMRIndex query methods draw from an internal pool).
 // TopK, TopKWithInfo, TopKVector and TopKSet come from the shared
@@ -340,8 +350,9 @@ func (e *EMRIndex) NewQuerier() Querier { return e.NewSearcher() }
 
 func (e *EMRIndex) newSearcher() *searcher[*emrState] { return &e.NewSearcher().searcher }
 
-// ensure sizes the dense solve buffers for the current anchor count
-// (Compact may change p). Callers hold e.mu.
+// ensure sizes the anchor-space buffers for the current anchor count
+// (Compact may change p) and zeroes the right-hand side. Callers hold
+// e.mu.
 func (sr *EMRSearcher) ensure(p int) {
 	if cap(sr.rhs) < p {
 		sr.rhs = make([]float64, p)
@@ -354,16 +365,27 @@ func (sr *EMRSearcher) ensure(p int) {
 	}
 }
 
-// collect runs the online half of EMR with e.mu held: solve the
-// prefactored p x p system against sr.rhs, then stream every live H
-// column through the collector. seeds carries the query-vector entries
-// q_i (sorted by ascending id, unique); the score expression matches
-// the baseline term for term, so over an unmutated engine the results
-// are bit-identical to baseline.EMR.
+// collect runs the online half of EMR with e.mu held: z = M rhs as the
+// combination of the rows of M (symmetric, so rows are columns) that
+// sr.rhs touches, in ascending anchor order — s axpys of length p for
+// one item or vector, at most p for a large seed set — then stream
+// every live H column through the collector. seeds carries the
+// query-vector entries q_i (sorted by ascending id, unique). The score
+// expression matches the baseline term for term except that the
+// baseline solves its LU-factored system where this multiplies by the
+// inverse, so over an unmutated engine the results agree with
+// baseline.EMR to rounding (same ids, scores within 1e-12 relative),
+// no longer bit for bit.
 func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 	e := sr.e
 	st := e.st
-	z := st.gram.SolveInto(sr.z, sr.rhs)
+	z := sr.z
+	clear(z)
+	for a, r := range sr.rhs {
+		if r != 0 {
+			vec.Axpy(z, r, st.gramInv.Row(a))
+		}
+	}
 	n := st.numPoints()
 	sr.resetCollector(k)
 	si := 0
@@ -398,7 +420,7 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 }
 
 // scoreSeeds accumulates the seeds' stored H columns into the
-// anchor-space right-hand side and runs the solve + scan.
+// anchor-space right-hand side and runs the combine + scan.
 func (sr *EMRSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 	st := sr.e.st
 	sr.ensure(st.p)

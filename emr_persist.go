@@ -4,13 +4,16 @@ package mogul
 //
 // A saved EMR engine carries everything BuildEMR computed — anchors,
 // base-column normalization, the flat H columns, the stored points,
-// the tombstone set, and the prefactored gram system — so a loaded
+// the tombstone set, and the inverse of the gram system — so a loaded
 // engine answers bit-identically to the one that saved it without
-// re-running k-means or refactorizing. The container frame, the
-// Save/SaveAligned dispatch, and the two format versions are shared
-// with the spectral engine (container.go, engine.go); this file holds
-// only the section codecs. mogul.Load sniffs the magic and dispatches
-// here; malformed input of any kind yields an error, never a panic.
+// re-running k-means or re-inverting. The container frame and the
+// Save/SaveAligned dispatch are shared with the spectral engine
+// (container.go, engine.go); this file holds only the section codecs.
+// Every save writes version 3; versions 1 and 2, which stored the LU
+// factors of the gram system instead of its inverse, still load (the
+// factors are inverted once, at load). mogul.Load sniffs the magic and
+// dispatches here; malformed input of any kind yields an error, never
+// a panic.
 
 import (
 	"fmt"
@@ -31,20 +34,26 @@ var (
 	tagEanc = [4]byte{'E', 'A', 'N', 'C'} // anchors + base column sums
 	tagEpts = [4]byte{'E', 'P', 'T', 'S'} // stored feature vectors
 	tagEhco = [4]byte{'E', 'H', 'C', 'O'} // flat H columns + tombstones
-	tagEgrm = [4]byte{'E', 'G', 'R', 'M'} // prefactored gram system (LU)
+	tagEgrm = [4]byte{'E', 'G', 'R', 'M'} // gram system: its inverse (v3) or LU factors (v1, v2)
 )
 
+// emrFormatVersionInverse is the version-2 layout with the explicit
+// gram inverse in EGRM where versions 1 and 2 stored LU factors, a
+// pivot vector and a swap parity.
+const emrFormatVersionInverse = 3
+
 var emrFrame = frame{
-	magic:      emrMagic,
-	kind:       "EMR engine",
-	minVersion: engineFormatVersion,
-	maxVersion: engineFormatVersionPrec,
-	tags:       [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm},
+	magic:        emrMagic,
+	kind:         "EMR engine",
+	minVersion:   engineFormatVersion,
+	maxVersion:   emrFormatVersionInverse,
+	plainVersion: emrFormatVersionInverse,
+	tags:         [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm},
 }
 
-// sections encodes the engine. Version 2 stores the anchor ids as
-// int32 and, when the engine is mixed-precision, the attachment weights
-// as float32; anchors, column sums, and the gram factor stay float64.
+// sections encodes the engine (always version 3): anchor ids are int32
+// and, when the engine is mixed-precision, the attachment weights are
+// float32; anchors, column sums, and the gram inverse stay float64.
 func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
 	return []section{
 		{tagEmet, func(sw *binio.Writer) error {
@@ -68,30 +77,18 @@ func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
 		}},
 		{tagEpts, func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
 		{tagEhco, func(sw *binio.Writer) error {
-			switch {
-			case version < engineFormatVersionPrec:
-				cols := make([]int, len(st.hAnchor))
-				for i, a := range st.hAnchor {
-					cols[i] = int(a)
-				}
-				sw.Ints(cols)
-				sw.Floats(st.hVal)
-			case st.f32():
-				sw.Int32s(st.hAnchor)
+			sw.Int32s(st.hAnchor)
+			if st.f32() {
 				sw.Float32s(st.hVal32)
-			default:
-				sw.Int32s(st.hAnchor)
+			} else {
 				sw.Floats(st.hVal)
 			}
 			st.writeTombstones(sw)
 			return sw.Err()
 		}},
 		{tagEgrm, func(sw *binio.Writer) error {
-			lu, pivot, signDet := st.gram.Components()
-			sw.Int(lu.Rows)
-			sw.Floats(lu.Data)
-			sw.Ints(pivot)
-			sw.Float64(signDet)
+			sw.Int(st.p)
+			sw.Floats(st.gramInv.Data)
 			return sw.Err()
 		}},
 	}
@@ -99,7 +96,7 @@ func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
 
 // LoadEMR reads an engine written by EMRIndex.Save. Malformed input of
 // any kind — wrong magic, unknown version, truncation, checksum
-// mismatch, shape mismatches between sections, a corrupt gram factor —
+// mismatch, shape mismatches between sections, a corrupt gram system —
 // yields an error, never a panic. Callers normally go through Load,
 // which sniffs the magic and dispatches here.
 func LoadEMR(r io.Reader) (*EMRIndex, error) { return loadEMR(binio.NewReader(r)) }
@@ -132,11 +129,13 @@ func loadEMR(br *binio.Reader) (*EMRIndex, error) {
 }
 
 // assembleEMR decodes the section payloads and cross-validates every
-// shape and value invariant the engine relies on. Version 2's big
-// arrays come out as views into the payload bytes (zero-copy when the
-// image is aligned and the host is little-endian, copied otherwise),
-// without the per-element finiteness scan version 1 runs over the
-// attachment weights — see readPoints for why.
+// shape and value invariant the engine relies on. From version 2 on the
+// big arrays come out as views into the payload bytes (zero-copy when
+// the image is aligned and the host is little-endian, copied
+// otherwise), without the per-element finiteness scan version 1 runs
+// over the attachment weights — see readPoints for why. The gram system
+// is always scanned: it is p-sized, and a NaN in it would reach every
+// score.
 func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, error) {
 	var m engineMeta
 	mr := binio.NewBytesReader(secs[tagEmet].payload)
@@ -251,28 +250,41 @@ func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, erro
 	gr := m.sectionReader(secs[tagEgrm])
 	order := gr.Int()
 	if err := gr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding gram factor: %w", err)
+		return nil, fmt.Errorf("mogul: decoding gram system: %w", err)
 	}
 	if order != p {
-		return nil, fmt.Errorf("mogul: gram factor of order %d for %d anchors", order, p)
+		return nil, fmt.Errorf("mogul: gram system of order %d for %d anchors", order, p)
 	}
-	var luData []float64
+	var gram []float64
 	if v2 {
-		luData = gr.FloatsView(binio.MaxCount)
+		gram = gr.FloatsView(binio.MaxCount)
 	} else {
-		luData = gr.Floats(binio.MaxCount)
+		gram = gr.Floats(binio.MaxCount)
 	}
-	pivot := gr.Ints(binio.MaxCount)
-	signDet := gr.Float64()
 	if err := gr.Err(); err != nil {
-		return nil, fmt.Errorf("mogul: decoding gram factor: %w", err)
+		return nil, fmt.Errorf("mogul: decoding gram system: %w", err)
 	}
-	if len(luData) != p*p {
-		return nil, fmt.Errorf("mogul: gram factor carries %d elements, want %d", len(luData), p*p)
+	if len(gram) != p*p {
+		return nil, fmt.Errorf("mogul: gram system carries %d elements, want %d", len(gram), p*p)
 	}
-	lu, err := dense.NewLUFromComponents(&dense.Matrix{Data: luData, Rows: p, Cols: p}, pivot, signDet)
-	if err != nil {
-		return nil, fmt.Errorf("mogul: corrupt gram factor: %w", err)
+	gramInv := &dense.Matrix{Data: gram, Rows: p, Cols: p}
+	if version < emrFormatVersionInverse {
+		// Versions 1 and 2 stored the LU factors; invert them once.
+		pivot := gr.Ints(binio.MaxCount)
+		signDet := gr.Float64()
+		if err := gr.Err(); err != nil {
+			return nil, fmt.Errorf("mogul: decoding gram factor: %w", err)
+		}
+		lu, err := dense.NewLUFromComponents(gramInv, pivot, signDet)
+		if err != nil {
+			return nil, fmt.Errorf("mogul: corrupt gram factor: %w", err)
+		}
+		gramInv = lu.Inverse()
+	}
+	for i, v := range gramInv.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mogul: corrupt gram inverse: non-finite element at %d", i)
+		}
 	}
 
 	m.hdr.stats.NumClusters, m.hdr.stats.FactorNNZ = p, p*p
@@ -286,7 +298,7 @@ func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, erro
 		hAnchor:      hAnchor,
 		hVal:         hVal,
 		hVal32:       hVal32,
-		gram:         lu,
+		gramInv:      gramInv,
 	}
 	eopts := EMROptions{NumAnchors: recipeAnchors, NumNearestAnchors: recipeNearest}
 	return newEMRIndex(m.alpha, int64(m.seed), m.autoCompact, eopts, st), nil

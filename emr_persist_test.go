@@ -9,6 +9,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -203,11 +207,15 @@ func TestLoadEMRNeverPanics(t *testing.T) {
 
 	// Structural corruptions that survive the checksum: the validation
 	// layer itself must reject them.
-	restamp := func(b []byte) []byte {
-		crc := crc32IEEE(b[:len(b)-4])
-		out := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(out[len(out)-4:], crc)
-		return out
+	for label, image := range corruptGramImages(data) {
+		for loader, load := range map[string]func() (*EMRIndex, error){
+			"stream": func() (*EMRIndex, error) { return LoadEMR(bytes.NewReader(image)) },
+			"bytes":  func() (*EMRIndex, error) { return LoadEMRBytes(image) },
+		} {
+			if _, err := load(); err == nil || !strings.Contains(err.Error(), "gram") {
+				t.Fatalf("%s (%s load): error %v, want the gram validation to reject it", label, loader, err)
+			}
+		}
 	}
 	futureVersion := append([]byte(nil), data...)
 	futureVersion[8] = 0xFF
@@ -225,6 +233,38 @@ func TestLoadEMRNeverPanics(t *testing.T) {
 		{"bare EMR magic", []byte(emrMagic)},
 	} {
 		tryLoad(tc.label, tc.data)
+	}
+}
+
+// corruptGramImages derives, from a plain (unaligned) version-3 image,
+// the three lies about the gram inverse that survive the checksum: an
+// EGRM section cut one element short, an order that disagrees with the
+// anchor count, and a non-finite element. Each must fail at load, as
+// the LU validation guaranteed for versions 1 and 2.
+func corruptGramImages(data []byte) map[string][]byte {
+	// Walk the frame to EGRM: [tag 4][len 8][payload], payload =
+	// [order 8][count 8][p*p float64].
+	pos := len(emrMagic) + 4
+	for !bytes.Equal(data[pos:pos+4], tagEgrm[:]) {
+		pos += 12 + int(binary.LittleEndian.Uint64(data[pos+4:]))
+	}
+	size := int(binary.LittleEndian.Uint64(data[pos+4:]))
+	payload := pos + 12
+
+	short := append([]byte(nil), data[:payload+size-8]...)
+	short = append(short, data[payload+size:]...)
+	binary.LittleEndian.PutUint64(short[pos+4:], uint64(size-8))
+
+	order := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(order[payload:], binary.LittleEndian.Uint64(order[payload:])+1)
+
+	nan := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(nan[payload+16+8*5:], math.Float64bits(math.NaN()))
+
+	return map[string][]byte{
+		"EGRM cut one element short":   restamp(short),
+		"gram order off by one":        restamp(order),
+		"non-finite gram inverse cell": restamp(nan),
 	}
 }
 
@@ -269,6 +309,18 @@ func FuzzLoadEMR(f *testing.F) {
 	versioned := append([]byte(nil), seed...)
 	versioned[8] = 0xFF // far-future container version
 	f.Add(versioned)
+	for _, image := range corruptGramImages(seed) {
+		f.Add(image)
+	}
+	// The seed is a version-3 image; the legacy readers (LU factors in
+	// EGRM, inverted at load) start from the committed v1/v2 files.
+	for _, file := range []string{"emr_v1_f64.bin", "emr_v2_f32.bin", "emr_v2_f64_aligned4096.bin"} {
+		legacy, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(legacy)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Load(bytes.NewReader(data))

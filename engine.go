@@ -654,29 +654,33 @@ func (e *engine[S]) TopKSetWeighted(seeds []int, weight float64, k int) ([]Resul
 
 // --- Persistence shared by the MOGULEMR and MOGULSPC containers ---
 //
-// Both containers exist in two versions (docs/FORMAT.md). Version 1 is
-// what plain float64 saves write, kept so existing files reproduce byte
-// for byte. Version 2 — written for f32 engines and aligned saves —
+// Both containers exist in a legacy and a precision-aware layout
+// (docs/FORMAT.md). Version 1 is what plain float64 saves of the
+// spectral engine write, kept so existing files reproduce byte for
+// byte. Version 2 onwards — written for f32 engines and aligned saves,
+// and by the EMR engine always (its version 3, emr_persist.go) —
 // additionally records a precision flag and an alignment in the
 // metadata, stores the points as ONE flat row-major array, and writes
 // the bulk arrays as float32 when the engine is mixed-precision; with a
 // positive alignment every large array starts on that boundary, so a
-// Load*Bytes over an mmap'd image hands out zero-copy views.
+// Load*Bytes over an mmap'd image hands out zero-copy views. Which
+// version a save writes is the frame's call (plainVersion, maxVersion).
 const (
 	engineFormatVersion     = 1
 	engineFormatVersionPrec = 2
 )
 
 // Save writes the engine in its versioned container format. Mutators
-// block for the duration; searches proceed. A float64 engine writes
-// version 1, byte-identical to previous releases; a mixed-precision
-// engine writes version 2 with its arrays narrowed.
+// block for the duration; searches proceed. A float64 spectral engine
+// writes version 1, byte-identical to previous releases, and a
+// mixed-precision one version 2 with its arrays narrowed; the EMR
+// engine writes version 3 in either precision.
 func (e *engine[S]) Save(w io.Writer) error { return e.save(w, 0) }
 
-// SaveAligned writes the engine in the version-2 aligned layout: large
-// arrays start on align-byte boundaries (use the page size for mmap
-// sharing). Works in either precision; align must be a positive power
-// of two.
+// SaveAligned writes the engine in the aligned layout of its newest
+// container version: large arrays start on align-byte boundaries (use
+// the page size for mmap sharing). Works in either precision; align
+// must be a positive power of two.
 func (e *engine[S]) SaveAligned(w io.Writer, align int) error {
 	if align <= 0 || align&(align-1) != 0 {
 		return fmt.Errorf("mogul: alignment %d is not a positive power of two", align)
@@ -704,9 +708,9 @@ func (e *engine[S]) save(w io.Writer, align int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	version := uint32(engineFormatVersion)
+	version := e.frame.plainVersion
 	if align > 0 || e.st.hdr().f32() {
-		version = engineFormatVersionPrec
+		version = e.frame.maxVersion
 	}
 	return writeContainer(w, e.frame.magic, version, align, e.be.sections(e.st, version, align))
 }

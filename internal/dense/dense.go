@@ -1,9 +1,10 @@
 // Package dense provides the dense linear-algebra kernels the
 // reproduction needs: LU factorization (the O(n^3) inverse-matrix
-// baseline of the paper and the exactness oracle for tests), a Jacobi
-// symmetric eigensolver (spectral clustering inside the FMR baseline),
-// and a one-sided Jacobi thin SVD (FMR's per-block low-rank
-// approximation).
+// baseline of the paper and the exactness oracle for tests), a
+// deterministic parallel inversion of symmetric positive definite
+// matrices (the EMR engine's gram system, spd.go), a Jacobi symmetric
+// eigensolver (spectral clustering inside the FMR baseline), and a
+// one-sided Jacobi thin SVD (FMR's per-block low-rank approximation).
 //
 // Everything is written against the Go standard library; no BLAS. The
 // point of these kernels is correctness and clarity at the baseline
@@ -241,21 +242,14 @@ func (f *LU) Inverse() *Matrix {
 	return inv
 }
 
-// Components exposes the raw factorization — the packed LU matrix
-// (unit-lower L below the diagonal, U on and above), the pivot rows,
-// and the row-swap parity — for serialization. The returned matrix and
-// slice alias the factorization's storage; callers must not mutate
-// them.
-func (f *LU) Components() (lu *Matrix, pivot []int, signDet float64) {
-	return f.lu, f.pivot, f.signDet
-}
-
-// NewLUFromComponents reassembles a factorization previously taken
-// apart by Components, validating the invariants Factorize guarantees:
-// a square matrix, pivot[k] in [k, n), a +/-1 swap parity consistent
-// with the pivots, finite entries, and nonzero U diagonal. Corrupt
-// serialized factors fail here instead of producing NaN scores (or
-// dividing by zero) at query time.
+// NewLUFromComponents reassembles a serialized factorization (version 1
+// and 2 MOGULEMR files store one) from its raw parts — the packed LU
+// matrix (unit-lower L below the diagonal, U on and above), the pivot
+// rows, and the row-swap parity — validating the invariants Factorize
+// guarantees: a square matrix, pivot[k] in [k, n), a +/-1 swap parity
+// consistent with the pivots, finite entries, and nonzero U diagonal.
+// Corrupt serialized factors fail here instead of producing NaN scores
+// (or dividing by zero) downstream.
 func NewLUFromComponents(lu *Matrix, pivot []int, signDet float64) (*LU, error) {
 	n := lu.Rows
 	if lu.Cols != n {

@@ -11,13 +11,16 @@ package mogul
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"mogul/internal/core"
+	"mogul/internal/diskio"
 )
 
 // mappedFixtures returns one saved image per container format, keyed
@@ -118,6 +121,49 @@ func TestLoadFileMappedRoundTrip(t *testing.T) {
 			t.Fatalf("%s: second Close: %v", label, err)
 		}
 	}
+}
+
+// TestLoadFileMappedEMRGramZeroCopy: the p x p gram inverse of an
+// aligned version-3 MOGULEMR file is served straight out of the
+// mapping (the same zero-copy rule as the other big arrays), and the
+// mapped engine answers bit-identically to the one that saved it.
+func TestLoadFileMappedEMRGramZeroCopy(t *testing.T) {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		t.Skip("zero-copy views need a little-endian host")
+	}
+	ds := NewMixture(MixtureConfig{N: 300, Classes: 6, Dim: 8, WithinStd: 0.3, Separation: 3, Seed: 51})
+	e, err := BuildEMR(ds.Points, Options{Seed: 51}, EMROptions{NumAnchors: 32, NumNearestAnchors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine.emr")
+	if err := e.SaveFileAligned(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+	r, closer, err := LoadFileMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	image := closer.(*diskio.Mapping).Data()
+	gram := r.(*EMRIndex).st.gramInv.Data
+	lo, hi := uintptr(unsafe.Pointer(&image[0])), uintptr(unsafe.Pointer(&image[len(image)-1]))
+	at := uintptr(unsafe.Pointer(&gram[0]))
+	if at < lo || at > hi {
+		t.Fatal("the gram inverse of a mapped aligned file was copied, want a view into the mapping")
+	}
+	if (at-lo)%4096 != 0 {
+		t.Fatalf("the gram inverse starts at file offset %d, want a multiple of 4096", at-lo)
+	}
+	want, err := e.TopK(17, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.TopK(17, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "mapped EMR TopK", got, want)
 }
 
 // TestLoadFileMappedErrors: file-level failure modes of the mmap

@@ -170,3 +170,29 @@ func TestSearchHugeK(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedBodyRejected: every body-reading endpoint stops reading
+// at maxBodyBytes and answers 413 in the canonical error shape, and a
+// body just under the cap still gets as far as JSON decoding (400 for
+// this garbage), so the cap is the only thing that changed.
+func TestOversizedBodyRejected(t *testing.T) {
+	idx, _ := testIndex(t)
+	s := New(idx, Options{})
+	defer s.Close()
+	open := `{"vector":[`
+	oversized := open + strings.Repeat("1,", (maxBodyBytes-len(open))/2+1)
+	for _, path := range []string{"/search/vector", "/search/set", "/search/batch", "/insert", "/delete"} {
+		before := idx.Version()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(oversized)))
+		if msg := checkErrorShape(t, rec, http.StatusRequestEntityTooLarge); !strings.Contains(msg, strconv.Itoa(maxBodyBytes)) {
+			t.Fatalf("%s: 413 message %q does not name the %d-byte cap", path, msg, maxBodyBytes)
+		}
+		if idx.Version() != before {
+			t.Fatalf("%s: an oversized body mutated the index", path)
+		}
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(oversized[:maxBodyBytes])))
+		checkErrorShape(t, rec, http.StatusBadRequest)
+	}
+}

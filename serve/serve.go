@@ -48,6 +48,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -104,7 +105,7 @@ func (o Options) withDefaults() Options {
 		o.CacheShards = 16
 	}
 	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
+		o.MaxBatch = defaultMaxBatch
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = runtime.GOMAXPROCS(0)
@@ -414,8 +415,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Vector []float64 `json:"vector"`
 	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if err := readJSON(w, r, &req); err != nil {
+		rejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	s.mutateMu.Lock()
@@ -450,8 +451,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ID *int `json:"id"`
 	}
-	if err := readJSON(r, &req); err != nil || req.ID == nil {
-		writeError(w, http.StatusBadRequest, "body must be {\"id\": <int>}")
+	if err := readJSON(w, r, &req); err != nil || req.ID == nil {
+		rejectBody(w, err, "body must be {\"id\": <int>}")
 		return
 	}
 	s.mutateMu.Lock()
@@ -574,17 +575,41 @@ func normalizeK(k int) (int, error) {
 // cache-hit path the decode is most of the remaining work.
 var bodyBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
-// readJSON decodes a request body into v.
-func readJSON(r *http.Request, v interface{}) error {
+// Request bodies are bounded by a fixed cap sized for the largest body
+// any endpoint has a use for — a default batch's worth (defaultMaxBatch)
+// of vectors of maxBodyDim components at maxFloatBytes of JSON each, far
+// above a single d = 512 query (~10 KB) — so a client cannot make the
+// server buffer an arbitrary amount of memory per connection.
+const (
+	defaultMaxBatch = 64
+	maxBodyDim      = 1 << 14
+	maxFloatBytes   = 32
+	maxBodyBytes    = defaultMaxBatch * maxBodyDim * maxFloatBytes // 32 MiB
+)
+
+// readJSON decodes a request body of at most maxBodyBytes into v.
+// Render a failure with rejectBody.
+func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
 		bodyBufs.Put(buf)
 	}()
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return err
 	}
 	return json.Unmarshal(buf.Bytes(), v)
+}
+
+// rejectBody renders a request whose body could not be used: 413 when
+// it ran past maxBodyBytes (err from readJSON), 400 with msg otherwise.
+func rejectBody(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, msg)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -216,12 +216,6 @@ func TestLoadShardedNeverPanics(t *testing.T) {
 
 	// Table of structural corruptions with their CRC re-stamped, so the
 	// validation layer (not just the checksum) is what rejects them.
-	restamp := func(b []byte) []byte {
-		crc := crc32IEEE(b[:len(b)-4])
-		out := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(out[len(out)-4:], crc)
-		return out
-	}
 	futureVersion := append([]byte(nil), data...)
 	futureVersion[8] = 0xFF
 	truncatedEnd := data[:len(data)-16]
@@ -240,6 +234,14 @@ func TestLoadShardedNeverPanics(t *testing.T) {
 	} {
 		tryLoad(tc.label, tc.data)
 	}
+}
+
+// restamp returns a copy of a container image with its trailing CRC
+// recomputed, so a structural lie reaches the validation layer.
+func restamp(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32IEEE(out[:len(out)-4]))
+	return out
 }
 
 func crc32IEEE(b []byte) uint32 {

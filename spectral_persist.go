@@ -41,11 +41,12 @@ var (
 )
 
 var spectralFrame = frame{
-	magic:      spectralMagic,
-	kind:       "spectral engine",
-	minVersion: engineFormatVersion,
-	maxVersion: engineFormatVersionPrec,
-	tags:       [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt},
+	magic:        spectralMagic,
+	kind:         "spectral engine",
+	minVersion:   engineFormatVersion,
+	maxVersion:   engineFormatVersionPrec,
+	plainVersion: engineFormatVersion,
+	tags:         [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt},
 }
 
 func boolInt(b bool) int {

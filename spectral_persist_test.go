@@ -73,12 +73,6 @@ func TestLoadSpectralNeverPanics(t *testing.T) {
 
 	// Structural corruptions that survive the checksum: the validation
 	// layer itself must reject them.
-	restamp := func(b []byte) []byte {
-		crc := crc32IEEE(b[:len(b)-4])
-		out := append([]byte(nil), b...)
-		binary.LittleEndian.PutUint32(out[len(out)-4:], crc)
-		return out
-	}
 	futureVersion := append([]byte(nil), data...)
 	futureVersion[8] = 0xFF
 	truncatedEnd := data[:len(data)-16]
