@@ -183,8 +183,8 @@ func (s *ShardServer) handleVector(w http.ResponseWriter, r *http.Request) {
 		Vector []float64 `json:"vector"`
 		K      int       `json:"k"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		distError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if err := serve.ReadJSON(w, r, &req); err != nil {
+		serve.RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	if req.K <= 0 {
@@ -210,8 +210,8 @@ func (s *ShardServer) handleSet(w http.ResponseWriter, r *http.Request) {
 		Weight float64 `json:"weight"`
 		K      int     `json:"k"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		distError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if err := serve.ReadJSON(w, r, &req); err != nil {
+		serve.RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	if req.K <= 0 {
@@ -323,8 +323,8 @@ func (s *ShardServer) handleTruncate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		UpTo uint64 `json:"up_to"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		distError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if err := serve.ReadJSON(w, r, &req); err != nil {
+		serve.RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	s.ix.TruncateEntries(req.UpTo)

@@ -42,21 +42,21 @@ var (
 // pivot vector and a swap parity.
 const emrFormatVersionInverse = 3
 
-var emrFrame = frame{
-	magic:        emrMagic,
-	kind:         "EMR engine",
-	minVersion:   engineFormatVersion,
-	maxVersion:   emrFormatVersionInverse,
-	plainVersion: emrFormatVersionInverse,
-	tags:         [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm},
+var emrFrame = binio.Frame{
+	Magic:        emrMagic,
+	Kind:         "EMR engine",
+	MinVersion:   engineFormatVersion,
+	MaxVersion:   emrFormatVersionInverse,
+	PlainVersion: emrFormatVersionInverse,
+	Tags:         [][4]byte{tagEmet, tagEanc, tagEpts, tagEhco, tagEgrm},
 }
 
 // sections encodes the engine (always version 3): anchor ids are int32
 // and, when the engine is mixed-precision, the attachment weights are
 // float32; anchors, column sums, and the gram inverse stay float64.
-func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
-	return []section{
-		{tagEmet, func(sw *binio.Writer) error {
+func (e *EMRIndex) sections(st *emrState, version uint32, align int) []binio.Section {
+	return []binio.Section{
+		{Tag: tagEmet, Payload: func(sw *binio.Writer) error {
 			e.writeMetaHead(sw)
 			// The recorded anchor recipe (pre-clamping), so Compact on a
 			// loaded engine rebuilds with the options the original build got.
@@ -68,15 +68,15 @@ func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
 			st.writeMetaTail(sw, version, align)
 			return sw.Err()
 		}},
-		{tagEanc, func(sw *binio.Writer) error {
+		{Tag: tagEanc, Payload: func(sw *binio.Writer) error {
 			for _, c := range st.anchors {
 				sw.Floats(c)
 			}
 			sw.Floats(st.colSum)
 			return sw.Err()
 		}},
-		{tagEpts, func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
-		{tagEhco, func(sw *binio.Writer) error {
+		{Tag: tagEpts, Payload: func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
+		{Tag: tagEhco, Payload: func(sw *binio.Writer) error {
 			sw.Int32s(st.hAnchor)
 			if st.f32() {
 				sw.Float32s(st.hVal32)
@@ -86,7 +86,7 @@ func (e *EMRIndex) sections(st *emrState, version uint32, align int) []section {
 			st.writeTombstones(sw)
 			return sw.Err()
 		}},
-		{tagEgrm, func(sw *binio.Writer) error {
+		{Tag: tagEgrm, Payload: func(sw *binio.Writer) error {
 			sw.Int(st.p)
 			sw.Floats(st.gramInv.Data)
 			return sw.Err()
@@ -121,7 +121,7 @@ func LoadEMRFile(path string) (*EMRIndex, error) {
 }
 
 func loadEMR(br *binio.Reader) (*EMRIndex, error) {
-	version, secs, err := readSections(br, &emrFrame)
+	version, secs, err := binio.ReadSections(br, &emrFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +136,9 @@ func loadEMR(br *binio.Reader) (*EMRIndex, error) {
 // over the attachment weights — see readPoints for why. The gram system
 // is always scanned: it is p-sized, and a NaN in it would reach every
 // score.
-func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, error) {
+func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, error) {
 	var m engineMeta
-	mr := binio.NewBytesReader(secs[tagEmet].payload)
+	mr := secs[tagEmet].Reader(0)
 	m.readHead(mr)
 	recipeAnchors := mr.Int()
 	recipeNearest := mr.Int()
@@ -159,7 +159,7 @@ func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, erro
 	n, dim := m.n, m.hdr.dim
 	v2 := version >= engineFormatVersionPrec
 
-	ar := m.sectionReader(secs[tagEanc])
+	ar := secs[tagEanc].Reader(m.align)
 	// Grow as anchors arrive rather than trusting p for the allocation.
 	anchors := make([]Vector, 0, min(p, 1<<16))
 	for a := 0; a < p; a++ {
@@ -194,11 +194,11 @@ func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, erro
 		}
 	}
 
-	if err := m.readPoints(m.sectionReader(secs[tagEpts]), version); err != nil {
+	if err := m.readPoints(secs[tagEpts].Reader(m.align), version); err != nil {
 		return nil, err
 	}
 
-	hr := m.sectionReader(secs[tagEhco])
+	hr := secs[tagEhco].Reader(m.align)
 	var hAnchor []int32
 	var hVal []float64
 	var hVal32 []float32
@@ -247,7 +247,7 @@ func assembleEMR(version uint32, secs map[[4]byte]frameSection) (*EMRIndex, erro
 		return nil, err
 	}
 
-	gr := m.sectionReader(secs[tagEgrm])
+	gr := secs[tagEgrm].Reader(m.align)
 	order := gr.Int()
 	if err := gr.Err(); err != nil {
 		return nil, fmt.Errorf("mogul: decoding gram system: %w", err)

@@ -133,7 +133,7 @@ type backend[S engineState] interface {
 	newSearcher() *searcher[S]
 	// sections encodes st as the container sections of the given format
 	// version. Called with mutMu held and mu held for reading.
-	sections(st S, version uint32, align int) []section
+	sections(st S, version uint32, align int) []binio.Section
 }
 
 // scorer is the ranking-specific half of a searcher. Every method runs
@@ -152,7 +152,7 @@ type scorer interface {
 
 type engine[S engineState] struct {
 	be    backend[S]
-	frame *frame
+	frame *binio.Frame
 	// alpha/seed/autoCompact are the recipe fields both backends record.
 	alpha       float64
 	seed        int64
@@ -169,7 +169,7 @@ type engine[S engineState] struct {
 	searchers sync.Pool
 }
 
-func (e *engine[S]) init(be backend[S], fr *frame, alpha float64, seed int64, autoCompact float64, st S) {
+func (e *engine[S]) init(be backend[S], fr *binio.Frame, alpha float64, seed int64, autoCompact float64, st S) {
 	e.be, e.frame = be, fr
 	e.alpha, e.seed, e.autoCompact = alpha, seed, autoCompact
 	e.st = st
@@ -664,7 +664,7 @@ func (e *engine[S]) TopKSetWeighted(seeds []int, weight float64, k int) ([]Resul
 // the bulk arrays as float32 when the engine is mixed-precision; with a
 // positive alignment every large array starts on that boundary, so a
 // Load*Bytes over an mmap'd image hands out zero-copy views. Which
-// version a save writes is the frame's call (plainVersion, maxVersion).
+// version a save writes is the frame's call (binio.Frame.SaveVersion).
 const (
 	engineFormatVersion     = 1
 	engineFormatVersionPrec = 2
@@ -708,11 +708,14 @@ func (e *engine[S]) save(w io.Writer, align int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	version := e.frame.plainVersion
-	if align > 0 || e.st.hdr().f32() {
-		version = e.frame.maxVersion
+	version := e.frame.SaveVersion(e.st.hdr().f32(), align)
+	sections := e.be.sections(e.st, version, align)
+	for i := range sections {
+		// The engine containers align every section (MOGULIDX only two).
+		sections[i].Align = align
 	}
-	return writeContainer(w, e.frame.magic, version, align, e.be.sections(e.st, version, align))
+	_, err := binio.WriteContainer(w, e.frame.Magic, version, sections)
+	return err
 }
 
 // engineMeta is the part of the metadata section both containers carry:
@@ -810,14 +813,6 @@ func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string, rowL
 		FactorTime:  time.Duration(factorTime),
 	}
 	return nil
-}
-
-// sectionReader opens one section payload for decoding; the alignment
-// rule needs the payload's absolute file offset.
-func (m *engineMeta) sectionReader(s frameSection) *binio.Reader {
-	r := binio.NewBytesReader(s.payload)
-	r.EnableAlign(m.align, s.base)
-	return r
 }
 
 // writePoints encodes the stored vectors: one length-prefixed row per

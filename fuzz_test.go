@@ -2,6 +2,7 @@ package mogul
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 )
@@ -15,42 +16,62 @@ import (
 //	go test -fuzz FuzzLoad -fuzztime 30s .
 
 // fuzzSeedIndex builds one small static and one dynamic index and
-// returns their serialized forms; computed once, shared by seeds and
-// target.
-var fuzzSeedIndex = sync.OnceValues(func() ([]byte, []byte) {
+// returns their serialized forms — both version 3 — plus the two
+// version-4 layouts of the dynamic one (packed float32, aligned
+// float64), so the streaming reader starts from every layout it must
+// accept; computed once, shared by seeds and target.
+var fuzzSeedIndex = sync.OnceValue(func() (seeds struct{ static, dynamic, f32, aligned []byte }) {
 	ds := NewMixture(MixtureConfig{
 		N: 80, Classes: 4, Dim: 6, WithinStd: 0.3, Separation: 2.5, Seed: 7,
 	})
-	ix, err := Build(ds.Points[:70], Options{})
-	if err != nil {
-		panic(err)
-	}
-	var static bytes.Buffer
-	if err := ix.Save(&static); err != nil {
-		panic(err)
-	}
-	for _, p := range ds.Points[70:] {
-		if _, err := ix.Insert(p); err != nil {
+	save := func(save func(io.Writer) error) []byte {
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
 			panic(err)
 		}
+		return buf.Bytes()
 	}
-	if err := ix.Delete(3); err != nil {
-		panic(err)
+	for _, prec := range []Precision{F64, F32} {
+		ix, err := Build(ds.Points[:70], Options{Precision: prec})
+		if err != nil {
+			panic(err)
+		}
+		if prec == F64 {
+			seeds.static = save(ix.Save)
+		}
+		for _, p := range ds.Points[70:] {
+			if _, err := ix.Insert(p); err != nil {
+				panic(err)
+			}
+		}
+		if err := ix.Delete(3); err != nil {
+			panic(err)
+		}
+		if err := ix.Delete(71); err != nil {
+			panic(err)
+		}
+		if prec == F64 {
+			seeds.dynamic = save(ix.Save)
+			seeds.aligned = save(func(w io.Writer) error { return ix.SaveAligned(w, 64) })
+		} else {
+			seeds.f32 = save(ix.Save)
+		}
 	}
-	if err := ix.Delete(71); err != nil {
-		panic(err)
-	}
-	var dynamic bytes.Buffer
-	if err := ix.Save(&dynamic); err != nil {
-		panic(err)
-	}
-	return static.Bytes(), dynamic.Bytes()
+	return seeds
 })
 
 func FuzzLoad(f *testing.F) {
-	static, dynamic := fuzzSeedIndex()
+	seeds := fuzzSeedIndex()
+	static, dynamic := seeds.static, seeds.dynamic
 	f.Add(static)
 	f.Add(dynamic)
+	for _, v4 := range [][]byte{seeds.f32, seeds.aligned} {
+		f.Add(v4)
+		f.Add(v4[:len(v4)/2]) // truncation
+		flipped := append([]byte(nil), v4...)
+		flipped[len(flipped)/3] ^= 0x5A // body corruption
+		f.Add(flipped)
+	}
 	f.Add(static[:len(static)/2])               // truncation
 	f.Add(dynamic[:len(dynamic)-3])             // clipped checksum
 	f.Add([]byte{})                             // empty

@@ -2,10 +2,13 @@ package mogul
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mogul/internal/core"
 )
 
 // goldenProbe is the out-of-sample query the golden tests ask.
@@ -44,34 +47,65 @@ func goldenSave(t *testing.T, r Retriever, aligned bool) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenContainers pins the MOGULEMR / MOGULSPC readers and writers
-// against committed files (testdata/golden; n = 64 + 3 inserted, d = 4,
-// one base and two delta-era tombstones, so delta columns / attachments
-// and both tombstone kinds are present): the v1/v2 spectral files were
-// written by the commit that preceded the shared engine lifecycle, the
-// v3 EMR files by the commit that introduced the format, from the
-// recipe that reproduces the v1/v2 EMR files byte for byte at their
-// commit: BuildEMR over the first 64 stored points of emr_v1_f64.bin
-// with Options{Alpha: 0.99, Seed: 7} (Precision: F32 for the f32 file)
-// and EMROptions{NumAnchors: 24, NumNearestAnchors: 3}, Insert of its
-// points 64..66, Delete of 5, 40, 65, and the recorded build timings
-// (the one wall-clock field) copied over. Save → Load →
+// stampVersion rewrites a container image's format version and
+// recomputes its trailing CRC.
+func stampVersion(image []byte, version uint32) []byte {
+	out := bytes.Clone(image)
+	binary.LittleEndian.PutUint32(out[8:], version)
+	return restamp(out)
+}
+
+// TestGoldenContainers pins the readers and writers of all four
+// containers against committed files (testdata/golden). Save → Load →
 // Save within one binary cannot notice a reader and a writer drifting
 // together; these bytes are the fixed point. Each file must load by
 // stream and from memory, re-save byte-identically in the mode that
 // wrote it, and answer bit-identically through both loaders.
+//
+// EMR / spectral (n = 64 + 3 inserted, d = 4, one base and two
+// delta-era tombstones, so delta columns / attachments and both
+// tombstone kinds are present): the v1/v2 spectral files were written by
+// the commit that preceded the shared engine lifecycle, the v3 EMR files
+// by the commit that introduced the format, from the recipe that
+// reproduces the v1/v2 EMR files byte for byte at their commit: BuildEMR
+// over the first 64 stored points of emr_v1_f64.bin with Options{Alpha:
+// 0.99, Seed: 7} (Precision: F32 for the f32 file) and
+// EMROptions{NumAnchors: 24, NumNearestAnchors: 3}, Insert of its points
+// 64..66, Delete of 5, 40, 65, and the recorded build timings (the one
+// wall-clock field) copied over.
+//
+// MOGULIDX / MOGULSHD: written by the commit that preceded the move of
+// core's persistence onto the shared frame. Points are pts[i] =
+// centre[i%4] + 0.5·N(0,1) per coordinate drawn in order from
+// rand.New(rand.NewSource(11)), centres (3,-2,0,1), (-3,2,0,-1),
+// (0,3,2,0), (-2,-3,-1,1); every build uses Options{Alpha: 0.99, Seed:
+// 7}. idx_v3_f64 and idx_v4_f32 (Precision: F32): Build over pts[:64],
+// Insert pts[64:67], Delete 5, 40, 65, Save. idx_v4_f64_aligned4096: the
+// same over pts[:512] (+ pts[512:515], Delete 5, 40, 513) and
+// SaveAligned(4096) — n = 512 makes the LAYT permutation 4096 bytes, so
+// a frame that wrongly pads it changes the file. shd_v1: BuildSharded
+// over pts[:96] with ShardOptions{Shards: 2, Partitioner:
+// PartitionKMeans}, Insert pts[96], Delete 5, Save.
 func TestGoldenContainers(t *testing.T) {
+	engineDelta := DeltaStats{BaseItems: 64, DeltaItems: 2, Tombstones: 3}
 	cases := []struct {
 		file    string
 		aligned bool
 		prec    Precision
+		delta   DeltaStats
+		queries []int // base items, delta items
+		dead    []int
 	}{
-		{"emr_v3_f64.bin", false, F64},
-		{"emr_v3_f32.bin", false, F32},
-		{"emr_v3_f64_aligned4096.bin", true, F64},
-		{"spectral_v1_f64.bin", false, F64},
-		{"spectral_v2_f32.bin", false, F32},
-		{"spectral_v2_f64_aligned4096.bin", true, F64},
+		{"emr_v3_f64.bin", false, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"emr_v3_f32.bin", false, F32, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"emr_v3_f64_aligned4096.bin", true, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"spectral_v1_f64.bin", false, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"spectral_v2_f32.bin", false, F32, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"spectral_v2_f64_aligned4096.bin", true, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"idx_v3_f64.bin", false, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"idx_v4_f32.bin", false, F32, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+		{"idx_v4_f64_aligned4096.bin", true, F64, DeltaStats{BaseItems: 512, DeltaItems: 2, Tombstones: 3}, []int{0, 17, 512, 514}, []int{5, 40, 513}},
+		{"shd_v1.bin", false, F64, DeltaStats{BaseItems: 96, DeltaItems: 1, Tombstones: 1}, []int{0, 17, 95, 96}, []int{5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -80,53 +114,88 @@ func TestGoldenContainers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream load: %v", err)
 			}
-			var mapped Retriever
-			if bytes.HasPrefix(want, []byte(emrMagic)) {
-				mapped, err = LoadEMRBytes(want)
-			} else {
-				mapped, err = LoadSpectralBytes(want)
-			}
+			mapped, err := tryLoadMapped(want)
 			if err != nil {
 				t.Fatalf("bytes load: %v", err)
 			}
 			for name, r := range map[string]Retriever{"stream": streamed, "bytes": mapped} {
-				if got := r.(goldenSaver).Precision(); got != tc.prec {
-					t.Fatalf("%s: precision %v, want %v", name, got, tc.prec)
+				if p, ok := r.(goldenSaver); ok && p.Precision() != tc.prec {
+					t.Fatalf("%s: precision %v, want %v", name, p.Precision(), tc.prec)
 				}
-				if d := r.Delta(); d.BaseItems != 64 || d.DeltaItems != 2 || d.Tombstones != 3 {
-					t.Fatalf("%s: delta %+v, want 64 base / 2 delta / 3 tombstones", name, d)
+				if d := r.Delta(); d != tc.delta {
+					t.Fatalf("%s: delta %+v, want %+v", name, d, tc.delta)
 				}
 				if got := goldenSave(t, r, tc.aligned); !bytes.Equal(got, want) {
 					t.Fatalf("%s: re-saved container differs from the golden file (%d vs %d bytes)", name, len(got), len(want))
 				}
 			}
-			// Base item, delta item, and an out-of-sample vector.
-			for _, q := range []int{0, 17, 64, 66} {
-				a, err := streamed.TopK(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := mapped.TopK(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, tc.file, b, a)
-			}
-			a, err := streamed.TopKVector(goldenProbe, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := mapped.TopKVector(goldenProbe, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, tc.file, b, a)
-			for _, dead := range []int{5, 40, 65} {
+			sameAnswers(t, tc.file, streamed, mapped, tc.queries)
+			for _, dead := range tc.dead {
 				if _, err := streamed.TopK(dead, 3); err == nil {
 					t.Fatalf("tombstoned id %d accepted as a query", dead)
 				}
 			}
 		})
+	}
+}
+
+// sameAnswers: two engines answer the in-database queries and the
+// golden out-of-sample probe bit-identically.
+func sameAnswers(t *testing.T, label string, a, b Retriever, queries []int) {
+	t.Helper()
+	for _, q := range queries {
+		ra, err := a.TopK(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := b.TopK(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, label, rb, ra)
+	}
+	ra, err := a.TopKVector(goldenProbe, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.TopKVector(goldenProbe, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, label, rb, ra)
+}
+
+// TestGoldenIndexV2: there is no version-2 writer any more, so the
+// golden is a static version-3 save (the idx_v3_f64 build before its
+// inserts and deletes) restamped to version 2. It loads by stream and
+// from memory, answers like the version-3 image it was cut from, and
+// re-saves as exactly that image.
+func TestGoldenIndexV2(t *testing.T) {
+	v2 := readGolden(t, "idx_v2_f64.bin")
+	if v := binary.LittleEndian.Uint32(v2[8:]); v != 2 {
+		t.Fatalf("golden carries version %d, want 2", v)
+	}
+	v3 := stampVersion(v2, core.FormatVersion)
+	ref, err := Load(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := Load(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatalf("stream load: %v", err)
+	}
+	mapped, err := tryLoadMapped(v2)
+	if err != nil {
+		t.Fatalf("bytes load: %v", err)
+	}
+	for name, r := range map[string]Retriever{"stream": streamed, "bytes": mapped} {
+		if d := r.Delta(); d != (DeltaStats{BaseItems: 64}) {
+			t.Fatalf("%s: delta %+v, want a static 64-item index", name, d)
+		}
+		if got := goldenSave(t, r, false); !bytes.Equal(got, v3) {
+			t.Fatalf("%s: re-save is not the version-3 image the golden was cut from", name)
+		}
+		sameAnswers(t, name, r, ref, []int{0, 17, 63})
 	}
 }
 

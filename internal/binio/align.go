@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"unsafe"
 )
@@ -46,7 +45,8 @@ var hostLittleEndian = func() bool {
 
 // NewBytesReader returns a Reader over an in-memory stream image.
 // View methods on it are zero-copy where alignment allows. No CRC is
-// maintained — see CRCTracked.
+// maintained — see CRCTracked. A nil image is an empty one: every read
+// of it is a truncation.
 func NewBytesReader(b []byte) *Reader {
 	return &Reader{buf: b}
 }
@@ -54,7 +54,7 @@ func NewBytesReader(b []byte) *Reader {
 // CRCTracked reports whether this reader maintained a CRC over the
 // consumed bytes; when false, format readers must skip comparing the
 // trailing container checksum.
-func (r *Reader) CRCTracked() bool { return r.buf == nil }
+func (r *Reader) CRCTracked() bool { return r.r != nil }
 
 // EnableAlign switches the writer to the aligned layout: arrays of at
 // least AlignThreshold payload bytes pad to an `align`-byte boundary.
@@ -208,7 +208,7 @@ func (r *Reader) int32sBody(n int) []int32 {
 // aligned to elemAlign; ok=false means the caller must take the
 // copying path.
 func (r *Reader) view(n, size, elemAlign int) (p unsafe.Pointer, ok bool) {
-	if r.buf == nil || !hostLittleEndian || n == 0 || r.err != nil {
+	if r.r != nil || !hostLittleEndian || n == 0 || r.err != nil {
 		return nil, false
 	}
 	need := int64(n) * int64(size)
@@ -293,7 +293,7 @@ func (r *Reader) View(n int) []byte {
 		r.Fail(io.ErrUnexpectedEOF)
 		return nil
 	}
-	if r.buf != nil {
+	if r.r == nil {
 		if len(r.buf)-r.pos < n {
 			r.err = io.ErrUnexpectedEOF
 			return nil
@@ -303,15 +303,20 @@ func (r *Reader) View(n int) []byte {
 		r.n += int64(n)
 		return v
 	}
-	// Stream mode grows the copy in bounded steps as the bytes arrive, so
-	// a corrupt length fails with a read error instead of a giant
-	// allocation.
+	// Stream mode grows the copy as the bytes arrive, so a corrupt length
+	// fails with a read error instead of a giant allocation: capacity
+	// doubles until half the claimed bytes are in and then jumps to
+	// exactly n, so the result — which decoded views keep alive — carries
+	// no slack.
 	const chunk = 1 << 20
 	out := make([]byte, 0, min(n, chunk))
 	for len(out) < n {
 		k := min(n-len(out), chunk)
 		off := len(out)
-		out = slices.Grow(out, k)[:off+k]
+		if off+k > cap(out) {
+			out = append(make([]byte, 0, min(n, 2*cap(out))), out...)
+		}
+		out = out[:off+k]
 		r.Raw(out[off:])
 		if r.err != nil {
 			return nil

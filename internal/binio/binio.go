@@ -108,6 +108,15 @@ func (w *Writer) Uint64(v uint64) {
 // Int writes an int as a two's-complement little-endian int64.
 func (w *Writer) Int(v int) { w.Uint64(uint64(int64(v))) }
 
+// Bool writes a flag as the int64 0 or 1 the formats store.
+func (w *Writer) Bool(v bool) {
+	if v {
+		w.Int(1)
+	} else {
+		w.Int(0)
+	}
+}
+
 // Float64 writes the IEEE-754 bits of v.
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 
@@ -149,7 +158,7 @@ func (w *Writer) Floats(s []float64) {
 // Errors are sticky; truncation is reported as io.ErrUnexpectedEOF.
 type Reader struct {
 	r       io.Reader
-	buf     []byte // non-nil = bytes-backed mode (zero-copy views, no CRC)
+	buf     []byte // the image in bytes-backed mode (r == nil: zero-copy views, no CRC)
 	pos     int
 	crc     hash.Hash32
 	n       int64
@@ -192,7 +201,7 @@ func (r *Reader) Raw(p []byte) {
 	if r.err != nil {
 		return
 	}
-	if r.buf != nil {
+	if r.r == nil {
 		m := copy(p, r.buf[r.pos:])
 		r.pos += m
 		r.n += int64(m)

@@ -2,7 +2,6 @@ package cholesky
 
 import (
 	"fmt"
-	"io"
 
 	"mogul/internal/binio"
 )
@@ -12,23 +11,33 @@ import (
 // record; the codec validates the factor's own invariants so a
 // corrupted file fails loudly instead of producing wrong solves.
 
-// WriteTo writes the factor as: N, Clamped (int64), then ColPtr,
-// RowIdx, Val, D as length-prefixed slices.
-func (f *Factor) WriteTo(w io.Writer) (int64, error) {
-	bw := binio.NewWriter(w)
+// Encode writes the factor as: N, Clamped (int64), then ColPtr, RowIdx,
+// the strictly-lower values (Float32s when f32 — format version 4 only
+// — Floats otherwise) and D as length-prefixed slices.
+func (f *Factor) Encode(bw *binio.Writer, f32 bool) error {
 	bw.Int(f.N)
 	bw.Int(f.Clamped)
 	bw.Ints(f.ColPtr)
 	bw.Ints(f.RowIdx)
-	bw.Floats(f.Val)
+	if f32 {
+		if f.Val32 == nil {
+			return fmt.Errorf("cholesky: f32 write of a float64 factor")
+		}
+		bw.Float32s(f.Val32)
+	} else {
+		if f.Val == nil && len(f.RowIdx) > 0 {
+			return fmt.Errorf("cholesky: f64 write of an f32 factor")
+		}
+		bw.Floats(f.Val)
+	}
 	bw.Floats(f.D)
-	return bw.Count(), bw.Err()
+	return bw.Err()
 }
 
-// ReadFactor reads a factor written by WriteTo and validates its
+// ReadFactor reads a factor written by Encode in the same precision,
+// using zero-copy views where the reader allows, and validates its
 // structural invariants.
-func ReadFactor(r io.Reader) (*Factor, error) {
-	br := binio.NewReader(r)
+func ReadFactor(br *binio.Reader, f32 bool) (*Factor, error) {
 	n := br.Int()
 	clamped := br.Int()
 	if err := br.Err(); err != nil {
@@ -40,11 +49,15 @@ func ReadFactor(r io.Reader) (*Factor, error) {
 	f := &Factor{
 		N:       n,
 		Clamped: clamped,
-		ColPtr:  br.Ints(n + 1),
-		RowIdx:  br.Ints(binio.MaxCount),
-		Val:     br.Floats(binio.MaxCount),
-		D:       br.Floats(n),
+		ColPtr:  br.IntsView(n + 1),
+		RowIdx:  br.IntsView(binio.MaxCount),
 	}
+	if f32 {
+		f.Val32 = br.Float32sView(binio.MaxCount)
+	} else {
+		f.Val = br.FloatsView(binio.MaxCount)
+	}
+	f.D = br.FloatsView(n)
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("cholesky: reading factor body: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mogul/internal/binio"
 	"mogul/internal/sparse"
 )
 
@@ -40,59 +41,80 @@ func testFactor(t *testing.T, complete bool) *Factor {
 	return f
 }
 
+// encodeFactor returns the factor's record in the given precision.
+func encodeFactor(t *testing.T, f *Factor, f32 bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.Encode(binio.NewWriter(&buf), f32); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// factorReaders opens a record both ways the containers do: streamed
+// and as an in-memory image (zero-copy views).
+func factorReaders(data []byte) map[string]*binio.Reader {
+	return map[string]*binio.Reader{
+		"stream": binio.NewReader(bytes.NewReader(data)),
+		"bytes":  binio.NewBytesReader(data),
+	}
+}
+
 func TestFactorCodecRoundTrip(t *testing.T) {
 	for _, complete := range []bool{false, true} {
-		f := testFactor(t, complete)
-		var buf bytes.Buffer
-		n, err := f.WriteTo(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-		}
-		got, err := ReadFactor(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, f) {
-			t.Fatalf("round trip mismatch (complete=%v)", complete)
-		}
-		// The loaded factor must solve identically, bit for bit.
-		q := make([]float64, f.N)
-		q[3] = 1
-		a, b := f.ForwardSolve(q), got.ForwardSolve(q)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("solve differs at %d: %g vs %g", i, a[i], b[i])
+		for _, f32 := range []bool{false, true} {
+			f := testFactor(t, complete)
+			if f32 {
+				f.Narrow32()
+			}
+			for name, br := range factorReaders(encodeFactor(t, f, f32)) {
+				got, err := ReadFactor(br, f32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, f) {
+					t.Fatalf("%s: round trip mismatch (complete=%v f32=%v)", name, complete, f32)
+				}
+				// The loaded factor must solve identically, bit for bit.
+				q := make([]float64, f.N)
+				q[3] = 1
+				a, b := f.ForwardSolve(q), got.ForwardSolve(q)
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%s: solve differs at %d: %g vs %g", name, i, a[i], b[i])
+					}
+				}
+			}
+			// A factor only encodes in the precision it stores.
+			if err := f.Encode(binio.NewWriter(&bytes.Buffer{}), !f32); err == nil {
+				t.Fatalf("f32=%v factor encoded as f32=%v", f32, !f32)
 			}
 		}
 	}
 }
 
 func TestReadFactorRejectsCorruption(t *testing.T) {
-	f := testFactor(t, false)
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < buf.Len(); n += 7 {
-		if _, err := ReadFactor(bytes.NewReader(buf.Bytes()[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
+	for _, f32 := range []bool{false, true} {
+		f := testFactor(t, false)
+		if f32 {
+			f.Narrow32()
 		}
-	}
-	// An upper-triangular (row <= column) entry must be rejected.
-	bad := testFactor(t, false)
-	if bad.NNZ() == 0 {
-		t.Fatal("test factor unexpectedly diagonal")
-	}
-	bad.RowIdx[0] = 0
-	var b2 bytes.Buffer
-	if _, err := bad.WriteTo(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFactor(&b2); err == nil {
-		t.Fatal("non-lower-triangular entry accepted")
+		data := encodeFactor(t, f, f32)
+		for n := 0; n < len(data); n += 7 {
+			for name, br := range factorReaders(data[:n]) {
+				if _, err := ReadFactor(br, f32); err == nil {
+					t.Fatalf("%s f32=%v: truncation to %d bytes accepted", name, f32, n)
+				}
+			}
+		}
+		// An upper-triangular (row <= column) entry must be rejected.
+		if f.NNZ() == 0 {
+			t.Fatal("test factor unexpectedly diagonal")
+		}
+		f.RowIdx[0] = 0
+		if _, err := ReadFactor(binio.NewBytesReader(encodeFactor(t, f, f32)), f32); err == nil {
+			t.Fatal("non-lower-triangular entry accepted")
+		}
 	}
 }
 
@@ -110,11 +132,7 @@ func TestFactorValidate(t *testing.T) {
 		if name == "neg clamped" {
 			// Validate does not police Clamped (ReadFactor does); make
 			// sure the reader rejects it instead.
-			var buf bytes.Buffer
-			if _, err := f.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ReadFactor(&buf); err == nil {
+			if _, err := ReadFactor(binio.NewBytesReader(encodeFactor(t, f, false)), false); err == nil {
 				t.Fatal("negative clamp count accepted")
 			}
 			continue

@@ -1,11 +1,6 @@
 package cholesky
 
-import (
-	"fmt"
-
-	"mogul/internal/binio"
-	"mogul/internal/vec"
-)
+import "mogul/internal/vec"
 
 // Mixed-precision factor storage. In f32 mode the strictly-lower
 // values of L live in Val32 and Val is nil; the diagonal D stays
@@ -66,64 +61,6 @@ func (f *Factor) backwardInPlace32(v []float64) {
 		rows, vals := f.Col32(i)
 		v[i] -= vec.DotGather32(vals, rows, v)
 	}
-}
-
-// WriteToPrec writes the factor through an existing binio.Writer in
-// the format-version-4 layout: N, Clamped, ColPtr, RowIdx, values
-// (Float32s when f32, Floats otherwise), D. With a plain writer and
-// f32=false the bytes are identical to WriteTo.
-func (f *Factor) WriteToPrec(bw *binio.Writer, f32 bool) error {
-	bw.Int(f.N)
-	bw.Int(f.Clamped)
-	bw.Ints(f.ColPtr)
-	bw.Ints(f.RowIdx)
-	if f32 {
-		if f.Val32 == nil {
-			return fmt.Errorf("cholesky: f32 write of a float64 factor")
-		}
-		bw.Float32s(f.Val32)
-	} else {
-		if f.Val == nil && len(f.RowIdx) > 0 {
-			return fmt.Errorf("cholesky: f64 write of an f32 factor")
-		}
-		bw.Floats(f.Val)
-	}
-	bw.Floats(f.D)
-	return bw.Err()
-}
-
-// ReadFactorPrec reads a factor written by WriteToPrec from an
-// existing binio.Reader, using zero-copy views where the reader
-// allows. The caller owns structural validation context (container
-// framing); the factor's own invariants are validated here.
-func ReadFactorPrec(br *binio.Reader, f32 bool) (*Factor, error) {
-	n := br.Int()
-	clamped := br.Int()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("cholesky: reading factor header: %w", err)
-	}
-	if n < 0 || n > binio.MaxCount || clamped < 0 || clamped > n {
-		return nil, fmt.Errorf("cholesky: corrupt factor header (n=%d, clamped=%d)", n, clamped)
-	}
-	f := &Factor{
-		N:       n,
-		Clamped: clamped,
-		ColPtr:  br.IntsView(n + 1),
-		RowIdx:  br.IntsView(binio.MaxCount),
-	}
-	if f32 {
-		f.Val32 = br.Float32sView(binio.MaxCount)
-	} else {
-		f.Val = br.FloatsView(binio.MaxCount)
-	}
-	f.D = br.FloatsView(n)
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("cholesky: reading factor body: %w", err)
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // nVals returns the stored value count regardless of precision.

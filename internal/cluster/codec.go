@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 
 	"mogul/internal/binio"
 )
@@ -12,21 +11,19 @@ import (
 // permuted node order; this codec only guarantees that Assign is a
 // valid map into [0, N).
 
-// WriteTo writes the clustering as: N, Levels (int64), Modularity
+// Encode writes the clustering as: N, Levels (int64), Modularity
 // (float64), then Assign as a length-prefixed slice.
-func (c *Clustering) WriteTo(w io.Writer) (int64, error) {
-	bw := binio.NewWriter(w)
+func (c *Clustering) Encode(bw *binio.Writer) error {
 	bw.Int(c.N)
 	bw.Int(c.Levels)
 	bw.Float64(c.Modularity)
 	bw.Ints(c.Assign)
-	return bw.Count(), bw.Err()
+	return bw.Err()
 }
 
-// ReadClustering reads a clustering written by WriteTo and validates
+// ReadClustering reads a clustering written by Encode and validates
 // that every assignment lies in [0, N).
-func ReadClustering(r io.Reader) (*Clustering, error) {
-	br := binio.NewReader(r)
+func ReadClustering(br *binio.Reader) (*Clustering, error) {
 	n := br.Int()
 	levels := br.Int()
 	mod := br.Float64()

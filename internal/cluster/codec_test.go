@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"mogul/internal/binio"
 )
 
 func TestClusteringCodecRoundTrip(t *testing.T) {
@@ -14,14 +16,10 @@ func TestClusteringCodecRoundTrip(t *testing.T) {
 		Levels:     2,
 	}
 	var buf bytes.Buffer
-	n, err := c.WriteTo(&buf)
-	if err != nil {
+	if err := c.Encode(binio.NewWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadClustering(&buf)
+	got, err := ReadClustering(binio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,21 +31,21 @@ func TestClusteringCodecRoundTrip(t *testing.T) {
 func TestReadClusteringRejectsCorruption(t *testing.T) {
 	c := &Clustering{Assign: []int{0, 1, 1}, N: 2}
 	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
+	if err := c.Encode(binio.NewWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < buf.Len(); n++ {
-		if _, err := ReadClustering(bytes.NewReader(buf.Bytes()[:n])); err == nil {
+		if _, err := ReadClustering(binio.NewBytesReader(buf.Bytes()[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
 	// Assignment outside [0, N).
 	bad := &Clustering{Assign: []int{0, 5}, N: 2}
 	var b2 bytes.Buffer
-	if _, err := bad.WriteTo(&b2); err != nil {
+	if err := bad.Encode(binio.NewWriter(&b2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadClustering(&b2); err == nil {
+	if _, err := ReadClustering(binio.NewReader(&b2)); err == nil {
 		t.Fatal("out-of-range assignment accepted")
 	}
 }

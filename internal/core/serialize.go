@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -23,10 +21,9 @@ import (
 // paper), serializing it turns the O(n) build into a one-off: a search
 // service loads the factor and answers queries immediately.
 //
-// The container is a magic header, a format version, a sequence of
-// length-prefixed tagged sections, and a trailing CRC-32 over the
-// whole stream. Sections hold the leaf records of the internal
-// packages (knn.Graph, sparse.Permutation, cluster.Clustering,
+// The file is a MOGULIDX container in the shared frame of
+// internal/binio: tagged sections holding the leaf records of the
+// internal packages (knn.Graph, sparse.Permutation, cluster.Clustering,
 // cholesky.Factor) plus index metadata, precompute statistics, and the
 // out-of-sample coarse quantizer (per-cluster means with inverted
 // member lists), so a loaded index serves in-database AND
@@ -34,13 +31,32 @@ import (
 // are skipped, allowing forward-compatible additions; corrupt,
 // truncated, or wrong-version files fail with an error, never a
 // panic.
+//
+// Version 4 generalizes version 3 in two independent ways, both
+// recorded in the META section so readers self-configure:
+//
+//   - precision: the GRPH and FACT payloads store their bulk arrays
+//     (point matrix, adjacency weights, factor values) as float32 when
+//     the index was built with Options.F32. The point matrix also
+//     becomes ONE flat array instead of per-point records, which is
+//     what makes zero-copy loading possible in either precision.
+//   - alignment: when a positive alignment is recorded, every large
+//     array inside the GRPH and FACT payloads pads to that boundary
+//     (the binio aligned layout), so ReadIndexBytes over an mmap'd
+//     image hands out zero-copy array views and many server processes
+//     share one physical copy of the index.
+//
+// The remaining sections (LAYT, STAT, OOSQ, BCFG, DELT) keep the
+// version-3 record layouts, stay packed even in an aligned file, and
+// always decode by copying; they are small next to the point matrix,
+// the adjacency, and the factor.
 
 // indexMagic identifies a Mogul index file.
 const indexMagic = "MOGULIDX"
 
-// FormatVersion is the on-disk format version this build writes.
-// Version 1 was an unreleased gob-based layout; version 2 is the
-// sectioned binary container; version 3 adds the dynamic-update
+// FormatVersion is the on-disk format version a plain float64 save
+// writes. Version 1 was an unreleased gob-based layout; version 2 is
+// the sectioned binary container; version 3 adds the dynamic-update
 // sections (BCFG build config, DELT delta layer). The bump to 3 is
 // deliberate even though the container is extensible: a version-2
 // reader would skip the delta sections and silently drop inserted
@@ -53,6 +69,10 @@ const FormatVersion = 3
 // Compact is unavailable until rebuilt).
 const minReadVersion = 2
 
+// formatVersionPrec is the container version carrying precision and
+// alignment metadata; mixed-precision and aligned saves write it.
+const formatVersionPrec = 4
+
 // Section tags. Four ASCII bytes each.
 var (
 	tagMeta = [4]byte{'M', 'E', 'T', 'A'}
@@ -63,139 +83,84 @@ var (
 	tagOosq = [4]byte{'O', 'O', 'S', 'Q'}
 	tagBcfg = [4]byte{'B', 'C', 'F', 'G'}
 	tagDelt = [4]byte{'D', 'E', 'L', 'T'}
-	tagEnd  = [4]byte{'E', 'N', 'D', 0}
 )
 
-// section pairs a container tag with the function that streams its
-// payload.
-type section struct {
-	tag     [4]byte
-	payload func(w io.Writer) error
+var indexFrame = binio.Frame{
+	Magic:        indexMagic,
+	Kind:         "mogul index",
+	MinVersion:   minReadVersion,
+	MaxVersion:   formatVersionPrec,
+	PlainVersion: FormatVersion,
+	Tags:         [][4]byte{tagMeta, tagGrph, tagLayt, tagFact, tagStat, tagOosq, tagBcfg, tagDelt},
 }
 
 // WriteTo serializes the complete search structure in the versioned
-// binary format. The out-of-sample quantizer is materialized first so
-// a loaded index answers vector queries without touching ensureOOS.
-// Output is buffered internally, so writing straight to an os.File is
-// fine.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	ix.mu.RLock()
-	f32 := ix.factor.F32()
-	ix.mu.RUnlock()
-	if f32 {
-		// Mixed-precision indexes need the version-4 layout; the default
-		// float64 path below stays byte-identical to prior releases.
-		return ix.writePrec(w, 0)
+// binary format: version 3 for a float64 index (byte-identical to prior
+// releases), the packed version-4 layout for a mixed-precision one.
+func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.write(w, 0) }
+
+// WriteToAligned serializes the index in the version-4 aligned layout:
+// large arrays in the graph and factor sections start on align-byte
+// boundaries (use the page size for mmap sharing). Works in either
+// precision. align must be a positive power of two.
+func (ix *Index) WriteToAligned(w io.Writer, align int) (int64, error) {
+	if align <= 0 || align&(align-1) != 0 {
+		return 0, fmt.Errorf("core: alignment %d is not a positive power of two", align)
 	}
+	return ix.write(w, align)
+}
+
+func (ix *Index) write(w io.Writer, align int) (int64, error) {
 	// The read lock freezes the delta layer and the base pointers for
 	// the duration: concurrent searches proceed, mutators wait.
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	f32 := ix.factor.F32()
+	version := indexFrame.SaveVersion(f32, align)
+	v4 := version >= formatVersionPrec
 
-	buffered := bufio.NewWriterSize(w, 1<<20)
-	bw := binio.NewWriter(buffered)
-	bw.Raw([]byte(indexMagic))
-	bw.Uint32(FormatVersion)
-
-	sections := []section{
-		{tagMeta, ix.writeMeta},
-		{tagGrph, func(w io.Writer) error { _, err := ix.graph.WriteTo(w); return err }},
-		{tagLayt, ix.writeLayout},
-		{tagFact, func(w io.Writer) error { _, err := ix.factor.WriteTo(w); return err }},
-		{tagStat, ix.writeStats},
+	sections := []binio.Section{
+		{Tag: tagMeta, Payload: func(sw *binio.Writer) error {
+			sw.Float64(ix.alpha)
+			sw.Bool(ix.exact)
+			sw.Int(ix.factor.N)
+			if v4 {
+				sw.Bool(f32)
+				sw.Int(align)
+			}
+			return sw.Err()
+		}},
+		{Tag: tagGrph, Align: align, Payload: func(sw *binio.Writer) error { return ix.graph.Encode(sw, f32, v4) }},
+		{Tag: tagLayt, Payload: ix.writeLayout},
+		{Tag: tagFact, Align: align, Payload: func(sw *binio.Writer) error { return ix.factor.Encode(sw, f32) }},
+		{Tag: tagStat, Payload: ix.writeStats},
 	}
 	// The quantizer needs feature vectors; indexes built over a bare
 	// adjacency (no points) cannot serve vector queries anyway, so the
-	// section is simply omitted for them.
+	// section is simply omitted for them. It is materialized first so a
+	// loaded index answers vector queries without touching ensureOOS.
 	if ix.graph.NumPoints() > 0 {
 		ix.ensureOOS()
-		sections = append(sections, section{tagOosq, ix.writeOOS})
+		sections = append(sections, binio.Section{Tag: tagOosq, Payload: ix.writeOOS})
 	}
 	// Dynamic-update state: how to rebuild the graph (enables Compact
 	// after a load), and the delta layer when one exists, so a saved
 	// dynamic index round-trips exactly.
 	if ix.graphCfg != nil {
-		sections = append(sections, section{tagBcfg, ix.writeBuildConfig})
+		sections = append(sections, binio.Section{Tag: tagBcfg, Payload: ix.writeBuildConfig})
 	}
 	if len(ix.delta.points) > 0 || len(ix.delta.deadBase) > 0 {
-		sections = append(sections, section{tagDelt, ix.writeDelta})
+		sections = append(sections, binio.Section{Tag: tagDelt, Payload: ix.writeDelta})
 	}
-	for _, s := range sections {
-		if err := writeSection(bw, s.tag, s.payload); err != nil {
-			return bw.Count(), fmt.Errorf("core: writing %q section: %w", s.tag[:], err)
-		}
-	}
-	bw.Raw(tagEnd[:])
-	bw.Uint64(0)
-	crc := bw.Sum32()
-	bw.Uint32(crc)
-	if err := bw.Err(); err != nil {
-		return bw.Count(), err
-	}
-	return bw.Count(), buffered.Flush()
-}
-
-// writeSection frames a payload without buffering it: the payload
-// writers are deterministic pure functions of index state, so a first
-// pass into a counting sink yields the exact byte length and a second
-// pass streams the same bytes out. This keeps Save at O(1) extra
-// memory — buffering the GRPH section would briefly hold a second
-// copy of every feature vector.
-func writeSection(bw *binio.Writer, tag [4]byte, payload func(w io.Writer) error) error {
-	var count countingWriter
-	if err := payload(&count); err != nil {
-		return err
-	}
-	bw.Raw(tag[:])
-	bw.Uint64(uint64(count.n))
-	before := bw.Count()
-	if err := payload(sinkWriter{bw}); err != nil {
-		return err
-	}
-	if got := bw.Count() - before; got != count.n {
-		return fmt.Errorf("core: section produced %d bytes, declared %d", got, count.n)
-	}
-	return bw.Err()
-}
-
-// countingWriter measures a payload's encoded size.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// sinkWriter adapts the container's binio.Writer (which tracks count
-// and CRC) back to io.Writer for the payload functions.
-type sinkWriter struct{ bw *binio.Writer }
-
-func (s sinkWriter) Write(p []byte) (int, error) {
-	s.bw.Raw(p)
-	if err := s.bw.Err(); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-func (ix *Index) writeMeta(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Float64(ix.alpha)
-	exact := 0
-	if ix.exact {
-		exact = 1
-	}
-	bw.Int(exact)
-	bw.Int(ix.factor.N)
-	return bw.Err()
+	return binio.WriteContainer(w, indexMagic, version, sections)
 }
 
 // writeLayout stores the permutation plus the cluster partition in
 // permuted node order (ClusterOf is non-decreasing because clusters
 // occupy consecutive permuted ranges); Start is rebuilt on load from
 // the run lengths.
-func (ix *Index) writeLayout(w io.Writer) error {
-	if _, err := ix.layout.Perm.WriteTo(w); err != nil {
+func (ix *Index) writeLayout(bw *binio.Writer) error {
+	if err := ix.layout.Perm.Encode(bw); err != nil {
 		return err
 	}
 	cl := &cluster.Clustering{
@@ -203,16 +168,14 @@ func (ix *Index) writeLayout(w io.Writer) error {
 		N:          ix.layout.NumClusters,
 		Modularity: ix.stats.Modularity,
 	}
-	_, err := cl.WriteTo(w)
-	return err
+	return cl.Encode(bw)
 }
 
 // writeStats persists the precompute wall times (as int64
 // nanoseconds, not narrowed through int, which is 32 bits on some
 // platforms); modularity already travels inside the LAYT partition
 // record.
-func (ix *Index) writeStats(w io.Writer) error {
-	bw := binio.NewWriter(w)
+func (ix *Index) writeStats(bw *binio.Writer) error {
 	bw.Uint64(uint64(ix.stats.ClusterTime))
 	bw.Uint64(uint64(ix.stats.PermuteTime))
 	bw.Uint64(uint64(ix.stats.FactorTime))
@@ -222,8 +185,7 @@ func (ix *Index) writeStats(w io.Writer) error {
 // writeOOS stores the out-of-sample coarse quantizer: one mean feature
 // vector per cluster (empty clusters get a zero-length mean) and the
 // inverted member lists in original node ids.
-func (ix *Index) writeOOS(w io.Writer) error {
-	bw := binio.NewWriter(w)
+func (ix *Index) writeOOS(bw *binio.Writer) error {
 	bw.Int(len(ix.oosMeans))
 	for c := range ix.oosMeans {
 		bw.Floats(ix.oosMeans[c])
@@ -235,11 +197,10 @@ func (ix *Index) writeOOS(w io.Writer) error {
 // writeBuildConfig stores how this index was built: the graph
 // construction config followed by the core option scalars, enough for
 // Compact to reproduce the build bit-for-bit after a load.
-func (ix *Index) writeBuildConfig(w io.Writer) error {
-	if _, err := ix.graphCfg.WriteConfig(w); err != nil {
+func (ix *Index) writeBuildConfig(bw *binio.Writer) error {
+	if err := ix.graphCfg.Encode(bw); err != nil {
 		return err
 	}
-	bw := binio.NewWriter(w)
 	bw.Int(int(ix.opts.Ordering))
 	bw.Int(0) // reserved: the removed clusterer selector, always Louvain
 	// Full 64 bits, not narrowed through int (32 bits on some
@@ -257,19 +218,14 @@ func (ix *Index) writeBuildConfig(w io.Writer) error {
 // writeDelta stores the dynamic-update layer: every delta slot
 // (vector, surrogate probes, weights, tombstone flag) in insertion
 // order, then the sorted base tombstones.
-func (ix *Index) writeDelta(w io.Writer) error {
-	bw := binio.NewWriter(w)
+func (ix *Index) writeDelta(bw *binio.Writer) error {
 	d := &ix.delta
 	bw.Int(len(d.points))
 	for i := range d.points {
 		bw.Floats(d.points[i])
 		bw.Ints(d.probes[i])
 		bw.Floats(d.weights[i])
-		dead := 0
-		if d.dead[i] {
-			dead = 1
-		}
-		bw.Int(dead)
+		bw.Bool(d.dead[i])
 	}
 	deadIDs := make([]int, 0, len(d.deadBase))
 	for id := range d.deadBase {
@@ -280,116 +236,51 @@ func (ix *Index) writeDelta(w io.Writer) error {
 	return bw.Err()
 }
 
-// ReadIndex deserializes an index written by WriteTo and reconstructs
-// every derived structure (cluster map, bound tables) so the result is
-// search-ready. It returns an error — never panics — on truncated,
-// corrupted, or wrong-version input.
-func ReadIndex(r io.Reader) (*Index, error) {
-	br := binio.NewReader(r)
-	var magic [len(indexMagic)]byte
-	br.Raw(magic[:])
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading index header: %w", err)
-	}
-	if string(magic[:]) != indexMagic {
-		return nil, fmt.Errorf("core: not a mogul index file (magic %q)", magic[:])
-	}
-	version := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading index header: %w", err)
-	}
-	if version < minReadVersion || version > formatVersionPrec {
-		return nil, fmt.Errorf("core: index format version %d, this build reads versions %d-%d", version, minReadVersion, formatVersionPrec)
-	}
+// ReadIndex deserializes an index written by WriteTo or WriteToAligned
+// and reconstructs every derived structure (cluster map, bound tables)
+// so the result is search-ready. It returns an error — never panics —
+// on truncated, corrupted, or wrong-version input.
+func ReadIndex(r io.Reader) (*Index, error) { return read(binio.NewReader(r)) }
 
-	payloads := map[[4]byte][]byte{}
-	bases := map[[4]byte]int64{}
-	for {
-		var tag [4]byte
-		br.Raw(tag[:])
-		n := br.Uint64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("core: reading section header: %w", err)
-		}
-		if tag == tagEnd {
-			if n != 0 {
-				return nil, fmt.Errorf("core: end marker carries %d payload bytes", n)
-			}
-			break
-		}
-		if n > binio.MaxCount {
-			return nil, fmt.Errorf("core: section %q claims %d bytes", tag[:], n)
-		}
-		switch tag {
-		case tagMeta, tagGrph, tagLayt, tagFact, tagStat, tagOosq, tagBcfg, tagDelt:
-			base := br.Count()
-			payload, err := readPayload(br, n)
-			if err != nil {
-				return nil, fmt.Errorf("core: reading %q section: %w", tag[:], err)
-			}
-			// Later duplicates win.
-			payloads[tag] = payload
-			bases[tag] = base
-		default:
-			// A section from a newer writer: skip it (the skipped
-			// bytes still count toward the checksum), which makes
-			// additive format evolution non-breaking.
-			br.Skip(int64(n))
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("core: skipping %q section: %w", tag[:], err)
-			}
-		}
-	}
-	want := br.Sum32()
-	got := br.Uint32()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("core: checksum mismatch (file %08x, computed %08x): index file is corrupt", got, want)
-	}
+// ReadIndexBytes parses a complete index image held in memory —
+// typically an mmap'd file (mogul.LoadFileMapped) — using zero-copy
+// views for the large arrays wherever the layout allows. The returned
+// index aliases data, which must stay valid (mapped) for the index's
+// lifetime. The trailing CRC is NOT verified: hashing the image would
+// fault in every page and defeat the lazy mapped load; all structural
+// and index-range validation still runs, so corrupt input errors
+// rather than panicking later.
+func ReadIndexBytes(data []byte) (*Index, error) { return read(binio.NewBytesReader(data)) }
 
+// read walks the container, decodes the section payloads,
+// cross-validates them, and rebuilds the derived structures (Start
+// offsets, cluster map, bound tables, statistics). The graph and factor
+// arrays come out as views into their payload bytes (which a streamed
+// load copied off the reader and an in-memory load aliases).
+func read(br *binio.Reader) (*Index, error) {
+	version, list, err := binio.ReadContainer(br, &indexFrame)
+	if err != nil {
+		return nil, err
+	}
+	secs := make(map[[4]byte]binio.Payload, len(list))
+	for _, s := range list {
+		secs[s.Tag] = s // later duplicates win
+	}
 	for _, required := range [][4]byte{tagMeta, tagGrph, tagLayt, tagFact} {
-		if _, ok := payloads[required]; !ok {
+		if _, ok := secs[required]; !ok {
 			return nil, fmt.Errorf("core: index file is missing required section %q", required[:])
 		}
 	}
-	return assembleIndex(version, payloads, bases)
-}
+	v4 := version >= formatVersionPrec
 
-// readPayload reads exactly n bytes, growing the buffer in bounded
-// steps and reading straight into its tail, so a corrupt length fails
-// with an I/O error instead of a giant allocation.
-func readPayload(br *binio.Reader, n uint64) ([]byte, error) {
-	const chunk = uint64(1 << 20)
-	buf := make([]byte, 0, min(n, chunk))
-	for uint64(len(buf)) < n {
-		k := int(min(n-uint64(len(buf)), chunk))
-		off := len(buf)
-		buf = slices.Grow(buf, k)[:off+k]
-		br.Raw(buf[off:])
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// assembleIndex decodes the section payloads, cross-validates them,
-// and rebuilds the derived structures (Start offsets, cluster map,
-// bound tables, statistics). Each payload is released as soon as it
-// is decoded so peak load memory stays near one copy of the large
-// sections (the graph dominates).
-func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byte]int64) (*Index, error) {
 	// META: alpha, exact flag, node count; version 4 adds the precision
 	// flag and the alignment the large sections were written with.
-	mr := binio.NewReader(bytes.NewReader(payloads[tagMeta]))
-	delete(payloads, tagMeta)
+	mr := secs[tagMeta].Reader(0)
 	alpha := mr.Float64()
 	exact := mr.Int()
 	n := mr.Int()
 	prec, align := 0, 0
-	if version >= formatVersionPrec {
+	if v4 {
 		prec = mr.Int()
 		align = mr.Int()
 	}
@@ -413,19 +304,8 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 	}
 	f32 := prec == 1
 
-	// GRPH: the k-NN graph (validated internally). Version 4 decodes
-	// through the precision-aware codec over a bytes reader, so array
-	// payloads become zero-copy views when the backing bytes allow.
-	var g *knn.Graph
-	var err error
-	if version >= formatVersionPrec {
-		gr := binio.NewBytesReader(payloads[tagGrph])
-		gr.EnableAlign(align, bases[tagGrph])
-		g, err = knn.ReadGraphPrec(gr, f32)
-	} else {
-		g, err = knn.ReadGraph(bytes.NewReader(payloads[tagGrph]))
-	}
-	delete(payloads, tagGrph)
+	// GRPH: the k-NN graph (validated internally).
+	g, err := knn.ReadGraph(secs[tagGrph].Reader(align), f32, v4)
 	if err != nil {
 		return nil, err
 	}
@@ -434,8 +314,7 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 	}
 
 	// LAYT: permutation followed by the partition in permuted order.
-	lr := bytes.NewReader(payloads[tagLayt])
-	delete(payloads, tagLayt)
+	lr := secs[tagLayt].Reader(0)
 	perm, err := sparse.ReadPermutation(lr)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding index permutation: %w", err)
@@ -450,15 +329,7 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 	}
 
 	// FACT: the LDL^T factor (validated internally).
-	var factor *cholesky.Factor
-	if version >= formatVersionPrec {
-		fr := binio.NewBytesReader(payloads[tagFact])
-		fr.EnableAlign(align, bases[tagFact])
-		factor, err = cholesky.ReadFactorPrec(fr, f32)
-	} else {
-		factor, err = cholesky.ReadFactor(bytes.NewReader(payloads[tagFact]))
-	}
-	delete(payloads, tagFact)
+	factor, err := cholesky.ReadFactor(secs[tagFact].Reader(align), f32)
 	if err != nil {
 		return nil, err
 	}
@@ -490,8 +361,8 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 	}
 
 	// STAT (optional): precompute wall times from the original build.
-	if p, ok := payloads[tagStat]; ok {
-		sr := binio.NewReader(bytes.NewReader(p))
+	if s, ok := secs[tagStat]; ok {
+		sr := s.Reader(0)
 		ix.stats.ClusterTime = time.Duration(int64(sr.Uint64()))
 		ix.stats.PermuteTime = time.Duration(int64(sr.Uint64()))
 		ix.stats.FactorTime = time.Duration(int64(sr.Uint64()))
@@ -502,8 +373,8 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 
 	// OOSQ (optional): the out-of-sample coarse quantizer. When absent
 	// it is rebuilt lazily on the first vector query.
-	if p, ok := payloads[tagOosq]; ok {
-		if err := ix.readOOS(p, n); err != nil {
+	if s, ok := secs[tagOosq]; ok {
+		if err := ix.readOOS(s.Reader(0), n); err != nil {
 			return nil, err
 		}
 	}
@@ -512,16 +383,16 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 	// Compact after a load. It rebuilds ix.opts wholesale, so the
 	// precision flag is restored afterwards — a compaction of an f32
 	// index must narrow again.
-	if p, ok := payloads[tagBcfg]; ok {
-		if err := ix.readBuildConfig(p); err != nil {
+	if s, ok := secs[tagBcfg]; ok {
+		if err := ix.readBuildConfig(s.Reader(0)); err != nil {
 			return nil, err
 		}
 		ix.opts.F32 = f32
 	}
 
 	// DELT (optional, v3): the dynamic-update layer.
-	if p, ok := payloads[tagDelt]; ok {
-		if err := ix.readDelta(p, n); err != nil {
+	if s, ok := secs[tagDelt]; ok {
+		if err := ix.readDelta(s.Reader(0), n); err != nil {
 			return nil, err
 		}
 	}
@@ -530,13 +401,11 @@ func assembleIndex(version uint32, payloads map[[4]byte][]byte, bases map[[4]byt
 
 // readBuildConfig decodes the BCFG section and reconstructs the build
 // options so a loaded index compacts exactly like the original.
-func (ix *Index) readBuildConfig(payload []byte) error {
-	pr := bytes.NewReader(payload)
-	cfg, err := knn.ReadConfig(pr)
+func (ix *Index) readBuildConfig(br *binio.Reader) error {
+	cfg, err := knn.ReadConfig(br)
 	if err != nil {
 		return err
 	}
-	br := binio.NewReader(pr)
 	ordering := br.Int()
 	clusterer := br.Int()
 	seed := int64(br.Uint64())
@@ -588,8 +457,7 @@ func (ix *Index) readBuildConfig(payload []byte) error {
 // readDelta decodes the DELT section, validating every record so a
 // corrupt file errors rather than planting an inconsistent delta, and
 // rebuilds the derived counters (live count, probe-cluster refcounts).
-func (ix *Index) readDelta(payload []byte, n int) error {
-	br := binio.NewReader(bytes.NewReader(payload))
+func (ix *Index) readDelta(br *binio.Reader, n int) error {
 	num := br.Int()
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("core: decoding delta layer: %w", err)
@@ -724,8 +592,7 @@ func layoutFromPartition(perm *sparse.Permutation, cl *cluster.Clustering, n int
 
 // readOOS decodes the out-of-sample quantizer section and validates
 // that the member lists form a partition of the node ids.
-func (ix *Index) readOOS(payload []byte, n int) error {
-	br := binio.NewReader(bytes.NewReader(payload))
+func (ix *Index) readOOS(br *binio.Reader, n int) error {
 	nc := br.Int()
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("core: decoding out-of-sample quantizer: %w", err)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mogul/internal/binio"
 	"mogul/internal/vec"
 )
 
@@ -28,67 +29,93 @@ func codecTestGraph(t *testing.T, n int, withPoints bool) *Graph {
 	return g
 }
 
+// graphLayouts are the three (precision, point layout) combinations a
+// MOGULIDX file stores a graph in: versions 2-3, version 4 float64, and
+// version 4 float32.
+var graphLayouts = []struct{ f32, flat bool }{{false, false}, {false, true}, {true, true}}
+
+// encodeGraph returns the graph's record in the given layout.
+func encodeGraph(t *testing.T, g *Graph, f32, flat bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Encode(binio.NewWriter(&buf), f32, flat); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// graphReaders opens a record both ways the containers do: streamed
+// and as an in-memory image (zero-copy views).
+func graphReaders(data []byte) map[string]*binio.Reader {
+	return map[string]*binio.Reader{
+		"stream": binio.NewReader(bytes.NewReader(data)),
+		"bytes":  binio.NewBytesReader(data),
+	}
+}
+
 func TestGraphCodecRoundTrip(t *testing.T) {
 	for _, withPoints := range []bool{true, false} {
-		g := codecTestGraph(t, 50, withPoints)
-		var buf bytes.Buffer
-		n, err := g.WriteTo(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-		}
-		got, err := ReadGraph(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.K != g.K || got.Sigma != g.Sigma {
-			t.Fatalf("header lost: k=%d sigma=%g", got.K, got.Sigma)
-		}
-		if !reflect.DeepEqual(got.Adj, g.Adj) {
-			t.Fatal("adjacency differs after round trip")
-		}
-		if withPoints {
-			if !reflect.DeepEqual(got.Points, g.Points) {
-				t.Fatal("points differ after round trip")
+		for _, l := range graphLayouts {
+			g := codecTestGraph(t, 50, withPoints)
+			if l.f32 {
+				g.Narrow32()
 			}
-		} else if got.Points != nil {
-			t.Fatalf("expected nil points, got %d", len(got.Points))
+			for name, br := range graphReaders(encodeGraph(t, g, l.f32, l.flat)) {
+				got, err := ReadGraph(br, l.f32, l.flat)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", name, l, err)
+				}
+				if !reflect.DeepEqual(got, g) {
+					t.Fatalf("%s %+v points=%v: graph differs after round trip", name, l, withPoints)
+				}
+			}
 		}
+	}
+	// The two float64 layouts hold the same numbers in different
+	// framings: one count word per point against one for the matrix.
+	g := codecTestGraph(t, 50, true)
+	perPoint, flat := encodeGraph(t, g, false, false), encodeGraph(t, g, false, true)
+	if want := len(flat) + 8*(len(g.Points)-1); len(perPoint) != want {
+		t.Fatalf("per-point record is %d bytes, want %d", len(perPoint), want)
+	}
+	if err := g.Encode(binio.NewWriter(&bytes.Buffer{}), true, true); err == nil {
+		t.Fatal("f32 encode of a float64 graph accepted")
 	}
 }
 
 func TestReadGraphRejectsCorruption(t *testing.T) {
-	g := codecTestGraph(t, 30, true)
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < buf.Len(); n += 11 {
-		if _, err := ReadGraph(bytes.NewReader(buf.Bytes()[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
+	for _, l := range graphLayouts {
+		build := func() *Graph {
+			g := codecTestGraph(t, 30, true)
+			if l.f32 {
+				g.Narrow32()
+			}
+			return g
 		}
-	}
-	// Point count disagreeing with the adjacency dimension.
-	bad := codecTestGraph(t, 30, true)
-	bad.Points = bad.Points[:10]
-	var b2 bytes.Buffer
-	if _, err := bad.WriteTo(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadGraph(&b2); err == nil {
-		t.Fatal("point/adjacency size mismatch accepted")
-	}
-	// Non-positive bandwidth.
-	bad2 := codecTestGraph(t, 30, true)
-	bad2.Sigma = 0
-	var b3 bytes.Buffer
-	if _, err := bad2.WriteTo(&b3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadGraph(&b3); err == nil {
-		t.Fatal("zero bandwidth accepted")
+		data := encodeGraph(t, build(), l.f32, l.flat)
+		for n := 0; n < len(data); n += 11 {
+			for name, br := range graphReaders(data[:n]) {
+				if _, err := ReadGraph(br, l.f32, l.flat); err == nil {
+					t.Fatalf("%s %+v: truncation to %d bytes accepted", name, l, n)
+				}
+			}
+		}
+		// Point count disagreeing with the adjacency dimension.
+		bad := build()
+		if l.f32 {
+			bad.Pts32 = bad.Pts32[:10*bad.Dim32]
+		} else {
+			bad.Points = bad.Points[:10]
+		}
+		if _, err := ReadGraph(binio.NewBytesReader(encodeGraph(t, bad, l.f32, l.flat)), l.f32, l.flat); err == nil {
+			t.Fatalf("%+v: point/adjacency size mismatch accepted", l)
+		}
+		// Non-positive bandwidth.
+		bad2 := build()
+		bad2.Sigma = 0
+		if _, err := ReadGraph(binio.NewBytesReader(encodeGraph(t, bad2, l.f32, l.flat)), l.f32, l.flat); err == nil {
+			t.Fatalf("%+v: zero bandwidth accepted", l)
+		}
 	}
 }
 
@@ -99,10 +126,10 @@ func TestReadGraphRejectsCorruption(t *testing.T) {
 func TestReadConfigRejectsRemovedBackend(t *testing.T) {
 	cfg := GraphConfig{K: 5, Mutual: true, Sigma: 0.5, Approximate: true, ApproxThreshold: 100, NProbe: 4, Seed: -3}
 	var buf bytes.Buffer
-	if _, err := cfg.WriteConfig(&buf); err != nil {
+	if err := cfg.Encode(binio.NewWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadConfig(bytes.NewReader(buf.Bytes()))
+	got, err := ReadConfig(binio.NewBytesReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +143,7 @@ func TestReadConfigRejectsRemovedBackend(t *testing.T) {
 	for id, wantIn := range map[uint64]string{1: "brute-force", 2: "IVF", 3: "VP-tree", 4: "IVF-PQ", 5: "corrupt", 1 << 40: "corrupt"} {
 		bad := bytes.Clone(buf.Bytes())
 		binary.LittleEndian.PutUint64(bad[backendSlot:], id)
-		_, err := ReadConfig(bytes.NewReader(bad))
+		_, err := ReadConfig(binio.NewBytesReader(bad))
 		if err == nil {
 			t.Fatalf("backend id %d accepted", id)
 		}

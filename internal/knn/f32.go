@@ -1,13 +1,6 @@
 package knn
 
-import (
-	"fmt"
-	"math"
-
-	"mogul/internal/binio"
-	"mogul/internal/sparse"
-	"mogul/internal/vec"
-)
+import "mogul/internal/vec"
 
 // Mixed-precision graph storage. In f32 mode the feature vectors live
 // in one flat row-major float32 matrix (Pts32, stride Dim32) and
@@ -86,98 +79,4 @@ func (g *Graph) WidenPoints() []vec.Vector {
 		return nil
 	}
 	return vec.Unflatten32(g.Pts32, g.Dim32)
-}
-
-// WriteToPrec writes the graph through an existing binio.Writer in the
-// format-version-4 layout: K, Sigma, point count and dimension, the
-// point matrix as ONE flat array (Float32s when f32, Floats
-// otherwise), then the adjacency CSR in the same precision. The flat
-// matrix is what makes the aligned variant's zero-copy load possible.
-func (g *Graph) WriteToPrec(bw *binio.Writer, f32 bool) error {
-	bw.Int(g.K)
-	bw.Float64(g.Sigma)
-	np, dim := g.NumPoints(), g.PointDim()
-	bw.Int(np)
-	bw.Int(dim)
-	if f32 {
-		if np > 0 && g.Pts32 == nil {
-			return fmt.Errorf("knn: f32 write of a float64 graph")
-		}
-		bw.Float32s(g.Pts32)
-	} else {
-		flat := make([]float64, 0, np*dim)
-		for i, p := range g.Points {
-			if len(p) != dim {
-				return fmt.Errorf("knn: point %d has dim %d, want %d", i, len(p), dim)
-			}
-			flat = append(flat, p...)
-		}
-		bw.Floats(flat)
-	}
-	if err := bw.Err(); err != nil {
-		return err
-	}
-	return g.Adj.WriteToPrec(bw, f32)
-}
-
-// ReadGraphPrec reads a graph written by WriteToPrec, using zero-copy
-// views where the reader allows. In f64 mode the flat matrix is
-// re-sliced into per-point vectors that alias it.
-func ReadGraphPrec(br *binio.Reader, f32 bool) (*Graph, error) {
-	k := br.Int()
-	sigma := br.Float64()
-	np := br.Int()
-	dim := br.Int()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("knn: reading graph header: %w", err)
-	}
-	if k < 0 || np < 0 || np > binio.MaxCount || dim < 0 || dim > binio.MaxCount {
-		return nil, fmt.Errorf("knn: corrupt graph header (k=%d, points=%d, dim=%d)", k, np, dim)
-	}
-	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("knn: corrupt graph bandwidth sigma=%g", sigma)
-	}
-	if np > 0 && (dim == 0 || np > binio.MaxCount/dim) {
-		return nil, fmt.Errorf("knn: corrupt graph shape %dx%d", np, dim)
-	}
-	g := &Graph{K: k, Sigma: sigma}
-	if f32 {
-		g.Pts32 = br.Float32sView(np * dim)
-		g.Dim32 = dim
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("knn: reading point matrix: %w", err)
-		}
-		if len(g.Pts32) != np*dim {
-			return nil, fmt.Errorf("knn: point matrix has %d entries, want %d", len(g.Pts32), np*dim)
-		}
-		if np == 0 {
-			g.Pts32, g.Dim32 = nil, 0
-		}
-	} else {
-		flat := br.FloatsView(np * dim)
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("knn: reading point matrix: %w", err)
-		}
-		if len(flat) != np*dim {
-			return nil, fmt.Errorf("knn: point matrix has %d entries, want %d", len(flat), np*dim)
-		}
-		if np > 0 {
-			g.Points = make([]vec.Vector, np)
-			for i := range g.Points {
-				g.Points[i] = flat[i*dim : (i+1)*dim]
-			}
-		}
-	}
-	adj, err := sparse.ReadCSRPrec(br, f32)
-	if err != nil {
-		return nil, fmt.Errorf("knn: reading adjacency: %w", err)
-	}
-	if adj.Rows != adj.Cols {
-		return nil, fmt.Errorf("knn: adjacency is %dx%d, want square", adj.Rows, adj.Cols)
-	}
-	if np > 0 && adj.Rows != np {
-		return nil, fmt.Errorf("knn: adjacency over %d nodes but %d points", adj.Rows, np)
-	}
-	g.Adj = adj
-	return g, nil
 }

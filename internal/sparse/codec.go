@@ -2,45 +2,43 @@ package sparse
 
 import (
 	"fmt"
-	"io"
 
 	"mogul/internal/binio"
 )
 
 // Binary codecs for CSR matrices and permutations. These are the
 // leaf records of the Mogul index file format (docs/FORMAT.md); the
-// container in internal/core frames them, so the records themselves
+// container (internal/binio) frames them, so the records themselves
 // carry no magic or checksum — only enough structure to be validated
 // on their own.
 
-// WriteTo writes the matrix in the binary record format:
-// rows, cols (int64), then RowPtr, Col, Val as length-prefixed slices.
-func (m *CSR) WriteTo(w io.Writer) (int64, error) {
-	bw := binio.NewWriter(w)
+// Encode writes the matrix record: rows, cols (int64), then RowPtr, Col
+// and the values as length-prefixed slices — Float32s when f32 (format
+// version 4 only), Floats otherwise.
+func (m *CSR) Encode(bw *binio.Writer, f32 bool) error {
 	bw.Int(m.Rows)
 	bw.Int(m.Cols)
 	bw.Ints(m.RowPtr)
 	bw.Ints(m.Col)
-	bw.Floats(m.Val)
-	return bw.Count(), bw.Err()
-}
-
-// ReadCSR reads a matrix written by WriteTo and validates its
-// structural invariants (monotone row pointers, in-range and strictly
-// increasing column indices per row).
-func ReadCSR(r io.Reader) (*CSR, error) {
-	br := binio.NewReader(r)
-	m, err := readCSR(br)
-	if err != nil {
-		return nil, err
+	if f32 {
+		if m.Val32 == nil && len(m.Col) > 0 {
+			return fmt.Errorf("sparse: f32 write of a float64 matrix")
+		}
+		bw.Float32s(m.Val32)
+	} else {
+		if m.Val == nil && len(m.Col) > 0 {
+			return fmt.Errorf("sparse: f64 write of an f32 matrix")
+		}
+		bw.Floats(m.Val)
 	}
-	return m, nil
+	return bw.Err()
 }
 
-// readCSR decodes a CSR record from an existing binio.Reader, so
-// composite codecs (graph, factor) can embed matrices in their own
-// streams.
-func readCSR(br *binio.Reader) (*CSR, error) {
+// ReadCSR reads a matrix written by Encode in the same precision, using
+// zero-copy views where the reader allows, and validates its structural
+// invariants (monotone row pointers, in-range and strictly increasing
+// column indices per row).
+func ReadCSR(br *binio.Reader, f32 bool) (*CSR, error) {
 	rows := br.Int()
 	cols := br.Int()
 	if err := br.Err(); err != nil {
@@ -49,13 +47,20 @@ func readCSR(br *binio.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || rows > binio.MaxCount || cols > binio.MaxCount {
 		return nil, fmt.Errorf("sparse: corrupt matrix dimensions %dx%d", rows, cols)
 	}
-	rowPtr := br.Ints(rows + 1)
-	colIdx := br.Ints(binio.MaxCount)
-	val := br.Floats(binio.MaxCount)
+	m := &CSR{
+		Rows:   rows,
+		Cols:   cols,
+		RowPtr: br.IntsView(rows + 1),
+		Col:    br.IntsView(binio.MaxCount),
+	}
+	if f32 {
+		m.Val32 = br.Float32sView(binio.MaxCount)
+	} else {
+		m.Val = br.FloatsView(binio.MaxCount)
+	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("sparse: reading matrix body: %w", err)
 	}
-	m := &CSR{RowPtr: rowPtr, Col: colIdx, Val: val, Rows: rows, Cols: cols}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -99,20 +104,15 @@ func (m *CSR) Validate() error {
 	return nil
 }
 
-// WriteTo writes the permutation as its NewToOld slice; OldToNew is
+// Encode writes the permutation as its NewToOld slice; OldToNew is
 // rebuilt (and the bijection re-validated) on read.
-func (p *Permutation) WriteTo(w io.Writer) (int64, error) {
-	bw := binio.NewWriter(w)
+func (p *Permutation) Encode(bw *binio.Writer) error {
 	bw.Ints(p.NewToOld)
-	return bw.Count(), bw.Err()
+	return bw.Err()
 }
 
-// ReadPermutation reads a permutation written by WriteTo.
-func ReadPermutation(r io.Reader) (*Permutation, error) {
-	return readPermutation(binio.NewReader(r))
-}
-
-func readPermutation(br *binio.Reader) (*Permutation, error) {
+// ReadPermutation reads a permutation written by Encode.
+func ReadPermutation(br *binio.Reader) (*Permutation, error) {
 	newToOld := br.Ints(binio.MaxCount)
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("sparse: reading permutation: %w", err)

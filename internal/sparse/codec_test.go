@@ -4,7 +4,29 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"mogul/internal/binio"
 )
+
+// encodeCSR returns the matrix's record in the given precision.
+func encodeCSR(tb testing.TB, m *CSR, f32 bool) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	bw := binio.NewWriter(&buf)
+	if err := m.Encode(bw, f32); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// csrReaders opens a record both ways the containers do: streamed and
+// as an in-memory image (zero-copy views).
+func csrReaders(data []byte) map[string]*binio.Reader {
+	return map[string]*binio.Reader{
+		"stream": binio.NewReader(bytes.NewReader(data)),
+		"bytes":  binio.NewBytesReader(data),
+	}
+}
 
 func TestCSRCodecRoundTrip(t *testing.T) {
 	m, err := NewFromCoords(4, 5, []Coord{
@@ -13,20 +35,29 @@ func TestCSRCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
+	narrow := *m
+	narrow.Narrow32()
+	for _, tc := range []struct {
+		want *CSR
+		f32  bool
+	}{{m, false}, {&narrow, true}} {
+		for name, br := range csrReaders(encodeCSR(t, tc.want, tc.f32)) {
+			got, err := ReadCSR(br, tc.f32)
+			if err != nil {
+				t.Fatalf("%s f32=%v: %v", name, tc.f32, err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("%s f32=%v: round trip mismatch:\n got %+v\nwant %+v", name, tc.f32, got, tc.want)
+			}
+		}
 	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	// A record only decodes in the precision that wrote it, and a matrix
+	// only encodes in the precision it stores.
+	if err := m.Encode(binio.NewWriter(&bytes.Buffer{}), true); err == nil {
+		t.Fatal("f32 encode of a float64 matrix accepted")
 	}
-	got, err := ReadCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
+	if err := narrow.Encode(binio.NewWriter(&bytes.Buffer{}), false); err == nil {
+		t.Fatal("f64 encode of an f32 matrix accepted")
 	}
 }
 
@@ -35,40 +66,41 @@ func TestCSRCodecEmptyMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows != 3 || got.NNZ() != 0 {
-		t.Fatalf("got %+v", got)
+	for _, f32 := range []bool{false, true} {
+		got, err := ReadCSR(binio.NewBytesReader(encodeCSR(t, m, f32)), f32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rows != 3 || got.NNZ() != 0 {
+			t.Fatalf("got %+v", got)
+		}
 	}
 }
 
 func TestReadCSRRejectsCorruption(t *testing.T) {
-	m := Identity(6)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncations at every byte boundary must error, never panic.
-	for n := 0; n < buf.Len(); n++ {
-		if _, err := ReadCSR(bytes.NewReader(buf.Bytes()[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
+	for _, f32 := range []bool{false, true} {
+		m := Identity(6)
+		if f32 {
+			m.Narrow32()
 		}
-	}
-	// Out-of-range column index.
-	bad := Identity(2)
-	bad.Col[1] = 7
-	var b2 bytes.Buffer
-	if _, err := bad.WriteTo(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCSR(&b2); err == nil {
-		t.Fatal("out-of-range column accepted")
+		data := encodeCSR(t, m, f32)
+		// Truncations at every byte boundary must error, never panic.
+		for n := 0; n < len(data); n++ {
+			for name, br := range csrReaders(data[:n]) {
+				if _, err := ReadCSR(br, f32); err == nil {
+					t.Fatalf("%s f32=%v: truncation to %d bytes accepted", name, f32, n)
+				}
+			}
+		}
+		// Out-of-range column index.
+		bad := Identity(2)
+		if f32 {
+			bad.Narrow32()
+		}
+		bad.Col[1] = 7
+		if _, err := ReadCSR(binio.NewBytesReader(encodeCSR(t, bad, f32)), f32); err == nil {
+			t.Fatal("out-of-range column accepted")
+		}
 	}
 }
 
@@ -96,10 +128,10 @@ func TestPermutationCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if err := p.Encode(binio.NewWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPermutation(&buf)
+	got, err := ReadPermutation(binio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +143,10 @@ func TestPermutationCodecRoundTrip(t *testing.T) {
 func TestReadPermutationRejectsNonBijection(t *testing.T) {
 	p := &Permutation{NewToOld: []int{0, 0, 1}}
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if err := p.Encode(binio.NewWriter(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPermutation(&buf); err == nil {
+	if _, err := ReadPermutation(binio.NewReader(&buf)); err == nil {
 		t.Fatal("repeated node accepted")
 	}
 }

@@ -1,11 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"mogul/internal/binio"
-	"mogul/internal/vec"
-)
+import "mogul/internal/vec"
 
 // Mixed-precision CSR storage. A narrowed matrix keeps its structure
 // (RowPtr, Col) wide and stores values in Val32 with Val nil; the few
@@ -57,57 +52,4 @@ func (m *CSR) Widen64() *CSR {
 func (m *CSR) Row32(i int) (cols []int, vals []float32) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.Col[lo:hi], m.Val32[lo:hi]
-}
-
-// WriteToPrec writes the matrix through an existing binio.Writer in
-// the format-version-4 layout: rows, cols, RowPtr, Col, then values as
-// Float32s (f32) or Floats (f64).
-func (m *CSR) WriteToPrec(bw *binio.Writer, f32 bool) error {
-	bw.Int(m.Rows)
-	bw.Int(m.Cols)
-	bw.Ints(m.RowPtr)
-	bw.Ints(m.Col)
-	if f32 {
-		if m.Val32 == nil && len(m.Col) > 0 {
-			return fmt.Errorf("sparse: f32 write of a float64 matrix")
-		}
-		bw.Float32s(m.Val32)
-	} else {
-		if m.Val == nil && len(m.Col) > 0 {
-			return fmt.Errorf("sparse: f64 write of an f32 matrix")
-		}
-		bw.Floats(m.Val)
-	}
-	return bw.Err()
-}
-
-// ReadCSRPrec reads a matrix written by WriteToPrec, using zero-copy
-// views where the reader allows, and validates structural invariants.
-func ReadCSRPrec(br *binio.Reader, f32 bool) (*CSR, error) {
-	rows := br.Int()
-	cols := br.Int()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("sparse: reading matrix header: %w", err)
-	}
-	if rows < 0 || cols < 0 || rows > binio.MaxCount || cols > binio.MaxCount {
-		return nil, fmt.Errorf("sparse: corrupt matrix dimensions %dx%d", rows, cols)
-	}
-	m := &CSR{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: br.IntsView(rows + 1),
-		Col:    br.IntsView(binio.MaxCount),
-	}
-	if f32 {
-		m.Val32 = br.Float32sView(binio.MaxCount)
-	} else {
-		m.Val = br.FloatsView(binio.MaxCount)
-	}
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("sparse: reading matrix body: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

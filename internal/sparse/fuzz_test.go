@@ -3,6 +3,8 @@ package sparse
 import (
 	"bytes"
 	"testing"
+
+	"mogul/internal/binio"
 )
 
 // Fuzz harnesses for the sparse-matrix leaf codecs: arbitrary input
@@ -10,7 +12,8 @@ import (
 // never an unvalidated matrix. Seed corpus committed here; explore
 // with `go test -fuzz FuzzReadCSR ./internal/sparse`.
 
-func fuzzCSRBytes(tb testing.TB) []byte {
+// fuzzCSR is the seed matrix of FuzzReadCSR.
+func fuzzCSR(tb testing.TB) *CSR {
 	tb.Helper()
 	m, err := NewFromCoords(4, 4, []Coord{
 		{Row: 0, Col: 1, Val: 0.5}, {Row: 1, Col: 0, Val: 0.5},
@@ -20,43 +23,45 @@ func fuzzCSRBytes(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return m
 }
 
+// FuzzReadCSR drives the one CSR decoder in both precisions and both
+// reader modes (streamed copy, in-memory views).
 func FuzzReadCSR(f *testing.F) {
-	valid := fuzzCSRBytes(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	huge := append([]byte(nil), valid...)
-	huge[0] = 0xFF // giant row count
-	f.Add(huge)
+	m := fuzzCSR(f)
+	for _, f32 := range []bool{false, true} {
+		if f32 {
+			m.Narrow32()
+		}
+		valid := encodeCSR(f, m, f32)
+		f.Add(valid, f32)
+		f.Add(valid[:len(valid)/2], f32)
+		huge := append([]byte(nil), valid...)
+		huge[0] = 0xFF // giant row count
+		f.Add(huge, f32)
+	}
+	f.Add([]byte{}, false)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadCSR(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever was accepted must satisfy the CSR invariants and
-		// round-trip exactly.
-		if err := m.Validate(); err != nil {
-			t.Fatalf("accepted matrix fails validation: %v", err)
-		}
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		back, err := ReadCSR(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if back.Rows != m.Rows || back.Cols != m.Cols || back.NNZ() != m.NNZ() {
-			t.Fatalf("round trip changed shape: %dx%d/%d vs %dx%d/%d",
-				m.Rows, m.Cols, m.NNZ(), back.Rows, back.Cols, back.NNZ())
+	f.Fuzz(func(t *testing.T, data []byte, f32 bool) {
+		for name, br := range csrReaders(data) {
+			m, err := ReadCSR(br, f32)
+			if err != nil {
+				continue
+			}
+			// Whatever was accepted must satisfy the CSR invariants and
+			// round-trip exactly.
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s: accepted matrix fails validation: %v", name, err)
+			}
+			back, err := ReadCSR(binio.NewBytesReader(encodeCSR(t, m, f32)), f32)
+			if err != nil {
+				t.Fatalf("%s: re-decode: %v", name, err)
+			}
+			if back.Rows != m.Rows || back.Cols != m.Cols || back.NNZ() != m.NNZ() {
+				t.Fatalf("%s: round trip changed shape: %dx%d/%d vs %dx%d/%d", name,
+					m.Rows, m.Cols, m.NNZ(), back.Rows, back.Cols, back.NNZ())
+			}
 		}
 	})
 }
@@ -67,7 +72,7 @@ func FuzzReadPermutation(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if err := p.Encode(binio.NewWriter(&buf)); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -76,7 +81,7 @@ func FuzzReadPermutation(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadPermutation(bytes.NewReader(data))
+		p, err := ReadPermutation(binio.NewBytesReader(data))
 		if err != nil {
 			return
 		}

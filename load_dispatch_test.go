@@ -116,3 +116,53 @@ func TestLoadDispatchAllFormats(t *testing.T) {
 		t.Fatalf("sniffing error does not name the unknown magic: %v", err)
 	}
 }
+
+// TestFramesRejectUnreadableVersions: every container refuses the
+// version just below and just above its readable range with an error
+// that names the range. The CRC is re-stamped so the version gate is
+// what rejects the file — a stale checksum would fail the load for the
+// wrong reason.
+func TestFramesRejectUnreadableVersions(t *testing.T) {
+	ds := NewMixture(MixtureConfig{N: 120, Classes: 4, Dim: 6, WithinStd: 0.3, Separation: 2.5, Seed: 19})
+	opts := Options{Seed: 19}
+	cases := []struct {
+		magic    string
+		min, max uint32
+		build    func() (Retriever, error)
+	}{
+		{"MOGULIDX", 2, 4, func() (Retriever, error) { return Build(ds.Points, opts) }},
+		{shardedMagic, shardedFrame.MinVersion, shardedFrame.MaxVersion, func() (Retriever, error) {
+			return BuildSharded(ds.Points, opts, ShardOptions{Shards: 2})
+		}},
+		{emrMagic, emrFrame.MinVersion, emrFrame.MaxVersion, func() (Retriever, error) {
+			return BuildEMR(ds.Points, opts, EMROptions{NumAnchors: 12, NumNearestAnchors: 3})
+		}},
+		{spectralMagic, spectralFrame.MinVersion, spectralFrame.MaxVersion, func() (Retriever, error) {
+			return BuildSpectral(ds.Points, opts, SpectralOptions{Rank: 12})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.magic, func(t *testing.T) {
+			built, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := built.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("reads versions %d-%d", tc.min, tc.max)
+			for _, v := range []uint32{tc.min - 1, tc.max + 1} {
+				image := stampVersion(buf.Bytes(), v)
+				for name, load := range map[string]func() (Retriever, error){
+					"stream": func() (Retriever, error) { return Load(bytes.NewReader(image)) },
+					"image":  func() (Retriever, error) { return tryLoadMapped(image) },
+				} {
+					if _, err := load(); err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
+						t.Fatalf("version %d (%s load): error %v, want one naming %q", v, name, err, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -197,19 +198,7 @@ func tryLoadMapped(data []byte) (Retriever, error) {
 	if len(data) < 8 {
 		return nil, errors.New("image shorter than a magic header")
 	}
-	switch string(data[:8]) {
-	case shardedMagic:
-		return LoadSharded(bytes.NewReader(data))
-	case emrMagic:
-		return LoadEMRBytes(data)
-	case spectralMagic:
-		return LoadSpectralBytes(data)
-	}
-	ci, err := core.ReadIndexBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{core: ci}, nil
+	return loaderFor(data[:8]).image(data)
 }
 
 // TestLoadMappedNeverPanics: every truncation prefix and a stride of
@@ -243,6 +232,32 @@ func TestLoadMappedNeverPanics(t *testing.T) {
 			mutated := append([]byte(nil), data...)
 			mutated[pos] ^= 0xFF
 			try("bit flip", mutated)
+		}
+	}
+}
+
+// TestByteLoadersRejectEmptyImage: a nil or zero-length image is a
+// truncated file to every in-memory loader — an error naming the
+// unexpected EOF, never a nil-pointer panic (a nil slice once read as
+// "stream mode" and dereferenced the absent io.Reader).
+func TestByteLoadersRejectEmptyImage(t *testing.T) {
+	loaders := map[string]func([]byte) error{
+		"core.ReadIndexBytes": func(b []byte) error { _, err := core.ReadIndexBytes(b); return err },
+		"LoadEMRBytes":        func(b []byte) error { _, err := LoadEMRBytes(b); return err },
+		"LoadSpectralBytes":   func(b []byte) error { _, err := LoadSpectralBytes(b); return err },
+	}
+	for name, load := range loaders {
+		for label, image := range map[string][]byte{"nil": nil, "zero-length": {}} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s panicked on a %s image: %v", name, label, r)
+					}
+				}()
+				if err := load(image); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%s on a %s image: error %v, want io.ErrUnexpectedEOF", name, label, err)
+				}
+			}()
 		}
 	}
 }

@@ -398,22 +398,61 @@ func Load(r io.Reader) (Retriever, error) {
 		}
 		return nil, fmt.Errorf("mogul: reading index header: %w", err)
 	}
-	full := io.MultiReader(bytes.NewReader(magic[:]), r)
-	switch string(magic[:]) {
-	case shardedMagic:
-		return LoadSharded(full)
-	case emrMagic:
-		return LoadEMR(full)
-	case spectralMagic:
-		return LoadSpectral(full)
+	return loaderFor(magic[:]).stream(io.MultiReader(bytes.NewReader(magic[:]), r))
+}
+
+// loader is how one container format loads: off a stream (payloads
+// copied, CRC verified) and from a complete in-memory image such as an
+// mmap'd file (zero-copy views where the layout allows).
+type loader struct {
+	stream func(io.Reader) (Retriever, error)
+	image  func([]byte) (Retriever, error)
+}
+
+// asRetriever adapts a concrete loader to the Retriever surface (a
+// failed load must yield a nil interface, not a typed nil pointer).
+func asRetriever[A any, T Retriever](load func(A) (T, error)) func(A) (Retriever, error) {
+	return func(a A) (Retriever, error) {
+		v, err := load(a)
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
 	}
-	// Everything else — including garbage magic — goes to the plain
-	// reader, whose "not a mogul index file" error names the magic.
-	ci, err := core.ReadIndex(full)
+}
+
+// loaders maps a container magic to its loader; Load and LoadFileMapped
+// both dispatch through loaderFor.
+var loaders = map[string]loader{
+	// The sharded manifest embeds whole sub-engine payloads that the
+	// loader re-frames and copies anyway; an image decodes through the
+	// streaming reader.
+	shardedMagic:  {asRetriever(LoadSharded), func(b []byte) (Retriever, error) { return LoadSharded(bytes.NewReader(b)) }},
+	emrMagic:      {asRetriever(LoadEMR), asRetriever(LoadEMRBytes)},
+	spectralMagic: {asRetriever(LoadSpectral), asRetriever(LoadSpectralBytes)},
+}
+
+// plainLoader reads MOGULIDX, the format core owns.
+var plainLoader = loader{
+	stream: func(r io.Reader) (Retriever, error) { return plainIndex(core.ReadIndex(r)) },
+	image:  func(b []byte) (Retriever, error) { return plainIndex(core.ReadIndexBytes(b)) },
+}
+
+func plainIndex(ci *core.Index, err error) (Retriever, error) {
 	if err != nil {
 		return nil, err
 	}
 	return &Index{core: ci}, nil
+}
+
+// loaderFor returns the loader for a magic. Everything unknown —
+// including garbage — goes to the plain reader, whose "not a mogul
+// index file" error names the magic.
+func loaderFor(magic []byte) loader {
+	if l, ok := loaders[string(magic)]; ok {
+		return l
+	}
+	return plainLoader
 }
 
 // LoadFile reads an index file written by SaveFile (plain or sharded;
@@ -460,24 +499,7 @@ func LoadFileMapped(path string) (Retriever, io.Closer, error) {
 		m.Close()
 		return nil, nil, fmt.Errorf("mogul: reading index header: %w", io.ErrUnexpectedEOF)
 	}
-	var r Retriever
-	switch string(data[:8]) {
-	case shardedMagic:
-		// The sharded manifest embeds whole sub-engine payloads that the
-		// loader re-frames and copies anyway; decode it through the
-		// streaming reader over the mapped bytes.
-		r, err = LoadSharded(bytes.NewReader(data))
-	case emrMagic:
-		r, err = LoadEMRBytes(data)
-	case spectralMagic:
-		r, err = LoadSpectralBytes(data)
-	default:
-		var ci *core.Index
-		ci, err = core.ReadIndexBytes(data)
-		if err == nil {
-			r = &Index{core: ci}
-		}
-	}
+	r, err := loaderFor(data[:8]).image(data)
 	if err != nil {
 		m.Close()
 		return nil, nil, err

@@ -277,8 +277,8 @@ func (s *Server) handleSearchVector(w http.ResponseWriter, r *http.Request) {
 		Vector []float64 `json:"vector"`
 		K      int       `json:"k"`
 	}
-	if err := readJSON(w, r, &req); err != nil {
-		rejectBody(w, err, "bad JSON: "+err.Error())
+	if err := ReadJSON(w, r, &req); err != nil {
+		RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	k, err := normalizeK(req.K)
@@ -341,8 +341,8 @@ func (s *Server) handleSearchSet(w http.ResponseWriter, r *http.Request) {
 		IDs []int `json:"ids"`
 		K   int   `json:"k"`
 	}
-	if err := readJSON(w, r, &req); err != nil {
-		rejectBody(w, err, "bad JSON: "+err.Error())
+	if err := ReadJSON(w, r, &req); err != nil {
+		RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	k, err := normalizeK(req.K)
@@ -399,8 +399,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		IDs []int `json:"ids"`
 		K   int   `json:"k"`
 	}
-	if err := readJSON(w, r, &req); err != nil {
-		rejectBody(w, err, "bad JSON: "+err.Error())
+	if err := ReadJSON(w, r, &req); err != nil {
+		RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	if len(req.IDs) == 0 {

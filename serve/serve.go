@@ -415,8 +415,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Vector []float64 `json:"vector"`
 	}
-	if err := readJSON(w, r, &req); err != nil {
-		rejectBody(w, err, "bad JSON: "+err.Error())
+	if err := ReadJSON(w, r, &req); err != nil {
+		RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	s.mutateMu.Lock()
@@ -451,8 +451,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ID *int `json:"id"`
 	}
-	if err := readJSON(w, r, &req); err != nil || req.ID == nil {
-		rejectBody(w, err, "body must be {\"id\": <int>}")
+	if err := ReadJSON(w, r, &req); err != nil || req.ID == nil {
+		RejectBody(w, err, "body must be {\"id\": <int>}")
 		return
 	}
 	s.mutateMu.Lock()
@@ -587,9 +587,10 @@ const (
 	maxBodyBytes    = defaultMaxBatch * maxBodyDim * maxFloatBytes // 32 MiB
 )
 
-// readJSON decodes a request body of at most maxBodyBytes into v.
-// Render a failure with rejectBody.
-func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
+// ReadJSON decodes a request body of at most maxBodyBytes into v.
+// Render a failure with RejectBody. Exported, like WriteError, for
+// layers that add their own endpoints to this server.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
@@ -601,9 +602,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	return json.Unmarshal(buf.Bytes(), v)
 }
 
-// rejectBody renders a request whose body could not be used: 413 when
-// it ran past maxBodyBytes (err from readJSON), 400 with msg otherwise.
-func rejectBody(w http.ResponseWriter, err error, msg string) {
+// RejectBody renders a request whose body could not be used: 413 when
+// it ran past maxBodyBytes (err from ReadJSON), 400 with msg otherwise.
+func RejectBody(w http.ResponseWriter, err error, msg string) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))

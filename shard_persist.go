@@ -45,12 +45,13 @@ var (
 	tagSidx = [4]byte{'S', 'I', 'D', 'X'}
 )
 
-var shardedFrame = frame{
-	magic:      shardedMagic,
-	kind:       "sharded index",
-	minVersion: shardedMinReadVersion,
-	maxVersion: shardedFormatVersion,
-	tags:       [][4]byte{tagSmet, tagSctr, tagSmap, tagSidx},
+var shardedFrame = binio.Frame{
+	Magic:        shardedMagic,
+	Kind:         "sharded index",
+	MinVersion:   shardedMinReadVersion,
+	MaxVersion:   shardedFormatVersion,
+	PlainVersion: shardedFormatVersion,
+	Tags:         [][4]byte{tagSmet, tagSctr, tagSmap, tagSidx},
 }
 
 // maxRetiredIDs bounds how far the global id space may outgrow the
@@ -81,16 +82,17 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 		return fmt.Errorf("mogul: %d retired global ids exceed the format's %d limit; rebuild the index fresh (BuildSharded over the live points) before saving", retired, maxRetiredIDs)
 	}
 
-	sections := []section{{tagSmet, six.writeShardMeta}}
+	sections := []binio.Section{{Tag: tagSmet, Payload: six.writeShardMeta}}
 	if len(six.centroids) > 0 {
-		sections = append(sections, section{tagSctr, six.writeCentroids})
+		sections = append(sections, binio.Section{Tag: tagSctr, Payload: six.writeCentroids})
 	}
-	sections = append(sections, section{tagSmap, six.writeIDMaps})
+	sections = append(sections, binio.Section{Tag: tagSmap, Payload: six.writeIDMaps})
 	for _, sh := range six.shards {
 		// Every SIDX payload is a whole nested index stream.
-		sections = append(sections, section{tagSidx, func(sw *binio.Writer) error { return sh.Save(sw) }})
+		sections = append(sections, binio.Section{Tag: tagSidx, Payload: func(sw *binio.Writer) error { return sh.Save(sw) }})
 	}
-	return writeContainer(w, shardedMagic, shardedFormatVersion, 0, sections)
+	_, err := binio.WriteContainer(w, shardedMagic, shardedFormatVersion, sections)
+	return err
 }
 
 func (six *ShardedIndex) writeShardMeta(bw *binio.Writer) error {
@@ -175,22 +177,22 @@ func saveFileAtomic(path string, save func(io.Writer) error) error {
 // normally go through Load, which sniffs the magic and dispatches
 // here on its own.
 func LoadSharded(r io.Reader) (*ShardedIndex, error) {
-	_, secs, err := readContainer(binio.NewReader(r), &shardedFrame)
+	_, secs, err := binio.ReadContainer(binio.NewReader(r), &shardedFrame)
 	if err != nil {
 		return nil, err
 	}
 	var meta, centroids, idMaps []byte
 	var shardPayloads [][]byte
 	for _, s := range secs {
-		switch s.tag {
+		switch s.Tag {
 		case tagSmet:
-			meta = s.payload
+			meta = s.Data
 		case tagSctr:
-			centroids = s.payload
+			centroids = s.Data
 		case tagSmap:
-			idMaps = s.payload
+			idMaps = s.Data
 		case tagSidx:
-			shardPayloads = append(shardPayloads, s.payload)
+			shardPayloads = append(shardPayloads, s.Data)
 		}
 	}
 	if meta == nil || idMaps == nil {

@@ -40,35 +40,28 @@ var (
 	tagSpAtt = [4]byte{'S', 'A', 'T', 'T'} // delta attachments (anchors + weights)
 )
 
-var spectralFrame = frame{
-	magic:        spectralMagic,
-	kind:         "spectral engine",
-	minVersion:   engineFormatVersion,
-	maxVersion:   engineFormatVersionPrec,
-	plainVersion: engineFormatVersion,
-	tags:         [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt},
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+var spectralFrame = binio.Frame{
+	Magic:        spectralMagic,
+	Kind:         "spectral engine",
+	MinVersion:   engineFormatVersion,
+	MaxVersion:   engineFormatVersionPrec,
+	PlainVersion: engineFormatVersion,
+	Tags:         [][4]byte{tagSpMet, tagSpVal, tagSpGph, tagSpPts, tagSpEmb, tagSpAtt},
 }
 
 // sections encodes the engine. When it is mixed-precision (version 2
 // only) the embedding rows and the base graph's edge weights are
 // written as float32; eigenvalues and attachment weights stay float64.
-func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) []section {
-	return []section{
-		{tagSpMet, func(sw *binio.Writer) error {
+func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) []binio.Section {
+	return []binio.Section{
+		{Tag: tagSpMet, Payload: func(sw *binio.Writer) error {
 			e.writeMetaHead(sw)
 			// The recorded build recipe (pre-clamping), so Compact on a loaded
 			// engine rebuilds with the options the original build got: the
 			// graph half of Options, then the SpectralOptions.
 			sw.Int(e.ropts.GraphK)
-			sw.Int(boolInt(e.ropts.ApproximateGraph))
-			sw.Int(boolInt(e.ropts.MutualGraph))
+			sw.Bool(e.ropts.ApproximateGraph)
+			sw.Bool(e.ropts.MutualGraph)
 			sw.Float64(e.ropts.Sigma)
 			sw.Int(e.sopts.Rank)
 			sw.Int(e.sopts.Steps)
@@ -82,11 +75,11 @@ func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) [
 			st.writeMetaTail(sw, version, align)
 			return sw.Err()
 		}},
-		{tagSpVal, func(sw *binio.Writer) error {
+		{Tag: tagSpVal, Payload: func(sw *binio.Writer) error {
 			sw.Floats(st.vals)
 			return sw.Err()
 		}},
-		{tagSpGph, func(sw *binio.Writer) error {
+		{Tag: tagSpGph, Payload: func(sw *binio.Writer) error {
 			S := st.graph
 			sw.Ints(S.RowPtr)
 			sw.Ints(S.Col)
@@ -97,8 +90,8 @@ func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) [
 			}
 			return sw.Err()
 		}},
-		{tagSpPts, func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
-		{tagSpEmb, func(sw *binio.Writer) error {
+		{Tag: tagSpPts, Payload: func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
+		{Tag: tagSpEmb, Payload: func(sw *binio.Writer) error {
 			if st.f32() {
 				sw.Float32s(st.emb32)
 			} else {
@@ -107,7 +100,7 @@ func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) [
 			st.writeTombstones(sw)
 			return sw.Err()
 		}},
-		{tagSpAtt, func(sw *binio.Writer) error {
+		{Tag: tagSpAtt, Payload: func(sw *binio.Writer) error {
 			sw.Ints(st.attPtr)
 			sw.Ints(st.attID)
 			sw.Floats(st.attW)
@@ -146,7 +139,7 @@ func LoadSpectralFile(path string) (*SpectralIndex, error) {
 }
 
 func loadSpectral(br *binio.Reader) (*SpectralIndex, error) {
-	version, secs, err := readSections(br, &spectralFrame)
+	version, secs, err := binio.ReadSections(br, &spectralFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -159,9 +152,9 @@ func loadSpectral(br *binio.Reader) (*SpectralIndex, error) {
 // image is aligned and the host is little-endian, copied otherwise),
 // without the per-element finiteness scans version 1 runs over the
 // embedding and the graph's edge weights — see readPoints for why.
-func assembleSpectral(version uint32, secs map[[4]byte]frameSection) (*SpectralIndex, error) {
+func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*SpectralIndex, error) {
 	var m engineMeta
-	mr := binio.NewBytesReader(secs[tagSpMet].payload)
+	mr := secs[tagSpMet].Reader(0)
 	m.readHead(mr)
 	graphK := mr.Int()
 	approx := mr.Int()
@@ -191,7 +184,7 @@ func assembleSpectral(version uint32, secs map[[4]byte]frameSection) (*SpectralI
 	}
 	v2 := version >= engineFormatVersionPrec
 
-	vr := m.sectionReader(secs[tagSpVal])
+	vr := secs[tagSpVal].Reader(m.align)
 	vals := vr.Floats(binio.MaxCount)
 	if err := vr.Err(); err != nil {
 		return nil, fmt.Errorf("mogul: decoding eigenvalues: %w", err)
@@ -208,7 +201,7 @@ func assembleSpectral(version uint32, secs map[[4]byte]frameSection) (*SpectralI
 		}
 	}
 
-	gr := m.sectionReader(secs[tagSpGph])
+	gr := secs[tagSpGph].Reader(m.align)
 	var rowPtr, col []int
 	var val []float64
 	var val32 []float32
@@ -255,11 +248,11 @@ func assembleSpectral(version uint32, secs map[[4]byte]frameSection) (*SpectralI
 		}
 	}
 
-	if err := m.readPoints(m.sectionReader(secs[tagSpPts]), version); err != nil {
+	if err := m.readPoints(secs[tagSpPts].Reader(m.align), version); err != nil {
 		return nil, err
 	}
 
-	er := m.sectionReader(secs[tagSpEmb])
+	er := secs[tagSpEmb].Reader(m.align)
 	var emb []float64
 	var emb32 []float32
 	embLen := 0
@@ -290,7 +283,7 @@ func assembleSpectral(version uint32, secs map[[4]byte]frameSection) (*SpectralI
 		return nil, err
 	}
 
-	ar := m.sectionReader(secs[tagSpAtt])
+	ar := secs[tagSpAtt].Reader(m.align)
 	attPtr := ar.Ints(binio.MaxCount)
 	attID := ar.Ints(binio.MaxCount)
 	attW := ar.Floats(binio.MaxCount)
