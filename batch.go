@@ -1,9 +1,6 @@
 package mogul
 
-import (
-	"runtime"
-	"sync"
-)
+import "mogul/internal/fanout"
 
 // BatchResult pairs one query of a batch with its answers (or error).
 type BatchResult struct {
@@ -15,67 +12,34 @@ type BatchResult struct {
 	Err error
 }
 
-// runBatch is the shared worker-pool engine behind the batch entry
-// points of every engine: n work items are fanned out to the workers,
-// each of which builds one run closure over a private query engine (a
-// Querier) for its whole run, so a batch
-// of thousands of queries performs thousands of searches on a handful
-// of reusable workspaces. Results land at their item's index; per-item
-// failures are recorded, never fatal. parallelism <= 0 selects
-// GOMAXPROCS.
-func runBatch(n, parallelism int, worker func() func(i int) BatchResult) []BatchResult {
-	out := make([]BatchResult, n)
-	if n == 0 {
-		return out
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run := worker()
-			for i := range next {
-				out[i] = run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+// topKBatch and topKVectorBatch are the batch entry points of every
+// engine: the queries fan out over a bounded worker pool, each worker
+// pinning one private Querier for its whole run, so a batch of
+// thousands of queries performs thousands of searches on a handful of
+// reusable workspaces. Results land in input order; per-query failures
+// are recorded, never fatal. parallelism <= 0 selects GOMAXPROCS.
+func topKBatch(newQuerier func() Querier, queries []int, k, parallelism int) []BatchResult {
+	out := make([]BatchResult, len(queries))
+	fanout.ForEach(len(queries), parallelism, func() func(int) {
+		sr := newQuerier()
+		return func(i int) {
+			res, err := sr.TopK(queries[i], k)
+			out[i] = BatchResult{Query: queries[i], Results: res, Err: err}
+		}
+	})
 	return out
 }
 
-// topKBatch and topKVectorBatch are the batch entry points of every
-// engine: one pinned Querier per worker, results in input order.
-func topKBatch(newQuerier func() Querier, queries []int, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
-		sr := newQuerier()
-		return func(i int) BatchResult {
-			q := queries[i]
-			res, err := sr.TopK(q, k)
-			return BatchResult{Query: q, Results: res, Err: err}
-		}
-	})
-}
-
 func topKVectorBatch(newQuerier func() Querier, queries []Vector, k, parallelism int) []BatchResult {
-	return runBatch(len(queries), parallelism, func() func(int) BatchResult {
+	out := make([]BatchResult, len(queries))
+	fanout.ForEach(len(queries), parallelism, func() func(int) {
 		sr := newQuerier()
-		return func(i int) BatchResult {
+		return func(i int) {
 			res, err := sr.TopKVector(queries[i], k)
-			return BatchResult{Query: i, Results: res, Err: err}
+			out[i] = BatchResult{Query: i, Results: res, Err: err}
 		}
 	})
+	return out
 }
 
 // TopKBatch answers many in-database queries concurrently. Searches

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mogul"
+	"mogul/internal/fanout"
 )
 
 // ClientOptions tunes one remote-shard client. The zero value is
@@ -514,27 +515,12 @@ func (c *Client) TopKVectorBatch(queries []mogul.Vector, k, parallelism int) []m
 	if parallelism <= 0 {
 		parallelism = 8
 	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	next := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			for i := range next {
-				res, err := c.TopKVector(queries[i], k)
-				out[i] = mogul.BatchResult{Query: i, Results: res, Err: err}
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < parallelism; w++ {
-		<-done
-	}
+	fanout.ForEach(len(queries), parallelism, func() func(int) {
+		return func(i int) {
+			res, err := c.TopKVector(queries[i], k)
+			out[i] = mogul.BatchResult{Query: i, Results: res, Err: err}
+		}
+	})
 	return out
 }
 
@@ -567,22 +553,6 @@ func (c *Client) SaveFile(path string) error {
 	return mogul.SaveFileFunc(path, c.Save)
 }
 
-// clientQuerier adapts the client to the Querier surface: the client
-// holds no per-query scratch (the server side pools those), so the
-// querier simply delegates.
-type clientQuerier struct{ c *Client }
-
-func (q clientQuerier) TopK(query, k int) ([]mogul.Result, error) { return q.c.TopK(query, k) }
-func (q clientQuerier) TopKWithInfo(query, k int) ([]mogul.Result, *mogul.SearchInfo, error) {
-	return q.c.TopKWithInfo(query, k)
-}
-func (q clientQuerier) TopKVector(v mogul.Vector, k int) ([]mogul.Result, error) {
-	return q.c.TopKVector(v, k)
-}
-func (q clientQuerier) TopKSet(seeds []int, k int) ([]mogul.Result, error) {
-	return q.c.TopKSet(seeds, k)
-}
-
-// NewQuerier returns a Querier delegating to the client (all scratch
-// pooling happens server-side).
-func (c *Client) NewQuerier() mogul.Querier { return clientQuerier{c} }
+// NewQuerier returns the client itself: it holds no per-query scratch
+// (the server side pools those), so there is nothing to pin per worker.
+func (c *Client) NewQuerier() mogul.Querier { return c }

@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mogul"
-	"mogul/internal/topk"
+	"mogul/internal/fanout"
 )
 
 // Backend is one shard as the coordinator sees it: the context-taking
@@ -182,19 +180,14 @@ type CoordOptions struct {
 	HedgeDelay time.Duration
 }
 
-// shardLoc addresses one item: owning shard + shard-local id;
-// shard < 0 marks a retired global id (deleted and compacted away).
-type shardLoc struct {
-	shard, local int
-}
-
-// Coordinator serves one global id space over a set of shards with
-// the in-process ShardedIndex's exact fan-out/merge semantics: the
-// owner shard answers in-database at scale 1, every other shard is
-// probed out-of-sample and scaled by its kernel affinity relative to
-// the owner's, and the per-shard lists k-way merge under the global
-// order (score desc, id asc). On the same contiguous partition the
-// exact-mode rankings are bit-identical to the oracle.
+// Coordinator serves one global id space over a set of shards. The
+// fan-out policy — id map, scoring and merge model, insert routing,
+// compaction renumbering — is internal/fanout's, shared with the
+// in-process ShardedIndex (docs/SHARDING.md, "Scoring model"), so on
+// the same contiguous partition the exact-mode rankings are
+// bit-identical to it. This type adds what is genuinely distributed:
+// each per-shard call is a hedged goroutine over the shard's replicas
+// under ShardTimeout.
 //
 // The context-taking search variants (TopKCtx, TopKVectorCtx,
 // TopKSetCtx) tolerate non-essential shard failures under per-shard
@@ -204,28 +197,18 @@ type shardLoc struct {
 //
 // The coordinator must be the only mutator of its shards: routing a
 // mutation around it (straight to a shard server) desynchronizes the
-// global id maps. See docs/DISTRIBUTED.md, "Ownership".
+// global id map. See docs/DISTRIBUTED.md, "Ownership".
 type Coordinator struct {
-	// mu freezes the id maps relative to the shard states for the
-	// duration of a fan-out, exactly like ShardedIndex.mu.
-	mu sync.RWMutex
-	// mutMu serializes mutators.
-	mutMu sync.Mutex
-
 	shards []Shard
 	opts   CoordOptions
 
-	locOf []shardLoc
-	l2g   [][]int
-	// live tracks each shard's live item count (the coordinator is the
-	// sole mutator, so counting locally avoids a network round trip on
-	// every insert routing decision).
-	live []int
+	// ids is the global id space with its locks, live counts (the
+	// coordinator is the sole mutator, so routing an insert costs no
+	// round trip) and mutation version.
+	ids *fanout.IDMap
 
 	// exact is the shard set's scoring mode, captured at construction.
 	exact bool
-
-	version atomic.Uint64
 }
 
 // NewCoordinator builds a coordinator over shards, where partition
@@ -244,41 +227,15 @@ func NewCoordinator(shards []Shard, partition [][]int, opts CoordOptions) (*Coor
 		}
 		total += len(members)
 	}
-	c := &Coordinator{
-		shards: shards,
-		opts:   opts,
-		locOf:  make([]shardLoc, total),
-		l2g:    make([][]int, len(partition)),
-		live:   make([]int, len(partition)),
-	}
-	for i := range c.locOf {
-		c.locOf[i] = shardLoc{shard: -1, local: -1}
-	}
-	for s, members := range partition {
-		c.l2g[s] = slices.Clone(members)
-		c.live[s] = len(members)
-		for local, g := range members {
-			if g < 0 || g >= total {
-				return nil, fmt.Errorf("dist: partition id %d outside [0,%d)", g, total)
-			}
-			if c.locOf[g].shard >= 0 {
-				return nil, fmt.Errorf("dist: global id %d assigned to shards %d and %d", g, c.locOf[g].shard, s)
-			}
-			c.locOf[g] = shardLoc{shard: s, local: local}
-		}
-	}
-	for g, loc := range c.locOf {
-		if loc.shard < 0 {
-			return nil, fmt.Errorf("dist: global id %d missing from the partition", g)
-		}
+	ids, err := fanout.New(partition, total, nil)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	info, err := shards[0].Primary().InfoCtx(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("dist: probing shard 0: %w", err)
 	}
-	c.exact = info.Exact
-	c.version.Store(1)
-	return c, nil
+	return &Coordinator{shards: shards, opts: opts, ids: ids, exact: info.Exact}, nil
 }
 
 // NumShards returns the shard count.
@@ -310,18 +267,6 @@ func (d *Degraded) Err() error {
 	sort.Ints(ids)
 	return fmt.Errorf("dist: %d of %d shards failed (first: shard %d: %v)",
 		len(d.Failed), len(d.Failed)+len(d.Answered), ids[0], d.Failed[ids[0]])
-}
-
-// locate resolves a global id; callers hold mu (any mode) or mutMu.
-func (c *Coordinator) locate(id int) (shardLoc, error) {
-	if id < 0 || id >= len(c.locOf) {
-		return shardLoc{}, fmt.Errorf("dist: item %d outside [0,%d)", id, len(c.locOf))
-	}
-	loc := c.locOf[id]
-	if loc.shard < 0 {
-		return shardLoc{}, fmt.Errorf("dist: item %d is deleted", id)
-	}
-	return loc, nil
 }
 
 // shardCtx derives the per-shard deadline context.
@@ -407,72 +352,61 @@ func hedge[T any](ctx context.Context, replicas []Backend, delay time.Duration, 
 	}
 }
 
-// shardList is one shard's merged-candidate input: results remapped
-// to global ids, scaled, re-sorted into the global order.
-type shardList struct {
-	shard int
-	items []topk.Item
+// ask runs one read against shard s the way every coordinator read is
+// dispatched: hedged over the shard's replicas under the per-shard
+// deadline.
+func ask[T any](ctx context.Context, c *Coordinator, s int, call func(context.Context, Backend) (T, error)) (T, error) {
+	sctx, cancel := c.shardCtx(ctx)
+	defer cancel()
+	return hedge(sctx, c.shards[s].Replicas, c.opts.HedgeDelay, call)
 }
 
-// remap converts one shard's local ranking into a merge input,
-// mirroring ShardedSearcher.addList: global ids via l2g, scores
-// scaled by the shard's affinity weight, re-sorted into (score desc,
-// global id asc). Local ids past the map (an insert racing the
-// fan-out) are skipped for this query. Callers hold mu in read mode.
-func (c *Coordinator) remap(s int, res []mogul.Result, scale float64) []topk.Item {
-	l2g := c.l2g[s]
-	items := make([]topk.Item, 0, len(res))
-	for _, r := range res {
-		if r.Node >= len(l2g) {
+// askAll asks every shard want selects, in parallel. A shard that fails
+// is recorded in deg and dropped; each answer is handed to got, one at a
+// time, in arrival order.
+func askAll[T any](ctx context.Context, c *Coordinator, deg *Degraded, want func(s int) bool,
+	call func(ctx context.Context, b Backend, s int) (T, error), got func(s int, v T)) {
+	var (
+		wg  sync.WaitGroup
+		omu sync.Mutex
+	)
+	for s := range c.shards {
+		if !want(s) {
 			continue
 		}
-		items = append(items, topk.Item{ID: l2g[r.Node], Score: scale * r.Score})
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			v, err := ask(ctx, c, s, func(ctx context.Context, b Backend) (T, error) { return call(ctx, b, s) })
+			omu.Lock()
+			defer omu.Unlock()
+			if err != nil {
+				deg.Failed[s] = err
+				return
+			}
+			deg.Answered = append(deg.Answered, s)
+			got(s, v)
+		}(s)
 	}
-	sortItems(items)
-	return items
+	wg.Wait()
 }
 
-// relativeAffinity prices a non-owning shard's contribution against
-// the owner's own kernel affinity: min(1, aff/own), falling back to
-// the absolute affinity when the owner's underflowed to 0 — the exact
-// formula of the in-process sharded merge.
-func relativeAffinity(aff, own float64) float64 {
-	if own <= 0 {
-		return aff
-	}
-	if aff >= own {
-		return 1
-	}
-	return aff / own
+// vecOut is one shard's out-of-sample answer: the local ranking and the
+// shard's raw kernel affinity to the query.
+type vecOut struct {
+	res []mogul.Result
+	aff float64
 }
 
-// sortItems sorts candidates by the global ranking order in place.
-func sortItems(items []topk.Item) {
-	slices.SortFunc(items, func(a, b topk.Item) int {
-		switch {
-		case topk.Better(a, b):
-			return -1
-		case topk.Better(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// merge k-way merges per-shard candidate lists into the global top-k.
-func merge(k int, lists []shardList) []mogul.Result {
-	var m topk.Merger
-	in := make([][]topk.Item, len(lists))
-	for i, l := range lists {
-		in[i] = l.items
-	}
-	merged := m.Merge(nil, k, in...)
-	out := make([]mogul.Result, len(merged))
-	for i, it := range merged {
-		out[i] = mogul.Result{Node: it.ID, Score: it.Score}
-	}
-	return out
+// probe queries every shard but skip out-of-sample, staging the answers
+// in mg.
+func (c *Coordinator) probe(ctx context.Context, q mogul.Vector, k, skip int, deg *Degraded, mg *fanout.Merge) {
+	askAll(ctx, c, deg, func(s int) bool { return s != skip },
+		func(ctx context.Context, b Backend, _ int) (vecOut, error) {
+			res, aff, err := b.VectorSearch(ctx, q, k)
+			return vecOut{res, aff}, err
+		},
+		func(s int, v vecOut) { mg.Probe(s, v.res, v.aff) })
 }
 
 // TopKCtx fans an in-database query out to all shards and merges: the
@@ -485,130 +419,55 @@ func (c *Coordinator) TopKCtx(ctx context.Context, query, k int) ([]mogul.Result
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, err := c.locate(query)
+	c.ids.RLock()
+	defer c.ids.RUnlock()
+	loc, err := c.ids.Locate(query)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
-	deg := &Degraded{Failed: map[int]error{}}
-
 	type ownerOut struct {
-		res  []mogul.Result
+		vecOut
 		qvec mogul.Vector
-		aff  float64
 	}
-	octx, ocancel := c.shardCtx(ctx)
-	own, err := hedge(octx, c.shards[loc.shard].Replicas, c.opts.HedgeDelay,
-		func(ctx context.Context, b Backend) (ownerOut, error) {
-			res, qvec, aff, err := b.OwnerSearch(ctx, loc.local, k)
-			return ownerOut{res, qvec, aff}, err
-		})
-	ocancel()
+	own, err := ask(ctx, c, loc.Shard, func(ctx context.Context, b Backend) (out ownerOut, err error) {
+		out.res, out.qvec, out.aff, err = b.OwnerSearch(ctx, loc.Local, k)
+		return out, err
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("dist: owner shard %d: %w", loc.shard, err)
+		return nil, nil, fmt.Errorf("dist: owner shard %d: %w", loc.Shard, err)
 	}
-	lists := []shardList{{shard: loc.shard, items: c.remap(loc.shard, own.res, 1)}}
-	deg.Answered = append(deg.Answered, loc.shard)
-
+	deg := &Degraded{Answered: []int{loc.Shard}, Failed: map[int]error{}}
+	var mg fanout.Merge
+	mg.Reset(len(c.shards))
+	mg.Add(c.ids, loc.Shard, own.res, 1)
 	if len(c.shards) > 1 {
-		others := c.fanOutVector(ctx, own.qvec, k, loc.shard, deg)
-		for _, o := range others {
-			lists = append(lists, shardList{shard: o.shard, items: c.remap(o.shard, o.res, relativeAffinity(o.aff, own.aff))})
-		}
+		c.probe(ctx, own.qvec, k, loc.Shard, deg, &mg)
+		mg.AddProbes(c.ids, own.aff)
 	}
-	sortLists(lists)
-	return merge(k, lists), deg, nil
+	return mg.TopK(k), deg, nil
 }
 
-// vecOut is one non-owner shard's out-of-sample answer.
-type vecOut struct {
-	shard int
-	res   []mogul.Result
-	aff   float64
-}
-
-// fanOutVector probes every shard but skip out-of-sample in parallel,
-// recording failures in deg and returning the successful answers.
-func (c *Coordinator) fanOutVector(ctx context.Context, q mogul.Vector, k, skip int, deg *Degraded) []vecOut {
-	var (
-		wg   sync.WaitGroup
-		omu  sync.Mutex
-		outs []vecOut
-	)
-	for s := range c.shards {
-		if s == skip {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sctx, cancel := c.shardCtx(ctx)
-			defer cancel()
-			type vOut struct {
-				res []mogul.Result
-				aff float64
-			}
-			v, err := hedge(sctx, c.shards[s].Replicas, c.opts.HedgeDelay,
-				func(ctx context.Context, b Backend) (vOut, error) {
-					res, aff, err := b.VectorSearch(ctx, q, k)
-					return vOut{res, aff}, err
-				})
-			omu.Lock()
-			defer omu.Unlock()
-			if err != nil {
-				deg.Failed[s] = err
-				return
-			}
-			deg.Answered = append(deg.Answered, s)
-			outs = append(outs, vecOut{shard: s, res: v.res, aff: v.aff})
-		}(s)
-	}
-	wg.Wait()
-	return outs
-}
-
-// sortLists orders merge inputs by shard so the merge consumes lists
-// in a deterministic order regardless of arrival (the merge itself is
-// order-independent — this keeps any tie-broken internals stable too).
-func sortLists(lists []shardList) {
-	sort.Slice(lists, func(i, j int) bool { return lists[i].shard < lists[j].shard })
-}
-
-// TopKVectorCtx fans an out-of-sample query to every shard, scales
-// each answer by the shard's affinity relative to the best answering
-// shard's, and merges. Failed shards degrade coverage; a query where
-// no shard answered is an error.
+// TopKVectorCtx fans an out-of-sample query to every shard, prices each
+// answer against the best answering shard and merges. Failed shards
+// degrade coverage; a query where no shard answered is an error.
 func (c *Coordinator) TopKVectorCtx(ctx context.Context, q mogul.Vector, k int) ([]mogul.Result, *Degraded, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.ids.RLock()
+	defer c.ids.RUnlock()
 	deg := &Degraded{Failed: map[int]error{}}
-	outs := c.fanOutVector(ctx, q, k, -1, deg)
-	if len(outs) == 0 {
+	var mg fanout.Merge
+	mg.Reset(len(c.shards))
+	c.probe(ctx, q, k, -1, deg, &mg)
+	if len(deg.Answered) == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		return nil, nil, fmt.Errorf("dist: no shard answered: %w", deg.Err())
 	}
-	maxAff := 0.0
-	for _, o := range outs {
-		if o.aff > maxAff {
-			maxAff = o.aff
-		}
-	}
-	lists := make([]shardList, 0, len(outs))
-	for _, o := range outs {
-		scale := 1.0
-		if maxAff > 0 {
-			scale = o.aff / maxAff
-		}
-		lists = append(lists, shardList{shard: o.shard, items: c.remap(o.shard, o.res, scale)})
-	}
-	sortLists(lists)
-	return merge(k, lists), deg, nil
+	mg.AddProbesBest(c.ids)
+	return mg.TopK(k), deg, nil
 }
 
 // TopKSetCtx fans a multi-seed query out: each shard searches the
@@ -617,183 +476,104 @@ func (c *Coordinator) TopKVectorCtx(ctx context.Context, q mogul.Vector, k int) 
 // is missing — reported, not silently absorbed); if every seed-owning
 // shard failed, the query errors.
 func (c *Coordinator) TopKSetCtx(ctx context.Context, seeds []int, k int) ([]mogul.Result, *Degraded, error) {
-	if len(seeds) == 0 {
-		return nil, nil, fmt.Errorf("dist: TopKSet needs at least one seed item")
-	}
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	perShard := make(map[int][]int)
-	for _, seed := range seeds {
-		loc, err := c.locate(seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		perShard[loc.shard] = append(perShard[loc.shard], loc.local)
+	c.ids.RLock()
+	defer c.ids.RUnlock()
+	groups, w, err := c.ids.GroupSeeds(seeds, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
-	w := 1 / float64(len(seeds))
 	deg := &Degraded{Failed: map[int]error{}}
-	var (
-		wg    sync.WaitGroup
-		omu   sync.Mutex
-		lists []shardList
-	)
-	for s, locals := range perShard {
-		wg.Add(1)
-		go func(s int, locals []int) {
-			defer wg.Done()
-			sctx, cancel := c.shardCtx(ctx)
-			defer cancel()
-			res, err := hedge(sctx, c.shards[s].Replicas, c.opts.HedgeDelay,
-				func(ctx context.Context, b Backend) ([]mogul.Result, error) {
-					return b.SetSearch(ctx, locals, w, k)
-				})
-			omu.Lock()
-			defer omu.Unlock()
-			if err != nil {
-				deg.Failed[s] = err
-				return
-			}
-			deg.Answered = append(deg.Answered, s)
-			lists = append(lists, shardList{shard: s, items: c.remap(s, res, 1)})
-		}(s, locals)
-	}
-	wg.Wait()
-	if len(lists) == 0 {
+	var mg fanout.Merge
+	mg.Reset(len(c.shards))
+	askAll(ctx, c, deg, func(s int) bool { return len(groups[s]) > 0 },
+		func(ctx context.Context, b Backend, s int) ([]mogul.Result, error) {
+			return b.SetSearch(ctx, groups[s], w, k)
+		},
+		func(s int, res []mogul.Result) { mg.Add(c.ids, s, res, 1) })
+	if len(deg.Answered) == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		return nil, nil, fmt.Errorf("dist: no seed-owning shard answered: %w", deg.Err())
 	}
-	sortLists(lists)
-	return merge(k, lists), deg, nil
+	return mg.TopK(k), deg, nil
 }
 
 // --- mutations (primary-only, never hedged or retried) ---
 
-// routeInsert picks the least-loaded shard (lowest id wins ties) —
-// the contiguous-partition routing rule of the in-process
-// ShardedIndex. Callers hold mutMu.
-func (c *Coordinator) routeInsert() int {
-	best := 0
-	for s := 1; s < len(c.shards); s++ {
-		if c.live[s] < c.live[best] {
-			best = s
-		}
-	}
-	return best
-}
-
 // InsertCtx routes one insert to the least-loaded shard's primary and
 // returns the new global id.
 func (c *Coordinator) InsertCtx(ctx context.Context, v mogul.Vector) (int, error) {
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-	s := c.routeInsert()
+	c.ids.LockMutators()
+	defer c.ids.UnlockMutators()
+	s := c.ids.LeastLoaded()
 	sctx, cancel := c.shardCtx(ctx)
 	local, err := c.shards[s].Primary().InsertCtx(sctx, v)
 	cancel()
 	if err != nil {
 		return 0, fmt.Errorf("dist: inserting into shard %d: %w", s, err)
 	}
-	c.mu.Lock()
-	g := len(c.locOf)
-	c.locOf = append(c.locOf, shardLoc{shard: s, local: local})
-	c.l2g[s] = append(c.l2g[s], g)
-	c.live[s]++
-	c.mu.Unlock()
-	c.version.Add(1)
+	g := c.ids.Append(s, local)
+	c.ids.Bump()
 	return g, nil
 }
 
 // DeleteCtx tombstones one global id on its owning shard's primary.
 func (c *Coordinator) DeleteCtx(ctx context.Context, id int) error {
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-	loc, err := c.locate(id)
+	c.ids.LockMutators()
+	defer c.ids.UnlockMutators()
+	loc, err := c.ids.Locate(id)
 	if err != nil {
-		return err
+		return fmt.Errorf("dist: %w", err)
 	}
 	sctx, cancel := c.shardCtx(ctx)
-	err = c.shards[loc.shard].Primary().DeleteCtx(sctx, loc.local)
+	err = c.shards[loc.Shard].Primary().DeleteCtx(sctx, loc.Local)
 	cancel()
 	if err != nil {
-		return fmt.Errorf("dist: item %d (shard %d): %w", id, loc.shard, err)
+		return fmt.Errorf("dist: item %d (shard %d): %w", id, loc.Shard, err)
 	}
-	c.live[loc.shard]--
-	c.version.Add(1)
+	c.ids.MarkDeleted(loc.Shard)
+	c.ids.Bump()
 	return nil
 }
 
-// CompactCtx folds every shard's delta in, preserving global ids:
-// before compacting a shard with tombstones, the coordinator
-// snapshots the shard's liveness map and renumbers its id tables the
-// way the shard's own compaction will — the same discipline the
-// in-process ShardedIndex runs, stretched over the network. The
-// fan-out write lock is held across each tombstoned shard's rebuild
-// so no search pairs new shard state with old maps.
+// CompactCtx folds every shard's delta in, preserving global ids
+// (fanout.IDMap.CompactShard, stretched over the network): the fan-out
+// write lock is held across each tombstoned shard's rebuild so no
+// search pairs new shard state with the old map.
 func (c *Coordinator) CompactCtx(ctx context.Context) error {
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-	for s := range c.shards {
-		if err := c.compactShard(ctx, s); err != nil {
+	c.ids.LockMutators()
+	defer c.ids.UnlockMutators()
+	for s, sh := range c.shards {
+		sctx, cancel := c.shardCtx(ctx)
+		err := c.ids.CompactShard(s, backendCompactor{ctx: ctx, sctx: sctx, b: sh.Primary()})
+		cancel()
+		if err != nil {
 			return fmt.Errorf("dist: compacting shard %d: %w", s, err)
 		}
 	}
 	return nil
 }
 
-func (c *Coordinator) compactShard(ctx context.Context, s int) error {
-	primary := c.shards[s].Primary()
-	sctx, cancel := c.shardCtx(ctx)
-	defer cancel()
-	info, err := primary.InfoCtx(sctx)
-	if err != nil {
-		return err
-	}
-	if info.Delta.DeltaItems == 0 && info.Delta.Tombstones == 0 {
-		return nil
-	}
-	if info.Delta.Tombstones == 0 {
-		// Insert-only: local ids survive compaction bit for bit, the
-		// maps stay valid, searches keep running.
-		if err := primary.CompactCtx(ctx); err != nil {
-			return err
-		}
-		c.version.Add(1)
-		return nil
-	}
-	space, deadList, err := primary.AliveMap(sctx)
-	if err != nil {
-		return err
-	}
-	dead := make(map[int]bool, len(deadList))
-	for _, id := range deadList {
-		dead[id] = true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := primary.CompactCtx(ctx); err != nil {
-		return err
-	}
-	old := c.l2g[s]
-	j := 0
-	for local, g := range old {
-		if local < space && !dead[local] {
-			old[j] = g
-			c.locOf[g] = shardLoc{shard: s, local: j}
-			j++
-		} else {
-			c.locOf[g] = shardLoc{shard: -1, local: -1}
-		}
-	}
-	c.l2g[s] = old[:j]
-	c.live[s] = j
-	c.version.Add(1)
-	return nil
+// backendCompactor is a shard primary as fanout's compaction protocol
+// drives it: the two probes run under the per-shard deadline sctx, the
+// rebuild itself only under the caller's ctx.
+type backendCompactor struct {
+	ctx, sctx context.Context
+	b         Backend
 }
+
+func (bc backendCompactor) Pending() (mogul.DeltaStats, error) {
+	info, err := bc.b.InfoCtx(bc.sctx)
+	return info.Delta, err
+}
+
+func (bc backendCompactor) Liveness() (int, []int, error) { return bc.b.AliveMap(bc.sctx) }
+
+func (bc backendCompactor) Compact() error { return bc.b.CompactCtx(bc.ctx) }
 
 // --- the strict mogul.Retriever surface ---
 
@@ -801,15 +581,7 @@ var _ mogul.Retriever = (*Coordinator)(nil)
 
 // Len returns the live item count across all shards (tracked locally;
 // the coordinator is the sole mutator).
-func (c *Coordinator) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	total := 0
-	for _, n := range c.live {
-		total += n
-	}
-	return total
-}
+func (c *Coordinator) Len() int { return c.ids.Len() }
 
 // Exact reports the shard set's scoring mode (captured at
 // construction; every shard is built with the same options).
@@ -819,61 +591,40 @@ func (c *Coordinator) Exact() bool { return c.exact }
 // bumped once per completed coordinator mutation, the stamp a serving
 // layer's result cache keys on. Mutations routed around the
 // coordinator are invisible to it (see the Ownership contract).
-func (c *Coordinator) Version() uint64 { return c.version.Load() }
+func (c *Coordinator) Version() uint64 { return c.ids.Version() }
 
-// Stats aggregates construction statistics across reachable shards,
-// mirroring ShardedIndex.Stats (modularity node-weighted).
+// Stats aggregates construction statistics across reachable shards
+// (modularity node-weighted).
 func (c *Coordinator) Stats() mogul.Stats {
-	var out mogul.Stats
-	var wmod float64
-	for _, sh := range c.shards {
-		info, err := sh.Primary().InfoCtx(context.Background())
-		if err != nil {
-			continue
-		}
-		st := info.Stats
-		out.NumNodes += st.NumNodes
-		out.NumEdges += st.NumEdges
-		out.NumClusters += st.NumClusters
-		out.BorderSize += st.BorderSize
-		out.FactorNNZ += st.FactorNNZ
-		out.ClampedPivots += st.ClampedPivots
-		out.ClusterTime += st.ClusterTime
-		out.PermuteTime += st.PermuteTime
-		out.FactorTime += st.FactorTime
-		wmod += st.Modularity * float64(st.NumNodes)
-	}
-	if out.NumNodes > 0 {
-		out.Modularity = wmod / float64(out.NumNodes)
-	}
-	return out
+	return fanout.SumStats(len(c.shards), func(s int) (mogul.Stats, bool) {
+		info, err := c.shards[s].Primary().InfoCtx(context.Background())
+		return info.Stats, err == nil
+	})
 }
 
 // Delta aggregates the dynamic state across reachable shards.
 func (c *Coordinator) Delta() mogul.DeltaStats {
-	var out mogul.DeltaStats
-	for _, sh := range c.shards {
-		info, err := sh.Primary().InfoCtx(context.Background())
-		if err != nil {
-			continue
-		}
-		out.BaseItems += info.Delta.BaseItems
-		out.DeltaItems += info.Delta.DeltaItems
-		out.Tombstones += info.Delta.Tombstones
+	return fanout.SumDelta(len(c.shards), func(s int) (mogul.DeltaStats, bool) {
+		info, err := c.shards[s].Primary().InfoCtx(context.Background())
+		return info.Delta, err == nil
+	})
+}
+
+// strict turns a degraded-tolerant answer into the Retriever
+// contract: every asked shard must have answered.
+func strict(res []mogul.Result, deg *Degraded, err error) ([]mogul.Result, error) {
+	if err == nil {
+		err = deg.Err()
 	}
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // TopK is TopKCtx requiring every shard to answer.
 func (c *Coordinator) TopK(query, k int) ([]mogul.Result, error) {
-	res, deg, err := c.TopKCtx(context.Background(), query, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := deg.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return strict(c.TopKCtx(context.Background(), query, k))
 }
 
 // TopKWithInfo is TopK; the distributed fan-out does not aggregate
@@ -888,33 +639,19 @@ func (c *Coordinator) TopKWithInfo(query, k int) ([]mogul.Result, *mogul.SearchI
 
 // TopKVector is TopKVectorCtx requiring every shard to answer.
 func (c *Coordinator) TopKVector(q mogul.Vector, k int) ([]mogul.Result, error) {
-	res, deg, err := c.TopKVectorCtx(context.Background(), q, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := deg.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return strict(c.TopKVectorCtx(context.Background(), q, k))
 }
 
 // TopKSet is TopKSetCtx requiring every seed-owning shard to answer.
 func (c *Coordinator) TopKSet(seeds []int, k int) ([]mogul.Result, error) {
-	res, deg, err := c.TopKSetCtx(context.Background(), seeds, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := deg.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return strict(c.TopKSetCtx(context.Background(), seeds, k))
 }
 
 // TopKBatch answers many in-database queries with a bounded worker
-// pool of concurrent fan-outs.
+// pool of concurrent fan-outs (default 4).
 func (c *Coordinator) TopKBatch(queries []int, k, parallelism int) []mogul.BatchResult {
 	out := make([]mogul.BatchResult, len(queries))
-	c.runBatch(len(queries), parallelism, func(i int) {
+	c.forEach(len(queries), parallelism, func(i int) {
 		res, err := c.TopK(queries[i], k)
 		out[i] = mogul.BatchResult{Query: queries[i], Results: res, Err: err}
 	})
@@ -924,73 +661,42 @@ func (c *Coordinator) TopKBatch(queries []int, k, parallelism int) []mogul.Batch
 // TopKVectorBatch answers many out-of-sample queries concurrently.
 func (c *Coordinator) TopKVectorBatch(queries []mogul.Vector, k, parallelism int) []mogul.BatchResult {
 	out := make([]mogul.BatchResult, len(queries))
-	c.runBatch(len(queries), parallelism, func(i int) {
+	c.forEach(len(queries), parallelism, func(i int) {
 		res, err := c.TopKVector(queries[i], k)
 		out[i] = mogul.BatchResult{Query: i, Results: res, Err: err}
 	})
 	return out
 }
 
-func (c *Coordinator) runBatch(n, parallelism int, work func(int)) {
+func (c *Coordinator) forEach(n, parallelism int, work func(int)) {
 	if parallelism <= 0 {
 		parallelism = 4
 	}
-	if parallelism > n {
-		parallelism = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				work(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	fanout.ForEach(n, parallelism, func() func(int) { return work })
 }
 
 // Neighbors returns an item's graph context inside its owning shard,
 // remapped to global ids.
 func (c *Coordinator) Neighbors(item int) (ids []int, weights []float64, err error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, err := c.locate(item)
+	c.ids.RLock()
+	defer c.ids.RUnlock()
+	loc, err := c.ids.Locate(item)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
-	sctx, cancel := c.shardCtx(context.Background())
-	defer cancel()
-	ids, weights, err = hedge2(sctx, c.shards[loc.shard].Replicas, c.opts.HedgeDelay, loc.local)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: item %d (shard %d): %w", item, loc.shard, err)
-	}
-	l2g := c.l2g[loc.shard]
-	for i, local := range ids {
-		if local < len(l2g) {
-			ids[i] = l2g[local]
-		}
-	}
-	return ids, weights, nil
-}
-
-// hedge2 adapts hedge to Neighbors' two-value result.
-func hedge2(ctx context.Context, replicas []Backend, delay time.Duration, local int) ([]int, []float64, error) {
 	type nOut struct {
 		ids []int
 		wts []float64
 	}
-	v, err := hedge(ctx, replicas, delay, func(ctx context.Context, b Backend) (nOut, error) {
-		ids, wts, err := b.NeighborsCtx(ctx, local)
+	n, err := ask(context.Background(), c, loc.Shard, func(ctx context.Context, b Backend) (nOut, error) {
+		ids, wts, err := b.NeighborsCtx(ctx, loc.Local)
 		return nOut{ids, wts}, err
 	})
-	return v.ids, v.wts, err
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: item %d (shard %d): %w", item, loc.Shard, err)
+	}
+	ids, weights = c.ids.Neighbors(loc.Shard, n.ids, n.wts)
+	return ids, weights, nil
 }
 
 // Insert routes one insert (see InsertCtx).
@@ -1013,20 +719,6 @@ func (c *Coordinator) Save(w io.Writer) error {
 // SaveFile is unsupported (see Save).
 func (c *Coordinator) SaveFile(path string) error { return c.Save(nil) }
 
-// coordQuerier delegates to the coordinator: per-query scratch lives
+// NewQuerier returns the coordinator itself: per-query scratch lives
 // shard-side, so there is nothing to pin per worker.
-type coordQuerier struct{ c *Coordinator }
-
-func (q coordQuerier) TopK(query, k int) ([]mogul.Result, error) { return q.c.TopK(query, k) }
-func (q coordQuerier) TopKWithInfo(query, k int) ([]mogul.Result, *mogul.SearchInfo, error) {
-	return q.c.TopKWithInfo(query, k)
-}
-func (q coordQuerier) TopKVector(v mogul.Vector, k int) ([]mogul.Result, error) {
-	return q.c.TopKVector(v, k)
-}
-func (q coordQuerier) TopKSet(seeds []int, k int) ([]mogul.Result, error) {
-	return q.c.TopKSet(seeds, k)
-}
-
-// NewQuerier returns a Querier delegating to the coordinator.
-func (c *Coordinator) NewQuerier() mogul.Querier { return coordQuerier{c} }
+func (c *Coordinator) NewQuerier() mogul.Querier { return c }

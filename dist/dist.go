@@ -18,13 +18,11 @@
 //
 //   - Coordinator serves one global id space over a set of shards —
 //     each local (an index in this process) or remote (a Client) —
-//     with the exact affinity-weighted fan-out/merge the in-process
-//     ShardedIndex runs: the owner shard answers in-database at full
-//     weight, every other shard is probed out-of-sample with the
-//     query's vector and scaled by its kernel affinity relative to
-//     the owner's. On the same contiguous partition its exact-mode
-//     rankings are bit-identical to the ShardedIndex oracle
-//     (dist/equivalence_test.go pins this). Context-taking search
+//     through the same internal/fanout policy (id map, scoring and
+//     merge model, routing, compaction renumbering) the in-process
+//     ShardedIndex runs, so on the same contiguous partition its
+//     exact-mode rankings are bit-identical to the ShardedIndex
+//     oracle (dist/equivalence_test.go pins this). Context-taking search
 //     variants tolerate shard failures and report degraded coverage;
 //     the strict Retriever surface fails instead.
 //
@@ -37,63 +35,30 @@
 package dist
 
 import (
-	"fmt"
-
 	"mogul"
+	"mogul/internal/fanout"
 )
 
 // BuildShardIndexes partitions points into s contiguous shards and
-// builds one independent index per shard with exactly the recipe
-// BuildSharded(points, opts, ShardOptions{Shards: s}) uses: shard i
+// builds one independent index per shard: the shards and partition of
+// mogul.BuildSharded(points, opts, ShardOptions{Shards: s}) — shard i
 // holds the points with global ids in [i*n/s, (i+1)*n/s), per-shard
-// auto-compaction is disabled (the coordinator owns compaction, as
-// the sharded layer does), and one heat-kernel bandwidth — estimated
-// over the full dataset — is pinned across all shards. A Coordinator
+// auto-compaction is disabled (the coordinator owns compaction), and
+// one heat-kernel bandwidth is pinned across all shards. A Coordinator
 // over the returned indexes therefore serves bit-identical exact-mode
 // rankings to the in-process ShardedIndex on the same partition.
 //
 // The returned partition lists each shard's global ids in local-id
 // order; pass it to NewCoordinator.
 func BuildShardIndexes(points []mogul.Vector, opts mogul.Options, s int) ([]*mogul.Index, [][]int, error) {
-	if s <= 0 {
-		s = 1
+	six, err := mogul.BuildSharded(points, opts, mogul.ShardOptions{Shards: s})
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(points) < 2*s {
-		return nil, nil, fmt.Errorf("dist: %d shards need at least %d points, got %d", s, 2*s, len(points))
-	}
-	partition := ContiguousPartition(len(points), s)
-	shardOpts := opts
-	shardOpts.AutoCompactFraction = 0
-	if s > 1 && shardOpts.Sigma == 0 {
-		k := shardOpts.GraphK
-		if k <= 0 {
-			k = 5
-		}
-		shardOpts.Sigma = mogul.EstimateSigma(points, k)
-	}
-	idxs := make([]*mogul.Index, s)
-	for sh, members := range partition {
-		pts := make([]mogul.Vector, len(members))
-		for i, g := range members {
-			pts[i] = points[g]
-		}
-		ix, err := mogul.Build(pts, shardOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dist: building shard %d: %w", sh, err)
-		}
-		idxs[sh] = ix
-	}
-	return idxs, partition, nil
+	return six.Shards(), six.Partition(), nil
 }
 
 // ContiguousPartition returns the contiguous s-way split of n global
 // ids BuildSharded's PartitionContiguous derives: shard i holds ids
 // [i*n/s, (i+1)*n/s) in order.
-func ContiguousPartition(n, s int) [][]int {
-	partition := make([][]int, s)
-	for g := 0; g < n; g++ {
-		sh := g * s / n
-		partition[sh] = append(partition[sh], g)
-	}
-	return partition
-}
+func ContiguousPartition(n, s int) [][]int { return fanout.ContiguousPartition(n, s) }

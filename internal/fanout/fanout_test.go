@@ -1,0 +1,369 @@
+package fanout
+
+import (
+	"math/rand"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"mogul/internal/core"
+)
+
+// fakeShard is the smallest shard the id map can be driven against: a
+// liveness bitmap over its local id space whose Compact closes ranks.
+type fakeShard struct {
+	alive []bool
+	base  int // slots that were present at the last compaction
+}
+
+func (f *fakeShard) Pending() (core.DeltaStats, error) {
+	d := core.DeltaStats{BaseItems: f.base}
+	for local, a := range f.alive {
+		switch {
+		case !a:
+			d.Tombstones++
+		case local >= f.base:
+			d.DeltaItems++
+		}
+	}
+	return d, nil
+}
+
+func (f *fakeShard) Liveness() (space int, dead []int, err error) {
+	for local, a := range f.alive {
+		if !a {
+			dead = append(dead, local)
+		}
+	}
+	return len(f.alive), dead, nil
+}
+
+func (f *fakeShard) Compact() error {
+	f.alive = slices.DeleteFunc(f.alive, func(a bool) bool { return !a })
+	f.base = len(f.alive)
+	return nil
+}
+
+// TestIDMapAgainstOracle drives random Insert/Delete/Compact sequences
+// through the map and a naive map[int]Loc oracle: Locate and the
+// local->global tables round-trip, compaction preserves the relative
+// order of survivors, a retired id never resolves again, live counts
+// and routing match, and the version only moves forward.
+func TestIDMapAgainstOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shards := 1 + rng.Intn(4)
+		n := 2*shards + rng.Intn(20)
+		m, err := New(ContiguousPartition(n, shards), n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fakes := make([]*fakeShard, shards)
+		oracle := map[int]Loc{} // every id that still resolves
+		dead := map[int]bool{}  // tombstoned, awaiting compaction
+		retiredIDs := map[int]bool{}
+		for s := range fakes {
+			size := len(m.Locals(s))
+			fakes[s] = &fakeShard{alive: slices.Repeat([]bool{true}, size), base: size}
+			for local, g := range m.Locals(s) {
+				oracle[g] = Loc{Shard: s, Local: local}
+			}
+		}
+		liveOf := func(s int) int {
+			c := 0
+			for _, a := range fakes[s].alive {
+				if a {
+					c++
+				}
+			}
+			return c
+		}
+		check := func(op string) {
+			t.Helper()
+			total := 0
+			for s := range fakes {
+				total += liveOf(s)
+				if got := len(m.Locals(s)); got != len(fakes[s].alive) {
+					t.Fatalf("seed %d after %s: shard %d table covers %d slots, shard has %d", seed, op, s, got, len(fakes[s].alive))
+				}
+			}
+			if m.Len() != total {
+				t.Fatalf("seed %d after %s: Len %d, oracle %d", seed, op, m.Len(), total)
+			}
+			for g := 0; g < m.Globals(); g++ {
+				loc, err := m.Locate(g)
+				want, ok := oracle[g]
+				if ok != (err == nil) || (ok && loc != want) {
+					t.Fatalf("seed %d after %s: Locate(%d) = %v, %v; oracle %v, %v", seed, op, g, loc, err, want, ok)
+				}
+				if ok && m.Locals(loc.Shard)[loc.Local] != g {
+					t.Fatalf("seed %d after %s: id %d does not round-trip through shard %d's table", seed, op, g, loc.Shard)
+				}
+				if retiredIDs[g] && err == nil {
+					t.Fatalf("seed %d after %s: retired id %d resolves again", seed, op, g)
+				}
+			}
+			if _, err := m.Locate(m.Globals()); err == nil {
+				t.Fatalf("seed %d after %s: id past the id space resolves", seed, op)
+			}
+		}
+		check("construction")
+		for step := 0; step < 200; step++ {
+			before := m.Version()
+			m.LockMutators()
+			switch r := rng.Intn(10); {
+			case r < 5: // insert
+				want := 0
+				for s := range fakes {
+					if liveOf(s) < liveOf(want) {
+						want = s
+					}
+				}
+				s := m.LeastLoaded()
+				if s != want {
+					t.Fatalf("seed %d: LeastLoaded %d, oracle %d", seed, s, want)
+				}
+				local := len(fakes[s].alive)
+				fakes[s].alive = append(fakes[s].alive, true)
+				g := m.Append(s, local)
+				if _, seen := oracle[g]; seen || retiredIDs[g] || g != m.Globals()-1 {
+					t.Fatalf("seed %d: Append reused global id %d", seed, g)
+				}
+				oracle[g] = Loc{Shard: s, Local: local}
+				m.Bump()
+			case r < 8: // delete a live item, keeping one per shard
+				g := rng.Intn(m.Globals())
+				loc, ok := oracle[g]
+				if !ok || dead[g] || liveOf(loc.Shard) < 2 {
+					break
+				}
+				fakes[loc.Shard].alive[loc.Local] = false
+				dead[g] = true
+				m.MarkDeleted(loc.Shard)
+				m.Bump()
+			default: // compact one shard
+				s := rng.Intn(shards)
+				d, _ := fakes[s].Pending()
+				// Survivors in old local order are the new local order.
+				survivors := []int{}
+				for _, g := range m.Locals(s) {
+					if dead[g] {
+						delete(oracle, g)
+						delete(dead, g)
+						retiredIDs[g] = true
+					} else {
+						survivors = append(survivors, g)
+					}
+				}
+				if err := m.CompactShard(s, fakes[s]); err != nil {
+					t.Fatal(err)
+				}
+				for local, g := range survivors {
+					oracle[g] = Loc{Shard: s, Local: local}
+				}
+				if !slices.Equal(m.Locals(s), survivors) {
+					t.Fatalf("seed %d: shard %d table %v after compaction, want survivors in order %v", seed, s, m.Locals(s), survivors)
+				}
+				if pending := d.DeltaItems+d.Tombstones > 0; pending != (m.Version() == before+1) {
+					t.Fatalf("seed %d: %+v pending but version %d -> %d", seed, d, before, m.Version())
+				}
+			}
+			m.UnlockMutators()
+			if m.Version() < before {
+				t.Fatalf("seed %d: version went backwards", seed)
+			}
+			check("step")
+		}
+	}
+}
+
+// TestNewRejects is the one construction rejection table; BuildSharded,
+// LoadSharded and NewCoordinator all construct through New.
+func TestNewRejects(t *testing.T) {
+	dense := func(sizes ...int) []Shape {
+		out := make([]Shape, len(sizes))
+		for i, n := range sizes {
+			out[i] = Shape{Space: n, Live: n}
+		}
+		return out
+	}
+	cases := []struct {
+		name      string
+		partition [][]int
+		globals   int
+		shapes    []Shape
+		want      string // "" accepts
+	}{
+		{"dense", [][]int{{0, 1}, {2, 3}}, 4, nil, ""},
+		{"non-monotone (k-means) tables", [][]int{{3, 0}, {2, 1}}, 4, dense(2, 2), ""},
+		{"retired ids beyond the mapped slots", [][]int{{0, 1}, {4, 5}}, 6, nil, ""},
+		{"tombstoned slot still mapped", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 1}, {2, 2}}, ""},
+		{"no shards", nil, 0, nil, "no shards"},
+		{"duplicate global id", [][]int{{0, 1}, {1, 2}}, 4, nil, "assigned to shards 0 and 1"},
+		{"duplicate inside one shard", [][]int{{0, 0}, {1, 2}}, 4, nil, "assigned to shards 0 and 0"},
+		{"id past the id space", [][]int{{0, 1}, {2, 4}}, 4, nil, "outside [0,4)"},
+		{"negative id", [][]int{{0, -1}, {2, 3}}, 4, nil, "outside [0,4)"},
+		// With globals == mapped slots a missing id leaves a slot over
+		// that must collide or overflow: here 2 is missing, so 4 overflows.
+		{"id missing", [][]int{{0, 1}, {3, 4}}, 4, nil, "outside [0,4)"},
+		{"fewer global ids than slots", [][]int{{0, 1}, {2, 3}}, 3, nil, "3 global ids for 4 shard slots"},
+		{"table shorter than the shard's id space", [][]int{{0, 1}, {2}}, 3, dense(2, 2), "covers 1 slots, shard has 2"},
+		{"table longer than the shard's id space", [][]int{{0, 1}, {2, 3}}, 4, dense(2, 1), "covers 2 slots, shard has 1"},
+		{"more live items than slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 3}, {2, 2}}, "3 live items in 2 slots"},
+		{"shape count", [][]int{{0, 1}, {2, 3}}, 4, dense(2), "1 shards with 2 partition groups"},
+	}
+	for _, c := range cases {
+		m, err := New(c.partition, c.globals, c.shapes)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		case c.want == "" && m.Version() != 1:
+			t.Errorf("%s: fresh map at version %d", c.name, m.Version())
+		}
+	}
+	m, err := New([][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 1}, {2, 2}})
+	if err != nil || m.Len() != 3 || m.LeastLoaded() != 0 {
+		t.Fatalf("shapes must supply the live counts: Len %d, LeastLoaded %d, err %v", m.Len(), m.LeastLoaded(), err)
+	}
+}
+
+// TestScaleRules pins the edge cases of the two pricing rules through
+// the merge they feed.
+func TestScaleRules(t *testing.T) {
+	for _, c := range []struct{ aff, own, want float64 }{
+		{0.2, 0.8, 0.25}, // the common case: aff/own
+		{0.8, 0.8, 1},    // aff == own
+		{0.9, 0.8, 1},    // aff > own clamps: a probe never outweighs the owner
+		{0.3, 0, 0.3},    // owner affinity underflowed: absolute affinity
+		{0, 0, 0},
+	} {
+		if got := RelativeAffinity(c.aff, c.own); got != c.want {
+			t.Errorf("RelativeAffinity(%g, %g) = %g, want %g", c.aff, c.own, got, c.want)
+		}
+	}
+
+	m, err := New([][]int{{0, 1}, {2, 3}, {4, 5}}, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(local int, score float64) []core.Result { return []core.Result{{Node: local, Score: score}} }
+	scores := func(res []core.Result) map[int]float64 {
+		out := map[int]float64{}
+		for _, r := range res {
+			out[r.Node] = r.Score
+		}
+		return out
+	}
+	var mg Merge
+
+	// In-database query: owner at face value, probes owner-relative.
+	mg.Reset(3)
+	mg.Add(m, 0, one(0, 1), 1)
+	mg.Probe(1, one(0, 1), 0.25)
+	mg.Probe(2, one(0, 1), 2)
+	mg.AddProbes(m, 0.5)
+	if got := scores(mg.TopK(10)); got[0] != 1 || got[2] != 0.5 || got[4] != 1 {
+		t.Errorf("owner-relative scores %v, want id0=1 id2=0.5 id4=1 (clamped)", got)
+	}
+	// Ties merge by ascending global id.
+	if res := mg.TopK(2); res[0].Node != 0 || res[1].Node != 4 {
+		t.Errorf("tie order %v, want ids 0 then 4", res)
+	}
+
+	// Out-of-sample query: best-shard-relative.
+	mg.Reset(3)
+	mg.Probe(0, one(1, 1), 0.1)
+	mg.Probe(2, one(1, 1), 0.4)
+	mg.AddProbesBest(m)
+	if got := scores(mg.TopK(10)); got[1] != 0.25 || got[5] != 1 {
+		t.Errorf("best-relative scores %v, want id1=0.25 id5=1", got)
+	}
+
+	// Every shard equally remote (all affinities 0): unscaled.
+	mg.Reset(3)
+	mg.Probe(0, one(0, 0.7), 0)
+	mg.Probe(1, one(0, 0.9), 0)
+	mg.AddProbesBest(m)
+	if got := scores(mg.TopK(10)); got[0] != 0.7 || got[2] != 0.9 {
+		t.Errorf("all-zero affinities must merge unscaled, got %v", got)
+	}
+
+	// A local id the map does not cover (an insert that has not reached
+	// it, or a corrupt remote answer) is skipped, never indexed.
+	mg.Reset(3)
+	mg.Add(m, 1, []core.Result{{Node: 2, Score: 9}, {Node: -1, Score: 9}, {Node: 1, Score: 0.5}}, 1)
+	if res := mg.TopK(10); len(res) != 1 || res[0].Node != 3 {
+		t.Errorf("uncovered local ids must be skipped, got %v", res)
+	}
+	ids, ws := m.Neighbors(1, []int{1, 7, 0}, []float64{0.1, 0.2, 0.3})
+	if !slices.Equal(ids, []int{3, 2}) || !slices.Equal(ws, []float64{0.1, 0.3}) {
+		t.Errorf("Neighbors remap = %v %v, want [3 2] [0.1 0.3]", ids, ws)
+	}
+}
+
+// TestGroupSeeds: seeds group by owner in input order at weight 1/n;
+// an unknown seed fails the whole query.
+func TestGroupSeeds(t *testing.T) {
+	m, err := New([][]int{{0, 1}, {2, 3}, {4, 5}}, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, w, err := m.GroupSeeds([]int{5, 0, 4, 1}, nil)
+	if err != nil || w != 0.25 {
+		t.Fatalf("weight %g, err %v", w, err)
+	}
+	want := [][]int{{0, 1}, {}, {1, 0}}
+	for s := range want {
+		if !slices.Equal(groups[s], want[s]) {
+			t.Fatalf("groups %v, want %v", groups, want)
+		}
+	}
+	if _, _, err := m.GroupSeeds(nil, groups); err == nil {
+		t.Fatal("empty seed set accepted")
+	}
+	if _, _, err := m.GroupSeeds([]int{0, 6}, groups); err == nil {
+		t.Fatal("unknown seed accepted")
+	}
+}
+
+// TestForEach: every item runs exactly once, on at most the requested
+// number of workers, each with its own state.
+func TestForEach(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{0, 4}, {1, 4}, {100, 3}, {7, 0}} {
+		hits := make([]atomic.Int32, c.n)
+		var started atomic.Int32
+		ForEach(c.n, c.workers, func() func(int) {
+			started.Add(1)
+			return func(i int) { hits[i].Add(1) }
+		})
+		for i := range hits {
+			if hits[i].Load() != 1 {
+				t.Fatalf("n=%d workers=%d: item %d ran %d times", c.n, c.workers, i, hits[i].Load())
+			}
+		}
+		if c.workers > 0 && int(started.Load()) > min(c.workers, c.n) {
+			t.Fatalf("n=%d workers=%d: %d workers started", c.n, c.workers, started.Load())
+		}
+	}
+}
+
+// TestSums: unreachable shards are left out and modularity is the
+// node-weighted mean.
+func TestSums(t *testing.T) {
+	stats := []core.Stats{{NumNodes: 10, Modularity: 0.2}, {NumNodes: 999}, {NumNodes: 30, Modularity: 0.6}}
+	st := SumStats(3, func(s int) (core.Stats, bool) { return stats[s], s != 1 })
+	if st.NumNodes != 40 || st.Modularity != (10*0.2+30*0.6)/40 {
+		t.Fatalf("SumStats = %+v", st)
+	}
+	d := SumDelta(3, func(s int) (core.DeltaStats, bool) {
+		return core.DeltaStats{BaseItems: 5, DeltaItems: s, Tombstones: 1}, s != 1
+	})
+	if d != (core.DeltaStats{BaseItems: 10, DeltaItems: 2, Tombstones: 2}) {
+		t.Fatalf("SumDelta = %+v", d)
+	}
+}

@@ -422,18 +422,21 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	s.mutateMu.Lock()
 	baseBefore := s.idx.Delta().BaseItems
 	id, err := s.idx.Insert(req.Vector)
-	if err == nil && s.idx.Delta().BaseItems != baseBefore {
+	if err != nil {
+		s.mutateMu.Unlock()
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// One post-insert snapshot serves the check below and the response:
+	// on a coordinator every Delta is a round trip per shard.
+	ds := s.idx.Delta()
+	if ds.BaseItems != baseBefore {
 		// The insert auto-compacted (AutoCompactFraction, e.g. restored
 		// from a loaded index's build config). If deletions were folded
 		// in, ids were renumbered and the label table is stale.
 		s.dropLabelsAfterRenumber()
 	}
 	s.mutateMu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ds := s.idx.Delta()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"id":          id,
 		"items":       s.idx.Len(),

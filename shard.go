@@ -37,12 +37,11 @@ package mogul
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"mogul/internal/core"
+	"mogul/internal/fanout"
 	"mogul/internal/kmeans"
 	"mogul/internal/topk"
 	"mogul/internal/vec"
@@ -78,50 +77,40 @@ type ShardOptions struct {
 	Parallelism int
 }
 
-// shardLoc addresses one item inside the shard set: the owning shard
-// and the item's shard-local id. shard < 0 marks a global id whose
-// item was deleted and compacted away (the id is never reused).
-type shardLoc struct {
-	shard, local int
-}
-
 // ShardedIndex is a set of per-shard Mogul indexes behind one global
 // id space, built by BuildSharded or LoadSharded. It serves the same
 // query surface as Index (it implements Retriever) and is safe for
-// concurrent use: searches fan out under a read lock while
-// Insert/Delete/Compact maintain the id maps under the write lock.
+// concurrent use: searches fan out under the id map's read lock while
+// Insert/Delete/Compact change the map under its write lock.
 type ShardedIndex struct {
-	// mu guards locOf and l2g, and freezes them relative to the shard
-	// states: fan-out searches hold it in read mode for the whole
-	// query, and the two mutations that change the local<->global
-	// correspondence (Insert's append, Compact's renumbering after
-	// deletions) run under the write lock.
-	mu sync.RWMutex
-	// mutMu serializes mutators, mirroring Index.compactMu.
-	mutMu sync.Mutex
+	// ids is the global id space with its locks and version: fan-out
+	// searches hold its read lock for the whole query, mutators and Save
+	// its mutator lock.
+	ids *fanout.IDMap
 
 	shards      []*Index
 	part        Partitioner
 	centroids   []Vector // k-means routing centroids; nil for contiguous
 	autoCompact float64  // sharded-level auto-compaction fraction
 
-	// locOf maps a global id to its owning shard and shard-local id;
-	// l2g is the inverse, one dense table per shard covering the
-	// shard's whole local id space (live and tombstoned slots alike).
-	locOf []shardLoc
-	l2g   [][]int
-
 	// searchers recycles ShardedSearchers for the pool-based entry
 	// points (TopK etc.), mirroring the per-Index scratch pool.
 	searchers sync.Pool
+}
 
-	// version counts completed sharded mutations (Insert/Delete/
-	// Compact), bumped only after both the shard state AND the id maps
-	// are final. It deliberately is not the sum of the shard versions:
-	// a shard bumps mid-Insert, before the global id maps cover the new
-	// item, and a result cache stamping that intermediate value could
-	// serve the map-less ranking as current. See Version.
-	version atomic.Uint64
+// newShardedIndex puts shards behind the global id space partition
+// describes (partition[s] lists shard s's global ids in local order),
+// cross-checking every table against its shard's own id space.
+func newShardedIndex(shards []*Index, partition [][]int, globals int, part Partitioner, centroids []Vector, autoCompact float64) (*ShardedIndex, error) {
+	shapes := make([]fanout.Shape, len(shards))
+	for s, sh := range shards {
+		shapes[s] = fanout.Shape{Space: sh.IDSpace(), Live: sh.Len()}
+	}
+	ids, err := fanout.New(partition, globals, shapes)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: %w", err)
+	}
+	return &ShardedIndex{ids: ids, shards: shards, part: part, centroids: centroids, autoCompact: autoCompact}, nil
 }
 
 // BuildSharded partitions the dataset into sopts.Shards shards, builds
@@ -138,13 +127,9 @@ func BuildSharded(points []Vector, opts Options, sopts ShardOptions) (*ShardedIn
 	if len(points) < 2*s {
 		return nil, fmt.Errorf("mogul: %d shards need at least %d points, got %d", s, 2*s, len(points))
 	}
-	assign, centroids, err := partitionPoints(points, s, sopts.Partitioner, opts.Seed)
+	members, centroids, err := partitionPoints(points, s, sopts.Partitioner, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("mogul: partitioning: %w", err)
-	}
-	members := make([][]int, s)
-	for g, sh := range assign {
-		members[sh] = append(members[sh], g)
 	}
 
 	// Shards never auto-compact on their own: a shard-internal
@@ -169,54 +154,21 @@ func BuildSharded(points []Vector, opts Options, sopts ShardOptions) (*ShardedIn
 
 	shards := make([]*Index, s)
 	errs := make([]error, s)
-	workers := sopts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s {
-		workers = s
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range next {
-				pts := make([]Vector, len(members[sh]))
-				for i, g := range members[sh] {
-					pts[i] = points[g]
-				}
-				shards[sh], errs[sh] = Build(pts, shardOpts)
+	fanout.ForEach(s, sopts.Parallelism, func() func(int) {
+		return func(sh int) {
+			pts := make([]Vector, len(members[sh]))
+			for i, g := range members[sh] {
+				pts[i] = points[g]
 			}
-		}()
-	}
-	for sh := 0; sh < s; sh++ {
-		next <- sh
-	}
-	close(next)
-	wg.Wait()
+			shards[sh], errs[sh] = Build(pts, shardOpts)
+		}
+	})
 	for sh, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("mogul: building shard %d: %w", sh, err)
 		}
 	}
-
-	six := &ShardedIndex{
-		shards:      shards,
-		part:        sopts.Partitioner,
-		centroids:   centroids,
-		autoCompact: opts.AutoCompactFraction,
-		locOf:       make([]shardLoc, len(points)),
-		l2g:         members,
-	}
-	for sh, m := range members {
-		for local, g := range m {
-			six.locOf[g] = shardLoc{shard: sh, local: local}
-		}
-	}
-	six.version.Store(1)
-	return six, nil
+	return newShardedIndex(shards, members, len(points), sopts.Partitioner, centroids, opts.AutoCompactFraction)
 }
 
 // EstimateSigma estimates the heat-kernel bandwidth a single Build
@@ -238,41 +190,26 @@ func EstimateSigma(points []Vector, k int) float64 {
 	// otherwise parallel sharded build.
 	dists := make([]float64, m*k)
 	counts := make([]int, m)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			coll := topk.New(k)
-			for si := range next {
-				i := si * n / m
-				coll.Reset(k)
-				for j, p := range points {
-					if j == i {
-						continue
-					}
-					// Negated squared distances: "largest score"
-					// selects the nearest, as the k-NN searchers do.
-					coll.Offer(j, -vec.SquaredEuclidean(points[i], p))
+	fanout.ForEach(m, 0, func() func(int) {
+		coll := topk.New(k)
+		return func(si int) {
+			i := si * n / m
+			coll.Reset(k)
+			for j, p := range points {
+				if j == i {
+					continue
 				}
-				drained := coll.Drain()
-				for t, it := range drained {
-					dists[si*k+t] = math.Sqrt(-it.Score)
-				}
-				counts[si] = len(drained)
+				// Negated squared distances: "largest score"
+				// selects the nearest, as the k-NN searchers do.
+				coll.Offer(j, -vec.SquaredEuclidean(points[i], p))
 			}
-		}()
-	}
-	for si := 0; si < m; si++ {
-		next <- si
-	}
-	close(next)
-	wg.Wait()
+			drained := coll.Drain()
+			for t, it := range drained {
+				dists[si*k+t] = math.Sqrt(-it.Score)
+			}
+			counts[si] = len(drained)
+		}
+	})
 	// Compact out the unfilled tail slots of rows with fewer than k
 	// other points (tiny datasets), keeping every real distance —
 	// zeros from duplicate points included, as BuildGraph's own
@@ -291,18 +228,14 @@ func EstimateSigma(points []Vector, k int) float64 {
 	return sigma
 }
 
-// partitionPoints computes the shard assignment (and, for k-means, the
-// routing centroids) for s shards. Every shard is guaranteed at least
-// two points, the Build minimum.
-func partitionPoints(points []Vector, s int, p Partitioner, seed int64) ([]int, []Vector, error) {
+// partitionPoints computes the partition for s shards — each shard's
+// point ids, ascending — and, for k-means, the routing centroids. Every
+// shard is guaranteed at least two points, the Build minimum.
+func partitionPoints(points []Vector, s int, p Partitioner, seed int64) ([][]int, []Vector, error) {
 	n := len(points)
 	switch p {
 	case PartitionContiguous:
-		assign := make([]int, n)
-		for i := range assign {
-			assign[i] = i * s / n
-		}
-		return assign, nil, nil
+		return fanout.ContiguousPartition(n, s), nil, nil
 	case PartitionKMeans:
 		km, err := kmeans.Run(points, kmeans.Config{K: s, Seed: seed})
 		if err != nil {
@@ -342,26 +275,28 @@ func partitionPoints(points []Vector, s int, p Partitioner, seed int64) ([]int, 
 				counts[donor]--
 			}
 		}
-		return assign, km.Centroids, nil
+		members := make([][]int, s)
+		for g, sh := range assign {
+			members[sh] = append(members[sh], g)
+		}
+		return members, km.Centroids, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown partitioner %d", p)
 	}
 }
 
-// locate resolves a global id. Callers hold mu (any mode) or mutMu.
-func (six *ShardedIndex) locate(id int) (shardLoc, error) {
-	if id < 0 || id >= len(six.locOf) {
-		return shardLoc{}, fmt.Errorf("mogul: item %d outside [0,%d)", id, len(six.locOf))
-	}
-	loc := six.locOf[id]
-	if loc.shard < 0 {
-		return shardLoc{}, fmt.Errorf("mogul: item %d is deleted", id)
-	}
-	return loc, nil
-}
-
 // NumShards returns the shard count S (fixed for the index lifetime).
 func (six *ShardedIndex) NumShards() int { return len(six.shards) }
+
+// Shards returns the per-shard indexes in shard order. They stay owned
+// by the sharded index: mutating one directly desynchronizes the global
+// id space, so either keep mutating through the ShardedIndex or stop
+// using it (dist.BuildShardIndexes hands them to shard servers).
+func (six *ShardedIndex) Shards() []*Index { return slices.Clone(six.shards) }
+
+// Partition returns every shard's global ids in shard-local order — the
+// argument dist.NewCoordinator takes.
+func (six *ShardedIndex) Partition() [][]int { return six.ids.Partition() }
 
 // ShardLens returns the live item count of every shard — the balance
 // the partitioner achieved.
@@ -389,45 +324,22 @@ func (six *ShardedIndex) Exact() bool { return six.shards[0].Exact() }
 // Version returns the sharded index's monotonic mutation version,
 // mirroring Index.Version: it starts at 1 and increases on every
 // completed Insert, Delete, and Compact. The bump lands only once the
-// mutation is fully visible — shard state and global id maps both —
-// so version-stamped caches never capture the transient window where a
-// shard already answers with an item the maps cannot yet name.
-func (six *ShardedIndex) Version() uint64 { return six.version.Load() }
+// mutation is fully visible — shard state and global id map both — so
+// version-stamped caches never capture the transient window where a
+// shard already answers with an item the map cannot yet name. It
+// deliberately is not the sum of the shard versions: a shard bumps
+// mid-Insert, before the map covers the new item.
+func (six *ShardedIndex) Version() uint64 { return six.ids.Version() }
 
 // Stats aggregates construction statistics across shards: counts and
 // times sum, modularity is the node-weighted mean.
 func (six *ShardedIndex) Stats() Stats {
-	var out Stats
-	var wmod float64
-	for _, sh := range six.shards {
-		st := sh.Stats()
-		out.NumNodes += st.NumNodes
-		out.NumEdges += st.NumEdges
-		out.NumClusters += st.NumClusters
-		out.BorderSize += st.BorderSize
-		out.FactorNNZ += st.FactorNNZ
-		out.ClampedPivots += st.ClampedPivots
-		out.ClusterTime += st.ClusterTime
-		out.PermuteTime += st.PermuteTime
-		out.FactorTime += st.FactorTime
-		wmod += st.Modularity * float64(st.NumNodes)
-	}
-	if out.NumNodes > 0 {
-		out.Modularity = wmod / float64(out.NumNodes)
-	}
-	return out
+	return fanout.SumStats(len(six.shards), func(s int) (Stats, bool) { return six.shards[s].Stats(), true })
 }
 
 // Delta aggregates the dynamic state across shards.
 func (six *ShardedIndex) Delta() DeltaStats {
-	var out DeltaStats
-	for _, sh := range six.shards {
-		d := sh.Delta()
-		out.BaseItems += d.BaseItems
-		out.DeltaItems += d.DeltaItems
-		out.Tombstones += d.Tombstones
-	}
-	return out
+	return fanout.SumDelta(len(six.shards), func(s int) (DeltaStats, bool) { return six.shards[s].Delta(), true })
 }
 
 // Neighbors returns an item's graph context inside its owning shard,
@@ -435,43 +347,32 @@ func (six *ShardedIndex) Delta() DeltaStats {
 // list of a boundary item reflects the shard's view of the manifold,
 // not the global one.
 func (six *ShardedIndex) Neighbors(item int) (ids []int, weights []float64, err error) {
-	six.mu.RLock()
-	defer six.mu.RUnlock()
-	loc, err := six.locate(item)
+	six.ids.RLock()
+	defer six.ids.RUnlock()
+	loc, err := six.ids.Locate(item)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("mogul: %w", err)
 	}
-	ids, weights, err = six.shards[loc.shard].Neighbors(loc.local)
+	ids, weights, err = six.shards[loc.Shard].Neighbors(loc.Local)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", item, loc.shard, err)
+		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", item, loc.Shard, err)
 	}
-	l2g := six.l2g[loc.shard]
-	for i, local := range ids {
-		ids[i] = l2g[local]
-	}
+	ids, weights = six.ids.Neighbors(loc.Shard, ids, weights)
 	return ids, weights, nil
 }
 
 // ShardedSearcher is the per-worker reusable query engine of a
 // ShardedIndex: it pins one Searcher (and therefore one scratch
-// workspace) to every shard plus the merge buffers, so a steady-state
+// workspace) to every shard plus the merge scratch, so a steady-state
 // fan-out search allocates only the S per-shard result slices and the
 // merged output. Not safe for concurrent use — one per goroutine.
 type ShardedSearcher struct {
 	six *ShardedIndex
 	srs []*Searcher
 
-	// Merge scratch: items backs the remapped per-shard candidate
-	// lists; merged receives the k-way merge; seeds expands TopKSet;
-	// resBuf/affBuf stage per-shard results and affinities when every
-	// shard must answer before the scales are known (TopKVector).
-	merger topk.Merger
-	lists  [][]topk.Item
-	items  []topk.Item
-	merged []topk.Item
-	seeds  []core.WeightedQuery
-	resBuf [][]Result
-	affBuf []float64
+	merge  fanout.Merge
+	groups [][]int              // TopKSet: local seeds per shard
+	seeds  []core.WeightedQuery // TopKSet: one shard's weighted seeds
 	info   SearchInfo
 }
 
@@ -481,7 +382,7 @@ func (six *ShardedIndex) NewSearcher() *ShardedSearcher {
 	for s, sh := range six.shards {
 		srs[s] = sh.NewSearcher()
 	}
-	return &ShardedSearcher{six: six, srs: srs, lists: make([][]topk.Item, len(six.shards))}
+	return &ShardedSearcher{six: six, srs: srs}
 }
 
 // acquire borrows a pooled ShardedSearcher for one query; pair with
@@ -496,82 +397,6 @@ func (six *ShardedIndex) acquire() *ShardedSearcher {
 
 func (six *ShardedIndex) release(ss *ShardedSearcher) { six.searchers.Put(ss) }
 
-// resetLists readies the merge scratch for a new query.
-func (ss *ShardedSearcher) resetLists() {
-	ss.items = ss.items[:0]
-	for s := range ss.lists {
-		ss.lists[s] = nil
-	}
-	ss.info = SearchInfo{}
-}
-
-// addList remaps one shard's ranked results to global ids, scales the
-// scores by the shard's affinity weight, and records them as a merge
-// input. Within-shard order is (score desc, local id asc); the
-// local->global remap need not be monotone (k-means partitions), so
-// the list is re-sorted into the global order the merger expects
-// (scaling by a non-negative factor preserves within-list score
-// order). Appends may grow the flat backing buffer; earlier lists keep
-// pointing at the old backing array, whose contents stay valid for the
-// rest of the query.
-func (ss *ShardedSearcher) addList(s int, res []Result, scale float64) {
-	l2g := ss.six.l2g[s]
-	start := len(ss.items)
-	for _, r := range res {
-		if r.Node >= len(l2g) {
-			// An insert that landed in the shard but has not reached
-			// the id maps yet (Insert appends them right after, under
-			// the write lock this search excludes): skip it for this
-			// query — its global id has not even been returned to the
-			// inserter.
-			continue
-		}
-		ss.items = append(ss.items, topk.Item{ID: l2g[r.Node], Score: scale * r.Score})
-	}
-	list := ss.items[start:]
-	sortItems(list)
-	ss.lists[s] = list
-}
-
-// relativeAffinity prices a non-owning shard's contribution against
-// the owner's own kernel affinity: min(1, aff/own). A degenerate owner
-// affinity (underflow to 0) falls back to the absolute affinity.
-func relativeAffinity(aff, own float64) float64 {
-	if own <= 0 {
-		return aff
-	}
-	if aff >= own {
-		return 1
-	}
-	return aff / own
-}
-
-// sortItems sorts a candidate list by the global ranking order
-// (score descending, ties by ascending global id) in place.
-func sortItems(items []topk.Item) {
-	slices.SortFunc(items, func(a, b topk.Item) int {
-		switch {
-		case topk.Better(a, b):
-			return -1
-		case topk.Better(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// finish merges the per-shard lists into the global top-k and
-// materializes the returned results — the one output allocation.
-func (ss *ShardedSearcher) finish(k int) []Result {
-	ss.merged = ss.merger.Merge(ss.merged, k, ss.lists...)
-	out := make([]Result, len(ss.merged))
-	for i, it := range ss.merged {
-		out[i] = Result{Node: it.ID, Score: it.Score}
-	}
-	return out
-}
-
 // TopK ranks all shards against an in-database query item (global id):
 // the owning shard runs the normal in-database search, every other
 // shard scores the query's feature vector through the out-of-sample
@@ -583,67 +408,58 @@ func (ss *ShardedSearcher) TopK(query, k int) ([]Result, error) {
 
 // TopKWithInfo is TopK plus work counters summed across shards.
 func (ss *ShardedSearcher) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	res, info, err := ss.topK(query, k, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, info, nil
+	return ss.topK(query, k, true)
 }
 
 func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchInfo, error) {
-	six := ss.six
-	six.mu.RLock()
-	defer six.mu.RUnlock()
+	ids := ss.six.ids
+	ids.RLock()
+	defer ids.RUnlock()
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("mogul: K must be positive, got %d", k)
 	}
-	loc, err := six.locate(query)
+	loc, err := ids.Locate(query)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("mogul: %w", err)
 	}
-	owner := six.shards[loc.shard]
-	ss.resetLists()
+	ss.merge.Reset(len(ss.srs))
+	ss.info = SearchInfo{}
 
-	// The owning shard answers at full weight. Every other shard's
-	// out-of-sample answers are scaled by its raw kernel affinity to
-	// the query relative to the owner's own (its per-shard scores are
-	// normalized to unit query mass and would otherwise merge at face
-	// value): a shard the query is far from contributes ~nothing, a
-	// shard just across a partition boundary competes near par.
-	res, err := ss.srs[loc.shard].TopK(loc.local, k)
+	own := ss.srs[loc.Shard]
+	res, err := own.TopK(loc.Local, k)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.shard, err)
+		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
 	}
-	ss.addList(loc.shard, res, 1)
+	ss.merge.Add(ids, loc.Shard, res, 1)
 	if wantInfo {
-		ss.accumulateInfo(loc.shard)
+		ss.accumulateInfo(loc.Shard)
 	}
-	if len(six.shards) > 1 {
+	if len(ss.srs) > 1 {
 		// The query's stored vector probes the non-owning shards.
-		qvec, err := owner.core.Point(loc.local)
+		qvec, err := own.ix.core.Point(loc.Local)
 		if err != nil {
-			return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.shard, err)
+			return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
 		}
-		srOwn := ss.srs[loc.shard]
-		ownAff, err := owner.core.SurrogateAffinity(&srOwn.s, qvec)
+		ownAff, err := own.ix.core.SurrogateAffinity(&own.s, qvec)
 		if err != nil {
-			return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.shard, err)
+			return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
 		}
-		for s := range six.shards {
-			if s == loc.shard {
+		for s, sr := range ss.srs {
+			if s == loc.Shard {
 				continue
 			}
-			res, err := ss.srs[s].TopKVector(qvec, k)
+			res, err := sr.TopKVector(qvec, k)
 			if err != nil {
 				return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, s, err)
 			}
-			ss.addList(s, res, relativeAffinity(ss.srs[s].s.OOSAffinity(), ownAff))
+			ss.merge.Probe(s, res, sr.s.OOSAffinity())
 			if wantInfo {
 				ss.accumulateInfo(s)
 			}
 		}
+		ss.merge.AddProbes(ids, ownAff)
 	}
-	out := ss.finish(k)
+	out := ss.merge.TopK(k)
 	if !wantInfo {
 		return out, nil, nil
 	}
@@ -661,86 +477,59 @@ func (ss *ShardedSearcher) accumulateInfo(s int) {
 }
 
 // TopKVector ranks all shards against an out-of-sample query vector
-// and merges. Each shard's contribution is scaled by its raw kernel
-// affinity to the query relative to the best shard's, so the shards
-// holding the query's region dominate the merge the way they dominate
-// the unsharded ranking; when every shard is equally remote (all
-// affinities underflow to 0) the lists merge unscaled.
+// and merges, each shard priced against the best one.
 func (ss *ShardedSearcher) TopKVector(q Vector, k int) ([]Result, error) {
-	six := ss.six
-	six.mu.RLock()
-	defer six.mu.RUnlock()
+	ids := ss.six.ids
+	ids.RLock()
+	defer ids.RUnlock()
 	if k <= 0 {
 		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
 	}
-	ss.resetLists()
-	if cap(ss.resBuf) < len(six.shards) {
-		ss.resBuf = make([][]Result, len(six.shards))
-		ss.affBuf = make([]float64, len(six.shards))
-	}
-	resBuf, affBuf := ss.resBuf[:len(six.shards)], ss.affBuf[:len(six.shards)]
-	maxAff := 0.0
-	for s := range six.shards {
-		res, err := ss.srs[s].TopKVector(q, k)
+	ss.merge.Reset(len(ss.srs))
+	for s, sr := range ss.srs {
+		res, err := sr.TopKVector(q, k)
 		if err != nil {
 			return nil, fmt.Errorf("mogul: shard %d: %w", s, err)
 		}
-		resBuf[s] = res
-		affBuf[s] = ss.srs[s].s.OOSAffinity()
-		if affBuf[s] > maxAff {
-			maxAff = affBuf[s]
-		}
+		ss.merge.Probe(s, res, sr.s.OOSAffinity())
 	}
-	for s := range six.shards {
-		scale := 1.0
-		if maxAff > 0 {
-			scale = affBuf[s] / maxAff
-		}
-		ss.addList(s, resBuf[s], scale)
-		resBuf[s] = nil
-	}
-	return ss.finish(k), nil
+	ss.merge.AddProbesBest(ids)
+	return ss.merge.TopK(k), nil
 }
 
 // TopKSet ranks items against a set of seed items with equal weights.
-// Each shard is searched with the seeds it owns, every seed weighted
-// 1/len(seeds) so query mass is consistent across the fan-out; shards
-// owning no seed contribute nothing (diffusion cannot reach them —
-// the set-query recall trade-off of sharding, see docs/SHARDING.md).
+// Each shard is searched with the seeds it owns; shards owning no seed
+// contribute nothing (the set-query recall trade-off of sharding, see
+// docs/SHARDING.md).
 func (ss *ShardedSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
-	six := ss.six
-	six.mu.RLock()
-	defer six.mu.RUnlock()
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSet needs at least one seed item")
+	ids := ss.six.ids
+	ids.RLock()
+	defer ids.RUnlock()
+	groups, w, err := ids.GroupSeeds(seeds, ss.groups)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: %w", err)
 	}
+	ss.groups = groups
 	if k <= 0 {
 		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
 	}
-	ss.resetLists()
-	w := 1 / float64(len(seeds))
-	for s := range six.shards {
-		ss.seeds = ss.seeds[:0]
-		for _, seed := range seeds {
-			loc, err := six.locate(seed)
-			if err != nil {
-				return nil, err
-			}
-			if loc.shard == s {
-				ss.seeds = append(ss.seeds, core.WeightedQuery{Node: loc.local, Weight: w})
-			}
-		}
-		if len(ss.seeds) == 0 {
+	ss.merge.Reset(len(ss.srs))
+	for s, locals := range groups {
+		if len(locals) == 0 {
 			continue
+		}
+		ss.seeds = ss.seeds[:0]
+		for _, local := range locals {
+			ss.seeds = append(ss.seeds, core.WeightedQuery{Node: local, Weight: w})
 		}
 		sr := ss.srs[s]
 		res, _, err := sr.ix.core.SearchMultiScratch(&sr.s, ss.seeds, core.SearchOptions{K: k})
 		if err != nil {
 			return nil, fmt.Errorf("mogul: shard %d: %w", s, err)
 		}
-		ss.addList(s, res, 1)
+		ss.merge.Add(ids, s, res, 1)
 	}
-	return ss.finish(k), nil
+	return ss.merge.TopK(k), nil
 }
 
 // TopK is ShardedSearcher.TopK on a pooled fan-out workspace.
@@ -785,22 +574,16 @@ func (six *ShardedIndex) TopKVectorBatch(queries []Vector, k, parallelism int) [
 
 // routeInsert picks the owning shard for a new point: the nearest
 // k-means centroid, or — under contiguous partitioning, whose ranges
-// carry no geometry — the shard with the fewest live items (lowest id
-// wins ties), which keeps the fan-out balanced. Callers hold mutMu.
+// carry no geometry — the least-loaded shard, which keeps the fan-out
+// balanced. Callers hold the mutator lock.
 func (six *ShardedIndex) routeInsert(v Vector) int {
-	if six.part == PartitionKMeans && len(six.centroids) == len(six.shards) {
-		best, bestD := 0, vec.SquaredEuclidean(v, six.centroids[0])
-		for s := 1; s < len(six.centroids); s++ {
-			if d := vec.SquaredEuclidean(v, six.centroids[s]); d < bestD {
-				best, bestD = s, d
-			}
-		}
-		return best
+	if six.part != PartitionKMeans || len(six.centroids) != len(six.shards) {
+		return six.ids.LeastLoaded()
 	}
-	best := 0
-	for s := 1; s < len(six.shards); s++ {
-		if six.shards[s].Len() < six.shards[best].Len() {
-			best = s
+	best, bestD := 0, vec.SquaredEuclidean(v, six.centroids[0])
+	for s := 1; s < len(six.centroids); s++ {
+		if d := vec.SquaredEuclidean(v, six.centroids[s]); d < bestD {
+			best, bestD = s, d
 		}
 	}
 	return best
@@ -814,26 +597,14 @@ func (six *ShardedIndex) routeInsert(v Vector) int {
 // pending delta past the fraction triggers a compaction of that shard
 // alone.
 func (six *ShardedIndex) Insert(v Vector) (int, error) {
-	six.mutMu.Lock()
-	defer six.mutMu.Unlock()
+	six.ids.LockMutators()
+	defer six.ids.UnlockMutators()
 	s := six.routeInsert(v)
-
-	// The shard insert (surrogate selection, delta append) runs
-	// outside the fan-out lock so searches on the other S-1 shards
-	// never stall behind it; only the id-map appends take the write
-	// lock. In the window between the two, a search can already see
-	// the new item in the shard's answers with a local id the maps do
-	// not cover yet — addList drops such items for that one query (the
-	// caller has not even received the global id).
 	local, err := six.shards[s].Insert(v)
 	if err != nil {
 		return 0, err
 	}
-	six.mu.Lock()
-	g := len(six.locOf)
-	six.locOf = append(six.locOf, shardLoc{shard: s, local: local})
-	six.l2g[s] = append(six.l2g[s], g)
-	six.mu.Unlock()
+	g := six.ids.Append(s, local)
 
 	if six.autoCompact > 0 {
 		d := six.shards[s].Delta()
@@ -841,10 +612,10 @@ func (six *ShardedIndex) Insert(v Vector) (int, error) {
 			// Mirrors the single-index auto path: the insert has already
 			// succeeded, so a compaction failure is deferred to an
 			// explicit Compact rather than failing the insert.
-			_, _ = six.compactShardLocked(s)
+			_ = six.ids.CompactShard(s, shardCompactor{six.shards[s]})
 		}
 	}
-	six.version.Add(1)
+	six.ids.Bump()
 	return g, nil
 }
 
@@ -852,90 +623,49 @@ func (six *ShardedIndex) Insert(v Vector) (int, error) {
 // deleting an unknown or already-deleted id is an error, and every
 // shard must keep at least one live item.
 func (six *ShardedIndex) Delete(id int) error {
-	six.mutMu.Lock()
-	defer six.mutMu.Unlock()
-	loc, err := six.locate(id)
+	six.ids.LockMutators()
+	defer six.ids.UnlockMutators()
+	loc, err := six.ids.Locate(id)
 	if err != nil {
-		return err
+		return fmt.Errorf("mogul: %w", err)
 	}
-	if err := six.shards[loc.shard].Delete(loc.local); err != nil {
-		return fmt.Errorf("mogul: item %d (shard %d): %w", id, loc.shard, err)
+	if err := six.shards[loc.Shard].Delete(loc.Local); err != nil {
+		return fmt.Errorf("mogul: item %d (shard %d): %w", id, loc.Shard, err)
 	}
-	six.version.Add(1)
+	six.ids.MarkDeleted(loc.Shard)
+	six.ids.Bump()
 	return nil
 }
 
 // Compact folds every shard's delta layer into a fresh per-shard base
 // build. Global ids are preserved; shard-local renumbering after
-// deletions is absorbed into the id maps. Insert-only shards compact
+// deletions is absorbed into the id map. Insert-only shards compact
 // without blocking searches; a shard with tombstones holds the
 // fan-out write lock for its rebuild, so searches pause for that
 // shard's compaction.
 func (six *ShardedIndex) Compact() error {
-	six.mutMu.Lock()
-	defer six.mutMu.Unlock()
-	for s := range six.shards {
-		if _, err := six.compactShardLocked(s); err != nil {
+	six.ids.LockMutators()
+	defer six.ids.UnlockMutators()
+	for s, sh := range six.shards {
+		if err := six.ids.CompactShard(s, shardCompactor{sh}); err != nil {
 			return fmt.Errorf("mogul: compacting shard %d: %w", s, err)
 		}
 	}
 	return nil
 }
 
-// compactShardLocked compacts one shard and maintains the id maps,
-// reporting whether the shard had anything to fold in. The version
-// bump happens HERE, per shard, the moment that shard's swap is
-// visible — not once at the end of the whole Compact — because each
-// swap changes answers (a folded-in delta item scores through real
-// graph edges instead of surrogates) and a version-stamped cache must
-// never serve pre-swap answers as current while the remaining shards
-// rebuild, nor when a later shard's rebuild fails. Callers hold mutMu.
-func (six *ShardedIndex) compactShardLocked(s int) (bool, error) {
-	sh := six.shards[s]
-	d := sh.Delta()
-	if d.DeltaItems == 0 && d.Tombstones == 0 {
-		return false, nil
-	}
-	if d.Tombstones == 0 {
-		// Insert-only: shard compaction preserves local ids bit for bit
-		// (Compact's determinism guarantee), so the id maps stay valid
-		// and searches keep running throughout the rebuild.
-		if err := sh.Compact(); err != nil {
-			return false, err
-		}
-		six.version.Add(1)
-		return true, nil
-	}
-	// Tombstones renumber local ids. Snapshot liveness first (mutators
-	// are serialized, searches cannot change it), then rebuild under
-	// the fan-out write lock so no search can pair the new shard state
-	// with the old maps.
-	space := sh.core.IDSpace()
-	alive := make([]bool, space)
-	for i := range alive {
-		alive[i] = sh.core.Alive(i)
-	}
-	six.mu.Lock()
-	defer six.mu.Unlock()
-	if err := sh.Compact(); err != nil {
-		return false, err
-	}
-	old := six.l2g[s]
-	j := 0
-	for local, g := range old {
-		if local < len(alive) && alive[local] {
-			// Live items keep their relative order through Compact.
-			old[j] = g
-			six.locOf[g] = shardLoc{shard: s, local: j}
-			j++
-		} else {
-			// The global id of a compacted-away item is retired forever.
-			six.locOf[g] = shardLoc{shard: -1, local: -1}
+// shardCompactor is an in-process shard as fanout's compaction protocol
+// drives it (Compact is the Index's own).
+type shardCompactor struct{ *Index }
+
+func (c shardCompactor) Pending() (DeltaStats, error) { return c.Delta(), nil }
+
+func (c shardCompactor) Liveness() (space int, dead []int, err error) {
+	space = c.IDSpace()
+	for local := 0; local < space; local++ {
+		if !c.Alive(local) {
+			dead = append(dead, local)
 		}
 	}
-	six.l2g[s] = old[:j]
-	// Still under the fan-out write lock: searches observe the new
-	// shard state and the new version together.
-	six.version.Add(1)
-	return true, nil
+	return space, dead, nil
 }

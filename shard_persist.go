@@ -66,19 +66,17 @@ const maxRetiredIDs = 1 << 20
 // index stream — in the versioned MOGULSHD format. Mutators block for
 // the duration; searches proceed.
 func (six *ShardedIndex) Save(w io.Writer) error {
-	// mutMu freezes the shard states and id maps against
+	// The mutator lock freezes the shard states and the id map against
 	// Insert/Delete/Compact so the two-pass section framing sees
-	// identical bytes; the read lock covers the map reads themselves.
-	six.mutMu.Lock()
-	defer six.mutMu.Unlock()
-	six.mu.RLock()
-	defer six.mu.RUnlock()
+	// identical bytes.
+	six.ids.LockMutators()
+	defer six.ids.UnlockMutators()
 
 	totalSlots := 0
 	for _, sh := range six.shards {
 		totalSlots += sh.core.IDSpace()
 	}
-	if retired := len(six.locOf) - totalSlots; retired > maxRetiredIDs {
+	if retired := six.ids.Globals() - totalSlots; retired > maxRetiredIDs {
 		return fmt.Errorf("mogul: %d retired global ids exceed the format's %d limit; rebuild the index fresh (BuildSharded over the live points) before saving", retired, maxRetiredIDs)
 	}
 
@@ -98,7 +96,7 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 func (six *ShardedIndex) writeShardMeta(bw *binio.Writer) error {
 	bw.Int(len(six.shards))
 	bw.Int(int(six.part))
-	bw.Int(len(six.locOf))
+	bw.Int(six.ids.Globals())
 	bw.Float64(six.autoCompact)
 	return bw.Err()
 }
@@ -111,12 +109,12 @@ func (six *ShardedIndex) writeCentroids(bw *binio.Writer) error {
 	return bw.Err()
 }
 
-// writeIDMaps stores one dense local->global table per shard; locOf is
-// their inverse and is rebuilt on load (retired global ids are exactly
-// the ones no table mentions).
+// writeIDMaps stores one dense local->global table per shard; the
+// inverse is rebuilt on load (retired global ids are exactly the ones
+// no table mentions).
 func (six *ShardedIndex) writeIDMaps(bw *binio.Writer) error {
-	for _, m := range six.l2g {
-		bw.Ints(m)
+	for s := range six.shards {
+		bw.Ints(six.ids.Locals(s))
 	}
 	return bw.Err()
 }
@@ -202,8 +200,8 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 }
 
 // assembleSharded decodes the manifest payloads, loads every nested
-// shard stream, and cross-validates the id maps against the loaded
-// shard states.
+// shard stream, and hands the id maps to newShardedIndex, which
+// cross-validates them against the loaded shard states.
 func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*ShardedIndex, error) {
 	mr := binio.NewReader(bytes.NewReader(meta))
 	numShards := mr.Int()
@@ -277,7 +275,7 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 	// The global id space may exceed the mapped slots (ids of items
 	// deleted and compacted away are retired, never reused), but only
 	// within a bounded headroom: the id maps are what the file actually
-	// carries, and sizing locOf from an unchecked count would let a
+	// carries, and sizing the id map from an unchecked count would let a
 	// crafted manifest demand an allocation unrelated to its own size.
 	totalSlots := 0
 	for _, sh := range shards {
@@ -286,42 +284,15 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 	if globals > totalSlots+maxRetiredIDs {
 		return nil, fmt.Errorf("mogul: corrupt sharded metadata: %d global ids for %d shard slots", globals, totalSlots)
 	}
-	l2g := make([][]int, numShards)
-	locOf := make([]shardLoc, globals)
-	for g := range locOf {
-		locOf[g] = shardLoc{shard: -1, local: -1}
-	}
+	partition := make([][]int, numShards)
 	ir := binio.NewReader(bytes.NewReader(idMaps))
-	for s := range l2g {
-		m := ir.Ints(globals)
+	for s := range partition {
+		partition[s] = ir.Ints(globals)
 		if err := ir.Err(); err != nil {
 			return nil, fmt.Errorf("mogul: decoding id map of shard %d: %w", s, err)
 		}
-		if space := shards[s].core.IDSpace(); len(m) != space {
-			return nil, fmt.Errorf("mogul: shard %d id map covers %d slots, shard has %d", s, len(m), space)
-		}
-		for local, g := range m {
-			if g < 0 || g >= globals {
-				return nil, fmt.Errorf("mogul: shard %d maps local %d to global %d outside [0,%d)", s, local, g, globals)
-			}
-			if locOf[g].shard >= 0 {
-				return nil, fmt.Errorf("mogul: global id %d mapped by two shards", g)
-			}
-			locOf[g] = shardLoc{shard: s, local: local}
-		}
-		l2g[s] = m
 	}
-
-	six := &ShardedIndex{
-		shards:      shards,
-		part:        Partitioner(part),
-		centroids:   ctr,
-		autoCompact: autoCompact,
-		locOf:       locOf,
-		l2g:         l2g,
-	}
-	six.version.Store(1)
-	return six, nil
+	return newShardedIndex(shards, partition, globals, Partitioner(part), ctr, autoCompact)
 }
 
 // firstAlive returns the lowest live local id of a shard (every loaded

@@ -25,6 +25,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"mogul/internal/fanout"
 )
 
 // shardTestDatasets are the two dataset families the recall properties
@@ -202,7 +204,7 @@ func (h *handOracle) topK(t *testing.T, query, k int) []Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scale := relativeAffinity(bd.Affinity, ownAff)
+		scale := fanout.RelativeAffinity(bd.Affinity, ownAff)
 		for _, r := range res {
 			all = append(all, Result{Node: h.l2g[s][r.Node], Score: scale * r.Score})
 		}
