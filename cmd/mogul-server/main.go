@@ -27,7 +27,7 @@
 //
 // The same binary also runs the distributed topology (docs/DISTRIBUTED.md):
 //
-//	# one shard server per process (plain index only, -shards must be 1)
+//	# one shard server per process (graph engine only, -shards must be 1)
 //	mogul-server -mode shard -load-index shard0.mogul -addr :9000
 //	mogul-server -mode shard -load-index shard1.mogul -addr :9001
 //	# coordinator fanning out over them; replicas of one shard join with |
@@ -41,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -96,17 +97,17 @@ func main() {
 	flag.StringVar(&indexPath, "index", "", "alias for -load-index")
 	flag.Parse()
 
-	if *engine != "graph" && *engine != "emr" && *engine != "spectral" {
-		log.Fatalf("mogul-server: unknown -engine %q (want graph, emr, or spectral)", *engine)
+	cfg := config{
+		mode: *mode, engine: *engine, precision: *precision, partitioner: *partition,
+		shards: *shards, exact: *exact, saveAlign: *saveAlign,
+		data: *data, loadIndex: indexPath, shardURLs: *shardURLs,
 	}
-	var prec mogul.Precision
-	switch *precision {
-	case "f64":
-		prec = mogul.F64
-	case "f32":
+	if err := cfg.validate(); err != nil {
+		log.Fatal("mogul-server: ", err)
+	}
+	prec := mogul.F64
+	if *precision == "f32" {
 		prec = mogul.F32
-	default:
-		log.Fatalf("mogul-server: unknown -precision %q (want f64 or f32)", *precision)
 	}
 	serveOpts := serve.Options{
 		CacheBytes:  *cacheBytes,
@@ -132,8 +133,7 @@ func main() {
 		labels []int
 		err    error
 	)
-	switch {
-	case indexPath != "":
+	if indexPath != "" {
 		t0 := time.Now()
 		how := "loaded"
 		if *useMmap {
@@ -160,7 +160,7 @@ func main() {
 				labels = ds.Labels
 			}
 		}
-	case *data != "":
+	} else {
 		ds, err := loadDataset(*data)
 		if err != nil {
 			log.Fatal("mogul-server: ", err)
@@ -175,12 +175,6 @@ func main() {
 		}
 		t0 := time.Now()
 		if *engine == "emr" {
-			if *shards > 1 {
-				log.Fatal("mogul-server: -engine emr builds one anchor graph; use -shards 1 (shard EMR engines across processes via -mode coordinator)")
-			}
-			if *exact {
-				log.Fatal("mogul-server: -engine emr serves anchor-graph scores; -exact selects the graph engine's MogulE")
-			}
 			e, err := mogul.BuildEMR(ds.Points, opts, mogul.EMROptions{
 				NumAnchors:        *anchors,
 				NumNearestAnchors: *anchorsPP,
@@ -192,12 +186,6 @@ func main() {
 			log.Printf("built EMR engine over %d items (%d anchors) in %v",
 				e.Len(), e.NumAnchors(), time.Since(t0).Round(time.Millisecond))
 		} else if *engine == "spectral" {
-			if *shards > 1 {
-				log.Fatal("mogul-server: -engine spectral builds one eigenbasis; use -shards 1 (shard spectral engines across processes via -mode coordinator)")
-			}
-			if *exact {
-				log.Fatal("mogul-server: -engine spectral serves truncated-eigenbasis scores; -exact selects the graph engine's MogulE")
-			}
 			e, err := mogul.BuildSpectral(ds.Points, opts, mogul.SpectralOptions{Rank: *rank})
 			if err != nil {
 				log.Fatal("mogul-server: ", err)
@@ -206,14 +194,9 @@ func main() {
 			log.Printf("built spectral engine over %d items (rank %d) in %v",
 				e.Len(), e.Rank(), time.Since(t0).Round(time.Millisecond))
 		} else if *shards > 1 {
-			var p mogul.Partitioner
-			switch *partition {
-			case "contiguous":
-				p = mogul.PartitionContiguous
-			case "kmeans":
+			p := mogul.PartitionContiguous
+			if *partition == "kmeans" {
 				p = mogul.PartitionKMeans
-			default:
-				log.Fatalf("mogul-server: unknown partitioner %q (want contiguous or kmeans)", *partition)
 			}
 			sharded, err := mogul.BuildSharded(ds.Points, opts, mogul.ShardOptions{Shards: *shards, Partitioner: p})
 			if err != nil {
@@ -229,8 +212,6 @@ func main() {
 			}
 			log.Printf("built index over %d items in %v", idx.Len(), time.Since(t0).Round(time.Millisecond))
 		}
-	default:
-		log.Fatal("mogul-server: provide -data or -load-index")
 	}
 
 	if *saveIndex != "" {
@@ -256,24 +237,79 @@ func main() {
 		http.Handler
 		Close()
 	}
-	switch *mode {
-	case "serve":
-		handler = serve.New(idx, serveOpts)
-	case "shard":
-		// A shard server exposes the /dist/* surface (owner/vector/set
-		// search, replication log, snapshot), which needs the plain
-		// single-index mutation and delta-log machinery underneath.
+	if *mode == "shard" {
+		// validate has vetted what gets built; what a file holds is only
+		// known once it is loaded.
 		plain, ok := idx.(*mogul.Index)
 		if !ok {
-			log.Fatalf("mogul-server: -mode shard needs a plain index (got %T); build with -shards 1 or load a non-sharded file", idx)
+			log.Fatalf("mogul-server: -mode shard needs a plain graph-engine index, and %s holds a %T", indexPath, idx)
 		}
 		handler = dist.NewShardServer(plain, serveOpts)
 		log.Printf("shard server: /dist/* surface enabled over %d items", plain.Len())
-	default:
-		log.Fatalf("mogul-server: unknown -mode %q (want serve, shard, or coordinator)", *mode)
+	} else {
+		handler = serve.New(idx, serveOpts)
 	}
 	defer handler.Close()
 	serveForever(*addr, handler)
+}
+
+// config is the flag combination validate judges.
+type config struct {
+	mode, engine, precision, partitioner string
+	shards, saveAlign                    int
+	exact                                bool
+	data, loadIndex, shardURLs           string
+}
+
+// validate rejects a flag combination that cannot be served — before
+// any dataset is loaded, so a build that takes minutes never ends in
+// an error the flags already implied.
+func (c config) validate() error {
+	if c.engine != "graph" && c.engine != "emr" && c.engine != "spectral" {
+		return fmt.Errorf("unknown -engine %q (want graph, emr, or spectral)", c.engine)
+	}
+	if c.precision != "f64" && c.precision != "f32" {
+		return fmt.Errorf("unknown -precision %q (want f64 or f32)", c.precision)
+	}
+	switch c.mode {
+	case "coordinator":
+		if c.shardURLs == "" {
+			return errors.New("-mode coordinator needs -shard-urls")
+		}
+		return nil // a coordinator builds and loads nothing: the rest does not apply
+	case "serve", "shard":
+	default:
+		return fmt.Errorf("unknown -mode %q (want serve, shard, or coordinator)", c.mode)
+	}
+	if c.saveAlign < 0 || c.saveAlign&(c.saveAlign-1) != 0 {
+		return fmt.Errorf("-save-align %d is not a power of two", c.saveAlign)
+	}
+	if c.loadIndex != "" {
+		return nil // the file decides engine and sharding; the build flags are unused
+	}
+	if c.data == "" {
+		return errors.New("provide -data or -load-index")
+	}
+	if c.engine != "graph" {
+		if c.shards > 1 {
+			return fmt.Errorf("-engine %s builds one engine over the whole dataset; use -shards 1 (this command shards the graph engine only; EMR and spectral shards are served in-process, through dist.LocalShard under a dist.Coordinator)", c.engine)
+		}
+		if c.exact {
+			return fmt.Errorf("-engine %s serves approximate scores; -exact selects the graph engine's MogulE", c.engine)
+		}
+	}
+	if c.mode == "shard" && (c.engine != "graph" || c.shards > 1) {
+		return fmt.Errorf("-mode shard serves one plain graph-engine index (its /dist/* surface needs that index's delta log and snapshot): use -engine graph -shards 1, not -engine %s -shards %d", c.engine, c.shards)
+	}
+	if c.shards > 1 {
+		if c.partitioner != "contiguous" && c.partitioner != "kmeans" {
+			return fmt.Errorf("unknown partitioner %q (want contiguous or kmeans)", c.partitioner)
+		}
+		if c.saveAlign > 0 {
+			return errors.New("-save-align is not supported with -shards > 1 (the sharded manifest has no aligned layout)")
+		}
+	}
+	return nil
 }
 
 // serveForever listens on addr and serves h until SIGINT/SIGTERM,
@@ -299,9 +335,6 @@ func serveForever(addr string, h http.Handler) {
 // backpressure, metrics) mounted over the Coordinator — which is just
 // another mogul.Retriever as far as package serve is concerned.
 func runCoordinator(addr, urls string, serveOpts serve.Options, copts dist.ClientOptions, opts dist.CoordOptions) {
-	if urls == "" {
-		log.Fatal("mogul-server: -mode coordinator needs -shard-urls")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var (

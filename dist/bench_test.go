@@ -3,8 +3,9 @@ package dist_test
 // Distributed fan-out benchmarks over a loopback cluster: what one
 // coordinated TopK costs once HTTP, JSON, and the merge are in the
 // path, against the in-process ShardedIndex doing the same fan-out
-// without a network. CI's distributed-smoke job records these as
-// BENCH_distributed.json.
+// without a network. CI's distributed-smoke job runs them as a smoke
+// test; the gated measurement of this path is the benchmark module's
+// dist_fanout workload.
 
 import (
 	"testing"

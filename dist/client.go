@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"mogul"
-	"mogul/internal/fanout"
+	"mogul/serve"
 )
 
 // ClientOptions tunes one remote-shard client. The zero value is
@@ -52,15 +52,11 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client speaks to one ShardServer and implements mogul.Retriever —
-// a remote shard drops into any code written against the interface,
-// the Coordinator included — plus the context-taking calls the
-// distributed fan-out needs (OwnerSearch, VectorSearch, SetSearch,
-// LogEntries, Snapshot, AliveMap).
-//
-// Interface methods that cannot return an error (Len, Stats, Delta,
-// Version, Exact) report zero values when the shard is unreachable;
-// Version's zero is unambiguous because live versions start at 1.
+// Client speaks to one ShardServer: it is the remote Backend a
+// Coordinator fans out to — each method encodes one request, and
+// decodes one reply, of the route ShardServer serves that same Backend
+// method on — plus the replication calls a follower needs (LogEntries,
+// TruncateLog, Snapshot).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -186,9 +182,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 
 // decodeErrorBody extracts {"error": msg}; raw body as fallback.
 func decodeErrorBody(data []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e serve.ErrorReply
 	if json.Unmarshal(data, &e) == nil && e.Error != "" {
 		return e.Error
 	}
@@ -221,7 +215,7 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out interface{},
 	return json.Unmarshal(data, out)
 }
 
-// --- the /dist fan-out surface (context-taking) ---
+// --- the Backend surface ---
 
 // InfoCtx fetches the shard's state snapshot.
 func (c *Client) InfoCtx(ctx context.Context) (Info, error) {
@@ -246,11 +240,7 @@ func (c *Client) OwnerSearch(ctx context.Context, local, k int) ([]mogul.Result,
 // ranking and the shard's raw kernel affinity to the query.
 func (c *Client) VectorSearch(ctx context.Context, q mogul.Vector, k int) ([]mogul.Result, float64, error) {
 	var resp vectorResponse
-	req := struct {
-		Vector []float64 `json:"vector"`
-		K      int       `json:"k"`
-	}{q, k}
-	if err := c.postJSON(ctx, "/dist/vector", req, &resp, true); err != nil {
+	if err := c.postJSON(ctx, "/dist/vector", serve.VectorQuery{Vector: q, K: k}, &resp, true); err != nil {
 		return nil, 0, err
 	}
 	return fromWire(resp.Answers), resp.Affinity, nil
@@ -259,12 +249,7 @@ func (c *Client) VectorSearch(ctx context.Context, q mogul.Vector, k int) ([]mog
 // SetSearch runs a weighted multi-seed search over shard-local ids.
 func (c *Client) SetSearch(ctx context.Context, locals []int, weight float64, k int) ([]mogul.Result, error) {
 	var resp vectorResponse
-	req := struct {
-		IDs    []int   `json:"ids"`
-		Weight float64 `json:"weight"`
-		K      int     `json:"k"`
-	}{locals, weight, k}
-	if err := c.postJSON(ctx, "/dist/set", req, &resp, true); err != nil {
+	if err := c.postJSON(ctx, "/dist/set", serve.SetQuery{IDs: locals, Weight: weight, K: k}, &resp, true); err != nil {
 		return nil, err
 	}
 	return fromWire(resp.Answers), nil
@@ -272,25 +257,17 @@ func (c *Client) SetSearch(ctx context.Context, locals []int, weight float64, k 
 
 // NeighborsCtx fetches an item's graph context with cancellation.
 func (c *Client) NeighborsCtx(ctx context.Context, local int) ([]int, []float64, error) {
-	var resp struct {
-		Neighbors []int     `json:"neighbors"`
-		Weights   []float64 `json:"neighbor_weights"`
-	}
+	var resp serve.ItemReply
 	if err := c.getJSON(ctx, "/item/"+strconv.Itoa(local), &resp); err != nil {
 		return nil, nil, err
 	}
-	return resp.Neighbors, resp.Weights, nil
+	return resp.Neighbors, resp.NeighborWeights, nil
 }
 
 // InsertCtx routes one insert to the shard; never retried.
 func (c *Client) InsertCtx(ctx context.Context, v mogul.Vector) (int, error) {
-	var resp struct {
-		ID int `json:"id"`
-	}
-	req := struct {
-		Vector []float64 `json:"vector"`
-	}{v}
-	if err := c.postJSON(ctx, "/insert", req, &resp, false); err != nil {
+	var resp serve.InsertReply
+	if err := c.postJSON(ctx, "/insert", serve.InsertRequest{Vector: v}, &resp, false); err != nil {
 		return 0, err
 	}
 	return resp.ID, nil
@@ -298,10 +275,7 @@ func (c *Client) InsertCtx(ctx context.Context, v mogul.Vector) (int, error) {
 
 // DeleteCtx routes one delete to the shard; never retried.
 func (c *Client) DeleteCtx(ctx context.Context, local int) error {
-	req := struct {
-		ID int `json:"id"`
-	}{local}
-	return c.postJSON(ctx, "/delete", req, nil, false)
+	return c.postJSON(ctx, "/delete", serve.DeleteRequest{ID: &local}, nil, false)
 }
 
 // CompactCtx folds the shard's delta layer in; never retried.
@@ -313,10 +287,7 @@ func (c *Client) CompactCtx(ctx context.Context) error {
 // dead local ids — what a coordinator needs to renumber its maps
 // around a compaction.
 func (c *Client) AliveMap(ctx context.Context) (space int, dead []int, err error) {
-	var resp struct {
-		IDSpace int   `json:"id_space"`
-		Dead    []int `json:"dead"`
-	}
+	var resp aliveReply
 	if err := c.getJSON(ctx, "/dist/alive", &resp); err != nil {
 		return 0, nil, err
 	}
@@ -345,10 +316,7 @@ func (c *Client) LogEntries(ctx context.Context, since uint64) ([]mogul.LogEntry
 // TruncateLog acknowledges entries through upTo so the shard can drop
 // them.
 func (c *Client) TruncateLog(ctx context.Context, upTo uint64) error {
-	req := struct {
-		UpTo uint64 `json:"up_to"`
-	}{upTo}
-	return c.postJSON(ctx, "/dist/truncate", req, nil, false)
+	return c.postJSON(ctx, "/dist/truncate", truncateRequest{UpTo: upTo}, nil, false)
 }
 
 // Snapshot fetches a consistent (index, version) pair: the returned
@@ -373,186 +341,3 @@ func (c *Client) Snapshot(ctx context.Context) (*mogul.Index, uint64, error) {
 	}
 	return ix, ver, nil
 }
-
-// --- the mogul.Retriever surface ---
-
-var _ mogul.Retriever = (*Client)(nil)
-
-func (c *Client) ctx() context.Context { return context.Background() }
-
-// Len returns the shard's live item count (0 when unreachable).
-func (c *Client) Len() int {
-	info, err := c.InfoCtx(c.ctx())
-	if err != nil {
-		return 0
-	}
-	return info.Items
-}
-
-// Exact reports whether the shard serves exact scores (false when
-// unreachable).
-func (c *Client) Exact() bool {
-	info, err := c.InfoCtx(c.ctx())
-	return err == nil && info.Exact
-}
-
-// Stats returns the shard's construction statistics (zero when
-// unreachable).
-func (c *Client) Stats() mogul.Stats {
-	info, err := c.InfoCtx(c.ctx())
-	if err != nil {
-		return mogul.Stats{}
-	}
-	return info.Stats
-}
-
-// Delta returns the shard's dynamic state (zero when unreachable).
-func (c *Client) Delta() mogul.DeltaStats {
-	info, err := c.InfoCtx(c.ctx())
-	if err != nil {
-		return mogul.DeltaStats{}
-	}
-	return info.Delta
-}
-
-// Version returns the shard's mutation version, or 0 when the shard
-// is unreachable (live versions start at 1).
-func (c *Client) Version() uint64 {
-	info, err := c.InfoCtx(c.ctx())
-	if err != nil {
-		return 0
-	}
-	return info.Version
-}
-
-// searchResponse mirrors the serve layer's response envelope.
-type searchResponse struct {
-	Answers []wireResult `json:"answers"`
-	Pruned  int          `json:"clusters_pruned"`
-	Scanned int          `json:"clusters_scanned"`
-	Scores  int          `json:"scores_computed"`
-}
-
-// TopK runs an in-database query on the remote shard.
-func (c *Client) TopK(query, k int) ([]mogul.Result, error) {
-	res, _, err := c.TopKWithInfo(query, k)
-	return res, err
-}
-
-// TopKWithInfo is TopK plus the shard's work counters.
-func (c *Client) TopKWithInfo(query, k int) ([]mogul.Result, *mogul.SearchInfo, error) {
-	var resp searchResponse
-	path := "/search?id=" + strconv.Itoa(query) + "&k=" + strconv.Itoa(k)
-	if err := c.getJSON(c.ctx(), path, &resp); err != nil {
-		return nil, nil, err
-	}
-	return fromWire(resp.Answers), &mogul.SearchInfo{
-		ClustersPruned:  resp.Pruned,
-		ClustersScanned: resp.Scanned,
-		ScoresComputed:  resp.Scores,
-	}, nil
-}
-
-// TopKVector runs an out-of-sample query on the remote shard.
-func (c *Client) TopKVector(q mogul.Vector, k int) ([]mogul.Result, error) {
-	res, _, err := c.VectorSearch(c.ctx(), q, k)
-	return res, err
-}
-
-// TopKSet runs an equal-weight multi-seed query on the remote shard.
-func (c *Client) TopKSet(seeds []int, k int) ([]mogul.Result, error) {
-	var resp searchResponse
-	req := struct {
-		IDs []int `json:"ids"`
-		K   int   `json:"k"`
-	}{seeds, k}
-	if err := c.postJSON(c.ctx(), "/search/set", req, &resp, true); err != nil {
-		return nil, err
-	}
-	return fromWire(resp.Answers), nil
-}
-
-// TopKBatch answers many in-database queries in one request.
-func (c *Client) TopKBatch(queries []int, k, parallelism int) []mogul.BatchResult {
-	out := make([]mogul.BatchResult, len(queries))
-	var resp struct {
-		Results []struct {
-			Query   int          `json:"query"`
-			Answers []wireResult `json:"answers"`
-			Error   string       `json:"error"`
-		} `json:"results"`
-	}
-	req := struct {
-		IDs []int `json:"ids"`
-		K   int   `json:"k"`
-	}{queries, k}
-	err := c.postJSON(c.ctx(), "/search/batch", req, &resp, true)
-	if err != nil || len(resp.Results) != len(queries) {
-		if err == nil {
-			err = fmt.Errorf("dist: batch answered %d of %d queries", len(resp.Results), len(queries))
-		}
-		for i, q := range queries {
-			out[i] = mogul.BatchResult{Query: q, Err: err}
-		}
-		return out
-	}
-	for i, br := range resp.Results {
-		out[i] = mogul.BatchResult{Query: br.Query}
-		if br.Error != "" {
-			out[i].Err = errors.New(br.Error)
-			continue
-		}
-		out[i].Results = fromWire(br.Answers)
-	}
-	return out
-}
-
-// TopKVectorBatch answers many out-of-sample queries, fanning the
-// individual requests out client-side so the server's micro-batcher
-// can coalesce them.
-func (c *Client) TopKVectorBatch(queries []mogul.Vector, k, parallelism int) []mogul.BatchResult {
-	out := make([]mogul.BatchResult, len(queries))
-	if parallelism <= 0 {
-		parallelism = 8
-	}
-	fanout.ForEach(len(queries), parallelism, func() func(int) {
-		return func(i int) {
-			res, err := c.TopKVector(queries[i], k)
-			out[i] = mogul.BatchResult{Query: i, Results: res, Err: err}
-		}
-	})
-	return out
-}
-
-// Neighbors fetches an item's graph context from the remote shard.
-func (c *Client) Neighbors(item int) (ids []int, weights []float64, err error) {
-	return c.NeighborsCtx(c.ctx(), item)
-}
-
-// Insert routes one insert to the remote shard (never retried).
-func (c *Client) Insert(v mogul.Vector) (int, error) { return c.InsertCtx(c.ctx(), v) }
-
-// Delete routes one delete to the remote shard (never retried).
-func (c *Client) Delete(id int) error { return c.DeleteCtx(c.ctx(), id) }
-
-// Compact folds the remote shard's delta in (never retried).
-func (c *Client) Compact() error { return c.CompactCtx(c.ctx()) }
-
-// Save streams the remote shard's snapshot to w.
-func (c *Client) Save(w io.Writer) error {
-	data, _, err := c.do(c.ctx(), http.MethodGet, "/dist/snapshot", nil, true)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// SaveFile writes the remote shard's snapshot to a local file.
-func (c *Client) SaveFile(path string) error {
-	return mogul.SaveFileFunc(path, c.Save)
-}
-
-// NewQuerier returns the client itself: it holds no per-query scratch
-// (the server side pools those), so there is nothing to pin per worker.
-func (c *Client) NewQuerier() mogul.Querier { return c }

@@ -126,7 +126,7 @@ func (l LocalShard) AliveMap(ctx context.Context) (int, []int, error) {
 		return 0, nil, err
 	}
 	space := l.Ix.IDSpace()
-	var dead []int
+	dead := []int{} // non-nil: an all-live shard is "dead":[] on the wire
 	for id := 0; id < space; id++ {
 		if !l.Ix.Alive(id) {
 			dead = append(dead, id)

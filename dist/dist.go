@@ -2,19 +2,20 @@
 // behind the same mogul.Retriever surface the in-process ShardedIndex
 // serves. Three pieces compose (see docs/DISTRIBUTED.md):
 //
-//   - ShardServer wraps one shard's *mogul.Index in the full serve
-//     HTTP layer (search, mutations, caching, metrics) and adds the
-//     /dist/* endpoints the distributed layer needs: owner search
-//     (answers + query vector + affinity in one round trip), vector
-//     search with affinity, weighted set search, the replication log
-//     (/dist/log), snapshots, and the liveness map a coordinator
-//     compaction consumes.
+//   - ShardServer is one shard's *mogul.Index behind the full serve
+//     HTTP layer (search, mutations, caching, metrics) with the /dist/*
+//     routes added to the same route table: owner search (answers +
+//     query vector + affinity in one round trip), vector search with
+//     affinity, weighted set search, info and the liveness map — each
+//     the wire form of one Backend method — plus the replication log
+//     (/dist/log), truncation and snapshots.
 //
-//   - Client speaks to one ShardServer and implements mogul.Retriever
-//     plus the context-taking shard calls a Coordinator fans out to.
-//     Connections are reused through one transport, every request
-//     carries a per-request timeout, and idempotent reads retry with
-//     bounded exponential backoff; mutations are never retried.
+//   - Client speaks to one ShardServer: the Backend surface a
+//     Coordinator fans out to, from the other side of that wire, plus
+//     the replication calls. Connections are reused through one
+//     transport, every request carries a per-request timeout, and
+//     idempotent reads retry with bounded exponential backoff;
+//     mutations are never retried.
 //
 //   - Coordinator serves one global id space over a set of shards —
 //     each local (an index in this process) or remote (a Client) —

@@ -84,17 +84,7 @@ func NewCluster(t testingT, cfg ClusterConfig) *Cluster {
 	c := &Cluster{Partition: partition}
 	shards := make([]dist.Shard, cfg.Shards)
 	for i, ix := range idxs {
-		srv := dist.NewShardServer(ix, cfg.Serve)
-		hs := httptest.NewServer(srv)
-		faults := &Faults{next: hs.Client().Transport}
-		copts := cfg.Client
-		copts.Transport = faults
-		cl := dist.NewClient(hs.URL, copts)
-		c.Servers = append(c.Servers, srv)
-		c.https = append(c.https, hs)
-		c.Faults = append(c.Faults, faults)
-		c.Clients = append(c.Clients, cl)
-		shards[i] = dist.Shard{Replicas: []dist.Backend{cl}}
+		shards[i] = dist.Shard{Replicas: []dist.Backend{c.AddReplica(t, ix, cfg.Serve, cfg.Client)}}
 	}
 	coord, err := dist.NewCoordinator(shards, partition, cfg.Coord)
 	if err != nil {
@@ -119,14 +109,15 @@ func (c *Cluster) shutdown() {
 	}
 }
 
-// AddReplica boots a server + client around a follower index and
-// registers them for cluster teardown. The coordinator's shard wiring
-// is fixed at construction and is NOT updated — this is for
-// replication tests that drive a Replicator against the new node
-// directly.
-func (c *Cluster) AddReplica(t testingT, follower *mogul.Index, serveOpts serve.Options, copts dist.ClientOptions) *dist.Client {
+// AddReplica boots a server + client around an index, behind a fault
+// injector of their own, and registers them for cluster teardown —
+// how NewCluster boots each shard. Called on a booted cluster it does
+// NOT update the coordinator's shard wiring, which is fixed at
+// construction: that use is for replication tests that drive a
+// Replicator against the new node directly.
+func (c *Cluster) AddReplica(t testingT, ix *mogul.Index, serveOpts serve.Options, copts dist.ClientOptions) *dist.Client {
 	t.Helper()
-	srv := dist.NewShardServer(follower, serveOpts)
+	srv := dist.NewShardServer(ix, serveOpts)
 	hs := httptest.NewServer(srv)
 	faults := &Faults{next: hs.Client().Transport}
 	copts.Transport = faults

@@ -94,9 +94,6 @@ func Bootstrap(ctx context.Context, c *Client) (*Replicator, *mogul.Index, error
 // through.
 func (r *Replicator) Cursor() uint64 { return r.cursor }
 
-// Follower returns the index being converged.
-func (r *Replicator) Follower() *mogul.Index { return r.follower }
-
 // CatchUp drains the primary's log until the follower is fully caught
 // up, returning the number of entries applied. ErrLogTruncated means
 // the follower must re-bootstrap from a snapshot.

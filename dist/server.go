@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -11,37 +10,33 @@ import (
 	"mogul/serve"
 )
 
-// ShardServer exposes one shard's full surface over HTTP: every serve
-// endpoint (search paths with caching/batching/backpressure,
-// mutations, metrics) plus the /dist/* endpoints the distributed
-// layer is built from:
+// ShardServer is one shard's serve.Server — every serve route, with its
+// caching, batching, backpressure and metrics — plus the /dist/* routes
+// the distributed layer is built from, mounted on the same route table
+// (so they are counted in /metrics and /stats like any other route):
 //
-//	GET  /dist/info              -> shard state (items, version, exact,
-//	                                stats, delta, log length)
-//	GET  /dist/owner?id=N&k=K    -> owner search: answers + the query
-//	                                item's vector + the shard's own
-//	                                affinity to it, in one round trip
-//	POST /dist/vector            -> {"vector":[...],"k":K}: answers +
-//	                                the shard's kernel affinity
-//	POST /dist/set               -> {"ids":[...],"weight":w,"k":K}:
-//	                                weighted multi-seed search
+//	GET  /dist/info              -> Backend.InfoCtx
+//	GET  /dist/owner?id=N&k=K    -> Backend.OwnerSearch
+//	POST /dist/vector            -> Backend.VectorSearch
+//	POST /dist/set               -> Backend.SetSearch
+//	GET  /dist/alive             -> Backend.AliveMap
 //	GET  /dist/log?since=V       -> replication log tail past cursor V
 //	                                (binary, mogul.WriteLogEntries);
 //	                                410 Gone once truncated past V
 //	GET  /dist/snapshot          -> full index stream with the matching
 //	                                X-Mogul-Version header
-//	GET  /dist/alive             -> id space + dead ids (the liveness
-//	                                map a coordinator compaction needs)
 //	POST /dist/truncate          -> {"up_to":V}: drop acknowledged log
 //
-// Search answers carry float64 scores through JSON, which Go encodes
-// in shortest-round-trip form — scores survive the wire bit-exactly,
-// so a coordinator's merged ranking can be pinned against the
-// in-process oracle.
+// The first five are the wire form of one Backend method each: decode
+// the request, call the method on a LocalShard over the index, encode
+// what it returned — the image of what Client does from the other side,
+// so the remote shard cannot drift from the in-process one. The request
+// and reply types are in wire.go and serve/wire.go (docs/SERVING.md,
+// "Routes and wire").
 type ShardServer struct {
-	ix  *mogul.Index
-	srv *serve.Server
-	mux *http.ServeMux
+	*serve.Server
+	ix    *mogul.Index
+	local LocalShard
 }
 
 // versionHeader carries the shard's mutation version on binary
@@ -49,196 +44,104 @@ type ShardServer struct {
 const versionHeader = "X-Mogul-Version"
 
 // NewShardServer wraps ix in the serving layer plus the /dist/*
-// surface. Close the returned server on shutdown (it closes the inner
-// serve.Server; the index stays open).
+// surface. Close the returned server on shutdown (the index stays
+// open).
 func NewShardServer(ix *mogul.Index, opts serve.Options) *ShardServer {
-	s := &ShardServer{ix: ix, srv: serve.New(ix, opts), mux: http.NewServeMux()}
-	s.mux.HandleFunc("/dist/info", s.handleInfo)
-	s.mux.HandleFunc("/dist/owner", s.handleOwner)
-	s.mux.HandleFunc("/dist/vector", s.handleVector)
-	s.mux.HandleFunc("/dist/set", s.handleSet)
-	s.mux.HandleFunc("/dist/log", s.handleLog)
-	s.mux.HandleFunc("/dist/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/dist/alive", s.handleAlive)
-	s.mux.HandleFunc("/dist/truncate", s.handleTruncate)
-	s.mux.Handle("/", s.srv)
+	s := &ShardServer{Server: serve.New(ix, opts), ix: ix, local: LocalShard{Ix: ix}}
+	s.Handle(http.MethodGet, "/dist/info", "dist_info", s.handleInfo)
+	s.Handle(http.MethodGet, "/dist/owner", "dist_owner", s.handleOwner)
+	s.Handle(http.MethodPost, "/dist/vector", "dist_vector", s.handleVector)
+	s.Handle(http.MethodPost, "/dist/set", "dist_set", s.handleSet)
+	s.Handle(http.MethodGet, "/dist/log", "dist_log", s.handleLog)
+	s.Handle(http.MethodGet, "/dist/snapshot", "dist_snapshot", s.handleSnapshot)
+	s.Handle(http.MethodGet, "/dist/alive", "dist_alive", s.handleAlive)
+	s.Handle(http.MethodPost, "/dist/truncate", "dist_truncate", s.handleTruncate)
 	return s
 }
-
-func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Close releases the inner serve.Server's background machinery.
-func (s *ShardServer) Close() { s.srv.Close() }
 
 // Index returns the served shard index (the replicator applies log
 // entries to it directly on follower nodes).
 func (s *ShardServer) Index() *mogul.Index { return s.ix }
 
-// wireResult is one answer row on the /dist wire: ids are SHARD-LOCAL
-// (the coordinator owns the global remap), scores bit-exact float64.
-type wireResult struct {
-	Item  int     `json:"item"`
-	Score float64 `json:"score"`
-}
-
-func toWire(res []mogul.Result) []wireResult {
-	out := make([]wireResult, len(res))
-	for i, r := range res {
-		out[i] = wireResult{Item: r.Node, Score: r.Score}
+// reply renders a Backend call's outcome: v on success, the error as a
+// 400 otherwise (every failure of these calls is the request's).
+func reply(w http.ResponseWriter, v interface{}, err error) {
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	return out
+	serve.WriteJSON(w, http.StatusOK, v)
 }
 
-func fromWire(res []wireResult) []mogul.Result {
-	out := make([]mogul.Result, len(res))
-	for i, r := range res {
-		out[i] = mogul.Result{Node: r.Item, Score: r.Score}
+// readBody decodes a /dist request body into v and checks the k it
+// carried; on failure it has rendered the 4xx and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, v interface{}, k *int) bool {
+	if err := serve.ReadJSON(w, r, v); err != nil {
+		serve.RejectBody(w, err, "bad JSON: "+err.Error())
+		return false
 	}
-	return out
-}
-
-// ownerResponse answers /dist/owner: the in-database ranking plus the
-// query item's stored vector and the owning shard's affinity to it —
-// everything a coordinator needs before probing the other shards.
-type ownerResponse struct {
-	Version  uint64       `json:"version"`
-	Answers  []wireResult `json:"answers"`
-	Vector   []float64    `json:"vector"`
-	Affinity float64      `json:"affinity"`
-}
-
-// vectorResponse answers /dist/vector and /dist/set.
-type vectorResponse struct {
-	Version  uint64       `json:"version"`
-	Answers  []wireResult `json:"answers"`
-	Affinity float64      `json:"affinity,omitempty"`
+	if *k <= 0 {
+		serve.WriteError(w, http.StatusBadRequest, "k must be a positive integer")
+		return false
+	}
+	return true
 }
 
 func (s *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		distError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, Info{
-		Items:   s.ix.Len(),
-		Version: s.ix.Version(),
-		Exact:   s.ix.Exact(),
-		IDSpace: s.ix.IDSpace(),
-		LogLen:  s.ix.LogLen(),
-		Stats:   s.ix.Stats(),
-		Delta:   s.ix.Delta(),
-	})
-}
-
-// Info is a shard's state snapshot (/dist/info).
-type Info struct {
-	Items   int              `json:"items"`
-	Version uint64           `json:"version"`
-	Exact   bool             `json:"exact"`
-	IDSpace int              `json:"id_space"`
-	LogLen  int              `json:"log_len"`
-	Stats   mogul.Stats      `json:"stats"`
-	Delta   mogul.DeltaStats `json:"delta"`
+	info, err := s.local.InfoCtx(r.Context())
+	reply(w, info, err)
 }
 
 func (s *ShardServer) handleOwner(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		distError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	q := r.URL.Query()
 	id, err := strconv.Atoi(q.Get("id"))
 	if err != nil {
-		distError(w, http.StatusBadRequest, "id must be an integer")
+		serve.WriteError(w, http.StatusBadRequest, "id must be an integer")
 		return
 	}
 	k, err := strconv.Atoi(q.Get("k"))
 	if err != nil || k <= 0 {
-		distError(w, http.StatusBadRequest, "k must be a positive integer")
+		serve.WriteError(w, http.StatusBadRequest, "k must be a positive integer")
 		return
 	}
-	// The version is read before the search so the stamp is
-	// conservative: a mutation landing mid-search yields a stale stamp,
-	// never a stamp claiming post-mutation answers.
 	ver := s.ix.Version()
-	res, qvec, aff, err := s.ix.TopKWithVector(id, k)
-	if err != nil {
-		distError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ownerResponse{
-		Version:  ver,
-		Answers:  toWire(res),
-		Vector:   qvec,
-		Affinity: aff,
-	})
+	res, qvec, aff, err := s.local.OwnerSearch(r.Context(), id, k)
+	reply(w, ownerResponse{Version: ver, Answers: toWire(res), Vector: qvec, Affinity: aff}, err)
 }
 
 func (s *ShardServer) handleVector(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		distError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req struct {
-		Vector []float64 `json:"vector"`
-		K      int       `json:"k"`
-	}
-	if err := serve.ReadJSON(w, r, &req); err != nil {
-		serve.RejectBody(w, err, "bad JSON: "+err.Error())
-		return
-	}
-	if req.K <= 0 {
-		distError(w, http.StatusBadRequest, "k must be a positive integer")
+	var req serve.VectorQuery
+	if !readBody(w, r, &req, &req.K) {
 		return
 	}
 	ver := s.ix.Version()
-	res, aff, err := s.ix.TopKVectorWithAffinity(req.Vector, req.K)
-	if err != nil {
-		distError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, vectorResponse{Version: ver, Answers: toWire(res), Affinity: aff})
+	res, aff, err := s.local.VectorSearch(r.Context(), req.Vector, req.K)
+	reply(w, vectorResponse{Version: ver, Answers: toWire(res), Affinity: aff}, err)
 }
 
 func (s *ShardServer) handleSet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		distError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req struct {
-		IDs    []int   `json:"ids"`
-		Weight float64 `json:"weight"`
-		K      int     `json:"k"`
-	}
-	if err := serve.ReadJSON(w, r, &req); err != nil {
-		serve.RejectBody(w, err, "bad JSON: "+err.Error())
-		return
-	}
-	if req.K <= 0 {
-		distError(w, http.StatusBadRequest, "k must be a positive integer")
+	var req serve.SetQuery
+	if !readBody(w, r, &req, &req.K) {
 		return
 	}
 	if req.Weight <= 0 {
-		distError(w, http.StatusBadRequest, "weight must be positive")
+		serve.WriteError(w, http.StatusBadRequest, "weight must be positive")
 		return
 	}
 	ver := s.ix.Version()
-	res, err := s.ix.TopKSetWeighted(req.IDs, req.Weight, req.K)
-	if err != nil {
-		distError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, vectorResponse{Version: ver, Answers: toWire(res)})
+	res, err := s.local.SetSearch(r.Context(), req.IDs, req.Weight, req.K)
+	reply(w, vectorResponse{Version: ver, Answers: toWire(res)}, err)
+}
+
+func (s *ShardServer) handleAlive(w http.ResponseWriter, r *http.Request) {
+	space, dead, err := s.local.AliveMap(r.Context())
+	reply(w, aliveReply{Dead: dead, IDSpace: space, Version: s.ix.Version()}, err)
 }
 
 func (s *ShardServer) handleLog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		distError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	since, err := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
 	if err != nil {
-		distError(w, http.StatusBadRequest, "since must be a version cursor")
+		serve.WriteError(w, http.StatusBadRequest, "since must be a version cursor")
 		return
 	}
 	entries, ok := s.ix.EntriesSince(since)
@@ -247,12 +150,12 @@ func (s *ShardServer) handleLog(w http.ResponseWriter, r *http.Request) {
 		// catch up incrementally and must bootstrap from /dist/snapshot.
 		// 410 is the contract for "gone for good", distinct from any
 		// transient failure a client would retry.
-		distError(w, http.StatusGone, fmt.Sprintf("log truncated past version %d; bootstrap from snapshot", since))
+		serve.WriteError(w, http.StatusGone, fmt.Sprintf("log truncated past version %d; bootstrap from snapshot", since))
 		return
 	}
 	var buf bytes.Buffer
 	if err := mogul.WriteLogEntries(&buf, entries); err != nil {
-		distError(w, http.StatusInternalServerError, err.Error())
+		serve.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -262,10 +165,6 @@ func (s *ShardServer) handleLog(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		distError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	// A snapshot is only a valid replication bootstrap when the version
 	// it is stamped with matches the serialized state exactly, so the
 	// pair is captured under a version double-read: if a mutation lands
@@ -279,14 +178,14 @@ func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		ver = s.ix.Version()
 		buf.Reset()
 		if err := s.ix.Save(&buf); err != nil {
-			distError(w, http.StatusInternalServerError, err.Error())
+			serve.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		if s.ix.Version() == ver {
 			break
 		}
 		if i == attempts-1 {
-			distError(w, http.StatusServiceUnavailable, "index mutating too fast to snapshot consistently")
+			serve.WriteError(w, http.StatusServiceUnavailable, "index mutating too fast to snapshot consistently")
 			return
 		}
 	}
@@ -296,50 +195,12 @@ func (s *ShardServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-func (s *ShardServer) handleAlive(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		distError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	space := s.ix.IDSpace()
-	dead := []int{}
-	for id := 0; id < space; id++ {
-		if !s.ix.Alive(id) {
-			dead = append(dead, id)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"id_space": space,
-		"dead":     dead,
-		"version":  s.ix.Version(),
-	})
-}
-
 func (s *ShardServer) handleTruncate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		distError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req struct {
-		UpTo uint64 `json:"up_to"`
-	}
+	var req truncateRequest
 	if err := serve.ReadJSON(w, r, &req); err != nil {
 		serve.RejectBody(w, err, "bad JSON: "+err.Error())
 		return
 	}
 	s.ix.TruncateEntries(req.UpTo)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"log_len": s.ix.LogLen()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// distError renders errors through the serve layer's canonical
-// renderer, so the /dist/* endpoints and the serve endpoints present
-// one error format (and one Content-Type) to clients.
-func distError(w http.ResponseWriter, status int, msg string) {
-	serve.WriteError(w, status, msg)
+	serve.WriteJSON(w, http.StatusOK, map[string]interface{}{"log_len": s.ix.LogLen()})
 }

@@ -1,10 +1,14 @@
 package dist_test
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,5 +75,215 @@ func TestShardServerBoundsRequestBodies(t *testing.T) {
 	}
 	if ix.Version() != 1 || ix.LogLen() != 0 {
 		t.Fatalf("a rejected body reached the index: version %d, log length %d", ix.Version(), ix.LogLen())
+	}
+}
+
+// TestShardServerCountsDistRoutes: the /dist/* routes are rows of the
+// same route table as the serve routes, so the only search traffic a
+// coordinator sends shows up in /metrics and /stats — requests and
+// errors both. (They used to sit on a private mux that bypassed the
+// instrumentation.)
+func TestShardServerCountsDistRoutes(t *testing.T) {
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 60, Classes: 3, Dim: 4, WithinStd: 0.3, Separation: 3, Seed: 3})
+	ix, err := mogul.Build(ds.Points, mogul.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := dist.NewShardServer(ix, serve.Options{})
+	defer srv.Close()
+	send := func(method, path, body string, wantStatus int) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != wantStatus {
+			t.Fatalf("%s %s: status %d, want %d (%s)", method, path, rec.Code, wantStatus, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	send(http.MethodGet, "/dist/owner?id=3&k=5", "", http.StatusOK)
+	send(http.MethodPost, "/dist/vector", `{"vector":[2.9,-2.1,0.1,0.9],"k":3}`, http.StatusOK)
+	send(http.MethodPost, "/dist/set", `{"ids":[1,2],"weight":0.5,"k":0}`, http.StatusBadRequest)
+
+	metrics := send(http.MethodGet, "/metrics", "", http.StatusOK)
+	var stats struct {
+		Endpoints map[string]struct{ Requests, Errors int }
+	}
+	if err := json.Unmarshal([]byte(send(http.MethodGet, "/stats", "", http.StatusOK)), &stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		endpoint         string
+		requests, errors int
+	}{{"dist_owner", 1, 0}, {"dist_vector", 1, 0}, {"dist_set", 1, 1}, {"dist_alive", 0, 0}} {
+		for series, n := range map[string]int{"mogul_requests_total": want.requests, "mogul_request_errors_total": want.errors} {
+			if line := fmt.Sprintf("%s{endpoint=%q} %d\n", series, want.endpoint, n); !strings.Contains(metrics, line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+		}
+		if got := stats.Endpoints[want.endpoint]; got.Requests != want.requests || got.Errors != want.errors {
+			t.Errorf("/stats %s: %+v, want %d requests, %d errors", want.endpoint, got, want.requests, want.errors)
+		}
+	}
+	if want := fmt.Sprintf("mogul_request_duration_seconds_count{endpoint=%q} 1\n", "dist_owner"); !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks the latency histogram line %q", want)
+	}
+}
+
+// node is everything a Client speaks: the Backend surface plus the
+// replication calls.
+type node interface {
+	dist.Backend
+	dist.LogSource
+	TruncateLog(ctx context.Context, upTo uint64) error
+	Snapshot(ctx context.Context) (*mogul.Index, uint64, error)
+}
+
+// localNode is the in-process meaning of each call: LocalShard for the
+// Backend surface, the index itself for replication.
+type localNode struct {
+	dist.LocalShard
+	dist.LogSource
+	ix *mogul.Index
+}
+
+func (n localNode) TruncateLog(_ context.Context, upTo uint64) error {
+	n.ix.TruncateEntries(upTo)
+	return nil
+}
+
+func (n localNode) Snapshot(context.Context) (*mogul.Index, uint64, error) {
+	return n.ix, n.ix.Version(), nil
+}
+
+// TestClientMatchesLocalShard drives every Client method against a real
+// ShardServer over HTTP and the same call in process on a twin index,
+// and requires identical returns — ids, score bits, vector, affinity,
+// dead list (nil-ness included), log entries. It then reads the
+// server's route table back through /stats: every route must either
+// have been reached by a Client call above or be listed as one no
+// Client method speaks, so a route added to ShardServer later fails
+// here until it has a round-trip case.
+func TestClientMatchesLocalShard(t *testing.T) {
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 60, Classes: 3, Dim: 4, WithinStd: 0.3, Separation: 3, Seed: 3})
+	served, twin := buildPair(t, ds.Points, mogul.Options{Seed: 3})
+	srv := dist.NewShardServer(served, serve.Options{})
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	cl := dist.NewClient(hs.URL, dist.ClientOptions{})
+	defer cl.CloseIdleConnections()
+	var remote, local node = cl, localNode{dist.LocalShard{Ix: twin}, dist.IndexSource(twin), twin}
+
+	ctx := context.Background()
+	probe := mogul.Vector{2.9, -2.1, 0.1, 0.9}
+	type out []interface{}
+	steps := []struct {
+		route string
+		call  func(n node) (out, error)
+	}{
+		{"dist_owner", func(n node) (out, error) {
+			res, vec, aff, err := n.OwnerSearch(ctx, 3, 5)
+			return out{res, vec, aff}, err
+		}},
+		{"dist_vector", func(n node) (out, error) {
+			res, aff, err := n.VectorSearch(ctx, probe, 5)
+			return out{res, aff}, err
+		}},
+		{"dist_set", func(n node) (out, error) {
+			res, err := n.SetSearch(ctx, []int{1, 2, 3}, 1.0/3, 5)
+			return out{res}, err
+		}},
+		{"item", func(n node) (out, error) {
+			ids, weights, err := n.NeighborsCtx(ctx, 4)
+			return out{ids, weights}, err
+		}},
+		{"dist_alive", func(n node) (out, error) { // all live: an empty, non-nil dead list
+			space, dead, err := n.AliveMap(ctx)
+			return out{space, dead}, err
+		}},
+		{"insert", func(n node) (out, error) {
+			id, err := n.InsertCtx(ctx, probe)
+			return out{id}, err
+		}},
+		{"delete", func(n node) (out, error) { return nil, n.DeleteCtx(ctx, 7) }},
+		{"dist_alive", func(n node) (out, error) {
+			space, dead, err := n.AliveMap(ctx)
+			return out{space, dead}, err
+		}},
+		{"dist_owner", func(n node) (out, error) { // the inserted item as the query
+			res, vec, aff, err := n.OwnerSearch(ctx, 60, 5)
+			return out{res, vec, aff}, err
+		}},
+		{"dist_log", func(n node) (out, error) {
+			entries, ok, err := n.LogEntries(ctx, 1)
+			return out{entries, ok}, err
+		}},
+		{"dist_truncate", func(n node) (out, error) { return nil, n.TruncateLog(ctx, 2) }},
+		{"dist_log", func(n node) (out, error) { // truncated past the cursor: ok=false, no error
+			entries, ok, err := n.LogEntries(ctx, 1)
+			return out{entries, ok}, err
+		}},
+		{"dist_info", func(n node) (out, error) {
+			info, err := n.InfoCtx(ctx)
+			// The twins were built separately; only the stage wall
+			// clocks may differ.
+			info.Stats.ClusterTime, info.Stats.PermuteTime, info.Stats.FactorTime = 0, 0, 0
+			return out{info}, err
+		}},
+		{"dist_snapshot", func(n node) (out, error) {
+			ix, ver, err := n.Snapshot(ctx)
+			if err != nil {
+				return nil, err
+			}
+			res, err := ix.TopK(60, 5)
+			return out{ver, ix.Len(), ix.IDSpace(), res}, err
+		}},
+		{"compact", func(n node) (out, error) { return nil, n.CompactCtx(ctx) }},
+		{"dist_alive", func(n node) (out, error) {
+			space, dead, err := n.AliveMap(ctx)
+			return out{space, dead}, err
+		}},
+	}
+	reached := map[string]int{}
+	for i, st := range steps {
+		got, err := st.call(remote)
+		if err != nil {
+			t.Fatalf("step %d (%s) over HTTP: %v", i, st.route, err)
+		}
+		want, err := st.call(local)
+		if err != nil {
+			t.Fatalf("step %d (%s) in process: %v", i, st.route, err)
+		}
+		// DeepEqual sees nil against empty; %x prints every float's bits.
+		if !reflect.DeepEqual(got, want) || fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+			t.Fatalf("step %d (%s):\nClient     %v\nLocalShard %v", i, st.route, got, want)
+		}
+		reached[st.route]++
+	}
+
+	resp, err := http.Get(hs.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Endpoints map[string]struct{ Requests int }
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	// The routes no Client method speaks: the public query surface and
+	// the observability endpoints.
+	notClient := []string{"healthz", "stats", "metrics", "search", "search_vector", "search_set", "search_batch"}
+	if len(stats.Endpoints) < len(notClient)+len(reached) {
+		t.Fatalf("/stats lists %d routes, fewer than the %d this test knows", len(stats.Endpoints), len(notClient)+len(reached))
+	}
+	for name, ep := range stats.Endpoints {
+		switch n, ok := reached[name]; {
+		case ok && ep.Requests != n:
+			t.Errorf("route %s: served %d requests, the Client calls above should have sent %d", name, ep.Requests, n)
+		case !ok && !slices.Contains(notClient, name):
+			t.Errorf("route %s has no round-trip case: drive the Client method that speaks it above, or list it in notClient", name)
+		}
 	}
 }

@@ -286,9 +286,6 @@ func NewLUFromComponents(lu *Matrix, pivot []int, signDet float64) (*LU, error) 
 	return &LU{lu: lu, pivot: pivot, signDet: signDet}, nil
 }
 
-// Order returns n, the dimension of the factorized matrix.
-func (f *LU) Order() int { return f.lu.Rows }
-
 // Det returns the determinant of the factorized matrix.
 func (f *LU) Det() float64 {
 	d := f.signDet

@@ -67,16 +67,3 @@ func (g *Graph) SqDistTo(q vec.Vector, i int) float64 {
 	}
 	return vec.SquaredEuclideanQ32(q, g.Point32(i))
 }
-
-// WidenPoints returns the point set as float64 vectors: the stored
-// slice in f64 mode, a widened copy in f32 mode. Compaction uses it to
-// feed the (always-f64) rebuild pipeline.
-func (g *Graph) WidenPoints() []vec.Vector {
-	if g.Points != nil {
-		return g.Points
-	}
-	if g.Pts32 == nil {
-		return nil
-	}
-	return vec.Unflatten32(g.Pts32, g.Dim32)
-}

@@ -29,32 +29,6 @@ import (
 // exact for them), and length mismatches panic, exactly like the f64
 // kernels.
 
-// SquaredEuclidean32 returns the squared L2 distance between two
-// float32 vectors, accumulated in float64.
-func SquaredEuclidean32(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", len(a), len(b)))
-	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := float64(a[i]) - float64(b[i])
-		d1 := float64(a[i+1]) - float64(b[i+1])
-		d2 := float64(a[i+2]) - float64(b[i+2])
-		d3 := float64(a[i+3]) - float64(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
-	}
-	return combineLanes(s0, s1, s2, s3)
-}
-
 // SquaredEuclideanQ32 returns the squared L2 distance between a
 // float64 query and a float32 stored point — the serving-path shape,
 // where the query arrives in full precision and only the stored point

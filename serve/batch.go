@@ -240,7 +240,7 @@ func (b *batcher) exec(batch []*pending) {
 				if p.k < len(res) {
 					res = res[:p.k]
 				}
-				ans = s.cacheSet(p.key, ver, res, mogul.SearchInfo{})
+				ans = s.cacheSet(p.key, ver, res, mogul.SearchInfo{}).answers
 				if rendered == nil {
 					rendered = make(map[int]json.RawMessage, 1)
 				}

@@ -23,8 +23,8 @@ import (
 //   - unbatched-parallel: concurrent clients, direct execution
 //   - batched-parallel:   concurrent clients, micro-batched execution
 //
-// CI's bench-smoke job archives these as BENCH_serve.json via
-// cmd/bench2json; a committed baseline lives at the repo root.
+// CI's bench-smoke job runs these as a smoke test; the gated
+// measurement of this path is the benchmark module's mixed_rw workload.
 func BenchmarkServeThroughput(b *testing.B) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{
 		N: 6000, Classes: 8, Dim: 32, WithinStd: 0.25, Separation: 2.5, Seed: 17,

@@ -15,6 +15,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,7 +67,9 @@ func TestShedResponseShape(t *testing.T) {
 }
 
 // TestErrorShapeAcrossEndpoints: a sample of error paths on every
-// endpoint family renders the same shape.
+// endpoint family renders the same shape, and so does the 405 of every
+// route in the route table asked with a method it does not answer — a
+// route added later is covered without editing this test.
 func TestErrorShapeAcrossEndpoints(t *testing.T) {
 	idx, _ := testIndex(t)
 	s := New(idx, Options{})
@@ -92,6 +95,24 @@ func TestErrorShapeAcrossEndpoints(t *testing.T) {
 			s.ServeHTTP(rec, req)
 			checkErrorShape(t, rec, tc.wantStatus)
 		})
+	}
+	for _, rt := range s.routes {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete} {
+			if method == rt.method {
+				continue
+			}
+			t.Run(method+" "+rt.name, func(t *testing.T) {
+				before := idx.Version()
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, newBodyRequest(method, rt.pattern+"?id=1", `{"id":1,"ids":[1],"vector":[1]}`))
+				if msg := checkErrorShape(t, rec, http.StatusMethodNotAllowed); msg != "use "+rt.method {
+					t.Fatalf("405 message %q does not name %s", msg, rt.method)
+				}
+				if idx.Version() != before {
+					t.Fatal("a request with the wrong method mutated the index")
+				}
+			})
+		}
 	}
 }
 
@@ -160,7 +181,7 @@ func TestSearchHugeK(t *testing.T) {
 			t.Fatalf("k=%d: status %d: %s", k, rec.Code, rec.Body.String())
 		}
 		var resp struct {
-			Answers []answer `json:"answers"`
+			Answers []Answer `json:"answers"`
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
@@ -171,19 +192,33 @@ func TestSearchHugeK(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyRejected: every body-reading endpoint stops reading
-// at maxBodyBytes and answers 413 in the canonical error shape, and a
+// TestOversizedBodyRejected: every body-reading route stops reading at
+// maxBodyBytes and answers 413 in the canonical error shape, and a
 // body just under the cap still gets as far as JSON decoding (400 for
-// this garbage), so the cap is the only thing that changed.
+// this garbage), so the cap is the only thing that changed. The routes
+// are read off the route table — a body-reading route is a POST route
+// that answers an unterminated JSON body with 400 — so one added later
+// is covered without editing this test.
 func TestOversizedBodyRejected(t *testing.T) {
 	idx, _ := testIndex(t)
 	s := New(idx, Options{})
 	defer s.Close()
 	open := `{"vector":[`
 	oversized := open + strings.Repeat("1,", (maxBodyBytes-len(open))/2+1)
-	for _, path := range []string{"/search/vector", "/search/set", "/search/batch", "/insert", "/delete"} {
-		before := idx.Version()
+	var checked []string
+	for _, rt := range s.routes {
+		if rt.method != http.MethodPost {
+			continue
+		}
+		path := rt.pattern
 		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(open)))
+		if rec.Code != http.StatusBadRequest {
+			continue // reads no body (/compact)
+		}
+		checked = append(checked, path)
+		before := idx.Version()
+		rec = httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(oversized)))
 		if msg := checkErrorShape(t, rec, http.StatusRequestEntityTooLarge); !strings.Contains(msg, strconv.Itoa(maxBodyBytes)) {
 			t.Fatalf("%s: 413 message %q does not name the %d-byte cap", path, msg, maxBodyBytes)
@@ -194,5 +229,12 @@ func TestOversizedBodyRejected(t *testing.T) {
 		rec = httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(oversized[:maxBodyBytes])))
 		checkErrorShape(t, rec, http.StatusBadRequest)
+	}
+	// The probe must keep finding at least the five routes the
+	// hand-kept list named.
+	for _, path := range []string{"/search/vector", "/search/set", "/search/batch", "/insert", "/delete"} {
+		if !slices.Contains(checked, path) {
+			t.Fatalf("%s was not recognised as a body-reading route (found %v)", path, checked)
+		}
 	}
 }

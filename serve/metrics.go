@@ -13,40 +13,8 @@ import (
 // gauges, and histograms exported in the Prometheus text exposition
 // format (version 0.0.4) by /metrics. Everything is atomics — the
 // hot path pays a handful of uncontended atomic adds per request —
-// and the endpoint set is fixed at construction, so the maps are
-// read-only after New and need no locking.
-
-// Endpoint names double as mux patterns and metric label values.
-const (
-	epHealthz      = "/healthz"
-	epStats        = "/stats"
-	epMetrics      = "/metrics"
-	epSearch       = "/search"
-	epSearchVector = "/search/vector"
-	epSearchSet    = "/search/set"
-	epSearchBatch  = "/search/batch"
-	epItem         = "/item/"
-	epInsert       = "/insert"
-	epDelete       = "/delete"
-	epCompact      = "/compact"
-)
-
-// endpointNames lists every instrumented endpoint in export order.
-var endpointNames = []string{
-	epHealthz, epStats, epMetrics,
-	epSearch, epSearchVector, epSearchSet, epSearchBatch,
-	epItem, epInsert, epDelete, epCompact,
-}
-
-// isSearchEndpoint selects the endpoints aggregated into the legacy
-// "queries_served"/"query_errors" stats fields.
-func isSearchEndpoint(name string) bool {
-	switch name {
-	case epSearch, epSearchVector, epSearchSet, epSearchBatch:
-		return true
-	}
-	return false
-}
+// and the endpoint set is the route table, fixed before the server takes
+// traffic, so it is read without locking.
 
 // latencyBoundsUS are the latency histogram bucket upper bounds in
 // microseconds (exported as seconds): 50µs to 1s, roughly
@@ -82,7 +50,7 @@ func (h *hist) observe(v int64) {
 	h.sum.Add(v)
 }
 
-// endpointMetrics is the per-endpoint bundle.
+// endpointMetrics is the per-endpoint bundle every route carries.
 type endpointMetrics struct {
 	requests atomic.Int64
 	errors   atomic.Int64
@@ -103,8 +71,6 @@ func (em *endpointMetrics) observe(status int, took time.Duration) {
 
 // metrics is the server-wide registry.
 type metrics struct {
-	endpoints map[string]*endpointMetrics
-
 	// Batching effectiveness: batches executed, queries they carried,
 	// queries answered by coalescing onto an identical in-flight one,
 	// and the occupancy distribution.
@@ -123,19 +89,6 @@ type metrics struct {
 	cacheMisses atomic.Int64
 }
 
-func newMetrics() *metrics {
-	m := &metrics{
-		endpoints: make(map[string]*endpointMetrics, len(endpointNames)),
-		batchSize: newHist(batchSizeBounds),
-	}
-	for _, name := range endpointNames {
-		m.endpoints[name] = &endpointMetrics{latency: newHist(latencyBoundsUS)}
-	}
-	return m
-}
-
-func (m *metrics) endpoint(name string) *endpointMetrics { return m.endpoints[name] }
-
 // handleMetrics renders the Prometheus text exposition format. No
 // client library — the format is lines of "name{labels} value", and
 // a retrieval server has no business pulling in a metrics SDK for
@@ -146,33 +99,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	fmt.Fprintf(w, "# HELP mogul_requests_total Requests handled, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE mogul_requests_total counter\n")
-	for _, name := range endpointNames {
-		fmt.Fprintf(w, "mogul_requests_total{endpoint=%q} %d\n", statName(name), m.endpoints[name].requests.Load())
+	for _, rt := range s.routes {
+		fmt.Fprintf(w, "mogul_requests_total{endpoint=%q} %d\n", rt.name, rt.requests.Load())
 	}
 	fmt.Fprintf(w, "# HELP mogul_request_errors_total Requests answered with a 4xx/5xx status, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE mogul_request_errors_total counter\n")
-	for _, name := range endpointNames {
-		fmt.Fprintf(w, "mogul_request_errors_total{endpoint=%q} %d\n", statName(name), m.endpoints[name].errors.Load())
+	for _, rt := range s.routes {
+		fmt.Fprintf(w, "mogul_request_errors_total{endpoint=%q} %d\n", rt.name, rt.errors.Load())
 	}
 
 	fmt.Fprintf(w, "# HELP mogul_request_duration_seconds Request latency, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE mogul_request_duration_seconds histogram\n")
-	for _, name := range endpointNames {
-		em := m.endpoints[name]
-		if em.requests.Load() == 0 {
+	for _, rt := range s.routes {
+		if rt.requests.Load() == 0 {
 			continue
 		}
-		label := statName(name)
+		label := rt.name
 		cum := int64(0)
-		for i, b := range em.latency.bounds {
-			cum += em.latency.buckets[i].Load()
+		for i, b := range rt.latency.bounds {
+			cum += rt.latency.buckets[i].Load()
 			fmt.Fprintf(w, "mogul_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
 				label, formatSeconds(b), cum)
 		}
-		cum += em.latency.buckets[len(em.latency.bounds)].Load()
+		cum += rt.latency.buckets[len(rt.latency.bounds)].Load()
 		fmt.Fprintf(w, "mogul_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", label, cum)
 		fmt.Fprintf(w, "mogul_request_duration_seconds_sum{endpoint=%q} %g\n",
-			label, float64(em.latency.sum.Load())/1e6)
+			label, float64(rt.latency.sum.Load())/1e6)
 		fmt.Fprintf(w, "mogul_request_duration_seconds_count{endpoint=%q} %d\n", label, cum)
 	}
 

@@ -14,12 +14,9 @@ import (
 	"mogul"
 )
 
-// The search path: version-stamped caching, backpressure, and the
-// direct (unbatched) execution route.
-//
-// Every search endpoint runs the same pipeline:
-//
-//	parse -> cache lookup -> admission (limiter) -> execute -> cache fill
+// The search path: version-stamped caching, backpressure, and answer,
+// the one pipeline every search endpoint runs after parsing its request
+// into a query.
 //
 // The cache key encodes the query exactly (kind tag, k, and the binary
 // payload — no hashing, so no collisions), and the stored entry is
@@ -52,6 +49,9 @@ type cacheEntry struct {
 // links, slice headers) charged to the byte budget on top of key and
 // rendered payload.
 const entryOverhead = 96
+
+// cacheShards is the result cache's lock-shard count.
+const cacheShards = 16
 
 // Cache keys: a kind byte, k, then the exact binary query payload.
 // Exact bytes, not a hash — a 64-bit digest would make one-in-2^32
@@ -115,19 +115,19 @@ func (s *Server) cacheGet(key string) (cacheEntry, bool) {
 	return e, true
 }
 
-// cacheSet renders and stores a result under the version read before
-// the search; it returns the rendered rows so the miss path can reuse
-// them in its own response.
-func (s *Server) cacheSet(key string, ver uint64, res []mogul.Result, info mogul.SearchInfo) json.RawMessage {
+// cacheSet renders a result and stores it under the version read before
+// the search; it returns the entry so the miss path answers from the
+// same bytes a later hit will.
+func (s *Server) cacheSet(key string, ver uint64, res []mogul.Result, info mogul.SearchInfo) cacheEntry {
 	rendered, err := json.Marshal(s.toAnswers(res))
 	if err != nil {
-		return nil
+		return cacheEntry{}
 	}
+	e := cacheEntry{version: ver, answers: rendered, info: info}
 	if s.cache != nil {
-		s.cache.Set(key, cacheEntry{version: ver, answers: rendered, info: info},
-			int64(len(key))+int64(len(rendered))+entryOverhead)
+		s.cache.Set(key, e, int64(len(key))+int64(len(rendered))+entryOverhead)
 	}
-	return rendered
+	return e
 }
 
 // errShed reports that admission was refused because the wait queue is
@@ -172,260 +172,177 @@ func (l *limiter) acquire(ctx context.Context) error {
 
 func (l *limiter) release() { <-l.sem }
 
+// query is one parsed search request: what the three search handlers
+// reduce their input to and answer runs.
+type query struct {
+	// key is the exact cache key (keyID, keyVector or keySet).
+	key string
+	// echo is the envelope's "query" field.
+	echo interface{}
+	k    int
+	// vec is set for an out-of-sample query, the one kind the
+	// micro-batcher takes.
+	vec mogul.Vector
+	// run is the engine call; info is nil for the kinds that report no
+	// work counters.
+	run func(mogul.Querier) (res []mogul.Result, info *mogul.SearchInfo, err error)
+}
+
+// answer is the search pipeline, the same for every kind of query:
+//
+//	cache lookup -> admission -> version stamp -> run -> cache fill -> envelope
+//
+// Admission is the micro-batcher for a vector query when batching is
+// on, the limiter otherwise; either way the answer rows come back
+// rendered, and the envelope is the same on a hit and on a miss.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
+	t0 := time.Now()
+	e, hit := s.cacheGet(q.key)
+	if !hit {
+		var err error
+		if q.vec != nil && s.bat != nil {
+			e.answers, err = s.bat.do(r.Context(), q.vec, q.k, q.key)
+		} else {
+			e, err = s.runDirect(r.Context(), q)
+		}
+		if err != nil {
+			s.searchError(w, err)
+			return
+		}
+	}
+	WriteJSON(w, http.StatusOK, searchResponse{
+		Query:    q.echo,
+		K:        q.k,
+		TookUS:   time.Since(t0).Microseconds(),
+		Answers:  e.answers,
+		Exact:    s.idx.Exact(),
+		Cached:   hit,
+		Pruned:   e.info.ClustersPruned,
+		Scanned:  e.info.ClustersScanned,
+		Computed: e.info.ScoresComputed,
+	})
+}
+
 // runDirect executes one search under the limiter on a pooled query
-// engine, returning the results and the version stamp they belong to.
-func (s *Server) runDirect(ctx context.Context, fn func(q mogul.Querier) error) error {
+// engine and fills the cache, stamping the entry with the version read
+// before the search ran.
+func (s *Server) runDirect(ctx context.Context, q query) (cacheEntry, error) {
 	if err := s.lim.acquire(ctx); err != nil {
-		return err
+		return cacheEntry{}, err
 	}
 	defer s.lim.release()
 	sr := s.searcher()
-	err := fn(sr)
+	ver := s.idx.Version()
+	res, info, err := q.run(sr)
 	s.putSearcher(sr)
-	return err
+	if err != nil {
+		return cacheEntry{}, err
+	}
+	if info == nil {
+		info = &mogul.SearchInfo{}
+	}
+	return s.cacheSet(q.key, ver, res, *info), nil
 }
 
-// admissionError maps limiter/batcher failures to HTTP responses;
-// returns true if it wrote one.
-func (s *Server) admissionError(w http.ResponseWriter, err error) bool {
+// searchError renders a failed search: the limiter's and the batcher's
+// refusals by what they mean, anything else as the engine rejecting the
+// query.
+func (s *Server) searchError(w http.ResponseWriter, err error) {
 	switch {
-	case err == nil:
-		return false
 	case errors.Is(err, errShed):
 		s.shed(w)
-		return true
 	case errors.Is(err, errClosed):
-		writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return true
+		WriteError(w, http.StatusServiceUnavailable, "server shutting down")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client went away while queued; 503 documents the outcome
 		// for any middlebox still listening.
-		writeError(w, http.StatusServiceUnavailable, "request cancelled")
-		return true
+		WriteError(w, http.StatusServiceUnavailable, "request cancelled")
+	default:
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	return false
+}
+
+// readQuery decodes a search body into v and resolves *k, the k field
+// inside v, to its default; on failure it has rendered the 4xx and
+// returns false.
+func readQuery(w http.ResponseWriter, r *http.Request, v interface{}, k *int) bool {
+	err := ReadJSON(w, r, v)
+	if err != nil {
+		RejectBody(w, err, "bad JSON: "+err.Error())
+		return false
+	}
+	if *k, err = normalizeK(*k); err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	id, err := atoiQuery(r, "id")
+	params := r.URL.Query()
+	id, err := strconv.Atoi(params.Get("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "id must be an integer")
+		WriteError(w, http.StatusBadRequest, "id must be an integer")
 		return
 	}
-	k, err := parseK(r.URL.Query().Get("k"))
+	k, err := parseK(params.Get("k"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	t0 := time.Now()
-	key := keyID(id, k)
-	if e, ok := s.cacheGet(key); ok {
-		writeJSON(w, http.StatusOK, searchResponse{
-			Query:    id,
-			K:        k,
-			TookUS:   time.Since(t0).Microseconds(),
-			Answers:  e.answers,
-			Exact:    s.idx.Exact(),
-			Cached:   true,
-			Pruned:   e.info.ClustersPruned,
-			Scanned:  e.info.ClustersScanned,
-			Computed: e.info.ScoresComputed,
-		})
-		return
-	}
-	var (
-		res  []mogul.Result
-		info *mogul.SearchInfo
-		ver  uint64
-	)
-	aerr := s.runDirect(r.Context(), func(q mogul.Querier) error {
-		ver = s.idx.Version()
-		var err error
-		res, info, err = q.TopKWithInfo(id, k)
-		return err
-	})
-	if s.admissionError(w, aerr) {
-		return
-	}
-	if aerr != nil {
-		writeError(w, http.StatusBadRequest, aerr.Error())
-		return
-	}
-	rendered := s.cacheSet(key, ver, res, *info)
-	writeJSON(w, http.StatusOK, searchResponse{
-		Query:    id,
-		K:        k,
-		TookUS:   time.Since(t0).Microseconds(),
-		Answers:  rendered,
-		Exact:    s.idx.Exact(),
-		Pruned:   info.ClustersPruned,
-		Scanned:  info.ClustersScanned,
-		Computed: info.ScoresComputed,
-	})
+	s.answer(w, r, query{key: keyID(id, k), echo: id, k: k,
+		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
+			return q.TopKWithInfo(id, k)
+		}})
 }
 
 func (s *Server) handleSearchVector(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+	var req VectorQuery
+	if !readQuery(w, r, &req, &req.K) {
 		return
 	}
-	var req struct {
-		Vector []float64 `json:"vector"`
-		K      int       `json:"k"`
-	}
-	if err := ReadJSON(w, r, &req); err != nil {
-		RejectBody(w, err, "bad JSON: "+err.Error())
-		return
-	}
-	k, err := normalizeK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	t0 := time.Now()
-	key := keyVector(req.Vector, k)
-	if e, ok := s.cacheGet(key); ok {
-		writeJSON(w, http.StatusOK, searchResponse{
-			Query:   "vector",
-			K:       k,
-			TookUS:  time.Since(t0).Microseconds(),
-			Answers: e.answers,
-			Exact:   s.idx.Exact(),
-			Cached:  true,
-		})
-		return
-	}
-	var rendered json.RawMessage
-	var aerr error
-	if s.bat != nil {
-		rendered, aerr = s.bat.do(r.Context(), req.Vector, k, key)
-	} else {
-		var res []mogul.Result
-		var ver uint64
-		aerr = s.runDirect(r.Context(), func(q mogul.Querier) error {
-			ver = s.idx.Version()
-			var err error
-			res, err = q.TopKVector(req.Vector, k)
-			return err
-		})
-		if aerr == nil {
-			rendered = s.cacheSet(key, ver, res, mogul.SearchInfo{})
-		}
-	}
-	if s.admissionError(w, aerr) {
-		return
-	}
-	if aerr != nil {
-		writeError(w, http.StatusBadRequest, aerr.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, searchResponse{
-		Query:   "vector",
-		K:       k,
-		TookUS:  time.Since(t0).Microseconds(),
-		Answers: rendered,
-		Exact:   s.idx.Exact(),
-	})
+	s.answer(w, r, query{key: keyVector(req.Vector, req.K), echo: "vector", k: req.K, vec: req.Vector,
+		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
+			res, err := q.TopKVector(req.Vector, req.K)
+			return res, nil, err
+		}})
 }
 
 func (s *Server) handleSearchSet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+	var req SetQuery
+	if !readQuery(w, r, &req, &req.K) {
 		return
 	}
-	var req struct {
-		IDs []int `json:"ids"`
-		K   int   `json:"k"`
-	}
-	if err := ReadJSON(w, r, &req); err != nil {
-		RejectBody(w, err, "bad JSON: "+err.Error())
-		return
-	}
-	k, err := normalizeK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	t0 := time.Now()
-	key := keySet(req.IDs, k)
-	if e, ok := s.cacheGet(key); ok {
-		writeJSON(w, http.StatusOK, searchResponse{
-			Query:   req.IDs,
-			K:       k,
-			TookUS:  time.Since(t0).Microseconds(),
-			Answers: e.answers,
-			Exact:   s.idx.Exact(),
-			Cached:  true,
-		})
-		return
-	}
-	var (
-		res []mogul.Result
-		ver uint64
-	)
-	aerr := s.runDirect(r.Context(), func(q mogul.Querier) error {
-		ver = s.idx.Version()
-		var err error
-		res, err = q.TopKSet(req.IDs, k)
-		return err
-	})
-	if s.admissionError(w, aerr) {
-		return
-	}
-	if aerr != nil {
-		writeError(w, http.StatusBadRequest, aerr.Error())
-		return
-	}
-	rendered := s.cacheSet(key, ver, res, mogul.SearchInfo{})
-	writeJSON(w, http.StatusOK, searchResponse{
-		Query:   req.IDs,
-		K:       k,
-		TookUS:  time.Since(t0).Microseconds(),
-		Answers: rendered,
-		Exact:   s.idx.Exact(),
-	})
+	s.answer(w, r, query{key: keySet(req.IDs, req.K), echo: req.IDs, k: req.K,
+		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
+			res, err := q.TopKSet(req.IDs, req.K)
+			return res, nil, err
+		}})
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req struct {
-		IDs []int `json:"ids"`
-		K   int   `json:"k"`
-	}
-	if err := ReadJSON(w, r, &req); err != nil {
-		RejectBody(w, err, "bad JSON: "+err.Error())
+	var req SetQuery
+	if !readQuery(w, r, &req, &req.K) {
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeError(w, http.StatusBadRequest, "ids must be non-empty")
-		return
-	}
-	k, err := normalizeK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, "ids must be non-empty")
 		return
 	}
 	// One bulk request holds one execution slot: TopKBatch parallelizes
 	// internally, so admitting the call — not each of its queries — is
 	// what the semaphore meaningfully bounds.
-	if aerr := s.lim.acquire(r.Context()); aerr != nil {
-		s.admissionError(w, aerr)
+	if err := s.lim.acquire(r.Context()); err != nil {
+		s.searchError(w, err)
 		return
 	}
 	t0 := time.Now()
-	batch := s.idx.TopKBatch(req.IDs, k, 0)
+	batch := s.idx.TopKBatch(req.IDs, req.K, 0)
 	s.lim.release()
 	took := time.Since(t0)
 	type batchEntry struct {
 		Query   int      `json:"query"`
-		Answers []answer `json:"answers,omitempty"`
+		Answers []Answer `json:"answers,omitempty"`
 		Error   string   `json:"error,omitempty"`
 	}
 	entries := make([]batchEntry, len(batch))
@@ -437,14 +354,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		entries[i].Answers = s.toAnswers(br.Results)
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"k":       k,
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
+		"k":       req.K,
 		"took_us": took.Microseconds(),
 		"results": entries,
 	})
-}
-
-// atoiQuery parses an integer query parameter.
-func atoiQuery(r *http.Request, name string) (int, error) {
-	return strconv.Atoi(r.URL.Query().Get(name))
 }

@@ -75,8 +75,6 @@ type Options struct {
 	// caching. Entries are stamped with the index mutation version, so
 	// any Insert/Delete/Compact invalidates the cache implicitly.
 	CacheBytes int64
-	// CacheShards is the cache's lock-shard count (default 16).
-	CacheShards int
 
 	// BatchWindow enables micro-batching of /search/vector traffic:
 	// the first query of a batch waits up to this long for company
@@ -101,9 +99,6 @@ type Options struct {
 
 // withDefaults resolves zero fields to their documented defaults.
 func (o Options) withDefaults() Options {
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = defaultMaxBatch
 	}
@@ -126,6 +121,10 @@ type Server struct {
 	idx  mogul.Retriever
 	mux  *http.ServeMux
 	opts Options
+	// routes is the route table in registration order: what the mux
+	// serves and what /metrics and /stats report. Filled by Handle
+	// before the server takes traffic, read-only afterwards.
+	routes []*route
 
 	// cache is the version-stamped query-result cache; nil when
 	// disabled.
@@ -172,28 +171,28 @@ func New(idx mogul.Retriever, opts Options) *Server {
 	o := opts.withDefaults()
 	s := &Server{idx: idx, opts: o, mux: http.NewServeMux(), labels: o.Labels}
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
-	s.met = newMetrics()
+	s.met = &metrics{batchSize: newHist(batchSizeBounds)}
 	s.lim = &limiter{
 		sem:      make(chan struct{}, o.MaxInFlight),
 		maxQueue: int64(o.MaxQueue),
 	}
 	if o.CacheBytes > 0 {
-		s.cache = lru.New[string, cacheEntry](o.CacheBytes, o.CacheShards)
+		s.cache = lru.New[string, cacheEntry](o.CacheBytes, cacheShards)
 	}
 	if o.BatchWindow > 0 {
 		s.bat = newBatcher(s, o.BatchWindow, o.MaxBatch, o.MaxQueue)
 	}
-	s.mux.HandleFunc("/healthz", s.instrument(epHealthz, s.handleHealth))
-	s.mux.HandleFunc("/stats", s.instrument(epStats, s.handleStats))
-	s.mux.HandleFunc("/metrics", s.instrument(epMetrics, s.handleMetrics))
-	s.mux.HandleFunc("/search", s.instrument(epSearch, s.handleSearch))
-	s.mux.HandleFunc("/search/vector", s.instrument(epSearchVector, s.handleSearchVector))
-	s.mux.HandleFunc("/search/set", s.instrument(epSearchSet, s.handleSearchSet))
-	s.mux.HandleFunc("/search/batch", s.instrument(epSearchBatch, s.handleSearchBatch))
-	s.mux.HandleFunc("/item/", s.instrument(epItem, s.handleItem))
-	s.mux.HandleFunc("/insert", s.instrument(epInsert, s.handleInsert))
-	s.mux.HandleFunc("/delete", s.instrument(epDelete, s.handleDelete))
-	s.mux.HandleFunc("/compact", s.instrument(epCompact, s.handleCompact))
+	s.Handle(http.MethodGet, "/healthz", "healthz", s.handleHealth)
+	s.Handle(http.MethodGet, "/stats", "stats", s.handleStats)
+	s.Handle(http.MethodGet, "/metrics", "metrics", s.handleMetrics)
+	s.Handle(http.MethodGet, "/search", "search", s.handleSearch)
+	s.Handle(http.MethodPost, "/search/vector", "search_vector", s.handleSearchVector)
+	s.Handle(http.MethodPost, "/search/set", "search_set", s.handleSearchSet)
+	s.Handle(http.MethodPost, "/search/batch", "search_batch", s.handleSearchBatch)
+	s.Handle(http.MethodGet, "/item/", "item", s.handleItem)
+	s.Handle(http.MethodPost, "/insert", "insert", s.handleInsert)
+	s.Handle(http.MethodPost, "/delete", "delete", s.handleDelete)
+	s.Handle(http.MethodPost, "/compact", "compact", s.handleCompact)
 	return s
 }
 
@@ -244,17 +243,33 @@ func (s *Server) searcher() mogul.Querier {
 
 func (s *Server) putSearcher(sr mogul.Querier) { s.searchers.Put(sr) }
 
-// instrument wraps a handler with the per-endpoint observability
-// layer: request count, error count (any 4xx/5xx), and the latency
-// histogram feeding /metrics and /stats.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	em := s.met.endpoint(name)
-	return func(w http.ResponseWriter, r *http.Request) {
+// route is one row of the route table: the pattern the mux matches, the
+// one method it answers, and the endpoint label its request, error and
+// latency series carry in /metrics and /stats.
+type route struct {
+	method, pattern, name string
+	endpointMetrics
+}
+
+// Handle mounts h at pattern: requests with any other method get the
+// canonical 405, and every request is counted under the endpoint label
+// name. It is how this package registers its own routes and how a
+// layer that extends the server (dist.ShardServer) adds more; call it
+// before the server takes traffic.
+func (s *Server) Handle(method, pattern, name string, h http.HandlerFunc) {
+	rt := &route{method: method, pattern: pattern, name: name}
+	rt.latency = newHist(latencyBoundsUS)
+	s.routes = append(s.routes, rt)
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
-		em.observe(sw.status(), time.Since(t0))
-	}
+		if r.Method != method {
+			WriteError(sw, http.StatusMethodNotAllowed, "use "+method)
+		} else {
+			h(sw, r)
+		}
+		rt.observe(sw.status(), time.Since(t0))
+	})
 }
 
 // statusWriter captures the response status for the metrics layer.
@@ -282,38 +297,30 @@ func (s *Server) shed(w http.ResponseWriter) {
 	s.met.shed.Add(1)
 	secs := int((s.opts.RetryAfter + time.Second - 1) / time.Second)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, "overloaded, retry later")
-}
-
-// answer is one result row on the wire.
-type answer struct {
-	Item  int     `json:"item"`
-	Score float64 `json:"score"`
-	Label *int    `json:"label,omitempty"`
+	WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
 }
 
 type searchResponse struct {
 	Query  interface{} `json:"query"`
 	K      int         `json:"k"`
 	TookUS int64       `json:"took_us"`
-	// Answers carries either freshly built []answer rows or the
-	// pre-rendered json.RawMessage a cache hit returns — the encoder
-	// emits identical bytes for both.
-	Answers  interface{} `json:"answers"`
-	Exact    bool        `json:"exact"`
-	Cached   bool        `json:"cached,omitempty"`
-	Pruned   int         `json:"clusters_pruned,omitempty"`
-	Scanned  int         `json:"clusters_scanned,omitempty"`
-	Computed int         `json:"scores_computed,omitempty"`
+	// Answers is the rendered []Answer rows — fresh from the search or
+	// the same bytes out of the cache.
+	Answers  json.RawMessage `json:"answers"`
+	Exact    bool            `json:"exact"`
+	Cached   bool            `json:"cached,omitempty"`
+	Pruned   int             `json:"clusters_pruned,omitempty"`
+	Scanned  int             `json:"clusters_scanned,omitempty"`
+	Computed int             `json:"scores_computed,omitempty"`
 }
 
-func (s *Server) toAnswers(res []mogul.Result) []answer {
+func (s *Server) toAnswers(res []mogul.Result) []Answer {
 	s.labelMu.RLock()
 	labels := s.labels
 	s.labelMu.RUnlock()
-	out := make([]answer, len(res))
+	out := make([]Answer, len(res))
 	for i, r := range res {
-		out[i] = answer{Item: r.Node, Score: r.Score}
+		out[i] = Answer{Item: r.Node, Score: r.Score}
 		// Inserted items sit beyond the labelled range; they simply
 		// carry no label.
 		if labels != nil && r.Node < len(labels) {
@@ -330,7 +337,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.labelMu.RLock()
 	hasLabels := s.labels != nil
 	s.labelMu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"status":       "ok",
 		"items":        s.idx.Len(),
 		"version":      s.idx.Version(),
@@ -347,28 +354,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleStats reports the per-endpoint counters as JSON. The legacy
 // aggregate fields (queries_served, query_errors, mean_latency_us)
-// cover the four search endpoints; the per-endpoint map breaks every
-// endpoint out separately, errors included — a single global error
-// tally cannot tell "the cluster is failing inserts" from "one client
-// sends junk vectors".
+// cover the four search endpoints (the routes named search*); the
+// per-endpoint map breaks every endpoint out separately, errors
+// included — a single global error tally cannot tell "the cluster is
+// failing inserts" from "one client sends junk vectors".
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	perEndpoint := make(map[string]interface{}, len(endpointNames))
+	perEndpoint := make(map[string]interface{}, len(s.routes))
 	var served, errs, latUS int64
-	for _, name := range endpointNames {
-		em := s.met.endpoint(name)
-		req := em.requests.Load()
-		eerr := em.errors.Load()
-		lat := em.latUS.Load()
+	for _, rt := range s.routes {
+		req := rt.requests.Load()
+		eerr := rt.errors.Load()
+		lat := rt.latUS.Load()
 		mean := int64(0)
 		if req > 0 {
 			mean = lat / req
 		}
-		perEndpoint[statName(name)] = map[string]interface{}{
+		perEndpoint[rt.name] = map[string]interface{}{
 			"requests":        req,
 			"errors":          eerr,
 			"mean_latency_us": mean,
 		}
-		if isSearchEndpoint(name) {
+		if strings.HasPrefix(rt.name, "search") {
 			served += req
 			errs += eerr
 			latUS += lat
@@ -395,26 +401,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"bytes":     cs.Bytes,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// statName maps an endpoint path to its /stats (and /metrics label)
-// name: "/search/vector" -> "search_vector", "/item/" -> "item".
-func statName(endpoint string) string {
-	name := strings.Trim(endpoint, "/")
-	return strings.ReplaceAll(name, "/", "_")
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleInsert adds one point online (POST {"vector":[...]}); the new
 // item competes in every subsequent search.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req struct {
-		Vector []float64 `json:"vector"`
-	}
+	var req InsertRequest
 	if err := ReadJSON(w, r, &req); err != nil {
 		RejectBody(w, err, "bad JSON: "+err.Error())
 		return
@@ -424,7 +417,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	id, err := s.idx.Insert(req.Vector)
 	if err != nil {
 		s.mutateMu.Unlock()
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// One post-insert snapshot serves the check below and the response:
@@ -437,23 +430,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.dropLabelsAfterRenumber()
 	}
 	s.mutateMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"id":          id,
-		"items":       s.idx.Len(),
-		"version":     s.idx.Version(),
-		"delta_items": ds.DeltaItems,
+	WriteJSON(w, http.StatusOK, InsertReply{
+		DeltaItems: ds.DeltaItems,
+		ID:         id,
+		Items:      s.idx.Len(),
+		Version:    s.idx.Version(),
 	})
 }
 
 // handleDelete tombstones one item (POST {"id":17}).
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req struct {
-		ID *int `json:"id"`
-	}
+	var req DeleteRequest
 	if err := ReadJSON(w, r, &req); err != nil || req.ID == nil {
 		RejectBody(w, err, "body must be {\"id\": <int>}")
 		return
@@ -471,10 +458,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mutateMu.Unlock()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"deleted": *req.ID,
 		"items":   s.idx.Len(),
 		"version": s.idx.Version(),
@@ -498,10 +485,6 @@ func (s *Server) dropLabelsAfterRenumber() {
 // dataset's label table — labels are dropped in that case rather than
 // served misaligned.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	t0 := time.Now()
 	s.mutateMu.Lock()
 	err := s.idx.Compact()
@@ -510,10 +493,10 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mutateMu.Unlock()
 	if err != nil {
-		writeError(w, http.StatusConflict, err.Error())
+		WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"items":   s.idx.Len(),
 		"version": s.idx.Version(),
 		"took_us": time.Since(t0).Microseconds(),
@@ -524,25 +507,22 @@ func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/item/")
 	id, err := strconv.Atoi(idStr)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "item id must be an integer")
+		WriteError(w, http.StatusBadRequest, "item id must be an integer")
 		return
 	}
 	ids, weights, err := s.idx.Neighbors(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	resp := map[string]interface{}{
-		"item":             id,
-		"neighbors":        ids,
-		"neighbor_weights": weights,
-	}
+	resp := ItemReply{Item: id, NeighborWeights: weights, Neighbors: ids}
 	s.labelMu.RLock()
 	if s.labels != nil && id < len(s.labels) {
-		resp["label"] = s.labels[id]
+		l := s.labels[id]
+		resp.Label = &l
 	}
 	s.labelMu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // parseK parses the k query parameter: absent means the default of 10,
@@ -610,13 +590,16 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 func RejectBody(w http.ResponseWriter, err error, msg string) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 		return
 	}
-	writeError(w, http.StatusBadRequest, msg)
+	WriteError(w, http.StatusBadRequest, msg)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON renders v as the response body with the given status — the
+// one encoder every JSON reply of this server, and of the layers that
+// extend it, goes through.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -632,10 +615,5 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // format across the whole surface and the Content-Type can never
 // drift per path.
 func WriteError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// writeError is the package-internal spelling of WriteError.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	WriteError(w, status, msg)
+	WriteJSON(w, status, ErrorReply{Error: msg})
 }
