@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -80,11 +81,20 @@ func readBody(w http.ResponseWriter, r *http.Request, v interface{}, k *int) boo
 		serve.RejectBody(w, err, "bad JSON: "+err.Error())
 		return false
 	}
-	if *k <= 0 {
-		serve.WriteError(w, http.StatusBadRequest, "k must be a positive integer")
-		return false
+	return checkK(w, *k, nil)
+}
+
+// checkK renders the 400 for a k that did not parse, is not positive, or
+// is past serve.MaxK, and reports whether k is usable.
+func checkK(w http.ResponseWriter, k int, parseErr error) bool {
+	err := serve.CheckK(k)
+	if parseErr != nil || k <= 0 {
+		err = errors.New("k must be a positive integer")
 	}
-	return true
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	return err == nil
 }
 
 func (s *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -100,8 +110,7 @@ func (s *ShardServer) handleOwner(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k, err := strconv.Atoi(q.Get("k"))
-	if err != nil || k <= 0 {
-		serve.WriteError(w, http.StatusBadRequest, "k must be a positive integer")
+	if !checkK(w, k, err) {
 		return
 	}
 	ver := s.ix.Version()

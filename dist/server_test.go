@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,6 +78,49 @@ func TestShardServerBoundsRequestBodies(t *testing.T) {
 	if ix.Version() != 1 || ix.LogLen() != 0 {
 		t.Fatalf("a rejected body reached the index: version %d, log length %d", ix.Version(), ix.LogLen())
 	}
+}
+
+// TestWorkCaps: every route that takes a k — the serve routes and the
+// /dist/* ones, all mounted on a ShardServer — answers k = serve.MaxK as
+// it would any large k (the engine clamps to the corpus) and anything
+// past it with a 400 in the canonical shape that names the cap;
+// /search/batch bounds its id count by serve.MaxBatchIDs the same way.
+func TestWorkCaps(t *testing.T) {
+	h, stop := wireServer(t, "shard")
+	defer stop()
+	check := func(method, path, body string, wantStatus int, wantReply string) {
+		t.Helper()
+		st := play(h, wireStep{Method: method, Path: path, Body: body})
+		if st.Status != wantStatus || st.Type != "application/json" || (wantReply != "" && st.Reply != wantReply) {
+			t.Fatalf("%s %s %.80s: status %d (%s) reply %.200q, want %d %q", method, path, body, st.Status, st.Type, st.Reply, wantStatus, wantReply)
+		}
+	}
+	// $K stands for k, in the path or in the body.
+	routes := []struct{ method, path, body string }{
+		{http.MethodGet, "/search?id=1&k=$K", ""},
+		{http.MethodPost, "/search/vector", `{"vector":[2.9,-2.1,0.1,0.9],"k":$K}`},
+		{http.MethodPost, "/search/set", `{"ids":[1,2],"k":$K}`},
+		{http.MethodPost, "/search/batch", `{"ids":[1,2],"k":$K}`},
+		{http.MethodGet, "/dist/owner?id=1&k=$K", ""},
+		{http.MethodPost, "/dist/vector", `{"vector":[2.9,-2.1,0.1,0.9],"k":$K}`},
+		{http.MethodPost, "/dist/set", `{"ids":[1,2],"weight":0.5,"k":$K}`},
+	}
+	for _, rt := range routes {
+		for _, k := range []int{serve.MaxK, serve.MaxK + 1, math.MaxInt32} {
+			withK := strings.NewReplacer("$K", strconv.Itoa(k))
+			wantStatus, wantReply := http.StatusOK, ""
+			if k > serve.MaxK {
+				wantStatus, wantReply = http.StatusBadRequest, fmt.Sprintf(`{"error":"k must be at most %d, got %d"}`+"\n", serve.MaxK, k)
+			}
+			check(rt.method, withK.Replace(rt.path), withK.Replace(rt.body), wantStatus, wantReply)
+		}
+	}
+	batch := func(n int) string {
+		return `{"ids":[` + strings.Repeat("1,", n-1) + `1],"k":1}`
+	}
+	check(http.MethodPost, "/search/batch", batch(serve.MaxBatchIDs), http.StatusOK, "")
+	check(http.MethodPost, "/search/batch", batch(serve.MaxBatchIDs+1), http.StatusBadRequest,
+		fmt.Sprintf(`{"error":"ids must number at most %d, got %d"}`+"\n", serve.MaxBatchIDs, serve.MaxBatchIDs+1))
 }
 
 // TestShardServerCountsDistRoutes: the /dist/* routes are rows of the

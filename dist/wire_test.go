@@ -114,7 +114,16 @@ func play(h http.Handler, st wireStep) wireStep {
 // Every file was written by the commit that preceded the one route
 // table (PR 16, c2b5f91): its steps were sent in order to a fresh
 // wireServer through play, and the steps it returned were stored with
-// json.MarshalIndent. A step passes when status, Content-Type, the two
+// json.MarshalIndent. The steps after the 405 of search_vector and
+// dist_vector and after the /healthz of mutate were appended the same
+// way by the commit that preceded serve's request scanner (PR 17,
+// 70a328e): the shapes the scanner leaves to encoding/json — null
+// elements, case-folded, duplicate, unknown and escaped keys, numbers
+// out of range, "k":3.0, trailing bytes — and a few it takes itself, so
+// that decoder's acceptances, values and error strings are what the
+// two-armed ReadJSON is held to.
+//
+// A step passes when status, Content-Type, the two
 // pinned headers and the reply are identical — the reply byte for byte
 // after zeroing the wall-clock fields (wallClock) and dropping the
 // latency histogram lines of /metrics (latencyLine), which covers key

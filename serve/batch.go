@@ -38,8 +38,8 @@ type pending struct {
 	ctx context.Context
 	vec mogul.Vector
 	k   int
-	// key is the full cache key (vector + k); gkey the dedup group key
-	// (vector only).
+	// key is the full cache key (vector + k), empty when the cache is
+	// off; gkey the dedup group key (vector only).
 	key  string
 	gkey string
 	out  chan batchOut

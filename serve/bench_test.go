@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -22,9 +24,12 @@ import (
 //     the acceptance bar is >= 5x over uncached)
 //   - unbatched-parallel: concurrent clients, direct execution
 //   - batched-parallel:   concurrent clients, micro-batched execution
+//   - uncached-d512:      uncached over unit-norm d = 512 points, where
+//     the 10 KB body is as much of the request as the search
 //
 // CI's bench-smoke job runs these as a smoke test; the gated
-// measurement of this path is the benchmark module's mixed_rw workload.
+// measurements of this path are the benchmark module's mixed_rw and
+// graph_vec_d512 workloads.
 func BenchmarkServeThroughput(b *testing.B) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{
 		N: 6000, Classes: 8, Dim: 32, WithinStd: 0.25, Separation: 2.5, Seed: 17,
@@ -39,9 +44,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	const working = 16
 	bodies := make([][]byte, working)
 	for i := range bodies {
-		bodies[i], _ = json.Marshal(map[string]interface{}{
-			"vector": ds.Points[i*13], "k": 10,
-		})
+		bodies[i] = vectorBody(ds.Points[i*13])
 	}
 	// One request object and a no-op response writer per client loop:
 	// the benchmark measures the serving stack, not httptest's
@@ -139,6 +142,107 @@ func BenchmarkServeThroughput(b *testing.B) {
 			b.ReportMetric(float64(s.met.batchedQueries.Load())/float64(n), "queries/batch")
 		}
 	})
+
+	b.Run("uncached-d512", func(b *testing.B) {
+		pts := unitPoints(1200, 512)
+		idx, err := mogul.Build(pts, mogul.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies := make([][]byte, working)
+		for i := range bodies {
+			bodies[i] = vectorBody(pts[i*13])
+		}
+		s := New(idx, Options{})
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if code := post(s, bodies[i%working]); code != http.StatusOK {
+				b.Fatalf("status %d", code)
+			}
+		}
+	})
+}
+
+// unitPoints draws n unit-norm points of dimension dim on class
+// manifolds — the shape of a CNN embedding, and of the benchmark
+// module's graph_vec_d512 corpus.
+func unitPoints(n, dim int) []mogul.Vector {
+	pts := mogul.NewMixture(mogul.MixtureConfig{
+		N: n, Classes: n / 50, Dim: dim, IntrinsicDim: 16, WithinStd: 0.25, Separation: 3, Seed: 17,
+	}).Points
+	for _, p := range pts {
+		var ss float64
+		for _, x := range p {
+			ss += x * x
+		}
+		for i := range p {
+			p[i] /= math.Sqrt(ss)
+		}
+	}
+	return pts
+}
+
+// vectorBody marshals a /search/vector body the way the benchmark
+// module's load generator does: from a map, so keys sorted, floats in
+// encoding/json's shortest form.
+func vectorBody(v mogul.Vector) []byte {
+	body, err := json.Marshal(map[string]interface{}{"vector": v, "k": 10})
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// replayBody is a request body that can be rewound without allocating.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// BenchmarkReadJSONVector isolates the decode of one /search/vector
+// body — ReadJSON whole: pooled buffer, body cap, decoder — at the two
+// dimensions the benchmark module sends (emr_vec and dist_fanout d = 8,
+// graph_vec_d512 d = 512), on each arm: "scan" is VectorQuery, which the
+// request scanner takes; "encoding-json" is the same struct under a name
+// without a scanner, which ReadJSON hands to json.Unmarshal as it did
+// every body before the scanner existed.
+func BenchmarkReadJSONVector(b *testing.B) {
+	type plainVectorQuery VectorQuery
+	for _, dim := range []int{8, 512} {
+		body := vectorBody(unitPoints(50, dim)[0])
+		arms := []struct {
+			name   string
+			decode func(http.ResponseWriter, *http.Request) (int, error)
+		}{
+			{"scan", func(w http.ResponseWriter, r *http.Request) (int, error) {
+				var q VectorQuery
+				err := ReadJSON(w, r, &q)
+				return len(q.Vector), err
+			}},
+			{"encoding-json", func(w http.ResponseWriter, r *http.Request) (int, error) {
+				var q plainVectorQuery
+				err := ReadJSON(w, r, &q)
+				return len(q.Vector), err
+			}},
+		}
+		for _, arm := range arms {
+			b.Run(fmt.Sprintf("d%d/%s", dim, arm.name), func(b *testing.B) {
+				var rb replayBody
+				req := httptest.NewRequest(http.MethodPost, "/search/vector", nil)
+				req.Body = &rb
+				w := &nullResponse{hdr: make(http.Header)}
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rb.Reset(body)
+					if n, err := arm.decode(w, req); err != nil || n != dim {
+						b.Fatalf("decoded %d of %d components: %v", n, dim, err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // nullResponse is the cheapest possible ResponseWriter: it records
@@ -186,7 +290,7 @@ func TestWarmCacheSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(map[string]interface{}{"vector": ds.Points[42], "k": 10})
+	body := vectorBody(ds.Points[42])
 	post := newPoster()
 	run := func(s *Server, iters int) time.Duration {
 		t0 := time.Now()

@@ -11,6 +11,7 @@ package serve
 // down.
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -126,8 +127,9 @@ func newBodyRequest(method, path, body string) *http.Request {
 }
 
 // TestParseKEdges pins parseK/normalizeK at the edges: absent
-// defaults to 10, zero and negatives reject, and values far past any
-// index size — up to MaxInt — pass through for the engine to clamp.
+// defaults to 10, zero and negatives reject, values up to MaxK pass
+// through for the engine to clamp, and anything past it — up to MaxInt
+// and beyond — rejects.
 func TestParseKEdges(t *testing.T) {
 	cases := []struct {
 		raw    string
@@ -140,7 +142,9 @@ func TestParseKEdges(t *testing.T) {
 		{"-3", 0, false},
 		{"x", 0, false},
 		{"2.5", 0, false},
-		{strconv.Itoa(math.MaxInt), math.MaxInt, true},
+		{strconv.Itoa(MaxK), MaxK, true},
+		{strconv.Itoa(MaxK + 1), 0, false},
+		{strconv.Itoa(math.MaxInt), 0, false},
 		// Overflow past MaxInt must reject, not wrap negative.
 		{strconv.Itoa(math.MaxInt) + "0", 0, false},
 	}
@@ -159,21 +163,24 @@ func TestParseKEdges(t *testing.T) {
 	if _, err := normalizeK(-1); err == nil {
 		t.Fatal("normalizeK(-1) accepted")
 	}
-	if k, err := normalizeK(math.MaxInt); err != nil || k != math.MaxInt {
-		t.Fatalf("normalizeK(MaxInt) = %d, %v", k, err)
+	if k, err := normalizeK(MaxK); err != nil || k != MaxK {
+		t.Fatalf("normalizeK(MaxK) = %d, %v", k, err)
+	}
+	if _, err := normalizeK(MaxK + 1); err == nil {
+		t.Fatal("normalizeK(MaxK+1) accepted")
 	}
 }
 
-// TestSearchHugeK: k far beyond the index size — including MaxInt —
-// answers 200 with every live item, proving the clamp happens in the
-// engine and nothing between the HTTP layer and it chokes on the
-// magnitude (no allocation sized by k anywhere on the path).
+// TestSearchHugeK: k far beyond the index size — up to MaxK — answers
+// 200 with every live item, proving the clamp happens in the engine and
+// nothing between the HTTP layer and it chokes on the magnitude (no
+// allocation sized by k anywhere on the path); past MaxK it is a 400.
 func TestSearchHugeK(t *testing.T) {
 	idx, ds := testIndex(t)
 	n := ds.Len()
 	s := New(idx, Options{})
 	defer s.Close()
-	for _, k := range []int{n, n + 1, 10 * n, math.MaxInt} {
+	for _, k := range []int{n, n + 1, 10 * n, MaxK} {
 		req := httptest.NewRequest(http.MethodGet, "/search?id=0&k="+strconv.Itoa(k), nil)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
@@ -188,6 +195,13 @@ func TestSearchHugeK(t *testing.T) {
 		}
 		if len(resp.Answers) != n {
 			t.Fatalf("k=%d returned %d answers, want all %d live items", k, len(resp.Answers), n)
+		}
+	}
+	for _, k := range []int{MaxK + 1, math.MaxInt} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?id=0&k="+strconv.Itoa(k), nil))
+		if msg := checkErrorShape(t, rec, http.StatusBadRequest); !strings.Contains(msg, strconv.Itoa(MaxK)) {
+			t.Fatalf("k=%d: 400 message %q does not name the cap %d", k, msg, MaxK)
 		}
 	}
 }
@@ -236,5 +250,27 @@ func TestOversizedBodyRejected(t *testing.T) {
 		if !slices.Contains(checked, path) {
 			t.Fatalf("%s was not recognised as a body-reading route (found %v)", path, checked)
 		}
+	}
+}
+
+// TestLargeBodyBufferNotPooled: a body that grew its read buffer past
+// maxPooledBody must not leave that buffer in bodyBufs, where it would
+// hold the memory until two collections pass. The body stands well
+// clear of the bound rather than at the 32 MiB cap: bytes.Buffer grows
+// by doubling, so anything past the bound shows the same thing. ReadJSON
+// is called directly so that nothing allocates — and no collection can
+// empty the pool — between its Put and the Get below, which on this P
+// returns the buffer just pooled if there is one.
+func TestLargeBodyBufferNotPooled(t *testing.T) {
+	body := strings.Repeat(" ", 2*maxPooledBody) + `{"id":1}`
+	req := httptest.NewRequest(http.MethodPost, "/delete", strings.NewReader(body))
+	var q DeleteRequest
+	if err := ReadJSON(httptest.NewRecorder(), req, &q); err != nil || q.ID == nil {
+		t.Fatalf("ReadJSON: %v (%+v)", err, q)
+	}
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	if buf.Cap() > maxPooledBody {
+		t.Fatalf("pooled body buffer has capacity %d, past the %d-byte bound", buf.Cap(), maxPooledBody)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -175,8 +176,9 @@ func (l *limiter) release() { <-l.sem }
 // query is one parsed search request: what the three search handlers
 // reduce their input to and answer runs.
 type query struct {
-	// key is the exact cache key (keyID, keyVector or keySet).
-	key string
+	// key builds the exact cache key (keyID, keyVector or keySet); answer
+	// calls it only when there is a cache to look in.
+	key func() string
 	// echo is the envelope's "query" field.
 	echo interface{}
 	k    int
@@ -197,13 +199,19 @@ type query struct {
 // rendered, and the envelope is the same on a hit and on a miss.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 	t0 := time.Now()
-	e, hit := s.cacheGet(q.key)
+	// The key of a d = 512 query is 4 KB; with the cache off nothing
+	// reads it.
+	var key string
+	if s.cache != nil {
+		key = q.key()
+	}
+	e, hit := s.cacheGet(key)
 	if !hit {
 		var err error
 		if q.vec != nil && s.bat != nil {
-			e.answers, err = s.bat.do(r.Context(), q.vec, q.k, q.key)
+			e.answers, err = s.bat.do(r.Context(), q.vec, q.k, key)
 		} else {
-			e, err = s.runDirect(r.Context(), q)
+			e, err = s.runDirect(r.Context(), q, key)
 		}
 		if err != nil {
 			s.searchError(w, err)
@@ -224,9 +232,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 }
 
 // runDirect executes one search under the limiter on a pooled query
-// engine and fills the cache, stamping the entry with the version read
-// before the search ran.
-func (s *Server) runDirect(ctx context.Context, q query) (cacheEntry, error) {
+// engine and fills the cache under key, stamping the entry with the
+// version read before the search ran.
+func (s *Server) runDirect(ctx context.Context, q query, key string) (cacheEntry, error) {
 	if err := s.lim.acquire(ctx); err != nil {
 		return cacheEntry{}, err
 	}
@@ -241,7 +249,7 @@ func (s *Server) runDirect(ctx context.Context, q query) (cacheEntry, error) {
 	if info == nil {
 		info = &mogul.SearchInfo{}
 	}
-	return s.cacheSet(q.key, ver, res, *info), nil
+	return s.cacheSet(key, ver, res, *info), nil
 }
 
 // searchError renders a failed search: the limiter's and the batcher's
@@ -290,7 +298,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.answer(w, r, query{key: keyID(id, k), echo: id, k: k,
+	s.answer(w, r, query{echo: id, k: k,
+		key: func() string { return keyID(id, k) },
 		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
 			return q.TopKWithInfo(id, k)
 		}})
@@ -301,7 +310,8 @@ func (s *Server) handleSearchVector(w http.ResponseWriter, r *http.Request) {
 	if !readQuery(w, r, &req, &req.K) {
 		return
 	}
-	s.answer(w, r, query{key: keyVector(req.Vector, req.K), echo: "vector", k: req.K, vec: req.Vector,
+	s.answer(w, r, query{echo: "vector", k: req.K, vec: req.Vector,
+		key: func() string { return keyVector(req.Vector, req.K) },
 		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
 			res, err := q.TopKVector(req.Vector, req.K)
 			return res, nil, err
@@ -313,7 +323,8 @@ func (s *Server) handleSearchSet(w http.ResponseWriter, r *http.Request) {
 	if !readQuery(w, r, &req, &req.K) {
 		return
 	}
-	s.answer(w, r, query{key: keySet(req.IDs, req.K), echo: req.IDs, k: req.K,
+	s.answer(w, r, query{echo: req.IDs, k: req.K,
+		key: func() string { return keySet(req.IDs, req.K) },
 		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
 			res, err := q.TopKSet(req.IDs, req.K)
 			return res, nil, err
@@ -327,6 +338,10 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.IDs) == 0 {
 		WriteError(w, http.StatusBadRequest, "ids must be non-empty")
+		return
+	}
+	if len(req.IDs) > MaxBatchIDs {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("ids must number at most %d, got %d", MaxBatchIDs, len(req.IDs)))
 		return
 	}
 	// One bulk request holds one execution slot: TopKBatch parallelizes

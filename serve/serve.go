@@ -528,7 +528,8 @@ func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
 // parseK parses the k query parameter: absent means the default of 10,
 // while an explicit non-integer or non-positive value is rejected — a
 // client that asked for 0 or -3 answers has a bug, and silently
-// clamping it to 10 (the historical behaviour) hides it.
+// clamping it to 10 (the historical behaviour) hides it — and so is one
+// past MaxK.
 func parseK(raw string) (int, error) {
 	if raw == "" {
 		return 10, nil
@@ -537,11 +538,11 @@ func parseK(raw string) (int, error) {
 	if err != nil || k <= 0 {
 		return 0, fmt.Errorf("k must be a positive integer, got %q", raw)
 	}
-	return k, nil
+	return k, CheckK(k)
 }
 
 // normalizeK applies the same rule to the JSON body field: 0 (absent)
-// defaults, negative is rejected.
+// defaults, negative or past MaxK is rejected.
 func normalizeK(k int) (int, error) {
 	if k == 0 {
 		return 10, nil
@@ -549,38 +550,71 @@ func normalizeK(k int) (int, error) {
 	if k < 0 {
 		return 0, fmt.Errorf("k must be a positive integer, got %d", k)
 	}
-	return k, nil
+	return k, CheckK(k)
 }
 
-// bodyBufs recycles request-body read buffers: decoding with
-// json.Unmarshal over a pooled buffer beats a fresh json.Decoder
-// (which allocates its own 4K read buffer) on every request — on the
-// cache-hit path the decode is most of the remaining work.
+// CheckK rejects a k past MaxK. Exported for the layers that parse their
+// own k (the /dist/* routes), so the cap and its message exist once.
+func CheckK(k int) error {
+	if k > MaxK {
+		return fmt.Errorf("k must be at most %d, got %d", MaxK, k)
+	}
+	return nil
+}
+
+// bodyBufs recycles request-body read buffers: decoding over a pooled
+// buffer beats a fresh json.Decoder (which allocates its own 4K read
+// buffer) on every request — on the cache-hit path the decode is most of
+// the remaining work.
 var bodyBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
 // Request bodies are bounded by a fixed cap sized for the largest body
 // any endpoint has a use for — a default batch's worth (defaultMaxBatch)
 // of vectors of maxBodyDim components at maxFloatBytes of JSON each, far
 // above a single d = 512 query (~10 KB) — so a client cannot make the
-// server buffer an arbitrary amount of memory per connection.
+// server buffer an arbitrary amount of memory per connection. A buffer
+// that grew past maxPooledBody is left to the collector instead of
+// parking that much memory in bodyBufs.
 const (
 	defaultMaxBatch = 64
 	maxBodyDim      = 1 << 14
 	maxFloatBytes   = 32
 	maxBodyBytes    = defaultMaxBatch * maxBodyDim * maxFloatBytes // 32 MiB
+	maxPooledBody   = 1 << 20
 )
 
-// ReadJSON decodes a request body of at most maxBodyBytes into v.
-// Render a failure with RejectBody. Exported, like WriteError, for
-// layers that add their own endpoints to this server.
+// The work one request may ask for is bounded like its body. The engine
+// clamps k to the corpus, so without MaxK one GET ranks and renders
+// every item; without MaxBatchIDs one /search/batch runs as many
+// queries as fit in a body while holding a single limiter slot. Fixed,
+// like maxBodyBytes: no deployment in the tree needs another value.
+const (
+	// MaxK is the largest k any search route accepts.
+	MaxK = 10000
+	// MaxBatchIDs is the largest number of ids one POST /search/batch
+	// may carry.
+	MaxBatchIDs = 1024
+)
+
+// ReadJSON decodes a request body of at most maxBodyBytes into v: by
+// v's own scanner when it has one and the body is in its canonical form
+// (scan.go), by encoding/json otherwise — same values, and for a body
+// neither accepts, encoding/json's error. Render a failure with
+// RejectBody. Exported, like WriteError, for layers that add their own
+// endpoints to this server.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
-		buf.Reset()
-		bodyBufs.Put(buf)
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
 	}()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return err
+	}
+	if sc, ok := v.(scannable); ok && sc.scanJSON(buf.Bytes()) {
+		return nil
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }

@@ -654,6 +654,38 @@ func TestCachedSearch(t *testing.T) {
 	}
 }
 
+// TestCacheKeyBuiltOnlyForTheCache: the exact cache key — 4 KB for a
+// d = 512 query — is built when there is a cache to look in and at no
+// other time, batching on or off.
+func TestCacheKeyBuiltOnlyForTheCache(t *testing.T) {
+	idx, ds := testIndex(t)
+	vec := ds.Points[3]
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want int
+	}{
+		{"plain", Options{}, 0},
+		{"batched", Options{BatchWindow: time.Millisecond}, 0},
+		{"cached", Options{CacheBytes: 1 << 20}, 1},
+		{"cached and batched", Options{CacheBytes: 1 << 20, BatchWindow: time.Millisecond}, 1},
+	} {
+		s := New(idx, tc.opts)
+		built := 0
+		rec := httptest.NewRecorder()
+		s.answer(rec, httptest.NewRequest(http.MethodPost, "/search/vector", nil), query{echo: "vector", k: 4, vec: vec,
+			key: func() string { built++; return keyVector(vec, 4) },
+			run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
+				res, err := q.TopKVector(vec, 4)
+				return res, nil, err
+			}})
+		s.Close()
+		if rec.Code != http.StatusOK || built != tc.want {
+			t.Errorf("%s: status %d, key built %d times, want %d", tc.name, rec.Code, built, tc.want)
+		}
+	}
+}
+
 // TestBatchedVectorSearch: with a batch window on, concurrent
 // identical queries coalesce into shared executions and still return
 // exactly the direct-path answers.
