@@ -125,10 +125,10 @@ func TestTopKAllocsWithDeltaAndTombstones(t *testing.T) {
 // the spectral epoch-stamped hop expansion) must run allocation-free in
 // steady state — the returned []Result is the one allocation — on every
 // query entry point of a warmed dedicated searcher and on the pooled
-// path, with live delta items and tombstones in play. EMR's Insert is
-// held to the stored copy of the vector plus amortised append growth:
-// its attachment scratch lives on the engine, reused under the write
-// lock.
+// path, with live delta items and tombstones in play. Insert is held to
+// the stored copy of the vector plus amortised append growth on both
+// engines: the attachment scratch lives on the engine, reused under the
+// write lock.
 func TestEngineAllocs(t *testing.T) {
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: 2100, Classes: 100, Dim: 16, WithinStd: 0.3, Separation: 2.5, Seed: 21,
@@ -196,9 +196,6 @@ func TestEngineAllocs(t *testing.T) {
 			t.Errorf("%s pooled TopK allocates %.1f objects/op in steady state, want 1 (the returned []Result)", name, allocs)
 		}
 
-		if name != "EMR" {
-			continue
-		}
 		if _, err := e.Insert(pool[0]); err != nil { // warm: sizes the attach scratch
 			t.Fatal(err)
 		}
@@ -209,7 +206,7 @@ func TestEngineAllocs(t *testing.T) {
 			i++
 		})
 		if allocs > 1 {
-			t.Errorf("EMR Insert allocates %.1f objects/op, want 1 (the stored vector; slice growth amortises away)", allocs)
+			t.Errorf("%s Insert allocates %.1f objects/op, want 1 (the stored vector; slice growth amortises away)", name, allocs)
 		}
 	}
 }

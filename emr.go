@@ -459,3 +459,10 @@ func (sr *EMRSearcher) affinity(q Vector) float64 {
 	sr.wIdx, sr.wVal, mass = baseline.NearestAnchorWeights(q, st.anchors, st.s, &sr.sc, sr.wIdx[:0], sr.wVal[:0])
 	return mass
 }
+
+// work reports the EMR scan as it is: no pruning, every live item scored
+// through all p anchors.
+func (sr *EMRSearcher) work() SearchInfo {
+	h := sr.e.st.hdr()
+	return SearchInfo{ClustersScanned: h.stats.NumClusters, ScoresComputed: h.live()}
+}

@@ -148,6 +148,9 @@ type scorer interface {
 	scoreVector(q Vector, k int) ([]Result, float64)
 	// affinity is scoreVector's second result alone.
 	affinity(q Vector) float64
+	// work reports what the latest scoreSeeds or scoreVector did, in
+	// SearchInfo's terms.
+	work() SearchInfo
 }
 
 type engine[S engineState] struct {
@@ -519,9 +522,10 @@ func (sr *searcher[S]) TopK(query, k int) ([]Result, error) {
 	return sr.topKSeeds([]int{query}, 1, k)
 }
 
-// TopKWithInfo is TopK plus work counters: the engine has no pruning,
-// so every anchor (or retained eigenpair) is "scanned" and every live
-// item scored.
+// TopKWithInfo is TopK plus the backend's own account of the work (see
+// SearchInfo): the EMR engine scores every live item through every
+// anchor; the spectral engine counts the embedding rows it evaluated and
+// the row blocks its bound entered and skipped.
 func (sr *searcher[S]) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
 	sr.eng.mu.RLock()
 	defer sr.eng.mu.RUnlock()
@@ -529,8 +533,8 @@ func (sr *searcher[S]) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	h := sr.eng.st.hdr()
-	return res, &SearchInfo{ClustersScanned: h.stats.NumClusters, ScoresComputed: h.live()}, nil
+	info := sr.be.work()
+	return res, &info, nil
 }
 
 // TopKVector ranks database items against an out-of-sample query

@@ -305,6 +305,9 @@ func FuzzLoadMapped(f *testing.F) {
 		mutated[len(mutated)/3] ^= 0x5A
 		f.Add(mutated)
 	}
+	// Structurally sound, one NaN embedding row (spectral_persist_test.go).
+	f.Add(nanRowImage(F64))
+	f.Add(nanRowImage(F32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := tryLoadMapped(data)
 		if err != nil || r == nil {

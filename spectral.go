@@ -36,9 +36,13 @@ package mogul
 // tests pin). A query is then: expand hops from the seeds (a local
 // ball or a bounded sweep, never a factorization), project the seeds
 // into the basis (O(r) per seed), scale by the tail coefficients, and
-// stream the n embedding rows through one kernel-routed dot product
-// each — O(n*r) plus the hop ball, with no back-substitution on the
-// query path.
+// score the embedding rows that can still reach the top k: the hop ball
+// first, then every other row whose Cauchy-Schwarz bound
+// (1-alpha)*|u_i|*|coeff| beats the current k-th score, a 64-row block
+// at a time (collect; docs/SPECTRAL.md "Bound-and-prune scan"). The
+// scan is exact — it returns what the full O(n*r) sweep would — and is
+// bounded by that sweep plus the hop ball, with no back-substitution on
+// the query path.
 //
 // Out-of-sample queries and Insert attach through surrogate
 // neighbours: the vector's AttachK nearest live points, heat-kernel
@@ -72,9 +76,9 @@ import (
 // AutoCompactFraction.
 type SpectralOptions struct {
 	// Rank is r, the number of retained eigenpairs. More rank buys
-	// recall on the smooth long-range part at O(n*r) per-query scan
-	// cost; the exact hops below carry the local part regardless.
-	// Default 64.
+	// recall on the smooth long-range part at up to O(n*r) per-query
+	// scan cost (r per row the bound cannot rule out); the exact hops
+	// below carry the local part regardless. Default 64.
 	Rank int
 	// Steps is the Lanczos iteration count (the Krylov depth the
 	// Ritz pairs converge in); 0 selects 2*Rank+16, which suits the
@@ -156,6 +160,14 @@ type spectralState struct {
 	// AttachK-sized, cold next to the scan.
 	emb   []float64
 	emb32 []float32
+	// embNorm[i] bounds the 2-norm of item i's stored row from above (the
+	// norm itself, up to rounding) and blockMax[b] is its maximum over
+	// base rows [b*spectralBlock, (b+1)*spectralBlock): what lets the
+	// query scan skip rows, and whole blocks, that cannot reach the top k.
+	// Both are derived from the stored rows wherever a state is born
+	// (deriveNorms) and never persisted; Insert appends to embNorm only.
+	embNorm  []float64
+	blockMax []float64
 	// Delta attachments: item baseN+d owns attID/attW entries
 	// [attPtr[d], attPtr[d+1]) — its surrogate base anchors. Through
 	// them a delta item receives the hop scores of its neighbourhood
@@ -167,14 +179,114 @@ type spectralState struct {
 
 // narrow32 moves the state into mixed-precision storage: the point
 // matrix flattens to float32 rows, the embedding rows and the base
-// graph's edge weights round to float32, halving the bytes each query
-// streams (the O(n*r) embedding scan dominates); the eigenvalues and
-// the delta attachment weights keep full precision.
+// graph's edge weights round to float32, halving the bytes a query
+// streams per scored row; the eigenvalues and the delta attachment
+// weights keep full precision. The row norms are re-derived from the
+// rounded rows (rounding a finite build's unit-bounded entries cannot
+// make one non-finite, so there is nothing to report).
 func (st *spectralState) narrow32() {
 	st.narrowPoints()
 	st.emb32 = vec.Narrow32(nil, st.emb)
 	st.emb = nil
 	st.graph.Narrow32()
+	st.deriveNorms()
+}
+
+// spectralBlock is how many consecutive base rows share one entry of
+// blockMax: small enough that one far-reaching row taints few
+// neighbours, large enough that a pruned query reads n/64 bounds, not n.
+const spectralBlock = 64
+
+// The slack of the pruning bound (collect). A row is skipped only when
+// (1-alpha)*|u_i|*|coeff|, inflated by pruneRelSlack+4*r*2^-52 and
+// pruneAbsSlack, cannot beat the k-th score. The relative part covers
+// every rounding between the true bound and the computed score — the
+// r-term sums of vec.Dot/Dot32 and of the norms are each within
+// (r+2)*2^-53 of exact — with seven orders of magnitude to spare at
+// r = 64; the absolute part covers products that underflow (each loses
+// at most 2^-1075, and far fewer than 2^70 of them meet in one score).
+const (
+	pruneRelSlack = 1e-9
+	pruneAbsSlack = 0x1p-1000
+	// minCoeffNorm floors the coefficient norm so the per-query bound
+	// factor is a normal number (a subnormal one would carry an
+	// unbounded relative error into every row's bound).
+	minCoeffNorm = 0x1p-500
+)
+
+// normBound returns an upper bound on the 2-norm of row, up to a
+// relative rounding error of (len(row)+2)*2^-53: the norm itself
+// whenever the sum of squares stays clear of under- and overflow, else
+// sqrt(len)*max|x| rounded up. A row with a NaN or infinite element has
+// no bound: it reports +Inf and false.
+func normBound(row []float64) (float64, bool) {
+	if s := vec.Dot(row, row); s >= 0x1p-900 && s <= 0x1p900 {
+		return math.Sqrt(s), true
+	}
+	m := 0.0
+	for _, x := range row {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return math.Inf(1), false
+		}
+		m = max(m, math.Abs(x))
+	}
+	// Rounded up by at least one ulp, subnormals included.
+	return m*math.Sqrt(float64(len(row)))*(1+0x1p-52) + math.SmallestNonzeroFloat64, true
+}
+
+// pruneReach sizes the pruning bound of one query: unit*x +
+// pruneAbsSlack is at least the computed scale*sum of any sum whose
+// exact terms total at most x in magnitude, and reach*embNorm[i] +
+// pruneAbsSlack at least the computed |scale * coeff . u_i|. A
+// non-finite coeff makes reach +Inf, which prunes nothing.
+func pruneReach(scale float64, coeff []float64) (unit, reach float64) {
+	nc, _ := normBound(coeff)
+	unit = scale * (1 + pruneRelSlack + 4*float64(len(coeff))*0x1p-52)
+	return unit, unit * max(nc, minCoeffNorm)
+}
+
+// deriveNorms fills embNorm and blockMax from the stored rows (widened
+// float32 in mixed-precision mode) in one sequential pass, and returns
+// the first item whose row holds a non-finite element, or -1. Such a row
+// would enter every top-k (NaN defeats the collector's comparison), so
+// loaders refuse it.
+func (st *spectralState) deriveNorms() int {
+	n, r := st.numPoints(), st.rank
+	st.embNorm = make([]float64, n)
+	st.blockMax = make([]float64, (st.baseN+spectralBlock-1)/spectralBlock)
+	bad := -1
+	var buf []float64
+	for i := range st.embNorm {
+		var row []float64
+		if st.emb32 != nil {
+			buf = vec.Widen64(buf, st.emb32[i*r:(i+1)*r])
+			row = buf
+		} else {
+			row = st.emb[i*r : (i+1)*r]
+		}
+		nrm, finite := normBound(row)
+		if !finite && bad < 0 {
+			bad = i
+		}
+		st.embNorm[i] = nrm
+		if i < st.baseN {
+			b := i / spectralBlock
+			st.blockMax[b] = max(st.blockMax[b], nrm)
+		}
+	}
+	return bad
+}
+
+// dotRow returns coeff . u_i in the fixed four-lane summation order of
+// vec.Dot. In mixed-precision mode the row streams as float32 (half the
+// bytes) through vec.Dot32, which widens in registers and accumulates
+// in float64 with the same lane order.
+func (st *spectralState) dotRow(coeff []float64, i int) float64 {
+	off := i * st.rank
+	if st.emb32 != nil {
+		return vec.Dot32(coeff, st.emb32[off:off+st.rank])
+	}
+	return vec.Dot(st.emb[off:off+st.rank], coeff)
 }
 
 // SpectralIndex is the truncated-eigenbasis (Fast Spectral Ranking)
@@ -188,6 +300,10 @@ type SpectralIndex struct {
 	// ropts/sopts are the recorded recipe Compact rebuilds with.
 	ropts Options // graph recipe (GraphK, Approximate, Mutual, Sigma) + Seed
 	sopts SpectralOptions
+	// att and attRow are Insert's attachment scratch, reused under the
+	// write lock.
+	att    attachScratch
+	attRow []float64
 }
 
 // Both the engine and its searcher implement the shared serving
@@ -266,6 +382,9 @@ func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions) (*
 		emb:          basis.Vecs,
 		attPtr:       []int{0},
 	}
+	if i := st.deriveNorms(); i >= 0 {
+		return nil, fmt.Errorf("mogul: embedding row %d is non-finite", i)
+	}
 	st.stats = Stats{
 		NumNodes:    n,
 		NumClusters: st.rank,
@@ -323,12 +442,13 @@ type SpectralSearcher struct {
 	hstamp, estamp []uint64
 	qepoch, eepoch uint64
 	curID, nxtID   []int
-	// dist/nbrID/nbrW are the out-of-sample attachment scratch: the
-	// batched squared-distance sweep and the bounded nearest-live
-	// selection.
-	dist  []float64
-	nbrID []int
-	nbrW  []float64
+	// touched lists the base items the latest expansion stamped, in
+	// discovery order: the rows the scan offers first.
+	touched []int
+	// att is the out-of-sample attachment scratch.
+	att attachScratch
+	// info holds the work counters of the latest scan (work).
+	info SearchInfo
 	// baseSeeds/deltaSelf split the query's seed distribution: its
 	// base-graph redistribution (delta seeds forwarded to their
 	// anchors), and the t=0 self terms of delta seeds.
@@ -401,27 +521,29 @@ func (sr *SpectralSearcher) splitSeeds(raw []seedWeight) {
 
 // expandHops evaluates the exact Neumann prefix sum_{t<T} (alpha S)^t
 // applied to the base seed distribution: a frontier expansion on the
-// sparse base graph, entirely serial (the touched ball is tiny next
-// to the O(n*r) scan) and therefore trivially deterministic. The
-// horizon is adaptive: at least sopts.Hops rounds always run, after
-// which expansion continues while the un-diffused mass exceeds
-// hopMassTol and the cumulative edge traversals stay within
-// sopts.HopBudget — every stopping criterion is a deterministic
+// sparse base graph, entirely serial and therefore trivially
+// deterministic. The horizon is adaptive: at least sopts.Hops rounds
+// always run, after which expansion continues while the un-diffused
+// mass exceeds hopMassTol and the cumulative edge traversals stay
+// within sopts.HopBudget — every stopping criterion is a deterministic
 // function of the graph and the seeds. Returns the realized T (so the
 // caller evaluates the spectral tail coefficients with exactly the
 // terms the prefix did not cover). Results land in sr.hop, valid
-// where sr.hstamp[i] == sr.qepoch. Callers hold e.mu.
+// where sr.hstamp[i] == sr.qepoch — exactly the items sr.touched
+// lists. Callers hold e.mu.
 func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 	e := sr.e
 	st := e.st
 	sr.qepoch++
 	sr.curID = sr.curID[:0]
+	sr.touched = sr.touched[:0]
 	mass := 0.0
 	for _, sw := range seeds {
 		sr.hop[sw.id] = sw.w
 		sr.pw[sw.id] = sw.w
 		sr.hstamp[sw.id] = sr.qepoch
 		sr.curID = append(sr.curID, sw.id)
+		sr.touched = append(sr.touched, sw.id)
 		mass += math.Abs(sw.w)
 	}
 	S := st.graph
@@ -474,6 +596,7 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 			if sr.hstamp[i] != sr.qepoch {
 				sr.hstamp[i] = sr.qepoch
 				sr.hop[i] = w
+				sr.touched = append(sr.touched, i)
 			} else {
 				sr.hop[i] += w
 			}
@@ -486,10 +609,24 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 // collect runs the online half of the engine with e.mu held: expand
 // the exact hops from the base seed distribution, scale the
 // projection sr.b by the spectral-tail coefficients of the realized
-// horizon, then stream every live item through the collector — base
-// items read their hop score directly, delta items gather it through
-// their attachment and add their t=0 self term. The seed lists must
-// already be prepared (splitSeeds) and sr.b filled.
+// horizon, then score the live items — base items add their hop score
+// to coeff . u_i, delta items gather it through their attachment and
+// add their t=0 self term. The seed lists must already be prepared
+// (splitSeeds) and sr.b filled.
+//
+// The scan is exact but not exhaustive. The hop ball is offered first,
+// so the collector's threshold starts at a real hop score; after that a
+// row's dot product is evaluated only if its Cauchy-Schwarz bound
+// (1-alpha)*|u_i|*|coeff| — inflated by the stated slack, which covers
+// every rounding between the bound and the computed score — can still
+// beat the current k-th score under Offer's own rule (a score <= the
+// threshold is rejected), and a whole block is skipped when its largest
+// norm cannot. Every comparison is written so that a collector that is
+// not yet full (threshold -Inf) or a NaN on either side never prunes:
+// with k >= live this is the full scan. The answer is the full scan's —
+// same scores to the bit; only which of several items tied exactly at
+// the k-th score survive can differ, because offers arrive in a
+// different order. sr.info records what the scan did.
 func (sr *SpectralSearcher) collect(k int) []Result {
 	e := sr.e
 	st := e.st
@@ -498,115 +635,152 @@ func (sr *SpectralSearcher) collect(k int) []Result {
 	for j := 0; j < r; j++ {
 		sr.coeff[j] = tailCoefficient(e.alpha, st.vals[j], hops) * sr.b[j]
 	}
-	n := st.numPoints()
-	emb32 := st.emb32
 	sr.resetCollector(k)
-	for i := 0; i < st.baseN; i++ {
-		if st.dead[i] {
+	scale := 1 - e.alpha
+	scored := 0
+	offerHop := func(i int) {
+		if !st.dead[i] {
+			scored++
+			sr.col.Offer(i, scale*(st.dotRow(sr.coeff, i)+sr.hop[i]))
+		}
+	}
+	if len(sr.touched) < len(st.blockMax) {
+		for _, i := range sr.touched {
+			offerHop(i)
+		}
+	} else {
+		// A ball this large (a row per block or more) is read in memory
+		// order off the stamps, not in discovery order: on a
+		// well-connected graph it is most of the corpus, and hopping
+		// around the embedding costs twice what streaming it does.
+		for i := 0; i < st.baseN; i++ {
+			if sr.hstamp[i] == sr.qepoch {
+				offerHop(i)
+			}
+		}
+	}
+
+	unit, reach := pruneReach(scale, sr.coeff)
+	pruned := 0
+	for b, bm := range st.blockMax {
+		if reach*bm+pruneAbsSlack <= sr.col.Threshold() {
+			pruned++
 			continue
 		}
-		// u_i^T coeff in the fixed four-lane summation order of vec.Dot:
-		// the scan is the only O(n) term of a query, and the embedding
-		// rows stream contiguously, so the four independent accumulators
-		// keep it throughput-bound instead of FP-add-latency-bound. In
-		// mixed-precision mode the rows stream as float32 (half the
-		// bytes) through vec.Dot32, which widens in registers and
-		// accumulates in float64 with the same lane order.
-		off := i * r
-		var sum float64
-		if emb32 != nil {
-			sum = vec.Dot32(sr.coeff, emb32[off:off+r])
-		} else {
-			sum = vec.Dot(st.emb[off:off+r], sr.coeff)
+		for i, hi := b*spectralBlock, min((b+1)*spectralBlock, st.baseN); i < hi; i++ {
+			if st.dead[i] || sr.hstamp[i] == sr.qepoch || reach*st.embNorm[i]+pruneAbsSlack <= sr.col.Threshold() {
+				continue
+			}
+			scored++
+			sr.col.Offer(i, scale*st.dotRow(sr.coeff, i))
 		}
-		if sr.hstamp[i] == sr.qepoch {
-			sum += sr.hop[i]
-		}
-		sr.col.Offer(i, (1-e.alpha)*sum)
 	}
+
+	// Delta rows: the attachment and self terms are at most AttachK+1
+	// cheap exact terms, so they are always evaluated (in magnitude) and
+	// only the dot product is spared.
 	si := 0
-	for i := st.baseN; i < n; i++ {
+	for i, n := st.baseN, st.numPoints(); i < n; i++ {
 		if si < len(sr.deltaSelf) && sr.deltaSelf[si].id < i {
 			si++
 		}
 		if st.dead[i] {
 			continue
 		}
-		off := i * r
-		var sum float64
-		if emb32 != nil {
-			sum = vec.Dot32(sr.coeff, emb32[off:off+r])
-		} else {
-			sum = vec.Dot(st.emb[off:off+r], sr.coeff)
+		self, seeded := 0.0, si < len(sr.deltaSelf) && sr.deltaSelf[si].id == i
+		if seeded {
+			self = sr.deltaSelf[si].w
 		}
 		d := i - st.baseN
+		rest := math.Abs(self)
+		for t := st.attPtr[d]; t < st.attPtr[d+1]; t++ {
+			if id := st.attID[t]; sr.hstamp[id] == sr.qepoch {
+				rest += math.Abs(st.attW[t] * sr.hop[id])
+			}
+		}
+		if reach*st.embNorm[i]+unit*rest+pruneAbsSlack <= sr.col.Threshold() {
+			continue
+		}
+		scored++
+		sum := st.dotRow(sr.coeff, i)
 		for t := st.attPtr[d]; t < st.attPtr[d+1]; t++ {
 			if id := st.attID[t]; sr.hstamp[id] == sr.qepoch {
 				sum += st.attW[t] * sr.hop[id]
 			}
 		}
-		if si < len(sr.deltaSelf) && sr.deltaSelf[si].id == i {
-			sum += sr.deltaSelf[si].w
+		if seeded {
+			sum += self
 		}
-		sr.col.Offer(i, (1-e.alpha)*sum)
+		sr.col.Offer(i, scale*sum)
 	}
+	sr.info = SearchInfo{ClustersPruned: pruned, ClustersScanned: len(st.blockMax) - pruned, ScoresComputed: scored}
 	return sr.results()
 }
 
-// attachLive finds the engine's surrogate seeds for an out-of-sample
-// vector: the AttachK nearest live points by one batched
-// squared-distance sweep, heat-kernel weighted with the base graph's
-// bandwidth. baseOnly restricts the candidates to the base build
-// (Insert needs anchors the hop expansion can reach directly). It
-// fills sr.nbrID/sr.nbrW (normalized to unit mass) and returns the
-// count and the raw (unnormalized) kernel mass. Callers hold e.mu.
-func (sr *SpectralSearcher) attachLive(q Vector, baseOnly bool) (int, float64) {
-	e := sr.e
-	st := e.st
+// work reports what the latest collect did: rows whose dot product was
+// evaluated, and base-row blocks entered / skipped whole by the bound.
+func (sr *SpectralSearcher) work() SearchInfo { return sr.info }
+
+// attachScratch is the out-of-sample attachment scratch: the batched
+// squared-distance sweep and the bounded nearest-live selection. Every
+// searcher owns one; the engine owns one more for Insert.
+type attachScratch struct {
+	dist  []float64
+	nbrID []int
+	nbrW  []float64
+}
+
+// attachLive finds the surrogate seeds of an out-of-sample vector in
+// st: the kAttach nearest live points by one batched squared-distance
+// sweep, heat-kernel weighted with the base graph's bandwidth. baseOnly
+// restricts the candidates to the base build (Insert needs anchors the
+// hop expansion can reach directly). It fills a.nbrID/a.nbrW
+// (normalized to unit mass) and returns the count and the raw
+// (unnormalized) kernel mass. Callers hold the engine's mu.
+func (a *attachScratch) attachLive(st *spectralState, kAttach int, q Vector, baseOnly bool) (int, float64) {
 	n := st.numPoints()
 	if baseOnly {
 		n = st.baseN
 	}
-	kAttach := e.sopts.AttachK
-	if cap(sr.dist) < n {
-		sr.dist = make([]float64, n)
+	if cap(a.dist) < n {
+		a.dist = make([]float64, n)
 	}
-	sr.dist = sr.dist[:n]
+	a.dist = a.dist[:n]
 	if st.pts32 != nil {
-		vec.SquaredEuclideanBatch32(q, st.pts32[:n*st.dim], sr.dist)
+		vec.SquaredEuclideanBatch32(q, st.pts32[:n*st.dim], a.dist)
 	} else {
-		vec.SquaredEuclideanBatch(q, st.points[:n], sr.dist)
+		vec.SquaredEuclideanBatch(q, st.points[:n], a.dist)
 	}
-	if cap(sr.nbrID) < kAttach {
-		sr.nbrID = make([]int, 0, kAttach)
-		sr.nbrW = make([]float64, 0, kAttach)
+	if cap(a.nbrID) < kAttach {
+		a.nbrID = make([]int, 0, kAttach)
+		a.nbrW = make([]float64, 0, kAttach)
 	}
-	sr.nbrID = sr.nbrID[:0]
-	sr.nbrW = sr.nbrW[:0]
+	a.nbrID = a.nbrID[:0]
+	a.nbrW = a.nbrW[:0]
 	// Bounded insertion selection over (distance, id) — a strict total
 	// order, so the selected set is deterministic.
 	for i := 0; i < n; i++ {
 		if st.dead[i] {
 			continue
 		}
-		d := sr.dist[i]
-		if len(sr.nbrID) == kAttach && d >= sr.nbrW[kAttach-1] {
+		d := a.dist[i]
+		if len(a.nbrID) == kAttach && d >= a.nbrW[kAttach-1] {
 			continue
 		}
-		pos := len(sr.nbrID)
+		pos := len(a.nbrID)
 		if pos < kAttach {
-			sr.nbrID = sr.nbrID[:pos+1]
-			sr.nbrW = sr.nbrW[:pos+1]
+			a.nbrID = a.nbrID[:pos+1]
+			a.nbrW = a.nbrW[:pos+1]
 		} else {
 			pos = kAttach - 1
 		}
-		for pos > 0 && sr.nbrW[pos-1] > d {
-			sr.nbrID[pos] = sr.nbrID[pos-1]
-			sr.nbrW[pos] = sr.nbrW[pos-1]
+		for pos > 0 && a.nbrW[pos-1] > d {
+			a.nbrID[pos] = a.nbrID[pos-1]
+			a.nbrW[pos] = a.nbrW[pos-1]
 			pos--
 		}
-		sr.nbrID[pos] = i
-		sr.nbrW[pos] = d
+		a.nbrID[pos] = i
+		a.nbrW[pos] = d
 	}
 	// Heat-kernel weights under the base bandwidth; a query so remote
 	// that every weight underflows falls back to uniform attachment
@@ -616,21 +790,21 @@ func (sr *SpectralSearcher) attachLive(q Vector, baseOnly bool) (int, float64) {
 		inv = 1 / (2 * st.sigma * st.sigma)
 	}
 	var mass float64
-	for t, d := range sr.nbrW {
+	for t, d := range a.nbrW {
 		w := math.Exp(-d * inv)
-		sr.nbrW[t] = w
+		a.nbrW[t] = w
 		mass += w
 	}
 	if mass > 0 {
-		for t := range sr.nbrW {
-			sr.nbrW[t] /= mass
+		for t := range a.nbrW {
+			a.nbrW[t] /= mass
 		}
 	} else {
-		for t := range sr.nbrW {
-			sr.nbrW[t] = 1 / float64(len(sr.nbrW))
+		for t := range a.nbrW {
+			a.nbrW[t] = 1 / float64(len(a.nbrW))
 		}
 	}
-	return len(sr.nbrID), mass
+	return len(a.nbrID), mass
 }
 
 // axpyRow accumulates w times item id's embedding row into dst
@@ -664,10 +838,10 @@ func (sr *SpectralSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
 	st := sr.e.st
 	sr.ensure(st)
-	m, mass := sr.attachLive(q, false)
+	m, mass := sr.att.attachLive(st, sr.e.sopts.AttachK, q, false)
 	sr.seeds = sr.seeds[:0]
 	for t := 0; t < m; t++ {
-		id, w := sr.nbrID[t], sr.nbrW[t]
+		id, w := sr.att.nbrID[t], sr.att.nbrW[t]
 		st.axpyRow(sr.b, w, id)
 		sr.seeds = append(sr.seeds, seedWeight{id: id, w: w})
 	}
@@ -677,34 +851,40 @@ func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
 }
 
 func (sr *SpectralSearcher) affinity(q Vector) float64 {
-	_, mass := sr.attachLive(q, false)
+	_, mass := sr.att.attachLive(sr.e.st, sr.e.sopts.AttachK, q, false)
 	return mass
 }
 
-// attach appends the embedding row and the stored attachment of a point
-// arriving after the base build: it attaches to its AttachK nearest
-// live base points (anchors the hop expansion can reach directly; one
-// batched distance sweep, no decomposition), and its row is the
-// attachment-weighted combination of theirs. The attachment runs on a
-// throwaway searcher — Insert is not the hot path, and the helper
-// shares the exact code the query-time attachment uses. The row is
-// always accumulated in float64 and narrowed only on append, matching
-// the build's narrow-last rule.
+// attach appends the embedding row, its norm and the stored attachment
+// of a point arriving after the base build: it attaches to its AttachK
+// nearest live base points (anchors the hop expansion can reach
+// directly; one batched distance sweep, no decomposition) through the
+// exact code the query-time attachment uses, on scratch the engine
+// keeps, and its row is the attachment-weighted combination of theirs.
+// The row is always accumulated in float64 and narrowed only on append,
+// matching the build's narrow-last rule; the norm is the stored row's.
 func (e *SpectralIndex) attach(st *spectralState, v Vector) {
-	sr := e.NewSearcher()
-	m, _ := sr.attachLive(v, true)
-	row := make([]float64, st.rank)
+	a := &e.att
+	m, _ := a.attachLive(st, e.sopts.AttachK, v, true)
+	if cap(e.attRow) < st.rank { // first Insert, or Compact changed the rank
+		e.attRow = make([]float64, st.rank)
+	}
+	row := e.attRow[:st.rank]
+	clear(row)
 	for t := 0; t < m; t++ {
-		st.axpyRow(row, sr.nbrW[t], sr.nbrID[t])
+		st.axpyRow(row, a.nbrW[t], a.nbrID[t])
 	}
 	if st.f32() {
-		for _, x := range row {
+		for j, x := range row {
 			st.emb32 = append(st.emb32, float32(x))
+			row[j] = float64(float32(x))
 		}
 	} else {
 		st.emb = append(st.emb, row...)
 	}
-	st.attID = append(st.attID, sr.nbrID[:m]...)
-	st.attW = append(st.attW, sr.nbrW[:m]...)
+	nrm, _ := normBound(row)
+	st.embNorm = append(st.embNorm, nrm)
+	st.attID = append(st.attID, a.nbrID[:m]...)
+	st.attW = append(st.attW, a.nbrW[:m]...)
 	st.attPtr = append(st.attPtr, len(st.attID))
 }

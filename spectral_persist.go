@@ -151,7 +151,10 @@ func loadSpectral(br *binio.Reader) (*SpectralIndex, error) {
 // arrays come out as views into the payload bytes (zero-copy when the
 // image is aligned and the host is little-endian, copied otherwise),
 // without the per-element finiteness scans version 1 runs over the
-// embedding and the graph's edge weights — see readPoints for why.
+// points and the graph's edge weights — see readPoints for why. The
+// embedding is the exception in every version: deriving the row norms
+// reads each row once anyway (one sequential pass, which the first
+// query used to pay), and a non-finite row is refused there.
 func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*SpectralIndex, error) {
 	var m engineMeta
 	mr := secs[tagSpMet].Reader(0)
@@ -260,11 +263,6 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 	case !v2:
 		emb = er.Floats(binio.MaxCount)
 		embLen = len(emb)
-		for i, v := range emb {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("mogul: embedding element %d is non-finite", i)
-			}
-		}
 	case m.f32:
 		emb32 = er.Float32sView(binio.MaxCount)
 		embLen = len(emb32)
@@ -331,6 +329,9 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 		attPtr:       attPtr,
 		attID:        attID,
 		attW:         attW,
+	}
+	if i := st.deriveNorms(); i >= 0 {
+		return nil, fmt.Errorf("mogul: embedding row %d is non-finite", i)
 	}
 	return newSpectralIndex(ropts, sopts, st), nil
 }

@@ -11,6 +11,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -115,6 +119,82 @@ var fuzzSpectralSeed = sync.OnceValue(func() []byte {
 	return buf.Bytes()
 })
 
+// nanRowImage returns an aligned version-2 image of a small engine, in
+// either precision, with one embedding element overwritten by NaN and
+// the checksum left stale — what a flipped page of a mapped file looks
+// like. The element is found by its own bytes, so the helper knows
+// nothing of the section layout.
+func nanRowImage(prec Precision) []byte {
+	ds := NewMixture(MixtureConfig{N: 90, Classes: 4, Dim: 6, WithinStd: 0.3, Separation: 2.5, Seed: 59})
+	e, err := BuildSpectral(ds.Points, Options{Seed: 59, Precision: prec}, SpectralOptions{Rank: 12})
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := e.SaveAligned(&buf, 64); err != nil {
+		panic(err)
+	}
+	img := buf.Bytes()
+	// Elements 40*rank+4 and +5 of the embedding, as stored.
+	var pat, nan []byte
+	if at := 40*e.st.rank + 4; prec == F32 {
+		pat = binary.LittleEndian.AppendUint32(pat, math.Float32bits(e.st.emb32[at]))
+		pat = binary.LittleEndian.AppendUint32(pat, math.Float32bits(e.st.emb32[at+1]))
+		nan = binary.LittleEndian.AppendUint32(nan, math.Float32bits(float32(math.NaN())))
+	} else {
+		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(e.st.emb[at]))
+		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(e.st.emb[at+1]))
+		nan = binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN()))
+	}
+	pos := bytes.Index(img, pat)
+	if pos < 0 || bytes.LastIndex(img, pat) != pos {
+		panic("embedding element not located uniquely in the image")
+	}
+	copy(img[pos:], nan)
+	return img
+}
+
+// TestLoadSpectralRejectsNonFiniteRow: a NaN embedding row would enter
+// every top-k (NaN defeats the collector's comparison) and poison every
+// later answer, so it is a load error on every path — including the two
+// that skip the CRC and, by design, the per-element scans: the bytes
+// loader and LoadFileMapped. The norm pass, which reads every row
+// anyway, is what catches it.
+func TestLoadSpectralRejectsNonFiniteRow(t *testing.T) {
+	for name, prec := range map[string]Precision{"f64": F64, "f32": F32} {
+		img := nanRowImage(prec)
+		path := filepath.Join(t.TempDir(), name+".idx")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loads := map[string]func() error{
+			"LoadSpectralBytes": func() error { _, err := LoadSpectralBytes(img); return err },
+			"LoadFileMapped": func() error {
+				_, closer, err := LoadFileMapped(path)
+				if err == nil {
+					closer.Close()
+				}
+				return err
+			},
+			// The streaming loader with the checksum re-stamped, so the
+			// validation layer and not the CRC has to refuse it.
+			"Load": func() error { _, err := Load(bytes.NewReader(restamp(img))); return err },
+		}
+		for label, load := range loads {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s %s panicked on a NaN embedding row: %v", name, label, r)
+					}
+				}()
+				if err := load(); err == nil || !strings.Contains(err.Error(), "embedding row 40 is non-finite") {
+					t.Fatalf("%s %s: error %v, want the non-finite row named", name, label, err)
+				}
+			}()
+		}
+	}
+}
+
 // FuzzLoadSpectral feeds arbitrary bytes to the sniffing loader. The
 // contract: Load never panics, and any spectral input it accepts must
 // search, mutate, and re-save without panicking. Explore with
@@ -133,6 +213,7 @@ func FuzzLoadSpectral(f *testing.F) {
 	versioned := append([]byte(nil), seed...)
 	versioned[8] = 0xFF // far-future container version
 	f.Add(versioned)
+	f.Add(restamp(nanRowImage(F64))) // structurally sound, one NaN embedding row
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Load(bytes.NewReader(data))
