@@ -122,8 +122,9 @@ func TestTopKAllocsWithDeltaAndTombstones(t *testing.T) {
 }
 
 // TestEngineAllocs: the EMR and spectral engines' streaming scans (and
-// the spectral epoch-stamped hop expansion) must run allocation-free in
-// steady state — the returned []Result is the one allocation — on every
+// the spectral epoch-stamped hop expansion, closed-ball solve included)
+// must run allocation-free in steady state — the returned []Result is
+// the one allocation — on every
 // query entry point of a warmed dedicated searcher and on the pooled
 // path, with live delta items and tombstones in play. Insert is held to
 // the stored copy of the vector plus amortised append growth on both
@@ -179,6 +180,12 @@ func TestEngineAllocs(t *testing.T) {
 			if allocs > 1 {
 				t.Errorf("%s searcher %s allocates %.1f objects/op in steady state, want 1 (the returned []Result)", name, entry, allocs)
 			}
+		}
+		// The spectral rows above must have priced the closed-ball solve,
+		// whose system lives on the searcher and grows only when a larger
+		// ball than any before is admitted.
+		if ss, ok := sr.(*SpectralSearcher); ok && len(ss.sys) == 0 {
+			t.Errorf("no spectral query on this fixture solved its hop ball: the guard did not cover the solve's scratch")
 		}
 
 		if _, err := e.TopK(11, 10); err != nil { // warm the pool

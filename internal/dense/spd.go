@@ -126,3 +126,59 @@ func InvertSPD(a *Matrix) (*Matrix, error) {
 	})
 	return inv, nil
 }
+
+// SolveSPD solves A x = b for a symmetric positive definite A of order
+// n = len(b), in place and without allocating: a holds A row-major with
+// stride n and only its lower triangle is read (the strict upper
+// triangle is never touched). On return the lower triangle holds the
+// Cholesky factor L (A = L L^T) and b holds x. It is the solve for
+// systems small enough that a call's overhead matters — n^3/6 + n^2
+// multiply-adds over contiguous row prefixes, no pivoting, no blocking,
+// one goroutine.
+//
+// A pivot that is not a positive finite number — A is not positive
+// definite to working precision, or its lower triangle holds a
+// non-finite value (every off-diagonal element of L feeds the pivot of
+// its own row) — stops the factorization and reports false, with a and b
+// partly overwritten and nothing in them to be used.
+func SolveSPD(a, b []float64) bool {
+	n := len(b)
+	for i := 0; i < n; i++ {
+		ri := a[i*n : i*n+i+1]
+		for j := 0; j < i; j++ {
+			rj := a[j*n : j*n+j+1]
+			s := ri[j]
+			for k, l := range rj[:j] {
+				s -= ri[k] * l
+			}
+			ri[j] = s / rj[j]
+		}
+		d := ri[i]
+		for _, l := range ri[:i] {
+			d -= l * l
+		}
+		if !(d > 0) || math.IsInf(d, 0) {
+			return false
+		}
+		ri[i] = math.Sqrt(d)
+	}
+	// L y = b by row dots, then L^T x = y by row axpys: both walk rows of
+	// L, never a column.
+	for i := 0; i < n; i++ {
+		ri := a[i*n : i*n+i+1]
+		s := b[i]
+		for k, l := range ri[:i] {
+			s -= l * b[k]
+		}
+		b[i] = s / ri[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		ri := a[i*n : i*n+i+1]
+		x := b[i] / ri[i]
+		b[i] = x
+		for k, l := range ri[:i] {
+			b[k] -= l * x
+		}
+	}
+	return true
+}

@@ -188,3 +188,124 @@ func TestInvertSPDRejects(t *testing.T) {
 		}
 	}
 }
+
+// resolventSPD returns I - alpha*S for the symmetrically normalized
+// adjacency S = D^-1/2 W D^-1/2 of a random weighted graph on n nodes
+// (a ring, so no node is isolated, plus deg random chords per node): the
+// spectral engine's closed-component system. S has spectral radius 1, so
+// the spectrum lies in [1-alpha, 1+alpha] and the condition number is at
+// most (1+alpha)/(1-alpha).
+func resolventSPD(rng *rand.Rand, n, deg int, alpha float64) *Matrix {
+	w := NewMatrix(n, n)
+	link := func(i, j int) {
+		if i != j {
+			v := rng.Float64() + 0.05
+			w.Set(i, j, v)
+			w.Set(j, i, v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		link(i, (i+1)%n)
+		for t := 0; t < deg; t++ {
+			link(i, rng.Intn(n))
+		}
+	}
+	d := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for _, v := range w.Row(i) {
+			d[i] += v
+		}
+	}
+	a := Identity(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if d[i] > 0 && d[j] > 0 {
+				a.Add(i, j, -alpha*w.At(i, j)/math.Sqrt(d[i]*d[j]))
+			}
+		}
+	}
+	return a
+}
+
+// TestSolveSPDMatchesLU: the in-place Cholesky solve against the pivoted
+// LU solve on every order from 1 to 96, on resolvent systems at
+// alpha = 0.99 (condition number up to 199) and on random SPD matrices —
+// with the strict upper triangle poisoned, which must neither be read
+// nor written.
+func TestSolveSPDMatchesLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for n := 1; n <= 96; n++ {
+		for label, a := range map[string]*Matrix{
+			"resolvent":  resolventSPD(rng, n, 3, 0.99),
+			"random SPD": randomSPD(rng, n),
+		} {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want, err := Solve(a, b)
+			if err != nil {
+				t.Fatalf("%s n=%d: LU oracle: %v", label, n, err)
+			}
+			work := a.Clone()
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					work.Set(i, j, math.NaN())
+				}
+			}
+			x := append([]float64(nil), b...)
+			if !SolveSPD(work.Data, x) {
+				t.Fatalf("%s n=%d: reported not positive definite", label, n)
+			}
+			var scale, diff float64
+			for i := range want {
+				scale = math.Max(scale, math.Abs(want[i]))
+				diff = math.Max(diff, math.Abs(x[i]-want[i]))
+			}
+			if !(diff <= 1e-12*scale) {
+				t.Fatalf("%s n=%d: solution off by %g against a largest entry of %g", label, n, diff, scale)
+			}
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if !math.IsNaN(work.At(i, j)) {
+						t.Fatalf("%s n=%d: upper triangle written at (%d,%d)", label, n, i, j)
+					}
+				}
+			}
+		}
+	}
+	if !SolveSPD(nil, nil) {
+		t.Fatal("the empty system is solvable")
+	}
+}
+
+// TestSolveSPDRejects: a system that is not positive definite to working
+// precision, or not finite, reports false instead of dividing by the bad
+// pivot.
+func TestSolveSPDRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	poke := func(i, j int, v float64) *Matrix {
+		a := randomSPD(rng, 23)
+		a.Set(i, j, v) // i >= j: the lower triangle is what is read
+		return a
+	}
+	for label, a := range map[string]*Matrix{
+		"zero matrix":           NewMatrix(5, 5),
+		"indefinite 2x2":        NewMatrixFrom([][]float64{{1, 2}, {2, 1}}),
+		"negative diagonal":     poke(11, 11, -1),
+		"NaN on the diagonal":   poke(0, 0, math.NaN()),
+		"NaN off the diagonal":  poke(19, 3, math.NaN()),
+		"NaN in the last row":   poke(22, 22, math.NaN()),
+		"+Inf on the diagonal":  poke(17, 17, math.Inf(1)),
+		"+Inf off the diagonal": poke(19, 2, math.Inf(1)),
+		"-Inf off the diagonal": poke(20, 18, math.Inf(-1)),
+	} {
+		b := make([]float64, a.Rows)
+		for i := range b {
+			b[i] = 1
+		}
+		if SolveSPD(a.Data, b) {
+			t.Errorf("%s: accepted (x[0] = %g)", label, b[0])
+		}
+	}
+}

@@ -69,11 +69,12 @@ type Stats = core.Stats
 // SearchInfo reports per-query work counters (clusters pruned versus
 // scanned, scores computed). Each engine counts its own units. Exact
 // and sharded: the paper's clusters and back-substituted node scores.
-// Spectral: ScoresComputed is the embedding rows whose dot product the
-// bound-and-prune scan evaluated, ClustersScanned / ClustersPruned the
-// 64-row blocks of base rows it entered / skipped whole (delta rows
-// belong to no block). EMR prunes nothing: every live item is scored
-// and ClustersScanned is the anchor count.
+// Spectral: ScoresComputed is the rows the bound-and-prune scan scored
+// (a dot product each, except under a solved head, whose tail is zero),
+// ClustersScanned / ClustersPruned the 64-row blocks of base rows it
+// entered / skipped whole (delta rows belong to no block). EMR prunes
+// nothing: every live item is scored and ClustersScanned is the anchor
+// count.
 type SearchInfo = core.SearchInfo
 
 // Precision selects the storage width of an engine's bulk arrays.

@@ -5,7 +5,7 @@ package mogul
 //
 // The exact engine answers a query by solving (I - alpha*S) x =
 // (1-alpha) q against a sparse factorization; EMR shrinks the solve to
-// anchor space. The spectral engine removes the solve altogether.
+// anchor space. The spectral engine removes the global solve altogether.
 // BuildSpectral computes the top-r eigenpairs S ~ U diag(lambda) U^T
 // of the normalized k-NN graph adjacency once at build (Lanczos with
 // full reorthogonalization, internal/spectral), and the query-time
@@ -25,24 +25,30 @@ package mogul
 // while the residual mass still matters and an edge-traversal budget
 // (SpectralOptions.HopBudget) allows. On clustered data diffusion is
 // component-local, so the frontier saturates at the query's component
-// and hops run to convergence at tiny cost, carrying virtually the
-// whole resolvent exactly — precisely the regime where the truncated
-// basis fails (the near-degenerate lambda~1 cluster eigenspace cannot
-// be spanned by r < #clusters directions). On well-connected graphs
-// the budget stops the expansion early and the decaying spectrum
-// makes the truncated tail trustworthy. Because the tail coefficient
-// g is evaluated with the actual per-query T, the split stays
-// algebraically exact at r = n for ANY stopping point (a property the
-// tests pin). A query is then: expand hops from the seeds (a local
-// ball or a bounded sweep, never a factorization), project the seeds
-// into the basis (O(r) per seed), scale by the tail coefficients, and
-// score the embedding rows that can still reach the top k: the hop ball
-// first, then every other row whose Cauchy-Schwarz bound
-// (1-alpha)*|u_i|*|coeff| beats the current k-th score, a 64-row block
-// at a time (collect; docs/SPECTRAL.md "Bound-and-prune scan"). The
-// scan is exact — it returns what the full O(n*r) sweep would — and is
-// bounded by that sweep plus the hop ball, with no back-substitution on
-// the query path.
+// after a few rounds; from there the rest of the series is a linear
+// system over that component alone, (I - alpha S_C)^-1 applied to the
+// seeds, and when the component is small enough for the budget it is
+// solved in place (a dense Cholesky on a few dozen items) instead of
+// iterated for the ~2300 rounds alpha = 0.99 takes to decay: T is then
+// infinite, the head carries the whole resolvent exactly and the tail
+// vanishes — precisely the regime where the truncated basis fails (the
+// near-degenerate lambda~1 cluster eigenspace cannot be spanned by
+// r < #clusters directions). On well-connected graphs the budget stops
+// the expansion early and the decaying spectrum makes the truncated
+// tail trustworthy. Because the tail coefficient g is evaluated with
+// the actual per-query T, the split stays algebraically exact at r = n
+// for ANY stopping point (a property the tests pin). A query is then:
+// expand hops from the seeds (a local ball, closed by a solve the size
+// of that ball, or a bounded sweep — never a factorization of the
+// graph), project the seeds into the basis (O(r) per seed), scale by
+// the tail coefficients, and score the embedding rows that can still
+// reach the top k: the hop ball first, then every other row whose
+// Cauchy-Schwarz bound (1-alpha)*|u_i|*|coeff| beats the current k-th
+// score, a 64-row block at a time (scan; docs/SPECTRAL.md
+// "Bound-and-prune scan"). The scan is exact — it returns what the
+// full O(n*r) sweep would — and is bounded by that sweep plus the hop
+// ball; the only system ever solved on the query path is the one over
+// a closed hop ball.
 //
 // Out-of-sample queries and Insert attach through surrogate
 // neighbours: the vector's AttachK nearest live points, heat-kernel
@@ -59,9 +65,12 @@ package mogul
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
+	"mogul/internal/dense"
 	"mogul/internal/knn"
 	"mogul/internal/sparse"
 	"mogul/internal/spectral"
@@ -93,14 +102,18 @@ type SpectralOptions struct {
 	Hops int
 	// HopBudget bounds the adaptive continuation: past the minimum,
 	// expansion keeps going while the un-diffused seed mass is above
-	// tolerance and the cumulative edge traversals stay within this
-	// budget. On clustered data the frontier saturates at the query's
-	// small component, so convergence costs a few hundred cheap rounds
-	// and the exact part carries essentially the whole resolvent; on
-	// well-connected graphs one round costs ~n*k traversals and the
-	// budget stops the expansion almost immediately, handing the
-	// long-range mass to the eigenbasis (which a decaying spectrum
-	// makes trustworthy there). Default 1<<18.
+	// tolerance (1e-10 of the seeds' own) and the cumulative edge
+	// traversals stay within this budget. On clustered data the frontier
+	// saturates at the query's small component after a few rounds; the
+	// budget then also prices finishing that component with one dense
+	// solve — m^2*(m/3+2) operations for m items, taken when it fits
+	// what is left of the budget and undercuts the rounds still owed
+	// (~2300 at alpha = 0.99) — so components up to ~90 items under the
+	// default are carried exactly, and larger closed ones iterate until
+	// the budget stops them. On well-connected graphs one round costs
+	// ~n*k traversals and the budget stops the expansion almost
+	// immediately, handing the long-range mass to the eigenbasis (which
+	// a decaying spectrum makes trustworthy there). Default 1<<18.
 	HopBudget int
 	// AttachK is how many nearest stored points an out-of-sample
 	// query or inserted vector attaches to (heat-kernel weighted
@@ -124,10 +137,11 @@ func (o SpectralOptions) withDefaults() SpectralOptions {
 	return o
 }
 
-// hopMassTol is the convergence cutoff of the adaptive hop expansion:
-// once the un-diffused frontier mass drops below it, the remaining
-// resolvent tail cannot move any ranking (scores carry a further
-// (1-alpha) scale) and expansion stops.
+// hopMassTol is the convergence cutoff of the adaptive hop expansion,
+// relative to the mass the seeds started with: once the un-diffused
+// frontier mass drops below that share, the remaining resolvent tail
+// cannot move any ranking (scores carry a further (1-alpha) scale) and
+// expansion stops.
 const hopMassTol = 1e-10
 
 // spectralState is everything a query touches, grouped so Compact can
@@ -197,7 +211,7 @@ func (st *spectralState) narrow32() {
 // neighbours, large enough that a pruned query reads n/64 bounds, not n.
 const spectralBlock = 64
 
-// The slack of the pruning bound (collect). A row is skipped only when
+// The slack of the pruning bound (scan). A row is skipped only when
 // (1-alpha)*|u_i|*|coeff|, inflated by pruneRelSlack+4*r*2^-52 and
 // pruneAbsSlack, cannot beat the k-th score. The relative part covers
 // every rounding between the true bound and the computed score — the
@@ -443,8 +457,14 @@ type SpectralSearcher struct {
 	qepoch, eepoch uint64
 	curID, nxtID   []int
 	// touched lists the base items the latest expansion stamped, in
-	// discovery order: the rows the scan offers first.
+	// discovery order: the rows the scan offers first. rounds is how many
+	// rounds that expansion ran (a solved head stops counting at closure).
 	touched []int
+	rounds  int
+	// sys is solveClosed's scratch: the m x m system of a closed hop ball
+	// followed by its right-hand side, grown (geometrically) to the
+	// largest ball the gate has admitted.
+	sys []float64
 	// att is the out-of-sample attachment scratch.
 	att attachScratch
 	// info holds the work counters of the latest scan (work).
@@ -519,18 +539,28 @@ func (sr *SpectralSearcher) splitSeeds(raw []seedWeight) {
 	sr.baseSeeds = normalizeSeeds(sr.baseSeeds)
 }
 
-// expandHops evaluates the exact Neumann prefix sum_{t<T} (alpha S)^t
-// applied to the base seed distribution: a frontier expansion on the
-// sparse base graph, entirely serial and therefore trivially
-// deterministic. The horizon is adaptive: at least sopts.Hops rounds
-// always run, after which expansion continues while the un-diffused
-// mass exceeds hopMassTol and the cumulative edge traversals stay
-// within sopts.HopBudget — every stopping criterion is a deterministic
-// function of the graph and the seeds. Returns the realized T (so the
-// caller evaluates the spectral tail coefficients with exactly the
-// terms the prefix did not cover). Results land in sr.hop, valid
-// where sr.hstamp[i] == sr.qepoch — exactly the items sr.touched
-// lists. Callers hold e.mu.
+// expandHops evaluates the exact head of the resolvent applied to the
+// base seed distribution: the Neumann prefix sum_{t<T} (alpha S)^t, a
+// frontier expansion on the sparse base graph, entirely serial and
+// therefore trivially deterministic. The horizon is adaptive: at least
+// sopts.Hops rounds always run, after which expansion continues while
+// the un-diffused mass exceeds hopMassTol of the seeds' own mass (the
+// ranking is linear in the seed weights, so the cut-off is too) and the
+// cumulative edge traversals stay within sopts.HopBudget.
+//
+// The first round that stamps no new item proves the ball closed under
+// S: every touched item has been expanded, S is symmetric, so sr.touched
+// is a union of whole components and the rest of the series is
+// (I - alpha*S_C)^-1 applied to the seeds — which solveClosed computes
+// directly when that is the cheaper way to finish. Every stopping and
+// switching criterion is a deterministic function of the graph, the
+// seeds and alpha.
+//
+// Returns the realized T, so the caller evaluates the spectral tail
+// coefficients with exactly the terms the prefix did not cover, or
+// hopsConverged when the head was solved and covers them all. Results
+// land in sr.hop, valid where sr.hstamp[i] == sr.qepoch — exactly the
+// items sr.touched lists. Callers hold e.mu.
 func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 	e := sr.e
 	st := e.st
@@ -546,19 +576,22 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 		sr.touched = append(sr.touched, sw.id)
 		mass += math.Abs(sw.w)
 	}
+	cut := hopMassTol * mass
 	S := st.graph
 	sval, sval32 := S.Val, S.Val32
 	spent := 0
+	closed := false
 	t := 1
 	for ; ; t++ {
 		if len(sr.curID) == 0 {
 			break
 		}
-		if t >= e.sopts.Hops && (mass <= hopMassTol || spent >= e.sopts.HopBudget) {
+		if t >= e.sopts.Hops && (mass <= cut || spent >= e.sopts.HopBudget) {
 			break
 		}
 		sr.eepoch++
 		sr.nxtID = sr.nxtID[:0]
+		edges := 0
 		for _, j := range sr.curID {
 			v := e.alpha * sr.pw[j]
 			a, b := S.RowPtr[j], S.RowPtr[j+1]
@@ -583,12 +616,26 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 					sr.tmp[i] += sval[x] * v
 				}
 			}
-			spent += b - a
+			edges += b - a
 		}
+		spent += edges
 		// Ascending-id accumulation keeps the float sums independent of
-		// frontier discovery order.
-		sort.Ints(sr.nxtID)
+		// frontier discovery order. A frontier of m ids with m*log2(m) above
+		// the base size is cheaper to re-read off the round's stamps in
+		// memory order than to sort (measured flat from a quarter of that
+		// to it, worse beyond) — the same ids, ascending either way.
+		if m := len(sr.nxtID); m*bits.Len(uint(m)) > st.baseN {
+			sr.nxtID = sr.nxtID[:0]
+			for i, stamp := range sr.estamp {
+				if stamp == sr.eepoch {
+					sr.nxtID = append(sr.nxtID, i)
+				}
+			}
+		} else {
+			sort.Ints(sr.nxtID)
+		}
 		mass = 0
+		ball := len(sr.touched)
 		for _, i := range sr.nxtID {
 			w := sr.tmp[i]
 			sr.pw[i] = w
@@ -602,17 +649,109 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 			}
 		}
 		sr.curID, sr.nxtID = sr.nxtID, sr.curID
+		if !closed && len(sr.touched) == ball {
+			// Asked once, at closure: from here on the iteration's remaining
+			// cost only shrinks and so does the budget, while the solve's
+			// stays what it is.
+			closed = true
+			if sr.solveClosed(seeds, cut/mass, edges, e.sopts.HopBudget-spent) {
+				sr.rounds = t
+				return hopsConverged
+			}
+		}
 	}
+	sr.rounds = t - 1
 	return t
 }
 
+// hopsConverged is the horizon expandHops reports for a head that
+// carries the whole resolvent: T -> infinity, at which every tail
+// coefficient (alpha*lambda)^T / (1 - alpha*lambda) is its limit, zero.
+// tailCoefficient evaluates to exactly that (|alpha*lambda| < 1 to the
+// power 2^63 underflows), and scan knows it without evaluating.
+const hopsConverged = math.MaxInt
+
+// solveClosed finishes a closed hop ball in one step instead of
+// iterating it to tolerance: it assembles A = I - alpha*S_C over the
+// touched items in ascending id order (float64 from the stored edge
+// weights, widened in mixed-precision states; tombstoned base items stay
+// in — they conduct, and scan never returns them), solves A x = seeds
+// by an in-place Cholesky factorization on searcher-owned scratch, and
+// overwrites sr.hop with x, the whole series sum_t (alpha S)^t applied to
+// the seeds. A is symmetric positive definite (spectrum within
+// [1-alpha, 1+alpha]) and only its lower triangle is assembled and read.
+//
+// It declines — false, sr.hop and the iteration's state untouched —
+// unless the solve is the cheaper way to finish, priced in the loop's
+// own unit, one edge traversal per floating-point operation: its
+// m^2*(m/3+2) (factorization m^3/3, assembly and the two substitutions
+// 2m^2) must fit budget, what is left of the hop budget, and undercut
+// the rounds the iteration still owes — the mass has to shrink by the
+// factor togo, alpha per round — at the last round's edge count. A pivot that is not positive (a graph that is not
+// the symmetric normalized adjacency the engine builds) declines as
+// well, and the iteration carries on.
+func (sr *SpectralSearcher) solveClosed(seeds []seedWeight, togo float64, edges, budget int) bool {
+	m := len(sr.touched)
+	alpha := sr.e.alpha
+	cost := float64(m) * float64(m) * (float64(m)/3 + 2)
+	// Written so that a NaN (no mass left, or a non-finite one) declines.
+	if !(cost <= float64(budget) && cost < math.Ceil(math.Log(togo)/math.Log(alpha))*float64(edges)) {
+		return false
+	}
+	ids := append(sr.nxtID[:0], sr.touched...)
+	sr.nxtID = ids
+	sort.Ints(ids)
+	// pos is the row of a touched id; closure guarantees it is found.
+	pos := func(id int) int {
+		p, _ := slices.BinarySearch(ids, id)
+		return p
+	}
+	sr.sys = slices.Grow(sr.sys[:0], m*m+m)[:m*m+m]
+	a, x := sr.sys[:m*m], sr.sys[m*m:]
+	clear(sr.sys)
+	S := sr.e.st.graph
+	for p, j := range ids {
+		row := a[p*m : p*m+p+1]
+		row[p] = 1
+		for e, end := S.RowPtr[j], S.RowPtr[j+1]; e < end; e++ {
+			i := S.Col[e]
+			if i > j {
+				continue
+			}
+			var w float64
+			if S.Val32 != nil {
+				w = float64(S.Val32[e])
+			} else {
+				w = S.Val[e]
+			}
+			row[pos(i)] -= alpha * w
+		}
+	}
+	for _, sw := range seeds {
+		x[pos(sw.id)] = sw.w
+	}
+	if !dense.SolveSPD(a, x) {
+		return false
+	}
+	for p, id := range ids {
+		sr.hop[id] = x[p]
+	}
+	return true
+}
+
 // collect runs the online half of the engine with e.mu held: expand
-// the exact hops from the base seed distribution, scale the
-// projection sr.b by the spectral-tail coefficients of the realized
-// horizon, then score the live items — base items add their hop score
-// to coeff . u_i, delta items gather it through their attachment and
-// add their t=0 self term. The seed lists must already be prepared
-// (splitSeeds) and sr.b filled.
+// the exact hops from the base seed distribution, then scan. The seed
+// lists must already be prepared (splitSeeds) and sr.b filled.
+func (sr *SpectralSearcher) collect(k int) []Result {
+	return sr.scan(k, sr.expandHops(sr.baseSeeds))
+}
+
+// scan scores the live items against a head already in sr.hop (valid
+// where sr.hstamp says so, listed by sr.touched) that stopped at horizon
+// hops: scale the projection sr.b by the spectral-tail coefficients of
+// that horizon, then base items add their hop score to coeff . u_i,
+// delta items gather it through their attachment and add their t=0 self
+// term.
 //
 // The scan is exact but not exhaustive. The hop ball is offered first,
 // so the collector's threshold starts at a real hop score; after that a
@@ -627,21 +766,44 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 // same scores to the bit; only which of several items tied exactly at
 // the k-th score survive can differ, because offers arrive in a
 // different order. sr.info records what the scan did.
-func (sr *SpectralSearcher) collect(k int) []Result {
+//
+// A converged head (hopsConverged) has no tail: coeff is identically
+// zero, every coeff . u_i is exactly +0 and is not evaluated, and the
+// bound of a base row is exactly 0 — no slack, there is no product left
+// to round. Beyond the closed ball exact Manifold Ranking on this graph
+// is zero, so when k exceeds the ball the answer is filled with the
+// lowest live ids at score +0, and the sweep stops at the first row it
+// meets with the collector full (threshold >= 0) instead of visiting
+// every row for a dot product with a zero vector.
+func (sr *SpectralSearcher) scan(k, hops int) []Result {
 	e := sr.e
 	st := e.st
-	r := st.rank
-	hops := sr.expandHops(sr.baseSeeds)
-	for j := 0; j < r; j++ {
-		sr.coeff[j] = tailCoefficient(e.alpha, st.vals[j], hops) * sr.b[j]
+	scale := 1 - e.alpha
+	converged := hops == hopsConverged
+	if converged {
+		clear(sr.coeff)
+	} else {
+		for j := range sr.coeff {
+			sr.coeff[j] = tailCoefficient(e.alpha, st.vals[j], hops) * sr.b[j]
+		}
+	}
+	unit, reach := pruneReach(scale, sr.coeff)
+	slack := pruneAbsSlack
+	if converged {
+		reach, slack = 0, 0
+	}
+	tail := func(i int) float64 {
+		if converged {
+			return 0
+		}
+		return st.dotRow(sr.coeff, i)
 	}
 	sr.resetCollector(k)
-	scale := 1 - e.alpha
 	scored := 0
 	offerHop := func(i int) {
 		if !st.dead[i] {
 			scored++
-			sr.col.Offer(i, scale*(st.dotRow(sr.coeff, i)+sr.hop[i]))
+			sr.col.Offer(i, scale*(tail(i)+sr.hop[i]))
 		}
 	}
 	if len(sr.touched) < len(st.blockMax) {
@@ -660,19 +822,18 @@ func (sr *SpectralSearcher) collect(k int) []Result {
 		}
 	}
 
-	unit, reach := pruneReach(scale, sr.coeff)
 	pruned := 0
 	for b, bm := range st.blockMax {
-		if reach*bm+pruneAbsSlack <= sr.col.Threshold() {
+		if reach*bm+slack <= sr.col.Threshold() {
 			pruned++
 			continue
 		}
 		for i, hi := b*spectralBlock, min((b+1)*spectralBlock, st.baseN); i < hi; i++ {
-			if st.dead[i] || sr.hstamp[i] == sr.qepoch || reach*st.embNorm[i]+pruneAbsSlack <= sr.col.Threshold() {
+			if st.dead[i] || sr.hstamp[i] == sr.qepoch || reach*st.embNorm[i]+slack <= sr.col.Threshold() {
 				continue
 			}
 			scored++
-			sr.col.Offer(i, scale*st.dotRow(sr.coeff, i))
+			sr.col.Offer(i, scale*tail(i))
 		}
 	}
 
@@ -702,7 +863,7 @@ func (sr *SpectralSearcher) collect(k int) []Result {
 			continue
 		}
 		scored++
-		sum := st.dotRow(sr.coeff, i)
+		sum := tail(i)
 		for t := st.attPtr[d]; t < st.attPtr[d+1]; t++ {
 			if id := st.attID[t]; sr.hstamp[id] == sr.qepoch {
 				sum += st.attW[t] * sr.hop[id]
@@ -717,8 +878,8 @@ func (sr *SpectralSearcher) collect(k int) []Result {
 	return sr.results()
 }
 
-// work reports what the latest collect did: rows whose dot product was
-// evaluated, and base-row blocks entered / skipped whole by the bound.
+// work reports what the latest scan did: rows scored, and base-row
+// blocks entered / skipped whole by the bound.
 func (sr *SpectralSearcher) work() SearchInfo { return sr.info }
 
 // attachScratch is the out-of-sample attachment scratch: the batched

@@ -10,8 +10,9 @@ package mogul
 // a flat n x r array (r=64 here vs EMR's s=24 gathers against p=2560
 // anchor columns), and on this clustered workload its norm bound skips
 // nearly every row outside the query's hop ball, so the query rows
-// price the hop loop (and, out of sample, the O(n*d) attachment sweep)
-// rather than n*r.
+// price the head — on this workload a ~10-item component, solved in
+// place — and, out of sample, the O(n*d) attachment sweep, rather than
+// n*r. BenchmarkSpectralHead prices the three ways a head can end.
 //
 // The workload matches the EMR bench exactly (same mixture, same
 // query pool, same oracle) so the two engines' BENCH files are
@@ -134,6 +135,67 @@ func BenchmarkSpectralTopK(b *testing.B) {
 				}
 			}
 			b.ReportMetric(f.recall, "recall@10")
+		})
+	}
+}
+
+// BenchmarkSpectralHead prices an id query under each of the three ways
+// its head can end (docs/SPECTRAL.md "adaptive hops"), on a dedicated
+// searcher, with the mean rounds the expansion ran and the mean hop ball
+// attached:
+//
+//   - solved-10: the benchmark's shape, components of ~10 items — closed
+//     after ~3 rounds and finished by one small Cholesky solve;
+//   - closed-over-gate: components of ~150 items — closed, but the solve
+//     would cost more than the hop budget holds, so the loop iterates the
+//     component until the budget stops it;
+//   - budget-stopped: four overlapping blobs on a k = 10 graph — the
+//     frontier saturates at most of the corpus and never closes.
+//
+// One op is a pass over 64 query ids, so that the 5-iteration CI smoke
+// run times 320 queries, not five cold ones; us/query is the number to
+// read.
+func BenchmarkSpectralHead(b *testing.B) {
+	const n = 6000
+	for _, c := range []struct {
+		name string
+		cfg  MixtureConfig
+		opts Options
+	}{
+		{"solved-10", MixtureConfig{N: n, Classes: n / 10, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 11}, Options{Seed: 11}},
+		{"closed-over-gate", MixtureConfig{N: n, Classes: n / 150, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 11}, Options{Seed: 11}},
+		{"budget-stopped", MixtureConfig{N: n, Classes: 4, Dim: 8, WithinStd: 1.0, Separation: 1.5, Seed: 11}, Options{Seed: 11, GraphK: 10}},
+	} {
+		var e *SpectralIndex // built on the first of b.Run's calls, kept for the rest
+		b.Run(c.name, func(b *testing.B) {
+			if e == nil {
+				var err error
+				if e, err = BuildSpectral(NewMixture(c.cfg).Points, c.opts, spectralBenchOptions); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sr := e.NewSearcher()
+			queries := benchQueries(n, 64)
+			var rounds, ball int
+			for _, q := range queries { // warm: sizes the scratch
+				if _, err := sr.TopK(q, 10); err != nil {
+					b.Fatal(err)
+				}
+				rounds += sr.rounds
+				ball += len(sr.touched)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := sr.TopK(q, 10); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(queries)), "us/query")
+			b.ReportMetric(float64(rounds)/float64(len(queries)), "rounds/query")
+			b.ReportMetric(float64(ball)/float64(len(queries)), "ball/query")
 		})
 	}
 }
