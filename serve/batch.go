@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -46,9 +45,9 @@ type pending struct {
 }
 
 type batchOut struct {
-	// ans is the rendered answer payload (see cacheEntry: the executor
-	// renders once per waiter and the cache keeps the same bytes).
-	ans json.RawMessage
+	// ans is the rendered answer rows (see cacheEntry: the executor
+	// renders once per distinct k and the cache keeps the same bytes).
+	ans []byte
 	err error
 }
 
@@ -75,7 +74,7 @@ func newBatcher(s *Server, window time.Duration, maxBatch, queue int) *batcher {
 // do enqueues one query and waits for its rendered result. It returns
 // errShed when the batch queue is full, errClosed past Close, and the
 // context's error if the client goes away first.
-func (b *batcher) do(ctx context.Context, v mogul.Vector, k int, key string) (json.RawMessage, error) {
+func (b *batcher) do(ctx context.Context, v mogul.Vector, k int, key string) ([]byte, error) {
 	p := &pending{
 		ctx:  ctx,
 		vec:  v,
@@ -229,24 +228,25 @@ func (b *batcher) exec(batch []*pending) {
 			continue
 		}
 		// Render (and cache-fill) once per distinct k in the group — a
-		// coalesced herd shares one key, and re-marshalling the same
-		// rows per waiter would put the redundant work right back on
-		// the saturation path the batcher exists to relieve.
-		var rendered map[int]json.RawMessage
+		// coalesced herd shares one key, and re-rendering the same rows
+		// per waiter would put the redundant work right back on the
+		// saturation path the batcher exists to relieve.
+		var rendered map[int]batchOut
 		for _, p := range want[gi] {
-			ans, ok := rendered[p.k]
+			out, ok := rendered[p.k]
 			if !ok {
 				res := br.Results
 				if p.k < len(res) {
 					res = res[:p.k]
 				}
-				ans = s.cacheSet(p.key, ver, res, mogul.SearchInfo{}).answers
+				e, err := s.cacheSet(p.key, ver, res, mogul.SearchInfo{})
+				out = batchOut{ans: e.answers, err: err}
 				if rendered == nil {
-					rendered = make(map[int]json.RawMessage, 1)
+					rendered = make(map[int]batchOut, 1)
 				}
-				rendered[p.k] = ans
+				rendered[p.k] = out
 			}
-			p.out <- batchOut{ans: ans}
+			p.out <- out
 		}
 	}
 }

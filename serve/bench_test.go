@@ -26,6 +26,11 @@ import (
 //   - batched-parallel:   concurrent clients, micro-batched execution
 //   - uncached-d512:      uncached over unit-norm d = 512 points, where
 //     the 10 KB body is as much of the request as the search
+//   - get-id-miss:        GET /search?id= — the request four of the six
+//     benchmark workloads send — through a cache too small to ever hit:
+//     key, lookup, search, render, fill, evict
+//   - get-id-hit:         the same request over a warm working set: key,
+//     lookup and the envelope around the cached rows
 //
 // CI's bench-smoke job runs these as a smoke test; the gated
 // measurements of this path are the benchmark module's mixed_rw and
@@ -163,6 +168,44 @@ func BenchmarkServeThroughput(b *testing.B) {
 			}
 		}
 	})
+
+	// The GET pair runs over a spectral index of ten-item clusters — the
+	// benchmark module's spectral_id in small — whose ~3 us search leaves
+	// the serving layer most of the request. Built once, by whichever of
+	// the two runs first.
+	var spectral mogul.Retriever
+	getBench := func(b *testing.B, opts Options, ids int) {
+		if spectral == nil {
+			pts := mogul.NewMixture(mogul.MixtureConfig{
+				N: 3000, Classes: 300, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 17,
+			}).Points
+			if spectral, err = mogul.BuildSpectral(pts, mogul.Options{}, mogul.SpectralOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s := New(spectral, opts)
+		defer s.Close()
+		get := getter()
+		reqs := make([]*http.Request, ids)
+		for i := range reqs {
+			reqs[i] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/search?id=%d&k=10", i*2), nil)
+			get(s, reqs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if code := get(s, reqs[i%ids]); code != http.StatusOK {
+				b.Fatalf("status %d", code)
+			}
+		}
+		b.StopTimer()
+		hits, misses := s.met.cacheHits.Load(), s.met.cacheMisses.Load()
+		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
+	}
+	// 1024 ids in rotation through 64 KiB of cache (a few entries per
+	// lock shard): LRU has long evicted an id when its turn comes again.
+	b.Run("get-id-miss", func(b *testing.B) { getBench(b, Options{CacheBytes: 64 << 10}, 1024) })
+	b.Run("get-id-hit", func(b *testing.B) { getBench(b, Options{CacheBytes: 64 << 20}, working) })
 }
 
 // unitPoints draws n unit-norm points of dimension dim on class
@@ -245,6 +288,50 @@ func BenchmarkReadJSONVector(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteSearchReply isolates the rendering of one search reply —
+// rows, then the envelope around them, as a cache miss does both — at
+// k = 10 and k = 100, labelled, on each arm: "append" is the reply
+// writer, "encoding-json" the retired Marshal-then-Encode it replaced
+// (searchReplyJSON, the writer's oracle).
+func BenchmarkWriteSearchReply(b *testing.B) {
+	labels := make([]int, 1000)
+	for _, k := range []int{10, 100} {
+		res := make([]mogul.Result, k)
+		for i := range res {
+			res[i] = mogul.Result{Node: i * 7, Score: 0.37 / float64(i+1)}
+		}
+		q := query{echo: 4711, k: k}
+		info := mogul.SearchInfo{ClustersPruned: 113, ClustersScanned: 7, ScoresComputed: 1800}
+		arms := []struct {
+			name   string
+			render func(buf []byte) (int, error)
+		}{
+			{"append", func(buf []byte) (int, error) {
+				rows, err := appendRows(buf, res, labels)
+				// The envelope goes into what is left of buf behind the rows.
+				return len(appendSearchReply(rows[len(rows):], q, 12, cacheEntry{answers: rows, info: info}, false, false)), err
+			}},
+			{"encoding-json", func([]byte) (int, error) {
+				_, reply, err := searchReplyJSON(q, 12, res, labels, info, false, false)
+				return len(reply), err
+			}},
+		}
+		for _, arm := range arms {
+			b.Run(fmt.Sprintf("k%d/%s", k, arm.name), func(b *testing.B) {
+				buf := make([]byte, 0, 16<<10)
+				_, want, _ := searchReplyJSON(q, 12, res, labels, info, false, false)
+				b.SetBytes(int64(len(want)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if n, err := arm.render(buf); err != nil || n != len(want) {
+						b.Fatalf("rendered %d bytes of %d: %v", n, len(want), err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // nullResponse is the cheapest possible ResponseWriter: it records
 // the status and discards the body.
 type nullResponse struct {
@@ -256,13 +343,11 @@ func (w *nullResponse) Header() http.Header         { return w.hdr }
 func (w *nullResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponse) WriteHeader(code int)        { w.code = code }
 
-// newPoster returns a single-goroutine POST /search/vector driver that
-// reuses one request object and one nullResponse across calls.
-func newPoster() func(s *Server, body []byte) int {
-	req := httptest.NewRequest(http.MethodPost, "/search/vector", nil)
+// getter returns a single-goroutine request driver that reuses one
+// nullResponse across calls and reports the status.
+func getter() func(s *Server, req *http.Request) int {
 	w := &nullResponse{hdr: make(http.Header)}
-	return func(s *Server, body []byte) int {
-		req.Body = io.NopCloser(bytes.NewReader(body))
+	return func(s *Server, req *http.Request) int {
 		w.code = 0
 		clear(w.hdr)
 		s.ServeHTTP(w, req)
@@ -270,6 +355,17 @@ func newPoster() func(s *Server, body []byte) int {
 			return http.StatusOK
 		}
 		return w.code
+	}
+}
+
+// newPoster returns a single-goroutine POST /search/vector driver that
+// reuses one request object as well.
+func newPoster() func(s *Server, body []byte) int {
+	req := httptest.NewRequest(http.MethodPost, "/search/vector", nil)
+	do := getter()
+	return func(s *Server, body []byte) int {
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		return do(s, req)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // traffic, so it is read without locking.
 
 // latencyBoundsUS are the latency histogram bucket upper bounds in
-// microseconds (exported as seconds): 50µs to 1s, roughly
-// logarithmic — the span from a warm cache hit to a compaction-stalled
-// tail.
+// microseconds (exported as seconds): 5µs to 1s, roughly
+// logarithmic — the span from a warm cache hit (1-5µs in the handler)
+// to a compaction-stalled tail.
 var latencyBoundsUS = []int64{
-	50, 100, 250, 500,
+	5, 10, 25, 50, 100, 250, 500,
 	1000, 2500, 5000, 10000, 25000, 50000,
 	100000, 250000, 500000, 1000000,
 }

@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -31,16 +32,16 @@ import (
 // always answers the current index would give.
 
 // cacheEntry is one cached ranking with its version stamp. The answer
-// rows are stored fully rendered (labels applied, JSON encoded): a hit
-// then skips not only the search but the whole serialization path,
-// which is where most of a cached request's time would otherwise go.
-// Caching rendered labels is sound because the label table only ever
-// changes together with a version bump (labels drop when a compaction
-// renumbers ids — a mutation), so a stamped entry can never outlive
-// its label view.
+// rows are stored fully rendered (labels applied, JSON encoded by
+// appendRows): a hit then skips not only the search but the rendering,
+// and what is left of it is the envelope appended around a copy of
+// these bytes. Caching rendered labels is sound because the label table
+// only ever changes together with a version bump (labels drop when a
+// compaction renumbers ids — a mutation), so a stamped entry can never
+// outlive its label view.
 type cacheEntry struct {
 	version uint64
-	answers json.RawMessage
+	answers []byte
 	// info preserves the work counters for /search responses so a
 	// cached response is byte-identical to the one the search produced.
 	info mogul.SearchInfo
@@ -118,17 +119,23 @@ func (s *Server) cacheGet(key string) (cacheEntry, bool) {
 
 // cacheSet renders a result and stores it under the version read before
 // the search; it returns the entry so the miss path answers from the
-// same bytes a later hit will.
-func (s *Server) cacheSet(key string, ver uint64, res []mogul.Result, info mogul.SearchInfo) cacheEntry {
-	rendered, err := json.Marshal(s.toAnswers(res))
+// same bytes a later hit will. A result that cannot be rendered
+// (errNonFiniteScore) is an error and is not stored.
+func (s *Server) cacheSet(key string, ver uint64, res []mogul.Result, info mogul.SearchInfo) (cacheEntry, error) {
+	// Rendered in a pooled buffer and kept as an exact-size copy, so the
+	// bytes charged to the cache budget are the bytes held.
+	buf := replyBufs.Get().(*[]byte)
+	rows, err := appendRows(*buf, res, s.labelView())
+	rendered := bytes.Clone(rows)
+	putReplyBuf(buf, rows)
 	if err != nil {
-		return cacheEntry{}
+		return cacheEntry{}, err
 	}
 	e := cacheEntry{version: ver, answers: rendered, info: info}
 	if s.cache != nil {
 		s.cache.Set(key, e, int64(len(key))+int64(len(rendered))+entryOverhead)
 	}
-	return e
+	return e, nil
 }
 
 // errShed reports that admission was refused because the wait queue is
@@ -179,7 +186,8 @@ type query struct {
 	// key builds the exact cache key (keyID, keyVector or keySet); answer
 	// calls it only when there is a cache to look in.
 	key func() string
-	// echo is the envelope's "query" field.
+	// echo is the envelope's "query" field: an int id, a []int of ids, or
+	// a string that is JSON as written between quotes ("vector").
 	echo interface{}
 	k    int
 	// vec is set for an out-of-sample query, the one kind the
@@ -209,7 +217,10 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 	if !hit {
 		var err error
 		if q.vec != nil && s.bat != nil {
-			e.answers, err = s.bat.do(r.Context(), q.vec, q.k, key)
+			// The batcher keeps the vector past this call. Handing it a copy
+			// keeps q — and with it the two closures and the boxed echo
+			// every handler builds — off the heap on every other path.
+			e.answers, err = s.bat.do(r.Context(), slices.Clone(q.vec), q.k, key)
 		} else {
 			e, err = s.runDirect(r.Context(), q, key)
 		}
@@ -218,17 +229,8 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 			return
 		}
 	}
-	WriteJSON(w, http.StatusOK, searchResponse{
-		Query:    q.echo,
-		K:        q.k,
-		TookUS:   time.Since(t0).Microseconds(),
-		Answers:  e.answers,
-		Exact:    s.idx.Exact(),
-		Cached:   hit,
-		Pruned:   e.info.ClustersPruned,
-		Scanned:  e.info.ClustersScanned,
-		Computed: e.info.ScoresComputed,
-	})
+	buf := replyBufs.Get().(*[]byte)
+	writeReply(w, buf, appendSearchReply(*buf, q, time.Since(t0).Microseconds(), e, s.idx.Exact(), hit))
 }
 
 // runDirect executes one search under the limiter on a pooled query
@@ -249,12 +251,12 @@ func (s *Server) runDirect(ctx context.Context, q query, key string) (cacheEntry
 	if info == nil {
 		info = &mogul.SearchInfo{}
 	}
-	return s.cacheSet(key, ver, res, *info), nil
+	return s.cacheSet(key, ver, res, *info)
 }
 
 // searchError renders a failed search: the limiter's and the batcher's
-// refusals by what they mean, anything else as the engine rejecting the
-// query.
+// refusals by what they mean, a result the writer could not render as
+// the server's fault, anything else as the engine rejecting the query.
 func (s *Server) searchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errShed):
@@ -265,6 +267,8 @@ func (s *Server) searchError(w http.ResponseWriter, err error) {
 		// The client went away while queued; 503 documents the outcome
 		// for any middlebox still listening.
 		WriteError(w, http.StatusServiceUnavailable, "request cancelled")
+	case errors.Is(err, errNonFiniteScore):
+		WriteError(w, http.StatusInternalServerError, err.Error())
 	default:
 		WriteError(w, http.StatusBadRequest, err.Error())
 	}
@@ -355,23 +359,6 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	batch := s.idx.TopKBatch(req.IDs, req.K, 0)
 	s.lim.release()
 	took := time.Since(t0)
-	type batchEntry struct {
-		Query   int      `json:"query"`
-		Answers []Answer `json:"answers,omitempty"`
-		Error   string   `json:"error,omitempty"`
-	}
-	entries := make([]batchEntry, len(batch))
-	for i, br := range batch {
-		entries[i] = batchEntry{Query: br.Query}
-		if br.Err != nil {
-			entries[i].Error = br.Err.Error()
-			continue
-		}
-		entries[i].Answers = s.toAnswers(br.Results)
-	}
-	WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"k":       req.K,
-		"took_us": took.Microseconds(),
-		"results": entries,
-	})
+	buf := replyBufs.Get().(*[]byte)
+	writeReply(w, buf, appendBatchReply(*buf, req.K, took.Microseconds(), batch, s.labelView()))
 }

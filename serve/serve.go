@@ -262,13 +262,16 @@ func (s *Server) Handle(method, pattern, name string, h http.HandlerFunc) {
 	s.routes = append(s.routes, rt)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter, sw.code = w, 0
 		if r.Method != method {
 			WriteError(sw, http.StatusMethodNotAllowed, "use "+method)
 		} else {
 			h(sw, r)
 		}
 		rt.observe(sw.status(), time.Since(t0))
+		sw.ResponseWriter = nil
+		statusWriters.Put(sw)
 	})
 }
 
@@ -277,6 +280,11 @@ type statusWriter struct {
 	http.ResponseWriter
 	code int
 }
+
+// statusWriters recycles the wrapper every request gets: a handler may
+// not use its ResponseWriter once it has returned, so the wrapper is
+// free the moment the request has been observed.
+var statusWriters = sync.Pool{New: func() interface{} { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.code == 0 {
@@ -300,43 +308,16 @@ func (s *Server) shed(w http.ResponseWriter) {
 	WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
 }
 
-type searchResponse struct {
-	Query  interface{} `json:"query"`
-	K      int         `json:"k"`
-	TookUS int64       `json:"took_us"`
-	// Answers is the rendered []Answer rows — fresh from the search or
-	// the same bytes out of the cache.
-	Answers  json.RawMessage `json:"answers"`
-	Exact    bool            `json:"exact"`
-	Cached   bool            `json:"cached,omitempty"`
-	Pruned   int             `json:"clusters_pruned,omitempty"`
-	Scanned  int             `json:"clusters_scanned,omitempty"`
-	Computed int             `json:"scores_computed,omitempty"`
-}
-
-func (s *Server) toAnswers(res []mogul.Result) []Answer {
+// labelView returns the label table as of now; nil serves unlabelled.
+func (s *Server) labelView() []int {
 	s.labelMu.RLock()
-	labels := s.labels
-	s.labelMu.RUnlock()
-	out := make([]Answer, len(res))
-	for i, r := range res {
-		out[i] = Answer{Item: r.Node, Score: r.Score}
-		// Inserted items sit beyond the labelled range; they simply
-		// carry no label.
-		if labels != nil && r.Node < len(labels) {
-			l := labels[r.Node]
-			out[i].Label = &l
-		}
-	}
-	return out
+	defer s.labelMu.RUnlock()
+	return s.labels
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.idx.Stats()
 	ds := s.idx.Delta()
-	s.labelMu.RLock()
-	hasLabels := s.labels != nil
-	s.labelMu.RUnlock()
 	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"status":       "ok",
 		"items":        s.idx.Len(),
@@ -345,7 +326,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"border_size":  st.BorderSize,
 		"factor_nnz":   st.FactorNNZ,
 		"exact":        s.idx.Exact(),
-		"has_labels":   hasLabels,
+		"has_labels":   s.labelView() != nil,
 		"precompute_s": st.PrecomputeTime().Seconds(),
 		"delta_items":  ds.DeltaItems,
 		"tombstones":   ds.Tombstones,
@@ -516,12 +497,9 @@ func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ItemReply{Item: id, NeighborWeights: weights, Neighbors: ids}
-	s.labelMu.RLock()
-	if s.labels != nil && id < len(s.labels) {
-		l := s.labels[id]
-		resp.Label = &l
+	if labels := s.labelView(); id < len(labels) {
+		resp.Label = &labels[id]
 	}
-	s.labelMu.RUnlock()
 	WriteJSON(w, http.StatusOK, resp)
 }
 
