@@ -41,23 +41,3 @@ func topKVectorBatch(newQuerier func() Querier, queries []Vector, k, parallelism
 	})
 	return out
 }
-
-// TopKBatch answers many in-database queries concurrently. Searches
-// only take the index's read lock, so queries parallelize perfectly;
-// this is the bulk-evaluation entry point (e.g. scoring a whole query
-// log). It is safe to run concurrently with Insert/Delete/Compact:
-// each query observes a consistent index state, with inserted items
-// competing in its results. parallelism <= 0 selects GOMAXPROCS.
-// Results are returned in input order; per-query failures are
-// reported in the corresponding BatchResult rather than aborting the
-// batch.
-func (ix *Index) TopKBatch(queries []int, k, parallelism int) []BatchResult {
-	return topKBatch(ix.NewQuerier, queries, k, parallelism)
-}
-
-// TopKVectorBatch answers many out-of-sample queries concurrently,
-// mirroring TopKBatch. The i-th BatchResult's Query field holds i (the
-// position in the input slice).
-func (ix *Index) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return topKVectorBatch(ix.NewQuerier, queries, k, parallelism)
-}

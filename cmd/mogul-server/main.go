@@ -27,7 +27,7 @@
 //
 // The same binary also runs the distributed topology (docs/DISTRIBUTED.md):
 //
-//	# one shard server per process (graph engine only, -shards must be 1)
+//	# one shard server per process (any single-node engine, -shards must be 1)
 //	mogul-server -mode shard -load-index shard0.mogul -addr :9000
 //	mogul-server -mode shard -load-index shard1.mogul -addr :9001
 //	# coordinator fanning out over them; replicas of one shard join with |
@@ -240,12 +240,12 @@ func main() {
 	if *mode == "shard" {
 		// validate has vetted what gets built; what a file holds is only
 		// known once it is loaded.
-		plain, ok := idx.(*mogul.Index)
+		shard, ok := idx.(dist.ShardIndex)
 		if !ok {
-			log.Fatalf("mogul-server: -mode shard needs a plain graph-engine index, and %s holds a %T", indexPath, idx)
+			log.Fatalf("mogul-server: -mode shard needs a single-node engine, and %s holds a %T", indexPath, idx)
 		}
-		handler = dist.NewShardServer(plain, serveOpts)
-		log.Printf("shard server: /dist/* surface enabled over %d items", plain.Len())
+		handler = dist.NewShardServer(shard, serveOpts)
+		log.Printf("shard server: /dist/* surface enabled over %d items", shard.Len())
 	} else {
 		handler = serve.New(idx, serveOpts)
 	}
@@ -298,8 +298,8 @@ func (c config) validate() error {
 			return fmt.Errorf("-engine %s serves approximate scores; -exact selects the graph engine's MogulE", c.engine)
 		}
 	}
-	if c.mode == "shard" && (c.engine != "graph" || c.shards > 1) {
-		return fmt.Errorf("-mode shard serves one plain graph-engine index (its /dist/* surface needs that index's delta log and snapshot): use -engine graph -shards 1, not -engine %s -shards %d", c.engine, c.shards)
+	if c.mode == "shard" && c.shards > 1 {
+		return fmt.Errorf("-mode shard serves one single-node engine (its /dist/* surface needs that engine's delta log and snapshot): use -shards 1, not -shards %d", c.shards)
 	}
 	if c.shards > 1 {
 		if c.partitioner != "contiguous" && c.partitioner != "kmeans" {

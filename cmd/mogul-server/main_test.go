@@ -38,9 +38,9 @@ func TestValidate(t *testing.T) {
 		{"emr exact", with(func(c *config) { c.engine = "emr"; c.exact = true }), "-exact selects the graph engine"},
 		{"spectral exact", with(func(c *config) { c.engine = "spectral"; c.exact = true }), "-exact selects the graph engine"},
 		{"shard mode", with(func(c *config) { c.mode = "shard" }), ""},
-		{"shard mode emr", with(func(c *config) { c.mode = "shard"; c.engine = "emr" }), "-mode shard serves one plain graph-engine index"},
-		{"shard mode spectral", with(func(c *config) { c.mode = "shard"; c.engine = "spectral" }), "-mode shard serves one plain graph-engine index"},
-		{"shard mode sharded", with(func(c *config) { c.mode = "shard"; c.shards = 2 }), "-mode shard serves one plain graph-engine index"},
+		{"shard mode emr", with(func(c *config) { c.mode = "shard"; c.engine = "emr" }), ""},
+		{"shard mode spectral", with(func(c *config) { c.mode = "shard"; c.engine = "spectral" }), ""},
+		{"shard mode sharded", with(func(c *config) { c.mode = "shard"; c.shards = 2 }), "-mode shard serves one single-node engine"},
 		{"aligned save", with(func(c *config) { c.saveAlign = 4096 }), ""},
 		{"aligned emr save", with(func(c *config) { c.engine = "emr"; c.saveAlign = 4096 }), ""},
 		{"odd alignment", with(func(c *config) { c.saveAlign = 1000 }), "not a power of two"},

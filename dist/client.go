@@ -322,7 +322,7 @@ func (c *Client) TruncateLog(ctx context.Context, upTo uint64) error {
 // Snapshot fetches a consistent (index, version) pair: the returned
 // version is exactly the state the stream serializes, so a follower
 // loading it resumes the log at that cursor.
-func (c *Client) Snapshot(ctx context.Context) (*mogul.Index, uint64, error) {
+func (c *Client) Snapshot(ctx context.Context) (ShardIndex, uint64, error) {
 	data, hdr, err := c.do(ctx, http.MethodGet, "/dist/snapshot", nil, true)
 	if err != nil {
 		return nil, 0, err
@@ -335,9 +335,9 @@ func (c *Client) Snapshot(ctx context.Context) (*mogul.Index, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ix, ok := ret.(*mogul.Index)
+	ix, ok := ret.(ShardIndex)
 	if !ok {
-		return nil, 0, fmt.Errorf("dist: snapshot is not a plain index (%T)", ret)
+		return nil, 0, fmt.Errorf("dist: snapshot is not a single-node engine (%T)", ret)
 	}
 	return ix, ver, nil
 }

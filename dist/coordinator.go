@@ -46,12 +46,14 @@ var (
 	_ Backend = LocalShard{}
 )
 
-// ShardIndex is the in-process engine surface a LocalShard adapts:
-// the mogul.Retriever contract plus the vector/affinity/weighted-set
-// entry points the fan-out protocol needs and the id-space metadata
-// the coordinator tracks. Both *mogul.Index and *mogul.EMRIndex
-// satisfy it, so a coordinator can hold flat-graph and anchor-graph
-// shards behind one field.
+// ShardIndex is the in-process engine surface the distributed layer is
+// written against — what a LocalShard adapts, a ShardServer serves and a
+// Replicator follows: the mogul.Retriever contract plus the
+// vector/affinity/weighted-set entry points the fan-out protocol needs,
+// the id-space metadata the coordinator tracks, and the replication
+// log. All three single-node engines satisfy it (they share one
+// lifecycle), so a shard is a graph, an anchor-graph or a spectral
+// engine behind one field.
 type ShardIndex interface {
 	mogul.Retriever
 	TopKWithVector(query, k int) ([]mogul.Result, mogul.Vector, float64, error)
@@ -59,6 +61,8 @@ type ShardIndex interface {
 	TopKSetWeighted(seeds []int, weight float64, k int) ([]mogul.Result, error)
 	IDSpace() int
 	Alive(id int) bool
+	EntriesSince(since uint64) ([]mogul.LogEntry, bool)
+	TruncateEntries(upTo uint64)
 	LogLen() int
 }
 

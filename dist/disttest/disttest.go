@@ -49,7 +49,7 @@ type Cluster struct {
 	// Coord fans out over all shards through remote clients.
 	Coord *dist.Coordinator
 	// Servers holds each shard's HTTP server (index via .Index()).
-	Servers []*dist.ShardServer
+	Servers []Server
 	// Clients holds the per-shard remote clients the coordinator uses.
 	Clients []*dist.Client
 	// Faults holds each shard's fault injector; Faults[i] shapes every
@@ -60,6 +60,17 @@ type Cluster struct {
 
 	https []*httptest.Server
 }
+
+// Server is one booted shard server with the graph index it serves
+// under its concrete type (the harness builds graph shards; the server
+// itself holds any dist.ShardIndex).
+type Server struct {
+	*dist.ShardServer
+	ix *mogul.Index
+}
+
+// Index returns the served index.
+func (s Server) Index() *mogul.Index { return s.ix }
 
 // testingT is the subset of *testing.T the harness needs.
 type testingT interface {
@@ -122,7 +133,7 @@ func (c *Cluster) AddReplica(t testingT, ix *mogul.Index, serveOpts serve.Option
 	faults := &Faults{next: hs.Client().Transport}
 	copts.Transport = faults
 	cl := dist.NewClient(hs.URL, copts)
-	c.Servers = append(c.Servers, srv)
+	c.Servers = append(c.Servers, Server{srv, ix})
 	c.https = append(c.https, hs)
 	c.Faults = append(c.Faults, faults)
 	c.Clients = append(c.Clients, cl)

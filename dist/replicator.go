@@ -10,8 +10,8 @@ import (
 )
 
 // LogSource is where a follower tails a primary's mutation log from —
-// a *Client against the primary's shard server, or the primary
-// *mogul.Index itself in tests (see indexSource).
+// a *Client against the primary's shard server, or the primary engine
+// itself in tests (see indexSource).
 type LogSource interface {
 	// LogEntries returns the entries logged after the cursor, oldest
 	// first. ok=false means the log was truncated past the cursor and
@@ -20,7 +20,7 @@ type LogSource interface {
 }
 
 // indexSource adapts an in-process primary to LogSource.
-type indexSource struct{ ix *mogul.Index }
+type indexSource struct{ ix ShardIndex }
 
 func (s indexSource) LogEntries(ctx context.Context, since uint64) ([]mogul.LogEntry, bool, error) {
 	if err := ctx.Err(); err != nil {
@@ -30,8 +30,8 @@ func (s indexSource) LogEntries(ctx context.Context, since uint64) ([]mogul.LogE
 	return entries, ok, nil
 }
 
-// IndexSource wraps an in-process primary index as a LogSource.
-func IndexSource(ix *mogul.Index) LogSource { return indexSource{ix} }
+// IndexSource wraps an in-process primary engine as a LogSource.
+func IndexSource(ix ShardIndex) LogSource { return indexSource{ix} }
 
 // ErrLogTruncated reports that the primary's log no longer reaches
 // back to the follower's cursor: the follower fell too far behind (or
@@ -39,8 +39,9 @@ func IndexSource(ix *mogul.Index) LogSource { return indexSource{ix} }
 // fresh snapshot (Client.Snapshot + NewReplicatorAt).
 var ErrLogTruncated = errors.New("dist: primary log truncated past the follower's cursor")
 
-// Replicator converges a follower index onto a primary by tailing the
-// primary's Insert/Delete/Compact delta log. Because the whole build
+// Replicator converges a follower engine (any ShardIndex, of the
+// primary's kind and recipe) onto a primary by tailing the primary's
+// Insert/Delete/Compact delta log. Because every engine's build
 // pipeline is deterministic, replaying the primary's mutations in log
 // order reproduces the primary's state bit for bit: after CatchUp the
 // follower ranks identically to the primary at the same version.
@@ -53,7 +54,7 @@ var ErrLogTruncated = errors.New("dist: primary log truncated past the follower'
 // id parity on replayed inserts.
 type Replicator struct {
 	src      LogSource
-	follower *mogul.Index
+	follower ShardIndex
 
 	// cursor is the primary Version() through which the follower is
 	// converged.
@@ -70,7 +71,7 @@ type Replicator struct {
 // bit-identical copy of the primary as of the primary version cursor
 // — e.g. both were just built from the same points (cursor = 1), or
 // the follower loaded a snapshot taken at that version.
-func NewReplicator(src LogSource, follower *mogul.Index, cursor uint64) *Replicator {
+func NewReplicator(src LogSource, follower ShardIndex, cursor uint64) *Replicator {
 	return &Replicator{
 		src:      src,
 		follower: follower,
@@ -82,7 +83,7 @@ func NewReplicator(src LogSource, follower *mogul.Index, cursor uint64) *Replica
 // Bootstrap fetches a consistent snapshot from the primary's shard
 // server and returns a replicator converged through the snapshot's
 // version — the recovery path after ErrLogTruncated.
-func Bootstrap(ctx context.Context, c *Client) (*Replicator, *mogul.Index, error) {
+func Bootstrap(ctx context.Context, c *Client) (*Replicator, ShardIndex, error) {
 	ix, ver, err := c.Snapshot(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -151,9 +152,9 @@ func (r *Replicator) Run(ctx context.Context, interval time.Duration) error {
 // with the entry's (entry.Version − offset == followerVersion + 1 at
 // apply time), the follower's insert must hand back the same id. The
 // follower mirrors the primary's auto-compaction decision (same
-// option, same state), so the counters stay locked in step: a
-// primary-side auto-compact appears in the log as an OpCompact whose
-// replay compacts the follower too.
+// option, same state) after an insert or a delete, so the counters stay
+// locked in step: a primary-side auto-compact appears in the log as an
+// OpCompact whose replay finds the follower already compacted.
 func (r *Replicator) apply(e mogul.LogEntry) error {
 	if e.Version <= r.cursor {
 		return nil // already applied (an overlapping tail)
@@ -183,12 +184,12 @@ func (r *Replicator) apply(e mogul.LogEntry) error {
 		return fmt.Errorf("dist: unknown log op %d at primary version %d", e.Op, e.Version)
 	}
 	r.cursor = e.Version
-	// After a replayed insert the follower may sit one version ahead:
-	// its own auto-compaction fired, and the primary's matching
+	// After a replayed insert or delete the follower may sit one version
+	// ahead: its own auto-compaction fired, and the primary's matching
 	// OpCompact (the next log entry) replays as a version-neutral
 	// no-op, re-aligning the counters. Anything else is divergence.
 	got := r.follower.Version()
-	if got != expectFollower && !(e.Op == mogul.OpInsert && got == expectFollower+1) {
+	if got != expectFollower && !(e.Op != mogul.OpCompact && got == expectFollower+1) {
 		return fmt.Errorf("dist: replay diverged: follower at version %d after primary version %d (expected %d)", got, e.Version, expectFollower)
 	}
 	return nil

@@ -36,7 +36,7 @@ import (
 // "Routes and wire").
 type ShardServer struct {
 	*serve.Server
-	ix    *mogul.Index
+	ix    ShardIndex
 	local LocalShard
 }
 
@@ -47,7 +47,7 @@ const versionHeader = "X-Mogul-Version"
 // NewShardServer wraps ix in the serving layer plus the /dist/*
 // surface. Close the returned server on shutdown (the index stays
 // open).
-func NewShardServer(ix *mogul.Index, opts serve.Options) *ShardServer {
+func NewShardServer(ix ShardIndex, opts serve.Options) *ShardServer {
 	s := &ShardServer{Server: serve.New(ix, opts), ix: ix, local: LocalShard{Ix: ix}}
 	s.Handle(http.MethodGet, "/dist/info", "dist_info", s.handleInfo)
 	s.Handle(http.MethodGet, "/dist/owner", "dist_owner", s.handleOwner)
@@ -60,9 +60,9 @@ func NewShardServer(ix *mogul.Index, opts serve.Options) *ShardServer {
 	return s
 }
 
-// Index returns the served shard index (the replicator applies log
+// Index returns the served shard engine (the replicator applies log
 // entries to it directly on follower nodes).
-func (s *ShardServer) Index() *mogul.Index { return s.ix }
+func (s *ShardServer) Index() ShardIndex { return s.ix }
 
 // reply renders a Backend call's outcome: v on success, the error as a
 // 400 otherwise (every failure of these calls is the request's).

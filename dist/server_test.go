@@ -180,7 +180,7 @@ type node interface {
 	dist.Backend
 	dist.LogSource
 	TruncateLog(ctx context.Context, upTo uint64) error
-	Snapshot(ctx context.Context) (*mogul.Index, uint64, error)
+	Snapshot(ctx context.Context) (dist.ShardIndex, uint64, error)
 }
 
 // localNode is the in-process meaning of each call: LocalShard for the
@@ -196,7 +196,7 @@ func (n localNode) TruncateLog(_ context.Context, upTo uint64) error {
 	return nil
 }
 
-func (n localNode) Snapshot(context.Context) (*mogul.Index, uint64, error) {
+func (n localNode) Snapshot(context.Context) (dist.ShardIndex, uint64, error) {
 	return n.ix, n.ix.Version(), nil
 }
 

@@ -549,7 +549,7 @@ func TestAutoCompactAfterDeleteReturnsRenumberedID(t *testing.T) {
 	}
 	// The id really is the inserted point: the compacted base stores
 	// the marker vector under it.
-	pts := ix.core.Graph().Points
+	pts := ix.st.base.Graph().Points
 	for j := range marker {
 		if pts[id][j] != marker[j] {
 			t.Fatalf("item %d holds %v, inserted %v", id, pts[id], marker)
@@ -626,7 +626,10 @@ func TestConcurrentInsertDeleteSearch(t *testing.T) {
 		}
 	}()
 
-	// Four searchers: batch in-database, vector, and single queries.
+	// Four searchers: batch in-database, vector, and single queries. The
+	// racing Compact may renumber at any moment, down to n-20 ids if the
+	// deleter has run ahead of the inserters, so the query ids stay in
+	// [20, n-20): base items no one deletes before it, in range after it.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -637,7 +640,7 @@ func TestConcurrentInsertDeleteSearch(t *testing.T) {
 				case 0:
 					queries := make([]int, 8)
 					for j := range queries {
-						queries[j] = 20 + rng.Intn(n-20)
+						queries[j] = 20 + rng.Intn(n-40)
 					}
 					for _, br := range ix.TopKBatch(queries, 5, 2) {
 						if br.Err != nil {
@@ -651,7 +654,7 @@ func TestConcurrentInsertDeleteSearch(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := ix.TopK(20+rng.Intn(n-20), 5); err != nil {
+					if _, err := ix.TopK(20+rng.Intn(n-40), 5); err != nil {
 						t.Errorf("search: %v", err)
 						return
 					}

@@ -127,7 +127,8 @@ type EMRIndex struct {
 	// eopts is the recorded anchor recipe (pre-clamping) Compact rebuilds
 	// with, alongside the engine's alpha and seed.
 	eopts EMROptions
-	// att is Insert's attachment scratch, reused under the write lock.
+	// att is Insert's attachment scratch: attach fills dstIdx/dstVal,
+	// commit appends them (mutMu serializes the pair).
 	att struct {
 		sc     baseline.AnchorScratch
 		idx    []int
@@ -146,7 +147,7 @@ var (
 
 func newEMRIndex(alpha float64, seed int64, autoCompact float64, eopts EMROptions, st *emrState) *EMRIndex {
 	e := &EMRIndex{eopts: eopts}
-	e.init(e, &emrFrame, alpha, seed, autoCompact, st)
+	e.init(e, &emrFrame, "mogul", alpha, seed, autoCompact, st)
 	return e
 }
 
@@ -288,17 +289,23 @@ func (st *emrState) attachColumn(v Vector, sc *baseline.AnchorScratch, idx []int
 	}
 }
 
-// attach computes and appends the H column of a point arriving after
-// the base build. Attachment runs in full precision against the f64
-// anchors; in f32 mode the stored weights round once.
-func (e *EMRIndex) attach(st *emrState, v Vector) {
+// attach computes the H column of a point arriving after the base
+// build, in full precision against the f64 anchors.
+func (e *EMRIndex) attach(st *emrState, v Vector) error {
 	a := &e.att
 	if cap(a.dstIdx) < st.s { // first Insert, or Compact changed s
 		a.idx, a.val = make([]int, 0, st.s), make([]float64, 0, st.s)
 		a.dstIdx, a.dstVal = make([]int32, st.s), make([]float64, st.s)
 	}
-	dstIdx, dstVal := a.dstIdx[:st.s], a.dstVal[:st.s]
-	st.attachColumn(v, &a.sc, a.idx, a.val, dstIdx, dstVal)
+	a.dstIdx, a.dstVal = a.dstIdx[:st.s], a.dstVal[:st.s]
+	st.attachColumn(v, &a.sc, a.idx, a.val, a.dstIdx, a.dstVal)
+	return nil
+}
+
+// commit appends the attached column; in f32 mode the stored weights
+// round once.
+func (e *EMRIndex) commit(st *emrState) {
+	dstIdx, dstVal := e.att.dstIdx, e.att.dstVal
 	if st.f32() {
 		for _, x := range dstVal {
 			st.hVal32 = append(st.hVal32, float32(x))
@@ -424,6 +431,7 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 func (sr *EMRSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 	st := sr.e.st
 	sr.ensure(st.p)
+	seeds = normalizeSeeds(seeds)
 	for _, sw := range seeds {
 		off := sw.id * st.s
 		if st.hVal32 != nil {
@@ -441,23 +449,23 @@ func (sr *EMRSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 
 // scoreVector uses the query's own anchor weights as the right-hand
 // side; the affinity is their unnormalized Epanechnikov mass.
-func (sr *EMRSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
+func (sr *EMRSearcher) scoreVector(q Vector, k int) ([]Result, float64, error) {
 	st := sr.e.st
 	sr.ensure(st.p)
-	mass := sr.affinity(q)
+	mass, _ := sr.affinity(q)
 	for t, a := range sr.wIdx {
 		sr.rhs[a] = sr.wVal[t]
 	}
-	return sr.collect(k, nil), mass
+	return sr.collect(k, nil), mass, nil
 }
 
 // affinity attaches q to its nearest anchors (weights land in
 // sr.wIdx/sr.wVal) and returns the raw kernel mass.
-func (sr *EMRSearcher) affinity(q Vector) float64 {
+func (sr *EMRSearcher) affinity(q Vector) (float64, error) {
 	st := sr.e.st
 	var mass float64
 	sr.wIdx, sr.wVal, mass = baseline.NearestAnchorWeights(q, st.anchors, st.s, &sr.sc, sr.wIdx[:0], sr.wVal[:0])
-	return mass
+	return mass, nil
 }
 
 // work reports the EMR scan as it is: no pruning, every live item scored

@@ -55,7 +55,7 @@ var emrFrame = binio.Frame{
 // and, when the engine is mixed-precision, the attachment weights are
 // float32; anchors, column sums, and the gram inverse stay float64.
 func (e *EMRIndex) sections(st *emrState, version uint32, align int) []binio.Section {
-	return []binio.Section{
+	return alignAll([]binio.Section{
 		{Tag: tagEmet, Payload: func(sw *binio.Writer) error {
 			e.writeMetaHead(sw)
 			// The recorded anchor recipe (pre-clamping), so Compact on a
@@ -91,7 +91,7 @@ func (e *EMRIndex) sections(st *emrState, version uint32, align int) []binio.Sec
 			sw.Floats(st.gramInv.Data)
 			return sw.Err()
 		}},
-	}
+	}, align)
 }
 
 // LoadEMR reads an engine written by EMRIndex.Save. Malformed input of

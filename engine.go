@@ -1,25 +1,30 @@
 package mogul
 
-// The shared engine lifecycle of the anchor-graph (EMR) and spectral
-// engines: everything a serving engine does that is not ranking maths.
+// The shared engine lifecycle of the three single-node engines — the
+// paper's graph engine (Index), the anchor-graph engine (EMRIndex) and
+// the spectral engine (SpectralIndex): everything a serving engine does
+// that is not ranking maths.
 //
 // engine[S] owns the common state header (stored points in either
 // precision, tombstones and their accounting, base-build size and
-// stats), the locks, the version counter, the searcher pool, input
-// validation, Insert/Delete/Compact and the auto-compact policy, the
-// introspection and shard-surface accessors, the pooled query wrappers,
-// and the lock-and-dispatch of Save. searcher[S] owns the read lock and
-// the k/id/dimension checks of every query entry point plus the seed
-// normalisation. A backend (EMRIndex, SpectralIndex and their
-// searchers) supplies only: build state from live points, attach one
-// vector, turn seeds or a vector into scores, and encode/decode its
-// container sections. The shared code calls a backend once per query or
-// mutation, never once per item, so the O(n) scans stay monomorphic.
-// docs/ENGINE.md ("Engine lifecycle") is the one-page version.
+// stats), the locks, the version counter and the replication log
+// (deltalog.go), the searcher pool, input validation,
+// Insert/Delete/Compact and the auto-compact policy, the introspection
+// and shard-surface accessors, the pooled query wrappers, and the
+// lock-and-dispatch of Save. searcher[S] owns the read lock and the
+// k/id/dimension checks of every query entry point. A backend (Index,
+// EMRIndex, SpectralIndex and their searchers) supplies only: build
+// state from live points, attach one vector, turn seeds or a vector into
+// scores, and encode/decode its container sections. The shared code
+// calls a backend once per query or mutation, never once per item, so
+// the O(n) scans stay monomorphic. docs/ENGINE.md ("Engine lifecycle")
+// is the one-page version.
 //
 // Locking rule: searches hold mu for reading; mutators take mutMu, then
-// mu for writing; Compact holds mutMu throughout but rebuilds off mu,
-// so searches proceed against the old state until the swap.
+// mu for writing — Insert computes its attachment under the read lock
+// first, so only the appends block searches; Compact holds mutMu
+// throughout but rebuilds off mu, so searches proceed against the old
+// state until the swap.
 
 import (
 	"fmt"
@@ -39,9 +44,14 @@ type engineHeader struct {
 	dim int
 	// points holds every item ever inserted, by id; dead tombstones. In
 	// mixed-precision mode points is nil and the vectors live flattened
-	// in pts32 with stride dim.
+	// in pts32 with stride dim. A backend whose base build already stores
+	// its rows (the graph engine's knn.Graph, mapped views included) sets
+	// ext to their count: points (always float64 in such a state) then
+	// holds ids ext and up only, and the backend's state answers pointVec
+	// below ext.
 	points []Vector
 	pts32  []float32
+	ext    int
 	dead   []bool
 	// deadCount counts all tombstones; deadBase only those in the base
 	// build (the auto-compact policy counts a deleted delta item once:
@@ -63,7 +73,7 @@ func (h *engineHeader) numPoints() int {
 	if h.pts32 != nil {
 		return len(h.pts32) / h.dim
 	}
-	return len(h.points)
+	return h.ext + len(h.points)
 }
 
 func (h *engineHeader) live() int { return h.numPoints() - h.deadCount }
@@ -75,18 +85,7 @@ func (h *engineHeader) pointVec(i int) Vector {
 	if h.pts32 != nil {
 		return Vector(vec.Widen64(nil, h.pts32[i*h.dim:(i+1)*h.dim]))
 	}
-	return h.points[i]
-}
-
-// checkItem validates a query item id.
-func (h *engineHeader) checkItem(id int) error {
-	if n := h.numPoints(); id < 0 || id >= n {
-		return fmt.Errorf("mogul: item %d outside [0,%d)", id, n)
-	}
-	if h.dead[id] {
-		return fmt.Errorf("mogul: item %d deleted", id)
-	}
-	return nil
+	return h.points[i-h.ext]
 }
 
 // appendPoint stores v (which the header takes ownership of) as the next
@@ -113,6 +112,10 @@ func (h *engineHeader) narrowPoints() {
 // engineState is what the lifecycle needs from a backend's state.
 type engineState interface {
 	hdr() *engineHeader
+	// f32 and pointVec are the header's unless the backend's base build
+	// holds the precision and the base rows itself.
+	f32() bool
+	pointVec(i int) Vector
 	// narrow32 moves a freshly built (always float64) state into
 	// mixed-precision storage. Narrowing once at the end is the only
 	// lossy step, so an f32 engine differs from its f64 twin by one
@@ -120,16 +123,21 @@ type engineState interface {
 	narrow32()
 }
 
-// backend is the ranking-specific half of an engine; *EMRIndex and
-// *SpectralIndex implement it over their own state type.
+// backend is the ranking-specific half of an engine; *Index's core
+// field, *EMRIndex and *SpectralIndex implement it over their own state
+// type.
 type backend[S engineState] interface {
 	// build runs the offline half over the given points with the
 	// engine's recorded recipe, so Insert...Compact converges to exactly
 	// what a fresh Build over the live points would produce.
 	build(points []Vector) (S, error)
-	// attach appends the backend's per-item columns for a vector about
-	// to be stored as the next id. Called with mu held for writing.
-	attach(st S, v Vector)
+	// attach computes the backend's per-item columns for a vector about
+	// to be stored as the next id, into scratch the backend keeps. Called
+	// with mutMu held and mu held for reading: searches proceed.
+	attach(st S, v Vector) error
+	// commit appends what the latest attach computed. Called with mu
+	// held for writing.
+	commit(st S)
 	newSearcher() *searcher[S]
 	// sections encodes st as the container sections of the given format
 	// version. Called with mutMu held and mu held for reading.
@@ -139,15 +147,16 @@ type backend[S engineState] interface {
 // scorer is the ranking-specific half of a searcher. Every method runs
 // with the engine's mu held for reading.
 type scorer interface {
-	// scoreSeeds ranks the live items against in-database seeds
-	// (ascending unique ids, all live).
+	// scoreSeeds ranks the live items against in-database seeds, all
+	// live, in the caller's order and with its repeats (normalizeSeeds
+	// orders and merges them for a backend that wants that).
 	scoreSeeds(seeds []seedWeight, k int) []Result
 	// scoreVector attaches an out-of-sample vector and ranks the live
 	// items against it, also returning the raw kernel affinity of the
 	// attachment (the density proxy sharded fan-outs scale merges with).
-	scoreVector(q Vector, k int) ([]Result, float64)
+	scoreVector(q Vector, k int) ([]Result, float64, error)
 	// affinity is scoreVector's second result alone.
-	affinity(q Vector) float64
+	affinity(q Vector) (float64, error)
 	// work reports what the latest scoreSeeds or scoreVector did, in
 	// SearchInfo's terms.
 	work() SearchInfo
@@ -156,7 +165,11 @@ type scorer interface {
 type engine[S engineState] struct {
 	be    backend[S]
 	frame *binio.Frame
-	// alpha/seed/autoCompact are the recipe fields both backends record.
+	// tag prefixes the errors about a caller's arguments: "core" on the
+	// graph engine, whose HTTP transcripts pin that spelling, "mogul" on
+	// the other two.
+	tag string
+	// alpha/seed/autoCompact are the recipe fields every backend records.
 	alpha       float64
 	seed        int64
 	autoCompact float64
@@ -170,13 +183,38 @@ type engine[S engineState] struct {
 
 	version   atomic.Uint64
 	searchers sync.Pool
+
+	// log records every mutation since logStart (deltalog.go): the
+	// replication feed followers tail via EntriesSince. logStart is the
+	// version the retained log is anchored at (entries cover (logStart,
+	// version]); 0 means "nothing logged or truncated yet", i.e. anchored
+	// at the initial version. Both guarded by mu.
+	log      []LogEntry
+	logStart uint64
 }
 
-func (e *engine[S]) init(be backend[S], fr *binio.Frame, alpha float64, seed int64, autoCompact float64, st S) {
-	e.be, e.frame = be, fr
+func (e *engine[S]) init(be backend[S], fr *binio.Frame, tag string, alpha float64, seed int64, autoCompact float64, st S) {
+	e.be, e.frame, e.tag = be, fr, tag
 	e.alpha, e.seed, e.autoCompact = alpha, seed, autoCompact
 	e.st = st
 	e.version.Store(1)
+}
+
+// errf builds an error about a caller's argument, under the engine's tag.
+func (e *engine[S]) errf(format string, args ...any) error {
+	return fmt.Errorf(e.tag+": "+format, args...)
+}
+
+// checkItem validates a query item id. Callers hold mu.
+func (e *engine[S]) checkItem(id int) error {
+	h := e.st.hdr()
+	if n := h.numPoints(); id < 0 || id >= n {
+		return e.errf("query node %d outside [0,%d)", id, n)
+	}
+	if h.dead[id] {
+		return e.errf("query node %d is deleted", id)
+	}
+	return nil
 }
 
 // checkBuildInput validates what every Build* shares and resolves
@@ -218,8 +256,10 @@ func (e *engine[S]) Len() int {
 	return e.st.hdr().live()
 }
 
-// Exact reports false: the engine's scores approximate exact Manifold
-// Ranking (through the anchor graph or the truncated eigenbasis).
+// Exact reports false: an engine's scores approximate exact Manifold
+// Ranking (through the anchor graph, the truncated eigenbasis or the
+// incomplete factorization) unless its backend says otherwise
+// (Index.Exact).
 func (e *engine[S]) Exact() bool { return false }
 
 // Precision reports the storage precision the engine was built (or
@@ -227,17 +267,18 @@ func (e *engine[S]) Exact() bool { return false }
 func (e *engine[S]) Precision() Precision {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.st.hdr().f32() {
+	if e.st.f32() {
 		return F32
 	}
 	return F64
 }
 
-// Stats reports what the latest base build did, mapped onto the shared
-// Stats shape: NumClusters is the anchor count p (EMR) or the retained
-// rank r (spectral), FactorNNZ the dense gram factor or the n x r
-// embedding, ClusterTime the k-means run or the graph construction,
-// FactorTime the gram factorization or the Lanczos decomposition.
+// Stats reports what the latest base build did. The graph engine fills
+// every field; the other two map onto the shared shape: NumClusters is
+// the anchor count p (EMR) or the retained rank r (spectral), FactorNNZ
+// the dense gram factor or the n x r embedding, ClusterTime the k-means
+// run or the graph construction, FactorTime the gram factorization or
+// the Lanczos decomposition.
 func (e *engine[S]) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -257,9 +298,13 @@ func (e *engine[S]) Delta() DeltaStats {
 	}
 }
 
-// Version is the monotonic mutation counter (same contract as
-// Index.Version): unchanged Version means unchanged answers, which is
-// what lets the serve layer cache results and invalidate implicitly.
+// Version returns the engine's monotonic mutation version: it starts at
+// 1 and increases on every Insert, Delete, and Compact (auto-compactions
+// included), always before the mutation's write lock is released.
+// Reading it is a single atomic load, so callers can stamp derived
+// artifacts — cached query results, exported snapshots — and later
+// detect "the index changed under me" without re-running the query. Two
+// equal readings bracket a window with no visible mutation.
 func (e *engine[S]) Version() uint64 { return e.version.Load() }
 
 // IDSpace returns the upper bound of the id space, tombstones
@@ -279,52 +324,68 @@ func (e *engine[S]) Alive(id int) bool {
 	return id >= 0 && id < h.numPoints() && !h.dead[id]
 }
 
-// LogLen reports 0: the engine keeps no replayable delta log, so
-// followers replicate it by snapshot only.
-func (e *engine[S]) LogLen() int { return 0 }
-
 // Insert adds a new point without rebuilding and returns its item id.
 // The point becomes immediately searchable: it is attached against the
-// frozen base build (an H column over the anchor set, or an embedding
-// row through its nearest base points) with no refactorization. It is
-// scored by every query but does not shape the base structures until
-// Compact folds it in, so accuracy degrades gently as the delta grows —
-// size the delta with Options.AutoCompactFraction or call Compact. Safe
-// for concurrent use with searches.
+// frozen base build through the out-of-sample extension (surrogate
+// neighbours in the graph, an H column over the anchor set, or an
+// embedding row through its nearest base points) with no
+// refactorization. It is scored by every query and can itself serve as
+// one, but does not shape the base structures until Compact folds it in,
+// so accuracy degrades gently as the delta grows — size the delta with
+// Options.AutoCompactFraction or call Compact. When that fraction makes
+// this insert compact, the returned id is the item's id in the new
+// numbering (the youngest live item, so the last). Safe for concurrent
+// use with searches.
 func (e *engine[S]) Insert(v Vector) (int, error) {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
 
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, fmt.Errorf("mogul: inserted vector has non-finite component %g", x)
+			return 0, e.errf("inserted vector has non-finite component %g", x)
 		}
 	}
-	e.mu.Lock()
+	// mutMu keeps the state this attachment is computed against
+	// authoritative until the commit below.
+	e.mu.RLock()
 	h := e.st.hdr()
+	var err error
 	if len(v) != h.dim {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("mogul: inserted vector has dim %d, want %d", len(v), h.dim)
+		err = e.errf("inserted vector has dim %d, want %d", len(v), h.dim)
+	} else {
+		err = e.be.attach(e.st, v)
 	}
-	id := h.numPoints()
+	e.mu.RUnlock()
+	if err != nil {
+		return 0, err
+	}
 	stored := append(Vector(nil), v...)
-	e.be.attach(e.st, stored)
+
+	e.mu.Lock()
+	id := h.numPoints()
+	e.be.commit(e.st)
 	h.appendPoint(stored)
-	needCompact := e.needsCompact()
-	e.version.Add(1)
+	e.bump(OpInsert, id, stored)
 	e.mu.Unlock()
 
-	if needCompact {
-		if err := e.compact(); err != nil {
-			return id, fmt.Errorf("mogul: auto-compact after insert: %w", err)
-		}
+	// The insert has happened; a failed auto-compaction leaves the engine
+	// fully consistent (the swap happens only on success), so it is not
+	// this call's error: the next mutation retries and an explicit
+	// Compact surfaces it.
+	if e.autoCompacted() {
+		// Compaction renumbers: the just-inserted point is the youngest
+		// live item, so it now carries the last id. The log entry keeps
+		// the id stamped above, which is what a replaying follower's own
+		// Insert hands back before its own compaction.
+		id = e.Len() - 1
 	}
 	return id, nil
 }
 
 // Delete tombstones an item: it stops appearing in results and stops
 // being a valid query, its id is never reused, and Compact reclaims
-// the storage. Deleting the last live item is refused.
+// the storage. Deleting an unknown or already-deleted id, or the last
+// live item, is refused.
 func (e *engine[S]) Delete(id int) error {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
@@ -334,11 +395,11 @@ func (e *engine[S]) Delete(id int) error {
 	var err error
 	switch n := h.numPoints(); {
 	case id < 0 || id >= n:
-		err = fmt.Errorf("mogul: item %d outside [0,%d)", id, n)
+		err = e.errf("item %d outside [0,%d)", id, n)
 	case h.dead[id]:
-		err = fmt.Errorf("mogul: item %d already deleted", id)
+		err = e.errf("item %d already deleted", id)
 	case h.live() <= 1:
-		err = fmt.Errorf("mogul: cannot delete the last live item")
+		err = e.errf("cannot delete the last live item")
 	}
 	if err != nil {
 		e.mu.Unlock()
@@ -349,31 +410,29 @@ func (e *engine[S]) Delete(id int) error {
 	if id < h.baseN {
 		h.deadBase++
 	}
-	needCompact := e.needsCompact()
-	e.version.Add(1)
+	e.bump(OpDelete, id, nil)
 	e.mu.Unlock()
 
-	if needCompact {
-		if err := e.compact(); err != nil {
-			return fmt.Errorf("mogul: auto-compact after delete: %w", err)
-		}
-	}
+	e.autoCompacted()
 	return nil
 }
 
-// needsCompact applies the AutoCompactFraction policy: the pending
-// delta is the items inserted since the base build plus the tombstones
-// in the base. A deleted delta item must count once, not twice — it is
-// already in the inserted-items term — or churny insert-then-delete
-// workloads trip compaction at half the configured threshold. Callers
-// hold mu (any mode) and mutMu.
-func (e *engine[S]) needsCompact() bool {
+// autoCompacted applies the AutoCompactFraction policy after a mutation
+// and reports whether it compacted: the pending delta is the items
+// inserted since the base build plus the tombstones in the base. A
+// deleted delta item must count once, not twice — it is already in the
+// inserted-items term — or churny insert-then-delete workloads trip
+// compaction at half the configured threshold. Callers hold mutMu.
+func (e *engine[S]) autoCompacted() bool {
 	if e.autoCompact <= 0 {
 		return false
 	}
+	e.mu.RLock()
 	h := e.st.hdr()
 	pending := (h.numPoints() - h.baseN) + h.deadBase
-	return float64(pending) > e.autoCompact*float64(h.baseN)
+	need := float64(pending) > e.autoCompact*float64(h.baseN)
+	e.mu.RUnlock()
+	return need && e.compact() == nil
 }
 
 // Compact folds the delta into a fresh base: the backend's build re-runs
@@ -396,11 +455,11 @@ func (e *engine[S]) compact() error {
 		e.mu.RUnlock()
 		return nil
 	}
-	wasF32 := h.f32()
+	wasF32 := e.st.f32()
 	live := make([]Vector, 0, h.live())
 	for i := 0; i < n; i++ {
 		if !h.dead[i] {
-			live = append(live, h.pointVec(i))
+			live = append(live, e.st.pointVec(i))
 		}
 	}
 	e.mu.RUnlock()
@@ -418,7 +477,7 @@ func (e *engine[S]) compact() error {
 	}
 	e.mu.Lock()
 	e.st = fresh
-	e.version.Add(1)
+	e.bump(OpCompact, 0, nil)
 	e.mu.Unlock()
 	return nil
 }
@@ -485,51 +544,54 @@ func (sr *searcher[S]) results() []Result {
 }
 
 // topKSeeds answers a seeded query with mu already held: every seed
-// carries the given weight (duplicates accumulate).
-func (sr *searcher[S]) topKSeeds(seeds []int, weight float64, k int) ([]Result, error) {
+// carries the given weight (repeats accumulate). A set query's error
+// says that it is a seed that was refused.
+func (sr *searcher[S]) topKSeeds(seeds []int, weight float64, k int, set bool) ([]Result, error) {
 	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
+		return nil, sr.eng.errf("K must be positive, got %d", k)
 	}
-	h := sr.eng.st.hdr()
 	sr.seeds = sr.seeds[:0]
 	for _, id := range seeds {
-		if err := h.checkItem(id); err != nil {
+		if err := sr.eng.checkItem(id); err != nil {
+			if set {
+				err = sr.eng.errf("seed: %w", err)
+			}
 			return nil, err
 		}
 		sr.seeds = append(sr.seeds, seedWeight{id: id, w: weight})
 	}
-	sr.seeds = normalizeSeeds(sr.seeds)
 	return sr.be.scoreSeeds(sr.seeds, k), nil
 }
 
 // topKVector answers an out-of-sample query with mu already held.
 func (sr *searcher[S]) topKVector(q Vector, k int) ([]Result, float64, error) {
 	if k <= 0 {
-		return nil, 0, fmt.Errorf("mogul: K must be positive, got %d", k)
+		return nil, 0, sr.eng.errf("K must be positive, got %d", k)
 	}
 	if dim := sr.eng.st.hdr().dim; len(q) != dim {
-		return nil, 0, fmt.Errorf("mogul: query dimension %d, want %d", len(q), dim)
+		return nil, 0, sr.eng.errf("query dimension %d, want %d", len(q), dim)
 	}
-	res, aff := sr.be.scoreVector(q, k)
-	return res, aff, nil
+	return sr.be.scoreVector(q, k)
 }
 
 // TopK ranks database items against an in-database query item, best
-// first. The query item itself is included (it typically ranks first).
+// first. The query item itself is included (it typically ranks first);
+// callers that want "results other than the query" can skip it.
 func (sr *searcher[S]) TopK(query, k int) ([]Result, error) {
 	sr.eng.mu.RLock()
 	defer sr.eng.mu.RUnlock()
-	return sr.topKSeeds([]int{query}, 1, k)
+	return sr.topKSeeds([]int{query}, 1, k, false)
 }
 
 // TopKWithInfo is TopK plus the backend's own account of the work (see
-// SearchInfo): the EMR engine scores every live item through every
-// anchor; the spectral engine counts the embedding rows it evaluated and
-// the row blocks its bound entered and skipped.
+// SearchInfo): the graph engine counts the clusters its upper bounds
+// pruned and scanned; the EMR engine scores every live item through
+// every anchor; the spectral engine counts the embedding rows it
+// evaluated and the row blocks its bound entered and skipped.
 func (sr *searcher[S]) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
 	sr.eng.mu.RLock()
 	defer sr.eng.mu.RUnlock()
-	res, err := sr.topKSeeds([]int{query}, 1, k)
+	res, err := sr.topKSeeds([]int{query}, 1, k, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -539,24 +601,69 @@ func (sr *searcher[S]) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error)
 
 // TopKVector ranks database items against an out-of-sample query
 // vector, attached on the fly through the backend's native mechanism
-// (anchor weights for EMR, heat-kernel-weighted surrogate seeds for the
-// spectral engine); the engine itself is not modified.
+// (Section 4.6.2's surrogate neighbours in the nearest clusters for the
+// graph engine, anchor weights for EMR, heat-kernel-weighted surrogate
+// seeds for the spectral engine); the engine itself is not modified.
 func (sr *searcher[S]) TopKVector(q Vector, k int) ([]Result, error) {
-	sr.eng.mu.RLock()
-	defer sr.eng.mu.RUnlock()
-	res, _, err := sr.topKVector(q, k)
+	res, _, err := sr.TopKVectorWithAffinity(q, k)
 	return res, err
 }
 
 // TopKSet ranks database items against a set of seed items with equal
-// weights 1/len(seeds), so query mass matches a single-item query.
+// weights 1/len(seeds), so query mass matches a single-item query —
+// "find items like these". Seeds typically rank first; skip them in the
+// output if undesired.
 func (sr *searcher[S]) TopKSet(seeds []int, k int) ([]Result, error) {
+	return sr.topKSet("TopKSet", seeds, 1/float64(len(seeds)), k)
+}
+
+// TopKWithVector is TopK plus the query item's stored vector and the
+// engine's raw kernel affinity to it — what a fan-out needs from the
+// owner shard in one call (one round trip, for the distributed
+// coordinator) to probe the remaining shards and scale their answers.
+// All three are read under one read-locked section, so a concurrent
+// Compact cannot pair results from one state with a vector from
+// another. The vector may alias engine storage; treat as read-only.
+func (sr *searcher[S]) TopKWithVector(query, k int) ([]Result, Vector, float64, error) {
+	sr.eng.mu.RLock()
+	defer sr.eng.mu.RUnlock()
+	res, err := sr.topKSeeds([]int{query}, 1, k, false)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	qvec := sr.eng.st.pointVec(query)
+	aff, err := sr.be.affinity(qvec)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return res, qvec, aff, nil
+}
+
+// TopKVectorWithAffinity is TopKVector plus the engine's raw kernel
+// affinity to the query (the unnormalized kernel mass of the
+// attachment), the density proxy a sharded fan-out scales cross-shard
+// merges with.
+func (sr *searcher[S]) TopKVectorWithAffinity(q Vector, k int) ([]Result, float64, error) {
+	sr.eng.mu.RLock()
+	defer sr.eng.mu.RUnlock()
+	return sr.topKVector(q, k)
+}
+
+// TopKSetWeighted ranks items against seed items all carrying the
+// given weight — the per-shard half of a fan-out's set query, where each
+// shard searches the seeds it owns at the global weight 1/len(all
+// seeds) so query mass stays consistent across the fan-out.
+func (sr *searcher[S]) TopKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
+	return sr.topKSet("TopKSetWeighted", seeds, weight, k)
+}
+
+func (sr *searcher[S]) topKSet(name string, seeds []int, weight float64, k int) ([]Result, error) {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSet needs at least one seed item")
+		return nil, fmt.Errorf("mogul: %s needs at least one seed item", name)
 	}
 	sr.eng.mu.RLock()
 	defer sr.eng.mu.RUnlock()
-	return sr.topKSeeds(seeds, 1/float64(len(seeds)), k)
+	return sr.topKSeeds(seeds, weight, k, true)
 }
 
 func (e *engine[S]) acquire() *searcher[S] {
@@ -568,93 +675,83 @@ func (e *engine[S]) acquire() *searcher[S] {
 
 func (e *engine[S]) release(sr *searcher[S]) { e.searchers.Put(sr) }
 
-// TopK is the searcher's TopK on a pooled searcher.
+// TopK returns the k database items with the highest Manifold Ranking
+// scores for an in-database query item, best first, the query itself
+// included (searcher.TopK on a pooled searcher).
 func (e *engine[S]) TopK(query, k int) ([]Result, error) {
 	sr := e.acquire()
 	defer e.release(sr)
 	return sr.TopK(query, k)
 }
 
-// TopKWithInfo is the searcher's TopKWithInfo on a pooled searcher.
+// TopKWithInfo is TopK plus the engine's work counters
+// (searcher.TopKWithInfo on a pooled searcher).
 func (e *engine[S]) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
 	sr := e.acquire()
 	defer e.release(sr)
 	return sr.TopKWithInfo(query, k)
 }
 
-// TopKVector is the searcher's TopKVector on a pooled searcher.
+// TopKVector ranks database items for a query vector that is not in the
+// database; the engine is not modified (searcher.TopKVector on a pooled
+// searcher).
 func (e *engine[S]) TopKVector(q Vector, k int) ([]Result, error) {
 	sr := e.acquire()
 	defer e.release(sr)
 	return sr.TopKVector(q, k)
 }
 
-// TopKSet is the searcher's TopKSet on a pooled searcher.
+// TopKSet ranks database items against a set of equally weighted seed
+// items (searcher.TopKSet on a pooled searcher).
 func (e *engine[S]) TopKSet(seeds []int, k int) ([]Result, error) {
 	sr := e.acquire()
 	defer e.release(sr)
 	return sr.TopKSet(seeds, k)
 }
 
+// TopKWithVector is TopK plus the query item's stored vector and the
+// engine's affinity to it (searcher.TopKWithVector on a pooled searcher).
+func (e *engine[S]) TopKWithVector(query, k int) ([]Result, Vector, float64, error) {
+	sr := e.acquire()
+	defer e.release(sr)
+	return sr.TopKWithVector(query, k)
+}
+
+// TopKVectorWithAffinity is TopKVector plus the engine's raw kernel
+// affinity to the query (searcher.TopKVectorWithAffinity on a pooled
+// searcher).
+func (e *engine[S]) TopKVectorWithAffinity(q Vector, k int) ([]Result, float64, error) {
+	sr := e.acquire()
+	defer e.release(sr)
+	return sr.TopKVectorWithAffinity(q, k)
+}
+
+// TopKSetWeighted ranks items against seed items all carrying the given
+// weight (searcher.TopKSetWeighted on a pooled searcher).
+func (e *engine[S]) TopKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
+	sr := e.acquire()
+	defer e.release(sr)
+	return sr.TopKSetWeighted(seeds, weight, k)
+}
+
 // TopKBatch answers many in-database queries on a bounded worker pool
-// (parallelism <= 0 selects GOMAXPROCS); results land at their query's
-// index and per-query failures are recorded, never fatal.
+// (parallelism <= 0 selects GOMAXPROCS), each worker pinning one private
+// searcher; results land at their query's index and per-query failures
+// are recorded, never fatal. Searches only take the read lock, so the
+// batch parallelizes and is safe to run concurrently with
+// Insert/Delete/Compact: each query observes a consistent state.
 func (e *engine[S]) TopKBatch(queries []int, k, parallelism int) []BatchResult {
 	return topKBatch(e.newQuerier, queries, k, parallelism)
 }
 
 // TopKVectorBatch answers many out-of-sample queries on a bounded
-// worker pool; see TopKBatch.
+// worker pool; see TopKBatch. The i-th BatchResult's Query field holds i
+// (the position in the input slice).
 func (e *engine[S]) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
 	return topKVectorBatch(e.newQuerier, queries, k, parallelism)
 }
 
 func (e *engine[S]) newQuerier() Querier { return e.be.newSearcher() }
-
-// TopKWithVector is TopK plus the query item's stored vector and the
-// engine's raw kernel affinity to it — what the distributed
-// coordinator needs from the owner shard in one round trip to probe
-// the remaining shards and scale their answers. All three are read
-// under one read-locked section, so a concurrent Compact cannot pair
-// results from one state with a vector from another.
-func (e *engine[S]) TopKWithVector(query, k int) ([]Result, Vector, float64, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	res, err := sr.topKSeeds([]int{query}, 1, k)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	qvec := append(Vector(nil), e.st.hdr().pointVec(query)...)
-	return res, qvec, sr.be.affinity(qvec), nil
-}
-
-// TopKVectorWithAffinity is TopKVector plus the engine's raw kernel
-// affinity to the query (the unnormalized kernel mass of the
-// attachment), the same density proxy the sharded fan-out scales
-// cross-shard merges with.
-func (e *engine[S]) TopKVectorWithAffinity(q Vector, k int) ([]Result, float64, error) {
-	sr := e.acquire()
-	defer e.release(sr)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return sr.topKVector(q, k)
-}
-
-// TopKSetWeighted ranks items against seed items all carrying the
-// given weight (the coordinator's cross-shard set query, where the
-// global 1/len(seeds) is applied before the fan-out).
-func (e *engine[S]) TopKSetWeighted(seeds []int, weight float64, k int) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSetWeighted needs at least one seed item")
-	}
-	sr := e.acquire()
-	defer e.release(sr)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return sr.topKSeeds(seeds, weight, k)
-}
 
 // --- Persistence shared by the MOGULEMR and MOGULSPC containers ---
 //
@@ -674,11 +771,15 @@ const (
 	engineFormatVersionPrec = 2
 )
 
-// Save writes the engine in its versioned container format. Mutators
-// block for the duration; searches proceed. A float64 spectral engine
-// writes version 1, byte-identical to previous releases, and a
-// mixed-precision one version 2 with its arrays narrowed; the EMR
-// engine writes version 3 in either precision.
+// Save writes the engine in its versioned container format
+// (docs/FORMAT.md): everything the build computed is persisted, so a
+// loaded engine is immediately search-ready — the precomputation is
+// query independent, which turns the build into a one-off. Mutators
+// block for the duration; searches proceed. A float64 graph index
+// writes MOGULIDX version 3 and a float64 spectral engine MOGULSPC
+// version 1, both byte-identical to previous releases, their
+// mixed-precision forms versions 4 and 2 with the bulk arrays narrowed;
+// the EMR engine writes MOGULEMR version 3 in either precision.
 func (e *engine[S]) Save(w io.Writer) error { return e.save(w, 0) }
 
 // SaveAligned writes the engine in the aligned layout of its newest
@@ -692,8 +793,11 @@ func (e *engine[S]) SaveAligned(w io.Writer, align int) error {
 	return e.save(w, align)
 }
 
-// SaveFile writes the engine to a file via Save with the same atomic
-// temp-file-and-rename protocol as Index.SaveFile.
+// SaveFile writes the engine to a file via Save. The file is written to
+// a temporary sibling and renamed into place, so a crash mid-save never
+// leaves a truncated file at path. It is created with mode 0644
+// regardless of umask; callers that need it private can Save to a file
+// they opened themselves.
 func (e *engine[S]) SaveFile(path string) error {
 	return saveFileAtomic(path, e.Save)
 }
@@ -712,14 +816,18 @@ func (e *engine[S]) save(w io.Writer, align int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	version := e.frame.SaveVersion(e.st.hdr().f32(), align)
-	sections := e.be.sections(e.st, version, align)
+	version := e.frame.SaveVersion(e.st.f32(), align)
+	_, err := binio.WriteContainer(w, e.frame.Magic, version, e.be.sections(e.st, version, align))
+	return err
+}
+
+// alignAll marks every section for the aligned layout, as the MOGULEMR
+// and MOGULSPC containers do (MOGULIDX aligns only its two bulk ones).
+func alignAll(sections []binio.Section, align int) []binio.Section {
 	for i := range sections {
-		// The engine containers align every section (MOGULIDX only two).
 		sections[i].Align = align
 	}
-	_, err := binio.WriteContainer(w, e.frame.Magic, version, sections)
-	return err
+	return sections
 }
 
 // engineMeta is the part of the metadata section both containers carry:

@@ -3,16 +3,19 @@ package mogul
 // One lifecycle contract for every engine built on the shared engine
 // lifecycle (engine.go): version accounting, id stability, tombstones,
 // delta accounting, auto-compaction, and precision preservation are the
-// same code for EMR and spectral, so they are pinned by the same table.
+// same code for the graph, EMR and spectral engines, so they are pinned
+// by the same table.
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
 // lifecycleEngine is the surface the lifecycle contract speaks to:
-// Retriever plus the shard-facing accessors both engines expose.
+// Retriever plus the shard-facing accessors and the replication log
+// every engine exposes.
 type lifecycleEngine interface {
 	Retriever
 	Precision() Precision
@@ -21,6 +24,9 @@ type lifecycleEngine interface {
 	TopKWithVector(query, k int) ([]Result, Vector, float64, error)
 	TopKVectorWithAffinity(q Vector, k int) ([]Result, float64, error)
 	TopKSetWeighted(seeds []int, weight float64, k int) ([]Result, error)
+	EntriesSince(since uint64) ([]LogEntry, bool)
+	TruncateEntries(upTo uint64)
+	LogLen() int
 }
 
 type lifecycleRow struct {
@@ -29,9 +35,14 @@ type lifecycleRow struct {
 	prec  Precision
 	// selfFirst: an inserted item ranks first for itself.
 	selfFirst bool
+	// graph: the paper's engine — it has an item-level neighbour surface,
+	// and in F32 mode keeps inserted vectors in float64 until Compact
+	// narrows them into the next base.
+	graph bool
 }
 
 func lifecycleRows() []lifecycleRow {
+	graph := func(points []Vector, opts Options) (lifecycleEngine, error) { return Build(points, opts) }
 	emr := func(points []Vector, opts Options) (lifecycleEngine, error) {
 		return BuildEMR(points, opts, EMROptions{NumAnchors: 16, NumNearestAnchors: 4})
 	}
@@ -39,8 +50,9 @@ func lifecycleRows() []lifecycleRow {
 		return BuildSpectral(points, opts, SpectralOptions{Rank: 12})
 	}
 	return []lifecycleRow{
-		{"EMR/F64", emr, F64, true}, {"EMR/F32", emr, F32, true},
-		{"spectral/F64", spc, F64, false}, {"spectral/F32", spc, F32, false},
+		{"graph/F64", graph, F64, false, true}, {"graph/F32", graph, F32, false, true},
+		{"EMR/F64", emr, F64, true, false}, {"EMR/F32", emr, F32, true, false},
+		{"spectral/F64", spc, F64, false, false}, {"spectral/F32", spc, F32, false, false},
 	}
 }
 
@@ -89,8 +101,8 @@ func TestEngineLifecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 				// EMR scores an item against its own H column, so it leads
-				// its own ranking; a spectral delta item is scored through
-				// its surrogate anchors and only has to answer.
+				// its own ranking; a graph or spectral delta item is scored
+				// through its surrogates and only has to answer.
 				if row.selfFirst && res[0].Node != id {
 					t.Fatalf("inserted item %d does not rank first for itself: %+v", id, res[0])
 				}
@@ -173,7 +185,7 @@ func TestEngineLifecycle(t *testing.T) {
 			}
 			for d, x := range ds.Points[122] {
 				want := x
-				if row.prec == F32 {
+				if row.prec == F32 && !row.graph {
 					want = float64(float32(x))
 				}
 				if qvec[d] != want {
@@ -194,8 +206,8 @@ func TestEngineLifecycle(t *testing.T) {
 			if _, err := e.TopKSet(nil, 5); err == nil {
 				t.Fatal("empty seed set accepted")
 			}
-			if _, _, err := e.Neighbors(0); err == nil {
-				t.Fatal("Neighbors should be unavailable")
+			if _, _, err := e.Neighbors(0); (err == nil) != row.graph {
+				t.Fatalf("Neighbors availability: err = %v, want available = %v", err, row.graph)
 			}
 
 			// Compact renumbers contiguously, keeps the precision, and
@@ -248,6 +260,43 @@ func TestEngineLifecycle(t *testing.T) {
 			}
 			if got := e.Precision(); got != row.prec {
 				t.Fatalf("Precision after auto-compact = %v, want %v", got, row.prec)
+			}
+		})
+
+		t.Run(row.name+"/auto-compact-renumbers", func(t *testing.T) {
+			// Base 100 with 5 base tombstones at fraction 0.1: the 6th insert
+			// makes the pending work 11 > 10 and compacts, which renumbers
+			// (95 survivors, then the 6 inserted). The id Insert returns
+			// must be the item's id in the new numbering — the last one —
+			// while the log entry keeps the one stamped before.
+			ac := opts
+			ac.AutoCompactFraction = 0.1
+			e := mustBuild(t, ds.Points[:100], ac)
+			for id := 10; id < 15; id++ {
+				if err := e.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var id int
+			for i := 0; i < 6; i++ {
+				var err error
+				if id, err = e.Insert(ds.Points[100+i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := e.Delta(); d.BaseItems != 101 || d.DeltaItems != 0 || d.Tombstones != 0 {
+				t.Fatalf("the 6th insert did not compact: %+v", d)
+			}
+			if id != 100 || !e.Alive(id) || id >= e.IDSpace() {
+				t.Fatalf("Insert returned id %d (alive %v) in an id space of %d, want the renumbered 100", id, e.Alive(id), e.IDSpace())
+			}
+			res, err := e.TopK(id, 1)
+			if err != nil || res[0].Node != id {
+				t.Fatalf("TopK(%d, 1) = %v, %v; the item must rank first for itself", id, res, err)
+			}
+			entries, _ := e.EntriesSince(e.Version() - 2)
+			if len(entries) != 2 || entries[0].Op != OpInsert || entries[0].ID != 105 || entries[1].Op != OpCompact {
+				t.Fatalf("log tail = %+v, want the insert under its pre-renumbering id 105, then the compaction", entries)
 			}
 		})
 
@@ -393,5 +442,81 @@ func TestEngineConcurrentQueryMutate(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// spyBackend wraps an engine's backend to fail its builds on demand and
+// to report which of the engine's locks each half of an Insert runs
+// under.
+type spyBackend[S engineState] struct {
+	backend[S]
+	eng       *engine[S]
+	failBuild bool
+	// attachShared / commitExclusive record that attach ran with mu free
+	// for readers and commit with mu held for writing.
+	attachShared, commitExclusive bool
+}
+
+func (b *spyBackend[S]) build(points []Vector) (S, error) {
+	if b.failBuild {
+		var zero S
+		return zero, errors.New("spy: build fails")
+	}
+	return b.backend.build(points)
+}
+
+func (b *spyBackend[S]) attach(st S, v Vector) error {
+	if b.attachShared = b.eng.mu.TryRLock(); b.attachShared {
+		b.eng.mu.RUnlock()
+	}
+	return b.backend.attach(st, v)
+}
+
+func (b *spyBackend[S]) commit(st S) {
+	if b.commitExclusive = !b.eng.mu.TryRLock(); !b.commitExclusive {
+		b.eng.mu.RUnlock()
+	}
+	b.backend.commit(st)
+}
+
+// TestInsertSurvivesFailedAutoCompact: an Insert whose item was stored
+// reports success even when the auto-compaction it triggered fails (the
+// swap happens only on success, so the engine stays consistent); an
+// explicit Compact surfaces the error, and the next mutation retries.
+// It also pins the lock split of an Insert: the attachment is computed
+// with searches free to run, only the appends exclude them.
+func TestInsertSurvivesFailedAutoCompact(t *testing.T) {
+	ds := NewMixture(MixtureConfig{N: 130, Classes: 4, Dim: 6, WithinStd: 0.4, Separation: 2.5, Seed: 13})
+	e, err := BuildSpectral(ds.Points[:100], Options{Seed: 13, AutoCompactFraction: 0.1}, SpectralOptions{Rank: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &spyBackend[*spectralState]{backend: e.be, eng: &e.engine, failBuild: true}
+	e.be = spy
+	for i := 0; i < 11; i++ { // the 11th crosses the threshold
+		before := e.Version()
+		id, err := e.Insert(ds.Points[100+i])
+		if err != nil || id != 100+i || !e.Alive(id) {
+			t.Fatalf("insert %d with a failing compaction behind it: id %d, alive %v, err %v", i, id, e.Alive(id), err)
+		}
+		if e.Version() != before+1 {
+			t.Fatalf("insert %d bumped the version by %d, want 1 (no compaction happened)", i, e.Version()-before)
+		}
+	}
+	if !spy.attachShared || !spy.commitExclusive {
+		t.Fatalf("Insert ran attach under the read lock: %v, commit under the write lock: %v; want both", spy.attachShared, spy.commitExclusive)
+	}
+	if d := e.Delta(); d.DeltaItems != 11 {
+		t.Fatalf("Delta after the failed auto-compaction = %+v, want the 11 inserts still pending", d)
+	}
+	if err := e.Compact(); err == nil {
+		t.Fatal("an explicit Compact over a failing build reported success")
+	}
+	spy.failBuild = false
+	if err := e.Delete(0); err != nil { // the next mutation retries
+		t.Fatal(err)
+	}
+	if d := e.Delta(); d.BaseItems != 110 || d.DeltaItems != 0 || d.Tombstones != 0 {
+		t.Fatalf("Delta after the retried auto-compaction = %+v", d)
 	}
 }

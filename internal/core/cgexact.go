@@ -24,14 +24,8 @@ import (
 // preconditioner is the complete factor and CG converges in one or two
 // iterations).
 func (ix *Index) ExactScoresCG(query int, tol float64) ([]float64, int, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := ix.factor.N
-	if query < 0 || query >= n {
-		return nil, 0, fmt.Errorf("core: query node %d outside [0,%d)", query, n)
-	}
-	if ix.delta.deadBase[query] {
-		return nil, 0, fmt.Errorf("core: query node %d is deleted", query)
+	if err := ix.checkNode(query); err != nil {
+		return nil, 0, err
 	}
 	w := ix.systemMatrix()
 	// The right-hand side has a single non-zero; borrow the scratch's x

@@ -96,7 +96,7 @@ func TestLemma3FactorStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		layout := ix.Layout()
+		layout := ix.layout
 		cN := layout.BorderStart()
 		f := ix.Factor()
 		for j := 0; j < f.N; j++ {
@@ -119,7 +119,7 @@ func TestLemma4YSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := ix.Layout()
+	layout := ix.layout
 	f := ix.Factor()
 	n := f.N
 	rng := rand.New(rand.NewSource(7))
@@ -164,7 +164,7 @@ func TestPrunedEqualsUnprunedEqualsFull(t *testing.T) {
 		}
 		assertSameRanking(t, pruned, unpruned, "pruned vs unpruned")
 		assertSameRanking(t, pruned, full, "pruned vs full substitution")
-		if info.ClustersPruned+info.ClustersScanned > ix.Layout().NumClusters {
+		if info.ClustersPruned+info.ClustersScanned > ix.layout.NumClusters {
 			t.Fatalf("inconsistent counters: %+v", info)
 		}
 	}
@@ -261,7 +261,7 @@ func TestUpperBoundDominatesClusterScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := ix.Layout()
+	layout := ix.layout
 	f := ix.Factor()
 	n := f.N
 	rng := rand.New(rand.NewSource(17))
@@ -439,10 +439,11 @@ func TestExactScoresCG(t *testing.T) {
 
 func TestSearchMulti(t *testing.T) {
 	g := testGraph(t, 300, 6, 12)
-	ix, err := NewIndex(g, Options{})
+	bare, err := NewIndex(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := newDyn(bare)
 	// Single seed with weight 1 must match TopK exactly.
 	single, _, err := ix.SearchMulti([]WeightedQuery{{Node: 5, Weight: 1}}, SearchOptions{K: 8})
 	if err != nil {
@@ -482,10 +483,7 @@ func TestSearchMulti(t *testing.T) {
 		}
 	}
 
-	// Errors.
-	if _, _, err := ix.SearchMulti(nil, SearchOptions{K: 3}); err == nil {
-		t.Fatal("empty seeds accepted")
-	}
+	// Errors (the empty seed set is the engine lifecycle's to refuse).
 	if _, _, err := ix.SearchMulti([]WeightedQuery{{Node: -1, Weight: 1}}, SearchOptions{K: 3}); err == nil {
 		t.Fatal("negative seed accepted")
 	}

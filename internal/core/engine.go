@@ -21,27 +21,24 @@ import (
 // are zero and reset cost is proportional to scanned work.
 //
 // Invalidation: a Scratch's buffers are sized for one base geometry
-// (n, cluster count). Compact swaps the base and Load builds a new
-// one, so the Index carries an epoch counter, bumped under the write
-// lock whenever the base is replaced; every search entry point
-// revalidates its Scratch against (owner, epoch) under the read lock
-// and reallocates when stale. Insert and Delete leave the geometry
-// untouched and therefore do not bump the epoch.
+// (n, cluster count), and an Index never changes its own: a compaction
+// or a load produces a different Index. Every search entry point
+// therefore revalidates its Scratch against the owning index alone and
+// reallocates when it was last used on another one. Inserts and deletes
+// live in the caller's Overlay and leave the geometry untouched.
 //
 // A Scratch must not be used by two goroutines at once; the pool-based
 // entry points (Search, TopK, ...) take care of that, while the
-// *Scratch variants leave it to the caller (one Scratch per worker).
+// Scratch-taking ones leave it to the caller (one Scratch per worker).
 
 // Scratch is a reusable query-engine workspace bound to one Index.
 // The zero value is ready to use: buffers are sized lazily on first
-// use and resized automatically when the index is compacted or the
-// Scratch is moved to another index. A Scratch is not safe for
-// concurrent use.
+// use and resized automatically when the Scratch is moved to another
+// index (which is what a compaction amounts to). A Scratch is not safe
+// for concurrent use.
 type Scratch struct {
-	// owner and epoch identify the base geometry the buffers are sized
-	// for; see Index.epoch.
+	// owner is the index whose base geometry the buffers are sized for.
 	owner *Index
-	epoch uint64
 
 	// x and y are the permuted score and intermediate vectors of
 	// Equations 4-5, length n. Outside a query both are all zero over
@@ -94,9 +91,9 @@ type scoredNbr struct {
 
 // AcquireScratch returns a Scratch from the index's pool (allocating
 // one on first use or after the pool was drained by the GC). Pair with
-// ReleaseScratch; the pool-based entry points do this internally, so
-// only callers of the *Scratch search variants need it — and they may
-// equally well use new(Scratch) and keep it for the worker's lifetime.
+// ReleaseScratch; the bare-index entry points do this internally. A
+// caller of the Scratch-taking entry points may equally well hold a
+// zero Scratch for a worker's lifetime (package mogul's Searcher does).
 func (ix *Index) AcquireScratch() *Scratch {
 	if s, ok := ix.scratchPool.Get().(*Scratch); ok {
 		return s
@@ -110,12 +107,11 @@ func (ix *Index) ReleaseScratch(s *Scratch) {
 	ix.scratchPool.Put(s)
 }
 
-// ready revalidates s against the index's current base geometry,
-// (re)allocating every buffer when s is fresh, was sized for a
-// pre-compaction base, or belongs to a different index. Callers hold
-// at least the read lock (epoch is written under the write lock).
+// ready revalidates s against this index's base geometry,
+// (re)allocating every buffer when s is fresh or was last sized for a
+// different index (a pre-compaction base included).
 func (ix *Index) ready(s *Scratch) {
-	if s.owner == ix && s.epoch == ix.epoch {
+	if s.owner == ix {
 		return
 	}
 	n := ix.factor.N
@@ -132,7 +128,6 @@ func (ix *Index) ready(s *Scratch) {
 	s.probeIDs = s.probeIDs[:0]
 	s.probeWts = s.probeWts[:0]
 	s.owner = ix
-	s.epoch = ix.epoch
 }
 
 // OOSAffinity returns the mean raw heat-kernel weight of the
@@ -164,8 +159,8 @@ func (s *Scratch) markComputed(c int) {
 // reset restores the invariant "x and y all zero, computed all false"
 // by zeroing only the cluster ranges the query touched — the sublinear
 // reset that keeps steady-state per-query memory traffic proportional
-// to scanned work. Callers hold the read lock (layout must be the one
-// the buffers were written under).
+// to scanned work (layout must be the one the buffers were written
+// under).
 func (s *Scratch) reset(layout *Layout) {
 	for _, c := range s.touched {
 		lo, hi := layout.ClusterRange(c)

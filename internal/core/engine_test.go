@@ -24,16 +24,17 @@ import (
 // refSearchSources is the pre-refactor search path: fresh O(n)
 // slices, an active-cluster map, a map-based tombstone filter, and a
 // newly allocated collector per query.
-func refSearchSources(ix *Index, sources []source, opts SearchOptions) ([]Result, *SearchInfo, error) {
+func refSearchSources(ix *dyn, sources []source, opts SearchOptions) ([]Result, *SearchInfo, error) {
 	n := ix.factor.N
+	ov := ix.overlay()
 	k := opts.K
-	if total := ix.liveTotal(); k > total {
+	if total := ov.Live; k > total {
 		k = total
 	}
 	info := &SearchInfo{}
 
 	if opts.FullSubstitution {
-		return refSearchFull(ix, sources, k, info)
+		return refSearchFull(ix, ov, sources, k, info)
 	}
 
 	layout := ix.layout
@@ -41,9 +42,8 @@ func refSearchSources(ix *Index, sources []source, opts SearchOptions) ([]Result
 	border := layout.Border()
 	computed := make([]bool, layout.NumClusters)
 	coll := topk.New(k)
-	deadBase := ix.delta.deadBase
 	offer := func(pos int, score float64) {
-		if len(deadBase) > 0 && deadBase[layout.Perm.NewToOld[pos]] {
+		if ov.Dead[layout.Perm.NewToOld[pos]] {
 			return
 		}
 		coll.Offer(pos, score)
@@ -131,25 +131,27 @@ func refSearchSources(ix *Index, sources []source, opts SearchOptions) ([]Result
 		}
 	}
 
-	if ix.delta.live > 0 {
-		for c := range ix.delta.clusters {
-			if computed[c] {
-				continue
+	if ix.liveDelta(ov) > 0 {
+		for i, cs := range ov.Clusters {
+			for _, c := range cs {
+				if computed[c] || ov.Dead[n+i] {
+					continue
+				}
+				lo, hi := ix.layout.ClusterRange(c)
+				ix.backSubstituteRange(x, y, lo, hi)
+				computed[c] = true
+				info.ScoresComputed += hi - lo
+				info.ClustersScanned++
 			}
-			lo, hi := ix.layout.ClusterRange(c)
-			ix.backSubstituteRange(x, y, lo, hi)
-			computed[c] = true
-			info.ScoresComputed += hi - lo
-			info.ClustersScanned++
 		}
-		ix.offerDeltas(coll, x)
+		ix.offerDeltas(coll, x, ov)
 	}
 
-	return refCollect(ix, coll), info, nil
+	return refCollect(ix.Index, coll), info, nil
 }
 
 // refSearchFull is the pre-refactor unstructured ablation path.
-func refSearchFull(ix *Index, sources []source, k int, info *SearchInfo) ([]Result, *SearchInfo, error) {
+func refSearchFull(ix *dyn, ov *Overlay, sources []source, k int, info *SearchInfo) ([]Result, *SearchInfo, error) {
 	n := ix.factor.N
 	q := make([]float64, n)
 	for _, s := range sources {
@@ -159,15 +161,14 @@ func refSearchFull(ix *Index, sources []source, k int, info *SearchInfo) ([]Resu
 	info.ScoresComputed = n
 	info.ClustersScanned = ix.layout.NumClusters
 	coll := topk.New(k)
-	deadBase := ix.delta.deadBase
 	for i, v := range x {
-		if len(deadBase) > 0 && deadBase[ix.layout.Perm.NewToOld[i]] {
+		if ov.Dead[ix.layout.Perm.NewToOld[i]] {
 			continue
 		}
 		coll.Offer(i, v)
 	}
-	ix.offerDeltas(coll, x)
-	return refCollect(ix, coll), info, nil
+	ix.offerDeltas(coll, x, ov)
+	return refCollect(ix.Index, coll), info, nil
 }
 
 // refCollect is the pre-refactor collect (copying Results instead of
@@ -186,43 +187,33 @@ func refCollect(ix *Index, coll *topk.Collector) []Result {
 	return out
 }
 
-func refSearch(ix *Index, query int, opts SearchOptions) ([]Result, *SearchInfo, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+func refSearch(ix *dyn, query int, opts SearchOptions) ([]Result, *SearchInfo, error) {
+	return refSearchMulti(ix, []WeightedQuery{{Node: query, Weight: 1}}, opts)
+}
+
+func refSearchMulti(ix *dyn, seeds []WeightedQuery, opts SearchOptions) ([]Result, *SearchInfo, error) {
 	if opts.K <= 0 {
 		return nil, nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
 	}
-	src, err := ix.appendQuerySources(nil, query, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return refSearchSources(ix, src, opts)
-}
-
-func refSearchMulti(ix *Index, seeds []WeightedQuery, opts SearchOptions) ([]Result, *SearchInfo, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var sources []source
-	var err error
+	var sc Scratch
 	for _, s := range seeds {
-		sources, err = ix.appendQuerySources(sources, s.Node, s.Weight)
-		if err != nil {
+		if err := ix.checkItem(s.Node); err != nil {
 			return nil, nil, err
 		}
+		ix.AddSeed(&sc, ix.overlay(), s.Node, s.Weight)
 	}
-	return refSearchSources(ix, sources, opts)
+	return refSearchSources(ix, sc.srcBuf, opts)
 }
 
-func refSearchOutOfSample(ix *Index, q vec.Vector, opts OOSOptions) ([]Result, *SearchInfo, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ids, weights, err := ix.surrogates(q, opts.NumNeighbors)
-	if err != nil {
+func refSearchOutOfSample(ix *dyn, q vec.Vector, opts OOSOptions) ([]Result, *SearchInfo, error) {
+	s := new(Scratch)
+	ix.ready(s)
+	if err := ix.findSurrogates(s, ix.overlay(), q, opts.NumNeighbors); err != nil {
 		return nil, nil, err
 	}
-	sources := make([]source, len(ids))
-	for i, id := range ids {
-		sources[i] = source{pos: ix.layout.Perm.OldToNew[id], weight: (1 - ix.alpha) * weights[i]}
+	sources := make([]source, len(s.probeIDs))
+	for i, id := range s.probeIDs {
+		sources[i] = source{pos: ix.layout.Perm.OldToNew[id], weight: (1 - ix.alpha) * s.probeWts[i]}
 	}
 	return refSearchSources(ix, sources, opts.searchOptions())
 }
@@ -235,7 +226,7 @@ func (o OOSOptions) searchOptions() SearchOptions {
 // delta states and out-of-sample queries.
 type engineFixture struct {
 	name string
-	ix   *Index
+	ix   *dyn
 	pool []vec.Vector // held-out points: OOS queries and inserts
 }
 
@@ -261,13 +252,10 @@ func engineFixtures(t *testing.T) []engineFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, engineFixture{name: name, ix: fresh, pool: pool})
+		out = append(out, engineFixture{name: name, ix: newDyn(fresh), pool: pool})
 
 		// Delta state: inserts plus base and delta tombstones.
-		dirty, err := NewIndex(g, Options{Exact: exact, Graph: &cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dirty := newDyn(fresh)
 		for _, p := range pool[:24] {
 			if _, err := dirty.Insert(p); err != nil {
 				t.Fatal(err)
@@ -285,7 +273,7 @@ func engineFixtures(t *testing.T) []engineFixture {
 		if _, err := dirty.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadIndex(&buf)
+		loaded, err := asDyn(ReadIndex(&buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +306,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			total := f.ix.Len()
 			queries := []int{0, 1, 17, 123, 399}
-			if f.ix.delta.live > 0 {
+			if f.ix.liveDelta(f.ix.overlay()) > 0 {
 				queries = append(queries, 400, 405) // live delta items
 			}
 			for _, v := range optVariants {
@@ -431,119 +419,39 @@ func TestScratchResetInvariant(t *testing.T) {
 	}
 }
 
-// TestScratchEpochInvalidation holds one Scratch across Compact (which
-// changes n and the cluster geometry) and across a move to a different
-// index; the epoch/owner check must transparently re-size the
+// TestScratchOwnerInvalidation moves one Scratch to an index of another
+// geometry (what a compaction hands the lifecycle) and to one of the
+// same geometry; the owner check must transparently re-size the
 // workspace and results must match a never-pooled baseline.
-func TestScratchEpochInvalidation(t *testing.T) {
+func TestScratchOwnerInvalidation(t *testing.T) {
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: 340, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 2.2, Seed: 7,
 	})
 	cfg := knn.GraphConfig{K: 5}
-	g, err := knn.BuildGraph(ds.Points[:300], cfg)
-	if err != nil {
-		t.Fatal(err)
+	build := func(n int, exact bool) *dyn {
+		g, err := knn.BuildGraph(ds.Points[:n], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewIndex(g, Options{Exact: exact, Graph: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newDyn(ix)
 	}
-	ix, err := NewIndex(g, Options{Graph: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewIndex(g, Options{Exact: true, Graph: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	s := new(Scratch)
-	if _, err := ix.TopKScratch(s, 3, 10); err != nil {
-		t.Fatal(err)
-	}
-	epochBefore := s.epoch
-
-	// Grow the index and fold the delta in: n changes from 300 to 320.
-	for _, p := range ds.Points[300:320] {
-		if _, err := ix.Insert(p); err != nil {
+	for _, ix := range []*dyn{build(300, false), build(320, false), build(320, true)} {
+		got, err := ix.TopKScratch(s, 3, 10)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := ix.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.TopKScratch(s, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.epoch == epochBefore {
-		t.Fatalf("scratch epoch not bumped across Compact (still %d)", s.epoch)
-	}
-	if len(s.x) != 320 {
-		t.Fatalf("scratch not resized across Compact: len(x) = %d, want 320", len(s.x))
-	}
-	want, _, err := refSearch(ix, 3, SearchOptions{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "post-compact", got, want)
-
-	// Moving the scratch to a different index must also revalidate.
-	got, err = other.TopKScratch(s, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err = refSearch(other, 3, SearchOptions{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "cross-index", got, want)
-	if s.owner != other {
-		t.Fatal("scratch owner not updated after cross-index use")
-	}
-}
-
-// TestDeadBitsMirrorsDeadBase checks the dense tombstone bitset stays
-// in lockstep with the authoritative map through Delete, Compact, and
-// serialization.
-func TestDeadBitsMirrorsDeadBase(t *testing.T) {
-	ds := dataset.Mixture(dataset.MixtureConfig{
-		N: 200, Classes: 5, Dim: 8, WithinStd: 0.25, Separation: 2.2, Seed: 9,
-	})
-	cfg := knn.GraphConfig{K: 5}
-	g, err := knn.BuildGraph(ds.Points, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewIndex(g, Options{Graph: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify := func(step string, ix *Index) {
-		t.Helper()
-		for id := 0; id < ix.factor.N; id++ {
-			if ix.delta.baseDead(id) != ix.delta.deadBase[id] {
-				t.Fatalf("%s: bitset disagrees with map at id %d", step, id)
-			}
+		if s.owner != ix.Index || len(s.x) != ix.factor.N {
+			t.Fatalf("scratch not re-sized for its new index: len(x) = %d, want %d", len(s.x), ix.factor.N)
 		}
-	}
-	verify("fresh", ix)
-	for _, id := range []int{0, 63, 64, 65, 127, 128, 199} {
-		if err := ix.Delete(id); err != nil {
+		want, _, err := refSearch(ix, 3, SearchOptions{K: 10})
+		if err != nil {
 			t.Fatal(err)
 		}
-		verify(fmt.Sprintf("after delete %d", id), ix)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify("reloaded", loaded)
-	if err := ix.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	verify("compacted", ix)
-	if len(ix.delta.deadBits) != 0 {
-		t.Fatal("compaction left a stale tombstone bitset")
+		sameResults(t, fmt.Sprintf("n=%d", ix.factor.N), got, want)
 	}
 }

@@ -67,6 +67,9 @@ func TestF32SearchMatchesF64(t *testing.T) {
 				t.Fatalf("exact=%v query %d: only %d/10 top-10 overlap between f32 and f64", exact, q, hits)
 			}
 		}
+		if _, _, err := f32ix.ExactScoresCG(5, 0); err != nil {
+			t.Fatalf("CG on f32 index: %v", err)
+		}
 	}
 }
 
@@ -75,7 +78,8 @@ func TestF32SearchMatchesF64(t *testing.T) {
 // streaming reader and the zero-copy bytes reader over the aligned
 // layout, and that a re-save reproduces the file byte for byte.
 func TestF32SerializationRoundTrip(t *testing.T) {
-	_, orig := buildPair(t, 300, false)
+	_, bare := buildPair(t, 300, false)
+	orig := newDyn(bare)
 	if id, err := orig.Insert(orig.Graph().PointVec(4)); err != nil || id != 300 {
 		t.Fatalf("Insert: id=%d err=%v", id, err)
 	}
@@ -88,7 +92,7 @@ func TestF32SerializationRoundTrip(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+	loaded, err := asDyn(ReadIndex(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +101,18 @@ func TestF32SerializationRoundTrip(t *testing.T) {
 	if _, err := orig.WriteToAligned(&abuf, 4096); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := ReadIndexBytes(abuf.Bytes())
+	mapped, err := asDyn(ReadIndexBytes(abuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The aligned stream must also load through the CRC-checked
 	// streaming reader.
-	streamed, err := ReadIndex(bytes.NewReader(abuf.Bytes()))
+	streamed, err := asDyn(ReadIndex(bytes.NewReader(abuf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, ld := range []*Index{loaded, mapped, streamed} {
+	for _, ld := range []*dyn{loaded, mapped, streamed} {
 		if !ld.Factor().F32() || !ld.Graph().F32() {
 			t.Fatal("precision flag lost across save/load")
 		}
@@ -160,26 +164,5 @@ func TestF32SerializationRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("f32 save -> load -> save is not byte-stable")
-	}
-}
-
-// TestF32CompactPreservesPrecision checks that folding the delta into
-// a fresh base keeps the narrowed storage mode.
-func TestF32CompactPreservesPrecision(t *testing.T) {
-	_, ix := buildPair(t, 300, false)
-	if _, err := ix.Insert(ix.Graph().PointVec(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Factor().F32() || !ix.Graph().F32() {
-		t.Fatal("Compact dropped the f32 storage mode")
-	}
-	if ix.Len() != 301 {
-		t.Fatalf("Len=%d after compact, want 301", ix.Len())
-	}
-	if _, _, err := ix.ExactScoresCG(5, 0); err != nil {
-		t.Fatalf("CG on f32 index: %v", err)
 	}
 }

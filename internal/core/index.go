@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mogul/internal/cholesky"
@@ -110,43 +109,15 @@ func (s Stats) PrecomputeTime() time.Duration {
 
 // Index is a prebuilt Mogul search structure over one k-NN graph. All
 // precomputation is query-independent (Lemma 2 discussion): the same
-// index serves any query node and any answer count k. Searches run
-// concurrently (read lock); Insert/Delete/Compact (dynamic.go) mutate
-// the delta layer or swap the base under the write lock.
+// index serves any query node and any answer count k. An Index is
+// immutable once built (the lazily derived tables below are guarded by
+// their Once), so any number of searches may read it concurrently with
+// no lock; online updates live in an Overlay (overlay.go) the caller
+// owns, and a compaction builds a different Index.
 type Index struct {
-	// mu guards the delta layer and the base-structure pointers below
-	// (Compact swaps them). Searches hold it in read mode, so they run
-	// concurrently and never lock against each other.
-	mu sync.RWMutex
-	// compactMu serializes mutators (Insert/Delete/Compact) so a
-	// compaction cannot lose a concurrent insert.
-	compactMu sync.Mutex
-
-	// epoch identifies the current base geometry for query-engine
-	// scratch revalidation (engine.go): bumped under the write lock
-	// whenever the base structures are swapped (Compact). Starts at 1
-	// so the zero Scratch is always stale. Read under at least the
-	// read lock.
-	epoch uint64
-	// version counts every visible mutation — Insert, Delete, and
-	// Compact all bump it (epoch moves only on Compact), always before
-	// the mutation's write lock is released, so a reader that observes
-	// a mutated index also observes the new version. Readers load it
-	// without any lock; it is the cheap "has anything changed?" signal
-	// behind version-stamped result caches (the serve package).
-	version atomic.Uint64
-	// scratchPool recycles query-engine scratches across searches so
-	// the steady-state hot path allocates nothing; stale scratches
-	// (pooled across a Compact) are caught by the epoch check.
+	// scratchPool recycles query-engine scratches across the pool-based
+	// entry points so their steady state allocates nothing.
 	scratchPool sync.Pool
-
-	// log records every logged mutation since logStart (deltalog.go):
-	// the replication feed followers tail via EntriesSince. logStart is
-	// the version the retained log is anchored at (entries cover
-	// (logStart, version]); 0 means "nothing logged or truncated yet",
-	// i.e. anchored at the initial version. Both guarded by mu.
-	log      []LogEntry
-	logStart uint64
 
 	graph  *knn.Graph
 	alpha  float64
@@ -156,24 +127,21 @@ type Index struct {
 	bounds *boundTables
 	stats  Stats
 
-	// opts and graphCfg remember how this index was built so Compact
-	// can reproduce the build over the merged point set.
-	opts     Options
-	graphCfg *knn.GraphConfig
-
-	// delta is the dynamic-update layer (dynamic.go).
-	delta delta
+	// opts remembers how this index was built (opts.Graph included, nil
+	// for an external graph or a pre-v3 file) so a compaction can
+	// reproduce the build over the merged point set.
+	opts Options
 
 	// Out-of-sample support (Section 4.6.2), built lazily by
 	// ensureOOS: per-cluster mean features and member lists in
-	// original ids. The Once is a pointer so Compact can re-arm it.
-	oosOnce    *sync.Once
+	// original ids.
+	oosOnce    sync.Once
 	oosMeans   []vec.Vector
 	oosMembers [][]int
 
 	// Lazily cached permuted system matrix for CG-based exact solves
 	// (ExactScoresCG); nil until first use.
-	wOnce *sync.Once
+	wOnce sync.Once
 	w     *sparse.CSR
 }
 
@@ -190,17 +158,7 @@ func NewIndex(g *knn.Graph, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("core: empty graph")
 	}
 
-	idx := &Index{
-		graph:    g,
-		alpha:    o.Alpha,
-		exact:    o.Exact,
-		opts:     o,
-		graphCfg: o.Graph,
-		oosOnce:  new(sync.Once),
-		wOnce:    new(sync.Once),
-		epoch:    1,
-	}
-	idx.version.Store(1)
+	idx := &Index{graph: g, alpha: o.Alpha, exact: o.Exact, opts: o}
 	idx.stats.NumNodes = n
 	idx.stats.NumEdges = g.NumEdges()
 
@@ -306,70 +264,35 @@ func BuildSystemMatrix(adj *sparse.CSR, perm *sparse.Permutation, alpha float64)
 	return sparse.NewFromCoords(n, n, entries)
 }
 
-// Graph returns the underlying k-NN graph. After a Compact the
-// returned pointer refers to the pre-compaction graph; call again for
-// the current one.
-func (ix *Index) Graph() *knn.Graph {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.graph
-}
+// Graph returns the underlying k-NN graph.
+func (ix *Index) Graph() *knn.Graph { return ix.graph }
 
 // Alpha returns the Manifold Ranking parameter of this index.
-func (ix *Index) Alpha() float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.alpha
-}
+func (ix *Index) Alpha() float64 { return ix.alpha }
 
 // Exact reports whether the index uses the complete factorization
 // (MogulE).
-func (ix *Index) Exact() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.exact
-}
+func (ix *Index) Exact() bool { return ix.exact }
 
-// Layout exposes the permutation and cluster geometry of the current
-// base (see Graph for the snapshot semantics under Compact).
-func (ix *Index) Layout() *Layout {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.layout
-}
+// Factor exposes the LDL^T factor (read-only use).
+func (ix *Index) Factor() *cholesky.Factor { return ix.factor }
 
-// Factor exposes the LDL^T factor (read-only use; see Graph for the
-// snapshot semantics under Compact).
-func (ix *Index) Factor() *cholesky.Factor {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.factor
-}
+// Stats returns precomputation statistics.
+func (ix *Index) Stats() Stats { return ix.stats }
 
-// Version returns the index's monotonic mutation version: it starts
-// at 1 and increases on every Insert, Delete, and Compact (including
-// auto-compactions), never decreasing and never moving while the index
-// is quiescent. Two equal Version readings therefore bracket a window
-// with no visible mutation — the invariant result caches key on. Loads
-// are atomic and lock-free.
-func (ix *Index) Version() uint64 { return ix.version.Load() }
-
-// Stats returns precomputation statistics (of the latest base build).
-func (ix *Index) Stats() Stats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.stats
-}
+// BuildOptions returns the recipe this index was built with; its Graph
+// is nil when the library did not build the k-NN graph itself (an
+// external graph, or a pre-v3 file), in which case the build cannot be
+// reproduced over another point set.
+func (ix *Index) BuildOptions() Options { return ix.opts }
 
 // ClearTimings zeroes the wall-clock fields of the build statistics.
 // Everything else an index serializes is a deterministic function of
 // (points, options) at any GOMAXPROCS; the timings are the one
 // diagnostic that is not. Clearing them makes Save output byte-stable,
 // which reproducible-snapshot pipelines and the build-determinism
-// tests rely on.
+// tests rely on. Not safe concurrently with searches or saves.
 func (ix *Index) ClearTimings() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	ix.stats.ClusterTime = 0
 	ix.stats.PermuteTime = 0
 	ix.stats.FactorTime = 0

@@ -46,9 +46,8 @@ func (b *OOSBreakdown) Overall() time.Duration { return b.NearestNeighbor + b.To
 // ensureOOS lazily builds the per-cluster mean feature vectors and
 // member lists (original ids) used to find surrogate query nodes
 // without touching the whole database (the paper's nearest-cluster
-// trick keeps this O(n) worst case but far cheaper in practice).
-// Callers hold at least the read lock; the Once makes the build race
-// free among concurrent readers.
+// trick keeps this O(n) worst case but far cheaper in practice). The
+// Once makes the build race free among concurrent readers.
 func (ix *Index) ensureOOS() {
 	ix.oosOnce.Do(func() {
 		if ix.oosMeans != nil {
@@ -91,34 +90,18 @@ func (ix *Index) ensureOOS() {
 	})
 }
 
-// surrogates finds the numNbrs nearest live in-database neighbours of
-// q and returns them with their normalized heat-kernel weights in
-// freshly allocated slices safe to retain (Insert stores them in the
-// delta layer). Callers hold at least the read lock.
-func (ix *Index) surrogates(q vec.Vector, numNbrs int) ([]int, []float64, error) {
-	s := ix.AcquireScratch()
-	defer ix.ReleaseScratch(s)
-	ix.ready(s)
-	if err := ix.findSurrogates(s, q, numNbrs); err != nil {
-		return nil, nil, err
-	}
-	return slices.Clone(s.probeIDs), slices.Clone(s.probeWts), nil
-}
-
 // findSurrogates locates the numNbrs nearest live in-database
 // neighbours of q via the nearest-cluster quantizer and leaves them,
 // with their normalized heat-kernel weights (sum 1), in the scratch's
 // probeIDs/probeWts buffers — the surrogate query-node representation
 // of Section 4.6.2, shared by out-of-sample search and by Insert. The
 // whole selection runs on scratch-owned buffers, so it allocates
-// nothing in steady state. Callers hold at least the read lock and
-// have readied s.
-func (ix *Index) findSurrogates(s *Scratch, q vec.Vector, numNbrs int) error {
+// nothing in steady state. Callers have readied s.
+func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs int) error {
 	if numNbrs <= 0 {
 		numNbrs = ix.graph.K
 	}
 	ix.ensureOOS()
-	d := &ix.delta
 
 	// Nearest clusters by mean feature, probed in ascending mean
 	// distance until enough live candidates accumulate, so tiny or
@@ -147,7 +130,7 @@ func (ix *Index) findSurrogates(s *Scratch, q vec.Vector, numNbrs int) error {
 	s.nbrBuf = s.nbrBuf[:0]
 	for _, cd := range s.ordBuf {
 		for _, id := range ix.oosMembers[cd.c] {
-			if d.baseDead(id) {
+			if ov.DeadBase > 0 && ov.Dead[id] {
 				continue
 			}
 			s.nbrBuf = append(s.nbrBuf, scoredNbr{id: id})
@@ -210,22 +193,28 @@ func (ix *Index) findSurrogates(s *Scratch, q vec.Vector, numNbrs int) error {
 	return nil
 }
 
+// checkVector validates an out-of-sample query vector.
+func (ix *Index) checkVector(q vec.Vector) error {
+	if ix.graph.NumPoints() == 0 {
+		return fmt.Errorf("core: graph has no feature vectors; out-of-sample search unavailable")
+	}
+	if len(q) != ix.graph.PointDim() {
+		return fmt.Errorf("core: query dimension %d, want %d", len(q), ix.graph.PointDim())
+	}
+	return nil
+}
+
 // SurrogateAffinity runs only the surrogate-selection phase of an
 // out-of-sample search for q and returns the mean raw heat-kernel
 // weight of the selected surrogates (OOSAffinity) without searching.
 // The sharded fan-out uses it to price the owning shard's affinity so
 // cross-shard contributions can be scaled relative to it.
-func (ix *Index) SurrogateAffinity(s *Scratch, q vec.Vector) (float64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.graph.NumPoints() == 0 {
-		return 0, fmt.Errorf("core: graph has no feature vectors; out-of-sample affinity unavailable")
-	}
-	if len(q) != ix.graph.PointDim() {
-		return 0, fmt.Errorf("core: query dimension %d, want %d", len(q), ix.graph.PointDim())
+func (ix *Index) SurrogateAffinity(s *Scratch, ov *Overlay, q vec.Vector) (float64, error) {
+	if err := ix.checkVector(q); err != nil {
+		return 0, err
 	}
 	ix.ready(s)
-	if err := ix.findSurrogates(s, q, 0); err != nil {
+	if err := ix.findSurrogates(s, ov, q, 0); err != nil {
 		return 0, err
 	}
 	return s.OOSAffinity(), nil
@@ -236,55 +225,30 @@ func (ix *Index) SurrogateAffinity(s *Scratch, q vec.Vector) (float64, error) {
 // neighbours inside the nearest cluster (by mean feature) become the
 // non-zero entries of q, weighted by heat-kernel similarity; the graph
 // itself is never modified, so the precomputed factor is reused as-is.
-// Live delta items compete in the results like any other item.
 func (ix *Index) SearchOutOfSample(q vec.Vector, opts OOSOptions) ([]Result, *OOSBreakdown, error) {
 	s := ix.AcquireScratch()
 	defer ix.ReleaseScratch(s)
-	return ix.SearchOutOfSampleScratch(s, q, opts)
+	return ix.SearchVector(s, &Overlay{Live: ix.factor.N}, q, opts, true)
 }
 
-// SearchOutOfSampleScratch is SearchOutOfSample running on a
-// caller-held Scratch.
-func (ix *Index) SearchOutOfSampleScratch(s *Scratch, q vec.Vector, opts OOSOptions) ([]Result, *OOSBreakdown, error) {
-	return ix.searchVector(s, q, opts, true)
-}
-
-// TopKVector is the breakdown-free out-of-sample top-k: the fast path
-// behind the public TopKVector API, allocating only the returned
-// results in steady state.
-func (ix *Index) TopKVector(q vec.Vector, k int) ([]Result, error) {
-	s := ix.AcquireScratch()
-	defer ix.ReleaseScratch(s)
-	return ix.TopKVectorScratch(s, q, k)
-}
-
-// TopKVectorScratch is TopKVector running on a caller-held Scratch.
-func (ix *Index) TopKVectorScratch(s *Scratch, q vec.Vector, k int) ([]Result, error) {
-	res, _, err := ix.searchVector(s, q, OOSOptions{K: k}, false)
-	return res, err
-}
-
-// searchVector runs both phases of an out-of-sample search on the
-// scratch. wantBreakdown gates the OOSBreakdown assembly (phase
-// timings plus the surrogate-neighbour copy), which is the only
-// allocation of the path beyond the returned results.
-func (ix *Index) searchVector(s *Scratch, q vec.Vector, opts OOSOptions, wantBreakdown bool) ([]Result, *OOSBreakdown, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+// SearchVector runs both phases of an out-of-sample search on the
+// scratch, over ov's id space (live delta items compete in the results
+// like any other item). wantBreakdown
+// gates the OOSBreakdown assembly (phase timings plus the
+// surrogate-neighbour copy), which is the only allocation of the path
+// beyond the returned results.
+func (ix *Index) SearchVector(s *Scratch, ov *Overlay, q vec.Vector, opts OOSOptions, wantBreakdown bool) ([]Result, *OOSBreakdown, error) {
 	if opts.K <= 0 {
 		return nil, nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
 	}
-	if ix.graph.NumPoints() == 0 {
-		return nil, nil, fmt.Errorf("core: graph has no feature vectors; out-of-sample search unavailable")
-	}
-	if len(q) != ix.graph.PointDim() {
-		return nil, nil, fmt.Errorf("core: query dimension %d, want %d", len(q), ix.graph.PointDim())
+	if err := ix.checkVector(q); err != nil {
+		return nil, nil, err
 	}
 	ix.ready(s)
 
 	// Phase 1: surrogate query nodes and weights.
 	t0 := time.Now()
-	if err := ix.findSurrogates(s, q, opts.NumNeighbors); err != nil {
+	if err := ix.findSurrogates(s, ov, q, opts.NumNeighbors); err != nil {
 		return nil, nil, err
 	}
 	s.srcBuf = s.srcBuf[:0]
@@ -303,14 +267,11 @@ func (ix *Index) searchVector(s *Scratch, q vec.Vector, opts OOSOptions, wantBre
 	// Phase 2: the regular pruned top-k search with the multi-source
 	// query vector.
 	t1 := time.Now()
-	res, err := ix.searchSources(s, SearchOptions{
+	res := ix.SearchSeeds(s, ov, SearchOptions{
 		K:                opts.K,
 		DisablePruning:   opts.DisablePruning,
 		FullSubstitution: opts.FullSubstitution,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	if !wantBreakdown {
 		return res, nil, nil
 	}

@@ -51,6 +51,32 @@ type source struct {
 	weight float64
 }
 
+// The entry points below come in two families. The first takes an
+// Overlay and a caller-held Scratch and validates nothing: it is what
+// the engine lifecycle (package mogul) calls, once per query, with its
+// own lock held and its own argument checks done. The second — TopK,
+// Search, SearchOutOfSample, AllScores — serves a bare index (no
+// overlay) with argument checks and pooled scratch, for the evaluation
+// code and the tests.
+
+// Begin revalidates s against this index and starts a new seeded query
+// on it: AddSeed then accumulates the query vector q (a weighted seed
+// set is the in-database analogue of the out-of-sample mechanism of
+// Section 4.6.2, serving the "more items like these three" workloads
+// Section 1.1 motivates), SearchSeeds runs it.
+func (ix *Index) Begin(s *Scratch) {
+	ix.ready(s)
+	s.srcBuf = s.srcBuf[:0]
+}
+
+// checkNode validates a base query node of a bare index.
+func (ix *Index) checkNode(query int) error {
+	if n := ix.factor.N; query < 0 || query >= n {
+		return fmt.Errorf("core: query node %d outside [0,%d)", query, n)
+	}
+	return nil
+}
+
 // TopK returns the k nodes with the highest Manifold Ranking scores
 // for the in-database query node (original numbering), using the full
 // Mogul algorithm. The call borrows a Scratch from the index pool, so
@@ -58,28 +84,15 @@ type source struct {
 func (ix *Index) TopK(query, k int) ([]Result, error) {
 	s := ix.AcquireScratch()
 	defer ix.ReleaseScratch(s)
-	return ix.TopKScratch(s, query, k)
-}
-
-// TopKScratch is TopK running on a caller-held Scratch (one per
-// worker); see engine.go for the reuse and invalidation rules.
-func (ix *Index) TopKScratch(s *Scratch, query, k int) ([]Result, error) {
-	return ix.searchQuery(s, query, SearchOptions{K: k})
+	return ix.searchBare(s, query, SearchOptions{K: k})
 }
 
 // Search runs Algorithm 2 with the given options and returns ranked
-// results plus work counters. The query may be a base item or a live
-// delta item (an inserted point queries through its out-of-sample
-// surrogate representation).
+// results plus work counters.
 func (ix *Index) Search(query int, opts SearchOptions) ([]Result, *SearchInfo, error) {
 	s := ix.AcquireScratch()
 	defer ix.ReleaseScratch(s)
-	return ix.SearchScratch(s, query, opts)
-}
-
-// SearchScratch is Search running on a caller-held Scratch.
-func (ix *Index) SearchScratch(s *Scratch, query int, opts SearchOptions) ([]Result, *SearchInfo, error) {
-	res, err := ix.searchQuery(s, query, opts)
+	res, err := ix.searchBare(s, query, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -87,88 +100,40 @@ func (ix *Index) SearchScratch(s *Scratch, query int, opts SearchOptions) ([]Res
 	return res, &info, nil
 }
 
-// searchQuery validates, expands the query into permuted sources, and
-// runs the engine, all under one read-lock hold.
-func (ix *Index) searchQuery(s *Scratch, query int, opts SearchOptions) ([]Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+// searchBare checks the arguments of an in-database query over the bare
+// index and runs it on s.
+func (ix *Index) searchBare(s *Scratch, query int, opts SearchOptions) ([]Result, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
 	}
-	ix.ready(s)
-	var err error
-	s.srcBuf, err = ix.appendQuerySources(s.srcBuf[:0], query, 1)
-	if err != nil {
+	if err := ix.checkNode(query); err != nil {
 		return nil, err
 	}
-	return ix.searchSources(s, opts)
+	ov := Overlay{Live: ix.factor.N}
+	ix.Begin(s)
+	ix.AddSeed(s, &ov, query, 1)
+	return ix.SearchSeeds(s, &ov, opts), nil
 }
 
-// WeightedQuery is one seed node of a multi-query search.
-type WeightedQuery struct {
-	// Node is an in-database node id (original numbering).
-	Node int
-	// Weight is the node's share of the query mass; weights are used
-	// as given (callers normalize if they want unit mass).
-	Weight float64
-}
-
-// SearchMulti ranks nodes against a weighted set of in-database seed
-// nodes: the query vector q carries each seed's weight. This is the
-// in-database analogue of the out-of-sample mechanism (Section 4.6.2)
-// and serves recommendation-style workloads ("more items like these
-// three") that Section 1.1 motivates.
-func (ix *Index) SearchMulti(seeds []WeightedQuery, opts SearchOptions) ([]Result, *SearchInfo, error) {
-	s := ix.AcquireScratch()
-	defer ix.ReleaseScratch(s)
-	return ix.SearchMultiScratch(s, seeds, opts)
-}
-
-// SearchMultiScratch is SearchMulti running on a caller-held Scratch.
-func (ix *Index) SearchMultiScratch(s *Scratch, seeds []WeightedQuery, opts SearchOptions) ([]Result, *SearchInfo, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(seeds) == 0 {
-		return nil, nil, fmt.Errorf("core: SearchMulti needs at least one seed")
-	}
-	if opts.K <= 0 {
-		return nil, nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
-	}
-	ix.ready(s)
-	s.srcBuf = s.srcBuf[:0]
-	var err error
-	for _, sd := range seeds {
-		s.srcBuf, err = ix.appendQuerySources(s.srcBuf, sd.Node, sd.Weight)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: seed: %w", err)
-		}
-	}
-	res, err := ix.searchSources(s, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	info := s.info
-	return res, &info, nil
-}
-
-// searchSources is the shared engine behind in-database and
-// out-of-sample queries: q' is given as a sparse list of permuted
-// positions with weights in s.srcBuf. Callers hold the read lock and
-// have readied s; tombstoned items are filtered at offer time and live
-// delta items are merged into the collector (dynamic.go). On return
-// the scratch is reset (only the touched cluster ranges are zeroed)
-// and work counters are left in s.info.
-func (ix *Index) searchSources(s *Scratch, opts SearchOptions) ([]Result, error) {
+// SearchSeeds runs Algorithm 2 over the seeds added since Begin and
+// returns the best live items of ov's id space. It is the shared engine
+// behind in-database and out-of-sample queries: q' is given as a sparse
+// list of permuted positions with weights in s.srcBuf, on a readied s;
+// tombstoned items are filtered at offer time and live delta items are
+// merged into the collector (overlay.go). On return the scratch is
+// reset (only the touched cluster ranges are zeroed) and work counters
+// are left in s.Info.
+func (ix *Index) SearchSeeds(s *Scratch, ov *Overlay, opts SearchOptions) []Result {
 	n := ix.factor.N
 	k := opts.K
-	if total := ix.liveTotal(); k > total {
-		k = total
+	if k > ov.Live {
+		k = ov.Live
 	}
 	s.info = SearchInfo{}
 	s.coll.Reset(k)
 
 	if opts.FullSubstitution {
-		return ix.searchFull(s)
+		return ix.searchFull(s, ov)
 	}
 
 	layout := ix.layout
@@ -243,7 +208,7 @@ func (ix *Index) searchSources(s *Scratch, opts SearchOptions) ([]Result, error)
 	// 8-16).
 	for _, c := range s.activeList {
 		lo, hi := layout.ClusterRange(c)
-		ix.offerLive(s, lo, hi)
+		ix.offerLive(s, ov, lo, hi)
 	}
 
 	// Border score magnitudes drive the X_i part of every cluster
@@ -274,39 +239,38 @@ func (ix *Index) searchSources(s *Scratch, opts SearchOptions) ([]Result, error)
 		s.markComputed(c)
 		s.info.ScoresComputed += hi - lo
 		s.info.ClustersScanned++
-		ix.offerLive(s, lo, hi)
+		ix.offerLive(s, ov, lo, hi)
 	}
 
 	// Merge the delta layer: make x valid wherever a live delta point
 	// probes it, then offer the delta scores. A cluster scanned here
 	// only feeds probe reads — its base items were already offered or
 	// provably below the pruning threshold.
-	if ix.delta.live > 0 {
-		ix.ensureProbeClusters(s)
-		ix.offerDeltas(&s.coll, x)
+	if ix.liveDelta(ov) > 0 {
+		ix.ensureProbeClusters(s, ov)
+		ix.offerDeltas(&s.coll, x, ov)
 	}
 
 	res := ix.collect(&s.coll)
 	s.reset(layout)
-	return res, nil
+	return res
 }
 
 // offerLive offers the computed scores x[lo:hi) to the collector,
-// filtering tombstoned base items through the dense tombstone bitset
-// (the hot-path mirror of the deadBase map, dynamic.go).
-func (ix *Index) offerLive(s *Scratch, lo, hi int) {
+// filtering tombstoned base items through the overlay's flags, read in
+// place (one byte load per offered item, and none while no base item is
+// dead).
+func (ix *Index) offerLive(s *Scratch, ov *Overlay, lo, hi int) {
 	x := s.x
-	dead := ix.delta.deadBits
-	if len(dead) == 0 {
+	if ov.DeadBase == 0 {
 		for i := lo; i < hi; i++ {
 			s.coll.Offer(i, x[i])
 		}
 		return
 	}
-	newToOld := ix.layout.Perm.NewToOld
+	dead, newToOld := ov.Dead, ix.layout.Perm.NewToOld
 	for i := lo; i < hi; i++ {
-		old := newToOld[i]
-		if dead[old>>6]>>(uint(old)&63)&1 != 0 {
+		if dead[newToOld[i]] {
 			continue
 		}
 		s.coll.Offer(i, x[i])
@@ -340,10 +304,10 @@ func (ix *Index) backSubstituteRange(x, y []float64, lo, hi int) {
 }
 
 // searchFull is the unstructured ablation: full forward and back
-// substitution over all n nodes, then a linear top-k scan. Callers
-// hold the read lock; the solve runs in place on the scratch's x
-// buffer (bit-identical arithmetic to Factor.Solve).
-func (ix *Index) searchFull(s *Scratch) ([]Result, error) {
+// substitution over all n nodes, then a linear top-k scan. The solve
+// runs in place on the scratch's x buffer (bit-identical arithmetic to
+// Factor.Solve).
+func (ix *Index) searchFull(s *Scratch, ov *Overlay) []Result {
 	n := ix.factor.N
 	q := s.x
 	for _, src := range s.srcBuf {
@@ -352,12 +316,12 @@ func (ix *Index) searchFull(s *Scratch) ([]Result, error) {
 	ix.factor.SolveInPlace(q)
 	s.info.ScoresComputed = n
 	s.info.ClustersScanned = ix.layout.NumClusters
-	ix.offerLive(s, 0, n)
+	ix.offerLive(s, ov, 0, n)
 	// x is fully computed, so delta probes read it directly.
-	ix.offerDeltas(&s.coll, q)
+	ix.offerDeltas(&s.coll, q, ov)
 	res := ix.collect(&s.coll)
 	s.resetFull()
-	return res, nil
+	return res
 }
 
 // collect converts a collector's content to Results in the original
@@ -386,14 +350,8 @@ func (ix *Index) collect(coll *topk.Collector) []Result {
 // uses it as the ranking oracle for P@k. Delta items are not covered:
 // the vector spans the factored base only.
 func (ix *Index) AllScores(query int) ([]float64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := ix.factor.N
-	if query < 0 || query >= n {
-		return nil, fmt.Errorf("core: query node %d outside [0,%d)", query, n)
-	}
-	if ix.delta.deadBase[query] {
-		return nil, fmt.Errorf("core: query node %d is deleted", query)
+	if err := ix.checkNode(query); err != nil {
+		return nil, err
 	}
 	s := ix.AcquireScratch()
 	defer ix.ReleaseScratch(s)

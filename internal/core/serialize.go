@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"mogul/internal/binio"
@@ -85,7 +84,10 @@ var (
 	tagDelt = [4]byte{'D', 'E', 'L', 'T'}
 )
 
-var indexFrame = binio.Frame{
+// IndexFrame is the MOGULIDX container's frame: what the engine
+// lifecycle needs to pick a save version and write the container around
+// Sections.
+var IndexFrame = binio.Frame{
 	Magic:        indexMagic,
 	Kind:         "mogul index",
 	MinVersion:   minReadVersion,
@@ -94,29 +96,27 @@ var indexFrame = binio.Frame{
 	Tags:         [][4]byte{tagMeta, tagGrph, tagLayt, tagFact, tagStat, tagOosq, tagBcfg, tagDelt},
 }
 
-// WriteTo serializes the complete search structure in the versioned
-// binary format: version 3 for a float64 index (byte-identical to prior
-// releases), the packed version-4 layout for a mixed-precision one.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.write(w, 0) }
-
-// WriteToAligned serializes the index in the version-4 aligned layout:
-// large arrays in the graph and factor sections start on align-byte
-// boundaries (use the page size for mmap sharing). Works in either
-// precision. align must be a positive power of two.
-func (ix *Index) WriteToAligned(w io.Writer, align int) (int64, error) {
-	if align <= 0 || align&(align-1) != 0 {
-		return 0, fmt.Errorf("core: alignment %d is not a positive power of two", align)
-	}
-	return ix.write(w, align)
+// Delta is the DELT record: the persisted form of an overlay, plus the
+// inserted vectors themselves (which an Overlay does not hold — the
+// lifecycle stores them). Delta item i is Points[i] with surrogates
+// Probes[i] / Weights[i]; Dead flags tombstones over the whole id space,
+// base then delta.
+type Delta struct {
+	Points  []vec.Vector
+	Probes  [][]int
+	Weights [][]float64
+	Dead    []bool
 }
 
-func (ix *Index) write(w io.Writer, align int) (int64, error) {
-	// The read lock freezes the delta layer and the base pointers for
-	// the duration: concurrent searches proceed, mutators wait.
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+// Sections encodes the complete search structure, and the delta layer
+// d when it holds anything, as the sections of a MOGULIDX container of
+// the given format version (IndexFrame.SaveVersion picks it: version 3
+// for a float64 index, byte-identical to prior releases, version 4 for
+// a mixed-precision or aligned one). With a positive align the large
+// arrays in the graph and factor sections start on align-byte
+// boundaries (use the page size for mmap sharing).
+func (ix *Index) Sections(version uint32, align int, d *Delta) []binio.Section {
 	f32 := ix.factor.F32()
-	version := indexFrame.SaveVersion(f32, align)
 	v4 := version >= formatVersionPrec
 
 	sections := []binio.Section{
@@ -146,13 +146,13 @@ func (ix *Index) write(w io.Writer, align int) (int64, error) {
 	// Dynamic-update state: how to rebuild the graph (enables Compact
 	// after a load), and the delta layer when one exists, so a saved
 	// dynamic index round-trips exactly.
-	if ix.graphCfg != nil {
+	if ix.opts.Graph != nil {
 		sections = append(sections, binio.Section{Tag: tagBcfg, Payload: ix.writeBuildConfig})
 	}
-	if len(ix.delta.points) > 0 || len(ix.delta.deadBase) > 0 {
-		sections = append(sections, binio.Section{Tag: tagDelt, Payload: ix.writeDelta})
+	if len(d.Points) > 0 || slices.Contains(d.Dead, true) {
+		sections = append(sections, binio.Section{Tag: tagDelt, Payload: func(sw *binio.Writer) error { return ix.writeDelta(sw, d) }})
 	}
-	return binio.WriteContainer(w, indexMagic, version, sections)
+	return sections
 }
 
 // writeLayout stores the permutation plus the cluster partition in
@@ -198,7 +198,7 @@ func (ix *Index) writeOOS(bw *binio.Writer) error {
 // construction config followed by the core option scalars, enough for
 // Compact to reproduce the build bit-for-bit after a load.
 func (ix *Index) writeBuildConfig(bw *binio.Writer) error {
-	if err := ix.graphCfg.Encode(bw); err != nil {
+	if err := ix.opts.Graph.Encode(bw); err != nil {
 		return err
 	}
 	bw.Int(int(ix.opts.Ordering))
@@ -218,29 +218,37 @@ func (ix *Index) writeBuildConfig(bw *binio.Writer) error {
 // writeDelta stores the dynamic-update layer: every delta slot
 // (vector, surrogate probes, weights, tombstone flag) in insertion
 // order, then the sorted base tombstones.
-func (ix *Index) writeDelta(bw *binio.Writer) error {
-	d := &ix.delta
-	bw.Int(len(d.points))
-	for i := range d.points {
-		bw.Floats(d.points[i])
-		bw.Ints(d.probes[i])
-		bw.Floats(d.weights[i])
-		bw.Bool(d.dead[i])
+func (ix *Index) writeDelta(bw *binio.Writer, d *Delta) error {
+	n := ix.factor.N
+	bw.Int(len(d.Points))
+	for i := range d.Points {
+		bw.Floats(d.Points[i])
+		bw.Ints(d.Probes[i])
+		bw.Floats(d.Weights[i])
+		bw.Bool(d.Dead[n+i])
 	}
-	deadIDs := make([]int, 0, len(d.deadBase))
-	for id := range d.deadBase {
-		deadIDs = append(deadIDs, id)
+	var deadIDs []int
+	for id, dead := range d.Dead[:n] {
+		if dead {
+			deadIDs = append(deadIDs, id)
+		}
 	}
-	slices.Sort(deadIDs)
 	bw.Ints(deadIDs)
 	return bw.Err()
 }
 
-// ReadIndex deserializes an index written by WriteTo or WriteToAligned
-// and reconstructs every derived structure (cluster map, bound tables)
-// so the result is search-ready. It returns an error — never panics —
-// on truncated, corrupted, or wrong-version input.
-func ReadIndex(r io.Reader) (*Index, error) { return read(binio.NewReader(r)) }
+// Decoded is a decoded MOGULIDX container: the search-ready base and
+// the delta layer the file carried (empty when it carried none).
+type Decoded struct {
+	*Index
+	Delta Delta
+}
+
+// ReadIndex deserializes a MOGULIDX container (Sections inside
+// IndexFrame) and reconstructs every derived structure (cluster map,
+// bound tables) so the result is search-ready. It returns an error —
+// never panics — on truncated, corrupted, or wrong-version input.
+func ReadIndex(r io.Reader) (*Decoded, error) { return read(binio.NewReader(r)) }
 
 // ReadIndexBytes parses a complete index image held in memory —
 // typically an mmap'd file (mogul.LoadFileMapped) — using zero-copy
@@ -250,15 +258,15 @@ func ReadIndex(r io.Reader) (*Index, error) { return read(binio.NewReader(r)) }
 // fault in every page and defeat the lazy mapped load; all structural
 // and index-range validation still runs, so corrupt input errors
 // rather than panicking later.
-func ReadIndexBytes(data []byte) (*Index, error) { return read(binio.NewBytesReader(data)) }
+func ReadIndexBytes(data []byte) (*Decoded, error) { return read(binio.NewBytesReader(data)) }
 
 // read walks the container, decodes the section payloads,
 // cross-validates them, and rebuilds the derived structures (Start
 // offsets, cluster map, bound tables, statistics). The graph and factor
 // arrays come out as views into their payload bytes (which a streamed
 // load copied off the reader and an in-memory load aliases).
-func read(br *binio.Reader) (*Index, error) {
-	version, list, err := binio.ReadContainer(br, &indexFrame)
+func read(br *binio.Reader) (*Decoded, error) {
+	version, list, err := binio.ReadContainer(br, &IndexFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -338,17 +346,13 @@ func read(br *binio.Reader) (*Index, error) {
 	}
 
 	ix := &Index{
-		graph:   g,
-		alpha:   alpha,
-		exact:   exact == 1,
-		layout:  layout,
-		factor:  factor,
-		opts:    Options{Alpha: alpha, Exact: exact == 1, F32: f32},
-		oosOnce: new(sync.Once),
-		wOnce:   new(sync.Once),
-		epoch:   1,
+		graph:  g,
+		alpha:  alpha,
+		exact:  exact == 1,
+		layout: layout,
+		factor: factor,
+		opts:   Options{Alpha: alpha, Exact: exact == 1, F32: f32},
 	}
-	ix.version.Store(1)
 	ix.bounds = buildBoundTables(factor, layout)
 	ix.stats = Stats{
 		NumNodes:      n,
@@ -391,12 +395,13 @@ func read(br *binio.Reader) (*Index, error) {
 	}
 
 	// DELT (optional, v3): the dynamic-update layer.
+	out := &Decoded{Index: ix}
 	if s, ok := secs[tagDelt]; ok {
-		if err := ix.readDelta(s.Reader(0), n); err != nil {
+		if err := ix.readDelta(s.Reader(0), n, &out.Delta); err != nil {
 			return nil, err
 		}
 	}
-	return ix, nil
+	return out, nil
 }
 
 // readBuildConfig decodes the BCFG section and reconstructs the build
@@ -440,7 +445,6 @@ func (ix *Index) readBuildConfig(br *binio.Reader) error {
 	if maxLevels < 0 || maxLevels > binio.MaxCount || maxSweeps < 0 || maxSweeps > binio.MaxCount {
 		return fmt.Errorf("core: corrupt build config: levels=%d sweeps=%d", maxLevels, maxSweeps)
 	}
-	ix.graphCfg = cfg
 	ix.opts = Options{
 		Alpha:               ix.alpha,
 		Exact:               ix.exact,
@@ -455,9 +459,8 @@ func (ix *Index) readBuildConfig(br *binio.Reader) error {
 }
 
 // readDelta decodes the DELT section, validating every record so a
-// corrupt file errors rather than planting an inconsistent delta, and
-// rebuilds the derived counters (live count, probe-cluster refcounts).
-func (ix *Index) readDelta(br *binio.Reader, n int) error {
+// corrupt file errors rather than planting an inconsistent delta.
+func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 	num := br.Int()
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("core: decoding delta layer: %w", err)
@@ -472,10 +475,8 @@ func (ix *Index) readDelta(br *binio.Reader, n int) error {
 	if num > 0 && dim == 0 {
 		return fmt.Errorf("core: delta layer present but the graph carries no feature vectors")
 	}
-	d := delta{}
-	if num > 0 {
-		d.clusters = make(map[int]int)
-	}
+	d.Dead = make([]bool, n, n+min(num, 1<<16))
+	live := n
 	for i := 0; i < num; i++ {
 		v := br.Floats(dim)
 		probes := br.Ints(n)
@@ -514,10 +515,13 @@ func (ix *Index) readDelta(br *binio.Reader, n int) error {
 		if math.Abs(wsum-1) > 1e-6 {
 			return fmt.Errorf("core: delta entry %d weights sum to %g, want 1", i, wsum)
 		}
-		d.points = append(d.points, v)
-		d.probes = append(d.probes, probes)
-		d.weights = append(d.weights, weights)
-		d.dead = append(d.dead, dead == 1)
+		d.Points = append(d.Points, v)
+		d.Probes = append(d.Probes, probes)
+		d.Weights = append(d.Weights, weights)
+		d.Dead = append(d.Dead, dead == 1)
+		if dead == 0 {
+			live++
+		}
 	}
 	deadIDs := br.Ints(n)
 	if err := br.Err(); err != nil {
@@ -530,26 +534,9 @@ func (ix *Index) readDelta(br *binio.Reader, n int) error {
 		if i > 0 && id <= deadIDs[i-1] {
 			return fmt.Errorf("core: delta tombstones not strictly ascending at %d", id)
 		}
+		d.Dead[id] = true
 	}
-	if len(deadIDs) > 0 {
-		d.deadBase = make(map[int]bool, len(deadIDs))
-		d.deadBits = make([]uint64, (n+63)/64)
-		for _, id := range deadIDs {
-			d.deadBase[id] = true
-			d.deadBits[id>>6] |= 1 << (uint(id) & 63)
-		}
-	}
-	ix.delta = d
-	for i := range d.points {
-		if d.dead[i] {
-			continue
-		}
-		ix.delta.live++
-		for _, c := range ix.probeClusters(d.probes[i]) {
-			ix.delta.clusters[c]++
-		}
-	}
-	if ix.liveTotal() < 1 {
+	if live-len(deadIDs) < 1 {
 		return fmt.Errorf("core: delta layer tombstones every item")
 	}
 	return nil

@@ -24,7 +24,7 @@ func roundTrip(t *testing.T, ix *Index) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loaded
+	return loaded.Index
 }
 
 func TestIndexSerializationRoundTrip(t *testing.T) {

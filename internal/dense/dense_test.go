@@ -218,75 +218,3 @@ func TestEigSymRejectsAsymmetric(t *testing.T) {
 		t.Fatal("non-square matrix accepted")
 	}
 }
-
-func TestSVDReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		m := 2 + rng.Intn(8)
-		n := 2 + rng.Intn(8)
-		a := randomMatrix(rng, m, n)
-		svd, err := ComputeSVD(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reconstruct A = U S V^T.
-		r := len(svd.S)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float64
-				for k := 0; k < r; k++ {
-					s += svd.U.At(i, k) * svd.S[k] * svd.V.At(j, k)
-				}
-				if math.Abs(s-a.At(i, j)) > 1e-8 {
-					t.Fatalf("trial %d (%dx%d): reconstruction at (%d,%d): %g vs %g",
-						trial, m, n, i, j, s, a.At(i, j))
-				}
-			}
-		}
-		// Singular values descending and non-negative.
-		for k := 1; k < r; k++ {
-			if svd.S[k] > svd.S[k-1]+1e-12 || svd.S[k] < 0 {
-				t.Fatalf("singular values not sorted: %v", svd.S)
-			}
-		}
-	}
-}
-
-func TestSVDTruncate(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomMatrix(rng, 6, 4)
-	svd, err := ComputeSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, s, v := svd.Truncate(2)
-	if u.Cols != 2 || len(s) != 2 || v.Cols != 2 {
-		t.Fatalf("Truncate(2) shapes: U %dx%d, S %d, V %dx%d", u.Rows, u.Cols, len(s), v.Rows, v.Cols)
-	}
-	// Clamp beyond rank.
-	u, s, _ = svd.Truncate(100)
-	if u.Cols != len(svd.S) || len(s) != len(svd.S) {
-		t.Fatal("Truncate beyond rank did not clamp")
-	}
-	if _, s, _ := svd.Truncate(-1); len(s) != 0 {
-		t.Fatal("negative rank did not clamp to 0")
-	}
-}
-
-func TestSVDRankDeficient(t *testing.T) {
-	// Rank-1 matrix: second singular value must be ~0.
-	a := NewMatrixFrom([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	svd, err := ComputeSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svd.S[1] > 1e-10 {
-		t.Fatalf("rank-1 matrix has sigma_2 = %g", svd.S[1])
-	}
-}
-
-func TestSVDEmpty(t *testing.T) {
-	if _, err := ComputeSVD(NewMatrix(0, 3)); err == nil {
-		t.Fatal("empty matrix accepted")
-	}
-}

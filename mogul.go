@@ -44,7 +44,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"mogul/internal/binio"
 	"mogul/internal/core"
 	"mogul/internal/diskio"
 	"mogul/internal/knn"
@@ -133,21 +135,128 @@ type Options struct {
 	Precision Precision
 }
 
-// Index is a prebuilt Mogul search structure. Building is
-// query-independent: one index serves any query node, any answer
-// count, and out-of-sample queries. An Index is safe for concurrent
-// use: searches run in parallel against the immutable base
-// structures, while Insert/Delete/Compact mutate the delta layer (or
-// swap the base) behind a write lock.
+// DeltaStats describes the dynamic state of an index: the size of the
+// factored base, the live inserted items awaiting compaction, and the
+// tombstones deletions left behind.
+type DeltaStats = core.DeltaStats
+
+// Index is a prebuilt Mogul search structure — the paper's engine.
+// Building is query-independent: one index serves any query node, any
+// answer count, and out-of-sample queries. It implements Retriever
+// through the shared engine lifecycle (engine.go), which is where Len,
+// Version, Stats, Delta, every TopK* entry point, Insert / Delete /
+// Compact, the replication log and Save* are defined: searches run in
+// parallel against the immutable base structures, while mutations grow
+// the delta overlay (or swap the base) behind a write lock, so an Index
+// is safe for concurrent use.
+//
+// Insert scores a new point through the out-of-sample extension (its
+// nearest in-database neighbours act as surrogates). Compact rebuilds
+// the live points into a fresh base with the original build options: for
+// insert-only workloads the result — ids included — is bit-identical to
+// a fresh Build over the merged point set (the whole pipeline is
+// deterministic for a fixed seed); after deletions, ids are renumbered
+// compactly with live items keeping their relative order. Indexes built
+// via BuildFromGraphPoints or loaded from a pre-v3 file cannot Compact
+// (no recorded graph recipe) and return an error.
 type Index struct {
-	core *core.Index
+	engine[*graphState]
+	core graphBackend
+}
+
+// graphState is everything a query touches, grouped so Compact can
+// build a replacement off-line and swap it in atomically under the
+// write lock: the immutable base and the plain-data overlay
+// internal/core's search reads next to it (core.Overlay).
+type graphState struct {
+	engineHeader
+	// base stores the base rows itself, in its knn.Graph (mapped views
+	// included), so the header's ext is baseN and its points are the
+	// delta items only — always float64: an f32 index narrows them when
+	// Compact folds them into the next base.
+	base *core.Index
+	// ov holds the overlay's per-delta-item arrays (Probes, Weights,
+	// Clusters); overlay fills in the rest from the header.
+	ov core.Overlay
+}
+
+// newGraphState puts a base, and the delta layer a file carried with
+// it, behind the shared header.
+func newGraphState(base *core.Index, d core.Delta) *graphState {
+	n := base.Factor().N
+	st := &graphState{base: base, ov: core.Overlay{Probes: d.Probes, Weights: d.Weights}}
+	st.engineHeader = engineHeader{
+		dim: base.Graph().PointDim(), points: d.Points, ext: n,
+		dead: d.Dead, baseN: n, stats: base.Stats(),
+	}
+	if st.dead == nil {
+		st.dead = make([]bool, n)
+	}
+	for id, dead := range st.dead {
+		if dead {
+			st.deadCount++
+			if id < n {
+				st.deadBase++
+			}
+		}
+	}
+	for _, probes := range d.Probes {
+		st.ov.Clusters = append(st.ov.Clusters, base.ProbeClusters(probes))
+	}
+	return st
+}
+
+func (st *graphState) f32() bool { return st.base.Factor().F32() }
+
+// narrow32 has nothing left to do: core.NewIndex narrows a base built
+// from an f32 recipe itself, before it derives the bound tables.
+func (st *graphState) narrow32() {}
+
+func (st *graphState) pointVec(i int) Vector {
+	if i < st.ext {
+		return st.base.Graph().PointVec(i)
+	}
+	return st.engineHeader.pointVec(i)
+}
+
+// overlay is the view of the state one search hands to internal/core;
+// the header's tombstone flags are read in place.
+func (st *graphState) overlay() core.Overlay {
+	ov := st.ov
+	ov.Dead, ov.DeadBase, ov.Live = st.dead, st.deadBase, st.live()
+	return ov
+}
+
+// graphBackend is internal/core behind the engine's backend contract.
+type graphBackend struct {
+	ix *Index
+	// opts is the recorded recipe Compact rebuilds with; its Graph is nil
+	// when the library did not build the k-NN graph itself.
+	opts core.Options
+	// What the latest attach selected, for commit.
+	probes   []int
+	weights  []float64
+	clusters []int
+}
+
+// newIndex starts the lifecycle over a state built (or loaded) with opts.
+func newIndex(opts core.Options, st *graphState) *Index {
+	ix := &Index{}
+	ix.core = graphBackend{ix: ix, opts: opts}
+	ix.init(&ix.core, &core.IndexFrame, "core", st.base.Alpha(), opts.Seed, opts.AutoCompactFraction, st)
+	return ix
+}
+
+// loadIndex wraps a decoded MOGULIDX container.
+func loadIndex(d *core.Decoded, err error) (*Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(d.BuildOptions(), newGraphState(d.Index, d.Delta)), nil
 }
 
 // Build constructs an index over the given feature vectors.
 func Build(points []Vector, opts Options) (*Index, error) {
-	if len(points) < 2 {
-		return nil, fmt.Errorf("mogul: need at least 2 points, got %d", len(points))
-	}
 	k := opts.GraphK
 	if k <= 0 {
 		k = 5
@@ -159,22 +268,23 @@ func Build(points []Vector, opts Options) (*Index, error) {
 		Approximate: opts.ApproximateGraph,
 		Seed:        opts.Seed,
 	}
-	g, err := knn.BuildGraph(points, gcfg)
-	if err != nil {
-		return nil, fmt.Errorf("mogul: building k-NN graph: %w", err)
-	}
-	ci, err := core.NewIndex(g, core.Options{
-		Alpha:               opts.Alpha,
-		Exact:               opts.Exact,
-		Seed:                opts.Seed,
-		Graph:               &gcfg,
-		AutoCompactFraction: opts.AutoCompactFraction,
-		F32:                 opts.Precision == F32,
-	})
+	copts := coreOptions(opts, &gcfg)
+	st, err := buildGraphState(copts, points)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{core: ci}, nil
+	return newIndex(copts, st), nil
+}
+
+func coreOptions(opts Options, gcfg *knn.GraphConfig) core.Options {
+	return core.Options{
+		Alpha:               opts.Alpha,
+		Exact:               opts.Exact,
+		Seed:                opts.Seed,
+		Graph:               gcfg,
+		AutoCompactFraction: opts.AutoCompactFraction,
+		F32:                 opts.Precision == F32,
+	}
 }
 
 // BuildFromDataset is Build applied to a Dataset.
@@ -190,52 +300,83 @@ func BuildFromDataset(ds *Dataset, opts Options) (*Index, error) {
 // edges). Such an index supports Insert and Delete, but not Compact —
 // the library cannot reproduce a graph it did not build.
 func BuildFromGraphPoints(g *knn.Graph, opts Options) (*Index, error) {
-	ci, err := core.NewIndex(g, core.Options{
-		Alpha:               opts.Alpha,
-		Exact:               opts.Exact,
-		Seed:                opts.Seed,
-		AutoCompactFraction: opts.AutoCompactFraction,
-		F32:                 opts.Precision == F32,
-	})
+	copts := coreOptions(opts, nil)
+	copts.AutoCompactFraction = 0 // there is no recipe to compact with
+	ci, err := core.NewIndex(g, copts)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{core: ci}, nil
+	return newIndex(copts, newGraphState(ci, core.Delta{})), nil
 }
 
-// Len returns the number of live indexed items: the built base plus
-// inserted items, minus deletions.
-func (ix *Index) Len() int { return ix.core.Len() }
-
-// Version returns the index's monotonic mutation version: it starts at
-// 1 and increases on every Insert, Delete, and Compact (the coarser
-// internal epoch moves only on Compact). Reading it is a single atomic
-// load, so callers can stamp derived artifacts — cached query results,
-// exported snapshots — and later detect "the index changed under me"
-// without re-running the query. Two equal readings bracket a window
-// with no visible mutation.
-func (ix *Index) Version() uint64 { return ix.core.Version() }
-
-// TopK returns the k database items with the highest Manifold Ranking
-// scores for an in-database query item, best first. The query item
-// itself is included (it typically ranks first); callers that want
-// "results other than the query" can skip it.
-func (ix *Index) TopK(query, k int) ([]Result, error) {
-	return ix.core.TopK(query, k)
+func (b *graphBackend) build(points []Vector) (*graphState, error) {
+	return buildGraphState(b.opts, points)
 }
 
-// TopKWithInfo is TopK plus work counters (how many clusters the upper
-// bounds pruned).
-func (ix *Index) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	return ix.core.Search(query, core.SearchOptions{K: k})
+// buildGraphState runs knn.BuildGraph and core.NewIndex from a recipe.
+func buildGraphState(opts core.Options, points []Vector) (*graphState, error) {
+	if opts.Graph == nil {
+		return nil, fmt.Errorf("core: index carries no graph configuration (external graph, or loaded from a pre-v3 file); Compact unavailable")
+	}
+	if len(points) < 2 {
+		return nil, fmt.Errorf("mogul: need at least 2 points, got %d", len(points))
+	}
+	g, err := knn.BuildGraph(points, *opts.Graph)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: building k-NN graph: %w", err)
+	}
+	ci, err := core.NewIndex(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newGraphState(ci, core.Delta{}), nil
 }
 
-// TopKVector ranks database items for a query vector that is not in
-// the database (out-of-sample query, Section 4.6.2 of the paper): the
-// query's neighbours inside the nearest cluster act as surrogate query
-// nodes; the index itself is not modified.
-func (ix *Index) TopKVector(q Vector, k int) ([]Result, error) {
-	return ix.core.TopKVector(q, k)
+// attach selects the new point's surrogates (core's out-of-sample
+// machinery, Section 4.6.2).
+func (b *graphBackend) attach(st *graphState, v Vector) (err error) {
+	if st.base.Graph().NumPoints() == 0 {
+		return fmt.Errorf("core: index has no feature vectors; Insert unavailable")
+	}
+	ov := st.overlay()
+	b.probes, b.weights, b.clusters, err = st.base.Attach(&ov, v)
+	return err
+}
+
+func (b *graphBackend) commit(st *graphState) {
+	st.ov.Probes = append(st.ov.Probes, b.probes)
+	st.ov.Weights = append(st.ov.Weights, b.weights)
+	st.ov.Clusters = append(st.ov.Clusters, b.clusters)
+}
+
+func (b *graphBackend) newSearcher() *searcher[*graphState] { return &b.ix.NewSearcher().searcher }
+
+// sections are the MOGULIDX records (docs/FORMAT.md): everything Build
+// computed — the k-NN graph, the cluster permutation, the Cholesky
+// factor, the out-of-sample quantizer — the build recipe, and the delta
+// layer.
+func (b *graphBackend) sections(st *graphState, version uint32, align int) []binio.Section {
+	return st.base.Sections(version, align, &core.Delta{Points: st.points, Probes: st.ov.Probes, Weights: st.ov.Weights, Dead: st.dead})
+}
+
+// ClearTimings zeroes the wall-clock fields of the build statistics —
+// the one thing Save writes that is not a deterministic function of
+// (points, options) at any GOMAXPROCS — making its output byte-stable.
+func (b *graphBackend) ClearTimings() {
+	b.ix.mu.Lock()
+	defer b.ix.mu.Unlock()
+	st := b.ix.st
+	st.base.ClearTimings()
+	st.stats = st.base.Stats()
+}
+
+// Exact reports whether the index returns exact Manifold Ranking
+// scores (MogulE) rather than the incomplete-factorization
+// approximation.
+func (ix *Index) Exact() bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.st.base.Exact()
 }
 
 // OOSBreakdown reports the phases of an out-of-sample search — the
@@ -246,38 +387,24 @@ type OOSBreakdown = core.OOSBreakdown
 // (nearest-neighbour lookup time, top-k search time, surrogate
 // neighbours used).
 func (ix *Index) TopKVectorWithInfo(q Vector, k int) ([]Result, *OOSBreakdown, error) {
-	return ix.core.SearchOutOfSample(q, core.OOSOptions{K: k})
-}
-
-// seedQueries turns a seed-id list into the equal-weight multi-query
-// form shared by Index.TopKSet and Searcher.TopKSet.
-func seedQueries(seeds []int) ([]core.WeightedQuery, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mogul: TopKSet needs at least one seed item")
-	}
-	wq := make([]core.WeightedQuery, len(seeds))
-	for i, s := range seeds {
-		wq[i] = core.WeightedQuery{Node: s, Weight: 1 / float64(len(seeds))}
-	}
-	return wq, nil
-}
-
-// TopKSet ranks database items against a set of seed items with equal
-// weights — "find items like these". Seeds typically rank first; skip
-// them in the output if undesired.
-func (ix *Index) TopKSet(seeds []int, k int) ([]Result, error) {
-	wq, err := seedQueries(seeds)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := ix.core.SearchMulti(wq, core.SearchOptions{K: k})
-	return res, err
+	sr := ix.acquire()
+	defer ix.release(sr)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ov := ix.st.overlay()
+	return ix.st.base.SearchVector(&sr.be.(*Searcher).s, &ov, q, core.OOSOptions{K: k}, true)
 }
 
 // Scores returns the full Manifold Ranking score vector for an
-// in-database query (index = item id). O(n) time.
+// in-database query over the factored base (index = item id; inserted
+// items are not covered until Compact). O(n) time.
 func (ix *Index) Scores(query int) ([]float64, error) {
-	return ix.core.AllScores(query)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if err := ix.checkItem(query); err != nil {
+		return nil, err
+	}
+	return ix.st.base.AllScores(query)
 }
 
 // Neighbors returns the direct k-NN graph neighbours of an item with
@@ -286,43 +413,27 @@ func (ix *Index) Scores(query int) ([]float64, error) {
 // inserted (delta) item, the surrogate base neighbours and their
 // weights are returned; deleted neighbours are filtered out.
 func (ix *Index) Neighbors(item int) (ids []int, weights []float64, err error) {
-	return ix.core.Neighbors(item)
-}
-
-// Save writes the fully precomputed index to w in the versioned
-// binary format described in docs/FORMAT.md: everything Build
-// computed — the k-NN graph, the cluster permutation, the Cholesky
-// factor, the pruning-bound inputs, and the out-of-sample quantizer —
-// is persisted, so a loaded index is immediately search-ready.
-// Because all of Mogul's precomputation is query independent, this
-// turns the O(n) build into a one-off: build once, serve forever.
-func (ix *Index) Save(w io.Writer) error {
-	_, err := ix.core.WriteTo(w)
-	return err
-}
-
-// SaveFile writes the index to a file via Save. The file is written to
-// a temporary sibling and renamed into place, so a crash mid-save
-// never leaves a truncated index at path. The file is created with
-// mode 0644 regardless of umask; callers that need the index private
-// can Save to a file they opened themselves.
-func (ix *Index) SaveFile(path string) error {
-	return saveFileAtomic(path, ix.Save)
-}
-
-// SaveAligned writes the index in the aligned container layout: every
-// large array starts on an align-byte boundary (use the page size for
-// mmap sharing via LoadFileMapped). Works in either precision; align
-// must be a positive power of two.
-func (ix *Index) SaveAligned(w io.Writer, align int) error {
-	_, err := ix.core.WriteToAligned(w, align)
-	return err
-}
-
-// SaveFileAligned is SaveAligned to a file with the same atomic
-// temp-file-and-rename protocol as SaveFile.
-func (ix *Index) SaveFileAligned(path string, align int) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return ix.SaveAligned(w, align) })
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	st := ix.st
+	switch n := st.numPoints(); {
+	case item < 0 || item >= n:
+		return nil, nil, ix.errf("item %d outside [0,%d)", item, n)
+	case st.dead[item]:
+		return nil, nil, ix.errf("item %d is deleted", item)
+	case item >= st.baseN:
+		return slices.Clone(st.ov.Probes[item-st.baseN]), slices.Clone(st.ov.Weights[item-st.baseN]), nil
+	}
+	cols, vals := st.base.Graph().Neighbors(item)
+	ids = make([]int, 0, len(cols))
+	weights = make([]float64, 0, len(vals))
+	for t, j := range cols {
+		if !st.dead[j] {
+			ids = append(ids, j)
+			weights = append(weights, vals[t])
+		}
+	}
+	return ids, weights, nil
 }
 
 // Querier is the per-worker reusable query engine surface shared by
@@ -383,9 +494,6 @@ var (
 )
 
 // NewQuerier is NewSearcher behind the interface surface (Retriever).
-func (ix *Index) NewQuerier() Querier { return ix.NewSearcher() }
-
-// NewQuerier is NewSearcher behind the interface surface (Retriever).
 func (six *ShardedIndex) NewQuerier() Querier { return six.NewSearcher() }
 
 // Load reads an index written by (*Index).Save, (*ShardedIndex).Save,
@@ -441,15 +549,8 @@ var loaders = map[string]loader{
 
 // plainLoader reads MOGULIDX, the format core owns.
 var plainLoader = loader{
-	stream: func(r io.Reader) (Retriever, error) { return plainIndex(core.ReadIndex(r)) },
-	image:  func(b []byte) (Retriever, error) { return plainIndex(core.ReadIndexBytes(b)) },
-}
-
-func plainIndex(ci *core.Index, err error) (Retriever, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Index{core: ci}, nil
+	stream: asRetriever(func(r io.Reader) (*Index, error) { return loadIndex(core.ReadIndex(r)) }),
+	image:  asRetriever(func(b []byte) (*Index, error) { return loadIndex(core.ReadIndexBytes(b)) }),
 }
 
 // loaderFor returns the loader for a magic. Everything unknown —
@@ -517,68 +618,59 @@ func LoadFileMapped(path string) (Retriever, io.Closer, error) {
 // Searcher is a reusable query engine bound to one Index: it owns a
 // private scratch workspace (score vectors, cluster bookkeeping, the
 // top-k heap), so every search it runs allocates nothing beyond the
-// returned results. The plain Index methods already recycle scratches
+// returned results. The plain Index methods already recycle searchers
 // through an internal pool; a Searcher additionally pins one to a
 // single worker — the right shape for a fixed worker loop (see
 // TopKBatch) or any caller that wants per-query overhead at its floor.
+// TopK, TopKWithInfo, TopKVector and TopKSet come from the shared
+// searcher half (engine.go).
 //
 // A Searcher is NOT safe for concurrent use: give each goroutine its
 // own (they are cheap — buffers are sized lazily on first search).
-// It never goes stale: after an Insert, Delete, Compact, or even when
-// moved across indexes, the next search revalidates the workspace
-// against the index's current state and resizes it when needed.
+// It never goes stale: after an Insert, Delete or Compact the next
+// search revalidates the workspace against the index's current base
+// and resizes it when needed.
 type Searcher struct {
-	ix *Index
-	s  core.Scratch
+	searcher[*graphState]
+	s core.Scratch
 }
 
 // NewSearcher returns a dedicated reusable query engine for the index.
 func (ix *Index) NewSearcher() *Searcher {
-	return &Searcher{ix: ix}
+	sr := &Searcher{}
+	sr.eng, sr.be = &ix.engine, sr
+	return sr
 }
 
-// TopK is Index.TopK on the searcher's private workspace.
-func (sr *Searcher) TopK(query, k int) ([]Result, error) {
-	return sr.ix.core.TopKScratch(&sr.s, query, k)
-}
+// NewQuerier is NewSearcher behind the interface surface (Retriever).
+func (ix *Index) NewQuerier() Querier { return ix.NewSearcher() }
 
-// TopKWithInfo is Index.TopKWithInfo on the searcher's private
-// workspace.
-func (sr *Searcher) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	return sr.ix.core.SearchScratch(&sr.s, query, core.SearchOptions{K: k})
-}
-
-// TopKVector is Index.TopKVector on the searcher's private workspace.
-func (sr *Searcher) TopKVector(q Vector, k int) ([]Result, error) {
-	return sr.ix.core.TopKVectorScratch(&sr.s, q, k)
-}
-
-// TopKSet is Index.TopKSet on the searcher's private workspace. (The
-// seed expansion itself still allocates one small WeightedQuery slice
-// per call; "allocation-free" refers to the search engine's working
-// memory.)
-func (sr *Searcher) TopKSet(seeds []int, k int) ([]Result, error) {
-	wq, err := seedQueries(seeds)
-	if err != nil {
-		return nil, err
+// scoreSeeds expands the seeds into permuted query sources and runs
+// core's pruned search (Algorithm 2) over them.
+func (sr *Searcher) scoreSeeds(seeds []seedWeight, k int) []Result {
+	st := sr.eng.st
+	ov := st.overlay()
+	st.base.Begin(&sr.s)
+	for _, sw := range seeds {
+		st.base.AddSeed(&sr.s, &ov, sw.id, sw.w)
 	}
-	res, _, err := sr.ix.core.SearchMultiScratch(&sr.s, wq, core.SearchOptions{K: k})
-	return res, err
+	return st.base.SearchSeeds(&sr.s, &ov, core.SearchOptions{K: k})
 }
 
-// Stats returns index construction statistics.
-func (ix *Index) Stats() Stats { return ix.core.Stats() }
-
-// Exact reports whether the index returns exact Manifold Ranking
-// scores (MogulE) rather than the incomplete-factorization
-// approximation.
-func (ix *Index) Exact() bool { return ix.core.Exact() }
-
-// Precision reports the storage precision the index was built (or
-// loaded) with.
-func (ix *Index) Precision() Precision {
-	if ix.core.Factor().F32() {
-		return F32
-	}
-	return F64
+// scoreVector is Section 4.6.2: the query's neighbours inside the
+// nearest clusters act as surrogate query nodes; the affinity is their
+// mean raw heat-kernel weight.
+func (sr *Searcher) scoreVector(q Vector, k int) ([]Result, float64, error) {
+	st := sr.eng.st
+	ov := st.overlay()
+	res, _, err := st.base.SearchVector(&sr.s, &ov, q, core.OOSOptions{K: k}, false)
+	return res, sr.s.OOSAffinity(), err
 }
+
+func (sr *Searcher) affinity(q Vector) (float64, error) {
+	st := sr.eng.st
+	ov := st.overlay()
+	return st.base.SurrogateAffinity(&sr.s, &ov, q)
+}
+
+func (sr *Searcher) work() SearchInfo { return sr.s.Info() }

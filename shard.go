@@ -40,7 +40,6 @@ import (
 	"slices"
 	"sync"
 
-	"mogul/internal/core"
 	"mogul/internal/fanout"
 	"mogul/internal/kmeans"
 	"mogul/internal/topk"
@@ -371,8 +370,7 @@ type ShardedSearcher struct {
 	srs []*Searcher
 
 	merge  fanout.Merge
-	groups [][]int              // TopKSet: local seeds per shard
-	seeds  []core.WeightedQuery // TopKSet: one shard's weighted seeds
+	groups [][]int // TopKSet: local seeds per shard
 	info   SearchInfo
 }
 
@@ -425,8 +423,19 @@ func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchI
 	ss.merge.Reset(len(ss.srs))
 	ss.info = SearchInfo{}
 
+	// With other shards to probe, the owner also hands back the query's
+	// stored vector and its own affinity to it, which probe and price them.
 	own := ss.srs[loc.Shard]
-	res, err := own.TopK(loc.Local, k)
+	var (
+		res    []Result
+		qvec   Vector
+		ownAff float64
+	)
+	if len(ss.srs) == 1 {
+		res, err = own.TopK(loc.Local, k)
+	} else {
+		res, qvec, ownAff, err = own.TopKWithVector(loc.Local, k)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
 	}
@@ -435,24 +444,15 @@ func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchI
 		ss.accumulateInfo(loc.Shard)
 	}
 	if len(ss.srs) > 1 {
-		// The query's stored vector probes the non-owning shards.
-		qvec, err := own.ix.core.Point(loc.Local)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
-		}
-		ownAff, err := own.ix.core.SurrogateAffinity(&own.s, qvec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
-		}
 		for s, sr := range ss.srs {
 			if s == loc.Shard {
 				continue
 			}
-			res, err := sr.TopKVector(qvec, k)
+			res, aff, err := sr.TopKVectorWithAffinity(qvec, k)
 			if err != nil {
 				return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, s, err)
 			}
-			ss.merge.Probe(s, res, sr.s.OOSAffinity())
+			ss.merge.Probe(s, res, aff)
 			if wantInfo {
 				ss.accumulateInfo(s)
 			}
@@ -470,7 +470,7 @@ func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchI
 // accumulateInfo folds shard s's per-query work counters into the
 // fan-out totals.
 func (ss *ShardedSearcher) accumulateInfo(s int) {
-	info := ss.srs[s].s.Info()
+	info := ss.srs[s].work()
 	ss.info.ClustersPruned += info.ClustersPruned
 	ss.info.ClustersScanned += info.ClustersScanned
 	ss.info.ScoresComputed += info.ScoresComputed
@@ -487,11 +487,11 @@ func (ss *ShardedSearcher) TopKVector(q Vector, k int) ([]Result, error) {
 	}
 	ss.merge.Reset(len(ss.srs))
 	for s, sr := range ss.srs {
-		res, err := sr.TopKVector(q, k)
+		res, aff, err := sr.TopKVectorWithAffinity(q, k)
 		if err != nil {
 			return nil, fmt.Errorf("mogul: shard %d: %w", s, err)
 		}
-		ss.merge.Probe(s, res, sr.s.OOSAffinity())
+		ss.merge.Probe(s, res, aff)
 	}
 	ss.merge.AddProbesBest(ids)
 	return ss.merge.TopK(k), nil
@@ -518,12 +518,7 @@ func (ss *ShardedSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
 		if len(locals) == 0 {
 			continue
 		}
-		ss.seeds = ss.seeds[:0]
-		for _, local := range locals {
-			ss.seeds = append(ss.seeds, core.WeightedQuery{Node: local, Weight: w})
-		}
-		sr := ss.srs[s]
-		res, _, err := sr.ix.core.SearchMultiScratch(&sr.s, ss.seeds, core.SearchOptions{K: k})
+		res, err := ss.srs[s].TopKSetWeighted(locals, w, k)
 		if err != nil {
 			return nil, fmt.Errorf("mogul: shard %d: %w", s, err)
 		}

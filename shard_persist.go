@@ -74,7 +74,7 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 
 	totalSlots := 0
 	for _, sh := range six.shards {
-		totalSlots += sh.core.IDSpace()
+		totalSlots += sh.IDSpace()
 	}
 	if retired := six.ids.Globals() - totalSlots; retired > maxRetiredIDs {
 		return fmt.Errorf("mogul: %d retired global ids exceed the format's %d limit; rebuild the index fresh (BuildSharded over the live points) before saving", retired, maxRetiredIDs)
@@ -229,18 +229,14 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 
 	shards := make([]*Index, numShards)
 	for s, payload := range shardPayloads {
-		ci, err := core.ReadIndex(bytes.NewReader(payload))
-		if err != nil {
+		var err error
+		if shards[s], err = loadIndex(core.ReadIndex(bytes.NewReader(payload))); err != nil {
 			return nil, fmt.Errorf("mogul: loading shard %d: %w", s, err)
 		}
-		shards[s] = &Index{core: ci}
 		shardPayloads[s] = nil // release while the rest decodes
 	}
 
-	dim := 0
-	if p, err := shards[0].core.Point(firstAlive(shards[0])); err == nil {
-		dim = len(p)
-	}
+	dim := shards[0].st.dim // 0 when the shards carry no feature vectors
 	var ctr []Vector
 	if part == int(PartitionKMeans) {
 		if centroids == nil {
@@ -279,7 +275,7 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 	// crafted manifest demand an allocation unrelated to its own size.
 	totalSlots := 0
 	for _, sh := range shards {
-		totalSlots += sh.core.IDSpace()
+		totalSlots += sh.IDSpace()
 	}
 	if globals > totalSlots+maxRetiredIDs {
 		return nil, fmt.Errorf("mogul: corrupt sharded metadata: %d global ids for %d shard slots", globals, totalSlots)
@@ -293,19 +289,6 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 		}
 	}
 	return newShardedIndex(shards, partition, globals, Partitioner(part), ctr, autoCompact)
-}
-
-// firstAlive returns the lowest live local id of a shard (every loaded
-// shard has at least one — the plain loader rejects all-tombstone
-// files).
-func firstAlive(ix *Index) int {
-	space := ix.core.IDSpace()
-	for i := 0; i < space; i++ {
-		if ix.core.Alive(i) {
-			return i
-		}
-	}
-	return 0
 }
 
 // LoadShardedFile reads a sharded index file written by

@@ -314,8 +314,8 @@ type SpectralIndex struct {
 	// ropts/sopts are the recorded recipe Compact rebuilds with.
 	ropts Options // graph recipe (GraphK, Approximate, Mutual, Sigma) + Seed
 	sopts SpectralOptions
-	// att and attRow are Insert's attachment scratch, reused under the
-	// write lock.
+	// att and attRow are Insert's attachment scratch: attach fills them,
+	// commit appends them (mutMu serializes the pair).
 	att    attachScratch
 	attRow []float64
 }
@@ -329,7 +329,7 @@ var (
 
 func newSpectralIndex(ropts Options, sopts SpectralOptions, st *spectralState) *SpectralIndex {
 	e := &SpectralIndex{ropts: ropts, sopts: sopts}
-	e.init(e, &spectralFrame, ropts.Alpha, ropts.Seed, ropts.AutoCompactFraction, st)
+	e.init(e, &spectralFrame, "mogul", ropts.Alpha, ropts.Seed, ropts.AutoCompactFraction, st)
 	return e
 }
 
@@ -984,6 +984,7 @@ func (st *spectralState) axpyRow(dst []float64, w float64, id int) {
 func (sr *SpectralSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 	st := sr.e.st
 	sr.ensure(st)
+	seeds = normalizeSeeds(seeds)
 	for _, sw := range seeds {
 		st.axpyRow(sr.b, sw.w, sw.id)
 	}
@@ -996,7 +997,7 @@ func (sr *SpectralSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 // into the basis (accumulated nearest first) and whose graph
 // neighbourhoods seed the exact hops; the affinity is the unnormalized
 // kernel mass of that attachment.
-func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
+func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64, error) {
 	st := sr.e.st
 	sr.ensure(st)
 	m, mass := sr.att.attachLive(st, sr.e.sopts.AttachK, q, false)
@@ -1008,33 +1009,41 @@ func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64) {
 	}
 	sr.seeds = normalizeSeeds(sr.seeds)
 	sr.splitSeeds(sr.seeds)
-	return sr.collect(k), mass
+	return sr.collect(k), mass, nil
 }
 
-func (sr *SpectralSearcher) affinity(q Vector) float64 {
+func (sr *SpectralSearcher) affinity(q Vector) (float64, error) {
 	_, mass := sr.att.attachLive(sr.e.st, sr.e.sopts.AttachK, q, false)
-	return mass
+	return mass, nil
 }
 
-// attach appends the embedding row, its norm and the stored attachment
-// of a point arriving after the base build: it attaches to its AttachK
+// attach computes the embedding row and the stored attachment of a
+// point arriving after the base build — the O(n·d) half of an Insert,
+// which is why it runs under the read lock: it attaches to its AttachK
 // nearest live base points (anchors the hop expansion can reach
 // directly; one batched distance sweep, no decomposition) through the
 // exact code the query-time attachment uses, on scratch the engine
-// keeps, and its row is the attachment-weighted combination of theirs.
-// The row is always accumulated in float64 and narrowed only on append,
-// matching the build's narrow-last rule; the norm is the stored row's.
-func (e *SpectralIndex) attach(st *spectralState, v Vector) {
+// keeps, and its row is the attachment-weighted combination of theirs,
+// accumulated in float64.
+func (e *SpectralIndex) attach(st *spectralState, v Vector) error {
 	a := &e.att
 	m, _ := a.attachLive(st, e.sopts.AttachK, v, true)
 	if cap(e.attRow) < st.rank { // first Insert, or Compact changed the rank
 		e.attRow = make([]float64, st.rank)
 	}
-	row := e.attRow[:st.rank]
-	clear(row)
+	e.attRow = e.attRow[:st.rank]
+	clear(e.attRow)
 	for t := 0; t < m; t++ {
-		st.axpyRow(row, a.nbrW[t], a.nbrID[t])
+		st.axpyRow(e.attRow, a.nbrW[t], a.nbrID[t])
 	}
+	return nil
+}
+
+// commit appends the attached row, its norm and the attachment. The row
+// is narrowed only here, matching the build's narrow-last rule; the norm
+// is the stored row's.
+func (e *SpectralIndex) commit(st *spectralState) {
+	a, row := &e.att, e.attRow
 	if st.f32() {
 		for j, x := range row {
 			st.emb32 = append(st.emb32, float32(x))
@@ -1045,7 +1054,7 @@ func (e *SpectralIndex) attach(st *spectralState, v Vector) {
 	}
 	nrm, _ := normBound(row)
 	st.embNorm = append(st.embNorm, nrm)
-	st.attID = append(st.attID, a.nbrID[:m]...)
-	st.attW = append(st.attW, a.nbrW[:m]...)
+	st.attID = append(st.attID, a.nbrID...)
+	st.attW = append(st.attW, a.nbrW...)
 	st.attPtr = append(st.attPtr, len(st.attID))
 }

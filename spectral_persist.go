@@ -53,7 +53,7 @@ var spectralFrame = binio.Frame{
 // only) the embedding rows and the base graph's edge weights are
 // written as float32; eigenvalues and attachment weights stay float64.
 func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) []binio.Section {
-	return []binio.Section{
+	return alignAll([]binio.Section{
 		{Tag: tagSpMet, Payload: func(sw *binio.Writer) error {
 			e.writeMetaHead(sw)
 			// The recorded build recipe (pre-clamping), so Compact on a loaded
@@ -106,7 +106,7 @@ func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) [
 			sw.Floats(st.attW)
 			return sw.Err()
 		}},
-	}
+	}, align)
 }
 
 // LoadSpectral reads an engine written by SpectralIndex.Save.
