@@ -202,7 +202,7 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions)
 	ag := baseline.BuildAnchorGraph(points, km.Centroids, s)
 
 	st := &emrState{
-		engineHeader: engineHeader{dim: len(points[0]), points: points, dead: make([]bool, n), baseN: n},
+		engineHeader: engineHeader{dim: len(points[0]), points: points[:n:n], dead: make([]bool, n), baseN: n},
 		p:            p,
 		s:            ag.S,
 		anchors:      ag.Anchors,

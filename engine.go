@@ -91,7 +91,9 @@ func (h *engineHeader) pointVec(i int) Vector {
 // appendPoint stores v (which the header takes ownership of) as the next
 // item id. In f32 mode the stored copy rounds once, like everything else
 // in that mode. (A state loaded from a mapped file appends safely: views
-// have cap == len, so the first append reallocates onto the heap.)
+// have cap == len, so the first append reallocates onto the heap — and a
+// build clips the caller's slice to its length for the same reason, or
+// the first Insert would write into whatever the caller keeps behind it.)
 func (h *engineHeader) appendPoint(v Vector) {
 	if h.pts32 != nil {
 		for _, x := range v {

@@ -388,7 +388,7 @@ func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions) (*
 		return nil, fmt.Errorf("mogul: spectral decomposition: %w", err)
 	}
 	st := &spectralState{
-		engineHeader: engineHeader{dim: len(points[0]), points: points, dead: make([]bool, n), baseN: n},
+		engineHeader: engineHeader{dim: len(points[0]), points: points[:n:n], dead: make([]bool, n), baseN: n},
 		rank:         basis.Rank,
 		graph:        S,
 		sigma:        g.Sigma,
