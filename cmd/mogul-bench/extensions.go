@@ -202,6 +202,69 @@ func expServing(l *lab) {
 	emitTable(rows)
 }
 
+// expSplit is step one of ROADMAP item 1 made reproducible: the
+// benchmark's graph_id shape — INRIASim(14000, seed 1), the 64 uniform
+// ids of its query pool — built four ways, {brute-force, IVF NProbe 8}
+// k-NN graph x {incomplete IC(0), complete} factor, with recall@10 of
+// each against brute + complete (the benchmark's oracle), the border
+// cluster's size and the factor's non-zeros per row. It splits the
+// workload's 0.37 of lost recall between graph error and factor error;
+// the shape is fixed, so -scale, -seed and -queries do not apply.
+func expSplit(*lab) {
+	const n, k = 14000, 10
+	pts := mogul.NewINRIASim(n, 1).Points
+	rng := rand.New(rand.NewSource(0x9001)) // benchmark/spec.go's poolSeed
+	ids := make([]int, 64)
+	for i := range ids {
+		ids[i] = rng.Intn(n)
+	}
+	arms := []struct {
+		label string
+		opts  mogul.Options
+	}{
+		{"brute + complete", mogul.Options{Exact: true}},
+		{"brute + IC(0)", mogul.Options{}},
+		{"IVF + complete", mogul.Options{Exact: true, ApproximateGraph: true}},
+		{"IVF + IC(0)", mogul.Options{ApproximateGraph: true}},
+	}
+	var ref [][]int
+	rows := [][]string{{"graph + factor", "recall@10 vs brute + complete", "border", "factor nnz", "nnz/row", "build"}}
+	for _, arm := range arms {
+		t0 := time.Now()
+		ix, err := mogul.Build(pts, arm.opts)
+		if err != nil {
+			fatal(err)
+		}
+		build := time.Since(t0)
+		var recall float64
+		top := make([][]int, len(ids))
+		for i, q := range ids {
+			res, err := ix.TopK(q, k)
+			if err != nil {
+				fatal(err)
+			}
+			top[i] = eval.TopKIDs(res)
+			if ref != nil {
+				recall += eval.PAtK(top[i], ref[i])
+			}
+		}
+		if ref == nil {
+			ref, recall = top, float64(len(ids))
+		}
+		st := ix.Stats()
+		rows = append(rows, []string{
+			arm.label,
+			fmt.Sprintf("%.3f", recall/float64(len(ids))),
+			fmt.Sprint(st.BorderSize),
+			fmt.Sprint(st.FactorNNZ),
+			fmt.Sprintf("%.1f", float64(st.FactorNNZ)/n),
+			build.Round(time.Millisecond).String(),
+		})
+	}
+	fmt.Printf("Where graph_id loses recall: INRIASim n=%d, %d uniform ids, top-%d\n", n, len(ids), k)
+	emitTable(rows)
+}
+
 // expMogulCG reports the CG extension: exact scores from the
 // incomplete factor used as an IC(0) preconditioner, versus MogulE's
 // complete factorization. Columns: per-query time, CG iterations, and

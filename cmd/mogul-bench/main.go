@@ -62,6 +62,7 @@ func main() {
 		"scaling":  expScaling,
 		"quality":  expQuality,
 		"mogulcg":  expMogulCG,
+		"split":    expSplit,
 		"serving":  expServing,
 		"sharded":  expSharded,
 		"dist":     expDist,
@@ -70,7 +71,7 @@ func main() {
 		"build":    expBuild,
 		"memory":   expMemory,
 	}
-	order := []string{"fig1", "fig234", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "nnz", "ordering", "scaling", "quality", "mogulcg", "serving", "sharded", "dist", "emr", "spectral", "build", "memory"}
+	order := []string{"fig1", "fig234", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "nnz", "ordering", "scaling", "quality", "mogulcg", "split", "serving", "sharded", "dist", "emr", "spectral", "build", "memory"}
 
 	var selected []string
 	if *exp == "all" {

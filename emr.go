@@ -19,11 +19,13 @@ package mogul
 // with as many non-zeros as the query's seeds touch anchors (s for one
 // item or one vector). BuildEMR therefore inverts it exactly once and
 // holds M = (I_p - alpha H H^T)^{-1} explicitly, so a query combines
-// the rows of M its right-hand side touches and makes one streaming
-// pass over the H columns: O(p s + n s), flat in n for the first term
-// and memory-bandwidth bound for the scan. Insert appends an H column
-// against the frozen anchor set (O(p) — M is untouched), Delete
-// tombstones, and Compact re-runs k-means over the live points.
+// the rows of M its right-hand side touches and then scores only the
+// anchor cells whose upper bound can still reach the k-th score (the
+// paper's Algorithm 2 over anchor cells; emrCells and collect below):
+// O(p s) for the combine, one gathered bound per cell, and a few percent
+// of the n rows on clustered data. Insert appends an H column against
+// the frozen anchor set (O(p) — M is untouched), Delete tombstones, and
+// Compact re-runs k-means over the live points.
 //
 // *EMRIndex implements the full Retriever surface, so it serves
 // through the serve package, the dist coordinator, and mogul-server
@@ -35,6 +37,7 @@ package mogul
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mogul/internal/baseline"
@@ -101,16 +104,146 @@ type emrState struct {
 	// gramInv is M = (I_p - alpha H H^T)^{-1}, symmetric: a query reads
 	// the rows its right-hand side touches.
 	gramInv *dense.Matrix
+	// cells is the pruning table of the scan, derived from the base
+	// columns wherever a state is born (deriveCells) and never persisted.
+	cells emrCells
+}
+
+// emrCells groups the base rows by primary anchor — the anchor a row
+// puts its largest stored weight on, ties to the lower anchor id — and
+// holds what bounds the best score inside each group (collect). Cell c
+// owns rows[rowPtr[c]:rowPtr[c+1]], ascending ids, and the anchors
+// ann[annPtr[c]:annPtr[c+1]] (ascending): the union of its members'
+// attachments, with maxW the largest weight any member puts on each.
+// v = H 1 over the base rows — every row of an anchor graph has
+// h_i . v = 1 up to rounding, which is what makes the constant part of
+// a query's z separable — and gmax[c] is the largest computed h_i . v
+// in the cell. Tombstoned base rows stay in (a bound that covers a dead
+// row is only looser); delta rows belong to no cell. About 37 bytes per
+// base row at s = 24 (0.73 MB at n = 20000, p = 1024; 3.2 MB at
+// n = 10^5, p = 2560).
+type emrCells struct {
+	rowPtr, annPtr []int
+	rows, ann      []int32
+	maxW           []float64
+	v, gmax        []float64
 }
 
 // narrow32 moves the state into mixed-precision storage: the point
 // matrix flattens to float32 rows and the H attachment weights round to
-// float32, halving the bytes the per-query scan streams; anchors,
-// column sums, and the gram inverse keep full precision.
+// float32, halving the bytes a scored row streams; anchors, column
+// sums, and the gram inverse keep full precision. The cells are
+// re-derived from the rounded weights (rounding a finite non-negative
+// weight leaves it one, so there is nothing to report).
 func (st *emrState) narrow32() {
 	st.narrowPoints()
 	st.hVal32 = vec.Narrow32(nil, st.hVal)
 	st.hVal = nil
+	st.deriveCells()
+}
+
+// weight returns the stored attachment weight at flat position fp,
+// widened in mixed-precision mode.
+func (st *emrState) weight(fp int) float64 {
+	if st.hVal32 != nil {
+		return float64(st.hVal32[fp])
+	}
+	return st.hVal[fp]
+}
+
+// dotColumn returns h_i . z in the fixed four-lane summation order of
+// baseline.AnchorDot (see vec.DotGather for why): four independent
+// accumulators keep the gather throughput-bound instead of
+// FP-add-latency-bound while preserving the baseline's summation order.
+// In f32 mode the weights widen to float64 in registers (same lanes).
+func (st *emrState) dotColumn(i int, z []float64) float64 {
+	off, s := i*st.s, st.s
+	if st.hVal32 != nil {
+		return vec.DotGather32I32(st.hVal32[off:off+s], st.hAnchor[off:off+s], z)
+	}
+	return vec.DotGatherI32(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
+}
+
+// primaryAnchor returns the cell of row i: the anchor carrying its
+// largest stored weight, ties to the lower anchor id.
+func (st *emrState) primaryAnchor(i int) int32 {
+	off := i * st.s
+	best, bestW := st.hAnchor[off], st.weight(off)
+	for fp := off + 1; fp < off+st.s; fp++ {
+		if a, w := st.hAnchor[fp], st.weight(fp); w > bestW || (w == bestW && a < best) {
+			best, bestW = a, w
+		}
+	}
+	return best
+}
+
+// deriveCells fills st.cells from the base columns — two passes over
+// them and one small sort per cell — and returns the flat position of
+// the first stored base weight that is negative or not finite, or -1.
+// The scan's bound is one only over non-negative weights, which is what
+// every build produces; loaders refuse anything else.
+func (st *emrState) deriveCells() int {
+	p, s, n := st.p, st.s, st.baseN
+	c := emrCells{
+		rowPtr: make([]int, p+1),
+		annPtr: make([]int, p+1),
+		rows:   make([]int32, n),
+		v:      make([]float64, p),
+		gmax:   make([]float64, p),
+	}
+	bad := -1
+	primary := make([]int32, n)
+	for i := range primary {
+		for fp := i * s; fp < (i+1)*s; fp++ {
+			w := st.weight(fp)
+			if !(w >= 0 && w <= math.MaxFloat64) && bad < 0 {
+				bad = fp
+			}
+			c.v[st.hAnchor[fp]] += w
+		}
+		primary[i] = st.primaryAnchor(i)
+		c.rowPtr[primary[i]+1]++
+	}
+	for a := 0; a < p; a++ {
+		c.rowPtr[a+1] += c.rowPtr[a]
+	}
+	next := slices.Clone(c.rowPtr[:p])
+	for i, a := range primary {
+		c.rows[next[a]] = int32(i)
+		next[a]++
+	}
+
+	// Per cell, the union of its members' anchors through a dense
+	// last-writer stamp, sorted so the bound's gather walks rem forwards.
+	stamp := make([]int, p)
+	top := make([]float64, p)
+	var union []int32
+	for a := 0; a < p; a++ {
+		union = union[:0]
+		for _, r := range c.rows[c.rowPtr[a]:c.rowPtr[a+1]] {
+			i := int(r)
+			c.gmax[a] = max(c.gmax[a], st.dotColumn(i, c.v))
+			for fp := i * s; fp < (i+1)*s; fp++ {
+				u, w := st.hAnchor[fp], st.weight(fp)
+				if stamp[u] != a+1 {
+					stamp[u], top[u] = a+1, w
+					union = append(union, u)
+				} else {
+					top[u] = max(top[u], w)
+				}
+			}
+		}
+		slices.Sort(union)
+		for _, u := range union {
+			c.ann = append(c.ann, u)
+			c.maxW = append(c.maxW, top[u])
+		}
+		c.annPtr[a+1] = len(c.ann)
+	}
+	// The table lives as long as the state: drop append's spare capacity.
+	c.ann, c.maxW = slices.Clone(c.ann), slices.Clone(c.maxW)
+	st.cells = c
+	return bad
 }
 
 // EMRIndex is the anchor-graph (Efficient Manifold Ranking) serving
@@ -181,6 +314,9 @@ func (e *EMRIndex) build(points []Vector) (*emrState, error) {
 // the explicit inverse of the gram system.
 func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions) (*emrState, error) {
 	n := len(points)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("mogul: EMR addresses base rows as int32, got %d points", n)
+	}
 	p := eopts.NumAnchors
 	if p > n {
 		p = n
@@ -256,6 +392,7 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions)
 	if err != nil {
 		return nil, fmt.Errorf("mogul: EMR gram inversion: %w", err)
 	}
+	st.deriveCells()
 	st.stats = Stats{
 		NumNodes:    n,
 		NumClusters: p,
@@ -330,19 +467,22 @@ func (e *EMRIndex) Neighbors(item int) ([]int, []float64, error) {
 }
 
 // EMRSearcher is a dedicated reusable query engine over an EMRIndex:
-// it owns the dense anchor-space vectors (right-hand side and z = M rhs),
-// the top-k collector, and the anchor-attachment scratch, so a steady
-// query load runs allocation-free. Use one searcher per worker
-// goroutine (the EMRIndex query methods draw from an internal pool).
-// TopK, TopKWithInfo, TopKVector and TopKSet come from the shared
+// it owns the dense anchor-space vectors (right-hand side, z = M rhs and
+// the bound pass's remainder), the top-k collector, and the anchor-attachment
+// scratch, so a steady query load runs allocation-free. Use one searcher
+// per worker goroutine (the EMRIndex query methods draw from an internal
+// pool). TopK, TopKWithInfo, TopKVector and TopKSet come from the shared
 // searcher half (engine.go).
 type EMRSearcher struct {
 	searcher[*emrState]
-	e      *EMRIndex
-	rhs, z []float64
-	sc     baseline.AnchorScratch
-	wIdx   []int
-	wVal   []float64
+	e           *EMRIndex
+	rhs, z, rem []float64
+	// entered marks the cells the current query has scanned.
+	entered []bool
+	info    SearchInfo
+	sc      baseline.AnchorScratch
+	wIdx    []int
+	wVal    []float64
 }
 
 // NewSearcher returns a fresh dedicated searcher.
@@ -364,25 +504,60 @@ func (sr *EMRSearcher) ensure(p int) {
 	if cap(sr.rhs) < p {
 		sr.rhs = make([]float64, p)
 		sr.z = make([]float64, p)
+		sr.rem = make([]float64, p)
+		sr.entered = make([]bool, p)
 	}
 	sr.rhs = sr.rhs[:p]
 	sr.z = sr.z[:p]
-	for i := range sr.rhs {
-		sr.rhs[i] = 0
-	}
+	sr.rem = sr.rem[:p]
+	sr.entered = sr.entered[:p]
+	clear(sr.rhs)
 }
 
 // collect runs the online half of EMR with e.mu held: z = M rhs as the
 // combination of the rows of M (symmetric, so rows are columns) that
 // sr.rhs touches, in ascending anchor order — s axpys of length p for
-// one item or vector, at most p for a large seed set — then stream
-// every live H column through the collector. seeds carries the
-// query-vector entries q_i (sorted by ascending id, unique). The score
-// expression matches the baseline term for term except that the
-// baseline solves its LU-factored system where this multiplies by the
-// inverse, so over an unmutated engine the results agree with
-// baseline.EMR to rounding (same ids, scores within 1e-12 relative),
-// no longer bit for bit.
+// one item or vector, at most p for a large seed set — then the paper's
+// Algorithm 2 over anchor cells instead of a pass over every H column.
+// seeds carries the query-vector entries q_i (sorted by ascending id,
+// unique). A scored row's expression matches the baseline term for term
+// except that the baseline solves its LU-factored system where this
+// multiplies by the inverse, so over an unmutated engine the results
+// agree with baseline.EMR to rounding (same ids, scores within 1e-12
+// relative), not bit for bit.
+//
+// The scan. The cells of the anchors rhs touches and of the seed rows
+// are scored first, so the collector's threshold is a real k-th score
+// before anything is bounded (and every row with a q_i term is behind
+// us). For the rest, alpha = 0.99 lays a near-constant background under
+// every score — z is close to a multiple of v = H 1, and h_i . v = 1 —
+// which a plain "weights are non-negative" bound cannot get under. So
+// the background is split off exactly: with c0 = max(0, min_a z_a/v_a)
+// and rem = (z - c0 v)+, every base row of cell c has
+//
+//	h_i . z = c0 (h_i . v) + h_i . (z - c0 v) <= c0 gmax_c + sum_u maxW_c[u] rem[u]
+//
+// for any z whatever, because c0 and the stored weights are >= 0. A
+// cell is entered unless alpha (1-alpha) times that, inflated by the
+// slack below, cannot beat the k-th score under Offer's own rule (a
+// score <= the threshold is rejected). The comparison is written so a
+// collector that is not yet full (threshold -Inf), a NaN anywhere in z
+// (builtin min and max propagate it into c0, rem and the bound) or an
+// infinite bound never prunes: with k >= live this is the full scan.
+// Delta rows belong to no cell and are always scored. The answer is the
+// exhaustive scan's — same scores to the bit; only which of several
+// items tied exactly at the k-th score survive can differ, because
+// offers arrive in a different order. sr.info records what the scan did.
+//
+// The slack is spectral.go's: pruneRelSlack + 4 p 2^-52 relative covers
+// every rounding between the true bound and a computed score — the
+// s-term gather of the score, the at most p-term gather of the bound,
+// gmax's own gather, the product and difference inside rem (an absolute
+// 2^-53 c0 v_u per anchor, which the c0 gmax_c term dominates) and the
+// three scalings, each within a few 2^-53 relative of terms that are all
+// non-negative whenever c0 > 0 (then z > 0 on every attached anchor);
+// when c0 = 0 the negative terms of a score only lower it. pruneAbsSlack
+// covers products that underflow.
 func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 	e := sr.e
 	st := e.st
@@ -393,37 +568,96 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 			vec.Axpy(z, r, st.gramInv.Row(a))
 		}
 	}
-	n := st.numPoints()
 	sr.resetCollector(k)
-	si := 0
-	s := st.s
-	hv32 := st.hVal32
-	for i := 0; i < n; i++ {
-		if st.dead[i] {
+	sr.info = SearchInfo{}
+	clear(sr.entered)
+	for a, r := range sr.rhs {
+		if r != 0 {
+			sr.scoreCell(a, seeds)
+		}
+	}
+	for _, sw := range seeds {
+		if sw.id < st.baseN {
+			sr.scoreCell(int(st.primaryAnchor(sw.id)), seeds)
+		}
+	}
+
+	c0, scale := sr.splitBackground()
+	for c := range sr.entered {
+		if sr.entered[c] {
 			continue
 		}
-		// h_i^T z in the same fixed four-lane summation order as
-		// baseline.AnchorDot (see vec.DotGather for why): the scan is
-		// the only O(n) term of a query, and the four independent
-		// accumulators keep it throughput-bound instead of
-		// FP-add-latency-bound while preserving bit-identity with the
-		// baseline's scores. In f32 mode the weights stream at half the
-		// bytes and widen to float64 in registers (same lane order).
-		off := i * s
-		var sum float64
-		if hv32 != nil {
-			sum = vec.DotGather32I32(hv32[off:off+s], st.hAnchor[off:off+s], z)
-		} else {
-			sum = vec.DotGatherI32(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
+		if bound := sr.cellBound(c, c0, scale); bound <= sr.col.Threshold() && bound <= math.MaxFloat64 {
+			sr.info.ClustersPruned++
+			continue
 		}
-		sum *= e.alpha
-		if si < len(seeds) && seeds[si].id == i {
-			sum += seeds[si].w
-			si++
-		}
-		sr.col.Offer(i, (1-e.alpha)*sum)
+		sr.scoreCell(c, nil)
+	}
+	for i, n := st.baseN, st.numPoints(); i < n; i++ {
+		sr.scoreRow(i, seeds)
 	}
 	return sr.results()
+}
+
+// splitBackground prepares the bound pass for the z in sr.z: it picks
+// c0, fills sr.rem with (z - c0 v)+ and returns c0 with the
+// slack-inflated alpha (1-alpha) every bound is scaled by. Anchors no
+// base row attaches to (v_a = 0) are in no cell and constrain nothing.
+func (sr *EMRSearcher) splitBackground() (c0, scale float64) {
+	e := sr.e
+	v := e.st.cells.v
+	c0 = math.Inf(1)
+	for a, va := range v {
+		if va > 0 {
+			c0 = min(c0, sr.z[a]/va)
+		}
+	}
+	c0 = max(0, c0)
+	for a, va := range v {
+		// 0*d is NaN exactly when d is not finite and a signed zero
+		// otherwise: an infinite z_a of either sign poisons the bound of
+		// every cell that can see it (against a stored weight of 0 such a
+		// row scores NaN, which Offer admits) and nothing else changes.
+		d := sr.z[a] - c0*va
+		sr.rem[a] = max(0, d) + 0*d
+	}
+	return c0, e.alpha * (1 - e.alpha) * (1 + pruneRelSlack + 4*float64(len(v))*0x1p-52)
+}
+
+// cellBound is the upper bound on the computed score of every base row
+// of cell c that carries no q_i term, from splitBackground's results.
+func (sr *EMRSearcher) cellBound(c int, c0, scale float64) float64 {
+	cl := &sr.e.st.cells
+	lo, hi := cl.annPtr[c], cl.annPtr[c+1]
+	return scale*(c0*cl.gmax[c]+vec.DotGatherI32(cl.maxW[lo:hi], cl.ann[lo:hi], sr.rem)) + pruneAbsSlack
+}
+
+// scoreCell offers the live rows of cell c, once per query.
+func (sr *EMRSearcher) scoreCell(c int, seeds []seedWeight) {
+	if sr.entered[c] {
+		return
+	}
+	sr.entered[c] = true
+	sr.info.ClustersScanned++
+	cl := &sr.e.st.cells
+	for _, i := range cl.rows[cl.rowPtr[c]:cl.rowPtr[c+1]] {
+		sr.scoreRow(int(i), seeds)
+	}
+}
+
+// scoreRow offers row i unless it is tombstoned: (1-alpha)(q_i + alpha
+// h_i . z), with q_i looked up in seeds (ascending ids) by bisection.
+func (sr *EMRSearcher) scoreRow(i int, seeds []seedWeight) {
+	e := sr.e
+	if e.st.dead[i] {
+		return
+	}
+	sr.info.ScoresComputed++
+	sum := e.alpha * e.st.dotColumn(i, sr.z)
+	if at, ok := slices.BinarySearchFunc(seeds, i, func(sw seedWeight, id int) int { return sw.id - id }); ok {
+		sum += seeds[at].w
+	}
+	sr.col.Offer(i, (1-e.alpha)*sum)
 }
 
 // scoreSeeds accumulates the seeds' stored H columns into the
@@ -433,15 +667,8 @@ func (sr *EMRSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 	sr.ensure(st.p)
 	seeds = normalizeSeeds(seeds)
 	for _, sw := range seeds {
-		off := sw.id * st.s
-		if st.hVal32 != nil {
-			for t := 0; t < st.s; t++ {
-				sr.rhs[st.hAnchor[off+t]] += sw.w * float64(st.hVal32[off+t])
-			}
-		} else {
-			for t := 0; t < st.s; t++ {
-				sr.rhs[st.hAnchor[off+t]] += sw.w * st.hVal[off+t]
-			}
+		for fp := sw.id * st.s; fp < (sw.id+1)*st.s; fp++ {
+			sr.rhs[st.hAnchor[fp]] += sw.w * st.weight(fp)
 		}
 	}
 	return sr.collect(k, seeds)
@@ -468,9 +695,6 @@ func (sr *EMRSearcher) affinity(q Vector) (float64, error) {
 	return mass, nil
 }
 
-// work reports the EMR scan as it is: no pruning, every live item scored
-// through all p anchors.
-func (sr *EMRSearcher) work() SearchInfo {
-	h := sr.e.st.hdr()
-	return SearchInfo{ClustersScanned: h.stats.NumClusters, ScoresComputed: h.live()}
-}
+// work reports what the latest scan did: anchor cells entered and
+// skipped, rows scored.
+func (sr *EMRSearcher) work() SearchInfo { return sr.info }

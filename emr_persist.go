@@ -133,9 +133,10 @@ func loadEMR(br *binio.Reader) (*EMRIndex, error) {
 // big arrays come out as views into the payload bytes (zero-copy when
 // the image is aligned and the host is little-endian, copied
 // otherwise), without the per-element finiteness scan version 1 runs
-// over the attachment weights — see readPoints for why. The gram system
-// is always scanned: it is p-sized, and a NaN in it would reach every
-// score.
+// over the attachment weights — see readPoints for why; the base rows'
+// weights are nevertheless read once by deriveCells, which refuses a
+// negative or non-finite one. The gram system is always scanned: it is
+// p-sized, and a NaN in it would reach every score.
 func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, error) {
 	var m engineMeta
 	mr := secs[tagEmet].Reader(0)
@@ -155,6 +156,8 @@ func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, err
 		return nil, fmt.Errorf("mogul: corrupt EMR metadata: %d nearest anchors for %d anchors", s, p)
 	case recipeAnchors < 1 || recipeNearest < 1:
 		return nil, fmt.Errorf("mogul: corrupt EMR metadata: anchor recipe %d/%d", recipeAnchors, recipeNearest)
+	case m.hdr.baseN > math.MaxInt32:
+		return nil, fmt.Errorf("mogul: corrupt EMR metadata: base size %d (rows are addressed as int32)", m.hdr.baseN)
 	}
 	n, dim := m.n, m.hdr.dim
 	v2 := version >= engineFormatVersionPrec
@@ -299,6 +302,12 @@ func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, err
 		hVal:         hVal,
 		hVal32:       hVal32,
 		gramInv:      gramInv,
+	}
+	// The cell pass reads every base weight anyway, so it is also where a
+	// weight no build can produce is refused: the scan's bound holds only
+	// over non-negative finite weights.
+	if fp := st.deriveCells(); fp >= 0 {
+		return nil, fmt.Errorf("mogul: H column entry %d is negative or non-finite", fp)
 	}
 	eopts := EMROptions{NumAnchors: recipeAnchors, NumNearestAnchors: recipeNearest}
 	return newEMRIndex(m.alpha, int64(m.seed), m.autoCompact, eopts, st), nil

@@ -321,6 +321,13 @@ func FuzzLoadEMR(f *testing.F) {
 		}
 		f.Add(legacy)
 	}
+	// Stored weights the scan's bound cannot cover (emr_prune_test.go):
+	// refused among the base rows, served on a delta row.
+	bad, tolerated := corruptWeightImages(seed, 90, 4, false)
+	for _, image := range bad {
+		f.Add(image)
+	}
+	f.Add(tolerated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Load(bytes.NewReader(data))

@@ -338,7 +338,10 @@ func TestEMRRetrieverSurface(t *testing.T) {
 	if _, err := q.TopK(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, info, err := r.TopKWithInfo(0, 5); err != nil || info.ScoresComputed != 100 || info.ClustersScanned != 16 {
-		t.Fatalf("info = %+v, err = %v", nil, err)
+	// The counters are the scan's own: every anchor cell is entered or
+	// skipped, and only rows of entered cells are scored.
+	_, info, err := r.TopKWithInfo(0, 5)
+	if err != nil || info.ClustersScanned+info.ClustersPruned != 16 || info.ClustersScanned < 1 || info.ScoresComputed < 5 || info.ScoresComputed > 100 {
+		t.Fatalf("info = %+v, err = %v", info, err)
 	}
 }

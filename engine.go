@@ -587,9 +587,10 @@ func (sr *searcher[S]) TopK(query, k int) ([]Result, error) {
 
 // TopKWithInfo is TopK plus the backend's own account of the work (see
 // SearchInfo): the graph engine counts the clusters its upper bounds
-// pruned and scanned; the EMR engine scores every live item through
-// every anchor; the spectral engine counts the embedding rows it
-// evaluated and the row blocks its bound entered and skipped.
+// pruned and scanned; the EMR engine counts the rows it scored and the
+// anchor cells its bound entered and skipped; the spectral engine counts
+// the embedding rows it evaluated and the row blocks its bound entered
+// and skipped.
 func (sr *searcher[S]) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
 	sr.eng.mu.RLock()
 	defer sr.eng.mu.RUnlock()

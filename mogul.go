@@ -74,9 +74,10 @@ type Stats = core.Stats
 // Spectral: ScoresComputed is the rows the bound-and-prune scan scored
 // (a dot product each, except under a solved head, whose tail is zero),
 // ClustersScanned / ClustersPruned the 64-row blocks of base rows it
-// entered / skipped whole (delta rows belong to no block). EMR prunes
-// nothing: every live item is scored and ClustersScanned is the anchor
-// count.
+// entered / skipped whole (delta rows belong to no block). EMR:
+// ClustersScanned / ClustersPruned are the anchor cells (base rows
+// grouped by primary anchor; delta rows belong to none) the bounded scan
+// entered / skipped, ScoresComputed the rows it scored.
 type SearchInfo = core.SearchInfo
 
 // Precision selects the storage width of an engine's bulk arrays.
