@@ -495,8 +495,9 @@ var (
 // engine at n=10k: steady-state in-database searches must report, with
 // -benchmem, exactly one allocation per op — the returned []Result —
 // where the pre-engine path allocated O(n) scratch per query (~190 KB
-// and 24 allocs at this size). The ns/op, B/op and allocs/op triple is
-// exported to BENCH_search.json by the CI bench-smoke job.
+// and 24 allocs at this size). The CI bench-smoke job runs it:
+//
+//	go test -run '^$' -bench 'BenchmarkTopK|BenchmarkInsert' -benchmem -benchtime 30x .
 func BenchmarkTopK(b *testing.B) {
 	ix := hotFixture10k(b)
 	queries := benchQueries(10000, 64)
@@ -601,8 +602,8 @@ func BenchmarkTopKWithDelta(b *testing.B) {
 
 // BenchmarkTopKSharded measures the fan-out search across shard counts
 // at n=10k: per-query latency of a held ShardedSearcher (S pinned
-// per-shard workspaces, S+1 allocs/op). Exported to BENCH_search.json
-// by the CI bench-smoke job alongside the single-index BenchmarkTopK.
+// per-shard workspaces, S+1 allocs/op). The CI bench-smoke job's
+// BenchmarkTopK pattern selects it alongside the single-index one.
 func BenchmarkTopKSharded(b *testing.B) {
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: 10000, Classes: 25, Dim: 16, WithinStd: 0.3, Separation: 2.5, Seed: 11,

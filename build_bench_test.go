@@ -7,9 +7,9 @@ package mogul
 //
 // The acceptance criteria pin BenchmarkBuild at n=10k (exact engine)
 // and BenchmarkBuildEMR at n=100k/p=2560 to >= 2x speedup over the
-// serial build; CI's bench-smoke job records the sweep in
-// BENCH_build.json via cmd/bench2json. mogul-bench -exp build reports
-// the per-stage wall-time breakdown behind the same numbers.
+// serial build; CI's bench-smoke job runs the sweep. mogul-bench
+// -exp build reports the per-stage wall-time breakdown behind the same
+// numbers.
 
 import (
 	"fmt"

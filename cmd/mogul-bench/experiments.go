@@ -69,7 +69,7 @@ func expFig1(l *lab) {
 		if err != nil {
 			fatal(err)
 		}
-		med = medianSearchTime(queries[:minInt(3, len(queries))], func(q int) {
+		med = medianSearchTime(queries[:min(3, len(queries))], func(q int) {
 			if _, err := it.TopK(q, 5); err != nil {
 				fatal(err)
 			}
@@ -235,7 +235,7 @@ func expFig5(l *lab) {
 			cells[vi] = append(cells[vi], eval.Seconds(med))
 		}
 		pruned = append(pruned, fmt.Sprintf("%s: %.1f%% of clusters pruned", name,
-			100*float64(prunedCount)/float64(maxInt(totalClusters, 1))))
+			100*float64(prunedCount)/float64(max(totalClusters, 1))))
 	}
 	for vi, v := range variants {
 		rows = append(rows, append([]string{v.label}, cells[vi]...))
@@ -457,7 +457,7 @@ func expFig9(l *lab) {
 		fatal(err)
 	}
 	emr, err := baseline.NewEMR(ds.Points, core.DefaultAlpha, baseline.EMRConfig{
-		NumAnchors: minInt(100, ds.Len()), Seed: l.seed,
+		NumAnchors: min(100, ds.Len()), Seed: l.seed,
 	})
 	if err != nil {
 		fatal(err)
@@ -592,20 +592,6 @@ func expNNZ(l *lab) {
 	}
 	fmt.Printf("Section 5.2.1: factor size on %s (n=%d)\n", l.dataset(name).Name, l.dataset(name).Len())
 	emitTable(rows)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

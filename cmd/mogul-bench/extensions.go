@@ -11,7 +11,6 @@ import (
 	"mogul/internal/dataset"
 	"mogul/internal/eval"
 	"mogul/internal/knn"
-	"mogul/internal/workload"
 )
 
 // expScaling validates the paper's complexity claims (Theorems 2 and
@@ -162,43 +161,6 @@ func expQuality(l *lab) {
 		})
 	}
 	fmt.Printf("Extended quality metrics on %s (top-%d)\n", ds.Name, k)
-	emitTable(rows)
-}
-
-// expServing replays a service-style query stream (Zipf popularity,
-// 10% out-of-sample uploads) over each dataset's index and reports
-// throughput and tail latency at several concurrency levels — the
-// operational consequence of the paper's O(n) search.
-func expServing(l *lab) {
-	rows := [][]string{{"dataset", "clients", "QPS", "p50", "p90", "p99"}}
-	for _, name := range datasetNames {
-		h := l.holdoutFor(name, 10)
-		for _, clients := range []int{1, 4, 16} {
-			rep, err := workload.Run(h.index, workload.Config{
-				Queries:             400,
-				K:                   10,
-				Concurrency:         clients,
-				OutOfSampleFraction: 0.1,
-				HoldOut:             h.queries,
-				Seed:                l.seed,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			if rep.Errors > 0 {
-				fatal(fmt.Errorf("serving %s: %d query errors", name, rep.Errors))
-			}
-			rows = append(rows, []string{
-				name,
-				fmt.Sprintf("%d", clients),
-				fmt.Sprintf("%.0f", rep.QPS),
-				rep.Latency.Median.Round(time.Microsecond).String(),
-				rep.Latency.P90.Round(time.Microsecond).String(),
-				rep.Latency.P99.Round(time.Microsecond).String(),
-			})
-		}
-	}
-	fmt.Println("Serving workload: Zipf query stream, 10% out-of-sample, top-10")
 	emitTable(rows)
 }
 

@@ -108,12 +108,3 @@ func TestFMRBlocksFor(t *testing.T) {
 		t.Fatalf("large n blocks = %d", got)
 	}
 }
-
-func TestMinMaxInt(t *testing.T) {
-	if minInt(2, 3) != 2 || minInt(3, 2) != 2 {
-		t.Fatal("minInt wrong")
-	}
-	if maxInt(2, 3) != 3 || maxInt(3, 2) != 3 {
-		t.Fatal("maxInt wrong")
-	}
-}

@@ -4,13 +4,11 @@
 //	mogul-bench -exp all                 # everything, small scale
 //	mogul-bench -exp fig1 -scale medium  # one experiment, bigger data
 //
-// Experiments: fig1 (search time), fig234 (accuracy/time vs anchors),
-// fig5 (pruning ablation), fig6 (sparsity spy plots), fig7
-// (out-of-sample time), table2 (out-of-sample breakdown), fig8
-// (precompute time), fig9 (case studies), nnz (factor sizes).
+// Experiments: the order table below is the one list; -h and the
+// unknown-experiment error print it, and each exp* function's comment
+// says what it measures.
 //
 // Scales: small (seconds), medium (minutes), large (tens of minutes).
-// EXPERIMENTS.md records paper-reported versus measured results.
 package main
 
 import (
@@ -21,9 +19,42 @@ import (
 	"time"
 )
 
+// order lists every experiment in the order -exp all runs them.
+var order = []struct {
+	name string
+	run  func(*lab)
+}{
+	{"fig1", expFig1},
+	{"fig234", expFig234},
+	{"fig5", expFig5},
+	{"fig6", expFig6},
+	{"fig7", expFig7},
+	{"table2", expTable2},
+	{"fig8", expFig8},
+	{"fig9", expFig9},
+	{"nnz", expNNZ},
+	{"ordering", expOrdering},
+	{"scaling", expScaling},
+	{"quality", expQuality},
+	{"mogulcg", expMogulCG},
+	{"split", expSplit},
+	{"sharded", expSharded},
+	{"emr", expEMR},
+	{"spectral", expSpectral},
+	{"build", expBuild},
+	{"memory", expMemory},
+}
+
 func main() {
+	everything := make([]string, len(order))
+	runners := make(map[string]func(*lab), len(order))
+	for i, e := range order {
+		everything[i] = e.name
+		runners[e.name] = e.run
+	}
+	available := "all," + strings.Join(everything, ",")
 	var (
-		exp         = flag.String("exp", "all", "experiment: all,fig1,fig234,fig5,fig6,fig7,table2,fig8,fig9,nnz,ordering,sharded,... (comma separated)")
+		exp         = flag.String("exp", "all", "experiments, comma separated: "+available)
 		scale       = flag.String("scale", "small", "dataset scale: small, medium, large")
 		seed        = flag.Int64("seed", 1, "random seed for datasets and stochastic components")
 		queries     = flag.Int("queries", 10, "query repetitions per timing measurement")
@@ -48,42 +79,15 @@ func main() {
 	}
 	l.maxShards = *shards
 
-	runners := map[string]func(*lab){
-		"fig1":     expFig1,
-		"fig234":   expFig234,
-		"fig5":     expFig5,
-		"fig6":     expFig6,
-		"fig7":     expFig7,
-		"table2":   expTable2,
-		"fig8":     expFig8,
-		"fig9":     expFig9,
-		"nnz":      expNNZ,
-		"ordering": expOrdering,
-		"scaling":  expScaling,
-		"quality":  expQuality,
-		"mogulcg":  expMogulCG,
-		"split":    expSplit,
-		"serving":  expServing,
-		"sharded":  expSharded,
-		"dist":     expDist,
-		"emr":      expEMR,
-		"spectral": expSpectral,
-		"build":    expBuild,
-		"memory":   expMemory,
-	}
-	order := []string{"fig1", "fig234", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "nnz", "ordering", "scaling", "quality", "mogulcg", "split", "serving", "sharded", "dist", "emr", "spectral", "build", "memory"}
-
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := runners[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; available: all,%s\n", name, strings.Join(order, ","))
+	selected := everything
+	if *exp != "all" {
+		selected = strings.Split(*exp, ",")
+		for i, name := range selected {
+			selected[i] = strings.TrimSpace(name)
+			if _, ok := runners[selected[i]]; !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n", selected[i], available)
 				os.Exit(2)
 			}
-			selected = append(selected, name)
 		}
 	}
 

@@ -15,7 +15,6 @@ import (
 
 	"mogul/internal/dataset"
 	"mogul/internal/diskio"
-	"mogul/internal/pca"
 	"mogul/internal/vec"
 )
 
@@ -28,7 +27,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		format  = flag.String("format", "gob", "output format: gob or csv")
 		out     = flag.String("o", "", "output path (required; '-' writes CSV to stdout)")
-		pcaDim  = flag.Int("pca", 0, "project features onto this many principal components before writing (0 = off)")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -78,17 +76,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "mogul-datagen: unknown dataset %q\n", *name)
 		os.Exit(2)
-	}
-
-	if *pcaDim > 0 {
-		reduced, model, err := pca.Transform(ds, *pcaDim)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mogul-datagen: pca:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mogul-datagen: PCA %d -> %d dims (%.1f%% variance kept)\n",
-			ds.Dim(), reduced.Dim(), 100*model.ExplainedRatio())
-		ds = reduced
 	}
 
 	switch *format {

@@ -16,15 +16,10 @@ import (
 	"mogul/dist/disttest"
 )
 
-// benchT adapts testing.B to the harness's testingT.
-type benchT struct{ *testing.B }
-
-func (b benchT) Fatalf(format string, args ...interface{}) { b.B.Fatalf(format, args...) }
-
 func benchCluster(b *testing.B, shards int) (*disttest.Cluster, *mogul.Dataset) {
 	b.Helper()
 	ds := mogul.NewMixture(mogul.MixtureConfig{N: 600, Classes: 8, Dim: 12, WithinStd: 0.25, Separation: 3, Seed: 7})
-	cl := disttest.NewCluster(benchT{b}, disttest.ClusterConfig{
+	cl := disttest.NewCluster(b, disttest.ClusterConfig{
 		Shards: shards,
 		Points: ds.Points,
 		Build:  mogul.Options{Seed: 3},
@@ -59,7 +54,7 @@ func BenchmarkDistributedTopKVector(b *testing.B) {
 func BenchmarkDistributedVsInProcess(b *testing.B) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{N: 600, Classes: 8, Dim: 12, WithinStd: 0.25, Separation: 3, Seed: 7})
 	b.Run("coordinator", func(b *testing.B) {
-		cl := disttest.NewCluster(benchT{b}, disttest.ClusterConfig{
+		cl := disttest.NewCluster(b, disttest.ClusterConfig{
 			Shards: 3,
 			Points: ds.Points,
 			Build:  mogul.Options{Seed: 3},

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"testing"
 	"time"
 
 	"mogul"
@@ -72,18 +73,11 @@ type Server struct {
 // Index returns the served index.
 func (s Server) Index() *mogul.Index { return s.ix }
 
-// testingT is the subset of *testing.T the harness needs.
-type testingT interface {
-	Helper()
-	Fatalf(format string, args ...interface{})
-	Cleanup(func())
-}
-
 // NewCluster boots a cluster and registers its teardown with t: shard
 // servers close, clients drop pooled connections, listeners stop —
 // leaving no goroutines behind (the leak checks in the chaos suite
 // depend on this).
-func NewCluster(t testingT, cfg ClusterConfig) *Cluster {
+func NewCluster(t testing.TB, cfg ClusterConfig) *Cluster {
 	t.Helper()
 	if cfg.Shards <= 0 {
 		cfg.Shards = 3
@@ -126,7 +120,7 @@ func (c *Cluster) shutdown() {
 // NOT update the coordinator's shard wiring, which is fixed at
 // construction: that use is for replication tests that drive a
 // Replicator against the new node directly.
-func (c *Cluster) AddReplica(t testingT, ix *mogul.Index, serveOpts serve.Options, copts dist.ClientOptions) *dist.Client {
+func (c *Cluster) AddReplica(t testing.TB, ix *mogul.Index, serveOpts serve.Options, copts dist.ClientOptions) *dist.Client {
 	t.Helper()
 	srv := dist.NewShardServer(ix, serveOpts)
 	hs := httptest.NewServer(srv)

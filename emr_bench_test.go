@@ -1,9 +1,13 @@
 package mogul
 
-// Benchmarks backing BENCH_emr.json (CI bench-smoke): EMR build time
-// and per-query latency at n in {10k, 100k}, with recall@10 against
-// the exact Manifold Ranking oracle and the rows the scan scored per
-// query attached via b.ReportMetric. The acceptance bars for the
+// EMR frontier benchmarks (CI bench-smoke; docs/EMR.md has the table
+// they fill):
+//
+//	go test -run '^$' -bench 'BenchmarkEMR' -benchmem -benchtime 5x -timeout 40m .
+//
+// Build time and per-query latency at n in {10k, 100k}, with recall@10
+// against the exact Manifold Ranking oracle and the rows the scan scored
+// per query attached via b.ReportMetric. The acceptance bars for the
 // anchor-graph engine: recall@10 >= 0.9 vs exact, and a query that
 // scores a few percent of the rows — rows/query is the number to watch,
 // because the query is no longer a pass over every H column.

@@ -1,9 +1,13 @@
 package mogul
 
 // f64-vs-f32 engine benchmarks. CI's bench-smoke job runs these
-// together with the internal/vec kernel benches and archives the pair
-// as BENCH_f32.json: TopK latency and allocation profile per engine in
-// each storage precision, plus end-to-end build cost (builds always
+// next to the internal/vec kernel benches:
+//
+//	go test -run '^$' -bench 'BenchmarkF32' -benchmem -benchtime 30x -timeout 20m .
+//	go test -run '^$' -bench 'BenchmarkKernel' -benchmem -benchtime 100x ./internal/vec
+//
+// TopK latency and allocation profile per engine in each storage
+// precision, plus end-to-end build cost (builds always
 // run in f64 and narrow once at the end, so the f32 build rows price
 // exactly that narrowing pass). The memory story itself is measured by
 // `mogul-bench -exp memory`; what -benchmem pins here is that the f32

@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // AveragePrecision computes AP for one ranked answer list against a
@@ -112,36 +111,4 @@ func ranks(x []float64) []float64 {
 		i = j
 	}
 	return out
-}
-
-// DurationStats summarizes a latency sample.
-type DurationStats struct {
-	Min, Median, P90, P99, Max time.Duration
-	Mean                       time.Duration
-}
-
-// SummarizeDurations computes order statistics of a latency sample;
-// the zero value is returned for empty input.
-func SummarizeDurations(ds []time.Duration) DurationStats {
-	if len(ds) == 0 {
-		return DurationStats{}
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var total time.Duration
-	for _, d := range sorted {
-		total += d
-	}
-	q := func(p float64) time.Duration {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return DurationStats{
-		Min:    sorted[0],
-		Median: q(0.5),
-		P90:    q(0.9),
-		P99:    q(0.99),
-		Max:    sorted[len(sorted)-1],
-		Mean:   total / time.Duration(len(sorted)),
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestAveragePrecision(t *testing.T) {
@@ -104,28 +103,5 @@ func TestRanksTies(t *testing.T) {
 		if r[i] != want[i] {
 			t.Fatalf("ranks = %v, want %v", r, want)
 		}
-	}
-}
-
-func TestSummarizeDurations(t *testing.T) {
-	if got := SummarizeDurations(nil); got.Max != 0 {
-		t.Fatalf("empty summary: %+v", got)
-	}
-	var ds []time.Duration
-	for i := 1; i <= 100; i++ {
-		ds = append(ds, time.Duration(i)*time.Millisecond)
-	}
-	s := SummarizeDurations(ds)
-	if s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
-		t.Fatalf("min/max: %+v", s)
-	}
-	if s.Median < 45*time.Millisecond || s.Median > 55*time.Millisecond {
-		t.Fatalf("median: %v", s.Median)
-	}
-	if s.P90 < 85*time.Millisecond || s.P99 < 95*time.Millisecond {
-		t.Fatalf("percentiles: %+v", s)
-	}
-	if s.Mean != 50500*time.Microsecond {
-		t.Fatalf("mean: %v", s.Mean)
 	}
 }

@@ -575,11 +575,6 @@ func LoadFile(path string) (Retriever, error) {
 	return Load(f)
 }
 
-// LoadIndex reads an index file written by SaveFile.
-//
-// Deprecated: use LoadFile.
-func LoadIndex(path string) (Retriever, error) { return LoadFile(path) }
-
 // LoadFileMapped reads an index file through a read-only memory map
 // and serves the large arrays directly out of the mapped pages: many
 // processes loading the same file share one physical copy, and cold

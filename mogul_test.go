@@ -288,7 +288,7 @@ func TestSaveLoadIndex(t *testing.T) {
 	if _, err := loaded.TopKVector(make(Vector, 12), 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndex(t.TempDir() + "/missing"); err == nil {
+	if _, err := LoadFile(t.TempDir() + "/missing"); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }

@@ -109,8 +109,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSniffsMagic: the fix under test — Load, LoadFile and the
-// deprecated LoadIndex dispatch on the magic header, so callers feed
+// TestLoadSniffsMagic: the fix under test — Load and LoadFile
+// dispatch on the magic header, so callers feed
 // any index file to one entry point and get the right kind back.
 func TestLoadSniffsMagic(t *testing.T) {
 	plain, _ := buildTestIndex(t, Options{})
@@ -143,8 +143,8 @@ func TestLoadSniffsMagic(t *testing.T) {
 		t.Fatalf("sharded identity lost through Load: shards=%d len=%d", sharded.NumShards(), sharded.Len())
 	}
 
-	// File-path entry points, including the deprecated alias, dispatch
-	// identically — and the results match the in-memory index.
+	// The file-path entry point dispatches identically — and the
+	// results match the in-memory index.
 	dir := t.TempDir()
 	if err := six.SaveFile(dir + "/sharded.mogul"); err != nil {
 		t.Fatal(err)
@@ -153,23 +153,21 @@ func TestLoadSniffsMagic(t *testing.T) {
 	if _, err := LoadShardedFile(dir + "/sharded.mogul"); err != nil {
 		t.Fatal(err)
 	}
-	for _, load := range []func(string) (Retriever, error){LoadFile, LoadIndex} {
-		r, err := load(dir + "/sharded.mogul")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.(*ShardedIndex); !ok {
-			t.Fatalf("file path loaded as %T", r)
-		}
-		a, _ := six.TopK(7, 6)
-		b, err := r.TopK(7, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("result %d differs through file load", i)
-			}
+	r, err := LoadFile(dir + "/sharded.mogul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.(*ShardedIndex); !ok {
+		t.Fatalf("file path loaded as %T", r)
+	}
+	a, _ := six.TopK(7, 6)
+	b, err := r.TopK(7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("result %d differs through file load", i)
 		}
 	}
 

@@ -1,8 +1,12 @@
 package mogul
 
-// Benchmarks backing BENCH_spectral.json (CI bench-smoke): spectral
-// engine build time and per-query latency at n in {10k, 100k}, with
-// recall@10 against the exact Manifold Ranking oracle attached via
+// Spectral frontier benchmarks (CI bench-smoke; docs/SPECTRAL.md has
+// the tables they fill):
+//
+//	go test -run '^$' -bench 'BenchmarkSpectral' -benchmem -benchtime 5x -timeout 40m .
+//
+// Build time and per-query latency at n in {10k, 100k}, with recall@10
+// against the exact Manifold Ranking oracle attached via
 // b.ReportMetric. The acceptance bars for the truncated-eigenbasis
 // engine: recall@10 >= 0.85 vs exact at n=100k, with per-query
 // latency below the EMR frontier point at matched recall — the
@@ -15,8 +19,8 @@ package mogul
 // n*r. BenchmarkSpectralHead prices the three ways a head can end.
 //
 // The workload matches the EMR bench exactly (same mixture, same
-// query pool, same oracle) so the two engines' BENCH files are
-// directly comparable: micro-clusters of ~10 near-duplicates in a
+// query pool, same oracle) so the two engines' rows are directly
+// comparable: micro-clusters of ~10 near-duplicates in a
 // low-intrinsic-dimension feature space, queried out-of-sample with
 // perturbed stored points. On this workload the adaptive hop
 // expansion saturates the query's graph component and carries the
