@@ -12,6 +12,7 @@ package mogul
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -524,9 +525,20 @@ func BenchmarkTopK(b *testing.B) {
 // BenchmarkTopKVector is BenchmarkTopK for the out-of-sample fast
 // path (coarse quantizer + surrogate selection + pruned search), which
 // the engine refactor also brought down to one allocation per query.
+// n=10k has 25 classes; shard is one dist_fanout shard (see
+// shardFixture), where the quantizer has ~500 clusters to choose from.
+// Both report the index's cluster count as "clusters".
 func BenchmarkTopKVector(b *testing.B) {
-	ix := hotFixture10k(b)
-	pool := fixtures10kPool
+	b.Run("n=10k", func(b *testing.B) {
+		benchTopKVector(b, hotFixture10k(b), fixtures10kPool)
+	})
+	b.Run("shard", func(b *testing.B) {
+		ix, pool := shardFixture(b)
+		benchTopKVector(b, ix, pool)
+	})
+}
+
+func benchTopKVector(b *testing.B, ix *Index, pool []Vector) {
 	sr := ix.NewSearcher()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -535,6 +547,77 @@ func BenchmarkTopKVector(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportClusters(b, ix)
+}
+
+// BenchmarkTopKWithVector is what a dist_fanout owner shard answers per
+// id query: the pruned search plus the stored vector and the surrogate
+// affinity to it, whose attach measures every cluster mean.
+func BenchmarkTopKWithVector(b *testing.B) {
+	b.Run("shard", func(b *testing.B) {
+		ix, _ := shardFixture(b)
+		queries := benchQueries(ix.Len(), 64)
+		sr := ix.NewSearcher()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := sr.TopKWithVector(queries[i%len(queries)], 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportClusters(b, ix)
+	})
+}
+
+// shardFixture is one shard of the dist_fanout workload (benchmark/,
+// n = 20000 over four shards), built with default options from
+// shardShape. Built lazily, once.
+func shardFixture(b *testing.B) (*Index, []Vector) {
+	b.Helper()
+	fixturesMu.Lock()
+	defer fixturesMu.Unlock()
+	if shardIx == nil {
+		pts, pool := shardShape()
+		ix, err := Build(pts, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shardIx, shardPool = ix, pool
+	}
+	return shardIx, shardPool
+}
+
+var (
+	shardIx   *Index
+	shardPool []Vector
+)
+
+// shardShape is a dist_fanout shard's corpus — a Mixture of 5000 points
+// in d = 8 with 500 classes of ~10 — and 1000 held-out points, each a
+// stored point moved by N(0, 0.05²) per coordinate as the workload's
+// queries are. (The mixture is ordered by class, so a held-out tail
+// would be classes the index has never seen.)
+func shardShape() (pts, pool []Vector) {
+	pts = dataset.Mixture(dataset.MixtureConfig{
+		N: 5000, Classes: 500, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 1,
+	}).Points
+	rng := rand.New(rand.NewSource(2))
+	pool = make([]Vector, 1000)
+	for i := range pool {
+		q := append(Vector(nil), pts[rng.Intn(len(pts))]...)
+		for j := range q {
+			q[j] += 0.05 * rng.NormFloat64()
+		}
+		pool[i] = q
+	}
+	return pts, pool
+}
+
+// reportClusters records the index's cluster count, the quantity the
+// out-of-sample attach's cost scales with (after the timed loop:
+// ResetTimer drops reported metrics).
+func reportClusters(b *testing.B, ix *Index) {
+	b.ReportMetric(float64(ix.Stats().NumClusters), "clusters")
 }
 
 // BenchmarkIndexBuild tracks end-to-end public-API build cost (not a
@@ -552,22 +635,44 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkInsert measures one online insert into the delta layer:
 // a nearest-cluster probe plus surrogate weighting — microseconds,
 // versus the milliseconds-to-seconds a full rebuild would cost (see
-// BenchmarkIndexBuild for the comparison point at n=2000).
+// BenchmarkIndexBuild for the comparison point at n=2000). shard inserts
+// into a fresh dist_fanout shard (shardFixture's recipe, not its cached
+// index, which the other benches query unmutated).
 func BenchmarkInsert(b *testing.B) {
-	ds := dataset.Mixture(dataset.MixtureConfig{
-		N: 4000, Classes: 10, Dim: 16, WithinStd: 0.3, Separation: 2.5, Seed: 9,
+	b.Run("n=2k", func(b *testing.B) {
+		ds := dataset.Mixture(dataset.MixtureConfig{
+			N: 4000, Classes: 10, Dim: 16, WithinStd: 0.3, Separation: 2.5, Seed: 9,
+		})
+		ix, err := Build(ds.Points[:2000], Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchInsert(b, ix, ds.Points[2000:])
 	})
-	ix, err := Build(ds.Points[:2000], Options{})
-	if err != nil {
+	b.Run("shard", func(b *testing.B) {
+		pts, pool := shardShape()
+		ix, err := Build(pts, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchInsert(b, ix, pool)
+	})
+}
+
+func benchInsert(b *testing.B, ix *Index, pool []Vector) {
+	// Warm: the first attach builds the lazy out-of-sample tables (one
+	// mean and member list per cluster), which would otherwise show up
+	// in allocs/op at CI's short -benchtime.
+	if _, err := ix.Insert(pool[len(pool)-1]); err != nil {
 		b.Fatal(err)
 	}
-	pool := ds.Points[2000:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.Insert(pool[i%len(pool)]); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportClusters(b, ix)
 }
 
 // BenchmarkTopKWithDelta measures the search-time cost of an

@@ -342,10 +342,8 @@ func (e *engine[S]) Insert(v Vector) (int, error) {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
 
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, e.errf("inserted vector has non-finite component %g", x)
-		}
+	if err := e.checkFinite("inserted", v); err != nil {
+		return 0, err
 	}
 	// mutMu keeps the state this attachment is computed against
 	// authoritative until the commit below.
@@ -382,6 +380,17 @@ func (e *engine[S]) Insert(v Vector) (int, error) {
 		id = e.Len() - 1
 	}
 	return id, nil
+}
+
+// checkFinite refuses a vector with a NaN or infinite component: no
+// distance to it can be ordered, so no attachment of it is meaningful.
+func (e *engine[S]) checkFinite(what string, v Vector) error {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return e.errf("%s vector has non-finite component %g", what, x)
+		}
+	}
+	return nil
 }
 
 // Delete tombstones an item: it stops appearing in results and stops
@@ -572,6 +581,9 @@ func (sr *searcher[S]) topKVector(q Vector, k int) ([]Result, float64, error) {
 	}
 	if dim := sr.eng.st.hdr().dim; len(q) != dim {
 		return nil, 0, sr.eng.errf("query dimension %d, want %d", len(q), dim)
+	}
+	if err := sr.eng.checkFinite("query", q); err != nil {
+		return nil, 0, err
 	}
 	return sr.be.scoreVector(q, k)
 }

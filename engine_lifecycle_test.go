@@ -8,7 +8,9 @@ package mogul
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -518,5 +520,58 @@ func TestInsertSurvivesFailedAutoCompact(t *testing.T) {
 	}
 	if d := e.Delta(); d.BaseItems != 110 || d.DeltaItems != 0 || d.Tombstones != 0 {
 		t.Fatalf("Delta after the retried auto-compaction = %+v", d)
+	}
+}
+
+// TestEngineRejectsNonFiniteQuery: a query vector with a NaN or infinite
+// component is refused by every engine on every out-of-sample entry point
+// (its distances cannot be ordered, so any answer would be arbitrary),
+// without a panic and without touching the version.
+func TestEngineRejectsNonFiniteQuery(t *testing.T) {
+	t.Parallel()
+	ds := NewMixture(MixtureConfig{N: 120, Classes: 4, Dim: 6, WithinStd: 0.4, Separation: 2.5, Seed: 13})
+	builds := map[string]func() (Retriever, error){
+		"sharded": func() (Retriever, error) {
+			return BuildSharded(ds.Points, Options{Seed: 13}, ShardOptions{Shards: 2, Partitioner: PartitionKMeans})
+		},
+	}
+	for _, row := range lifecycleRows() {
+		builds[row.name] = func() (Retriever, error) { return row.build(ds.Points, Options{Seed: 13, Precision: row.prec}) }
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.Version()
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				q := append(Vector(nil), ds.Points[3]...)
+				q[2] = bad
+				refused := func(entry string, err error) {
+					t.Helper()
+					if err == nil || !strings.Contains(err.Error(), "non-finite component") {
+						t.Fatalf("%s(%g): error %v, want the non-finite component refused", entry, bad, err)
+					}
+				}
+				_, err := e.TopKVector(q, 5)
+				refused("TopKVector", err)
+				_, err = e.NewQuerier().TopKVector(q, 5)
+				refused("Querier.TopKVector", err)
+				refused("TopKVectorBatch", e.TopKVectorBatch([]Vector{ds.Points[0], q}, 5, 2)[1].Err)
+				if le, ok := e.(lifecycleEngine); ok {
+					_, _, err = le.TopKVectorWithAffinity(q, 5)
+					refused("TopKVectorWithAffinity", err)
+				}
+				if ix, ok := e.(*Index); ok {
+					_, _, err = ix.TopKVectorWithInfo(q, 5)
+					refused("TopKVectorWithInfo", err)
+				}
+			}
+			if v := e.Version(); v != before {
+				t.Fatalf("Version %d after refused queries, want %d", v, before)
+			}
+		})
 	}
 }

@@ -165,6 +165,63 @@ func sameAnswers(t *testing.T, label string, a, b Retriever, queries []int) {
 	sameResults(t, label, rb, ra)
 }
 
+// insertSequenceIndex is the recipe of idx_v3_f64_inserts200.bin: a graph
+// index over 320 points of a 32-class mixture, build timings cleared, then
+// 200 inserts with a base delete after every tenth and a delta delete
+// after every fiftieth. Each insert is attached through the out-of-sample
+// surrogate selection, so the saved probes and weights pin its order.
+func insertSequenceIndex(t *testing.T) *Index {
+	t.Helper()
+	pts := NewMixture(MixtureConfig{N: 520, Classes: 32, Dim: 4, WithinStd: 0.3, Separation: 2.5, Seed: 21}).Points
+	ix, err := Build(pts[:320], Options{Alpha: 0.99, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.core.ClearTimings()
+	for i := 0; i < 200; i++ {
+		id, err := ix.Insert(pts[320+i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			if err := ix.Delete(i / 10 * 13); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%50 == 49 {
+			if err := ix.Delete(id - 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ix
+}
+
+// TestGoldenInsertSequence: the insert-sequence recipe saves exactly the
+// bytes the parent of the partial cluster selection wrote (PR 25), and
+// that file loads and re-saves as itself.
+func TestGoldenInsertSequence(t *testing.T) {
+	t.Parallel()
+	want := readGolden(t, "idx_v3_f64_inserts200.bin")
+	var buf bytes.Buffer
+	if err := insertSequenceIndex(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("insert sequence saves %d bytes that differ from the golden's %d", buf.Len(), len(want))
+	}
+	loaded, err := Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := loaded.Delta(); d != (DeltaStats{BaseItems: 320, DeltaItems: 196, Tombstones: 24}) {
+		t.Fatalf("delta %+v", d)
+	}
+	if got := goldenSave(t, loaded, false); !bytes.Equal(got, want) {
+		t.Fatal("the loaded golden does not re-save as itself")
+	}
+}
+
 // TestGoldenIndexV2: there is no version-2 writer any more, so the
 // golden is a static version-3 save (the idx_v3_f64 build before its
 // inserts and deletes) restamped to version 2. It loads by stream and

@@ -90,6 +90,25 @@ func (ix *Index) ensureOOS() {
 	})
 }
 
+// argminPicks is how many nearest clusters findSurrogates selects by
+// linear argmin before sorting the rest: a pass costs one comparison per
+// cluster and a sort about log2(clusters), so past a few picks the sort
+// is the cheaper way to go on.
+const argminPicks = 4
+
+// cmpClusterDist orders clusters by ascending squared distance to their
+// mean, ties by ascending cluster id.
+func cmpClusterDist(a, b clusterDist) int {
+	switch {
+	case a.d < b.d:
+		return -1
+	case a.d > b.d:
+		return 1
+	default:
+		return a.c - b.c
+	}
+}
+
 // findSurrogates locates the numNbrs nearest live in-database
 // neighbours of q via the nearest-cluster quantizer and leaves them,
 // with their normalized heat-kernel weights (sum 1), in the scratch's
@@ -106,30 +125,37 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 	// Nearest clusters by mean feature, probed in ascending mean
 	// distance until enough live candidates accumulate, so tiny or
 	// heavily-tombstoned clusters cannot starve the query (robustness
-	// extension over the paper's single-cluster description).
-	s.ordBuf = s.ordBuf[:0]
+	// extension over the paper's single-cluster description). One or two
+	// clusters usually suffice, so the first picks are linear argmins
+	// over the clusters not yet consumed; only a query that needs more
+	// sorts the remainder. Either way the order is the total order of
+	// cmpClusterDist, so the picks are exactly a full sort's prefix.
+	ord := s.ordBuf[:0]
 	for c, m := range ix.oosMeans {
 		if m == nil {
 			continue
 		}
-		s.ordBuf = append(s.ordBuf, clusterDist{c: c, d: vec.SquaredEuclidean(q, m)})
+		ord = append(ord, clusterDist{c: c, d: vec.SquaredEuclidean(q, m)})
 	}
-	if len(s.ordBuf) == 0 {
+	s.ordBuf = ord
+	if len(ord) == 0 {
 		return fmt.Errorf("core: no non-empty clusters")
 	}
-	slices.SortFunc(s.ordBuf, func(a, b clusterDist) int {
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		default:
-			return a.c - b.c
-		}
-	})
 	s.nbrBuf = s.nbrBuf[:0]
-	for _, cd := range s.ordBuf {
-		for _, id := range ix.oosMembers[cd.c] {
+	for i := range ord {
+		switch {
+		case i < argminPicks:
+			best := i
+			for j := i + 1; j < len(ord); j++ {
+				if cmpClusterDist(ord[j], ord[best]) < 0 {
+					best = j
+				}
+			}
+			ord[i], ord[best] = ord[best], ord[i]
+		case i == argminPicks:
+			slices.SortFunc(ord[i:], cmpClusterDist)
+		}
+		for _, id := range ix.oosMembers[ord[i].c] {
 			if ov.DeadBase > 0 && ov.Dead[id] {
 				continue
 			}

@@ -390,6 +390,9 @@ type OOSBreakdown = core.OOSBreakdown
 func (ix *Index) TopKVectorWithInfo(q Vector, k int) ([]Result, *OOSBreakdown, error) {
 	sr := ix.acquire()
 	defer ix.release(sr)
+	if err := ix.checkFinite("query", q); err != nil {
+		return nil, nil, err
+	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ov := ix.st.overlay()
