@@ -12,9 +12,12 @@ package mogul
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"mogul/internal/baseline"
 	"mogul/internal/core"
@@ -526,8 +529,11 @@ func BenchmarkTopK(b *testing.B) {
 // path (coarse quantizer + surrogate selection + pruned search), which
 // the engine refactor also brought down to one allocation per query.
 // n=10k has 25 classes; shard is one dist_fanout shard (see
-// shardFixture), where the quantizer has ~500 clusters to choose from.
-// Both report the index's cluster count as "clusters".
+// shardFixture), where the quantizer has ~500 clusters to choose from;
+// d512-f32 is the graph_vec_d512 index (see d512Fixture), where the
+// attach's distance kernels are most of the call, and also reports the
+// attach phase of OOSBreakdown as "attach-us/query". All report the
+// index's cluster count as "clusters".
 func BenchmarkTopKVector(b *testing.B) {
 	b.Run("n=10k", func(b *testing.B) {
 		benchTopKVector(b, hotFixture10k(b), fixtures10kPool)
@@ -535,6 +541,20 @@ func BenchmarkTopKVector(b *testing.B) {
 	b.Run("shard", func(b *testing.B) {
 		ix, pool := shardFixture(b)
 		benchTopKVector(b, ix, pool)
+	})
+	b.Run("d512-f32", func(b *testing.B) {
+		ix, pool := d512Fixture(b)
+		benchTopKVector(b, ix, pool)
+		b.StopTimer()
+		var attach time.Duration
+		for _, q := range pool {
+			_, bd, err := ix.TopKVectorWithInfo(q, 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			attach += bd.NearestNeighbor
+		}
+		b.ReportMetric(float64(attach.Microseconds())/float64(len(pool)), "attach-us/query")
 	})
 }
 
@@ -612,6 +632,62 @@ func shardShape() (pts, pool []Vector) {
 	}
 	return pts, pool
 }
+
+// d512Fixture is the graph_vec_d512 workload's index (benchmark/): 6000
+// unit-norm points in d = 512 on 16-dimensional class manifolds, 50 per
+// class, built with the approximate graph in F32, saved aligned and
+// mapped back in. The 500 queries are stored points moved by N(0, 0.01²)
+// per coordinate and re-normalised, as the workload's are. Built lazily,
+// once; the mapping stays open for the process.
+func d512Fixture(b *testing.B) (*Index, []Vector) {
+	b.Helper()
+	fixturesMu.Lock()
+	defer fixturesMu.Unlock()
+	if d512Ix != nil {
+		return d512Ix, d512Pool
+	}
+	pts := dataset.Mixture(dataset.MixtureConfig{
+		N: 6000, Classes: 120, Dim: 512, IntrinsicDim: 16, WithinStd: 0.25, Separation: 3.0, Seed: 1,
+	}).Points
+	unit := func(v Vector) {
+		inv := 1 / math.Sqrt(vec.Dot(v, v))
+		for i := range v {
+			v[i] *= inv
+		}
+	}
+	for _, p := range pts {
+		unit(p)
+	}
+	rng := rand.New(rand.NewSource(2))
+	pool := make([]Vector, 500)
+	for i := range pool {
+		q := append(Vector(nil), pts[rng.Intn(len(pts))]...)
+		for j := range q {
+			q[j] += 0.01 * rng.NormFloat64()
+		}
+		unit(q)
+		pool[i] = q
+	}
+	built, err := Build(pts, Options{ApproximateGraph: true, Precision: F32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "d512.mogul")
+	if err := built.SaveFileAligned(path, 4096); err != nil {
+		b.Fatal(err)
+	}
+	r, _, err := LoadFileMapped(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d512Ix, d512Pool = r.(*Index), pool
+	return d512Ix, d512Pool
+}
+
+var (
+	d512Ix   *Index
+	d512Pool []Vector
+)
 
 // reportClusters records the index's cluster count, the quantity the
 // out-of-sample attach's cost scales with (after the timed loop:

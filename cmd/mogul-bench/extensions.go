@@ -44,7 +44,7 @@ func expScaling(l *lab) {
 		}
 		queries := make([]int, l.queries)
 		for i := range queries {
-			queries[i] = (i*2654435761 + 17) % n
+			queries[i] = int((int64(i)*2654435761 + 17) % int64(n))
 		}
 		mogulMed := medianSearchTime(queries, func(q int) {
 			if _, err := ix.TopK(q, 5); err != nil {

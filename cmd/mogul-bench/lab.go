@@ -231,7 +231,7 @@ func (l *lab) queryNodes(name string) []int {
 	}
 	out := make([]int, count)
 	for i := range out {
-		out[i] = (i*2654435761 + 17) % n // Knuth multiplicative spread, deterministic
+		out[i] = int((int64(i)*2654435761 + 17) % int64(n)) // Knuth multiplicative spread, deterministic
 	}
 	return out
 }

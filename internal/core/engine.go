@@ -64,9 +64,12 @@ type Scratch struct {
 	srcBuf []source
 
 	// Out-of-sample buffers (oos.go): cluster-mean distances, candidate
-	// neighbours, and the selected surrogate probes with weights.
+	// neighbours, the ids and squared distances of one batch kernel call,
+	// and the selected surrogate probes with weights.
 	ordBuf   []clusterDist
 	nbrBuf   []scoredNbr
+	idBuf    []int
+	distBuf  []float64
 	probeIDs []int
 	probeWts []float64
 	// oosRawMass/oosRawCount record the raw (pre-normalization) kernel

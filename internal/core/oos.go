@@ -130,12 +130,26 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 	// over the clusters not yet consumed; only a query that needs more
 	// sorts the remainder. Either way the order is the total order of
 	// cmpClusterDist, so the picks are exactly a full sort's prefix.
+	// The means are measured by one batch call per run of non-empty
+	// clusters, which in practice is one call: Louvain leaves no cluster
+	// empty.
+	means := ix.oosMeans
+	s.distBuf = slices.Grow(s.distBuf[:0], len(means))[:len(means)]
 	ord := s.ordBuf[:0]
-	for c, m := range ix.oosMeans {
-		if m == nil {
+	for lo := 0; lo < len(means); {
+		if means[lo] == nil {
+			lo++
 			continue
 		}
-		ord = append(ord, clusterDist{c: c, d: vec.SquaredEuclidean(q, m)})
+		hi := lo + 1
+		for hi < len(means) && means[hi] != nil {
+			hi++
+		}
+		vec.SquaredEuclideanBatch(q, means[lo:hi], s.distBuf[lo:hi])
+		for c := lo; c < hi; c++ {
+			ord = append(ord, clusterDist{c: c, d: s.distBuf[c]})
+		}
+		lo = hi
 	}
 	s.ordBuf = ord
 	if len(ord) == 0 {
@@ -168,8 +182,14 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 	if len(s.nbrBuf) == 0 {
 		return fmt.Errorf("core: no live candidates for surrogate selection")
 	}
-	for i := range s.nbrBuf {
-		s.nbrBuf[i].d = math.Sqrt(ix.graph.SqDistTo(q, s.nbrBuf[i].id))
+	s.idBuf = s.idBuf[:0]
+	for _, nb := range s.nbrBuf {
+		s.idBuf = append(s.idBuf, nb.id)
+	}
+	s.distBuf = slices.Grow(s.distBuf[:0], len(s.idBuf))[:len(s.idBuf)]
+	ix.graph.SqDistBatch(q, s.idBuf, s.distBuf)
+	for i, d := range s.distBuf {
+		s.nbrBuf[i].d = math.Sqrt(d)
 	}
 	slices.SortFunc(s.nbrBuf, func(a, b scoredNbr) int {
 		switch {

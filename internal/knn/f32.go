@@ -67,3 +67,13 @@ func (g *Graph) SqDistTo(q vec.Vector, i int) float64 {
 	}
 	return vec.SquaredEuclideanQ32(q, g.Point32(i))
 }
+
+// SqDistBatch writes SqDistTo(q, ids[i]) into out[i] for every i, four
+// stored points per kernel pass. len(q) must equal PointDim.
+func (g *Graph) SqDistBatch(q vec.Vector, ids []int, out []float64) {
+	if g.Points != nil {
+		vec.SquaredEuclideanRows(q, g.Points, ids, out)
+		return
+	}
+	vec.SquaredEuclideanRows32(q, g.Pts32, ids, out)
+}

@@ -317,3 +317,32 @@ func TestNormalizedAdjacencySpectralRadius(t *testing.T) {
 		t.Fatalf("||S^100 x|| = %g > 1: spectral radius exceeds 1", math.Sqrt(after))
 	}
 }
+
+// TestSqDistBatchMatchesSqDistTo pins the batch-by-ids distance to the
+// one-point accessor, bit for bit, in both storage precisions, for
+// candidate lists of every four-row remainder with repeated ids.
+func TestSqDistBatchMatchesSqDistTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, dim := range []int{1, 7, 8, 67} {
+		g := &Graph{Points: randomPoints(rng, 23, dim)}
+		q := randomPoints(rng, 1, dim)[0]
+		for _, f32 := range []bool{false, true} {
+			if f32 {
+				g.Narrow32()
+			}
+			for n := 0; n <= 9; n++ {
+				ids := make([]int, n)
+				for i := range ids {
+					ids[i] = rng.Intn(23)
+				}
+				out := make([]float64, n)
+				g.SqDistBatch(q, ids, out)
+				for i, id := range ids {
+					if want := g.SqDistTo(q, id); math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("dim=%d f32=%v n=%d: SqDistBatch[%d] = %v, SqDistTo(%d) = %v", dim, f32, n, i, out[i], id, want)
+					}
+				}
+			}
+		}
+	}
+}

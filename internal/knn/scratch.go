@@ -2,6 +2,7 @@ package knn
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"mogul/internal/topk"
@@ -9,9 +10,10 @@ import (
 )
 
 // Scratch holds the reusable per-worker state of SearchInto: the top-k
-// collectors, the neighbour output buffer, and the cell-selection
-// scratch of the inverted-file backends. A zero Scratch is ready to
-// use; one Scratch serves one goroutine at a time. Graph construction
+// collectors, the neighbour output buffer, the batch kernel's distance
+// buffer, and the cell-selection scratch of the inverted-file backends.
+// A zero Scratch is ready to use; one Scratch serves one goroutine at a
+// time. Graph construction
 // issues n k-NN queries back to back, so without reuse the per-query
 // collector allocation alone shows up in build profiles.
 type Scratch struct {
@@ -20,6 +22,7 @@ type Scratch struct {
 	cellID []int
 	cellD  []float64
 	cand   []int
+	dist   []float64
 	sorter cellSorter
 }
 
@@ -47,12 +50,16 @@ func searchSubsetInto(sc *Scratch, q vec.Vector, k int, points []vec.Vector, ids
 	}
 	sc.col.Reset(k)
 	if ids == nil {
-		for i, p := range points {
-			sc.col.Offer(i, -vec.SquaredEuclidean(q, p))
+		sc.dist = slices.Grow(sc.dist[:0], len(points))[:len(points)]
+		vec.SquaredEuclideanBatch(q, points, sc.dist)
+		for i, d := range sc.dist {
+			sc.col.Offer(i, -d)
 		}
 	} else {
-		for _, i := range ids {
-			sc.col.Offer(i, -vec.SquaredEuclidean(q, points[i]))
+		sc.dist = slices.Grow(sc.dist[:0], len(ids))[:len(ids)]
+		vec.SquaredEuclideanRows(q, points, ids, sc.dist)
+		for j, i := range ids {
+			sc.col.Offer(i, -sc.dist[j])
 		}
 	}
 	return neighborsFromItems(sc, sc.col.Drain())
@@ -99,10 +106,10 @@ func (sc *Scratch) fillCellDistances(q vec.Vector, centroids []vec.Vector) {
 	}
 	sc.cellID = sc.cellID[:n]
 	sc.cellD = sc.cellD[:n]
-	for i, c := range centroids {
+	for i := range sc.cellID {
 		sc.cellID[i] = i
-		sc.cellD[i] = vec.SquaredEuclidean(q, c)
 	}
+	vec.SquaredEuclideanBatch(q, centroids, sc.cellD)
 }
 
 var _ sort.Interface = (*cellSorter)(nil)

@@ -11,13 +11,22 @@ import (
 // contract of everything built on top — the EMR engine pins itself
 // bit-identical to the in-tree baseline through it, and the
 // determinism suites pin parallel builds byte-identical to serial ones
-// — so any reimplementation (including a future SIMD one) must
-// reproduce it exactly. It exists because the naive sequential loop is
-// a latency-bound dependent add chain: four independent accumulators
-// let the CPU overlap the FP adds, which is worth ~2-3x on the
-// distance scans and gather-dots that dominate build and query time.
+// — so every implementation must reproduce it exactly. It exists
+// because the naive sequential loop is a latency-bound dependent add
+// chain: four independent accumulators let the CPU overlap the FP
+// adds, which is worth ~2-3x on the distance scans and gather-dots that
+// dominate build and query time.
 //
-// Every kernel hoists its bounds checks by reslicing to a common
+// The squared-distance and dot kernels (f64 and f32) have two bodies:
+// the Go loops here and in kernels32.go, compiled everywhere, and AVX2
+// assembly (kernels_amd64.s) that holds the four lanes in one ymm
+// register and so gives the same bits. Package init picks the assembly
+// once when the CPU and OS support AVX2 (kernels_amd64.go); elsewhere
+// the Go bodies are the only ones, and they are the tests' oracle. The
+// batch forms score four rows per pass, four independent lane chains
+// over one load of the query.
+//
+// Every Go body hoists its bounds checks by reslicing to a common
 // length before the loop, so the unrolled bodies compile without
 // per-element checks (BCE-friendly). NaN and Inf flow through
 // untouched — the kernels are pure arithmetic, no filtering — which
@@ -32,9 +41,9 @@ func combineLanes(s0, s1, s2, s3 float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// squaredEuclideanTo is the shared unrolled body of SquaredEuclidean
-// and SquaredEuclideanBatch; callers have validated len(a) == len(b).
-func squaredEuclideanTo(a, b []float64) float64 {
+// sqdistGo is the Go body of the squared L2 distance; callers have
+// validated len(a) == len(b).
+func sqdistGo(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -60,18 +69,61 @@ func squaredEuclideanTo(a, b []float64) float64 {
 // distance kernel. Brute-force k-NN scans, k-means assignment and
 // seeding sweeps, and anchor attachment all reduce to this shape; one
 // call amortizes the per-pair function-call overhead across the whole
-// point set. len(out) must equal len(points) and every point must
-// match dim(q).
+// point set and scores four points per kernel pass. len(out) must
+// equal len(points) and every point must match dim(q).
 func SquaredEuclideanBatch(q Vector, points []Vector, out []float64) {
 	if len(out) != len(points) {
 		panic(fmt.Sprintf("vec: batch output length %d for %d points", len(out), len(points)))
 	}
-	for i, p := range points {
-		if len(p) != len(q) {
-			panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", len(q), len(p)))
-		}
-		out[i] = squaredEuclideanTo(q, p)
+	i := 0
+	for ; i+4 <= len(points); i += 4 {
+		p := points[i : i+4 : i+4]
+		checkDim(q, p[0])
+		checkDim(q, p[1])
+		checkDim(q, p[2])
+		checkDim(q, p[3])
+		sqdist4(q, p[0], p[1], p[2], p[3], (*[4]float64)(out[i:i+4]))
 	}
+	for ; i < len(points); i++ {
+		checkDim(q, points[i])
+		out[i] = sqdist(q, points[i])
+	}
+}
+
+// SquaredEuclideanRows writes the squared L2 distance from q to
+// points[ids[i]] into out[i] — SquaredEuclideanBatch over a candidate
+// list, four rows per kernel pass. len(out) must equal len(ids) and
+// every selected point must match dim(q).
+func SquaredEuclideanRows(q Vector, points []Vector, ids []int, out []float64) {
+	if len(out) != len(ids) {
+		panic(fmt.Sprintf("vec: batch output length %d for %d ids", len(out), len(ids)))
+	}
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		p0, p1, p2, p3 := points[ids[i]], points[ids[i+1]], points[ids[i+2]], points[ids[i+3]]
+		checkDim(q, p0)
+		checkDim(q, p1)
+		checkDim(q, p2)
+		checkDim(q, p3)
+		sqdist4(q, p0, p1, p2, p3, (*[4]float64)(out[i:i+4]))
+	}
+	for ; i < len(ids); i++ {
+		p := points[ids[i]]
+		checkDim(q, p)
+		out[i] = sqdist(q, p)
+	}
+}
+
+// checkDim panics unless p has dim(q). The panic lives in its own
+// function so the check inlines into the batch loops.
+func checkDim(q, p Vector) {
+	if len(p) != len(q) {
+		dimMismatch(len(q), len(p))
+	}
+}
+
+func dimMismatch(want, got int) {
+	panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", want, got))
 }
 
 // Axpy computes y += a*x elementwise (the BLAS axpy). Lengths must
@@ -101,6 +153,11 @@ func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot dimension mismatch %d != %d", len(a), len(b)))
 	}
+	return dot(a, b)
+}
+
+// dotGo is the Go body of Dot.
+func dotGo(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0

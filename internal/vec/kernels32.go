@@ -37,6 +37,11 @@ func SquaredEuclideanQ32(q []float64, p []float32) float64 {
 	if len(q) != len(p) {
 		panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", len(q), len(p)))
 	}
+	return sqdistQ32(q, p)
+}
+
+// sqdistQ32Go is the Go body of SquaredEuclideanQ32.
+func sqdistQ32Go(q []float64, p []float32) float64 {
 	p = p[:len(q)]
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -59,9 +64,10 @@ func SquaredEuclideanQ32(q []float64, p []float32) float64 {
 
 // SquaredEuclideanBatch32 writes the squared L2 distance from q to
 // every row of the flat row-major float32 matrix pts (stride len(q))
-// into out. len(pts) must equal len(q)*len(out). This is the
-// one-query-versus-many form over f32 storage: brute-force scans and
-// attachment sweeps stream pts once at half the float64 traffic.
+// into out, four rows per kernel pass. len(pts) must equal
+// len(q)*len(out). This is the one-query-versus-many form over f32
+// storage: brute-force scans and attachment sweeps stream pts once at
+// half the float64 traffic.
 func SquaredEuclideanBatch32(q []float64, pts []float32, out []float64) {
 	dim := len(q)
 	if dim == 0 {
@@ -70,8 +76,35 @@ func SquaredEuclideanBatch32(q []float64, pts []float32, out []float64) {
 	if len(pts) != dim*len(out) {
 		panic(fmt.Sprintf("vec: batch matrix length %d for %d rows of dim %d", len(pts), len(out), dim))
 	}
-	for i := range out {
-		out[i] = SquaredEuclideanQ32(q, pts[i*dim:(i+1)*dim])
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		p := pts[i*dim : (i+4)*dim]
+		sqdistQ32x4(q, p[:dim], p[dim:2*dim], p[2*dim:3*dim], p[3*dim:], (*[4]float64)(out[i:i+4]))
+	}
+	for ; i < len(out); i++ {
+		out[i] = sqdistQ32(q, pts[i*dim:(i+1)*dim])
+	}
+}
+
+// SquaredEuclideanRows32 writes the squared L2 distance from q to row
+// ids[i] of the flat row-major float32 matrix pts (stride len(q)) into
+// out[i] — SquaredEuclideanBatch32 over a candidate list, four rows
+// per kernel pass. len(out) must equal len(ids).
+func SquaredEuclideanRows32(q []float64, pts []float32, ids []int, out []float64) {
+	dim := len(q)
+	if dim == 0 {
+		panic("vec: batch over zero-dimensional query")
+	}
+	if len(out) != len(ids) {
+		panic(fmt.Sprintf("vec: batch output length %d for %d ids", len(out), len(ids)))
+	}
+	row := func(id int) []float32 { return pts[id*dim : (id+1)*dim] }
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		sqdistQ32x4(q, row(ids[i]), row(ids[i+1]), row(ids[i+2]), row(ids[i+3]), (*[4]float64)(out[i:i+4]))
+	}
+	for ; i < len(ids); i++ {
+		out[i] = sqdistQ32(q, row(ids[i]))
 	}
 }
 
@@ -81,6 +114,11 @@ func Dot32(a []float64, b []float32) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot dimension mismatch %d != %d", len(a), len(b)))
 	}
+	return dot32(a, b)
+}
+
+// dot32Go is the Go body of Dot32.
+func dot32Go(a []float64, b []float32) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0

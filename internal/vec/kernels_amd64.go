@@ -1,0 +1,101 @@
+package vec
+
+// useAVX2 selects the assembly bodies in kernels_amd64.s. It is decided
+// once, at package init: the CPU reports AVX2 (CPUID leaf 7, EBX bit 5)
+// and the OS saves the YMM registers across context switches (OSXSAVE,
+// then XGETBV's XMM and YMM state bits).
+var useAVX2 = hasAVX2()
+
+func hasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	const xmmYMMState = 0b110
+	if ecx1&osxsave == 0 || ecx1&avx == 0 || xgetbv()&xmmYMMState != xmmYMMState {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<5) != 0
+}
+
+// The dispatchers below are the kernel bodies the package calls. Each
+// reslices its streamed operands to len(q) (or len(a)) before handing
+// raw lengths to assembly, so a short operand panics in Go instead of
+// being read past its end.
+
+func sqdist(a, b []float64) float64 {
+	if useAVX2 {
+		return sqdistAVX2(a, b[:len(a)])
+	}
+	return sqdistGo(a, b)
+}
+
+func sqdistQ32(q []float64, p []float32) float64 {
+	if useAVX2 {
+		return sqdistQ32AVX2(q, p[:len(q)])
+	}
+	return sqdistQ32Go(q, p)
+}
+
+func dot(a, b []float64) float64 {
+	if useAVX2 {
+		return dotAVX2(a, b[:len(a)])
+	}
+	return dotGo(a, b)
+}
+
+func dot32(a []float64, b []float32) float64 {
+	if useAVX2 {
+		return dot32AVX2(a, b[:len(a)])
+	}
+	return dot32Go(a, b)
+}
+
+// sqdist4 writes the squared distances from q to four rows of its
+// length into out.
+func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
+	n := len(q)
+	if !useAVX2 || n == 0 {
+		out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
+		return
+	}
+	sqdist4AVX2(q, &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], out)
+}
+
+// sqdistQ32x4 is sqdist4 over float32 rows.
+func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
+	n := len(q)
+	if !useAVX2 || n == 0 {
+		out[0], out[1], out[2], out[3] = sqdistQ32Go(q, p0), sqdistQ32Go(q, p1), sqdistQ32Go(q, p2), sqdistQ32Go(q, p3)
+		return
+	}
+	sqdistQ32x4AVX2(q, &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], out)
+}
+
+// Implemented in kernels_amd64.s. Callers pass operands of equal length
+// (the four-row forms: rows of len(q)) on a CPU with AVX2.
+
+//go:noescape
+func sqdistAVX2(a, b []float64) float64
+
+//go:noescape
+func sqdistQ32AVX2(q []float64, p []float32) float64
+
+//go:noescape
+func dotAVX2(a, b []float64) float64
+
+//go:noescape
+func dot32AVX2(a []float64, b []float32) float64
+
+//go:noescape
+func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)
+
+//go:noescape
+func sqdistQ32x4AVX2(q []float64, p0, p1, p2, p3 *float32, out *[4]float64)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax uint32)

@@ -1,0 +1,373 @@
+#include "textflag.h"
+
+// AVX2 bodies of the accumulating distance and dot kernels. Each one
+// reproduces its Go body in kernels.go / kernels32.go to the bit: one
+// ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
+// (mod 4) in order; every element is subtracted (or widened with
+// VCVTPS2PD), multiplied and then added — never fused, because a fused
+// multiply-add rounds once where the Go body rounds twice; the tail
+// folds into lane 0 with scalar ops after the main loop; and the lanes
+// combine as (s0+s1)+(s2+s3). Every loop starts 32-byte aligned
+// (PCALIGN) so its speed does not depend on where the linker places
+// the function. The four-row forms run four independent accumulator
+// chains over one load of the query, which is what hides the add
+// latency a single row's one chain is bound by.
+
+// HSUM leaves (s0+s1)+(s2+s3) in the low lane of lo, where lo holds
+// [s0, s1] and hi holds [s2, s3]; t is clobbered.
+#define HSUM(lo, hi, t) \
+	VUNPCKHPD lo, lo, t; \
+	VADDSD    t, lo, lo; \
+	VUNPCKHPD hi, hi, t; \
+	VADDSD    t, hi, hi; \
+	VADDSD    hi, lo, lo
+
+// func sqdistAVX2(a, b []float64) float64
+TEXT ·sqdistAVX2(SB), NOSPLIT, $0-56
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    sqTail
+	PCALIGN $32
+
+sqLoop:
+	VMOVUPD (SI)(AX*8), Y1
+	VSUBPD  (DI)(AX*8), Y1, Y1
+	VMULPD  Y1, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     sqLoop
+
+sqTail:
+	VEXTRACTF128 $1, Y0, X2
+	CMPQ         AX, CX
+	JGE          sqDone
+	PCALIGN $32
+
+sqTailLoop:
+	VMOVSD (SI)(AX*8), X1
+	VSUBSD (DI)(AX*8), X1, X1
+	VMULSD X1, X1, X1
+	VADDSD X1, X0, X0
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    sqTailLoop
+
+sqDone:
+	HSUM(X0, X2, X3)
+	VZEROUPPER
+	MOVSD X0, ret+48(FP)
+	RET
+
+// func sqdistQ32AVX2(q []float64, p []float32) float64
+TEXT ·sqdistQ32AVX2(SB), NOSPLIT, $0-56
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   p_base+24(FP), DI
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    q32Tail
+	PCALIGN $32
+
+q32Loop:
+	VCVTPS2PD (DI)(AX*4), Y1
+	VMOVUPD   (SI)(AX*8), Y2
+	VSUBPD    Y1, Y2, Y1
+	VMULPD    Y1, Y1, Y1
+	VADDPD    Y1, Y0, Y0
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JLT       q32Loop
+
+q32Tail:
+	VEXTRACTF128 $1, Y0, X2
+	CMPQ         AX, CX
+	JGE          q32Done
+	PCALIGN $32
+
+q32TailLoop:
+	VCVTSS2SD (DI)(AX*4), X1, X1
+	VMOVSD    (SI)(AX*8), X3
+	VSUBSD    X1, X3, X1
+	VMULSD    X1, X1, X1
+	VADDSD    X1, X0, X0
+	INCQ      AX
+	CMPQ      AX, CX
+	JLT       q32TailLoop
+
+q32Done:
+	HSUM(X0, X2, X3)
+	VZEROUPPER
+	MOVSD X0, ret+48(FP)
+	RET
+
+// func dotAVX2(a, b []float64) float64
+TEXT ·dotAVX2(SB), NOSPLIT, $0-56
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    dotTail
+	PCALIGN $32
+
+dotLoop:
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  (DI)(AX*8), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     dotLoop
+
+dotTail:
+	VEXTRACTF128 $1, Y0, X2
+	CMPQ         AX, CX
+	JGE          dotDone
+	PCALIGN $32
+
+dotTailLoop:
+	VMOVSD (SI)(AX*8), X1
+	VMULSD (DI)(AX*8), X1, X1
+	VADDSD X1, X0, X0
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    dotTailLoop
+
+dotDone:
+	HSUM(X0, X2, X3)
+	VZEROUPPER
+	MOVSD X0, ret+48(FP)
+	RET
+
+// func dot32AVX2(a []float64, b []float32) float64
+TEXT ·dot32AVX2(SB), NOSPLIT, $0-56
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    d32Tail
+	PCALIGN $32
+
+d32Loop:
+	VCVTPS2PD (DI)(AX*4), Y1
+	VMULPD    (SI)(AX*8), Y1, Y1
+	VADDPD    Y1, Y0, Y0
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JLT       d32Loop
+
+d32Tail:
+	VEXTRACTF128 $1, Y0, X2
+	CMPQ         AX, CX
+	JGE          d32Done
+	PCALIGN $32
+
+d32TailLoop:
+	VCVTSS2SD (DI)(AX*4), X1, X1
+	VMULSD    (SI)(AX*8), X1, X1
+	VADDSD    X1, X0, X0
+	INCQ      AX
+	CMPQ      AX, CX
+	JLT       d32TailLoop
+
+d32Done:
+	HSUM(X0, X2, X3)
+	VZEROUPPER
+	MOVSD X0, ret+48(FP)
+	RET
+
+// func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)
+TEXT ·sqdist4AVX2(SB), NOSPLIT, $0-64
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   p0+24(FP), R8
+	MOVQ   p1+32(FP), R9
+	MOVQ   p2+40(FP), R10
+	MOVQ   p3+48(FP), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    sq4Tail
+	PCALIGN $32
+
+sq4Loop:
+	VMOVUPD (SI)(AX*8), Y4
+	VSUBPD  (R8)(AX*8), Y4, Y5
+	VSUBPD  (R9)(AX*8), Y4, Y6
+	VSUBPD  (R10)(AX*8), Y4, Y7
+	VSUBPD  (R11)(AX*8), Y4, Y8
+	VMULPD  Y5, Y5, Y5
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VMULPD  Y8, Y8, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     sq4Loop
+
+sq4Tail:
+	VEXTRACTF128 $1, Y0, X12
+	VEXTRACTF128 $1, Y1, X13
+	VEXTRACTF128 $1, Y2, X14
+	VEXTRACTF128 $1, Y3, X15
+	CMPQ         AX, CX
+	JGE          sq4Done
+	PCALIGN $32
+
+sq4TailLoop:
+	VMOVSD (SI)(AX*8), X4
+	VSUBSD (R8)(AX*8), X4, X5
+	VSUBSD (R9)(AX*8), X4, X6
+	VSUBSD (R10)(AX*8), X4, X7
+	VSUBSD (R11)(AX*8), X4, X8
+	VMULSD X5, X5, X5
+	VMULSD X6, X6, X6
+	VMULSD X7, X7, X7
+	VMULSD X8, X8, X8
+	VADDSD X5, X0, X0
+	VADDSD X6, X1, X1
+	VADDSD X7, X2, X2
+	VADDSD X8, X3, X3
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    sq4TailLoop
+
+sq4Done:
+	MOVQ out+56(FP), DI
+	HSUM(X0, X12, X4)
+	HSUM(X1, X13, X4)
+	HSUM(X2, X14, X4)
+	HSUM(X3, X15, X4)
+	VZEROUPPER
+	MOVSD X0, 0(DI)
+	MOVSD X1, 8(DI)
+	MOVSD X2, 16(DI)
+	MOVSD X3, 24(DI)
+	RET
+
+// func sqdistQ32x4AVX2(q []float64, p0, p1, p2, p3 *float32, out *[4]float64)
+TEXT ·sqdistQ32x4AVX2(SB), NOSPLIT, $0-64
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   p0+24(FP), R8
+	MOVQ   p1+32(FP), R9
+	MOVQ   p2+40(FP), R10
+	MOVQ   p3+48(FP), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    q4Tail
+	PCALIGN $32
+
+q4Loop:
+	VMOVUPD   (SI)(AX*8), Y4
+	VCVTPS2PD (R8)(AX*4), Y5
+	VCVTPS2PD (R9)(AX*4), Y6
+	VCVTPS2PD (R10)(AX*4), Y7
+	VCVTPS2PD (R11)(AX*4), Y8
+	VSUBPD    Y5, Y4, Y5
+	VSUBPD    Y6, Y4, Y6
+	VSUBPD    Y7, Y4, Y7
+	VSUBPD    Y8, Y4, Y8
+	VMULPD    Y5, Y5, Y5
+	VMULPD    Y6, Y6, Y6
+	VMULPD    Y7, Y7, Y7
+	VMULPD    Y8, Y8, Y8
+	VADDPD    Y5, Y0, Y0
+	VADDPD    Y6, Y1, Y1
+	VADDPD    Y7, Y2, Y2
+	VADDPD    Y8, Y3, Y3
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JLT       q4Loop
+
+q4Tail:
+	VEXTRACTF128 $1, Y0, X12
+	VEXTRACTF128 $1, Y1, X13
+	VEXTRACTF128 $1, Y2, X14
+	VEXTRACTF128 $1, Y3, X15
+	CMPQ         AX, CX
+	JGE          q4Done
+	PCALIGN $32
+
+q4TailLoop:
+	VMOVSD    (SI)(AX*8), X4
+	VCVTSS2SD (R8)(AX*4), X5, X5
+	VCVTSS2SD (R9)(AX*4), X6, X6
+	VCVTSS2SD (R10)(AX*4), X7, X7
+	VCVTSS2SD (R11)(AX*4), X8, X8
+	VSUBSD    X5, X4, X5
+	VSUBSD    X6, X4, X6
+	VSUBSD    X7, X4, X7
+	VSUBSD    X8, X4, X8
+	VMULSD    X5, X5, X5
+	VMULSD    X6, X6, X6
+	VMULSD    X7, X7, X7
+	VMULSD    X8, X8, X8
+	VADDSD    X5, X0, X0
+	VADDSD    X6, X1, X1
+	VADDSD    X7, X2, X2
+	VADDSD    X8, X3, X3
+	INCQ      AX
+	CMPQ      AX, CX
+	JLT       q4TailLoop
+
+q4Done:
+	MOVQ out+56(FP), DI
+	HSUM(X0, X12, X4)
+	HSUM(X1, X13, X4)
+	HSUM(X2, X14, X4)
+	HSUM(X3, X15, X4)
+	VZEROUPPER
+	MOVSD X0, 0(DI)
+	MOVSD X1, 8(DI)
+	MOVSD X2, 16(DI)
+	MOVSD X3, 24(DI)
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET

@@ -1,0 +1,237 @@
+package vec
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The dispatched kernel bodies (AVX2 assembly on amd64 CPUs that have
+// it) must give the Go bodies' bits: the Go loops are the oracle. Off
+// amd64, or without AVX2, the dispatched body IS the Go body and these
+// tests compare Go with Go.
+
+func logDispatch(t testing.TB) {
+	t.Helper()
+	if !useAVX2 {
+		t.Log("no AVX2 body on this machine: compared the Go bodies with themselves")
+	}
+}
+
+// sameBits is bit equality, except that any NaN matches any NaN: Go does
+// not specify which operand's payload an arithmetic op keeps, and the
+// compiler may swap the operands of a commutative add or multiply, so a
+// NaN's payload is not part of the contract — that it is NaN is.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// valueClass draws one kernel input: ordinary values over six decades,
+// subnormals, values near the overflow and underflow edges (1e±300,
+// whose squares leave the range), and the non-finite values.
+func valueClass(rng *rand.Rand, class int) float64 {
+	sign := float64(1 - 2*rng.Intn(2))
+	switch class {
+	case 0:
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+	case 1:
+		return sign * math.Float64frombits(rng.Uint64()&(1<<52-1)) // subnormal
+	case 2:
+		return sign * 1e300 * (1 + rng.Float64())
+	case 3:
+		return sign * 1e-300 * (1 + rng.Float64())
+	default:
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}[rng.Intn(5)]
+	}
+}
+
+// mixedSlice fills n values: mostly class 0, with each of the extreme
+// classes mixed in at its own rate, or a whole slice of one class.
+func mixedSlice(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	pure := rng.Intn(8) // 0..4: the whole slice is one class; else mixed
+	for i := range out {
+		class := pure
+		if pure > 4 {
+			class = 0
+			if rng.Intn(6) == 0 {
+				class = 1 + rng.Intn(4)
+			}
+		}
+		out[i] = valueClass(rng, class)
+	}
+	return out
+}
+
+func narrow(a []float64) []float32 {
+	out := make([]float32, len(a))
+	for i, v := range a {
+		out[i] = float32(v)
+	}
+	return out
+}
+
+// offsetCopy returns a view of a copy of a that starts off elements
+// into its backing array, so the kernels see every alignment.
+func offsetCopy[T float32 | float64](a []T, off int) []T {
+	buf := make([]T, off+len(a))
+	copy(buf[off:], a)
+	return buf[off:]
+}
+
+// checkOneRow compares the four one-row dispatchers with their Go bodies.
+func checkOneRow(t *testing.T, a, b []float64, b32 []float32) {
+	t.Helper()
+	if got, want := sqdist(a, b), sqdistGo(a, b); !sameBits(got, want) {
+		t.Fatalf("n=%d: sqdist=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if got, want := dot(a, b), dotGo(a, b); !sameBits(got, want) {
+		t.Fatalf("n=%d: dot=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if got, want := sqdistQ32(a, b32), sqdistQ32Go(a, b32); !sameBits(got, want) {
+		t.Fatalf("n=%d: sqdistQ32=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if got, want := dot32(a, b32), dot32Go(a, b32); !sameBits(got, want) {
+		t.Fatalf("n=%d: dot32=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func TestKernelBodiesBitIdentical(t *testing.T) {
+	logDispatch(t)
+	rng := rand.New(rand.NewSource(80))
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			for trial := 0; trial < 12; trial++ {
+				a := offsetCopy(mixedSlice(rng, n), off)
+				b := offsetCopy(mixedSlice(rng, n), (off+trial)%4)
+				checkOneRow(t, a, b, offsetCopy(narrow(mixedSlice(rng, n)), (off+1)%4))
+			}
+		}
+	}
+}
+
+// TestBatchBodiesBitIdentical covers the four-row passes: 1-9 rows (every
+// remainder after the groups of four) at every tail length and query
+// alignment, through all four batch entry points.
+func TestBatchBodiesBitIdentical(t *testing.T) {
+	logDispatch(t)
+	rng := rand.New(rand.NewSource(81))
+	for dim := 1; dim <= 67; dim++ {
+		for rows := 1; rows <= 9; rows++ {
+			off := (dim + rows) % 4
+			q := offsetCopy(mixedSlice(rng, dim), off)
+			points := make([]Vector, rows)
+			flat := offsetCopy(make([]float32, rows*dim), (off+1)%4)
+			for r := range points {
+				points[r] = offsetCopy(mixedSlice(rng, dim), (off+r)%4)
+				copy(flat[r*dim:], narrow(mixedSlice(rng, dim)))
+			}
+			ids := rng.Perm(rows)
+			out := make([]float64, rows)
+			check := func(name string, r int, want float64) {
+				t.Helper()
+				if !sameBits(out[r], want) {
+					t.Fatalf("%s dim=%d rows=%d row %d: %v (%#x), Go body %v (%#x)",
+						name, dim, rows, r, out[r], math.Float64bits(out[r]), want, math.Float64bits(want))
+				}
+			}
+			SquaredEuclideanBatch(q, points, out)
+			for r := range out {
+				check("SquaredEuclideanBatch", r, sqdistGo(q, points[r]))
+			}
+			SquaredEuclideanRows(q, points, ids, out)
+			for r := range out {
+				check("SquaredEuclideanRows", r, sqdistGo(q, points[ids[r]]))
+			}
+			SquaredEuclideanBatch32(q, flat, out)
+			for r := range out {
+				check("SquaredEuclideanBatch32", r, sqdistQ32Go(q, flat[r*dim:(r+1)*dim]))
+			}
+			SquaredEuclideanRows32(q, flat, ids, out)
+			for r := range out {
+				check("SquaredEuclideanRows32", r, sqdistQ32Go(q, flat[ids[r]*dim:(ids[r]+1)*dim]))
+			}
+		}
+	}
+}
+
+func TestBatchRowsMismatchPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"Rows/out": func() { SquaredEuclideanRows(Vector{1}, []Vector{{1}}, []int{0}, make([]float64, 2)) },
+		"Rows/dim": func() { SquaredEuclideanRows(Vector{1}, []Vector{{1, 2}}, []int{0}, make([]float64, 1)) },
+		"Rows/dim4": func() {
+			SquaredEuclideanRows(Vector{1}, []Vector{{1}, {1}, {1}, {1, 2}}, []int{0, 1, 2, 3}, make([]float64, 4))
+		},
+		"Rows32/out": func() { SquaredEuclideanRows32([]float64{1}, []float32{1}, []int{0}, nil) },
+		"Rows32/range": func() {
+			SquaredEuclideanRows32([]float64{1, 2}, make([]float32, 4), []int{0, 1, 2, 0}, make([]float64, 4))
+		},
+		"Rows32/zero": func() { SquaredEuclideanRows32(nil, nil, nil, nil) },
+		"Batch/dim4":  func() { SquaredEuclideanBatch(Vector{1}, []Vector{{1}, {1, 2}, {1}, {1}}, make([]float64, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// FuzzKernels feeds raw bit patterns — every NaN payload, subnormal and
+// infinity the fuzzer finds — to the dispatched bodies and the Go
+// bodies, one row and four rows, at the alignment off selects.
+func FuzzKernels(f *testing.F) {
+	seed := func(vals ...float64) []byte {
+		var out []byte
+		for _, v := range vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	f.Add(seed(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), uint8(0))
+	f.Add(seed(math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 1e-300, 5e-324, -0.0, 3), uint8(1))
+	f.Add(seed(math.Inf(1), 1, 2, 3, math.Inf(1), 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), uint8(2))
+	f.Add(make([]byte, 8*67), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
+		vals := make([]float64, len(raw)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		f32 := make([]float32, len(raw)/4)
+		for i := range f32 {
+			f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		n := len(vals) / 2
+		a := offsetCopy(vals[:n], int(off%4))
+		b := offsetCopy(vals[n:2*n], int(off/4%4))
+		b32 := offsetCopy(f32[len(f32)-n:], int(off/16%4))
+		checkOneRow(t, a, b, b32)
+
+		rot := func(s []float64, k int) []float64 {
+			if len(s) == 0 {
+				return s
+			}
+			k %= len(s)
+			return append(append([]float64(nil), s[k:]...), s[:k]...)
+		}
+		rows := [4][]float64{b, rot(b, 1), rot(a, 2), rot(b, 3)}
+		var out [4]float64
+		sqdist4(a, rows[0], rows[1], rows[2], rows[3], &out)
+		for r, p := range rows {
+			if want := sqdistGo(a, p); !sameBits(out[r], want) {
+				t.Fatalf("n=%d sqdist4 row %d: %#x, Go body %#x", n, r, math.Float64bits(out[r]), math.Float64bits(want))
+			}
+		}
+		rows32 := [4][]float32{b32, f32[:n], f32[len(f32)/2-n/2:][:n], narrow(a)}
+		sqdistQ32x4(a, rows32[0], rows32[1], rows32[2], rows32[3], &out)
+		for r, p := range rows32 {
+			if want := sqdistQ32Go(a, p); !sameBits(out[r], want) {
+				t.Fatalf("n=%d sqdistQ32x4 row %d: %#x, Go body %#x", n, r, math.Float64bits(out[r]), math.Float64bits(want))
+			}
+		}
+	})
+}

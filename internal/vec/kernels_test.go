@@ -238,12 +238,12 @@ func TestKernelsPassNaNAndInfThrough(t *testing.T) {
 
 func TestKernelLengthMismatchesPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"Dot":         func() { Dot(make([]float64, 2), make([]float64, 3)) },
-		"Axpy":        func() { Axpy(make([]float64, 2), 1, make([]float64, 3)) },
-		"DotGather":   func() { DotGather(make([]float64, 2), make([]int, 3), make([]float64, 4)) },
+		"Dot":          func() { Dot(make([]float64, 2), make([]float64, 3)) },
+		"Axpy":         func() { Axpy(make([]float64, 2), 1, make([]float64, 3)) },
+		"DotGather":    func() { DotGather(make([]float64, 2), make([]int, 3), make([]float64, 4)) },
 		"DotGatherI32": func() { DotGatherI32(make([]float64, 2), make([]int32, 3), make([]float64, 4)) },
-		"ScatterAxpy": func() { ScatterAxpy(make([]float64, 4), make([]int, 3), make([]float64, 2), 1) },
-		"BatchOutLen": func() { SquaredEuclideanBatch(Vector{1}, make([]Vector, 2), make([]float64, 3)) },
+		"ScatterAxpy":  func() { ScatterAxpy(make([]float64, 4), make([]int, 3), make([]float64, 2), 1) },
+		"BatchOutLen":  func() { SquaredEuclideanBatch(Vector{1}, make([]Vector, 2), make([]float64, 3)) },
 		"BatchPointDim": func() {
 			SquaredEuclideanBatch(Vector{1}, []Vector{{1, 2}}, make([]float64, 1))
 		},

@@ -165,7 +165,7 @@ func SquaredEuclidean(a, b Vector) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", len(a), len(b)))
 	}
-	return squaredEuclideanTo(a, b)
+	return sqdist(a, b)
 }
 
 // Manhattan is the L1 metric, provided for completeness with the
