@@ -80,28 +80,3 @@ func BenchmarkDistributedVsInProcess(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkDistributedDelta is the coordinator's Delta, which serve's
-// /insert calls twice and /delete once: one /dist/info call per shard,
-// asked of all four shards at once. On loopback the calls cost CPU, not
-// waiting, so overlapping them buys nothing on a small box; with a
-// per-request network delay (Faults.Latency) the four waits overlap and
-// the call costs one delay instead of four.
-func BenchmarkDistributedDelta(b *testing.B) {
-	for _, delay := range []time.Duration{0, 500 * time.Microsecond} {
-		name := "loopback"
-		if delay > 0 {
-			name = "delay=" + delay.String()
-		}
-		b.Run(name, func(b *testing.B) {
-			cl, _ := benchCluster(b, 4)
-			for _, f := range cl.Faults {
-				f.Latency(delay)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = cl.Coord.Delta()
-			}
-		})
-	}
-}

@@ -600,33 +600,18 @@ func (c *Coordinator) Version() uint64 { return c.ids.Version() }
 // Stats aggregates construction statistics across reachable shards
 // (modularity node-weighted).
 func (c *Coordinator) Stats() mogul.Stats {
-	infos, errs := c.infos()
-	return fanout.SumStats(len(infos), func(s int) (mogul.Stats, bool) { return infos[s].Stats, errs[s] == nil })
+	return fanout.SumStats(len(c.shards), func(s int) (mogul.Stats, bool) {
+		info, err := c.shards[s].Primary().InfoCtx(context.Background())
+		return info.Stats, err == nil
+	})
 }
 
 // Delta aggregates the dynamic state across reachable shards.
 func (c *Coordinator) Delta() mogul.DeltaStats {
-	infos, errs := c.infos()
-	return fanout.SumDelta(len(infos), func(s int) (mogul.DeltaStats, bool) { return infos[s].Delta, errs[s] == nil })
-}
-
-// infos asks every shard primary for its state snapshot at once, so an
-// aggregate costs one round trip instead of one per shard, and returns
-// the answers in shard order (the sums above run in that order whatever
-// order the answers arrived in).
-func (c *Coordinator) infos() ([]Info, []error) {
-	infos := make([]Info, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for s, sh := range c.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			infos[s], errs[s] = sh.Primary().InfoCtx(context.Background())
-		}()
-	}
-	wg.Wait()
-	return infos, errs
+	return fanout.SumDelta(len(c.shards), func(s int) (mogul.DeltaStats, bool) {
+		info, err := c.shards[s].Primary().InfoCtx(context.Background())
+		return info.Delta, err == nil
+	})
 }
 
 // strict turns a degraded-tolerant answer into the Retriever
