@@ -22,10 +22,11 @@ package mogul
 // the rows of M its right-hand side touches and then scores only the
 // anchor cells whose upper bound can still reach the k-th score (the
 // paper's Algorithm 2 over anchor cells; emrCells and collect below):
-// O(p s) for the combine, one gathered bound per cell, and a few percent
-// of the n rows on clustered data. Insert appends an H column against
-// the frozen anchor set (O(p) — M is untouched), Delete tombstones, and
-// Compact re-runs k-means over the live points.
+// O(p s) for the combine, O(p) plus what the few anchors near the query
+// push for the bound, and a few percent of the n rows on clustered data.
+// Insert appends an H column against the frozen anchor set (O(p) — M is
+// untouched), Delete tombstones, and Compact re-runs k-means over the
+// live points.
 //
 // *EMRIndex implements the full Retriever surface, so it serves
 // through the serve package, the dist coordinator, and mogul-server
@@ -35,6 +36,7 @@ package mogul
 // against the exact engine and says when to choose which.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -119,27 +121,37 @@ type emrState struct {
 // h_i . v = 1 up to rounding, which is what makes the constant part of
 // a query's z separable — and gmax[c] is the largest computed h_i . v
 // in the cell. Tombstoned base rows stay in (a bound that covers a dead
-// row is only looser); delta rows belong to no cell. About 37 bytes per
-// base row at s = 24 (0.73 MB at n = 20000, p = 1024; 3.2 MB at
-// n = 10^5, p = 2560).
+// row is only looser); delta rows belong to no cell.
+//
+// The anchor-major half is the transpose of ann/maxW that the bound
+// pass pushes through: anchor u is listed by the cells
+// tCell[tPtr[u]:tPtr[u+1]] (ascending) with weights tW, sumW[c] is the
+// sum of cell c's maxW, and maxSumW / maxGmax are the largest sumW and
+// gmax over all cells. The whole table is about 69 bytes per base row
+// at n = 20000, p = 1024, s = 24 (1.37 MB; 6.0 MB at n = 10^5,
+// p = 2560), of which the transpose is 12 bytes per entry of ann.
 type emrCells struct {
 	rowPtr, annPtr []int
 	rows, ann      []int32
 	maxW           []float64
 	v, gmax        []float64
+
+	tPtr             []int
+	tCell            []int32
+	tW               []float64
+	sumW             []float64
+	maxSumW, maxGmax float64
 }
 
 // narrow32 moves the state into mixed-precision storage: the point
 // matrix flattens to float32 rows and the H attachment weights round to
 // float32, halving the bytes a scored row streams; anchors, column
-// sums, and the gram inverse keep full precision. The cells are
-// re-derived from the rounded weights (rounding a finite non-negative
-// weight leaves it one, so there is nothing to report).
+// sums, and the gram inverse keep full precision. It runs before the
+// cells are derived, so they are derived once, from the rounded weights.
 func (st *emrState) narrow32() {
 	st.narrowPoints()
 	st.hVal32 = vec.Narrow32(nil, st.hVal)
 	st.hVal = nil
-	st.deriveCells()
 }
 
 // weight returns the stored attachment weight at flat position fp,
@@ -178,10 +190,12 @@ func (st *emrState) primaryAnchor(i int) int32 {
 }
 
 // deriveCells fills st.cells from the base columns — two passes over
-// them and one small sort per cell — and returns the flat position of
-// the first stored base weight that is negative or not finite, or -1.
-// The scan's bound is one only over non-negative weights, which is what
-// every build produces; loaders refuse anything else.
+// them, one small sort per cell and a counting sort for the transpose —
+// and returns the flat position of the first stored base weight that is
+// negative or not finite, or -1. The scan's bound is one only over
+// non-negative weights, which is what every build produces; loaders
+// refuse anything else. A state is derived once, in its final storage
+// precision (buildEMRState narrows first).
 func (st *emrState) deriveCells() int {
 	p, s, n := st.p, st.s, st.baseN
 	c := emrCells{
@@ -242,6 +256,30 @@ func (st *emrState) deriveCells() int {
 	}
 	// The table lives as long as the state: drop append's spare capacity.
 	c.ann, c.maxW = slices.Clone(c.ann), slices.Clone(c.maxW)
+
+	// The transpose, by counting sort over ann: cells are visited in
+	// ascending order, so every anchor's list comes out ascending.
+	c.tPtr = make([]int, p+1)
+	for _, u := range c.ann {
+		c.tPtr[u+1]++
+	}
+	for u := 0; u < p; u++ {
+		c.tPtr[u+1] += c.tPtr[u]
+	}
+	c.tCell = make([]int32, len(c.ann))
+	c.tW = make([]float64, len(c.ann))
+	c.sumW = make([]float64, p)
+	copy(next, c.tPtr[:p])
+	for a := 0; a < p; a++ {
+		for j := c.annPtr[a]; j < c.annPtr[a+1]; j++ {
+			u := c.ann[j]
+			c.tCell[next[u]], c.tW[next[u]] = int32(a), c.maxW[j]
+			next[u]++
+			c.sumW[a] += c.maxW[j]
+		}
+		c.maxSumW = max(c.maxSumW, c.sumW[a])
+		c.maxGmax = max(c.maxGmax, c.gmax[a])
+	}
 	st.cells = c
 	return bad
 }
@@ -294,25 +332,23 @@ func BuildEMR(points []Vector, opts Options, eopts EMROptions) (*EMRIndex, error
 		return nil, err
 	}
 	eopts = eopts.withDefaults()
-	st, err := buildEMRState(points, opts.Alpha, opts.Seed, eopts)
+	st, err := buildEMRState(points, opts.Alpha, opts.Seed, eopts, opts.Precision == F32)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Precision == F32 {
-		st.narrow32()
 	}
 	return newEMRIndex(opts.Alpha, opts.Seed, opts.AutoCompactFraction, eopts, st), nil
 }
 
-func (e *EMRIndex) build(points []Vector) (*emrState, error) {
-	return buildEMRState(points, e.alpha, e.seed, e.eopts)
+func (e *EMRIndex) build(points []Vector, f32 bool) (*emrState, error) {
+	return buildEMRState(points, e.alpha, e.seed, e.eopts, f32)
 }
 
 // buildEMRState runs the offline half of EMR: k-means anchors, the
 // shared anchor attachment (baseline.BuildAnchorGraph — the engine and
 // the baseline produce bit-identical graphs from the same inputs), and
-// the explicit inverse of the gram system.
-func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions) (*emrState, error) {
+// the explicit inverse of the gram system, all in float64; with f32 set
+// the result is then narrowed, and only then are the cells derived.
+func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions, f32 bool) (*emrState, error) {
 	n := len(points)
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("mogul: EMR addresses base rows as int32, got %d points", n)
@@ -392,6 +428,9 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions)
 	if err != nil {
 		return nil, fmt.Errorf("mogul: EMR gram inversion: %w", err)
 	}
+	if f32 {
+		st.narrow32()
+	}
 	st.deriveCells()
 	st.stats = Stats{
 		NumNodes:    n,
@@ -468,21 +507,81 @@ func (e *EMRIndex) Neighbors(item int) ([]int, []float64, error) {
 
 // EMRSearcher is a dedicated reusable query engine over an EMRIndex:
 // it owns the dense anchor-space vectors (right-hand side, z = M rhs and
-// the bound pass's remainder), the top-k collector, and the anchor-attachment
-// scratch, so a steady query load runs allocation-free. Use one searcher
-// per worker goroutine (the EMRIndex query methods draw from an internal
-// pool). TopK, TopKWithInfo, TopKVector and TopKSet come from the shared
-// searcher half (engine.go).
+// the bound pass's remainder), the bound pass's per-cell scratch, the
+// top-k collector, and the anchor-attachment scratch, so a steady query
+// load runs allocation-free. Use one searcher per worker goroutine (the
+// EMRIndex query methods draw from an internal pool). TopK,
+// TopKWithInfo, TopKVector and TopKSet come from the shared searcher
+// half (engine.go).
 type EMRSearcher struct {
 	searcher[*emrState]
 	e           *EMRIndex
 	rhs, z, rem []float64
-	// entered marks the cells the current query has scanned.
+	// entered marks the cells the current query has scanned; acc holds
+	// each cell's pushed bound, order the right-hand side's anchors by
+	// weight and cand the heap of cells the bound has not ruled out.
 	entered []bool
-	info    SearchInfo
-	sc      baseline.AnchorScratch
-	wIdx    []int
-	wVal    []float64
+	acc     []float64
+	order   []int32
+	cand    []cellKey
+	// pushed counts the transposed entries the latest bound pass read.
+	pushed int
+	info   SearchInfo
+	sc     baseline.AnchorScratch
+	wIdx   []int
+	wVal   []float64
+}
+
+// cellKey is a candidate cell of the bound pass with its pushed bound.
+type cellKey struct {
+	bound float64
+	cell  int32
+}
+
+// ahead is the candidate heap's order: a NaN bound first (nothing rules
+// such a cell out), then the larger bound, ties to the lower cell id. It
+// is total, so the pop sequence does not depend on the heap's layout.
+func (a cellKey) ahead(b cellKey) bool {
+	if an, bn := math.IsNaN(a.bound), math.IsNaN(b.bound); an != bn {
+		return an
+	} else if !an && a.bound != b.bound {
+		return a.bound > b.bound
+	}
+	return a.cell < b.cell
+}
+
+// heapify orders the candidates into a heap under ahead.
+func heapify(h []cellKey) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// popCell removes the head of the heap h and returns it with the rest.
+func popCell(h []cellKey) (cellKey, []cellKey) {
+	top := h[0]
+	h[0] = h[len(h)-1]
+	h = h[:len(h)-1]
+	siftDown(h, 0)
+	return top, h
+}
+
+// siftDown restores the heap below position i.
+func siftDown(h []cellKey, i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h[j+1].ahead(h[j]) {
+			j++
+		}
+		if !h[j].ahead(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // NewSearcher returns a fresh dedicated searcher.
@@ -505,11 +604,15 @@ func (sr *EMRSearcher) ensure(p int) {
 		sr.rhs = make([]float64, p)
 		sr.z = make([]float64, p)
 		sr.rem = make([]float64, p)
+		sr.acc = make([]float64, p)
 		sr.entered = make([]bool, p)
+		sr.order = make([]int32, 0, p)
+		sr.cand = make([]cellKey, 0, p)
 	}
 	sr.rhs = sr.rhs[:p]
 	sr.z = sr.z[:p]
 	sr.rem = sr.rem[:p]
+	sr.acc = sr.acc[:p]
 	sr.entered = sr.entered[:p]
 	clear(sr.rhs)
 }
@@ -526,38 +629,62 @@ func (sr *EMRSearcher) ensure(p int) {
 // agree with baseline.EMR to rounding (same ids, scores within 1e-12
 // relative), not bit for bit.
 //
-// The scan. The cells of the anchors rhs touches and of the seed rows
-// are scored first, so the collector's threshold is a real k-th score
-// before anything is bounded (and every row with a q_i term is behind
-// us). For the rest, alpha = 0.99 lays a near-constant background under
-// every score — z is close to a multiple of v = H 1, and h_i . v = 1 —
-// which a plain "weights are non-negative" bound cannot get under. So
-// the background is split off exactly: with c0 = max(0, min_a z_a/v_a)
-// and rem = (z - c0 v)+, every base row of cell c has
+// The scan. The seed rows' cells are scored first, because the bound
+// omits the q_i term; then the cells of the anchors rhs touches, by
+// descending weight, until two cells are in and the collector is full,
+// so its threshold theta is a real k-th score before anything is
+// bounded. For the rest, alpha = 0.99 lays a near-constant background
+// under every score — z is close to a multiple of v = H 1, and
+// h_i . v = 1 — which a plain "weights are non-negative" bound cannot
+// get under. So the background is split off exactly: with
+// c0 = max(0, min_a z_a/v_a) and rem = (z - c0 v)+, every base row of
+// cell c has
 //
 //	h_i . z = c0 (h_i . v) + h_i . (z - c0 v) <= c0 gmax_c + sum_u maxW_c[u] rem[u]
 //
-// for any z whatever, because c0 and the stored weights are >= 0. A
-// cell is entered unless alpha (1-alpha) times that, inflated by the
-// slack below, cannot beat the k-th score under Offer's own rule (a
-// score <= the threshold is rejected). The comparison is written so a
-// collector that is not yet full (threshold -Inf), a NaN anywhere in z
-// (builtin min and max propagate it into c0, rem and the bound) or an
-// infinite bound never prunes: with k >= live this is the full scan.
-// Delta rows belong to no cell and are always scored. The answer is the
-// exhaustive scan's — same scores to the bit; only which of several
-// items tied exactly at the k-th score survive can differ, because
-// offers arrive in a different order. sr.info records what the scan did.
+// for any z whatever, because c0 and the stored weights are >= 0. What
+// is left of rem is concentrated on the few anchors near the query, so
+// the sum is bounded in two tiers: for any tau >= 0, since
+// rem[u] <= tau + (rem[u] - tau)+,
+//
+//	sum_u maxW_c[u] rem[u] <= tau sumW_c + sum_{rem[u] > tau} maxW_c[u] (rem[u] - tau)
+//
+// The first tier costs one multiply per cell; the second is pushed from
+// the anchors above tau through the transposed table, which at the
+// tau of pushLevel are a few dozen of p. A cell stays a candidate unless
+// alpha (1-alpha) times that, inflated by the slack below, cannot beat
+// theta under Offer's own rule (a score <= the threshold is rejected).
+// Candidates are popped best first from a max-heap on that bound; a
+// popped cell is checked against the current theta again, first through
+// its heap bound, then through the exact gather over its own anchors
+// (cellBound), and entered only if both let it in. Once the top of the
+// heap is at or below theta, so is the rest. The comparisons are
+// written so a collector that is not yet full (threshold -Inf), a NaN
+// anywhere in z (builtin min and max propagate it into c0 and rem; a NaN
+// rem is above every tau, so it is pushed into every cell that lists
+// its anchor) or an infinite bound never prunes: with k >= live this is
+// the full scan. Delta rows belong to no cell and are always scored. The
+// answer is the exhaustive scan's — same scores to the bit; only which
+// of several items tied exactly at the k-th score survive can differ,
+// because offers arrive in a different order. sr.info records what the
+// scan did: entered plus skipped cells is p.
 //
 // The slack is spectral.go's: pruneRelSlack + 4 p 2^-52 relative covers
-// every rounding between the true bound and a computed score — the
-// s-term gather of the score, the at most p-term gather of the bound,
-// gmax's own gather, the product and difference inside rem (an absolute
-// 2^-53 c0 v_u per anchor, which the c0 gmax_c term dominates) and the
-// three scalings, each within a few 2^-53 relative of terms that are all
-// non-negative whenever c0 > 0 (then z > 0 on every attached anchor);
-// when c0 = 0 the negative terms of a score only lower it. pruneAbsSlack
-// covers products that underflow.
+// every rounding between the true bound and a computed score. On the
+// score's side: its s-term gather and the two scalings. On the bound's:
+// gmax's own gather; the product and difference inside rem (an absolute
+// 2^-53 c0 v_u per anchor, which the c0 gmax_c term dominates); and
+// either the at most p-term gather of cellBound or the pushed sum, whose
+// terms c0 gmax_c, tau sumW_c (sumW a sum of at most p terms) and one
+// maxW (rem - tau) per pushing anchor (a difference and a product) are
+// added one by one — at most 2p + 3 roundings. Every term of both bounds
+// is non-negative (tau >= 0, and rem - tau > 0 where it is pushed), so
+// each rounding is within 2^-53 relative of the whole, and whenever
+// c0 > 0 (then z > 0 on every attached anchor) so is every term of the
+// score; when c0 = 0 the negative terms of a score only lower it. That
+// is at most 2p + 2s + 9 roundings in all, inside the 4 p 2^-52 term
+// for p >= 3 (s <= p), with pruneRelSlack on top. pruneAbsSlack covers
+// products that underflow.
 func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 	e := sr.e
 	st := e.st
@@ -571,23 +698,45 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 	sr.resetCollector(k)
 	sr.info = SearchInfo{}
 	clear(sr.entered)
-	for a, r := range sr.rhs {
-		if r != 0 {
-			sr.scoreCell(a, seeds)
-		}
-	}
 	for _, sw := range seeds {
 		if sw.id < st.baseN {
 			sr.scoreCell(int(st.primaryAnchor(sw.id)), seeds)
 		}
 	}
+	// No cell entered from here on holds a seed row.
+	for _, a := range sr.rhsOrder() {
+		if sr.info.ClustersScanned >= 2 && sr.col.Threshold() > math.Inf(-1) {
+			break
+		}
+		sr.scoreCell(int(a), nil)
+	}
 
 	c0, scale := sr.splitBackground()
-	for c := range sr.entered {
+	th := sr.col.Threshold()
+	sr.pushBound(c0, sr.pushLevel(th, c0, scale))
+	cand := sr.cand[:0]
+	for c, b := range sr.acc {
 		if sr.entered[c] {
 			continue
 		}
-		if bound := sr.cellBound(c, c0, scale); bound <= sr.col.Threshold() && bound <= math.MaxFloat64 {
+		if b = scale*b + pruneAbsSlack; prunes(b, th) {
+			sr.info.ClustersPruned++
+			continue
+		}
+		cand = append(cand, cellKey{b, int32(c)})
+	}
+	heapify(cand)
+	for len(cand) > 0 {
+		th = sr.col.Threshold()
+		if prunes(cand[0].bound, th) {
+			sr.info.ClustersPruned += len(cand)
+			break
+		}
+		var top cellKey
+		top, cand = popCell(cand)
+		c := int(top.cell)
+		// Nothing prunes against -Inf: skip the gather.
+		if th > math.Inf(-1) && prunes(sr.cellBound(c, c0, scale), th) {
 			sr.info.ClustersPruned++
 			continue
 		}
@@ -597,6 +746,74 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 		sr.scoreRow(i, seeds)
 	}
 	return sr.results()
+}
+
+// prunes reports whether a cell bounded by bound cannot beat the
+// threshold th: never for a NaN or infinite bound.
+func prunes(bound, th float64) bool {
+	return bound <= th && bound <= math.MaxFloat64
+}
+
+// rhsOrder lists the anchors the right-hand side touches by descending
+// weight, ties to the lower anchor id (cmp.Compare puts a NaN last).
+func (sr *EMRSearcher) rhsOrder() []int32 {
+	order := sr.order[:0]
+	for a, r := range sr.rhs {
+		if r != 0 {
+			order = append(order, int32(a))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(sr.rhs[b], sr.rhs[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
+// pushLevel returns the tau of the two-tier bound at threshold th: the
+// level at which the first tier, c0 gmax_c + tau sumW_c, reaches th/scale
+// for the cell with the largest gmax and sumW, so a cell can survive only
+// through what is pushed into it. It is 0 whenever that is not a
+// positive finite number (a collector that is not full, a NaN c0, a
+// background that reaches theta by itself).
+func (sr *EMRSearcher) pushLevel(th, c0, scale float64) float64 {
+	cl := &sr.e.st.cells
+	tau := (th/scale - c0*cl.maxGmax) / cl.maxSumW
+	if !(tau > 0 && tau <= math.MaxFloat64) {
+		return 0
+	}
+	return tau
+}
+
+// pushBound fills sr.acc with every cell's two-tier bound at level
+// tau >= 0 before scaling, from splitBackground's results:
+//
+//	acc[c] = c0 gmax_c + tau sumW_c + sum_{rem[u] > tau} maxW_c[u] (rem[u] - tau)
+//
+// The first two terms are one pass over the cells; the sum reads the
+// transposed lists of the anchors above tau only. A NaN rem is never at
+// or below tau, so it poisons every cell that lists its anchor.
+func (sr *EMRSearcher) pushBound(c0, tau float64) {
+	cl := &sr.e.st.cells
+	acc := sr.acc
+	for c := range acc {
+		acc[c] = c0*cl.gmax[c] + tau*cl.sumW[c]
+	}
+	sr.pushed = 0
+	for u, r := range sr.rem {
+		if r <= tau {
+			continue
+		}
+		d := r - tau
+		lo, hi := cl.tPtr[u], cl.tPtr[u+1]
+		cells, ws := cl.tCell[lo:hi], cl.tW[lo:hi]
+		for j, c := range cells {
+			acc[c] += ws[j] * d
+		}
+		sr.pushed += hi - lo
+	}
 }
 
 // splitBackground prepares the bound pass for the z in sr.z: it picks

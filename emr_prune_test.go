@@ -14,11 +14,14 @@ package mogul
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mogul/internal/vec"
@@ -246,8 +249,11 @@ func TestEMRPrunedMatchesExhaustive(t *testing.T) {
 // random non-negative right-hand sides, and raw vectors from mixed-sign
 // through deep underflow to near overflow — every cell's bound is at
 // least the score collect would compute for each of its members, in
-// both precisions. Where the bound is a number at all it must dominate;
-// where z overflows it must not be one.
+// both precisions. That holds for the exact gather (cellBound) and for
+// the pushed two-tier bound at tau = 0 (the gather's terms, pushed), at
+// the tau collect would derive from the k = 10 threshold, and at a tau
+// just above every remainder (the first tier alone). Where a bound is a
+// number at all it must dominate; where z overflows it must not be one.
 func TestEMRCellBoundDominates(t *testing.T) {
 	for _, form := range emrPrunePrecisions {
 		t.Run(form.name, func(t *testing.T) {
@@ -262,15 +268,51 @@ func TestEMRCellBoundDominates(t *testing.T) {
 			sr := e.NewSearcher()
 			sr.ensure(st.p)
 			rng := rand.New(rand.NewSource(83))
+			score := func(i int32) float64 { return (1 - e.alpha) * (e.alpha * st.dotColumn(int(i), sr.z)) }
+			// taus are the levels the pushed bound is checked at for the
+			// remainder in sr.rem.
+			taus := func(c0, scale float64) []float64 {
+				all := make([]float64, 0, st.baseN)
+				for i := 0; i < st.baseN; i++ {
+					all = append(all, score(int32(i)))
+				}
+				slices.SortFunc(all, func(a, b float64) int { return cmp.Compare(b, a) })
+				maxRem := 0.0
+				for _, r := range sr.rem {
+					if r > maxRem { // a NaN rem is not a level
+						maxRem = r
+					}
+				}
+				return []float64{0, sr.pushLevel(all[9], c0, scale), math.Nextafter(maxRem, math.Inf(1))}
+			}
 			dominated := func(label string) {
 				t.Helper()
 				c0, scale := sr.splitBackground()
 				for c := 0; c < st.p; c++ {
 					bound := sr.cellBound(c, c0, scale)
 					for _, i := range cl.rows[cl.rowPtr[c]:cl.rowPtr[c+1]] {
-						score := (1 - e.alpha) * (e.alpha * st.dotColumn(int(i), sr.z))
-						if !(bound >= score) && bound <= math.MaxFloat64 {
-							t.Fatalf("%s: row %d of cell %d scores %g above the cell's bound %g (c0 = %g)", label, i, c, score, bound, c0)
+						if s := score(i); !(bound >= s) && bound <= math.MaxFloat64 {
+							t.Fatalf("%s: row %d of cell %d scores %g above the cell's bound %g (c0 = %g)", label, i, c, s, bound, c0)
+						}
+					}
+				}
+				for _, tau := range taus(c0, scale) {
+					sr.pushBound(c0, tau)
+					for c := 0; c < st.p; c++ {
+						// The two tiers are c0 gmax_c + sum_u maxW_c[u] max(rem[u], tau):
+						// nothing pushed may be lost, nothing extra added.
+						clamped := c0 * cl.gmax[c]
+						for j := cl.annPtr[c]; j < cl.annPtr[c+1]; j++ {
+							clamped += cl.maxW[j] * max(sr.rem[cl.ann[j]], tau)
+						}
+						if d := math.Abs(sr.acc[c] - clamped); d > 1e-12*clamped+pruneAbsSlack {
+							t.Fatalf("%s: cell %d pushes to %g, its clamped sum is %g (c0 = %g, tau = %g)", label, c, sr.acc[c], clamped, c0, tau)
+						}
+						bound := scale*sr.acc[c] + pruneAbsSlack
+						for _, i := range cl.rows[cl.rowPtr[c]:cl.rowPtr[c+1]] {
+							if s := score(i); !(bound >= s) && bound <= math.MaxFloat64 {
+								t.Fatalf("%s: row %d of cell %d scores %g above the cell's pushed bound %g (c0 = %g, tau = %g)", label, i, c, s, bound, c0, tau)
+							}
 						}
 					}
 				}
@@ -317,6 +359,12 @@ func TestEMRCellBoundDominates(t *testing.T) {
 				if bound := sr.cellBound(0, c0, scale); bound <= math.MaxFloat64 {
 					t.Fatalf("z with a %g on an anchor of cell 0 bounds it by %g", poison, bound)
 				}
+				for _, tau := range taus(c0, scale) {
+					sr.pushBound(c0, tau)
+					if bound := scale*sr.acc[0] + pruneAbsSlack; bound <= math.MaxFloat64 {
+						t.Fatalf("z with a %g on an anchor of cell 0 pushes it a bound of %g at tau = %g", poison, bound, tau)
+					}
+				}
 			}
 		})
 	}
@@ -350,8 +398,10 @@ func TestEMRSeedCellsScoredFirst(t *testing.T) {
 }
 
 // TestEMRPruneWorkCounters pins both ends of the regime: on the
-// clustered fixture a k = 10 query scores a small share of the rows, and
-// a query for at least every live item is the exhaustive scan.
+// clustered fixture a k = 10 query scores a small share of the rows, a
+// k = 10 vector query enters fewer cells than its right-hand side
+// touches anchors (s), and a query for at least every live item is the
+// exhaustive scan. Entered plus skipped cells is p throughout.
 func TestEMRPruneWorkCounters(t *testing.T) {
 	t.Parallel()
 	base, pool := emrPruneCorpus(84)
@@ -383,6 +433,24 @@ func TestEMRPruneWorkCounters(t *testing.T) {
 	if mean := float64(scored) / float64(len(queries)); mean > 0.2*float64(live) {
 		t.Fatalf("k=10 on the clustered fixture scores %.1f rows per query, want at most 20%% of %d", mean, live)
 	}
+	// Entering every cell the right-hand side touches would be s per
+	// query; a query between two micro-clusters may still need more.
+	sr := e.NewSearcher()
+	vectors := pool[20:40]
+	entered := 0
+	for qi, v := range vectors {
+		if _, err := sr.TopKVector(v, 10); err != nil {
+			t.Fatal(err)
+		}
+		info := sr.work()
+		if info.ClustersScanned+info.ClustersPruned != e.NumAnchors() {
+			t.Fatalf("vector %d: %d cells entered + %d skipped, want %d in all", qi, info.ClustersScanned, info.ClustersPruned, e.NumAnchors())
+		}
+		entered += info.ClustersScanned
+	}
+	if mean := float64(entered) / float64(len(vectors)); mean >= float64(e.st.s) {
+		t.Fatalf("k=10 vector queries enter %.1f cells on average, want fewer than the %d anchors a right-hand side touches", mean, e.st.s)
+	}
 	for _, k := range []int{live, live + 5} {
 		_, info, err := e.TopKWithInfo(3, k)
 		if err != nil {
@@ -392,6 +460,224 @@ func TestEMRPruneWorkCounters(t *testing.T) {
 			t.Fatalf("k=%d of %d live: %+v, want every live row scored and no cell skipped", k, live, info)
 		}
 	}
+}
+
+// TestEMRCandidateOrder: the bound pass's heap pops its cells NaN bounds
+// first, then by descending bound, ties to the lower cell id — the
+// order a full sort gives, whatever order the cells arrive in. (The
+// differential test cannot see a wrong order on its corpora: the cells
+// that hold winners are entered either way.)
+func TestEMRCandidateOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	levels := []float64{math.NaN(), math.Inf(1), 3, 2, 2, 1, 0x1p-1000, 0}
+	for trial := 0; trial < 200; trial++ {
+		h := make([]cellKey, rng.Intn(40))
+		for i := range h {
+			h[i] = cellKey{bound: levels[rng.Intn(len(levels))], cell: int32(i)}
+			if rng.Intn(2) == 0 {
+				h[i].bound = rng.Float64()
+			}
+		}
+		rng.Shuffle(len(h), func(i, j int) { h[i], h[j] = h[j], h[i] })
+		want := slices.Clone(h)
+		slices.SortFunc(want, func(a, b cellKey) int {
+			an, bn := math.IsNaN(a.bound), math.IsNaN(b.bound)
+			switch {
+			case an != bn && an:
+				return -1
+			case an != bn:
+				return 1
+			case !an && a.bound != b.bound:
+				return cmp.Compare(b.bound, a.bound)
+			}
+			return cmp.Compare(a.cell, b.cell)
+		})
+		heapify(h)
+		for i, w := range want {
+			var got cellKey
+			got, h = popCell(h)
+			if got.cell != w.cell {
+				t.Fatalf("trial %d: pop %d is cell %d (bound %g), want cell %d (bound %g)", trial, i, got.cell, got.bound, w.cell, w.bound)
+			}
+		}
+	}
+}
+
+// checkCellTable holds the anchor-major half of st.cells to its
+// definition: every (cell, anchor, maxW) of ann/maxW appears in the
+// transpose exactly once, each anchor's cells ascend, sumW is each
+// cell's maxW summed in order, and maxSumW / maxGmax are the maxima. The
+// table must also be what deriving it afresh from the state's stored
+// weights gives — for an F32 state, from the narrowed ones.
+func checkCellTable(t *testing.T, label string, st *emrState) {
+	t.Helper()
+	cl := &st.cells
+	type entry struct {
+		cell, anchor int32
+		w            uint64
+	}
+	count := map[entry]int{}
+	for c := 0; c < st.p; c++ {
+		sum := 0.0
+		for j := cl.annPtr[c]; j < cl.annPtr[c+1]; j++ {
+			count[entry{int32(c), cl.ann[j], math.Float64bits(cl.maxW[j])}]++
+			sum += cl.maxW[j]
+		}
+		if sum != cl.sumW[c] {
+			t.Fatalf("%s: cell %d has sumW %g, its maxW sum to %g", label, c, cl.sumW[c], sum)
+		}
+	}
+	if len(cl.tPtr) != st.p+1 || cl.tPtr[st.p] != len(cl.ann) {
+		t.Fatalf("%s: the transpose spans %d anchors and %d entries, want %d and %d", label, len(cl.tPtr)-1, cl.tPtr[len(cl.tPtr)-1], st.p, len(cl.ann))
+	}
+	for u := 0; u < st.p; u++ {
+		for j := cl.tPtr[u]; j < cl.tPtr[u+1]; j++ {
+			if j > cl.tPtr[u] && cl.tCell[j-1] >= cl.tCell[j] {
+				t.Fatalf("%s: anchor %d lists cell %d after cell %d", label, u, cl.tCell[j], cl.tCell[j-1])
+			}
+			e := entry{cl.tCell[j], int32(u), math.Float64bits(cl.tW[j])}
+			if count[e]--; count[e] < 0 {
+				t.Fatalf("%s: the transpose lists (cell %d, anchor %d, %g), which ann/maxW hold fewer times", label, e.cell, u, cl.tW[j])
+			}
+		}
+	}
+	for e, n := range count {
+		if n != 0 {
+			t.Fatalf("%s: (cell %d, anchor %d, %g) of ann/maxW is missing from the transpose", label, e.cell, e.anchor, math.Float64frombits(e.w))
+		}
+	}
+	if cl.maxSumW != slices.Max(cl.sumW) || cl.maxGmax != slices.Max(cl.gmax) {
+		t.Fatalf("%s: maxSumW %g / maxGmax %g, want %g / %g", label, cl.maxSumW, cl.maxGmax, slices.Max(cl.sumW), slices.Max(cl.gmax))
+	}
+	twin := *st
+	twin.deriveCells()
+	if !reflect.DeepEqual(twin.cells, st.cells) {
+		t.Fatalf("%s: the table differs from one derived afresh from the stored weights", label)
+	}
+}
+
+// TestEMRCellTable checks the derived table wherever a state is born:
+// BuildEMR in both precisions (F32 through narrow32, deriving once from
+// the rounded weights), LoadEMR, LoadFileMapped and Compact.
+func TestEMRCellTable(t *testing.T) {
+	for _, form := range emrPrunePrecisions {
+		t.Run(form.name, func(t *testing.T) {
+			t.Parallel()
+			base, pool := emrPruneCorpus(88)
+			e, err := BuildEMR(base, Options{Seed: 88, Precision: form.prec}, EMROptions{NumAnchors: 96, NumNearestAnchors: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.st.f32() != (form.prec == F32) {
+				t.Fatalf("built f32 = %v", e.st.f32())
+			}
+			checkCellTable(t, "build", e.st)
+			for _, v := range pool[:10] {
+				if _, err := e.Insert(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []int{4, 500, 1001} {
+				if err := e.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := e.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadEMR(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCellTable(t, "LoadEMR", loaded.st)
+			path := filepath.Join(t.TempDir(), "emr.idx")
+			if err := e.SaveFileAligned(path, 4096); err != nil {
+				t.Fatal(err)
+			}
+			r, closer, err := LoadFileMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closer.Close()
+			checkCellTable(t, "LoadFileMapped", r.(*EMRIndex).st)
+			if err := e.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if e.st.f32() != (form.prec == F32) {
+				t.Fatalf("compacted f32 = %v", e.st.f32())
+			}
+			checkCellTable(t, "Compact", e.st)
+		})
+	}
+}
+
+// FuzzEMRScan holds the bounded scan to the exhaustive one over fuzzed
+// out-of-sample queries (finite components), k in [1, live + 5] and a
+// tombstone mask (bit i mod 8*len(mask) marks id i dead) on the 96-anchor
+// prune corpus with a delta, in both precisions: same ids and
+// Float64bits under sameAsFullScan's tie rule. A query whose exhaustive
+// ranking holds a NaN score — a vector so far out that its anchor
+// distances overflow — is skipped: Offer cannot order a NaN, so which
+// NaN-scored items a collector keeps depends on the order of offers (and
+// serve refuses such an answer).
+func FuzzEMRScan(f *testing.F) {
+	base, pool := emrPruneCorpus(89)
+	var engines []*EMRIndex
+	for _, form := range emrPrunePrecisions {
+		e, err := BuildEMR(base, Options{Seed: 89, Precision: form.prec}, EMROptions{NumAnchors: 96, NumNearestAnchors: 6})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, v := range pool[:12] {
+			if _, err := e.Insert(v); err != nil {
+				f.Fatal(err)
+			}
+		}
+		engines = append(engines, e)
+	}
+	for i, v := range pool[12:20] {
+		f.Add(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], []int{1, 10, 100, 2000}[i%4], []byte{byte(i * 37)})
+	}
+	f.Add(1e150, -1e150, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10, []byte{})
+	f.Add(1e-300, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5, []byte{0xfe, 0xff})
+	f.Fuzz(func(t *testing.T, x0, x1, x2, x3, x4, x5, x6, x7 float64, k int, mask []byte) {
+		q := Vector{x0, x1, x2, x3, x4, x5, x6, x7}
+		for _, x := range q {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Skip()
+			}
+		}
+		for _, e := range engines {
+			st := *e.st
+			st.dead = make([]bool, len(e.st.dead))
+			st.deadCount, st.deadBase = 0, 0
+			for i := range st.dead {
+				if len(mask) > 0 && mask[i/8%len(mask)]>>(i%8)&1 == 1 {
+					st.dead[i] = true
+					st.deadCount++
+					if i < st.baseN {
+						st.deadBase++
+					}
+				}
+			}
+			live := st.live()
+			if live == 0 {
+				continue
+			}
+			masked := newEMRIndex(e.alpha, e.seed, 0, e.eopts, &st)
+			all := exhaustiveVector(masked, q, live)
+			if slices.ContainsFunc(all, func(r Result) bool { return math.IsNaN(r.Score) }) {
+				t.Skip()
+			}
+			k := 1 + int(uint(k)%uint(live+5))
+			got, err := masked.TopKVector(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsFullScan(t, fmt.Sprintf("f32=%v k=%d", st.f32(), k), got, exhaustiveVector(masked, q, k), all)
+		}
+	})
 }
 
 // corruptWeightImages derives, from a plain (unaligned) version-3 image

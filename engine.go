@@ -118,11 +118,6 @@ type engineState interface {
 	// holds the precision and the base rows itself.
 	f32() bool
 	pointVec(i int) Vector
-	// narrow32 moves a freshly built (always float64) state into
-	// mixed-precision storage. Narrowing once at the end is the only
-	// lossy step, so an f32 engine differs from its f64 twin by one
-	// rounding of each stored value, never by accumulated error.
-	narrow32()
 }
 
 // backend is the ranking-specific half of an engine; *Index's core
@@ -131,8 +126,13 @@ type engineState interface {
 type backend[S engineState] interface {
 	// build runs the offline half over the given points with the
 	// engine's recorded recipe, so Insert...Compact converges to exactly
-	// what a fresh Build over the live points would produce.
-	build(points []Vector) (S, error)
+	// what a fresh Build over the live points would produce. The build
+	// runs in float64; with f32 set it ends in mixed-precision storage,
+	// narrowed once before anything is derived from the stored values.
+	// Narrowing once at the end is the only lossy step, so an f32 engine
+	// differs from its f64 twin by one rounding of each stored value,
+	// never by accumulated error.
+	build(points []Vector, f32 bool) (S, error)
 	// attach computes the backend's per-item columns for a vector about
 	// to be stored as the next id, into scratch the backend keeps. Called
 	// with mutMu held and mu held for reading: searches proceed.
@@ -479,12 +479,9 @@ func (e *engine[S]) compact() error {
 	// snapshot authoritative (no mutator can run until the swap). An
 	// f32 engine rebuilds from its widened points (exact) in float64
 	// and narrows the result, preserving the storage mode.
-	fresh, err := e.be.build(live)
+	fresh, err := e.be.build(live, wasF32)
 	if err != nil {
 		return err
-	}
-	if wasF32 {
-		fresh.narrow32()
 	}
 	e.mu.Lock()
 	e.st = fresh

@@ -459,12 +459,12 @@ type spyBackend[S engineState] struct {
 	attachShared, commitExclusive bool
 }
 
-func (b *spyBackend[S]) build(points []Vector) (S, error) {
+func (b *spyBackend[S]) build(points []Vector, f32 bool) (S, error) {
 	if b.failBuild {
 		var zero S
 		return zero, errors.New("spy: build fails")
 	}
-	return b.backend.build(points)
+	return b.backend.build(points, f32)
 }
 
 func (b *spyBackend[S]) attach(st S, v Vector) error {

@@ -209,10 +209,6 @@ func newGraphState(base *core.Index, d core.Delta) *graphState {
 
 func (st *graphState) f32() bool { return st.base.Factor().F32() }
 
-// narrow32 has nothing left to do: core.NewIndex narrows a base built
-// from an f32 recipe itself, before it derives the bound tables.
-func (st *graphState) narrow32() {}
-
 func (st *graphState) pointVec(i int) Vector {
 	if i < st.ext {
 		return st.base.Graph().PointVec(i)
@@ -310,8 +306,12 @@ func BuildFromGraphPoints(g *knn.Graph, opts Options) (*Index, error) {
 	return newIndex(copts, newGraphState(ci, core.Delta{})), nil
 }
 
-func (b *graphBackend) build(points []Vector) (*graphState, error) {
-	return buildGraphState(b.opts, points)
+// build narrows through the recipe: core.NewIndex narrows a base built
+// with F32 set itself, before it derives the bound tables.
+func (b *graphBackend) build(points []Vector, f32 bool) (*graphState, error) {
+	opts := b.opts
+	opts.F32 = f32
+	return buildGraphState(opts, points)
 }
 
 // buildGraphState runs knn.BuildGraph and core.NewIndex from a recipe.

@@ -195,15 +195,13 @@ type spectralState struct {
 // matrix flattens to float32 rows, the embedding rows and the base
 // graph's edge weights round to float32, halving the bytes a query
 // streams per scored row; the eigenvalues and the delta attachment
-// weights keep full precision. The row norms are re-derived from the
-// rounded rows (rounding a finite build's unit-bounded entries cannot
-// make one non-finite, so there is nothing to report).
+// weights keep full precision. It runs before the row norms are
+// derived, so they are derived once, from the rounded rows.
 func (st *spectralState) narrow32() {
 	st.narrowPoints()
 	st.emb32 = vec.Narrow32(nil, st.emb)
 	st.emb = nil
 	st.graph.Narrow32()
-	st.deriveNorms()
 }
 
 // spectralBlock is how many consecutive base rows share one entry of
@@ -345,24 +343,22 @@ func BuildSpectral(points []Vector, opts Options, sopts SpectralOptions) (*Spect
 		return nil, err
 	}
 	sopts = sopts.withDefaults()
-	st, err := buildSpectralState(points, opts, sopts)
+	st, err := buildSpectralState(points, opts, sopts, opts.Precision == F32)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Precision == F32 {
-		st.narrow32()
 	}
 	return newSpectralIndex(opts, sopts, st), nil
 }
 
-func (e *SpectralIndex) build(points []Vector) (*spectralState, error) {
-	return buildSpectralState(points, e.ropts, e.sopts)
+func (e *SpectralIndex) build(points []Vector, f32 bool) (*spectralState, error) {
+	return buildSpectralState(points, e.ropts, e.sopts, f32)
 }
 
 // buildSpectralState runs the offline half of the engine: the k-NN
 // graph and its symmetric normalization through the shared parallel
-// pipeline, then the rank-r Lanczos decomposition.
-func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions) (*spectralState, error) {
+// pipeline, then the rank-r Lanczos decomposition; with f32 set the
+// result is narrowed before the row norms are derived.
+func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions, f32 bool) (*spectralState, error) {
 	n := len(points)
 	k := opts.GraphK
 	if k <= 0 {
@@ -395,6 +391,9 @@ func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions) (*
 		vals:         basis.Vals,
 		emb:          basis.Vecs,
 		attPtr:       []int{0},
+	}
+	if f32 {
+		st.narrow32()
 	}
 	if i := st.deriveNorms(); i >= 0 {
 		return nil, fmt.Errorf("mogul: embedding row %d is non-finite", i)
