@@ -26,20 +26,28 @@ func buildBenchPoints(n int) []Vector {
 	return ds.Points
 }
 
-// BenchmarkBuild measures the exact-engine build (k-NN graph, Louvain
-// ordering, complete LDL^T, bound tables) end to end.
+// BenchmarkBuild measures the graph-engine build (k-NN graph, Louvain
+// ordering, LDL^T, bound tables) end to end: with the complete factor
+// (Exact) at n = 2000 and 10000, and as the mixed_rw workload builds —
+// its corpus (n = 20000, d = 8, generator seed 1) under default
+// options, so the IC(0) factor.
 func BenchmarkBuild(b *testing.B) {
-	for _, n := range []int{2000, 10_000} {
-		pts := buildBenchPoints(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	run := func(name string, pts []Vector, opts Options) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(pts, Options{Exact: true, Seed: 11}); err != nil {
+				if _, err := Build(pts, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	for _, n := range []int{2000, 10_000} {
+		run(fmt.Sprintf("n=%d", n), buildBenchPoints(n), Options{Exact: true, Seed: 11})
+	}
+	run("mixed_rw", NewMixture(MixtureConfig{
+		N: 20_000, Classes: 2000, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 1,
+	}).Points, Options{})
 }
 
 // BenchmarkBuildEMR measures the anchor-graph engine build (k-means

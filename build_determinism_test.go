@@ -13,7 +13,10 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+
+	"mogul/internal/knn"
 )
 
 var determinismProcs = []int{1, 2, 8}
@@ -68,37 +71,67 @@ func compareSignatures(t *testing.T, procs int, ref, got [][]Result) {
 	}
 }
 
+// TestBuildDeterministicAcrossGOMAXPROCS covers the graph engine's two
+// factors over the exact k-NN graph, which the k-d tree searches
+// (knn.Tree): the container is the same bytes at every worker count,
+// and its graph is the brute-force scan's.
 func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	const n = 1200
 	pts := determinismPoints(n)
-	opts := Options{Exact: true, Seed: 3}
+	for _, opts := range []Options{{Exact: true, Seed: 3}, {Seed: 3}} {
+		var refBytes []byte
+		var refSig [][]Result
+		for _, procs := range determinismProcs {
+			withProcs(t, procs, func() {
+				ix, err := Build(pts, opts)
+				if err != nil {
+					t.Fatalf("Exact=%v GOMAXPROCS=%d: Build: %v", opts.Exact, procs, err)
+				}
+				// Build wall-times are the one nondeterministic diagnostic in
+				// the container; everything else must be byte-stable.
+				ix.core.ClearTimings()
+				var buf bytes.Buffer
+				if err := ix.Save(&buf); err != nil {
+					t.Fatalf("Exact=%v GOMAXPROCS=%d: Save: %v", opts.Exact, procs, err)
+				}
+				sig := topKSignature(t, ix, n)
+				if refBytes == nil {
+					refBytes, refSig = buf.Bytes(), sig
+					checkBruteForceEdges(t, ix, pts)
+					return
+				}
+				if !bytes.Equal(refBytes, buf.Bytes()) {
+					t.Fatalf("Exact=%v GOMAXPROCS=%d: Save output differs from GOMAXPROCS=%d (%d vs %d bytes)",
+						opts.Exact, procs, determinismProcs[0], buf.Len(), len(refBytes))
+				}
+				compareSignatures(t, procs, refSig, sig)
+			})
+		}
+	}
+}
 
-	var refBytes []byte
-	var refSig [][]Result
-	for _, procs := range determinismProcs {
-		withProcs(t, procs, func() {
-			ix, err := Build(pts, opts)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d: Build: %v", procs, err)
-			}
-			// Build wall-times are the one nondeterministic diagnostic in
-			// the container; everything else must be byte-stable.
-			ix.core.ClearTimings()
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
-				t.Fatalf("GOMAXPROCS=%d: Save: %v", procs, err)
-			}
-			sig := topKSignature(t, ix, n)
-			if refBytes == nil {
-				refBytes, refSig = buf.Bytes(), sig
-				return
-			}
-			if !bytes.Equal(refBytes, buf.Bytes()) {
-				t.Fatalf("GOMAXPROCS=%d: Save output differs from GOMAXPROCS=%d (%d vs %d bytes)",
-					procs, determinismProcs[0], buf.Len(), len(refBytes))
-			}
-			compareSignatures(t, procs, refSig, sig)
-		})
+// checkBruteForceEdges compares the index's graph with the union of the
+// brute-force k-NN lists (k = 5, the default): the same neighbours for
+// every item. internal/knn pins the weights and sigma to the bit.
+func checkBruteForceEdges(t *testing.T, ix *Index, pts []Vector) {
+	t.Helper()
+	want := make([][]int, len(pts))
+	for i, list := range knn.AllKNN(pts, knn.NewBruteForce(pts), 5) {
+		for _, nb := range list {
+			want[i] = append(want[i], nb.ID)
+			want[nb.ID] = append(want[nb.ID], i)
+		}
+	}
+	for i := range want {
+		slices.Sort(want[i])
+		want[i] = slices.Compact(want[i])
+		got, _, err := ix.Neighbors(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("item %d: graph neighbours %v, brute-force lists give %v", i, got, want[i])
+		}
 	}
 }
 

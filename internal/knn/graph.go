@@ -45,7 +45,7 @@ type GraphConfig struct {
 	// (Section 3: "sigma is the standard variation of the function
 	// scores").
 	Sigma float64
-	// Approximate selects the IVF index instead of exact brute force
+	// Approximate selects the IVF index instead of the exact tree search
 	// once the input is large enough to pay for it; exact search is used
 	// regardless when n <= ApproxThreshold.
 	Approximate bool
@@ -76,19 +76,24 @@ func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 		threshold = 4096
 	}
 
-	// The search structure is chosen from the input, not by a knob:
-	// brute force, or IVF for large inputs when approximation is allowed.
-	var searcher Searcher = NewBruteForce(points)
+	// The search structure is chosen from the input, not by a knob: the
+	// exact tree, or IVF for large inputs when approximation is allowed.
+	var searcher Searcher
 	if cfg.Approximate && n > threshold {
 		ix, err := NewIVF(points, IVFConfig{NProbe: cfg.NProbe, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
 		searcher = ix
+	} else {
+		searcher = NewTree(points)
 	}
+	return graphFromNeighbors(points, AllKNN(points, searcher, k), k, cfg)
+}
 
-	neighbors := AllKNN(points, searcher, k)
-
+// graphFromNeighbors assembles the graph from the directed k-NN lists.
+func graphFromNeighbors(points []vec.Vector, neighbors [][]Neighbor, k int, cfg GraphConfig) (*Graph, error) {
+	n := len(points)
 	// Choose sigma from the distribution of k-NN distances unless the
 	// caller pinned it.
 	sigma := cfg.Sigma

@@ -32,6 +32,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 	backends := map[string]IntoSearcher{
 		"brute": NewBruteForce(pts),
 		"ivf":   ivf,
+		"tree":  NewTree(pts),
 	}
 	for name, s := range backends {
 		var sc Scratch
@@ -51,13 +52,19 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestSearchIntoDoesNotAllocate is the satellite guarantee: a warmed
-// scratch makes brute-force queries allocation-free, so the n queries
-// of a graph build no longer create n collectors.
+// TestSearchIntoDoesNotAllocate: a warmed scratch makes queries on
+// every backend allocation-free, so the n queries of a graph build
+// allocate nothing per query.
 func TestSearchIntoDoesNotAllocate(t *testing.T) {
 	pts := scratchTestPoints(500, 6, 4)
+	ivf, err := NewIVF(pts, IVFConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, s := range map[string]IntoSearcher{
 		"brute": NewBruteForce(pts),
+		"ivf":   ivf,
+		"tree":  NewTree(pts),
 	} {
 		var sc Scratch
 		s.SearchInto(&sc, pts[0], 12) // warm the scratch

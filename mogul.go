@@ -113,8 +113,8 @@ type Options struct {
 	// denser factor.
 	Exact bool
 	// ApproximateGraph builds the k-NN graph with the IVF index
-	// instead of exact brute force once the dataset exceeds a few
-	// thousand points; recommended for n over ~50k.
+	// instead of the exact k-d tree search once the dataset exceeds a
+	// few thousand points; recommended for n over ~50k.
 	ApproximateGraph bool
 	// MutualGraph keeps only mutual k-NN edges instead of the default
 	// union symmetrization.
