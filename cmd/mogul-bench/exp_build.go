@@ -9,14 +9,16 @@ import (
 	"mogul/internal/eval"
 )
 
-// expBuild reports the build-stage wall-time breakdown of both engines
+// expBuild reports the build-stage wall-time breakdown of three engines
 // at 1 worker and at all cores — the scaling check behind the parallel
 // precompute pipeline (docs/PERFORMANCE.md). Stages:
 //
-//	exact engine:  knn (graph build), cluster (Louvain + permute),
-//	               factor (LDL^T + bound tables)
-//	anchor engine: anchors (k-means), attach (anchor attachment + H),
-//	               gram (G assembly + SPD inversion)
+//	exact engine:    knn (graph build), cluster (Louvain + permute),
+//	                 factor (LDL^T + bound tables)
+//	anchor engine:   anchors (k-means), attach (anchor attachment + H),
+//	                 gram (G assembly + SPD inversion)
+//	spectral engine: knn (graph build + normalization), factor (the
+//	                 rank-64 Lanczos decomposition, spectral.Decompose)
 //
 // The parallel stages are knn, anchors, attach, and the gram stage;
 // Louvain and the sparse factorization are serial, so their share of
@@ -69,8 +71,22 @@ func expBuild(l *lab) {
 			eval.Seconds(attach), eval.Seconds(est.FactorTime),
 		})
 
+		t2 := time.Now()
+		spec, err := mogul.BuildSpectral(ds.Points, mogul.Options{ApproximateGraph: true, Seed: l.seed}, mogul.SpectralOptions{})
+		if err != nil {
+			runtime.GOMAXPROCS(prev)
+			fatal(err)
+		}
+		stotal := time.Since(t2)
+		sst := spec.Stats()
+		rows = append(rows, []string{
+			"Spectral", fmt.Sprintf("%d", procs),
+			eval.Seconds(stotal), eval.Seconds(sst.ClusterTime),
+			"-", eval.Seconds(sst.FactorTime),
+		})
+
 		runtime.GOMAXPROCS(prev)
 	}
-	fmt.Printf("Build-stage breakdown on %s (n=%d, EMR p=2560 s=24; knn/anchors+attach+gram parallel, Louvain+LDL^T serial)\n", ds.Name, n)
+	fmt.Printf("Build-stage breakdown on %s (n=%d, EMR p=2560 s=24, spectral r=64; knn/anchors+attach+gram parallel, Louvain+LDL^T serial, Lanczos parallel with a serial Rayleigh-Ritz)\n", ds.Name, n)
 	emitTable(rows)
 }

@@ -3,7 +3,8 @@
 // baseline of the paper and the exactness oracle for tests), a
 // deterministic parallel inversion of symmetric positive definite
 // matrices (the EMR engine's gram system, spd.go), a Jacobi symmetric
-// eigensolver (spectral clustering inside the FMR baseline), and a
+// eigensolver (spectral clustering inside the FMR baseline and the
+// spectral engine's Rayleigh-Ritz step), and a
 // one-sided Jacobi thin SVD (FMR's per-block low-rank approximation).
 //
 // Everything is written against the Go standard library; no BLAS. The

@@ -9,24 +9,32 @@ import (
 // EigSym computes the full eigendecomposition of a symmetric matrix
 // using the cyclic Jacobi rotation method: A = V diag(w) V^T with
 // orthonormal columns of V. Eigenvalues are returned in ascending
-// order. The FMR baseline uses this for spectral clustering (the
-// smallest eigenvectors of the normalized Laplacian).
+// order. Two callers: the FMR baseline's spectral clustering (the
+// smallest eigenvectors of the normalized Laplacian) and the
+// Rayleigh-Ritz step of spectral.Decompose (every eigenpair of the
+// m x m Lanczos tridiagonal, m = 2r + 16 by default). Input with a NaN
+// or infinite element is an error.
 //
 // Jacobi is O(n^3) per sweep but unconditionally stable and simple,
-// which is the right trade-off for the baseline sizes used here.
+// which is the right trade-off for the baseline sizes used here. The
+// rotations accumulate into the transpose of V, so eigenvector p is a
+// contiguous row while the sweeps run.
 func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("dense: EigSym of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	// Verify symmetry up to a scaled tolerance so silent mistakes in
-	// callers surface here rather than as garbage eigenvectors.
+	// callers surface here rather than as garbage eigenvectors. A NaN
+	// would pass every tolerance test, so non-finite input stops here.
 	var maxAbs float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := math.Abs(a.At(i, j)); v > maxAbs {
-				maxAbs = v
-			}
+	for i, x := range a.Data {
+		v := math.Abs(x)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("dense: EigSym input has non-finite element %g at (%d,%d)", x, i/n, i%n)
+		}
+		if v > maxAbs {
+			maxAbs = v
 		}
 	}
 	tol := 1e-9 * (1 + maxAbs)
@@ -38,15 +46,15 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 		}
 	}
 
-	m := a.Clone()
-	vec := Identity(n)
+	md := a.Clone().Data
+	vt := Identity(n).Data // row p is eigenvector p
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		// Off-diagonal Frobenius norm decides convergence.
 		var off float64
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
+			for _, x := range md[i*n+i+1 : (i+1)*n] {
+				off += x * x
 			}
 		}
 		if math.Sqrt(2*off) <= 1e-12*(1+maxAbs)*float64(n) {
@@ -54,11 +62,11 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
+				apq := md[p*n+q]
 				if math.Abs(apq) <= 1e-300 {
 					continue
 				}
-				app, aqq := m.At(p, p), m.At(q, q)
+				app, aqq := md[p*n+p], md[q*n+q]
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
@@ -68,22 +76,15 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
-				// Apply the rotation J(p, q, theta) on both sides.
-				for k := 0; k < n; k++ {
-					akp, akq := m.At(k, p), m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
+				// Apply the rotation J(p, q, theta) on both sides: columns
+				// p and q, then rows p and q, then rows p and q of V^T.
+				for k := p; k < n*n; k += n {
+					akp, akq := md[k], md[k+q-p]
+					md[k] = c*akp - s*akq
+					md[k+q-p] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk, aqk := m.At(p, k), m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := vec.At(k, p), vec.At(k, q)
-					vec.Set(k, p, c*vkp-s*vkq)
-					vec.Set(k, q, s*vkp+c*vkq)
-				}
+				rotateRows(md[p*n:(p+1)*n], md[q*n:(q+1)*n], c, s)
+				rotateRows(vt[p*n:(p+1)*n], vt[q*n:(q+1)*n], c, s)
 			}
 		}
 	}
@@ -91,7 +92,7 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 	// Extract eigenvalues and sort ascending with their vectors.
 	w = make([]float64, n)
 	for i := 0; i < n; i++ {
-		w[i] = m.At(i, i)
+		w[i] = md[i*n+i]
 	}
 	idx := make([]int, n)
 	for i := range idx {
@@ -102,9 +103,20 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 	sortedV := NewMatrix(n, n)
 	for newCol, oldCol := range idx {
 		sortedW[newCol] = w[oldCol]
-		for r := 0; r < n; r++ {
-			sortedV.Set(r, newCol, vec.At(r, oldCol))
+		for r, x := range vt[oldCol*n : (oldCol+1)*n] {
+			sortedV.Data[r*n+newCol] = x
 		}
 	}
 	return sortedW, sortedV, nil
+}
+
+// rotateRows applies one Jacobi rotation to the row pair (x, y):
+// x, y = c*x - s*y, s*x + c*y elementwise.
+func rotateRows(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = c*xk - s*yk
+		y[k] = s*xk + c*yk
+	}
 }

@@ -1,0 +1,45 @@
+package spectral
+
+import (
+	"fmt"
+	"testing"
+
+	"mogul/internal/dataset"
+	"mogul/internal/knn"
+	"mogul/internal/sparse"
+)
+
+// BenchmarkDecompose prices the offline stage of the spectral engine at
+// the spectral_id workload's shape — the normalized 5-NN adjacency
+// (IVF-approximate, as that workload builds it) of the d = 8 mixture
+// with ~10-point classes at n = 20000, rank 64, 2*64 + 16 = 144 Lanczos
+// steps — and at n = 10^5, where the 144 basis vectors alone hold
+// 144 * n * 8 bytes = 115 MB. The graph is built once per size, outside
+// the timer.
+//
+//	go test -run '^$' -bench 'BenchmarkDecompose' -benchtime 3x ./internal/spectral
+func BenchmarkDecompose(b *testing.B) {
+	for _, n := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d/r=64", n), func(b *testing.B) {
+			S := mixtureAdjacency(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompose(S, 64, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func mixtureAdjacency(b *testing.B, n int) *sparse.CSR {
+	b.Helper()
+	ds := dataset.Mixture(dataset.MixtureConfig{
+		N: n, Classes: n / 10, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 1,
+	})
+	g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5, Approximate: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g.NormalizedAdjacency()
+}

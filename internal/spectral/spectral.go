@@ -11,8 +11,9 @@
 // on the projected tridiagonal matrix. Everything is deterministic at
 // any GOMAXPROCS: the start vector is a pure function of the seed,
 // matrix-vector products parallelize over rows (each row independent,
-// fixed four-lane kernel order inside), and every inner product runs
-// as a par.SumBlocks fixed-shape blocked reduction, so the basis —
+// fixed four-lane kernel order inside), and every inner product is a
+// fixed-shape blocked reduction folded in ascending block order (the
+// par.SumBlocks contract; cgs2 folds many at once), so the basis —
 // and every score and saved byte downstream of it — is bit-identical
 // at 1 worker and at 64.
 package spectral
@@ -105,39 +106,19 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 	V = append(V, v0)
 
 	w := make([]float64, n)
-	coeff := make([]float64, 0, steps)
+	cg := newCGS2(n, steps)
 	for j := 0; j < steps; j++ {
-		vj := V[j]
-		mulVecPar(S, w, vj)
-		alpha := dotPar(w, vj)
-		alphas = append(alphas, alpha)
+		mulVecPar(S, w, V[j])
 
 		// Three-term recurrence, then two passes of classical
 		// Gram-Schmidt against the whole basis (CGS2): the first pass
 		// includes the recurrence terms themselves, the second mops up
 		// the cancellation error, keeping V orthonormal to working
 		// precision — which is what keeps the projected matrix genuinely
-		// tridiagonal and the Ritz pairs trustworthy.
-		for pass := 0; pass < 2; pass++ {
-			coeff = coeff[:0]
-			for i := range V {
-				coeff = append(coeff, dotPar(w, V[i]))
-			}
-			par.For(n, 0, func(lo, hi int) {
-				for i, c := range coeff {
-					if c == 0 {
-						continue
-					}
-					vi := V[i][lo:hi]
-					wb := w[lo:hi]
-					for x := range wb {
-						wb[x] -= c * vi[x]
-					}
-				}
-			})
-		}
-
-		beta := math.Sqrt(dotPar(w, w))
+		// tridiagonal and the Ritz pairs trustworthy. alpha = <w, v_j> is
+		// the j-th coefficient of the first pass.
+		alpha, beta := cg.orthogonalize(w, V)
+		alphas = append(alphas, alpha)
 		if j+1 >= steps {
 			break
 		}
@@ -192,25 +173,109 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 	}
 
 	// Ritz vectors U = V Y (top columns), assembled row-major so item
-	// i's embedding is contiguous. Each block streams every Lanczos
-	// vector once and accumulates in ascending j order — bit-identical
-	// at any GOMAXPROCS, cache-friendly at any n.
+	// i's embedding is contiguous: row i accumulates V[j][i] * (row j of
+	// Yt) in ascending j, where Yt is the contiguous m x rank copy of
+	// Y's top columns, descending. Rows go 16 at a time, so a tile's
+	// rows stay in L1 while each Lanczos vector is read contiguously.
+	// Every element sums its terms in ascending j order at any
+	// GOMAXPROCS; a zero term adds ±0, which leaves the accumulator
+	// alone because, starting from +0, it is never -0.
+	Yt := make([]float64, m*rank)
+	for j := 0; j < m; j++ {
+		for t := 0; t < rank; t++ {
+			Yt[j*rank+t] = Y.At(j, m-1-t)
+		}
+	}
 	vecs := make([]float64, n*rank)
 	par.For(n, 128, func(lo, hi int) {
-		for j := 0; j < m; j++ {
-			vj := V[j][lo:hi]
-			for t := 0; t < rank; t++ {
-				y := Y.At(j, m-1-t)
-				if y == 0 {
-					continue
-				}
-				for x, vx := range vj {
-					vecs[(lo+x)*rank+t] += y * vx
+		for t0 := lo; t0 < hi; t0 += 16 {
+			t1 := min(t0+16, hi)
+			for j := 0; j < m; j++ {
+				yj := Yt[j*rank : (j+1)*rank]
+				for x, v := range V[j][t0:t1] {
+					vec.Axpy(vecs[(t0+x)*rank:(t0+x+1)*rank], v, yj)
 				}
 			}
 		}
 	})
 	return &Basis{Rank: rank, Vals: vals, Vecs: vecs}, nil
+}
+
+// cgs2 is the reorthogonalization of one Lanczos step, fused into three
+// fan-outs over the par.Blocks(n, 0) partition that dotPar reduces
+// over: (A) every block's partials of <w, V_i>; (B) the first update
+// and, on the same block, the second pass's partials; (C) the second
+// update and the partial of <w, w>. Each coefficient folds its block
+// partials in ascending block order from 0, as par.SumBlocks does, and
+// each element of w takes its updates in ascending i, as one par.For
+// per pass would; so every inner product and every element of w has
+// the bits of the plain two-pass loop over dotPar, at any GOMAXPROCS,
+// for three fan-outs and three streams of the basis per step.
+type cgs2 struct {
+	n, blocks, steps int
+	// part[b*steps+i] is block b's partial of <w, V_i> in the current
+	// pass; norm[b] its partial of <w, w>.
+	part, norm   []float64
+	coef0, coef1 []float64
+}
+
+func newCGS2(n, steps int) *cgs2 {
+	_, blocks := par.Blocks(n, 0)
+	return &cgs2{
+		n: n, blocks: blocks, steps: steps,
+		part: make([]float64, blocks*steps), norm: make([]float64, blocks),
+		coef0: make([]float64, steps), coef1: make([]float64, steps),
+	}
+}
+
+// fold sums the first len(dst) partials of every block into dst in
+// ascending block order, starting from 0.
+func (g *cgs2) fold(dst []float64) {
+	clear(dst)
+	for b := 0; b < g.blocks; b++ {
+		for i, v := range g.part[b*g.steps : b*g.steps+len(dst)] {
+			dst[i] += v
+		}
+	}
+}
+
+// orthogonalize removes from w its components along the basis V, twice,
+// and returns <w, V[len(V)-1]> as w came in (the step's alpha) and the
+// norm of w as it leaves (the step's beta).
+func (g *cgs2) orthogonalize(w []float64, V [][]float64) (alpha, beta float64) {
+	k := len(V)
+	c0, c1 := g.coef0[:k], g.coef1[:k]
+	partials := func(b, lo, hi int) {
+		p := g.part[b*g.steps : b*g.steps+k]
+		wb := w[lo:hi]
+		for i, v := range V {
+			p[i] = vec.Dot(wb, v[lo:hi])
+		}
+	}
+	update := func(c []float64, lo, hi int) {
+		wb := w[lo:hi]
+		for i, ci := range c {
+			if ci != 0 {
+				vec.Axpy(wb, -ci, V[i][lo:hi])
+			}
+		}
+	}
+	par.ForBlocks(g.n, 0, partials)
+	g.fold(c0)
+	par.ForBlocks(g.n, 0, func(b, lo, hi int) {
+		update(c0, lo, hi)
+		partials(b, lo, hi)
+	})
+	g.fold(c1)
+	par.ForBlocks(g.n, 0, func(b, lo, hi int) {
+		update(c1, lo, hi)
+		g.norm[b] = vec.Dot(w[lo:hi], w[lo:hi])
+	})
+	var ww float64
+	for _, v := range g.norm {
+		ww += v
+	}
+	return c0[k-1], math.Sqrt(ww)
 }
 
 // mulVecPar computes y = S*x parallelized over rows; each row is an
