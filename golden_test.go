@@ -3,9 +3,12 @@ package mogul
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mogul/internal/core"
@@ -55,6 +58,32 @@ func stampVersion(image []byte, version uint32) []byte {
 	return restamp(out)
 }
 
+var goldenEngineDelta = DeltaStats{BaseItems: 64, DeltaItems: 2, Tombstones: 3}
+
+// goldenContainers lists the committed containers of the current
+// formats: each file, whether it was saved aligned, its precision and
+// delta, the queries asked of it (base items, delta items) and its
+// tombstoned ids.
+var goldenContainers = []struct {
+	file    string
+	aligned bool
+	prec    Precision
+	delta   DeltaStats
+	queries []int
+	dead    []int
+}{
+	{"emr_v3_f64.bin", false, F64, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"emr_v3_f32.bin", false, F32, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"emr_v3_f64_aligned4096.bin", true, F64, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"spectral_v1_f64.bin", false, F64, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"spectral_v2_f32.bin", false, F32, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"spectral_v2_f64_aligned4096.bin", true, F64, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"idx_v3_f64.bin", false, F64, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"idx_v4_f32.bin", false, F32, goldenEngineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
+	{"idx_v4_f64_aligned4096.bin", true, F64, DeltaStats{BaseItems: 512, DeltaItems: 2, Tombstones: 3}, []int{0, 17, 512, 514}, []int{5, 40, 513}},
+	{"shd_v1.bin", false, F64, DeltaStats{BaseItems: 96, DeltaItems: 1, Tombstones: 1}, []int{0, 17, 95, 96}, []int{5}},
+}
+
 // TestGoldenContainers pins the readers and writers of all four
 // containers against committed files (testdata/golden). Save → Load →
 // Save within one binary cannot notice a reader and a writer drifting
@@ -87,27 +116,7 @@ func stampVersion(image []byte, version uint32) []byte {
 // over pts[:96] with ShardOptions{Shards: 2, Partitioner:
 // PartitionKMeans}, Insert pts[96], Delete 5, Save.
 func TestGoldenContainers(t *testing.T) {
-	engineDelta := DeltaStats{BaseItems: 64, DeltaItems: 2, Tombstones: 3}
-	cases := []struct {
-		file    string
-		aligned bool
-		prec    Precision
-		delta   DeltaStats
-		queries []int // base items, delta items
-		dead    []int
-	}{
-		{"emr_v3_f64.bin", false, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"emr_v3_f32.bin", false, F32, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"emr_v3_f64_aligned4096.bin", true, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"spectral_v1_f64.bin", false, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"spectral_v2_f32.bin", false, F32, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"spectral_v2_f64_aligned4096.bin", true, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"idx_v3_f64.bin", false, F64, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"idx_v4_f32.bin", false, F32, engineDelta, []int{0, 17, 64, 66}, []int{5, 40, 65}},
-		{"idx_v4_f64_aligned4096.bin", true, F64, DeltaStats{BaseItems: 512, DeltaItems: 2, Tombstones: 3}, []int{0, 17, 512, 514}, []int{5, 40, 513}},
-		{"shd_v1.bin", false, F64, DeltaStats{BaseItems: 96, DeltaItems: 1, Tombstones: 1}, []int{0, 17, 95, 96}, []int{5}},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenContainers {
 		t.Run(tc.file, func(t *testing.T) {
 			want := readGolden(t, tc.file)
 			streamed, err := Load(bytes.NewReader(want))
@@ -163,6 +172,63 @@ func sameAnswers(t *testing.T, label string, a, b Retriever, queries []int) {
 		t.Fatal(err)
 	}
 	sameResults(t, label, rb, ra)
+}
+
+// TestGoldenAnswers pins query arithmetic across commits: every golden
+// container answers TopK(q, 10) for its queries and TopKVector(goldenProbe,
+// 10) with the ids and the score bits committed in answers.txt. The
+// other golden tests compare two paths inside one binary, so a drift in
+// the query arithmetic itself would pass them; these answers were
+// recorded before the storage-width kernel pairs were folded into one
+// generic body each and are never regenerated to make a change pass.
+func TestGoldenAnswers(t *testing.T) {
+	got := strings.Split(goldenAnswers(t), "\n")
+	want := strings.Split(string(readGolden(t, "answers.txt")), "\n")
+	for i := 0; i < len(got) || i < len(want); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("answers.txt line %d:\n got: %s\nwant: %s", i+1, g, w)
+		}
+	}
+}
+
+// goldenAnswers renders the answers of every golden container, one line
+// per query: file, query, then id:score-bits for each result in order.
+func goldenAnswers(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	line := func(file, query string, res []Result) {
+		fmt.Fprintf(&b, "%s %s", file, query)
+		for _, r := range res {
+			fmt.Fprintf(&b, " %d:%016x", r.Node, math.Float64bits(r.Score))
+		}
+		b.WriteByte('\n')
+	}
+	for _, tc := range goldenContainers {
+		r, err := Load(bytes.NewReader(readGolden(t, tc.file)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		for _, q := range tc.queries {
+			res, err := r.TopK(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line(tc.file, fmt.Sprint("q=", q), res)
+		}
+		res, err := r.TopKVector(goldenProbe, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line(tc.file, "probe", res)
+	}
+	return b.String()
 }
 
 // insertSequenceIndex is the recipe of idx_v3_f64_inserts200.bin: a graph
