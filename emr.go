@@ -171,9 +171,9 @@ func (st *emrState) weight(fp int) float64 {
 func (st *emrState) dotColumn(i int, z []float64) float64 {
 	off, s := i*st.s, st.s
 	if st.hVal32 != nil {
-		return vec.DotGather32I32(st.hVal32[off:off+s], st.hAnchor[off:off+s], z)
+		return vec.DotGather(st.hVal32[off:off+s], st.hAnchor[off:off+s], z)
 	}
-	return vec.DotGatherI32(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
+	return vec.DotGather(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
 }
 
 // primaryAnchor returns the cell of row i: the anchor carrying its
@@ -846,7 +846,7 @@ func (sr *EMRSearcher) splitBackground() (c0, scale float64) {
 func (sr *EMRSearcher) cellBound(c int, c0, scale float64) float64 {
 	cl := &sr.e.st.cells
 	lo, hi := cl.annPtr[c], cl.annPtr[c+1]
-	return scale*(c0*cl.gmax[c]+vec.DotGatherI32(cl.maxW[lo:hi], cl.ann[lo:hi], sr.rem)) + pruneAbsSlack
+	return scale*(c0*cl.gmax[c]+vec.DotGather(cl.maxW[lo:hi], cl.ann[lo:hi], sr.rem)) + pruneAbsSlack
 }
 
 // scoreCell offers the live rows of cell c, once per query.

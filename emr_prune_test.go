@@ -52,9 +52,9 @@ func exhaustiveCollect(sr *EMRSearcher, k int, seeds []seedWeight) []Result {
 		off := i * s
 		var sum float64
 		if hv32 != nil {
-			sum = vec.DotGather32I32(hv32[off:off+s], st.hAnchor[off:off+s], z)
+			sum = vec.DotGather(hv32[off:off+s], st.hAnchor[off:off+s], z)
 		} else {
-			sum = vec.DotGatherI32(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
+			sum = vec.DotGather(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
 		}
 		sum *= e.alpha
 		if si < len(seeds) && seeds[si].id == i {

@@ -69,20 +69,25 @@ func (f *Factor) Col(j int) (rows []int, vals []float64) {
 // forwardInPlace solves (L D) y = q in place: the column-oriented
 // forward substitution of Equation 4. Every forward-substitution entry
 // point (ForwardSolve, Solve, SolveInPlace) shares this body, so their
-// arithmetic stays bit-identical by construction.
+// arithmetic stays bit-identical by construction. The storage width is
+// picked once per solve.
 func (f *Factor) forwardInPlace(v []float64) {
 	if f.Val32 != nil {
-		f.forwardInPlace32(v)
-		return
+		forward(f, f.Val32, v)
+	} else {
+		forward(f, f.Val, v)
 	}
+}
+
+func forward[P vec.Float](f *Factor, val []P, v []float64) {
 	for j := 0; j < f.N; j++ {
 		v[j] /= f.D[j]
 		vj := v[j]
 		if vj == 0 {
 			continue
 		}
-		rows, vals := f.Col(j)
-		vec.ScatterAxpy(v, rows, vals, -f.D[j]*vj)
+		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
+		vec.ScatterAxpy(v, f.RowIdx[lo:hi], val[lo:hi], -f.D[j]*vj)
 	}
 }
 
@@ -93,12 +98,16 @@ func (f *Factor) forwardInPlace(v []float64) {
 // forwardInPlace.
 func (f *Factor) backwardInPlace(v []float64) {
 	if f.Val32 != nil {
-		f.backwardInPlace32(v)
-		return
+		backward(f, f.Val32, v)
+	} else {
+		backward(f, f.Val, v)
 	}
+}
+
+func backward[P vec.Float](f *Factor, val []P, v []float64) {
 	for i := f.N - 1; i >= 0; i-- {
-		rows, vals := f.Col(i)
-		v[i] -= vec.DotGather(vals, rows, v)
+		lo, hi := f.ColPtr[i], f.ColPtr[i+1]
+		v[i] -= vec.DotGather(val[lo:hi], f.RowIdx[lo:hi], v)
 	}
 }
 

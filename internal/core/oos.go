@@ -70,7 +70,7 @@ func (ix *Index) ensureOOS() {
 			if ix.graph.F32() {
 				m := make(vec.Vector, ix.graph.PointDim())
 				for _, id := range members[c] {
-					vec.Axpy32(m, 1, ix.graph.Point32(id))
+					vec.Axpy(m, 1, ix.graph.Point32(id))
 				}
 				inv := 1 / float64(len(members[c]))
 				for i := range m {

@@ -5,7 +5,9 @@ import (
 	"math"
 	"slices"
 
+	"mogul/internal/cholesky"
 	"mogul/internal/topk"
+	"mogul/internal/vec"
 )
 
 // Result is one ranked answer node.
@@ -161,28 +163,10 @@ func (ix *Index) SearchSeeds(s *Scratch, ov *Overlay, opts SearchOptions) []Resu
 	for _, src := range s.srcBuf {
 		y[src.pos] += src.weight
 	}
-	for _, c := range s.activeList {
-		lo, hi := layout.ClusterRange(c)
-		for j := lo; j < hi; j++ {
-			y[j] /= f.D[j]
-			yj := y[j]
-			if yj == 0 {
-				continue
-			}
-			if f.Val32 != nil {
-				rows, vals := f.Col32(j)
-				dj := f.D[j]
-				for t, i := range rows {
-					y[i] -= float64(vals[t]) * dj * yj
-				}
-				continue
-			}
-			rows, vals := f.Col(j)
-			dj := f.D[j]
-			for t, i := range rows {
-				y[i] -= vals[t] * dj * yj
-			}
-		}
+	if f.Val32 != nil {
+		forwardClusters(f, f.Val32, layout, s.activeList, y)
+	} else {
+		forwardClusters(f, f.Val, layout, s.activeList, y)
 	}
 
 	// Back substitution for C_N first (its scores feed every other
@@ -277,27 +261,49 @@ func (ix *Index) offerLive(s *Scratch, ov *Overlay, lo, hi int) {
 	}
 }
 
+// forwardClusters runs the restricted forward substitution over the
+// columns of the given clusters in order, with the factor's values in
+// either storage width.
+func forwardClusters[P vec.Float](f *cholesky.Factor, val []P, layout *Layout, clusters []int, y []float64) {
+	for _, c := range clusters {
+		lo, hi := layout.ClusterRange(c)
+		for j := lo; j < hi; j++ {
+			y[j] /= f.D[j]
+			yj := y[j]
+			if yj == 0 {
+				continue
+			}
+			a, b := f.ColPtr[j], f.ColPtr[j+1]
+			vals := val[a:b]
+			dj := f.D[j]
+			for t, i := range f.RowIdx[a:b] {
+				y[i] -= float64(vals[t]) * dj * yj
+			}
+		}
+	}
+}
+
 // backSubstituteRange computes x[lo:hi] by back substitution
 // (Equation 5) assuming every x value the range depends on outside
-// [lo, hi) — i.e. the C_N block — is already computed.
+// [lo, hi) — i.e. the C_N block — is already computed. Each score is
+// one sequential sum (s -= v*x[j]), not vec.DotGather's four lanes:
+// the query's scores are pinned to that order.
 func (ix *Index) backSubstituteRange(x, y []float64, lo, hi int) {
 	f := ix.factor
 	if f.Val32 != nil {
-		for i := hi - 1; i >= lo; i-- {
-			rows, vals := f.Col32(i)
-			s := y[i]
-			for t, j := range rows {
-				s -= float64(vals[t]) * x[j]
-			}
-			x[i] = s
-		}
-		return
+		backSubstitute(f, f.Val32, x, y, lo, hi)
+	} else {
+		backSubstitute(f, f.Val, x, y, lo, hi)
 	}
+}
+
+func backSubstitute[P vec.Float](f *cholesky.Factor, val []P, x, y []float64, lo, hi int) {
 	for i := hi - 1; i >= lo; i-- {
-		rows, vals := f.Col(i)
+		a, b := f.ColPtr[i], f.ColPtr[i+1]
+		vals := val[a:b]
 		s := y[i]
-		for t, j := range rows {
-			s -= vals[t] * x[j]
+		for t, j := range f.RowIdx[a:b] {
+			s -= float64(vals[t]) * x[j]
 		}
 		x[i] = s
 	}

@@ -3,11 +3,12 @@ package sparse
 import "mogul/internal/vec"
 
 // Mixed-precision CSR storage. A narrowed matrix keeps its structure
-// (RowPtr, Col) wide and stores values in Val32 with Val nil; the few
-// operations that run against serving-time matrices (MulVecTo,
-// RowSums, Row32) dispatch on Val32. Matrices are always ASSEMBLED in
-// float64 and narrowed once; the build pipeline never sees an f32
-// matrix.
+// (RowPtr, Col) wide and stores values in Val32 with Val nil. The few
+// operations that run against serving-time matrices read either: MulVecTo
+// and RowSums are one generic body each (sparse.go) over the value slice
+// they pick once per call, and Row32 hands out f32 views. Matrices are
+// always ASSEMBLED in float64 and narrowed once; the build pipeline
+// never sees an f32 matrix.
 
 // Narrow32 converts the values to float32 storage in place.
 // Idempotent.

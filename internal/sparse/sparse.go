@@ -158,15 +158,16 @@ func (m *CSR) MulVecTo(y, x []float64) {
 		panic("sparse: MulVecTo dimension mismatch")
 	}
 	if m.Val32 != nil {
-		for i := 0; i < m.Rows; i++ {
-			lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-			y[i] = vec.DotGather32(m.Val32[lo:hi], m.Col[lo:hi], x)
-		}
-		return
+		mulVec(m, m.Val32, y, x)
+	} else {
+		mulVec(m, m.Val, y, x)
 	}
+}
+
+func mulVec[P vec.Float](m *CSR, val []P, y, x []float64) {
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		y[i] = vec.DotGather(m.Val[lo:hi], m.Col[lo:hi], x)
+		y[i] = vec.DotGather(val[lo:hi], m.Col[lo:hi], x)
 	}
 }
 
@@ -223,17 +224,17 @@ func (m *CSR) DropZeros(eps float64) *CSR {
 // RowSums returns the vector of row sums; for an adjacency matrix this
 // is the degree vector C_ii = sum_j A_ij from the paper's Section 3.
 func (m *CSR) RowSums() []float64 {
-	s := make([]float64, m.Rows)
 	if m.Val32 != nil {
-		for i := 0; i < m.Rows; i++ {
-			lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-			s[i] = vec.Sum32(m.Val32[lo:hi])
-		}
-		return s
+		return rowSums(m, m.Val32)
 	}
+	return rowSums(m, m.Val)
+}
+
+func rowSums[P vec.Float](m *CSR, val []P) []float64 {
+	s := make([]float64, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		s[i] = vec.Sum(m.Val[lo:hi])
+		s[i] = vec.Sum(val[lo:hi])
 	}
 	return s
 }

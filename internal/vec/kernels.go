@@ -17,48 +17,68 @@ import (
 // adds, which is worth ~2-3x on the distance scans and gather-dots that
 // dominate build and query time.
 //
-// The squared-distance and dot kernels (f64 and f32) have two bodies:
-// the Go loops here and in kernels32.go, compiled everywhere, and AVX2
-// assembly (kernels_amd64.s) that holds the four lanes in one ymm
+// Each kernel is written once, over the storage type of its streamed
+// operand (Float): float64, or the float32 of F32 storage. Every stored
+// element is widened with float64(x) in registers before any
+// arithmetic, and float64(x) is the identity on a float64 x, so the
+// float64 instantiation computes exactly the float64 expression and the
+// float32 one the same expression on the widened value; all
+// accumulation is float64. The only difference between the two
+// precisions is therefore the one float32 rounding applied when a value
+// entered storage, which the tests pin by comparing each float32
+// instantiation with the float64 one on widened inputs, bit for bit.
+// Query-side operands stay []float64: the query is small and hot in
+// cache, and the big streamed operand is the stored one. Callers pick
+// the instantiation once per call, never per element.
+//
+// The squared-distance and dot kernels have two bodies per storage
+// width: the Go bodies here (sqdistGo, dotGo), compiled everywhere, and
+// AVX2 assembly (kernels_amd64.s) that holds the four lanes in one ymm
 // register and so gives the same bits. Package init picks the assembly
 // once when the CPU and OS support AVX2 (kernels_amd64.go); elsewhere
 // the Go bodies are the only ones, and they are the tests' oracle. The
 // batch forms score four rows per pass, four independent lane chains
-// over one load of the query.
+// over one load of the query. The float32 entry points, batch forms and
+// conversions live in kernels32.go.
 //
 // Every Go body hoists its bounds checks by reslicing to a common
 // length before the loop, so the unrolled bodies compile without
 // per-element checks (BCE-friendly). NaN and Inf flow through
-// untouched — the kernels are pure arithmetic, no filtering — which
-// the property tests assert.
+// untouched — the kernels are pure arithmetic, no filtering, and
+// widening is exact for both — which the property tests assert.
+
+// Float is the storage type of a kernel's streamed operand.
+type Float interface{ ~float32 | ~float64 }
+
+// Index is the index type of the gather kernels: int, or the int32 of
+// the EMR engine's flat anchor columns, where converting per entry
+// would cost more than the dot itself.
+type Index interface{ ~int | ~int32 }
 
 // combineLanes folds the four accumulator lanes in the FIXED order of
-// the summation contract. Every kernel here and in kernels32.go ends
-// with it; keeping the expression in one place is what lets the f32
-// kernels promise bit-identical accumulation to the f64 reference on
-// widened inputs.
+// the summation contract. Every accumulating kernel ends with it.
 func combineLanes(s0, s1, s2, s3 float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// sqdistGo is the Go body of the squared L2 distance; callers have
-// validated len(a) == len(b).
-func sqdistGo(a, b []float64) float64 {
-	b = b[:len(a)]
+// sqdistGo is the Go body of the squared L2 distance between a float64
+// query and a stored point; callers have validated len(q) == len(p).
+func sqdistGo[P Float](q []float64, p []P) float64 {
+	p = p[:len(q)]
 	var s0, s1, s2, s3 float64
 	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
+	for ; i+4 <= len(q); i += 4 {
+		d0 := q[i] - float64(p[i])
+		d1 := q[i+1] - float64(p[i+1])
+		d2 := q[i+2] - float64(p[i+2])
+		d3 := q[i+3] - float64(p[i+3])
 		s0 += d0 * d0
 		s1 += d1 * d1
 		s2 += d2 * d2
 		s3 += d3 * d3
 	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
+	for ; i < len(q); i++ {
+		d := q[i] - float64(p[i])
 		s0 += d * d
 	}
 	return combineLanes(s0, s1, s2, s3)
@@ -129,20 +149,20 @@ func dimMismatch(want, got int) {
 // Axpy computes y += a*x elementwise (the BLAS axpy). Lengths must
 // match. Elementwise updates have no accumulation order, so the
 // 4-wide unroll changes no rounding versus the plain loop.
-func Axpy(y []float64, a float64, x []float64) {
+func Axpy[P Float](y []float64, a float64, x []P) {
 	if len(y) != len(x) {
 		panic(fmt.Sprintf("vec: Axpy dimension mismatch %d != %d", len(y), len(x)))
 	}
 	x = x[:len(y)]
 	i := 0
 	for ; i+4 <= len(y); i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
+		y[i] += a * float64(x[i])
+		y[i+1] += a * float64(x[i+1])
+		y[i+2] += a * float64(x[i+2])
+		y[i+3] += a * float64(x[i+3])
 	}
 	for ; i < len(y); i++ {
-		y[i] += a * x[i]
+		y[i] += a * float64(x[i])
 	}
 }
 
@@ -156,45 +176,46 @@ func Dot(a, b []float64) float64 {
 	return dot(a, b)
 }
 
-// dotGo is the Go body of Dot.
-func dotGo(a, b []float64) float64 {
+// dotGo is the Go body of Dot and Dot32.
+func dotGo[P Float](a []float64, b []P) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += a[i] * float64(b[i])
+		s1 += a[i+1] * float64(b[i+1])
+		s2 += a[i+2] * float64(b[i+2])
+		s3 += a[i+3] * float64(b[i+3])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += a[i] * float64(b[i])
 	}
 	return combineLanes(s0, s1, s2, s3)
 }
 
-// Sum returns the sum of the values under the shared four-lane
+// Sum returns the float64 sum of the values under the shared four-lane
 // contract (sparse row sums, degree vectors).
-func Sum(a []float64) float64 {
+func Sum[P Float](a []P) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i]
-		s1 += a[i+1]
-		s2 += a[i+2]
-		s3 += a[i+3]
+		s0 += float64(a[i])
+		s1 += float64(a[i+1])
+		s2 += float64(a[i+2])
+		s3 += float64(a[i+3])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i]
+		s0 += float64(a[i])
 	}
 	return combineLanes(s0, s1, s2, s3)
 }
 
 // DotGather computes sum_k val[k] * z[idx[k]] — the sparse gather-dot
-// of CSR row products, CSC back substitution, and the baseline's
+// of CSR row products, the factor's back substitution (cholesky), the
+// EMR engine's anchor-column scan and cell bound, and the baseline's
 // AnchorDot — under the shared four-lane contract. idx entries must be
 // valid indices into z.
-func DotGather(val []float64, idx []int, z []float64) float64 {
+func DotGather[P Float, I Index](val []P, idx []I, z []float64) float64 {
 	if len(val) != len(idx) {
 		panic(fmt.Sprintf("vec: DotGather lengths %d != %d", len(val), len(idx)))
 	}
@@ -202,56 +223,37 @@ func DotGather(val []float64, idx []int, z []float64) float64 {
 	var s0, s1, s2, s3 float64
 	t := 0
 	for ; t+4 <= len(val); t += 4 {
-		s0 += val[t] * z[idx[t]]
-		s1 += val[t+1] * z[idx[t+1]]
-		s2 += val[t+2] * z[idx[t+2]]
-		s3 += val[t+3] * z[idx[t+3]]
+		s0 += float64(val[t]) * z[idx[t]]
+		s1 += float64(val[t+1]) * z[idx[t+1]]
+		s2 += float64(val[t+2]) * z[idx[t+2]]
+		s3 += float64(val[t+3]) * z[idx[t+3]]
 	}
 	for ; t < len(val); t++ {
-		s0 += val[t] * z[idx[t]]
+		s0 += float64(val[t]) * z[idx[t]]
 	}
 	return combineLanes(s0, s1, s2, s3)
 }
 
-// DotGatherI32 is DotGather over int32 indices — the flat H-column
-// layout of the EMR engine stores anchor ids as int32, and converting
-// per entry would cost more than the dot itself.
-func DotGatherI32(val []float64, idx []int32, z []float64) float64 {
-	if len(val) != len(idx) {
-		panic(fmt.Sprintf("vec: DotGather lengths %d != %d", len(val), len(idx)))
-	}
-	idx = idx[:len(val)]
-	var s0, s1, s2, s3 float64
-	t := 0
-	for ; t+4 <= len(val); t += 4 {
-		s0 += val[t] * z[idx[t]]
-		s1 += val[t+1] * z[idx[t+1]]
-		s2 += val[t+2] * z[idx[t+2]]
-		s3 += val[t+3] * z[idx[t+3]]
-	}
-	for ; t < len(val); t++ {
-		s0 += val[t] * z[idx[t]]
-	}
-	return combineLanes(s0, s1, s2, s3)
-}
+// DotGatherI32 is DotGather over float64 values and int32 indices.
+func DotGatherI32(val []float64, idx []int32, z []float64) float64 { return DotGather(val, idx, z) }
 
 // ScatterAxpy computes y[idx[k]] += a * val[k] for every k — the
 // column-scatter of CSC forward substitution. Each update touches its
 // own slot in program order, so the unroll changes no rounding versus
 // the plain loop (even with duplicate indices).
-func ScatterAxpy(y []float64, idx []int, val []float64, a float64) {
+func ScatterAxpy[P Float](y []float64, idx []int, val []P, a float64) {
 	if len(val) != len(idx) {
 		panic(fmt.Sprintf("vec: ScatterAxpy lengths %d != %d", len(idx), len(val)))
 	}
 	idx = idx[:len(val)]
 	t := 0
 	for ; t+4 <= len(val); t += 4 {
-		y[idx[t]] += a * val[t]
-		y[idx[t+1]] += a * val[t+1]
-		y[idx[t+2]] += a * val[t+2]
-		y[idx[t+3]] += a * val[t+3]
+		y[idx[t]] += a * float64(val[t])
+		y[idx[t+1]] += a * float64(val[t+1])
+		y[idx[t+2]] += a * float64(val[t+2])
+		y[idx[t+3]] += a * float64(val[t+3])
 	}
 	for ; t < len(val); t++ {
-		y[idx[t]] += a * val[t]
+		y[idx[t]] += a * float64(val[t])
 	}
 }

@@ -86,7 +86,7 @@ func BenchmarkKernelSquaredEuclideanBatchF32(b *testing.B) {
 		b.Run(s.name+"/go", func(b *testing.B) {
 			benchPass(b, s.rows, dim*4, func() {
 				for r := range out {
-					out[r] = sqdistQ32Go(q, flat32[r*dim:(r+1)*dim])
+					out[r] = sqdistGo(q, flat32[r*dim:(r+1)*dim])
 				}
 			})
 		})
@@ -133,7 +133,7 @@ func BenchmarkKernelDotRowsF32(b *testing.B) {
 		b.Run(s.name+"/go", func(b *testing.B) {
 			benchPass(b, s.rows, dim*4, func() {
 				for r := range out {
-					out[r] = dot32Go(q, flat32[r*dim:(r+1)*dim])
+					out[r] = dotGo(q, flat32[r*dim:(r+1)*dim])
 				}
 			})
 		})
@@ -163,7 +163,7 @@ func BenchmarkKernelGatherF64(b *testing.B) {
 	benchPass(b, gatherRows, 24*(8+4), func() {
 		var s float64
 		for r := 0; r < gatherRows; r++ {
-			s += DotGatherI32(val[r*24:(r+1)*24], idx[r*24:(r+1)*24], z)
+			s += DotGather(val[r*24:(r+1)*24], idx[r*24:(r+1)*24], z)
 		}
 		sinkF64 = s
 	})
@@ -181,7 +181,7 @@ func BenchmarkKernelGatherF32(b *testing.B) {
 	benchPass(b, gatherRows, 24*(4+4), func() {
 		var s float64
 		for r := 0; r < gatherRows; r++ {
-			s += DotGather32I32(val[r*24:(r+1)*24], idx[r*24:(r+1)*24], z)
+			s += DotGather(val[r*24:(r+1)*24], idx[r*24:(r+1)*24], z)
 		}
 		sinkF64 = s
 	})
@@ -226,7 +226,7 @@ func BenchmarkKernelAxpyF32(b *testing.B) {
 		b.Run(s.name+"/go", func(b *testing.B) {
 			benchPass(b, s.rows, s.dim*4, func() {
 				for r := 0; r < s.rows; r++ {
-					Axpy32(y, 1e-3, flat32[r*s.dim:(r+1)*s.dim])
+					Axpy(y, 1e-3, flat32[r*s.dim:(r+1)*s.dim])
 				}
 			})
 		})
@@ -255,7 +255,7 @@ func BenchmarkKernelSumF32(b *testing.B) {
 			benchPass(b, s.rows, s.dim*4, func() {
 				var sum float64
 				for r := 0; r < s.rows; r++ {
-					sum += Sum32(flat32[r*s.dim : (r+1)*s.dim])
+					sum += Sum(flat32[r*s.dim : (r+1)*s.dim])
 				}
 				sinkF64 = sum
 			})
@@ -282,7 +282,7 @@ func BenchmarkKernelScatterAxpyF32(b *testing.B) {
 		b.Run(s.name+"/go", func(b *testing.B) {
 			benchPass(b, s.rows, s.dim*(4+8), func() {
 				for r := 0; r < s.rows; r++ {
-					ScatterAxpy32(y, idx[r*s.dim:(r+1)*s.dim], flat32[r*s.dim:(r+1)*s.dim], 1e-3)
+					ScatterAxpy(y, idx[r*s.dim:(r+1)*s.dim], flat32[r*s.dim:(r+1)*s.dim], 1e-3)
 				}
 			})
 		})

@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-// The f32 kernels promise: widen every float32 element to float64 and
-// run the float64 kernel, and you get the SAME bits. That is the whole
-// mixed-precision contract — the only rounding is the one applied when
-// a value entered f32 storage — so the tests assert bit equality
-// against the f64 reference kernels, not approximate closeness.
+// The float32 side of every kernel promises: widen every float32
+// element to float64 and run the float64 kernel, and you get the SAME
+// bits. That is the whole mixed-precision contract — the only rounding
+// is the one applied when a value entered f32 storage — so the tests
+// assert bit equality against the float64 kernels, not approximate
+// closeness. TestKernels32BitIdenticalToWidenedReference checks it on
+// ordinary values; FuzzKernelFamily (kernels_family_test.go) takes the
+// same comparison to raw bit patterns.
 
 func randSlice32(rng *rand.Rand, n int) []float32 {
 	out := make([]float32, n)
@@ -36,17 +39,17 @@ func TestKernels32BitIdenticalToWidenedReference(t *testing.T) {
 		if got, want := Dot32(q, b32), Dot(q, b64); got != want {
 			t.Fatalf("n=%d: Dot32=%v, widened reference %v", n, got, want)
 		}
-		if got, want := Sum32(a32), Sum(a64); got != want {
-			t.Fatalf("n=%d: Sum32=%v, widened reference %v", n, got, want)
+		if got, want := Sum(a32), Sum(a64); got != want {
+			t.Fatalf("n=%d: Sum[float32]=%v, widened reference %v", n, got, want)
 		}
 
 		y32 := randSlice(rng, n)
 		y64 := append([]float64(nil), y32...)
-		Axpy32(y32, 1.75, b32)
+		Axpy(y32, 1.75, b32)
 		Axpy(y64, 1.75, b64)
 		for i := range y32 {
 			if y32[i] != y64[i] {
-				t.Fatalf("n=%d: Axpy32[%d]=%v, widened reference %v", n, i, y32[i], y64[i])
+				t.Fatalf("n=%d: Axpy[float32][%d]=%v, widened reference %v", n, i, y32[i], y64[i])
 			}
 		}
 
@@ -57,8 +60,8 @@ func TestKernels32BitIdenticalToWidenedReference(t *testing.T) {
 			idx[i] = rng.Intn(len(z))
 			idx32[i] = int32(idx[i])
 		}
-		if got, want := DotGather32(a32, idx, z), DotGather(a64, idx, z); got != want {
-			t.Fatalf("n=%d: DotGather32=%v, widened reference %v", n, got, want)
+		if got, want := DotGather(a32, idx, z), DotGather(a64, idx, z); got != want {
+			t.Fatalf("n=%d: DotGather[float32]=%v, widened reference %v", n, got, want)
 		}
 		if got, want := DotGather32I32(a32, idx32, z), DotGather(a64, idx, z); got != want {
 			t.Fatalf("n=%d: DotGather32I32=%v, widened reference %v", n, got, want)
@@ -67,11 +70,11 @@ func TestKernels32BitIdenticalToWidenedReference(t *testing.T) {
 		ys := make([]float64, len(z))
 		yw := make([]float64, len(z))
 		copy(yw, ys)
-		ScatterAxpy32(ys, idx, a32, -0.5)
+		ScatterAxpy(ys, idx, a32, -0.5)
 		ScatterAxpy(yw, idx, a64, -0.5)
 		for i := range ys {
 			if ys[i] != yw[i] {
-				t.Fatalf("n=%d: ScatterAxpy32[%d]=%v, widened reference %v", n, i, ys[i], yw[i])
+				t.Fatalf("n=%d: ScatterAxpy[float32][%d]=%v, widened reference %v", n, i, ys[i], yw[i])
 			}
 		}
 	}
@@ -108,23 +111,23 @@ func TestKernels32NaNInfPropagation(t *testing.T) {
 	if !math.IsNaN(Dot32([]float64{1, 1, 1, 1, 1}, a)) {
 		t.Fatal("Dot32 swallowed NaN")
 	}
-	if !math.IsNaN(Sum32([]float32{0, nan32})) {
-		t.Fatal("Sum32 swallowed NaN")
+	if !math.IsNaN(Sum([]float32{0, nan32})) {
+		t.Fatal("Sum[float32] swallowed NaN")
 	}
-	if got := Sum32([]float32{1, inf32, 2, 3, 4}); !math.IsInf(got, 1) {
-		t.Fatalf("Sum32 with +Inf = %v", got)
+	if got := Sum([]float32{1, inf32, 2, 3, 4}); !math.IsInf(got, 1) {
+		t.Fatalf("Sum[float32] with +Inf = %v", got)
 	}
 	if got := SquaredEuclideanQ32([]float64{0, 0}, []float32{inf32, 0}); !math.IsInf(got, 1) {
 		t.Fatalf("SquaredEuclideanQ32 with Inf = %v", got)
 	}
 	y := []float64{0, 0}
-	Axpy32(y, 1, []float32{nan32, 1})
+	Axpy(y, 1, []float32{nan32, 1})
 	if !math.IsNaN(y[0]) || y[1] != 1 {
-		t.Fatalf("Axpy32 NaN propagation: %v", y)
+		t.Fatalf("Axpy[float32] NaN propagation: %v", y)
 	}
 	z := []float64{2, math.Inf(-1)}
-	if got := DotGather32([]float32{1, 1}, []int{0, 1}, z); !math.IsInf(got, -1) {
-		t.Fatalf("DotGather32 with -Inf z = %v", got)
+	if got := DotGather([]float32{1, 1}, []int{0, 1}, z); !math.IsInf(got, -1) {
+		t.Fatalf("DotGather[float32] with -Inf z = %v", got)
 	}
 }
 
@@ -139,13 +142,13 @@ func TestKernels32LengthMismatchPanics(t *testing.T) {
 		"SquaredEuclideanBatch32/zero-dim": func() {
 			SquaredEuclideanBatch32(nil, make([]float32, 4), make([]float64, 2))
 		},
-		"Dot32":           func() { Dot32(make([]float64, 4), make([]float32, 3)) },
-		"Axpy32":          func() { Axpy32(make([]float64, 4), 1, make([]float32, 5)) },
-		"ScatterAxpy32":   func() { ScatterAxpy32(make([]float64, 4), make([]int, 2), make([]float32, 3), 1) },
-		"DotGather32":     func() { DotGather32(make([]float32, 2), make([]int, 3), make([]float64, 4)) },
-		"DotGather32I32":  func() { DotGather32I32(make([]float32, 2), make([]int32, 3), make([]float64, 4)) },
-		"Unflatten32":     func() { Unflatten32(make([]float32, 5), 2) },
-		"Unflatten32/dim": func() { Unflatten32(make([]float32, 4), 0) },
+		"Dot32":                func() { Dot32(make([]float64, 4), make([]float32, 3)) },
+		"Axpy[float32]":        func() { Axpy(make([]float64, 4), 1, make([]float32, 5)) },
+		"ScatterAxpy[float32]": func() { ScatterAxpy(make([]float64, 4), make([]int, 2), make([]float32, 3), 1) },
+		"DotGather[float32]":   func() { DotGather(make([]float32, 2), make([]int, 3), make([]float64, 4)) },
+		"DotGather32I32":       func() { DotGather32I32(make([]float32, 2), make([]int32, 3), make([]float64, 4)) },
+		"Unflatten32":          func() { Unflatten32(make([]float32, 5), 2) },
+		"Unflatten32/dim":      func() { Unflatten32(make([]float32, 4), 0) },
 	}
 	for name, fn := range cases {
 		func() {

@@ -37,7 +37,7 @@ func sqdistQ32(q []float64, p []float32) float64 {
 	if useAVX2 {
 		return sqdistQ32AVX2(q, p[:len(q)])
 	}
-	return sqdistQ32Go(q, p)
+	return sqdistGo(q, p)
 }
 
 func dot(a, b []float64) float64 {
@@ -51,7 +51,7 @@ func dot32(a []float64, b []float32) float64 {
 	if useAVX2 {
 		return dot32AVX2(a, b[:len(a)])
 	}
-	return dot32Go(a, b)
+	return dotGo(a, b)
 }
 
 // sqdist4 writes the squared distances from q to four rows of its
@@ -69,7 +69,7 @@ func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
 	n := len(q)
 	if !useAVX2 || n == 0 {
-		out[0], out[1], out[2], out[3] = sqdistQ32Go(q, p0), sqdistQ32Go(q, p1), sqdistQ32Go(q, p2), sqdistQ32Go(q, p3)
+		out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
 		return
 	}
 	sqdistQ32x4AVX2(q, &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], out)

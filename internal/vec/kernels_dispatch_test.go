@@ -89,10 +89,10 @@ func checkOneRow(t *testing.T, a, b []float64, b32 []float32) {
 	if got, want := dot(a, b), dotGo(a, b); !sameBits(got, want) {
 		t.Fatalf("n=%d: dot=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
 	}
-	if got, want := sqdistQ32(a, b32), sqdistQ32Go(a, b32); !sameBits(got, want) {
+	if got, want := sqdistQ32(a, b32), sqdistGo(a, b32); !sameBits(got, want) {
 		t.Fatalf("n=%d: sqdistQ32=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
 	}
-	if got, want := dot32(a, b32), dot32Go(a, b32); !sameBits(got, want) {
+	if got, want := dot32(a, b32), dotGo(a, b32); !sameBits(got, want) {
 		t.Fatalf("n=%d: dot32=%v (%#x), Go body %v (%#x)", len(a), got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
@@ -146,11 +146,11 @@ func TestBatchBodiesBitIdentical(t *testing.T) {
 			}
 			SquaredEuclideanBatch32(q, flat, out)
 			for r := range out {
-				check("SquaredEuclideanBatch32", r, sqdistQ32Go(q, flat[r*dim:(r+1)*dim]))
+				check("SquaredEuclideanBatch32", r, sqdistGo(q, flat[r*dim:(r+1)*dim]))
 			}
 			SquaredEuclideanRows32(q, flat, ids, out)
 			for r := range out {
-				check("SquaredEuclideanRows32", r, sqdistQ32Go(q, flat[ids[r]*dim:(ids[r]+1)*dim]))
+				check("SquaredEuclideanRows32", r, sqdistGo(q, flat[ids[r]*dim:(ids[r]+1)*dim]))
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func FuzzKernels(f *testing.F) {
 		rows32 := [4][]float32{b32, f32[:n], f32[len(f32)/2-n/2:][:n], narrow(a)}
 		sqdistQ32x4(a, rows32[0], rows32[1], rows32[2], rows32[3], &out)
 		for r, p := range rows32 {
-			if want := sqdistQ32Go(a, p); !sameBits(out[r], want) {
+			if want := sqdistGo(a, p); !sameBits(out[r], want) {
 				t.Fatalf("n=%d sqdistQ32x4 row %d: %#x, Go body %#x", n, r, math.Float64bits(out[r]), math.Float64bits(want))
 			}
 		}

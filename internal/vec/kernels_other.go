@@ -7,16 +7,16 @@ const useAVX2 = false
 
 func sqdist(a, b []float64) float64 { return sqdistGo(a, b) }
 
-func sqdistQ32(q []float64, p []float32) float64 { return sqdistQ32Go(q, p) }
+func sqdistQ32(q []float64, p []float32) float64 { return sqdistGo(q, p) }
 
 func dot(a, b []float64) float64 { return dotGo(a, b) }
 
-func dot32(a []float64, b []float32) float64 { return dot32Go(a, b) }
+func dot32(a []float64, b []float32) float64 { return dotGo(a, b) }
 
 func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 	out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
 }
 
 func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
-	out[0], out[1], out[2], out[3] = sqdistQ32Go(q, p0), sqdistQ32Go(q, p1), sqdistQ32Go(q, p2), sqdistQ32Go(q, p3)
+	out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
 }

@@ -577,7 +577,6 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 	}
 	cut := hopMassTol * mass
 	S := st.graph
-	sval, sval32 := S.Val, S.Val32
 	spent := 0
 	closed := false
 	t := 1
@@ -590,32 +589,11 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 		}
 		sr.eepoch++
 		sr.nxtID = sr.nxtID[:0]
-		edges := 0
-		for _, j := range sr.curID {
-			v := e.alpha * sr.pw[j]
-			a, b := S.RowPtr[j], S.RowPtr[j+1]
-			if sval32 != nil {
-				for x := a; x < b; x++ {
-					i := S.Col[x]
-					if sr.estamp[i] != sr.eepoch {
-						sr.estamp[i] = sr.eepoch
-						sr.tmp[i] = 0
-						sr.nxtID = append(sr.nxtID, i)
-					}
-					sr.tmp[i] += float64(sval32[x]) * v
-				}
-			} else {
-				for x := a; x < b; x++ {
-					i := S.Col[x]
-					if sr.estamp[i] != sr.eepoch {
-						sr.estamp[i] = sr.eepoch
-						sr.tmp[i] = 0
-						sr.nxtID = append(sr.nxtID, i)
-					}
-					sr.tmp[i] += sval[x] * v
-				}
-			}
-			edges += b - a
+		var edges int
+		if S.Val32 != nil {
+			edges = hopRound(sr, S, S.Val32)
+		} else {
+			edges = hopRound(sr, S, S.Val)
 		}
 		spent += edges
 		// Ascending-id accumulation keeps the float sums independent of
@@ -661,6 +639,30 @@ func (sr *SpectralSearcher) expandHops(seeds []seedWeight) int {
 	}
 	sr.rounds = t - 1
 	return t
+}
+
+// hopRound spreads the frontier sr.curID one hop over S, whose edge
+// weights are val in either storage width: alpha times each frontier
+// item's mass sr.pw lands in sr.tmp of its neighbours, each first
+// reached one stamped this round and listed in sr.nxtID. It returns the
+// edges traversed.
+func hopRound[P vec.Float](sr *SpectralSearcher, S *sparse.CSR, val []P) int {
+	edges := 0
+	for _, j := range sr.curID {
+		v := sr.e.alpha * sr.pw[j]
+		a, b := S.RowPtr[j], S.RowPtr[j+1]
+		for x := a; x < b; x++ {
+			i := S.Col[x]
+			if sr.estamp[i] != sr.eepoch {
+				sr.estamp[i] = sr.eepoch
+				sr.tmp[i] = 0
+				sr.nxtID = append(sr.nxtID, i)
+			}
+			sr.tmp[i] += float64(val[x]) * v
+		}
+		edges += b - a
+	}
+	return edges
 }
 
 // hopsConverged is the horizon expandHops reports for a head that
@@ -972,7 +974,7 @@ func (a *attachScratch) attachLive(st *spectralState, kAttach int, q Vector, bas
 func (st *spectralState) axpyRow(dst []float64, w float64, id int) {
 	off := id * st.rank
 	if st.emb32 != nil {
-		vec.Axpy32(dst, w, st.emb32[off:off+st.rank])
+		vec.Axpy(dst, w, st.emb32[off:off+st.rank])
 	} else {
 		vec.Axpy(dst, w, st.emb[off:off+st.rank])
 	}
