@@ -549,10 +549,10 @@ func TestAutoCompactAfterDeleteReturnsRenumberedID(t *testing.T) {
 	}
 	// The id really is the inserted point: the compacted base stores
 	// the marker vector under it.
-	pts := ix.st.base.Graph().Points
+	row := ix.st.base.Graph().Points.Row(id, nil)
 	for j := range marker {
-		if pts[id][j] != marker[j] {
-			t.Fatalf("item %d holds %v, inserted %v", id, pts[id], marker)
+		if row[j] != marker[j] {
+			t.Fatalf("item %d holds %v, inserted %v", id, row, marker)
 		}
 	}
 }

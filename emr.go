@@ -93,16 +93,15 @@ type emrState struct {
 	anchors        []Vector
 	colSum, lambda []float64
 	// hAnchor/hVal store the H columns flat with stride s (item i owns
-	// [i*s, (i+1)*s)): one cache-friendly streaming array instead of n
-	// little slices, which is what keeps the per-query scan
-	// memory-bandwidth bound. In mixed-precision mode hVal is nil and
-	// the attachment weights live in hVal32; anchors, colSum, lambda,
-	// and the gram inverse stay float64 (p-sized, cold next to the scan).
-	// Columns past baseN are scored but do not contribute to the gram
-	// system until Compact folds them in.
-	hVal32  []float32
+	// hAnchor[i*s:(i+1)*s] and row i of hVal): one cache-friendly
+	// streaming array instead of n little slices, which is what keeps the
+	// per-query scan memory-bandwidth bound. In mixed-precision mode the
+	// weights are float32 rows; anchors, colSum, lambda, and the gram
+	// inverse stay float64 (p-sized, cold next to the scan). Columns past
+	// baseN are scored but do not contribute to the gram system until
+	// Compact folds them in.
 	hAnchor []int32
-	hVal    []float64
+	hVal    vec.Rows
 	// gramInv is M = (I_p - alpha H H^T)^{-1}, symmetric: a query reads
 	// the rows its right-hand side touches.
 	gramInv *dense.Matrix
@@ -149,18 +148,14 @@ type emrCells struct {
 // sums, and the gram inverse keep full precision. It runs before the
 // cells are derived, so they are derived once, from the rounded weights.
 func (st *emrState) narrow32() {
-	st.narrowPoints()
-	st.hVal32 = vec.Narrow32(nil, st.hVal)
-	st.hVal = nil
+	st.points = st.points.Narrow()
+	st.hVal = st.hVal.Narrow()
 }
 
-// weight returns the stored attachment weight at flat position fp,
-// widened in mixed-precision mode.
-func (st *emrState) weight(fp int) float64 {
-	if st.hVal32 != nil {
-		return float64(st.hVal32[fp])
-	}
-	return st.hVal[fp]
+// column returns row i's anchor ids and its stored weights, widened into
+// buf in mixed-precision mode.
+func (st *emrState) column(i int, buf []float64) ([]int32, []float64) {
+	return st.hAnchor[i*st.s : (i+1)*st.s], st.hVal.Row(i, buf)
 }
 
 // dotColumn returns h_i . z in the fixed four-lane summation order of
@@ -169,20 +164,17 @@ func (st *emrState) weight(fp int) float64 {
 // FP-add-latency-bound while preserving the baseline's summation order.
 // In f32 mode the weights widen to float64 in registers (same lanes).
 func (st *emrState) dotColumn(i int, z []float64) float64 {
-	off, s := i*st.s, st.s
-	if st.hVal32 != nil {
-		return vec.DotGather(st.hVal32[off:off+s], st.hAnchor[off:off+s], z)
-	}
-	return vec.DotGather(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
+	return st.hVal.DotGather(i, st.hAnchor[i*st.s:(i+1)*st.s], z)
 }
 
 // primaryAnchor returns the cell of row i: the anchor carrying its
-// largest stored weight, ties to the lower anchor id.
-func (st *emrState) primaryAnchor(i int) int32 {
-	off := i * st.s
-	best, bestW := st.hAnchor[off], st.weight(off)
-	for fp := off + 1; fp < off+st.s; fp++ {
-		if a, w := st.hAnchor[fp], st.weight(fp); w > bestW || (w == bestW && a < best) {
+// largest stored weight, ties to the lower anchor id. buf is widening
+// scratch of width s.
+func (st *emrState) primaryAnchor(i int, buf []float64) int32 {
+	ids, ws := st.column(i, buf)
+	best, bestW := ids[0], ws[0]
+	for t, w := range ws {
+		if a := ids[t]; w > bestW || (w == bestW && a < best) {
 			best, bestW = a, w
 		}
 	}
@@ -206,16 +198,17 @@ func (st *emrState) deriveCells() int {
 		gmax:   make([]float64, p),
 	}
 	bad := -1
+	buf := make([]float64, s)
 	primary := make([]int32, n)
 	for i := range primary {
-		for fp := i * s; fp < (i+1)*s; fp++ {
-			w := st.weight(fp)
+		ids, ws := st.column(i, buf)
+		for t, w := range ws {
 			if !(w >= 0 && w <= math.MaxFloat64) && bad < 0 {
-				bad = fp
+				bad = i*s + t
 			}
-			c.v[st.hAnchor[fp]] += w
+			c.v[ids[t]] += w
 		}
-		primary[i] = st.primaryAnchor(i)
+		primary[i] = st.primaryAnchor(i, buf)
 		c.rowPtr[primary[i]+1]++
 	}
 	for a := 0; a < p; a++ {
@@ -237,8 +230,9 @@ func (st *emrState) deriveCells() int {
 		for _, r := range c.rows[c.rowPtr[a]:c.rowPtr[a+1]] {
 			i := int(r)
 			c.gmax[a] = max(c.gmax[a], st.dotColumn(i, c.v))
-			for fp := i * s; fp < (i+1)*s; fp++ {
-				u, w := st.hAnchor[fp], st.weight(fp)
+			ids, ws := st.column(i, buf)
+			for t, w := range ws {
+				u := ids[t]
 				if stamp[u] != a+1 {
 					stamp[u], top[u] = a+1, w
 					union = append(union, u)
@@ -374,22 +368,23 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions,
 	ag := baseline.BuildAnchorGraph(points, km.Centroids, s)
 
 	st := &emrState{
-		engineHeader: engineHeader{dim: len(points[0]), points: points[:n:n], dead: make([]bool, n), baseN: n},
+		engineHeader: engineHeader{dim: len(points[0]), points: vec.AliasRows(points, len(points[0])), dead: make([]bool, n), baseN: n},
 		p:            p,
 		s:            ag.S,
 		anchors:      ag.Anchors,
 		colSum:       ag.ColSum,
 		lambda:       ag.Lambda,
 		hAnchor:      make([]int32, n*ag.S),
-		hVal:         make([]float64, n*ag.S),
 	}
+	hVal := make([]float64, n*ag.S)
 	for i := range ag.HIdx {
 		off := i * st.s
 		for t, a := range ag.HIdx[i] {
 			st.hAnchor[off+t] = int32(a)
-			st.hVal[off+t] = ag.HVal[i][t]
+			hVal[off+t] = ag.HVal[i][t]
 		}
 	}
+	st.hVal = vec.FlatRows(hVal, st.s)
 
 	// Gram system G = I_p - alpha H H^T. The rows are partitioned by
 	// anchor, with an inverted anchor -> flat-position list (built in
@@ -414,9 +409,9 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions,
 				row := g.Row(r)
 				for _, fp := range rowPos[r] {
 					off := int(fp) / st.s * st.s
-					va := -alpha * st.hVal[fp]
+					va := -alpha * hVal[fp]
 					idx := st.hAnchor[off : off+st.s]
-					val := st.hVal[off : off+st.s]
+					val := hVal[off : off+st.s]
 					for b := range idx {
 						row[idx[b]] += va * val[b]
 					}
@@ -481,15 +476,8 @@ func (e *EMRIndex) attach(st *emrState, v Vector) error {
 // commit appends the attached column; in f32 mode the stored weights
 // round once.
 func (e *EMRIndex) commit(st *emrState) {
-	dstIdx, dstVal := e.att.dstIdx, e.att.dstVal
-	if st.f32() {
-		for _, x := range dstVal {
-			st.hVal32 = append(st.hVal32, float32(x))
-		}
-	} else {
-		st.hVal = append(st.hVal, dstVal...)
-	}
-	st.hAnchor = append(st.hAnchor, dstIdx...)
+	st.hVal.Append(e.att.dstVal)
+	st.hAnchor = append(st.hAnchor, e.att.dstIdx...)
 }
 
 // NumAnchors returns p, the current anchor count.
@@ -530,6 +518,8 @@ type EMRSearcher struct {
 	sc     baseline.AnchorScratch
 	wIdx   []int
 	wVal   []float64
+	// colBuf widens a stored column in mixed-precision mode.
+	colBuf []float64
 }
 
 // cellKey is a candidate cell of the bound pass with its pushed bound.
@@ -608,6 +598,9 @@ func (sr *EMRSearcher) ensure(p int) {
 		sr.entered = make([]bool, p)
 		sr.order = make([]int32, 0, p)
 		sr.cand = make([]cellKey, 0, p)
+	}
+	if s := sr.e.st.s; cap(sr.colBuf) < s {
+		sr.colBuf = make([]float64, s)
 	}
 	sr.rhs = sr.rhs[:p]
 	sr.z = sr.z[:p]
@@ -700,7 +693,7 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 	clear(sr.entered)
 	for _, sw := range seeds {
 		if sw.id < st.baseN {
-			sr.scoreCell(int(st.primaryAnchor(sw.id)), seeds)
+			sr.scoreCell(int(st.primaryAnchor(sw.id, sr.colBuf)), seeds)
 		}
 	}
 	// No cell entered from here on holds a seed row.
@@ -884,8 +877,9 @@ func (sr *EMRSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 	sr.ensure(st.p)
 	seeds = normalizeSeeds(seeds)
 	for _, sw := range seeds {
-		for fp := sw.id * st.s; fp < (sw.id+1)*st.s; fp++ {
-			sr.rhs[st.hAnchor[fp]] += sw.w * st.weight(fp)
+		ids, ws := st.column(sw.id, sr.colBuf)
+		for t, w := range ws {
+			sr.rhs[ids[t]] += sw.w * w
 		}
 	}
 	return sr.collect(k, seeds)

@@ -23,6 +23,7 @@ import (
 
 	"mogul/internal/binio"
 	"mogul/internal/dense"
+	"mogul/internal/vec"
 )
 
 // emrMagic identifies an EMR (anchor-graph) engine file.
@@ -75,13 +76,13 @@ func (e *EMRIndex) sections(st *emrState, version uint32, align int) []binio.Sec
 			sw.Floats(st.colSum)
 			return sw.Err()
 		}},
-		{Tag: tagEpts, Payload: func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
+		{Tag: tagEpts, Payload: func(sw *binio.Writer) error {
+			return st.points.Encode(sw, st.f32(), version < engineFormatVersionPrec)
+		}},
 		{Tag: tagEhco, Payload: func(sw *binio.Writer) error {
 			sw.Int32s(st.hAnchor)
-			if st.f32() {
-				sw.Float32s(st.hVal32)
-			} else {
-				sw.Floats(st.hVal)
+			if err := st.hVal.Encode(sw, st.f32(), false); err != nil {
+				return err
 			}
 			st.writeTombstones(sw)
 			return sw.Err()
@@ -129,14 +130,14 @@ func loadEMR(br *binio.Reader) (*EMRIndex, error) {
 }
 
 // assembleEMR decodes the section payloads and cross-validates every
-// shape and value invariant the engine relies on. From version 2 on the
-// big arrays come out as views into the payload bytes (zero-copy when
-// the image is aligned and the host is little-endian, copied
-// otherwise), without the per-element finiteness scan version 1 runs
-// over the attachment weights — see readPoints for why; the base rows'
-// weights are nevertheless read once by deriveCells, which refuses a
-// negative or non-finite one. The gram system is always scanned: it is
-// p-sized, and a NaN in it would reach every score.
+// shape and value invariant the engine relies on. The flat arrays come
+// out as views into the payload bytes where the reader allows (zero-copy
+// when the image is aligned and the host is little-endian, copied
+// otherwise), and from version 2 on without the per-element finiteness
+// scan version 1 runs over the attachment weights — see vec.ReadRows for
+// why; the base rows' weights are nevertheless read once by deriveCells,
+// which refuses a negative or non-finite one. The gram system is always
+// scanned: it is p-sized, and a NaN in it would reach every score.
 func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, error) {
 	var m engineMeta
 	mr := secs[tagEmet].Reader(0)
@@ -146,7 +147,7 @@ func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, err
 	m.hdr.dim = mr.Int()
 	p := mr.Int()
 	s := mr.Int()
-	if err := m.readTail(mr, version, "EMR", s); err != nil {
+	if err := m.readTail(mr, version, "EMR"); err != nil {
 		return nil, err
 	}
 	switch {
@@ -197,20 +198,19 @@ func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, err
 		}
 	}
 
-	if err := m.readPoints(secs[tagEpts].Reader(m.align), version); err != nil {
-		return nil, err
+	points, err := vec.ReadRows(secs[tagEpts].Reader(m.align), n, dim, m.f32, !v2)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: decoding points: %w", err)
 	}
+	m.hdr.points = points
 
 	hr := secs[tagEhco].Reader(m.align)
 	var hAnchor []int32
-	var hVal []float64
-	var hVal32 []float32
-	hLen := 0
-	switch {
-	case !v2:
+	if v2 {
+		hAnchor = hr.Int32sView(binio.MaxCount)
+	} else {
+		// Version 1 stored the anchor ids as int64.
 		cols := hr.Ints(binio.MaxCount)
-		hVal = hr.Floats(binio.MaxCount)
-		hLen = len(hVal)
 		hAnchor = make([]int32, len(cols))
 		for i, a := range cols {
 			if a < 0 || a >= p {
@@ -218,31 +218,32 @@ func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, err
 			}
 			hAnchor[i] = int32(a)
 		}
-		for i, v := range hVal {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("mogul: H column entry %d is non-finite", i)
-			}
-		}
-	case m.f32:
-		hAnchor = hr.Int32sView(binio.MaxCount)
-		hVal32 = hr.Float32sView(binio.MaxCount)
-		hLen = len(hVal32)
-	default:
-		hAnchor = hr.Int32sView(binio.MaxCount)
-		hVal = hr.FloatsView(binio.MaxCount)
-		hLen = len(hVal)
+	}
+	hVal, err := vec.ReadRows(hr, n, s, m.f32, false)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: decoding H columns: %w", err)
 	}
 	deadIDs := hr.Ints(binio.MaxCount)
 	if err := hr.Err(); err != nil {
 		return nil, fmt.Errorf("mogul: decoding H columns: %w", err)
 	}
-	if len(hAnchor) != n*s || hLen != n*s {
-		return nil, fmt.Errorf("mogul: H columns carry %d ids / %d values, want %d", len(hAnchor), hLen, n*s)
+	if len(hAnchor) != n*s {
+		return nil, fmt.Errorf("mogul: H columns carry %d ids, want %d", len(hAnchor), n*s)
 	}
 	if v2 {
 		for i, a := range hAnchor {
 			if a < 0 || int(a) >= p {
 				return nil, fmt.Errorf("mogul: H column entry %d names anchor %d outside [0,%d)", i, a, p)
+			}
+		}
+	} else {
+		// Version 1 refused a non-finite weight anywhere, delta rows
+		// included; deriveCells below checks the base rows of every version.
+		for i := 0; i < n; i++ {
+			for t, w := range hVal.Row(i, nil) {
+				if math.IsNaN(w) || math.IsInf(w, 0) {
+					return nil, fmt.Errorf("mogul: H column entry %d is non-finite", i*s+t)
+				}
 			}
 		}
 	}
@@ -300,7 +301,6 @@ func assembleEMR(version uint32, secs map[[4]byte]binio.Payload) (*EMRIndex, err
 		lambda:       lambda,
 		hAnchor:      hAnchor,
 		hVal:         hVal,
-		hVal32:       hVal32,
 		gramInv:      gramInv,
 	}
 	// The cell pass reads every base weight anyway, so it is also where a

@@ -74,7 +74,7 @@ func TestEMRSaveLoadRoundTrip(t *testing.T) {
 		}
 		sameResults(t, fmt.Sprintf("TopK(%d)", q), b, a)
 	}
-	qv := append(Vector(nil), loaded.st.points[3]...)
+	qv := append(Vector(nil), loaded.st.points.Row(3, nil)...)
 	qv[0] += 0.03
 	a, err := e.TopKVector(qv, 12)
 	if err != nil {

@@ -44,18 +44,12 @@ func exhaustiveCollect(sr *EMRSearcher, k int, seeds []seedWeight) []Result {
 	sr.resetCollector(k)
 	si := 0
 	s := st.s
-	hv32 := st.hVal32
 	for i := 0; i < n; i++ {
 		if st.dead[i] {
 			continue
 		}
 		off := i * s
-		var sum float64
-		if hv32 != nil {
-			sum = vec.DotGather(hv32[off:off+s], st.hAnchor[off:off+s], z)
-		} else {
-			sum = vec.DotGather(st.hVal[off:off+s], st.hAnchor[off:off+s], z)
-		}
+		sum := st.hVal.DotGather(i, st.hAnchor[off:off+s], z)
 		sum *= e.alpha
 		if si < len(seeds) && seeds[si].id == i {
 			sum += seeds[si].w
@@ -77,8 +71,9 @@ func exhaustiveSeeds(e *EMRIndex, ids []int, weight float64, k int) []Result {
 	sr.ensure(st.p)
 	seeds := normalizeSeeds(sr.seeds)
 	for _, sw := range seeds {
-		for fp := sw.id * st.s; fp < (sw.id+1)*st.s; fp++ {
-			sr.rhs[st.hAnchor[fp]] += sw.w * st.weight(fp)
+		ids, ws := st.column(sw.id, nil)
+		for t, w := range ws {
+			sr.rhs[ids[t]] += sw.w * w
 		}
 	}
 	return exhaustiveCollect(sr, k, seeds)

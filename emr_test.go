@@ -116,10 +116,10 @@ func TestEMRGramInverseMatchesLU(t *testing.T) {
 	st := e.st
 	g := dense.Identity(st.p)
 	for i := 0; i < st.baseN; i++ {
-		off := i * st.s
+		ids, ws := st.column(i, nil)
 		for a := 0; a < st.s; a++ {
 			for b := 0; b < st.s; b++ {
-				g.Add(int(st.hAnchor[off+a]), int(st.hAnchor[off+b]), -e.alpha*st.hVal[off+a]*st.hVal[off+b])
+				g.Add(int(ids[a]), int(ids[b]), -e.alpha*ws[a]*ws[b])
 			}
 		}
 	}

@@ -42,15 +42,12 @@ import (
 // engineHeader is the state every backend's state struct embeds.
 type engineHeader struct {
 	dim int
-	// points holds every item ever inserted, by id; dead tombstones. In
-	// mixed-precision mode points is nil and the vectors live flattened
-	// in pts32 with stride dim. A backend whose base build already stores
-	// its rows (the graph engine's knn.Graph, mapped views included) sets
-	// ext to their count: points (always float64 in such a state) then
-	// holds ids ext and up only, and the backend's state answers pointVec
-	// below ext.
-	points []Vector
-	pts32  []float32
+	// points holds every item ever inserted, by id; dead tombstones. A
+	// backend whose base build already stores its rows (the graph engine's
+	// knn.Graph, mapped views included) sets ext to their count: points
+	// (always float64 in such a state) then holds ids ext and up only, and
+	// the backend's state answers pointVec below ext.
+	points vec.Rows
 	ext    int
 	dead   []bool
 	// deadCount counts all tombstones; deadBase only those in the base
@@ -66,50 +63,17 @@ type engineHeader struct {
 func (h *engineHeader) hdr() *engineHeader { return h }
 
 // f32 reports whether the state stores its bulk arrays narrowed.
-func (h *engineHeader) f32() bool { return h.pts32 != nil }
+func (h *engineHeader) f32() bool { return h.points.F32() }
 
-// numPoints returns the id-space size in either precision.
-func (h *engineHeader) numPoints() int {
-	if h.pts32 != nil {
-		return len(h.pts32) / h.dim
-	}
-	return h.ext + len(h.points)
-}
+// numPoints returns the id-space size.
+func (h *engineHeader) numPoints() int { return h.ext + h.points.Len() }
 
 func (h *engineHeader) live() int { return h.numPoints() - h.deadCount }
 
 // pointVec returns item i's stored vector. In f64 mode the returned
 // slice aliases state storage; in f32 mode it is freshly widened —
 // callers that retain it must copy in either case.
-func (h *engineHeader) pointVec(i int) Vector {
-	if h.pts32 != nil {
-		return Vector(vec.Widen64(nil, h.pts32[i*h.dim:(i+1)*h.dim]))
-	}
-	return h.points[i-h.ext]
-}
-
-// appendPoint stores v (which the header takes ownership of) as the next
-// item id. In f32 mode the stored copy rounds once, like everything else
-// in that mode. (A state loaded from a mapped file appends safely: views
-// have cap == len, so the first append reallocates onto the heap — and a
-// build clips the caller's slice to its length for the same reason, or
-// the first Insert would write into whatever the caller keeps behind it.)
-func (h *engineHeader) appendPoint(v Vector) {
-	if h.pts32 != nil {
-		for _, x := range v {
-			h.pts32 = append(h.pts32, float32(x))
-		}
-	} else {
-		h.points = append(h.points, v)
-	}
-	h.dead = append(h.dead, false)
-}
-
-// narrowPoints flattens the point matrix to float32 rows.
-func (h *engineHeader) narrowPoints() {
-	h.pts32, _ = vec.Flatten32(h.points)
-	h.points = nil
-}
+func (h *engineHeader) pointVec(i int) Vector { return h.points.Row(i-h.ext, nil) }
 
 // engineState is what the lifecycle needs from a backend's state.
 type engineState interface {
@@ -364,7 +328,10 @@ func (e *engine[S]) Insert(v Vector) (int, error) {
 	e.mu.Lock()
 	id := h.numPoints()
 	e.be.commit(e.st)
-	h.appendPoint(stored)
+	// In f32 mode the stored copy rounds once, like everything else in
+	// that mode; a mapped state's rows move to the heap (vec.Rows.Append).
+	h.points.Append(stored)
+	h.dead = append(h.dead, false)
 	e.bump(OpInsert, id, stored)
 	e.mu.Unlock()
 
@@ -884,9 +851,8 @@ func (m *engineMeta) readHead(r *binio.Reader) {
 	m.autoCompact = r.Float64()
 }
 
-// readTail decodes the tail and validates every shared field; rowLen is
-// the backend's per-item row width (bounding n*rowLen like n*dim).
-func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string, rowLen int) error {
+// readTail decodes the tail and validates every shared field.
+func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string) error {
 	m.hdr.baseN = r.Int()
 	m.n = r.Int()
 	clusterTime := r.Int()
@@ -920,93 +886,11 @@ func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string, rowL
 	case m.align < 0 || m.align > binio.MaxCount || (m.align != 0 && m.align&(m.align-1) != 0):
 		return bad("alignment %d", m.align)
 	}
-	// Version 2 stores flat n*dim and n*rowLen arrays whose expected
-	// lengths must not overflow.
-	if version >= engineFormatVersionPrec && rowLen >= 1 {
-		if m.n > binio.MaxCount/m.hdr.dim {
-			return bad("%d points of dim %d", m.n, m.hdr.dim)
-		}
-		if m.n > binio.MaxCount/rowLen {
-			return bad("%d points of row width %d", m.n, rowLen)
-		}
-	}
 	m.f32 = prec == 1
 	m.hdr.stats = Stats{
 		NumNodes:    m.hdr.baseN,
 		ClusterTime: time.Duration(clusterTime),
 		FactorTime:  time.Duration(factorTime),
-	}
-	return nil
-}
-
-// writePoints encodes the stored vectors: one length-prefixed row per
-// point in version 1, one flat matrix (float32 when narrowed) in
-// version 2.
-func (h *engineHeader) writePoints(sw *binio.Writer, version uint32) error {
-	switch {
-	case version < engineFormatVersionPrec:
-		for _, pt := range h.points {
-			sw.Floats(pt)
-		}
-	case h.f32():
-		sw.Float32s(h.pts32)
-	default:
-		flat := make([]float64, 0, len(h.points)*h.dim)
-		for _, pt := range h.points {
-			flat = append(flat, pt...)
-		}
-		sw.Floats(flat)
-	}
-	return sw.Err()
-}
-
-// readPoints decodes what writePoints wrote into hdr. Version 1 scans
-// every component for finiteness; version 2 does not — a NaN there
-// degrades a score but can never panic, and scanning would fault in
-// every page of a mapped image.
-func (m *engineMeta) readPoints(r *binio.Reader, version uint32) error {
-	n, dim := m.n, m.hdr.dim
-	if version < engineFormatVersionPrec {
-		// Grow as rows arrive rather than trusting n for the allocation.
-		points := make([]Vector, 0, min(n, 1<<16))
-		for i := 0; i < n; i++ {
-			v := r.Floats(binio.MaxCount)
-			if err := r.Err(); err != nil {
-				return fmt.Errorf("mogul: decoding point %d: %w", i, err)
-			}
-			if len(v) != dim {
-				return fmt.Errorf("mogul: point %d has dim %d, want %d", i, len(v), dim)
-			}
-			for _, x := range v {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return fmt.Errorf("mogul: point %d has non-finite component", i)
-				}
-			}
-			points = append(points, v)
-		}
-		m.hdr.points = points
-		return nil
-	}
-	var flat []float64
-	got := 0
-	if m.f32 {
-		m.hdr.pts32 = r.Float32sView(binio.MaxCount)
-		got = len(m.hdr.pts32)
-	} else {
-		flat = r.FloatsView(binio.MaxCount)
-		got = len(flat)
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("mogul: decoding point matrix: %w", err)
-	}
-	if got != n*dim {
-		return fmt.Errorf("mogul: point matrix carries %d values, want %d", got, n*dim)
-	}
-	if !m.f32 {
-		m.hdr.points = make([]Vector, n)
-		for i := range m.hdr.points {
-			m.hdr.points[i] = Vector(flat[i*dim : (i+1)*dim : (i+1)*dim])
-		}
 	}
 	return nil
 }

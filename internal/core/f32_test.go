@@ -41,7 +41,7 @@ func buildPair(t *testing.T, n int, exact bool) (*Index, *Index) {
 func TestF32SearchMatchesF64(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		f64ix, f32ix := buildPair(t, 400, exact)
-		if !f32ix.Factor().F32() || !f32ix.Graph().F32() {
+		if !f32ix.Factor().F32() || !f32ix.Graph().Points.F32() {
 			t.Fatal("F32 option did not narrow storage")
 		}
 		for _, q := range []int{0, 123, 399} {
@@ -80,7 +80,7 @@ func TestF32SearchMatchesF64(t *testing.T) {
 func TestF32SerializationRoundTrip(t *testing.T) {
 	_, bare := buildPair(t, 300, false)
 	orig := newDyn(bare)
-	if id, err := orig.Insert(orig.Graph().PointVec(4)); err != nil || id != 300 {
+	if id, err := orig.Insert(orig.Graph().Points.Row(4, nil)); err != nil || id != 300 {
 		t.Fatalf("Insert: id=%d err=%v", id, err)
 	}
 	if err := orig.Delete(7); err != nil {
@@ -113,7 +113,7 @@ func TestF32SerializationRoundTrip(t *testing.T) {
 	}
 
 	for _, ld := range []*dyn{loaded, mapped, streamed} {
-		if !ld.Factor().F32() || !ld.Graph().F32() {
+		if !ld.Factor().F32() || !ld.Graph().Points.F32() {
 			t.Fatal("precision flag lost across save/load")
 		}
 		if !ld.opts.F32 {
@@ -140,7 +140,7 @@ func TestF32SerializationRoundTrip(t *testing.T) {
 				t.Fatalf("pruning differs after load: %d vs %d", ai.ClustersPruned, bi.ClustersPruned)
 			}
 		}
-		q := orig.Graph().PointVec(3)
+		q := orig.Graph().Points.Row(3, nil)
 		a, _, err := orig.SearchOutOfSample(q, OOSOptions{K: 5})
 		if err != nil {
 			t.Fatal(err)

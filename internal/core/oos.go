@@ -67,23 +67,12 @@ func (ix *Index) ensureOOS() {
 			if len(members[c]) == 0 {
 				continue
 			}
-			if ix.graph.F32() {
-				m := make(vec.Vector, ix.graph.PointDim())
-				for _, id := range members[c] {
-					vec.Axpy(m, 1, ix.graph.Point32(id))
-				}
-				inv := 1 / float64(len(members[c]))
-				for i := range m {
-					m[i] *= inv
-				}
-				means[c] = m
-				continue
+			m := make(vec.Vector, ix.graph.Points.Width())
+			for _, id := range members[c] {
+				ix.graph.Points.Axpy(m, 1, id)
 			}
-			pts := make([]vec.Vector, len(members[c]))
-			for i, id := range members[c] {
-				pts[i] = ix.graph.Points[id]
-			}
-			means[c] = vec.Mean(pts)
+			m.Scale(1 / float64(len(members[c])))
+			means[c] = m
 		}
 		ix.oosMeans = means
 		ix.oosMembers = members
@@ -187,7 +176,7 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 		s.idBuf = append(s.idBuf, nb.id)
 	}
 	s.distBuf = slices.Grow(s.distBuf[:0], len(s.idBuf))[:len(s.idBuf)]
-	ix.graph.SqDistBatch(q, s.idBuf, s.distBuf)
+	ix.graph.Points.SqDistIDs(q, s.idBuf, s.distBuf)
 	for i, d := range s.distBuf {
 		s.nbrBuf[i].d = math.Sqrt(d)
 	}
@@ -241,11 +230,11 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 
 // checkVector validates an out-of-sample query vector.
 func (ix *Index) checkVector(q vec.Vector) error {
-	if ix.graph.NumPoints() == 0 {
+	if ix.graph.Points.Len() == 0 {
 		return fmt.Errorf("core: graph has no feature vectors; out-of-sample search unavailable")
 	}
-	if len(q) != ix.graph.PointDim() {
-		return fmt.Errorf("core: query dimension %d, want %d", len(q), ix.graph.PointDim())
+	if dim := ix.graph.Points.Width(); len(q) != dim {
+		return fmt.Errorf("core: query dimension %d, want %d", len(q), dim)
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ func findSurrogatesFullSort(ix *Index, s *Scratch, ov *Overlay, q vec.Vector, nu
 		return consumed, fmt.Errorf("core: no live candidates for surrogate selection")
 	}
 	for i := range s.nbrBuf {
-		s.nbrBuf[i].d = math.Sqrt(ix.graph.SqDistTo(q, s.nbrBuf[i].id))
+		s.nbrBuf[i].d = math.Sqrt(ix.graph.Points.SqDist(q, s.nbrBuf[i].id))
 	}
 	slices.SortFunc(s.nbrBuf, func(a, b scoredNbr) int {
 		switch {
@@ -180,7 +180,7 @@ func synthOOS(cfg synthConfig) (*Index, *rand.Rand) {
 			}
 		}
 	}
-	ix := &Index{graph: &knn.Graph{K: 5, Sigma: 1, Points: pts}, oosMeans: means, oosMembers: members}
+	ix := &Index{graph: &knn.Graph{K: 5, Sigma: 1, Points: vec.AliasRows(pts, len(pts[0]))}, oosMeans: means, oosMembers: members}
 	return ix, rng
 }
 
@@ -206,7 +206,7 @@ func synthQuery(ix *Index, rng *rand.Rand, grid bool) vec.Vector {
 			}
 		}
 	}
-	q := append(vec.Vector(nil), ix.graph.Points[rng.Intn(len(ix.graph.Points))]...)
+	q := append(vec.Vector(nil), ix.graph.Points.Row(rng.Intn(ix.graph.Points.Len()), nil)...)
 	if grid {
 		return q
 	}
@@ -219,7 +219,7 @@ func synthQuery(ix *Index, rng *rand.Rand, grid bool) vec.Vector {
 // tombstones kills every member of the killNearest clusters nearest q
 // and each other point with probability frac.
 func tombstones(ix *Index, rng *rand.Rand, q vec.Vector, killNearest int, frac float64) *Overlay {
-	n := len(ix.graph.Points)
+	n := ix.graph.Points.Len()
 	ov := &Overlay{Dead: make([]bool, n)}
 	var ord []clusterDist
 	for c, m := range ix.oosMeans {

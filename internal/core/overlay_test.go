@@ -43,7 +43,7 @@ func (d *dyn) Insert(v vec.Vector) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.Points = append(d.Points, append(vec.Vector(nil), v...))
+	d.Points.Append(append(vec.Vector(nil), v...))
 	d.Probes = append(d.Probes, probes)
 	d.Weights = append(d.Weights, weights)
 	d.clusters = append(d.clusters, clusters)

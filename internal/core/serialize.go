@@ -98,11 +98,11 @@ var IndexFrame = binio.Frame{
 
 // Delta is the DELT record: the persisted form of an overlay, plus the
 // inserted vectors themselves (which an Overlay does not hold — the
-// lifecycle stores them). Delta item i is Points[i] with surrogates
-// Probes[i] / Weights[i]; Dead flags tombstones over the whole id space,
-// base then delta.
+// lifecycle stores them). Delta item i is row i of Points (float64)
+// with surrogates Probes[i] / Weights[i]; Dead flags tombstones over the
+// whole id space, base then delta.
 type Delta struct {
-	Points  []vec.Vector
+	Points  vec.Rows
 	Probes  [][]int
 	Weights [][]float64
 	Dead    []bool
@@ -139,7 +139,7 @@ func (ix *Index) Sections(version uint32, align int, d *Delta) []binio.Section {
 	// adjacency (no points) cannot serve vector queries anyway, so the
 	// section is simply omitted for them. It is materialized first so a
 	// loaded index answers vector queries without touching ensureOOS.
-	if ix.graph.NumPoints() > 0 {
+	if ix.graph.Points.Len() > 0 {
 		ix.ensureOOS()
 		sections = append(sections, binio.Section{Tag: tagOosq, Payload: ix.writeOOS})
 	}
@@ -149,7 +149,7 @@ func (ix *Index) Sections(version uint32, align int, d *Delta) []binio.Section {
 	if ix.opts.Graph != nil {
 		sections = append(sections, binio.Section{Tag: tagBcfg, Payload: ix.writeBuildConfig})
 	}
-	if len(d.Points) > 0 || slices.Contains(d.Dead, true) {
+	if d.Points.Len() > 0 || slices.Contains(d.Dead, true) {
 		sections = append(sections, binio.Section{Tag: tagDelt, Payload: func(sw *binio.Writer) error { return ix.writeDelta(sw, d) }})
 	}
 	return sections
@@ -220,9 +220,9 @@ func (ix *Index) writeBuildConfig(bw *binio.Writer) error {
 // order, then the sorted base tombstones.
 func (ix *Index) writeDelta(bw *binio.Writer, d *Delta) error {
 	n := ix.factor.N
-	bw.Int(len(d.Points))
-	for i := range d.Points {
-		bw.Floats(d.Points[i])
+	bw.Int(d.Points.Len())
+	for i := range d.Points.Len() {
+		bw.Floats(d.Points.Row(i, nil))
 		bw.Ints(d.Probes[i])
 		bw.Floats(d.Weights[i])
 		bw.Bool(d.Dead[n+i])
@@ -468,14 +468,12 @@ func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 	if num < 0 || num > binio.MaxCount {
 		return fmt.Errorf("core: corrupt delta layer: %d entries", num)
 	}
-	dim := 0
-	if ix.graph.NumPoints() > 0 {
-		dim = ix.graph.PointDim()
-	}
+	dim := ix.graph.Points.Width()
 	if num > 0 && dim == 0 {
 		return fmt.Errorf("core: delta layer present but the graph carries no feature vectors")
 	}
 	d.Dead = make([]bool, n, n+min(num, 1<<16))
+	var points []vec.Vector
 	live := n
 	for i := 0; i < num; i++ {
 		v := br.Floats(dim)
@@ -515,7 +513,7 @@ func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 		if math.Abs(wsum-1) > 1e-6 {
 			return fmt.Errorf("core: delta entry %d weights sum to %g, want 1", i, wsum)
 		}
-		d.Points = append(d.Points, v)
+		points = append(points, v)
 		d.Probes = append(d.Probes, probes)
 		d.Weights = append(d.Weights, weights)
 		d.Dead = append(d.Dead, dead == 1)
@@ -539,6 +537,7 @@ func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 	if live-len(deadIDs) < 1 {
 		return fmt.Errorf("core: delta layer tombstones every item")
 	}
+	d.Points = vec.AliasRows(points, dim)
 	return nil
 }
 
@@ -587,10 +586,7 @@ func (ix *Index) readOOS(br *binio.Reader, n int) error {
 	if nc != ix.layout.NumClusters {
 		return fmt.Errorf("core: out-of-sample quantizer has %d clusters, layout has %d", nc, ix.layout.NumClusters)
 	}
-	dim := 0
-	if ix.graph.NumPoints() > 0 {
-		dim = ix.graph.PointDim()
-	}
+	dim := ix.graph.Points.Width()
 	means := make([]vec.Vector, nc)
 	members := make([][]int, nc)
 	seen := make([]bool, n)

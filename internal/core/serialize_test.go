@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mogul/internal/knn"
+	"mogul/internal/vec"
 )
 
 // crc32OfTest mirrors the container's whole-stream checksum.
@@ -74,11 +75,11 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		if loaded.oosMeans == nil {
 			t.Fatal("out-of-sample quantizer not restored from file")
 		}
-		a, _, err := orig.SearchOutOfSample(g.Points[3], OOSOptions{K: 5})
+		a, _, err := orig.SearchOutOfSample(g.Points.Row(3, nil), OOSOptions{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := loaded.SearchOutOfSample(g.Points[3], OOSOptions{K: 5})
+		b, _, err := loaded.SearchOutOfSample(g.Points.Row(3, nil), OOSOptions{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestReadIndexSkipsUnknownSections(t *testing.T) {
 
 func TestIndexWithoutPointsRoundTrips(t *testing.T) {
 	g := testGraph(t, 120, 4, 25)
-	g.Points = nil // index built over a bare adjacency
+	g.Points = vec.Rows{} // index built over a bare adjacency
 	ix, err := NewIndex(g, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,47 +10,25 @@ import (
 )
 
 // Binary codec for k-NN graphs — a leaf record of the Mogul index file
-// format (docs/FORMAT.md). The feature vectors ride along (flattened,
-// one dim header) because out-of-sample search needs them at query
-// time; a graph saved without points loads back with Points == nil and
-// in-database search still works.
+// format (docs/FORMAT.md). The feature vectors ride along (vec.Rows's
+// point-matrix record, one count and dim header) because out-of-sample
+// search needs them at query time; a graph saved without points loads
+// back with no rows and in-database search still works.
 
 // Encode writes the graph as: K (int64), Sigma (float64), point count
 // and dimension (int64), the point matrix, then the adjacency CSR
-// record in the same precision. The matrix is one length-prefixed row
-// per point in format versions 2 and 3 and ONE flat row-major array
-// from version 4 on (flat — which is what makes the aligned variant's
-// zero-copy load possible), float32 when f32 (always flat).
+// record in the same precision. The matrix is vec.Rows's record: one
+// length-prefixed row per point in format versions 2 and 3 and ONE flat
+// row-major array from version 4 on (flat — which is what makes the
+// aligned variant's zero-copy load possible), float32 when narrowed
+// (always flat).
 func (g *Graph) Encode(bw *binio.Writer, f32, flat bool) error {
 	bw.Int(g.K)
 	bw.Float64(g.Sigma)
-	np, dim := g.NumPoints(), g.PointDim()
-	bw.Int(np)
-	bw.Int(dim)
-	for i, p := range g.Points {
-		if len(p) != dim {
-			return fmt.Errorf("knn: point %d has dim %d, want %d", i, len(p), dim)
-		}
-	}
-	switch {
-	case f32:
-		if np > 0 && g.Pts32 == nil {
-			return fmt.Errorf("knn: f32 write of a float64 graph")
-		}
-		bw.Float32s(g.Pts32)
-	case flat:
-		all := make([]float64, 0, np*dim)
-		for _, p := range g.Points {
-			all = append(all, p...)
-		}
-		bw.Floats(all)
-	default:
-		for _, p := range g.Points {
-			bw.Floats(p)
-		}
-	}
-	if err := bw.Err(); err != nil {
-		return err
+	bw.Int(g.Points.Len())
+	bw.Int(g.Points.Width())
+	if err := g.Points.Encode(bw, f32, !flat); err != nil {
+		return fmt.Errorf("knn: %w", err)
 	}
 	return g.Adj.Encode(bw, f32)
 }
@@ -120,10 +98,10 @@ func ReadConfig(br *binio.Reader) (*GraphConfig, error) {
 }
 
 // ReadGraph reads a graph written by Encode with the same precision
-// and point layout, using zero-copy views where the reader allows (the
-// float64 point vectors alias the matrix they were read from), and
-// validates that the adjacency matrix is square and consistent with the
-// point set.
+// and point layout (vec.ReadRows: flat matrices as zero-copy views where
+// the reader allows, per-point rows copied and checked for finiteness),
+// and validates that the adjacency matrix is square and consistent with
+// the point set.
 func ReadGraph(br *binio.Reader, f32, flat bool) (*Graph, error) {
 	k := br.Int()
 	sigma := br.Float64()
@@ -138,53 +116,9 @@ func ReadGraph(br *binio.Reader, f32, flat bool) (*Graph, error) {
 	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 		return nil, fmt.Errorf("knn: corrupt graph bandwidth sigma=%g", sigma)
 	}
-	if np > 0 && (dim == 0 || np > binio.MaxCount/dim) {
-		return nil, fmt.Errorf("knn: corrupt graph shape %dx%d", np, dim)
-	}
-	g := &Graph{K: k, Sigma: sigma}
-	switch {
-	case f32:
-		g.Pts32 = br.Float32sView(np * dim)
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("knn: reading point matrix: %w", err)
-		}
-		if len(g.Pts32) != np*dim {
-			return nil, fmt.Errorf("knn: point matrix has %d entries, want %d", len(g.Pts32), np*dim)
-		}
-		if np > 0 {
-			g.Dim32 = dim
-		} else {
-			g.Pts32 = nil
-		}
-	case flat:
-		all := br.FloatsView(np * dim)
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("knn: reading point matrix: %w", err)
-		}
-		if len(all) != np*dim {
-			return nil, fmt.Errorf("knn: point matrix has %d entries, want %d", len(all), np*dim)
-		}
-		if np > 0 {
-			g.Points = make([]vec.Vector, np)
-			for i := range g.Points {
-				g.Points[i] = all[i*dim : (i+1)*dim]
-			}
-		}
-	case np > 0:
-		// Grow incrementally rather than trusting np for the up-front
-		// allocation: a corrupt count then fails on the missing bytes
-		// instead of attempting a giant make.
-		g.Points = make([]vec.Vector, 0, min(np, 1<<17))
-		for i := 0; i < np; i++ {
-			p := br.FloatsView(dim)
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("knn: reading point %d: %w", i, err)
-			}
-			if len(p) != dim {
-				return nil, fmt.Errorf("knn: point %d has dim %d, want %d", i, len(p), dim)
-			}
-			g.Points = append(g.Points, p)
-		}
+	points, err := vec.ReadRows(br, np, dim, f32, !flat)
+	if err != nil {
+		return nil, fmt.Errorf("knn: reading point matrix: %w", err)
 	}
 	adj, err := sparse.ReadCSR(br, f32)
 	if err != nil {
@@ -196,6 +130,5 @@ func ReadGraph(br *binio.Reader, f32, flat bool) (*Graph, error) {
 	if np > 0 && adj.Rows != np {
 		return nil, fmt.Errorf("knn: adjacency over %d nodes but %d points", adj.Rows, np)
 	}
-	g.Adj = adj
-	return g, nil
+	return &Graph{Adj: adj, K: k, Sigma: sigma, Points: points}, nil
 }

@@ -3,6 +3,7 @@ package knn
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,9 +25,24 @@ func codecTestGraph(t *testing.T, n int, withPoints bool) *Graph {
 		t.Fatal(err)
 	}
 	if !withPoints {
-		g.Points = nil
+		g.Points = vec.Rows{}
 	}
 	return g
+}
+
+// sameGraph reports whether two graphs hold the same fields and the same
+// point rows, bit for bit, whatever layout each stores its rows in.
+func sameGraph(a, b *Graph) bool {
+	if a.K != b.K || a.Sigma != b.Sigma || !reflect.DeepEqual(a.Adj, b.Adj) ||
+		a.Points.Len() != b.Points.Len() || a.Points.Width() != b.Points.Width() || a.Points.F32() != b.Points.F32() {
+		return false
+	}
+	for i := range a.Points.Len() {
+		if !reflect.DeepEqual(a.Points.Row(i, nil), b.Points.Row(i, nil)) {
+			return false
+		}
+	}
+	return true
 }
 
 // graphLayouts are the three (precision, point layout) combinations a
@@ -65,7 +81,7 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, l, err)
 				}
-				if !reflect.DeepEqual(got, g) {
+				if !sameGraph(got, g) {
 					t.Fatalf("%s %+v points=%v: graph differs after round trip", name, l, withPoints)
 				}
 			}
@@ -75,7 +91,7 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 	// framings: one count word per point against one for the matrix.
 	g := codecTestGraph(t, 50, true)
 	perPoint, flat := encodeGraph(t, g, false, false), encodeGraph(t, g, false, true)
-	if want := len(flat) + 8*(len(g.Points)-1); len(perPoint) != want {
+	if want := len(flat) + 8*(g.Points.Len()-1); len(perPoint) != want {
 		t.Fatalf("per-point record is %d bytes, want %d", len(perPoint), want)
 	}
 	if err := g.Encode(binio.NewWriter(&bytes.Buffer{}), true, true); err == nil {
@@ -102,10 +118,9 @@ func TestReadGraphRejectsCorruption(t *testing.T) {
 		}
 		// Point count disagreeing with the adjacency dimension.
 		bad := build()
+		bad.Points = codecTestGraph(t, 10, true).Points
 		if l.f32 {
-			bad.Pts32 = bad.Pts32[:10*bad.Dim32]
-		} else {
-			bad.Points = bad.Points[:10]
+			bad.Points = bad.Points.Narrow()
 		}
 		if _, err := ReadGraph(binio.NewBytesReader(encodeGraph(t, bad, l.f32, l.flat)), l.f32, l.flat); err == nil {
 			t.Fatalf("%+v: point/adjacency size mismatch accepted", l)
@@ -115,6 +130,28 @@ func TestReadGraphRejectsCorruption(t *testing.T) {
 		bad2.Sigma = 0
 		if _, err := ReadGraph(binio.NewBytesReader(encodeGraph(t, bad2, l.f32, l.flat)), l.f32, l.flat); err == nil {
 			t.Fatalf("%+v: zero bandwidth accepted", l)
+		}
+	}
+}
+
+// TestReadGraphRefusesNonFinitePoint: the per-point layout of format
+// versions 2 and 3 is copied as it is decoded, so a NaN or ±Inf
+// component is refused there, as the engine containers' per-row layout
+// refuses it. The flat layout of version 4 stays unscanned: it is what a
+// mapped file serves without faulting in its pages.
+func TestReadGraphRefusesNonFinitePoint(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := codecTestGraph(t, 30, true)
+		g.Points.Row(7, nil)[1] = bad
+		for name, br := range graphReaders(encodeGraph(t, g, false, false)) {
+			if _, err := ReadGraph(br, false, false); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("%s per-point %g: error %v, want the non-finite component refused", name, bad, err)
+			}
+		}
+		for name, br := range graphReaders(encodeGraph(t, g, false, true)) {
+			if _, err := ReadGraph(br, false, true); err != nil {
+				t.Fatalf("%s flat %g: %v", name, bad, err)
+			}
 		}
 	}
 }

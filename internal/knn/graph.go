@@ -21,14 +21,10 @@ type Graph struct {
 	K int
 	// Sigma is the heat-kernel bandwidth used for edge weights.
 	Sigma float64
-	// Points are the underlying feature vectors (aliased, not copied).
-	// In mixed-precision mode (f32.go) Points is nil and the vectors
-	// live flattened in Pts32 with stride Dim32.
-	Points []vec.Vector
-	// Pts32 is the flat row-major float32 point matrix in f32 mode.
-	Pts32 []float32
-	// Dim32 is the row stride of Pts32.
-	Dim32 int
+	// Points are the underlying feature vectors: the builder's own,
+	// aliased, or float32 rows after Narrow32 (f32.go). A graph over a
+	// bare adjacency holds none.
+	Points vec.Rows
 }
 
 // GraphConfig controls graph construction.
@@ -117,7 +113,7 @@ func graphFromNeighbors(points []vec.Vector, neighbors [][]Neighbor, k int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{Adj: adj, K: k, Sigma: sigma, Points: points}, nil
+	return &Graph{Adj: adj, K: k, Sigma: sigma, Points: vec.AliasRows(points, len(points[0]))}, nil
 }
 
 // buildEdges symmetrizes the directed k-NN lists and applies the heat

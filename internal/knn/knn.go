@@ -13,7 +13,11 @@
 // IVF is an inverted-file index with a k-means coarse quantizer, the
 // standard database-side structure for approximate nearest-neighbour
 // search at the paper's INRIA scale; it trades a small recall loss for
-// near-linear construction time.
+// near-linear construction time (BenchmarkAllKNN's ivf rows report the
+// share of the exact lists it recovers). A Graph keeps the feature
+// vectors it was built over as vec.Rows — the builder's own, aliased,
+// or float32 rows after Narrow32 — and writes them through vec.Rows's
+// point-matrix record (codec.go).
 package knn
 
 import (

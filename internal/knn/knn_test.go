@@ -318,13 +318,14 @@ func TestNormalizedAdjacencySpectralRadius(t *testing.T) {
 	}
 }
 
-// TestSqDistBatchMatchesSqDistTo pins the batch-by-ids distance to the
-// one-point accessor, bit for bit, in both storage precisions, for
-// candidate lists of every four-row remainder with repeated ids.
+// TestSqDistBatchMatchesSqDistTo pins the graph points' batch-by-ids
+// distance (vec.Rows.SqDistIDs) to the one-point one (SqDist), bit for
+// bit, in both storage precisions, for candidate lists of every
+// four-row remainder with repeated ids.
 func TestSqDistBatchMatchesSqDistTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dim := range []int{1, 7, 8, 67} {
-		g := &Graph{Points: randomPoints(rng, 23, dim)}
+		g := &Graph{Points: vec.AliasRows(randomPoints(rng, 23, dim), dim)}
 		q := randomPoints(rng, 1, dim)[0]
 		for _, f32 := range []bool{false, true} {
 			if f32 {
@@ -336,10 +337,10 @@ func TestSqDistBatchMatchesSqDistTo(t *testing.T) {
 					ids[i] = rng.Intn(23)
 				}
 				out := make([]float64, n)
-				g.SqDistBatch(q, ids, out)
+				g.Points.SqDistIDs(q, ids, out)
 				for i, id := range ids {
-					if want := g.SqDistTo(q, id); math.Float64bits(out[i]) != math.Float64bits(want) {
-						t.Fatalf("dim=%d f32=%v n=%d: SqDistBatch[%d] = %v, SqDistTo(%d) = %v", dim, f32, n, i, out[i], id, want)
+					if want := g.Points.SqDist(q, id); math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("dim=%d f32=%v n=%d: SqDistIDs[%d] = %v, SqDist(%d) = %v", dim, f32, n, i, out[i], id, want)
 					}
 				}
 			}

@@ -236,12 +236,15 @@ func TestTreePrunes(t *testing.T) {
 	}
 }
 
-// BenchmarkAllKNN times the k = 5 all-points search of a graph build,
-// brute force against the tree, at the shapes the engines build: the
-// mixed_rw corpus, one dist_fanout shard, INRIASim, unit-norm d = 512,
-// an isotropic Gaussian (the tree's worst case), and a tree-only
-// n = 10^5 row. rows/query is distances computed per query, nodes/query
-// tree nodes visited.
+// BenchmarkAllKNN times the k = 5 all-points search of a graph build —
+// brute force, the tree, and IVF with BuildGraph's defaults (8 of
+// ceil(sqrt(n)) lists probed, quantizer included in the time) — at the
+// shapes the engines build: the mixed_rw and spectral_id corpus, one
+// dist_fanout shard, INRIASim (graph_id at n = 14000), unit-norm
+// d = 512 (graph_vec_d512 at n = 6000), an isotropic Gaussian (the
+// tree's worst case), and a tree-only n = 10^5 row. rows/query is
+// distances computed per query, nodes/query tree nodes visited, and
+// recovered the share of the exact k-NN lists the IVF lists hold.
 //
 //	go test -run '^$' -bench 'BenchmarkAllKNN' -benchtime 1x ./internal/knn
 func BenchmarkAllKNN(b *testing.B) {
@@ -254,7 +257,9 @@ func BenchmarkAllKNN(b *testing.B) {
 		{name: "mixture-n20000-d8", pts: func() []vec.Vector { return mixture8(20000) }},
 		{name: "mixture-n5000-d8", pts: func() []vec.Vector { return mixture8(5000) }},
 		{name: "inria-n4000-d128", pts: func() []vec.Vector { return dataset.INRIASim(4000, 1).Points }},
+		{name: "inria-n14000-d128", pts: func() []vec.Vector { return dataset.INRIASim(14000, 1).Points }},
 		{name: "unit-n4000-d512", pts: func() []vec.Vector { return unitMixture(4000, 512) }},
+		{name: "unit-n6000-d512", pts: func() []vec.Vector { return unitMixture(6000, 512) }},
 		{name: "isotropic-n8000-d32", pts: func() []vec.Vector { return scratchTestPoints(8000, 32, 1) }},
 		{name: "mixture-n100000-d8", pts: func() []vec.Vector { return mixture8(100000) }, treeOnly: true},
 	}
@@ -281,6 +286,37 @@ func BenchmarkAllKNN(b *testing.B) {
 			}
 			b.ReportMetric(float64(sc.rows)/float64(len(pts)), "rows/query")
 			b.ReportMetric(float64(sc.nodes)/float64(len(pts)), "nodes/query")
+		})
+		if c.treeOnly {
+			continue
+		}
+		b.Run(c.name+"/ivf", func(b *testing.B) {
+			var ivf *IVF
+			var lists [][]Neighbor
+			for i := 0; i < b.N; i++ {
+				var err error
+				if ivf, err = NewIVF(pts, IVFConfig{}); err != nil {
+					b.Fatal(err)
+				}
+				lists = AllKNN(pts, ivf, k)
+			}
+			b.StopTimer()
+			var sc Scratch
+			for _, q := range pts {
+				ivf.SearchInto(&sc, q, k+1)
+			}
+			exact := AllKNN(pts, NewTree(pts), k)
+			found, total := 0, 0
+			for i, want := range exact {
+				for _, nb := range want {
+					if slices.ContainsFunc(lists[i], func(x Neighbor) bool { return x.ID == nb.ID }) {
+						found++
+					}
+					total++
+				}
+			}
+			b.ReportMetric(float64(sc.rows)/float64(len(pts)), "rows/query")
+			b.ReportMetric(float64(found)/float64(total), "recovered")
 		})
 	}
 }

@@ -29,21 +29,10 @@ func SquaredEuclideanQ32(q []float64, p []float32) float64 {
 // storage: brute-force scans and attachment sweeps stream pts once at
 // half the float64 traffic.
 func SquaredEuclideanBatch32(q []float64, pts []float32, out []float64) {
-	dim := len(q)
-	if dim == 0 {
-		panic("vec: batch over zero-dimensional query")
+	if len(pts) != len(q)*len(out) {
+		panic(fmt.Sprintf("vec: batch matrix length %d for %d rows of dim %d", len(pts), len(out), len(q)))
 	}
-	if len(pts) != dim*len(out) {
-		panic(fmt.Sprintf("vec: batch matrix length %d for %d rows of dim %d", len(pts), len(out), dim))
-	}
-	i := 0
-	for ; i+4 <= len(out); i += 4 {
-		p := pts[i*dim : (i+4)*dim]
-		sqdistQ32x4(q, p[:dim], p[dim:2*dim], p[2*dim:3*dim], p[3*dim:], (*[4]float64)(out[i:i+4]))
-	}
-	for ; i < len(out); i++ {
-		out[i] = sqdistQ32(q, pts[i*dim:(i+1)*dim])
-	}
+	sqdistFlat(q, pts, nil, out, sqdistQ32, sqdistQ32x4)
 }
 
 // SquaredEuclideanRows32 writes the squared L2 distance from q to row
@@ -51,20 +40,34 @@ func SquaredEuclideanBatch32(q []float64, pts []float32, out []float64) {
 // out[i] — SquaredEuclideanBatch32 over a candidate list, four rows
 // per kernel pass. len(out) must equal len(ids).
 func SquaredEuclideanRows32(q []float64, pts []float32, ids []int, out []float64) {
+	if len(out) != len(ids) {
+		panic(fmt.Sprintf("vec: batch output length %d for %d ids", len(out), len(ids)))
+	}
+	sqdistFlat(q, pts, ids, out, sqdistQ32, sqdistQ32x4)
+}
+
+// sqdistFlat is the body of the flat-matrix batch forms: the squared L2
+// distance from q to row ids[t] of the row-major matrix pts (stride
+// len(q)), or to row t when ids is nil, into out[t], through four, the
+// four-row kernel of pts's storage width, and one, its one-row kernel.
+func sqdistFlat[P Float](q []float64, pts []P, ids []int, out []float64,
+	one func([]float64, []P) float64, four func(q []float64, p0, p1, p2, p3 []P, out *[4]float64)) {
 	dim := len(q)
 	if dim == 0 {
 		panic("vec: batch over zero-dimensional query")
 	}
-	if len(out) != len(ids) {
-		panic(fmt.Sprintf("vec: batch output length %d for %d ids", len(out), len(ids)))
+	row := func(t int) []P {
+		if ids != nil {
+			t = ids[t]
+		}
+		return pts[t*dim : (t+1)*dim]
 	}
-	row := func(id int) []float32 { return pts[id*dim : (id+1)*dim] }
-	i := 0
-	for ; i+4 <= len(ids); i += 4 {
-		sqdistQ32x4(q, row(ids[i]), row(ids[i+1]), row(ids[i+2]), row(ids[i+3]), (*[4]float64)(out[i:i+4]))
+	t := 0
+	for ; t+4 <= len(out); t += 4 {
+		four(q, row(t), row(t+1), row(t+2), row(t+3), (*[4]float64)(out[t:t+4]))
 	}
-	for ; i < len(ids); i++ {
-		out[i] = sqdistQ32(q, row(ids[i]))
+	for ; t < len(out); t++ {
+		out[t] = one(q, row(t))
 	}
 }
 
@@ -125,19 +128,4 @@ func Flatten32(points []Vector) ([]float32, int) {
 		}
 	}
 	return flat, dim
-}
-
-// Unflatten32 widens a flat row-major float32 matrix into float64
-// point vectors — the boundary crossing used when f32 storage feeds a
-// float64 build stage (compaction, k-means re-seeding).
-func Unflatten32(flat []float32, dim int) []Vector {
-	if dim <= 0 || len(flat)%dim != 0 {
-		panic(fmt.Sprintf("vec: flat length %d not a multiple of dim %d", len(flat), dim))
-	}
-	n := len(flat) / dim
-	points := make([]Vector, n)
-	for i := 0; i < n; i++ {
-		points[i] = Widen64(nil, flat[i*dim:(i+1)*dim])
-	}
-	return points
 }

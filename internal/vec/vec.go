@@ -4,7 +4,9 @@
 // Manifold Ranking operates on image feature vectors (RGB pixels,
 // attribute scores, color moments, SIFT descriptors in the paper); this
 // package is the common substrate that holds those vectors and measures
-// distances between them. Everything is plain float64 and stdlib-only.
+// distances between them. Vectors are plain float64; the stored rows an
+// engine keeps (Rows) are float64 or float32, and their record codec is
+// built on internal/binio.
 package vec
 
 import (

@@ -173,8 +173,8 @@ type graphState struct {
 	engineHeader
 	// base stores the base rows itself, in its knn.Graph (mapped views
 	// included), so the header's ext is baseN and its points are the
-	// delta items only — always float64: an f32 index narrows them when
-	// Compact folds them into the next base.
+	// delta items only — always aliased float64 rows: an f32 index
+	// narrows them when Compact folds them into the next base.
 	base *core.Index
 	// ov holds the overlay's per-delta-item arrays (Probes, Weights,
 	// Clusters); overlay fills in the rest from the header.
@@ -187,7 +187,7 @@ func newGraphState(base *core.Index, d core.Delta) *graphState {
 	n := base.Factor().N
 	st := &graphState{base: base, ov: core.Overlay{Probes: d.Probes, Weights: d.Weights}}
 	st.engineHeader = engineHeader{
-		dim: base.Graph().PointDim(), points: d.Points, ext: n,
+		dim: base.Graph().Points.Width(), points: d.Points, ext: n,
 		dead: d.Dead, baseN: n, stats: base.Stats(),
 	}
 	if st.dead == nil {
@@ -211,7 +211,7 @@ func (st *graphState) f32() bool { return st.base.Factor().F32() }
 
 func (st *graphState) pointVec(i int) Vector {
 	if i < st.ext {
-		return st.base.Graph().PointVec(i)
+		return st.base.Graph().Points.Row(i, nil)
 	}
 	return st.engineHeader.pointVec(i)
 }
@@ -336,7 +336,7 @@ func buildGraphState(opts core.Options, points []Vector) (*graphState, error) {
 // attach selects the new point's surrogates (core's out-of-sample
 // machinery, Section 4.6.2).
 func (b *graphBackend) attach(st *graphState, v Vector) (err error) {
-	if st.base.Graph().NumPoints() == 0 {
+	if st.base.Graph().Points.Len() == 0 {
 		return fmt.Errorf("core: index has no feature vectors; Insert unavailable")
 	}
 	ov := st.overlay()

@@ -9,7 +9,11 @@ package mogul
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -204,6 +208,42 @@ func BenchmarkIndexSave10k(b *testing.B) {
 		var buf bytes.Buffer
 		if err := ix.Save(&buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestLoadRefusesNonFinitePoint: a stored point with a NaN component is
+// a load error in every container whose point matrix is written one row
+// at a time — MOGULIDX version 3 and the version 1 spectral container —
+// through the one decoder both use. The image is re-checksummed, so the
+// decoder and not the CRC has to refuse it.
+func TestLoadRefusesNonFinitePoint(t *testing.T) {
+	t.Parallel()
+	pts := NewMixture(MixtureConfig{N: 120, Classes: 4, Dim: 6, WithinStd: 0.3, Separation: 2.5, Seed: 61}).Points
+	ix, err := Build(pts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spc, err := BuildSpectral(pts, Options{}, SpectralOptions{Rank: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]interface{ Save(io.Writer) error }{"MOGULIDX v3": ix, "MOGULSPC v1": spc} {
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		// Point 40's first two components, as stored.
+		pat := binary.LittleEndian.AppendUint64(nil, math.Float64bits(pts[40][0]))
+		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(pts[40][1]))
+		pos := bytes.Index(img, pat)
+		if pos < 0 || bytes.LastIndex(img, pat) != pos {
+			t.Fatalf("%s: point 40 not located uniquely in the image", name)
+		}
+		binary.LittleEndian.PutUint64(img[pos:], math.Float64bits(math.NaN()))
+		if _, err := Load(bytes.NewReader(restamp(img))); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: error %v, want the non-finite point refused", name, err)
 		}
 	}
 }

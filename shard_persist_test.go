@@ -76,7 +76,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			qv := append(Vector(nil), six.shards[0].st.base.Graph().Points[3]...)
+			qv := append(Vector(nil), six.shards[0].st.base.Graph().Points.Row(3, nil)...)
 			qv[0] += 0.03
 			a, err := six.TopKVector(qv, 12)
 			if err != nil {

@@ -165,15 +165,13 @@ type spectralState struct {
 	// its spectral-tail coefficients (alpha*vals[j])^T / (1 -
 	// alpha*vals[j]) from them with its own adaptive horizon T.
 	vals []float64
-	// emb stores the embedding rows flat with stride rank (item i owns
-	// [i*rank, (i+1)*rank)): one cache-friendly streaming array, which
-	// is what keeps the per-query scan memory-bandwidth bound. In
-	// mixed-precision mode emb is nil and the rows live in emb32 (and
-	// the base graph's CSR values narrow to Val32); the eigenvalues and
-	// attachment weights stay float64 — they are rank- or
+	// emb stores the embedding rows flat with stride rank: one
+	// cache-friendly streaming array, which is what keeps the per-query
+	// scan memory-bandwidth bound. In mixed-precision mode they are
+	// float32 rows (and the base graph's CSR values narrow to Val32); the
+	// eigenvalues and attachment weights stay float64 — they are rank- or
 	// AttachK-sized, cold next to the scan.
-	emb   []float64
-	emb32 []float32
+	emb vec.Rows
 	// embNorm[i] bounds the 2-norm of item i's stored row from above (the
 	// norm itself, up to rounding) and blockMax[b] is its maximum over
 	// base rows [b*spectralBlock, (b+1)*spectralBlock): what lets the
@@ -198,9 +196,8 @@ type spectralState struct {
 // weights keep full precision. It runs before the row norms are
 // derived, so they are derived once, from the rounded rows.
 func (st *spectralState) narrow32() {
-	st.narrowPoints()
-	st.emb32 = vec.Narrow32(nil, st.emb)
-	st.emb = nil
+	st.points = st.points.Narrow()
+	st.emb = st.emb.Narrow()
 	st.graph.Narrow32()
 }
 
@@ -263,20 +260,12 @@ func pruneReach(scale float64, coeff []float64) (unit, reach float64) {
 // would enter every top-k (NaN defeats the collector's comparison), so
 // loaders refuse it.
 func (st *spectralState) deriveNorms() int {
-	n, r := st.numPoints(), st.rank
-	st.embNorm = make([]float64, n)
+	st.embNorm = make([]float64, st.numPoints())
 	st.blockMax = make([]float64, (st.baseN+spectralBlock-1)/spectralBlock)
 	bad := -1
-	var buf []float64
+	buf := make([]float64, st.rank)
 	for i := range st.embNorm {
-		var row []float64
-		if st.emb32 != nil {
-			buf = vec.Widen64(buf, st.emb32[i*r:(i+1)*r])
-			row = buf
-		} else {
-			row = st.emb[i*r : (i+1)*r]
-		}
-		nrm, finite := normBound(row)
+		nrm, finite := normBound(st.emb.Row(i, buf))
 		if !finite && bad < 0 {
 			bad = i
 		}
@@ -287,18 +276,6 @@ func (st *spectralState) deriveNorms() int {
 		}
 	}
 	return bad
-}
-
-// dotRow returns coeff . u_i in the fixed four-lane summation order of
-// vec.Dot. In mixed-precision mode the row streams as float32 (half the
-// bytes) through vec.Dot32, which widens in registers and accumulates
-// in float64 with the same lane order.
-func (st *spectralState) dotRow(coeff []float64, i int) float64 {
-	off := i * st.rank
-	if st.emb32 != nil {
-		return vec.Dot32(coeff, st.emb32[off:off+st.rank])
-	}
-	return vec.Dot(st.emb[off:off+st.rank], coeff)
 }
 
 // SpectralIndex is the truncated-eigenbasis (Fast Spectral Ranking)
@@ -384,12 +361,12 @@ func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions, f3
 		return nil, fmt.Errorf("mogul: spectral decomposition: %w", err)
 	}
 	st := &spectralState{
-		engineHeader: engineHeader{dim: len(points[0]), points: points[:n:n], dead: make([]bool, n), baseN: n},
+		engineHeader: engineHeader{dim: len(points[0]), points: vec.AliasRows(points, len(points[0])), dead: make([]bool, n), baseN: n},
 		rank:         basis.Rank,
 		graph:        S,
 		sigma:        g.Sigma,
 		vals:         basis.Vals,
-		emb:          basis.Vecs,
+		emb:          vec.FlatRows(basis.Vecs, basis.Rank),
 		attPtr:       []int{0},
 	}
 	if f32 {
@@ -797,7 +774,7 @@ func (sr *SpectralSearcher) scan(k, hops int) []Result {
 		if converged {
 			return 0
 		}
-		return st.dotRow(sr.coeff, i)
+		return st.emb.Dot(i, sr.coeff)
 	}
 	sr.resetCollector(k)
 	scored := 0
@@ -908,11 +885,7 @@ func (a *attachScratch) attachLive(st *spectralState, kAttach int, q Vector, bas
 		a.dist = make([]float64, n)
 	}
 	a.dist = a.dist[:n]
-	if st.pts32 != nil {
-		vec.SquaredEuclideanBatch32(q, st.pts32[:n*st.dim], a.dist)
-	} else {
-		vec.SquaredEuclideanBatch(q, st.points[:n], a.dist)
-	}
+	st.points.SqDistPrefix(q, a.dist)
 	if cap(a.nbrID) < kAttach {
 		a.nbrID = make([]int, 0, kAttach)
 		a.nbrW = make([]float64, 0, kAttach)
@@ -969,17 +942,6 @@ func (a *attachScratch) attachLive(st *spectralState, kAttach int, q Vector, bas
 	return len(a.nbrID), mass
 }
 
-// axpyRow accumulates w times item id's embedding row into dst
-// (float64 accumulation in either storage precision).
-func (st *spectralState) axpyRow(dst []float64, w float64, id int) {
-	off := id * st.rank
-	if st.emb32 != nil {
-		vec.Axpy(dst, w, st.emb32[off:off+st.rank])
-	} else {
-		vec.Axpy(dst, w, st.emb[off:off+st.rank])
-	}
-}
-
 // scoreSeeds projects the seeds into the basis through their embedding
 // rows and seeds the exact hops from their base redistribution.
 func (sr *SpectralSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
@@ -987,7 +949,7 @@ func (sr *SpectralSearcher) scoreSeeds(seeds []seedWeight, k int) []Result {
 	sr.ensure(st)
 	seeds = normalizeSeeds(seeds)
 	for _, sw := range seeds {
-		st.axpyRow(sr.b, sw.w, sw.id)
+		st.emb.Axpy(sr.b, sw.w, sw.id)
 	}
 	sr.splitSeeds(seeds)
 	return sr.collect(k)
@@ -1005,7 +967,7 @@ func (sr *SpectralSearcher) scoreVector(q Vector, k int) ([]Result, float64, err
 	sr.seeds = sr.seeds[:0]
 	for t := 0; t < m; t++ {
 		id, w := sr.att.nbrID[t], sr.att.nbrW[t]
-		st.axpyRow(sr.b, w, id)
+		st.emb.Axpy(sr.b, w, id)
 		sr.seeds = append(sr.seeds, seedWeight{id: id, w: w})
 	}
 	sr.seeds = normalizeSeeds(sr.seeds)
@@ -1035,7 +997,7 @@ func (e *SpectralIndex) attach(st *spectralState, v Vector) error {
 	e.attRow = e.attRow[:st.rank]
 	clear(e.attRow)
 	for t := 0; t < m; t++ {
-		st.axpyRow(e.attRow, a.nbrW[t], a.nbrID[t])
+		st.emb.Axpy(e.attRow, a.nbrW[t], a.nbrID[t])
 	}
 	return nil
 }
@@ -1044,16 +1006,9 @@ func (e *SpectralIndex) attach(st *spectralState, v Vector) error {
 // is narrowed only here, matching the build's narrow-last rule; the norm
 // is the stored row's.
 func (e *SpectralIndex) commit(st *spectralState) {
-	a, row := &e.att, e.attRow
-	if st.f32() {
-		for j, x := range row {
-			st.emb32 = append(st.emb32, float32(x))
-			row[j] = float64(float32(x))
-		}
-	} else {
-		st.emb = append(st.emb, row...)
-	}
-	nrm, _ := normBound(row)
+	a := &e.att
+	st.emb.Append(e.attRow)
+	nrm, _ := normBound(st.emb.Row(st.emb.Len()-1, e.attRow))
 	st.embNorm = append(st.embNorm, nrm)
 	st.attID = append(st.attID, a.nbrID...)
 	st.attW = append(st.attW, a.nbrW...)

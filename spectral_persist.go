@@ -24,6 +24,7 @@ import (
 
 	"mogul/internal/binio"
 	"mogul/internal/sparse"
+	"mogul/internal/vec"
 )
 
 // spectralMagic identifies a spectral (truncated-eigenbasis) engine
@@ -90,12 +91,12 @@ func (e *SpectralIndex) sections(st *spectralState, version uint32, align int) [
 			}
 			return sw.Err()
 		}},
-		{Tag: tagSpPts, Payload: func(sw *binio.Writer) error { return st.writePoints(sw, version) }},
+		{Tag: tagSpPts, Payload: func(sw *binio.Writer) error {
+			return st.points.Encode(sw, st.f32(), version < engineFormatVersionPrec)
+		}},
 		{Tag: tagSpEmb, Payload: func(sw *binio.Writer) error {
-			if st.f32() {
-				sw.Float32s(st.emb32)
-			} else {
-				sw.Floats(st.emb)
+			if err := st.emb.Encode(sw, st.f32(), false); err != nil {
+				return err
 			}
 			st.writeTombstones(sw)
 			return sw.Err()
@@ -151,7 +152,7 @@ func loadSpectral(br *binio.Reader) (*SpectralIndex, error) {
 // arrays come out as views into the payload bytes (zero-copy when the
 // image is aligned and the host is little-endian, copied otherwise),
 // without the per-element finiteness scans version 1 runs over the
-// points and the graph's edge weights — see readPoints for why. The
+// points and the graph's edge weights — see vec.ReadRows for why. The
 // embedding is the exception in every version: deriving the row norms
 // reads each row once anyway (one sequential pass, which the first
 // query used to pay), and a non-finite row is refused there.
@@ -167,7 +168,7 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 	m.hdr.dim = mr.Int()
 	rank := mr.Int()
 	sigma := mr.Float64()
-	if err := m.readTail(mr, version, "spectral", rank); err != nil {
+	if err := m.readTail(mr, version, "spectral"); err != nil {
 		return nil, err
 	}
 	n, baseN := m.n, m.hdr.baseN
@@ -251,31 +252,20 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 		}
 	}
 
-	if err := m.readPoints(secs[tagSpPts].Reader(m.align), version); err != nil {
-		return nil, err
+	points, err := vec.ReadRows(secs[tagSpPts].Reader(m.align), n, m.hdr.dim, m.f32, !v2)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: decoding points: %w", err)
 	}
+	m.hdr.points = points
 
 	er := secs[tagSpEmb].Reader(m.align)
-	var emb []float64
-	var emb32 []float32
-	embLen := 0
-	switch {
-	case !v2:
-		emb = er.Floats(binio.MaxCount)
-		embLen = len(emb)
-	case m.f32:
-		emb32 = er.Float32sView(binio.MaxCount)
-		embLen = len(emb32)
-	default:
-		emb = er.FloatsView(binio.MaxCount)
-		embLen = len(emb)
+	emb, err := vec.ReadRows(er, n, rank, m.f32, false)
+	if err != nil {
+		return nil, fmt.Errorf("mogul: decoding embedding: %w", err)
 	}
 	deadIDs := er.Ints(binio.MaxCount)
 	if err := er.Err(); err != nil {
 		return nil, fmt.Errorf("mogul: decoding embedding: %w", err)
-	}
-	if embLen != n*rank {
-		return nil, fmt.Errorf("mogul: embedding carries %d elements, want %d", embLen, n*rank)
 	}
 	if err := m.readTombstones(deadIDs); err != nil {
 		return nil, err
@@ -325,7 +315,6 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 		sigma:        sigma,
 		vals:         vals,
 		emb:          emb,
-		emb32:        emb32,
 		attPtr:       attPtr,
 		attID:        attID,
 		attW:         attW,

@@ -137,13 +137,13 @@ func nanRowImage(prec Precision) []byte {
 	img := buf.Bytes()
 	// Elements 40*rank+4 and +5 of the embedding, as stored.
 	var pat, nan []byte
-	if at := 40*e.st.rank + 4; prec == F32 {
-		pat = binary.LittleEndian.AppendUint32(pat, math.Float32bits(e.st.emb32[at]))
-		pat = binary.LittleEndian.AppendUint32(pat, math.Float32bits(e.st.emb32[at+1]))
+	if row := e.st.emb.Row(40, nil); prec == F32 {
+		pat = binary.LittleEndian.AppendUint32(pat, math.Float32bits(float32(row[4])))
+		pat = binary.LittleEndian.AppendUint32(pat, math.Float32bits(float32(row[5])))
 		nan = binary.LittleEndian.AppendUint32(nan, math.Float32bits(float32(math.NaN())))
 	} else {
-		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(e.st.emb[at]))
-		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(e.st.emb[at+1]))
+		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(row[4]))
+		pat = binary.LittleEndian.AppendUint64(pat, math.Float64bits(row[5]))
 		nan = binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN()))
 	}
 	pos := bytes.Index(img, pat)

@@ -15,8 +15,6 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
-
-	"mogul/internal/vec"
 )
 
 // fullScanCollect is collect as it was before pruning: expand the hops,
@@ -31,19 +29,12 @@ func fullScanCollect(sr *SpectralSearcher, k int) []Result {
 		sr.coeff[j] = tailCoefficient(e.alpha, st.vals[j], hops) * sr.b[j]
 	}
 	n := st.numPoints()
-	emb32 := st.emb32
 	sr.resetCollector(k)
 	for i := 0; i < st.baseN; i++ {
 		if st.dead[i] {
 			continue
 		}
-		off := i * r
-		var sum float64
-		if emb32 != nil {
-			sum = vec.Dot32(sr.coeff, emb32[off:off+r])
-		} else {
-			sum = vec.Dot(st.emb[off:off+r], sr.coeff)
-		}
+		sum := st.emb.Dot(i, sr.coeff)
 		if sr.hstamp[i] == sr.qepoch {
 			sum += sr.hop[i]
 		}
@@ -57,13 +48,7 @@ func fullScanCollect(sr *SpectralSearcher, k int) []Result {
 		if st.dead[i] {
 			continue
 		}
-		off := i * r
-		var sum float64
-		if emb32 != nil {
-			sum = vec.Dot32(sr.coeff, emb32[off:off+r])
-		} else {
-			sum = vec.Dot(st.emb[off:off+r], sr.coeff)
-		}
+		sum := st.emb.Dot(i, sr.coeff)
 		d := i - st.baseN
 		for t := st.attPtr[d]; t < st.attPtr[d+1]; t++ {
 			if id := st.attID[t]; sr.hstamp[id] == sr.qepoch {
@@ -89,7 +74,7 @@ func fullScanSeeds(e *SpectralIndex, seeds []int, weight float64, k int) []Resul
 	sr.seeds = normalizeSeeds(sr.seeds)
 	sr.ensure(st)
 	for _, sw := range sr.seeds {
-		st.axpyRow(sr.b, sw.w, sw.id)
+		st.emb.Axpy(sr.b, sw.w, sw.id)
 	}
 	sr.splitSeeds(sr.seeds)
 	return fullScanCollect(sr, k)
@@ -103,7 +88,7 @@ func fullScanVector(e *SpectralIndex, q Vector, k int) ([]Result, float64) {
 	m, mass := sr.att.attachLive(st, e.sopts.AttachK, q, false)
 	for t := 0; t < m; t++ {
 		id, w := sr.att.nbrID[t], sr.att.nbrW[t]
-		st.axpyRow(sr.b, w, id)
+		st.emb.Axpy(sr.b, w, id)
 		sr.seeds = append(sr.seeds, seedWeight{id: id, w: w})
 	}
 	sr.seeds = normalizeSeeds(sr.seeds)
@@ -341,7 +326,7 @@ func TestSpectralPruneBoundDominates(t *testing.T) {
 		coeff := make([]float64, r)
 		for _, target := range []int{0, 63, 64, longest, st.baseN - 1} {
 			clear(row)
-			st.axpyRow(row, 1, target)
+			st.emb.Axpy(row, 1, target)
 			for _, mag := range []float64{1, -3.7, 1e-160, 1e-300, 1e150} {
 				for j := range coeff {
 					coeff[j] = mag * row[j]
@@ -349,7 +334,7 @@ func TestSpectralPruneBoundDominates(t *testing.T) {
 				_, reach := pruneReach(scale, coeff)
 				for i := 0; i < st.baseN; i++ {
 					bound := reach*st.embNorm[i] + pruneAbsSlack
-					if score := math.Abs(scale * st.dotRow(coeff, i)); !(bound >= score) {
+					if score := math.Abs(scale * st.emb.Dot(i, coeff)); !(bound >= score) {
 						t.Fatalf("%s: coeff = %g * row %d: row %d scores %g above its bound %g", form, mag, target, i, score, bound)
 					}
 				}
@@ -357,7 +342,7 @@ func TestSpectralPruneBoundDominates(t *testing.T) {
 				// the attained score (at the extreme magnitudes normBound
 				// falls back to looser, still valid, bounds).
 				if math.Abs(mag) >= 1 && math.Abs(mag) <= 10 {
-					attained := math.Abs(scale * st.dotRow(coeff, target))
+					attained := math.Abs(scale * st.emb.Dot(target, coeff))
 					if bound := reach*st.embNorm[target] + pruneAbsSlack; bound > attained*(1+1e-8) {
 						t.Fatalf("%s: coeff = %g * row %d: bound %g is loose against the attained %g", form, mag, target, bound, attained)
 					}
@@ -374,7 +359,7 @@ func TestSpectralPruneBoundDominates(t *testing.T) {
 				sr.ensure(st)
 				sr.splitSeeds(nil)
 				clear(row)
-				st.axpyRow(row, 1, longest)
+				st.emb.Axpy(row, 1, longest)
 				for j := range sr.b {
 					sr.b[j] = row[j] / tailCoefficient(e.alpha, st.vals[j], 1)
 				}

@@ -113,7 +113,7 @@ func seededSearcher(e *SpectralIndex, seeds []int, weight float64) *SpectralSear
 	sr.seeds = normalizeSeeds(sr.seeds)
 	sr.ensure(st)
 	for _, sw := range sr.seeds {
-		st.axpyRow(sr.b, sw.w, sw.id)
+		st.emb.Axpy(sr.b, sw.w, sw.id)
 	}
 	sr.splitSeeds(sr.seeds)
 	return sr
@@ -127,7 +127,7 @@ func attachedSearcher(e *SpectralIndex, q Vector) (*SpectralSearcher, float64) {
 	m, mass := sr.att.attachLive(st, e.sopts.AttachK, q, false)
 	for t := 0; t < m; t++ {
 		id, w := sr.att.nbrID[t], sr.att.nbrW[t]
-		st.axpyRow(sr.b, w, id)
+		st.emb.Axpy(sr.b, w, id)
 		sr.seeds = append(sr.seeds, seedWeight{id: id, w: w})
 	}
 	sr.seeds = normalizeSeeds(sr.seeds)
