@@ -42,9 +42,9 @@ import (
 	"slices"
 	"time"
 
-	"mogul/internal/baseline"
 	"mogul/internal/dense"
 	"mogul/internal/kmeans"
+	"mogul/internal/knn"
 	"mogul/internal/par"
 	"mogul/internal/vec"
 )
@@ -159,10 +159,9 @@ func (st *emrState) column(i int, buf []float64) ([]int32, []float64) {
 }
 
 // dotColumn returns h_i . z in the fixed four-lane summation order of
-// baseline.AnchorDot (see vec.DotGather for why): four independent
-// accumulators keep the gather throughput-bound instead of
-// FP-add-latency-bound while preserving the baseline's summation order.
-// In f32 mode the weights widen to float64 in registers (same lanes).
+// vec.DotGather, the baseline's too: four independent accumulators keep
+// the gather throughput-bound instead of FP-add-latency-bound. In f32
+// mode the weights widen to float64 in registers (same lanes).
 func (st *emrState) dotColumn(i int, z []float64) float64 {
 	return st.hVal.DotGather(i, st.hAnchor[i*st.s:(i+1)*st.s], z)
 }
@@ -295,9 +294,7 @@ type EMRIndex struct {
 	// att is Insert's attachment scratch: attach fills dstIdx/dstVal,
 	// commit appends them (mutMu serializes the pair).
 	att struct {
-		sc     baseline.AnchorScratch
-		idx    []int
-		val    []float64
+		sc     knn.Scratch
 		dstIdx []int32
 		dstVal []float64
 	}
@@ -338,8 +335,8 @@ func (e *EMRIndex) build(points []Vector, f32 bool) (*emrState, error) {
 }
 
 // buildEMRState runs the offline half of EMR: k-means anchors, the
-// shared anchor attachment (baseline.BuildAnchorGraph — the engine and
-// the baseline produce bit-identical graphs from the same inputs), and
+// shared anchor attachment (knn.BuildAnchorGraph — the engine and the
+// baseline produce bit-identical graphs from the same inputs), and
 // the explicit inverse of the gram system, all in float64; with f32 set
 // the result is then narrowed, and only then are the cells derived.
 func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions, f32 bool) (*emrState, error) {
@@ -365,7 +362,7 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions,
 	if s > p {
 		s = p
 	}
-	ag := baseline.BuildAnchorGraph(points, km.Centroids, s)
+	ag := knn.BuildAnchorGraph(points, km.Centroids, s)
 
 	st := &emrState{
 		engineHeader: engineHeader{dim: len(points[0]), points: vec.AliasRows(points, len(points[0])), dead: make([]bool, n), baseN: n},
@@ -374,17 +371,9 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions,
 		anchors:      ag.Anchors,
 		colSum:       ag.ColSum,
 		lambda:       ag.Lambda,
-		hAnchor:      make([]int32, n*ag.S),
+		hAnchor:      ag.HIdx,
+		hVal:         vec.FlatRows(ag.HVal, ag.S),
 	}
-	hVal := make([]float64, n*ag.S)
-	for i := range ag.HIdx {
-		off := i * st.s
-		for t, a := range ag.HIdx[i] {
-			st.hAnchor[off+t] = int32(a)
-			hVal[off+t] = ag.HVal[i][t]
-		}
-	}
-	st.hVal = vec.FlatRows(hVal, st.s)
 
 	// Gram system G = I_p - alpha H H^T. The rows are partitioned by
 	// anchor, with an inverted anchor -> flat-position list (built in
@@ -409,9 +398,9 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions,
 				row := g.Row(r)
 				for _, fp := range rowPos[r] {
 					off := int(fp) / st.s * st.s
-					va := -alpha * hVal[fp]
+					va := -alpha * ag.HVal[fp]
 					idx := st.hAnchor[off : off+st.s]
-					val := hVal[off : off+st.s]
+					val := ag.HVal[off : off+st.s]
 					for b := range idx {
 						row[idx[b]] += va * val[b]
 					}
@@ -437,39 +426,20 @@ func buildEMRState(points []Vector, alpha float64, seed int64, eopts EMROptions,
 	return st, nil
 }
 
-// attachColumn computes the stored H column of a point that arrives
-// after the base build, against the frozen base normalization: the
-// Nadaraya-Watson weights of its s nearest anchors (shared helper —
-// same code path as the base build and out-of-sample queries), scaled
-// by Lambda^{1/2} and the point's own degree under the base column
-// sums. idx/val are scratch; the results land in dstIdx/dstVal
-// (exactly st.s entries each).
-func (st *emrState) attachColumn(v Vector, sc *baseline.AnchorScratch, idx []int, val []float64, dstIdx []int32, dstVal []float64) {
-	idx, val, _ = baseline.NearestAnchorWeights(v, st.anchors, st.s, sc, idx, val)
-	var deg float64
-	for t, a := range idx {
-		deg += val[t] * st.lambda[a] * st.colSum[a]
-	}
-	invSqrtD := 0.0
-	if deg > 0 {
-		invSqrtD = 1 / math.Sqrt(deg)
-	}
-	for t, a := range idx {
-		dstIdx[t] = int32(a)
-		dstVal[t] = math.Sqrt(st.lambda[a]) * val[t] * invSqrtD
-	}
-}
-
 // attach computes the H column of a point arriving after the base
-// build, in full precision against the f64 anchors.
+// build, in full precision against the f64 anchors and the frozen base
+// normalization: the Nadaraya-Watson weights of its s nearest anchors
+// (the code path of the base build and of out-of-sample queries),
+// scaled by Lambda^{1/2} and the point's own degree under the base
+// column sums.
 func (e *EMRIndex) attach(st *emrState, v Vector) error {
 	a := &e.att
 	if cap(a.dstIdx) < st.s { // first Insert, or Compact changed s
-		a.idx, a.val = make([]int, 0, st.s), make([]float64, 0, st.s)
 		a.dstIdx, a.dstVal = make([]int32, st.s), make([]float64, st.s)
 	}
 	a.dstIdx, a.dstVal = a.dstIdx[:st.s], a.dstVal[:st.s]
-	st.attachColumn(v, &a.sc, a.idx, a.val, a.dstIdx, a.dstVal)
+	knn.AnchorWeights(&a.sc, v, st.anchors, st.s, a.dstIdx, a.dstVal)
+	knn.NormalizeColumn(a.dstIdx, a.dstVal, st.lambda, st.colSum)
 	return nil
 }
 
@@ -515,8 +485,8 @@ type EMRSearcher struct {
 	// pushed counts the transposed entries the latest bound pass read.
 	pushed int
 	info   SearchInfo
-	sc     baseline.AnchorScratch
-	wIdx   []int
+	sc     knn.Scratch
+	wIdx   []int32
 	wVal   []float64
 	// colBuf widens a stored column in mixed-precision mode.
 	colBuf []float64
@@ -735,7 +705,7 @@ func (sr *EMRSearcher) collect(k int, seeds []seedWeight) []Result {
 		}
 		sr.scoreCell(c, nil)
 	}
-	for i, n := st.baseN, st.numPoints(); i < n; i++ {
+	for _, i := range st.liveDelta {
 		sr.scoreRow(i, seeds)
 	}
 	return sr.results()
@@ -901,9 +871,11 @@ func (sr *EMRSearcher) scoreVector(q Vector, k int) ([]Result, float64, error) {
 // sr.wIdx/sr.wVal) and returns the raw kernel mass.
 func (sr *EMRSearcher) affinity(q Vector) (float64, error) {
 	st := sr.e.st
-	var mass float64
-	sr.wIdx, sr.wVal, mass = baseline.NearestAnchorWeights(q, st.anchors, st.s, &sr.sc, sr.wIdx[:0], sr.wVal[:0])
-	return mass, nil
+	if cap(sr.wIdx) < st.s {
+		sr.wIdx, sr.wVal = make([]int32, st.s), make([]float64, st.s)
+	}
+	sr.wIdx, sr.wVal = sr.wIdx[:st.s], sr.wVal[:st.s]
+	return knn.AnchorWeights(&sr.sc, q, st.anchors, st.s, sr.wIdx, sr.wVal), nil
 }
 
 // work reports what the latest scan did: anchor cells entered and

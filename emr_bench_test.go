@@ -207,6 +207,21 @@ func BenchmarkEMRTopKVector(b *testing.B) {
 	b.Run("emr_vec", func(b *testing.B) { run(b, emrVecFixture(b)) })
 }
 
+// BenchmarkEMRAttach prices the out-of-sample attach alone — the query's
+// s nearest anchors through the anchor tree and their weights — on the
+// emr_vec shape (1024 anchors, s = 24, d = 8).
+func BenchmarkEMRAttach(b *testing.B) {
+	f := emrVecFixture(b)
+	sr := f.engine.NewSearcher()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sr.affinity(f.queries[i%len(f.queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEMRTopK prices the in-sample path (seed item by id)
 // through the pooled engine-level entry point.
 func BenchmarkEMRTopK(b *testing.B) {

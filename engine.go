@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,9 +59,26 @@ type engineHeader struct {
 	deadBase  int
 	baseN     int
 	stats     Stats
+	// liveDelta lists the live delta items in ascending id order: what
+	// the EMR and spectral scans walk instead of every delta id, so
+	// tombstoned delta items cost a read nothing. Insert appends, Delete
+	// removes, and a loaded state derives it (deriveLiveDelta); it is
+	// never persisted.
+	liveDelta []int
 }
 
 func (h *engineHeader) hdr() *engineHeader { return h }
+
+// deriveLiveDelta rebuilds liveDelta from the tombstones of an id space
+// of n items.
+func (h *engineHeader) deriveLiveDelta(n int) {
+	h.liveDelta = nil
+	for i := h.baseN; i < n; i++ {
+		if !h.dead[i] {
+			h.liveDelta = append(h.liveDelta, i)
+		}
+	}
+}
 
 // f32 reports whether the state stores its bulk arrays narrowed.
 func (h *engineHeader) f32() bool { return h.points.F32() }
@@ -332,6 +350,7 @@ func (e *engine[S]) Insert(v Vector) (int, error) {
 	// that mode; a mapped state's rows move to the heap (vec.Rows.Append).
 	h.points.Append(stored)
 	h.dead = append(h.dead, false)
+	h.liveDelta = append(h.liveDelta, id)
 	e.bump(OpInsert, id, stored)
 	e.mu.Unlock()
 
@@ -387,6 +406,8 @@ func (e *engine[S]) Delete(id int) error {
 	h.deadCount++
 	if id < h.baseN {
 		h.deadBase++
+	} else if at, ok := slices.BinarySearch(h.liveDelta, id); ok {
+		h.liveDelta = slices.Delete(h.liveDelta, at, at+1)
 	}
 	e.bump(OpDelete, id, nil)
 	e.mu.Unlock()
@@ -926,5 +947,6 @@ func (m *engineMeta) readTombstones(deadIDs []int) error {
 	}
 	m.hdr.dead = dead
 	m.hdr.deadCount = len(deadIDs)
+	m.hdr.deriveLiveDelta(m.n)
 	return nil
 }

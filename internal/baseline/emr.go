@@ -2,13 +2,12 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"mogul/internal/core"
 	"mogul/internal/dense"
 	"mogul/internal/kmeans"
-	"mogul/internal/par"
+	"mogul/internal/knn"
 	"mogul/internal/vec"
 )
 
@@ -38,12 +37,11 @@ type EMR struct {
 	s int
 	// anchors are the k-means centers.
 	anchors []vec.Vector
-	// zCols[i] / zVals[i]: the sparse column z_i (anchor ids and
-	// weights) of point i, already scaled by Lambda^{1/2} and D^{-1/2}
-	// — i.e. the columns h_i of H.
-	hIdx  [][]int
-	hVal  [][]float64
-	sigma float64
+	// hIdx/hVal hold the sparse column h_i of H (anchor ids and weights
+	// of z_i, already scaled by Lambda^{1/2} and D^{-1/2}) of point i at
+	// [i*s, (i+1)*s).
+	hIdx []int32
+	hVal []float64
 
 	// PrefactorGram, when true, computes and caches the d x d Gram
 	// factorization once instead of per query. The cache is filled
@@ -65,92 +63,6 @@ type EMRConfig struct {
 	NumNearestAnchors int
 	// Seed drives k-means.
 	Seed int64
-}
-
-// AnchorGraph is the offline half of EMR: the anchor set and the
-// normalized-graph factor H = Lambda^{1/2} Z D^{-1/2} stored
-// column-wise (HIdx[i]/HVal[i] is h_i, exactly S entries per point),
-// plus the column sums and Lambda diagonal needed to attach points
-// that arrive after construction. It is shared between the baseline
-// and the first-class engine in the root package so both produce
-// bit-identical graphs from the same inputs.
-type AnchorGraph struct {
-	Anchors []vec.Vector
-	S       int
-	HIdx    [][]int
-	HVal    [][]float64
-	// ColSum[k] = sum_i Z_ki over the construction set; Lambda[k] is
-	// 1/ColSum[k] (0 for empty columns).
-	ColSum []float64
-	Lambda []float64
-}
-
-// BuildAnchorGraph attaches every point to its s nearest anchors (see
-// NearestAnchorWeights) and assembles the normalized factor H. s is
-// clamped to the anchor count.
-func BuildAnchorGraph(points, anchors []vec.Vector, s int) *AnchorGraph {
-	n := len(points)
-	d := len(anchors)
-	if s > d {
-		s = d
-	}
-	zIdx := make([][]int, n)
-	zVal := make([][]float64, n)
-	colSum := make([]float64, d)
-	// Attachment is the dominant O(n*d) stage; it runs on the par pool
-	// with per-block scratch. Each point's weights are a pure function
-	// of (p, anchors, s), and colSum accumulates through the fixed-shape
-	// blocked reduction, so the graph is bit-identical at any
-	// GOMAXPROCS.
-	par.ReduceVec(colSum, n, 16, func(lo, hi int, acc []float64) {
-		var sc AnchorScratch
-		for i := lo; i < hi; i++ {
-			idx, val, _ := NearestAnchorWeights(points[i], anchors, s, &sc, make([]int, 0, s), make([]float64, 0, s))
-			for t := range val {
-				acc[idx[t]] += val[t]
-			}
-			zIdx[i] = idx
-			zVal[i] = val
-		}
-	})
-
-	// Lambda_kk = 1/colSum[k]; degree D_ii = z_i^T Lambda (Z 1) where
-	// (Z 1)_k = colSum[k], hence D_ii = sum_t z_it * Lambda_tt * colSum[t]
-	// = sum_t z_it = 1 after normalization. Computed explicitly anyway
-	// to stay faithful when weights are clamped.
-	lambda := make([]float64, d)
-	for k, cs := range colSum {
-		if cs > 0 {
-			lambda[k] = 1 / cs
-		}
-	}
-	deg := make([]float64, n)
-	par.For(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var di float64
-			for t, a := range zIdx[i] {
-				di += zVal[i][t] * lambda[a] * colSum[a]
-			}
-			deg[i] = di
-		}
-	})
-
-	// H columns: h_i = Lambda^{1/2} z_i * D_ii^{-1/2}.
-	hVal := make([][]float64, n)
-	par.For(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hv := make([]float64, len(zVal[i]))
-			invSqrtD := 0.0
-			if deg[i] > 0 {
-				invSqrtD = 1 / math.Sqrt(deg[i])
-			}
-			for t, a := range zIdx[i] {
-				hv[t] = math.Sqrt(lambda[a]) * zVal[i][t] * invSqrtD
-			}
-			hVal[i] = hv
-		}
-	})
-	return &AnchorGraph{Anchors: anchors, S: s, HIdx: zIdx, HVal: hVal, ColSum: colSum, Lambda: lambda}
 }
 
 // NewEMR builds the EMR baseline over raw feature vectors. EMR does
@@ -182,7 +94,7 @@ func NewEMR(points []vec.Vector, alpha float64, cfg EMRConfig) (*EMR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: EMR anchors: %w", err)
 	}
-	ag := BuildAnchorGraph(points, km.Centroids, s)
+	ag := knn.BuildAnchorGraph(points, km.Centroids, s)
 	return &EMR{
 		alpha:   alpha,
 		n:       n,
@@ -205,10 +117,10 @@ func (e *EMR) NumAnchors() int { return e.d }
 func (e *EMR) factorGram() (*dense.LU, error) {
 	g := dense.Identity(e.d)
 	for i := 0; i < e.n; i++ {
-		idx, val := e.hIdx[i], e.hVal[i]
+		idx, val := e.hIdx[i*e.s:(i+1)*e.s], e.hVal[i*e.s:(i+1)*e.s]
 		for a := range idx {
 			for b := range idx {
-				g.Add(idx[a], idx[b], -e.alpha*val[a]*val[b])
+				g.Add(int(idx[a]), int(idx[b]), -e.alpha*val[a]*val[b])
 			}
 		}
 	}
@@ -235,7 +147,7 @@ func (e *EMR) gram() (*dense.LU, error) {
 // scoresForH computes the EMR score vector for a query whose H-column
 // is hq (sparse idx/val) and whose self-term index is selfIdx (or -1
 // for out-of-sample queries).
-func (e *EMR) scoresForH(hqIdx []int, hqVal []float64, selfIdx int) ([]float64, error) {
+func (e *EMR) scoresForH(hqIdx []int32, hqVal []float64, selfIdx int) ([]float64, error) {
 	lu, err := e.gram()
 	if err != nil {
 		return nil, err
@@ -246,10 +158,11 @@ func (e *EMR) scoresForH(hqIdx []int, hqVal []float64, selfIdx int) ([]float64, 
 		rhs[a] = hqVal[t]
 	}
 	z := lu.Solve(rhs)
-	// x_i = (1-alpha)(q_i + alpha h_i^T z)
+	// x_i = (1-alpha)(q_i + alpha h_i^T z), with h_i^T z in the four-lane
+	// order of vec.DotGather that the root-package engine scores with.
 	scores := make([]float64, e.n)
 	for i := 0; i < e.n; i++ {
-		s := AnchorDot(e.hVal[i], e.hIdx[i], z)
+		s := vec.DotGather(e.hVal[i*e.s:(i+1)*e.s], e.hIdx[i*e.s:(i+1)*e.s], z)
 		s *= e.alpha
 		if i == selfIdx {
 			s += 1
@@ -259,26 +172,12 @@ func (e *EMR) scoresForH(hqIdx []int, hqVal []float64, selfIdx int) ([]float64, 
 	return scores, nil
 }
 
-// AnchorDot computes the sparse dot product h^T z over a stored H
-// column with a FIXED four-lane summation order: lane l accumulates
-// the entries at positions ≡ l (mod 4), the tail folds into lane 0,
-// and the lanes combine as (s0+s1)+(s2+s3). The order is part of the
-// scoring contract — the root-package engine reproduces it exactly
-// (over int32 anchor ids) so engine and baseline scores stay
-// bit-identical — and it exists because the naive sequential loop is
-// a latency-bound dependent add chain: four independent accumulators
-// let the CPU overlap the FP adds, which is worth ~2x on the O(n*s)
-// per-query scan that dominates EMR latency growth in n.
-func AnchorDot(val []float64, idx []int, z []float64) float64 {
-	return vec.DotGather(val[:len(idx)], idx, z)
-}
-
 // AllScores implements Ranker.
 func (e *EMR) AllScores(query int) ([]float64, error) {
 	if query < 0 || query >= e.n {
 		return nil, fmt.Errorf("baseline: query %d outside [0,%d)", query, e.n)
 	}
-	return e.scoresForH(e.hIdx[query], e.hVal[query], query)
+	return e.scoresForH(e.hIdx[query*e.s:(query+1)*e.s], e.hVal[query*e.s:(query+1)*e.s], query)
 }
 
 // TopK implements Ranker.
@@ -295,11 +194,12 @@ func (e *EMR) TopK(query, k int) ([]core.Result, error) {
 // anchor graph is queried with them, EMR's native out-of-sample
 // mechanism (compared against Mogul's in Figure 7 / Table 2).
 func (e *EMR) TopKOutOfSample(q vec.Vector, k int) ([]core.Result, error) {
-	if len(q) != len(e.anchors[0]) {
-		return nil, fmt.Errorf("baseline: query dimension %d, want %d", len(q), len(e.anchors[0]))
+	if dim := len(e.anchors[0]); len(q) != dim {
+		return nil, fmt.Errorf("baseline: query dimension %d, want %d", len(q), dim)
 	}
-	var sc AnchorScratch
-	idx, val, _ := NearestAnchorWeights(q, e.anchors, e.s, &sc, make([]int, 0, e.s), make([]float64, 0, e.s))
+	var sc knn.Scratch
+	idx, val := make([]int32, e.s), make([]float64, e.s)
+	knn.AnchorWeights(&sc, q, e.anchors, e.s, idx, val)
 	scores, err := e.scoresForH(idx, val, -1)
 	if err != nil {
 		return nil, err

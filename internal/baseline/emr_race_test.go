@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mogul/internal/knn"
 	"mogul/internal/vec"
 )
 
@@ -87,17 +88,15 @@ func TestEMRConcurrentPrefactoredQueries(t *testing.T) {
 
 // TestAnchorWeightsFarthestBandwidth: when s equals the anchor count
 // there is no (s+1)-th distance; the fixed bandwidth is the farthest
-// support distance scaled by FarthestBandwidthScale, so the farthest
+// support distance scaled by knn.FarthestBandwidthScale, so the farthest
 // anchor keeps a genuine kernel weight instead of collapsing to the
 // 1e-12 tie clamp.
 func TestAnchorWeightsFarthestBandwidth(t *testing.T) {
 	anchors := []vec.Vector{{0, 0}, {1, 0}, {0, 2}}
 	q := vec.Vector{0.1, 0.1}
-	var sc AnchorScratch
-	idx, val, mass := NearestAnchorWeights(q, anchors, 3, &sc, nil, nil)
-	if len(idx) != 3 || len(val) != 3 {
-		t.Fatalf("got %d/%d weights", len(idx), len(val))
-	}
+	var sc knn.Scratch
+	val := make([]float64, 3)
+	mass := knn.AnchorWeights(&sc, q, anchors, 3, make([]int32, 3), val)
 	var sum float64
 	for t2, w := range val {
 		if w <= 1e-9 {
@@ -121,7 +120,7 @@ func TestAnchorWeightsFarthestBandwidth(t *testing.T) {
 	for _, d := range dists {
 		far = math.Max(far, d)
 	}
-	u := far / (far * FarthestBandwidthScale)
+	u := far / (far * knn.FarthestBandwidthScale)
 	wantRaw := 0.75 * (1 - u*u)
 	if wantRaw <= 0.4 {
 		t.Fatalf("sanity: expected a substantial farthest weight, got %g", wantRaw)
@@ -149,8 +148,9 @@ func TestAnchorWeightsFarthestBandwidth(t *testing.T) {
 func TestAnchorWeightsBandwidthUnchangedBelowSupport(t *testing.T) {
 	anchors := []vec.Vector{{0}, {1}, {2}, {10}}
 	q := vec.Vector{0}
-	var sc AnchorScratch
-	idx, val, _ := NearestAnchorWeights(q, anchors, 2, &sc, nil, nil)
+	var sc knn.Scratch
+	idx, val := make([]int32, 2), make([]float64, 2)
+	knn.AnchorWeights(&sc, q, anchors, 2, idx, val)
 	if idx[0] != 0 || idx[1] != 1 {
 		t.Fatalf("support = %v", idx)
 	}

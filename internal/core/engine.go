@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mogul/internal/knn"
 	"mogul/internal/topk"
 )
 
@@ -63,13 +64,13 @@ type Scratch struct {
 	// srcBuf holds the expanded query sources of the current query.
 	srcBuf []source
 
-	// Out-of-sample buffers (oos.go): cluster-mean distances, candidate
-	// neighbours, the ids and squared distances of one batch kernel call,
-	// and the selected surrogate probes with weights.
+	// Out-of-sample buffers (oos.go): cluster-mean distances, the
+	// candidate ids and their distances from one batch kernel call, the
+	// selection, and the selected surrogate probes with weights.
 	ordBuf   []clusterDist
-	nbrBuf   []scoredNbr
 	idBuf    []int
 	distBuf  []float64
+	sel      knn.Scratch
 	probeIDs []int
 	probeWts []float64
 	// oosRawMass/oosRawCount record the raw (pre-normalization) kernel
@@ -83,13 +84,6 @@ type Scratch struct {
 type clusterDist struct {
 	c int
 	d float64
-}
-
-// scoredNbr is one surrogate-neighbour candidate with its Euclidean
-// distance to the out-of-sample query.
-type scoredNbr struct {
-	id int
-	d  float64
 }
 
 // AcquireScratch returns a Scratch from the index's pool (allocating
@@ -127,7 +121,6 @@ func (ix *Index) ready(s *Scratch) {
 	s.xAbsBorder = make([]float64, n-ix.layout.BorderStart())
 	s.srcBuf = s.srcBuf[:0]
 	s.ordBuf = s.ordBuf[:0]
-	s.nbrBuf = s.nbrBuf[:0]
 	s.probeIDs = s.probeIDs[:0]
 	s.probeWts = s.probeWts[:0]
 	s.owner = ix

@@ -144,7 +144,7 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 	if len(ord) == 0 {
 		return fmt.Errorf("core: no non-empty clusters")
 	}
-	s.nbrBuf = s.nbrBuf[:0]
+	s.idBuf = s.idBuf[:0]
 	for i := range ord {
 		switch {
 		case i < argminPicks:
@@ -162,38 +162,27 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 			if ov.DeadBase > 0 && ov.Dead[id] {
 				continue
 			}
-			s.nbrBuf = append(s.nbrBuf, scoredNbr{id: id})
+			s.idBuf = append(s.idBuf, id)
 		}
-		if len(s.nbrBuf) >= numNbrs {
+		if len(s.idBuf) >= numNbrs {
 			break
 		}
 	}
-	if len(s.nbrBuf) == 0 {
+	if len(s.idBuf) == 0 {
 		return fmt.Errorf("core: no live candidates for surrogate selection")
 	}
-	s.idBuf = s.idBuf[:0]
-	for _, nb := range s.nbrBuf {
-		s.idBuf = append(s.idBuf, nb.id)
-	}
+	// The numNbrs nearest candidates under (distance, id), through the
+	// selection every attach shares. The key is the distance, not its
+	// square: two squares can round to one distance, and the order of the
+	// weights below is the distance order.
 	s.distBuf = slices.Grow(s.distBuf[:0], len(s.idBuf))[:len(s.idBuf)]
 	ix.graph.Points.SqDistIDs(q, s.idBuf, s.distBuf)
 	for i, d := range s.distBuf {
-		s.nbrBuf[i].d = math.Sqrt(d)
+		s.distBuf[i] = math.Sqrt(d)
 	}
-	slices.SortFunc(s.nbrBuf, func(a, b scoredNbr) int {
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		default:
-			return a.id - b.id
-		}
-	})
-	nbrs := s.nbrBuf
-	if len(nbrs) > numNbrs {
-		nbrs = nbrs[:numNbrs]
-	}
+	s.sel.Reset(numNbrs)
+	s.sel.OfferAll(s.idBuf, s.distBuf)
+	nbrs := s.sel.Sorted()
 
 	// Heat-kernel weights, normalized to sum 1 so the query vector has
 	// the same mass as an in-database query.
@@ -202,8 +191,8 @@ func (ix *Index) findSurrogates(s *Scratch, ov *Overlay, q vec.Vector, numNbrs i
 	s.probeWts = s.probeWts[:0]
 	var total float64
 	for _, nb := range nbrs {
-		w := math.Exp(-nb.d * nb.d / (2 * sigma * sigma))
-		s.probeIDs = append(s.probeIDs, nb.id)
+		w := math.Exp(-nb.Dist * nb.Dist / (2 * sigma * sigma))
+		s.probeIDs = append(s.probeIDs, nb.ID)
 		s.probeWts = append(s.probeWts, w)
 		total += w
 	}

@@ -12,15 +12,22 @@ import (
 	"mogul/internal/vec"
 )
 
-// findSurrogates picks its nearest clusters by linear argmin and sorts
-// only what is left when those picks come up short. The full sort it
-// replaced is kept below as the oracle: every selection must yield the
-// same probes, the same weight bits and the same affinity bits.
+// findSurrogates picks its nearest clusters by linear argmin, sorts only
+// what is left when those picks come up short, and selects the nearest
+// candidates through knn's (key, id) heap. The full sorts it replaced
+// are kept below as the oracle: every selection must yield the same
+// probes, the same weight bits and the same affinity bits.
+
+// scoredNbr is one surrogate candidate with its distance to the query.
+type scoredNbr struct {
+	id int
+	d  float64
+}
 
 // findSurrogatesFullSort is findSurrogates before the partial selection:
-// every cluster mean is measured and all of them are sorted. It also
-// reports how many clusters it consumed, so a case can prove it reached
-// past the argmin picks.
+// every cluster mean is measured and all of them are sorted, and so are
+// all the candidates. It also reports how many clusters it consumed, so
+// a case can prove it reached past the argmin picks.
 func findSurrogatesFullSort(ix *Index, s *Scratch, ov *Overlay, q vec.Vector, numNbrs int) (int, error) {
 	if numNbrs <= 0 {
 		numNbrs = ix.graph.K
@@ -47,7 +54,7 @@ func findSurrogatesFullSort(ix *Index, s *Scratch, ov *Overlay, q vec.Vector, nu
 			return a.c - b.c
 		}
 	})
-	s.nbrBuf = s.nbrBuf[:0]
+	var cand []scoredNbr
 	consumed := 0
 	for _, cd := range s.ordBuf {
 		consumed++
@@ -55,19 +62,19 @@ func findSurrogatesFullSort(ix *Index, s *Scratch, ov *Overlay, q vec.Vector, nu
 			if ov.DeadBase > 0 && ov.Dead[id] {
 				continue
 			}
-			s.nbrBuf = append(s.nbrBuf, scoredNbr{id: id})
+			cand = append(cand, scoredNbr{id: id})
 		}
-		if len(s.nbrBuf) >= numNbrs {
+		if len(cand) >= numNbrs {
 			break
 		}
 	}
-	if len(s.nbrBuf) == 0 {
+	if len(cand) == 0 {
 		return consumed, fmt.Errorf("core: no live candidates for surrogate selection")
 	}
-	for i := range s.nbrBuf {
-		s.nbrBuf[i].d = math.Sqrt(ix.graph.Points.SqDist(q, s.nbrBuf[i].id))
+	for i := range cand {
+		cand[i].d = math.Sqrt(ix.graph.Points.SqDist(q, cand[i].id))
 	}
-	slices.SortFunc(s.nbrBuf, func(a, b scoredNbr) int {
+	slices.SortFunc(cand, func(a, b scoredNbr) int {
 		switch {
 		case a.d < b.d:
 			return -1
@@ -77,7 +84,7 @@ func findSurrogatesFullSort(ix *Index, s *Scratch, ov *Overlay, q vec.Vector, nu
 			return a.id - b.id
 		}
 	})
-	nbrs := s.nbrBuf
+	nbrs := cand
 	if len(nbrs) > numNbrs {
 		nbrs = nbrs[:numNbrs]
 	}

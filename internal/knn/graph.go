@@ -82,7 +82,7 @@ func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 		}
 		searcher = ix
 	} else {
-		searcher = NewTree(points)
+		searcher = searchTree(points)
 	}
 	return graphFromNeighbors(points, AllKNN(points, searcher, k), k, cfg)
 }

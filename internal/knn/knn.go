@@ -5,11 +5,14 @@
 //
 // Every searcher selects the k smallest rows under one strict order,
 // (squared distance, id), so an answer never depends on the order rows
-// are visited in. Tree, a k-d tree, is the exact path of BuildGraph: it
+// are visited in, and so does every engine's attach: Scratch's
+// selection is the one place the rule is written. Tree, a k-d tree, is
+// the exact path of BuildGraph and the spectral engine's attach: it
 // returns BruteForce's answers, bit for bit, while computing ~100 of
 // 20000 distances per query on the d = 8 mixture (BenchmarkAllKNN has
 // the other shapes). BruteForce, the O(n d) scan per query, is the
-// oracle the tree is tested against.
+// oracle the tree is tested against. anchors.go holds EMR's anchor
+// graph, whose attach sweeps its anchors into the same selection.
 // IVF is an inverted-file index with a k-means coarse quantizer, the
 // standard database-side structure for approximate nearest-neighbour
 // search at the paper's INRIA scale; it trades a small recall loss for
@@ -33,7 +36,8 @@ import (
 type Neighbor struct {
 	// ID is the index of the neighbouring point.
 	ID int
-	// Dist is the Euclidean distance to the query.
+	// Dist is the Euclidean distance to the query; in a selection read
+	// through Scratch.Sorted it is the key that was offered.
 	Dist float64
 }
 

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -9,18 +8,20 @@ import (
 	"mogul/internal/vec"
 )
 
-// Scratch holds the reusable per-worker state of SearchInto: the
-// selection heap (which is also the output buffer), the batch kernel's
-// distance buffer, the tree's per-dimension offsets, and the
+// Scratch holds the reusable per-worker state of a selection: the
+// selected rows (which are also the output buffer), the batch kernel's distance
+// buffer, the tree's per-dimension offsets and tombstone mask, and the
 // cell-selection scratch of the inverted-file backend. A zero Scratch
 // is ready to use; one Scratch serves one goroutine at a time. Graph
-// construction issues n k-NN queries back to back, so without reuse
-// the per-query buffers alone show up in build profiles.
+// construction issues n k-NN queries back to back, and every engine
+// attaches a query this way, so without reuse the per-query buffers
+// alone would show up in profiles.
 type Scratch struct {
 	k      int
 	out    []Neighbor
 	dist   []float64
 	offSq  []float64
+	dead   []bool
 	cellID []int
 	cellD  []float64
 	cand   []int
@@ -53,7 +54,7 @@ func searchSubsetInto(sc *Scratch, q vec.Vector, k int, points []vec.Vector, ids
 	if k <= 0 {
 		return nil
 	}
-	sc.reset(k)
+	sc.Reset(k)
 	if ids == nil {
 		sc.dist = slices.Grow(sc.dist[:0], len(points))[:len(points)]
 		vec.SquaredEuclideanBatch(q, points, sc.dist)
@@ -61,107 +62,89 @@ func searchSubsetInto(sc *Scratch, q vec.Vector, k int, points []vec.Vector, ids
 		sc.dist = slices.Grow(sc.dist[:0], len(ids))[:len(ids)]
 		vec.SquaredEuclideanRows(q, points, ids, sc.dist)
 	}
-	sc.offerAll(ids, sc.dist)
+	sc.OfferAll(ids, sc.dist)
 	return sc.drain()
 }
 
-// The selection rule every searcher shares: the k smallest rows under
-// the strict order (squared distance, id), whatever order the rows are
-// offered in. While a search runs, sc.out is a max-heap under that
-// order holding at most sc.k rows, with Dist the squared distance, so
-// its root is the row the next better one evicts.
+// The selection rule every searcher and every engine's attach shares:
+// the k smallest rows under the strict order (key, id), whatever order
+// the rows are offered in. The searchers' key is the squared distance;
+// an attach may offer another one (the graph engine offers distances).
+// While a selection runs, sc.out holds at most sc.k rows in that order,
+// so its last row is the one the next better one evicts. Every k here
+// is small — a graph's k+1, an attach's ten to a few dozen — and few
+// rows reach the threshold, so shifting them into place costs less than
+// a heap's sifts would and leaves nothing to sort at the end.
 
-// reset empties the heap for a search of the k nearest.
-func (sc *Scratch) reset(k int) {
+// Reset empties the selection for the k smallest.
+func (sc *Scratch) Reset(k int) {
 	sc.k = k
 	sc.out = sc.out[:0]
 }
 
-// theta is the squared distance a row must not exceed to enter: the
-// root's once the heap holds k rows, +Inf before.
+// theta is the key a row must not exceed to enter: the last held row's
+// once k are held, +Inf before (-Inf for k <= 0, which holds nothing).
 func (sc *Scratch) theta() float64 {
 	if len(sc.out) < sc.k {
 		return math.Inf(1)
 	}
-	return sc.out[0].Dist
+	if len(sc.out) == 0 {
+		return math.Inf(-1)
+	}
+	return sc.out[len(sc.out)-1].Dist
 }
 
-// offerAll offers row ids[j] (row j when ids is nil) at squared
-// distance dist[j], for every j. Only a row at or below the threshold
-// can enter, so the loop tests that inline and calls offer for the few
-// that pass.
-func (sc *Scratch) offerAll(ids []int, dist []float64) {
+// OfferAll offers row ids[j] (row j when ids is nil) at key keys[j], for
+// every j, skipping rows the tree's tombstone mask marks. Only a row at
+// or below the threshold can enter, so the loop tests that first and
+// shifts the few that pass into place.
+func (sc *Scratch) OfferAll(ids []int, keys []float64) {
+	out, k := sc.out, sc.k
 	th := sc.theta()
-	for j, d := range dist {
+	for j, d := range keys {
 		if d > th {
 			continue
 		}
-		id := j
+		nb := Neighbor{ID: j, Dist: d}
 		if ids != nil {
-			id = ids[j]
+			nb.ID = ids[j]
 		}
-		sc.offer(id, d)
-		th = sc.theta()
+		if sc.dead != nil && sc.dead[nb.ID] {
+			continue
+		}
+		pos := len(out)
+		if pos == k {
+			if pos == 0 || !after(out[pos-1], nb) {
+				continue
+			}
+			pos--
+		} else {
+			out = append(out, nb)
+		}
+		for ; pos > 0 && after(out[pos-1], nb); pos-- {
+			out[pos] = out[pos-1]
+		}
+		out[pos] = nb
+		if len(out) == k {
+			th = out[k-1].Dist
+		}
 	}
-	sc.rows += len(dist)
+	sc.out = out
+	sc.rows += len(keys)
 }
 
-// offer considers row id at squared distance d.
-func (sc *Scratch) offer(id int, d float64) {
-	nb := Neighbor{ID: id, Dist: d}
-	if len(sc.out) < sc.k {
-		sc.push(nb)
-	} else if after(sc.out[0], nb) {
-		sc.out[0] = nb
-		sc.siftDown()
-	}
-}
-
-// after reports whether a ranks behind b under (squared distance, id).
+// after reports whether a ranks behind b under (key, id).
 func after(a, b Neighbor) bool {
 	return a.Dist > b.Dist || a.Dist == b.Dist && a.ID > b.ID
 }
 
-func (sc *Scratch) push(nb Neighbor) {
-	h := append(sc.out, nb)
-	for j := len(h) - 1; j > 0; {
-		p := (j - 1) / 2
-		if !after(h[j], h[p]) {
-			break
-		}
-		h[j], h[p] = h[p], h[j]
-		j = p
-	}
-	sc.out = h
-}
+// Sorted returns the selected rows in (key, id) order with the keys as
+// offered. The result aliases sc and is valid until its next use.
+func (sc *Scratch) Sorted() []Neighbor { return sc.out }
 
-func (sc *Scratch) siftDown() {
-	h := sc.out
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
-		}
-		if j+1 < len(h) && after(h[j+1], h[j]) {
-			j++
-		}
-		if !after(h[j], h[i]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-// drain sorts the held rows nearest first and turns their squared
-// distances into distances.
+// drain is Sorted for the searchers, whose keys are squared distances:
+// it turns them into distances.
 func (sc *Scratch) drain() []Neighbor {
-	slices.SortFunc(sc.out, func(a, b Neighbor) int {
-		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-			return c
-		}
-		return a.ID - b.ID
-	})
 	for i := range sc.out {
 		sc.out[i].Dist = math.Sqrt(sc.out[i].Dist)
 	}

@@ -32,7 +32,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 	backends := map[string]IntoSearcher{
 		"brute": NewBruteForce(pts),
 		"ivf":   ivf,
-		"tree":  NewTree(pts),
+		"tree":  searchTree(pts),
 	}
 	for name, s := range backends {
 		var sc Scratch
@@ -64,7 +64,7 @@ func TestSearchIntoDoesNotAllocate(t *testing.T) {
 	for name, s := range map[string]IntoSearcher{
 		"brute": NewBruteForce(pts),
 		"ivf":   ivf,
-		"tree":  NewTree(pts),
+		"tree":  searchTree(pts),
 	} {
 		var sc Scratch
 		s.SearchInto(&sc, pts[0], 12) // warm the scratch

@@ -6,20 +6,21 @@ import (
 	"mogul/internal/vec"
 )
 
-// Tree is the exact searcher of the graph build: a k-d tree whose
-// answers are BruteForce's, the same ids in the same order with the
-// same distance bits. A query descends into the near child first and
-// skips a subtree only when no row in it can enter the k (see prunes).
-// Leaves are scanned with the batch distance kernel over a copy of the
-// points in leaf order, so a leaf is one contiguous run rather than
-// rows gathered from wherever the caller allocated them.
+// Tree is the exact nearest-row selection of the graph build and of
+// every engine's attach: a k-d tree whose answers are BruteForce's, the
+// same ids in the same order with the same distance bits. A query
+// descends into the near child first and skips a subtree only when no
+// row in it can enter the k (see prunes). Leaves are scanned with the
+// batch distance kernel over the leaf's ids. The tree holds no rows:
+// every search is handed the rows it was built over, so an engine that
+// appends rows after the build searches its current storage and keeps
+// no second reference to an old one, and a copy of the rows is never
+// made.
 type Tree struct {
 	// ids is a permutation of [0, n) in which every node's rows are a
 	// contiguous range: the root holds [0, n), and a node over [lo, hi)
 	// with more than leafSize rows splits at lo + (hi-lo)/2.
 	ids []int
-	// rows[j] is a copy of point ids[j], all in one backing array.
-	rows []vec.Vector
 	// dim and split are the internal nodes' split dimension and value in
 	// heap order: node i's children are 2i+1 (the lower half under
 	// (coordinate, id)) and 2i+2.
@@ -46,22 +47,20 @@ const (
 	treeAbsSlack = 0x1p-1000
 )
 
-// NewTree builds the tree over the points. Each node splits its rows at
+// NewTree builds the tree over the rows. Each node splits its rows at
 // the median of its widest dimension (the largest max − min, the lowest
 // dimension on ties) under the strict order (coordinate, id), so the
-// tree is a pure function of the points. The build is serial and
-// O(n d log n): ~8 ms at n = 20000, d = 8. The points are read, not
-// retained.
-func NewTree(points []vec.Vector) *Tree {
-	n := len(points)
+// tree is a pure function of the rows. float32 rows are split on their
+// widened values, which are what their distance kernel subtracts. The
+// build is serial and O(n d log n): ~8 ms at n = 20000, d = 8. The rows
+// are read, not retained.
+func NewTree(points *vec.Rows) *Tree {
+	n, d := points.Len(), points.Width()
 	t := &Tree{ids: make([]int, n)}
 	for i := range t.ids {
 		t.ids[i] = i
 	}
-	d, depth := 0, 0
-	if n > 0 {
-		d = len(points[0])
-	}
+	depth := 0
 	if d > 0 {
 		for c := n; c > leafSize; c = (c + 1) / 2 {
 			depth++
@@ -71,13 +70,7 @@ func NewTree(points []vec.Vector) *Tree {
 	t.split = make([]float64, len(t.dim))
 	t.box = make([]float64, (1<<(depth+1)-1)*2*d)
 	t.slack = 1 + treeRelSlack + float64(d+2*depth+2)*0x1p-52
-	t.build(points, make([]float64, n), make([]float64, 2*d), 0, 0, n)
-	flat := make([]float64, n*d)
-	t.rows = make([]vec.Vector, n)
-	for j, id := range t.ids {
-		t.rows[j] = flat[j*d : (j+1)*d : (j+1)*d]
-		copy(t.rows[j], points[id])
-	}
+	t.build(points, make([]float64, n), make([]float64, 3*d), 0, 0, n)
 	return t
 }
 
@@ -87,18 +80,20 @@ func (t *Tree) leaf(node, lo, hi int) bool {
 }
 
 // build splits node over ids[lo:hi], or records its box if it is a
-// leaf; keys is scratch for the split coordinates of all n rows, span
-// for an internal node's per-dimension minima and maxima.
-func (t *Tree) build(points []vec.Vector, keys, span []float64, node, lo, hi int) {
+// leaf; keys is scratch for the split coordinates of all n rows, work
+// holds an internal node's per-dimension minima and maxima followed by
+// one widened row.
+func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi int) {
 	ids := t.ids[lo:hi]
-	d := len(span) / 2
+	d := len(work) / 3
+	span, buf := work[:2*d], work[2*d:]
 	if t.leaf(node, lo, hi) {
 		if d > 0 && len(ids) > 0 {
-			extent(points, ids, t.box[2*d*node:2*d*(node+1)])
+			extent(points, ids, t.box[2*d*node:2*d*(node+1)], buf)
 		}
 		return
 	}
-	extent(points, ids, span)
+	extent(points, ids, span, buf)
 	s, widest := 0, span[d]-span[0]
 	for j := 1; j < d; j++ {
 		if w := span[d+j] - span[j]; w > widest {
@@ -107,24 +102,26 @@ func (t *Tree) build(points []vec.Vector, keys, span []float64, node, lo, hi int
 	}
 	k := keys[lo:hi]
 	for j, id := range ids {
-		k[j] = points[id][s]
+		k[j] = points.Row(id, buf)[s]
 	}
 	m := len(ids) / 2
 	selectRank(k, ids, m)
 	t.dim[node], t.split[node] = int32(s), k[m]
-	t.build(points, keys, span, 2*node+1, lo, lo+m)
-	t.build(points, keys, span, 2*node+2, lo+m, hi)
+	t.build(points, keys, work, 2*node+1, lo, lo+m)
+	t.build(points, keys, work, 2*node+2, lo+m, hi)
 }
 
 // extent writes the per-dimension minima of the rows ids into the first
-// half of span and their maxima into the second.
-func extent(points []vec.Vector, ids []int, span []float64) {
+// half of span and their maxima into the second; buf widens a float32
+// row.
+func extent(points *vec.Rows, ids []int, span, buf []float64) {
 	d := len(span) / 2
 	mins, maxs := span[:d], span[d:]
-	copy(mins, points[ids[0]])
-	copy(maxs, points[ids[0]])
+	first := points.Row(ids[0], buf)
+	copy(mins, first)
+	copy(maxs, first)
 	for _, id := range ids[1:] {
-		for j, x := range points[id][:d] {
+		for j, x := range points.Row(id, buf)[:d] {
 			mins[j] = min(mins[j], x)
 			maxs[j] = max(maxs[j], x)
 		}
@@ -185,25 +182,55 @@ func selectRank(keys []float64, ids []int, m int) {
 	}
 }
 
-// Search returns the k exact nearest neighbours of q.
-func (t *Tree) Search(q vec.Vector, k int) []Neighbor {
-	var sc Scratch
-	return t.SearchInto(&sc, q, k)
-}
-
-// SearchInto is Search against caller-owned scratch; the result
-// aliases sc and is valid until its next use.
-func (t *Tree) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
+// Nearest returns the k exact nearest rows of points to q, nearest
+// first with their distances; points are the rows the tree was built
+// over. The result aliases sc and is valid until its next use.
+func (t *Tree) Nearest(sc *Scratch, points *vec.Rows, q vec.Vector, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	sc.reset(k)
-	if len(t.ids) > 0 {
-		sc.offSq = slices.Grow(sc.offSq[:0], len(q))[:len(q)]
-		clear(sc.offSq)
-		t.descend(sc, q, 0, 0, len(t.ids), 0)
-	}
+	sc.Reset(k)
+	t.Offer(sc, points, q, nil)
 	return sc.drain()
+}
+
+// Offer adds the rows the tree covers to the selection sc was Reset
+// for, keyed by squared distance to q, except those dead marks (nil
+// marks none): the rows it skips are exactly those that could not
+// enter. points may hold rows past the ones the tree was built over (an
+// engine's delta); those are the caller's to offer.
+func (t *Tree) Offer(sc *Scratch, points *vec.Rows, q vec.Vector, dead []bool) {
+	if len(t.ids) == 0 || sc.k <= 0 {
+		return
+	}
+	sc.offSq = slices.Grow(sc.offSq[:0], len(q))[:len(q)]
+	clear(sc.offSq)
+	sc.dead = dead
+	t.descend(sc, points, q, 0, 0, len(t.ids), 0)
+	sc.dead = nil
+}
+
+// treeSearcher is a tree bound to the rows it was built over: the
+// Searcher the graph build hands AllKNN.
+type treeSearcher struct {
+	tree   *Tree
+	points vec.Rows
+}
+
+// searchTree builds the tree over points as a Searcher.
+func searchTree(points []vec.Vector) *treeSearcher {
+	s := &treeSearcher{points: vec.AliasRows(points, len(points[0]))}
+	s.tree = NewTree(&s.points)
+	return s
+}
+
+func (s *treeSearcher) Search(q vec.Vector, k int) []Neighbor {
+	var sc Scratch
+	return s.SearchInto(&sc, q, k)
+}
+
+func (s *treeSearcher) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
+	return s.tree.Nearest(sc, &s.points, q, k)
 }
 
 // descend searches the node over ids[lo:hi], whose rows lie at squared
@@ -220,15 +247,15 @@ func (t *Tree) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
 // through (half of them on the d = 8 mixture), and where nothing prunes
 // the planes seldom get that close (on an isotropic Gaussian at d = 32
 // the gated check costs ~9 %, checking every leaf ~35 %).
-func (t *Tree) descend(sc *Scratch, q vec.Vector, node, lo, hi int, rd float64) {
+func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi int, rd float64) {
 	sc.nodes++
 	if t.leaf(node, lo, hi) {
-		if len(sc.out) == sc.k && rd >= sc.out[0].Dist/4 && t.prunes(sc, t.boxDist(q, node)) {
+		if len(sc.out) == sc.k && rd >= sc.theta()/4 && t.prunes(sc, t.boxDist(q, node)) {
 			return
 		}
 		sc.dist = slices.Grow(sc.dist[:0], hi-lo)[:hi-lo]
-		vec.SquaredEuclideanBatch(q, t.rows[lo:hi], sc.dist)
-		sc.offerAll(t.ids[lo:hi], sc.dist)
+		points.SqDistIDs(q, t.ids[lo:hi], sc.dist)
+		sc.OfferAll(t.ids[lo:hi], sc.dist)
 		return
 	}
 	s := t.dim[node]
@@ -240,7 +267,7 @@ func (t *Tree) descend(sc *Scratch, q vec.Vector, node, lo, hi int, rd float64) 
 		near, far = far, near
 		nlo, nhi, flo, fhi = flo, fhi, nlo, nhi
 	}
-	t.descend(sc, q, near, nlo, nhi, rd)
+	t.descend(sc, points, q, near, nlo, nhi, rd)
 	old := sc.offSq[s]
 	sq := off * off
 	farRD := rd + (sq - old)
@@ -248,7 +275,7 @@ func (t *Tree) descend(sc *Scratch, q vec.Vector, node, lo, hi int, rd float64) 
 		return
 	}
 	sc.offSq[s] = sq
-	t.descend(sc, q, far, flo, fhi, farRD)
+	t.descend(sc, points, q, far, flo, fhi, farRD)
 	sc.offSq[s] = old
 }
 

@@ -89,7 +89,7 @@ func FuzzExactKNN(f *testing.F) {
 		d := 1 + int(db)%40
 		k := 1 + int(kb)%(n+2)
 		pts := fuzzPoints(data, n, d)
-		tree, bf := NewTree(pts), NewBruteForce(pts)
+		tree, bf := searchTree(pts), NewBruteForce(pts)
 		queries := append(slices.Clone(pts), fuzzPoints(append([]byte{1}, data...), 1, d)[0])
 		var sc Scratch
 		for qi, q := range queries {
@@ -150,7 +150,7 @@ func TestAllKNNTiesByID(t *testing.T) {
 			}
 		}
 	}
-	for name, s := range map[string]Searcher{"tree": NewTree(pts), "ivf": ivf} {
+	for name, s := range map[string]Searcher{"tree": searchTree(pts), "ivf": ivf} {
 		got := AllKNN(pts, s, k)
 		for i := range got {
 			if err := sameNeighbors(got[i], want[i]); err != nil {
@@ -226,7 +226,7 @@ func TestBuildGraphTreeMatchesBruteForce(t *testing.T) {
 // see a bound that is merely loose, or offsets left stale.
 func TestTreePrunes(t *testing.T) {
 	pts := mixture8(5000)
-	tree := NewTree(pts)
+	tree := searchTree(pts)
 	var sc Scratch
 	for _, q := range pts {
 		tree.SearchInto(&sc, q, 6)
@@ -276,10 +276,10 @@ func BenchmarkAllKNN(b *testing.B) {
 		}
 		b.Run(c.name+"/tree", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				AllKNN(pts, NewTree(pts), k)
+				AllKNN(pts, searchTree(pts), k)
 			}
 			b.StopTimer()
-			tree := NewTree(pts)
+			tree := searchTree(pts)
 			var sc Scratch
 			for _, q := range pts {
 				tree.SearchInto(&sc, q, k+1)
@@ -305,7 +305,7 @@ func BenchmarkAllKNN(b *testing.B) {
 			for _, q := range pts {
 				ivf.SearchInto(&sc, q, k+1)
 			}
-			exact := AllKNN(pts, NewTree(pts), k)
+			exact := AllKNN(pts, searchTree(pts), k)
 			found, total := 0, 0
 			for i, want := range exact {
 				for _, nb := range want {

@@ -65,6 +65,19 @@ func (r *Rows) row64(i int) []float64 {
 	return r.f64[i*r.width : (i+1)*r.width : (i+1)*r.width]
 }
 
+// Head returns the first n rows, sharing their storage; appending to
+// either never writes into the other.
+func (r *Rows) Head(n int) Rows {
+	w := r.width
+	switch {
+	case r.f32 != nil:
+		return Rows{width: w, f32: r.f32[: n*w : n*w]}
+	case r.f64 != nil:
+		return Rows{width: w, f64: r.f64[: n*w : n*w]}
+	}
+	return Rows{width: w, vecs: r.vecs[:n:n]}
+}
+
 // Row returns row i in float64: the stored row itself for float64 rows
 // (read-only; an append to it reallocates), a widened copy in buf
 // (reallocated when short) for float32 ones.
@@ -105,21 +118,6 @@ func (r *Rows) SqDistIDs(q []float64, ids []int, out []float64) {
 		sqdistFlat(q, r.f64, ids, out, sqdist, sqdist4)
 	default:
 		SquaredEuclideanRows(q, r.vecs, ids, out)
-	}
-}
-
-// SqDistPrefix writes the squared L2 distance from q to each of the
-// first len(out) rows into out, four rows per kernel pass.
-func (r *Rows) SqDistPrefix(q []float64, out []float64) {
-	r.checkQuery(q)
-	n := len(out)
-	switch {
-	case r.f32 != nil:
-		SquaredEuclideanBatch32(q, r.f32[:n*r.width], out)
-	case r.f64 != nil:
-		sqdistFlat(q, r.f64[:n*r.width], nil, out, sqdist, sqdist4)
-	default:
-		SquaredEuclideanBatch(q, r.vecs[:n], out)
 	}
 }
 

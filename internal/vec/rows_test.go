@@ -94,14 +94,13 @@ func FuzzRows(f *testing.F) {
 			}
 			sameSlices("SqDistIDs", got, want)
 			m := rng.Intn(n + 1)
-			got, want = make([]float64, m), make([]float64, m)
-			r.SqDistPrefix(q, got)
-			if f32 {
-				SquaredEuclideanBatch32(q, flat32[:m*w], want)
-			} else {
-				SquaredEuclideanBatch(q, s.ref[:m], want)
+			head := r.Head(m)
+			if head.Len() != m || head.Width() != w {
+				t.Fatalf("%s: Head(%d) has %d rows of %d", s.name, m, head.Len(), head.Width())
 			}
-			sameSlices("SqDistPrefix", got, want)
+			for i := 0; i < m; i++ {
+				sameSlices("Head", head.Row(i, nil), r.Row(i, nil))
+			}
 			for i := 0; i < n; i++ {
 				y, yWant := slices.Clone(z[:w]), slices.Clone(z[:w])
 				r.Axpy(y, a, i)

@@ -201,6 +201,7 @@ func newGraphState(base *core.Index, d core.Delta) *graphState {
 			}
 		}
 	}
+	st.deriveLiveDelta(len(st.dead))
 	for _, probes := range d.Probes {
 		st.ov.Clusters = append(st.ov.Clusters, base.ProbeClusters(probes))
 	}

@@ -177,9 +177,13 @@ type spectralState struct {
 	// base rows [b*spectralBlock, (b+1)*spectralBlock): what lets the
 	// query scan skip rows, and whole blocks, that cannot reach the top k.
 	// Both are derived from the stored rows wherever a state is born
-	// (deriveNorms) and never persisted; Insert appends to embNorm only.
+	// (derive) and never persisted; Insert appends to embNorm only.
 	embNorm  []float64
 	blockMax []float64
+	// tree indexes the base points for the out-of-sample attach
+	// (attachLive); it too is derived wherever a state is born and never
+	// persisted.
+	tree *knn.Tree
 	// Delta attachments: item baseN+d owns attID/attW entries
 	// [attPtr[d], attPtr[d+1]) — its surrogate base anchors. Through
 	// them a delta item receives the hop scores of its neighbourhood
@@ -254,12 +258,14 @@ func pruneReach(scale float64, coeff []float64) (unit, reach float64) {
 	return unit, unit * max(nc, minCoeffNorm)
 }
 
-// deriveNorms fills embNorm and blockMax from the stored rows (widened
-// float32 in mixed-precision mode) in one sequential pass, and returns
-// the first item whose row holds a non-finite element, or -1. Such a row
-// would enter every top-k (NaN defeats the collector's comparison), so
-// loaders refuse it.
-func (st *spectralState) deriveNorms() int {
+// derive builds the attach tree over the base points and fills embNorm
+// and blockMax from the stored rows (widened float32 in mixed-precision
+// mode) in one sequential pass, and returns the first item whose row
+// holds a non-finite element, or -1. Such a row would enter every top-k
+// (NaN defeats the collector's comparison), so loaders refuse it.
+func (st *spectralState) derive() int {
+	base := st.points.Head(st.baseN)
+	st.tree = knn.NewTree(&base)
 	st.embNorm = make([]float64, st.numPoints())
 	st.blockMax = make([]float64, (st.baseN+spectralBlock-1)/spectralBlock)
 	bad := -1
@@ -372,7 +378,7 @@ func buildSpectralState(points []Vector, opts Options, sopts SpectralOptions, f3
 	if f32 {
 		st.narrow32()
 	}
-	if i := st.deriveNorms(); i >= 0 {
+	if i := st.derive(); i >= 0 {
 		return nil, fmt.Errorf("mogul: embedding row %d is non-finite", i)
 	}
 	st.stats = Stats{
@@ -815,16 +821,14 @@ func (sr *SpectralSearcher) scan(k, hops int) []Result {
 		}
 	}
 
-	// Delta rows: the attachment and self terms are at most AttachK+1
-	// cheap exact terms, so they are always evaluated (in magnitude) and
-	// only the dot product is spared.
+	// Live delta rows: the attachment and self terms are at most
+	// AttachK+1 cheap exact terms, so they are always evaluated (in
+	// magnitude) and only the dot product is spared. The self terms are
+	// live delta ids too, ascending, so one step keeps si in line.
 	si := 0
-	for i, n := st.baseN, st.numPoints(); i < n; i++ {
+	for _, i := range st.liveDelta {
 		if si < len(sr.deltaSelf) && sr.deltaSelf[si].id < i {
 			si++
-		}
-		if st.dead[i] {
-			continue
 		}
 		self, seeded := 0.0, si < len(sr.deltaSelf) && sr.deltaSelf[si].id == i
 		if seeded {
@@ -860,63 +864,34 @@ func (sr *SpectralSearcher) scan(k, hops int) []Result {
 // blocks entered / skipped whole by the bound.
 func (sr *SpectralSearcher) work() SearchInfo { return sr.info }
 
-// attachScratch is the out-of-sample attachment scratch: the batched
-// squared-distance sweep and the bounded nearest-live selection. Every
-// searcher owns one; the engine owns one more for Insert.
+// attachScratch is the out-of-sample attachment scratch: the selection
+// heap and the selected seeds. Every searcher owns one; the engine owns
+// one more for Insert.
 type attachScratch struct {
+	sel   knn.Scratch
 	dist  []float64
 	nbrID []int
 	nbrW  []float64
 }
 
 // attachLive finds the surrogate seeds of an out-of-sample vector in
-// st: the kAttach nearest live points by one batched squared-distance
-// sweep, heat-kernel weighted with the base graph's bandwidth. baseOnly
-// restricts the candidates to the base build (Insert needs anchors the
-// hop expansion can reach directly). It fills a.nbrID/a.nbrW
-// (normalized to unit mass) and returns the count and the raw
-// (unnormalized) kernel mass. Callers hold the engine's mu.
+// st: the kAttach nearest live points under (squared distance, id) — the
+// base rows through the state's tree, which reads a few leaves rather
+// than all n rows, and the live delta rows in one batch — heat-kernel
+// weighted with the base graph's bandwidth. baseOnly restricts the
+// candidates to the base build (Insert needs anchors the hop expansion
+// can reach directly). It fills a.nbrID/a.nbrW (normalized to unit
+// mass) and returns the count and the raw (unnormalized) kernel mass.
+// Callers hold the engine's mu.
 func (a *attachScratch) attachLive(st *spectralState, kAttach int, q Vector, baseOnly bool) (int, float64) {
-	n := st.numPoints()
-	if baseOnly {
-		n = st.baseN
+	a.sel.Reset(kAttach)
+	st.tree.Offer(&a.sel, &st.points, q, st.dead)
+	if !baseOnly {
+		a.dist = slices.Grow(a.dist[:0], len(st.liveDelta))[:len(st.liveDelta)]
+		st.points.SqDistIDs(q, st.liveDelta, a.dist)
+		a.sel.OfferAll(st.liveDelta, a.dist)
 	}
-	if cap(a.dist) < n {
-		a.dist = make([]float64, n)
-	}
-	a.dist = a.dist[:n]
-	st.points.SqDistPrefix(q, a.dist)
-	if cap(a.nbrID) < kAttach {
-		a.nbrID = make([]int, 0, kAttach)
-		a.nbrW = make([]float64, 0, kAttach)
-	}
-	a.nbrID = a.nbrID[:0]
-	a.nbrW = a.nbrW[:0]
-	// Bounded insertion selection over (distance, id) — a strict total
-	// order, so the selected set is deterministic.
-	for i := 0; i < n; i++ {
-		if st.dead[i] {
-			continue
-		}
-		d := a.dist[i]
-		if len(a.nbrID) == kAttach && d >= a.nbrW[kAttach-1] {
-			continue
-		}
-		pos := len(a.nbrID)
-		if pos < kAttach {
-			a.nbrID = a.nbrID[:pos+1]
-			a.nbrW = a.nbrW[:pos+1]
-		} else {
-			pos = kAttach - 1
-		}
-		for pos > 0 && a.nbrW[pos-1] > d {
-			a.nbrID[pos] = a.nbrID[pos-1]
-			a.nbrW[pos] = a.nbrW[pos-1]
-			pos--
-		}
-		a.nbrID[pos] = i
-		a.nbrW[pos] = d
-	}
+	a.nbrID, a.nbrW = a.nbrID[:0], a.nbrW[:0]
 	// Heat-kernel weights under the base bandwidth; a query so remote
 	// that every weight underflows falls back to uniform attachment
 	// (the ranking is meaningless either way, but stays well-defined).
@@ -925,9 +900,10 @@ func (a *attachScratch) attachLive(st *spectralState, kAttach int, q Vector, bas
 		inv = 1 / (2 * st.sigma * st.sigma)
 	}
 	var mass float64
-	for t, d := range a.nbrW {
-		w := math.Exp(-d * inv)
-		a.nbrW[t] = w
+	for _, nb := range a.sel.Sorted() {
+		w := math.Exp(-nb.Dist * inv)
+		a.nbrID = append(a.nbrID, nb.ID)
+		a.nbrW = append(a.nbrW, w)
 		mass += w
 	}
 	if mass > 0 {
@@ -981,13 +957,13 @@ func (sr *SpectralSearcher) affinity(q Vector) (float64, error) {
 }
 
 // attach computes the embedding row and the stored attachment of a
-// point arriving after the base build — the O(n·d) half of an Insert,
+// point arriving after the base build — the search half of an Insert,
 // which is why it runs under the read lock: it attaches to its AttachK
 // nearest live base points (anchors the hop expansion can reach
-// directly; one batched distance sweep, no decomposition) through the
-// exact code the query-time attachment uses, on scratch the engine
-// keeps, and its row is the attachment-weighted combination of theirs,
-// accumulated in float64.
+// directly; a tree search, no decomposition) through the exact code the
+// query-time attachment uses, on scratch the engine keeps, and its row
+// is the attachment-weighted combination of theirs, accumulated in
+// float64.
 func (e *SpectralIndex) attach(st *spectralState, v Vector) error {
 	a := &e.att
 	m, _ := a.attachLive(st, e.sopts.AttachK, v, true)

@@ -15,7 +15,7 @@ package mogul
 // anchor columns), and on this clustered workload its norm bound skips
 // nearly every row outside the query's hop ball, so the query rows
 // price the head — on this workload a ~10-item component, solved in
-// place — and, out of sample, the O(n*d) attachment sweep, rather than
+// place — and, out of sample, the attachment's tree search, rather than
 // n*r. BenchmarkSpectralHead prices the three ways a head can end.
 //
 // The workload matches the EMR bench exactly (same mixture, same

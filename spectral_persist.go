@@ -319,7 +319,7 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 		attID:        attID,
 		attW:         attW,
 	}
-	if i := st.deriveNorms(); i >= 0 {
+	if i := st.derive(); i >= 0 {
 		return nil, fmt.Errorf("mogul: embedding row %d is non-finite", i)
 	}
 	return newSpectralIndex(ropts, sopts, st), nil
