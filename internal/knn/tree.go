@@ -6,8 +6,8 @@ import (
 	"mogul/internal/vec"
 )
 
-// Tree is the exact nearest-row selection of the graph build and of
-// every engine's attach: a k-d tree whose answers are BruteForce's, the
+// Tree is the exact nearest-row search of the graph build and of the
+// spectral engine's attach: a k-d tree whose answers are BruteForce's, the
 // same ids in the same order with the same distance bits. A query
 // descends into the near child first and skips a subtree only when no
 // row in it can enter the k (see prunes). Leaves are scanned with the
@@ -182,18 +182,6 @@ func selectRank(keys []float64, ids []int, m int) {
 	}
 }
 
-// Nearest returns the k exact nearest rows of points to q, nearest
-// first with their distances; points are the rows the tree was built
-// over. The result aliases sc and is valid until its next use.
-func (t *Tree) Nearest(sc *Scratch, points *vec.Rows, q vec.Vector, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	sc.Reset(k)
-	t.Offer(sc, points, q, nil)
-	return sc.drain()
-}
-
 // Offer adds the rows the tree covers to the selection sc was Reset
 // for, keyed by squared distance to q, except those dead marks (nil
 // marks none): the rows it skips are exactly those that could not
@@ -217,9 +205,17 @@ type treeSearcher struct {
 	points vec.Rows
 }
 
-// searchTree builds the tree over points as a Searcher.
+// searchTree builds the tree over points as a Searcher. Its rows are
+// one flat copy of the points, dropped with the searcher: the n queries
+// of a graph build gathering leaves through the caller's per-row slices
+// measured ~12 % slower on the d = 8 mixture.
 func searchTree(points []vec.Vector) *treeSearcher {
-	s := &treeSearcher{points: vec.AliasRows(points, len(points[0]))}
+	d := len(points[0])
+	flat := make([]float64, 0, len(points)*d)
+	for _, p := range points {
+		flat = append(flat, p...)
+	}
+	s := &treeSearcher{points: vec.FlatRows(flat, d)}
 	s.tree = NewTree(&s.points)
 	return s
 }
@@ -230,7 +226,12 @@ func (s *treeSearcher) Search(q vec.Vector, k int) []Neighbor {
 }
 
 func (s *treeSearcher) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
-	return s.tree.Nearest(sc, &s.points, q, k)
+	if k <= 0 {
+		return nil
+	}
+	sc.Reset(k)
+	s.tree.Offer(sc, &s.points, q, nil)
+	return sc.drain()
 }
 
 // descend searches the node over ids[lo:hi], whose rows lie at squared
