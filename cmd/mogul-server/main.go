@@ -328,15 +328,28 @@ func serveForever(addr string, h http.Handler) {
 	log.Print("shut down cleanly")
 }
 
-// runCoordinator assembles the distributed read/write path: one
-// Client per shard URL (replicas of a shard separated by |), the
-// contiguous global-id partition derived from each shard's reported
-// item count, and the full serving layer (cache, batching,
-// backpressure, metrics) mounted over the Coordinator — which is just
-// another mogul.Retriever as far as package serve is concerned.
+// runCoordinator serves the distributed read/write path: the
+// coordinator over the shards in urls with the full serving layer
+// (cache, batching, backpressure, metrics) mounted over it — which is
+// just another mogul.Retriever as far as package serve is concerned.
 func runCoordinator(addr, urls string, serveOpts serve.Options, copts dist.ClientOptions, opts dist.CoordOptions) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	coord, err := dialCoordinator(ctx, urls, copts, opts)
+	cancel()
+	if err != nil {
+		log.Fatal("mogul-server: ", err)
+	}
+	srv := serve.New(coord, serveOpts)
+	defer srv.Close()
+	log.Printf("coordinator over %d shards, %d items", coord.NumShards(), coord.Len())
+	serveForever(addr, srv)
+}
+
+// dialCoordinator assembles a coordinator from -shard-urls: one Client
+// per shard URL (replicas of a shard separated by |) and the contiguous
+// global-id partition derived from each shard's reported id space
+// (tombstoned slots included, so every local id has a global one).
+func dialCoordinator(ctx context.Context, urls string, copts dist.ClientOptions, opts dist.CoordOptions) (*dist.Coordinator, error) {
 	var (
 		shards    []dist.Shard
 		partition [][]int
@@ -357,30 +370,23 @@ func runCoordinator(addr, urls string, serveOpts serve.Options, copts dist.Clien
 			replicas = append(replicas, c)
 		}
 		if primary == nil {
-			log.Fatalf("mogul-server: empty shard group in -shard-urls %q", urls)
+			return nil, fmt.Errorf("empty shard group in -shard-urls %q", urls)
 		}
 		info, err := primary.InfoCtx(ctx)
 		if err != nil {
-			log.Fatalf("mogul-server: probing shard %d (%s): %v", len(shards), primary.Base(), err)
+			return nil, fmt.Errorf("probing shard %d (%s): %w", len(shards), primary.Base(), err)
 		}
-		ids := make([]int, info.Items)
+		ids := make([]int, info.IDSpace)
 		for i := range ids {
 			ids[i] = next + i
 		}
-		next += info.Items
+		next += info.IDSpace
 		partition = append(partition, ids)
 		shards = append(shards, dist.Shard{Replicas: replicas})
 		log.Printf("shard %d: %s (%d replicas, %d items, version %d)",
 			len(shards)-1, primary.Base(), len(replicas), info.Items, info.Version)
 	}
-	coord, err := dist.NewCoordinator(shards, partition, opts)
-	if err != nil {
-		log.Fatal("mogul-server: ", err)
-	}
-	srv := serve.New(coord, serveOpts)
-	defer srv.Close()
-	log.Printf("coordinator over %d shards, %d items", len(shards), coord.Len())
-	serveForever(addr, srv)
+	return dist.NewCoordinator(shards, partition, opts)
 }
 
 func loadDataset(path string) (*mogul.Dataset, error) {

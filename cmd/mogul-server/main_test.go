@@ -1,8 +1,16 @@
 package main
 
 import (
+	"context"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"mogul"
+	"mogul/dist"
+	"mogul/serve"
 )
 
 // TestValidate is the table over config.validate: every refusal happens
@@ -65,5 +73,55 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("refusal %q does not name %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDialCoordinatorOverMutatedShards: shard servers that already hold
+// a tombstone and a delta item get a partition sized by their id space,
+// so the coordinator maps every local id — the inserted item's global
+// id is the highest and answers — and its live and delta counts are the
+// shards' own.
+func TestDialCoordinatorOverMutatedShards(t *testing.T) {
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 60, Classes: 3, Dim: 4, WithinStd: 0.3, Separation: 3, Seed: 3})
+	idxs, _, err := dist.BuildShardIndexes(ds.Points, mogul.Options{Seed: 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idxs[1].Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	local, err := idxs[1].Insert(ds.Points[40])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	var want mogul.DeltaStats
+	for _, ix := range idxs {
+		ss := dist.NewShardServer(ix, serve.Options{})
+		hs := httptest.NewServer(ss)
+		t.Cleanup(func() { hs.Close(); ss.Close() })
+		urls = append(urls, hs.URL)
+		d := ix.Delta()
+		want.BaseItems += d.BaseItems
+		want.DeltaItems += d.DeltaItems
+		want.Tombstones += d.Tombstones
+	}
+	coord, err := dialCoordinator(context.Background(), strings.Join(urls, ","), dist.ClientOptions{Timeout: 10 * time.Second}, dist.CoordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Len(); got != idxs[0].Len()+idxs[1].Len() {
+		t.Fatalf("Len %d, shards hold %d live items", got, idxs[0].Len()+idxs[1].Len())
+	}
+	if got := coord.Delta(); got != want {
+		t.Fatalf("Delta %+v, shards report %+v", got, want)
+	}
+	inserted := idxs[0].IDSpace() + local
+	res, err := coord.TopK(inserted, 3)
+	if err != nil {
+		t.Fatalf("TopK of the inserted item %d: %v", inserted, err)
+	}
+	if !slices.ContainsFunc(res, func(r mogul.Result) bool { return r.Node == inserted }) {
+		t.Fatalf("the inserted item %d is not in its own top 3 %v", inserted, res)
 	}
 }

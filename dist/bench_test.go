@@ -3,17 +3,20 @@ package dist_test
 // Distributed fan-out benchmarks over a loopback cluster: what one
 // coordinated TopK costs once HTTP, JSON, and the merge are in the
 // path, against the in-process ShardedIndex doing the same fan-out
-// without a network. CI's distributed-smoke job runs them as a smoke
-// test; the gated measurement of this path is the benchmark module's
-// dist_fanout workload.
+// without a network, and what a write through serve costs the shards.
+// CI's distributed-smoke job runs them as a smoke test; the gated
+// measurement of this path is the benchmark module's dist_fanout
+// workload.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"mogul"
 	"mogul/dist"
 	"mogul/dist/disttest"
+	"mogul/serve"
 )
 
 func benchCluster(b *testing.B, shards int) (*disttest.Cluster, *mogul.Dataset) {
@@ -79,4 +82,28 @@ func BenchmarkDistributedVsInProcess(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDistributedWrite runs insert + delete-own pairs through
+// serve over the 3-shard loopback cluster and reports the shard
+// requests each pair costs, read from the shard servers' /stats: a
+// count, so no noise on the host can blur it. One insert and one
+// delete is the floor.
+func BenchmarkDistributedWrite(b *testing.B) {
+	cl, ds := benchCluster(b, 3)
+	srv := serve.New(cl.Coord, serve.Options{})
+	defer srv.Close()
+	before := shardRequests(b, cl)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ins serve.InsertReply
+		postJSON(b, srv, "/insert", vectorBody(ds.Points[i%ds.Len()]), &ins)
+		postJSON(b, srv, "/delete", fmt.Sprintf(`{"id":%d}`, ins.ID), nil)
+	}
+	b.StopTimer()
+	total := 0
+	for _, n := range sinceStats(before, shardRequests(b, cl)) {
+		total += n
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "shard-requests/op")
 }

@@ -206,8 +206,9 @@ type Coordinator struct {
 	shards []Shard
 	opts   CoordOptions
 
-	// ids is the global id space with its locks, live counts (the
-	// coordinator is the sole mutator, so routing an insert costs no
+	// ids is the global id space with its locks, per-shard delta
+	// counts (the coordinator is the sole mutator, so routing an insert,
+	// Len, Delta and skipping a shard with nothing to compact cost no
 	// round trip) and mutation version.
 	ids *fanout.IDMap
 
@@ -219,27 +220,37 @@ type Coordinator struct {
 // lists each shard's global ids in shard-local order (as returned by
 // BuildShardIndexes, or ContiguousPartition for a freshly built
 // contiguous split). The shard states must match the partition — each
-// shard's index holds exactly the listed items, in that local order.
+// shard's index holds exactly the listed items, tombstoned ones
+// included, in that local order. Every shard primary is asked for its
+// state once: a partition that does not cover a shard's id space is
+// refused, and the shards' delta counts seed the ones the coordinator
+// keeps from here on.
 func NewCoordinator(shards []Shard, partition [][]int, opts CoordOptions) (*Coordinator, error) {
 	if len(shards) == 0 || len(shards) != len(partition) {
 		return nil, fmt.Errorf("dist: %d shards with %d partition groups", len(shards), len(partition))
 	}
 	total := 0
+	shapes := make([]fanout.Shape, len(shards))
+	var exact bool
 	for s, members := range partition {
 		if len(shards[s].Replicas) == 0 {
 			return nil, fmt.Errorf("dist: shard %d has no replicas", s)
 		}
 		total += len(members)
+		info, err := shards[s].Primary().InfoCtx(context.Background())
+		if err != nil {
+			return nil, fmt.Errorf("dist: probing shard %d: %w", s, err)
+		}
+		shapes[s] = fanout.Shape{Space: info.IDSpace, Live: info.Items, Delta: info.Delta}
+		if s == 0 {
+			exact = info.Exact
+		}
 	}
-	ids, err := fanout.New(partition, total, nil)
+	ids, err := fanout.New(partition, total, shapes)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	info, err := shards[0].Primary().InfoCtx(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("dist: probing shard 0: %w", err)
-	}
-	return &Coordinator{shards: shards, opts: opts, ids: ids, exact: info.Exact}, nil
+	return &Coordinator{shards: shards, opts: opts, ids: ids, exact: exact}, nil
 }
 
 // NumShards returns the shard count.
@@ -539,7 +550,7 @@ func (c *Coordinator) DeleteCtx(ctx context.Context, id int) error {
 	if err != nil {
 		return fmt.Errorf("dist: item %d (shard %d): %w", id, loc.Shard, err)
 	}
-	c.ids.MarkDeleted(loc.Shard)
+	c.ids.MarkDeleted(loc)
 	c.ids.Bump()
 	return nil
 }
@@ -563,16 +574,11 @@ func (c *Coordinator) CompactCtx(ctx context.Context) error {
 }
 
 // backendCompactor is a shard primary as fanout's compaction protocol
-// drives it: the two probes run under the per-shard deadline sctx, the
-// rebuild itself only under the caller's ctx.
+// drives it: the liveness probe runs under the per-shard deadline sctx,
+// the rebuild itself only under the caller's ctx.
 type backendCompactor struct {
 	ctx, sctx context.Context
 	b         Backend
-}
-
-func (bc backendCompactor) Pending() (mogul.DeltaStats, error) {
-	info, err := bc.b.InfoCtx(bc.sctx)
-	return info.Delta, err
 }
 
 func (bc backendCompactor) Liveness() (int, []int, error) { return bc.b.AliveMap(bc.sctx) }
@@ -606,13 +612,10 @@ func (c *Coordinator) Stats() mogul.Stats {
 	})
 }
 
-// Delta aggregates the dynamic state across reachable shards.
-func (c *Coordinator) Delta() mogul.DeltaStats {
-	return fanout.SumDelta(len(c.shards), func(s int) (mogul.DeltaStats, bool) {
-		info, err := c.shards[s].Primary().InfoCtx(context.Background())
-		return info.Delta, err == nil
-	})
-}
+// Delta aggregates the dynamic state across shards from the id map,
+// which every coordinator mutation updates (tracked locally, like Len:
+// the coordinator is the sole mutator).
+func (c *Coordinator) Delta() mogul.DeltaStats { return c.ids.Delta() }
 
 // strict turns a degraded-tolerant answer into the Retriever
 // contract: every asked shard must have answered.

@@ -12,6 +12,7 @@ package dist_test
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +36,18 @@ func equivCluster(t *testing.T, points []mogul.Vector, opts mogul.Options, shard
 		t.Fatal(err)
 	}
 	return cl, oracle
+}
+
+// summedDelta is the dynamic state the shard indexes report, summed.
+func summedDelta(idxs []*mogul.Index) mogul.DeltaStats {
+	var out mogul.DeltaStats
+	for _, ix := range idxs {
+		d := ix.Delta()
+		out.BaseItems += d.BaseItems
+		out.DeltaItems += d.DeltaItems
+		out.Tombstones += d.Tombstones
+	}
+	return out
 }
 
 func sampleQueries(n, stride int) []int {
@@ -162,41 +175,28 @@ func TestCoordinatorRecallApproximate(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDynamicEquivalence drives the same mutation sequence
-// through the coordinator and the oracle — inserts, deletes, a
-// compaction that renumbers shard-local ids — and requires the global
-// id assignment and every subsequent ranking to stay identical.
+// TestCoordinatorDynamicEquivalence: inserts, base and delta deletes
+// and a compaction through the coordinator leave it bit-identical to
+// the in-process oracle driven through the same mutations, and the
+// delta counts it keeps without asking the shards equal both the
+// oracle's and what the shard indexes themselves report, at every
+// stage.
 func TestCoordinatorDynamicEquivalence(t *testing.T) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{N: 240, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 9})
 	opts := mogul.Options{Seed: 3, Exact: true}
 	cl, oracle := equivCluster(t, ds.Points, opts, 3)
+	idxs := make([]*mogul.Index, len(cl.Servers))
+	for s, srv := range cl.Servers {
+		idxs[s] = srv.Index()
+	}
 
-	extra := mogul.NewMixture(mogul.MixtureConfig{N: 30, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 10})
-	for i, v := range extra.Points {
-		gotID, err := cl.Coord.Insert(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantID, err := oracle.Insert(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotID != wantID {
-			t.Fatalf("insert %d routed to global id %d, oracle %d", i, gotID, wantID)
-		}
-	}
-	for _, id := range []int{3, 50, 120, 200, 245} {
-		if err := cl.Coord.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
 	check := func(stage string) {
 		t.Helper()
 		if got, want := cl.Coord.Len(), oracle.Len(); got != want {
 			t.Fatalf("%s: Len %d vs oracle %d", stage, got, want)
+		}
+		if got, want, shards := cl.Coord.Delta(), oracle.Delta(), summedDelta(idxs); got != want || got != shards {
+			t.Fatalf("%s: Delta %+v, oracle %+v, shard indexes sum to %+v", stage, got, want, shards)
 		}
 		for _, q := range []int{0, 7, 100, 150, 239, 250, 262} {
 			want, wantErr := oracle.TopK(q, 10)
@@ -212,7 +212,32 @@ func TestCoordinatorDynamicEquivalence(t *testing.T) {
 			}
 		}
 	}
-	check("after mutations")
+	check("at construction")
+	extra := mogul.NewMixture(mogul.MixtureConfig{N: 30, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 10})
+	for i, v := range extra.Points {
+		gotID, err := cl.Coord.Insert(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantID, err := oracle.Insert(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotID != wantID {
+			t.Fatalf("insert %d routed to global id %d, oracle %d", i, gotID, wantID)
+		}
+	}
+	check("after inserts")
+	// Four base items and two delta items (ids 240 and up).
+	for _, id := range []int{3, 50, 120, 200, 245, 261} {
+		if err := cl.Coord.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after base and delta deletes")
 	if err := cl.Coord.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +248,90 @@ func TestCoordinatorDynamicEquivalence(t *testing.T) {
 	// Deleted ids must stay errors on both sides after renumbering.
 	if _, err := cl.Coord.TopK(3, 5); err == nil {
 		t.Fatal("deleted id 3 still answers on the coordinator after compaction")
+	}
+}
+
+// TestCoordinatorOverMutatedShards: a coordinator built over shards
+// that already hold tombstones and a delta layer takes its live and
+// delta counts from the shards and maps every local id, tombstoned
+// slots included, so it answers like a ShardedIndex over the same shard
+// states; a partition that leaves a shard's last local ids unmapped is
+// refused.
+func TestCoordinatorOverMutatedShards(t *testing.T) {
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 240, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 9})
+	opts := mogul.Options{Seed: 3, Exact: true}
+	cl, oracle := equivCluster(t, ds.Points, opts, 3)
+
+	// Mutate the oracle, then replay each mutation straight onto the
+	// shard index the oracle routed it to, behind the booted
+	// coordinator's back: the shard servers now hold what the oracle's
+	// shards hold.
+	locate := func(g int) (s, local int) {
+		for s, ids := range oracle.Partition() {
+			if local := slices.Index(ids, g); local >= 0 {
+				return s, local
+			}
+		}
+		t.Fatalf("global id %d is not mapped", g)
+		return 0, 0
+	}
+	extra := mogul.NewMixture(mogul.MixtureConfig{N: 12, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 10})
+	for _, v := range extra.Points {
+		g, err := oracle.Insert(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, want := locate(g)
+		if local, err := cl.Servers[s].Index().Insert(v); err != nil || local != want {
+			t.Fatalf("shard %d insert: local %d, %v; oracle's shard holds it at %d", s, local, err, want)
+		}
+	}
+	for _, g := range []int{5, 90, 170, 241, 247} {
+		s, local := locate(g)
+		if err := oracle.Delete(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Servers[s].Index().Delete(local); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	shards := make([]dist.Shard, len(cl.Clients))
+	for s, c := range cl.Clients {
+		shards[s] = dist.Shard{Replicas: []dist.Backend{c}}
+	}
+	partition := oracle.Partition()
+	coord, err := dist.NewCoordinator(shards, partition, dist.CoordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := coord.Len(), oracle.Len(); got != want {
+		t.Fatalf("Len %d, oracle %d", got, want)
+	}
+	if got, want := coord.Delta(), oracle.Delta(); got != want || want.DeltaItems == 0 || want.Tombstones == 0 {
+		t.Fatalf("Delta %+v, oracle %+v", got, want)
+	}
+	last := len(ds.Points) + len(extra.Points) - 1
+	for _, q := range []int{0, 100, last} {
+		want, err := oracle.TopK(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := coord.TopK(q, 10)
+		if err != nil {
+			t.Fatalf("TopK(%d): %v", q, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("TopK(%d) differs:\ncoordinator %v\noracle      %v", q, got, want)
+		}
+	}
+
+	// Sized by the live count, shard 0's table stops short of its id
+	// space (the partition drops its highest global ids).
+	short := slices.Clone(partition)
+	short[0] = short[0][:cl.Servers[0].Index().Len()]
+	if _, err := dist.NewCoordinator(shards, short, dist.CoordOptions{}); err == nil || !strings.Contains(err.Error(), "shard 0 id map covers") {
+		t.Fatalf("a partition short of shard 0's id space was not refused: %v", err)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"mogul/dist"
 )
 
-// TestCoordinatorConcurrentReadsAndMutations runs Len and TopK against
-// Insert/Delete/Compact on a coordinator over in-process shards. It
-// asserts little on its own — the race detector is the oracle: every
-// piece of coordinator state a search or Len reads (id map, live
+// TestCoordinatorConcurrentReadsAndMutations runs Len, Delta and TopK
+// against Insert/Delete/Compact on a coordinator over in-process shards.
+// It asserts little on its own — the race detector is the oracle: every
+// piece of coordinator state a search, Len or Delta reads (id map, delta
 // counts) must be written under the fan-out write lock. Run with -race.
 func TestCoordinatorConcurrentReadsAndMutations(t *testing.T) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{
@@ -45,6 +45,10 @@ func TestCoordinatorConcurrentReadsAndMutations(t *testing.T) {
 				}
 				if n := coord.Len(); n < len(base)-len(extra) || n > len(base)+len(extra) {
 					t.Errorf("Len %d outside what the mutation script can produce", n)
+					return
+				}
+				if d := coord.Delta(); d.DeltaItems < 0 || d.Tombstones < 0 || d.DeltaItems > len(extra) {
+					t.Errorf("Delta %+v outside what the mutation script can produce", d)
 					return
 				}
 				if _, err := coord.TopK(q, 5); err != nil {
@@ -83,5 +87,8 @@ func TestCoordinatorConcurrentReadsAndMutations(t *testing.T) {
 	readers.Wait()
 	if coord.Len() != live {
 		t.Fatalf("Len %d after the script, want %d", coord.Len(), live)
+	}
+	if got, want := coord.Delta(), summedDelta(idxs); got != want {
+		t.Fatalf("Delta %+v after the script, shards report %+v", got, want)
 	}
 }

@@ -15,9 +15,12 @@ import (
 type fakeShard struct {
 	alive []bool
 	base  int // slots that were present at the last compaction
+	calls int // Liveness and Compact calls
 }
 
-func (f *fakeShard) Pending() (core.DeltaStats, error) {
+// delta is the shard's own count of its dynamic state, the oracle of
+// the map's.
+func (f *fakeShard) delta() core.DeltaStats {
 	d := core.DeltaStats{BaseItems: f.base}
 	for local, a := range f.alive {
 		switch {
@@ -27,10 +30,11 @@ func (f *fakeShard) Pending() (core.DeltaStats, error) {
 			d.DeltaItems++
 		}
 	}
-	return d, nil
+	return d
 }
 
 func (f *fakeShard) Liveness() (space int, dead []int, err error) {
+	f.calls++
 	for local, a := range f.alive {
 		if !a {
 			dead = append(dead, local)
@@ -40,6 +44,7 @@ func (f *fakeShard) Liveness() (space int, dead []int, err error) {
 }
 
 func (f *fakeShard) Compact() error {
+	f.calls++
 	f.alive = slices.DeleteFunc(f.alive, func(a bool) bool { return !a })
 	f.base = len(f.alive)
 	return nil
@@ -48,8 +53,8 @@ func (f *fakeShard) Compact() error {
 // TestIDMapAgainstOracle drives random Insert/Delete/Compact sequences
 // through the map and a naive map[int]Loc oracle: Locate and the
 // local->global tables round-trip, compaction preserves the relative
-// order of survivors, a retired id never resolves again, live counts
-// and routing match, and the version only moves forward.
+// order of survivors, a retired id never resolves again, live counts,
+// delta counts and routing match, and the version only moves forward.
 func TestIDMapAgainstOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -82,14 +87,25 @@ func TestIDMapAgainstOracle(t *testing.T) {
 		check := func(op string) {
 			t.Helper()
 			total := 0
+			var delta core.DeltaStats
 			for s := range fakes {
 				total += liveOf(s)
+				d := fakes[s].delta()
+				if got := m.ShardDelta(s); got != d {
+					t.Fatalf("seed %d after %s: shard %d delta %+v, shard reports %+v", seed, op, s, got, d)
+				}
+				delta.BaseItems += d.BaseItems
+				delta.DeltaItems += d.DeltaItems
+				delta.Tombstones += d.Tombstones
 				if got := len(m.Locals(s)); got != len(fakes[s].alive) {
 					t.Fatalf("seed %d after %s: shard %d table covers %d slots, shard has %d", seed, op, s, got, len(fakes[s].alive))
 				}
 			}
 			if m.Len() != total {
 				t.Fatalf("seed %d after %s: Len %d, oracle %d", seed, op, m.Len(), total)
+			}
+			if got := m.Delta(); got != delta {
+				t.Fatalf("seed %d after %s: Delta %+v, shards sum to %+v", seed, op, got, delta)
 			}
 			for g := 0; g < m.Globals(); g++ {
 				loc, err := m.Locate(g)
@@ -140,11 +156,11 @@ func TestIDMapAgainstOracle(t *testing.T) {
 				}
 				fakes[loc.Shard].alive[loc.Local] = false
 				dead[g] = true
-				m.MarkDeleted(loc.Shard)
+				m.MarkDeleted(loc)
 				m.Bump()
 			default: // compact one shard
 				s := rng.Intn(shards)
-				d, _ := fakes[s].Pending()
+				d, calls := fakes[s].delta(), fakes[s].calls
 				// Survivors in old local order are the new local order.
 				survivors := []int{}
 				for _, g := range m.Locals(s) {
@@ -167,6 +183,8 @@ func TestIDMapAgainstOracle(t *testing.T) {
 				}
 				if pending := d.DeltaItems+d.Tombstones > 0; pending != (m.Version() == before+1) {
 					t.Fatalf("seed %d: %+v pending but version %d -> %d", seed, d, before, m.Version())
+				} else if !pending && fakes[s].calls != calls {
+					t.Fatalf("seed %d: shard %d with nothing pending was contacted", seed, s)
 				}
 			}
 			m.UnlockMutators()
@@ -184,10 +202,11 @@ func TestNewRejects(t *testing.T) {
 	dense := func(sizes ...int) []Shape {
 		out := make([]Shape, len(sizes))
 		for i, n := range sizes {
-			out[i] = Shape{Space: n, Live: n}
+			out[i] = Shape{Space: n, Live: n, Delta: core.DeltaStats{BaseItems: n}}
 		}
 		return out
 	}
+	tombstoned := Shape{Space: 2, Live: 1, Delta: core.DeltaStats{BaseItems: 2, Tombstones: 1}}
 	cases := []struct {
 		name      string
 		partition [][]int
@@ -198,7 +217,8 @@ func TestNewRejects(t *testing.T) {
 		{"dense", [][]int{{0, 1}, {2, 3}}, 4, nil, ""},
 		{"non-monotone (k-means) tables", [][]int{{3, 0}, {2, 1}}, 4, dense(2, 2), ""},
 		{"retired ids beyond the mapped slots", [][]int{{0, 1}, {4, 5}}, 6, nil, ""},
-		{"tombstoned slot still mapped", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 1}, {2, 2}}, ""},
+		{"tombstoned slot still mapped", [][]int{{0, 1}, {2, 3}}, 4, []Shape{tombstoned, dense(2)[0]}, ""},
+		{"live and tombstoned delta items", [][]int{{0, 1, 2, 3}, {4, 5}}, 6, []Shape{{4, 3, core.DeltaStats{BaseItems: 2, DeltaItems: 1, Tombstones: 1}}, dense(2)[0]}, ""},
 		{"no shards", nil, 0, nil, "no shards"},
 		{"duplicate global id", [][]int{{0, 1}, {1, 2}}, 4, nil, "assigned to shards 0 and 1"},
 		{"duplicate inside one shard", [][]int{{0, 0}, {1, 2}}, 4, nil, "assigned to shards 0 and 0"},
@@ -210,7 +230,12 @@ func TestNewRejects(t *testing.T) {
 		{"fewer global ids than slots", [][]int{{0, 1}, {2, 3}}, 3, nil, "3 global ids for 4 shard slots"},
 		{"table shorter than the shard's id space", [][]int{{0, 1}, {2}}, 3, dense(2, 2), "covers 1 slots, shard has 2"},
 		{"table longer than the shard's id space", [][]int{{0, 1}, {2, 3}}, 4, dense(2, 1), "covers 2 slots, shard has 1"},
-		{"more live items than slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 3}, {2, 2}}, "3 live items in 2 slots"},
+		{"more live items than slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 3, core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "3 live items in 2 slots"},
+		{"no delta counts", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{Space: 2, Live: 2}, dense(2)[0]}, "reports delta"},
+		{"tombstones that disagree with the live count", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 1, core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "reports delta"},
+		{"delta past the slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 2, core.DeltaStats{BaseItems: 2, DeltaItems: 1}}, dense(2)[0]}, "reports delta"},
+		{"more dead delta items than tombstones", [][]int{{0, 1, 2}, {3, 4}}, 5, []Shape{{3, 3, core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "reports delta"},
+		{"more dead base items than base", [][]int{{0, 1, 2}, {3, 4}}, 5, []Shape{{3, 1, core.DeltaStats{BaseItems: 1, DeltaItems: 2, Tombstones: 2}}, dense(2)[0]}, "reports delta"},
 		{"shape count", [][]int{{0, 1}, {2, 3}}, 4, dense(2), "1 shards with 2 partition groups"},
 	}
 	for _, c := range cases {
@@ -226,9 +251,12 @@ func TestNewRejects(t *testing.T) {
 			t.Errorf("%s: fresh map at version %d", c.name, m.Version())
 		}
 	}
-	m, err := New([][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 1}, {2, 2}})
+	m, err := New([][]int{{0, 1}, {2, 3}}, 4, []Shape{tombstoned, dense(2)[0]})
 	if err != nil || m.Len() != 3 || m.LeastLoaded() != 0 {
 		t.Fatalf("shapes must supply the live counts: Len %d, LeastLoaded %d, err %v", m.Len(), m.LeastLoaded(), err)
+	}
+	if d := m.Delta(); d != (core.DeltaStats{BaseItems: 4, Tombstones: 1}) {
+		t.Fatalf("shapes must seed the delta counts: %+v", d)
 	}
 }
 
@@ -359,11 +387,5 @@ func TestSums(t *testing.T) {
 	st := SumStats(3, func(s int) (core.Stats, bool) { return stats[s], s != 1 })
 	if st.NumNodes != 40 || st.Modularity != (10*0.2+30*0.6)/40 {
 		t.Fatalf("SumStats = %+v", st)
-	}
-	d := SumDelta(3, func(s int) (core.DeltaStats, bool) {
-		return core.DeltaStats{BaseItems: 5, DeltaItems: s, Tombstones: 1}, s != 1
-	})
-	if d != (core.DeltaStats{BaseItems: 10, DeltaItems: 2, Tombstones: 2}) {
-		t.Fatalf("SumDelta = %+v", d)
 	}
 }

@@ -28,10 +28,12 @@ type Loc struct {
 // the id is never reused.
 var retired = Loc{Shard: -1, Local: -1}
 
-// Shape is one shard's id space as the shard itself reports it: Space
-// slots (live and tombstoned alike), Live of them live.
+// Shape is one shard's state as the shard itself reports it: Space
+// slots (live and tombstoned alike), Live of them live, and Delta, the
+// split of those slots into base, live delta and tombstones.
 type Shape struct {
 	Space, Live int
+	Delta       core.DeltaStats
 }
 
 // IDMap is the global id space of a fan-out together with the locking
@@ -41,25 +43,28 @@ type Shape struct {
 //     cannot move under a query;
 //   - mutators bracket themselves with LockMutators/UnlockMutators
 //     (one at a time) and the map changes only inside Append,
-//     MarkDeleted and CompactShard, each under the write lock;
+//     MarkDeleted and CompactShard, each under the write lock — and so
+//     do the per-shard delta counts, which is why Delta needs no shard
+//     round trip while the map's owner is the shards' sole mutator;
 //   - Version bumps only once a mutation is fully visible — shard state
 //     and id map both — so a version-stamped cache never captures the
 //     window where a shard already answers with an item the map cannot
 //     name.
 //
-// Locate, LeastLoaded, Globals and Locals read the map and need either
-// lock held.
+// Locate, LeastLoaded, ShardDelta, Globals and Locals read the map and
+// need either lock held.
 type IDMap struct {
 	mu    sync.RWMutex
 	mutMu sync.Mutex
 
 	// locOf maps a global id to its location; l2g is the inverse, one
 	// dense table per shard covering the shard's whole local id space;
-	// live counts each shard's live items, so routing needs no shard
-	// round trip.
+	// delta is each shard's base size, live delta items and tombstones,
+	// so a shard's live count is len(l2g[s]) - delta[s].Tombstones and
+	// neither routing nor Delta costs a shard round trip.
 	locOf []Loc
 	l2g   [][]int
-	live  []int
+	delta []core.DeltaStats
 
 	version atomic.Uint64
 }
@@ -68,8 +73,9 @@ type IDMap struct {
 // global ids in shard-local order. globals is the size of the global id
 // space; it exceeds the mapped slots by the retired ids. shapes
 // cross-checks each table against its shard (the table must cover the
-// shard's id space exactly) and supplies the live counts; nil means the
-// shards are known only through the partition, every slot live. The
+// shard's id space exactly) and supplies the delta counts, which must
+// add up to the shard's slots and live items; nil means the shards are
+// known only through the partition, every slot a live base item. The
 // partition is copied.
 //
 // A partition that maps an id twice or outside [0, globals) is
@@ -94,13 +100,13 @@ func New(partition [][]int, globals int, shapes []Shape) (*IDMap, error) {
 	m := &IDMap{
 		locOf: make([]Loc, globals),
 		l2g:   make([][]int, len(partition)),
-		live:  make([]int, len(partition)),
+		delta: make([]core.DeltaStats, len(partition)),
 	}
 	for g := range m.locOf {
 		m.locOf[g] = retired
 	}
 	for s, members := range partition {
-		m.live[s] = len(members)
+		m.delta[s] = core.DeltaStats{BaseItems: len(members)}
 		if shapes != nil {
 			sh := shapes[s]
 			if len(members) != sh.Space {
@@ -109,7 +115,16 @@ func New(partition [][]int, globals int, shapes []Shape) (*IDMap, error) {
 			if sh.Live < 0 || sh.Live > sh.Space {
 				return nil, fmt.Errorf("shard %d reports %d live items in %d slots", s, sh.Live, sh.Space)
 			}
-			m.live[s] = sh.Live
+			// The slots past the base that are not live delta items are
+			// tombstoned delta items; the rest of the tombstones sit in
+			// the base.
+			d := sh.Delta
+			deadDelta := sh.Space - d.BaseItems - d.DeltaItems
+			if d.BaseItems < 0 || d.DeltaItems < 0 || d.Tombstones != sh.Space-sh.Live ||
+				deadDelta < 0 || deadDelta > d.Tombstones || d.Tombstones-deadDelta > d.BaseItems {
+				return nil, fmt.Errorf("shard %d reports delta %+v for %d slots, %d live", s, d, sh.Space, sh.Live)
+			}
+			m.delta[s] = d
 		}
 		m.l2g[s] = slices.Clone(members)
 		for local, g := range members {
@@ -180,11 +195,31 @@ func (m *IDMap) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	total := 0
-	for _, n := range m.live {
-		total += n
+	for s := range m.l2g {
+		total += m.live(s)
 	}
 	return total
 }
+
+// live is shard s's live item count.
+func (m *IDMap) live(s int) int { return len(m.l2g[s]) - m.delta[s].Tombstones }
+
+// Delta returns the dynamic state summed over all shards, as the
+// mutations through this map left it.
+func (m *IDMap) Delta() core.DeltaStats {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var out core.DeltaStats
+	for _, d := range m.delta {
+		out.BaseItems += d.BaseItems
+		out.DeltaItems += d.DeltaItems
+		out.Tombstones += d.Tombstones
+	}
+	return out
+}
+
+// ShardDelta returns shard s's dynamic state.
+func (m *IDMap) ShardDelta(s int) core.DeltaStats { return m.delta[s] }
 
 // Locate resolves a global id to its shard and local id.
 func (m *IDMap) Locate(id int) (Loc, error) {
@@ -243,8 +278,8 @@ func (m *IDMap) Neighbors(shard int, ids []int, weights []float64) ([]int, []flo
 // ties — the insert route when the partition carries no geometry.
 func (m *IDMap) LeastLoaded() int {
 	best := 0
-	for s := 1; s < len(m.live); s++ {
-		if m.live[s] < m.live[best] {
+	for s := 1; s < len(m.l2g); s++ {
+		if m.live(s) < m.live(best) {
 			best = s
 		}
 	}
@@ -263,22 +298,25 @@ func (m *IDMap) Append(shard, local int) int {
 	g := len(m.locOf)
 	m.locOf = append(m.locOf, Loc{Shard: shard, Local: local})
 	m.l2g[shard] = append(m.l2g[shard], g)
-	m.live[shard]++
+	m.delta[shard].DeltaItems++
 	return g
 }
 
-// MarkDeleted records that a live item of shard was tombstoned. The id
-// keeps resolving until the shard's next compaction retires it.
-func (m *IDMap) MarkDeleted(shard int) {
+// MarkDeleted records that the live item at loc was tombstoned; past
+// its shard's base it also stops being a live delta item. The id keeps
+// resolving until the shard's next compaction retires it.
+func (m *IDMap) MarkDeleted(loc Loc) {
 	m.mu.Lock()
-	m.live[shard]--
+	d := &m.delta[loc.Shard]
+	d.Tombstones++
+	if loc.Local >= d.BaseItems {
+		d.DeltaItems--
+	}
 	m.mu.Unlock()
 }
 
 // Compactor is one shard as the compaction protocol drives it.
 type Compactor interface {
-	// Pending reports what a compaction would fold in.
-	Pending() (core.DeltaStats, error)
 	// Liveness snapshots the shard's id space and the local ids in it
 	// that are tombstoned.
 	Liveness() (space int, dead []int, err error)
@@ -288,8 +326,10 @@ type Compactor interface {
 	Compact() error
 }
 
-// CompactShard compacts shard s and keeps global ids stable across it.
-// Callers hold the mutator lock.
+// CompactShard compacts shard s and keeps global ids stable across it,
+// leaving the shard a base of its survivors with no delta and no
+// tombstones. A shard whose counts show nothing to fold in is not
+// contacted. Callers hold the mutator lock.
 //
 // An insert-only shard compacts without blocking searches: its local
 // ids do not move, so the map stays valid throughout. Tombstones
@@ -303,14 +343,17 @@ type Compactor interface {
 // not serve pre-swap answers while later shards rebuild or after one of
 // them fails.
 func (m *IDMap) CompactShard(s int, sh Compactor) error {
-	d, err := sh.Pending()
-	if err != nil || d.DeltaItems+d.Tombstones == 0 {
-		return err
+	d := m.delta[s]
+	if d.DeltaItems+d.Tombstones == 0 {
+		return nil
 	}
 	if d.Tombstones == 0 {
 		if err := sh.Compact(); err != nil {
 			return err
 		}
+		m.mu.Lock()
+		m.delta[s] = core.DeltaStats{BaseItems: len(m.l2g[s])}
+		m.mu.Unlock()
 		m.version.Add(1)
 		return nil
 	}
@@ -341,7 +384,7 @@ func (m *IDMap) CompactShard(s int, sh Compactor) error {
 		}
 	}
 	m.l2g[s] = table[:j]
-	m.live[s] = j
+	m.delta[s] = core.DeltaStats{BaseItems: j}
 	m.version.Add(1)
 	return nil
 }

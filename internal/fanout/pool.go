@@ -65,19 +65,3 @@ func SumStats(n int, get func(s int) (core.Stats, bool)) core.Stats {
 	}
 	return out
 }
-
-// SumDelta aggregates the dynamic state over n shards, leaving out the
-// ones get reports false for.
-func SumDelta(n int, get func(s int) (core.DeltaStats, bool)) core.DeltaStats {
-	var out core.DeltaStats
-	for s := 0; s < n; s++ {
-		d, ok := get(s)
-		if !ok {
-			continue
-		}
-		out.BaseItems += d.BaseItems
-		out.DeltaItems += d.DeltaItems
-		out.Tombstones += d.Tombstones
-	}
-	return out
-}

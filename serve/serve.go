@@ -401,8 +401,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// One post-insert snapshot serves the check below and the response:
-	// on a coordinator every Delta is a round trip per shard.
+	// One post-insert snapshot serves the check below and the response.
 	ds := s.idx.Delta()
 	if ds.BaseItems != baseBefore {
 		// The insert auto-compacted (AutoCompactFraction, e.g. restored

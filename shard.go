@@ -99,11 +99,12 @@ type ShardedIndex struct {
 
 // newShardedIndex puts shards behind the global id space partition
 // describes (partition[s] lists shard s's global ids in local order),
-// cross-checking every table against its shard's own id space.
+// cross-checking every table against its shard's own id space and
+// seeding the map's delta counts from the shards'.
 func newShardedIndex(shards []*Index, partition [][]int, globals int, part Partitioner, centroids []Vector, autoCompact float64) (*ShardedIndex, error) {
 	shapes := make([]fanout.Shape, len(shards))
 	for s, sh := range shards {
-		shapes[s] = fanout.Shape{Space: sh.IDSpace(), Live: sh.Len()}
+		shapes[s] = fanout.Shape{Space: sh.IDSpace(), Live: sh.Len(), Delta: sh.Delta()}
 	}
 	ids, err := fanout.New(partition, globals, shapes)
 	if err != nil {
@@ -336,10 +337,9 @@ func (six *ShardedIndex) Stats() Stats {
 	return fanout.SumStats(len(six.shards), func(s int) (Stats, bool) { return six.shards[s].Stats(), true })
 }
 
-// Delta aggregates the dynamic state across shards.
-func (six *ShardedIndex) Delta() DeltaStats {
-	return fanout.SumDelta(len(six.shards), func(s int) (DeltaStats, bool) { return six.shards[s].Delta(), true })
-}
+// Delta aggregates the dynamic state across shards, as the id map
+// tracks it (the sharded index is its shards' only mutator).
+func (six *ShardedIndex) Delta() DeltaStats { return six.ids.Delta() }
 
 // Neighbors returns an item's graph context inside its owning shard,
 // remapped to global ids. Edges never cross shards, so the neighbour
@@ -602,7 +602,7 @@ func (six *ShardedIndex) Insert(v Vector) (int, error) {
 	g := six.ids.Append(s, local)
 
 	if six.autoCompact > 0 {
-		d := six.shards[s].Delta()
+		d := six.ids.ShardDelta(s)
 		if float64(d.DeltaItems+d.Tombstones) > six.autoCompact*float64(d.BaseItems) {
 			// Mirrors the single-index auto path: the insert has already
 			// succeeded, so a compaction failure is deferred to an
@@ -627,7 +627,7 @@ func (six *ShardedIndex) Delete(id int) error {
 	if err := six.shards[loc.Shard].Delete(loc.Local); err != nil {
 		return fmt.Errorf("mogul: item %d (shard %d): %w", id, loc.Shard, err)
 	}
-	six.ids.MarkDeleted(loc.Shard)
+	six.ids.MarkDeleted(loc)
 	six.ids.Bump()
 	return nil
 }
@@ -652,8 +652,6 @@ func (six *ShardedIndex) Compact() error {
 // shardCompactor is an in-process shard as fanout's compaction protocol
 // drives it (Compact is the Index's own).
 type shardCompactor struct{ *Index }
-
-func (c shardCompactor) Pending() (DeltaStats, error) { return c.Delta(), nil }
 
 func (c shardCompactor) Liveness() (space int, dead []int, err error) {
 	space = c.IDSpace()
