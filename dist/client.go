@@ -9,9 +9,11 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"mogul"
+	"mogul/internal/jsonwire"
 	"mogul/serve"
 )
 
@@ -111,8 +113,9 @@ func retryable(err error) bool {
 }
 
 // do runs one request against the shard, retrying per the policy when
-// idempotent. It returns the response body and headers on 2xx.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool) ([]byte, http.Header, error) {
+// idempotent. On 2xx the response body is in dst and its headers are
+// returned.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool, dst *bytes.Buffer) (http.Header, error) {
 	attempts := 1
 	if idempotent {
 		attempts += c.opts.Retries
@@ -127,26 +130,27 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemp
 			select {
 			case <-time.After(delay):
 			case <-ctx.Done():
-				return nil, nil, ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
-		data, hdr, err := c.attempt(ctx, method, path, body)
+		hdr, err := c.attempt(ctx, method, path, body, dst)
 		if err == nil {
-			return data, hdr, nil
+			return hdr, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 		if !idempotent || !retryable(err) {
 			break
 		}
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
-// attempt is one HTTP round trip under the per-request timeout.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte) ([]byte, http.Header, error) {
+// attempt is one HTTP round trip under the per-request timeout; the
+// response body replaces dst's contents.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, dst *bytes.Buffer) (http.Header, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
 	var rd io.Reader
@@ -155,29 +159,29 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 	}
 	req, err := http.NewRequestWithContext(rctx, method, c.base+path, rd)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	dst.Reset()
+	if _, err := dst.ReadFrom(resp.Body); err != nil {
 		// A mid-body reset: the response is unusable even on 200.
-		return nil, nil, fmt.Errorf("dist: reading response body: %w", err)
+		return nil, fmt.Errorf("dist: reading response body: %w", err)
 	}
 	if resp.StatusCode/100 != 2 {
-		msg := decodeErrorBody(data)
+		msg := decodeErrorBody(dst.Bytes())
 		if resp.StatusCode == http.StatusGone {
-			return nil, nil, fmt.Errorf("%w: %s", errGone, msg)
+			return nil, fmt.Errorf("%w: %s", errGone, msg)
 		}
-		return nil, nil, &httpError{status: resp.StatusCode, msg: msg}
+		return nil, &httpError{status: resp.StatusCode, msg: msg}
 	}
-	return data, resp.Header, nil
+	return resp.Header, nil
 }
 
 // decodeErrorBody extracts {"error": msg}; raw body as fallback.
@@ -189,30 +193,51 @@ func decodeErrorBody(data []byte) string {
 	return string(bytes.TrimSpace(data))
 }
 
-// getJSON runs an idempotent GET and decodes the JSON response.
-func (c *Client) getJSON(ctx context.Context, path string, out interface{}) error {
-	data, _, err := c.do(ctx, http.MethodGet, path, nil, true)
-	if err != nil {
+// readBufs recycles the buffers JSON replies are read into; one that
+// grew past jsonwire.MaxPooled is left to the collector.
+var readBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// call runs one request and hands its 2xx body to decode, which must
+// copy out what it keeps: the body is read into a pooled buffer that is
+// reused once decode returns. A nil decode ignores the body.
+func (c *Client) call(ctx context.Context, method, path string, body []byte, idempotent bool, decode func([]byte) error) error {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= jsonwire.MaxPooled {
+			readBufs.Put(buf)
+		}
+	}()
+	if _, err := c.do(ctx, method, path, body, idempotent, buf); err != nil || decode == nil {
 		return err
 	}
-	return json.Unmarshal(data, out)
+	return decode(buf.Bytes())
 }
 
-// postJSON runs a POST carrying a JSON body; idempotent selects the
-// read retry policy (a vector search is a read that happens to POST).
+// getJSON runs an idempotent GET and decodes the JSON response.
+func (c *Client) getJSON(ctx context.Context, path string, out interface{}) error {
+	return c.call(ctx, http.MethodGet, path, nil, true, func(data []byte) error { return json.Unmarshal(data, out) })
+}
+
+// postJSON runs a POST carrying a JSON body, decoding the reply into out
+// unless it is nil; idempotent selects the read retry policy.
 func (c *Client) postJSON(ctx context.Context, path string, in, out interface{}, idempotent bool) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	data, _, err := c.do(ctx, http.MethodPost, path, body, idempotent)
-	if err != nil {
-		return err
+	var decode func([]byte) error
+	if out != nil {
+		decode = func(data []byte) error { return json.Unmarshal(data, out) }
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return c.call(ctx, http.MethodPost, path, body, idempotent, decode)
+}
+
+// search runs one idempotent /dist search (a vector or set search is a
+// read that happens to POST) and decodes its reply.
+func (c *Client) search(ctx context.Context, method, path string, body []byte, owner bool) (searchReply, error) {
+	var r searchReply
+	err := c.call(ctx, method, path, body, true, func(data []byte) error { return r.decode(data, owner) })
+	return r, err
 }
 
 // --- the Backend surface ---
@@ -228,31 +253,39 @@ func (c *Client) InfoCtx(ctx context.Context) (Info, error) {
 // TopK: the shard-local ranking plus the query item's vector and the
 // owning shard's affinity to it.
 func (c *Client) OwnerSearch(ctx context.Context, local, k int) ([]mogul.Result, mogul.Vector, float64, error) {
-	var resp ownerResponse
 	path := "/dist/owner?id=" + strconv.Itoa(local) + "&k=" + strconv.Itoa(k)
-	if err := c.getJSON(ctx, path, &resp); err != nil {
+	r, err := c.search(ctx, http.MethodGet, path, nil, true)
+	if err != nil {
 		return nil, nil, 0, err
 	}
-	return fromWire(resp.Answers), resp.Vector, resp.Affinity, nil
+	return r.res, r.vec, r.aff, nil
 }
 
 // VectorSearch probes the shard out-of-sample, returning the local
 // ranking and the shard's raw kernel affinity to the query.
 func (c *Client) VectorSearch(ctx context.Context, q mogul.Vector, k int) ([]mogul.Result, float64, error) {
-	var resp vectorResponse
-	if err := c.postJSON(ctx, "/dist/vector", serve.VectorQuery{Vector: q, K: k}, &resp, true); err != nil {
+	body, err := appendVectorQuery(make([]byte, 0, 32+24*len(q)), q, k)
+	if err != nil {
 		return nil, 0, err
 	}
-	return fromWire(resp.Answers), resp.Affinity, nil
+	r, err := c.search(ctx, http.MethodPost, "/dist/vector", body, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.res, r.aff, nil
 }
 
 // SetSearch runs a weighted multi-seed search over shard-local ids.
 func (c *Client) SetSearch(ctx context.Context, locals []int, weight float64, k int) ([]mogul.Result, error) {
-	var resp vectorResponse
-	if err := c.postJSON(ctx, "/dist/set", serve.SetQuery{IDs: locals, Weight: weight, K: k}, &resp, true); err != nil {
+	body, err := json.Marshal(serve.SetQuery{IDs: locals, Weight: weight, K: k})
+	if err != nil {
 		return nil, err
 	}
-	return fromWire(resp.Answers), nil
+	r, err := c.search(ctx, http.MethodPost, "/dist/set", body, false)
+	if err != nil {
+		return nil, err
+	}
+	return r.res, nil
 }
 
 // NeighborsCtx fetches an item's graph context with cancellation.
@@ -299,14 +332,14 @@ func (c *Client) AliveMap(ctx context.Context) (space int, dead []int, err error
 // was truncated past the cursor (the server answered 410) and the
 // follower must bootstrap from Snapshot.
 func (c *Client) LogEntries(ctx context.Context, since uint64) ([]mogul.LogEntry, bool, error) {
-	data, _, err := c.do(ctx, http.MethodGet, "/dist/log?since="+strconv.FormatUint(since, 10), nil, true)
-	if err != nil {
+	var data bytes.Buffer
+	if _, err := c.do(ctx, http.MethodGet, "/dist/log?since="+strconv.FormatUint(since, 10), nil, true, &data); err != nil {
 		if errors.Is(err, errGone) {
 			return nil, false, nil
 		}
 		return nil, false, err
 	}
-	entries, err := mogul.ReadLogEntries(bytes.NewReader(data))
+	entries, err := mogul.ReadLogEntries(&data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -323,7 +356,8 @@ func (c *Client) TruncateLog(ctx context.Context, upTo uint64) error {
 // version is exactly the state the stream serializes, so a follower
 // loading it resumes the log at that cursor.
 func (c *Client) Snapshot(ctx context.Context) (ShardIndex, uint64, error) {
-	data, hdr, err := c.do(ctx, http.MethodGet, "/dist/snapshot", nil, true)
+	var data bytes.Buffer
+	hdr, err := c.do(ctx, http.MethodGet, "/dist/snapshot", nil, true, &data)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -331,7 +365,7 @@ func (c *Client) Snapshot(ctx context.Context) (ShardIndex, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: snapshot missing %s header", versionHeader)
 	}
-	ret, err := mogul.Load(bytes.NewReader(data))
+	ret, err := mogul.Load(&data)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -262,7 +262,8 @@ func (c *Coordinator) NumShards() int { return len(c.shards) }
 type Degraded struct {
 	// Answered lists the shards whose candidates entered the merge.
 	Answered []int
-	// Failed maps each non-answering shard to its failure.
+	// Failed maps each non-answering shard to its failure. It is nil
+	// when every shard asked answered.
 	Failed map[int]error
 }
 
@@ -282,6 +283,12 @@ func (d *Degraded) Err() error {
 	sort.Ints(ids)
 	return fmt.Errorf("dist: %d of %d shards failed (first: shard %d: %v)",
 		len(d.Failed), len(d.Failed)+len(d.Answered), ids[0], d.Failed[ids[0]])
+}
+
+// newDegraded starts a fan-out's report, with Answered sized once to the
+// shard count and Failed left for the first failure to make.
+func (c *Coordinator) newDegraded() *Degraded {
+	return &Degraded{Answered: make([]int, 0, len(c.shards))}
 }
 
 // shardCtx derives the per-shard deadline context.
@@ -396,6 +403,9 @@ func askAll[T any](ctx context.Context, c *Coordinator, deg *Degraded, want func
 			omu.Lock()
 			defer omu.Unlock()
 			if err != nil {
+				if deg.Failed == nil {
+					deg.Failed = map[int]error{}
+				}
 				deg.Failed[s] = err
 				return
 			}
@@ -451,7 +461,8 @@ func (c *Coordinator) TopKCtx(ctx context.Context, query, k int) ([]mogul.Result
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: owner shard %d: %w", loc.Shard, err)
 	}
-	deg := &Degraded{Answered: []int{loc.Shard}, Failed: map[int]error{}}
+	deg := c.newDegraded()
+	deg.Answered = append(deg.Answered, loc.Shard)
 	var mg fanout.Merge
 	mg.Reset(len(c.shards))
 	mg.Add(c.ids, loc.Shard, own.res, 1)
@@ -471,7 +482,7 @@ func (c *Coordinator) TopKVectorCtx(ctx context.Context, q mogul.Vector, k int) 
 	}
 	c.ids.RLock()
 	defer c.ids.RUnlock()
-	deg := &Degraded{Failed: map[int]error{}}
+	deg := c.newDegraded()
 	var mg fanout.Merge
 	mg.Reset(len(c.shards))
 	c.probe(ctx, q, k, -1, deg, &mg)
@@ -500,7 +511,7 @@ func (c *Coordinator) TopKSetCtx(ctx context.Context, seeds []int, k int) ([]mog
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
-	deg := &Degraded{Failed: map[int]error{}}
+	deg := c.newDegraded()
 	var mg fanout.Merge
 	mg.Reset(len(c.shards))
 	askAll(ctx, c, deg, func(s int) bool { return len(groups[s]) > 0 },

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"mogul"
+	"mogul/internal/jsonwire"
 	"mogul/serve"
 )
 
@@ -33,7 +34,8 @@ import (
 // what it returned — the image of what Client does from the other side,
 // so the remote shard cannot drift from the in-process one. The request
 // and reply types are in wire.go and serve/wire.go (docs/SERVING.md,
-// "Routes and wire").
+// "Routes and wire"); the three search replies are written in one pass
+// by appendReply, every other reply by serve.WriteJSON.
 type ShardServer struct {
 	*serve.Server
 	ix    ShardIndex
@@ -72,6 +74,26 @@ func reply(w http.ResponseWriter, v interface{}, err error) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, v)
+}
+
+// replySearch renders a search call's outcome: the error as a 400, or
+// the reply appendReply writes into a pooled buffer, sent in one Write
+// of known length. A value JSON cannot carry (a NaN or ±Inf score,
+// vector element or affinity) is the shard's fault and answers 500,
+// naming it, instead of a 200 whose body never came.
+func replySearch(w http.ResponseWriter, owner bool, ver uint64, res []mogul.Result, vec []float64, aff float64, err error) {
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	buf := jsonwire.GetBuf()
+	b, err := appendReply(*buf, owner, ver, res, vec, aff)
+	if err != nil {
+		jsonwire.PutBuf(buf, b)
+		serve.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	jsonwire.WriteReply(w, buf, b)
 }
 
 // readBody decodes a /dist request body into v and checks the k it
@@ -115,7 +137,7 @@ func (s *ShardServer) handleOwner(w http.ResponseWriter, r *http.Request) {
 	}
 	ver := s.ix.Version()
 	res, qvec, aff, err := s.local.OwnerSearch(r.Context(), id, k)
-	reply(w, ownerResponse{Version: ver, Answers: toWire(res), Vector: qvec, Affinity: aff}, err)
+	replySearch(w, true, ver, res, qvec, aff, err)
 }
 
 func (s *ShardServer) handleVector(w http.ResponseWriter, r *http.Request) {
@@ -125,7 +147,7 @@ func (s *ShardServer) handleVector(w http.ResponseWriter, r *http.Request) {
 	}
 	ver := s.ix.Version()
 	res, aff, err := s.local.VectorSearch(r.Context(), req.Vector, req.K)
-	reply(w, vectorResponse{Version: ver, Answers: toWire(res), Affinity: aff}, err)
+	replySearch(w, false, ver, res, nil, aff, err)
 }
 
 func (s *ShardServer) handleSet(w http.ResponseWriter, r *http.Request) {
@@ -139,7 +161,7 @@ func (s *ShardServer) handleSet(w http.ResponseWriter, r *http.Request) {
 	}
 	ver := s.ix.Version()
 	res, err := s.local.SetSearch(r.Context(), req.IDs, req.Weight, req.K)
-	reply(w, vectorResponse{Version: ver, Answers: toWire(res)}, err)
+	replySearch(w, false, ver, res, nil, 0, err)
 }
 
 func (s *ShardServer) handleAlive(w http.ResponseWriter, r *http.Request) {

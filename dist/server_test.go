@@ -332,3 +332,101 @@ func TestClientMatchesLocalShard(t *testing.T) {
 		}
 	}
 }
+
+// poisonedShard plants a NaN where a /dist search reply carries a float:
+// the first score, the query vector's first element, or the affinity.
+type poisonedShard struct {
+	*mogul.Index
+	where string
+}
+
+func (p poisonedShard) score(res []mogul.Result) []mogul.Result {
+	res = slices.Clone(res)
+	if p.where == "score" {
+		res[0].Score = math.NaN()
+	}
+	return res
+}
+
+func (p poisonedShard) affinity(aff float64) float64 {
+	if p.where == "affinity" {
+		return math.NaN()
+	}
+	return aff
+}
+
+func (p poisonedShard) TopKWithVector(query, k int) ([]mogul.Result, mogul.Vector, float64, error) {
+	res, vec, aff, err := p.Index.TopKWithVector(query, k)
+	if vec = slices.Clone(vec); p.where == "vector" {
+		vec[0] = math.NaN()
+	}
+	return p.score(res), vec, p.affinity(aff), err
+}
+
+func (p poisonedShard) TopKVectorWithAffinity(q mogul.Vector, k int) ([]mogul.Result, float64, error) {
+	res, aff, err := p.Index.TopKVectorWithAffinity(q, k)
+	return p.score(res), p.affinity(aff), err
+}
+
+func (p poisonedShard) TopKSetWeighted(seeds []int, weight float64, k int) ([]mogul.Result, error) {
+	res, err := p.Index.TopKSetWeighted(seeds, weight, k)
+	return p.score(res), err
+}
+
+// TestShardServerRefusesNonFinite: a NaN in a /dist search reply — a
+// score, a query vector element, an affinity — answers 500 in the
+// canonical error shape, naming what could not be sent (the shard-local
+// item for a score), and a Client reports that message. The shard used
+// to send the 200 header, fail to encode, and leave the coordinator
+// with "unexpected end of JSON input".
+func TestShardServerRefusesNonFinite(t *testing.T) {
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 60, Classes: 3, Dim: 4, WithinStd: 0.3, Separation: 3, Seed: 3})
+	ix, err := mogul.Build(ds.Points, mogul.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	probe := mogul.Vector{2.9, -2.1, 0.1, 0.9}
+	for _, tc := range []struct {
+		where, route string
+		call         func(c *dist.Client) error
+	}{
+		{"score", "owner", func(c *dist.Client) error { _, _, _, err := c.OwnerSearch(ctx, 3, 5); return err }},
+		{"score", "vector", func(c *dist.Client) error { _, _, err := c.VectorSearch(ctx, probe, 5); return err }},
+		{"score", "set", func(c *dist.Client) error { _, err := c.SetSearch(ctx, []int{1, 2}, 0.5, 5); return err }},
+		{"vector", "owner", func(c *dist.Client) error { _, _, _, err := c.OwnerSearch(ctx, 3, 5); return err }},
+		{"affinity", "owner", func(c *dist.Client) error { _, _, _, err := c.OwnerSearch(ctx, 3, 5); return err }},
+		{"affinity", "vector", func(c *dist.Client) error { _, _, err := c.VectorSearch(ctx, probe, 5); return err }},
+	} {
+		t.Run(tc.where+"_"+tc.route, func(t *testing.T) {
+			p := poisonedShard{ix, tc.where}
+			want := "non-finite " + tc.where
+			if tc.where == "score" {
+				// The item the reply would have named first.
+				var res []mogul.Result
+				switch tc.route {
+				case "owner":
+					res, _, _, err = ix.TopKWithVector(3, 5)
+				case "vector":
+					res, _, err = ix.TopKVectorWithAffinity(probe, 5)
+				default:
+					res, err = ix.TopKSetWeighted([]int{1, 2}, 0.5, 5)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += ": item " + strconv.Itoa(res[0].Node) + " scored NaN"
+			}
+			srv := dist.NewShardServer(p, serve.Options{})
+			defer srv.Close()
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
+			c := dist.NewClient(hs.URL, dist.ClientOptions{Retries: -1})
+			defer c.CloseIdleConnections()
+			err = tc.call(c)
+			if err == nil || !strings.Contains(err.Error(), "server returned 500") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Client error %v, want a 500 naming %q", err, want)
+			}
+		})
+	}
+}

@@ -1,7 +1,11 @@
 package dist
 
 import (
+	"encoding/json"
+	"strconv"
+
 	"mogul"
+	"mogul/internal/jsonwire"
 	"mogul/serve"
 )
 
@@ -13,6 +17,16 @@ import (
 // cross in JSON's shortest round-trip form, i.e. bit-exactly, which is
 // what lets a coordinator's merged ranking be pinned against the
 // in-process oracle.
+//
+// The search hop — /dist/owner, /dist/vector and /dist/set — is written
+// and read in one pass with internal/jsonwire, serve's own reply codec:
+// appendReply writes ownerResponse's and vectorResponse's bytes,
+// searchReply.scan reads them back, and appendVectorQuery writes the
+// /dist/vector body that serve's request scanner reads, so neither end
+// reflects. FuzzWriteDistReply holds the writers to json.Marshal and
+// FuzzScanDistReply the scanner to json.Unmarshal; a reply the scanner
+// does not take is decoded into the types below by encoding/json, as is
+// every other /dist reply.
 
 // Info is a shard's state snapshot (/dist/info).
 type Info struct {
@@ -58,12 +72,118 @@ type truncateRequest struct {
 	UpTo uint64 `json:"up_to"`
 }
 
-func toWire(res []mogul.Result) []serve.Answer {
-	out := make([]serve.Answer, len(res))
-	for i, r := range res {
-		out[i] = serve.Answer{Item: r.Node, Score: r.Score}
+// appendReply appends a /dist search reply as json.Marshal of
+// ownerResponse (owner) or vectorResponse (not owner, vec unused) would
+// write it, with the newline Encoder adds; res is rendered without
+// labels. On a NaN or ±Inf score, vector element or affinity it returns
+// dst as it was and an error wrapping jsonwire.ErrNonFinite.
+func appendReply(dst []byte, owner bool, ver uint64, res []mogul.Result, vec []float64, aff float64) ([]byte, error) {
+	b := strconv.AppendUint(append(dst, `{"version":`...), ver, 10)
+	b, err := jsonwire.AppendRows(append(b, `,"answers":`...), res, nil)
+	if err == nil && owner {
+		b, err = jsonwire.AppendFloats(append(b, `,"vector":`...), vec)
 	}
-	return out
+	// vectorResponse omits a zero affinity.
+	if err == nil && (owner || aff != 0) {
+		b, err = jsonwire.AppendFinite(append(b, `,"affinity":`...), aff, "affinity")
+	}
+	if err != nil {
+		return dst, err
+	}
+	return append(b, '}', '\n'), nil
+}
+
+// searchReply is a /dist search reply as Client keeps it.
+type searchReply struct {
+	res []mogul.Result
+	vec []float64
+	aff float64
+}
+
+// decode reads an ownerResponse (owner) or a vectorResponse: by scan
+// when data is in appendReply's form, by encoding/json otherwise. What
+// it keeps is copied out of data.
+func (r *searchReply) decode(data []byte, owner bool) error {
+	if r.scan(data, owner) {
+		return nil
+	}
+	if owner {
+		var resp ownerResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			return err
+		}
+		r.res, r.vec, r.aff = fromWire(resp.Answers), resp.Vector, resp.Affinity
+		return nil
+	}
+	var resp vectorResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		return err
+	}
+	r.res, r.aff = fromWire(resp.Answers), resp.Affinity
+	return nil
+}
+
+// scan is decode's one-pass arm. It takes appendReply's canonical form —
+// keys in declaration order, no whitespace outside the number arrays,
+// "affinity" where appendReply writes it or with a zero, then the
+// newline — and reports false, leaving r as it was, on anything else: a
+// null other than a nil vector's, a label, an escaped, duplicate,
+// case-folded or unknown key, a number out of its type's range.
+// json.Unmarshal reads the same values from every body scan takes; a
+// version is checked as a uint64 and dropped, as Client drops it.
+func (r *searchReply) scan(b []byte, owner bool) bool {
+	i, ok := jsonwire.Expect(b, 0, `{"version":`)
+	if !ok {
+		return false
+	}
+	end, integer := jsonwire.ScanNumber(b, i)
+	if !integer {
+		return false
+	}
+	if _, err := strconv.ParseUint(string(b[i:end]), 10, 64); err != nil {
+		return false
+	}
+	if i, ok = jsonwire.Expect(b, end, `,"answers":`); !ok {
+		return false
+	}
+	var out searchReply
+	if out.res, i = jsonwire.ScanRows(b, i); out.res == nil {
+		return false
+	}
+	if owner {
+		if i, ok = jsonwire.Expect(b, i, `,"vector":`); !ok {
+			return false
+		}
+		if j, null := jsonwire.Expect(b, i, "null"); null {
+			i = j
+		} else if out.vec, i = jsonwire.ScanFloats(b, i); out.vec == nil {
+			return false
+		}
+	}
+	if j, ok := jsonwire.Expect(b, i, `,"affinity":`); ok {
+		if out.aff, i, ok = jsonwire.ScanFloat(b, j); !ok {
+			return false
+		}
+	} else if owner {
+		return false
+	}
+	if i, ok = jsonwire.Expect(b, i, "}"); !ok || jsonwire.SkipSpace(b, i) != len(b) {
+		return false
+	}
+	*r = out
+	return true
+}
+
+// appendVectorQuery appends the /dist/vector request body as json.Marshal
+// of serve.VectorQuery{Vector: q, K: k} would write it; a non-finite
+// element is an error.
+func appendVectorQuery(b []byte, q []float64, k int) ([]byte, error) {
+	b, err := jsonwire.AppendFloats(append(b, `{"vector":`...), q)
+	if err != nil {
+		return nil, err
+	}
+	b = strconv.AppendInt(append(b, `,"k":`...), int64(k), 10)
+	return append(b, '}'), nil
 }
 
 func fromWire(rows []serve.Answer) []mogul.Result {

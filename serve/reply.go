@@ -2,14 +2,10 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"math"
-	"net/http"
 	"strconv"
-	"sync"
 
 	"mogul"
+	"mogul/internal/jsonwire"
 )
 
 // The reply writer: the mirror of the request scanner (scan.go) for the
@@ -21,61 +17,26 @@ import (
 // directly: the rows once, when a search ran (appendRows, the one
 // renderer behind answer, the micro-batcher and /search/batch), and the
 // envelope per request into a pooled buffer that leaves in one Write of
-// known length (writeReply).
+// known length (jsonwire.WriteReply).
 //
 // The bytes are encoding/json's, which FuzzWriteSearchReply holds them
 // to: fields in declaration order, omitempty honoured, a trailing
-// newline as Encoder writes it, integers by strconv.AppendInt, and
-// scores by strconv.AppendFloat in the shortest form that round-trips —
-// 'f' unless |x| < 1e-6 or |x| >= 1e21, then 'e' with a two-digit
-// negative exponent's leading zero dropped (1e-07 -> 1e-7). The one
-// value JSON cannot carry, a non-finite score, is an error here instead
-// of the empty reply it used to become. Every other reply of this server
-// stays with WriteJSON.
+// newline as Encoder writes it, and the rows and numbers as
+// internal/jsonwire writes them. The one value JSON cannot carry, a
+// non-finite score, is an error here instead of the empty reply it used
+// to become. dist's /dist/* search replies are written by the same
+// jsonwire pieces; every other reply of this server and of dist stays
+// with WriteJSON.
 
 // errNonFiniteScore is appendRows refusing a NaN or ±Inf score;
 // searchError answers it 500.
-var errNonFiniteScore = errors.New("serve: non-finite score")
+var errNonFiniteScore = jsonwire.ErrNonFinite
 
 // appendRows appends the JSON array of Answer rows for res to dst;
 // labels is the label table as of now (Server.labelView). On a
 // non-finite score it returns dst as it was and the error.
 func appendRows(dst []byte, res []mogul.Result, labels []int) ([]byte, error) {
-	b := append(dst, '[')
-	for i, r := range res {
-		if math.IsInf(r.Score, 0) || math.IsNaN(r.Score) {
-			return dst, fmt.Errorf("%w: item %d scored %v", errNonFiniteScore, r.Node, r.Score)
-		}
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"item":`...)
-		b = strconv.AppendInt(b, int64(r.Node), 10)
-		b = append(b, `,"score":`...)
-		b = appendScore(b, r.Score)
-		// Inserted items sit beyond the labelled range; they simply
-		// carry no label.
-		if uint(r.Node) < uint(len(labels)) {
-			b = append(b, `,"label":`...)
-			b = strconv.AppendInt(b, int64(labels[r.Node]), 10)
-		}
-		b = append(b, '}')
-	}
-	return append(b, ']'), nil
-}
-
-// appendScore appends a finite float64 the way encoding/json does.
-func appendScore(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
+	return jsonwire.AppendRows(dst, res, labels)
 }
 
 // appendSearchReply appends the search envelope around e's rendered
@@ -164,40 +125,4 @@ func appendBatchReply(dst []byte, k int, tookUS int64, batch []mogul.BatchResult
 	b = append(b, `],"took_us":`...)
 	b = strconv.AppendInt(b, tookUS, 10)
 	return append(b, '}', '\n')
-}
-
-// replyBufs recycles the buffers replies are rendered into. One that
-// grew past maxPooledReply (k = MaxK renders ~500 KB) is left to the
-// collector, as bodyBufs does past maxPooledBody.
-var replyBufs = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-const maxPooledReply = 64 << 10
-
-// jsonContentType is the Content-Type value of every rendered reply,
-// shared: a header map only ever reads it.
-var jsonContentType = []string{"application/json"}
-
-// putReplyBuf returns buf to the pool holding b, the slice that grew out
-// of it.
-func putReplyBuf(buf *[]byte, b []byte) {
-	if cap(b) <= maxPooledReply {
-		*buf = b[:0]
-		replyBufs.Put(buf)
-	}
-}
-
-// writeReply sends a reply rendered into a replyBufs buffer as 200
-// application/json and returns the buffer to the pool. The length is
-// known before the first byte leaves, so it is declared: a reply past
-// net/http's 2 KiB buffer is not chunked.
-func writeReply(w http.ResponseWriter, buf *[]byte, body []byte) {
-	h := w.Header()
-	h["Content-Type"] = jsonContentType
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
-	// A failed Write is a client that went away; there is nobody to tell.
-	_, _ = w.Write(body)
-	putReplyBuf(buf, body)
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mogul"
+	"mogul/internal/jsonwire"
 )
 
 // The retired encoding/json rendering of a search reply, kept as the
@@ -314,15 +315,16 @@ func TestLatencyHistogramResolvesMicroseconds(t *testing.T) {
 }
 
 // TestLargeReplyBufferNotPooled: a reply buffer that grew past
-// maxPooledReply is not parked in replyBufs (TestLargeBodyBufferNotPooled
-// explains why the Get below sees what the Put before it left).
+// jsonwire.MaxPooled is not parked in the reply pool
+// (TestLargeBodyBufferNotPooled explains why the Get below sees what the
+// Put before it left).
 func TestLargeReplyBufferNotPooled(t *testing.T) {
-	buf := replyBufs.Get().(*[]byte)
-	writeReply(httptest.NewRecorder(), buf, append(*buf, make([]byte, 2*maxPooledReply)...))
-	next := replyBufs.Get().(*[]byte)
-	defer replyBufs.Put(next)
-	if cap(*next) > maxPooledReply {
-		t.Fatalf("pooled reply buffer has capacity %d, past the %d-byte bound", cap(*next), maxPooledReply)
+	buf := jsonwire.GetBuf()
+	jsonwire.WriteReply(httptest.NewRecorder(), buf, append(*buf, make([]byte, 2*jsonwire.MaxPooled)...))
+	next := jsonwire.GetBuf()
+	defer jsonwire.PutBuf(next, *next)
+	if cap(*next) > jsonwire.MaxPooled {
+		t.Fatalf("pooled reply buffer has capacity %d, past the %d-byte bound", cap(*next), jsonwire.MaxPooled)
 	}
 }
 

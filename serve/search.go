@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mogul"
+	"mogul/internal/jsonwire"
 )
 
 // The search path: version-stamped caching, backpressure, and answer,
@@ -124,10 +125,10 @@ func (s *Server) cacheGet(key string) (cacheEntry, bool) {
 func (s *Server) cacheSet(key string, ver uint64, res []mogul.Result, info mogul.SearchInfo) (cacheEntry, error) {
 	// Rendered in a pooled buffer and kept as an exact-size copy, so the
 	// bytes charged to the cache budget are the bytes held.
-	buf := replyBufs.Get().(*[]byte)
+	buf := jsonwire.GetBuf()
 	rows, err := appendRows(*buf, res, s.labelView())
 	rendered := bytes.Clone(rows)
-	putReplyBuf(buf, rows)
+	jsonwire.PutBuf(buf, rows)
 	if err != nil {
 		return cacheEntry{}, err
 	}
@@ -229,8 +230,8 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 			return
 		}
 	}
-	buf := replyBufs.Get().(*[]byte)
-	writeReply(w, buf, appendSearchReply(*buf, q, time.Since(t0).Microseconds(), e, s.idx.Exact(), hit))
+	buf := jsonwire.GetBuf()
+	jsonwire.WriteReply(w, buf, appendSearchReply(*buf, q, time.Since(t0).Microseconds(), e, s.idx.Exact(), hit))
 }
 
 // runDirect executes one search under the limiter on a pooled query
@@ -359,6 +360,6 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	batch := s.idx.TopKBatch(req.IDs, req.K, 0)
 	s.lim.release()
 	took := time.Since(t0)
-	buf := replyBufs.Get().(*[]byte)
-	writeReply(w, buf, appendBatchReply(*buf, req.K, took.Microseconds(), batch, s.labelView()))
+	buf := jsonwire.GetBuf()
+	jsonwire.WriteReply(w, buf, appendBatchReply(*buf, req.K, took.Microseconds(), batch, s.labelView()))
 }
