@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"mogul"
@@ -193,20 +192,13 @@ func decodeErrorBody(data []byte) string {
 	return string(bytes.TrimSpace(data))
 }
 
-// readBufs recycles the buffers JSON replies are read into; one that
-// grew past jsonwire.MaxPooled is left to the collector.
-var readBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
 // call runs one request and hands its 2xx body to decode, which must
-// copy out what it keeps: the body is read into a pooled buffer that is
-// reused once decode returns. A nil decode ignores the body.
+// copy out what it keeps: the body is read into a pooled buffer
+// (jsonwire.GetReadBuf) that is reused once decode returns. A nil decode
+// ignores the body.
 func (c *Client) call(ctx context.Context, method, path string, body []byte, idempotent bool, decode func([]byte) error) error {
-	buf := readBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= jsonwire.MaxPooled {
-			readBufs.Put(buf)
-		}
-	}()
+	buf := jsonwire.GetReadBuf()
+	defer jsonwire.PutReadBuf(buf)
 	if _, err := c.do(ctx, method, path, body, idempotent, buf); err != nil || decode == nil {
 		return err
 	}

@@ -25,6 +25,16 @@ func toWire(res []mogul.Result) []serve.Answer {
 	return out
 }
 
+// fromWire is the inverse: the oracle's decoded rows as the scanner
+// returns them.
+func fromWire(rows []serve.Answer) []mogul.Result {
+	out := make([]mogul.Result, len(rows))
+	for i, r := range rows {
+		out[i] = mogul.Result{Node: r.Item, Score: r.Score}
+	}
+	return out
+}
+
 // marshalLine is what serve.WriteJSON sent for v: json.Marshal's bytes
 // and Encoder's newline.
 func marshalLine(v interface{}) ([]byte, error) {
@@ -188,7 +198,7 @@ func FuzzWriteDistReply(f *testing.F) {
 }
 
 // distReplySeeds are the search replies of the wire transcripts, and
-// shapes the scanner leaves to encoding/json.
+// shapes the scanner declines.
 func distReplySeeds(f *testing.F) {
 	f.Helper()
 	for _, name := range []string{"dist_owner", "dist_vector", "dist_set"} {
@@ -268,18 +278,16 @@ func FuzzScanDistReply(f *testing.F) {
 	})
 }
 
-// TestScanTakesTheTranscriptReplies pins that the recorded 200 replies
-// take the one-pass arm — the differential check alone is satisfied by
-// a scanner that always declines.
-func TestScanTakesTheTranscriptReplies(t *testing.T) {
-	for _, body := range []string{
-		"{\"version\":1,\"answers\":[{\"item\":3,\"score\":0.08056345156126386},{\"item\":8,\"score\":0.07173302998049369}],\"vector\":[-2.639486504262051,-5.519484067310995],\"affinity\":0.6507287335960286}\n",
-		"{\"version\":1,\"answers\":[{\"item\":17,\"score\":0.0604776821812772},{\"item\":7,\"score\":0.028283445051709443}]}\n",
-	} {
-		owner := bytes.Contains([]byte(body), []byte(`"vector"`))
-		var r searchReply
-		if !r.scan([]byte(body), owner) || len(r.res) != 2 {
-			t.Errorf("scanner declined %q", body)
-		}
+// TestDecodeRejectsNonCanonical: a search reply scan declines is an
+// error, even one encoding/json would read — there is no second decoder.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	body := []byte(`{"version":1, "answers":[{"item":1,"score":0.5}]}`)
+	var resp vectorResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("encoding/json rejects the body: %v", err)
+	}
+	var r searchReply
+	if err := r.decode(body, false); !errors.Is(err, errNotCanonical) || r.res != nil {
+		t.Fatalf("decode = %v, %+v; want errNotCanonical and nothing kept", err, r)
 	}
 }

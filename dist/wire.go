@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"encoding/json"
+	"errors"
 	"strconv"
 
 	"mogul"
@@ -24,9 +24,9 @@ import (
 // searchReply.scan reads them back, and appendVectorQuery writes the
 // /dist/vector body that serve's request scanner reads, so neither end
 // reflects. FuzzWriteDistReply holds the writers to json.Marshal and
-// FuzzScanDistReply the scanner to json.Unmarshal; a reply the scanner
-// does not take is decoded into the types below by encoding/json, as is
-// every other /dist reply.
+// FuzzScanDistReply the scanner to json.Unmarshal; a search reply the
+// scanner does not take is an error. Every other /dist reply is decoded
+// into the types below by encoding/json.
 
 // Info is a shard's state snapshot (/dist/info).
 type Info struct {
@@ -100,30 +100,20 @@ type searchReply struct {
 	aff float64
 }
 
-// decode reads an ownerResponse (owner) or a vectorResponse: by scan
-// when data is in appendReply's form, by encoding/json otherwise. What
-// it keeps is copied out of data.
+// errNotCanonical is a /dist search reply scan declines. Every shard
+// writes these replies with appendReply, in the one form scan takes.
+var errNotCanonical = errors.New("dist: /dist reply not in canonical form")
+
+// decode reads an ownerResponse (owner) or a vectorResponse in
+// appendReply's form. What it keeps is copied out of data.
 func (r *searchReply) decode(data []byte, owner bool) error {
-	if r.scan(data, owner) {
-		return nil
+	if !r.scan(data, owner) {
+		return errNotCanonical
 	}
-	if owner {
-		var resp ownerResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return err
-		}
-		r.res, r.vec, r.aff = fromWire(resp.Answers), resp.Vector, resp.Affinity
-		return nil
-	}
-	var resp vectorResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return err
-	}
-	r.res, r.aff = fromWire(resp.Answers), resp.Affinity
 	return nil
 }
 
-// scan is decode's one-pass arm. It takes appendReply's canonical form —
+// scan is decode's one-pass reader. It takes appendReply's canonical form —
 // keys in declaration order, no whitespace outside the number arrays,
 // "affinity" where appendReply writes it or with a zero, then the
 // newline — and reports false, leaving r as it was, on anything else: a
@@ -184,12 +174,4 @@ func appendVectorQuery(b []byte, q []float64, k int) ([]byte, error) {
 	}
 	b = strconv.AppendInt(append(b, `,"k":`...), int64(k), 10)
 	return append(b, '}'), nil
-}
-
-func fromWire(rows []serve.Answer) []mogul.Result {
-	out := make([]mogul.Result, len(rows))
-	for i, r := range rows {
-		out[i] = mogul.Result{Node: r.Item, Score: r.Score}
-	}
-	return out
 }

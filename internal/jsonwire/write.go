@@ -1,10 +1,10 @@
 // Package jsonwire is the one-pass JSON codec that serve and dist share:
 // the writer that appends a reply's bytes without encoding/json's
 // reflection, the pooled buffer a reply is rendered into and sent from,
-// and the canonical-form scanners for the arrays the requests and
-// replies carry. Neither side exports it: serve builds its search
-// envelopes and its request scanners from these pieces, dist its /dist
-// search replies and request bodies.
+// the pooled buffer a body is read into, and the canonical-form scanners
+// for the arrays the requests and replies carry. Neither side exports
+// it: serve builds its search envelopes and its request scanners from
+// these pieces, dist its /dist search replies and request bodies.
 //
 // The bytes written are encoding/json's, which the callers' fuzzers
 // (serve's FuzzWriteSearchReply, dist's FuzzWriteDistReply) hold them
@@ -17,6 +17,7 @@
 package jsonwire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -124,6 +125,29 @@ func PutBuf(buf *[]byte, b []byte) {
 	if cap(b) <= MaxPooled {
 		*buf = b[:0]
 		bufs.Put(buf)
+	}
+}
+
+// readBufs recycles the buffers bodies are read into: serve's request
+// bodies and the Client's /dist replies. Reading into a pooled buffer
+// beats a fresh json.Decoder, which allocates its own 4K read buffer on
+// every body.
+var readBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+
+// MaxPooledBody is the largest capacity a read buffer may have and still
+// go back to the pool; one that grew past it is left to the collector
+// instead of parking that much memory in the pool.
+const MaxPooledBody = 1 << 20
+
+// GetReadBuf takes a body read buffer from the pool.
+func GetReadBuf() *bytes.Buffer { return readBufs.Get().(*bytes.Buffer) }
+
+// PutReadBuf empties buf and returns it to the pool, unless it grew past
+// MaxPooledBody.
+func PutReadBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= MaxPooledBody {
+		buf.Reset()
+		readBufs.Put(buf)
 	}
 }
 

@@ -11,7 +11,6 @@ package serve
 // down.
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -21,6 +20,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mogul/internal/jsonwire"
 )
 
 // checkErrorShape asserts the canonical error response: JSON
@@ -254,23 +255,25 @@ func TestOversizedBodyRejected(t *testing.T) {
 }
 
 // TestLargeBodyBufferNotPooled: a body that grew its read buffer past
-// maxPooledBody must not leave that buffer in bodyBufs, where it would
-// hold the memory until two collections pass. The body stands well
-// clear of the bound rather than at the 32 MiB cap: bytes.Buffer grows
-// by doubling, so anything past the bound shows the same thing. ReadJSON
-// is called directly so that nothing allocates — and no collection can
-// empty the pool — between its Put and the Get below, which on this P
-// returns the buffer just pooled if there is one.
+// jsonwire.MaxPooledBody must not leave that buffer in the read pool,
+// where it would hold the memory until two collections pass. The pool is
+// the one dist's Client reads its replies into, so this pins the bound
+// for both. The body stands well clear of the bound rather than at the
+// 32 MiB cap: bytes.Buffer grows by doubling, so anything past the bound
+// shows the same thing. ReadJSON is called directly so that nothing
+// allocates — and no collection can empty the pool — between its Put and
+// the Get below, which on this P returns the buffer just pooled if there
+// is one.
 func TestLargeBodyBufferNotPooled(t *testing.T) {
-	body := strings.Repeat(" ", 2*maxPooledBody) + `{"id":1}`
+	body := strings.Repeat(" ", 2*jsonwire.MaxPooledBody) + `{"id":1}`
 	req := httptest.NewRequest(http.MethodPost, "/delete", strings.NewReader(body))
 	var q DeleteRequest
 	if err := ReadJSON(httptest.NewRecorder(), req, &q); err != nil || q.ID == nil {
 		t.Fatalf("ReadJSON: %v (%+v)", err, q)
 	}
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	defer bodyBufs.Put(buf)
-	if buf.Cap() > maxPooledBody {
-		t.Fatalf("pooled body buffer has capacity %d, past the %d-byte bound", buf.Cap(), maxPooledBody)
+	buf := jsonwire.GetReadBuf()
+	defer jsonwire.PutReadBuf(buf)
+	if buf.Cap() > jsonwire.MaxPooledBody {
+		t.Fatalf("pooled body buffer has capacity %d, past the %d-byte bound", buf.Cap(), jsonwire.MaxPooledBody)
 	}
 }

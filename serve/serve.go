@@ -45,7 +45,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,6 +58,7 @@ import (
 	"time"
 
 	"mogul"
+	"mogul/internal/jsonwire"
 	"mogul/internal/lru"
 )
 
@@ -539,25 +539,18 @@ func CheckK(k int) error {
 	return nil
 }
 
-// bodyBufs recycles request-body read buffers: decoding over a pooled
-// buffer beats a fresh json.Decoder (which allocates its own 4K read
-// buffer) on every request — on the cache-hit path the decode is most of
-// the remaining work.
-var bodyBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
 // Request bodies are bounded by a fixed cap sized for the largest body
 // any endpoint has a use for — a default batch's worth (defaultMaxBatch)
 // of vectors of maxBodyDim components at maxFloatBytes of JSON each, far
 // above a single d = 512 query (~10 KB) — so a client cannot make the
-// server buffer an arbitrary amount of memory per connection. A buffer
-// that grew past maxPooledBody is left to the collector instead of
-// parking that much memory in bodyBufs.
+// server buffer an arbitrary amount of memory per connection. Bodies are
+// read into jsonwire's pooled read buffers; on the cache-hit path the
+// decode is most of the remaining work.
 const (
 	defaultMaxBatch = 64
 	maxBodyDim      = 1 << 14
 	maxFloatBytes   = 32
 	maxBodyBytes    = defaultMaxBatch * maxBodyDim * maxFloatBytes // 32 MiB
-	maxPooledBody   = 1 << 20
 )
 
 // The work one request may ask for is bounded like its body. The engine
@@ -580,13 +573,8 @@ const (
 // RejectBody. Exported, like WriteError, for layers that add their own
 // endpoints to this server.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodyBufs.Put(buf)
-		}
-	}()
+	buf := jsonwire.GetReadBuf()
+	defer jsonwire.PutReadBuf(buf)
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return err
 	}
