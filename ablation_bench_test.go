@@ -15,6 +15,7 @@ import (
 	"mogul/internal/dataset"
 	"mogul/internal/eval"
 	"mogul/internal/knn"
+	"mogul/internal/vec"
 )
 
 // ablationDataset is a moderate labelled workload shared by the
@@ -216,16 +217,16 @@ func BenchmarkThroughputParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkKNNBackends compares the two k-NN search structures used
-// for graph construction (brute force, IVF) on one query workload;
-// recall against brute force is attached for the approximate backend.
+// BenchmarkKNNBackends compares the two exact k-NN searches on one
+// query workload: the brute-force scan and the k-d tree every graph
+// build and the spectral attach use. recall@10 against the scan is 1 for
+// both by construction; it is attached as a check.
 func BenchmarkKNNBackends(b *testing.B) {
 	ds := dataset.INRIASim(4000, 5)
 	bf := knn.NewBruteForce(ds.Points)
-	ivf, err := knn.NewIVF(ds.Points, knn.IVFConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	rows := vec.AliasRows(ds.Points, len(ds.Points[0]))
+	tree := knn.NewTree(&rows)
+	var sc knn.Scratch
 	queries := benchQueries(len(ds.Points), 64)
 	exact := map[int]map[int]bool{}
 	for _, q := range queries {
@@ -236,21 +237,25 @@ func BenchmarkKNNBackends(b *testing.B) {
 		exact[q] = set
 	}
 	backends := []struct {
-		name string
-		s    knn.Searcher
+		name   string
+		search func(q vec.Vector) []knn.Neighbor
 	}{
-		{"BruteForce", bf},
-		{"IVF", ivf},
+		{"BruteForce", func(q vec.Vector) []knn.Neighbor { return bf.SearchInto(&sc, q, 10) }},
+		{"Tree", func(q vec.Vector) []knn.Neighbor {
+			sc.Reset(10)
+			tree.Offer(&sc, &rows, q, nil)
+			return sc.Sorted()
+		}},
 	}
 	for _, be := range backends {
 		b.Run(be.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				be.s.Search(ds.Points[queries[i%len(queries)]], 10)
+				be.search(ds.Points[queries[i%len(queries)]])
 			}
 			b.StopTimer()
 			hits, total := 0, 0
 			for _, q := range queries {
-				for _, nb := range be.s.Search(ds.Points[q], 10) {
+				for _, nb := range be.search(ds.Points[q]) {
 					total++
 					if exact[q][nb.ID] {
 						hits++

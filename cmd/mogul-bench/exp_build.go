@@ -40,7 +40,7 @@ func expBuild(l *lab) {
 		prev := runtime.GOMAXPROCS(procs)
 
 		t0 := time.Now()
-		ix, err := mogul.Build(ds.Points, mogul.Options{Exact: true, ApproximateGraph: true, Seed: l.seed})
+		ix, err := mogul.Build(ds.Points, mogul.Options{Exact: true, Seed: l.seed})
 		if err != nil {
 			runtime.GOMAXPROCS(prev)
 			fatal(err)
@@ -72,7 +72,7 @@ func expBuild(l *lab) {
 		})
 
 		t2 := time.Now()
-		spec, err := mogul.BuildSpectral(ds.Points, mogul.Options{ApproximateGraph: true, Seed: l.seed}, mogul.SpectralOptions{})
+		spec, err := mogul.BuildSpectral(ds.Points, mogul.Options{Seed: l.seed}, mogul.SpectralOptions{})
 		if err != nil {
 			runtime.GOMAXPROCS(prev)
 			fatal(err)

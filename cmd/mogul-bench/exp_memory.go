@@ -51,7 +51,7 @@ func expMemory(l *lab) {
 	for _, eng := range engines {
 		var f64Heap float64
 		for _, prec := range []mogul.Precision{mogul.F64, mogul.F32} {
-			opts := mogul.Options{Seed: l.seed, GraphK: 6, ApproximateGraph: true, Precision: prec}
+			opts := mogul.Options{Seed: l.seed, GraphK: 6, Precision: prec}
 			heap, disk, err := measureEngine(eng.mk, mkPoints, opts, n)
 			if err != nil {
 				fatal(err)

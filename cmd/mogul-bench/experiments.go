@@ -448,7 +448,7 @@ func expFig9(l *lab) {
 	ds := dataset.COILSim(dataset.COILConfig{
 		Objects: objects, Poses: 72, Dim: 6, Noise: 0.01, Separation: 0.08, Seed: l.seed,
 	})
-	g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5, Approximate: true, Seed: l.seed})
+	g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5})
 	if err != nil {
 		fatal(err)
 	}

@@ -27,7 +27,7 @@ func expScaling(l *lab) {
 	for _, n := range ns {
 		ds := dataset.INRIASim(n, l.seed)
 		t0 := time.Now()
-		g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5, Approximate: true, Seed: l.seed})
+		g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5})
 		if err != nil {
 			fatal(err)
 		}
@@ -166,12 +166,12 @@ func expQuality(l *lab) {
 
 // expSplit is step one of ROADMAP item 1 made reproducible: the
 // benchmark's graph_id shape — INRIASim(14000, seed 1), the 64 uniform
-// ids of its query pool — built four ways, {brute-force, IVF NProbe 8}
-// k-NN graph x {incomplete IC(0), complete} factor, with recall@10 of
-// each against brute + complete (the benchmark's oracle), the border
-// cluster's size and the factor's non-zeros per row. It splits the
-// workload's 0.37 of lost recall between graph error and factor error;
-// the shape is fixed, so -scale, -seed and -queries do not apply.
+// ids of its query pool — built with the exact k-NN graph and each of
+// the incomplete IC(0) and the complete factor, with recall@10 of each
+// against the complete one (the benchmark's oracle), the border
+// cluster's size and the factor's non-zeros per row. Every graph is
+// exact, so the workload's lost recall is all factor error; the shape is
+// fixed, so -scale, -seed and -queries do not apply.
 func expSplit(*lab) {
 	const n, k = 14000, 10
 	pts := mogul.NewINRIASim(n, 1).Points
@@ -184,13 +184,11 @@ func expSplit(*lab) {
 		label string
 		opts  mogul.Options
 	}{
-		{"brute + complete", mogul.Options{Exact: true}},
-		{"brute + IC(0)", mogul.Options{}},
-		{"IVF + complete", mogul.Options{Exact: true, ApproximateGraph: true}},
-		{"IVF + IC(0)", mogul.Options{ApproximateGraph: true}},
+		{"exact + complete", mogul.Options{Exact: true}},
+		{"exact + IC(0)", mogul.Options{}},
 	}
 	var ref [][]int
-	rows := [][]string{{"graph + factor", "recall@10 vs brute + complete", "border", "factor nnz", "nnz/row", "build"}}
+	rows := [][]string{{"graph + factor", "recall@10 vs exact + complete", "border", "factor nnz", "nnz/row", "build"}}
 	for _, arm := range arms {
 		t0 := time.Now()
 		ix, err := mogul.Build(pts, arm.opts)
@@ -360,7 +358,7 @@ func expEMR(l *lab) {
 	queries := emrQueryVectors(ds.Points, 32, l.seed)
 
 	t0 := time.Now()
-	exact, err := mogul.Build(ds.Points, mogul.Options{Exact: true, ApproximateGraph: true, Seed: l.seed})
+	exact, err := mogul.Build(ds.Points, mogul.Options{Exact: true, Seed: l.seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -456,7 +454,7 @@ func expSpectral(l *lab) {
 	queries := emrQueryVectors(ds.Points, 32, l.seed)
 
 	t0 := time.Now()
-	exact, err := mogul.Build(ds.Points, mogul.Options{Exact: true, ApproximateGraph: true, Seed: l.seed})
+	exact, err := mogul.Build(ds.Points, mogul.Options{Exact: true, Seed: l.seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -489,7 +487,7 @@ func expSpectral(l *lab) {
 		}
 		t1 := time.Now()
 		engine, err := mogul.BuildSpectral(ds.Points,
-			mogul.Options{Seed: l.seed, ApproximateGraph: true},
+			mogul.Options{Seed: l.seed},
 			mogul.SpectralOptions{Rank: r})
 		if err != nil {
 			fatal(err)

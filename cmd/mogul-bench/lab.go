@@ -120,9 +120,7 @@ func (l *lab) graph(name string) *knn.Graph {
 	ds := l.dataset(name)
 	t0 := time.Now()
 	g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{
-		K:           5, // the paper's evaluation setting
-		Approximate: true,
-		Seed:        l.seed,
+		K: 5, // the paper's evaluation setting
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "building %s graph: %v\n", name, err)
@@ -199,7 +197,7 @@ func (l *lab) holdoutFor(name string, anchors int) *holdout {
 			labels = labels[:50]
 		}
 	}
-	g, err := knn.BuildGraph(in.Points, knn.GraphConfig{K: 5, Approximate: true, Seed: l.seed})
+	g, err := knn.BuildGraph(in.Points, knn.GraphConfig{K: 5})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "holdout graph %s: %v\n", name, err)
 		os.Exit(1)

@@ -36,7 +36,6 @@ func main() {
 		graphK    = flag.Int("graph-k", 5, "k of the k-NN graph")
 		alpha     = flag.Float64("alpha", 0.99, "Manifold Ranking damping parameter")
 		exact     = flag.Bool("exact", false, "use MogulE (exact scores, denser factor)")
-		approx    = flag.Bool("approx-graph", false, "build the k-NN graph with the IVF index (for large n)")
 		seed      = flag.Int64("seed", 1, "seed for stochastic components")
 	)
 	flag.Parse()
@@ -70,7 +69,7 @@ func main() {
 		// Build parameters are baked into the index file; warn when the
 		// user sets one alongside -load-index so a mode mismatch (e.g.
 		// expecting -exact scores from an approximate index) is visible.
-		buildOnly := map[string]bool{"graph-k": true, "alpha": true, "exact": true, "approx-graph": true, "seed": true}
+		buildOnly := map[string]bool{"graph-k": true, "alpha": true, "exact": true, "seed": true}
 		flag.Visit(func(f *flag.Flag) {
 			if buildOnly[f.Name] {
 				fmt.Fprintf(os.Stderr, "mogul-search: warning: -%s is ignored with -load-index (the index file fixes it)\n", f.Name)
@@ -90,11 +89,10 @@ func main() {
 	} else {
 		t0 := time.Now()
 		idx, err := mogul.BuildFromDataset(ds, mogul.Options{
-			GraphK:           *graphK,
-			Alpha:            *alpha,
-			Exact:            *exact,
-			ApproximateGraph: *approx,
-			Seed:             *seed,
+			GraphK: *graphK,
+			Alpha:  *alpha,
+			Exact:  *exact,
+			Seed:   *seed,
 		})
 		if err != nil {
 			fail(err)

@@ -68,7 +68,6 @@ func main() {
 		graphK    = flag.Int("graph-k", 5, "k of the k-NN graph")
 		alpha     = flag.Float64("alpha", 0.99, "Manifold Ranking damping parameter")
 		exact     = flag.Bool("exact", false, "serve exact scores (MogulE)")
-		approx    = flag.Bool("approx-graph", false, "build the k-NN graph with the IVF index")
 		shards    = flag.Int("shards", 1, "partition the dataset into N shards (parallel build, fan-out search)")
 		partition = flag.String("partitioner", "contiguous", "shard partitioner: contiguous or kmeans")
 		engine    = flag.String("engine", "graph", "ranking engine: graph (k-NN graph index), emr (anchor-graph EMR), or spectral (truncated eigenbasis)")
@@ -167,11 +166,10 @@ func main() {
 		}
 		labels = ds.Labels
 		opts := mogul.Options{
-			GraphK:           *graphK,
-			Alpha:            *alpha,
-			Exact:            *exact,
-			ApproximateGraph: *approx,
-			Precision:        prec,
+			GraphK:    *graphK,
+			Alpha:     *alpha,
+			Exact:     *exact,
+			Precision: prec,
 		}
 		t0 := time.Now()
 		if *engine == "emr" {

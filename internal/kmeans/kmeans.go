@@ -1,10 +1,9 @@
 // Package kmeans implements Lloyd's algorithm with k-means++ seeding.
 //
-// Three parts of the reproduction depend on it: the EMR baseline
-// selects its anchor points with k-means (paper Section 2), the IVF
-// approximate nearest-neighbour index uses k-means as its coarse
-// quantizer, and out-of-sample query handling compares against cluster
-// mean features (paper Section 4.6.2).
+// Two parts of the reproduction depend on it: the EMR baseline and
+// engine select their anchor points with k-means (paper Section 2), and
+// out-of-sample query handling compares against cluster mean features
+// (paper Section 4.6.2).
 package kmeans
 
 import (
@@ -116,8 +115,8 @@ func Run(points []vec.Vector, cfg Config) (*Result, error) {
 // sequentially in point order afterwards, so the result (assignments
 // AND the floating-point inertia) is bit-identical to the sequential
 // version at any worker count. That determinism is what keeps k-means
-// (and everything seeded from it: EMR anchors, IVF coarse quantizers,
-// Compact rebuilds) reproducible across machines.
+// (and everything seeded from it: EMR anchors, Compact rebuilds)
+// reproducible across machines.
 func assignAll(points, centroids []vec.Vector, assign []int, bestD []float64) float64 {
 	n := len(points)
 	k := len(centroids)

@@ -46,7 +46,7 @@ const FarthestBandwidthScale = 1.5
 func AnchorWeights(sc *Scratch, p vec.Vector, anchors []vec.Vector, s int, idx []int32, val []float64) float64 {
 	d := len(anchors)
 	s = min(s, d)
-	sel := searchSubsetInto(sc, p, min(s+1, d), anchors, nil)
+	sel := scanInto(sc, p, min(s+1, d), anchors)
 	var bandwidth float64
 	if s < d {
 		bandwidth = sel[s].Dist

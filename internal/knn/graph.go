@@ -41,20 +41,19 @@ type GraphConfig struct {
 	// (Section 3: "sigma is the standard variation of the function
 	// scores").
 	Sigma float64
-	// Approximate selects the IVF index instead of the exact tree search
-	// once the input is large enough to pay for it; exact search is used
-	// regardless when n <= ApproxThreshold.
-	Approximate bool
-	// ApproxThreshold is the point count below which exact search is
-	// always used (default 4096).
+	// Approximate, ApproxThreshold, NProbe and Seed are kept and
+	// ignored. They configured an inverted-file search that large inputs
+	// could opt into; every graph is now exact. They stay because the
+	// BCFG record (codec.go) still carries them, so a container saved
+	// with them re-saves byte for byte.
+	Approximate     bool
 	ApproxThreshold int
-	// NProbe configures IVF probing (default 8).
-	NProbe int
-	// Seed drives the IVF quantizer.
-	Seed int64
+	NProbe          int
+	Seed            int64
 }
 
-// BuildGraph constructs the k-NN graph over the points.
+// BuildGraph constructs the exact k-NN graph over the points: the
+// tree's lists, which are BruteForce's.
 func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 	n := len(points)
 	if n < 2 {
@@ -67,24 +66,7 @@ func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 	if k > n-1 {
 		k = n - 1
 	}
-	threshold := cfg.ApproxThreshold
-	if threshold <= 0 {
-		threshold = 4096
-	}
-
-	// The search structure is chosen from the input, not by a knob: the
-	// exact tree, or IVF for large inputs when approximation is allowed.
-	var searcher Searcher
-	if cfg.Approximate && n > threshold {
-		ix, err := NewIVF(points, IVFConfig{NProbe: cfg.NProbe, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		searcher = ix
-	} else {
-		searcher = searchTree(points)
-	}
-	return graphFromNeighbors(points, AllKNN(points, searcher, k), k, cfg)
+	return graphFromNeighbors(points, AllKNN(points, searchTree(points), k), k, cfg)
 }
 
 // graphFromNeighbors assembles the graph from the directed k-NN lists.

@@ -7,27 +7,21 @@
 // (squared distance, id), so an answer never depends on the order rows
 // are visited in, and so does every engine's attach: Scratch's
 // selection is the one place the rule is written. Tree, a k-d tree, is
-// the exact path of BuildGraph and the spectral engine's attach: it
-// returns BruteForce's answers, bit for bit, while computing ~100 of
-// 20000 distances per query on the d = 8 mixture (BenchmarkAllKNN has
-// the other shapes). BruteForce, the O(n d) scan per query, is the
+// BuildGraph's search and the spectral engine's attach: it returns
+// BruteForce's answers, bit for bit, while computing ~80 of 20000
+// distances per query on the d = 8 mixture (BenchmarkAllKNN has the
+// other shapes). BruteForce, the O(n d) scan per query, is the
 // oracle the tree is tested against. anchors.go holds EMR's anchor
 // graph, whose attach sweeps its anchors into the same selection.
-// IVF is an inverted-file index with a k-means coarse quantizer, the
-// standard database-side structure for approximate nearest-neighbour
-// search at the paper's INRIA scale; it trades a small recall loss for
-// near-linear construction time (BenchmarkAllKNN's ivf rows report the
-// share of the exact lists it recovers). A Graph keeps the feature
+// Every graph is exact: at every corpus shape the engines build,
+// INRIASim at d = 128 included, the tree beat an inverted-file index
+// (docs/PERFORMANCE.md, "One graph builder"). A Graph keeps the feature
 // vectors it was built over as vec.Rows — the builder's own, aliased,
 // or float32 rows after Narrow32 — and writes them through vec.Rows's
 // point-matrix record (codec.go).
 package knn
 
 import (
-	"fmt"
-	"math"
-
-	"mogul/internal/kmeans"
 	"mogul/internal/par"
 	"mogul/internal/vec"
 )
@@ -68,87 +62,7 @@ func (b *BruteForce) Search(q vec.Vector, k int) []Neighbor {
 // SearchInto is Search against caller-owned scratch; the result
 // aliases sc and is valid until its next use.
 func (b *BruteForce) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
-	return searchSubsetInto(sc, q, k, b.points, nil)
-}
-
-// IVF is an inverted-file approximate nearest-neighbour index: points
-// are bucketed by their nearest k-means centroid and queries probe only
-// the NProbe closest buckets.
-type IVF struct {
-	points    []vec.Vector
-	centroids []vec.Vector
-	lists     [][]int
-	// NProbe is the number of closest inverted lists scanned per query.
-	NProbe int
-}
-
-// IVFConfig controls index construction.
-type IVFConfig struct {
-	// NList is the number of inverted lists (k-means cells); when 0 it
-	// defaults to sqrt(n) rounded up, the usual heuristic.
-	NList int
-	// NProbe is the number of lists probed per query (default 8).
-	NProbe int
-	// Seed drives the k-means quantizer.
-	Seed int64
-}
-
-// NewIVF builds an IVF index over the points.
-func NewIVF(points []vec.Vector, cfg IVFConfig) (*IVF, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("knn: cannot index zero points")
-	}
-	nlist := cfg.NList
-	if nlist <= 0 {
-		nlist = int(math.Ceil(math.Sqrt(float64(n))))
-	}
-	if nlist > n {
-		nlist = n
-	}
-	nprobe := cfg.NProbe
-	if nprobe <= 0 {
-		nprobe = 8
-	}
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-	km, err := kmeans.Run(points, kmeans.Config{K: nlist, Seed: cfg.Seed, MaxIter: 12})
-	if err != nil {
-		return nil, fmt.Errorf("knn: quantizer training: %w", err)
-	}
-	lists := make([][]int, len(km.Centroids))
-	for i, c := range km.Assign {
-		lists[c] = append(lists[c], i)
-	}
-	return &IVF{points: points, centroids: km.Centroids, lists: lists, NProbe: nprobe}, nil
-}
-
-// Search returns approximately the k nearest neighbours of q, scanning
-// the NProbe inverted lists whose centroids are closest to q.
-func (ix *IVF) Search(q vec.Vector, k int) []Neighbor {
-	var sc Scratch
-	return ix.SearchInto(&sc, q, k)
-}
-
-// SearchInto is Search against caller-owned scratch; the result
-// aliases sc and is valid until its next use.
-func (ix *IVF) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	sc.fillCellDistances(q, ix.centroids)
-	sc.sortCells()
-	cand := sc.cand[:0]
-	probes := ix.NProbe
-	for p := 0; p < len(sc.cellID); p++ {
-		if p >= probes && len(cand) >= k {
-			break
-		}
-		cand = append(cand, ix.lists[sc.cellID[p]]...)
-	}
-	sc.cand = cand
-	return searchSubsetInto(sc, q, k, ix.points, cand)
+	return scanInto(sc, q, k, b.points)
 }
 
 // AllKNN computes the k nearest neighbours of every indexed point

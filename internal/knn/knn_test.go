@@ -80,41 +80,6 @@ func TestBruteForceZeroK(t *testing.T) {
 	}
 }
 
-func TestIVFRecall(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randomPoints(rng, 2000, 8)
-	ix, err := NewIVF(pts, IVFConfig{NProbe: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf := NewBruteForce(pts)
-	hits, total := 0, 0
-	for trial := 0; trial < 50; trial++ {
-		q := pts[rng.Intn(len(pts))]
-		exact := bf.Search(q, 10)
-		approx := ix.Search(q, 10)
-		set := map[int]bool{}
-		for _, nb := range approx {
-			set[nb.ID] = true
-		}
-		for _, nb := range exact {
-			total++
-			if set[nb.ID] {
-				hits++
-			}
-		}
-	}
-	if recall := float64(hits) / float64(total); recall < 0.7 {
-		t.Fatalf("IVF recall %.2f below 0.7", recall)
-	}
-}
-
-func TestIVFEmpty(t *testing.T) {
-	if _, err := NewIVF(nil, IVFConfig{}); err == nil {
-		t.Fatal("empty point set accepted")
-	}
-}
-
 func TestAllKNNExcludesSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randomPoints(rng, 60, 3)

@@ -3,38 +3,26 @@ package knn
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"mogul/internal/vec"
 )
 
 // Scratch holds the reusable per-worker state of a selection: the
-// selected rows (which are also the output buffer), the batch kernel's distance
-// buffer, the tree's per-dimension offsets and tombstone mask, and the
-// cell-selection scratch of the inverted-file backend. A zero Scratch
-// is ready to use; one Scratch serves one goroutine at a time. Graph
-// construction issues n k-NN queries back to back, and every engine
-// attaches a query this way, so without reuse the per-query buffers
-// alone would show up in profiles.
+// selected rows (which are also the output buffer), the batch kernel's
+// distance buffer, and the tree's per-dimension offsets and tombstone
+// mask. A zero Scratch is ready to use; one Scratch serves one
+// goroutine at a time. Graph construction issues n k-NN queries back
+// to back, and every engine attaches a query this way, so without reuse
+// the per-query buffers alone would show up in profiles.
 type Scratch struct {
-	k      int
-	out    []Neighbor
-	dist   []float64
-	offSq  []float64
-	dead   []bool
-	cellID []int
-	cellD  []float64
-	cand   []int
-	sorter cellSorter
+	k     int
+	out   []Neighbor
+	dist  []float64
+	offSq []float64
+	dead  []bool
 	// rows and nodes count the distances computed and the tree nodes
 	// visited over the Scratch's life; benchmarks report them per query.
 	rows, nodes int
-}
-
-// sortCells orders the loaded cell scratch by ascending distance.
-func (sc *Scratch) sortCells() {
-	sc.sorter.id, sc.sorter.d = sc.cellID, sc.cellD
-	sort.Sort(&sc.sorter)
 }
 
 // IntoSearcher is a Searcher whose queries can run allocation-lean by
@@ -48,21 +36,15 @@ type IntoSearcher interface {
 	SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor
 }
 
-// searchSubsetInto scans either all points (ids == nil) or the listed
-// ids and returns the k nearest.
-func searchSubsetInto(sc *Scratch, q vec.Vector, k int, points []vec.Vector, ids []int) []Neighbor {
+// scanInto returns the k points nearest q by scanning all of them.
+func scanInto(sc *Scratch, q vec.Vector, k int, points []vec.Vector) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
 	sc.Reset(k)
-	if ids == nil {
-		sc.dist = slices.Grow(sc.dist[:0], len(points))[:len(points)]
-		vec.SquaredEuclideanBatch(q, points, sc.dist)
-	} else {
-		sc.dist = slices.Grow(sc.dist[:0], len(ids))[:len(ids)]
-		vec.SquaredEuclideanRows(q, points, ids, sc.dist)
-	}
-	sc.OfferAll(ids, sc.dist)
+	sc.dist = slices.Grow(sc.dist[:0], len(points))[:len(points)]
+	vec.SquaredEuclideanBatch(q, points, sc.dist)
+	sc.OfferAll(nil, sc.dist)
 	return sc.drain()
 }
 
@@ -150,41 +132,3 @@ func (sc *Scratch) drain() []Neighbor {
 	}
 	return sc.out
 }
-
-// cellSorter orders inverted-file cells by ascending distance with ids
-// breaking ties, over the parallel slices held in Scratch (a closure
-// over sort.Slice would allocate per query).
-type cellSorter struct {
-	id []int
-	d  []float64
-}
-
-func (c *cellSorter) Len() int { return len(c.id) }
-func (c *cellSorter) Less(i, j int) bool {
-	if c.d[i] != c.d[j] {
-		return c.d[i] < c.d[j]
-	}
-	return c.id[i] < c.id[j]
-}
-func (c *cellSorter) Swap(i, j int) {
-	c.id[i], c.id[j] = c.id[j], c.id[i]
-	c.d[i], c.d[j] = c.d[j], c.d[i]
-}
-
-// fillCellDistances loads the per-cell (id, distance) scratch for an
-// inverted-file query.
-func (sc *Scratch) fillCellDistances(q vec.Vector, centroids []vec.Vector) {
-	n := len(centroids)
-	if cap(sc.cellID) < n {
-		sc.cellID = make([]int, n)
-		sc.cellD = make([]float64, n)
-	}
-	sc.cellID = sc.cellID[:n]
-	sc.cellD = sc.cellD[:n]
-	for i := range sc.cellID {
-		sc.cellID[i] = i
-	}
-	vec.SquaredEuclideanBatch(q, centroids, sc.cellD)
-}
-
-var _ sort.Interface = (*cellSorter)(nil)

@@ -25,13 +25,8 @@ func scratchTestPoints(n, dim int, seed int64) []vec.Vector {
 // returns, query after query.
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	pts := scratchTestPoints(400, 6, 3)
-	ivf, err := NewIVF(pts, IVFConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	backends := map[string]IntoSearcher{
 		"brute": NewBruteForce(pts),
-		"ivf":   ivf,
 		"tree":  searchTree(pts),
 	}
 	for name, s := range backends {
@@ -57,13 +52,8 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 // allocate nothing per query.
 func TestSearchIntoDoesNotAllocate(t *testing.T) {
 	pts := scratchTestPoints(500, 6, 4)
-	ivf, err := NewIVF(pts, IVFConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, s := range map[string]IntoSearcher{
 		"brute": NewBruteForce(pts),
-		"ivf":   ivf,
 		"tree":  searchTree(pts),
 	} {
 		var sc Scratch

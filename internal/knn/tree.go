@@ -26,18 +26,32 @@ type Tree struct {
 	// (coordinate, id)) and 2i+2.
 	dim   []int32
 	split []float64
-	// box holds, for leaf i (heap order), the per-dimension minima of its
-	// rows at [2di, 2di+d) and their maxima at [2di+d, 2d(i+1)); internal
-	// nodes' slots are unused.
+	// box holds one box per leaf, the leaves numbered left to right: leaf
+	// b's per-dimension minima at [2db, 2db+d) and its maxima at
+	// [2db+d, 2d(b+1)).
 	box []float64
+	// leafBase[j] is the number of the leftmost leaf under node
+	// len(dim)/2 + j, the j-th node of the last internal level — its own
+	// number when it is itself a leaf (see leafNumber).
+	leafBase []int32
+	// leafSize is the row count at or below which a node is a leaf
+	// (leafRows).
+	leafSize int
 	// slack is the relative inflation of the pruning threshold.
 	slack float64
 }
 
-// leafSize is the row count at or below which a node is a leaf: small
-// enough that a leaf costs a few four-row kernel passes, large enough
-// that the per-node bookkeeping stays a small share of a query.
-const leafSize = 16
+// leafRows is the leaf size for rows of width d: 16 up to d = 32, d/2
+// from there, and 64 from d = 128. A query pays per node it visits (a
+// call and a plane update), per leaf it reaches (an O(d) box check) and
+// per row it scans (an O(d) distance, four rows per kernel pass plus a
+// one-row pass per leftover row). At d = 8 a row costs little more than
+// a visit, so small leaves, which the box cuts closest, win. At d = 128
+// the visits and the leftover rows dominate: on INRIASim 16-row leaves
+// visit 644 nodes and scan 1526 rows per query, 64-row leaves visit 224
+// and scan 1759, and the second is the faster (BenchmarkAllKNN,
+// docs/PERFORMANCE.md).
+func leafRows(d int) int { return min(64, max(16, d/2)) }
 
 // treeRelSlack and treeAbsSlack inflate the pruning threshold; the
 // comment on prunes derives why they, with the tree's rounding term,
@@ -56,42 +70,81 @@ const (
 // are read, not retained.
 func NewTree(points *vec.Rows) *Tree {
 	n, d := points.Len(), points.Width()
-	t := &Tree{ids: make([]int, n)}
+	t := &Tree{ids: make([]int, n), leafSize: leafRows(d)}
 	for i := range t.ids {
 		t.ids[i] = i
 	}
 	depth := 0
 	if d > 0 {
-		for c := n; c > leafSize; c = (c + 1) / 2 {
+		for c := n; c > t.leafSize; c = (c + 1) / 2 {
 			depth++
 		}
 	}
 	t.dim = make([]int32, 1<<depth-1)
 	t.split = make([]float64, len(t.dim))
-	t.box = make([]float64, (1<<(depth+1)-1)*2*d)
+	t.leafBase = make([]int32, (len(t.dim)+1)/2)
+	t.box = make([]float64, leafCount(n, depth, t.leafSize)*2*d)
 	t.slack = 1 + treeRelSlack + float64(d+2*depth+2)*0x1p-52
-	t.build(points, make([]float64, n), make([]float64, 3*d), 0, 0, n)
+	t.build(points, make([]float64, n), make([]float64, 3*d), 0, 0, n, 0)
 	return t
+}
+
+// leafCount is the number of leaves of a tree of the given depth over n
+// rows. A split halves a node's rows, rounding the lower half down, so
+// the nodes on level L hold ⌊n/2^L⌋ or ⌈n/2^L⌉ rows, and depth is the
+// first level whose ⌈n/2^L⌉ is at most leafSize. Every level above the
+// last internal one is therefore split; on that level, with p nodes,
+// the ones holding ⌊n/p⌋ rows are leaves already when ⌊n/p⌋ ≤ leafSize
+// (then ⌈n/p⌉ = leafSize + 1 and n mod p nodes hold it), and each other
+// node splits into two.
+func leafCount(n, depth, leafSize int) int {
+	if depth == 0 {
+		return 1
+	}
+	p := 1 << (depth - 1)
+	if n/p <= leafSize {
+		return p + n%p // the n mod p larger nodes split
+	}
+	return 2 * p
 }
 
 // leaf reports whether the node over [lo, hi) holds its rows unsplit.
 func (t *Tree) leaf(node, lo, hi int) bool {
-	return hi-lo <= leafSize || node >= len(t.dim)
+	return hi-lo <= t.leafSize || node >= len(t.dim)
+}
+
+// leafNumber is the number of the leaf at node, left to right. A leaf
+// is either on the bottom level, one of the two children of a node on
+// the last internal level, or (leafCount) on that level itself.
+func (t *Tree) leafNumber(node int) int {
+	last := len(t.dim) / 2
+	switch {
+	case len(t.dim) == 0:
+		return 0 // the root
+	case node < len(t.dim):
+		return int(t.leafBase[node-last])
+	default:
+		return int(t.leafBase[(node-1)/2-last]) + 1 - node%2
+	}
 }
 
 // build splits node over ids[lo:hi], or records its box if it is a
-// leaf; keys is scratch for the split coordinates of all n rows, work
-// holds an internal node's per-dimension minima and maxima followed by
-// one widened row.
-func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi int) {
+// leaf, and returns the number of the next leaf; leaf is the number of
+// the first leaf under node. keys is scratch for the split coordinates
+// of all n rows, work holds an internal node's per-dimension minima and
+// maxima followed by one widened row.
+func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf int) int {
 	ids := t.ids[lo:hi]
 	d := len(work) / 3
 	span, buf := work[:2*d], work[2*d:]
+	if last := len(t.dim) / 2; node >= last && node < len(t.dim) {
+		t.leafBase[node-last] = int32(leaf)
+	}
 	if t.leaf(node, lo, hi) {
 		if d > 0 && len(ids) > 0 {
-			extent(points, ids, t.box[2*d*node:2*d*(node+1)], buf)
+			extent(points, ids, t.box[2*d*leaf:2*d*(leaf+1)], buf)
 		}
-		return
+		return leaf + 1
 	}
 	extent(points, ids, span, buf)
 	s, widest := 0, span[d]-span[0]
@@ -107,8 +160,8 @@ func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi int) {
 	m := len(ids) / 2
 	selectRank(k, ids, m)
 	t.dim[node], t.split[node] = int32(s), k[m]
-	t.build(points, keys, work, 2*node+1, lo, lo+m)
-	t.build(points, keys, work, 2*node+2, lo+m, hi)
+	leaf = t.build(points, keys, work, 2*node+1, lo, lo+m, leaf)
+	return t.build(points, keys, work, 2*node+2, lo+m, hi, leaf)
 }
 
 // extent writes the per-dimension minima of the rows ids into the first
@@ -241,17 +294,19 @@ func (s *treeSearcher) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
 // crossed, rd their running sum, and crossing a plane on s replaces
 // that one term — O(1) per node, where a fresh box distance for both
 // children would be O(d) and, on data where nothing prunes, lose to the
-// scan. A leaf adds one O(d) check against its own box (the rows'
-// per-dimension extents) before its O(leafSize·d) scan, but only once
-// the planes already put it at a quarter of θ or more: on clustered
-// data that is where the box cuts most of the rows the planes let
-// through (half of them on the d = 8 mixture), and where nothing prunes
-// the planes seldom get that close (on an isotropic Gaussian at d = 32
-// the gated check costs ~9 %, checking every leaf ~35 %).
+// scan. Once the selection is full, every leaf first checks its own box
+// (the rows' per-dimension extents, vec.BoxSqDist, whose AVX2 body
+// costs about as much as a row or two of the scan it may skip). Where
+// the planes are loose the box is what prunes: at d = 128 a path
+// crosses planes on few of the dimensions, and on INRIASim checking
+// every leaf scans 1759 rows per query where checking only the leaves
+// the planes already put at θ/4 or more scans 2442. Where nothing
+// prunes (an isotropic Gaussian at d = 32) the checks cost ~15 % over
+// that gate (docs/PERFORMANCE.md).
 func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi int, rd float64) {
 	sc.nodes++
 	if t.leaf(node, lo, hi) {
-		if len(sc.out) == sc.k && rd >= sc.theta()/4 && t.prunes(sc, t.boxDist(q, node)) {
+		if len(sc.out) == sc.k && t.prunes(sc, t.boxDist(q, node)) {
 			return
 		}
 		sc.dist = slices.Grow(sc.dist[:0], hi-lo)[:hi-lo]
@@ -281,27 +336,11 @@ func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi
 }
 
 // boxDist is the squared distance from q to leaf node's box, summed in
-// four lanes as the kernel sums (any order would do for the bound; four
-// independent chains keep it a small share of a leaf's scan).
+// the kernels' four lanes (any order would do for the bound).
 func (t *Tree) boxDist(q vec.Vector, node int) float64 {
 	d := len(q)
-	mins, maxs := t.box[2*d*node:2*d*node+d], t.box[2*d*node+d:2*d*(node+1)]
-	gap := func(j int) float64 {
-		e := max(mins[j]-q[j], q[j]-maxs[j], 0)
-		return e * e
-	}
-	var s0, s1, s2, s3 float64
-	j := 0
-	for ; j+4 <= d; j += 4 {
-		s0 += gap(j)
-		s1 += gap(j + 1)
-		s2 += gap(j + 2)
-		s3 += gap(j + 3)
-	}
-	for ; j < d; j++ {
-		s0 += gap(j)
-	}
-	return (s0 + s1) + (s2 + s3)
+	b := 2 * d * t.leafNumber(node)
+	return vec.BoxSqDist(q, t.box[b:b+d], t.box[b+d:b+2*d])
 }
 
 // prunes reports whether rows whose computed bound is b can be skipped:

@@ -29,7 +29,7 @@ func sameNeighbors(got, want []Neighbor) error {
 // per coordinate picks its kind: ±0, a small lattice integer (many exact
 // distance ties), a subnormal, the smallest normals, ~1e-160 (whose
 // squares are subnormal), a moderate value, or up to ±1e150 (whose
-// squares still sum below the overflow threshold at d = 40).
+// squares still sum below the overflow threshold at d = 160).
 func fuzzPoints(data []byte, n, d int) []vec.Vector {
 	pos := 0
 	next := func() int {
@@ -76,17 +76,21 @@ func fuzzPoints(data []byte, n, d int) []vec.Vector {
 
 // FuzzExactKNN holds the tree to the brute-force scan on fuzzed point
 // sets: for every stored point as the query (and one decoded query),
-// the same ids in the same order with the same distance bits.
+// the same ids in the same order with the same distance bits. d runs to
+// 160, so every leaf size (16 rows to d = 32, d/2 rows, 64 from d = 128)
+// and every length mod 4 of the box kernel is reached.
 func FuzzExactKNN(f *testing.F) {
 	f.Add([]byte{2, 10, 18, 26, 34, 42}, uint8(60), uint8(2), uint8(5))             // lattice
 	f.Add([]byte{0, 1, 4, 8, 2, 10, 0}, uint8(40), uint8(3), uint8(7))              // ±0 and duplicates
 	f.Add([]byte{3, 11, 19, 5, 13, 21, 4, 12}, uint8(80), uint8(5), uint8(3))       // subnormal, tiny
 	f.Add([]byte{7, 15, 23, 31, 6, 14, 255, 128}, uint8(120), uint8(40), uint8(10)) // huge, moderate
 	f.Add([]byte{6, 14, 22, 30, 38, 46, 54, 62, 70}, uint8(200), uint8(8), uint8(202))
-	f.Add([]byte{}, uint8(30), uint8(1), uint8(4)) // all zero: θ = 0 throughout
+	f.Add([]byte{}, uint8(30), uint8(1), uint8(4))                                     // all zero: θ = 0 throughout
+	f.Add([]byte{6, 14, 2, 10, 22, 7, 30, 4, 38}, uint8(180), uint8(69), uint8(9))     // d = 70: 35-row leaves
+	f.Add([]byte{6, 13, 22, 5, 30, 2, 46, 62, 3, 1}, uint8(199), uint8(141), uint8(7)) // d = 142: 64-row leaves
 	f.Fuzz(func(t *testing.T, data []byte, nb, db, kb uint8) {
 		n := 1 + int(nb)%200
-		d := 1 + int(db)%40
+		d := 1 + int(db)%160
 		k := 1 + int(kb)%(n+2)
 		pts := fuzzPoints(data, n, d)
 		tree, bf := searchTree(pts), NewBruteForce(pts)
@@ -98,6 +102,49 @@ func FuzzExactKNN(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The ceilings of TestTreeWorkAtD128.
+const maxRowsD128, maxNodesD128 = 900, 87
+
+// TestTreeLeafBoxes walks trees whose leaves end on the bottom level,
+// one level early (n just past a multiple of the leaf size), or at the
+// root: the leaves are numbered 0, 1, … left to right, there is one box
+// per leaf and no more, and each box is its rows' extent.
+func TestTreeLeafBoxes(t *testing.T) {
+	for _, d := range []int{1, 3, 8, 40, 64, 130} {
+		size := leafRows(d)
+		for _, n := range []int{0, 1, size, size + 1, 2*size + 1, 4*size + 3, 8*size - 1, 8*size + 1, 1000} {
+			pts := scratchTestPoints(n, d, int64(n+d))
+			rows := vec.AliasRows(pts, d)
+			tree := NewTree(&rows)
+			next := 0
+			var walk func(node, lo, hi int)
+			walk = func(node, lo, hi int) {
+				if !tree.leaf(node, lo, hi) {
+					mid := lo + (hi-lo)/2
+					walk(2*node+1, lo, mid)
+					walk(2*node+2, mid, hi)
+					return
+				}
+				if got := tree.leafNumber(node); got != next {
+					t.Fatalf("d=%d n=%d: leaf at node %d is numbered %d, want %d", d, n, node, got, next)
+				}
+				if hi > lo {
+					want := make([]float64, 2*d)
+					extent(&rows, tree.ids[lo:hi], want, make([]float64, d))
+					if got := tree.box[2*d*next : 2*d*(next+1)]; !slices.Equal(got, want) {
+						t.Fatalf("d=%d n=%d: leaf %d box %v, want %v", d, n, next, got, want)
+					}
+				}
+				next++
+			}
+			walk(0, 0, n)
+			if len(tree.box) != 2*d*next {
+				t.Fatalf("d=%d n=%d: %d box values for %d leaves", d, n, len(tree.box), next)
+			}
+		}
+	}
 }
 
 // latticePoints is the side×side integer grid in row-major id order.
@@ -114,15 +161,11 @@ func latticePoints(side int) []vec.Vector {
 // TestAllKNNTiesByID: on a lattice an interior point has four
 // neighbours at distance 1, so with k = 3 the (squared distance, id)
 // rule alone decides which three are kept — the lowest ids. The tree,
-// the scan and an IVF that probes every cell (so it sees every row, in
-// cell order rather than id order) must all keep the same three.
+// which meets the rows in leaf order rather than id order, and the scan
+// must keep the same three.
 func TestAllKNNTiesByID(t *testing.T) {
 	const side, k = 12, 3
 	pts := latticePoints(side)
-	ivf, err := NewIVF(pts, IVFConfig{NList: 9, NProbe: 9, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := AllKNN(pts, NewBruteForce(pts), k)
 	if got := want[5*side+5]; got[0].ID != 4*side+5 || got[1].ID != 5*side+4 || got[2].ID != 5*side+6 {
 		t.Fatalf("interior point keeps %+v, want ids %d, %d, %d", got, 4*side+5, 5*side+4, 5*side+6)
@@ -150,12 +193,10 @@ func TestAllKNNTiesByID(t *testing.T) {
 			}
 		}
 	}
-	for name, s := range map[string]Searcher{"tree": searchTree(pts), "ivf": ivf} {
-		got := AllKNN(pts, s, k)
-		for i := range got {
-			if err := sameNeighbors(got[i], want[i]); err != nil {
-				t.Fatalf("%s point %d: %v", name, i, err)
-			}
+	got := AllKNN(pts, searchTree(pts), k)
+	for i := range got {
+		if err := sameNeighbors(got[i], want[i]); err != nil {
+			t.Fatalf("tree point %d: %v", i, err)
 		}
 	}
 }
@@ -221,30 +262,49 @@ func TestBuildGraphTreeMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// treeWork runs every point of pts as a k-nearest query against the
+// tree over them and returns the distances computed and the nodes
+// visited per query.
+func treeWork(pts []vec.Vector, k int) (rows, nodes float64) {
+	tree := searchTree(pts)
+	var sc Scratch
+	for _, q := range pts {
+		tree.SearchInto(&sc, q, k)
+	}
+	return float64(sc.rows) / float64(len(pts)), float64(sc.nodes) / float64(len(pts))
+}
+
 // TestTreePrunes pins that the bounds bite: on the d = 8 mixture a
 // query computes ~70 distances of 5000. The equality tests above cannot
 // see a bound that is merely loose, or offsets left stale.
 func TestTreePrunes(t *testing.T) {
-	pts := mixture8(5000)
-	tree := searchTree(pts)
-	var sc Scratch
-	for _, q := range pts {
-		tree.SearchInto(&sc, q, 6)
-	}
-	if rows := float64(sc.rows) / float64(len(pts)); rows > 100 {
+	if rows, _ := treeWork(mixture8(5000), 6); rows > 100 {
 		t.Fatalf("%.1f rows per query, want at most 100", rows)
 	}
 }
 
+// TestTreeWorkAtD128 pins the work of a graph build's queries at
+// graph_id's shape (INRIASim, d = 128; n = 3000 here): distances
+// computed and nodes visited per query, both deterministic, each
+// ceiling its value when it was recorded rounded up by under 1 %. Like
+// TestTreePrunes it sees what the equality tests cannot: gating the leaf
+// box check on the plane bound (at θ/4) scans ~1219 rows per query, and
+// 16-row leaves visit ~276 nodes.
+func TestTreeWorkAtD128(t *testing.T) {
+	rows, nodes := treeWork(dataset.INRIASim(3000, 1).Points, 6)
+	t.Logf("%.1f rows, %.1f nodes per query", rows, nodes)
+	if rows > maxRowsD128 || nodes > maxNodesD128 {
+		t.Fatalf("%.1f rows and %.1f nodes per query, want at most %v and %v", rows, nodes, maxRowsD128, maxNodesD128)
+	}
+}
+
 // BenchmarkAllKNN times the k = 5 all-points search of a graph build —
-// brute force, the tree, and IVF with BuildGraph's defaults (8 of
-// ceil(sqrt(n)) lists probed, quantizer included in the time) — at the
-// shapes the engines build: the mixed_rw and spectral_id corpus, one
-// dist_fanout shard, INRIASim (graph_id at n = 14000), unit-norm
-// d = 512 (graph_vec_d512 at n = 6000), an isotropic Gaussian (the
-// tree's worst case), and a tree-only n = 10^5 row. rows/query is
-// distances computed per query, nodes/query tree nodes visited, and
-// recovered the share of the exact k-NN lists the IVF lists hold.
+// brute force and the tree — at the shapes the engines build: the
+// mixed_rw and spectral_id corpus, one dist_fanout shard, INRIASim
+// (graph_id at n = 14000), unit-norm d = 512 (graph_vec_d512 at
+// n = 6000), an isotropic Gaussian (the tree's worst case), and a
+// tree-only n = 10^5 row. rows/query is distances computed per query,
+// nodes/query tree nodes visited.
 //
 //	go test -run '^$' -bench 'BenchmarkAllKNN' -benchtime 1x ./internal/knn
 func BenchmarkAllKNN(b *testing.B) {
@@ -279,44 +339,9 @@ func BenchmarkAllKNN(b *testing.B) {
 				AllKNN(pts, searchTree(pts), k)
 			}
 			b.StopTimer()
-			tree := searchTree(pts)
-			var sc Scratch
-			for _, q := range pts {
-				tree.SearchInto(&sc, q, k+1)
-			}
-			b.ReportMetric(float64(sc.rows)/float64(len(pts)), "rows/query")
-			b.ReportMetric(float64(sc.nodes)/float64(len(pts)), "nodes/query")
-		})
-		if c.treeOnly {
-			continue
-		}
-		b.Run(c.name+"/ivf", func(b *testing.B) {
-			var ivf *IVF
-			var lists [][]Neighbor
-			for i := 0; i < b.N; i++ {
-				var err error
-				if ivf, err = NewIVF(pts, IVFConfig{}); err != nil {
-					b.Fatal(err)
-				}
-				lists = AllKNN(pts, ivf, k)
-			}
-			b.StopTimer()
-			var sc Scratch
-			for _, q := range pts {
-				ivf.SearchInto(&sc, q, k+1)
-			}
-			exact := AllKNN(pts, searchTree(pts), k)
-			found, total := 0, 0
-			for i, want := range exact {
-				for _, nb := range want {
-					if slices.ContainsFunc(lists[i], func(x Neighbor) bool { return x.ID == nb.ID }) {
-						found++
-					}
-					total++
-				}
-			}
-			b.ReportMetric(float64(sc.rows)/float64(len(pts)), "rows/query")
-			b.ReportMetric(float64(found)/float64(total), "recovered")
+			rows, nodes := treeWork(pts, k+1)
+			b.ReportMetric(rows, "rows/query")
+			b.ReportMetric(nodes, "nodes/query")
 		})
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkDecompose prices the offline stage of the spectral engine at
-// the spectral_id workload's shape — the normalized 5-NN adjacency
-// (IVF-approximate, as that workload builds it) of the d = 8 mixture
+// the spectral_id workload's shape — the normalized exact 5-NN
+// adjacency of the d = 8 mixture
 // with ~10-point classes at n = 20000, rank 64, 2*64 + 16 = 144 Lanczos
 // steps — and at n = 10^5, where the 144 basis vectors alone hold
 // 144 * n * 8 bytes = 115 MB. The graph is built once per size, outside
@@ -37,7 +37,7 @@ func mixtureAdjacency(b *testing.B, n int) *sparse.CSR {
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: n, Classes: n / 10, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 1,
 	})
-	g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5, Approximate: true})
+	g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5})
 	if err != nil {
 		b.Fatal(err)
 	}

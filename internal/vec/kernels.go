@@ -32,7 +32,8 @@ import (
 // the instantiation once per call, never per element.
 //
 // The squared-distance and dot kernels have two bodies per storage
-// width: the Go bodies here (sqdistGo, dotGo), compiled everywhere, and
+// width, and the box distance has two over float64: the Go bodies here
+// (sqdistGo, dotGo, boxSqDistGo), compiled everywhere, and
 // AVX2 assembly (kernels_amd64.s) that holds the four lanes in one ymm
 // register and so gives the same bits. Package init picks the assembly
 // once when the CPU and OS support AVX2 (kernels_amd64.go); elsewhere
@@ -144,6 +145,41 @@ func checkDim(q, p Vector) {
 
 func dimMismatch(want, got int) {
 	panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", want, got))
+}
+
+// BoxSqDist returns the squared L2 distance from q to the axis-aligned
+// box whose per-dimension minima are lo and maxima hi: the sum over j
+// of max(lo_j − q_j, q_j − hi_j, 0)², under the shared four-lane
+// contract. It is the k-d tree's leaf bound (knn.Tree). A NaN in any
+// operand gives NaN, as does +Inf − +Inf in a difference. lo and hi must
+// have len(q).
+func BoxSqDist(q, lo, hi []float64) float64 {
+	if len(lo) != len(q) || len(hi) != len(q) {
+		panic(fmt.Sprintf("vec: BoxSqDist lengths %d, %d for a query of %d", len(lo), len(hi), len(q)))
+	}
+	return boxSqDist(q, lo, hi)
+}
+
+// boxSqDistGo is the Go body of BoxSqDist.
+func boxSqDistGo(q, lo, hi []float64) float64 {
+	lo, hi = lo[:len(q)], hi[:len(q)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(q); i += 4 {
+		e0 := max(lo[i]-q[i], q[i]-hi[i], 0)
+		e1 := max(lo[i+1]-q[i+1], q[i+1]-hi[i+1], 0)
+		e2 := max(lo[i+2]-q[i+2], q[i+2]-hi[i+2], 0)
+		e3 := max(lo[i+3]-q[i+3], q[i+3]-hi[i+3], 0)
+		s0 += e0 * e0
+		s1 += e1 * e1
+		s2 += e2 * e2
+		s3 += e3 * e3
+	}
+	for ; i < len(q); i++ {
+		e := max(lo[i]-q[i], q[i]-hi[i], 0)
+		s0 += e * e
+	}
+	return combineLanes(s0, s1, s2, s3)
 }
 
 // Axpy computes y += a*x elementwise (the BLAS axpy). Lengths must

@@ -54,6 +54,13 @@ func dot32(a []float64, b []float32) float64 {
 	return dotGo(a, b)
 }
 
+func boxSqDist(q, lo, hi []float64) float64 {
+	if useAVX2 {
+		return boxSqDistAVX2(q, lo[:len(q)], hi[:len(q)])
+	}
+	return boxSqDistGo(q, lo, hi)
+}
+
 // sqdist4 writes the squared distances from q to four rows of its
 // length into out.
 func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
@@ -89,6 +96,9 @@ func dotAVX2(a, b []float64) float64
 
 //go:noescape
 func dot32AVX2(a []float64, b []float32) float64
+
+//go:noescape
+func boxSqDistAVX2(q, lo, hi []float64) float64
 
 //go:noescape
 func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)

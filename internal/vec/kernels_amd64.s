@@ -1,6 +1,7 @@
 #include "textflag.h"
 
-// AVX2 bodies of the accumulating distance and dot kernels. Each one
+// AVX2 bodies of the accumulating distance, dot and box-distance
+// kernels. Each one
 // reproduces its Go body in kernels.go / kernels32.go to the bit: one
 // ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
 // (mod 4) in order; every element is subtracted (or widened with
@@ -190,6 +191,69 @@ d32Done:
 	HSUM(X0, X2, X3)
 	VZEROUPPER
 	MOVSD X0, ret+48(FP)
+	RET
+
+// func boxSqDistAVX2(q, lo, hi []float64) float64
+//
+// Each lane takes e = max(lo − q, q − hi, 0) and adds e². VMAXPD returns
+// its second source when either operand is NaN, so a NaN in one of the
+// two differences could be lost; an unordered compare of the two marks
+// those lanes and OR-ing its all-ones mask in makes e NaN there, as Go's
+// max makes it. The sign of a zero e is squared away.
+TEXT ·boxSqDistAVX2(SB), NOSPLIT, $0-80
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   lo_base+24(FP), DI
+	MOVQ   hi_base+48(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y9, Y9, Y9
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    boxTail
+	PCALIGN $32
+
+boxLoop:
+	VMOVUPD (SI)(AX*8), Y1
+	VMOVUPD (DI)(AX*8), Y2
+	VSUBPD  Y1, Y2, Y2
+	VSUBPD  (DX)(AX*8), Y1, Y3
+	VCMPPD  $3, Y3, Y2, Y4
+	VMAXPD  Y3, Y2, Y5
+	VMAXPD  Y9, Y5, Y5
+	VORPD   Y4, Y5, Y5
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y5, Y0, Y0
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     boxLoop
+
+boxTail:
+	VEXTRACTF128 $1, Y0, X6
+	CMPQ         AX, CX
+	JGE          boxDone
+	PCALIGN $32
+
+boxTailLoop:
+	VMOVSD (SI)(AX*8), X1
+	VMOVSD (DI)(AX*8), X2
+	VSUBSD X1, X2, X2
+	VSUBSD (DX)(AX*8), X1, X3
+	VCMPSD $3, X3, X2, X4
+	VMAXSD X3, X2, X5
+	VMAXSD X9, X5, X5
+	VORPD  X4, X5, X5
+	VMULSD X5, X5, X5
+	VADDSD X5, X0, X0
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    boxTailLoop
+
+boxDone:
+	HSUM(X0, X6, X3)
+	VZEROUPPER
+	MOVSD X0, ret+72(FP)
 	RET
 
 // func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)

@@ -97,6 +97,25 @@ func checkOneRow(t *testing.T, a, b []float64, b32 []float32) {
 	}
 }
 
+// checkBox compares the dispatched box distance with its Go body.
+func checkBox(t *testing.T, q, lo, hi []float64) {
+	t.Helper()
+	if got, want := boxSqDist(q, lo, hi), boxSqDistGo(q, lo, hi); !sameBits(got, want) {
+		t.Fatalf("n=%d: boxSqDist=%v (%#x), Go body %v (%#x)", len(q), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// boxAround returns the minima and maxima of a and b, element by element,
+// so most of q's coordinates fall outside the box on one side or the
+// other and some inside it.
+func boxAround(a, b []float64) (lo, hi []float64) {
+	lo, hi = make([]float64, len(a)), make([]float64, len(a))
+	for i := range a {
+		lo[i], hi[i] = min(a[i], b[i]), max(a[i], b[i])
+	}
+	return lo, hi
+}
+
 func TestKernelBodiesBitIdentical(t *testing.T) {
 	logDispatch(t)
 	rng := rand.New(rand.NewSource(80))
@@ -106,6 +125,12 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 				a := offsetCopy(mixedSlice(rng, n), off)
 				b := offsetCopy(mixedSlice(rng, n), (off+trial)%4)
 				checkOneRow(t, a, b, offsetCopy(narrow(mixedSlice(rng, n)), (off+1)%4))
+				lo, hi := boxAround(b, mixedSlice(rng, n))
+				checkBox(t, a, offsetCopy(lo, (off+2)%4), offsetCopy(hi, (off+3)%4))
+				// An inverted box (lo > hi) and unrelated raw operands: the
+				// kernel is arithmetic over any three slices.
+				checkBox(t, a, hi, lo)
+				checkBox(t, a, b, mixedSlice(rng, n))
 			}
 		}
 	}
@@ -183,7 +208,9 @@ func TestBatchRowsMismatchPanics(t *testing.T) {
 
 // FuzzKernels feeds raw bit patterns — every NaN payload, subnormal and
 // infinity the fuzzer finds — to the dispatched bodies and the Go
-// bodies, one row and four rows, at the alignment off selects.
+// bodies, one row and four rows, at the alignment off selects; and to
+// the box distance, whose query, minima and maxima are the thirds of the
+// values, so every length mod 4 is reached.
 func FuzzKernels(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var out []byte
@@ -196,6 +223,7 @@ func FuzzKernels(f *testing.F) {
 	f.Add(seed(math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 1e-300, 5e-324, -0.0, 3), uint8(1))
 	f.Add(seed(math.Inf(1), 1, 2, 3, math.Inf(1), 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), uint8(2))
 	f.Add(make([]byte, 8*67), uint8(3))
+	f.Add(seed(0, 1, -1, 2, 3, math.NaN(), -2, -1, math.Inf(1), 1, 4, math.NaN()), uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
 		vals := make([]float64, len(raw)/8)
 		for i := range vals {
@@ -210,6 +238,8 @@ func FuzzKernels(f *testing.F) {
 		b := offsetCopy(vals[n:2*n], int(off/4%4))
 		b32 := offsetCopy(f32[len(f32)-n:], int(off/16%4))
 		checkOneRow(t, a, b, b32)
+		m := len(vals) / 3
+		checkBox(t, offsetCopy(vals[:m], int(off%4)), offsetCopy(vals[m:2*m], int(off/4%4)), vals[2*m:3*m])
 
 		rot := func(s []float64, k int) []float64 {
 			if len(s) == 0 {

@@ -13,6 +13,8 @@ func dot(a, b []float64) float64 { return dotGo(a, b) }
 
 func dot32(a []float64, b []float32) float64 { return dotGo(a, b) }
 
+func boxSqDist(q, lo, hi []float64) float64 { return boxSqDistGo(q, lo, hi) }
+
 func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 	out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
 }

@@ -243,6 +243,8 @@ func TestKernelLengthMismatchesPanic(t *testing.T) {
 		"DotGather":    func() { DotGather(make([]float64, 2), make([]int, 3), make([]float64, 4)) },
 		"DotGatherI32": func() { DotGatherI32(make([]float64, 2), make([]int32, 3), make([]float64, 4)) },
 		"ScatterAxpy":  func() { ScatterAxpy(make([]float64, 4), make([]int, 3), make([]float64, 2), 1) },
+		"BoxSqDist/lo": func() { BoxSqDist(make([]float64, 2), make([]float64, 1), make([]float64, 2)) },
+		"BoxSqDist/hi": func() { BoxSqDist(make([]float64, 2), make([]float64, 2), make([]float64, 3)) },
 		"BatchOutLen":  func() { SquaredEuclideanBatch(Vector{1}, make([]Vector, 2), make([]float64, 3)) },
 		"BatchPointDim": func() {
 			SquaredEuclideanBatch(Vector{1}, []Vector{{1, 2}}, make([]float64, 1))

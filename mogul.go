@@ -112,9 +112,13 @@ type Options struct {
 	// complete (Modified) Cholesky factorization, at the cost of a
 	// denser factor.
 	Exact bool
-	// ApproximateGraph builds the k-NN graph with the IVF index
-	// instead of the exact k-d tree search once the dataset exceeds a
-	// few thousand points; recommended for n over ~50k.
+	// ApproximateGraph is kept and ignored: every engine builds the
+	// exact k-NN graph with a k-d tree, which measured faster than the
+	// inverted-file search this once selected at every corpus shape the
+	// benchmark builds (docs/PERFORMANCE.md). The value is still
+	// recorded in a saved index's graph recipe, so a container saved
+	// with it set re-saves byte for byte; a Compact rebuilds the exact
+	// graph either way.
 	ApproximateGraph bool
 	// MutualGraph keeps only mutual k-NN edges instead of the default
 	// union symmetrization.
@@ -122,8 +126,9 @@ type Options struct {
 	// Sigma pins the heat-kernel bandwidth; 0 derives it from the
 	// observed k-NN distances (the paper's convention).
 	Sigma float64
-	// Seed drives the stochastic pieces (IVF quantizer); results are
-	// deterministic for a fixed seed.
+	// Seed drives the stochastic pieces (EMR's k-means anchors, the
+	// spectral engine's Lanczos start); results are deterministic for a
+	// fixed seed.
 	Seed int64
 	// AutoCompactFraction makes Insert trigger an automatic Compact
 	// once the pending delta (inserted items plus tombstones) exceeds

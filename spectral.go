@@ -81,8 +81,8 @@ import (
 // BuildSpectral. The zero value gives serving defaults (rank 64,
 // 2*rank+16 Lanczos steps, 3 exact hops, 10 attachment neighbours);
 // the shared Options value supplies the graph recipe (GraphK,
-// ApproximateGraph, MutualGraph, Sigma), Alpha, Seed, and
-// AutoCompactFraction.
+// MutualGraph, Sigma; ApproximateGraph is recorded and ignored), Alpha,
+// Seed, and AutoCompactFraction.
 type SpectralOptions struct {
 	// Rank is r, the number of retained eigenpairs. More rank buys
 	// recall on the smooth long-range part at up to O(n*r) per-query
@@ -293,7 +293,7 @@ func (st *spectralState) derive() int {
 type SpectralIndex struct {
 	engine[*spectralState]
 	// ropts/sopts are the recorded recipe Compact rebuilds with.
-	ropts Options // graph recipe (GraphK, Approximate, Mutual, Sigma) + Seed
+	ropts Options // graph recipe (GraphK, Mutual, Sigma; ApproximateGraph is recorded, ignored) + Seed
 	sopts SpectralOptions
 	// att and attRow are Insert's attachment scratch: attach fills them,
 	// commit appends them (mutMu serializes the pair).
