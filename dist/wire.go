@@ -126,14 +126,10 @@ func (r *searchReply) scan(b []byte, owner bool) bool {
 	if !ok {
 		return false
 	}
-	end, integer := jsonwire.ScanNumber(b, i)
-	if !integer {
+	if _, i, ok = jsonwire.ScanUint(b, i); !ok {
 		return false
 	}
-	if _, err := strconv.ParseUint(string(b[i:end]), 10, 64); err != nil {
-		return false
-	}
-	if i, ok = jsonwire.Expect(b, end, `,"answers":`); !ok {
+	if i, ok = jsonwire.Expect(b, i, `,"answers":`); !ok {
 		return false
 	}
 	var out searchReply

@@ -2,21 +2,25 @@ package jsonwire
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 
 	"mogul/internal/core"
 )
 
 // The scanners: one-pass decoders for the canonical form of the arrays
-// and numbers a body carries. Numbers are converted by the strconv calls
-// encoding/json makes (ParseFloat(s, 64), ParseInt), so a scanned value
-// carries the same bits. Anything a scanner does not take — null, a
-// number out of range, any syntax it does not know — it reports by
-// returning nil or false, and the caller decodes the same bytes with
+// and numbers a body carries. Each number is read once: one loop checks
+// its grammar and collects its digits, and the value is converted from
+// those, exactly (atof.go), with strconv.ParseFloat on the same bytes
+// for the few floats the exact methods decline. A scanned value carries
+// the bits encoding/json's ParseFloat(s, 64) and ParseInt give, and the
+// same range verdict. Anything a scanner does not take — null, a number
+// out of range, any syntax it does not know — it reports by returning
+// nil or false, and the caller decodes the same bytes with
 // encoding/json, which accepts or rejects them in its own words. The
 // callers' fuzzers (serve's FuzzScanVectorQuery and
 // FuzzScanInsertRequest, dist's FuzzScanDistReply) hold the two decoders
-// to each other.
+// to each other, and FuzzParseFloat holds ScanFloat to ParseFloat.
 
 // Expect returns the offset past tok when b continues with it at i.
 func Expect(b []byte, i int, tok string) (int, bool) {
@@ -28,14 +32,73 @@ func Expect(b []byte, i int, tok string) (int, bool) {
 
 // ScanFloat decodes the JSON number at b[i] and returns it with the
 // offset past it; ok is false when there is no number there or it is
-// out of float64's range.
+// out of float64's range. The value and the verdict are
+// strconv.ParseFloat(s, 64)'s: parseFast gives them for nearly every
+// number, and ParseFloat itself for the rest.
 func ScanFloat(b []byte, i int) (f float64, end int, ok bool) {
-	end, _ = ScanNumber(b, i)
-	if end == i {
-		return 0, i, false
+	if f, end, ok = parseFast(b, i); ok || end == i {
+		return f, end, ok
 	}
 	f, err := strconv.ParseFloat(string(b[i:end]), 64)
 	return f, end, err == nil
+}
+
+// ScanInt decodes the JSON integer at b[i] — -?(0|[1-9][0-9]*) not
+// followed by a fraction or an exponent — and returns it with the offset
+// past it; ok is false when there is none or it is out of int's range,
+// as strconv.ParseInt(s, 10, 0) would find it.
+func ScanInt(b []byte, i int) (n int, end int, ok bool) {
+	j := i
+	neg := j < len(b) && b[j] == '-'
+	if neg {
+		j++
+	}
+	u, end, ok := ScanUint(b, j)
+	if !ok {
+		return 0, i, false
+	}
+	if neg {
+		if u > uint64(math.MaxInt)+1 {
+			return 0, i, false
+		}
+		return int(-u), end, true
+	}
+	if u > math.MaxInt {
+		return 0, i, false
+	}
+	return int(u), end, true
+}
+
+// ScanUint decodes the unsigned JSON integer at b[i] —
+// (0|[1-9][0-9]*) not followed by a fraction or an exponent — and
+// returns it with the offset past it; ok is false when there is none (a
+// sign included) or it is out of uint64's range, as
+// strconv.ParseUint(s, 10, 64) would find it.
+func ScanUint(b []byte, i int) (n uint64, end int, ok bool) {
+	j := i
+	switch {
+	case j == len(b):
+		return 0, i, false
+	case b[j] == '0':
+		j++
+	case '1' <= b[j] && b[j] <= '9':
+		for ; j < len(b); j++ {
+			c := b[j] - '0'
+			if c > 9 {
+				break
+			}
+			if n > math.MaxUint64/10 || n*10 > math.MaxUint64-uint64(c) {
+				return 0, i, false
+			}
+			n = n*10 + uint64(c)
+		}
+	default:
+		return 0, i, false
+	}
+	if j < len(b) && (b[j] == '.' || b[j] == 'e' || b[j] == 'E') {
+		return 0, i, false
+	}
+	return n, j, true
 }
 
 // ScanFloats decodes the array of numbers opening at b[i] and returns it
@@ -100,12 +163,8 @@ func ScanRows(b []byte, i int) ([]core.Result, int) {
 		if !ok {
 			return nil, i
 		}
-		e, integer := ScanNumber(b, j)
-		if !integer {
-			return nil, i
-		}
-		item, err := strconv.ParseInt(string(b[j:e]), 10, 0)
-		if err != nil {
+		item, e, ok := ScanInt(b, j)
+		if !ok {
 			return nil, i
 		}
 		if j, ok = Expect(b, e, `,"score":`); !ok {
@@ -118,7 +177,7 @@ func ScanRows(b []byte, i int) ([]core.Result, int) {
 		if j, ok = Expect(b, e, "}"); !ok {
 			return nil, i
 		}
-		out = append(out, core.Result{Node: int(item), Score: score})
+		out = append(out, core.Result{Node: item, Score: score})
 		// No row holds a ']', so b[j] is at or before the bracket found
 		// above.
 		switch i = j; b[i] {
@@ -130,56 +189,6 @@ func ScanRows(b []byte, i int) ([]core.Result, int) {
 			return nil, i
 		}
 	}
-}
-
-// ScanNumber returns the offset past the longest JSON-grammar number
-// starting at b[i] — -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? —
-// and whether it has neither fraction nor exponent; end == i when there
-// is none. The grammar is checked here because strconv accepts more than
-// JSON does (+1, .5, 1., 0x10, 1_0, Inf). A number running into a byte
-// that cannot follow one ("01") is the caller's to reject.
-func ScanNumber(b []byte, i int) (end int, integer bool) {
-	j := i
-	if j < len(b) && b[j] == '-' {
-		j++
-	}
-	switch {
-	case j == len(b):
-		return i, false
-	case b[j] == '0':
-		j++
-	case '1' <= b[j] && b[j] <= '9':
-		j = skipDigits(b, j+1)
-	default:
-		return i, false
-	}
-	integer = true
-	if j < len(b) && b[j] == '.' {
-		d := skipDigits(b, j+1)
-		if d == j+1 {
-			return i, false
-		}
-		j, integer = d, false
-	}
-	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		d := j + 1
-		if d < len(b) && (b[d] == '+' || b[d] == '-') {
-			d++
-		}
-		e := skipDigits(b, d)
-		if e == d {
-			return i, false
-		}
-		j, integer = e, false
-	}
-	return j, integer
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // SkipSpace skips JSON whitespace.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"strconv"
 
 	"mogul/internal/jsonwire"
 )
@@ -17,16 +16,18 @@ import (
 // ("vector", and "k" for VectorQuery) in any order, exact-case, without
 // escapes, each at most once; "vector" an array of JSON-grammar numbers,
 // "k" a JSON-grammar integer; JSON whitespace anywhere between tokens
-// and nothing else after the closing brace. Numbers are converted by the
-// strconv calls encoding/json makes (ParseFloat(s, 64), ParseInt), so a
-// scanned value carries the same bits. Anything else — null, a
-// case-folded, unknown, duplicate or escaped key, a number out of range,
-// "k":3.0, trailing bytes, any syntax error — is not the scanner's to
-// judge: it reports false having written nothing, and ReadJSON decodes
-// the same bytes with encoding/json, which accepts or rejects them in
-// its own words. FuzzScanVectorQuery and FuzzScanInsertRequest hold the
-// two decoders to each other. The number and array scanners under the
-// key loop are internal/jsonwire's, shared with dist's reply scanner.
+// and nothing else after the closing brace. Each number is read in one
+// pass that checks its grammar and converts it (jsonwire.ScanFloat,
+// ScanInt), to the bits and the range verdict of the strconv calls
+// encoding/json makes (ParseFloat(s, 64), ParseInt). Anything else —
+// null, a case-folded, unknown, duplicate or escaped key, a number out
+// of range, "k":3.0, trailing bytes, any syntax error — is not the
+// scanner's to judge: it reports false having written nothing, and
+// ReadJSON decodes the same bytes with encoding/json, which accepts or
+// rejects them in its own words. FuzzScanVectorQuery and
+// FuzzScanInsertRequest hold the two decoders to each other. The number
+// and array scanners under the key loop are internal/jsonwire's, shared
+// with dist's reply scanner.
 
 // scannable is a request type with a canonical-form scanner: scanJSON
 // decodes body into the receiver and reports true, or reports false
@@ -78,15 +79,10 @@ func scanVectorBody(b []byte, vector *[]float64, k *int) bool {
 			}
 		case string(key) == "k" && k != nil && !seenK:
 			seenK = true
-			end, integer := jsonwire.ScanNumber(b, i)
-			if !integer {
+			var ok bool
+			if kval, i, ok = jsonwire.ScanInt(b, i); !ok {
 				return false
 			}
-			n, err := strconv.ParseInt(string(b[i:end]), 10, 0)
-			if err != nil {
-				return false
-			}
-			kval, i = int(n), end
 		default:
 			return false
 		}
