@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"mogul/internal/vec"
 )
 
 // EigSym computes the full eigendecomposition of a symmetric matrix
@@ -83,8 +85,8 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 					md[k] = c*akp - s*akq
 					md[k+q-p] = s*akp + c*akq
 				}
-				rotateRows(md[p*n:(p+1)*n], md[q*n:(q+1)*n], c, s)
-				rotateRows(vt[p*n:(p+1)*n], vt[q*n:(q+1)*n], c, s)
+				vec.Rot(md[p*n:(p+1)*n], md[q*n:(q+1)*n], c, s)
+				vec.Rot(vt[p*n:(p+1)*n], vt[q*n:(q+1)*n], c, s)
 			}
 		}
 	}
@@ -108,15 +110,4 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 		}
 	}
 	return sortedW, sortedV, nil
-}
-
-// rotateRows applies one Jacobi rotation to the row pair (x, y):
-// x, y = c*x - s*y, s*x + c*y elementwise.
-func rotateRows(x, y []float64, c, s float64) {
-	y = y[:len(x)]
-	for k, xk := range x {
-		yk := y[k]
-		x[k] = c*xk - s*yk
-		y[k] = s*xk + c*yk
-	}
 }

@@ -31,11 +31,12 @@ import (
 // cache, and the big streamed operand is the stored one. Callers pick
 // the instantiation once per call, never per element.
 //
-// The squared-distance and dot kernels have two bodies per storage
-// width, and the box distance has two over float64: the Go bodies here
-// (sqdistGo, dotGo, boxSqDistGo), compiled everywhere, and
-// AVX2 assembly (kernels_amd64.s) that holds the four lanes in one ymm
-// register and so gives the same bits. Package init picks the assembly
+// The squared-distance, dot and axpy kernels have two bodies per
+// storage width, and the box distance and rotation have two over
+// float64: the Go bodies here (sqdistGo, dotGo, axpyGo, boxSqDistGo,
+// rotGo), compiled everywhere, and AVX2 assembly (kernels_amd64.s) that
+// gives the same bits (an accumulating kernel holds its four lanes in
+// one ymm register). Package init picks the assembly
 // once when the CPU and OS support AVX2 (kernels_amd64.go); elsewhere
 // the Go bodies are the only ones, and they are the tests' oracle. The
 // batch forms score four rows per pass, four independent lane chains
@@ -184,11 +185,24 @@ func boxSqDistGo(q, lo, hi []float64) float64 {
 
 // Axpy computes y += a*x elementwise (the BLAS axpy). Lengths must
 // match. Elementwise updates have no accumulation order, so the
-// 4-wide unroll changes no rounding versus the plain loop.
+// unrolled bodies change no rounding versus the plain loop; where x and
+// y share memory the Go body runs, which is that loop in order.
 func Axpy[P Float](y []float64, a float64, x []P) {
 	if len(y) != len(x) {
 		panic(fmt.Sprintf("vec: Axpy dimension mismatch %d != %d", len(y), len(x)))
 	}
+	switch xs := any(x).(type) {
+	case []float64:
+		axpy(y, a, xs)
+	case []float32:
+		axpy32(y, a, xs)
+	default:
+		axpyGo(y, a, x)
+	}
+}
+
+// axpyGo is the Go body of Axpy.
+func axpyGo[P Float](y []float64, a float64, x []P) {
 	x = x[:len(y)]
 	i := 0
 	for ; i+4 <= len(y); i += 4 {
@@ -199,6 +213,27 @@ func Axpy[P Float](y []float64, a float64, x []P) {
 	}
 	for ; i < len(y); i++ {
 		y[i] += a * float64(x[i])
+	}
+}
+
+// Rot applies the plane rotation (c, s) to the pair (x, y):
+// x, y = c*x - s*y, s*x + c*y elementwise — the row rotation of the
+// Jacobi eigensolver (dense.EigSym). Lengths must match; where x and y
+// share memory the Go body runs, which is that loop in order.
+func Rot(x, y []float64, c, s float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("vec: Rot dimension mismatch %d != %d", len(x), len(y)))
+	}
+	rot(x, y, c, s)
+}
+
+// rotGo is the Go body of Rot.
+func rotGo(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = c*xk - s*yk
+		y[k] = s*xk + c*yk
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 // The float32 side of the kernel family: the entry points that
 // dispatch to an assembly body of their own (SquaredEuclideanQ32, Dot32
 // and the flat-matrix batch forms), and the conversions into and out of
-// float32 storage. The kernels whose one body serves both widths are
-// the generic ones in kernels.go; kernels.go also states the storage
-// and accumulation contract. Query-side operands stay []float64.
+// float32 storage. The kernels with one generic entry point for both
+// widths are in kernels.go (Axpy picks its width's assembly body
+// there); kernels.go also states the storage and accumulation contract.
+// Query-side operands stay []float64.
 
 // SquaredEuclideanQ32 returns the squared L2 distance between a
 // float64 query and a float32 stored point — the serving-path shape,

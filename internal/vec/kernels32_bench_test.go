@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -187,10 +188,11 @@ func BenchmarkKernelGatherF32(b *testing.B) {
 	})
 }
 
-// The elementwise and scatter kernels have only a Go body. Their rows
-// are 128 rows at the two lengths the engines run them at: rank 64 (the
-// spectral projection's axpy of one embedding row) and p = 1024 (the
-// emr_vec combine's axpy of one Gram-inverse row).
+// The elementwise and scatter kernels run 128 rows at the two lengths
+// the engines run them at: rank 64 (the spectral projection's axpy of
+// one embedding row) and p = 1024 (the emr_vec combine's axpy of one
+// Gram-inverse row). Axpy has an AVX2 body beside its Go one; Sum and
+// ScatterAxpy have only the Go body.
 var elemShapes = []benchShape{{"r=64", 128, 64}, {"p=1024", 128, 1024}}
 
 // elemData draws the rows of s as float64 and as float32, a destination
@@ -207,26 +209,61 @@ func elemData(s benchShape) (flat64 []float64, flat32 []float32, y []float64, id
 	return
 }
 
+// benchAxpy runs the /go and /one-row sub-rows of one Axpy storage
+// width over flat, rows of s.dim elements of elemBytes each.
+func benchAxpy[P Float](b *testing.B, s benchShape, y []float64, flat []P, elemBytes int) {
+	row := func(r int) []P { return flat[r*s.dim : (r+1)*s.dim] }
+	b.Run(s.name+"/go", func(b *testing.B) {
+		benchPass(b, s.rows, s.dim*elemBytes, func() {
+			for r := 0; r < s.rows; r++ {
+				axpyGo(y, 1e-3, row(r))
+			}
+		})
+	})
+	b.Run(s.name+"/one-row", func(b *testing.B) {
+		benchPass(b, s.rows, s.dim*elemBytes, func() {
+			for r := 0; r < s.rows; r++ {
+				Axpy(y, 1e-3, row(r))
+			}
+		})
+	})
+}
+
 func BenchmarkKernelAxpyF64(b *testing.B) {
 	for _, s := range elemShapes {
 		flat64, _, y, _ := elemData(s)
-		b.Run(s.name+"/go", func(b *testing.B) {
-			benchPass(b, s.rows, s.dim*8, func() {
-				for r := 0; r < s.rows; r++ {
-					Axpy(y, 1e-3, flat64[r*s.dim:(r+1)*s.dim])
-				}
-			})
-		})
+		benchAxpy(b, s, y, flat64, 8)
 	}
 }
 
 func BenchmarkKernelAxpyF32(b *testing.B) {
 	for _, s := range elemShapes {
 		_, flat32, y, _ := elemData(s)
+		benchAxpy(b, s, y, flat32, 4)
+	}
+}
+
+// BenchmarkKernelRot rotates 64 disjoint row pairs per op at m = 145,
+// the order of a rank-64 spectral build's Lanczos tridiagonal
+// (dense.EigSym's row rotation), and at p = 1024, the Axpy rows' long
+// length. A rotation is orthogonal, so repeating it keeps the rows
+// bounded.
+func BenchmarkKernelRot(b *testing.B) {
+	c, sn := math.Cos(0.3), math.Sin(0.3)
+	for _, s := range []benchShape{{"m=145", 128, 145}, {"p=1024", 128, 1024}} {
+		flat64, _, _, _ := elemData(s)
+		row := func(r int) []float64 { return flat64[r*s.dim : (r+1)*s.dim] }
 		b.Run(s.name+"/go", func(b *testing.B) {
-			benchPass(b, s.rows, s.dim*4, func() {
-				for r := 0; r < s.rows; r++ {
-					Axpy(y, 1e-3, flat32[r*s.dim:(r+1)*s.dim])
+			benchPass(b, s.rows, s.dim*8, func() {
+				for r := 0; r < s.rows; r += 2 {
+					rotGo(row(r), row(r+1), c, sn)
+				}
+			})
+		})
+		b.Run(s.name+"/one-row", func(b *testing.B) {
+			benchPass(b, s.rows, s.dim*8, func() {
+				for r := 0; r < s.rows; r += 2 {
+					Rot(row(r), row(r+1), c, sn)
 				}
 			})
 		})

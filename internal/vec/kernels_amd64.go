@@ -1,5 +1,7 @@
 package vec
 
+import "unsafe"
+
 // useAVX2 selects the assembly bodies in kernels_amd64.s. It is decided
 // once, at package init: the CPU reports AVX2 (CPUID leaf 7, EBX bit 5)
 // and the OS saves the YMM registers across context switches (OSXSAVE,
@@ -61,6 +63,42 @@ func boxSqDist(q, lo, hi []float64) float64 {
 	return boxSqDistGo(q, lo, hi)
 }
 
+func axpy(y []float64, a float64, x []float64) {
+	if useAVX2 && !overlaps(y, x) {
+		axpyAVX2(y, a, x[:len(y)])
+		return
+	}
+	axpyGo(y, a, x)
+}
+
+func axpy32(y []float64, a float64, x []float32) {
+	if useAVX2 && !overlaps(y, x) {
+		axpy32AVX2(y, a, x[:len(y)])
+		return
+	}
+	axpyGo(y, a, x)
+}
+
+func rot(x, y []float64, c, s float64) {
+	if useAVX2 && !overlaps(x, y) {
+		rotAVX2(x, y[:len(x)], c, s)
+		return
+	}
+	rotGo(x, y, c, s)
+}
+
+// overlaps reports whether the memory of y and x intersects. The
+// elementwise assembly bodies load a whole pass before they store it,
+// so on shared memory they could read a value the in-order loop would
+// already have updated; those calls take the Go body.
+func overlaps[P Float](y []float64, x []P) bool {
+	if len(y) == 0 || len(x) == 0 {
+		return false
+	}
+	y0, x0 := uintptr(unsafe.Pointer(&y[0])), uintptr(unsafe.Pointer(&x[0]))
+	return x0 < y0+uintptr(len(y))*8 && y0 < x0+uintptr(len(x))*unsafe.Sizeof(x[0])
+}
+
 // sqdist4 writes the squared distances from q to four rows of its
 // length into out.
 func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
@@ -96,6 +134,15 @@ func dotAVX2(a, b []float64) float64
 
 //go:noescape
 func dot32AVX2(a []float64, b []float32) float64
+
+//go:noescape
+func axpyAVX2(y []float64, a float64, x []float64)
+
+//go:noescape
+func axpy32AVX2(y []float64, a float64, x []float32)
+
+//go:noescape
+func rotAVX2(x, y []float64, c, s float64)
 
 //go:noescape
 func boxSqDistAVX2(q, lo, hi []float64) float64

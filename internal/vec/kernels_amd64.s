@@ -1,8 +1,8 @@
 #include "textflag.h"
 
 // AVX2 bodies of the accumulating distance, dot and box-distance
-// kernels. Each one
-// reproduces its Go body in kernels.go / kernels32.go to the bit: one
+// kernels, and of the elementwise axpy and rotation. Each accumulating
+// one reproduces its Go body in kernels.go / kernels32.go to the bit: one
 // ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
 // (mod 4) in order; every element is subtracted (or widened with
 // VCVTPS2PD), multiplied and then added — never fused, because a fused
@@ -416,6 +416,195 @@ q4Done:
 	MOVSD X1, 8(DI)
 	MOVSD X2, 16(DI)
 	MOVSD X3, 24(DI)
+	RET
+
+// The elementwise bodies have no lanes to keep: each element is
+// multiplied, then added or subtracted, exactly as its Go body writes
+// it, and never fused. Eight elements go per pass in two ymm registers,
+// then one pass of four, then a scalar tail. A whole pass is loaded
+// before it is stored, so the dispatchers (kernels_amd64.go) send
+// operands that share memory to the Go body.
+
+// func axpyAVX2(y []float64, a float64, x []float64)
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	VBROADCASTSD a+24(FP), Y0
+	MOVQ         x_base+32(FP), SI
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	XORQ         AX, AX
+	CMPQ         AX, BX
+	JGE          axpyFour
+	PCALIGN $32
+
+axpyLoop:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VADDPD  32(DI)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     axpyLoop
+
+axpyFour:
+	MOVQ    CX, BX
+	ANDQ    $-4, BX
+	CMPQ    AX, BX
+	JGE     axpyTail
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+
+axpyTail:
+	CMPQ AX, CX
+	JGE  axpyDone
+	PCALIGN $32
+
+axpyTailLoop:
+	VMULSD (SI)(AX*8), X0, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    axpyTailLoop
+
+axpyDone:
+	VZEROUPPER
+	RET
+
+// func axpy32AVX2(y []float64, a float64, x []float32)
+TEXT ·axpy32AVX2(SB), NOSPLIT, $0-56
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	VBROADCASTSD a+24(FP), Y0
+	MOVQ         x_base+32(FP), SI
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	XORQ         AX, AX
+	CMPQ         AX, BX
+	JGE          a32Four
+	PCALIGN $32
+
+a32Loop:
+	VCVTPS2PD (SI)(AX*4), Y1
+	VCVTPS2PD 16(SI)(AX*4), Y2
+	VMULPD    Y1, Y0, Y1
+	VMULPD    Y2, Y0, Y2
+	VADDPD    (DI)(AX*8), Y1, Y1
+	VADDPD    32(DI)(AX*8), Y2, Y2
+	VMOVUPD   Y1, (DI)(AX*8)
+	VMOVUPD   Y2, 32(DI)(AX*8)
+	ADDQ      $8, AX
+	CMPQ      AX, BX
+	JLT       a32Loop
+
+a32Four:
+	MOVQ      CX, BX
+	ANDQ      $-4, BX
+	CMPQ      AX, BX
+	JGE       a32Tail
+	VCVTPS2PD (SI)(AX*4), Y1
+	VMULPD    Y1, Y0, Y1
+	VADDPD    (DI)(AX*8), Y1, Y1
+	VMOVUPD   Y1, (DI)(AX*8)
+	ADDQ      $4, AX
+
+a32Tail:
+	CMPQ AX, CX
+	JGE  a32Done
+	PCALIGN $32
+
+a32TailLoop:
+	VCVTSS2SD (SI)(AX*4), X1, X1
+	VMULSD    X1, X0, X1
+	VADDSD    (DI)(AX*8), X1, X1
+	VMOVSD    X1, (DI)(AX*8)
+	INCQ      AX
+	CMPQ      AX, CX
+	JLT       a32TailLoop
+
+a32Done:
+	VZEROUPPER
+	RET
+
+// ROT4(x, y, t, u) rotates the four pairs in x and y by the broadcast
+// cosine in Y0 and sine in Y1, leaving c*x - s*y in t and s*x + c*y in
+// y; x and u are clobbered.
+#define ROT4(x, y, t, u) \
+	VMULPD x, Y0, t; \
+	VMULPD y, Y1, u; \
+	VMULPD x, Y1, x; \
+	VMULPD y, Y0, y; \
+	VSUBPD u, t, t;  \
+	VADDPD y, x, y
+
+// func rotAVX2(x, y []float64, c, s float64)
+TEXT ·rotAVX2(SB), NOSPLIT, $0-64
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	MOVQ         y_base+24(FP), DI
+	VBROADCASTSD c+48(FP), Y0
+	VBROADCASTSD s+56(FP), Y1
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	XORQ         AX, AX
+	CMPQ         AX, BX
+	JGE          rotFour
+	PCALIGN $32
+
+rotLoop:
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD (DI)(AX*8), Y3
+	VMOVUPD 32(SI)(AX*8), Y4
+	VMOVUPD 32(DI)(AX*8), Y5
+	ROT4(Y2, Y3, Y6, Y7)
+	ROT4(Y4, Y5, Y8, Y9)
+	VMOVUPD Y6, (SI)(AX*8)
+	VMOVUPD Y3, (DI)(AX*8)
+	VMOVUPD Y8, 32(SI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     rotLoop
+
+rotFour:
+	MOVQ    CX, BX
+	ANDQ    $-4, BX
+	CMPQ    AX, BX
+	JGE     rotTail
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD (DI)(AX*8), Y3
+	ROT4(Y2, Y3, Y6, Y7)
+	VMOVUPD Y6, (SI)(AX*8)
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ    $4, AX
+
+rotTail:
+	CMPQ AX, CX
+	JGE  rotDone
+	PCALIGN $32
+
+rotTailLoop:
+	VMOVSD (SI)(AX*8), X2
+	VMOVSD (DI)(AX*8), X3
+	VMULSD X2, X0, X6
+	VMULSD X3, X1, X7
+	VMULSD X2, X1, X2
+	VMULSD X3, X0, X3
+	VSUBSD X7, X6, X6
+	VADDSD X3, X2, X3
+	VMOVSD X6, (SI)(AX*8)
+	VMOVSD X3, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    rotTailLoop
+
+rotDone:
+	VZEROUPPER
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

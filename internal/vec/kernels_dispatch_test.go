@@ -105,6 +105,41 @@ func checkBox(t *testing.T, q, lo, hi []float64) {
 	}
 }
 
+// sameSlicesBits fails t unless got and want agree element by element
+// under sameBits.
+func sameSlicesBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("n=%d: %s[%d]=%v (%#x), want %v (%#x)",
+				len(got), name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkElementwise compares the dispatched Axpy, over float64 and
+// float32 x, and Rot with their Go bodies. Each side works on its own
+// copy of y (and of x, for Rot) at the alignment off selects.
+func checkElementwise(t *testing.T, off int, a, c, s float64, y, x []float64, x32 []float32) {
+	t.Helper()
+	got, want := offsetCopy(y, off), offsetCopy(y, off)
+	Axpy(got, a, x)
+	axpyGo(want, a, x)
+	sameSlicesBits(t, "Axpy", got, want)
+
+	got, want = offsetCopy(y, off), offsetCopy(y, off)
+	Axpy(got, a, x32)
+	axpyGo(want, a, x32)
+	sameSlicesBits(t, "Axpy[float32]", got, want)
+
+	gx, gy := offsetCopy(x, (off+1)%4), offsetCopy(y, off)
+	wx, wy := offsetCopy(x, (off+1)%4), offsetCopy(y, off)
+	Rot(gx, gy, c, s)
+	rotGo(wx, wy, c, s)
+	sameSlicesBits(t, "Rot x", gx, wx)
+	sameSlicesBits(t, "Rot y", gy, wy)
+}
+
 // boxAround returns the minima and maxima of a and b, element by element,
 // so most of q's coordinates fall outside the box on one side or the
 // other and some inside it.
@@ -131,7 +166,60 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 				// kernel is arithmetic over any three slices.
 				checkBox(t, a, hi, lo)
 				checkBox(t, a, b, mixedSlice(rng, n))
+
+				x, x32 := b, offsetCopy(narrow(mixedSlice(rng, n)), (off+trial)%4)
+				alpha := valueClass(rng, trial%5)
+				if trial == 5 {
+					// a = 0 against an infinite x: 0*Inf is NaN, which the
+					// elementwise bodies must not skip.
+					alpha = math.Copysign(0, float64(off%2)-0.5)
+					for i := range x {
+						if i%3 == 0 {
+							x[i] = math.Inf(1 - 2*(i/3%2))
+							x32[i] = float32(x[i])
+						}
+					}
+				}
+				checkElementwise(t, off, alpha, valueClass(rng, trial%5), valueClass(rng, (trial+2)%5), a, x, x32)
 			}
+		}
+	}
+}
+
+// TestElementwiseOverlapIsSequential gives Axpy and Rot operands that
+// share memory — the same slice, and one slice shifted by one element
+// either way — which must give the bits of the plain in-order loop,
+// whichever body the dispatcher picks.
+func TestElementwiseOverlapIsSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	seqAxpy := func(y []float64, a float64, x []float64) {
+		for i := range y {
+			y[i] += a * x[i]
+		}
+	}
+	seqRot := func(x, y []float64, c, s float64) {
+		for k := range x {
+			xk, yk := x[k], y[k]
+			x[k] = c*xk - s*yk
+			y[k] = s*xk + c*yk
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		base := mixedSlice(rng, n+1)
+		a, c, s := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		for _, shift := range []struct {
+			name   string
+			yo, xo int
+		}{{"same", 0, 0}, {"x=y[1:]", 0, 1}, {"y=x[1:]", 1, 0}} {
+			got, want := append([]float64(nil), base...), append([]float64(nil), base...)
+			Axpy(got[shift.yo:shift.yo+n], a, got[shift.xo:shift.xo+n])
+			seqAxpy(want[shift.yo:shift.yo+n], a, want[shift.xo:shift.xo+n])
+			sameSlicesBits(t, "Axpy "+shift.name, got, want)
+
+			got, want = append([]float64(nil), base...), append([]float64(nil), base...)
+			Rot(got[shift.xo:shift.xo+n], got[shift.yo:shift.yo+n], c, s)
+			seqRot(want[shift.xo:shift.xo+n], want[shift.yo:shift.yo+n], c, s)
+			sameSlicesBits(t, "Rot "+shift.name, got, want)
 		}
 	}
 }
@@ -208,9 +296,10 @@ func TestBatchRowsMismatchPanics(t *testing.T) {
 
 // FuzzKernels feeds raw bit patterns — every NaN payload, subnormal and
 // infinity the fuzzer finds — to the dispatched bodies and the Go
-// bodies, one row and four rows, at the alignment off selects; and to
+// bodies, one row and four rows, at the alignment off selects; to
 // the box distance, whose query, minima and maxima are the thirds of the
-// values, so every length mod 4 is reached.
+// values, so every length mod 4 is reached; and to Axpy and Rot, whose
+// scalars are the last three values.
 func FuzzKernels(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var out []byte
@@ -224,6 +313,7 @@ func FuzzKernels(f *testing.F) {
 	f.Add(seed(math.Inf(1), 1, 2, 3, math.Inf(1), 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), uint8(2))
 	f.Add(make([]byte, 8*67), uint8(3))
 	f.Add(seed(0, 1, -1, 2, 3, math.NaN(), -2, -1, math.Inf(1), 1, 4, math.NaN()), uint8(5))
+	f.Add(seed(math.Inf(1), 1, math.Inf(-1), 2, 3, 4, 5, 6, 7, 8, 9, math.Inf(1), 0.6, 0.8, 0), uint8(6))
 	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
 		vals := make([]float64, len(raw)/8)
 		for i := range vals {
@@ -240,6 +330,10 @@ func FuzzKernels(f *testing.F) {
 		checkOneRow(t, a, b, b32)
 		m := len(vals) / 3
 		checkBox(t, offsetCopy(vals[:m], int(off%4)), offsetCopy(vals[m:2*m], int(off/4%4)), vals[2*m:3*m])
+		if len(vals) >= 3 {
+			c, s, alpha := vals[len(vals)-3], vals[len(vals)-2], vals[len(vals)-1]
+			checkElementwise(t, int(off%4), alpha, c, s, a, b, b32)
+		}
 
 		rot := func(s []float64, k int) []float64 {
 			if len(s) == 0 {

@@ -10,7 +10,8 @@ import (
 // infinities, ±0 — to every kernel whose one Go body serves both storage
 // widths: each float32 instantiation must give the bits of its float64
 // instantiation on the widened inputs (NaN for NaN), and each gather the
-// same bits at int and at int32 indices. raw holds n float32 stored
+// same bits at int and at int32 indices; Axpy over float32 and Rot must
+// also give their Go bodies' bits. raw holds n float32 stored
 // values followed by n float64 query-side values (n = len(raw)/12); the
 // indices are the stored values' bits modulo n; off picks the alignment
 // of each operand in its backing array.
@@ -72,6 +73,19 @@ func FuzzKernelFamily(f *testing.F) {
 		Axpy(y32, a, x32)
 		Axpy(y64, a, x64)
 		sameSlices("Axpy", y32, y64)
+		yGo := offsetCopy(q, int(off/16%4))
+		axpyGo(yGo, a, x32)
+		sameSlices("Axpy[float32] Go body", y32, yGo)
+
+		// Rot has one width; its dispatched body must give the Go body's
+		// bits, here rotating the widened stored values against q by
+		// (c, s) = (a, -a).
+		rx, ry := offsetCopy(x64, int(off%4)), offsetCopy(q, int(off/4%4))
+		gx, gy := offsetCopy(x64, int(off/16%4)), offsetCopy(q, int(off/32%4))
+		Rot(rx, ry, a, -a)
+		rotGo(gx, gy, a, -a)
+		sameSlices("Rot x", rx, gx)
+		sameSlices("Rot y", ry, gy)
 
 		y32, y64 = offsetCopy(q, 1), offsetCopy(q, 2)
 		ScatterAxpy(y32, idx, x32, a)

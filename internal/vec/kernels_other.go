@@ -13,6 +13,12 @@ func dot(a, b []float64) float64 { return dotGo(a, b) }
 
 func dot32(a []float64, b []float32) float64 { return dotGo(a, b) }
 
+func axpy(y []float64, a float64, x []float64) { axpyGo(y, a, x) }
+
+func axpy32(y []float64, a float64, x []float32) { axpyGo(y, a, x) }
+
+func rot(x, y []float64, c, s float64) { rotGo(x, y, c, s) }
+
 func boxSqDist(q, lo, hi []float64) float64 { return boxSqDistGo(q, lo, hi) }
 
 func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
