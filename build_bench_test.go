@@ -52,19 +52,33 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkBuildEMR measures the anchor-graph engine build (k-means
 // anchors, attachment, gram factorization) at the frontier point the
-// EMR acceptance criteria are pinned to (p=2560, s=24).
+// EMR acceptance criteria are pinned to (p=2560, s=24), and as the
+// emr_vec workload builds — its corpus (n = 20000, d = 8, generator
+// seed 1), p = 1024, s = 24, default options — reporting the k-means
+// and gram-inverse stages (Stats.ClusterTime, FactorTime) of the last
+// build; the rest is the anchor attach and the gram assembly.
 func BenchmarkBuildEMR(b *testing.B) {
-	for _, n := range emrBenchSizes {
-		pts, _ := emrBenchPoints(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	run := func(name string, pts []Vector, opts Options, eopts EMROptions) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var st Stats
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildEMR(pts, Options{Seed: 11}, emrBenchOptions); err != nil {
+				e, err := BuildEMR(pts, opts, eopts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				st = e.Stats()
 			}
+			b.ReportMetric(st.ClusterTime.Seconds(), "cluster-s")
+			b.ReportMetric(st.FactorTime.Seconds(), "factor-s")
 		})
 	}
+	for _, n := range emrBenchSizes {
+		pts, _ := emrBenchPoints(n)
+		run(fmt.Sprintf("n=%d", n), pts, Options{Seed: 11}, emrBenchOptions)
+	}
+	pts, _ := emrMixture(20_000, 0, 1)
+	run("emr_vec", pts, Options{}, EMROptions{NumAnchors: 1024, NumNearestAnchors: 24})
 }
 
 // BenchmarkBuildSharded measures the fan-out build: per-shard builds

@@ -288,6 +288,55 @@ func TestGoldenInsertSequence(t *testing.T) {
 	}
 }
 
+// TestGoldenEMRRebuild: a fresh EMR build from the recipe of the v3
+// goldens (see TestGoldenContainers) saves exactly their bytes, so the
+// k-means anchors, the anchor attach and the gram inverse of a new build
+// are pinned across commits, not only the codec. The recorded build
+// timings are the one field a rebuild cannot reproduce; they are copied
+// from the golden before the save.
+func TestGoldenEMRRebuild(t *testing.T) {
+	src, err := LoadEMRBytes(readGolden(t, "emr_v1_f64.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]Vector, src.st.numPoints())
+	for i := range pts {
+		pts[i] = src.st.pointVec(i)
+	}
+	for _, tc := range []struct {
+		file string
+		prec Precision
+	}{{"emr_v3_f64.bin", F64}, {"emr_v3_f32.bin", F32}} {
+		t.Run(tc.file, func(t *testing.T) {
+			want := readGolden(t, tc.file)
+			golden, err := LoadEMRBytes(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := BuildEMR(pts[:64], Options{Alpha: 0.99, Seed: 7, Precision: tc.prec},
+				EMROptions{NumAnchors: 24, NumNearestAnchors: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts[64:67] {
+				if _, err := e.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []int{5, 40, 65} {
+				if err := e.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.st.stats.ClusterTime = golden.st.stats.ClusterTime
+			e.st.stats.FactorTime = golden.st.stats.FactorTime
+			if got := goldenSave(t, e, false); !bytes.Equal(got, want) {
+				t.Fatalf("rebuild saves %d bytes that differ from the golden's %d", len(got), len(want))
+			}
+		})
+	}
+}
+
 // TestGoldenIndexV2: there is no version-2 writer any more, so the
 // golden is a static version-3 save (the idx_v3_f64 build before its
 // inserts and deletes) restamped to version 2. It loads by stream and

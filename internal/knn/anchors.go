@@ -2,6 +2,7 @@ package knn
 
 import (
 	"math"
+	"slices"
 
 	"mogul/internal/par"
 	"mogul/internal/vec"
@@ -44,9 +45,34 @@ const FarthestBandwidthScale = 1.5
 // (one batched sweep, the shared selection), and the square root is
 // taken only for them.
 func AnchorWeights(sc *Scratch, p vec.Vector, anchors []vec.Vector, s int, idx []int32, val []float64) float64 {
+	return anchorWeights(sc, p, anchors, s, idx, val, false)
+}
+
+// anchorWeights is AnchorWeights. With carry set, the rows sc selected
+// last — the s+1 anchors of the previous point, over the same anchors
+// and s — bound this selection: their distances to p are in p's sweep
+// already, and the largest is at least p's (s+1)-th smallest, so the
+// selection starts there (resetBelow) and the answer is unchanged. The
+// caller sets carry only when no distance can be NaN (p and every
+// anchor finite): a NaN row that enters is never evicted, so with NaNs
+// the answer depends on which rows were offered before it.
+func anchorWeights(sc *Scratch, p vec.Vector, anchors []vec.Vector, s int, idx []int32, val []float64, carry bool) float64 {
 	d := len(anchors)
 	s = min(s, d)
-	sel := scanInto(sc, p, min(s+1, d), anchors)
+	k := min(s+1, d)
+	prev := sc.out
+	sc.dist = slices.Grow(sc.dist[:0], d)[:d]
+	vec.SquaredEuclideanBatch(p, anchors, sc.dist)
+	bound := math.Inf(1)
+	if carry && len(prev) == k {
+		bound = 0
+		for _, nb := range prev {
+			bound = max(bound, sc.dist[nb.ID])
+		}
+	}
+	sc.resetBelow(k, bound)
+	sc.OfferAll(nil, sc.dist)
+	sel := sc.drain()
 	var bandwidth float64
 	if s < d {
 		bandwidth = sel[s].Dist
@@ -99,20 +125,7 @@ func BuildAnchorGraph(points, anchors []vec.Vector, s int) *AnchorGraph {
 	hIdx := make([]int32, n*s)
 	hVal := make([]float64, n*s)
 	colSum := make([]float64, d)
-	// Attachment is the dominant stage; it runs on the par pool with
-	// per-block scratch. Each point's weights are a pure function of
-	// (p, anchors, s), and colSum accumulates through the fixed-shape
-	// blocked reduction, so the graph is bit-identical at any GOMAXPROCS.
-	par.ReduceVec(colSum, n, 16, func(lo, hi int, acc []float64) {
-		var sc Scratch
-		for i := lo; i < hi; i++ {
-			idx, val := hIdx[i*s:(i+1)*s], hVal[i*s:(i+1)*s]
-			AnchorWeights(&sc, points[i], anchors, s, idx, val)
-			for t, a := range idx {
-				acc[a] += val[t]
-			}
-		}
-	})
+	attachAll(points, anchors, s, 16, hIdx, hVal, colSum)
 
 	// Lambda_kk = 1/colSum[k]; degree D_ii = z_i^T Lambda (Z 1) where
 	// (Z 1)_k = colSum[k], hence D_ii = sum_t z_it * Lambda_tt * colSum[t]
@@ -130,6 +143,43 @@ func BuildAnchorGraph(points, anchors []vec.Vector, s int) *AnchorGraph {
 		}
 	})
 	return &AnchorGraph{Anchors: anchors, S: s, HIdx: hIdx, HVal: hVal, ColSum: colSum, Lambda: lambda}
+}
+
+// attachAll writes every point's s anchors and weights (AnchorWeights)
+// into its span of hIdx and hVal, and adds the weights into colSum. It
+// runs on the par pool over blocks of at least minBlock points, each
+// with its own Scratch. Within a block every point after the first
+// carries the previous point's selection as its bound (anchorWeights):
+// on a corpus stored near its neighbours most anchors then fail one
+// comparison instead of entering the (s+1)-row selection. Each point's
+// weights are still a pure function of (p, anchors, s), the same at any
+// block shape, and colSum accumulates through the fixed-shape blocked
+// reduction, so the graph is bit-identical at any GOMAXPROCS.
+func attachAll(points, anchors []vec.Vector, s, minBlock int, hIdx []int32, hVal, colSum []float64) {
+	finite := allFinite(anchors)
+	par.ReduceVec(colSum, len(points), minBlock, func(lo, hi int, acc []float64) {
+		var sc Scratch
+		for i := lo; i < hi; i++ {
+			idx, val := hIdx[i*s:(i+1)*s], hVal[i*s:(i+1)*s]
+			carry := i > lo && finite && allFinite(points[i:i+1])
+			anchorWeights(&sc, points[i], anchors, s, idx, val, carry)
+			for t, a := range idx {
+				acc[a] += val[t]
+			}
+		}
+	})
+}
+
+// allFinite reports whether every coordinate of every vector is finite.
+func allFinite(vs []vec.Vector) bool {
+	for _, v := range vs {
+		for _, x := range v {
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NormalizeColumn turns a point's anchor weights z (val, over the

@@ -1,7 +1,9 @@
 package knn
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -99,7 +101,92 @@ func FuzzAnchorWeights(f *testing.F) {
 				t.Fatalf("n=%d d=%d s=%d query %d: mass %v, oracle %v", n, d, s, qi, mass, wantMass)
 			}
 		}
+		if err := carriedMatchesSweep(queries, pts, s, 1); err != nil {
+			t.Fatalf("n=%d d=%d s=%d: %v", n, d, s, err)
+		}
 	})
+}
+
+// carriedMatchesSweep attaches points to anchors through attachAll, which
+// carries each point's selection to the next within a block of at least
+// minBlock points, and through AnchorWeights one point at a time, and
+// reports the first anchor id or weight bit that differs.
+func carriedMatchesSweep(points, anchors []vec.Vector, s, minBlock int) error {
+	n := len(points)
+	s = min(s, len(anchors))
+	hIdx, hVal := make([]int32, n*s), make([]float64, n*s)
+	attachAll(points, anchors, s, minBlock, hIdx, hVal, make([]float64, len(anchors)))
+	var sc Scratch
+	idx, val := make([]int32, s), make([]float64, s)
+	for i, p := range points {
+		AnchorWeights(&sc, p, anchors, s, idx, val)
+		for t := range idx {
+			if hIdx[i*s+t] != idx[t] || math.Float64bits(hVal[i*s+t]) != math.Float64bits(val[t]) {
+				return fmt.Errorf("point %d support %d: carried (%d, %v), swept (%d, %v)",
+					i, t, hIdx[i*s+t], hVal[i*s+t], idx[t], val[t])
+			}
+		}
+	}
+	return nil
+}
+
+// TestAnchorGraphCarriedBoundMatchesSweep holds the build's attach, which
+// starts each point's selection at the previous point's anchors, to
+// AnchorWeights point by point, bit for bit, at three block shapes (one
+// block, and blocks of at least 1 and 16 points): on a class-ordered
+// corpus, where the carried bound is tight, a shuffled one, where it is
+// loose, duplicated points and anchors, where distances tie and the id
+// decides, and a corpus holding NaN and ±Inf, which never carries. s runs
+// to p − 1 (the bandwidth is the p-th distance) and p (no bound prunes).
+func TestAnchorGraphCarriedBoundMatchesSweep(t *testing.T) {
+	ordered := mixture8(3000)
+	shuffled := slices.Clone(ordered)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var dup []vec.Vector
+	for _, p := range ordered[:1000] {
+		dup = append(dup, p, p, p)
+	}
+	nonFinite := slices.Clone(ordered[:1000])
+	for i := 5; i < len(nonFinite); i += 97 {
+		p := slices.Clone(nonFinite[i])
+		p[i%8] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+		nonFinite[i] = p
+	}
+	anchorsOf := func(pts []vec.Vector, p int) []vec.Vector {
+		a := make([]vec.Vector, p)
+		for i := range a {
+			a[i] = pts[i*len(pts)/p]
+		}
+		return a
+	}
+	infAnchors := anchorsOf(ordered, 64)
+	infAnchors[7] = vec.Vector{math.Inf(1), 0, 0, 0, 0, 0, 0, 0}
+	// A NaN row offered after the unbounded selection is full cannot
+	// enter it, but enters a bounded one that is not full yet and stays.
+	nanAnchors := anchorsOf(ordered, 128)
+	nanAnchors[100] = vec.Vector{0, 0, 0, math.NaN(), 0, 0, 0, 0}
+	corpora := []struct {
+		name    string
+		points  []vec.Vector
+		anchors []vec.Vector
+	}{
+		{"ordered", ordered, anchorsOf(shuffled, 128)},
+		{"shuffled", shuffled, anchorsOf(shuffled, 128)},
+		{"duplicated", dup, append(anchorsOf(dup, 48), anchorsOf(dup, 48)...)},
+		{"non-finite", nonFinite, anchorsOf(ordered, 64)},
+		{"infinite-anchor", ordered[:1000], infAnchors},
+		{"nan-anchor", ordered[:1000], nanAnchors},
+	}
+	for _, c := range corpora {
+		p := len(c.anchors)
+		for _, s := range []int{24, p - 1, p} {
+			for _, minBlock := range []int{1, 16, len(c.points)} {
+				if err := carriedMatchesSweep(c.points, c.anchors, s, minBlock); err != nil {
+					t.Fatalf("%s s=%d minBlock=%d: %v", c.name, s, minBlock, err)
+				}
+			}
+		}
+	}
 }
 
 // FuzzTreeOffer holds an open selection through the tree to a full sort

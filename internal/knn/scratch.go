@@ -15,7 +15,10 @@ import (
 // to back, and every engine attaches a query this way, so without reuse
 // the per-query buffers alone would show up in profiles.
 type Scratch struct {
-	k     int
+	k int
+	// bound is the key no row above may enter while fewer than k are
+	// held: +Inf after Reset, a known k-th key after resetBelow.
+	bound float64
 	out   []Neighbor
 	dist  []float64
 	offSq []float64
@@ -59,16 +62,28 @@ func scanInto(sc *Scratch, q vec.Vector, k int, points []vec.Vector) []Neighbor 
 // a heap's sifts would and leaves nothing to sort at the end.
 
 // Reset empties the selection for the k smallest.
-func (sc *Scratch) Reset(k int) {
-	sc.k = k
+func (sc *Scratch) Reset(k int) { sc.resetBelow(k, math.Inf(1)) }
+
+// resetBelow is Reset for a caller that knows k rows whose keys are at
+// most bound: the k smallest are then all at or below it, so rows above
+// it are skipped from the first offer on, and rows at it are still
+// offered, so ties still break by id. The answer is Reset's.
+func (sc *Scratch) resetBelow(k int, bound float64) {
+	sc.k, sc.bound = k, bound
 	sc.out = sc.out[:0]
 }
 
+// Rows returns the number of rows offered over the Scratch's life (for
+// the tree, the distances it computed): a work counter for tests and
+// benchmarks.
+func (sc *Scratch) Rows() int { return sc.rows }
+
 // theta is the key a row must not exceed to enter: the last held row's
-// once k are held, +Inf before (-Inf for k <= 0, which holds nothing).
+// once k are held, the bound before (-Inf for k <= 0, which holds
+// nothing).
 func (sc *Scratch) theta() float64 {
 	if len(sc.out) < sc.k {
-		return math.Inf(1)
+		return sc.bound
 	}
 	if len(sc.out) == 0 {
 		return math.Inf(-1)
