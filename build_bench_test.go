@@ -28,23 +28,31 @@ func buildBenchPoints(n int) []Vector {
 
 // BenchmarkBuild measures the graph-engine build (k-NN graph, Louvain
 // ordering, LDL^T, bound tables) end to end: with the complete factor
-// (Exact) at n = 2000 and 10000, and as the mixed_rw workload builds —
-// its corpus (n = 20000, d = 8, generator seed 1) under default
-// options, so the IC(0) factor.
+// (Exact) at n = 2000 and 10000, and as the graph_id and mixed_rw
+// workloads build — their corpora (INRIASim at n = 14000, and n = 20000
+// at d = 8; generator seed 1) under default options, so the IC(0)
+// factor. Each row reports the Louvain (cluster-s) and factor
+// (factor-s) stages of its last build.
 func BenchmarkBuild(b *testing.B) {
 	run := func(name string, pts []Vector, opts Options) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var st Stats
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(pts, opts); err != nil {
+				idx, err := Build(pts, opts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				st = idx.Stats()
 			}
+			b.ReportMetric(st.ClusterTime.Seconds(), "cluster-s")
+			b.ReportMetric(st.FactorTime.Seconds(), "factor-s")
 		})
 	}
 	for _, n := range []int{2000, 10_000} {
 		run(fmt.Sprintf("n=%d", n), buildBenchPoints(n), Options{Exact: true, Seed: 11})
 	}
+	run("graph_id", NewINRIASim(14_000, 1).Points, Options{})
 	run("mixed_rw", NewMixture(MixtureConfig{
 		N: 20_000, Classes: 2000, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 1,
 	}).Points, Options{})

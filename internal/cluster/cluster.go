@@ -14,7 +14,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mogul/internal/sparse"
 )
@@ -97,12 +97,12 @@ func Louvain(adj *sparse.CSR, cfg Config) (*Clustering, error) {
 	// (compacted) community at the next level.
 	current := adj
 	assignStack := make([][]int, 0, c.MaxLevels)
-	levels := 0
-	for ; levels < c.MaxLevels; levels++ {
+	for len(assignStack) < c.MaxLevels {
 		assign, improved := localMove(current, c)
 		compacted, nComm := compactLabels(assign)
 		assignStack = append(assignStack, compacted)
-		if !improved || nComm == current.Rows {
+		// The super-graph is only built when another level will run on it.
+		if !improved || nComm == current.Rows || len(assignStack) == c.MaxLevels {
 			break
 		}
 		current = aggregate(current, compacted, nComm)
@@ -120,7 +120,7 @@ func Louvain(adj *sparse.CSR, cfg Config) (*Clustering, error) {
 	}
 	compact, nClusters := compactLabels(final)
 	q := Modularity(adj, compact, c.Resolution)
-	return &Clustering{Assign: compact, N: nClusters, Modularity: q, Levels: levels + 1}, nil
+	return &Clustering{Assign: compact, N: nClusters, Modularity: q, Levels: len(assignStack)}, nil
 }
 
 // localMove runs Louvain phase one: greedy node moves until no move
@@ -151,23 +151,26 @@ func localMove(adj *sparse.CSR, cfg Config) (assign []int, improved bool) {
 
 	// commTot[c] = sum of degrees of nodes in community c.
 	commTot := append([]float64(nil), degree...)
-	// Scratch: weight from the moving node to each neighbour community,
-	// plus the candidate list in ascending community id. Iterating the
-	// map directly would visit candidates in randomized order, and the
-	// near-tie break below is order sensitive — the clustering (and
-	// with it every downstream structure) must be a pure function of
-	// the input graph, or rebuild-equivalence guarantees (Compact
-	// versus fresh Build) break.
-	neighWeight := make(map[int]float64, 16)
+	// Scratch: the weight from the moving node to each neighbour
+	// community, one slot per community id; touched marks the slots the
+	// node has reached (a weight cannot, since weights can sum to zero),
+	// and candidates lists them. Only those slots are reset after each
+	// node, so a sweep stays linear in the edges. Each slot sums its vals
+	// in cols order, and the candidates are visited in ascending id, so
+	// every gain and the sequence the near-tie break below sees are a
+	// function of the graph alone — the bits of the map-based move this
+	// replaced (FuzzLouvainMatchesMapOracle). The tie break is order
+	// sensitive: the clustering (and with it every downstream structure)
+	// must be a pure function of the input graph, or rebuild-equivalence
+	// guarantees (Compact versus fresh Build) break.
+	neighWeight := make([]float64, n)
+	touched := make([]bool, n)
 	candidates := make([]int, 0, 16)
 
 	for sweep := 0; sweep < cfg.MaxSweeps; sweep++ {
 		moved := 0
 		for i := 0; i < n; i++ {
 			ci := assign[i]
-			for k := range neighWeight {
-				delete(neighWeight, k)
-			}
 			candidates = candidates[:0]
 			cols, vals := adj.Row(i)
 			for k, j := range cols {
@@ -175,12 +178,13 @@ func localMove(adj *sparse.CSR, cfg Config) (assign []int, improved bool) {
 					continue
 				}
 				c := assign[j]
-				if _, ok := neighWeight[c]; !ok {
+				if !touched[c] {
+					touched[c] = true
 					candidates = append(candidates, c)
 				}
 				neighWeight[c] += vals[k]
 			}
-			sort.Ints(candidates)
+			slices.Sort(candidates)
 			// Remove i from its community.
 			commTot[ci] -= degree[i]
 			// Gain of joining community c:
@@ -200,6 +204,10 @@ func localMove(adj *sparse.CSR, cfg Config) (assign []int, improved bool) {
 				assign[i] = best
 				moved++
 				improved = true
+			}
+			for _, c := range candidates {
+				neighWeight[c] = 0
+				touched[c] = false
 			}
 		}
 		if moved == 0 {
@@ -229,20 +237,21 @@ func aggregate(adj *sparse.CSR, compact []int, nComm int) *sparse.CSR {
 	return m
 }
 
-// compactLabels renumbers arbitrary labels into [0, n) preserving first
-// appearance order, which keeps results deterministic.
+// compactLabels renumbers labels in [0, len(assign)) into [0, n)
+// preserving first appearance order, which keeps results deterministic.
 func compactLabels(assign []int) ([]int, int) {
-	remap := make(map[int]int, len(assign))
+	remap := make([]int, len(assign))
+	for i := range remap {
+		remap[i] = -1
+	}
 	out := make([]int, len(assign))
 	next := 0
 	for i, a := range assign {
-		id, ok := remap[a]
-		if !ok {
-			id = next
-			remap[a] = id
+		if remap[a] < 0 {
+			remap[a] = next
 			next++
 		}
-		out[i] = id
+		out[i] = remap[a]
 	}
 	return out, next
 }

@@ -3,7 +3,7 @@ package knn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mogul/internal/par"
 	"mogul/internal/sparse"
@@ -90,99 +90,115 @@ func graphFromNeighbors(points []vec.Vector, neighbors [][]Neighbor, k int, cfg 
 		}
 	}
 
-	entries := buildEdges(neighbors, sigma, cfg.Mutual)
-	adj, err := sparse.NewFromCoords(n, n, entries)
-	if err != nil {
-		return nil, err
-	}
+	adj := assemble(neighbors, sigma, cfg.Mutual)
 	return &Graph{Adj: adj, K: k, Sigma: sigma, Points: vec.AliasRows(points, len(points[0]))}, nil
 }
 
-// buildEdges symmetrizes the directed k-NN lists and applies the heat
-// kernel. With union symmetrization an edge (i, j) exists when either
-// endpoint lists the other; with mutual, only when both do.
+// assemble symmetrizes the directed k-NN lists, applies the heat kernel
+// and writes the symmetric CSR. With union symmetrization an edge (i, j)
+// exists when either endpoint lists the other; with mutual, only when
+// both do.
 //
-// The stage runs as a three-step pipeline: parallel emission of
-// normalized (min, max, dist) records into block-owned buffers, a
-// serial sort + run-length dedup over the concatenated records (the
-// one genuinely order-dependent step), and parallel heat-kernel
-// weighting of the unique edges. Record distances are bit-equal in
-// both directions (the distance kernel is symmetric term by term), so
-// dedup order cannot change a weight, and the output is identical at
-// any GOMAXPROCS.
-func buildEdges(neighbors [][]Neighbor, sigma float64, mutual bool) []sparse.Coord {
+// A counting pass files every listing of a pair under its lower
+// endpoint a, keeping the upper endpoint b and the distance. Sorting
+// each bucket by b (in parallel; a bucket holds a few dozen listings)
+// puts the listings of one edge in a run, and the run becomes one
+// weighted edge; under mutual only a run of two or more does. Record
+// distances are bit-equal in both directions (the distance kernel is
+// symmetric term by term), so which listing of a run is kept cannot
+// change a weight. Visiting the edges in ascending (a, b) and appending
+// b to row a and a to row b leaves every row's columns ascending: row r
+// first receives its lower neighbours in ascending order, from the
+// buckets before its own, then its own bucket's upper ones. That is the
+// CSR sparse.NewFromCoords builds from the edges' coordinates, at any
+// GOMAXPROCS.
+func assemble(neighbors [][]Neighbor, sigma float64, mutual bool) *sparse.CSR {
 	n := len(neighbors)
-	type record struct {
-		a, b int32
-		d    float64
+	// A listing's v is its distance until its bucket is weighed, then the
+	// edge weight.
+	type listing struct {
+		b int32
+		v float64
 	}
-	_, count := par.Blocks(n, 0)
-	blocks := make([][]record, count)
-	par.ForBlocks(n, 0, func(b, lo, hi int) {
-		var out []record
-		for i := lo; i < hi; i++ {
-			for _, nb := range neighbors[i] {
-				a, c := i, nb.ID
-				if a == c {
+	start := make([]int, n+1) // bucket a is listings[start[a]:start[a+1]]
+	for i, nbrs := range neighbors {
+		for _, nb := range nbrs {
+			if nb.ID != i {
+				start[min(i, nb.ID)+1]++
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		start[a+1] += start[a]
+	}
+	listings := make([]listing, start[n])
+	end := append([]int(nil), start[:n]...)
+	for i, nbrs := range neighbors {
+		for _, nb := range nbrs {
+			a, b := i, nb.ID
+			if a == b {
+				continue
+			}
+			if a > b {
+				a, b = b, a
+			}
+			listings[end[a]] = listing{b: int32(b), v: nb.Dist}
+			end[a]++
+		}
+	}
+	// Sort, dedup and weigh each bucket in place; afterwards its edges
+	// are listings[start[a]:end[a]].
+	inv := 1 / (2 * sigma * sigma)
+	par.For(n, 0, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			bk := listings[start[a]:end[a]]
+			slices.SortFunc(bk, func(x, y listing) int { return int(x.b - y.b) })
+			w := 0
+			for r := 0; r < len(bk); {
+				e := bk[r]
+				dirs := 1
+				for r++; r < len(bk) && bk[r].b == e.b; r++ {
+					dirs++
+				}
+				if mutual && dirs < 2 {
 					continue
 				}
-				if a > c {
-					a, c = c, a
+				wt := math.Exp(-e.v * e.v * inv)
+				if wt == 0 {
+					// Exceptionally remote pair under this bandwidth; keep a
+					// tiny positive weight so the edge still connects the
+					// graph component structure.
+					wt = math.SmallestNonzeroFloat64
 				}
-				out = append(out, record{a: int32(a), b: int32(c), d: nb.Dist})
+				bk[w] = listing{b: e.b, v: wt}
+				w++
 			}
-		}
-		blocks[b] = out
-	})
-	total := 0
-	for _, bl := range blocks {
-		total += len(bl)
-	}
-	records := make([]record, 0, total)
-	for _, bl := range blocks {
-		records = append(records, bl...)
-	}
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].a != records[j].a {
-			return records[i].a < records[j].a
-		}
-		return records[i].b < records[j].b
-	})
-	// Run-length dedup in place: a pair listed by both directions
-	// appears as two adjacent equal records.
-	w := 0
-	for r := 0; r < len(records); {
-		e := records[r]
-		dirs := 1
-		r++
-		for r < len(records) && records[r].a == e.a && records[r].b == e.b {
-			dirs++
-			r++
-		}
-		if mutual && dirs < 2 {
-			continue
-		}
-		records[w] = e
-		w++
-	}
-	uniq := records[:w]
-	entries := make([]sparse.Coord, 2*len(uniq))
-	inv := 1 / (2 * sigma * sigma)
-	par.For(len(uniq), 0, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			e := uniq[t]
-			wt := math.Exp(-e.d * e.d * inv)
-			if wt == 0 {
-				// Exceptionally remote pair under this bandwidth; keep a
-				// tiny positive weight so the edge still connects the
-				// graph component structure.
-				wt = math.SmallestNonzeroFloat64
-			}
-			entries[2*t] = sparse.Coord{Row: int(e.a), Col: int(e.b), Val: wt}
-			entries[2*t+1] = sparse.Coord{Row: int(e.b), Col: int(e.a), Val: wt}
+			end[a] = start[a] + w
 		}
 	})
-	return entries
+	m := &sparse.CSR{RowPtr: make([]int, n+1), Rows: n, Cols: n}
+	for a := 0; a < n; a++ {
+		for _, e := range listings[start[a]:end[a]] {
+			m.RowPtr[a+1]++
+			m.RowPtr[e.b+1]++
+		}
+	}
+	for r := 0; r < n; r++ {
+		m.RowPtr[r+1] += m.RowPtr[r]
+	}
+	m.Col = make([]int, m.RowPtr[n])
+	m.Val = make([]float64, m.RowPtr[n])
+	next := append([]int(nil), m.RowPtr[:n]...)
+	for a := 0; a < n; a++ {
+		for _, e := range listings[start[a]:end[a]] {
+			b := int(e.b)
+			m.Col[next[a]], m.Val[next[a]] = b, e.v
+			next[a]++
+			m.Col[next[b]], m.Val[next[b]] = a, e.v
+			next[b]++
+		}
+	}
+	return m
 }
 
 // Len returns the number of nodes.
