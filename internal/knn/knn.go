@@ -10,9 +10,15 @@
 // BuildGraph's search and the spectral engine's attach: it returns
 // BruteForce's answers, bit for bit, while computing ~80 of 20000
 // distances per query on the d = 8 mixture (BenchmarkAllKNN has the
-// other shapes). BruteForce, the O(n d) scan per query, is the
-// oracle the tree is tested against. anchors.go holds EMR's anchor
-// graph, whose attach sweeps its anchors into the same selection.
+// other shapes). From d = 32 the graph build's all-points search walks
+// the queries of one leaf through the tree together, so each leaf they
+// reach is read from memory once and scanned by all of them while it is
+// in cache. Each query keeps its own selection and plane offsets and
+// makes its solo visits, in its solo order, so its θ at every bound is
+// its solo θ: its answer and its work are what it computes alone.
+// BruteForce, the O(n d) scan per query, is the oracle the tree is
+// tested against. anchors.go holds EMR's anchor graph, whose attach
+// sweeps its anchors into the same selection.
 // Every graph is exact: at every corpus shape the engines build,
 // INRIASim at d = 128 included, the tree beat an inverted-file index
 // (docs/PERFORMANCE.md, "One graph builder"). A Graph keeps the feature
@@ -68,11 +74,16 @@ func (b *BruteForce) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
 // AllKNN computes the k nearest neighbours of every indexed point
 // (excluding the point itself), in parallel across queries. Each
 // point's neighbour list is a pure function of (points, s, k), so the
-// output is identical at every GOMAXPROCS. Searchers that implement
-// IntoSearcher (all in-package ones do) run with per-block scratch, so
-// the n queries of a build allocate nothing per query, and every list is
-// carved from one n*k backing array.
+// output is identical at every GOMAXPROCS, and every list is carved
+// from one n*k backing array. The graph build's tree searcher runs its
+// own all-points search, which walks a leaf's queries through the tree
+// together (allKNN) and gives each query its solo answer. Other
+// searchers that implement IntoSearcher (BruteForce does) run with
+// per-block scratch, so their n queries allocate nothing per query.
 func AllKNN(points []vec.Vector, s Searcher, k int) [][]Neighbor {
+	if t, ok := s.(*treeSearcher); ok {
+		return t.allKNN(points, k, nil)
+	}
 	n := len(points)
 	out := make([][]Neighbor, n)
 	backing := make([]Neighbor, n*k)
@@ -80,26 +91,30 @@ func AllKNN(points []vec.Vector, s Searcher, k int) [][]Neighbor {
 	par.For(n, 16, func(lo, hi int) {
 		var sc Scratch
 		for i := lo; i < hi; i++ {
-			// Ask for k+1 and drop self; a duplicate point may tie
-			// with self, so filter by ID rather than by distance.
 			var res []Neighbor
 			if reuse {
 				res = into.SearchInto(&sc, points[i], k+1)
 			} else {
 				res = s.Search(points[i], k+1)
 			}
-			nbrs := backing[i*k : i*k : (i+1)*k]
-			for _, nb := range res {
-				if nb.ID == i {
-					continue
-				}
-				nbrs = append(nbrs, nb)
-				if len(nbrs) == k {
-					break
-				}
-			}
-			out[i] = nbrs
+			out[i] = others(backing[i*k:i*k:(i+1)*k], res, i, k)
 		}
 	})
 	return out
+}
+
+// others appends to nbrs the first k results of a k+1 search other
+// than the query self. A duplicate point may tie with self, so it
+// filters by ID rather than by distance.
+func others(nbrs, res []Neighbor, self, k int) []Neighbor {
+	for _, nb := range res {
+		if nb.ID == self {
+			continue
+		}
+		nbrs = append(nbrs, nb)
+		if len(nbrs) == k {
+			break
+		}
+	}
+	return nbrs
 }

@@ -1,8 +1,10 @@
 package knn
 
 import (
+	"runtime"
 	"slices"
 
+	"mogul/internal/par"
 	"mogul/internal/vec"
 )
 
@@ -50,8 +52,28 @@ type Tree struct {
 // the visits and the leftover rows dominate: on INRIASim 16-row leaves
 // visit 644 nodes and scan 1526 rows per query, 64-row leaves visit 224
 // and scan 1759, and the second is the faster (BenchmarkAllKNN,
-// docs/PERFORMANCE.md).
+// docs/PERFORMANCE.md). The sizes were tuned for queries walking the
+// tree alone; a graph build's all-points search now walks a leaf's
+// queries together from d = 32 (bundleRows).
 func leafRows(d int) int { return min(64, max(16, d/2)) }
+
+// bundleRows is the number of a graph build's queries that walk the
+// tree together (allKNN): one below d = 32, a leaf's rows from there.
+// Walked alone, a query meets each leaf it scans cold: at d = 128 an
+// INRIASim query scans ~1760 rows of 1 KB, and of n = 14000 rows (14 MB,
+// past a 2 MB L2) each comes from L3. A leaf's queries are each
+// other's nearest rows and reach mostly the same leaves, so walked
+// together each leaf is read once from L3 and then from L1/L2 by the
+// rest (BenchmarkAllKNN at inria-n14000-d128: 0.77–0.90 s alone,
+// 0.45–0.61 s bundled). At d = 8 a row costs less than a bundle's
+// bookkeeping per node: the d = 8 mixture at n = 20000 ran 59–75 ms
+// bundled against 40–47 ms alone (docs/PERFORMANCE.md).
+func bundleRows(d int) int {
+	if d < 32 {
+		return 1
+	}
+	return leafRows(d)
+}
 
 // treeRelSlack and treeAbsSlack inflate the pruning threshold; the
 // comment on prunes derives why they, with the tree's rounding term,
@@ -261,7 +283,9 @@ type treeSearcher struct {
 // searchTree builds the tree over points as a Searcher. Its rows are
 // one flat copy of the points, dropped with the searcher: the n queries
 // of a graph build gathering leaves through the caller's per-row slices
-// measured ~12 % slower on the d = 8 mixture.
+// measured ~12 % slower on the d = 8 mixture. AllKNN over it runs
+// allKNN, which walks a leaf's queries through the tree together; a
+// single query (SearchInto) walks it alone.
 func searchTree(points []vec.Vector) *treeSearcher {
 	d := len(points[0])
 	flat := make([]float64, 0, len(points)*d)
@@ -287,6 +311,108 @@ func (s *treeSearcher) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
 	return sc.drain()
 }
 
+// queryWork is one query's distances computed and tree nodes visited.
+type queryWork struct{ rows, nodes int }
+
+// allKNN is AllKNN over the rows the tree was built from, points. The
+// queries go in bundles of bundleRows(d) rows of one leaf, the leaves
+// in parallel, and each bundle walks the tree once (descendBundle).
+// Every query keeps its own Scratch and makes its solo descent's
+// visits, so its list, and its work (into work[i] when work is not
+// nil), are SearchInto's for k+1 with self dropped. Each list is a pure
+// function of (points, k), so the output is the same at every
+// GOMAXPROCS.
+func (s *treeSearcher) allKNN(points []vec.Vector, k int, work []queryWork) [][]Neighbor {
+	t := s.tree
+	n, size := len(points), bundleRows(s.points.Width())
+	out := make([][]Neighbor, n)
+	backing := make([]Neighbor, n*k)
+	starts := t.leafStarts()
+	// A bundle holds a Scratch and d plane offsets per query, 256 KB at
+	// d = 512, so blocks share them through a free list: par.For runs at
+	// most GOMAXPROCS blocks at once, so at most that many are made.
+	free := make(chan *bundle, runtime.GOMAXPROCS(0))
+	par.For(len(starts)-1, 1, func(lo, hi int) {
+		var b *bundle
+		select {
+		case b = <-free:
+		default:
+			b = &bundle{sc: make([]Scratch, size), q: make([]vec.Vector, size)}
+		}
+		for leaf := lo; leaf < hi; leaf++ {
+			ids := t.ids[starts[leaf]:starts[leaf+1]]
+			for len(ids) > 0 {
+				m := min(size, len(ids))
+				t.searchBundle(b, &s.points, points, ids[:m], k+1)
+				for j, id := range ids[:m] {
+					sc := &b.sc[j]
+					out[id] = others(backing[id*k:id*k:(id+1)*k], sc.drain(), id, k)
+					if work != nil {
+						work[id] = queryWork{sc.rows, sc.nodes}
+					}
+				}
+				ids = ids[m:]
+			}
+		}
+		select {
+		case free <- b:
+		default:
+		}
+	})
+	return out
+}
+
+// leafStarts returns the first row (in ids) of every leaf, left to
+// right, followed by n.
+func (t *Tree) leafStarts() []int {
+	var starts []int
+	var walk func(node, lo, hi int)
+	walk = func(node, lo, hi int) {
+		if t.leaf(node, lo, hi) {
+			starts = append(starts, lo)
+			return
+		}
+		mid := lo + (hi-lo)/2
+		walk(2*node+1, lo, mid)
+		walk(2*node+2, mid, hi)
+	}
+	walk(0, 0, len(t.ids))
+	return append(starts, len(t.ids))
+}
+
+// bundle is one worker's state for allKNN: a Scratch and a query per
+// slot, and the stack descendBundle carves its member lists from.
+type bundle struct {
+	sc    []Scratch
+	q     []vec.Vector
+	stack []member
+}
+
+// member is a bundle query at a node: its slot, the plane bound rd its
+// solo descent has there, and the plane offset on the parent's split
+// dimension it had before entering (restored on the way out).
+type member struct {
+	slot    int
+	rd, old float64
+}
+
+// searchBundle runs the k-nearest queries points[id] for the rows ids,
+// at most the bundle's slots, through the tree together: query j in
+// b.sc[j], its work counters zeroed.
+func (t *Tree) searchBundle(b *bundle, rows *vec.Rows, points []vec.Vector, ids []int, k int) {
+	b.stack = b.stack[:0]
+	for j, id := range ids {
+		sc := &b.sc[j]
+		sc.Reset(k)
+		sc.offSq = slices.Grow(sc.offSq[:0], rows.Width())[:rows.Width()]
+		clear(sc.offSq)
+		sc.rows, sc.nodes = 0, 0
+		b.q[j] = points[id]
+		b.stack = append(b.stack, member{slot: j})
+	}
+	t.descendBundle(b, rows, 0, 0, len(t.ids), b.stack)
+}
+
 // descend searches the node over ids[lo:hi], whose rows lie at squared
 // distance at least rd from q. Internal nodes keep that bound with
 // Arya and Mount's incremental offsets: sc.offSq[s] holds the squared
@@ -302,7 +428,9 @@ func (s *treeSearcher) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
 // every leaf scans 1759 rows per query where checking only the leaves
 // the planes already put at θ/4 or more scans 2442. Where nothing
 // prunes (an isotropic Gaussian at d = 32) the checks cost ~15 % over
-// that gate (docs/PERFORMANCE.md).
+// that gate (docs/PERFORMANCE.md). Which rows a query computes depends
+// on the order it meets the leaves in, through θ; descendBundle keeps
+// that order for every query of a bundle.
 func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi int, rd float64) {
 	sc.nodes++
 	if t.leaf(node, lo, hi) {
@@ -333,6 +461,89 @@ func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi
 	sc.offSq[s] = sq
 	t.descend(sc, points, q, far, flo, fhi, farRD)
 	sc.offSq[s] = old
+}
+
+// descendBundle is descend for the bundle queries ms together: each
+// leaf it reaches is visited by every member, back to back (descend's
+// leaf step, so a member whose box check prunes skips it), while the
+// leaf's rows are in cache. A query's visits are its solo ones, in the
+// same order and against the same θ: its state (selection, offsets,
+// rd) is its own, so only its own visits move it, and it enters each
+// child exactly when descend would. At an internal node the members
+// split by their near side, by descend's test, and the children are
+// visited in three passes:
+//
+//  1. the lower child, with the members it is near to;
+//  2. the upper child, with the members it is near to and those of pass
+//     1 whose far bound, checked now that their near side is done, does
+//     not prune;
+//  3. the lower child again, with the members of the upper side whose
+//     far bound does not prune, their near side done in pass 2.
+//
+// A bundle of one is descend, as is a leaf.
+func (t *Tree) descendBundle(b *bundle, points *vec.Rows, node, lo, hi int, ms []member) {
+	if len(ms) <= 1 || t.leaf(node, lo, hi) {
+		for _, m := range ms {
+			t.descend(&b.sc[m.slot], points, b.q[m.slot], node, lo, hi, m.rd)
+		}
+		return
+	}
+	s, split := t.dim[node], t.split[node]
+	mid := lo + (hi-lo)/2
+	base := len(b.stack)
+	for _, m := range ms {
+		b.sc[m.slot].nodes++
+		if !(b.q[m.slot][s]-split >= 0) {
+			b.stack = append(b.stack, m)
+		}
+	}
+	t.descendBundle(b, points, 2*node+1, lo, mid, b.stack[base:])
+	b.stack = b.stack[:base]
+	for _, m := range ms {
+		sc := &b.sc[m.slot]
+		if off := b.q[m.slot][s] - split; off >= 0 {
+			b.stack = append(b.stack, member{slot: m.slot, rd: m.rd, old: sc.offSq[s]})
+		} else if f, ok := t.enterFar(sc, m, s, off); ok {
+			b.stack = append(b.stack, f)
+		}
+	}
+	t.descendBundle(b, points, 2*node+2, mid, hi, b.stack[base:])
+	b.leave(base, s)
+	for _, m := range ms {
+		if off := b.q[m.slot][s] - split; off >= 0 {
+			if f, ok := t.enterFar(&b.sc[m.slot], m, s, off); ok {
+				b.stack = append(b.stack, f)
+			}
+		}
+	}
+	t.descendBundle(b, points, 2*node+1, lo, mid, b.stack[base:])
+	b.leave(base, s)
+}
+
+// enterFar is descend's step from a query's near child to its far one
+// at a node splitting on s, the query offset off from the plane: unless
+// the far bound prunes, it sets the query's offset on s and returns the
+// member with that bound and the offset it replaced. It is descend's
+// code, kept out of descend so that every solo search (Tree.Offer)
+// pays no call for it.
+func (t *Tree) enterFar(sc *Scratch, m member, s int32, off float64) (member, bool) {
+	old := sc.offSq[s]
+	sq := off * off
+	farRD := m.rd + (sq - old)
+	if t.prunes(sc, farRD) {
+		return member{}, false
+	}
+	sc.offSq[s] = sq
+	return member{slot: m.slot, rd: farRD, old: old}, true
+}
+
+// leave restores the offset on s of every member on the stack from base
+// on and pops them.
+func (b *bundle) leave(base int, s int32) {
+	for _, m := range b.stack[base:] {
+		b.sc[m.slot].offSq[s] = m.old
+	}
+	b.stack = b.stack[:base]
 }
 
 // boxDist is the squared distance from q to leaf node's box, summed in

@@ -3,6 +3,7 @@ package knn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -76,9 +77,12 @@ func fuzzPoints(data []byte, n, d int) []vec.Vector {
 
 // FuzzExactKNN holds the tree to the brute-force scan on fuzzed point
 // sets: for every stored point as the query (and one decoded query),
-// the same ids in the same order with the same distance bits. d runs to
-// 160, so every leaf size (16 rows to d = 32, d/2 rows, 64 from d = 128)
-// and every length mod 4 of the box kernel is reached.
+// the same ids in the same order with the same distance bits, and the
+// same lists from the graph build's all-points search, whose queries
+// walk the tree in bundles from d = 32. d runs to 160, so every leaf
+// size (16 rows to d = 32, d/2 rows, 64 from d = 128), both sides of
+// the bundle threshold and every length mod 4 of the box kernel are
+// reached.
 func FuzzExactKNN(f *testing.F) {
 	f.Add([]byte{2, 10, 18, 26, 34, 42}, uint8(60), uint8(2), uint8(5))             // lattice
 	f.Add([]byte{0, 1, 4, 8, 2, 10, 0}, uint8(40), uint8(3), uint8(7))              // ±0 and duplicates
@@ -99,6 +103,12 @@ func FuzzExactKNN(f *testing.F) {
 		for qi, q := range queries {
 			if err := sameNeighbors(tree.SearchInto(&sc, q, k), bf.Search(q, k)); err != nil {
 				t.Fatalf("n=%d d=%d k=%d query %d: %v", n, d, k, qi, err)
+			}
+		}
+		want := AllKNN(pts, bf, k)
+		for i, list := range AllKNN(pts, tree, k) {
+			if err := sameNeighbors(list, want[i]); err != nil {
+				t.Fatalf("n=%d d=%d k=%d all-points list %d: %v", n, d, k, i, err)
 			}
 		}
 	})
@@ -262,16 +272,83 @@ func TestBuildGraphTreeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// treeWork runs every point of pts as a k-nearest query against the
-// tree over them and returns the distances computed and the nodes
-// visited per query.
+// treeWork runs every point of pts as a k-nearest query, self
+// included, through the graph build's all-points search over them (a
+// graph of k−1 neighbours) and returns the distances computed and the
+// nodes visited per query, summed over the queries' own counters: the
+// bundles move rows through the cache, not work between queries.
 func treeWork(pts []vec.Vector, k int) (rows, nodes float64) {
-	tree := searchTree(pts)
-	var sc Scratch
-	for _, q := range pts {
-		tree.SearchInto(&sc, q, k)
+	work := make([]queryWork, len(pts))
+	searchTree(pts).allKNN(pts, k-1, work)
+	var r, v int
+	for _, w := range work {
+		r += w.rows
+		v += w.nodes
 	}
-	return float64(sc.rows) / float64(len(pts)), float64(sc.nodes) / float64(len(pts))
+	return float64(r) / float64(len(pts)), float64(v) / float64(len(pts))
+}
+
+// TestBundledAllKNNMatchesSolo holds the graph build's all-points
+// search, whose queries walk the tree in bundles from d = 32, to every
+// point walking it alone (SearchInto for k+1, self dropped): the same
+// ids, the same distance bits, and the same distances computed and
+// nodes visited per query, at GOMAXPROCS 1 and 2. The corpora are the
+// engines' shapes, the d = 8 mixture (a bundle of one), all-equal
+// points (θ = 0 throughout), k = n − 1, n = 2, and sizes just past a
+// multiple of the leaf size, whose leaves end a level early.
+func TestBundledAllKNNMatchesSolo(t *testing.T) {
+	equal := make([]vec.Vector, 300)
+	for i := range equal {
+		equal[i] = make(vec.Vector, 40)
+		for j := range equal[i] {
+			equal[i][j] = 1.5
+		}
+	}
+	type corpus struct {
+		name string
+		pts  []vec.Vector
+		k    int
+	}
+	corpora := []corpus{
+		{"inria-d128", dataset.INRIASim(3000, 1).Points, 5},
+		{"unit-d512", unitMixture(2000, 512), 5},
+		{"isotropic-d32", scratchTestPoints(3000, 32, 7), 5},
+		{"mixture-d8", mixture8(3000), 5},
+		{"equal-d40", equal, 5},
+		{"k=n-1", scratchTestPoints(90, 48, 3), 89},
+		{"n=2", scratchTestPoints(2, 64, 5), 1},
+	}
+	for _, d := range []int{40, 130} {
+		size := leafRows(d)
+		for _, n := range []int{size + 1, 2*size + 1, 4*size + 3, 8*size - 1, 8*size + 1} {
+			corpora = append(corpora, corpus{fmt.Sprintf("d%d-n%d", d, n), scratchTestPoints(n, d, int64(n)), 6})
+		}
+	}
+	for _, c := range corpora {
+		tree := searchTree(c.pts)
+		want := make([][]Neighbor, len(c.pts))
+		wantWork := make([]queryWork, len(c.pts))
+		for i, q := range c.pts {
+			var sc Scratch
+			want[i] = others(nil, tree.SearchInto(&sc, q, c.k+1), i, c.k)
+			wantWork[i] = queryWork{sc.rows, sc.nodes}
+		}
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			work := make([]queryWork, len(c.pts))
+			got := tree.allKNN(c.pts, c.k, work)
+			runtime.GOMAXPROCS(prev)
+			for i := range c.pts {
+				if err := sameNeighbors(got[i], want[i]); err != nil {
+					t.Fatalf("%s GOMAXPROCS=%d point %d: %v", c.name, procs, i, err)
+				}
+				if work[i] != wantWork[i] {
+					t.Fatalf("%s GOMAXPROCS=%d point %d: %d rows and %d nodes, alone %d and %d",
+						c.name, procs, i, work[i].rows, work[i].nodes, wantWork[i].rows, wantWork[i].nodes)
+				}
+			}
+		}
+	}
 }
 
 // TestTreePrunes pins that the bounds bite: on the d = 8 mixture a
@@ -304,7 +381,8 @@ func TestTreeWorkAtD128(t *testing.T) {
 // (graph_id at n = 14000), unit-norm d = 512 (graph_vec_d512 at
 // n = 6000), an isotropic Gaussian (the tree's worst case), and a
 // tree-only n = 10^5 row. rows/query is distances computed per query,
-// nodes/query tree nodes visited.
+// nodes/query tree nodes visited, each summed over the queries' own
+// counters. B/op shows any per-block state of the all-points search.
 //
 //	go test -run '^$' -bench 'BenchmarkAllKNN' -benchtime 1x ./internal/knn
 func BenchmarkAllKNN(b *testing.B) {
@@ -327,6 +405,7 @@ func BenchmarkAllKNN(b *testing.B) {
 		pts := c.pts()
 		if !c.treeOnly {
 			b.Run(c.name+"/brute", func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					AllKNN(pts, NewBruteForce(pts), k)
 				}
@@ -335,6 +414,7 @@ func BenchmarkAllKNN(b *testing.B) {
 			})
 		}
 		b.Run(c.name+"/tree", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				AllKNN(pts, searchTree(pts), k)
 			}
