@@ -9,6 +9,7 @@ package dist_test
 // workload.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -31,14 +32,24 @@ func benchCluster(b *testing.B, shards int) (*disttest.Cluster, *mogul.Dataset) 
 	return cl, ds
 }
 
+// BenchmarkDistributedTopK times a coordinated id query and reports the
+// out-of-sample probes it asked per query — the shards the probe gate
+// (fanout.Gated) could not rule out; the ungated fan-out asks S-1.
 func BenchmarkDistributedTopK(b *testing.B) {
 	cl, ds := benchCluster(b, 3)
+	probes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Coord.TopK(i%ds.Len(), 10); err != nil {
+		_, deg, err := cl.Coord.TopKCtx(context.Background(), i%ds.Len(), 10)
+		if err == nil {
+			err = deg.Err()
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
+		probes += len(deg.Answered) - 1
 	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 }
 
 func BenchmarkDistributedTopKVector(b *testing.B) {

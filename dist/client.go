@@ -319,6 +319,25 @@ func (c *Client) AliveMap(ctx context.Context) (space int, dead []int, err error
 	return resp.IDSpace, resp.Dead, nil
 }
 
+// BoundCtx fetches the shard's probe bound. A 404 — an engine that
+// derives none, or a server that predates the route — is no bound, not
+// an error.
+func (c *Client) BoundCtx(ctx context.Context) (*mogul.ProbeBound, error) {
+	var pb *mogul.ProbeBound
+	err := c.call(ctx, http.MethodGet, "/dist/bound", nil, true, func(data []byte) error {
+		var ok bool
+		if pb, ok = scanBound(data); !ok {
+			return errNotCanonical
+		}
+		return nil
+	})
+	var he *httpError
+	if errors.As(err, &he) && he.status == http.StatusNotFound {
+		return nil, nil
+	}
+	return pb, err
+}
+
 // LogEntries tails the shard's replication log past the cursor. The
 // second return mirrors mogul.Index.EntriesSince: false means the log
 // was truncated past the cursor (the server answered 410) and the

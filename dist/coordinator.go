@@ -39,6 +39,9 @@ type Backend interface {
 	CompactCtx(ctx context.Context) error
 	// InfoCtx reports the shard's state snapshot.
 	InfoCtx(ctx context.Context) (Info, error)
+	// BoundCtx reports the shard's probe bound (fanout.Gated), or nil
+	// when its engine derives none.
+	BoundCtx(ctx context.Context) (*mogul.ProbeBound, error)
 }
 
 var (
@@ -146,6 +149,18 @@ func (l LocalShard) CompactCtx(ctx context.Context) error {
 	return l.Ix.Compact()
 }
 
+// BoundCtx returns the probe bound of a graph engine's current base;
+// the EMR and spectral engines derive none.
+func (l LocalShard) BoundCtx(ctx context.Context) (*mogul.ProbeBound, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if ix, ok := l.Ix.(interface{ ProbeBound() *mogul.ProbeBound }); ok {
+		return ix.ProbeBound(), nil
+	}
+	return nil, nil
+}
+
 func (l LocalShard) InfoCtx(ctx context.Context) (Info, error) {
 	if err := ctx.Err(); err != nil {
 		return Info{}, err
@@ -250,7 +265,27 @@ func NewCoordinator(shards []Shard, partition [][]int, opts CoordOptions) (*Coor
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	return &Coordinator{shards: shards, opts: opts, ids: ids, exact: exact}, nil
+	c := &Coordinator{shards: shards, opts: opts, ids: ids, exact: exact}
+	if len(shards) > 1 {
+		// Each primary's probe bound, asked for in parallel under the
+		// per-shard deadline. One that fails to answer leaves its shard
+		// without one: probed on every query, as an EMR or spectral
+		// shard (which derives none) always is.
+		var wg sync.WaitGroup
+		for s := range shards {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				sctx, cancel := c.shardCtx(context.Background())
+				defer cancel()
+				if b, err := shards[s].Primary().BoundCtx(sctx); err == nil {
+					ids.SetBound(s, b)
+				}
+			}(s)
+		}
+		wg.Wait()
+	}
+	return c, nil
 }
 
 // NumShards returns the shard count.
@@ -265,6 +300,11 @@ type Degraded struct {
 	// Failed maps each non-answering shard to its failure. It is nil
 	// when every shard asked answered.
 	Failed map[int]error
+	// Gated lists the shards an in-database query did not ask because
+	// their probe bound proves no answer of theirs could place
+	// (fanout.Gated): the merge is what asking them would have made it,
+	// so a gated shard is neither answered nor failed.
+	Gated []int
 }
 
 // Complete reports whether every shard answered.
@@ -282,7 +322,7 @@ func (d *Degraded) Err() error {
 	}
 	sort.Ints(ids)
 	return fmt.Errorf("dist: %d of %d shards failed (first: shard %d: %v)",
-		len(d.Failed), len(d.Failed)+len(d.Answered), ids[0], d.Failed[ids[0]])
+		len(d.Failed), len(d.Failed)+len(d.Answered)+len(d.Gated), ids[0], d.Failed[ids[0]])
 }
 
 // newDegraded starts a fan-out's report, with Answered sized once to the
@@ -423,10 +463,10 @@ type vecOut struct {
 	aff float64
 }
 
-// probe queries every shard but skip out-of-sample, staging the answers
-// in mg.
-func (c *Coordinator) probe(ctx context.Context, q mogul.Vector, k, skip int, deg *Degraded, mg *fanout.Merge) {
-	askAll(ctx, c, deg, func(s int) bool { return s != skip },
+// probe queries every shard want selects out-of-sample, staging the
+// answers in mg.
+func (c *Coordinator) probe(ctx context.Context, q mogul.Vector, k int, want func(s int) bool, deg *Degraded, mg *fanout.Merge) {
+	askAll(ctx, c, deg, want,
 		func(ctx context.Context, b Backend, _ int) (vecOut, error) {
 			res, aff, err := b.VectorSearch(ctx, q, k)
 			return vecOut{res, aff}, err
@@ -437,9 +477,10 @@ func (c *Coordinator) probe(ctx context.Context, q mogul.Vector, k, skip int, de
 // TopKCtx fans an in-database query out to all shards and merges: the
 // owner shard answers in-database (its failure fails the query — it
 // alone knows the query's vector and affinity baseline), every other
-// shard is probed out-of-sample under the per-shard deadline, and
-// shards that fail are dropped from the merge and reported in
-// Degraded.
+// shard whose probe bound does not rule it out (fanout.Gated; reported
+// in Degraded.Gated) is probed out-of-sample under the per-shard
+// deadline, and shards that fail are dropped from the merge and
+// reported in Degraded.
 func (c *Coordinator) TopKCtx(ctx context.Context, query, k int) ([]mogul.Result, *Degraded, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
@@ -467,7 +508,20 @@ func (c *Coordinator) TopKCtx(ctx context.Context, query, k int) ([]mogul.Result
 	mg.Reset(len(c.shards))
 	mg.Add(c.ids, loc.Shard, own.res, 1)
 	if len(c.shards) > 1 {
-		c.probe(ctx, own.qvec, k, loc.Shard, deg, &mg)
+		kth := mg.Kth(loc.Shard, k)
+		c.probe(ctx, own.qvec, k, func(s int) bool {
+			if s == loc.Shard {
+				return false
+			}
+			if fanout.Gated(c.ids.Bound(s), own.qvec, own.aff, kth) {
+				if deg.Gated == nil {
+					deg.Gated = make([]int, 0, len(c.shards)-1)
+				}
+				deg.Gated = append(deg.Gated, s)
+				return false
+			}
+			return true
+		}, deg, &mg)
 		mg.AddProbes(c.ids, own.aff)
 	}
 	return mg.TopK(k), deg, nil
@@ -485,7 +539,7 @@ func (c *Coordinator) TopKVectorCtx(ctx context.Context, q mogul.Vector, k int) 
 	deg := c.newDegraded()
 	var mg fanout.Merge
 	mg.Reset(len(c.shards))
-	c.probe(ctx, q, k, -1, deg, &mg)
+	c.probe(ctx, q, k, func(int) bool { return true }, deg, &mg)
 	if len(deg.Answered) == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -569,7 +623,8 @@ func (c *Coordinator) DeleteCtx(ctx context.Context, id int) error {
 // CompactCtx folds every shard's delta in, preserving global ids
 // (fanout.IDMap.CompactShard, stretched over the network): the fan-out
 // write lock is held across each tombstoned shard's rebuild so no
-// search pairs new shard state with the old map.
+// search pairs new shard state with the old map, and a compacted
+// shard's probe bound is asked for again.
 func (c *Coordinator) CompactCtx(ctx context.Context) error {
 	c.ids.LockMutators()
 	defer c.ids.UnlockMutators()
@@ -586,7 +641,7 @@ func (c *Coordinator) CompactCtx(ctx context.Context) error {
 
 // backendCompactor is a shard primary as fanout's compaction protocol
 // drives it: the liveness probe runs under the per-shard deadline sctx,
-// the rebuild itself only under the caller's ctx.
+// the rebuild and the new bound's fetch only under the caller's ctx.
 type backendCompactor struct {
 	ctx, sctx context.Context
 	b         Backend
@@ -595,6 +650,8 @@ type backendCompactor struct {
 func (bc backendCompactor) Liveness() (int, []int, error) { return bc.b.AliveMap(bc.sctx) }
 
 func (bc backendCompactor) Compact() error { return bc.b.CompactCtx(bc.ctx) }
+
+func (bc backendCompactor) Bound() (*mogul.ProbeBound, error) { return bc.b.BoundCtx(bc.ctx) }
 
 // --- the strict mogul.Retriever surface ---
 

@@ -349,8 +349,11 @@ func TestCoordinatorDegraded(t *testing.T) {
 	cl.Faults[2].Partition()
 
 	// Query owned by shard 0: owner healthy, shard 2 missing from the
-	// merge.
-	res, deg, err := cl.Coord.TopKCtx(context.Background(), 0, 10)
+	// merge. k is past a shard's 80 items, so the owner's list is short
+	// of k and no probe can be gated (TestProbeGateDegraded covers a
+	// gated shard that is partitioned).
+	const k = 100
+	res, deg, err := cl.Coord.TopKCtx(context.Background(), 0, k)
 	if err != nil {
 		t.Fatalf("degraded TopKCtx failed outright: %v", err)
 	}
@@ -374,20 +377,20 @@ func TestCoordinatorDegraded(t *testing.T) {
 	}
 
 	// Strict surface refuses the same query.
-	if _, err := cl.Coord.TopK(0, 10); err == nil {
+	if _, err := cl.Coord.TopK(0, k); err == nil {
 		t.Fatal("strict TopK answered despite a partitioned shard")
 	}
 
 	// Query owned by the partitioned shard: even the ctx surface must
 	// fail — only the owner knows the query vector.
 	ownerQ := cl.Partition[2][0]
-	if _, _, err := cl.Coord.TopKCtx(context.Background(), ownerQ, 10); err == nil {
+	if _, _, err := cl.Coord.TopKCtx(context.Background(), ownerQ, k); err == nil {
 		t.Fatal("TopKCtx answered with the owner shard partitioned")
 	}
 
 	// Heal and the strict surface recovers.
 	cl.Faults[2].Heal()
-	if _, err := cl.Coord.TopK(0, 10); err != nil {
+	if _, err := cl.Coord.TopK(0, k); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 }

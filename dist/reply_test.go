@@ -291,3 +291,62 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		t.Fatalf("decode = %v, %+v; want errNotCanonical and nothing kept", err, r)
 	}
 }
+
+// TestBoundCodec holds appendBound to json.Marshal of the reply's
+// fields, scanBound to the bits appendBound wrote, and scanBound to
+// refusing what appendBound never writes or a bound whose balls do not
+// add up.
+func TestBoundCodec(t *testing.T) {
+	type oracle struct {
+		Dim     int       `json:"dim"`
+		Sigma   float64   `json:"sigma"`
+		SMax    float64   `json:"s_max"`
+		Centres []float64 `json:"centres"`
+		Radii   []float64 `json:"radii"`
+	}
+	for _, pb := range []mogul.ProbeBound{
+		{Dim: 1, Sigma: 1, SMax: 1, Centres: []float64{0}, Radii: []float64{0}},
+		{Dim: 2, Sigma: 0.1755057939114406, SMax: 48.9044240997221, Centres: []float64{-2.5e-7, 1e21, 3, math.Copysign(0, -1)}, Radii: []float64{0.5458200608849108, 0}},
+	} {
+		b, err := appendBound(nil, &pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(oracle{pb.Dim, pb.Sigma, pb.SMax, pb.Centres, pb.Radii})
+		if string(b) != string(want)+"\n" {
+			t.Fatalf("appendBound wrote %s, json.Marshal %s", b, want)
+		}
+		got, ok := scanBound(b)
+		if !ok || got.Dim != pb.Dim || math.Float64bits(got.Sigma) != math.Float64bits(pb.Sigma) ||
+			math.Float64bits(got.SMax) != math.Float64bits(pb.SMax) || !sameFloatBits(got.Centres, pb.Centres) || !sameFloatBits(got.Radii, pb.Radii) {
+			t.Fatalf("scanBound(%s) = %+v, %v", b, got, ok)
+		}
+	}
+	if _, err := appendBound(nil, &mogul.ProbeBound{Dim: 1, Sigma: 1, SMax: math.Inf(1), Centres: []float64{0}, Radii: []float64{0}}); !errors.Is(err, jsonwire.ErrNonFinite) {
+		t.Fatalf("appendBound of an infinite s_max: %v", err)
+	}
+	for _, body := range []string{
+		`{"dim":2,"sigma":1,"s_max":1,"centres":[0,1,2],"radii":[0]}`,
+		`{"dim":0,"sigma":1,"s_max":1,"centres":[],"radii":[]}`,
+		`{"dim":1, "sigma":1,"s_max":1,"centres":[0],"radii":[0]}`,
+		`{"dim":1,"sigma":1,"s_max":1,"centres":[0],"radii":[0]}x`,
+		`{"dim":1,"sigma":1,"s_max":1,"centres":null,"radii":null}`,
+	} {
+		if pb, ok := scanBound([]byte(body)); ok {
+			t.Fatalf("scanBound took %s as %+v", body, pb)
+		}
+	}
+}
+
+// sameFloatBits reports whether a and b hold the same float64 bits.
+func sameFloatBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

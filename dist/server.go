@@ -22,6 +22,8 @@ import (
 //	POST /dist/vector            -> Backend.VectorSearch
 //	POST /dist/set               -> Backend.SetSearch
 //	GET  /dist/alive             -> Backend.AliveMap
+//	GET  /dist/bound             -> Backend.BoundCtx; 404 when the
+//	                                engine derives no probe bound
 //	GET  /dist/log?since=V       -> replication log tail past cursor V
 //	                                (binary, mogul.WriteLogEntries);
 //	                                410 Gone once truncated past V
@@ -29,7 +31,7 @@ import (
 //	                                X-Mogul-Version header
 //	POST /dist/truncate          -> {"up_to":V}: drop acknowledged log
 //
-// The first five are the wire form of one Backend method each: decode
+// The first six are the wire form of one Backend method each: decode
 // the request, call the method on a LocalShard over the index, encode
 // what it returned — the image of what Client does from the other side,
 // so the remote shard cannot drift from the in-process one. The request
@@ -58,6 +60,7 @@ func NewShardServer(ix ShardIndex, opts serve.Options) *ShardServer {
 	s.Handle(http.MethodGet, "/dist/log", "dist_log", s.handleLog)
 	s.Handle(http.MethodGet, "/dist/snapshot", "dist_snapshot", s.handleSnapshot)
 	s.Handle(http.MethodGet, "/dist/alive", "dist_alive", s.handleAlive)
+	s.Handle(http.MethodGet, "/dist/bound", "dist_bound", s.handleBound)
 	s.Handle(http.MethodPost, "/dist/truncate", "dist_truncate", s.handleTruncate)
 	return s
 }
@@ -167,6 +170,25 @@ func (s *ShardServer) handleSet(w http.ResponseWriter, r *http.Request) {
 func (s *ShardServer) handleAlive(w http.ResponseWriter, r *http.Request) {
 	space, dead, err := s.local.AliveMap(r.Context())
 	reply(w, aliveReply{Dead: dead, IDSpace: space, Version: s.ix.Version()}, err)
+}
+
+func (s *ShardServer) handleBound(w http.ResponseWriter, r *http.Request) {
+	b, err := s.local.BoundCtx(r.Context())
+	switch {
+	case err != nil:
+		reply(w, nil, err)
+	case b == nil:
+		serve.WriteError(w, http.StatusNotFound, "the shard's engine derives no probe bound")
+	default:
+		buf := jsonwire.GetBuf()
+		body, err := appendBound(*buf, b)
+		if err != nil {
+			jsonwire.PutBuf(buf, body)
+			serve.WriteError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		jsonwire.WriteReply(w, buf, body)
+	}
 }
 
 func (s *ShardServer) handleLog(w http.ResponseWriter, r *http.Request) {

@@ -283,11 +283,13 @@ func TestClientMatchesLocalShard(t *testing.T) {
 			res, err := ix.TopK(60, 5)
 			return out{ver, ix.Len(), ix.IDSpace(), res}, err
 		}},
+		{"dist_bound", func(n node) (out, error) { return boundOut(n.BoundCtx(ctx)) }},
 		{"compact", func(n node) (out, error) { return nil, n.CompactCtx(ctx) }},
 		{"dist_alive", func(n node) (out, error) {
 			space, dead, err := n.AliveMap(ctx)
 			return out{space, dead}, err
 		}},
+		{"dist_bound", func(n node) (out, error) { return boundOut(n.BoundCtx(ctx)) }}, // the rebuilt base's
 	}
 	reached := map[string]int{}
 	for i, st := range steps {
@@ -331,6 +333,15 @@ func TestClientMatchesLocalShard(t *testing.T) {
 			t.Errorf("route %s has no round-trip case: drive the Client method that speaks it above, or list it in notClient", name)
 		}
 	}
+}
+
+// boundOut is a BoundCtx return as TestClientMatchesLocalShard compares
+// it: the bound's fields, not its address.
+func boundOut(b *mogul.ProbeBound, err error) ([]interface{}, error) {
+	if err != nil || b == nil {
+		return []interface{}{b}, err
+	}
+	return []interface{}{*b}, nil
 }
 
 // poisonedShard plants a NaN where a /dist search reply carries a float:

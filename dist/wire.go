@@ -25,8 +25,10 @@ import (
 // /dist/vector body that serve's request scanner reads, so neither end
 // reflects. FuzzWriteDistReply holds the writers to json.Marshal and
 // FuzzScanDistReply the scanner to json.Unmarshal; a search reply the
-// scanner does not take is an error. Every other /dist reply is decoded
-// into the types below by encoding/json.
+// scanner does not take is an error. The /dist/bound reply, ~100 KB of
+// floats, is written by appendBound and read by scanBound the same way
+// (TestBoundCodec). Every other /dist reply is decoded into the types
+// below by encoding/json.
 
 // Info is a shard's state snapshot (/dist/info).
 type Info struct {
@@ -91,6 +93,71 @@ func appendReply(dst []byte, owner bool, ver uint64, res []mogul.Result, vec []f
 		return dst, err
 	}
 	return append(b, '}', '\n'), nil
+}
+
+// appendBound appends the /dist/bound reply — the shard's probe bound,
+// its balls as two flat arrays, Dim centre coordinates per radius — as
+// json.Marshal of a struct with the fields dim, sigma, s_max, centres
+// and radii would write it, with the newline Encoder adds. A shard whose
+// engine derives no bound answers 404 instead. On a NaN or ±Inf it
+// returns dst as it was and an error wrapping jsonwire.ErrNonFinite.
+func appendBound(dst []byte, pb *mogul.ProbeBound) ([]byte, error) {
+	b := strconv.AppendInt(append(dst, `{"dim":`...), int64(pb.Dim), 10)
+	b, err := jsonwire.AppendFinite(append(b, `,"sigma":`...), pb.Sigma, "sigma")
+	if err == nil {
+		b, err = jsonwire.AppendFinite(append(b, `,"s_max":`...), pb.SMax, "s_max")
+	}
+	if err == nil {
+		b, err = jsonwire.AppendFloats(append(b, `,"centres":`...), pb.Centres)
+	}
+	if err == nil {
+		b, err = jsonwire.AppendFloats(append(b, `,"radii":`...), pb.Radii)
+	}
+	if err != nil {
+		return dst, err
+	}
+	return append(b, '}', '\n'), nil
+}
+
+// scanBound reads a /dist/bound reply in appendBound's form — and
+// nothing else — into a probe bound whose balls are consistent: a
+// positive dimension and Dim centre coordinates per radius.
+func scanBound(b []byte) (*mogul.ProbeBound, bool) {
+	var pb mogul.ProbeBound
+	i, ok := jsonwire.Expect(b, 0, `{"dim":`)
+	if !ok {
+		return nil, false
+	}
+	if pb.Dim, i, ok = jsonwire.ScanInt(b, i); !ok || pb.Dim <= 0 {
+		return nil, false
+	}
+	for _, f := range []struct {
+		key string
+		v   *float64
+	}{{`,"sigma":`, &pb.Sigma}, {`,"s_max":`, &pb.SMax}} {
+		if i, ok = jsonwire.Expect(b, i, f.key); !ok {
+			return nil, false
+		}
+		if *f.v, i, ok = jsonwire.ScanFloat(b, i); !ok {
+			return nil, false
+		}
+	}
+	if i, ok = jsonwire.Expect(b, i, `,"centres":`); !ok {
+		return nil, false
+	}
+	if pb.Centres, i = jsonwire.ScanFloats(b, i); pb.Centres == nil {
+		return nil, false
+	}
+	if i, ok = jsonwire.Expect(b, i, `,"radii":`); !ok {
+		return nil, false
+	}
+	if pb.Radii, i = jsonwire.ScanFloats(b, i); pb.Radii == nil || len(pb.Centres) != pb.Dim*len(pb.Radii) {
+		return nil, false
+	}
+	if i, ok = jsonwire.Expect(b, i, "}"); !ok || jsonwire.SkipSpace(b, i) != len(b) {
+		return nil, false
+	}
+	return &pb, true
 }
 
 // searchReply is a /dist search reply as Client keeps it.

@@ -121,7 +121,9 @@ func play(h http.Handler, st wireStep) wireStep {
 // elements, case-folded, duplicate, unknown and escaped keys, numbers
 // out of range, "k":3.0, trailing bytes — and a few it takes itself, so
 // that decoder's acceptances, values and error strings are what the
-// two-armed ReadJSON is held to.
+// two-armed ReadJSON is held to. dist_bound was written the same way,
+// through play and json.MarshalIndent, by the change that added the
+// route.
 //
 // A step passes when status, Content-Type, the two
 // pinned headers and the reply are identical — the reply byte for byte

@@ -78,7 +78,8 @@ func vectorBody(v mogul.Vector) string {
 // TestCoordinatorWritesAskNoInfo: through serve over a coordinator, an
 // /insert and a /delete each reach exactly one shard route and no
 // /dist/info, and /compact contacts only the shard with something to
-// fold in — and asks it nothing about its delta first.
+// fold in — and asks it nothing about its delta first, only its new
+// probe bound after.
 func TestCoordinatorWritesAskNoInfo(t *testing.T) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{N: 120, Classes: 4, Dim: 6, WithinStd: 0.25, Separation: 3, Seed: 4})
 	cl := disttest.NewCluster(t, disttest.ClusterConfig{
@@ -107,11 +108,12 @@ func TestCoordinatorWritesAskNoInfo(t *testing.T) {
 	}
 
 	// The tombstoned insert is all there is to fold in: its shard is
-	// asked for its dead ids and compacted, the other two are left be.
+	// asked for its dead ids, compacted and asked for its rebuilt base's
+	// probe bound; the other two are left be.
 	before = shardRequests(t, cl)
 	postJSON(t, srv, "/compact", `{}`, nil)
-	if got := sinceStats(before, shardRequests(t, cl)); !maps.Equal(got, map[string]int{"compact": 1, "dist_alive": 1}) {
-		t.Fatalf("/compact reached the shards as %v, want one dist_alive and one compact", got)
+	if got := sinceStats(before, shardRequests(t, cl)); !maps.Equal(got, map[string]int{"compact": 1, "dist_alive": 1, "dist_bound": 1}) {
+		t.Fatalf("/compact reached the shards as %v, want one dist_alive, one compact and one dist_bound", got)
 	}
 	if d := cl.Coord.Delta(); d != (mogul.DeltaStats{BaseItems: len(ds.Points)}) {
 		t.Fatalf("Delta after compaction: %+v", d)

@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -42,6 +43,8 @@ func (f *fakeShard) Liveness() (space int, dead []int, err error) {
 	}
 	return len(f.alive), dead, nil
 }
+
+func (f *fakeShard) Bound() (*core.ProbeBound, error) { return nil, nil }
 
 func (f *fakeShard) Compact() error {
 	f.calls++
@@ -387,5 +390,33 @@ func TestSums(t *testing.T) {
 	st := SumStats(3, func(s int) (core.Stats, bool) { return stats[s], s != 1 })
 	if st.NumNodes != 40 || st.Modularity != (10*0.2+30*0.6)/40 {
 		t.Fatalf("SumStats = %+v", st)
+	}
+}
+
+// TestGatedRefuses: the gate skips a probe only on a usable bound and a
+// positive k-th score, and a query inside a ball, on a border point or
+// with a NaN coordinate bounds the affinity by 1.
+func TestGatedRefuses(t *testing.T) {
+	b := &core.ProbeBound{Dim: 2, Centres: []float64{0, 0, 10, 0}, Radii: []float64{1, 0}, Sigma: 0.1, SMax: 1}
+	far := []float64{100, 100}
+	if !Gated(b, far, 1, 0.5) {
+		t.Fatal("a query far from every ball was not gated")
+	}
+	for name, gated := range map[string]bool{
+		"nil bound":      Gated(nil, far, 1, 0.5),
+		"zero k-th":      Gated(b, far, 1, 0),
+		"NaN k-th":       Gated(b, far, 1, math.NaN()),
+		"dimension":      Gated(b, []float64{100}, 1, 0.5),
+		"no balls":       Gated(&core.ProbeBound{Dim: 2, Sigma: 0.1, SMax: 1}, far, 1, 0.5),
+		"NaN coordinate": Gated(b, []float64{math.NaN(), 100}, 1, 0.5),
+	} {
+		if gated {
+			t.Errorf("%s: gated", name)
+		}
+	}
+	for _, q := range [][]float64{{0.5, 0.5}, {10, 0}, {math.NaN(), 0}} {
+		if ub := AffinityBound(b, q); ub < 1 {
+			t.Errorf("AffinityBound(%v) = %v, want at least 1", q, ub)
+		}
 	}
 }

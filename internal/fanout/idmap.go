@@ -1,7 +1,8 @@
 // Package fanout is the sharding policy of the repo, written once: the
 // global id space over a set of shards, how a shard's local ranking is
-// priced and merged into the global one, where a new point goes, and
-// how the id space survives a shard compaction. The in-process
+// priced and merged into the global one, which shards an in-database
+// query need not probe, where a new point goes, and how the id space
+// survives a shard compaction. The in-process
 // mogul.ShardedIndex and the multi-process dist.Coordinator are two
 // dispatchers over this package — one calls pinned Searchers directly,
 // the other hedges goroutines over Backends — and neither spells the
@@ -66,6 +67,11 @@ type IDMap struct {
 	l2g   [][]int
 	delta []core.DeltaStats
 
+	// bounds[s] is shard s's probe bound (Gated): nil when the shard has
+	// none, and while a compaction is rebuilding it, so that a search
+	// never gates a shard on a bound its state has outgrown.
+	bounds []atomic.Pointer[core.ProbeBound]
+
 	version atomic.Uint64
 }
 
@@ -98,9 +104,10 @@ func New(partition [][]int, globals int, shapes []Shape) (*IDMap, error) {
 		return nil, fmt.Errorf("%d global ids for %d shard slots", globals, slots)
 	}
 	m := &IDMap{
-		locOf: make([]Loc, globals),
-		l2g:   make([][]int, len(partition)),
-		delta: make([]core.DeltaStats, len(partition)),
+		locOf:  make([]Loc, globals),
+		l2g:    make([][]int, len(partition)),
+		delta:  make([]core.DeltaStats, len(partition)),
+		bounds: make([]atomic.Pointer[core.ProbeBound], len(partition)),
 	}
 	for g := range m.locOf {
 		m.locOf[g] = retired
@@ -218,6 +225,15 @@ func (m *IDMap) Delta() core.DeltaStats {
 	return out
 }
 
+// Bound returns shard s's probe bound, nil when there is none; it needs
+// no lock.
+func (m *IDMap) Bound(s int) *core.ProbeBound { return m.bounds[s].Load() }
+
+// SetBound records shard s's probe bound, as the shard reported it (nil:
+// none); dispatchers over more than one shard set every shard's once at
+// construction, and CompactShard renews it.
+func (m *IDMap) SetBound(s int, b *core.ProbeBound) { m.bounds[s].Store(b) }
+
 // ShardDelta returns shard s's dynamic state.
 func (m *IDMap) ShardDelta(s int) core.DeltaStats { return m.delta[s] }
 
@@ -324,6 +340,8 @@ type Compactor interface {
 	// items keep their relative order; without tombstones local ids
 	// survive bit for bit.
 	Compact() error
+	// Bound reports the shard's probe bound (nil: none).
+	Bound() (*core.ProbeBound, error)
 }
 
 // CompactShard compacts shard s and keeps global ids stable across it,
@@ -342,11 +360,31 @@ type Compactor interface {
 // graph edges instead of surrogates, and a version-stamped cache must
 // not serve pre-swap answers while later shards rebuild or after one of
 // them fails.
+//
+// A rebuilt base has a new probe bound: the old one is dropped before
+// the shard compacts and the new one asked for once it has, so the
+// shard is probed on every query in between. A shard whose compaction
+// or bound report failed keeps none.
 func (m *IDMap) CompactShard(s int, sh Compactor) error {
 	d := m.delta[s]
 	if d.DeltaItems+d.Tombstones == 0 {
 		return nil
 	}
+	m.bounds[s].Store(nil)
+	if err := m.compactShard(s, sh, d); err != nil {
+		return err
+	}
+	// A single shard is never probed, so it is never asked for a bound.
+	if len(m.bounds) > 1 {
+		if b, err := sh.Bound(); err == nil {
+			m.bounds[s].Store(b)
+		}
+	}
+	return nil
+}
+
+// compactShard is CompactShard's rebuild and renumbering.
+func (m *IDMap) compactShard(s int, sh Compactor, d core.DeltaStats) error {
 	if d.Tombstones == 0 {
 		if err := sh.Compact(); err != nil {
 			return err

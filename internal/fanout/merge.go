@@ -103,6 +103,16 @@ func (mg *Merge) Add(m *IDMap, s int, res []core.Result, scale float64) {
 	mg.lists[s] = list
 }
 
+// Kth returns the k-th score of shard s's added list — the owner's, in
+// an in-database query, is the score a probe must reach to place — or 0
+// when the list holds fewer than k items.
+func (mg *Merge) Kth(s, k int) float64 {
+	if l := mg.lists[s]; len(l) >= k {
+		return l[k-1].Score
+	}
+	return 0
+}
+
 // Probe stages shard s's out-of-sample answer and its raw kernel
 // affinity to the query until the scale is known.
 func (mg *Merge) Probe(s int, res []core.Result, aff float64) {

