@@ -17,6 +17,7 @@ import (
 	"mogul"
 	"mogul/dist"
 	"mogul/dist/disttest"
+	"mogul/internal/fanout"
 	"mogul/serve"
 )
 
@@ -117,4 +118,70 @@ func BenchmarkDistributedWrite(b *testing.B) {
 		total += n
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "shard-requests/op")
+}
+
+// BenchmarkGate times one probe-gate decision over dist_fanout's shard
+// set, k = 10: sweep is AffinityBound over every ball and the rule,
+// tree is fanout.Gated, which asks the gate's k-d tree whether any ball
+// comes within the rule's threshold. nodes/op is the balls the sweep
+// measures, and the box and ball tests the tree makes (Gate.Work).
+func BenchmarkGate(b *testing.B) {
+	six, err := distFanoutShards()
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards := six.Shards()
+	ids := oracleMap(b, six)
+	bounds := make([]*mogul.ProbeBound, len(shards))
+	gates := make([]*fanout.Gate, len(shards))
+	for s, sh := range shards {
+		bounds[s] = sh.ProbeBound()
+		gates[s] = fanout.NewGate(bounds[s])
+	}
+	type call struct {
+		s        int
+		q        []float64
+		own, kth float64
+	}
+	var (
+		calls []call
+		mg    fanout.Merge
+	)
+	for _, query := range seededIDs(six.Len(), 512, 52) {
+		loc, err := ids.Locate(query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, qvec, own, err := shards[loc.Shard].TopKWithVector(loc.Local, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mg.Reset(len(shards))
+		mg.Add(ids, loc.Shard, res, 1)
+		for s := range shards {
+			if s != loc.Shard {
+				calls = append(calls, call{s, qvec, own, mg.Kth(loc.Shard, 10)})
+			}
+		}
+	}
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		nodes := 0
+		for i := 0; i < b.N; i++ {
+			c := calls[i%len(calls)]
+			gatedSweep(bounds[c.s], c.q, c.own, c.kth)
+			nodes += len(bounds[c.s].Radii)
+		}
+		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	})
+	b.Run("tree", func(b *testing.B) {
+		b.ReportAllocs()
+		nodes := 0
+		for i := 0; i < b.N; i++ {
+			c := calls[i%len(calls)]
+			_, n := gates[c.s].Work(c.q, c.own, c.kth)
+			nodes += n
+		}
+		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	})
 }

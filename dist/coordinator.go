@@ -331,12 +331,17 @@ func (c *Coordinator) newDegraded() *Degraded {
 	return &Degraded{Answered: make([]int, 0, len(c.shards))}
 }
 
-// shardCtx derives the per-shard deadline context.
+// shardCtx derives the per-shard deadline context. Without a
+// ShardTimeout there is no deadline to derive, and the caller's context
+// comes back with a no-op cancel: a cancel context that nothing cancels
+// cost every shard call two allocations (the context and its cancel
+// func). A hedged call still derives its own (hedge's hctx), which it
+// does cancel.
 func (c *Coordinator) shardCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if c.opts.ShardTimeout > 0 {
 		return context.WithTimeout(ctx, c.opts.ShardTimeout)
 	}
-	return context.WithCancel(ctx)
+	return ctx, func() {}
 }
 
 // hedge runs call against a shard's replicas: the primary first, the
@@ -513,7 +518,7 @@ func (c *Coordinator) TopKCtx(ctx context.Context, query, k int) ([]mogul.Result
 			if s == loc.Shard {
 				return false
 			}
-			if fanout.Gated(c.ids.Bound(s), own.qvec, own.aff, kth) {
+			if fanout.Gated(c.ids.Gate(s), own.qvec, own.aff, kth) {
 				if deg.Gated == nil {
 					deg.Gated = make([]int, 0, len(c.shards)-1)
 				}

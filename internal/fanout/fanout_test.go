@@ -398,17 +398,18 @@ func TestSums(t *testing.T) {
 // with a NaN coordinate bounds the affinity by 1.
 func TestGatedRefuses(t *testing.T) {
 	b := &core.ProbeBound{Dim: 2, Centres: []float64{0, 0, 10, 0}, Radii: []float64{1, 0}, Sigma: 0.1, SMax: 1}
+	g := NewGate(b)
 	far := []float64{100, 100}
-	if !Gated(b, far, 1, 0.5) {
+	if !Gated(g, far, 1, 0.5) {
 		t.Fatal("a query far from every ball was not gated")
 	}
 	for name, gated := range map[string]bool{
-		"nil bound":      Gated(nil, far, 1, 0.5),
-		"zero k-th":      Gated(b, far, 1, 0),
-		"NaN k-th":       Gated(b, far, 1, math.NaN()),
-		"dimension":      Gated(b, []float64{100}, 1, 0.5),
-		"no balls":       Gated(&core.ProbeBound{Dim: 2, Sigma: 0.1, SMax: 1}, far, 1, 0.5),
-		"NaN coordinate": Gated(b, []float64{math.NaN(), 100}, 1, 0.5),
+		"nil bound":      Gated(NewGate(nil), far, 1, 0.5),
+		"zero k-th":      Gated(g, far, 1, 0),
+		"NaN k-th":       Gated(g, far, 1, math.NaN()),
+		"dimension":      Gated(g, []float64{100}, 1, 0.5),
+		"no balls":       Gated(NewGate(&core.ProbeBound{Dim: 2, Sigma: 0.1, SMax: 1}), far, 1, 0.5),
+		"NaN coordinate": Gated(g, []float64{math.NaN(), 100}, 1, 0.5),
 	} {
 		if gated {
 			t.Errorf("%s: gated", name)

@@ -67,10 +67,11 @@ type IDMap struct {
 	l2g   [][]int
 	delta []core.DeltaStats
 
-	// bounds[s] is shard s's probe bound (Gated): nil when the shard has
-	// none, and while a compaction is rebuilding it, so that a search
-	// never gates a shard on a bound its state has outgrown.
-	bounds []atomic.Pointer[core.ProbeBound]
+	// gates[s] is shard s's probe bound with its tree (Gated): nil when
+	// the shard has none, and while a compaction is rebuilding it, so
+	// that a search never gates a shard on a bound its state has
+	// outgrown.
+	gates []atomic.Pointer[Gate]
 
 	version atomic.Uint64
 }
@@ -104,10 +105,10 @@ func New(partition [][]int, globals int, shapes []Shape) (*IDMap, error) {
 		return nil, fmt.Errorf("%d global ids for %d shard slots", globals, slots)
 	}
 	m := &IDMap{
-		locOf:  make([]Loc, globals),
-		l2g:    make([][]int, len(partition)),
-		delta:  make([]core.DeltaStats, len(partition)),
-		bounds: make([]atomic.Pointer[core.ProbeBound], len(partition)),
+		locOf: make([]Loc, globals),
+		l2g:   make([][]int, len(partition)),
+		delta: make([]core.DeltaStats, len(partition)),
+		gates: make([]atomic.Pointer[Gate], len(partition)),
 	}
 	for g := range m.locOf {
 		m.locOf[g] = retired
@@ -225,14 +226,14 @@ func (m *IDMap) Delta() core.DeltaStats {
 	return out
 }
 
-// Bound returns shard s's probe bound, nil when there is none; it needs
+// Gate returns shard s's gate, nil when it has no probe bound; it needs
 // no lock.
-func (m *IDMap) Bound(s int) *core.ProbeBound { return m.bounds[s].Load() }
+func (m *IDMap) Gate(s int) *Gate { return m.gates[s].Load() }
 
 // SetBound records shard s's probe bound, as the shard reported it (nil:
-// none); dispatchers over more than one shard set every shard's once at
-// construction, and CompactShard renews it.
-func (m *IDMap) SetBound(s int, b *core.ProbeBound) { m.bounds[s].Store(b) }
+// none), and builds its gate; dispatchers over more than one shard set
+// every shard's once at construction, and CompactShard renews it.
+func (m *IDMap) SetBound(s int, b *core.ProbeBound) { m.gates[s].Store(NewGate(b)) }
 
 // ShardDelta returns shard s's dynamic state.
 func (m *IDMap) ShardDelta(s int) core.DeltaStats { return m.delta[s] }
@@ -370,14 +371,14 @@ func (m *IDMap) CompactShard(s int, sh Compactor) error {
 	if d.DeltaItems+d.Tombstones == 0 {
 		return nil
 	}
-	m.bounds[s].Store(nil)
+	m.gates[s].Store(nil)
 	if err := m.compactShard(s, sh, d); err != nil {
 		return err
 	}
 	// A single shard is never probed, so it is never asked for a bound.
-	if len(m.bounds) > 1 {
+	if len(m.gates) > 1 {
 		if b, err := sh.Bound(); err == nil {
-			m.bounds[s].Store(b)
+			m.SetBound(s, b)
 		}
 	}
 	return nil

@@ -180,7 +180,7 @@ func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf 
 		k[j] = points.Row(id, buf)[s]
 	}
 	m := len(ids) / 2
-	selectRank(k, ids, m)
+	SelectRank(k, ids, m)
 	t.dim[node], t.split[node] = int32(s), k[m]
 	leaf = t.build(points, keys, work, 2*node+1, lo, lo+m, leaf)
 	return t.build(points, keys, work, 2*node+2, lo+m, hi, leaf)
@@ -208,13 +208,13 @@ func before(ka float64, a int, kb float64, b int) bool {
 	return ka < kb || ka == kb && a < b
 }
 
-// selectRank reorders the parallel slices keys and ids so that position
+// SelectRank reorders the parallel slices keys and ids so that position
 // m holds the element of rank m under (key, id), with every element
 // before it ranked lower and every element after it ranked higher
-// (quickselect, median-of-three pivot, Hoare partition). Ids are
-// distinct, so the order is total and the result does not depend on
-// how the partitions fall.
-func selectRank(keys []float64, ids []int, m int) {
+// (quickselect, median-of-three pivot, Hoare partition). The ids must
+// be distinct, so that the order is total and the result does not
+// depend on how the partitions fall.
+func SelectRank(keys []float64, ids []int, m int) {
 	swap := func(i, j int) {
 		keys[i], keys[j] = keys[j], keys[i]
 		ids[i], ids[j] = ids[j], ids[i]

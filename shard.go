@@ -454,7 +454,7 @@ func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchI
 	if len(ss.srs) > 1 {
 		kth := ss.merge.Kth(loc.Shard, k)
 		for s, sr := range ss.srs {
-			if s == loc.Shard || fanout.Gated(ids.Bound(s), qvec, ownAff, kth) {
+			if s == loc.Shard || fanout.Gated(ids.Gate(s), qvec, ownAff, kth) {
 				continue
 			}
 			res, aff, err := sr.TopKVectorWithAffinity(qvec, k)
