@@ -224,7 +224,9 @@ func TestEngineAllocs(t *testing.T) {
 // TestTopKShardedAllocs: the fan-out over S shards must stay at S+1
 // steady-state allocations — the S per-shard result slices plus the
 // merged output — proving the fan-out runs entirely on the pinned
-// per-shard Searchers and the reusable merge scratch.
+// per-shard Searchers and the reusable merge scratch. The id, vector
+// and set flows are held to the same bound; a set query asks only the
+// shards that own its seeds.
 func TestTopKShardedAllocs(t *testing.T) {
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: 2000, Classes: 12, Dim: 16, WithinStd: 0.3, Separation: 2.5, Seed: 21,
@@ -235,18 +237,29 @@ func TestTopKShardedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := six.NewSearcher()
-	if _, err := ss.TopK(11, 10); err != nil { // warm: sizes every shard's scratch
-		t.Fatal(err)
-	}
 	queries := []int{3, 500, 999, 1500}
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ss.TopK(queries[i%len(queries)], 10); err != nil {
+	sets := [][]int{{3, 500}, {999, 1500, 11}}
+	for _, c := range []struct {
+		name  string
+		query func(i int) ([]Result, error)
+	}{
+		{"TopK", func(i int) ([]Result, error) { return ss.TopK(queries[i%len(queries)], 10) }},
+		{"TopKVector", func(i int) ([]Result, error) { return ss.TopKVector(ds.Points[queries[i%len(queries)]], 10) }},
+		{"TopKSet", func(i int) ([]Result, error) { return ss.TopKSet(sets[i%len(sets)], 10) }},
+	} {
+		if _, err := c.query(0); err != nil { // warm: sizes every shard's scratch
 			t.Fatal(err)
 		}
-		i++
-	})
-	if allocs > shards+1 {
-		t.Fatalf("ShardedSearcher.TopK allocates %.1f objects/op in steady state, want <= %d (S per-shard result slices + merged output)", allocs, shards+1)
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.query(i); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("%s: %.1f allocs/op", c.name, allocs)
+		if allocs > shards+1 {
+			t.Fatalf("ShardedSearcher.%s allocates %.1f objects/op in steady state, want <= %d (S per-shard result slices + merged output)", c.name, allocs, shards+1)
+		}
 	}
 }

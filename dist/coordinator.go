@@ -271,19 +271,15 @@ func NewCoordinator(shards []Shard, partition [][]int, opts CoordOptions) (*Coor
 		// per-shard deadline. One that fails to answer leaves its shard
 		// without one: probed on every query, as an EMR or spectral
 		// shard (which derives none) always is.
-		var wg sync.WaitGroup
-		for s := range shards {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
+		fanout.ForEach(len(shards), len(shards), func() func(int) {
+			return func(s int) {
 				sctx, cancel := c.shardCtx(context.Background())
 				defer cancel()
 				if b, err := shards[s].Primary().BoundCtx(sctx); err == nil {
 					ids.SetBound(s, b)
 				}
-			}(s)
-		}
-		wg.Wait()
+			}
+		})
 	}
 	return c, nil
 }
@@ -323,12 +319,6 @@ func (d *Degraded) Err() error {
 	sort.Ints(ids)
 	return fmt.Errorf("dist: %d of %d shards failed (first: shard %d: %v)",
 		len(d.Failed), len(d.Failed)+len(d.Answered)+len(d.Gated), ids[0], d.Failed[ids[0]])
-}
-
-// newDegraded starts a fan-out's report, with Answered sized once to the
-// shard count and Failed left for the first failure to make.
-func (c *Coordinator) newDegraded() *Degraded {
-	return &Degraded{Answered: make([]int, 0, len(c.shards))}
 }
 
 // shardCtx derives the per-shard deadline context. Without a
@@ -428,131 +418,138 @@ func ask[T any](ctx context.Context, c *Coordinator, s int, call func(context.Co
 	return hedge(sctx, c.shards[s].Replicas, c.opts.HedgeDelay, call)
 }
 
-// askAll asks every shard want selects, in parallel. A shard that fails
-// is recorded in deg and dropped; each answer is handed to got, one at a
-// time, in arrival order.
-func askAll[T any](ctx context.Context, c *Coordinator, deg *Degraded, want func(s int) bool,
-	call func(ctx context.Context, b Backend, s int) (T, error), got func(s int, v T)) {
+// query is one coordinator search as fanout's flows drive it: shards
+// are asked in parallel, each hedged under the per-shard deadline, and a
+// shard that fails is recorded in deg instead of failing the query,
+// unless it is an id query's owner (it alone knows the query's vector
+// and affinity baseline).
+type query struct {
+	c     *Coordinator
+	ctx   context.Context
+	deg   Degraded
+	owner int // the id query's owner shard; -1 until it answers
+	flow  fanout.Flow
+}
+
+// answer is one shard's answer: its local ranking, and the shard's
+// kernel affinity to the query and an owner's stored query vector.
+type answer struct {
+	res  []mogul.Result
+	qvec mogul.Vector
+	aff  float64
+}
+
+func (c *Coordinator) newQuery(ctx context.Context) *query {
+	return &query{c: c, ctx: ctx, owner: -1, deg: Degraded{Answered: make([]int, 0, len(c.shards))}}
+}
+
+// done is the query's answer, with its coverage when it has one.
+func (q *query) done(res []mogul.Result, err error) ([]mogul.Result, *Degraded, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, &q.deg, nil
+}
+
+func (q *query) Errorf(format string, args ...any) error {
+	return fmt.Errorf("dist: "+format, args...)
+}
+
+func (q *query) Unanswered(what string) error {
+	if err := q.ctx.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("dist: no %s answered: %w", what, q.deg.Err())
+}
+
+func (q *query) Owner(_ int, loc fanout.Loc, k int) ([]mogul.Result, mogul.Vector, float64, error) {
+	own, err := ask(q.ctx, q.c, loc.Shard, func(ctx context.Context, b Backend) (a answer, err error) {
+		a.res, a.qvec, a.aff, err = b.OwnerSearch(ctx, loc.Local, k)
+		return a, err
+	})
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("dist: owner shard %d: %w", loc.Shard, err)
+	}
+	q.owner = loc.Shard
+	q.deg.Answered = append(q.deg.Answered, loc.Shard)
+	return own.res, own.qvec, own.aff, nil
+}
+
+// Probe reports every shard the flow does not ask but the owner as
+// gated.
+func (q *query) Probe(v mogul.Vector, k int, ask []bool, mg *fanout.Merge) error {
+	for s, a := range ask {
+		if !a && s != q.owner {
+			if q.deg.Gated == nil {
+				q.deg.Gated = make([]int, 0, len(ask)-1)
+			}
+			q.deg.Gated = append(q.deg.Gated, s)
+		}
+	}
+	q.askAll(mg, func(s int) bool { return ask == nil || ask[s] }, func(ctx context.Context, b Backend, _ int) (a answer, err error) {
+		a.res, a.aff, err = b.VectorSearch(ctx, v, k)
+		return a, err
+	})
+	return nil
+}
+
+func (q *query) Seeds(groups [][]int, weight float64, k int, mg *fanout.Merge) error {
+	q.askAll(mg, func(s int) bool { return len(groups[s]) > 0 }, func(ctx context.Context, b Backend, s int) (a answer, err error) {
+		a.res, err = b.SetSearch(ctx, groups[s], weight, k)
+		return a, err
+	})
+	return nil
+}
+
+// askAll asks every shard want selects, in parallel, and stages each
+// answer in mg, one at a time, in arrival order; a shard that fails is
+// recorded in deg and dropped.
+func (q *query) askAll(mg *fanout.Merge, want func(s int) bool, call func(ctx context.Context, b Backend, s int) (answer, error)) {
 	var (
-		wg  sync.WaitGroup
-		omu sync.Mutex
+		wg sync.WaitGroup
+		mu sync.Mutex
 	)
-	for s := range c.shards {
+	for s := range q.c.shards {
 		if !want(s) {
 			continue
 		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			v, err := ask(ctx, c, s, func(ctx context.Context, b Backend) (T, error) { return call(ctx, b, s) })
-			omu.Lock()
-			defer omu.Unlock()
+			a, err := ask(q.ctx, q.c, s, func(ctx context.Context, b Backend) (answer, error) { return call(ctx, b, s) })
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				if deg.Failed == nil {
-					deg.Failed = map[int]error{}
+				if q.deg.Failed == nil {
+					q.deg.Failed = map[int]error{}
 				}
-				deg.Failed[s] = err
+				q.deg.Failed[s] = err
 				return
 			}
-			deg.Answered = append(deg.Answered, s)
-			got(s, v)
+			q.deg.Answered = append(q.deg.Answered, s)
+			mg.Probe(s, a.res, a.aff)
 		}(s)
 	}
 	wg.Wait()
 }
 
-// vecOut is one shard's out-of-sample answer: the local ranking and the
-// shard's raw kernel affinity to the query.
-type vecOut struct {
-	res []mogul.Result
-	aff float64
-}
-
-// probe queries every shard want selects out-of-sample, staging the
-// answers in mg.
-func (c *Coordinator) probe(ctx context.Context, q mogul.Vector, k int, want func(s int) bool, deg *Degraded, mg *fanout.Merge) {
-	askAll(ctx, c, deg, want,
-		func(ctx context.Context, b Backend, _ int) (vecOut, error) {
-			res, aff, err := b.VectorSearch(ctx, q, k)
-			return vecOut{res, aff}, err
-		},
-		func(s int, v vecOut) { mg.Probe(s, v.res, v.aff) })
-}
-
-// TopKCtx fans an in-database query out to all shards and merges: the
-// owner shard answers in-database (its failure fails the query — it
-// alone knows the query's vector and affinity baseline), every other
-// shard whose probe bound does not rule it out (fanout.Gated; reported
-// in Degraded.Gated) is probed out-of-sample under the per-shard
-// deadline, and shards that fail are dropped from the merge and
-// reported in Degraded.
-func (c *Coordinator) TopKCtx(ctx context.Context, query, k int) ([]mogul.Result, *Degraded, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
-	}
-	c.ids.RLock()
-	defer c.ids.RUnlock()
-	loc, err := c.ids.Locate(query)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: %w", err)
-	}
-	type ownerOut struct {
-		vecOut
-		qvec mogul.Vector
-	}
-	own, err := ask(ctx, c, loc.Shard, func(ctx context.Context, b Backend) (out ownerOut, err error) {
-		out.res, out.qvec, out.aff, err = b.OwnerSearch(ctx, loc.Local, k)
-		return out, err
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: owner shard %d: %w", loc.Shard, err)
-	}
-	deg := c.newDegraded()
-	deg.Answered = append(deg.Answered, loc.Shard)
-	var mg fanout.Merge
-	mg.Reset(len(c.shards))
-	mg.Add(c.ids, loc.Shard, own.res, 1)
-	if len(c.shards) > 1 {
-		kth := mg.Kth(loc.Shard, k)
-		c.probe(ctx, own.qvec, k, func(s int) bool {
-			if s == loc.Shard {
-				return false
-			}
-			if fanout.Gated(c.ids.Gate(s), own.qvec, own.aff, kth) {
-				if deg.Gated == nil {
-					deg.Gated = make([]int, 0, len(c.shards)-1)
-				}
-				deg.Gated = append(deg.Gated, s)
-				return false
-			}
-			return true
-		}, deg, &mg)
-		mg.AddProbes(c.ids, own.aff)
-	}
-	return mg.TopK(k), deg, nil
+// TopKCtx fans an in-database query out to all shards and merges
+// (fanout.Flow.TopK): the owner shard answers in-database and its
+// failure fails the query; every other shard whose probe bound does not
+// rule it out (fanout.Gated; reported in Degraded.Gated) is probed
+// out-of-sample under the per-shard deadline, and shards that fail are
+// dropped from the merge and reported in Degraded.
+func (c *Coordinator) TopKCtx(ctx context.Context, item, k int) ([]mogul.Result, *Degraded, error) {
+	q := c.newQuery(ctx)
+	return q.done(q.flow.TopK(c.ids, q, item, k))
 }
 
 // TopKVectorCtx fans an out-of-sample query to every shard, prices each
 // answer against the best answering shard and merges. Failed shards
 // degrade coverage; a query where no shard answered is an error.
-func (c *Coordinator) TopKVectorCtx(ctx context.Context, q mogul.Vector, k int) ([]mogul.Result, *Degraded, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
-	}
-	c.ids.RLock()
-	defer c.ids.RUnlock()
-	deg := c.newDegraded()
-	var mg fanout.Merge
-	mg.Reset(len(c.shards))
-	c.probe(ctx, q, k, func(int) bool { return true }, deg, &mg)
-	if len(deg.Answered) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("dist: no shard answered: %w", deg.Err())
-	}
-	mg.AddProbesBest(c.ids)
-	return mg.TopK(k), deg, nil
+func (c *Coordinator) TopKVectorCtx(ctx context.Context, v mogul.Vector, k int) ([]mogul.Result, *Degraded, error) {
+	q := c.newQuery(ctx)
+	return q.done(q.flow.TopKVector(c.ids, q, v, k))
 }
 
 // TopKSetCtx fans a multi-seed query out: each shard searches the
@@ -561,30 +558,8 @@ func (c *Coordinator) TopKVectorCtx(ctx context.Context, q mogul.Vector, k int) 
 // is missing — reported, not silently absorbed); if every seed-owning
 // shard failed, the query errors.
 func (c *Coordinator) TopKSetCtx(ctx context.Context, seeds []int, k int) ([]mogul.Result, *Degraded, error) {
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("dist: K must be positive, got %d", k)
-	}
-	c.ids.RLock()
-	defer c.ids.RUnlock()
-	groups, w, err := c.ids.GroupSeeds(seeds, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: %w", err)
-	}
-	deg := c.newDegraded()
-	var mg fanout.Merge
-	mg.Reset(len(c.shards))
-	askAll(ctx, c, deg, func(s int) bool { return len(groups[s]) > 0 },
-		func(ctx context.Context, b Backend, s int) ([]mogul.Result, error) {
-			return b.SetSearch(ctx, groups[s], w, k)
-		},
-		func(s int, res []mogul.Result) { mg.Add(c.ids, s, res, 1) })
-	if len(deg.Answered) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("dist: no seed-owning shard answered: %w", deg.Err())
-	}
-	return mg.TopK(k), deg, nil
+	q := c.newQuery(ctx)
+	return q.done(q.flow.TopKSet(c.ids, q, seeds, k))
 }
 
 // --- mutations (primary-only, never hedged or retried) ---

@@ -86,11 +86,40 @@ func recallAt10(t *testing.T, got, want func(q int) []mogul.Result, queries []in
 
 // TestCoordinatorBitIdenticalExact: in exact mode every fan-out path —
 // in-database, out-of-sample, multi-seed — returns byte-for-byte what
-// the in-process ShardedIndex returns, across 2 and 3 shards.
+// the in-process ShardedIndex returns, across 2 and 3 shards. A set
+// query's bad arguments get the single engine's verdict on every
+// Retriever: an empty seed set is refused before k, and k before a seed.
 func TestCoordinatorBitIdenticalExact(t *testing.T) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{N: 300, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 7})
+	single, err := mogul.Build(ds.Points, mogul.Options{Seed: 3, Exact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{2, 3} {
 		cl, oracle := equivCluster(t, ds.Points, mogul.Options{Seed: 3, Exact: true}, shards)
+		// verdict is a query's error without its package prefix.
+		verdict := func(_ []mogul.Result, err error) string {
+			if err == nil {
+				return "accepted"
+			}
+			_, msg, _ := strings.Cut(err.Error(), ": ")
+			return msg
+		}
+		for _, args := range []struct {
+			seeds []int
+			k     int
+		}{{[]int{-1}, 0}, {nil, 0}} {
+			want := verdict(single.TopKSet(args.seeds, args.k))
+			for name, r := range map[string]mogul.Retriever{
+				"ShardedIndex":           oracle,
+				"LocalShard coordinator": localCoordinator(t, oracle),
+				"HTTP coordinator":       cl.Coord,
+			} {
+				if got := verdict(r.TopKSet(args.seeds, args.k)); got != want {
+					t.Fatalf("S=%d %s TopKSet(%v, %d): %q, want the single engine's %q", shards, name, args.seeds, args.k, got, want)
+				}
+			}
+		}
 		if got, want := cl.Coord.Len(), oracle.Len(); got != want {
 			t.Fatalf("S=%d Len: coordinator %d, oracle %d", shards, got, want)
 		}

@@ -334,7 +334,7 @@ func locate(t *testing.T, six *mogul.ShardedIndex, g int) [2]int {
 
 // maxProbesPerQueryDistFanout is the gate's ceiling at dist_fanout's
 // shape: probes asked per query, k = 10, over 2000 seeded ids. The gate
-// read 0.0285 when it was recorded; the ungated fan-out asks 3.
+// reads 0.0355 (the test logs it); the ungated fan-out asks 3.
 const maxProbesPerQueryDistFanout = 0.05
 
 // TestProbeGateWorkAtDistFanoutShape pins the probes a coordinated id

@@ -1,13 +1,13 @@
-// Package fanout is the sharding policy of the repo, written once: the
-// global id space over a set of shards, how a shard's local ranking is
-// priced and merged into the global one, which shards an in-database
-// query need not probe, where a new point goes, and how the id space
-// survives a shard compaction. The in-process
-// mogul.ShardedIndex and the multi-process dist.Coordinator are two
-// dispatchers over this package — one calls pinned Searchers directly,
-// the other hedges goroutines over Backends — and neither spells the
-// policy out itself. docs/SHARDING.md, "Scoring model", is the
-// specification.
+// Package fanout is the sharding policy and the search flow of the
+// repo, written once: the global id space over a set of shards, how a
+// shard's local ranking is priced and merged into the global one, which
+// shards an in-database query need not probe, the three query flows
+// (Flow), where a new point goes, and how the id space survives a shard
+// compaction. The in-process mogul.ShardedIndex and the multi-process
+// dist.Coordinator only say how one shard is asked (Shards) — one calls
+// pinned Searchers in turn, the other hedges goroutines over Backends —
+// and neither restates the policy or the flow. docs/SHARDING.md,
+// "Scoring model", is the specification.
 package fanout
 
 import (

@@ -113,8 +113,9 @@ func (mg *Merge) Kth(s, k int) float64 {
 	return 0
 }
 
-// Probe stages shard s's out-of-sample answer and its raw kernel
-// affinity to the query until the scale is known.
+// Probe stages shard s's answer until its scale is known: an
+// out-of-sample answer with the shard's raw kernel affinity to the
+// query, or a set query's answer, which merges unscaled.
 func (mg *Merge) Probe(s int, res []core.Result, aff float64) {
 	mg.probes = append(mg.probes, probe{shard: s, res: res, aff: aff})
 }

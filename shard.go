@@ -314,14 +314,9 @@ func (six *ShardedIndex) ShardLens() []int {
 	return out
 }
 
-// Len returns the number of live items across all shards.
-func (six *ShardedIndex) Len() int {
-	total := 0
-	for _, sh := range six.shards {
-		total += sh.Len()
-	}
-	return total
-}
+// Len returns the number of live items across all shards, as the id
+// map counts them (the sharded index is its shards' only mutator).
+func (six *ShardedIndex) Len() int { return six.ids.Len() }
 
 // Exact reports whether the shards serve exact Manifold Ranking scores
 // (MogulE); every shard is built with the same options.
@@ -368,16 +363,17 @@ func (six *ShardedIndex) Neighbors(item int) (ids []int, weights []float64, err 
 
 // ShardedSearcher is the per-worker reusable query engine of a
 // ShardedIndex: it pins one Searcher (and therefore one scratch
-// workspace) to every shard plus the merge scratch, so a steady-state
-// fan-out search allocates only the S per-shard result slices and the
-// merged output. Not safe for concurrent use — one per goroutine.
+// workspace) to every shard plus the fan-out scratch, so a steady-state
+// fan-out search allocates only the per-shard result slices and the
+// merged output. Its queries are internal/fanout's flows, dispatched
+// over the pinned Searchers (inTurn). Not safe for concurrent use — one
+// per goroutine.
 type ShardedSearcher struct {
 	six *ShardedIndex
 	srs []*Searcher
 
-	merge  fanout.Merge
-	groups [][]int // TopKSet: local seeds per shard
-	info   SearchInfo
+	flow fanout.Flow
+	info SearchInfo // the last query's work, summed across the shards asked
 }
 
 // NewSearcher returns a dedicated reusable fan-out query engine.
@@ -403,107 +399,27 @@ func (six *ShardedIndex) release(ss *ShardedSearcher) { six.searchers.Put(ss) }
 
 // TopK ranks all shards against an in-database query item (global id):
 // the owning shard runs the normal in-database search, every other
-// shard scores the query's feature vector through the out-of-sample
-// path, and the per-shard top-k lists merge into one global ranking.
+// shard that its probe bound does not rule out (fanout.Gated) scores
+// the query's feature vector through the out-of-sample path, and the
+// per-shard top-k lists merge into one global ranking.
 func (ss *ShardedSearcher) TopK(query, k int) ([]Result, error) {
-	res, _, err := ss.topK(query, k, false)
-	return res, err
+	return ss.flow.TopK(ss.six.ids, (*inTurn)(ss), query, k)
 }
 
 // TopKWithInfo is TopK plus work counters summed across shards.
 func (ss *ShardedSearcher) TopKWithInfo(query, k int) ([]Result, *SearchInfo, error) {
-	return ss.topK(query, k, true)
-}
-
-func (ss *ShardedSearcher) topK(query, k int, wantInfo bool) ([]Result, *SearchInfo, error) {
-	ids := ss.six.ids
-	ids.RLock()
-	defer ids.RUnlock()
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	loc, err := ids.Locate(query)
+	res, err := ss.TopK(query, k)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mogul: %w", err)
-	}
-	ss.merge.Reset(len(ss.srs))
-	ss.info = SearchInfo{}
-
-	// With other shards to probe, the owner also hands back the query's
-	// stored vector and its own affinity to it, which probe and price
-	// them; a shard whose probe bound shows it cannot reach the owner's
-	// k-th score is not probed at all (fanout.Gated).
-	own := ss.srs[loc.Shard]
-	var (
-		res    []Result
-		qvec   Vector
-		ownAff float64
-	)
-	if len(ss.srs) == 1 {
-		res, err = own.TopK(loc.Local, k)
-	} else {
-		res, qvec, ownAff, err = own.TopKWithVector(loc.Local, k)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, loc.Shard, err)
-	}
-	ss.merge.Add(ids, loc.Shard, res, 1)
-	if wantInfo {
-		ss.accumulateInfo(loc.Shard)
-	}
-	if len(ss.srs) > 1 {
-		kth := ss.merge.Kth(loc.Shard, k)
-		for s, sr := range ss.srs {
-			if s == loc.Shard || fanout.Gated(ids.Gate(s), qvec, ownAff, kth) {
-				continue
-			}
-			res, aff, err := sr.TopKVectorWithAffinity(qvec, k)
-			if err != nil {
-				return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", query, s, err)
-			}
-			ss.merge.Probe(s, res, aff)
-			if wantInfo {
-				ss.accumulateInfo(s)
-			}
-		}
-		ss.merge.AddProbes(ids, ownAff)
-	}
-	out := ss.merge.TopK(k)
-	if !wantInfo {
-		return out, nil, nil
+		return nil, nil, err
 	}
 	info := ss.info
-	return out, &info, nil
-}
-
-// accumulateInfo folds shard s's per-query work counters into the
-// fan-out totals.
-func (ss *ShardedSearcher) accumulateInfo(s int) {
-	info := ss.srs[s].work()
-	ss.info.ClustersPruned += info.ClustersPruned
-	ss.info.ClustersScanned += info.ClustersScanned
-	ss.info.ScoresComputed += info.ScoresComputed
+	return res, &info, nil
 }
 
 // TopKVector ranks all shards against an out-of-sample query vector
 // and merges, each shard priced against the best one.
 func (ss *ShardedSearcher) TopKVector(q Vector, k int) ([]Result, error) {
-	ids := ss.six.ids
-	ids.RLock()
-	defer ids.RUnlock()
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	ss.merge.Reset(len(ss.srs))
-	for s, sr := range ss.srs {
-		res, aff, err := sr.TopKVectorWithAffinity(q, k)
-		if err != nil {
-			return nil, fmt.Errorf("mogul: shard %d: %w", s, err)
-		}
-		ss.merge.Probe(s, res, aff)
-	}
-	ss.merge.AddProbesBest(ids)
-	return ss.merge.TopK(k), nil
+	return ss.flow.TopKVector(ss.six.ids, (*inTurn)(ss), q, k)
 }
 
 // TopKSet ranks items against a set of seed items with equal weights.
@@ -511,29 +427,69 @@ func (ss *ShardedSearcher) TopKVector(q Vector, k int) ([]Result, error) {
 // contribute nothing (the set-query recall trade-off of sharding, see
 // docs/SHARDING.md).
 func (ss *ShardedSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
-	ids := ss.six.ids
-	ids.RLock()
-	defer ids.RUnlock()
-	groups, w, err := ids.GroupSeeds(seeds, ss.groups)
+	return ss.flow.TopKSet(ss.six.ids, (*inTurn)(ss), seeds, k)
+}
+
+// inTurn is a ShardedSearcher as fanout's flows drive it: each shard's
+// pinned Searcher answers in turn, the first error fails the query, and
+// the work of every answer is summed into info.
+type inTurn ShardedSearcher
+
+func (d *inTurn) Errorf(format string, args ...any) error {
+	return fmt.Errorf("mogul: "+format, args...)
+}
+
+// Unanswered is never reached: a shard that does not answer fails the
+// query first.
+func (d *inTurn) Unanswered(what string) error { return d.Errorf("no %s answered", what) }
+
+// Owner answers with TopK alone over one shard, which is then a plain
+// Index bit for bit; it starts the query's work counters at its own.
+func (d *inTurn) Owner(item int, loc fanout.Loc, k int) (res []Result, q Vector, aff float64, err error) {
+	sr := d.srs[loc.Shard]
+	if len(d.srs) > 1 {
+		res, q, aff, err = sr.TopKWithVector(loc.Local, k)
+	} else {
+		res, err = sr.TopK(loc.Local, k)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("mogul: %w", err)
+		return nil, nil, 0, fmt.Errorf("mogul: item %d (shard %d): %w", item, loc.Shard, err)
 	}
-	ss.groups = groups
-	if k <= 0 {
-		return nil, fmt.Errorf("mogul: K must be positive, got %d", k)
-	}
-	ss.merge.Reset(len(ss.srs))
-	for s, locals := range groups {
-		if len(locals) == 0 {
+	d.info = sr.work()
+	return res, q, aff, nil
+}
+
+func (d *inTurn) Probe(q Vector, k int, ask []bool, mg *fanout.Merge) error {
+	return d.each(mg, func(s int) bool { return ask == nil || ask[s] }, func(sr *Searcher, _ int) ([]Result, float64, error) {
+		return sr.TopKVectorWithAffinity(q, k)
+	})
+}
+
+func (d *inTurn) Seeds(groups [][]int, weight float64, k int, mg *fanout.Merge) error {
+	return d.each(mg, func(s int) bool { return len(groups[s]) > 0 }, func(sr *Searcher, s int) ([]Result, float64, error) {
+		res, err := sr.TopKSetWeighted(groups[s], weight, k)
+		return res, 1, err
+	})
+}
+
+// each asks every shard want selects, in shard order, and stages each
+// answer in mg with the affinity call reports.
+func (d *inTurn) each(mg *fanout.Merge, want func(s int) bool, call func(sr *Searcher, s int) ([]Result, float64, error)) error {
+	for s, sr := range d.srs {
+		if !want(s) {
 			continue
 		}
-		res, err := ss.srs[s].TopKSetWeighted(locals, w, k)
+		res, aff, err := call(sr, s)
 		if err != nil {
-			return nil, fmt.Errorf("mogul: shard %d: %w", s, err)
+			return fmt.Errorf("mogul: shard %d: %w", s, err)
 		}
-		ss.merge.Add(ids, s, res, 1)
+		mg.Probe(s, res, aff)
+		info := sr.work()
+		d.info.ClustersPruned += info.ClustersPruned
+		d.info.ClustersScanned += info.ClustersScanned
+		d.info.ScoresComputed += info.ScoresComputed
 	}
-	return ss.merge.TopK(k), nil
+	return nil
 }
 
 // TopK is ShardedSearcher.TopK on a pooled fan-out workspace.
