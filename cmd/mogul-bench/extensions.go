@@ -6,163 +6,9 @@ import (
 	"time"
 
 	"mogul"
-	"mogul/internal/baseline"
 	"mogul/internal/core"
-	"mogul/internal/dataset"
 	"mogul/internal/eval"
-	"mogul/internal/knn"
 )
-
-// expScaling validates the paper's complexity claims (Theorems 2 and
-// 3) directly: Mogul's precompute time, factor size and per-query
-// search time as functions of n on the INRIA stand-in. Each column
-// should grow linearly (time roughly doubles per row); the dense
-// inverse approach would grow 8x per row.
-func expScaling(l *lab) {
-	ns := []int{2000, 4000, 8000, 16000}
-	if l.scale.inria >= 48000 {
-		ns = append(ns, 32000)
-	}
-	rows := [][]string{{"n", "graph build [s]", "precompute [s]", "nnz(L)", "Mogul search [s]", "EMR search [s]"}}
-	for _, n := range ns {
-		ds := dataset.INRIASim(n, l.seed)
-		t0 := time.Now()
-		g, err := knn.BuildGraph(ds.Points, knn.GraphConfig{K: 5})
-		if err != nil {
-			fatal(err)
-		}
-		graphTime := time.Since(t0)
-		t1 := time.Now()
-		ix, err := core.NewIndex(g, core.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		pre := time.Since(t1)
-		emr, err := baseline.NewEMR(ds.Points, core.DefaultAlpha, baseline.EMRConfig{NumAnchors: 10, Seed: l.seed})
-		if err != nil {
-			fatal(err)
-		}
-		queries := make([]int, l.queries)
-		for i := range queries {
-			queries[i] = int((int64(i)*2654435761 + 17) % int64(n))
-		}
-		mogulMed := medianSearchTime(queries, func(q int) {
-			if _, err := ix.TopK(q, 5); err != nil {
-				fatal(err)
-			}
-		})
-		emrMed := medianSearchTime(queries, func(q int) {
-			if _, err := emr.TopK(q, 5); err != nil {
-				fatal(err)
-			}
-		})
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", n),
-			eval.Seconds(graphTime),
-			eval.Seconds(pre),
-			fmt.Sprintf("%d", ix.Factor().NNZ()),
-			eval.Seconds(mogulMed),
-			eval.Seconds(emrMed),
-		})
-	}
-	fmt.Println("Scaling with n (Theorems 2-3; INRIA stand-in, top-5)")
-	emitTable(rows)
-}
-
-// expQuality extends the paper's accuracy evaluation (Section 5.2.1)
-// with standard retrieval metrics: P@10 against the exact ranking, MAP
-// with same-label relevance, and Spearman rank correlation between
-// each method's full score vector and the exact one. Run on the COIL
-// stand-in.
-func expQuality(l *lab) {
-	const name = "COIL-100"
-	const k = 10
-	ds := l.dataset(name)
-	g := l.graph(name)
-	ix := l.index(name)
-	exact := l.exactIndex(name)
-	emr := l.emr(name, 100)
-	it, err := baseline.NewIterative(g, core.DefaultAlpha)
-	if err != nil {
-		fatal(err)
-	}
-
-	queries := l.queryNodes(name)
-	// Per-label relevant counts for MAP.
-	labelCount := map[int]int{}
-	for _, lab := range ds.Labels {
-		labelCount[lab]++
-	}
-
-	type method struct {
-		label  string
-		scores func(q int) []float64
-	}
-	methods := []method{
-		{"Mogul", func(q int) []float64 {
-			s, err := ix.AllScores(q)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}},
-		{"MogulE", func(q int) []float64 {
-			s, err := exact.AllScores(q)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}},
-		{"EMR(d=100)", func(q int) []float64 {
-			s, err := emr.AllScores(q)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}},
-		{"Iterative", func(q int) []float64 {
-			s, err := it.AllScores(q)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}},
-	}
-
-	rows := [][]string{{"method", "P@10 vs exact", "MAP (same label)", "Spearman rho vs exact"}}
-	for _, m := range methods {
-		var patk, ap, rho float64
-		for _, q := range queries {
-			exactScores, err := exact.AllScores(q)
-			if err != nil {
-				fatal(err)
-			}
-			ref := eval.TopKFromScores(exactScores, k, nil)
-			s := m.scores(q)
-			ids := eval.TopKFromScores(s, k, nil)
-			patk += eval.PAtK(ids, ref)
-			relevant := map[int]bool{}
-			for i, lab := range ds.Labels {
-				if lab == ds.Labels[q] && i != q {
-					relevant[i] = true
-				}
-			}
-			// Exclude the query itself from the ranked list for AP.
-			ranked := eval.TopKFromScores(s, k+1, map[int]bool{q: true})
-			ap += eval.AveragePrecision(ranked, relevant, labelCount[ds.Labels[q]]-1)
-			rho += eval.RankCorrelation(s, exactScores)
-		}
-		n := float64(len(queries))
-		rows = append(rows, []string{
-			m.label,
-			fmt.Sprintf("%.3f", patk/n),
-			fmt.Sprintf("%.3f", ap/n),
-			fmt.Sprintf("%.3f", rho/n),
-		})
-	}
-	fmt.Printf("Extended quality metrics on %s (top-%d)\n", ds.Name, k)
-	emitTable(rows)
-}
 
 // expSplit is step one of ROADMAP item 1 made reproducible: the
 // benchmark's graph_id shape — INRIASim(14000, seed 1), the 64 uniform

@@ -34,8 +34,6 @@ var order = []struct {
 	{"fig9", expFig9},
 	{"nnz", expNNZ},
 	{"ordering", expOrdering},
-	{"scaling", expScaling},
-	{"quality", expQuality},
 	{"mogulcg", expMogulCG},
 	{"split", expSplit},
 	{"sharded", expSharded},

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"mogul/internal/binio"
 	"mogul/internal/dense"
@@ -110,16 +109,6 @@ func LoadEMR(r io.Reader) (*EMRIndex, error) { return loadEMR(binio.NewReader(r)
 // fault in every page); all structural and index-range validation
 // still runs, so corrupt input errors rather than panicking later.
 func LoadEMRBytes(data []byte) (*EMRIndex, error) { return loadEMR(binio.NewBytesReader(data)) }
-
-// LoadEMRFile reads an EMR engine file written by EMRIndex.SaveFile.
-func LoadEMRFile(path string) (*EMRIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadEMR(f)
-}
 
 func loadEMR(br *binio.Reader) (*EMRIndex, error) {
 	version, secs, err := binio.ReadSections(br, &emrFrame)

@@ -156,9 +156,6 @@ func TestEMRLoadDispatch(t *testing.T) {
 	if err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEMRFile(path); err != nil {
-		t.Fatal(err)
-	}
 	r, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -287,15 +287,6 @@ func NewLUFromComponents(lu *Matrix, pivot []int, signDet float64) (*LU, error) 
 	return &LU{lu: lu, pivot: pivot, signDet: signDet}, nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := f.signDet
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Inverse is a convenience wrapper: factorize and invert.
 func Inverse(a *Matrix) (*Matrix, error) {
 	f, err := Factorize(a)

@@ -124,26 +124,6 @@ func TestSingularRejected(t *testing.T) {
 	}
 }
 
-func TestDeterminant(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{2, 0}, {0, 3}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-6) > 1e-12 {
-		t.Fatalf("det = %g, want 6", f.Det())
-	}
-	// Row swap flips sign bookkeeping but not the determinant value.
-	b := NewMatrixFrom([][]float64{{0, 1}, {1, 0}})
-	fb, err := Factorize(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fb.Det()+1) > 1e-12 {
-		t.Fatalf("det(swap) = %g, want -1", fb.Det())
-	}
-}
-
 func TestEigSymSmall(t *testing.T) {
 	a := NewMatrixFrom([][]float64{{2, 1}, {1, 2}})
 	w, v, err := EigSym(a)

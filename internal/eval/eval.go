@@ -9,14 +9,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"mogul/internal/cholesky"
 	"mogul/internal/core"
-	"mogul/internal/sparse"
 	"mogul/internal/topk"
 )
 
@@ -102,16 +100,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Median returns the median duration, or 0 for empty input.
-func Median(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
-}
-
 // Time runs f once and returns its wall-clock duration.
 func Time(f func()) time.Duration {
 	t0 := time.Now()
@@ -149,30 +137,6 @@ func SpyFactor(f *cholesky.Factor, size int) string {
 		}
 		// Unit diagonal.
 		grid[cj][cj]++
-	}
-	return renderGrid(grid)
-}
-
-// SpyCSR renders an ASCII density plot of a sparse matrix.
-func SpyCSR(m *sparse.CSR, size int) string {
-	if size <= 0 {
-		size = 48
-	}
-	grid := make([][]int, size)
-	for i := range grid {
-		grid[i] = make([]int, size)
-	}
-	if m.Rows == 0 || m.Cols == 0 {
-		return ""
-	}
-	rScale := float64(size) / float64(m.Rows)
-	cScale := float64(size) / float64(m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		cols, _ := m.Row(i)
-		ri := int(float64(i) * rScale)
-		for _, j := range cols {
-			grid[ri][int(float64(j)*cScale)]++
-		}
 	}
 	return renderGrid(grid)
 }

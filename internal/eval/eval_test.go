@@ -72,13 +72,6 @@ func TestMeanMedian(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %g", got)
 	}
-	if Median(nil) != 0 {
-		t.Fatal("Median(nil) != 0")
-	}
-	ds := []time.Duration{3 * time.Second, time.Second, 2 * time.Second}
-	if got := Median(ds); got != 2*time.Second {
-		t.Fatalf("Median = %v", got)
-	}
 }
 
 func TestTimeAndSeconds(t *testing.T) {
@@ -88,32 +81,6 @@ func TestTimeAndSeconds(t *testing.T) {
 	}
 	if s := Seconds(1500 * time.Millisecond); s != "1.500e+00" {
 		t.Fatalf("Seconds = %q", s)
-	}
-}
-
-func TestSpyCSR(t *testing.T) {
-	m, err := sparse.NewFromCoords(10, 10, []sparse.Coord{
-		{Row: 0, Col: 0, Val: 1}, {Row: 9, Col: 9, Val: 1}, {Row: 9, Col: 0, Val: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plot := SpyCSR(m, 5)
-	lines := strings.Split(strings.TrimRight(plot, "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("spy has %d lines", len(lines))
-	}
-	if lines[0][0] == ' ' {
-		t.Fatal("entry (0,0) not rendered")
-	}
-	if lines[4][4] == ' ' {
-		t.Fatal("entry (9,9) not rendered")
-	}
-	if lines[0][4] != ' ' {
-		t.Fatal("empty corner rendered")
-	}
-	if SpyCSR(&sparse.CSR{}, 5) != "" {
-		t.Fatal("empty matrix should render empty plot")
 	}
 }
 

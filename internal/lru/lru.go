@@ -61,8 +61,7 @@ type entry[K comparable, V any] struct {
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
 	// Hits and Misses count Get outcomes; Evictions counts entries
-	// removed to fit the byte budget (explicit Delete/Purge not
-	// included).
+	// removed to fit the byte budget (explicit Delete not included).
 	Hits, Misses, Evictions int64
 	// Entries and Bytes describe the current resident set.
 	Entries int
@@ -180,18 +179,6 @@ func (c *Cache[K, V]) Delete(key K) bool {
 		sh.remove(e)
 	}
 	return ok
-}
-
-// Purge drops every entry (counters are kept; evictions not counted).
-func (c *Cache[K, V]) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.head, sh.tail = nil, nil
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
 }
 
 // Len returns the number of resident entries.

@@ -110,14 +110,9 @@ func TestPropertyVsReference(t *testing.T) {
 					if got != want {
 						t.Fatalf("step %d: Set(%q, size %d) resident=%v, want %v", step, key, size, got, want)
 					}
-				case op < 9: // Delete
+				default: // Delete
 					if got, want := c.Delete(key), ref.del(key); got != want {
 						t.Fatalf("step %d: Delete(%q) = %v, want %v", step, key, got, want)
-					}
-				default: // occasional Purge
-					if rng.Intn(50) == 0 {
-						c.Purge()
-						*ref = *newRef(ref.budget)
 					}
 				}
 				if c.Len() != len(ref.vals) {

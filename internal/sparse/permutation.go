@@ -90,16 +90,3 @@ func (p *Permutation) PermuteSym(a *CSR) (*CSR, error) {
 	}
 	return NewFromCoords(a.Rows, a.Cols, entries)
 }
-
-// Compose returns the permutation "q after p": applying the result is
-// equivalent to applying p first and then q.
-func (p *Permutation) Compose(q *Permutation) (*Permutation, error) {
-	if p.Len() != q.Len() {
-		return nil, fmt.Errorf("sparse: composing permutations of different sizes %d and %d", p.Len(), q.Len())
-	}
-	newToOld := make([]int, p.Len())
-	for pos := range newToOld {
-		newToOld[pos] = p.NewToOld[q.NewToOld[pos]]
-	}
-	return NewPermutation(newToOld)
-}

@@ -98,27 +98,6 @@ func TestPermuteSymErrors(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	p, _ := NewPermutation([]int{1, 2, 0})
-	q, _ := NewPermutation([]int{2, 0, 1})
-	pq, err := p.Compose(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{10, 20, 30}
-	want := q.Apply(p.Apply(x))
-	got := pq.Apply(x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Compose mismatch: got %v, want %v", got, want)
-		}
-	}
-	short := IdentityPermutation(2)
-	if _, err := p.Compose(short); err == nil {
-		t.Fatal("size mismatch accepted in Compose")
-	}
-}
-
 func TestIdentityPermutation(t *testing.T) {
 	p := IdentityPermutation(4)
 	x := []float64{1, 2, 3, 4}

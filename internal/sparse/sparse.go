@@ -41,8 +41,7 @@ type CSR struct {
 
 // NewFromCoords assembles a rows x cols CSR matrix from coordinate
 // entries. Duplicate (row, col) pairs are summed. Entries that sum to
-// exactly zero are kept (callers that want to drop them can use
-// DropZeros); out-of-range coordinates cause an error.
+// exactly zero are kept; out-of-range coordinates cause an error.
 func NewFromCoords(rows, cols int, entries []Coord) (*CSR, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
@@ -198,27 +197,6 @@ func (m *CSR) Transpose() *CSR {
 		}
 	}
 	return t
-}
-
-// DropZeros returns a copy of m without entries whose absolute value is
-// at most eps.
-func (m *CSR) DropZeros(eps float64) *CSR {
-	out := &CSR{
-		RowPtr: make([]int, m.Rows+1),
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-	}
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			if math.Abs(m.Val[k]) > eps {
-				out.Col = append(out.Col, m.Col[k])
-				out.Val = append(out.Val, m.Val[k])
-			}
-		}
-		out.RowPtr[i+1] = len(out.Col)
-	}
-	return out
 }
 
 // RowSums returns the vector of row sums; for an adjacency matrix this

@@ -189,16 +189,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestDropZeros(t *testing.T) {
-	m, _ := NewFromCoords(2, 2, []Coord{
-		{Row: 0, Col: 0, Val: 1e-15}, {Row: 1, Col: 1, Val: 2},
-	})
-	d := m.DropZeros(1e-12)
-	if d.NNZ() != 1 || d.At(1, 1) != 2 {
-		t.Fatalf("DropZeros kept %d entries", d.NNZ())
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	m := Identity(3)
 	if m.NNZ() != 3 {

@@ -290,14 +290,3 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 	}
 	return newShardedIndex(shards, partition, globals, Partitioner(part), ctr, autoCompact)
 }
-
-// LoadShardedFile reads a sharded index file written by
-// ShardedIndex.SaveFile.
-func LoadShardedFile(path string) (*ShardedIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSharded(f)
-}

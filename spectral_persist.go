@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"mogul/internal/binio"
 	"mogul/internal/sparse"
@@ -126,17 +125,6 @@ func LoadSpectral(r io.Reader) (*SpectralIndex, error) { return loadSpectral(bin
 // still runs, so corrupt input errors rather than panicking later.
 func LoadSpectralBytes(data []byte) (*SpectralIndex, error) {
 	return loadSpectral(binio.NewBytesReader(data))
-}
-
-// LoadSpectralFile reads a spectral engine file written by
-// SpectralIndex.SaveFile.
-func LoadSpectralFile(path string) (*SpectralIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSpectral(f)
 }
 
 func loadSpectral(br *binio.Reader) (*SpectralIndex, error) {
