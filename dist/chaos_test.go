@@ -228,3 +228,28 @@ func (c *cleanupRecorder) runCleanups() {
 	}
 	c.ran = true
 }
+
+// TestCoordinatorStatsDeadline: Stats, which /health calls, asks each
+// shard as every read does — hedged under the per-shard deadline — so a
+// slow shard is left out of the sums instead of stalling it.
+func TestCoordinatorStatsDeadline(t *testing.T) {
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 120, Classes: 4, Dim: 6, WithinStd: 0.25, Separation: 3, Seed: 7})
+	cl := disttest.NewCluster(t, disttest.ClusterConfig{
+		Shards: 3,
+		Points: ds.Points,
+		Build:  mogul.Options{Seed: 3},
+		Client: dist.ClientOptions{Timeout: 5 * time.Second},
+		Coord:  dist.CoordOptions{ShardTimeout: 50 * time.Millisecond},
+	})
+	all := cl.Coord.Stats()
+	cl.Faults[1].Latency(time.Second)
+	defer cl.Faults[1].Clear()
+	start := time.Now()
+	st := cl.Coord.Stats()
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("Stats took %v behind one slow shard, ShardTimeout 50ms", took)
+	}
+	if want := all.NumNodes - cl.Servers[1].Index().Stats().NumNodes; st.NumNodes != want {
+		t.Fatalf("Stats counts %d nodes, want %d: the slow shard left out", st.NumNodes, want)
+	}
+}

@@ -221,14 +221,12 @@ type Coordinator struct {
 	shards []Shard
 	opts   CoordOptions
 
-	// ids is the global id space with its locks, per-shard delta
-	// counts (the coordinator is the sole mutator, so routing an insert,
-	// Len, Delta and skipping a shard with nothing to compact cost no
-	// round trip) and mutation version.
-	ids *fanout.IDMap
-
-	// exact is the shard set's scoring mode, captured at construction.
-	exact bool
+	// set is the shard-set lifecycle over the global id space, with its
+	// locks, per-shard delta counts (the coordinator is the sole
+	// mutator, so routing an insert, Len, Delta and skipping a shard
+	// with nothing to compact cost no round trip) and mutation version.
+	// It asks the shards through members.
+	set *fanout.Set
 }
 
 // NewCoordinator builds a coordinator over shards, where partition
@@ -246,7 +244,6 @@ func NewCoordinator(shards []Shard, partition [][]int, opts CoordOptions) (*Coor
 	}
 	total := 0
 	shapes := make([]fanout.Shape, len(shards))
-	var exact bool
 	for s, members := range partition {
 		if len(shards[s].Replicas) == 0 {
 			return nil, fmt.Errorf("dist: shard %d has no replicas", s)
@@ -256,31 +253,14 @@ func NewCoordinator(shards []Shard, partition [][]int, opts CoordOptions) (*Coor
 		if err != nil {
 			return nil, fmt.Errorf("dist: probing shard %d: %w", s, err)
 		}
-		shapes[s] = fanout.Shape{Space: info.IDSpace, Live: info.Items, Delta: info.Delta}
-		if s == 0 {
-			exact = info.Exact
-		}
+		shapes[s] = fanout.Shape{Space: info.IDSpace, Live: info.Items, Delta: info.Delta, Exact: info.Exact}
 	}
-	ids, err := fanout.New(partition, total, shapes)
+	c := &Coordinator{shards: shards, opts: opts}
+	set, err := fanout.NewSet("dist", c.members(context.Background()), partition, total, shapes, nil, 0)
 	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
+		return nil, err
 	}
-	c := &Coordinator{shards: shards, opts: opts, ids: ids, exact: exact}
-	if len(shards) > 1 {
-		// Each primary's probe bound, asked for in parallel under the
-		// per-shard deadline. One that fails to answer leaves its shard
-		// without one: probed on every query, as an EMR or spectral
-		// shard (which derives none) always is.
-		fanout.ForEach(len(shards), len(shards), func() func(int) {
-			return func(s int) {
-				sctx, cancel := c.shardCtx(context.Background())
-				defer cancel()
-				if b, err := shards[s].Primary().BoundCtx(sctx); err == nil {
-					ids.SetBound(s, b)
-				}
-			}
-		})
-	}
+	c.set = set
 	return c, nil
 }
 
@@ -451,10 +431,6 @@ func (q *query) done(res []mogul.Result, err error) ([]mogul.Result, *Degraded, 
 	return res, &q.deg, nil
 }
 
-func (q *query) Errorf(format string, args ...any) error {
-	return fmt.Errorf("dist: "+format, args...)
-}
-
 func (q *query) Unanswered(what string) error {
 	if err := q.ctx.Err(); err != nil {
 		return err
@@ -541,7 +517,7 @@ func (q *query) askAll(mg *fanout.Merge, want func(s int) bool, call func(ctx co
 // dropped from the merge and reported in Degraded.
 func (c *Coordinator) TopKCtx(ctx context.Context, item, k int) ([]mogul.Result, *Degraded, error) {
 	q := c.newQuery(ctx)
-	return q.done(q.flow.TopK(c.ids, q, item, k))
+	return q.done(q.flow.TopK(c.set, q, item, k))
 }
 
 // TopKVectorCtx fans an out-of-sample query to every shard, prices each
@@ -549,7 +525,7 @@ func (c *Coordinator) TopKCtx(ctx context.Context, item, k int) ([]mogul.Result,
 // degrade coverage; a query where no shard answered is an error.
 func (c *Coordinator) TopKVectorCtx(ctx context.Context, v mogul.Vector, k int) ([]mogul.Result, *Degraded, error) {
 	q := c.newQuery(ctx)
-	return q.done(q.flow.TopKVector(c.ids, q, v, k))
+	return q.done(q.flow.TopKVector(c.set, q, v, k))
 }
 
 // TopKSetCtx fans a multi-seed query out: each shard searches the
@@ -559,7 +535,7 @@ func (c *Coordinator) TopKVectorCtx(ctx context.Context, v mogul.Vector, k int) 
 // shard failed, the query errors.
 func (c *Coordinator) TopKSetCtx(ctx context.Context, seeds []int, k int) ([]mogul.Result, *Degraded, error) {
 	q := c.newQuery(ctx)
-	return q.done(q.flow.TopKSet(c.ids, q, seeds, k))
+	return q.done(q.flow.TopKSet(c.set, q, seeds, k))
 }
 
 // --- mutations (primary-only, never hedged or retried) ---
@@ -567,37 +543,12 @@ func (c *Coordinator) TopKSetCtx(ctx context.Context, seeds []int, k int) ([]mog
 // InsertCtx routes one insert to the least-loaded shard's primary and
 // returns the new global id.
 func (c *Coordinator) InsertCtx(ctx context.Context, v mogul.Vector) (int, error) {
-	c.ids.LockMutators()
-	defer c.ids.UnlockMutators()
-	s := c.ids.LeastLoaded()
-	sctx, cancel := c.shardCtx(ctx)
-	local, err := c.shards[s].Primary().InsertCtx(sctx, v)
-	cancel()
-	if err != nil {
-		return 0, fmt.Errorf("dist: inserting into shard %d: %w", s, err)
-	}
-	g := c.ids.Append(s, local)
-	c.ids.Bump()
-	return g, nil
+	return c.set.Insert(c.members(ctx), v)
 }
 
 // DeleteCtx tombstones one global id on its owning shard's primary.
 func (c *Coordinator) DeleteCtx(ctx context.Context, id int) error {
-	c.ids.LockMutators()
-	defer c.ids.UnlockMutators()
-	loc, err := c.ids.Locate(id)
-	if err != nil {
-		return fmt.Errorf("dist: %w", err)
-	}
-	sctx, cancel := c.shardCtx(ctx)
-	err = c.shards[loc.Shard].Primary().DeleteCtx(sctx, loc.Local)
-	cancel()
-	if err != nil {
-		return fmt.Errorf("dist: item %d (shard %d): %w", id, loc.Shard, err)
-	}
-	c.ids.MarkDeleted(loc)
-	c.ids.Bump()
-	return nil
+	return c.set.Delete(c.members(ctx), id)
 }
 
 // CompactCtx folds every shard's delta in, preserving global ids
@@ -605,33 +556,75 @@ func (c *Coordinator) DeleteCtx(ctx context.Context, id int) error {
 // write lock is held across each tombstoned shard's rebuild so no
 // search pairs new shard state with the old map, and a compacted
 // shard's probe bound is asked for again.
-func (c *Coordinator) CompactCtx(ctx context.Context) error {
-	c.ids.LockMutators()
-	defer c.ids.UnlockMutators()
-	for s, sh := range c.shards {
-		sctx, cancel := c.shardCtx(ctx)
-		err := c.ids.CompactShard(s, backendCompactor{ctx: ctx, sctx: sctx, b: sh.Primary()})
-		cancel()
-		if err != nil {
-			return fmt.Errorf("dist: compacting shard %d: %w", s, err)
-		}
+func (c *Coordinator) CompactCtx(ctx context.Context) error { return c.set.Compact(c.members(ctx)) }
+
+// members is the coordinator's shard set as its lifecycle asks it
+// under one caller context.
+func (c *Coordinator) members(ctx context.Context) fanout.Members {
+	return func(s int) fanout.Member { return member{c, ctx, s} }
+}
+
+// member is shard s as the lifecycle asks it: mutations, liveness and
+// the probe bound go to its primary, Neighbors and Stats are reads
+// (ask), and every call but the rebuild runs under the per-shard
+// deadline; the rebuild runs under the caller's context alone.
+type member struct {
+	c   *Coordinator
+	ctx context.Context
+	s   int
+}
+
+// primary is the shard's primary under the per-shard deadline; pair
+// with cancel.
+func (m member) primary() (Backend, context.Context, context.CancelFunc) {
+	ctx, cancel := m.c.shardCtx(m.ctx)
+	return m.c.shards[m.s].Primary(), ctx, cancel
+}
+
+func (m member) Insert(v mogul.Vector) (int, error) {
+	b, ctx, cancel := m.primary()
+	defer cancel()
+	return b.InsertCtx(ctx, v)
+}
+
+func (m member) Delete(local int) error {
+	b, ctx, cancel := m.primary()
+	defer cancel()
+	return b.DeleteCtx(ctx, local)
+}
+
+func (m member) Liveness() (int, []int, error) {
+	b, ctx, cancel := m.primary()
+	defer cancel()
+	return b.AliveMap(ctx)
+}
+
+func (m member) Bound() (*mogul.ProbeBound, error) {
+	b, ctx, cancel := m.primary()
+	defer cancel()
+	return b.BoundCtx(ctx)
+}
+
+func (m member) Compact() error { return m.c.shards[m.s].Primary().CompactCtx(m.ctx) }
+
+func (m member) Neighbors(local int) ([]int, []float64, error) {
+	type nOut struct {
+		ids []int
+		wts []float64
 	}
-	return nil
+	n, err := ask(m.ctx, m.c, m.s, func(ctx context.Context, b Backend) (nOut, error) {
+		ids, wts, err := b.NeighborsCtx(ctx, local)
+		return nOut{ids, wts}, err
+	})
+	return n.ids, n.wts, err
 }
 
-// backendCompactor is a shard primary as fanout's compaction protocol
-// drives it: the liveness probe runs under the per-shard deadline sctx,
-// the rebuild and the new bound's fetch only under the caller's ctx.
-type backendCompactor struct {
-	ctx, sctx context.Context
-	b         Backend
+// Stats is zero when no replica answers in time, which adds nothing to
+// the set's sums (fanout.Member).
+func (m member) Stats() mogul.Stats {
+	info, _ := ask(m.ctx, m.c, m.s, func(ctx context.Context, b Backend) (Info, error) { return b.InfoCtx(ctx) })
+	return info.Stats
 }
-
-func (bc backendCompactor) Liveness() (int, []int, error) { return bc.b.AliveMap(bc.sctx) }
-
-func (bc backendCompactor) Compact() error { return bc.b.CompactCtx(bc.ctx) }
-
-func (bc backendCompactor) Bound() (*mogul.ProbeBound, error) { return bc.b.BoundCtx(bc.ctx) }
 
 // --- the strict mogul.Retriever surface ---
 
@@ -639,31 +632,27 @@ var _ mogul.Retriever = (*Coordinator)(nil)
 
 // Len returns the live item count across all shards (tracked locally;
 // the coordinator is the sole mutator).
-func (c *Coordinator) Len() int { return c.ids.Len() }
+func (c *Coordinator) Len() int { return c.set.Len() }
 
 // Exact reports the shard set's scoring mode (captured at
 // construction; every shard is built with the same options).
-func (c *Coordinator) Exact() bool { return c.exact }
+func (c *Coordinator) Exact() bool { return c.set.Exact() }
 
 // Version returns the coordinator's monotonic mutation version —
 // bumped once per completed coordinator mutation, the stamp a serving
 // layer's result cache keys on. Mutations routed around the
 // coordinator are invisible to it (see the Ownership contract).
-func (c *Coordinator) Version() uint64 { return c.ids.Version() }
+func (c *Coordinator) Version() uint64 { return c.set.Version() }
 
-// Stats aggregates construction statistics across reachable shards
-// (modularity node-weighted).
-func (c *Coordinator) Stats() mogul.Stats {
-	return fanout.SumStats(len(c.shards), func(s int) (mogul.Stats, bool) {
-		info, err := c.shards[s].Primary().InfoCtx(context.Background())
-		return info.Stats, err == nil
-	})
-}
+// Stats aggregates construction statistics across the shards that
+// answer (modularity node-weighted), each asked as every read is:
+// hedged over its replicas under the per-shard deadline.
+func (c *Coordinator) Stats() mogul.Stats { return c.set.Stats(c.members(context.Background())) }
 
 // Delta aggregates the dynamic state across shards from the id map,
 // which every coordinator mutation updates (tracked locally, like Len:
 // the coordinator is the sole mutator).
-func (c *Coordinator) Delta() mogul.DeltaStats { return c.ids.Delta() }
+func (c *Coordinator) Delta() mogul.DeltaStats { return c.set.Delta() }
 
 // strict turns a degraded-tolerant answer into the Retriever
 // contract: every asked shard must have answered.
@@ -733,25 +722,7 @@ func (c *Coordinator) forEach(n, parallelism int, work func(int)) {
 // Neighbors returns an item's graph context inside its owning shard,
 // remapped to global ids.
 func (c *Coordinator) Neighbors(item int) (ids []int, weights []float64, err error) {
-	c.ids.RLock()
-	defer c.ids.RUnlock()
-	loc, err := c.ids.Locate(item)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: %w", err)
-	}
-	type nOut struct {
-		ids []int
-		wts []float64
-	}
-	n, err := ask(context.Background(), c, loc.Shard, func(ctx context.Context, b Backend) (nOut, error) {
-		ids, wts, err := b.NeighborsCtx(ctx, loc.Local)
-		return nOut{ids, wts}, err
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: item %d (shard %d): %w", item, loc.Shard, err)
-	}
-	ids, weights = c.ids.Neighbors(loc.Shard, n.ids, n.wts)
-	return ids, weights, nil
+	return c.set.Neighbors(c.members(context.Background()), item)
 }
 
 // Insert routes one insert (see InsertCtx).

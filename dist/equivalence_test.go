@@ -89,6 +89,9 @@ func recallAt10(t *testing.T, got, want func(q int) []mogul.Result, queries []in
 // the in-process ShardedIndex returns, across 2 and 3 shards. A set
 // query's bad arguments get the single engine's verdict on every
 // Retriever: an empty seed set is refused before k, and k before a seed.
+// A refused mutation or Neighbors is refused on every Retriever, and the
+// ShardedIndex and a LocalShard coordinator — one shard-set lifecycle —
+// refuse it in the same words.
 func TestCoordinatorBitIdenticalExact(t *testing.T) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{N: 300, Classes: 6, Dim: 8, WithinStd: 0.25, Separation: 3, Seed: 7})
 	single, err := mogul.Build(ds.Points, mogul.Options{Seed: 3, Exact: true})
@@ -168,6 +171,53 @@ func TestCoordinatorBitIdenticalExact(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("S=%d TopKSet(%v) differs:\ncoordinator %v\noracle      %v", shards, seeds, got, want)
+			}
+		}
+
+		// The mutation verdicts run last: they tombstone item 5 on the
+		// oracle and the cluster, and on a fresh single engine and
+		// ShardedIndex twin for the LocalShard coordinator (it would
+		// share the oracle's shards).
+		fresh, err := mogul.Build(ds.Points, mogul.Options{Seed: 3, Exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := mogul.BuildSharded(ds.Points, mogul.Options{Seed: 3, Exact: true}, mogul.ShardOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := ds.Len() + 7
+		for _, c := range []struct {
+			name  string
+			setup func(r mogul.Retriever) error
+			run   func(r mogul.Retriever) error
+		}{
+			{"Insert of a wrong-dimension vector", nil, func(r mogul.Retriever) error { _, err := r.Insert(ds.Points[0][:3]); return err }},
+			{"Delete of an out-of-range id", nil, func(r mogul.Retriever) error { return r.Delete(gone) }},
+			{"Delete of an already-deleted id", func(r mogul.Retriever) error { return r.Delete(5) }, func(r mogul.Retriever) error { return r.Delete(5) }},
+			{"Neighbors of an out-of-range id", nil, func(r mogul.Retriever) error { _, _, err := r.Neighbors(gone); return err }},
+		} {
+			verdicts := map[string]string{}
+			for name, r := range map[string]mogul.Retriever{
+				"single engine":          fresh,
+				"ShardedIndex":           oracle,
+				"LocalShard coordinator": localCoordinator(t, twin),
+				"HTTP coordinator":       cl.Coord,
+			} {
+				if c.setup != nil {
+					if err := c.setup(r); err != nil {
+						t.Fatalf("S=%d %s: setting up %s: %v", shards, name, c.name, err)
+					}
+				}
+				verdicts[name] = verdict(nil, c.run(r))
+			}
+			for name, v := range verdicts {
+				if (v == "accepted") != (verdicts["single engine"] == "accepted") {
+					t.Fatalf("S=%d %s: %s %q, the single engine %q", shards, c.name, name, v, verdicts["single engine"])
+				}
+			}
+			if a, b := verdicts["ShardedIndex"], verdicts["LocalShard coordinator"]; a != b || a == "accepted" {
+				t.Fatalf("S=%d %s: ShardedIndex %q, LocalShard coordinator %q", shards, c.name, a, b)
 			}
 		}
 	}

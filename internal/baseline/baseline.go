@@ -9,9 +9,6 @@
 //     partitioning, He et al. [8].
 //   - EMR: the anchor-graph approximation of Xu et al. [21], the
 //     state-of-the-art competitor in the paper.
-//
-// All methods implement Ranker so the experiment harness can drive
-// them interchangeably with Mogul.
 package baseline
 
 import (
@@ -24,16 +21,6 @@ import (
 	"mogul/internal/sparse"
 	"mogul/internal/topk"
 )
-
-// Ranker ranks database nodes for an in-database query node.
-type Ranker interface {
-	// Name identifies the method in reports ("Inverse", "EMR", ...).
-	Name() string
-	// TopK returns the k best nodes for the query, best first.
-	TopK(query, k int) ([]core.Result, error)
-	// AllScores returns the full score vector for the query.
-	AllScores(query int) ([]float64, error)
-}
 
 // topKFromScores converts a dense score vector into ranked Results.
 func topKFromScores(scores []float64, k int) []core.Result {
@@ -87,9 +74,6 @@ func NewInverse(g *knn.Graph, alpha float64) (*Inverse, error) {
 	}
 	return &Inverse{alpha: alpha, s: m, n: n}, nil
 }
-
-// Name implements Ranker.
-func (iv *Inverse) Name() string { return "Inverse" }
 
 // ResetCache drops the cached factorization so the next query pays the
 // full O(n^3) cost again (used to reproduce the paper's measurement).
@@ -170,9 +154,6 @@ func NewIterative(g *knn.Graph, alpha float64) (*Iterative, error) {
 		n:       g.Len(),
 	}, nil
 }
-
-// Name implements Ranker.
-func (it *Iterative) Name() string { return "Iterative" }
 
 // AllScores implements Ranker.
 func (it *Iterative) AllScores(query int) ([]float64, error) {

@@ -106,9 +106,6 @@ func NewEMR(points []vec.Vector, alpha float64, cfg EMRConfig) (*EMR, error) {
 	}, nil
 }
 
-// Name implements Ranker.
-func (e *EMR) Name() string { return "EMR" }
-
 // NumAnchors returns d.
 func (e *EMR) NumAnchors() int { return e.d }
 

@@ -317,9 +317,6 @@ func bisect(adj *sparse.CSR, members []int, rng *rand.Rand) (left, right []int) 
 	return left, right
 }
 
-// Name implements Ranker.
-func (f *FMR) Name() string { return "FMR" }
-
 // AllScores implements Ranker: scores are non-zero only inside the
 // query's block.
 func (f *FMR) AllScores(query int) ([]float64, error) {

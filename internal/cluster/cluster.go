@@ -31,24 +31,6 @@ type Clustering struct {
 	Levels int
 }
 
-// Sizes returns the number of nodes in each cluster.
-func (c *Clustering) Sizes() []int {
-	sizes := make([]int, c.N)
-	for _, a := range c.Assign {
-		sizes[a]++
-	}
-	return sizes
-}
-
-// Members returns the node lists per cluster, each in ascending order.
-func (c *Clustering) Members() [][]int {
-	members := make([][]int, c.N)
-	for node, a := range c.Assign {
-		members[a] = append(members[a], node)
-	}
-	return members
-}
-
 // Config controls the optimizer.
 type Config struct {
 	// MaxLevels bounds aggregation depth (default 16).

@@ -131,8 +131,6 @@ func (m *Matrix) Transpose() *Matrix {
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	// signDet is +1 or -1 depending on the parity of row swaps.
-	signDet float64
 }
 
 // Factorize computes the LU factorization of a square matrix. It
@@ -144,7 +142,6 @@ func Factorize(a *Matrix) (*LU, error) {
 	n := a.Rows
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Partial pivoting: pick the largest |value| in column k.
 		p, maxAbs := k, math.Abs(lu.At(k, k))
@@ -162,7 +159,6 @@ func Factorize(a *Matrix) (*LU, error) {
 			for j := 0; j < n; j++ {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			sign = -sign
 		}
 		pv := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -177,7 +173,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signDet: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve solves A x = b for x using the factorization.
@@ -284,7 +280,7 @@ func NewLUFromComponents(lu *Matrix, pivot []int, signDet float64) (*LU, error) 
 			return nil, fmt.Errorf("dense: LU components: zero U diagonal at %d", i)
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signDet: signDet}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Inverse is a convenience wrapper: factorize and invert.

@@ -88,25 +88,6 @@ func RetrievalPrecision(answers []int, labels []int, queryLabel, queryID int) fl
 	return float64(hits) / float64(count)
 }
 
-// Mean returns the arithmetic mean, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Time runs f once and returns its wall-clock duration.
-func Time(f func()) time.Duration {
-	t0 := time.Now()
-	f()
-	return time.Since(t0)
-}
-
 // Seconds formats a duration the way the paper's log-scale plots read:
 // scientific notation in seconds.
 func Seconds(d time.Duration) string {

@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,14 +10,21 @@ import (
 	"testing"
 
 	"mogul/internal/core"
+	"mogul/internal/vec"
 )
 
-// fakeShard is the smallest shard the id map can be driven against: a
-// liveness bitmap over its local id space whose Compact closes ranks.
+// fakeSet is the smallest shard set the lifecycle can be driven
+// against: per shard, a liveness bitmap over its local id space whose
+// Compact closes ranks.
+type fakeSet []*fakeShard
+
+func (fs fakeSet) shard(s int) Member { return fs[s] }
+
 type fakeShard struct {
 	alive []bool
-	base  int // slots that were present at the last compaction
-	calls int // Liveness and Compact calls
+	base  int        // slots that were present at the last compaction
+	calls int        // Liveness and Compact calls
+	stats core.Stats // what Stats reports
 }
 
 // delta is the shard's own count of its dynamic state, the oracle of
@@ -33,6 +41,31 @@ func (f *fakeShard) delta() core.DeltaStats {
 	}
 	return d
 }
+
+func (f *fakeShard) Insert(v vec.Vector) (int, error) {
+	f.alive = append(f.alive, true)
+	return len(f.alive) - 1, nil
+}
+
+func (f *fakeShard) Delete(local int) error {
+	if !f.alive[local] {
+		return fmt.Errorf("local %d already deleted", local)
+	}
+	f.alive[local] = false
+	return nil
+}
+
+// Neighbors links a local item to every local id of its shard and one
+// past them, which the map must drop.
+func (f *fakeShard) Neighbors(local int) ([]int, []float64, error) {
+	ids := make([]int, len(f.alive)+1)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids, slices.Repeat([]float64{1}, len(ids)), nil
+}
+
+func (f *fakeShard) Stats() core.Stats { return f.stats }
 
 func (f *fakeShard) Liveness() (space int, dead []int, err error) {
 	f.calls++
@@ -53,27 +86,40 @@ func (f *fakeShard) Compact() error {
 	return nil
 }
 
+// newFakeSet puts a fake shard set behind the contiguous partition of n
+// ids over shards shards.
+func newFakeSet(t *testing.T, n, shards int, route []vec.Vector, autoCompact float64) (*Set, fakeSet) {
+	t.Helper()
+	partition := ContiguousPartition(n, shards)
+	fakes := make(fakeSet, shards)
+	shapes := make([]Shape, shards)
+	for s, members := range partition {
+		fakes[s] = &fakeShard{alive: slices.Repeat([]bool{true}, len(members)), base: len(members)}
+		shapes[s] = Shape{Space: len(members), Live: len(members), Delta: fakes[s].delta()}
+	}
+	set, err := NewSet("fake", fakes.shard, partition, n, shapes, route, autoCompact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set, fakes
+}
+
 // TestIDMapAgainstOracle drives random Insert/Delete/Compact sequences
-// through the map and a naive map[int]Loc oracle: Locate and the
+// through a Set and a naive map[int]Loc oracle: Locate and the
 // local->global tables round-trip, compaction preserves the relative
 // order of survivors, a retired id never resolves again, live counts,
-// delta counts and routing match, and the version only moves forward.
+// delta counts, routing and Neighbors' remapping match, and the version
+// only moves forward.
 func TestIDMapAgainstOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shards := 1 + rng.Intn(4)
 		n := 2*shards + rng.Intn(20)
-		m, err := New(ContiguousPartition(n, shards), n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fakes := make([]*fakeShard, shards)
+		m, fakes := newFakeSet(t, n, shards, nil, 0)
 		oracle := map[int]Loc{} // every id that still resolves
 		dead := map[int]bool{}  // tombstoned, awaiting compaction
 		retiredIDs := map[int]bool{}
 		for s := range fakes {
-			size := len(m.Locals(s))
-			fakes[s] = &fakeShard{alive: slices.Repeat([]bool{true}, size), base: size}
 			for local, g := range m.Locals(s) {
 				oracle[g] = Loc{Shard: s, Local: local}
 			}
@@ -119,6 +165,9 @@ func TestIDMapAgainstOracle(t *testing.T) {
 				if ok && m.Locals(loc.Shard)[loc.Local] != g {
 					t.Fatalf("seed %d after %s: id %d does not round-trip through shard %d's table", seed, op, g, loc.Shard)
 				}
+				if ids, _, err := m.Neighbors(fakes.shard, g); ok && (err != nil || !slices.Equal(ids, m.Locals(loc.Shard))) {
+					t.Fatalf("seed %d after %s: Neighbors(%d) = %v, %v; want shard %d's table %v", seed, op, g, ids, err, loc.Shard, m.Locals(loc.Shard))
+				}
 				if retiredIDs[g] && err == nil {
 					t.Fatalf("seed %d after %s: retired id %d resolves again", seed, op, g)
 				}
@@ -130,7 +179,6 @@ func TestIDMapAgainstOracle(t *testing.T) {
 		check("construction")
 		for step := 0; step < 200; step++ {
 			before := m.Version()
-			m.LockMutators()
 			switch r := rng.Intn(10); {
 			case r < 5: // insert
 				want := 0
@@ -139,28 +187,35 @@ func TestIDMapAgainstOracle(t *testing.T) {
 						want = s
 					}
 				}
-				s := m.LeastLoaded()
-				if s != want {
-					t.Fatalf("seed %d: LeastLoaded %d, oracle %d", seed, s, want)
+				local := len(fakes[want].alive)
+				g, err := m.Insert(fakes.shard, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				local := len(fakes[s].alive)
-				fakes[s].alive = append(fakes[s].alive, true)
-				g := m.Append(s, local)
 				if _, seen := oracle[g]; seen || retiredIDs[g] || g != m.Globals()-1 {
-					t.Fatalf("seed %d: Append reused global id %d", seed, g)
+					t.Fatalf("seed %d: Insert reused global id %d", seed, g)
 				}
-				oracle[g] = Loc{Shard: s, Local: local}
-				m.Bump()
+				if loc, _ := m.Locate(g); loc != (Loc{Shard: want, Local: local}) {
+					t.Fatalf("seed %d: Insert placed id %d at %v, oracle shard %d local %d", seed, g, loc, want, local)
+				}
+				oracle[g] = Loc{Shard: want, Local: local}
 			case r < 8: // delete a live item, keeping one per shard
 				g := rng.Intn(m.Globals())
 				loc, ok := oracle[g]
-				if !ok || dead[g] || liveOf(loc.Shard) < 2 {
+				if !ok || liveOf(loc.Shard) < 2 {
 					break
 				}
-				fakes[loc.Shard].alive[loc.Local] = false
+				err := m.Delete(fakes.shard, g)
+				if dead[g] != (err != nil) {
+					t.Fatalf("seed %d: Delete(%d) of a tombstoned=%v item: %v", seed, g, dead[g], err)
+				}
+				if err != nil {
+					if m.Version() != before {
+						t.Fatalf("seed %d: a refused Delete bumped the version", seed)
+					}
+					break
+				}
 				dead[g] = true
-				m.MarkDeleted(loc)
-				m.Bump()
 			default: // compact one shard
 				s := rng.Intn(shards)
 				d, calls := fakes[s].delta(), fakes[s].calls
@@ -175,7 +230,10 @@ func TestIDMapAgainstOracle(t *testing.T) {
 						survivors = append(survivors, g)
 					}
 				}
-				if err := m.CompactShard(s, fakes[s]); err != nil {
+				m.LockMutators()
+				err := m.CompactShard(s, fakes[s])
+				m.UnlockMutators()
+				if err != nil {
 					t.Fatal(err)
 				}
 				for local, g := range survivors {
@@ -190,7 +248,6 @@ func TestIDMapAgainstOracle(t *testing.T) {
 					t.Fatalf("seed %d: shard %d with nothing pending was contacted", seed, s)
 				}
 			}
-			m.UnlockMutators()
 			if m.Version() < before {
 				t.Fatalf("seed %d: version went backwards", seed)
 			}
@@ -221,7 +278,7 @@ func TestNewRejects(t *testing.T) {
 		{"non-monotone (k-means) tables", [][]int{{3, 0}, {2, 1}}, 4, dense(2, 2), ""},
 		{"retired ids beyond the mapped slots", [][]int{{0, 1}, {4, 5}}, 6, nil, ""},
 		{"tombstoned slot still mapped", [][]int{{0, 1}, {2, 3}}, 4, []Shape{tombstoned, dense(2)[0]}, ""},
-		{"live and tombstoned delta items", [][]int{{0, 1, 2, 3}, {4, 5}}, 6, []Shape{{4, 3, core.DeltaStats{BaseItems: 2, DeltaItems: 1, Tombstones: 1}}, dense(2)[0]}, ""},
+		{"live and tombstoned delta items", [][]int{{0, 1, 2, 3}, {4, 5}}, 6, []Shape{{Space: 4, Live: 3, Delta: core.DeltaStats{BaseItems: 2, DeltaItems: 1, Tombstones: 1}}, dense(2)[0]}, ""},
 		{"no shards", nil, 0, nil, "no shards"},
 		{"duplicate global id", [][]int{{0, 1}, {1, 2}}, 4, nil, "assigned to shards 0 and 1"},
 		{"duplicate inside one shard", [][]int{{0, 0}, {1, 2}}, 4, nil, "assigned to shards 0 and 0"},
@@ -233,12 +290,12 @@ func TestNewRejects(t *testing.T) {
 		{"fewer global ids than slots", [][]int{{0, 1}, {2, 3}}, 3, nil, "3 global ids for 4 shard slots"},
 		{"table shorter than the shard's id space", [][]int{{0, 1}, {2}}, 3, dense(2, 2), "covers 1 slots, shard has 2"},
 		{"table longer than the shard's id space", [][]int{{0, 1}, {2, 3}}, 4, dense(2, 1), "covers 2 slots, shard has 1"},
-		{"more live items than slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 3, core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "3 live items in 2 slots"},
+		{"more live items than slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{Space: 2, Live: 3, Delta: core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "3 live items in 2 slots"},
 		{"no delta counts", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{Space: 2, Live: 2}, dense(2)[0]}, "reports delta"},
-		{"tombstones that disagree with the live count", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 1, core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "reports delta"},
-		{"delta past the slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{2, 2, core.DeltaStats{BaseItems: 2, DeltaItems: 1}}, dense(2)[0]}, "reports delta"},
-		{"more dead delta items than tombstones", [][]int{{0, 1, 2}, {3, 4}}, 5, []Shape{{3, 3, core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "reports delta"},
-		{"more dead base items than base", [][]int{{0, 1, 2}, {3, 4}}, 5, []Shape{{3, 1, core.DeltaStats{BaseItems: 1, DeltaItems: 2, Tombstones: 2}}, dense(2)[0]}, "reports delta"},
+		{"tombstones that disagree with the live count", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{Space: 2, Live: 1, Delta: core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "reports delta"},
+		{"delta past the slots", [][]int{{0, 1}, {2, 3}}, 4, []Shape{{Space: 2, Live: 2, Delta: core.DeltaStats{BaseItems: 2, DeltaItems: 1}}, dense(2)[0]}, "reports delta"},
+		{"more dead delta items than tombstones", [][]int{{0, 1, 2}, {3, 4}}, 5, []Shape{{Space: 3, Live: 3, Delta: core.DeltaStats{BaseItems: 2}}, dense(2)[0]}, "reports delta"},
+		{"more dead base items than base", [][]int{{0, 1, 2}, {3, 4}}, 5, []Shape{{Space: 3, Live: 1, Delta: core.DeltaStats{BaseItems: 1, DeltaItems: 2, Tombstones: 2}}, dense(2)[0]}, "reports delta"},
 		{"shape count", [][]int{{0, 1}, {2, 3}}, 4, dense(2), "1 shards with 2 partition groups"},
 	}
 	for _, c := range cases {
@@ -331,9 +388,9 @@ func TestScaleRules(t *testing.T) {
 	if res := mg.TopK(10); len(res) != 1 || res[0].Node != 3 {
 		t.Errorf("uncovered local ids must be skipped, got %v", res)
 	}
-	ids, ws := m.Neighbors(1, []int{1, 7, 0}, []float64{0.1, 0.2, 0.3})
+	ids, ws := m.remap(1, []int{1, 7, 0}, []float64{0.1, 0.2, 0.3})
 	if !slices.Equal(ids, []int{3, 2}) || !slices.Equal(ws, []float64{0.1, 0.3}) {
-		t.Errorf("Neighbors remap = %v %v, want [3 2] [0.1 0.3]", ids, ws)
+		t.Errorf("remap = %v %v, want [3 2] [0.1 0.3]", ids, ws)
 	}
 }
 
@@ -383,13 +440,54 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// TestSums: unreachable shards are left out and modularity is the
-// node-weighted mean.
+// TestSums: unreachable shards, which report zero stats, add nothing,
+// and modularity is the node-weighted mean.
 func TestSums(t *testing.T) {
-	stats := []core.Stats{{NumNodes: 10, Modularity: 0.2}, {NumNodes: 999}, {NumNodes: 30, Modularity: 0.6}}
-	st := SumStats(3, func(s int) (core.Stats, bool) { return stats[s], s != 1 })
-	if st.NumNodes != 40 || st.Modularity != (10*0.2+30*0.6)/40 {
-		t.Fatalf("SumStats = %+v", st)
+	set, fakes := newFakeSet(t, 6, 3, nil, 0)
+	fakes[0].stats = core.Stats{NumNodes: 10, Modularity: 0.2}
+	fakes[2].stats = core.Stats{NumNodes: 30, Modularity: 0.6}
+	if st := set.Stats(fakes.shard); st.NumNodes != 40 || st.Modularity != (10*0.2+30*0.6)/40 {
+		t.Fatalf("Stats = %+v", st)
+	}
+}
+
+// TestSetRoutes: an insert goes to the nearest centroid; one whose
+// dimension no centroid has goes to the least-loaded shard, which is
+// left to refuse it.
+func TestSetRoutes(t *testing.T) {
+	set, fakes := newFakeSet(t, 8, 2, []vec.Vector{{0, 0}, {10, 0}}, 0)
+	for _, c := range []struct {
+		v    vec.Vector
+		want int
+	}{{vec.Vector{9, 1}, 1}, {vec.Vector{1, -1}, 0}, {vec.Vector{9}, 0}, {vec.Vector{9, 1}, 1}} {
+		g, err := set.Insert(fakes.shard, c.v)
+		if loc, _ := set.Locate(g); err != nil || loc.Shard != c.want {
+			t.Fatalf("Insert(%v) went to shard %d (%v), want %d", c.v, loc.Shard, err, c.want)
+		}
+	}
+}
+
+// TestSetAutoCompacts: an insert that takes its shard's pending delta
+// past the fraction compacts that shard alone, and the new id keeps
+// resolving across it.
+func TestSetAutoCompacts(t *testing.T) {
+	set, fakes := newFakeSet(t, 8, 2, nil, 0.5)
+	for i := 0; i < 5; i++ {
+		g, err := set.Insert(fakes.shard, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := set.Locate(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Inserts alternate 0, 1, 0, 1, 0: the fifth takes shard 0 to three
+	// pending over a base of four, past half, and folds them in.
+	if d0, d1 := set.ShardDelta(0), set.ShardDelta(1); d0 != (core.DeltaStats{BaseItems: 7}) || d1 != (core.DeltaStats{BaseItems: 4, DeltaItems: 2}) {
+		t.Fatalf("after five inserts: shard 0 %+v, shard 1 %+v", d0, d1)
+	}
+	if fakes[1].calls != 0 {
+		t.Fatal("the shard under its fraction was compacted")
 	}
 }
 

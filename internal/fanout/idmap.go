@@ -1,12 +1,16 @@
-// Package fanout is the sharding policy and the search flow of the
-// repo, written once: the global id space over a set of shards, how a
-// shard's local ranking is priced and merged into the global one, which
-// shards an in-database query need not probe, the three query flows
-// (Flow), where a new point goes, and how the id space survives a shard
-// compaction. The in-process mogul.ShardedIndex and the multi-process
-// dist.Coordinator only say how one shard is asked (Shards) — one calls
-// pinned Searchers in turn, the other hedges goroutines over Backends —
-// and neither restates the policy or the flow. docs/SHARDING.md,
+// Package fanout is the sharding policy, the search flow and the
+// shard-set lifecycle of the repo, written once: the global id space
+// over a set of shards, how a shard's local ranking is priced and
+// merged into the global one, which shards an in-database query need
+// not probe, the three query flows (Flow), and the lifecycle of the set
+// (Set): construction, where a new point goes, delete, how the id space
+// survives a shard compaction, Neighbors and the aggregate state. The
+// in-process mogul.ShardedIndex and the multi-process dist.Coordinator
+// only say how one shard is asked — for a query (Shards: one calls
+// pinned Searchers in turn, the other hedges goroutines over Backends)
+// and for the rest (Members: the shard's *Index itself, or its primary
+// and hedged replicas under the per-shard deadline) — and neither
+// restates the policy, the flow or the lifecycle. docs/SHARDING.md,
 // "Scoring model", is the specification.
 package fanout
 
@@ -30,11 +34,13 @@ type Loc struct {
 var retired = Loc{Shard: -1, Local: -1}
 
 // Shape is one shard's state as the shard itself reports it: Space
-// slots (live and tombstoned alike), Live of them live, and Delta, the
-// split of those slots into base, live delta and tombstones.
+// slots (live and tombstoned alike), Live of them live, Delta, the
+// split of those slots into base, live delta and tombstones, and
+// whether it scores exactly.
 type Shape struct {
 	Space, Live int
 	Delta       core.DeltaStats
+	Exact       bool
 }
 
 // IDMap is the global id space of a fan-out together with the locking
@@ -276,9 +282,9 @@ func (m *IDMap) GroupSeeds(seeds []int, buf [][]int) (groups [][]int, weight flo
 	return groups, 1 / float64(len(seeds)), nil
 }
 
-// Neighbors remaps a shard's neighbour list to global ids in place. A
-// local id the map does not cover is dropped with its weight.
-func (m *IDMap) Neighbors(shard int, ids []int, weights []float64) ([]int, []float64) {
+// remap maps a shard's neighbour list to global ids in place. A local
+// id the map does not cover is dropped with its weight.
+func (m *IDMap) remap(shard int, ids []int, weights []float64) ([]int, []float64) {
 	l2g := m.l2g[shard]
 	j := 0
 	for i, local := range ids {

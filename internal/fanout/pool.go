@@ -3,8 +3,6 @@ package fanout
 import (
 	"runtime"
 	"sync"
-
-	"mogul/internal/core"
 )
 
 // ForEach runs n work items on a bounded pool of up to workers
@@ -36,32 +34,4 @@ func ForEach(n, workers int, newWorker func() func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// SumStats aggregates construction statistics over n shards: counts and
-// times sum, modularity is the node-weighted mean. get reports false
-// for a shard that cannot answer; it is left out.
-func SumStats(n int, get func(s int) (core.Stats, bool)) core.Stats {
-	var out core.Stats
-	var wmod float64
-	for s := 0; s < n; s++ {
-		st, ok := get(s)
-		if !ok {
-			continue
-		}
-		out.NumNodes += st.NumNodes
-		out.NumEdges += st.NumEdges
-		out.NumClusters += st.NumClusters
-		out.BorderSize += st.BorderSize
-		out.FactorNNZ += st.FactorNNZ
-		out.ClampedPivots += st.ClampedPivots
-		out.ClusterTime += st.ClusterTime
-		out.PermuteTime += st.PermuteTime
-		out.FactorTime += st.FactorTime
-		wmod += st.Modularity * float64(st.NumNodes)
-	}
-	if out.NumNodes > 0 {
-		out.Modularity = wmod / float64(out.NumNodes)
-	}
-	return out
 }

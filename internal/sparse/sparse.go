@@ -217,19 +217,6 @@ func rowSums[P vec.Float](m *CSR, val []P) []float64 {
 	return s
 }
 
-// Diagonal returns the main diagonal as a dense slice.
-func (m *CSR) Diagonal() []float64 {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
 // IsSymmetric reports whether the matrix equals its transpose within
 // tolerance tol. The k-NN graph adjacency is symmetric by construction
 // (undirected edges, Section 3); this is used in validation.

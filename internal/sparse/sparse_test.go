@@ -161,10 +161,6 @@ func TestRowSumsDiagonalScaleClone(t *testing.T) {
 	if rs[0] != 3 || rs[1] != 3 {
 		t.Fatalf("RowSums = %v", rs)
 	}
-	d := m.Diagonal()
-	if d[0] != 1 || d[1] != 0 {
-		t.Fatalf("Diagonal = %v", d)
-	}
 	c := m.Clone()
 	c.Scale(2)
 	if m.At(0, 1) != 2 || c.At(0, 1) != 4 {

@@ -85,13 +85,6 @@ func (v Vector) Norm() float64 {
 	return math.Sqrt(v.Dot(v))
 }
 
-// Zero sets every element of v to zero.
-func (v Vector) Zero() {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // Dataset is a collection of n feature vectors of equal dimension with
 // optional integer class labels (semantic ground truth; -1 when unknown).
 // It is the in-memory representation of an image database.

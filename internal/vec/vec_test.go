@@ -33,12 +33,6 @@ func TestVectorOps(t *testing.T) {
 	if got := (Vector{3, 4}).Norm(); got != 5 {
 		t.Fatalf("Norm = %g, want 5", got)
 	}
-	c.Zero()
-	for _, x := range c {
-		if x != 0 {
-			t.Fatalf("Zero left %v", c)
-		}
-	}
 }
 
 func TestDimensionMismatchesPanic(t *testing.T) {

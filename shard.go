@@ -83,12 +83,14 @@ type ShardOptions struct {
 // concurrent use: searches fan out under the id map's read lock while
 // Insert/Delete/Compact change the map under its write lock.
 type ShardedIndex struct {
-	// ids is the global id space with its locks and version: fan-out
+	// set is the shard-set lifecycle over the global id space: fan-out
 	// searches hold its read lock for the whole query, mutators and Save
-	// its mutator lock.
-	ids *fanout.IDMap
+	// its mutator lock. It asks the shards through member.
+	set *fanout.Set
 
-	shards      []*Index
+	shards []*Index
+	// The manifest Save writes; the set routes inserts and
+	// auto-compacts with the same centroids and fraction.
 	part        Partitioner
 	centroids   []Vector // k-means routing centroids; nil for contiguous
 	autoCompact float64  // sharded-level auto-compaction fraction
@@ -105,18 +107,15 @@ type ShardedIndex struct {
 func newShardedIndex(shards []*Index, partition [][]int, globals int, part Partitioner, centroids []Vector, autoCompact float64) (*ShardedIndex, error) {
 	shapes := make([]fanout.Shape, len(shards))
 	for s, sh := range shards {
-		shapes[s] = fanout.Shape{Space: sh.IDSpace(), Live: sh.Len(), Delta: sh.Delta()}
+		shapes[s] = fanout.Shape{Space: sh.IDSpace(), Live: sh.Len(), Delta: sh.Delta(), Exact: sh.Exact()}
 	}
-	ids, err := fanout.New(partition, globals, shapes)
+	six := &ShardedIndex{shards: shards, part: part, centroids: centroids, autoCompact: autoCompact}
+	set, err := fanout.NewSet("mogul", six.member, partition, globals, shapes, centroids, autoCompact)
 	if err != nil {
-		return nil, fmt.Errorf("mogul: %w", err)
+		return nil, err
 	}
-	if len(shards) > 1 {
-		fanout.ForEach(len(shards), 0, func() func(int) {
-			return func(s int) { ids.SetBound(s, shards[s].ProbeBound()) }
-		})
-	}
-	return &ShardedIndex{ids: ids, shards: shards, part: part, centroids: centroids, autoCompact: autoCompact}, nil
+	six.set = set
+	return six, nil
 }
 
 // BuildSharded partitions the dataset into sopts.Shards shards, builds
@@ -302,7 +301,7 @@ func (six *ShardedIndex) Shards() []*Index { return slices.Clone(six.shards) }
 
 // Partition returns every shard's global ids in shard-local order — the
 // argument dist.NewCoordinator takes.
-func (six *ShardedIndex) Partition() [][]int { return six.ids.Partition() }
+func (six *ShardedIndex) Partition() [][]int { return six.set.Partition() }
 
 // ShardLens returns the live item count of every shard — the balance
 // the partitioner achieved.
@@ -316,11 +315,11 @@ func (six *ShardedIndex) ShardLens() []int {
 
 // Len returns the number of live items across all shards, as the id
 // map counts them (the sharded index is its shards' only mutator).
-func (six *ShardedIndex) Len() int { return six.ids.Len() }
+func (six *ShardedIndex) Len() int { return six.set.Len() }
 
 // Exact reports whether the shards serve exact Manifold Ranking scores
 // (MogulE); every shard is built with the same options.
-func (six *ShardedIndex) Exact() bool { return six.shards[0].Exact() }
+func (six *ShardedIndex) Exact() bool { return six.set.Exact() }
 
 // Version returns the sharded index's monotonic mutation version,
 // mirroring Index.Version: it starts at 1 and increases on every
@@ -330,35 +329,22 @@ func (six *ShardedIndex) Exact() bool { return six.shards[0].Exact() }
 // shard already answers with an item the map cannot yet name. It
 // deliberately is not the sum of the shard versions: a shard bumps
 // mid-Insert, before the map covers the new item.
-func (six *ShardedIndex) Version() uint64 { return six.ids.Version() }
+func (six *ShardedIndex) Version() uint64 { return six.set.Version() }
 
 // Stats aggregates construction statistics across shards: counts and
 // times sum, modularity is the node-weighted mean.
-func (six *ShardedIndex) Stats() Stats {
-	return fanout.SumStats(len(six.shards), func(s int) (Stats, bool) { return six.shards[s].Stats(), true })
-}
+func (six *ShardedIndex) Stats() Stats { return six.set.Stats(six.member) }
 
 // Delta aggregates the dynamic state across shards, as the id map
 // tracks it (the sharded index is its shards' only mutator).
-func (six *ShardedIndex) Delta() DeltaStats { return six.ids.Delta() }
+func (six *ShardedIndex) Delta() DeltaStats { return six.set.Delta() }
 
 // Neighbors returns an item's graph context inside its owning shard,
 // remapped to global ids. Edges never cross shards, so the neighbour
 // list of a boundary item reflects the shard's view of the manifold,
 // not the global one.
 func (six *ShardedIndex) Neighbors(item int) (ids []int, weights []float64, err error) {
-	six.ids.RLock()
-	defer six.ids.RUnlock()
-	loc, err := six.ids.Locate(item)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mogul: %w", err)
-	}
-	ids, weights, err = six.shards[loc.Shard].Neighbors(loc.Local)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mogul: item %d (shard %d): %w", item, loc.Shard, err)
-	}
-	ids, weights = six.ids.Neighbors(loc.Shard, ids, weights)
-	return ids, weights, nil
+	return six.set.Neighbors(six.member, item)
 }
 
 // ShardedSearcher is the per-worker reusable query engine of a
@@ -403,7 +389,7 @@ func (six *ShardedIndex) release(ss *ShardedSearcher) { six.searchers.Put(ss) }
 // the query's feature vector through the out-of-sample path, and the
 // per-shard top-k lists merge into one global ranking.
 func (ss *ShardedSearcher) TopK(query, k int) ([]Result, error) {
-	return ss.flow.TopK(ss.six.ids, (*inTurn)(ss), query, k)
+	return ss.flow.TopK(ss.six.set, (*inTurn)(ss), query, k)
 }
 
 // TopKWithInfo is TopK plus work counters summed across shards.
@@ -419,7 +405,7 @@ func (ss *ShardedSearcher) TopKWithInfo(query, k int) ([]Result, *SearchInfo, er
 // TopKVector ranks all shards against an out-of-sample query vector
 // and merges, each shard priced against the best one.
 func (ss *ShardedSearcher) TopKVector(q Vector, k int) ([]Result, error) {
-	return ss.flow.TopKVector(ss.six.ids, (*inTurn)(ss), q, k)
+	return ss.flow.TopKVector(ss.six.set, (*inTurn)(ss), q, k)
 }
 
 // TopKSet ranks items against a set of seed items with equal weights.
@@ -427,7 +413,7 @@ func (ss *ShardedSearcher) TopKVector(q Vector, k int) ([]Result, error) {
 // contribute nothing (the set-query recall trade-off of sharding, see
 // docs/SHARDING.md).
 func (ss *ShardedSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
-	return ss.flow.TopKSet(ss.six.ids, (*inTurn)(ss), seeds, k)
+	return ss.flow.TopKSet(ss.six.set, (*inTurn)(ss), seeds, k)
 }
 
 // inTurn is a ShardedSearcher as fanout's flows drive it: each shard's
@@ -435,13 +421,9 @@ func (ss *ShardedSearcher) TopKSet(seeds []int, k int) ([]Result, error) {
 // the work of every answer is summed into info.
 type inTurn ShardedSearcher
 
-func (d *inTurn) Errorf(format string, args ...any) error {
-	return fmt.Errorf("mogul: "+format, args...)
-}
-
 // Unanswered is never reached: a shard that does not answer fails the
 // query first.
-func (d *inTurn) Unanswered(what string) error { return d.Errorf("no %s answered", what) }
+func (d *inTurn) Unanswered(what string) error { return fmt.Errorf("mogul: no %s answered", what) }
 
 // Owner answers with TopK alone over one shard, which is then a plain
 // Index bit for bit; it starts the query's work counters at its own.
@@ -532,70 +514,20 @@ func (six *ShardedIndex) TopKVectorBatch(queries []Vector, k, parallelism int) [
 	return topKVectorBatch(six.NewQuerier, queries, k, parallelism)
 }
 
-// routeInsert picks the owning shard for a new point: the nearest
-// k-means centroid, or — under contiguous partitioning, whose ranges
-// carry no geometry — the least-loaded shard, which keeps the fan-out
-// balanced. Callers hold the mutator lock.
-func (six *ShardedIndex) routeInsert(v Vector) int {
-	if six.part != PartitionKMeans || len(six.centroids) != len(six.shards) {
-		return six.ids.LeastLoaded()
-	}
-	best, bestD := 0, vec.SquaredEuclidean(v, six.centroids[0])
-	for s := 1; s < len(six.centroids); s++ {
-		if d := vec.SquaredEuclidean(v, six.centroids[s]); d < bestD {
-			best, bestD = s, d
-		}
-	}
-	return best
-}
-
-// Insert adds a new point to its owning shard and returns its global
-// id. The point is immediately searchable through every fan-out path.
-// Global ids are stable: they survive shard compaction (only the
-// internal shard-local ids renumber). When Options.AutoCompactFraction
-// was set at build time, an insert that pushes the owning shard's
-// pending delta past the fraction triggers a compaction of that shard
-// alone.
-func (six *ShardedIndex) Insert(v Vector) (int, error) {
-	six.ids.LockMutators()
-	defer six.ids.UnlockMutators()
-	s := six.routeInsert(v)
-	local, err := six.shards[s].Insert(v)
-	if err != nil {
-		return 0, err
-	}
-	g := six.ids.Append(s, local)
-
-	if six.autoCompact > 0 {
-		d := six.ids.ShardDelta(s)
-		if float64(d.DeltaItems+d.Tombstones) > six.autoCompact*float64(d.BaseItems) {
-			// Mirrors the single-index auto path: the insert has already
-			// succeeded, so a compaction failure is deferred to an
-			// explicit Compact rather than failing the insert.
-			_ = six.ids.CompactShard(s, shardCompactor{six.shards[s]})
-		}
-	}
-	six.ids.Bump()
-	return g, nil
-}
+// Insert adds a new point to its owning shard (the nearest k-means
+// centroid, or the least-loaded shard under contiguous partitioning)
+// and returns its global id. The point is immediately searchable
+// through every fan-out path. Global ids are stable: they survive shard
+// compaction (only the internal shard-local ids renumber). When
+// Options.AutoCompactFraction was set at build time, an insert that
+// pushes the owning shard's pending delta past the fraction triggers a
+// compaction of that shard alone.
+func (six *ShardedIndex) Insert(v Vector) (int, error) { return six.set.Insert(six.member, v) }
 
 // Delete tombstones an item in its owning shard. Like Index.Delete,
 // deleting an unknown or already-deleted id is an error, and every
 // shard must keep at least one live item.
-func (six *ShardedIndex) Delete(id int) error {
-	six.ids.LockMutators()
-	defer six.ids.UnlockMutators()
-	loc, err := six.ids.Locate(id)
-	if err != nil {
-		return fmt.Errorf("mogul: %w", err)
-	}
-	if err := six.shards[loc.Shard].Delete(loc.Local); err != nil {
-		return fmt.Errorf("mogul: item %d (shard %d): %w", id, loc.Shard, err)
-	}
-	six.ids.MarkDeleted(loc)
-	six.ids.Bump()
-	return nil
-}
+func (six *ShardedIndex) Delete(id int) error { return six.set.Delete(six.member, id) }
 
 // Compact folds every shard's delta layer into a fresh per-shard base
 // build. Global ids are preserved; shard-local renumbering after
@@ -603,27 +535,22 @@ func (six *ShardedIndex) Delete(id int) error {
 // without blocking searches; a shard with tombstones holds the
 // fan-out write lock for its rebuild, so searches pause for that
 // shard's compaction.
-func (six *ShardedIndex) Compact() error {
-	six.ids.LockMutators()
-	defer six.ids.UnlockMutators()
-	for s, sh := range six.shards {
-		if err := six.ids.CompactShard(s, shardCompactor{sh}); err != nil {
-			return fmt.Errorf("mogul: compacting shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
+func (six *ShardedIndex) Compact() error { return six.set.Compact(six.member) }
 
-// shardCompactor is an in-process shard as fanout's compaction protocol
-// drives it (Compact is the Index's own).
-type shardCompactor struct{ *Index }
+// member is shard s as the shard-set lifecycle asks it (its
+// fanout.Members): the *Index itself, called directly.
+func (six *ShardedIndex) member(s int) fanout.Member { return member{six.shards[s]} }
 
-func (c shardCompactor) Bound() (*ProbeBound, error) { return c.ProbeBound(), nil }
+// member is an in-process shard as fanout's lifecycle asks it (Insert,
+// Delete, Neighbors, Stats and Compact are the Index's own).
+type member struct{ *Index }
 
-func (c shardCompactor) Liveness() (space int, dead []int, err error) {
-	space = c.IDSpace()
+func (m member) Bound() (*ProbeBound, error) { return m.ProbeBound(), nil }
+
+func (m member) Liveness() (space int, dead []int, err error) {
+	space = m.IDSpace()
 	for local := 0; local < space; local++ {
-		if !c.Alive(local) {
+		if !m.Alive(local) {
 			dead = append(dead, local)
 		}
 	}

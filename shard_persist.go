@@ -69,14 +69,14 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 	// The mutator lock freezes the shard states and the id map against
 	// Insert/Delete/Compact so the two-pass section framing sees
 	// identical bytes.
-	six.ids.LockMutators()
-	defer six.ids.UnlockMutators()
+	six.set.LockMutators()
+	defer six.set.UnlockMutators()
 
 	totalSlots := 0
 	for _, sh := range six.shards {
 		totalSlots += sh.IDSpace()
 	}
-	if retired := six.ids.Globals() - totalSlots; retired > maxRetiredIDs {
+	if retired := six.set.Globals() - totalSlots; retired > maxRetiredIDs {
 		return fmt.Errorf("mogul: %d retired global ids exceed the format's %d limit; rebuild the index fresh (BuildSharded over the live points) before saving", retired, maxRetiredIDs)
 	}
 
@@ -96,7 +96,7 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 func (six *ShardedIndex) writeShardMeta(bw *binio.Writer) error {
 	bw.Int(len(six.shards))
 	bw.Int(int(six.part))
-	bw.Int(six.ids.Globals())
+	bw.Int(six.set.Globals())
 	bw.Float64(six.autoCompact)
 	return bw.Err()
 }
@@ -114,7 +114,7 @@ func (six *ShardedIndex) writeCentroids(bw *binio.Writer) error {
 // no table mentions).
 func (six *ShardedIndex) writeIDMaps(bw *binio.Writer) error {
 	for s := range six.shards {
-		bw.Ints(six.ids.Locals(s))
+		bw.Ints(six.set.Locals(s))
 	}
 	return bw.Err()
 }

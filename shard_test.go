@@ -410,6 +410,11 @@ func TestShardedDynamicRouting(t *testing.T) {
 		if err := six.Delete(-1); err == nil {
 			t.Fatal("negative delete accepted")
 		}
+		// A vector of the wrong dimension has no nearest centroid: it is
+		// refused, not routed.
+		if _, err := six.Insert(extra[0][:5]); err == nil {
+			t.Fatal("wrong-dimension insert accepted")
+		}
 
 		// Survivors, by global id, with their pre-compaction ranking.
 		lenBefore := six.Len()
