@@ -253,3 +253,30 @@ func TestCoordinatorStatsDeadline(t *testing.T) {
 		t.Fatalf("Stats counts %d nodes, want %d: the slow shard left out", st.NumNodes, want)
 	}
 }
+
+// TestCoordinatorStatsAsksShardsAtOnce: with every shard slow, Stats
+// waits out one per-shard deadline for all of them, not one per shard
+// (four in turn took ~200 ms at ShardTimeout 50 ms), and counts nothing.
+func TestCoordinatorStatsAsksShardsAtOnce(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	ds := mogul.NewMixture(mogul.MixtureConfig{N: 160, Classes: 4, Dim: 6, WithinStd: 0.25, Separation: 3, Seed: 7})
+	cl := disttest.NewCluster(t, disttest.ClusterConfig{
+		Shards: 4,
+		Points: ds.Points,
+		Build:  mogul.Options{Seed: 3},
+		Client: dist.ClientOptions{Timeout: 5 * time.Second},
+		Coord:  dist.CoordOptions{ShardTimeout: timeout},
+	})
+	for _, f := range cl.Faults {
+		f.Latency(time.Second)
+		defer f.Clear()
+	}
+	start := time.Now()
+	st := cl.Coord.Stats()
+	if took := time.Since(start); took >= 2*timeout {
+		t.Fatalf("Stats took %v over four slow shards, ShardTimeout %v", took, timeout)
+	}
+	if st.NumNodes != 0 {
+		t.Fatalf("Stats counts %d nodes with no shard answering", st.NumNodes)
+	}
+}

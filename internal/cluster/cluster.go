@@ -203,6 +203,17 @@ func localMove(adj *sparse.CSR, cfg Config) (assign []int, improved bool) {
 // one node per community, edge weights summed, internal weight
 // becoming self loops.
 func aggregate(adj *sparse.CSR, compact []int, nComm int) *sparse.CSR {
+	m, err := sparse.NewFromCoords(nComm, nComm, aggregateCoords(adj, compact))
+	if err != nil {
+		// Entries are produced from valid labels; failure is a bug.
+		panic("cluster: aggregate produced invalid coordinates: " + err.Error())
+	}
+	return m
+}
+
+// aggregateCoords lists adj's entries under the community labels, in
+// adj's row order: the coordinates aggregate sums.
+func aggregateCoords(adj *sparse.CSR, compact []int) []sparse.Coord {
 	entries := make([]sparse.Coord, 0, adj.NNZ())
 	for i := 0; i < adj.Rows; i++ {
 		cols, vals := adj.Row(i)
@@ -211,12 +222,7 @@ func aggregate(adj *sparse.CSR, compact []int, nComm int) *sparse.CSR {
 			entries = append(entries, sparse.Coord{Row: ci, Col: compact[j], Val: vals[k]})
 		}
 	}
-	m, err := sparse.NewFromCoords(nComm, nComm, entries)
-	if err != nil {
-		// Entries are produced from valid labels; failure is a bug.
-		panic("cluster: aggregate produced invalid coordinates: " + err.Error())
-	}
-	return m
+	return entries
 }
 
 // compactLabels renumbers labels in [0, len(assign)) into [0, n)

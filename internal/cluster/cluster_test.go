@@ -527,3 +527,73 @@ func BenchmarkLouvain(b *testing.B) {
 		})
 	}
 }
+
+// TestAggregateAssemblyMatchesSortSlice: on the graphs of graph_id and
+// mixed_rw, every level's aggregate coordinates assemble to the bits of
+// the sort.Slice assembly NewFromCoords used before slices.SortFunc.
+// The sort is not stable, so a community's summed weight depends on the
+// order duplicates leave it in; both sorts must leave them in one order.
+func TestAggregateAssemblyMatchesSortSlice(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		adj  func() *sparse.CSR
+	}{{"graph_id", graphIDGraph}, {"mixed_rw", mixedRWGraph}} {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := (&Config{}).withDefaults()
+			current := g.adj()
+			for level := 0; ; level++ {
+				assign, improved := localMove(current, cfg)
+				compacted, nComm := compactLabels(assign)
+				if !improved || nComm == current.Rows {
+					if level < 2 {
+						t.Fatalf("only %d aggregation levels ran", level)
+					}
+					return
+				}
+				entries := aggregateCoords(current, compacted)
+				got, err := sparse.NewFromCoords(nComm, nComm, entries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := sortSliceAssembly(nComm, entries)
+				if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+					t.Fatalf("level %d: structure differs", level)
+				}
+				for e := range got.Val {
+					if math.Float64bits(got.Val[e]) != math.Float64bits(want.Val[e]) {
+						t.Fatalf("level %d entry %d: %v, sort.Slice assembly %v", level, e, got.Val[e], want.Val[e])
+					}
+				}
+				current = got
+			}
+		})
+	}
+}
+
+// sortSliceAssembly is NewFromCoords as it assembled with sort.Slice:
+// sort by (row, col), then sum each run of duplicates from 0.
+func sortSliceAssembly(n int, entries []sparse.Coord) *sparse.CSR {
+	sorted := slices.Clone(entries)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Row != sorted[j].Row {
+			return sorted[i].Row < sorted[j].Row
+		}
+		return sorted[i].Col < sorted[j].Col
+	})
+	m := &sparse.CSR{RowPtr: make([]int, n+1), Rows: n, Cols: n}
+	for i := 0; i < len(sorted); {
+		sum := 0.0
+		j := i
+		for ; j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col; j++ {
+			sum += sorted[j].Val
+		}
+		m.Col = append(m.Col, sorted[i].Col)
+		m.Val = append(m.Val, sum)
+		m.RowPtr[sorted[i].Row+1]++
+		i = j
+	}
+	for r := 0; r < n; r++ {
+		m.RowPtr[r+1] += m.RowPtr[r]
+	}
+	return m
+}

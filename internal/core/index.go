@@ -232,7 +232,13 @@ func NewIndex(g *knn.Graph, opts Options) (*Index, error) {
 // BuildSystemMatrix assembles W = I - alpha * C'^{-1/2} A' C'^{-1/2}
 // in the permuted node order (Equation 3). Degrees are taken from the
 // full adjacency, so isolated nodes get W_ii = 1 and an empty row
-// otherwise.
+// otherwise. W is written row by row, each the row of A' with the
+// diagonal merged in place. The columns of A' are strictly increasing
+// within a row, so each entry of W has one term, stored as 0 + v, and
+// the diagonal is 1, or 1 + v over a self loop (tolerated, though k-NN
+// graphs have none, Section 3): the sums, and so the bits, a
+// coordinate assembly gives. The float64 conversion rounds each
+// product before that addition, which a fused multiply-add would not.
 func BuildSystemMatrix(adj *sparse.CSR, perm *sparse.Permutation, alpha float64) (*sparse.CSR, error) {
 	aPerm, err := perm.PermuteSym(adj)
 	if err != nil {
@@ -246,22 +252,35 @@ func BuildSystemMatrix(adj *sparse.CSR, perm *sparse.Permutation, alpha float64)
 		}
 	}
 	n := aPerm.Rows
-	entries := make([]sparse.Coord, 0, aPerm.NNZ()+n)
-	for i := 0; i < n; i++ {
-		entries = append(entries, sparse.Coord{Row: i, Col: i, Val: 1})
-		cols, vals := aPerm.Row(i)
-		for k, j := range cols {
-			if j == i {
-				// Self loops are disallowed in k-NN graphs (Section 3)
-				// but tolerate them defensively by folding into the
-				// diagonal.
-				entries = append(entries, sparse.Coord{Row: i, Col: i, Val: -alpha * vals[k] * invSqrt[i] * invSqrt[i]})
-				continue
-			}
-			entries = append(entries, sparse.Coord{Row: i, Col: j, Val: -alpha * vals[k] * invSqrt[i] * invSqrt[j]})
-		}
+	w := &sparse.CSR{
+		RowPtr: make([]int, n+1),
+		Col:    make([]int, 0, aPerm.NNZ()+n),
+		Val:    make([]float64, 0, aPerm.NNZ()+n),
+		Rows:   n,
+		Cols:   n,
 	}
-	return sparse.NewFromCoords(n, n, entries)
+	for i := 0; i < n; i++ {
+		cols, vals := aPerm.Row(i)
+		diag := false
+		for k, j := range cols {
+			v := float64(-alpha * vals[k] * invSqrt[i] * invSqrt[j])
+			switch {
+			case j == i:
+				w.Col, w.Val = append(w.Col, i), append(w.Val, 1+v)
+				diag = true
+				continue
+			case j > i && !diag:
+				w.Col, w.Val = append(w.Col, i), append(w.Val, 1)
+				diag = true
+			}
+			w.Col, w.Val = append(w.Col, j), append(w.Val, 0+v)
+		}
+		if !diag {
+			w.Col, w.Val = append(w.Col, i), append(w.Val, 1)
+		}
+		w.RowPtr[i+1] = len(w.Col)
+	}
+	return w, nil
 }
 
 // Graph returns the underlying k-NN graph.

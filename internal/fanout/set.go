@@ -86,6 +86,14 @@ func (st *Set) errorf(format string, args ...any) error {
 // Exact reports the shard set's scoring mode.
 func (st *Set) Exact() bool { return st.exact }
 
+// Route returns the routing centroids the set was built with, nil for
+// a partition without geometry; the caller must not modify them.
+func (st *Set) Route() []vec.Vector { return st.route }
+
+// AutoCompact returns the auto-compaction fraction the set was built
+// with.
+func (st *Set) AutoCompact() float64 { return st.autoCompact }
+
 // routeOf picks the shard a new point goes to. A vector of the wrong
 // dimension has no nearest centroid: it goes to the least-loaded shard,
 // which refuses it.
@@ -178,12 +186,18 @@ func (st *Set) Neighbors(m Members, item int) ([]int, []float64, error) {
 }
 
 // Stats aggregates construction statistics across the shards: counts
-// and times sum, modularity is the node-weighted mean.
+// and times sum, modularity is the node-weighted mean. The shards are
+// asked all at once, so a coordinator's unanswering shards cost one
+// per-shard deadline together, not one each; the answers are folded in
+// shard order, so the modularity sum keeps its bits.
 func (st *Set) Stats(m Members) core.Stats {
+	shards := make([]core.Stats, len(st.l2g))
+	ForEach(len(shards), len(shards), func() func(int) {
+		return func(s int) { shards[s] = m(s).Stats() }
+	})
 	var out core.Stats
 	var wmod float64
-	for s := range st.l2g {
-		sh := m(s).Stats()
+	for _, sh := range shards {
 		out.NumNodes += sh.NumNodes
 		out.NumEdges += sh.NumEdges
 		out.NumClusters += sh.NumClusters

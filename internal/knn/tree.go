@@ -3,6 +3,7 @@ package knn
 import (
 	"runtime"
 	"slices"
+	"sync"
 
 	"mogul/internal/par"
 	"mogul/internal/vec"
@@ -83,13 +84,26 @@ const (
 	treeAbsSlack = 0x1p-1000
 )
 
+// parallelRows is the node size from which NewTree splits a node's
+// work over goroutines: its extent is computed over row blocks in
+// parallel, and its lower child is built beside its upper one. At
+// n = 20000 that is the root and its two children, four subtrees for
+// two cores. EMR's per-pass 1,024-centroid tree stays serial, as do
+// the trees of shards under 8,192 rows, which a sharded build already
+// builds side by side.
+const parallelRows = 1 << 13
+
 // NewTree builds the tree over the rows. Each node splits its rows at
 // the median of its widest dimension (the largest max − min, the lowest
 // dimension on ties) under the strict order (coordinate, id), so the
 // tree is a pure function of the rows. float32 rows are split on their
 // widened values, which are what their distance kernel subtracts. The
-// build is serial and O(n d log n): ~8 ms at n = 20000, d = 8. The rows
-// are read, not retained.
+// build is O(n d log n): ~8 ms at n = 20000, d = 8 on one core. Nodes
+// of parallelRows rows or more are built in parallel: float min and max
+// are exact and commutative, so a blocked extent is the serial one, and
+// a subtree writes only its own rows' ids and keys, its own nodes and
+// its own leaves, numbered from its row count (leafCount); the tree is
+// the same at any GOMAXPROCS. The rows are read, not retained.
 func NewTree(points *vec.Rows) *Tree {
 	n, d := points.Len(), points.Width()
 	t := &Tree{ids: make([]int, n), leafSize: leafRows(d)}
@@ -98,9 +112,7 @@ func NewTree(points *vec.Rows) *Tree {
 	}
 	depth := 0
 	if d > 0 {
-		for c := n; c > t.leafSize; c = (c + 1) / 2 {
-			depth++
-		}
+		depth = treeDepth(n, t.leafSize)
 	}
 	t.dim = make([]int32, 1<<depth-1)
 	t.split = make([]float64, len(t.dim))
@@ -109,6 +121,16 @@ func NewTree(points *vec.Rows) *Tree {
 	t.slack = 1 + treeRelSlack + float64(d+2*depth+2)*0x1p-52
 	t.build(points, make([]float64, n), make([]float64, 3*d), 0, 0, n, 0)
 	return t
+}
+
+// treeDepth is the number of halvings, each rounding up, that take n
+// rows to at most leafSize: the depth of a tree over n rows.
+func treeDepth(n, leafSize int) int {
+	depth := 0
+	for c := n; c > leafSize; c = (c + 1) / 2 {
+		depth++
+	}
+	return depth
 }
 
 // leafCount is the number of leaves of a tree of the given depth over n
@@ -154,7 +176,9 @@ func (t *Tree) leafNumber(node int) int {
 // leaf, and returns the number of the next leaf; leaf is the number of
 // the first leaf under node. keys is scratch for the split coordinates
 // of all n rows, work holds an internal node's per-dimension minima and
-// maxima followed by one widened row.
+// maxima followed by one widened row. A node of parallelRows rows or
+// more builds its lower child on a goroutine of its own, with its own
+// work, and its upper child from the leaf number its row count gives.
 func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf int) int {
 	ids := t.ids[lo:hi]
 	d := len(work) / 3
@@ -168,7 +192,12 @@ func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf 
 		}
 		return leaf + 1
 	}
-	extent(points, ids, span, buf)
+	large := len(ids) >= parallelRows
+	if large {
+		parallelExtent(points, ids, span)
+	} else {
+		extent(points, ids, span, buf)
+	}
 	s, widest := 0, span[d]-span[0]
 	for j := 1; j < d; j++ {
 		if w := span[d+j] - span[j]; w > widest {
@@ -182,8 +211,19 @@ func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf 
 	m := len(ids) / 2
 	SelectRank(k, ids, m)
 	t.dim[node], t.split[node] = int32(s), k[m]
-	leaf = t.build(points, keys, work, 2*node+1, lo, lo+m, leaf)
-	return t.build(points, keys, work, 2*node+2, lo+m, hi, leaf)
+	if !large {
+		leaf = t.build(points, keys, work, 2*node+1, lo, lo+m, leaf)
+		return t.build(points, keys, work, 2*node+2, lo+m, hi, leaf)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t.build(points, keys, make([]float64, 3*d), 2*node+1, lo, lo+m, leaf)
+	}()
+	next := t.build(points, keys, work, 2*node+2, lo+m, hi, leaf+leafCount(m, treeDepth(m, t.leafSize), t.leafSize))
+	wg.Wait()
+	return next
 }
 
 // extent writes the per-dimension minima of the rows ids into the first
@@ -199,6 +239,27 @@ func extent(points *vec.Rows, ids []int, span, buf []float64) {
 		for j, x := range points.Row(id, buf)[:d] {
 			mins[j] = min(mins[j], x)
 			maxs[j] = max(maxs[j], x)
+		}
+	}
+}
+
+// parallelExtent is extent over row blocks in parallel, each block's
+// extent folded into span. min and max are exact and commutative, ±0
+// and NaN included, so the fold gives extent's bits in any order.
+func parallelExtent(points *vec.Rows, ids []int, span []float64) {
+	d := len(span) / 2
+	_, count := par.Blocks(len(ids), 0)
+	blocks := make([]float64, count*3*d)
+	par.ForBlocks(len(ids), 0, func(b, lo, hi int) {
+		w := blocks[b*3*d : (b+1)*3*d]
+		extent(points, ids[lo:hi], w[:2*d], w[2*d:])
+	})
+	copy(span, blocks[:2*d])
+	for b := 1; b < count; b++ {
+		w := blocks[b*3*d:]
+		for j := 0; j < d; j++ {
+			span[j] = min(span[j], w[j])
+			span[d+j] = max(span[d+j], w[d+j])
 		}
 	}
 }

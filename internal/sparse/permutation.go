@@ -73,6 +73,13 @@ func (p *Permutation) ApplyInverse(x []float64) []float64 {
 // PermuteSym computes A' = P A P^T for a square matrix A, i.e. the
 // symmetric renumbering of a graph adjacency matrix (Equation 3 of the
 // paper rewrites the ranking computation in this permuted basis).
+//
+// It writes A' row by row: row OldToNew[i] of A' is row i of A, its
+// columns mapped through OldToNew and insertion-sorted (k-NN graph rows
+// are short). A's columns are strictly increasing within a row
+// (Validate), so the mapped ones are distinct and no entry is summed.
+// Every value is stored as 0 + v, the sum NewFromCoords forms, so a −0
+// weight is stored as +0 there too.
 func (p *Permutation) PermuteSym(a *CSR) (*CSR, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: PermuteSym needs a square matrix, got %dx%d", a.Rows, a.Cols)
@@ -80,13 +87,23 @@ func (p *Permutation) PermuteSym(a *CSR) (*CSR, error) {
 	if a.Rows != p.Len() {
 		return nil, fmt.Errorf("sparse: permutation length %d does not match matrix size %d", p.Len(), a.Rows)
 	}
-	entries := make([]Coord, 0, a.NNZ())
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		pi := p.OldToNew[i]
+	n := a.Rows
+	out := &CSR{RowPtr: make([]int, n+1), Col: make([]int, a.NNZ()), Val: make([]float64, a.NNZ()), Rows: n, Cols: n}
+	for r, old := range p.NewToOld {
+		out.RowPtr[r+1] = out.RowPtr[r] + a.RowPtr[old+1] - a.RowPtr[old]
+	}
+	for r, old := range p.NewToOld {
+		cols, vals := a.Row(old)
+		lo := out.RowPtr[r]
+		oc, ov := out.Col[lo:lo+len(cols)], out.Val[lo:lo+len(cols)]
 		for k, j := range cols {
-			entries = append(entries, Coord{Row: pi, Col: p.OldToNew[j], Val: vals[k]})
+			c, v := p.OldToNew[j], 0+vals[k]
+			pos := k
+			for ; pos > 0 && oc[pos-1] > c; pos-- {
+				oc[pos], ov[pos] = oc[pos-1], ov[pos-1]
+			}
+			oc[pos], ov[pos] = c, v
 		}
 	}
-	return NewFromCoords(a.Rows, a.Cols, entries)
+	return out, nil
 }

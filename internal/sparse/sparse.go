@@ -8,8 +8,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mogul/internal/vec"
@@ -40,8 +42,12 @@ type CSR struct {
 }
 
 // NewFromCoords assembles a rows x cols CSR matrix from coordinate
-// entries. Duplicate (row, col) pairs are summed. Entries that sum to
-// exactly zero are kept; out-of-range coordinates cause an error.
+// entries. Duplicate (row, col) pairs are summed from 0 in the order
+// the sort leaves them. Entries that sum to exactly zero are kept;
+// out-of-range coordinates cause an error. The sort is not stable, so
+// that order, and a sum's bits, are the sort's: slices.SortFunc makes
+// the comparisons and swaps of the sort.Slice it replaced, both being
+// generated from one pdqsort template.
 func NewFromCoords(rows, cols int, entries []Coord) (*CSR, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
@@ -51,13 +57,12 @@ func NewFromCoords(rows, cols int, entries []Coord) (*CSR, error) {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) outside %dx%d matrix", e.Row, e.Col, rows, cols)
 		}
 	}
-	sorted := make([]Coord, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
+	sorted := slices.Clone(entries)
+	slices.SortFunc(sorted, func(a, b Coord) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
 		}
-		return sorted[i].Col < sorted[j].Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 	m := &CSR{
 		RowPtr: make([]int, rows+1),

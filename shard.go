@@ -42,7 +42,7 @@ import (
 
 	"mogul/internal/fanout"
 	"mogul/internal/kmeans"
-	"mogul/internal/topk"
+	"mogul/internal/knn"
 	"mogul/internal/vec"
 )
 
@@ -89,11 +89,6 @@ type ShardedIndex struct {
 	set *fanout.Set
 
 	shards []*Index
-	// The manifest Save writes; the set routes inserts and
-	// auto-compacts with the same centroids and fraction.
-	part        Partitioner
-	centroids   []Vector // k-means routing centroids; nil for contiguous
-	autoCompact float64  // sharded-level auto-compaction fraction
 
 	// searchers recycles ShardedSearchers for the pool-based entry
 	// points (TopK etc.), mirroring the per-Index scratch pool.
@@ -103,13 +98,15 @@ type ShardedIndex struct {
 // newShardedIndex puts shards behind the global id space partition
 // describes (partition[s] lists shard s's global ids in local order),
 // cross-checking every table against its shard's own id space and
-// seeding the map's delta counts from the shards'.
-func newShardedIndex(shards []*Index, partition [][]int, globals int, part Partitioner, centroids []Vector, autoCompact float64) (*ShardedIndex, error) {
+// seeding the map's delta counts from the shards'. centroids are the
+// k-means routing centroids, nil for a contiguous partition: the set
+// holds them, and Save reads the partitioner back from them.
+func newShardedIndex(shards []*Index, partition [][]int, globals int, centroids []Vector, autoCompact float64) (*ShardedIndex, error) {
 	shapes := make([]fanout.Shape, len(shards))
 	for s, sh := range shards {
 		shapes[s] = fanout.Shape{Space: sh.IDSpace(), Live: sh.Len(), Delta: sh.Delta(), Exact: sh.Exact()}
 	}
-	six := &ShardedIndex{shards: shards, part: part, centroids: centroids, autoCompact: autoCompact}
+	six := &ShardedIndex{shards: shards}
 	set, err := fanout.NewSet("mogul", six.member, partition, globals, shapes, centroids, autoCompact)
 	if err != nil {
 		return nil, err
@@ -173,48 +170,45 @@ func BuildSharded(points []Vector, opts Options, sopts ShardOptions) (*ShardedIn
 			return nil, fmt.Errorf("mogul: building shard %d: %w", sh, err)
 		}
 	}
-	return newShardedIndex(shards, members, len(points), sopts.Partitioner, centroids, opts.AutoCompactFraction)
+	return newShardedIndex(shards, members, len(points), centroids, opts.AutoCompactFraction)
 }
 
 // EstimateSigma estimates the heat-kernel bandwidth a single Build
 // would derive over the dataset — the standard deviation of all
 // k-nearest-neighbour distances — from a deterministic sample of up to
-// 512 points (each sample's exact k-NN is found over the full
-// dataset). BuildSharded pins this estimate across its shards so every
-// shard weighs edges on the same kernel; it is exported so tests and
-// tools can construct reference indexes on the identical bandwidth.
+// 512 points. Each sample's exact k-NN over the full dataset comes from
+// one k-d tree (knn.Tree): its k+1 nearest, itself dropped by id. The
+// tree's answers are the scan's, so the distances, in ascending order,
+// and the estimate are the bits a scan over all n points per sample
+// gives, at a fraction of its cost. BuildSharded pins this estimate
+// across its shards so every shard weighs edges on the same kernel; it
+// is exported so tests and tools can construct reference indexes on
+// the identical bandwidth.
 func EstimateSigma(points []Vector, k int) float64 {
 	const maxSample = 512
 	n := len(points)
-	m := n
-	if m > maxSample {
-		m = maxSample
-	}
-	// The sample rows are independent O(n·dim) scans — parallelize
-	// them so the estimate never becomes the serial prefix of an
-	// otherwise parallel sharded build.
+	m := min(n, maxSample)
 	dists := make([]float64, m*k)
 	counts := make([]int, m)
-	fanout.ForEach(m, 0, func() func(int) {
-		coll := topk.New(k)
-		return func(si int) {
-			i := si * n / m
-			coll.Reset(k)
-			for j, p := range points {
-				if j == i {
-					continue
+	if m > 0 {
+		rows := vec.AliasRows(points, len(points[0]))
+		tree := knn.NewTree(&rows)
+		fanout.ForEach(m, 0, func() func(int) {
+			var sc knn.Scratch
+			return func(si int) {
+				i := si * n / m
+				sc.Reset(k + 1)
+				tree.Offer(&sc, &rows, points[i], nil)
+				row := dists[si*k : si*k : (si+1)*k]
+				for _, nb := range sc.Sorted() {
+					if nb.ID != i && len(row) < k {
+						row = append(row, math.Sqrt(nb.Dist))
+					}
 				}
-				// Negated squared distances: "largest score"
-				// selects the nearest, as the k-NN searchers do.
-				coll.Offer(j, -vec.SquaredEuclidean(points[i], p))
+				counts[si] = len(row)
 			}
-			drained := coll.Drain()
-			for t, it := range drained {
-				dists[si*k+t] = math.Sqrt(-it.Score)
-			}
-			counts[si] = len(drained)
-		}
-	})
+		})
+	}
 	// Compact out the unfilled tail slots of rows with fewer than k
 	// other points (tiny datasets), keeping every real distance —
 	// zeros from duplicate points included, as BuildGraph's own

@@ -81,7 +81,7 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 	}
 
 	sections := []binio.Section{{Tag: tagSmet, Payload: six.writeShardMeta}}
-	if len(six.centroids) > 0 {
+	if len(six.set.Route()) > 0 {
 		sections = append(sections, binio.Section{Tag: tagSctr, Payload: six.writeCentroids})
 	}
 	sections = append(sections, binio.Section{Tag: tagSmap, Payload: six.writeIDMaps})
@@ -93,17 +93,24 @@ func (six *ShardedIndex) Save(w io.Writer) error {
 	return err
 }
 
+// writeShardMeta writes the manifest; the partitioner is k-means
+// exactly when the set routes by centroids.
 func (six *ShardedIndex) writeShardMeta(bw *binio.Writer) error {
+	part := PartitionContiguous
+	if len(six.set.Route()) > 0 {
+		part = PartitionKMeans
+	}
 	bw.Int(len(six.shards))
-	bw.Int(int(six.part))
+	bw.Int(int(part))
 	bw.Int(six.set.Globals())
-	bw.Float64(six.autoCompact)
+	bw.Float64(six.set.AutoCompact())
 	return bw.Err()
 }
 
 func (six *ShardedIndex) writeCentroids(bw *binio.Writer) error {
-	bw.Int(len(six.centroids))
-	for _, c := range six.centroids {
+	route := six.set.Route()
+	bw.Int(len(route))
+	for _, c := range route {
 		bw.Floats(c)
 	}
 	return bw.Err()
@@ -288,5 +295,5 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 			return nil, fmt.Errorf("mogul: decoding id map of shard %d: %w", s, err)
 		}
 	}
-	return newShardedIndex(shards, partition, globals, Partitioner(part), ctr, autoCompact)
+	return newShardedIndex(shards, partition, globals, ctr, autoCompact)
 }
