@@ -64,6 +64,7 @@ type ShardIndex interface {
 	TopKSetWeighted(seeds []int, weight float64, k int) ([]mogul.Result, error)
 	IDSpace() int
 	Alive(id int) bool
+	DeadIDs() (space int, dead []int)
 	EntriesSince(since uint64) ([]mogul.LogEntry, bool)
 	TruncateEntries(upTo uint64)
 	LogLen() int
@@ -132,13 +133,7 @@ func (l LocalShard) AliveMap(ctx context.Context) (int, []int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	space := l.Ix.IDSpace()
-	dead := []int{} // non-nil: an all-live shard is "dead":[] on the wire
-	for id := 0; id < space; id++ {
-		if !l.Ix.Alive(id) {
-			dead = append(dead, id)
-		}
-	}
+	space, dead := l.Ix.DeadIDs() // never nil: an all-live shard is "dead":[] on the wire
 	return space, dead, nil
 }
 

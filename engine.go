@@ -308,6 +308,16 @@ func (e *engine[S]) Alive(id int) bool {
 	return id >= 0 && id < h.numPoints() && !h.dead[id]
 }
 
+// DeadIDs snapshots the id space (IDSpace) and the tombstoned ids in it,
+// ascending, under one read lock: every other id below space is Alive.
+// dead is empty, not nil, when every item is live.
+func (e *engine[S]) DeadIDs() (space int, dead []int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	h := e.st.hdr()
+	return h.numPoints(), h.deadIDs()
+}
+
 // Insert adds a new point without rebuilding and returns its item id.
 // The point becomes immediately searchable: it is attached against the
 // frozen base build through the out-of-sample extension (surrogate
@@ -916,16 +926,20 @@ func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string) erro
 	return nil
 }
 
-// writeTombstones encodes the dead set as an ascending id list.
-func (h *engineHeader) writeTombstones(sw *binio.Writer) {
+// deadIDs lists the tombstoned ids in ascending order, empty (not nil)
+// when there are none.
+func (h *engineHeader) deadIDs() []int {
 	dead := make([]int, 0, h.deadCount)
 	for id, d := range h.dead {
 		if d {
 			dead = append(dead, id)
 		}
 	}
-	sw.Ints(dead)
+	return dead
 }
+
+// writeTombstones encodes the dead set as an ascending id list.
+func (h *engineHeader) writeTombstones(sw *binio.Writer) { sw.Ints(h.deadIDs()) }
 
 // readTombstones validates a decoded dead list (strictly ascending, in
 // range, at least one survivor) and expands it into hdr.

@@ -106,6 +106,9 @@ func (r *Reader) alignSkip(payloadBytes int64) {
 func (w *Writer) Float32s(s []float32) {
 	w.Uint64(uint64(len(s)))
 	w.alignPad(int64(len(s)) * 4)
+	if rawView(w, s) {
+		return
+	}
 	for len(s) > 0 && w.err == nil {
 		chunk := len(s)
 		if chunk > scratchSize/4 {
@@ -124,6 +127,9 @@ func (w *Writer) Float32s(s []float32) {
 func (w *Writer) Int32s(s []int32) {
 	w.Uint64(uint64(len(s)))
 	w.alignPad(int64(len(s)) * 4)
+	if rawView(w, s) {
+		return
+	}
 	for len(s) > 0 && w.err == nil {
 		chunk := len(s)
 		if chunk > scratchSize/4 {
@@ -135,6 +141,20 @@ func (w *Writer) Int32s(s []int32) {
 		w.Raw(w.scratch[:chunk*4])
 		s = s[chunk:]
 	}
+}
+
+// rawView writes the payload of s as the bytes it already occupies in
+// memory, which on a little-endian host are its encoding, and reports
+// whether it did; elsewhere the caller converts element by element.
+// Raw's writer must not keep or change the bytes (io.Writer's rule).
+func rawView[T float32 | float64 | int32](w *Writer, s []T) bool {
+	if !hostLittleEndian {
+		return false
+	}
+	if len(s) > 0 {
+		w.Raw(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
+	}
+	return true
 }
 
 // Float32s reads a length-prefixed float32 slice, rejecting lengths

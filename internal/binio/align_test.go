@@ -167,3 +167,54 @@ func TestViewStreamEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRawViewMatchesConversion: on a little-endian host Floats,
+// Float32s and Int32s hand Raw the slice's own bytes; the stream, its
+// count and its CRC must be the element-by-element conversion's, byte
+// for byte, at lengths around one scratch chunk and around scratchSize
+// elements, in the plain and the aligned layout, from slices that start
+// off their backing array's first element and at an odd stream offset.
+func TestRawViewMatchesConversion(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian host: the conversion is the only path")
+	}
+	defer func() { hostLittleEndian = true }()
+	rng := rand.New(rand.NewSource(3))
+	lengths := []int{0, 1, scratchSize/8 - 1, scratchSize / 8, scratchSize/8 + 1,
+		scratchSize/4 - 1, scratchSize / 4, scratchSize/4 + 1, scratchSize - 1, scratchSize, scratchSize + 1}
+	for _, n := range lengths {
+		f64 := make([]float64, n+1)[1:]
+		f32 := make([]float32, n+1)[1:]
+		i32 := make([]int32, n+1)[1:]
+		for i := range f64 {
+			f64[i] = math.Float64frombits(rng.Uint64())
+			f32[i] = math.Float32frombits(rng.Uint32())
+			i32[i] = int32(rng.Uint32())
+		}
+		for _, align := range []int{0, 64} {
+			write := func(view bool) ([]byte, int64, uint32) {
+				hostLittleEndian = view
+				var buf bytes.Buffer
+				w := NewWriter(&buf)
+				if align > 0 {
+					w.EnableAlign(align, 3)
+				}
+				w.Raw([]byte{7})
+				w.Floats(f64)
+				w.Float32s(f32)
+				w.Raw([]byte{1, 2, 3})
+				w.Int32s(i32)
+				if err := w.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes(), w.Count(), w.Sum32()
+			}
+			got, gotN, gotCRC := write(true)
+			want, wantN, wantCRC := write(false)
+			if !bytes.Equal(got, want) || gotN != wantN || gotCRC != wantCRC {
+				t.Fatalf("n=%d align=%d: view wrote %d bytes (count %d, CRC %#x), conversion %d (count %d, CRC %#x)",
+					n, align, len(got), gotN, gotCRC, len(want), wantN, wantCRC)
+			}
+		}
+	}
+}

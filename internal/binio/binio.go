@@ -141,6 +141,9 @@ func (w *Writer) Ints(s []int) {
 func (w *Writer) Floats(s []float64) {
 	w.Uint64(uint64(len(s)))
 	w.alignPad(int64(len(s)) * 8)
+	if rawView(w, s) {
+		return
+	}
 	for len(s) > 0 && w.err == nil {
 		chunk := len(s)
 		if chunk > scratchSize/8 {

@@ -143,10 +143,7 @@ func (g *Gate) build(lo, hi int, keys []float64) {
 	copy(mins, centre(g.order[lo]))
 	copy(maxs, mins)
 	for _, ball := range g.order[lo+1 : hi] {
-		for j, x := range centre(ball) {
-			mins[j] = min(mins[j], x)
-			maxs[j] = max(maxs[j], x)
-		}
+		vec.MinMax(mins, maxs, centre(ball))
 		reach = max(reach, g.b.Radii[ball])
 	}
 	g.nodes[i].reach = reach

@@ -84,26 +84,34 @@ const (
 	treeAbsSlack = 0x1p-1000
 )
 
-// parallelRows is the node size from which NewTree splits a node's
-// work over goroutines: its extent is computed over row blocks in
-// parallel, and its lower child is built beside its upper one. At
-// n = 20000 that is the root and its two children, four subtrees for
-// two cores. EMR's per-pass 1,024-centroid tree stays serial, as do
-// the trees of shards under 8,192 rows, which a sharded build already
-// builds side by side.
+// parallelRows is the node size from which NewTree computes a node's
+// extent over row blocks in parallel. At n = 20000 that is the root and
+// its two children. The lower child of a smaller node goes on a
+// goroutine of its own from parallelWork on.
 const parallelRows = 1 << 13
+
+// parallelWork is the node size, in rows × width, from which NewTree
+// builds a node's lower child on a goroutine beside its upper one:
+// nodes of 8,192 rows at d = 8, 512 at d = 128 and 128 at d = 512, where
+// a subtree's extents take long enough to pay for the goroutine. EMR's
+// per-pass 1,024-centroid tree (d = 8) stays serial, as do the d = 8
+// trees of shards under 8,192 rows, which a sharded build already
+// builds side by side.
+const parallelWork = parallelRows * 8
 
 // NewTree builds the tree over the rows. Each node splits its rows at
 // the median of its widest dimension (the largest max − min, the lowest
 // dimension on ties) under the strict order (coordinate, id), so the
 // tree is a pure function of the rows. float32 rows are split on their
 // widened values, which are what their distance kernel subtracts. The
-// build is O(n d log n): ~8 ms at n = 20000, d = 8 on one core. Nodes
-// of parallelRows rows or more are built in parallel: float min and max
-// are exact and commutative, so a blocked extent is the serial one, and
-// a subtree writes only its own rows' ids and keys, its own nodes and
-// its own leaves, numbered from its row count (leafCount); the tree is
-// the same at any GOMAXPROCS. The rows are read, not retained.
+// build is O(n d log n): on one core BenchmarkNewTree reads 11–14 ms at
+// n = 20000, d = 8 and ~20 ms at n = 6000, d = 512 (docs/PERFORMANCE.md).
+// Nodes of parallelWork or more are built in parallel: a subtree writes
+// only its own rows' ids and keys, its own nodes and its own leaves,
+// numbered from its row count (leafCount), and every leaf's box is
+// folded serially, so the tree is the same at any GOMAXPROCS (the
+// blocked extent of parallelRows is exact where it decides anything; see
+// parallelExtent). The rows are read, not retained.
 func NewTree(points *vec.Rows) *Tree {
 	n, d := points.Len(), points.Width()
 	t := &Tree{ids: make([]int, n), leafSize: leafRows(d)}
@@ -119,8 +127,23 @@ func NewTree(points *vec.Rows) *Tree {
 	t.leafBase = make([]int32, (len(t.dim)+1)/2)
 	t.box = make([]float64, leafCount(n, depth, t.leafSize)*2*d)
 	t.slack = 1 + treeRelSlack + float64(d+2*depth+2)*0x1p-52
-	t.build(points, make([]float64, n), make([]float64, 3*d), 0, 0, n, 0)
+	b := &treeBuild{points: points, keys: make([]float64, n), free: make(chan []float64, runtime.GOMAXPROCS(0))}
+	t.build(b, make([]float64, 3*d), 0, 0, n, 0)
+	b.wg.Wait()
 	return t
+}
+
+// treeBuild is what every node of one NewTree call shares: the rows,
+// scratch for the split coordinates of all n rows, the goroutines
+// building lower children, and the work buffers of finished ones, which
+// later ones take before they make one. No goroutine waits for another,
+// so only those running hold a buffer: at d = 512 a buffer is 12 KB, and
+// ~250 nodes go parallel at n = 20000.
+type treeBuild struct {
+	points *vec.Rows
+	keys   []float64
+	wg     sync.WaitGroup
+	free   chan []float64
 }
 
 // treeDepth is the number of halvings, each rounding up, that take n
@@ -174,12 +197,12 @@ func (t *Tree) leafNumber(node int) int {
 
 // build splits node over ids[lo:hi], or records its box if it is a
 // leaf, and returns the number of the next leaf; leaf is the number of
-// the first leaf under node. keys is scratch for the split coordinates
-// of all n rows, work holds an internal node's per-dimension minima and
-// maxima followed by one widened row. A node of parallelRows rows or
-// more builds its lower child on a goroutine of its own, with its own
-// work, and its upper child from the leaf number its row count gives.
-func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf int) int {
+// the first leaf under node. work holds an internal node's
+// per-dimension minima and maxima followed by one widened row. A node
+// of parallelWork or more hands its lower child to a goroutine of its
+// own, with its own work, and builds its upper child from the leaf
+// number the lower one's row count gives; NewTree waits for them all.
+func (t *Tree) build(b *treeBuild, work []float64, node, lo, hi, leaf int) int {
 	ids := t.ids[lo:hi]
 	d := len(work) / 3
 	span, buf := work[:2*d], work[2*d:]
@@ -188,15 +211,14 @@ func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf 
 	}
 	if t.leaf(node, lo, hi) {
 		if d > 0 && len(ids) > 0 {
-			extent(points, ids, t.box[2*d*leaf:2*d*(leaf+1)], buf)
+			extent(b.points, ids, t.box[2*d*leaf:2*d*(leaf+1)], buf)
 		}
 		return leaf + 1
 	}
-	large := len(ids) >= parallelRows
-	if large {
-		parallelExtent(points, ids, span)
+	if len(ids) >= parallelRows {
+		parallelExtent(b.points, ids, span)
 	} else {
-		extent(points, ids, span, buf)
+		extent(b.points, ids, span, buf)
 	}
 	s, widest := 0, span[d]-span[0]
 	for j := 1; j < d; j++ {
@@ -204,31 +226,38 @@ func (t *Tree) build(points *vec.Rows, keys, work []float64, node, lo, hi, leaf 
 			s, widest = j, w
 		}
 	}
-	k := keys[lo:hi]
+	k := b.keys[lo:hi]
 	for j, id := range ids {
-		k[j] = points.Row(id, buf)[s]
+		k[j] = b.points.Row(id, buf)[s]
 	}
 	m := len(ids) / 2
 	SelectRank(k, ids, m)
 	t.dim[node], t.split[node] = int32(s), k[m]
-	if !large {
-		leaf = t.build(points, keys, work, 2*node+1, lo, lo+m, leaf)
-		return t.build(points, keys, work, 2*node+2, lo+m, hi, leaf)
+	if len(ids)*d < parallelWork {
+		leaf = t.build(b, work, 2*node+1, lo, lo+m, leaf)
+		return t.build(b, work, 2*node+2, lo+m, hi, leaf)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
+	b.wg.Add(1)
 	go func() {
-		defer wg.Done()
-		t.build(points, keys, make([]float64, 3*d), 2*node+1, lo, lo+m, leaf)
+		defer b.wg.Done()
+		var w []float64
+		select {
+		case w = <-b.free:
+		default:
+			w = make([]float64, 3*d)
+		}
+		t.build(b, w, 2*node+1, lo, lo+m, leaf)
+		select {
+		case b.free <- w:
+		default:
+		}
 	}()
-	next := t.build(points, keys, work, 2*node+2, lo+m, hi, leaf+leafCount(m, treeDepth(m, t.leafSize), t.leafSize))
-	wg.Wait()
-	return next
+	return t.build(b, work, 2*node+2, lo+m, hi, leaf+leafCount(m, treeDepth(m, t.leafSize), t.leafSize))
 }
 
 // extent writes the per-dimension minima of the rows ids into the first
-// half of span and their maxima into the second; buf widens a float32
-// row.
+// half of span and their maxima into the second, folding each row with
+// vec.MinMax; buf widens a float32 row.
 func extent(points *vec.Rows, ids []int, span, buf []float64) {
 	d := len(span) / 2
 	mins, maxs := span[:d], span[d:]
@@ -236,16 +265,18 @@ func extent(points *vec.Rows, ids []int, span, buf []float64) {
 	copy(mins, first)
 	copy(maxs, first)
 	for _, id := range ids[1:] {
-		for j, x := range points.Row(id, buf)[:d] {
-			mins[j] = min(mins[j], x)
-			maxs[j] = max(maxs[j], x)
-		}
+		vec.MinMax(mins, maxs, points.Row(id, buf)[:d])
 	}
 }
 
 // parallelExtent is extent over row blocks in parallel, each block's
-// extent folded into span. min and max are exact and commutative, ±0
-// and NaN included, so the fold gives extent's bits in any order.
+// minima and maxima then folded into span as two rows. On numbers, ±0
+// included, min and max are exact, commutative and associative, and a
+// block's minima lie below its maxima, so span holds extent's bits. A
+// NaN stays NaN in any order, though its payload may not be extent's:
+// a node's span only picks its split dimension, by comparisons a NaN
+// fails either way, and the leaf boxes the tree keeps are folded by
+// extent.
 func parallelExtent(points *vec.Rows, ids []int, span []float64) {
 	d := len(span) / 2
 	_, count := par.Blocks(len(ids), 0)
@@ -257,10 +288,8 @@ func parallelExtent(points *vec.Rows, ids []int, span []float64) {
 	copy(span, blocks[:2*d])
 	for b := 1; b < count; b++ {
 		w := blocks[b*3*d:]
-		for j := 0; j < d; j++ {
-			span[j] = min(span[j], w[j])
-			span[d+j] = max(span[d+j], w[d+j])
-		}
+		vec.MinMax(span[:d], span[d:], w[:d])
+		vec.MinMax(span[:d], span[d:], w[d:2*d])
 	}
 }
 

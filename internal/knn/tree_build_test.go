@@ -11,10 +11,11 @@ import (
 	"mogul/internal/vec"
 )
 
-// serialTree is NewTree as it built before nodes of parallelRows rows
-// went parallel, frozen as the oracle of the parallel build: every node
-// built in order on one goroutine, each leaf numbered as the one before
-// it returns.
+// serialTree is NewTree as it built before any node went parallel and
+// before its extents went through vec.MinMax, frozen as the oracle of
+// the build: every node built in order on one goroutine, each leaf
+// numbered as the one before it returns, and every extent folded by
+// serialExtent.
 func serialTree(points *vec.Rows) *Tree {
 	n, d := points.Len(), points.Width()
 	t := &Tree{ids: make([]int, n), leafSize: leafRows(d)}
@@ -45,11 +46,11 @@ func serialBuild(t *Tree, points *vec.Rows, keys, work []float64, node, lo, hi, 
 	}
 	if t.leaf(node, lo, hi) {
 		if d > 0 && len(ids) > 0 {
-			extent(points, ids, t.box[2*d*leaf:2*d*(leaf+1)], buf)
+			serialExtent(points, ids, t.box[2*d*leaf:2*d*(leaf+1)], buf)
 		}
 		return leaf + 1
 	}
-	extent(points, ids, span, buf)
+	serialExtent(points, ids, span, buf)
 	s, widest := 0, span[d]-span[0]
 	for j := 1; j < d; j++ {
 		if w := span[d+j] - span[j]; w > widest {
@@ -65,6 +66,22 @@ func serialBuild(t *Tree, points *vec.Rows, keys, work []float64, node, lo, hi, 
 	t.dim[node], t.split[node] = int32(s), k[m]
 	leaf = serialBuild(t, points, keys, work, 2*node+1, lo, lo+m, leaf)
 	return serialBuild(t, points, keys, work, 2*node+2, lo+m, hi, leaf)
+}
+
+// serialExtent is extent with Go's min and max builtins, row by row:
+// the rule the extent kernel must reproduce to the bit.
+func serialExtent(points *vec.Rows, ids []int, span, buf []float64) {
+	d := len(span) / 2
+	mins, maxs := span[:d], span[d:]
+	first := points.Row(ids[0], buf)
+	copy(mins, first)
+	copy(maxs, first)
+	for _, id := range ids[1:] {
+		for j, x := range points.Row(id, buf)[:d] {
+			mins[j] = min(mins[j], x)
+			maxs[j] = max(maxs[j], x)
+		}
+	}
 }
 
 // signedLattice is n points of dimension d on a small integer lattice
@@ -88,6 +105,26 @@ func signedLattice(n, d int, nan bool) []vec.Vector {
 	}
 	if nan {
 		pts[n/3][d-1] = math.NaN()
+	}
+	return pts
+}
+
+// zeroLattice is n points of dimension d whose coordinates are ±0, 1
+// or 2, with a NaN of its own payload and sign in every 331st row, on a
+// dimension that cycles: leaf boxes whose minima are zeros reached in
+// either sign order, and NaNs met first, last and in the middle of a
+// leaf, on the kernel's four-wide body and its scalar tail alike.
+func zeroLattice(n, d int) []vec.Vector {
+	pts := make([]vec.Vector, n)
+	for i := range pts {
+		p := make(vec.Vector, d)
+		for j := range p {
+			p[j] = []float64{math.Copysign(0, -1), 0, 1, 2}[uint32(i*d+j)*2654435761>>30]
+		}
+		if i%331 == 0 {
+			p[i/331%d] = math.Float64frombits(0x7ff8000000000000 | uint64(i) | uint64(i%2)<<63)
+		}
+		pts[i] = p
 	}
 	return pts
 }
@@ -129,12 +166,15 @@ func withOutlier(pts []vec.Vector, row int) []vec.Vector {
 	return out
 }
 
-// TestNewTreeMatchesSerial: the tree is the serial build's, every field
-// to the bit, at GOMAXPROCS 1, 2 and 8, on shapes whose root and top
+// TestNewTreeMatchesSerial: the tree is the frozen serial build's,
+// every field to the bit, at GOMAXPROCS 1, 2 and 8, on shapes whose top
 // levels are built in parallel: the d = 8 mixture, with a lone outlier
 // in the first or the last row block, INRIASim at d = 128 as float32
-// rows, the d = 512 embedding stand-in, and lattices with ±0 (one with
-// a NaN coordinate, where the blocked extent must stay NaN).
+// rows, the d = 512 embedding stand-in at n = 9000 and at graph_vec_d512's
+// n = 6000 (under parallelRows, so only its lower children go
+// parallel), and lattices with ±0 (two with NaN coordinates, where the
+// blocked extent must stay NaN and the leaf boxes keep the builtins'
+// NaN bits).
 func TestNewTreeMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	mix := mixture8(20_000)
@@ -148,8 +188,10 @@ func TestNewTreeMatchesSerial(t *testing.T) {
 		{"outlier-last-d8", vec.AliasRows(withOutlier(mix, len(mix)-1), 8)},
 		{"inria-d128-f32", inria.Narrow()},
 		{"unit-d512", vec.AliasRows(unitMixture(9_000, 512), 512)},
+		{"unit-d512-n6000", vec.AliasRows(unitMixture(6_000, 512), 512)},
 		{"lattice-d3", vec.AliasRows(signedLattice(33_000, 3, false), 3)},
 		{"lattice-nan-d5", vec.AliasRows(signedLattice(17_000, 5, true), 5)},
+		{"zero-lattice-nan-d6", vec.AliasRows(zeroLattice(17_000, 6), 6)},
 	}
 	for _, sh := range shapes {
 		want := serialTree(&sh.rows)
@@ -164,17 +206,20 @@ func TestNewTreeMatchesSerial(t *testing.T) {
 
 // BenchmarkNewTree times the tree build alone on the shapes the graph
 // builds run it at: the d = 8 mixture of mixed_rw and the σ estimate of
-// dist_fanout (n = 20000), INRIASim at d = 128 (n = 14000) and the
-// d = 512 stand-in (n = 20000). Run at -cpu 1,2 it shows what the
-// parallel top levels buy.
+// dist_fanout (n = 20000), one dist_fanout shard (n = 5000, serial),
+// INRIASim at d = 128 (n = 14000), the d = 512 stand-in at n = 20000 and
+// at graph_vec_d512's n = 6000. Run at -cpu 1,2 it shows what the
+// parallel upper levels buy.
 func BenchmarkNewTree(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		pts  func() []vec.Vector
 	}{
 		{"d8-n20000", func() []vec.Vector { return mixture8(20_000) }},
+		{"d8-n5000", func() []vec.Vector { return mixture8(5_000) }},
 		{"d128-n14000", func() []vec.Vector { return dataset.INRIASim(14_000, 1).Points }},
 		{"d512-n20000", func() []vec.Vector { return unitMixture(20_000, 512) }},
+		{"d512-n6000", func() []vec.Vector { return unitMixture(6_000, 512) }},
 	} {
 		pts := c.pts()
 		rows := vec.AliasRows(pts, len(pts[0]))

@@ -32,13 +32,14 @@ import (
 // the instantiation once per call, never per element.
 //
 // The squared-distance, dot and axpy kernels have two bodies per
-// storage width, and the box distance and rotation have two over
-// float64: the Go bodies here (sqdistGo, dotGo, axpyGo, boxSqDistGo,
-// rotGo), compiled everywhere, and AVX2 assembly (kernels_amd64.s) that
-// gives the same bits (an accumulating kernel holds its four lanes in
-// one ymm register). Package init picks the assembly
-// once when the CPU and OS support AVX2 (kernels_amd64.go); elsewhere
-// the Go bodies are the only ones, and they are the tests' oracle. The
+// storage width, and the box distance, rotation and extent fold have
+// two over float64: the Go bodies here (sqdistGo, dotGo, axpyGo,
+// boxSqDistGo, rotGo, minMaxGo), compiled everywhere, and AVX2
+// assembly (kernels_amd64.s) that gives the same bits (an accumulating
+// kernel holds its four lanes in one ymm register). Package init picks
+// the assembly once when the CPU and OS support AVX2
+// (kernels_amd64.go); elsewhere the Go bodies are the only ones, and
+// they are the tests' oracle. The
 // batch forms score four rows per pass, four independent lane chains
 // over one load of the query. The float32 entry points, batch forms and
 // conversions live in kernels32.go.
@@ -181,6 +182,28 @@ func boxSqDistGo(q, lo, hi []float64) float64 {
 		s0 += e * e
 	}
 	return combineLanes(s0, s1, s2, s3)
+}
+
+// MinMax folds the row x into a running per-dimension extent: lo[j] =
+// min(lo[j], x[j]) and hi[j] = max(hi[j], x[j]), with Go's min and max,
+// so ±0 and NaN keep the builtins' bits. It is the extent fold of the
+// k-d trees (knn.Tree, fanout.Gate). lo and hi must have len(x); where
+// two of the three share memory the Go body runs, which is that loop in
+// order.
+func MinMax(lo, hi, x []float64) {
+	if len(lo) != len(x) || len(hi) != len(x) {
+		panic(fmt.Sprintf("vec: MinMax lengths %d, %d for a row of %d", len(lo), len(hi), len(x)))
+	}
+	minMax(lo, hi, x)
+}
+
+// minMaxGo is the Go body of MinMax.
+func minMaxGo(lo, hi, x []float64) {
+	lo, hi = lo[:len(x)], hi[:len(x)]
+	for j, v := range x {
+		lo[j] = min(lo[j], v)
+		hi[j] = max(hi[j], v)
+	}
 }
 
 // Axpy computes y += a*x elementwise (the BLAS axpy). Lengths must

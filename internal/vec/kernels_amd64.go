@@ -63,6 +63,14 @@ func boxSqDist(q, lo, hi []float64) float64 {
 	return boxSqDistGo(q, lo, hi)
 }
 
+func minMax(lo, hi, x []float64) {
+	if useAVX2 && !overlaps(lo, x) && !overlaps(hi, x) && !overlaps(lo, hi) {
+		minMaxAVX2(lo[:len(x)], hi[:len(x)], x)
+		return
+	}
+	minMaxGo(lo, hi, x)
+}
+
 func axpy(y []float64, a float64, x []float64) {
 	if useAVX2 && !overlaps(y, x) {
 		axpyAVX2(y, a, x[:len(y)])
@@ -146,6 +154,9 @@ func rotAVX2(x, y []float64, c, s float64)
 
 //go:noescape
 func boxSqDistAVX2(q, lo, hi []float64) float64
+
+//go:noescape
+func minMaxAVX2(lo, hi, x []float64)
 
 //go:noescape
 func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)

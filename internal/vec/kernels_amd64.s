@@ -1,9 +1,10 @@
 #include "textflag.h"
 
 // AVX2 bodies of the accumulating distance, dot and box-distance
-// kernels, and of the elementwise axpy and rotation. Each accumulating
-// one reproduces its Go body in kernels.go / kernels32.go to the bit: one
-// ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
+// kernels, of the elementwise axpy and rotation, and of the extent fold
+// (minMaxAVX2 says how it keeps the builtins' bits). Each accumulating
+// one reproduces its Go body in kernels.go / kernels32.go to the bit:
+// one ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
 // (mod 4) in order; every element is subtracted (or widened with
 // VCVTPS2PD), multiplied and then added — never fused, because a fused
 // multiply-add rounds once where the Go body rounds twice; the tail
@@ -254,6 +255,76 @@ boxDone:
 	HSUM(X0, X6, X3)
 	VZEROUPPER
 	MOVSD X0, ret+72(FP)
+	RET
+
+// func minMaxAVX2(lo, hi, x []float64)
+//
+// Each lane repeats Go's amd64 lowering of the builtins. min(a, b) is
+// t | u with t = VMINPD(a, b) and u = VMINPD(t, a): VMINPD returns its
+// second source when the operands are unordered or equal, so a NaN in
+// either operand, or two zeros of either sign, leave the OR of both
+// operands' bits, as the builtin does. max(a, b) is that min on the
+// sign-flipped operands, flipped back. A pass of four stores lo before
+// it loads hi, so the dispatcher (kernels_amd64.go) sends operands that
+// share memory to the Go body.
+TEXT ·minMaxAVX2(SB), NOSPLIT, $0-72
+	MOVQ     lo_base+0(FP), DI
+	MOVQ     hi_base+24(FP), DX
+	MOVQ     x_base+48(FP), SI
+	MOVQ     x_len+56(FP), CX
+	VPCMPEQQ Y15, Y15, Y15
+	VPSLLQ   $63, Y15, Y15
+	MOVQ     CX, BX
+	ANDQ     $-4, BX
+	XORQ     AX, AX
+	CMPQ     AX, BX
+	JGE      mmTail
+	PCALIGN $32
+
+mmLoop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VMINPD  Y0, Y1, Y2
+	VMINPD  Y1, Y2, Y3
+	VORPD   Y3, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	VXORPD  Y15, Y0, Y0
+	VXORPD  (DX)(AX*8), Y15, Y1
+	VMINPD  Y0, Y1, Y2
+	VMINPD  Y1, Y2, Y3
+	VORPD   Y3, Y2, Y2
+	VXORPD  Y15, Y2, Y2
+	VMOVUPD Y2, (DX)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     mmLoop
+
+mmTail:
+	CMPQ AX, CX
+	JGE  mmDone
+	PCALIGN $32
+
+mmTailLoop:
+	VMOVSD (SI)(AX*8), X0
+	VMOVSD (DI)(AX*8), X1
+	VMINSD X0, X1, X2
+	VMINSD X1, X2, X3
+	VORPD  X3, X2, X2
+	VMOVSD X2, (DI)(AX*8)
+	VXORPD X15, X0, X0
+	VMOVSD (DX)(AX*8), X1
+	VXORPD X15, X1, X1
+	VMINSD X0, X1, X2
+	VMINSD X1, X2, X3
+	VORPD  X3, X2, X2
+	VXORPD X15, X2, X2
+	VMOVSD X2, (DX)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    mmTailLoop
+
+mmDone:
+	VZEROUPPER
 	RET
 
 // func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -105,6 +106,25 @@ func checkBox(t *testing.T, q, lo, hi []float64) {
 	}
 }
 
+// checkMinMax folds x into copies of the extent (lo, hi) through the
+// dispatched MinMax and through its Go body, which must agree to the
+// bit, NaN payloads included: the k-d trees compare extents by their
+// bits.
+func checkMinMax(t *testing.T, lo, hi, x []float64) {
+	t.Helper()
+	glo, ghi := offsetCopy(lo, 1), offsetCopy(hi, 3)
+	wlo, whi := slices.Clone(lo), slices.Clone(hi)
+	MinMax(glo, ghi, x)
+	minMaxGo(wlo, whi, x)
+	for j := range x {
+		if math.Float64bits(glo[j]) != math.Float64bits(wlo[j]) || math.Float64bits(ghi[j]) != math.Float64bits(whi[j]) {
+			t.Fatalf("n=%d MinMax[%d] of (%#x, %#x) and %#x: (%#x, %#x), Go body (%#x, %#x)", len(x), j,
+				math.Float64bits(lo[j]), math.Float64bits(hi[j]), math.Float64bits(x[j]),
+				math.Float64bits(glo[j]), math.Float64bits(ghi[j]), math.Float64bits(wlo[j]), math.Float64bits(whi[j]))
+		}
+	}
+}
+
 // sameSlicesBits fails t unless got and want agree element by element
 // under sameBits.
 func sameSlicesBits(t *testing.T, name string, got, want []float64) {
@@ -186,15 +206,45 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestElementwiseOverlapIsSequential gives Axpy and Rot operands that
-// share memory — the same slice, and one slice shifted by one element
-// either way — which must give the bits of the plain in-order loop,
-// whichever body the dispatcher picks.
+// TestMinMaxBodiesBitIdentical folds rows of every width 0–40 and of
+// 512 into extents drawn from the same value classes — ±0, NaN, ±Inf,
+// subnormals — at every alignment of each operand: the dispatched body
+// must give the Go body's bits.
+func TestMinMaxBodiesBitIdentical(t *testing.T) {
+	logDispatch(t)
+	rng := rand.New(rand.NewSource(83))
+	widths := []int{512}
+	for n := 0; n <= 40; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
+		for off := 0; off < 4; off++ {
+			for trial := 0; trial < 24; trial++ {
+				lo, hi := mixedSlice(rng, n), mixedSlice(rng, n)
+				if trial%2 == 0 {
+					lo, hi = boxAround(lo, hi)
+				}
+				checkMinMax(t, offsetCopy(lo, off), offsetCopy(hi, (off+trial)%4), offsetCopy(mixedSlice(rng, n), (off+2)%4))
+			}
+		}
+	}
+}
+
+// TestElementwiseOverlapIsSequential gives Axpy, Rot and MinMax
+// operands that share memory — the same slice, and one slice shifted by
+// one element either way — which must give the bits of the plain
+// in-order loop, whichever body the dispatcher picks.
 func TestElementwiseOverlapIsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	seqAxpy := func(y []float64, a float64, x []float64) {
 		for i := range y {
 			y[i] += a * x[i]
+		}
+	}
+	seqMinMax := func(lo, hi, x []float64) {
+		for j := range x {
+			lo[j] = min(lo[j], x[j])
+			hi[j] = max(hi[j], x[j])
 		}
 	}
 	seqRot := func(x, y []float64, c, s float64) {
@@ -206,6 +256,7 @@ func TestElementwiseOverlapIsSequential(t *testing.T) {
 	}
 	for n := 0; n <= 67; n++ {
 		base := mixedSlice(rng, n+1)
+		x := mixedSlice(rng, n)
 		a, c, s := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 		for _, shift := range []struct {
 			name   string
@@ -220,6 +271,19 @@ func TestElementwiseOverlapIsSequential(t *testing.T) {
 			Rot(got[shift.xo:shift.xo+n], got[shift.yo:shift.yo+n], c, s)
 			seqRot(want[shift.xo:shift.xo+n], want[shift.yo:shift.yo+n], c, s)
 			sameSlicesBits(t, "Rot "+shift.name, got, want)
+
+			got, want = append([]float64(nil), base...), append([]float64(nil), base...)
+			hiGot := mixedSlice(rng, n)
+			hiWant := slices.Clone(hiGot)
+			MinMax(got[shift.yo:shift.yo+n], hiGot, got[shift.xo:shift.xo+n])
+			seqMinMax(want[shift.yo:shift.yo+n], hiWant, want[shift.xo:shift.xo+n])
+			sameSlicesBits(t, "MinMax lo "+shift.name, got, want)
+			sameSlicesBits(t, "MinMax hi "+shift.name, hiGot, hiWant)
+
+			got, want = append([]float64(nil), base...), append([]float64(nil), base...)
+			MinMax(got[shift.yo:shift.yo+n], got[shift.xo:shift.xo+n], x)
+			seqMinMax(want[shift.yo:shift.yo+n], want[shift.xo:shift.xo+n], x)
+			sameSlicesBits(t, "MinMax lo=hi "+shift.name, got, want)
 		}
 	}
 }

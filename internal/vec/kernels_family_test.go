@@ -10,11 +10,12 @@ import (
 // infinities, ±0 — to every kernel whose one Go body serves both storage
 // widths: each float32 instantiation must give the bits of its float64
 // instantiation on the widened inputs (NaN for NaN), and each gather the
-// same bits at int and at int32 indices; Axpy over float32 and Rot must
-// also give their Go bodies' bits. raw holds n float32 stored
-// values followed by n float64 query-side values (n = len(raw)/12); the
-// indices are the stored values' bits modulo n; off picks the alignment
-// of each operand in its backing array.
+// same bits at int and at int32 indices; Axpy over float32, Rot and
+// MinMax must also give their Go bodies' bits (MinMax's to the bit, NaN
+// payloads included). raw holds n float32 stored values followed by n
+// float64 query-side values (n = len(raw)/12); the indices are the
+// stored values' bits modulo n; off picks the alignment of each operand
+// in its backing array.
 func FuzzKernelFamily(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var out []byte
@@ -30,6 +31,17 @@ func FuzzKernelFamily(f *testing.F) {
 	f.Add(seed(math.NaN(), math.Inf(1), math.Inf(-1), 3e38, -1e-40, 1e-45, -0.0, 0, 2), -0.5, uint8(27))
 	f.Add(seed(1e300, -1e-300, 5e-324, 1, 2, 3, 4), math.Inf(1), uint8(54))
 	f.Add(make([]byte, 12*67), math.Copysign(0, -1), uint8(63))
+	// The extent fold's edge cases on both sides: ±0 against ±0, NaNs of
+	// distinct payloads and signs against numbers, infinities and each
+	// other, in the stored row and in the running extent.
+	var edges []byte
+	for _, bits := range []uint32{0x80000000, 0, 0x7fc00001, 0xffa00000, 0x7f800000, 0xff800000, 0x80000000, 0x7fc00000, 1, 0x3f800000, 0xff800000} {
+		edges = binary.LittleEndian.AppendUint32(edges, bits)
+	}
+	for _, bits := range []uint64{0, 0x8000000000000000, 0x7ff0000000000000, 0xfff8000000000003, 0x7ff4000000000000, 0xfff0000000000000, 0x8000000000000000, 0x7ff8000000000000, 0x7ff0000000000001, 0xbff0000000000000, 0xfff0000000000000} {
+		edges = binary.LittleEndian.AppendUint64(edges, bits)
+	}
+	f.Add(edges, math.NaN(), uint8(9))
 	f.Fuzz(func(t *testing.T, raw []byte, a float64, off uint8) {
 		n := len(raw) / 12
 		x32 := make([]float32, n)
@@ -86,6 +98,23 @@ func FuzzKernelFamily(f *testing.F) {
 		rotGo(gx, gy, a, -a)
 		sameSlices("Rot x", rx, gx)
 		sameSlices("Rot y", ry, gy)
+
+		// MinMax has one width; its dispatched body must give the Go
+		// body's bits, NaN payloads included, folding the widened stored
+		// values into the extent (q, q negated).
+		lo, hi := offsetCopy(q, int(off/4%4)), offsetCopy(q, int(off%4))
+		for i := range hi {
+			hi[i] = -hi[i]
+		}
+		glo, ghi := offsetCopy(lo, int(off/16%4)), offsetCopy(hi, int(off/32%4))
+		MinMax(lo, hi, x64)
+		minMaxGo(glo, ghi, x64)
+		for i := range lo {
+			if math.Float64bits(lo[i]) != math.Float64bits(glo[i]) || math.Float64bits(hi[i]) != math.Float64bits(ghi[i]) {
+				t.Fatalf("n=%d MinMax[%d]: (%#x, %#x), Go body (%#x, %#x)", n, i,
+					math.Float64bits(lo[i]), math.Float64bits(hi[i]), math.Float64bits(glo[i]), math.Float64bits(ghi[i]))
+			}
+		}
 
 		y32, y64 = offsetCopy(q, 1), offsetCopy(q, 2)
 		ScatterAxpy(y32, idx, x32, a)

@@ -21,6 +21,8 @@ func rot(x, y []float64, c, s float64) { rotGo(x, y, c, s) }
 
 func boxSqDist(q, lo, hi []float64) float64 { return boxSqDistGo(q, lo, hi) }
 
+func minMax(lo, hi, x []float64) { minMaxGo(lo, hi, x) }
+
 func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 	out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
 }

@@ -542,11 +542,6 @@ type member struct{ *Index }
 func (m member) Bound() (*ProbeBound, error) { return m.ProbeBound(), nil }
 
 func (m member) Liveness() (space int, dead []int, err error) {
-	space = m.IDSpace()
-	for local := 0; local < space; local++ {
-		if !m.Alive(local) {
-			dead = append(dead, local)
-		}
-	}
+	space, dead = m.DeadIDs()
 	return space, dead, nil
 }
