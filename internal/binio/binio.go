@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strconv"
 )
 
 // scratchSize is the staging-buffer size used to batch slice
@@ -244,8 +245,19 @@ func (r *Reader) Uint64() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// Int reads an int64 and narrows it to int.
-func (r *Reader) Int() int { return int(int64(r.Uint64())) }
+// Int reads an int64 as an int. A value the platform's int cannot hold
+// (past ±2³¹ on a 32-bit one) fails the reader and reads as 0.
+func (r *Reader) Int() int { return r.narrow(int64(r.Uint64())) }
+
+// narrow returns v as an int, or fails the reader and returns 0 when it
+// does not fit.
+func (r *Reader) narrow(v int64) int {
+	if int64(int(v)) != v {
+		r.Fail(fmt.Errorf("binio: corrupt int %d: past a %d-bit int", v, strconv.IntSize))
+		return 0
+	}
+	return int(v)
+}
 
 // Float64 reads IEEE-754 bits.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
@@ -292,8 +304,11 @@ func (r *Reader) intsBody(n int) []int {
 			return nil
 		}
 		for i := 0; i < chunk; i++ {
-			out = append(out, int(int64(binary.LittleEndian.Uint64(r.scratch[i*8:]))))
+			out = append(out, r.narrow(int64(binary.LittleEndian.Uint64(r.scratch[i*8:]))))
 		}
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strconv"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	w.Uint64(1 << 62)
 	w.Int(-42)
 	w.Float64(math.Pi)
-	w.Ints([]int{0, -1, 1 << 40, -(1 << 40)})
+	w.Ints([]int{0, -1, math.MaxInt, math.MinInt})
 	w.Floats([]float64{0, -1.5, math.Inf(1), math.SmallestNonzeroFloat64})
 	w.Floats(nil)
 	if err := w.Err(); err != nil {
@@ -39,7 +40,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 		t.Fatalf("Float64 = %g", v)
 	}
 	ints := r.Ints(10)
-	if len(ints) != 4 || ints[1] != -1 || ints[2] != 1<<40 || ints[3] != -(1<<40) {
+	if len(ints) != 4 || ints[1] != -1 || ints[2] != math.MaxInt || ints[3] != math.MinInt {
 		t.Fatalf("Ints = %v", ints)
 	}
 	floats := r.Floats(10)
@@ -54,6 +55,36 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 	if r.Sum32() != w.Sum32() {
 		t.Fatalf("CRC mismatch: read %08x, wrote %08x", r.Sum32(), w.Sum32())
+	}
+}
+
+// TestIntRefusesValuesPastInt reads 2⁴⁰ and −2⁴⁰ through Int and Ints:
+// a 64-bit int holds them, and on a 32-bit platform the reader fails
+// rather than truncating them.
+func TestIntRefusesValuesPastInt(t *testing.T) {
+	const big = int64(1) << 40
+	for _, v := range []int64{big, -big} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Uint64(uint64(v))
+		w.Uint64(1) // Ints' length prefix
+		w.Uint64(uint64(v))
+		r := NewReader(bytes.NewReader(buf.Bytes()))
+		got := r.Int()
+		if strconv.IntSize == 64 {
+			ints := r.Ints(1)
+			if int64(got) != v || len(ints) != 1 || int64(ints[0]) != v || r.Err() != nil {
+				t.Fatalf("Int = %d, Ints = %v, err %v; want %d", got, ints, r.Err(), v)
+			}
+			continue
+		}
+		if got != 0 || r.Err() == nil {
+			t.Fatalf("Int = %d, err %v: %d accepted by a %d-bit int", got, r.Err(), v, strconv.IntSize)
+		}
+		r = NewReader(bytes.NewReader(buf.Bytes()[8:]))
+		if ints := r.Ints(1); ints != nil || r.Err() == nil {
+			t.Fatalf("Ints = %v, err %v: %d accepted by a %d-bit int", ints, r.Err(), v, strconv.IntSize)
+		}
 	}
 }
 
@@ -118,7 +149,7 @@ func TestSliceLengthLimit(t *testing.T) {
 	w = NewWriter(&buf)
 	w.Uint64(1 << 30)
 	r = NewReader(bytes.NewReader(buf.Bytes()))
-	if r.Floats(1 << 31); !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
+	if r.Floats(math.MaxInt32); !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", r.Err())
 	}
 }

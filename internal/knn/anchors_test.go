@@ -82,8 +82,8 @@ func FuzzAnchorWeights(f *testing.F) {
 		n := 1 + int(nb)%120
 		d := 1 + int(db)%24
 		s := 1 + int(sb)%(n+2)
-		pts := fuzzPoints(data, n, d)
-		queries := append(slices.Clone(pts), fuzzPoints(append([]byte{1}, data...), 1, d)[0])
+		pts := fuzzPoints(data, n, d, false)
+		queries := append(slices.Clone(pts), fuzzPoints(append([]byte{1}, data...), 1, d, false)[0])
 		var sc Scratch
 		for qi, q := range queries {
 			wantIdx, wantVal, wantMass := nearestAnchorWeightsOracle(q, pts, s)
@@ -204,7 +204,7 @@ func FuzzTreeOffer(f *testing.F) {
 		d := 1 + int(db)%40
 		k := 1 + int(kb)%(n+2)
 		base := n - n/4 // the rest stand for an engine's delta rows
-		pts := fuzzPoints(data, n, d)
+		pts := fuzzPoints(data, n, d, false)
 		rows := vec.AliasRows(pts, d)
 		if f32 {
 			// Keep the huge coordinates finite in float32: an infinite

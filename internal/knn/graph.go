@@ -53,7 +53,8 @@ type GraphConfig struct {
 }
 
 // BuildGraph constructs the exact k-NN graph over the points: the
-// tree's lists, which are BruteForce's.
+// tree's lists, which are BruteForce's. The points must share one
+// non-zero width; any values are accepted, NaN and ±Inf included.
 func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 	n := len(points)
 	if n < 2 {
@@ -61,6 +62,15 @@ func BuildGraph(points []vec.Vector, cfg GraphConfig) (*Graph, error) {
 	}
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("knn: K must be positive, got %d", cfg.K)
+	}
+	dim := len(points[0])
+	if dim == 0 {
+		return nil, fmt.Errorf("knn: need non-empty feature vectors")
+	}
+	for i, p := range points {
+		if len(p) != dim {
+			return nil, fmt.Errorf("knn: point %d has dim %d, want %d", i, len(p), dim)
+		}
 	}
 	k := cfg.K
 	if k > n-1 {

@@ -15,7 +15,14 @@
 // reach is read from memory once and scanned by all of them while it is
 // in cache. Each query keeps its own selection and plane offsets and
 // makes its solo visits, in its solo order, so its θ at every bound is
-// its solo θ: its answer and its work are what it computes alone.
+// its solo θ: its answer, its rows scanned and its nodes visited are
+// what it computes alone. What it computes at a leaf differs: a query
+// whose selection is full screens the leaf's rows by the norm expansion
+// ‖q‖² + ‖p‖² − 2·q·p, its dot products taken two queries at a time by
+// a fused kernel, and pays the exact distance only for the rows the
+// screen cannot rule out: ~99 of the 1,759 rows a query scans at
+// graph_id's shape (INRIASim, n = 14,000, d = 128). A row ruled out
+// could not have entered, so every answer keeps its bits.
 // BruteForce, the O(n d) scan per query, is the oracle the tree is
 // tested against. anchors.go holds EMR's anchor graph, whose attach
 // sweeps its anchors into the same selection.

@@ -183,6 +183,13 @@ func TestBuildGraphErrors(t *testing.T) {
 	if _, err := BuildGraph(pts, GraphConfig{K: 0}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
+	// Ragged and zero-width points are errors, not panics in the search.
+	if _, err := BuildGraph([]vec.Vector{{1, 2, 3}, {1, 2}, {0, 0, 0}}, GraphConfig{K: 1}); err == nil {
+		t.Fatal("ragged points accepted")
+	}
+	if _, err := BuildGraph([]vec.Vector{{}, {}, {}}, GraphConfig{K: 1}); err == nil {
+		t.Fatal("zero-width points accepted")
+	}
 	// K >= n clamps to n-1.
 	g, err := BuildGraph(pts, GraphConfig{K: 100})
 	if err != nil {

@@ -23,8 +23,14 @@ type Scratch struct {
 	dist  []float64
 	offSq []float64
 	dead  []bool
-	// rows and nodes count the distances computed and the tree nodes
-	// visited over the Scratch's life; benchmarks report them per query.
+	// rows and nodes count the rows scanned and the tree nodes visited
+	// over the Scratch's life; benchmarks report them per query. They
+	// are written at every node and leaf, and they end a Scratch of
+	// exactly 128 bytes, two whole cache lines: a 136-byte Scratch, whose
+	// lines it shares with other objects, made the d = 8 all-points
+	// search ~20 % slower at n = 10⁵ (one Scratch per worker there), and
+	// padded to 192 bytes it was not. Counters a search adds go
+	// elsewhere (the leaf screen's go in its bundle).
 	rows, nodes int
 }
 
@@ -74,8 +80,8 @@ func (sc *Scratch) resetBelow(k int, bound float64) {
 }
 
 // Rows returns the number of rows offered over the Scratch's life (for
-// the tree, the distances it computed): a work counter for tests and
-// benchmarks.
+// the tree, the rows it scanned, with those its leaf screen ruled out):
+// a work counter for tests and benchmarks.
 func (sc *Scratch) Rows() int { return sc.rows }
 
 // theta is the key a row must not exceed to enter: the last held row's

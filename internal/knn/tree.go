@@ -368,6 +368,7 @@ func (t *Tree) Offer(sc *Scratch, points *vec.Rows, q vec.Vector, dead []bool) {
 type treeSearcher struct {
 	tree   *Tree
 	points vec.Rows
+	flat   []float64
 }
 
 // searchTree builds the tree over points as a Searcher. Its rows are
@@ -382,7 +383,7 @@ func searchTree(points []vec.Vector) *treeSearcher {
 	for _, p := range points {
 		flat = append(flat, p...)
 	}
-	s := &treeSearcher{points: vec.FlatRows(flat, d)}
+	s := &treeSearcher{points: vec.FlatRows(flat, d), flat: flat}
 	s.tree = NewTree(&s.points)
 	return s
 }
@@ -401,16 +402,21 @@ func (s *treeSearcher) SearchInto(sc *Scratch, q vec.Vector, k int) []Neighbor {
 	return sc.drain()
 }
 
-// queryWork is one query's distances computed and tree nodes visited.
-type queryWork struct{ rows, nodes int }
+// queryWork is one query's rows scanned, tree nodes visited and exact
+// distances computed: every row it scans, except those the leaf screen
+// of a graph build's bundles rules out (screens).
+type queryWork struct{ rows, nodes, exact int }
 
 // allKNN is AllKNN over the rows the tree was built from, points. The
 // queries go in bundles of bundleRows(d) rows of one leaf, the leaves
 // in parallel, and each bundle walks the tree once (descendBundle).
 // Every query keeps its own Scratch and makes its solo descent's
-// visits, so its list, and its work (into work[i] when work is not
-// nil), are SearchInto's for k+1 with self dropped. Each list is a pure
-// function of (points, k), so the output is the same at every
+// visits, so its list, and its rows and nodes (into work[i] when work
+// is not nil), are SearchInto's for k+1 with self dropped. Where
+// bundles hold more than one query and the fused dots run in assembly
+// (vec.FastFMA), the leaves they share are screened (scanLeaf), and
+// work[i].exact counts the rows that got an exact distance. Each list
+// is a pure function of (points, k), so the output is the same at every
 // GOMAXPROCS.
 func (s *treeSearcher) allKNN(points []vec.Vector, k int, work []queryWork) [][]Neighbor {
 	t := s.tree
@@ -418,6 +424,10 @@ func (s *treeSearcher) allKNN(points []vec.Vector, k int, work []queryWork) [][]
 	out := make([][]Neighbor, n)
 	backing := make([]Neighbor, n*k)
 	starts := t.leafStarts()
+	var screen leafScreen
+	if size > 1 && vec.FastFMA() {
+		screen = s.newLeafScreen()
+	}
 	// A bundle holds a Scratch and d plane offsets per query, 256 KB at
 	// d = 512, so blocks share them through a free list: par.For runs at
 	// most GOMAXPROCS blocks at once, so at most that many are made.
@@ -427,7 +437,7 @@ func (s *treeSearcher) allKNN(points []vec.Vector, k int, work []queryWork) [][]
 		select {
 		case b = <-free:
 		default:
-			b = &bundle{sc: make([]Scratch, size), q: make([]vec.Vector, size)}
+			b = &bundle{sc: make([]Scratch, size), q: make([]vec.Vector, size), qn: make([]float64, size), screen: screen, screened: make([]int, size)}
 		}
 		for leaf := lo; leaf < hi; leaf++ {
 			ids := t.ids[starts[leaf]:starts[leaf+1]]
@@ -438,7 +448,7 @@ func (s *treeSearcher) allKNN(points []vec.Vector, k int, work []queryWork) [][]
 					sc := &b.sc[j]
 					out[id] = others(backing[id*k:id*k:(id+1)*k], sc.drain(), id, k)
 					if work != nil {
-						work[id] = queryWork{sc.rows, sc.nodes}
+						work[id] = queryWork{sc.rows, sc.nodes, sc.rows - b.screened[j]}
 					}
 				}
 				ids = ids[m:]
@@ -470,12 +480,50 @@ func (t *Tree) leafStarts() []int {
 	return append(starts, len(t.ids))
 }
 
-// bundle is one worker's state for allKNN: a Scratch and a query per
-// slot, and the stack descendBundle carves its member lists from.
+// bundle is one worker's state for allKNN: a Scratch, a query and its
+// squared norm per slot, the stack descendBundle carves its member lists
+// from, and the leaf screen's buffers.
 type bundle struct {
 	sc    []Scratch
 	q     []vec.Vector
+	qn    []float64
 	stack []member
+	// screen is shared by every bundle of one allKNN; dots holds a leaf's
+	// fused dots with two members, keep the rows one of them can enter,
+	// and screened[j] the rows the screen ruled out for slot j's query.
+	screen   leafScreen
+	dots     [2][]float64
+	keep     []int
+	screened []int
+}
+
+// leafScreen is the leaf screen's data (screens): the rows as one flat
+// matrix, their squared norms (vec.Dot), and the error terms of the
+// screen's bound at the rows' width.
+type leafScreen struct {
+	flat, norms []float64
+	rel, abs    float64
+}
+
+// newLeafScreen computes the rows' squared norms, n dot products in
+// parallel, and the screen's error terms.
+func (s *treeSearcher) newLeafScreen() leafScreen {
+	n, d := s.points.Len(), s.points.Width()
+	norms := make([]float64, n)
+	par.For(n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := s.flat[i*d : (i+1)*d]
+			norms[i] = vec.Dot(row, row)
+		}
+	})
+	rel, abs := screenTerms(d)
+	return leafScreen{flat: s.flat, norms: norms, rel: rel, abs: abs}
+}
+
+// screenTerms returns the error terms of the screen's bound at width d,
+// rel = 3·(d+3)·2⁻⁵³ and abs = (2d+4)·2⁻¹⁰⁷⁴ (screens derives both).
+func screenTerms(d int) (rel, abs float64) {
+	return float64(3*(d+3)) * 0x1p-53, float64(2*d+4) * 0x1p-1074
 }
 
 // member is a bundle query at a node: its slot, the plane bound rd its
@@ -497,7 +545,11 @@ func (t *Tree) searchBundle(b *bundle, rows *vec.Rows, points []vec.Vector, ids 
 		sc.offSq = slices.Grow(sc.offSq[:0], rows.Width())[:rows.Width()]
 		clear(sc.offSq)
 		sc.rows, sc.nodes = 0, 0
+		b.screened[j] = 0
 		b.q[j] = points[id]
+		if b.screen.norms != nil {
+			b.qn[j] = b.screen.norms[id]
+		}
 		b.stack = append(b.stack, member{slot: j})
 	}
 	t.descendBundle(b, rows, 0, 0, len(t.ids), b.stack)
@@ -520,7 +572,9 @@ func (t *Tree) searchBundle(b *bundle, rows *vec.Rows, points []vec.Vector, ids 
 // prunes (an isotropic Gaussian at d = 32) the checks cost ~15 % over
 // that gate (docs/PERFORMANCE.md). Which rows a query computes depends
 // on the order it meets the leaves in, through θ; descendBundle keeps
-// that order for every query of a bundle.
+// that order for every query of a bundle. A leaf a bundle reaches with
+// two or more members is scanLeaf, this leaf step with a screen between
+// the box check and the scan.
 func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi int, rd float64) {
 	sc.nodes++
 	if t.leaf(node, lo, hi) {
@@ -570,8 +624,13 @@ func (t *Tree) descend(sc *Scratch, points *vec.Rows, q vec.Vector, node, lo, hi
 //  3. the lower child again, with the members of the upper side whose
 //     far bound does not prune, their near side done in pass 2.
 //
-// A bundle of one is descend, as is a leaf.
+// A bundle of one is descend. So is a leaf, unless two or more members
+// reach it and the leaf screen is on (allKNN): then it is scanLeaf.
 func (t *Tree) descendBundle(b *bundle, points *vec.Rows, node, lo, hi int, ms []member) {
+	if len(ms) > 1 && b.screen.norms != nil && t.leaf(node, lo, hi) {
+		t.scanLeaf(b, points, node, t.ids[lo:hi], ms)
+		return
+	}
 	if len(ms) <= 1 || t.leaf(node, lo, hi) {
 		for _, m := range ms {
 			t.descend(&b.sc[m.slot], points, b.q[m.slot], node, lo, hi, m.rd)
@@ -608,6 +667,76 @@ func (t *Tree) descendBundle(b *bundle, points *vec.Rows, node, lo, hi int, ms [
 	}
 	t.descendBundle(b, points, 2*node+1, lo, mid, b.stack[base:])
 	b.leave(base, s)
+}
+
+// scanLeaf is descend's leaf step for the bundle members ms at leaf
+// node over the rows ids, with the screen. A member whose selection is
+// not yet full scans the rows exactly, as descend does: its θ is +Inf,
+// which rules out nothing, and at d = 512 a query's first leaf is ~47
+// of the ~104 rows it scans. A full member first checks the leaf's box,
+// and the members that pass go through the fused dot kernel in pairs,
+// each row loaded once for both; a member left without a partner goes
+// alone. Members are independent, so the order they scan the leaf in
+// changes nothing.
+func (t *Tree) scanLeaf(b *bundle, points *vec.Rows, node int, ids []int, ms []member) {
+	pend := -1
+	for _, m := range ms {
+		sc, q := &b.sc[m.slot], b.q[m.slot]
+		sc.nodes++
+		switch {
+		case len(sc.out) < sc.k:
+			t.scanExact(sc, points, q, ids)
+		case t.prunes(sc, t.boxDist(q, node)):
+		case pend < 0:
+			pend = m.slot
+		default:
+			da, db := growFloats(&b.dots[0], len(ids)), growFloats(&b.dots[1], len(ids))
+			vec.DotRowsFMA2(b.q[pend], q, b.screen.flat, ids, da, db)
+			t.screenRows(b, points, pend, ids, da)
+			t.screenRows(b, points, m.slot, ids, db)
+			pend = -1
+		}
+	}
+	if pend >= 0 {
+		da := growFloats(&b.dots[0], len(ids))
+		vec.DotRowsFMA(b.q[pend], b.screen.flat, ids, da)
+		t.screenRows(b, points, pend, ids, da)
+	}
+}
+
+// growFloats returns (*buf)[:n], growing *buf when it is short.
+func growFloats(buf *[]float64, n int) []float64 {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// scanExact offers the rows ids to sc at their exact squared distance
+// from q, as descend's leaf scan does.
+func (t *Tree) scanExact(sc *Scratch, points *vec.Rows, q vec.Vector, ids []int) {
+	sc.dist = growFloats(&sc.dist, len(ids))
+	points.SqDistIDs(q, ids, sc.dist)
+	sc.OfferAll(ids, sc.dist)
+}
+
+// screenRows is the screened scan of the rows ids for the member in
+// slot, given its fused dots with them: a row the screen rules out is
+// counted as scanned and not offered — its exact distance is above θ, so
+// the offer would have passed it by — and the rest are offered at their
+// exact distance (scanExact), with the bits descend gives them.
+func (t *Tree) screenRows(b *bundle, points *vec.Rows, slot int, ids []int, dots []float64) {
+	sc, sr := &b.sc[slot], &b.screen
+	th := sc.theta()*t.slack + treeAbsSlack
+	qn := b.qn[slot]
+	keep := b.keep[:0]
+	for j, id := range ids {
+		if !screens(qn, sr.norms[id], dots[j], sr.rel, sr.abs, th) {
+			keep = append(keep, id)
+		}
+	}
+	b.keep = keep
+	sc.rows += len(ids) - len(keep)
+	b.screened[slot] += len(ids) - len(keep)
+	t.scanExact(sc, points, b.q[slot], keep)
 }
 
 // enterFar is descend's step from a query's near child to its far one
@@ -686,4 +815,48 @@ func (t *Tree) boxDist(q vec.Vector, node int) float64 {
 //     bound never prunes.
 func (t *Tree) prunes(sc *Scratch, b float64) bool {
 	return b > sc.theta()*t.slack+treeAbsSlack
+}
+
+// screens reports whether the leaf screen of a graph build's bundles
+// can skip a row p, given a query q's squared norm qn, p's squared norm
+// pn (both vec.Dot), their fused dot g (vec.DotRowsFMA) and the
+// threshold th = θ·slack + treeAbsSlack of prunes:
+//
+//	b = fl(A − E) > th,  s = fl(qn + pn),  A = fl(s − 2g),  E = fl(fl(rel·s) + abs),
+//
+// with rel = 3·(d+3)·u and abs = (2d+4)·2⁻¹⁰⁷⁴ (screenTerms). A skipped
+// row cannot enter, because b ≤ T, the exact ‖q − p‖². The kernel's
+// value K(p) rounds each difference and square once and adds d
+// non-negative terms, so K(p) ≥ T·(1 − γ_{d+2}) − d·2⁻¹⁰⁷⁵, the last for
+// squares that underflow. Then b > th gives T > θ·slack + 2⁻¹⁰⁰⁰, and
+// K(p) > θ as in step 4 of prunes: slack pays the relative term and
+// treeAbsSlack the absolute one. With Q = ‖q‖², P = ‖p‖², D = q·p
+// exactly, so T = Q + P − 2D, and u, γ_m as in prunes, E needs
+// E ≥ c·γ_{d+3}·(Q + P), and c is:
+//
+//  1. Any order of d products and their sums, fused or not, is off by
+//     at most γ_d·Σ|q_j·p_j| and, where a product underflows, by 2⁻¹⁰⁷⁵
+//     per product (a sum that lands among the subnormals is exact). So
+//     |qn − Q| ≤ γ_d·Q, |pn − P| ≤ γ_d·P and |g − D| ≤ γ_d·(Q + P)/2,
+//     since |q_j·p_j| ≤ (q_j² + p_j²)/2. The underflow terms come to at
+//     most 4d·2⁻¹⁰⁷⁵ in A, 2g doubling g's, and abs covers them.
+//  2. s and A round once each, and |s − 2g| ≤ 2·(Q + P)·(1 + γ_d + u)
+//     as T ≤ 2·(Q + P), so |A − T| ≤ (2γ_d + 3u)·(Q + P) + O(u²). For
+//     fl(A − E) ≤ T its own rounding must fit as well, u·|A − E| ≤
+//     2u·(Q + P), so E must reach (2γ_d + 5u)·(Q + P) ≤ 2γ_{d+3}·(Q + P):
+//     c = 2.
+//  3. E is computed from s ≥ (Q + P)·(1 − γ_{d+1}) and rounds twice, so
+//     E ≥ 3·(d+3)·u·(1 − γ_{d+3})·(Q + P), which is at least
+//     2γ_{d+3}·(Q + P) = 2·(d+3)·u·(Q + P)/(1 − (d+3)·u) for any d below
+//     2⁵⁰: rel is c = 2 with half again to spare. A compiler that fuses
+//     s − 2g or rel·s + abs into one FMA only rounds less.
+//  4. Nothing needs the inputs finite. A NaN anywhere makes b NaN, which
+//     never skips. A norm or s that overflows makes E = +Inf and A +Inf
+//     or NaN, so b is NaN: rows with |p_j| ≳ 1e154, and ±Inf rows, take
+//     the exact scan. b = +Inf with s finite needs fl(2g) = −Inf, so
+//     T ≥ Q + P is at the overflow threshold, and K(p) exceeds any θ
+//     whose th is finite.
+func screens(qn, pn, g, rel, abs, th float64) bool {
+	s := qn + pn
+	return s-2*g-(s*rel+abs) > th
 }

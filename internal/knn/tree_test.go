@@ -3,6 +3,7 @@ package knn
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -30,8 +31,12 @@ func sameNeighbors(got, want []Neighbor) error {
 // per coordinate picks its kind: ±0, a small lattice integer (many exact
 // distance ties), a subnormal, the smallest normals, ~1e-160 (whose
 // squares are subnormal), a moderate value, or up to ±1e150 (whose
-// squares still sum below the overflow threshold at d = 160).
-func fuzzPoints(data []byte, n, d int) []vec.Vector {
+// squares still sum below the overflow threshold at d = 160). wild adds
+// rows one ulp from an earlier row and the kinds the leaf screen of the
+// graph build must pass to the exact scan or bound across underflow:
+// NaN, ±Inf, ±1e155 (whose squared norms overflow at d ≥ 4) and values
+// near 2⁻⁵³⁷, whose products round at the underflow threshold.
+func fuzzPoints(data []byte, n, d int, wild bool) []vec.Vector {
 	pos := 0
 	next := func() int {
 		if len(data) == 0 {
@@ -43,15 +48,23 @@ func fuzzPoints(data []byte, n, d int) []vec.Vector {
 	}
 	pts := make([]vec.Vector, n)
 	for i := range pts {
-		if c := next(); i > 0 && c%4 == 0 {
+		if c := next(); i > 0 && (c%4 == 0 || wild && c%4 == 1) {
 			pts[i] = slices.Clone(pts[(c/4)%i])
+			if c%4 == 1 {
+				j := (c / 4) % d
+				pts[i][j] = math.Nextafter(pts[i][j], math.Inf(1))
+			}
 			continue
+		}
+		kinds := 7
+		if wild {
+			kinds = 15
 		}
 		p := make(vec.Vector, d)
 		for j := range p {
 			c := next()
 			v := float64(c>>3) - 15.5 // in [-15.5, 15.5]
-			switch c & 7 {
+			switch c & kinds {
 			case 0:
 				p[j] = 0
 			case 1:
@@ -68,6 +81,16 @@ func fuzzPoints(data []byte, n, d int) []vec.Vector {
 				p[j] = v / 7
 			case 7:
 				p[j] = v / 15.5 * 1e150
+			case 8:
+				p[j] = math.NaN()
+			case 9:
+				p[j] = math.Inf(1 - 2*(c>>4&1))
+			case 10, 11:
+				p[j] = v / 15.5 * 1e155
+			case 12, 13:
+				p[j] = (1 + float64(c>>4)/5) * 0x1p-537
+			default:
+				p[j] = v / 15.5 * 1e150 * float64(c>>4&1)
 			}
 		}
 		pts[i] = p
@@ -82,23 +105,57 @@ func fuzzPoints(data []byte, n, d int) []vec.Vector {
 // walk the tree in bundles from d = 32. d runs to 160, so every leaf
 // size (16 rows to d = 32, d/2 rows, 64 from d = 128), both sides of
 // the bundle threshold and every length mod 4 of the box kernel are
-// reached.
+// reached. A wild set runs d from 4 to 516 and decodes fuzzPoints' wild
+// kinds. Where they include NaN or ±Inf, the k smallest depend on the
+// order rows are offered in, so the brute-force scan is no oracle there;
+// every wild set's all-points lists must still be each point's solo
+// search (SearchInto for k+1, self dropped), whose leaves are never
+// screened, and BuildGraph must build a graph from them.
 func FuzzExactKNN(f *testing.F) {
-	f.Add([]byte{2, 10, 18, 26, 34, 42}, uint8(60), uint8(2), uint8(5))             // lattice
-	f.Add([]byte{0, 1, 4, 8, 2, 10, 0}, uint8(40), uint8(3), uint8(7))              // ±0 and duplicates
-	f.Add([]byte{3, 11, 19, 5, 13, 21, 4, 12}, uint8(80), uint8(5), uint8(3))       // subnormal, tiny
-	f.Add([]byte{7, 15, 23, 31, 6, 14, 255, 128}, uint8(120), uint8(40), uint8(10)) // huge, moderate
-	f.Add([]byte{6, 14, 22, 30, 38, 46, 54, 62, 70}, uint8(200), uint8(8), uint8(202))
-	f.Add([]byte{}, uint8(30), uint8(1), uint8(4))                                     // all zero: θ = 0 throughout
-	f.Add([]byte{6, 14, 2, 10, 22, 7, 30, 4, 38}, uint8(180), uint8(69), uint8(9))     // d = 70: 35-row leaves
-	f.Add([]byte{6, 13, 22, 5, 30, 2, 46, 62, 3, 1}, uint8(199), uint8(141), uint8(7)) // d = 142: 64-row leaves
-	f.Fuzz(func(t *testing.T, data []byte, nb, db, kb uint8) {
+	f.Add([]byte{2, 10, 18, 26, 34, 42}, uint8(60), uint8(2), uint8(5), false)             // lattice
+	f.Add([]byte{0, 1, 4, 8, 2, 10, 0}, uint8(40), uint8(3), uint8(7), false)              // ±0 and duplicates
+	f.Add([]byte{3, 11, 19, 5, 13, 21, 4, 12}, uint8(80), uint8(5), uint8(3), false)       // subnormal, tiny
+	f.Add([]byte{7, 15, 23, 31, 6, 14, 255, 128}, uint8(120), uint8(40), uint8(10), false) // huge, moderate
+	f.Add([]byte{6, 14, 22, 30, 38, 46, 54, 62, 70}, uint8(200), uint8(8), uint8(202), false)
+	f.Add([]byte{}, uint8(30), uint8(1), uint8(4), false)                                     // all zero: θ = 0 throughout
+	f.Add([]byte{6, 14, 2, 10, 22, 7, 30, 4, 38}, uint8(180), uint8(69), uint8(9), false)     // d = 70: 35-row leaves
+	f.Add([]byte{6, 13, 22, 5, 30, 2, 46, 62, 3, 1}, uint8(199), uint8(141), uint8(7), false) // d = 142: 64-row leaves
+	// The leaf screen's cases, wild (d = 4 + 2·db). kinds(c…) spreads a
+	// byte's kind (c & 15) over every magnitude (c >> 4).
+	moderate, ulp := kinds(6), []byte{17, 33}
+	f.Add(wildSeed(moderate, ulp), uint8(150), uint8(62), uint8(5), true)                                  // rows one ulp apart, d = 128
+	f.Add(wildSeed(kinds(3)), uint8(120), uint8(30), uint8(5), true)                                       // subnormal only, d = 64
+	f.Add(wildSeed(kinds(7), kinds(3)), uint8(140), uint8(255), uint8(5), true)                            // 1e150 and subnormal, d = 514
+	f.Add(wildSeed(kinds(10, 11), moderate, moderate), uint8(100), uint8(20), uint8(5), true)              // norms past overflow, d = 44
+	f.Add(wildSeed(kinds(12, 13), moderate), uint8(130), uint8(50), uint8(5), true)                        // products at the underflow threshold
+	f.Add([]byte{6, 0, 4, 16, 20, 32, 36, 48, 52, 64}, uint8(160), uint8(64), uint8(6), true)              // k + 1 duplicates: θ = 0
+	f.Add(wildSeed(moderate, moderate, moderate, []byte{8, 9, 25}), uint8(180), uint8(60), uint8(5), true) // NaN and ±Inf rows
+	f.Fuzz(func(t *testing.T, data []byte, nb, db, kb uint8, wild bool) {
 		n := 1 + int(nb)%200
 		d := 1 + int(db)%160
+		if wild {
+			d = 4 + 2*int(db)
+		}
 		k := 1 + int(kb)%(n+2)
-		pts := fuzzPoints(data, n, d)
+		pts := fuzzPoints(data, n, d, wild)
 		tree, bf := searchTree(pts), NewBruteForce(pts)
-		queries := append(slices.Clone(pts), fuzzPoints(append([]byte{1}, data...), 1, d)[0])
+		all := AllKNN(pts, tree, k)
+		if wild {
+			var sc Scratch
+			for i, q := range pts {
+				want := others(nil, tree.SearchInto(&sc, q, k+1), i, k)
+				if err := sameNeighbors(all[i], want); err != nil {
+					t.Fatalf("n=%d d=%d k=%d all-points list %d against its solo search: %v", n, d, k, i, err)
+				}
+			}
+			if _, err := BuildGraph(pts, GraphConfig{K: k}); err != nil && n > 1 {
+				t.Fatalf("n=%d d=%d k=%d: BuildGraph: %v", n, d, k, err)
+			}
+			if !allFinite(pts) {
+				return
+			}
+		}
+		queries := append(slices.Clone(pts), fuzzPoints(append([]byte{1}, data...), 1, d, wild)[0])
 		var sc Scratch
 		for qi, q := range queries {
 			if err := sameNeighbors(tree.SearchInto(&sc, q, k), bf.Search(q, k)); err != nil {
@@ -106,7 +163,7 @@ func FuzzExactKNN(f *testing.F) {
 			}
 		}
 		want := AllKNN(pts, bf, k)
-		for i, list := range AllKNN(pts, tree, k) {
+		for i, list := range all {
 			if err := sameNeighbors(list, want[i]); err != nil {
 				t.Fatalf("n=%d d=%d k=%d all-points list %d: %v", n, d, k, i, err)
 			}
@@ -114,8 +171,33 @@ func FuzzExactKNN(f *testing.F) {
 	})
 }
 
+// kinds returns the bytes whose coordinate kind in fuzzPoints (c & 15)
+// is one of ks, at every magnitude c >> 4.
+func kinds(ks ...byte) []byte {
+	var out []byte
+	for _, k := range ks {
+		for hi := 0; hi < 16; hi++ {
+			out = append(out, byte(hi<<4)|k)
+		}
+	}
+	return out
+}
+
+// wildSeed returns 4099 bytes drawn from the groups, each group as
+// likely as the next: prime and longer than any row, so the rows
+// fuzzPoints decodes from it differ.
+func wildSeed(groups ...[]byte) []byte {
+	rng := rand.New(rand.NewSource(int64(len(groups))))
+	out := make([]byte, 4099)
+	for i := range out {
+		g := groups[rng.Intn(len(groups))]
+		out[i] = g[rng.Intn(len(g))]
+	}
+	return out
+}
+
 // The ceilings of TestTreeWorkAtD128.
-const maxRowsD128, maxNodesD128 = 900, 87
+const maxRowsD128, maxNodesD128, maxExactD128 = 900, 87, 79
 
 // TestTreeLeafBoxes walks trees whose leaves end on the bottom level,
 // one level early (n just past a multiple of the leaf size), or at the
@@ -274,25 +356,29 @@ func TestBuildGraphTreeMatchesBruteForce(t *testing.T) {
 
 // treeWork runs every point of pts as a k-nearest query, self
 // included, through the graph build's all-points search over them (a
-// graph of k−1 neighbours) and returns the distances computed and the
-// nodes visited per query, summed over the queries' own counters: the
-// bundles move rows through the cache, not work between queries.
-func treeWork(pts []vec.Vector, k int) (rows, nodes float64) {
+// graph of k−1 neighbours) and returns the rows scanned, the nodes
+// visited and the exact distances computed per query, summed over the
+// queries' own counters: the bundles move rows through the cache, not
+// work between queries.
+func treeWork(pts []vec.Vector, k int) (rows, nodes, exact float64) {
 	work := make([]queryWork, len(pts))
 	searchTree(pts).allKNN(pts, k-1, work)
-	var r, v int
+	var r, v, e int
 	for _, w := range work {
 		r += w.rows
 		v += w.nodes
+		e += w.exact
 	}
-	return float64(r) / float64(len(pts)), float64(v) / float64(len(pts))
+	n := float64(len(pts))
+	return float64(r) / n, float64(v) / n, float64(e) / n
 }
 
 // TestBundledAllKNNMatchesSolo holds the graph build's all-points
 // search, whose queries walk the tree in bundles from d = 32, to every
 // point walking it alone (SearchInto for k+1, self dropped): the same
-// ids, the same distance bits, and the same distances computed and
-// nodes visited per query, at GOMAXPROCS 1 and 2. The corpora are the
+// ids, the same distance bits, and the same rows scanned and nodes
+// visited per query, at GOMAXPROCS 1 and 2 (the leaf screen computes
+// fewer exact distances; TestTreeWorkAtD128 counts them). The corpora are the
 // engines' shapes, the d = 8 mixture (a bundle of one), all-equal
 // points (θ = 0 throughout), k = n − 1, n = 2, and sizes just past a
 // multiple of the leaf size, whose leaves end a level early.
@@ -331,7 +417,7 @@ func TestBundledAllKNNMatchesSolo(t *testing.T) {
 		for i, q := range c.pts {
 			var sc Scratch
 			want[i] = others(nil, tree.SearchInto(&sc, q, c.k+1), i, c.k)
-			wantWork[i] = queryWork{sc.rows, sc.nodes}
+			wantWork[i] = queryWork{rows: sc.rows, nodes: sc.nodes}
 		}
 		for _, procs := range []int{1, 2} {
 			prev := runtime.GOMAXPROCS(procs)
@@ -342,7 +428,7 @@ func TestBundledAllKNNMatchesSolo(t *testing.T) {
 				if err := sameNeighbors(got[i], want[i]); err != nil {
 					t.Fatalf("%s GOMAXPROCS=%d point %d: %v", c.name, procs, i, err)
 				}
-				if work[i] != wantWork[i] {
+				if work[i].rows != wantWork[i].rows || work[i].nodes != wantWork[i].nodes {
 					t.Fatalf("%s GOMAXPROCS=%d point %d: %d rows and %d nodes, alone %d and %d",
 						c.name, procs, i, work[i].rows, work[i].nodes, wantWork[i].rows, wantWork[i].nodes)
 				}
@@ -355,23 +441,32 @@ func TestBundledAllKNNMatchesSolo(t *testing.T) {
 // query computes ~70 distances of 5000. The equality tests above cannot
 // see a bound that is merely loose, or offsets left stale.
 func TestTreePrunes(t *testing.T) {
-	if rows, _ := treeWork(mixture8(5000), 6); rows > 100 {
+	if rows, _, _ := treeWork(mixture8(5000), 6); rows > 100 {
 		t.Fatalf("%.1f rows per query, want at most 100", rows)
 	}
 }
 
 // TestTreeWorkAtD128 pins the work of a graph build's queries at
-// graph_id's shape (INRIASim, d = 128; n = 3000 here): distances
-// computed and nodes visited per query, both deterministic, each
-// ceiling its value when it was recorded rounded up by under 1 %. Like
-// TestTreePrunes it sees what the equality tests cannot: gating the leaf
-// box check on the plane bound (at θ/4) scans ~1219 rows per query, and
-// 16-row leaves visit ~276 nodes.
+// graph_id's shape (INRIASim, d = 128; n = 3000 here): rows scanned,
+// nodes visited and exact distances computed per query, all
+// deterministic, each ceiling its value when it was recorded rounded up
+// by under 1 %. Like TestTreePrunes it sees what the equality tests
+// cannot: gating the leaf box check on the plane bound (at θ/4) scans
+// ~1219 rows per query, 16-row leaves visit ~276 nodes, and without the
+// leaf screen every one of the ~896 rows is an exact distance. Where the
+// fused dots have no assembly body (vec.FastFMA) the screen is off and
+// every row scanned is exact.
 func TestTreeWorkAtD128(t *testing.T) {
-	rows, nodes := treeWork(dataset.INRIASim(3000, 1).Points, 6)
-	t.Logf("%.1f rows, %.1f nodes per query", rows, nodes)
+	rows, nodes, exact := treeWork(dataset.INRIASim(3000, 1).Points, 6)
+	t.Logf("%.1f rows, %.1f nodes, %.2f exact distances per query", rows, nodes, exact)
 	if rows > maxRowsD128 || nodes > maxNodesD128 {
 		t.Fatalf("%.1f rows and %.1f nodes per query, want at most %v and %v", rows, nodes, maxRowsD128, maxNodesD128)
+	}
+	switch {
+	case !vec.FastFMA() && exact != rows:
+		t.Fatalf("%.2f exact distances per query of %.1f rows with the screen off", exact, rows)
+	case vec.FastFMA() && exact > maxExactD128:
+		t.Fatalf("%.2f exact distances per query, want at most %v", exact, maxExactD128)
 	}
 }
 
@@ -419,9 +514,10 @@ func BenchmarkAllKNN(b *testing.B) {
 				AllKNN(pts, searchTree(pts), k)
 			}
 			b.StopTimer()
-			rows, nodes := treeWork(pts, k+1)
+			rows, nodes, exact := treeWork(pts, k+1)
 			b.ReportMetric(rows, "rows/query")
 			b.ReportMetric(nodes, "nodes/query")
+			b.ReportMetric(exact, "exact-rows/query")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"fmt"
+	"math"
 )
 
 // The accumulation kernels below all share one summation contract: a
@@ -32,14 +33,14 @@ import (
 // the instantiation once per call, never per element.
 //
 // The squared-distance, dot and axpy kernels have two bodies per
-// storage width, and the box distance, rotation and extent fold have
-// two over float64: the Go bodies here (sqdistGo, dotGo, axpyGo,
-// boxSqDistGo, rotGo, minMaxGo), compiled everywhere, and AVX2
-// assembly (kernels_amd64.s) that gives the same bits (an accumulating
-// kernel holds its four lanes in one ymm register). Package init picks
-// the assembly once when the CPU and OS support AVX2
-// (kernels_amd64.go); elsewhere the Go bodies are the only ones, and
-// they are the tests' oracle. The
+// storage width, and the box distance, rotation, extent fold and fused
+// dots have two over float64: the Go bodies here (sqdistGo, dotGo,
+// axpyGo, boxSqDistGo, rotGo, minMaxGo, dotFMAGo), compiled everywhere,
+// and AVX2 assembly (kernels_amd64.s) that gives the same bits (an
+// accumulating kernel holds its four lanes in one ymm register).
+// Package init picks the assembly once when the CPU and OS support AVX2
+// (and FMA, for the fused dots; kernels_amd64.go); elsewhere the Go
+// bodies are the only ones, and they are the tests' oracle. The
 // batch forms score four rows per pass, four independent lane chains
 // over one load of the query. The float32 entry points, batch forms and
 // conversions live in kernels32.go.
@@ -268,6 +269,96 @@ func Dot(a, b []float64) float64 {
 		panic(fmt.Sprintf("vec: Dot dimension mismatch %d != %d", len(a), len(b)))
 	}
 	return dot(a, b)
+}
+
+// The fused dot kernels below are the one exception to the unfused
+// contract: lane l accumulates s_l = fma(a_i, b_i, s_l) over the
+// positions i ≡ l (mod 4), one rounding per element, the tail fuses into
+// lane 0, and the lanes combine as (s0+s1)+(s2+s3). They serve a bound,
+// not a stored value: the graph build's leaf screen (knn.Tree) rules
+// rows out by ‖q‖² + ‖p‖² − 2·q·p before it computes any row's exact
+// distance, and its error bound holds for any order, fused or not. The
+// Go body (dotFMAGo) fuses through math.FMA in the assembly's lane
+// order, so the two give the same bits; the assembly runs where the CPU
+// has FMA as well as AVX2 (useFMA).
+
+// FastFMA reports whether the fused dot kernels run in assembly, on an
+// amd64 CPU with AVX2 and FMA. Elsewhere their Go body runs, and
+// math.FMA may be emulated in software (it is on 386) at tens of
+// nanoseconds an element, so a caller that takes the fused dots only to
+// save work checks this first.
+func FastFMA() bool { return useFMA }
+
+// DotRowsFMA writes q · row ids[t] of the flat row-major matrix pts
+// (stride len(q)) into out[t] under the fused contract, four rows per
+// kernel pass; a last pass short of four rows repeats its last row.
+// len(out) must equal len(ids).
+func DotRowsFMA(q, pts []float64, ids []int, out []float64) {
+	checkFMARows(len(q), len(q), ids, out, out)
+	d := len(q)
+	t := 0
+	for ; t+4 <= len(ids); t += 4 {
+		dot4FMA(q, flatRow(pts, ids, t, d), flatRow(pts, ids, t+1, d), flatRow(pts, ids, t+2, d), flatRow(pts, ids, t+3, d),
+			(*[4]float64)(out[t:t+4]))
+	}
+	if t < len(ids) {
+		var o [4]float64
+		dot4FMA(q, flatRow(pts, ids, t, d), flatRow(pts, ids, t+1, d), flatRow(pts, ids, t+2, d), flatRow(pts, ids, t+3, d), &o)
+		copy(out[t:], o[:])
+	}
+}
+
+// DotRowsFMA2 is DotRowsFMA for two queries at once, qa's dots into outA
+// and qb's into outB: each row chunk is loaded once for both, which
+// halves the row traffic of two one-query passes. Each output has the
+// bits DotRowsFMA gives it.
+func DotRowsFMA2(qa, qb, pts []float64, ids []int, outA, outB []float64) {
+	checkFMARows(len(qa), len(qb), ids, outA, outB)
+	d := len(qa)
+	t := 0
+	for ; t+4 <= len(ids); t += 4 {
+		dot2x4FMA(qa, qb, flatRow(pts, ids, t, d), flatRow(pts, ids, t+1, d), flatRow(pts, ids, t+2, d), flatRow(pts, ids, t+3, d),
+			(*[4]float64)(outA[t:t+4]), (*[4]float64)(outB[t:t+4]))
+	}
+	if t < len(ids) {
+		var oa, ob [4]float64
+		dot2x4FMA(qa, qb, flatRow(pts, ids, t, d), flatRow(pts, ids, t+1, d), flatRow(pts, ids, t+2, d), flatRow(pts, ids, t+3, d), &oa, &ob)
+		copy(outA[t:], oa[:])
+		copy(outB[t:], ob[:])
+	}
+}
+
+func checkFMARows(da, db int, ids []int, outA, outB []float64) {
+	if da == 0 || da != db {
+		panic(fmt.Sprintf("vec: fused dots over query widths %d and %d", da, db))
+	}
+	if len(outA) != len(ids) || len(outB) != len(ids) {
+		panic(fmt.Sprintf("vec: batch output lengths %d, %d for %d ids", len(outA), len(outB), len(ids)))
+	}
+}
+
+// flatRow is row ids[t] of the row-major matrix pts of width dim, or its
+// last row for t past the end.
+func flatRow(pts []float64, ids []int, t, dim int) []float64 {
+	id := ids[min(t, len(ids)-1)]
+	return pts[id*dim : (id+1)*dim]
+}
+
+// dotFMAGo is the Go body of the fused dot kernels.
+func dotFMAGo(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 = math.FMA(a[i], b[i], s0)
+		s1 = math.FMA(a[i+1], b[i+1], s1)
+		s2 = math.FMA(a[i+2], b[i+2], s2)
+		s3 = math.FMA(a[i+3], b[i+3], s3)
+	}
+	for ; i < len(a); i++ {
+		s0 = math.FMA(a[i], b[i], s0)
+	}
+	return combineLanes(s0, s1, s2, s3)
 }
 
 // dotGo is the Go body of Dot and Dot32.

@@ -8,6 +8,10 @@ import "unsafe"
 // then XGETBV's XMM and YMM state bits).
 var useAVX2 = hasAVX2()
 
+// useFMA selects the fused dot kernels' assembly: AVX2 as above, and the
+// CPU reports FMA (CPUID leaf 1, ECX bit 12).
+var useFMA = useAVX2 && hasFMA()
+
 func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -21,6 +25,11 @@ func hasAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<5) != 0
+}
+
+func hasFMA() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	return ecx1&(1<<12) != 0
 }
 
 // The dispatchers below are the kernel bodies the package calls. Each
@@ -128,8 +137,32 @@ func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
 	sqdistQ32x4AVX2(q, &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], out)
 }
 
+// dot4FMA writes the fused dots of q with four rows of its length into
+// out.
+func dot4FMA(q, p0, p1, p2, p3 []float64, out *[4]float64) {
+	n := len(q)
+	if !useFMA {
+		out[0], out[1], out[2], out[3] = dotFMAGo(q, p0), dotFMAGo(q, p1), dotFMAGo(q, p2), dotFMAGo(q, p3)
+		return
+	}
+	dot4FMAAVX2(q, &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], out)
+}
+
+// dot2x4FMA writes the fused dots of qa with four rows of its length
+// into outA and those of qb, of the same length, into outB.
+func dot2x4FMA(qa, qb, p0, p1, p2, p3 []float64, outA, outB *[4]float64) {
+	n := len(qa)
+	if !useFMA {
+		dot4FMA(qa, p0, p1, p2, p3, outA)
+		dot4FMA(qb, p0, p1, p2, p3, outB)
+		return
+	}
+	dot2x4FMAAVX2(qa, qb[:n], &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], outA, outB)
+}
+
 // Implemented in kernels_amd64.s. Callers pass operands of equal length
-// (the four-row forms: rows of len(q)) on a CPU with AVX2.
+// (the four-row forms: rows of len(q)) on a CPU with AVX2, and with FMA
+// for the fused forms.
 
 //go:noescape
 func sqdistAVX2(a, b []float64) float64
@@ -163,6 +196,12 @@ func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)
 
 //go:noescape
 func sqdistQ32x4AVX2(q []float64, p0, p1, p2, p3 *float32, out *[4]float64)
+
+//go:noescape
+func dot4FMAAVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)
+
+//go:noescape
+func dot2x4FMAAVX2(qa, qb []float64, p0, p1, p2, p3 *float64, outA, outB *[4]float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -489,6 +489,139 @@ q4Done:
 	MOVSD X3, 24(DI)
 	RET
 
+// The fused dot bodies keep the lanes of the unfused ones, but each
+// element is one VFMADD231 into its lane (kernels.go, dotFMAGo). The
+// tail goes after the lanes' upper halves are extracted, because a
+// scalar VEX op clears the upper half of its register.
+
+// FMATAIL(q, acc0..acc3, done) fuses q's elements from AX to CX with
+// the four rows R8–R11 into the low lanes of acc0..acc3; X12 is
+// clobbered.
+#define FMATAIL(q, a0, a1, a2, a3, loop, done) \
+	CMPQ AX, CX; \
+	JGE  done; \
+loop: \
+	VMOVSD      (q)(AX*8), X12; \
+	VFMADD231SD (R8)(AX*8), X12, a0; \
+	VFMADD231SD (R9)(AX*8), X12, a1; \
+	VFMADD231SD (R10)(AX*8), X12, a2; \
+	VFMADD231SD (R11)(AX*8), X12, a3; \
+	INCQ        AX; \
+	CMPQ        AX, CX; \
+	JLT         loop; \
+done:
+
+// FMADONE(q, Y0_..Y3_, a0..a3, …) extracts the upper halves of the four
+// accumulators Y0_..Y3_, fuses q's tail into their low halves a0..a3,
+// combines the lanes and stores the four sums at DI; DX holds the index
+// the tail starts at.
+#define FMADONE(q, Y0_, Y1_, Y2_, Y3_, a0, a1, a2, a3, loop, done) \
+	VEXTRACTF128 $1, Y0_, X8; \
+	VEXTRACTF128 $1, Y1_, X9; \
+	VEXTRACTF128 $1, Y2_, X10; \
+	VEXTRACTF128 $1, Y3_, X11; \
+	MOVQ         DX, AX; \
+	FMATAIL(q, a0, a1, a2, a3, loop, done) \
+	HSUM(a0, X8, X12); \
+	HSUM(a1, X9, X12); \
+	HSUM(a2, X10, X12); \
+	HSUM(a3, X11, X12); \
+	MOVSD        a0, 0(DI); \
+	MOVSD        a1, 8(DI); \
+	MOVSD        a2, 16(DI); \
+	MOVSD        a3, 24(DI)
+
+// func dot4FMAAVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)
+TEXT ·dot4FMAAVX2(SB), NOSPLIT, $0-64
+	MOVQ   q_base+0(FP), SI
+	MOVQ   q_len+8(FP), CX
+	MOVQ   p0+24(FP), R8
+	MOVQ   p1+32(FP), R9
+	MOVQ   p2+40(FP), R10
+	MOVQ   p3+48(FP), R11
+	MOVQ   out+56(FP), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    f4Tail
+	PCALIGN $32
+
+f4Loop:
+	VMOVUPD     (SI)(AX*8), Y4
+	VFMADD231PD (R8)(AX*8), Y4, Y0
+	VFMADD231PD (R9)(AX*8), Y4, Y1
+	VFMADD231PD (R10)(AX*8), Y4, Y2
+	VFMADD231PD (R11)(AX*8), Y4, Y3
+	ADDQ        $4, AX
+	CMPQ        AX, BX
+	JLT         f4Loop
+
+f4Tail:
+	MOVQ AX, DX
+	FMADONE(SI, Y0, Y1, Y2, Y3, X0, X1, X2, X3, f4TailLoop, f4Done)
+	VZEROUPPER
+	RET
+
+// func dot2x4FMAAVX2(qa, qb []float64, p0, p1, p2, p3 *float64, outA, outB *[4]float64)
+//
+// Each pass loads a chunk of each row once and fuses it into qa's four
+// accumulators (Y0–Y3) and qb's (Y4–Y7).
+TEXT ·dot2x4FMAAVX2(SB), NOSPLIT, $0-96
+	MOVQ   qa_base+0(FP), SI
+	MOVQ   qa_len+8(FP), CX
+	MOVQ   qb_base+24(FP), R12
+	MOVQ   p0+48(FP), R8
+	MOVQ   p1+56(FP), R9
+	MOVQ   p2+64(FP), R10
+	MOVQ   p3+72(FP), R11
+	MOVQ   outA+80(FP), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    f24Tail
+	PCALIGN $32
+
+f24Loop:
+	VMOVUPD     (SI)(AX*8), Y8
+	VMOVUPD     (R12)(AX*8), Y9
+	VMOVUPD     (R8)(AX*8), Y10
+	VMOVUPD     (R9)(AX*8), Y11
+	VMOVUPD     (R10)(AX*8), Y12
+	VMOVUPD     (R11)(AX*8), Y13
+	VFMADD231PD Y10, Y8, Y0
+	VFMADD231PD Y10, Y9, Y4
+	VFMADD231PD Y11, Y8, Y1
+	VFMADD231PD Y11, Y9, Y5
+	VFMADD231PD Y12, Y8, Y2
+	VFMADD231PD Y12, Y9, Y6
+	VFMADD231PD Y13, Y8, Y3
+	VFMADD231PD Y13, Y9, Y7
+	ADDQ        $4, AX
+	CMPQ        AX, BX
+	JLT         f24Loop
+
+f24Tail:
+	MOVQ AX, DX
+	FMADONE(SI, Y0, Y1, Y2, Y3, X0, X1, X2, X3, f24TailA, f24DoneA)
+	MOVQ outB+88(FP), DI
+	FMADONE(R12, Y4, Y5, Y6, Y7, X4, X5, X6, X7, f24TailB, f24DoneB)
+	VZEROUPPER
+	RET
+
 // The elementwise bodies have no lanes to keep: each element is
 // multiplied, then added or subtracted, exactly as its Go body writes
 // it, and never fused. Eight elements go per pass in two ymm registers,

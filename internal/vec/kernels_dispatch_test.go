@@ -333,6 +333,46 @@ func TestBatchBodiesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFusedDotBodiesBitIdentical covers the fused dot kernels: 1-9 rows
+// (every length of a last, repeated-row pass) at every tail length and
+// alignment, through the one- and two-query entry points, against the Go
+// body row by row; the two-query outputs must also be the one-query
+// ones.
+func TestFusedDotBodiesBitIdentical(t *testing.T) {
+	if !useFMA {
+		t.Log("no FMA body on this machine: compared the Go bodies with themselves")
+	}
+	rng := rand.New(rand.NewSource(84))
+	dims := []int{128, 512, 516}
+	for dim := 1; dim <= 67; dim++ {
+		dims = append(dims, dim)
+	}
+	for _, dim := range dims {
+		for rows := 1; rows <= 9; rows++ {
+			off := (dim + rows) % 4
+			qa := offsetCopy(mixedSlice(rng, dim), off)
+			qb := offsetCopy(mixedSlice(rng, dim), (off+3)%4)
+			flat := offsetCopy(mixedSlice(rng, rows*dim), (off+1)%4)
+			ids := rng.Perm(rows)
+			one, outA, outB := make([]float64, rows), make([]float64, rows), make([]float64, rows)
+			DotRowsFMA(qa, flat, ids, one)
+			DotRowsFMA2(qa, qb, flat, ids, outA, outB)
+			for r, id := range ids {
+				p := flat[id*dim : (id+1)*dim]
+				for _, c := range []struct {
+					name      string
+					got, want float64
+				}{{"DotRowsFMA", one[r], dotFMAGo(qa, p)}, {"DotRowsFMA2 a", outA[r], one[r]}, {"DotRowsFMA2 b", outB[r], dotFMAGo(qb, p)}} {
+					if !sameBits(c.got, c.want) {
+						t.Fatalf("%s dim=%d rows=%d row %d: %v (%#x), want %v (%#x)",
+							c.name, dim, rows, r, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBatchRowsMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Rows/out": func() { SquaredEuclideanRows(Vector{1}, []Vector{{1}}, []int{0}, make([]float64, 2)) },
@@ -346,6 +386,14 @@ func TestBatchRowsMismatchPanics(t *testing.T) {
 		},
 		"Rows32/zero": func() { SquaredEuclideanRows32(nil, nil, nil, nil) },
 		"Batch/dim4":  func() { SquaredEuclideanBatch(Vector{1}, []Vector{{1}, {1, 2}, {1}, {1}}, make([]float64, 4)) },
+		"FMA/zero":    func() { DotRowsFMA(nil, nil, nil, nil) },
+		"FMA/out":     func() { DotRowsFMA([]float64{1}, []float64{1}, []int{0}, nil) },
+		"FMA2/widths": func() {
+			DotRowsFMA2([]float64{1}, []float64{1, 2}, []float64{1}, []int{0}, make([]float64, 1), make([]float64, 1))
+		},
+		"FMA2/range": func() {
+			DotRowsFMA2([]float64{1}, []float64{1}, []float64{1}, []int{1}, make([]float64, 1), make([]float64, 1))
+		},
 	} {
 		func() {
 			defer func() {
@@ -361,8 +409,8 @@ func TestBatchRowsMismatchPanics(t *testing.T) {
 // FuzzKernels feeds raw bit patterns — every NaN payload, subnormal and
 // infinity the fuzzer finds — to the dispatched bodies and the Go
 // bodies, one row and four rows, at the alignment off selects; to
-// the box distance, whose query, minima and maxima are the thirds of the
-// values, so every length mod 4 is reached; and to Axpy and Rot, whose
+// the fused dots, one query and two; to the box distance, whose query,
+// minima and maxima are the thirds of the values, so every length mod 4 is reached; and to Axpy and Rot, whose
 // scalars are the last three values.
 func FuzzKernels(f *testing.F) {
 	seed := func(vals ...float64) []byte {
@@ -412,6 +460,24 @@ func FuzzKernels(f *testing.F) {
 		for r, p := range rows {
 			if want := sqdistGo(a, p); !sameBits(out[r], want) {
 				t.Fatalf("n=%d sqdist4 row %d: %#x, Go body %#x", n, r, math.Float64bits(out[r]), math.Float64bits(want))
+			}
+		}
+		if n > 0 {
+			var fused [8]float64
+			dot2x4FMA(a, b, rows[0], rows[1], rows[2], rows[3], (*[4]float64)(fused[:4]), (*[4]float64)(fused[4:]))
+			for r, p := range rows {
+				if want := dotFMAGo(a, p); !sameBits(fused[r], want) {
+					t.Fatalf("n=%d dot2x4FMA a row %d: %#x, Go body %#x", n, r, math.Float64bits(fused[r]), math.Float64bits(want))
+				}
+				if want := dotFMAGo(b, p); !sameBits(fused[4+r], want) {
+					t.Fatalf("n=%d dot2x4FMA b row %d: %#x, Go body %#x", n, r, math.Float64bits(fused[4+r]), math.Float64bits(want))
+				}
+			}
+			dot4FMA(b, rows[0], rows[1], rows[2], rows[3], &out)
+			for r, p := range rows {
+				if want := dotFMAGo(b, p); !sameBits(out[r], want) {
+					t.Fatalf("n=%d dot4FMA row %d: %#x, Go body %#x", n, r, math.Float64bits(out[r]), math.Float64bits(want))
+				}
 			}
 		}
 		rows32 := [4][]float32{b32, f32[:n], f32[len(f32)/2-n/2:][:n], narrow(a)}

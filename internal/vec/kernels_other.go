@@ -2,8 +2,9 @@
 
 package vec
 
-// useAVX2 is false off amd64: the Go bodies are the only ones.
-const useAVX2 = false
+// useAVX2 and useFMA are false off amd64: the Go bodies are the only
+// ones.
+const useAVX2, useFMA = false, false
 
 func sqdist(a, b []float64) float64 { return sqdistGo(a, b) }
 
@@ -29,4 +30,13 @@ func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 
 func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
 	out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
+}
+
+func dot4FMA(q, p0, p1, p2, p3 []float64, out *[4]float64) {
+	out[0], out[1], out[2], out[3] = dotFMAGo(q, p0), dotFMAGo(q, p1), dotFMAGo(q, p2), dotFMAGo(q, p3)
+}
+
+func dot2x4FMA(qa, qb, p0, p1, p2, p3 []float64, outA, outB *[4]float64) {
+	dot4FMA(qa, p0, p1, p2, p3, outA)
+	dot4FMA(qb, p0, p1, p2, p3, outB)
 }
