@@ -15,13 +15,15 @@ import (
 // with ~10-point classes at n = 20000, rank 64, 2*64 + 16 = 144 Lanczos
 // steps — and at n = 10^5, where the 144 basis vectors alone hold
 // 144 * n * 8 bytes = 115 MB. The graph is built once per size, outside
-// the timer.
+// the timer. Run it at -cpu 1,2: the reorthogonalization and the Ritz
+// assembly fan out over par blocks.
 //
-//	go test -run '^$' -bench 'BenchmarkDecompose' -benchtime 3x ./internal/spectral
+//	go test -run '^$' -bench 'BenchmarkDecompose' -benchtime 3x -cpu 1,2 ./internal/spectral
 func BenchmarkDecompose(b *testing.B) {
 	for _, n := range []int{20_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d/r=64", n), func(b *testing.B) {
 			S := mixtureAdjacency(b, n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Decompose(S, 64, 0, 0); err != nil {
@@ -32,7 +34,7 @@ func BenchmarkDecompose(b *testing.B) {
 	}
 }
 
-func mixtureAdjacency(b *testing.B, n int) *sparse.CSR {
+func mixtureAdjacency(b testing.TB, n int) *sparse.CSR {
 	b.Helper()
 	ds := dataset.Mixture(dataset.MixtureConfig{
 		N: n, Classes: n / 10, Dim: 8, WithinStd: 0.25, Separation: 3.0, Seed: 1,

@@ -17,15 +17,26 @@ import (
 // par.For per update pass, and U = V Y written one column of every row
 // at a time. Decompose must return its Basis to the bit.
 func decomposeOracle(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
+	b, _, err := decomposeOracleZeros(S, rank, steps, seed)
+	return b, err
+}
+
+// decomposeOracleZeros is decomposeOracle that also counts the exact-zero
+// coefficients it met inside a group of four, at an index below
+// k - k%4 of a pass over k basis vectors: there Decompose's Dot4 group
+// holds a zero, and its compacted Axpy4 groups differ from the groups
+// of four indices.
+func decomposeOracleZeros(S *sparse.CSR, rank, steps int, seed int64) (*Basis, int, error) {
+	zeros := 0
 	if S.Rows != S.Cols {
-		return nil, fmt.Errorf("spectral: non-square %dx%d matrix", S.Rows, S.Cols)
+		return nil, 0, fmt.Errorf("spectral: non-square %dx%d matrix", S.Rows, S.Cols)
 	}
 	n := S.Rows
 	if n < 1 {
-		return nil, fmt.Errorf("spectral: empty matrix")
+		return nil, 0, fmt.Errorf("spectral: empty matrix")
 	}
 	if rank < 1 {
-		return nil, fmt.Errorf("spectral: rank must be positive, got %d", rank)
+		return nil, 0, fmt.Errorf("spectral: rank must be positive, got %d", rank)
 	}
 	if rank > n {
 		rank = n
@@ -69,6 +80,9 @@ func decomposeOracle(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error)
 			coeff = coeff[:0]
 			for i := range V {
 				coeff = append(coeff, dotPar(w, V[i]))
+				if coeff[i] == 0 && i < len(V)-len(V)%4 {
+					zeros++
+				}
 			}
 			par.For(n, 0, func(lo, hi int) {
 				for i, c := range coeff {
@@ -115,7 +129,7 @@ func decomposeOracle(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error)
 	}
 	ritz, Y, err := dense.EigSym(T)
 	if err != nil {
-		return nil, fmt.Errorf("spectral: Rayleigh-Ritz eigensolve: %w", err)
+		return nil, 0, fmt.Errorf("spectral: Rayleigh-Ritz eigensolve: %w", err)
 	}
 
 	if rank > m {
@@ -148,7 +162,7 @@ func decomposeOracle(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error)
 			}
 		}
 	})
-	return &Basis{Rank: rank, Vals: vals, Vecs: vecs}, nil
+	return &Basis{Rank: rank, Vals: vals, Vecs: vecs}, zeros, nil
 }
 
 // averagingMatrix is TestDecomposeBreakdown's matrix: every entry 1/n,
@@ -183,6 +197,31 @@ func fewValuesMatrix(t testing.TB, n int) *sparse.CSR {
 	return S
 }
 
+// blockDiagonalMatrix places symTestMatrix blocks of the given orders
+// along the diagonal, with no coupling between them: the adjacency of a
+// graph of disconnected components, as the spectral engine's mixture
+// corpora give.
+func blockDiagonalMatrix(t testing.TB, orders ...int) *sparse.CSR {
+	t.Helper()
+	var coords []sparse.Coord
+	at := 0
+	for b, order := range orders {
+		B := symTestMatrix(t, order, 1+b%4)
+		for i := 0; i < order; i++ {
+			cols, vals := B.Row(i)
+			for k, j := range cols {
+				coords = append(coords, sparse.Coord{Row: at + i, Col: at + j, Val: vals[k]})
+			}
+		}
+		at += order
+	}
+	S, err := sparse.NewFromCoords(at, at, coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return S
+}
+
 func sameBasisBits(t *testing.T, got, want *Basis) {
 	t.Helper()
 	if got.Rank != want.Rank || len(got.Vals) != len(want.Vals) || len(got.Vecs) != len(want.Vecs) {
@@ -206,7 +245,14 @@ func sameBasisBits(t *testing.T, got, want *Basis) {
 // Basis bit for bit across the par block shapes (one short block, a
 // ragged last block, 64 blocks wider than the 512 floor), a Krylov
 // breakdown, a full-depth run and a rank the Krylov space clamps, at one
-// worker and at several.
+// worker and at several. The last three cases reach the basis kernels'
+// edges: the default rank 64 at its default 144 steps, so the basis
+// passes through every size mod 4 and the last block (443 of 3003
+// rows) is no multiple of 8; rank 40, whose embedding rows end in
+// AxpyRows' four-column blocks; and disconnected components, where the
+// case asserts what every case here meets: passes whose small
+// coefficients cancel to an exact zero inside a group of four, which
+// the update skips.
 func TestDecomposeMatchesOracleBits(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -214,6 +260,7 @@ func TestDecomposeMatchesOracleBits(t *testing.T) {
 		rank, steps int
 		seed        int64
 		clamped     bool
+		zeros       bool
 	}{
 		{name: "one-short-block", S: symTestMatrix(t, 300, 4), rank: 8, seed: 1},
 		{name: "ragged-last-block", S: symTestMatrix(t, 3000, 5), rank: 16, seed: 41},
@@ -221,12 +268,18 @@ func TestDecomposeMatchesOracleBits(t *testing.T) {
 		{name: "breakdown", S: averagingMatrix(t, 12), rank: 6, seed: 3, clamped: true},
 		{name: "steps=n", S: symTestMatrix(t, 60, 4), rank: 60, steps: 60, seed: 5},
 		{name: "rank-clamped", S: fewValuesMatrix(t, 700), rank: 10, seed: 9, clamped: true},
+		{name: "rank-64-mixture", S: mixtureAdjacency(t, 3003), rank: 64, seed: 11},
+		{name: "rank-40-column-tail", S: symTestMatrix(t, 1500, 4), rank: 40, seed: 13},
+		{name: "block-diagonal-zeros", S: blockDiagonalMatrix(t, 40, 7, 33, 5, 60, 9, 26), rank: 24, seed: 17, zeros: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := decomposeOracle(tc.S, tc.rank, tc.steps, tc.seed)
+			want, zeros, err := decomposeOracleZeros(tc.S, tc.rank, tc.steps, tc.seed)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.zeros && zeros == 0 {
+				t.Fatal("the oracle met no exact-zero coefficient inside a group of four")
 			}
 			if tc.clamped != (want.Rank < tc.rank) {
 				t.Fatalf("oracle kept %d of %d pairs; case expects clamped=%v", want.Rank, tc.rank, tc.clamped)
@@ -242,4 +295,43 @@ func TestDecomposeMatchesOracleBits(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecomposeMatchesOracle: on small sparse symmetric matrices (n up
+// to 200, so one par block of every length mod 4 and mod 8) with fuzzed
+// rank, steps and seed, Decompose returns decomposeOracle's Basis bit
+// for bit, or fails where it fails. raw holds four bytes an entry: row,
+// column, an int8 mantissa and a binary exponent down to 2⁻⁶³, so
+// entries span sparse, zero, tiny and repeated values; each entry goes
+// in at (i, j) and (j, i).
+func FuzzDecomposeMatchesOracle(f *testing.F) {
+	f.Add(uint8(40), uint8(12), uint8(0), int64(1), []byte{0, 1, 64, 0, 1, 2, 192, 1, 3, 3, 100, 2, 5, 9, 7, 0, 20, 30, 255, 3})
+	f.Add(uint8(199), uint8(64), uint8(0), int64(7), []byte{1, 0, 1, 0, 2, 1, 1, 0, 3, 2, 1, 0, 4, 3, 1, 0, 150, 151, 127, 0})
+	f.Add(uint8(9), uint8(3), uint8(9), int64(-3), []byte{0, 0, 1, 0, 1, 1, 1, 0, 2, 2, 1, 0})
+	f.Add(uint8(120), uint8(30), uint8(70), int64(42), []byte{10, 11, 128, 40, 11, 12, 3, 63, 60, 61, 77, 5, 61, 62, 200, 6, 100, 119, 50, 1})
+	f.Fuzz(func(t *testing.T, order, rank8, steps8 uint8, seed int64, raw []byte) {
+		n := 1 + int(order)%200
+		coords := make([]sparse.Coord, 0, len(raw)/2)
+		for e := 0; e+4 <= len(raw); e += 4 {
+			i, j := int(raw[e])%n, int(raw[e+1])%n
+			v := math.Ldexp(float64(int8(raw[e+2])), -int(raw[e+3]%64))
+			coords = append(coords, sparse.Coord{Row: i, Col: j, Val: v})
+			if i != j {
+				coords = append(coords, sparse.Coord{Row: j, Col: i, Val: v})
+			}
+		}
+		S, err := sparse.NewFromCoords(n, n, coords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank, steps := 1+int(rank8)%n, int(steps8)%(n+1)
+		want, wantErr := decomposeOracle(S, rank, steps, seed)
+		got, err := Decompose(S, rank, steps, seed)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("n=%d rank=%d steps=%d: error %v, oracle %v", n, rank, steps, err, wantErr)
+		}
+		if err == nil {
+			sameBasisBits(t, got, want)
+		}
+	})
 }

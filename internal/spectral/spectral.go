@@ -16,6 +16,14 @@
 // par.SumBlocks contract; cgs2 folds many at once), so the basis —
 // and every score and saved byte downstream of it — is bit-identical
 // at 1 worker and at 64.
+//
+// The offline cost is the reorthogonalization, two passes of step j
+// over all j basis vectors, then the Ritz assembly U = V·Y. Both go
+// through vec kernels that take several rows per pass with the bits
+// of the one-row calls they replace: vec.Dot4 and vec.Axpy4 take the
+// basis four vectors at a time, and vec.AxpyRows adds every row of Yᵀ
+// into one embedding row held in registers. The serial dense.EigSym on
+// the m x m tridiagonal (m = 2·rank + 16) is the next stage in line.
 package spectral
 
 import (
@@ -175,11 +183,13 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 	// Ritz vectors U = V Y (top columns), assembled row-major so item
 	// i's embedding is contiguous: row i accumulates V[j][i] * (row j of
 	// Yt) in ascending j, where Yt is the contiguous m x rank copy of
-	// Y's top columns, descending. Rows go 16 at a time, so a tile's
-	// rows stay in L1 while each Lanczos vector is read contiguously.
-	// Every element sums its terms in ascending j order at any
-	// GOMAXPROCS; a zero term adds ±0, which leaves the accumulator
-	// alone because, starting from +0, it is never -0.
+	// Y's top columns, descending. Rows go 16 at a time: a tile's
+	// coefficients V[j][t0:t1] are gathered row by row into a (each
+	// Lanczos vector read contiguously), and vec.AxpyRows then adds
+	// every row of Yt into one embedding row held in registers. Every
+	// element sums its terms in ascending j order at any GOMAXPROCS; a
+	// zero term adds ±0, which leaves the accumulator alone because,
+	// starting from +0, it is never -0.
 	Yt := make([]float64, m*rank)
 	for j := 0; j < m; j++ {
 		for t := 0; t < rank; t++ {
@@ -188,13 +198,16 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 	}
 	vecs := make([]float64, n*rank)
 	par.For(n, 128, func(lo, hi int) {
+		a := make([]float64, 16*m)
 		for t0 := lo; t0 < hi; t0 += 16 {
 			t1 := min(t0+16, hi)
 			for j := 0; j < m; j++ {
-				yj := Yt[j*rank : (j+1)*rank]
 				for x, v := range V[j][t0:t1] {
-					vec.Axpy(vecs[(t0+x)*rank:(t0+x+1)*rank], v, yj)
+					a[x*m+j] = v
 				}
+			}
+			for x := range t1 - t0 {
+				vec.AxpyRows(vecs[(t0+x)*rank:(t0+x+1)*rank], a[x*m:(x+1)*m], Yt)
 			}
 		}
 	})
@@ -211,12 +224,27 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 // per pass would; so every inner product and every element of w has
 // the bits of the plain two-pass loop over dotPar, at any GOMAXPROCS,
 // for three fan-outs and three streams of the basis per step.
+//
+// Inside a block the basis goes four vectors at a time: vec.Dot4 takes
+// four partials over one load of w, each with vec.Dot's bits, and
+// vec.Axpy4 makes four updates per load and store of w, each element
+// taking them in order, with vec.Dot and vec.Axpy for the one-vector
+// remainder. An update skips a zero coefficient, as the plain loop
+// does (0·Inf is NaN, and a +0 term would turn a -0 of w positive), so
+// the non-zero ones are compacted in ascending i before the groups are
+// formed. Groups of four keep five streams open; a w held in registers
+// across the whole basis would open one per basis vector, more than the
+// prefetcher follows.
 type cgs2 struct {
 	n, blocks, steps int
 	// part[b*steps+i] is block b's partial of <w, V_i> in the current
 	// pass; norm[b] its partial of <w, w>.
 	part, norm   []float64
 	coef0, coef1 []float64
+	// nz and neg are the pass's non-zero coefficients in ascending i:
+	// their basis indices and their negations.
+	nz  []int
+	neg []float64
 }
 
 func newCGS2(n, steps int) *cgs2 {
@@ -225,16 +253,25 @@ func newCGS2(n, steps int) *cgs2 {
 		n: n, blocks: blocks, steps: steps,
 		part: make([]float64, blocks*steps), norm: make([]float64, blocks),
 		coef0: make([]float64, steps), coef1: make([]float64, steps),
+		nz: make([]int, 0, steps), neg: make([]float64, 0, steps),
 	}
 }
 
 // fold sums the first len(dst) partials of every block into dst in
-// ascending block order, starting from 0.
+// ascending block order, starting from 0, and compacts dst's non-zero
+// entries into nz and neg.
 func (g *cgs2) fold(dst []float64) {
 	clear(dst)
 	for b := 0; b < g.blocks; b++ {
 		for i, v := range g.part[b*g.steps : b*g.steps+len(dst)] {
 			dst[i] += v
+		}
+	}
+	g.nz, g.neg = g.nz[:0], g.neg[:0]
+	for i, c := range dst {
+		if c != 0 {
+			g.nz = append(g.nz, i)
+			g.neg = append(g.neg, -c)
 		}
 	}
 }
@@ -248,27 +285,36 @@ func (g *cgs2) orthogonalize(w []float64, V [][]float64) (alpha, beta float64) {
 	partials := func(b, lo, hi int) {
 		p := g.part[b*g.steps : b*g.steps+k]
 		wb := w[lo:hi]
-		for i, v := range V {
-			p[i] = vec.Dot(wb, v[lo:hi])
+		i := 0
+		for ; i+4 <= k; i += 4 {
+			vec.Dot4(wb, V[i][lo:hi], V[i+1][lo:hi], V[i+2][lo:hi], V[i+3][lo:hi], (*[4]float64)(p[i:i+4]))
+		}
+		for ; i < k; i++ {
+			p[i] = vec.Dot(wb, V[i][lo:hi])
 		}
 	}
-	update := func(c []float64, lo, hi int) {
+	// update subtracts the pass's compacted terms from block [lo, hi).
+	update := func(lo, hi int) {
 		wb := w[lo:hi]
-		for i, ci := range c {
-			if ci != 0 {
-				vec.Axpy(wb, -ci, V[i][lo:hi])
-			}
+		nz, neg := g.nz, g.neg
+		t := 0
+		for ; t+4 <= len(nz); t += 4 {
+			vec.Axpy4(wb, [4]float64(neg[t:t+4]),
+				V[nz[t]][lo:hi], V[nz[t+1]][lo:hi], V[nz[t+2]][lo:hi], V[nz[t+3]][lo:hi])
+		}
+		for ; t < len(nz); t++ {
+			vec.Axpy(wb, neg[t], V[nz[t]][lo:hi])
 		}
 	}
 	par.ForBlocks(g.n, 0, partials)
 	g.fold(c0)
 	par.ForBlocks(g.n, 0, func(b, lo, hi int) {
-		update(c0, lo, hi)
+		update(lo, hi)
 		partials(b, lo, hi)
 	})
 	g.fold(c1)
 	par.ForBlocks(g.n, 0, func(b, lo, hi int) {
-		update(c1, lo, hi)
+		update(lo, hi)
 		g.norm[b] = vec.Dot(w[lo:hi], w[lo:hi])
 	})
 	var ww float64

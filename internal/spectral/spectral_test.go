@@ -12,7 +12,7 @@ import (
 // symTestMatrix builds a deterministic sparse symmetric matrix with a
 // banded structure plus a strong diagonal, scaled so the spectrum sits
 // inside [-1, 1] like a normalized adjacency.
-func symTestMatrix(t *testing.T, n, band int) *sparse.CSR {
+func symTestMatrix(t testing.TB, n, band int) *sparse.CSR {
 	t.Helper()
 	var coords []sparse.Coord
 	for i := 0; i < n; i++ {

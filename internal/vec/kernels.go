@@ -33,11 +33,13 @@ import (
 // the instantiation once per call, never per element.
 //
 // The squared-distance, dot and axpy kernels have two bodies per
-// storage width, and the box distance, rotation, extent fold and fused
-// dots have two over float64: the Go bodies here (sqdistGo, dotGo,
-// axpyGo, boxSqDistGo, rotGo, minMaxGo, dotFMAGo), compiled everywhere,
-// and AVX2 assembly (kernels_amd64.s) that gives the same bits (an
-// accumulating kernel holds its four lanes in one ymm register).
+// storage width, and the box distance, rotation, extent fold, fused
+// dots and the basis kernels of the Lanczos build (Dot4, Axpy4,
+// AxpyRows) have two over float64: the Go bodies here (sqdistGo,
+// dotGo, axpyGo, boxSqDistGo, rotGo, minMaxGo, dotFMAGo, dot4Go,
+// axpy4Go, axpyRowsGo), compiled everywhere, and AVX2 assembly
+// (kernels_amd64.s) that gives the same bits (an accumulating kernel
+// holds its four lanes in one ymm register).
 // Package init picks the assembly once when the CPU and OS support AVX2
 // (and FMA, for the fused dots; kernels_amd64.go); elsewhere the Go
 // bodies are the only ones, and they are the tests' oracle. The
@@ -240,6 +242,56 @@ func axpyGo[P Float](y []float64, a float64, x []P) {
 	}
 }
 
+// Axpy4 computes y += a[0]*x0, then y += a[1]*x1, a[2]*x2 and a[3]*x3:
+// the bits of those four Axpy calls in that order, in one pass over y.
+// It is the update of the Lanczos reorthogonalization (spectral), which
+// takes its basis four vectors at a time. Lengths must match; where y
+// shares memory with an x the Go body runs, which is those calls in
+// order.
+func Axpy4(y []float64, a [4]float64, x0, x1, x2, x3 []float64) {
+	if len(x0) != len(y) || len(x1) != len(y) || len(x2) != len(y) || len(x3) != len(y) {
+		panic(fmt.Sprintf("vec: Axpy4 lengths %d, %d, %d, %d for y of %d", len(x0), len(x1), len(x2), len(x3), len(y)))
+	}
+	axpy4(y, &a, x0, x1, x2, x3)
+}
+
+// AxpyRows computes y += a[j]*X_j for every row X_j of the row-major
+// len(a) x len(y) matrix X, in ascending j: the bits of len(a) Axpy
+// calls in that order, with y held in registers across them. It is the
+// Ritz assembly U = V·Y of the spectral build, one embedding row per
+// call. len(X) must be len(a)*len(y); where y shares memory with a or X
+// the Go body runs, which is those calls in order.
+func AxpyRows(y, a, X []float64) {
+	if len(X) != len(a)*len(y) {
+		panic(fmt.Sprintf("vec: AxpyRows matrix of %d for %d rows of %d", len(X), len(a), len(y)))
+	}
+	axpyRows(y, a, X)
+}
+
+// The Go bodies of Axpy4 and AxpyRows make one in-order pass over y per
+// row. Each product is rounded explicitly, so that no compiler fuses it
+// into the add: the assembly never does.
+
+func axpy4Go(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) {
+	for j, x := range [4][]float64{x0, x1, x2, x3} {
+		axpyRoundGo(y, a[j], x)
+	}
+}
+
+func axpyRowsGo(y, a, X []float64) {
+	n := len(y)
+	for j, aj := range a {
+		axpyRoundGo(y, aj, X[j*n:(j+1)*n])
+	}
+}
+
+func axpyRoundGo(y []float64, a float64, x []float64) {
+	x = x[:len(y)]
+	for i, xi := range x {
+		y[i] += float64(a * xi)
+	}
+}
+
 // Rot applies the plane rotation (c, s) to the pair (x, y):
 // x, y = c*x - s*y, s*x + c*y elementwise — the row rotation of the
 // Jacobi eigensolver (dense.EigSym). Lengths must match; where x and y
@@ -269,6 +321,37 @@ func Dot(a, b []float64) float64 {
 		panic(fmt.Sprintf("vec: Dot dimension mismatch %d != %d", len(a), len(b)))
 	}
 	return dot(a, b)
+}
+
+// Dot4 writes Dot(w, x_r) into out[r] for the four rows x0..x3 of
+// len(w): four independent chains over one load of w, each with Dot's
+// lanes, tail and combine, and so Dot's bits. It is the partial-sum
+// kernel of the Lanczos reorthogonalization (spectral).
+func Dot4(w, x0, x1, x2, x3 []float64, out *[4]float64) {
+	if len(x0) != len(w) || len(x1) != len(w) || len(x2) != len(w) || len(x3) != len(w) {
+		panic(fmt.Sprintf("vec: Dot4 lengths %d, %d, %d, %d for w of %d", len(x0), len(x1), len(x2), len(x3), len(w)))
+	}
+	dot4(w, x0, x1, x2, x3, out)
+}
+
+// dot4Go is the Go body of Dot4: dotGo's loop per row, with each
+// product rounded explicitly so that no compiler fuses it into the add.
+func dot4Go(w, x0, x1, x2, x3 []float64, out *[4]float64) {
+	for r, x := range [4][]float64{x0, x1, x2, x3} {
+		x = x[:len(w)]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= len(w); i += 4 {
+			s0 += float64(w[i] * x[i])
+			s1 += float64(w[i+1] * x[i+1])
+			s2 += float64(w[i+2] * x[i+2])
+			s3 += float64(w[i+3] * x[i+3])
+		}
+		for ; i < len(w); i++ {
+			s0 += float64(w[i] * x[i])
+		}
+		out[r] = combineLanes(s0, s1, s2, s3)
+	}
 }
 
 // The fused dot kernels below are the one exception to the unfused

@@ -123,6 +123,17 @@ func BenchmarkKernelDotRowsF64(b *testing.B) {
 				}
 			})
 		})
+		// Dot4, the Lanczos partials' kernel: four rows per pass, each
+		// with Dot's bits. At d = 512 a row is one par block of the
+		// spectral build's basis.
+		row := func(r int) []float64 { return flat64[r*dim : (r+1)*dim] }
+		b.Run(s.name+"/four-row", func(b *testing.B) {
+			benchPass(b, s.rows, dim*8, func() {
+				for r := 0; r+4 <= len(out); r += 4 {
+					Dot4(q, row(r), row(r+1), row(r+2), row(r+3), (*[4]float64)(out[r:r+4]))
+				}
+			})
+		})
 	}
 }
 
@@ -192,7 +203,11 @@ func BenchmarkKernelGatherF32(b *testing.B) {
 // the engines run them at: rank 64 (the spectral projection's axpy of
 // one embedding row) and p = 1024 (the emr_vec combine's axpy of one
 // Gram-inverse row). Axpy has an AVX2 body beside its Go one; Sum and
-// ScatterAxpy have only the Go body.
+// ScatterAxpy have only the Go body. The float64 Axpy also runs at
+// b = 512, one par block of the spectral build's basis, where its
+// "four-row" sub-row is Axpy4 (the reorthogonalization's update) and
+// its "rows" sub-row is AxpyRows, all 128 rows into y with y in
+// registers (at r = 64, the Ritz assembly's kernel).
 var elemShapes = []benchShape{{"r=64", 128, 64}, {"p=1024", 128, 1024}}
 
 // elemData draws the rows of s as float64 and as float32, a destination
@@ -230,9 +245,24 @@ func benchAxpy[P Float](b *testing.B, s benchShape, y []float64, flat []P, elemB
 }
 
 func BenchmarkKernelAxpyF64(b *testing.B) {
-	for _, s := range elemShapes {
+	for _, s := range append(elemShapes, benchShape{"b=512", 128, 512}) {
 		flat64, _, y, _ := elemData(s)
 		benchAxpy(b, s, y, flat64, 8)
+		row := func(r int) []float64 { return flat64[r*s.dim : (r+1)*s.dim] }
+		b.Run(s.name+"/four-row", func(b *testing.B) {
+			benchPass(b, s.rows, s.dim*8, func() {
+				for r := 0; r+4 <= s.rows; r += 4 {
+					Axpy4(y, [4]float64{1e-3, -1e-3, 2e-3, -2e-3}, row(r), row(r+1), row(r+2), row(r+3))
+				}
+			})
+		})
+		a := make([]float64, s.rows)
+		for r := range a {
+			a[r] = 1e-3 * float64(r%5-2)
+		}
+		b.Run(s.name+"/rows", func(b *testing.B) {
+			benchPass(b, s.rows, s.dim*8, func() { AxpyRows(y, a, flat64) })
+		})
 	}
 }
 
@@ -244,9 +274,10 @@ func BenchmarkKernelAxpyF32(b *testing.B) {
 }
 
 // BenchmarkKernelRot rotates 64 disjoint row pairs per op at m = 145,
-// the order of a rank-64 spectral build's Lanczos tridiagonal
-// (dense.EigSym's row rotation), and at p = 1024, the Axpy rows' long
-// length. A rotation is orthogonal, so repeating it keeps the rows
+// one past the order 2·64 + 16 = 144 of a rank-64 spectral build's
+// Lanczos tridiagonal (dense.EigSym's row rotation; the row keeps the
+// length its earlier numbers were taken at), and at p = 1024, the Axpy
+// rows' long length. A rotation is orthogonal, so repeating it keeps the rows
 // bounded.
 func BenchmarkKernelRot(b *testing.B) {
 	c, sn := math.Cos(0.3), math.Sin(0.3)

@@ -104,6 +104,26 @@ func rot(x, y []float64, c, s float64) {
 	rotGo(x, y, c, s)
 }
 
+func axpy4(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) {
+	n := len(y)
+	if !useAVX2 || n == 0 || overlaps(y, x0) || overlaps(y, x1) || overlaps(y, x2) || overlaps(y, x3) {
+		axpy4Go(y, a, x0, x1, x2, x3)
+		return
+	}
+	axpy4AVX2(y, a, &x0[:n][0], &x1[:n][0], &x2[:n][0], &x3[:n][0])
+}
+
+// axpyRows holds y in registers across every row of X, so it also
+// sends y sharing memory with a to the Go body, which reads a[j] after
+// the rows before it have updated y.
+func axpyRows(y, a, X []float64) {
+	if useAVX2 && !overlaps(y, a) && !overlaps(y, X) {
+		axpyRowsAVX2(y, a, X[:len(a)*len(y)])
+		return
+	}
+	axpyRowsGo(y, a, X)
+}
+
 // overlaps reports whether the memory of y and x intersects. The
 // elementwise assembly bodies load a whole pass before they store it,
 // so on shared memory they could read a value the in-order loop would
@@ -135,6 +155,16 @@ func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
 		return
 	}
 	sqdistQ32x4AVX2(q, &p0[:n][0], &p1[:n][0], &p2[:n][0], &p3[:n][0], out)
+}
+
+// dot4 writes the dots of w with four rows of its length into out.
+func dot4(w, x0, x1, x2, x3 []float64, out *[4]float64) {
+	n := len(w)
+	if !useAVX2 || n == 0 {
+		dot4Go(w, x0, x1, x2, x3, out)
+		return
+	}
+	dot4AVX2(w, &x0[:n][0], &x1[:n][0], &x2[:n][0], &x3[:n][0], out)
 }
 
 // dot4FMA writes the fused dots of q with four rows of its length into
@@ -183,6 +213,12 @@ func axpyAVX2(y []float64, a float64, x []float64)
 func axpy32AVX2(y []float64, a float64, x []float32)
 
 //go:noescape
+func axpy4AVX2(y []float64, a *[4]float64, x0, x1, x2, x3 *float64)
+
+//go:noescape
+func axpyRowsAVX2(y, a, x []float64)
+
+//go:noescape
 func rotAVX2(x, y []float64, c, s float64)
 
 //go:noescape
@@ -196,6 +232,9 @@ func sqdist4AVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)
 
 //go:noescape
 func sqdistQ32x4AVX2(q []float64, p0, p1, p2, p3 *float32, out *[4]float64)
+
+//go:noescape
+func dot4AVX2(w []float64, x0, x1, x2, x3 *float64, out *[4]float64)
 
 //go:noescape
 func dot4FMAAVX2(q []float64, p0, p1, p2, p3 *float64, out *[4]float64)

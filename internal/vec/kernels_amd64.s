@@ -1,8 +1,9 @@
 #include "textflag.h"
 
 // AVX2 bodies of the accumulating distance, dot and box-distance
-// kernels, of the elementwise axpy and rotation, and of the extent fold
-// (minMaxAVX2 says how it keeps the builtins' bits). Each accumulating
+// kernels, of the elementwise axpy and rotation, of the extent fold
+// (minMaxAVX2 says how it keeps the builtins' bits) and of the Lanczos
+// basis kernels (dot4AVX2, axpy4AVX2, axpyRowsAVX2). Each accumulating
 // one reproduces its Go body in kernels.go / kernels32.go to the bit:
 // one ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
 // (mod 4) in order; every element is subtracted (or widened with
@@ -489,6 +490,78 @@ q4Done:
 	MOVSD X3, 24(DI)
 	RET
 
+// func dot4AVX2(w []float64, x0, x1, x2, x3 *float64, out *[4]float64)
+//
+// dotAVX2 four times over one load of w: each row's products go into
+// its own lane register, multiplied in dotAVX2's operand order.
+TEXT ·dot4AVX2(SB), NOSPLIT, $0-64
+	MOVQ   w_base+0(FP), SI
+	MOVQ   w_len+8(FP), CX
+	MOVQ   x0+24(FP), R8
+	MOVQ   x1+32(FP), R9
+	MOVQ   x2+40(FP), R10
+	MOVQ   x3+48(FP), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   CX, BX
+	ANDQ   $-4, BX
+	XORQ   AX, AX
+	CMPQ   AX, BX
+	JGE    d4Tail
+	PCALIGN $32
+
+d4Loop:
+	VMOVUPD (SI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y4, Y5
+	VMULPD  (R9)(AX*8), Y4, Y6
+	VMULPD  (R10)(AX*8), Y4, Y7
+	VMULPD  (R11)(AX*8), Y4, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     d4Loop
+
+d4Tail:
+	VEXTRACTF128 $1, Y0, X12
+	VEXTRACTF128 $1, Y1, X13
+	VEXTRACTF128 $1, Y2, X14
+	VEXTRACTF128 $1, Y3, X15
+	CMPQ         AX, CX
+	JGE          d4Done
+	PCALIGN $32
+
+d4TailLoop:
+	VMOVSD (SI)(AX*8), X4
+	VMULSD (R8)(AX*8), X4, X5
+	VMULSD (R9)(AX*8), X4, X6
+	VMULSD (R10)(AX*8), X4, X7
+	VMULSD (R11)(AX*8), X4, X8
+	VADDSD X5, X0, X0
+	VADDSD X6, X1, X1
+	VADDSD X7, X2, X2
+	VADDSD X8, X3, X3
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    d4TailLoop
+
+d4Done:
+	MOVQ out+56(FP), DI
+	HSUM(X0, X12, X4)
+	HSUM(X1, X13, X4)
+	HSUM(X2, X14, X4)
+	HSUM(X3, X15, X4)
+	VZEROUPPER
+	MOVSD X0, 0(DI)
+	MOVSD X1, 8(DI)
+	MOVSD X2, 16(DI)
+	MOVSD X3, 24(DI)
+	RET
+
 // The fused dot bodies keep the lanes of the unfused ones, but each
 // element is one VFMADD231 into its lane (kernels.go, dotFMAGo). The
 // tail goes after the lanes' upper halves are extracted, because a
@@ -732,6 +805,213 @@ a32TailLoop:
 	JLT       a32TailLoop
 
 a32Done:
+	VZEROUPPER
+	RET
+
+// func axpy4AVX2(y []float64, a *[4]float64, x0, x1, x2, x3 *float64)
+//
+// Each element takes its four updates in order, each product the first
+// operand of its add as in axpyAVX2, with y loaded once and stored once
+// per pass.
+TEXT ·axpy4AVX2(SB), NOSPLIT, $0-64
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	MOVQ         a+24(FP), DX
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 8(DX), Y1
+	VBROADCASTSD 16(DX), Y2
+	VBROADCASTSD 24(DX), Y3
+	MOVQ         x0+32(FP), R8
+	MOVQ         x1+40(FP), R9
+	MOVQ         x2+48(FP), R10
+	MOVQ         x3+56(FP), R11
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	XORQ         AX, AX
+	CMPQ         AX, BX
+	JGE          ax4Four
+	PCALIGN $32
+
+ax4Loop:
+	VMULPD  (R8)(AX*8), Y0, Y4
+	VMULPD  32(R8)(AX*8), Y0, Y5
+	VADDPD  (DI)(AX*8), Y4, Y4
+	VADDPD  32(DI)(AX*8), Y5, Y5
+	VMULPD  (R9)(AX*8), Y1, Y6
+	VMULPD  32(R9)(AX*8), Y1, Y7
+	VADDPD  Y4, Y6, Y4
+	VADDPD  Y5, Y7, Y5
+	VMULPD  (R10)(AX*8), Y2, Y6
+	VMULPD  32(R10)(AX*8), Y2, Y7
+	VADDPD  Y4, Y6, Y4
+	VADDPD  Y5, Y7, Y5
+	VMULPD  (R11)(AX*8), Y3, Y6
+	VMULPD  32(R11)(AX*8), Y3, Y7
+	VADDPD  Y4, Y6, Y4
+	VADDPD  Y5, Y7, Y5
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     ax4Loop
+
+ax4Four:
+	MOVQ    CX, BX
+	ANDQ    $-4, BX
+	CMPQ    AX, BX
+	JGE     ax4Tail
+	VMULPD  (R8)(AX*8), Y0, Y4
+	VADDPD  (DI)(AX*8), Y4, Y4
+	VMULPD  (R9)(AX*8), Y1, Y6
+	VADDPD  Y4, Y6, Y4
+	VMULPD  (R10)(AX*8), Y2, Y6
+	VADDPD  Y4, Y6, Y4
+	VMULPD  (R11)(AX*8), Y3, Y6
+	VADDPD  Y4, Y6, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+
+ax4Tail:
+	CMPQ AX, CX
+	JGE  ax4Done
+	PCALIGN $32
+
+ax4TailLoop:
+	VMULSD (R8)(AX*8), X0, X4
+	VADDSD (DI)(AX*8), X4, X4
+	VMULSD (R9)(AX*8), X1, X6
+	VADDSD X4, X6, X4
+	VMULSD (R10)(AX*8), X2, X6
+	VADDSD X4, X6, X4
+	VMULSD (R11)(AX*8), X3, X6
+	VADDSD X4, X6, X4
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    ax4TailLoop
+
+ax4Done:
+	VZEROUPPER
+	RET
+
+// func axpyRowsAVX2(y, a, x []float64)
+//
+// y += a[j]*x_j over the len(a) rows x_j of len(y) in ascending j, each
+// product the first operand of its add as in axpyAVX2. A block of 32
+// columns of y stays in eight registers while every row passes over it;
+// then blocks of four columns, then single columns, take the rest.
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-72
+	MOVQ  y_base+0(FP), DI
+	MOVQ  y_len+8(FP), CX
+	MOVQ  a_base+24(FP), SI
+	MOVQ  a_len+32(FP), DX
+	MOVQ  x_base+48(FP), R8
+	TESTQ DX, DX
+	JEQ   arDone
+	MOVQ  CX, R9
+	SHLQ  $3, R9
+	MOVQ  CX, BX
+	ANDQ  $-32, BX
+	XORQ  AX, AX
+	CMPQ  AX, BX
+	JGE   arFour
+
+ar32:
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	VMOVUPD 128(DI)(AX*8), Y4
+	VMOVUPD 160(DI)(AX*8), Y5
+	VMOVUPD 192(DI)(AX*8), Y6
+	VMOVUPD 224(DI)(AX*8), Y7
+	LEAQ    (R8)(AX*8), R10
+	XORQ    R11, R11
+	PCALIGN $32
+
+ar32Row:
+	VBROADCASTSD (SI)(R11*8), Y8
+	VMULPD       (R10), Y8, Y9
+	VMULPD       32(R10), Y8, Y10
+	VMULPD       64(R10), Y8, Y11
+	VMULPD       96(R10), Y8, Y12
+	VADDPD       Y0, Y9, Y0
+	VADDPD       Y1, Y10, Y1
+	VADDPD       Y2, Y11, Y2
+	VADDPD       Y3, Y12, Y3
+	VMULPD       128(R10), Y8, Y9
+	VMULPD       160(R10), Y8, Y10
+	VMULPD       192(R10), Y8, Y11
+	VMULPD       224(R10), Y8, Y12
+	VADDPD       Y4, Y9, Y4
+	VADDPD       Y5, Y10, Y5
+	VADDPD       Y6, Y11, Y6
+	VADDPD       Y7, Y12, Y7
+	ADDQ         R9, R10
+	INCQ         R11
+	CMPQ         R11, DX
+	JLT          ar32Row
+	VMOVUPD      Y0, (DI)(AX*8)
+	VMOVUPD      Y1, 32(DI)(AX*8)
+	VMOVUPD      Y2, 64(DI)(AX*8)
+	VMOVUPD      Y3, 96(DI)(AX*8)
+	VMOVUPD      Y4, 128(DI)(AX*8)
+	VMOVUPD      Y5, 160(DI)(AX*8)
+	VMOVUPD      Y6, 192(DI)(AX*8)
+	VMOVUPD      Y7, 224(DI)(AX*8)
+	ADDQ         $32, AX
+	CMPQ         AX, BX
+	JLT          ar32
+
+arFour:
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	CMPQ AX, BX
+	JGE  arOne
+
+ar4:
+	VMOVUPD (DI)(AX*8), Y0
+	LEAQ    (R8)(AX*8), R10
+	XORQ    R11, R11
+	PCALIGN $32
+
+ar4Row:
+	VBROADCASTSD (SI)(R11*8), Y8
+	VMULPD       (R10), Y8, Y9
+	VADDPD       Y0, Y9, Y0
+	ADDQ         R9, R10
+	INCQ         R11
+	CMPQ         R11, DX
+	JLT          ar4Row
+	VMOVUPD      Y0, (DI)(AX*8)
+	ADDQ         $4, AX
+	CMPQ         AX, BX
+	JLT          ar4
+
+arOne:
+	CMPQ AX, CX
+	JGE  arDone
+
+ar1:
+	VMOVSD (DI)(AX*8), X0
+	LEAQ   (R8)(AX*8), R10
+	XORQ   R11, R11
+	PCALIGN $32
+
+ar1Row:
+	VMOVSD (SI)(R11*8), X8
+	VMULSD (R10), X8, X9
+	VADDSD X0, X9, X0
+	ADDQ   R9, R10
+	INCQ   R11
+	CMPQ   R11, DX
+	JLT    ar1Row
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    ar1
+
+arDone:
 	VZEROUPPER
 	RET
 

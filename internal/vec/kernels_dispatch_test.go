@@ -2,6 +2,7 @@ package vec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -160,6 +161,41 @@ func checkElementwise(t *testing.T, off int, a, c, s float64, y, x []float64, x3
 	sameSlicesBits(t, "Rot y", gy, wy)
 }
 
+// checkBasisKernels compares the Lanczos basis kernels with the one-row
+// Go bodies they stand in for: Dot4 with dotGo row by row, Axpy4 with
+// four axpyGo calls in order, and AxpyRows over m rows (x[j%4] with the
+// coefficient a[j%4]) with m axpyGo calls in order. Each side
+// updates its own copy of w at the alignment off selects.
+func checkBasisKernels(t *testing.T, off int, w []float64, a [4]float64, x [4][]float64, m int) {
+	t.Helper()
+	var out [4]float64
+	Dot4(w, x[0], x[1], x[2], x[3], &out)
+	for r := range x {
+		if want := dotGo(w, x[r]); !sameBits(out[r], want) {
+			t.Fatalf("n=%d: Dot4 row %d=%v (%#x), Dot's Go body %v (%#x)", len(w), r, out[r], math.Float64bits(out[r]), want, math.Float64bits(want))
+		}
+	}
+
+	got, want := offsetCopy(w, off), offsetCopy(w, off)
+	Axpy4(got, a, x[0], x[1], x[2], x[3])
+	for r := range x {
+		axpyGo(want, a[r], x[r])
+	}
+	sameSlicesBits(t, "Axpy4", got, want)
+
+	X, coef := make([]float64, 0, m*len(w)), make([]float64, m)
+	for j := range coef {
+		X = append(X, x[j%4]...)
+		coef[j] = a[j%4]
+	}
+	got, want = offsetCopy(w, off), offsetCopy(w, off)
+	AxpyRows(got, coef, offsetCopy(X, (off+1)%4))
+	for j, c := range coef {
+		axpyGo(want, c, X[j*len(w):(j+1)*len(w)])
+	}
+	sameSlicesBits(t, fmt.Sprintf("AxpyRows (%d rows)", m), got, want)
+}
+
 // boxAround returns the minima and maxima of a and b, element by element,
 // so most of q's coordinates fall outside the box on one side or the
 // other and some inside it.
@@ -171,6 +207,11 @@ func boxAround(a, b []float64) (lo, hi []float64) {
 	return lo, hi
 }
 
+// TestKernelBodiesBitIdentical runs every one-row kernel, the box
+// distance, the elementwise kernels and the Lanczos basis kernels at
+// lengths 0–67 (every tail, and AxpyRows' 32-column blocks, four-column
+// blocks and single columns), every operand alignment and every value
+// class, with a = ±0 against ±Inf in one trial of six.
 func TestKernelBodiesBitIdentical(t *testing.T) {
 	logDispatch(t)
 	rng := rand.New(rand.NewSource(80))
@@ -201,6 +242,8 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 					}
 				}
 				checkElementwise(t, off, alpha, valueClass(rng, trial%5), valueClass(rng, (trial+2)%5), a, x, x32)
+				rows := [4][]float64{x, offsetCopy(mixedSlice(rng, n), (off+1)%4), b, offsetCopy(mixedSlice(rng, n), (off+3)%4)}
+				checkBasisKernels(t, off, a, [4]float64{alpha, valueClass(rng, trial%5), -alpha, valueClass(rng, (trial+3)%5)}, rows, trial%7)
 			}
 		}
 	}
@@ -230,10 +273,10 @@ func TestMinMaxBodiesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestElementwiseOverlapIsSequential gives Axpy, Rot and MinMax
-// operands that share memory — the same slice, and one slice shifted by
-// one element either way — which must give the bits of the plain
-// in-order loop, whichever body the dispatcher picks.
+// TestElementwiseOverlapIsSequential gives Axpy, Axpy4, AxpyRows, Rot
+// and MinMax operands that share memory — the same slice, and one slice
+// shifted by one element either way — which must give the bits of the
+// plain in-order loop, whichever body the dispatcher picks.
 func TestElementwiseOverlapIsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	seqAxpy := func(y []float64, a float64, x []float64) {
@@ -266,6 +309,31 @@ func TestElementwiseOverlapIsSequential(t *testing.T) {
 			Axpy(got[shift.yo:shift.yo+n], a, got[shift.xo:shift.xo+n])
 			seqAxpy(want[shift.yo:shift.yo+n], a, want[shift.xo:shift.xo+n])
 			sameSlicesBits(t, "Axpy "+shift.name, got, want)
+
+			// Axpy4 with y sharing memory with each x in turn, the other
+			// rows apart; AxpyRows with one row, that row and its
+			// coefficient sharing y's memory.
+			for r := 0; r < 4; r++ {
+				got, want := append([]float64(nil), base...), append([]float64(nil), base...)
+				xs := func(buf []float64) [4][]float64 {
+					rows := [4][]float64{x, x, base[1:], base[:n]}
+					rows[r] = buf[shift.xo : shift.xo+n]
+					return rows
+				}
+				coef := [4]float64{a, c, s, -a}
+				gx, wx := xs(got), xs(want)
+				Axpy4(got[shift.yo:shift.yo+n], coef, gx[0], gx[1], gx[2], gx[3])
+				for j := range wx {
+					seqAxpy(want[shift.yo:shift.yo+n], coef[j], wx[j])
+				}
+				sameSlicesBits(t, fmt.Sprintf("Axpy4 x%d %s", r, shift.name), got, want)
+			}
+			if n > 0 {
+				got, want = append([]float64(nil), base...), append([]float64(nil), base...)
+				AxpyRows(got[shift.yo:shift.yo+n], got[shift.yo:shift.yo+1], got[shift.xo:shift.xo+n])
+				seqAxpy(want[shift.yo:shift.yo+n], want[shift.yo], want[shift.xo:shift.xo+n])
+				sameSlicesBits(t, "AxpyRows "+shift.name, got, want)
+			}
 
 			got, want = append([]float64(nil), base...), append([]float64(nil), base...)
 			Rot(got[shift.xo:shift.xo+n], got[shift.yo:shift.yo+n], c, s)
@@ -410,8 +478,9 @@ func TestBatchRowsMismatchPanics(t *testing.T) {
 // infinity the fuzzer finds — to the dispatched bodies and the Go
 // bodies, one row and four rows, at the alignment off selects; to
 // the fused dots, one query and two; to the box distance, whose query,
-// minima and maxima are the thirds of the values, so every length mod 4 is reached; and to Axpy and Rot, whose
-// scalars are the last three values.
+// minima and maxima are the thirds of the values, so every length mod 4
+// is reached; and to Axpy, Rot and the Lanczos basis kernels (Dot4,
+// Axpy4, AxpyRows), whose scalars are the last three values.
 func FuzzKernels(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var out []byte
@@ -426,6 +495,12 @@ func FuzzKernels(f *testing.F) {
 	f.Add(make([]byte, 8*67), uint8(3))
 	f.Add(seed(0, 1, -1, 2, 3, math.NaN(), -2, -1, math.Inf(1), 1, 4, math.NaN()), uint8(5))
 	f.Add(seed(math.Inf(1), 1, math.Inf(-1), 2, 3, 4, 5, 6, 7, 8, 9, math.Inf(1), 0.6, 0.8, 0), uint8(6))
+	// NaNs of distinct payloads and signs on both operands of the basis
+	// kernels' adds: in y (the first half) and in the rows' products (the
+	// second half), with a finite coefficient last.
+	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
+	f.Add(seed(nan(0x7ff8000000000001), 1, nan(0xfff8000000000002), -2, nan(0x7ff4000000000003), 3, 4, 5, 6,
+		nan(0xfff8000000000004), nan(0x7ff8000000000005), 2, nan(0x7ff0000000000006), -1, 7, 8, 9, 1.5), uint8(13))
 	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
 		vals := make([]float64, len(raw)/8)
 		for i := range vals {
@@ -442,11 +517,6 @@ func FuzzKernels(f *testing.F) {
 		checkOneRow(t, a, b, b32)
 		m := len(vals) / 3
 		checkBox(t, offsetCopy(vals[:m], int(off%4)), offsetCopy(vals[m:2*m], int(off/4%4)), vals[2*m:3*m])
-		if len(vals) >= 3 {
-			c, s, alpha := vals[len(vals)-3], vals[len(vals)-2], vals[len(vals)-1]
-			checkElementwise(t, int(off%4), alpha, c, s, a, b, b32)
-		}
-
 		rot := func(s []float64, k int) []float64 {
 			if len(s) == 0 {
 				return s
@@ -455,6 +525,12 @@ func FuzzKernels(f *testing.F) {
 			return append(append([]float64(nil), s[k:]...), s[:k]...)
 		}
 		rows := [4][]float64{b, rot(b, 1), rot(a, 2), rot(b, 3)}
+		if len(vals) >= 3 {
+			c, s, alpha := vals[len(vals)-3], vals[len(vals)-2], vals[len(vals)-1]
+			checkElementwise(t, int(off%4), alpha, c, s, a, b, b32)
+			checkBasisKernels(t, int(off%4), a, [4]float64{alpha, c, s, -alpha}, rows, int(off%7))
+		}
+
 		var out [4]float64
 		sqdist4(a, rows[0], rows[1], rows[2], rows[3], &out)
 		for r, p := range rows {

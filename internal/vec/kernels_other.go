@@ -18,6 +18,10 @@ func axpy(y []float64, a float64, x []float64) { axpyGo(y, a, x) }
 
 func axpy32(y []float64, a float64, x []float32) { axpyGo(y, a, x) }
 
+func axpy4(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) { axpy4Go(y, a, x0, x1, x2, x3) }
+
+func axpyRows(y, a, X []float64) { axpyRowsGo(y, a, X) }
+
 func rot(x, y []float64, c, s float64) { rotGo(x, y, c, s) }
 
 func boxSqDist(q, lo, hi []float64) float64 { return boxSqDistGo(q, lo, hi) }
@@ -31,6 +35,8 @@ func sqdist4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 func sqdistQ32x4(q []float64, p0, p1, p2, p3 []float32, out *[4]float64) {
 	out[0], out[1], out[2], out[3] = sqdistGo(q, p0), sqdistGo(q, p1), sqdistGo(q, p2), sqdistGo(q, p3)
 }
+
+func dot4(w, x0, x1, x2, x3 []float64, out *[4]float64) { dot4Go(w, x0, x1, x2, x3, out) }
 
 func dot4FMA(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 	out[0], out[1], out[2], out[3] = dotFMAGo(q, p0), dotFMAGo(q, p1), dotFMAGo(q, p2), dotFMAGo(q, p3)
