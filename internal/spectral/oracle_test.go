@@ -248,8 +248,10 @@ func sameBasisBits(t *testing.T, got, want *Basis) {
 // worker and at several. The last three cases reach the basis kernels'
 // edges: the default rank 64 at its default 144 steps, so the basis
 // passes through every size mod 4 and the last block (443 of 3003
-// rows) is no multiple of 8; rank 40, whose embedding rows end in
-// AxpyRows' four-column blocks; and disconnected components, where the
+// rows) is no multiple of 8; rank 47, whose embedding rows (5·8 + 4 +
+// 3) reach vec.Axpy4's eight-, four- and one-column steps and whose 110
+// steps leave the Ritz assembly two rows of Yᵀ past its groups of four;
+// and disconnected components, where the
 // case asserts what every case here meets: passes whose small
 // coefficients cancel to an exact zero inside a group of four, which
 // the update skips.
@@ -269,7 +271,7 @@ func TestDecomposeMatchesOracleBits(t *testing.T) {
 		{name: "steps=n", S: symTestMatrix(t, 60, 4), rank: 60, steps: 60, seed: 5},
 		{name: "rank-clamped", S: fewValuesMatrix(t, 700), rank: 10, seed: 9, clamped: true},
 		{name: "rank-64-mixture", S: mixtureAdjacency(t, 3003), rank: 64, seed: 11},
-		{name: "rank-40-column-tail", S: symTestMatrix(t, 1500, 4), rank: 40, seed: 13},
+		{name: "rank-47-tails", S: symTestMatrix(t, 1500, 4), rank: 47, seed: 13},
 		{name: "block-diagonal-zeros", S: blockDiagonalMatrix(t, 40, 7, 33, 5, 60, 9, 26), rank: 24, seed: 17, zeros: true},
 	}
 	for _, tc := range cases {

@@ -19,11 +19,11 @@
 //
 // The offline cost is the reorthogonalization, two passes of step j
 // over all j basis vectors, then the Ritz assembly U = V·Y. Both go
-// through vec kernels that take several rows per pass with the bits
-// of the one-row calls they replace: vec.Dot4 and vec.Axpy4 take the
-// basis four vectors at a time, and vec.AxpyRows adds every row of Yᵀ
-// into one embedding row held in registers. The serial dense.EigSym on
-// the m x m tridiagonal (m = 2·rank + 16) is the next stage in line.
+// through vec kernels that take four rows per pass with the bits of
+// the one-row calls they replace: vec.Dot4 and vec.Axpy4 take the
+// basis four vectors at a time, and vec.Axpy4 adds four rows of Yᵀ
+// into an embedding row. The serial dense.EigSym on the m x m
+// tridiagonal (m = 2·rank + 16) is the next stage in line.
 package spectral
 
 import (
@@ -183,13 +183,13 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 	// Ritz vectors U = V Y (top columns), assembled row-major so item
 	// i's embedding is contiguous: row i accumulates V[j][i] * (row j of
 	// Yt) in ascending j, where Yt is the contiguous m x rank copy of
-	// Y's top columns, descending. Rows go 16 at a time: a tile's
-	// coefficients V[j][t0:t1] are gathered row by row into a (each
-	// Lanczos vector read contiguously), and vec.AxpyRows then adds
-	// every row of Yt into one embedding row held in registers. Every
-	// element sums its terms in ascending j order at any GOMAXPROCS; a
-	// zero term adds ±0, which leaves the accumulator alone because,
-	// starting from +0, it is never -0.
+	// Y's top columns, descending. Rows go 16 at a time, so a tile's
+	// rows stay in L1 while each Lanczos vector is read contiguously,
+	// and j goes four at a time through vec.Axpy4, which has the bits of
+	// the four vec.Axpy calls it replaces. Every element sums its terms
+	// in ascending j order at any GOMAXPROCS; a zero term adds ±0, which
+	// leaves the accumulator alone because, starting from +0, it is
+	// never -0.
 	Yt := make([]float64, m*rank)
 	for j := 0; j < m; j++ {
 		for t := 0; t < rank; t++ {
@@ -197,17 +197,23 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 		}
 	}
 	vecs := make([]float64, n*rank)
+	yt := func(j int) []float64 { return Yt[j*rank : (j+1)*rank] }
 	par.For(n, 128, func(lo, hi int) {
-		a := make([]float64, 16*m)
 		for t0 := lo; t0 < hi; t0 += 16 {
 			t1 := min(t0+16, hi)
-			for j := 0; j < m; j++ {
-				for x, v := range V[j][t0:t1] {
-					a[x*m+j] = v
+			j := 0
+			for ; j+4 <= m; j += 4 {
+				y0, y1, y2, y3 := yt(j), yt(j+1), yt(j+2), yt(j+3)
+				v0, v1, v2, v3 := V[j][t0:t1], V[j+1][t0:t1], V[j+2][t0:t1], V[j+3][t0:t1]
+				for x := range v0 {
+					vec.Axpy4(vecs[(t0+x)*rank:(t0+x+1)*rank], [4]float64{v0[x], v1[x], v2[x], v3[x]}, y0, y1, y2, y3)
 				}
 			}
-			for x := range t1 - t0 {
-				vec.AxpyRows(vecs[(t0+x)*rank:(t0+x+1)*rank], a[x*m:(x+1)*m], Yt)
+			for ; j < m; j++ {
+				yj := yt(j)
+				for x, v := range V[j][t0:t1] {
+					vec.Axpy(vecs[(t0+x)*rank:(t0+x+1)*rank], v, yj)
+				}
 			}
 		}
 	})

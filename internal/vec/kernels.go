@@ -34,12 +34,12 @@ import (
 //
 // The squared-distance, dot and axpy kernels have two bodies per
 // storage width, and the box distance, rotation, extent fold, fused
-// dots and the basis kernels of the Lanczos build (Dot4, Axpy4,
-// AxpyRows) have two over float64: the Go bodies here (sqdistGo,
-// dotGo, axpyGo, boxSqDistGo, rotGo, minMaxGo, dotFMAGo, dot4Go,
-// axpy4Go, axpyRowsGo), compiled everywhere, and AVX2 assembly
-// (kernels_amd64.s) that gives the same bits (an accumulating kernel
-// holds its four lanes in one ymm register).
+// dots and the basis kernels of the Lanczos build (Dot4, Axpy4) have
+// two over float64: the Go bodies here (sqdistGo, dotGo, axpyGo,
+// boxSqDistGo, rotGo, minMaxGo, dotFMAGo, dot4Go, axpy4Go), compiled
+// everywhere, and AVX2 assembly (kernels_amd64.s) that gives the same
+// bits (an accumulating kernel holds its four lanes in one ymm
+// register).
 // Package init picks the assembly once when the CPU and OS support AVX2
 // (and FMA, for the fused dots; kernels_amd64.go); elsewhere the Go
 // bodies are the only ones, and they are the tests' oracle. The
@@ -255,41 +255,12 @@ func Axpy4(y []float64, a [4]float64, x0, x1, x2, x3 []float64) {
 	axpy4(y, &a, x0, x1, x2, x3)
 }
 
-// AxpyRows computes y += a[j]*X_j for every row X_j of the row-major
-// len(a) x len(y) matrix X, in ascending j: the bits of len(a) Axpy
-// calls in that order, with y held in registers across them. It is the
-// Ritz assembly U = V·Y of the spectral build, one embedding row per
-// call. len(X) must be len(a)*len(y); where y shares memory with a or X
-// the Go body runs, which is those calls in order.
-func AxpyRows(y, a, X []float64) {
-	if len(X) != len(a)*len(y) {
-		panic(fmt.Sprintf("vec: AxpyRows matrix of %d for %d rows of %d", len(X), len(a), len(y)))
-	}
-	axpyRows(y, a, X)
-}
-
-// The Go bodies of Axpy4 and AxpyRows make one in-order pass over y per
-// row. Each product is rounded explicitly, so that no compiler fuses it
-// into the add: the assembly never does.
-
+// axpy4Go is the Go body of Axpy4: the four Axpy calls in order.
 func axpy4Go(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) {
-	for j, x := range [4][]float64{x0, x1, x2, x3} {
-		axpyRoundGo(y, a[j], x)
-	}
-}
-
-func axpyRowsGo(y, a, X []float64) {
-	n := len(y)
-	for j, aj := range a {
-		axpyRoundGo(y, aj, X[j*n:(j+1)*n])
-	}
-}
-
-func axpyRoundGo(y []float64, a float64, x []float64) {
-	x = x[:len(y)]
-	for i, xi := range x {
-		y[i] += float64(a * xi)
-	}
+	axpyGo(y, a[0], x0)
+	axpyGo(y, a[1], x1)
+	axpyGo(y, a[2], x2)
+	axpyGo(y, a[3], x3)
 }
 
 // Rot applies the plane rotation (c, s) to the pair (x, y):
@@ -334,24 +305,9 @@ func Dot4(w, x0, x1, x2, x3 []float64, out *[4]float64) {
 	dot4(w, x0, x1, x2, x3, out)
 }
 
-// dot4Go is the Go body of Dot4: dotGo's loop per row, with each
-// product rounded explicitly so that no compiler fuses it into the add.
+// dot4Go is the Go body of Dot4: dotGo per row.
 func dot4Go(w, x0, x1, x2, x3 []float64, out *[4]float64) {
-	for r, x := range [4][]float64{x0, x1, x2, x3} {
-		x = x[:len(w)]
-		var s0, s1, s2, s3 float64
-		i := 0
-		for ; i+4 <= len(w); i += 4 {
-			s0 += float64(w[i] * x[i])
-			s1 += float64(w[i+1] * x[i+1])
-			s2 += float64(w[i+2] * x[i+2])
-			s3 += float64(w[i+3] * x[i+3])
-		}
-		for ; i < len(w); i++ {
-			s0 += float64(w[i] * x[i])
-		}
-		out[r] = combineLanes(s0, s1, s2, s3)
-	}
+	out[0], out[1], out[2], out[3] = dotGo(w, x0), dotGo(w, x1), dotGo(w, x2), dotGo(w, x3)
 }
 
 // The fused dot kernels below are the one exception to the unfused

@@ -204,10 +204,9 @@ func BenchmarkKernelGatherF32(b *testing.B) {
 // one embedding row) and p = 1024 (the emr_vec combine's axpy of one
 // Gram-inverse row). Axpy has an AVX2 body beside its Go one; Sum and
 // ScatterAxpy have only the Go body. The float64 Axpy also runs at
-// b = 512, one par block of the spectral build's basis, where its
-// "four-row" sub-row is Axpy4 (the reorthogonalization's update) and
-// its "rows" sub-row is AxpyRows, all 128 rows into y with y in
-// registers (at r = 64, the Ritz assembly's kernel).
+// b = 512, one par block of the spectral build's basis; its "four-row"
+// sub-row is Axpy4, the reorthogonalization's update (and, at r = 64,
+// the Ritz assembly's).
 var elemShapes = []benchShape{{"r=64", 128, 64}, {"p=1024", 128, 1024}}
 
 // elemData draws the rows of s as float64 and as float32, a destination
@@ -256,13 +255,6 @@ func BenchmarkKernelAxpyF64(b *testing.B) {
 				}
 			})
 		})
-		a := make([]float64, s.rows)
-		for r := range a {
-			a[r] = 1e-3 * float64(r%5-2)
-		}
-		b.Run(s.name+"/rows", func(b *testing.B) {
-			benchPass(b, s.rows, s.dim*8, func() { AxpyRows(y, a, flat64) })
-		})
 	}
 }
 
@@ -273,15 +265,14 @@ func BenchmarkKernelAxpyF32(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelRot rotates 64 disjoint row pairs per op at m = 145,
-// one past the order 2·64 + 16 = 144 of a rank-64 spectral build's
-// Lanczos tridiagonal (dense.EigSym's row rotation; the row keeps the
-// length its earlier numbers were taken at), and at p = 1024, the Axpy
-// rows' long length. A rotation is orthogonal, so repeating it keeps the rows
-// bounded.
+// BenchmarkKernelRot rotates 64 disjoint row pairs per op at m = 144,
+// the order 2·64 + 16 of a rank-64 spectral build's Lanczos
+// tridiagonal (dense.EigSym's row rotation), and at p = 1024, the Axpy
+// rows' long length. A rotation is orthogonal, so repeating it keeps
+// the rows bounded.
 func BenchmarkKernelRot(b *testing.B) {
 	c, sn := math.Cos(0.3), math.Sin(0.3)
-	for _, s := range []benchShape{{"m=145", 128, 145}, {"p=1024", 128, 1024}} {
+	for _, s := range []benchShape{{"m=144", 128, 144}, {"p=1024", 128, 1024}} {
 		flat64, _, _, _ := elemData(s)
 		row := func(r int) []float64 { return flat64[r*s.dim : (r+1)*s.dim] }
 		b.Run(s.name+"/go", func(b *testing.B) {

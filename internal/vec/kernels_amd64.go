@@ -113,17 +113,6 @@ func axpy4(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) {
 	axpy4AVX2(y, a, &x0[:n][0], &x1[:n][0], &x2[:n][0], &x3[:n][0])
 }
 
-// axpyRows holds y in registers across every row of X, so it also
-// sends y sharing memory with a to the Go body, which reads a[j] after
-// the rows before it have updated y.
-func axpyRows(y, a, X []float64) {
-	if useAVX2 && !overlaps(y, a) && !overlaps(y, X) {
-		axpyRowsAVX2(y, a, X[:len(a)*len(y)])
-		return
-	}
-	axpyRowsGo(y, a, X)
-}
-
 // overlaps reports whether the memory of y and x intersects. The
 // elementwise assembly bodies load a whole pass before they store it,
 // so on shared memory they could read a value the in-order loop would
@@ -214,9 +203,6 @@ func axpy32AVX2(y []float64, a float64, x []float32)
 
 //go:noescape
 func axpy4AVX2(y []float64, a *[4]float64, x0, x1, x2, x3 *float64)
-
-//go:noescape
-func axpyRowsAVX2(y, a, x []float64)
 
 //go:noescape
 func rotAVX2(x, y []float64, c, s float64)

@@ -3,7 +3,7 @@
 // AVX2 bodies of the accumulating distance, dot and box-distance
 // kernels, of the elementwise axpy and rotation, of the extent fold
 // (minMaxAVX2 says how it keeps the builtins' bits) and of the Lanczos
-// basis kernels (dot4AVX2, axpy4AVX2, axpyRowsAVX2). Each accumulating
+// basis kernels (dot4AVX2, axpy4AVX2). Each accumulating
 // one reproduces its Go body in kernels.go / kernels32.go to the bit:
 // one ymm register holds the lanes s0..s3, so lane l takes positions ≡ l
 // (mod 4) in order; every element is subtracted (or widened with
@@ -891,127 +891,6 @@ ax4TailLoop:
 	JLT    ax4TailLoop
 
 ax4Done:
-	VZEROUPPER
-	RET
-
-// func axpyRowsAVX2(y, a, x []float64)
-//
-// y += a[j]*x_j over the len(a) rows x_j of len(y) in ascending j, each
-// product the first operand of its add as in axpyAVX2. A block of 32
-// columns of y stays in eight registers while every row passes over it;
-// then blocks of four columns, then single columns, take the rest.
-TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-72
-	MOVQ  y_base+0(FP), DI
-	MOVQ  y_len+8(FP), CX
-	MOVQ  a_base+24(FP), SI
-	MOVQ  a_len+32(FP), DX
-	MOVQ  x_base+48(FP), R8
-	TESTQ DX, DX
-	JEQ   arDone
-	MOVQ  CX, R9
-	SHLQ  $3, R9
-	MOVQ  CX, BX
-	ANDQ  $-32, BX
-	XORQ  AX, AX
-	CMPQ  AX, BX
-	JGE   arFour
-
-ar32:
-	VMOVUPD (DI)(AX*8), Y0
-	VMOVUPD 32(DI)(AX*8), Y1
-	VMOVUPD 64(DI)(AX*8), Y2
-	VMOVUPD 96(DI)(AX*8), Y3
-	VMOVUPD 128(DI)(AX*8), Y4
-	VMOVUPD 160(DI)(AX*8), Y5
-	VMOVUPD 192(DI)(AX*8), Y6
-	VMOVUPD 224(DI)(AX*8), Y7
-	LEAQ    (R8)(AX*8), R10
-	XORQ    R11, R11
-	PCALIGN $32
-
-ar32Row:
-	VBROADCASTSD (SI)(R11*8), Y8
-	VMULPD       (R10), Y8, Y9
-	VMULPD       32(R10), Y8, Y10
-	VMULPD       64(R10), Y8, Y11
-	VMULPD       96(R10), Y8, Y12
-	VADDPD       Y0, Y9, Y0
-	VADDPD       Y1, Y10, Y1
-	VADDPD       Y2, Y11, Y2
-	VADDPD       Y3, Y12, Y3
-	VMULPD       128(R10), Y8, Y9
-	VMULPD       160(R10), Y8, Y10
-	VMULPD       192(R10), Y8, Y11
-	VMULPD       224(R10), Y8, Y12
-	VADDPD       Y4, Y9, Y4
-	VADDPD       Y5, Y10, Y5
-	VADDPD       Y6, Y11, Y6
-	VADDPD       Y7, Y12, Y7
-	ADDQ         R9, R10
-	INCQ         R11
-	CMPQ         R11, DX
-	JLT          ar32Row
-	VMOVUPD      Y0, (DI)(AX*8)
-	VMOVUPD      Y1, 32(DI)(AX*8)
-	VMOVUPD      Y2, 64(DI)(AX*8)
-	VMOVUPD      Y3, 96(DI)(AX*8)
-	VMOVUPD      Y4, 128(DI)(AX*8)
-	VMOVUPD      Y5, 160(DI)(AX*8)
-	VMOVUPD      Y6, 192(DI)(AX*8)
-	VMOVUPD      Y7, 224(DI)(AX*8)
-	ADDQ         $32, AX
-	CMPQ         AX, BX
-	JLT          ar32
-
-arFour:
-	MOVQ CX, BX
-	ANDQ $-4, BX
-	CMPQ AX, BX
-	JGE  arOne
-
-ar4:
-	VMOVUPD (DI)(AX*8), Y0
-	LEAQ    (R8)(AX*8), R10
-	XORQ    R11, R11
-	PCALIGN $32
-
-ar4Row:
-	VBROADCASTSD (SI)(R11*8), Y8
-	VMULPD       (R10), Y8, Y9
-	VADDPD       Y0, Y9, Y0
-	ADDQ         R9, R10
-	INCQ         R11
-	CMPQ         R11, DX
-	JLT          ar4Row
-	VMOVUPD      Y0, (DI)(AX*8)
-	ADDQ         $4, AX
-	CMPQ         AX, BX
-	JLT          ar4
-
-arOne:
-	CMPQ AX, CX
-	JGE  arDone
-
-ar1:
-	VMOVSD (DI)(AX*8), X0
-	LEAQ   (R8)(AX*8), R10
-	XORQ   R11, R11
-	PCALIGN $32
-
-ar1Row:
-	VMOVSD (SI)(R11*8), X8
-	VMULSD (R10), X8, X9
-	VADDSD X0, X9, X0
-	ADDQ   R9, R10
-	INCQ   R11
-	CMPQ   R11, DX
-	JLT    ar1Row
-	VMOVSD X0, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, CX
-	JLT    ar1
-
-arDone:
 	VZEROUPPER
 	RET
 

@@ -162,11 +162,10 @@ func checkElementwise(t *testing.T, off int, a, c, s float64, y, x []float64, x3
 }
 
 // checkBasisKernels compares the Lanczos basis kernels with the one-row
-// Go bodies they stand in for: Dot4 with dotGo row by row, Axpy4 with
-// four axpyGo calls in order, and AxpyRows over m rows (x[j%4] with the
-// coefficient a[j%4]) with m axpyGo calls in order. Each side
-// updates its own copy of w at the alignment off selects.
-func checkBasisKernels(t *testing.T, off int, w []float64, a [4]float64, x [4][]float64, m int) {
+// Go bodies they stand in for: Dot4 with dotGo row by row, and Axpy4
+// with four axpyGo calls in order, each side updating its own copy of w
+// at the alignment off selects.
+func checkBasisKernels(t *testing.T, off int, w []float64, a [4]float64, x [4][]float64) {
 	t.Helper()
 	var out [4]float64
 	Dot4(w, x[0], x[1], x[2], x[3], &out)
@@ -182,18 +181,6 @@ func checkBasisKernels(t *testing.T, off int, w []float64, a [4]float64, x [4][]
 		axpyGo(want, a[r], x[r])
 	}
 	sameSlicesBits(t, "Axpy4", got, want)
-
-	X, coef := make([]float64, 0, m*len(w)), make([]float64, m)
-	for j := range coef {
-		X = append(X, x[j%4]...)
-		coef[j] = a[j%4]
-	}
-	got, want = offsetCopy(w, off), offsetCopy(w, off)
-	AxpyRows(got, coef, offsetCopy(X, (off+1)%4))
-	for j, c := range coef {
-		axpyGo(want, c, X[j*len(w):(j+1)*len(w)])
-	}
-	sameSlicesBits(t, fmt.Sprintf("AxpyRows (%d rows)", m), got, want)
 }
 
 // boxAround returns the minima and maxima of a and b, element by element,
@@ -209,8 +196,7 @@ func boxAround(a, b []float64) (lo, hi []float64) {
 
 // TestKernelBodiesBitIdentical runs every one-row kernel, the box
 // distance, the elementwise kernels and the Lanczos basis kernels at
-// lengths 0–67 (every tail, and AxpyRows' 32-column blocks, four-column
-// blocks and single columns), every operand alignment and every value
+// lengths 0–67 (every tail), every operand alignment and every value
 // class, with a = ±0 against ±Inf in one trial of six.
 func TestKernelBodiesBitIdentical(t *testing.T) {
 	logDispatch(t)
@@ -243,7 +229,7 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 				}
 				checkElementwise(t, off, alpha, valueClass(rng, trial%5), valueClass(rng, (trial+2)%5), a, x, x32)
 				rows := [4][]float64{x, offsetCopy(mixedSlice(rng, n), (off+1)%4), b, offsetCopy(mixedSlice(rng, n), (off+3)%4)}
-				checkBasisKernels(t, off, a, [4]float64{alpha, valueClass(rng, trial%5), -alpha, valueClass(rng, (trial+3)%5)}, rows, trial%7)
+				checkBasisKernels(t, off, a, [4]float64{alpha, valueClass(rng, trial%5), -alpha, valueClass(rng, (trial+3)%5)}, rows)
 			}
 		}
 	}
@@ -273,8 +259,8 @@ func TestMinMaxBodiesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestElementwiseOverlapIsSequential gives Axpy, Axpy4, AxpyRows, Rot
-// and MinMax operands that share memory — the same slice, and one slice
+// TestElementwiseOverlapIsSequential gives Axpy, Axpy4, Rot and MinMax
+// operands that share memory — the same slice, and one slice
 // shifted by one element either way — which must give the bits of the
 // plain in-order loop, whichever body the dispatcher picks.
 func TestElementwiseOverlapIsSequential(t *testing.T) {
@@ -311,8 +297,7 @@ func TestElementwiseOverlapIsSequential(t *testing.T) {
 			sameSlicesBits(t, "Axpy "+shift.name, got, want)
 
 			// Axpy4 with y sharing memory with each x in turn, the other
-			// rows apart; AxpyRows with one row, that row and its
-			// coefficient sharing y's memory.
+			// rows apart.
 			for r := 0; r < 4; r++ {
 				got, want := append([]float64(nil), base...), append([]float64(nil), base...)
 				xs := func(buf []float64) [4][]float64 {
@@ -327,12 +312,6 @@ func TestElementwiseOverlapIsSequential(t *testing.T) {
 					seqAxpy(want[shift.yo:shift.yo+n], coef[j], wx[j])
 				}
 				sameSlicesBits(t, fmt.Sprintf("Axpy4 x%d %s", r, shift.name), got, want)
-			}
-			if n > 0 {
-				got, want = append([]float64(nil), base...), append([]float64(nil), base...)
-				AxpyRows(got[shift.yo:shift.yo+n], got[shift.yo:shift.yo+1], got[shift.xo:shift.xo+n])
-				seqAxpy(want[shift.yo:shift.yo+n], want[shift.yo], want[shift.xo:shift.xo+n])
-				sameSlicesBits(t, "AxpyRows "+shift.name, got, want)
 			}
 
 			got, want = append([]float64(nil), base...), append([]float64(nil), base...)
@@ -480,7 +459,7 @@ func TestBatchRowsMismatchPanics(t *testing.T) {
 // the fused dots, one query and two; to the box distance, whose query,
 // minima and maxima are the thirds of the values, so every length mod 4
 // is reached; and to Axpy, Rot and the Lanczos basis kernels (Dot4,
-// Axpy4, AxpyRows), whose scalars are the last three values.
+// Axpy4), whose scalars are the last three values.
 func FuzzKernels(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var out []byte
@@ -495,9 +474,9 @@ func FuzzKernels(f *testing.F) {
 	f.Add(make([]byte, 8*67), uint8(3))
 	f.Add(seed(0, 1, -1, 2, 3, math.NaN(), -2, -1, math.Inf(1), 1, 4, math.NaN()), uint8(5))
 	f.Add(seed(math.Inf(1), 1, math.Inf(-1), 2, 3, 4, 5, 6, 7, 8, 9, math.Inf(1), 0.6, 0.8, 0), uint8(6))
-	// NaNs of distinct payloads and signs on both operands of the basis
-	// kernels' adds: in y (the first half) and in the rows' products (the
-	// second half), with a finite coefficient last.
+	// NaNs in both halves, so in y and in the rows, with a finite
+	// coefficient last: the basis kernels must give NaN where the one-row
+	// bodies do (sameBits does not compare payloads).
 	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
 	f.Add(seed(nan(0x7ff8000000000001), 1, nan(0xfff8000000000002), -2, nan(0x7ff4000000000003), 3, 4, 5, 6,
 		nan(0xfff8000000000004), nan(0x7ff8000000000005), 2, nan(0x7ff0000000000006), -1, 7, 8, 9, 1.5), uint8(13))
@@ -528,7 +507,7 @@ func FuzzKernels(f *testing.F) {
 		if len(vals) >= 3 {
 			c, s, alpha := vals[len(vals)-3], vals[len(vals)-2], vals[len(vals)-1]
 			checkElementwise(t, int(off%4), alpha, c, s, a, b, b32)
-			checkBasisKernels(t, int(off%4), a, [4]float64{alpha, c, s, -alpha}, rows, int(off%7))
+			checkBasisKernels(t, int(off%4), a, [4]float64{alpha, c, s, -alpha}, rows)
 		}
 
 		var out [4]float64

@@ -20,8 +20,6 @@ func axpy32(y []float64, a float64, x []float32) { axpyGo(y, a, x) }
 
 func axpy4(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) { axpy4Go(y, a, x0, x1, x2, x3) }
 
-func axpyRows(y, a, X []float64) { axpyRowsGo(y, a, X) }
-
 func rot(x, y []float64, c, s float64) { rotGo(x, y, c, s) }
 
 func boxSqDist(q, lo, hi []float64) float64 { return boxSqDistGo(q, lo, hi) }
