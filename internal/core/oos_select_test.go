@@ -178,7 +178,11 @@ func synthOOS(cfg synthConfig) (*Index, *rand.Rand) {
 		for i, id := range ids {
 			sub[i] = pts[id]
 		}
-		means[c] = vec.Mean(sub)
+		means[c] = make(vec.Vector, len(sub[0]))
+		for _, p := range sub {
+			means[c].Add(p)
+		}
+		means[c].Scale(1 / float64(len(sub)))
 	}
 	if cfg.dupEvery > 0 {
 		for c := cfg.dupEvery; c < len(means); c++ {

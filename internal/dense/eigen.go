@@ -11,11 +11,10 @@ import (
 // EigSym computes the full eigendecomposition of a symmetric matrix
 // using the cyclic Jacobi rotation method: A = V diag(w) V^T with
 // orthonormal columns of V. Eigenvalues are returned in ascending
-// order. Two callers: the FMR baseline's spectral clustering (the
-// smallest eigenvectors of the normalized Laplacian) and the
-// Rayleigh-Ritz step of spectral.Decompose (every eigenpair of the
-// m x m Lanczos tridiagonal, m = 2r + 16 by default). Input with a NaN
-// or infinite element is an error.
+// order. Its caller is the FMR baseline's spectral clustering (the
+// smallest eigenvectors of the normalized Laplacian); a tridiagonal
+// matrix goes to EigTridiag instead. Input with a NaN or infinite
+// element is an error.
 //
 // Jacobi is O(n^3) per sweep but unconditionally stable and simple,
 // which is the right trade-off for the baseline sizes used here. The

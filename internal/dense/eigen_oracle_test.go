@@ -245,10 +245,11 @@ func TestEigSymRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// BenchmarkEigSym prices the Rayleigh-Ritz eigensolve of the spectral
-// engine's default build, whose Lanczos tridiagonal has order 2*64 + 16
-// = 144 at rank 64 (spectral_id's): here an unreduced one (diagonal in
-// [-1, 1], couplings in (0, 1)) of that order.
+// BenchmarkEigSym prices dense Jacobi on an unreduced tridiagonal
+// (diagonal in [-1, 1], couplings in (0, 1)) of order 2*64 + 16 = 144,
+// the order of spectral_id's Lanczos tridiagonal, whose Rayleigh-Ritz
+// step it was before EigTridiag; BenchmarkRayleighRitz in
+// internal/spectral times both solvers on the real one.
 //
 //	go test -run '^$' -bench 'BenchmarkEigSym' -benchtime 5x ./internal/dense
 func BenchmarkEigSym(b *testing.B) {

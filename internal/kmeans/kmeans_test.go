@@ -105,7 +105,12 @@ func TestAssignmentsAreNearestCentroid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pts {
-		best, _ := vec.ArgNearest(p, res.Centroids, vec.Euclidean{})
+		best := 0
+		for c, cent := range res.Centroids {
+			if vec.SquaredEuclidean(p, cent) < vec.SquaredEuclidean(p, res.Centroids[best]) {
+				best = c
+			}
+		}
 		if best != res.Assign[i] {
 			// Allow exact distance ties only.
 			d1 := vec.SquaredEuclidean(p, res.Centroids[best])

@@ -34,6 +34,31 @@ func BenchmarkDecompose(b *testing.B) {
 	}
 }
 
+// BenchmarkRayleighRitz prices the Rayleigh-Ritz step alone on the
+// Lanczos tridiagonal of BenchmarkDecompose's n = 20000 shape (m = 144),
+// run once outside the timer: /jacobi is dense cyclic Jacobi on the
+// explicit T (the step Decompose took before), /ql the implicit QL on
+// the tridiagonal that Decompose takes now. A random tridiagonal of the
+// same order (BenchmarkEigSym) under-reads Jacobi's time on this one.
+//
+//	go test -run '^$' -bench 'BenchmarkRayleighRitz' -benchmem -benchtime 20x ./internal/spectral
+func BenchmarkRayleighRitz(b *testing.B) {
+	_, alphas, betas := lanczos(mixtureAdjacency(b, 20_000), 2*64+16, 0)
+	for _, arm := range []struct {
+		name string
+		ritz ritzStep
+	}{{"jacobi", jacobiRitz}, {"ql", rayleighRitz}} {
+		b.Run(fmt.Sprintf("m=%d/%s", len(alphas), arm.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := arm.ritz(alphas, betas, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func mixtureAdjacency(b testing.TB, n int) *sparse.CSR {
 	b.Helper()
 	ds := dataset.Mixture(dataset.MixtureConfig{

@@ -7,10 +7,11 @@
 // products in the embedding (see mogul.BuildSpectral).
 //
 // The solver is Lanczos with full (two-pass classical Gram-Schmidt)
-// reorthogonalization and a Rayleigh-Ritz step through dense.EigSym
-// on the projected tridiagonal matrix. Everything is deterministic at
-// any GOMAXPROCS: the start vector is a pure function of the seed,
-// matrix-vector products parallelize over rows (each row independent,
+// reorthogonalization and a Rayleigh-Ritz step through
+// dense.EigTridiag, a serial implicit QL on the projected tridiagonal
+// itself. Everything is deterministic at any GOMAXPROCS: the start
+// vector is a pure function of the seed, matrix-vector products
+// parallelize over rows (each row independent,
 // fixed four-lane kernel order inside), and every inner product is a
 // fixed-shape blocked reduction folded in ascending block order (the
 // par.SumBlocks contract; cgs2 folds many at once), so the basis —
@@ -22,8 +23,10 @@
 // through vec kernels that take four rows per pass with the bits of
 // the one-row calls they replace: vec.Dot4 and vec.Axpy4 take the
 // basis four vectors at a time, and vec.Axpy4 adds four rows of Yᵀ
-// into an embedding row. The serial dense.EigSym on the m x m
-// tridiagonal (m = 2·rank + 16) is the next stage in line.
+// into an embedding row. The Rayleigh-Ritz step on the m x m
+// tridiagonal (m = 2·rank + 16) costs ~3 ms at m = 144
+// (BenchmarkRayleighRitz), where dense Jacobi on the explicit matrix
+// took ~70 ms.
 package spectral
 
 import (
@@ -94,11 +97,58 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 		steps = n
 	}
 
-	// Lanczos with full reorthogonalization. V collects the orthonormal
-	// Krylov basis; alphas/betas the projected tridiagonal.
-	V := make([][]float64, 0, steps)
-	alphas := make([]float64, 0, steps)
-	betas := make([]float64, 0, steps) // betas[j] couples v_j and v_{j+1}
+	V, alphas, betas := lanczos(S, steps, seed)
+	vals, Yt, err := rayleighRitz(alphas, betas, rank)
+	if err != nil {
+		return nil, err
+	}
+	rank = len(vals)
+	m := len(V)
+
+	// Ritz vectors U = V Y (top columns), assembled row-major so item
+	// i's embedding is contiguous: row i accumulates V[j][i] * (row j of
+	// Yt) in ascending j. Rows go 16 at a time, so a tile's rows stay in
+	// L1 while each Lanczos vector is read contiguously, and j goes four
+	// at a time through vec.Axpy4, which has the bits of the four
+	// vec.Axpy calls it replaces. Every element sums its terms in
+	// ascending j order at any GOMAXPROCS; a zero term adds ±0, which
+	// leaves the accumulator alone because, starting from +0, it is
+	// never -0.
+	vecs := make([]float64, n*rank)
+	yt := func(j int) []float64 { return Yt[j*rank : (j+1)*rank] }
+	par.For(n, 128, func(lo, hi int) {
+		for t0 := lo; t0 < hi; t0 += 16 {
+			t1 := min(t0+16, hi)
+			j := 0
+			for ; j+4 <= m; j += 4 {
+				y0, y1, y2, y3 := yt(j), yt(j+1), yt(j+2), yt(j+3)
+				v0, v1, v2, v3 := V[j][t0:t1], V[j+1][t0:t1], V[j+2][t0:t1], V[j+3][t0:t1]
+				for x := range v0 {
+					vec.Axpy4(vecs[(t0+x)*rank:(t0+x+1)*rank], [4]float64{v0[x], v1[x], v2[x], v3[x]}, y0, y1, y2, y3)
+				}
+			}
+			for ; j < m; j++ {
+				yj := yt(j)
+				for x, v := range V[j][t0:t1] {
+					vec.Axpy(vecs[(t0+x)*rank:(t0+x+1)*rank], v, yj)
+				}
+			}
+		}
+	})
+	return &Basis{Rank: rank, Vals: vals, Vecs: vecs}, nil
+}
+
+// lanczos runs steps Lanczos iterations with full reorthogonalization
+// on S from the seeded start vector, stopping early on breakdown, and
+// returns the orthonormal
+// Krylov basis V (m = len(V) vectors) and the m x m tridiagonal
+// T = V^T S V: its diagonal alphas (m entries) and off-diagonal betas
+// (m - 1).
+func lanczos(S *sparse.CSR, steps int, seed int64) (V [][]float64, alphas, betas []float64) {
+	n := S.Rows
+	V = make([][]float64, 0, steps)
+	alphas = make([]float64, 0, steps)
+	betas = make([]float64, 0, steps) // betas[j] couples v_j and v_{j+1}
 
 	v0 := make([]float64, n)
 	par.For(n, 0, func(lo, hi int) {
@@ -148,76 +198,32 @@ func Decompose(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error) {
 		})
 		V = append(V, next)
 	}
+	return V, alphas, betas
+}
 
-	// Rayleigh-Ritz on the projected tridiagonal.
-	m := len(V)
-	T := dense.NewMatrix(m, m)
-	for j := 0; j < m; j++ {
-		T.Set(j, j, alphas[j])
-		if j+1 < m {
-			T.Set(j, j+1, betas[j])
-			T.Set(j+1, j, betas[j])
-		}
-	}
-	ritz, Y, err := dense.EigSym(T)
+// rayleighRitz solves the Lanczos tridiagonal (diagonal alphas,
+// off-diagonal betas) by dense.EigTridiag and returns its top
+// min(rank, m) eigenpairs: the values descending and clamped to
+// [-1, 1], and Yt, the contiguous m x rank matrix whose column t is
+// eigenvector t, so that row j holds component j of every kept
+// eigenvector — the row the Ritz assembly adds into an embedding row.
+func rayleighRitz(alphas, betas []float64, rank int) (vals, Yt []float64, err error) {
+	m := len(alphas)
+	ritz, Z, err := dense.EigTridiag(alphas, betas)
 	if err != nil {
-		return nil, fmt.Errorf("spectral: Rayleigh-Ritz eigensolve: %w", err)
+		return nil, nil, fmt.Errorf("spectral: Rayleigh-Ritz eigensolve: %w", err)
 	}
-
-	if rank > m {
-		rank = m
-	}
-	vals := make([]float64, rank)
-	for t := 0; t < rank; t++ {
-		// EigSym returns ascending; take the largest, descending.
-		v := ritz[m-1-t]
-		if v > 1 {
-			v = 1
-		}
-		if v < -1 {
-			v = -1
-		}
-		vals[t] = v
-	}
-
-	// Ritz vectors U = V Y (top columns), assembled row-major so item
-	// i's embedding is contiguous: row i accumulates V[j][i] * (row j of
-	// Yt) in ascending j, where Yt is the contiguous m x rank copy of
-	// Y's top columns, descending. Rows go 16 at a time, so a tile's
-	// rows stay in L1 while each Lanczos vector is read contiguously,
-	// and j goes four at a time through vec.Axpy4, which has the bits of
-	// the four vec.Axpy calls it replaces. Every element sums its terms
-	// in ascending j order at any GOMAXPROCS; a zero term adds ±0, which
-	// leaves the accumulator alone because, starting from +0, it is
-	// never -0.
-	Yt := make([]float64, m*rank)
-	for j := 0; j < m; j++ {
-		for t := 0; t < rank; t++ {
-			Yt[j*rank+t] = Y.At(j, m-1-t)
+	rank = min(rank, m)
+	vals = make([]float64, rank)
+	Yt = make([]float64, m*rank)
+	for t := range vals {
+		// EigTridiag returns ascending; take the largest, descending.
+		vals[t] = max(-1, min(1, ritz[m-1-t]))
+		for j, y := range Z.Row(m - 1 - t) {
+			Yt[j*rank+t] = y
 		}
 	}
-	vecs := make([]float64, n*rank)
-	yt := func(j int) []float64 { return Yt[j*rank : (j+1)*rank] }
-	par.For(n, 128, func(lo, hi int) {
-		for t0 := lo; t0 < hi; t0 += 16 {
-			t1 := min(t0+16, hi)
-			j := 0
-			for ; j+4 <= m; j += 4 {
-				y0, y1, y2, y3 := yt(j), yt(j+1), yt(j+2), yt(j+3)
-				v0, v1, v2, v3 := V[j][t0:t1], V[j+1][t0:t1], V[j+2][t0:t1], V[j+3][t0:t1]
-				for x := range v0 {
-					vec.Axpy4(vecs[(t0+x)*rank:(t0+x+1)*rank], [4]float64{v0[x], v1[x], v2[x], v3[x]}, y0, y1, y2, y3)
-				}
-			}
-			for ; j < m; j++ {
-				yj := yt(j)
-				for x, v := range V[j][t0:t1] {
-					vec.Axpy(vecs[(t0+x)*rank:(t0+x+1)*rank], v, yj)
-				}
-			}
-		}
-	})
-	return &Basis{Rank: rank, Vals: vals, Vecs: vecs}, nil
+	return vals, Yt, nil
 }
 
 // cgs2 is the reorthogonalization of one Lanczos step, fused into three

@@ -265,7 +265,8 @@ func axpy4Go(y []float64, a *[4]float64, x0, x1, x2, x3 []float64) {
 
 // Rot applies the plane rotation (c, s) to the pair (x, y):
 // x, y = c*x - s*y, s*x + c*y elementwise — the row rotation of the
-// Jacobi eigensolver (dense.EigSym). Lengths must match; where x and y
+// Jacobi eigensolver (dense.EigSym) and of the tridiagonal QL
+// (dense.EigTridiag). Lengths must match; where x and y
 // share memory the Go body runs, which is that loop in order.
 func Rot(x, y []float64, c, s float64) {
 	if len(x) != len(y) {

@@ -200,35 +200,6 @@ func (Cosine) Distance(a, b Vector) float64 {
 	return 1 - c
 }
 
-// Mean returns the componentwise mean of the given vectors. It panics
-// on an empty input or mismatched dimensions.
-func Mean(points []Vector) Vector {
-	if len(points) == 0 {
-		panic("vec: Mean of empty slice")
-	}
-	m := make(Vector, len(points[0]))
-	for _, p := range points {
-		m.Add(p)
-	}
-	m.Scale(1 / float64(len(points)))
-	return m
-}
-
-// ArgNearest returns the index of the point in points closest to x
-// under metric m, along with that distance. It panics on empty input.
-func ArgNearest(x Vector, points []Vector, m Metric) (int, float64) {
-	if len(points) == 0 {
-		panic("vec: ArgNearest over empty slice")
-	}
-	best, bestD := 0, m.Distance(x, points[0])
-	for i := 1; i < len(points); i++ {
-		if d := m.Distance(x, points[i]); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
 // Stddev returns the standard deviation of the values. It returns 0 for
 // fewer than two values. The paper sets the heat-kernel bandwidth sigma
 // to the standard deviation of observed distances (Section 3).

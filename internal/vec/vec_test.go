@@ -126,34 +126,6 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
-func TestMeanAndArgNearest(t *testing.T) {
-	pts := []Vector{{0, 0}, {2, 0}, {0, 2}}
-	m := Mean(pts)
-	if !almostEqual(m[0], 2.0/3, 1e-12) || !almostEqual(m[1], 2.0/3, 1e-12) {
-		t.Fatalf("Mean = %v", m)
-	}
-	idx, d := ArgNearest(Vector{1.9, 0.1}, pts, Euclidean{})
-	if idx != 1 {
-		t.Fatalf("ArgNearest index = %d, want 1 (dist %g)", idx, d)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Mean of empty slice did not panic")
-			}
-		}()
-		Mean(nil)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ArgNearest over empty slice did not panic")
-			}
-		}()
-		ArgNearest(Vector{1}, nil, Euclidean{})
-	}()
-}
-
 func TestStddev(t *testing.T) {
 	if got := Stddev(nil); got != 0 {
 		t.Fatalf("Stddev(nil) = %g", got)
