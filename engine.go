@@ -867,11 +867,7 @@ func (h *engineHeader) writeMetaTail(sw *binio.Writer, version uint32, align int
 	sw.Int(int(h.stats.ClusterTime))
 	sw.Int(int(h.stats.FactorTime))
 	if version >= engineFormatVersionPrec {
-		prec := 0
-		if h.f32() {
-			prec = 1
-		}
-		sw.Int(prec)
+		sw.Bool(h.f32())
 		sw.Int(align)
 	}
 }
@@ -888,9 +884,8 @@ func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string) erro
 	m.n = r.Int()
 	clusterTime := r.Int()
 	factorTime := r.Int()
-	prec := 0
 	if version >= engineFormatVersionPrec {
-		prec = r.Int()
+		m.f32 = r.Bool()
 		m.align = r.Int()
 	}
 	if err := r.Err(); err != nil {
@@ -912,12 +907,9 @@ func (m *engineMeta) readTail(r *binio.Reader, version uint32, kind string) erro
 		return bad("base size %d of %d points", m.hdr.baseN, m.n)
 	case clusterTime < 0 || factorTime < 0:
 		return bad("negative build timings")
-	case prec != 0 && prec != 1:
-		return bad("precision flag %d", prec)
 	case m.align < 0 || m.align > binio.MaxCount || (m.align != 0 && m.align&(m.align-1) != 0):
 		return bad("alignment %d", m.align)
 	}
-	m.f32 = prec == 1
 	m.hdr.stats = Stats{
 		NumNodes:    m.hdr.baseN,
 		ClusterTime: time.Duration(clusterTime),

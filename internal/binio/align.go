@@ -1,10 +1,7 @@
 package binio
 
 import (
-	"encoding/binary"
 	"io"
-	"math"
-	"strconv"
 	"unsafe"
 )
 
@@ -99,207 +96,6 @@ func (w *Writer) alignPad(payloadBytes int64) {
 
 func (r *Reader) alignSkip(payloadBytes int64) {
 	r.Skip(padLen(r.align, r.base+r.n, payloadBytes))
-}
-
-// Float32s writes a length-prefixed float32 slice (raw IEEE-754 bits,
-// little-endian), padding in aligned mode.
-func (w *Writer) Float32s(s []float32) {
-	w.Uint64(uint64(len(s)))
-	w.alignPad(int64(len(s)) * 4)
-	if rawView(w, s) {
-		return
-	}
-	for len(s) > 0 && w.err == nil {
-		chunk := len(s)
-		if chunk > scratchSize/4 {
-			chunk = scratchSize / 4
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(w.scratch[i*4:], math.Float32bits(s[i]))
-		}
-		w.Raw(w.scratch[:chunk*4])
-		s = s[chunk:]
-	}
-}
-
-// Int32s writes a length-prefixed int32 slice, padding in aligned
-// mode.
-func (w *Writer) Int32s(s []int32) {
-	w.Uint64(uint64(len(s)))
-	w.alignPad(int64(len(s)) * 4)
-	if rawView(w, s) {
-		return
-	}
-	for len(s) > 0 && w.err == nil {
-		chunk := len(s)
-		if chunk > scratchSize/4 {
-			chunk = scratchSize / 4
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(w.scratch[i*4:], uint32(s[i]))
-		}
-		w.Raw(w.scratch[:chunk*4])
-		s = s[chunk:]
-	}
-}
-
-// rawView writes the payload of s as the bytes it already occupies in
-// memory, which on a little-endian host are its encoding, and reports
-// whether it did; elsewhere the caller converts element by element.
-// Raw's writer must not keep or change the bytes (io.Writer's rule).
-func rawView[T float32 | float64 | int32](w *Writer, s []T) bool {
-	if !hostLittleEndian {
-		return false
-	}
-	if len(s) > 0 {
-		w.Raw(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
-	}
-	return true
-}
-
-// Float32s reads a length-prefixed float32 slice, rejecting lengths
-// above max.
-func (r *Reader) Float32s(max int) []float32 {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 4)
-	return r.float32sBody(n)
-}
-
-func (r *Reader) float32sBody(n int) []float32 {
-	cap0 := n
-	if cap0 > maxInitialElems {
-		cap0 = maxInitialElems
-	}
-	out := make([]float32, 0, cap0)
-	for len(out) < n && r.err == nil {
-		chunk := n - len(out)
-		if chunk > scratchSize/4 {
-			chunk = scratchSize / 4
-		}
-		r.Raw(r.scratch[:chunk*4])
-		if r.err != nil {
-			return nil
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(r.scratch[i*4:])))
-		}
-	}
-	return out
-}
-
-// Int32s reads a length-prefixed int32 slice, rejecting lengths above
-// max.
-func (r *Reader) Int32s(max int) []int32 {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 4)
-	return r.int32sBody(n)
-}
-
-func (r *Reader) int32sBody(n int) []int32 {
-	cap0 := n
-	if cap0 > maxInitialElems {
-		cap0 = maxInitialElems
-	}
-	out := make([]int32, 0, cap0)
-	for len(out) < n && r.err == nil {
-		chunk := n - len(out)
-		if chunk > scratchSize/4 {
-			chunk = scratchSize / 4
-		}
-		r.Raw(r.scratch[:chunk*4])
-		if r.err != nil {
-			return nil
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(r.scratch[i*4:])))
-		}
-	}
-	return out
-}
-
-// view returns a zero-copy window of n*size bytes when the reader is
-// bytes-backed, the host is little-endian, and the current position is
-// aligned to elemAlign; ok=false means the caller must take the
-// copying path.
-func (r *Reader) view(n, size, elemAlign int) (p unsafe.Pointer, ok bool) {
-	if r.r != nil || !hostLittleEndian || n == 0 || r.err != nil {
-		return nil, false
-	}
-	need := int64(n) * int64(size)
-	if int64(len(r.buf)-r.pos) < need {
-		return nil, false // copying path surfaces the truncation error
-	}
-	addr := unsafe.Pointer(&r.buf[r.pos])
-	if uintptr(addr)%uintptr(elemAlign) != 0 {
-		return nil, false
-	}
-	r.pos += int(need)
-	r.n += need
-	return addr, true
-}
-
-// FloatsView reads a length-prefixed float64 slice, returning a
-// zero-copy view of the backing buffer when possible and a fresh
-// decoded slice otherwise. Callers must treat the result as read-only
-// and must not outlive the backing buffer with it.
-func (r *Reader) FloatsView(max int) []float64 {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 8)
-	if p, ok := r.view(n, 8, 8); ok {
-		return unsafe.Slice((*float64)(p), n)
-	}
-	return r.floatsBody(n)
-}
-
-// Float32sView is FloatsView for float32 payloads.
-func (r *Reader) Float32sView(max int) []float32 {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 4)
-	if p, ok := r.view(n, 4, 4); ok {
-		return unsafe.Slice((*float32)(p), n)
-	}
-	return r.float32sBody(n)
-}
-
-// Int32sView is FloatsView for int32 payloads.
-func (r *Reader) Int32sView(max int) []int32 {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 4)
-	if p, ok := r.view(n, 4, 4); ok {
-		return unsafe.Slice((*int32)(p), n)
-	}
-	return r.int32sBody(n)
-}
-
-// IntsView reads a length-prefixed int slice (int64 on disk),
-// zero-copy only on 64-bit little-endian hosts.
-func (r *Reader) IntsView(max int) []int {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 8)
-	if strconv.IntSize == 64 {
-		if p, ok := r.view(n, 8, 8); ok {
-			return unsafe.Slice((*int)(p), n)
-		}
-	}
-	return r.intsBody(n)
 }
 
 // View returns the next n raw bytes: a window of the backing buffer in

@@ -169,7 +169,7 @@ func TestViewStreamEquivalence(t *testing.T) {
 }
 
 // TestRawViewMatchesConversion: on a little-endian host Floats,
-// Float32s and Int32s hand Raw the slice's own bytes; the stream, its
+// Float32s, Int32s and (64-bit) Ints hand Raw the slice's own bytes; the stream, its
 // count and its CRC must be the element-by-element conversion's, byte
 // for byte, at lengths around one scratch chunk and around scratchSize
 // elements, in the plain and the aligned layout, from slices that start
@@ -186,10 +186,12 @@ func TestRawViewMatchesConversion(t *testing.T) {
 		f64 := make([]float64, n+1)[1:]
 		f32 := make([]float32, n+1)[1:]
 		i32 := make([]int32, n+1)[1:]
+		ints := make([]int, n+1)[1:]
 		for i := range f64 {
 			f64[i] = math.Float64frombits(rng.Uint64())
 			f32[i] = math.Float32frombits(rng.Uint32())
 			i32[i] = int32(rng.Uint32())
+			ints[i] = int(rng.Uint64())
 		}
 		for _, align := range []int{0, 64} {
 			write := func(view bool) ([]byte, int64, uint32) {
@@ -204,6 +206,7 @@ func TestRawViewMatchesConversion(t *testing.T) {
 				w.Float32s(f32)
 				w.Raw([]byte{1, 2, 3})
 				w.Int32s(i32)
+				w.Ints(ints)
 				if err := w.Err(); err != nil {
 					t.Fatal(err)
 				}

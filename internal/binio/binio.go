@@ -1,6 +1,12 @@
 // Package binio provides the primitive little-endian codec that the
-// Mogul index persistence format is built from. Every multi-byte value
-// is little-endian; slices are length-prefixed with a uint64 count.
+// Mogul index persistence format is built from: int64, uint64 and
+// float64 scalars, int64 0/1 flags (Reader.Bool refuses any other
+// value), and arrays of int (stored as int64), int32, float64 and
+// float32, each a uint64 count and then the elements. In the aligned
+// layout (align.go) a large array has zero padding between its count
+// and its elements so that they start on the alignment; one generic
+// writer and one generic reader (array.go) encode all four array
+// element types.
 //
 // Writer and Reader carry a sticky error (the first failure wins) so
 // codec code can emit a whole record and check once, and both maintain
@@ -121,43 +127,6 @@ func (w *Writer) Bool(v bool) {
 // Float64 writes the IEEE-754 bits of v.
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
 
-// Ints writes a length-prefixed int slice.
-func (w *Writer) Ints(s []int) {
-	w.Uint64(uint64(len(s)))
-	w.alignPad(int64(len(s)) * 8)
-	for len(s) > 0 && w.err == nil {
-		chunk := len(s)
-		if chunk > scratchSize/8 {
-			chunk = scratchSize / 8
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint64(w.scratch[i*8:], uint64(int64(s[i])))
-		}
-		w.Raw(w.scratch[:chunk*8])
-		s = s[chunk:]
-	}
-}
-
-// Floats writes a length-prefixed float64 slice.
-func (w *Writer) Floats(s []float64) {
-	w.Uint64(uint64(len(s)))
-	w.alignPad(int64(len(s)) * 8)
-	if rawView(w, s) {
-		return
-	}
-	for len(s) > 0 && w.err == nil {
-		chunk := len(s)
-		if chunk > scratchSize/8 {
-			chunk = scratchSize / 8
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint64(w.scratch[i*8:], math.Float64bits(s[i]))
-		}
-		w.Raw(w.scratch[:chunk*8])
-		s = s[chunk:]
-	}
-}
-
 // Reader streams primitive values from an io.Reader, mirroring Writer.
 // Errors are sticky; truncation is reported as io.ErrUnexpectedEOF.
 type Reader struct {
@@ -262,6 +231,17 @@ func (r *Reader) narrow(v int64) int {
 // Float64 reads IEEE-754 bits.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
+// Bool reads a flag Writer.Bool wrote. Anything but 0 or 1 fails the
+// reader and reads as false.
+func (r *Reader) Bool() bool {
+	v := r.Uint64()
+	if v > 1 {
+		r.Fail(fmt.Errorf("binio: corrupt flag %d: want 0 or 1", int64(v)))
+		return false
+	}
+	return v == 1
+}
+
 // sliceLen reads and validates a length prefix against max.
 func (r *Reader) sliceLen(max int) (int, bool) {
 	n := r.Uint64()
@@ -276,74 +256,6 @@ func (r *Reader) sliceLen(max int) (int, bool) {
 		return 0, false
 	}
 	return int(n), true
-}
-
-// Ints reads a length-prefixed int slice, rejecting lengths above max.
-func (r *Reader) Ints(max int) []int {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 8)
-	return r.intsBody(n)
-}
-
-func (r *Reader) intsBody(n int) []int {
-	cap0 := n
-	if cap0 > maxInitialElems {
-		cap0 = maxInitialElems
-	}
-	out := make([]int, 0, cap0)
-	for len(out) < n && r.err == nil {
-		chunk := n - len(out)
-		if chunk > scratchSize/8 {
-			chunk = scratchSize / 8
-		}
-		r.Raw(r.scratch[:chunk*8])
-		if r.err != nil {
-			return nil
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, r.narrow(int64(binary.LittleEndian.Uint64(r.scratch[i*8:]))))
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Floats reads a length-prefixed float64 slice, rejecting lengths
-// above max.
-func (r *Reader) Floats(max int) []float64 {
-	n, ok := r.sliceLen(max)
-	if !ok {
-		return nil
-	}
-	r.alignSkip(int64(n) * 8)
-	return r.floatsBody(n)
-}
-
-func (r *Reader) floatsBody(n int) []float64 {
-	cap0 := n
-	if cap0 > maxInitialElems {
-		cap0 = maxInitialElems
-	}
-	out := make([]float64, 0, cap0)
-	for len(out) < n && r.err == nil {
-		chunk := n - len(out)
-		if chunk > scratchSize/8 {
-			chunk = scratchSize / 8
-		}
-		r.Raw(r.scratch[:chunk*8])
-		if r.err != nil {
-			return nil
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(r.scratch[i*8:])))
-		}
-	}
-	return out
 }
 
 // Skip discards exactly n bytes (counted and checksummed, so skipped

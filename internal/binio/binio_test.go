@@ -58,6 +58,28 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 }
 
+// TestBoolRefusesOtherValues: Bool reads Writer.Bool's 0 and 1 and fails
+// the reader on any other int64.
+func TestBoolRefusesOtherValues(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Bool(false)
+	w.Bool(true)
+	w.Int(2)
+	w.Int(-1)
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	if r.Bool() || !r.Bool() || r.Err() != nil {
+		t.Fatalf("Bool did not read back false, true: err %v", r.Err())
+	}
+	if r.Bool() || r.Err() == nil {
+		t.Fatal("Bool accepted 2")
+	}
+	r = NewBytesReader(buf.Bytes()[24:])
+	if r.Bool() || r.Err() == nil {
+		t.Fatal("Bool accepted -1")
+	}
+}
+
 // TestIntRefusesValuesPastInt reads 2⁴⁰ and −2⁴⁰ through Int and Ints:
 // a 64-bit int holds them, and on a 32-bit platform the reader fails
 // rather than truncating them.

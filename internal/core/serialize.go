@@ -285,11 +285,11 @@ func read(br *binio.Reader) (*Decoded, error) {
 	// flag and the alignment the large sections were written with.
 	mr := secs[tagMeta].Reader(0)
 	alpha := mr.Float64()
-	exact := mr.Int()
+	exact := mr.Bool()
 	n := mr.Int()
-	prec, align := 0, 0
+	f32, align := false, 0
 	if v4 {
-		prec = mr.Int()
+		f32 = mr.Bool()
 		align = mr.Int()
 	}
 	if err := mr.Err(); err != nil {
@@ -298,19 +298,12 @@ func read(br *binio.Reader) (*Decoded, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("core: corrupt metadata: alpha=%g outside (0,1)", alpha)
 	}
-	if exact != 0 && exact != 1 {
-		return nil, fmt.Errorf("core: corrupt metadata: exact flag %d", exact)
-	}
 	if n < 1 {
 		return nil, fmt.Errorf("core: corrupt metadata: %d nodes", n)
-	}
-	if prec != 0 && prec != 1 {
-		return nil, fmt.Errorf("core: corrupt metadata: precision flag %d", prec)
 	}
 	if align < 0 || align > binio.MaxCount {
 		return nil, fmt.Errorf("core: corrupt metadata: alignment %d", align)
 	}
-	f32 := prec == 1
 
 	// GRPH: the k-NN graph (validated internally).
 	g, err := knn.ReadGraph(secs[tagGrph].Reader(align), f32, v4)
@@ -348,10 +341,10 @@ func read(br *binio.Reader) (*Decoded, error) {
 	ix := &Index{
 		graph:  g,
 		alpha:  alpha,
-		exact:  exact == 1,
+		exact:  exact,
 		layout: layout,
 		factor: factor,
-		opts:   Options{Alpha: alpha, Exact: exact == 1, F32: f32},
+		opts:   Options{Alpha: alpha, Exact: exact, F32: f32},
 	}
 	ix.bounds = buildBoundTables(factor, layout)
 	ix.stats = Stats{
@@ -479,7 +472,7 @@ func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 		v := br.Floats(dim)
 		probes := br.Ints(n)
 		weights := br.Floats(n)
-		dead := br.Int()
+		dead := br.Bool()
 		if err := br.Err(); err != nil {
 			return fmt.Errorf("core: decoding delta entry %d: %w", i, err)
 		}
@@ -488,9 +481,6 @@ func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 		}
 		if len(probes) == 0 || len(probes) != len(weights) {
 			return fmt.Errorf("core: delta entry %d has %d probes but %d weights", i, len(probes), len(weights))
-		}
-		if dead != 0 && dead != 1 {
-			return fmt.Errorf("core: delta entry %d has tombstone flag %d", i, dead)
 		}
 		seen := make(map[int]bool, len(probes))
 		var wsum float64
@@ -516,8 +506,8 @@ func (ix *Index) readDelta(br *binio.Reader, n int, d *Delta) error {
 		points = append(points, v)
 		d.Probes = append(d.Probes, probes)
 		d.Weights = append(d.Weights, weights)
-		d.Dead = append(d.Dead, dead == 1)
-		if dead == 0 {
+		d.Dead = append(d.Dead, dead)
+		if !dead {
 			live++
 		}
 	}

@@ -189,6 +189,39 @@ func TestEigSymReconstruction(t *testing.T) {
 	}
 }
 
+// TestEigSymStopsRelative: the stopping rule scales with the matrix, so
+// a tiny coupling is resolved rather than reported as converged, and a
+// power-of-two scaling of A scales its eigenvalues and nothing else.
+func TestEigSymStopsRelative(t *testing.T) {
+	w, _, err := EigSym(NewMatrixFrom([][]float64{{0, 1e-13}, {1e-13, 0}}))
+	if err != nil || math.Abs(w[0]+1e-13) > 1e-25 || math.Abs(w[1]-1e-13) > 1e-25 {
+		t.Fatalf("eigenvalues = %v (err %v), want [-1e-13 1e-13]", w, err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	const n, scale = 8, 0x1p-40
+	a, small := NewMatrix(n, n), NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := rng.NormFloat64()
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+			small.Set(i, j, v*scale)
+			small.Set(j, i, v*scale)
+		}
+	}
+	w, _, err = EigSym(a)
+	ws, _, errs := EigSym(small)
+	if err != nil || errs != nil {
+		t.Fatal(err, errs)
+	}
+	top := math.Max(math.Abs(w[0]), math.Abs(w[n-1]))
+	for k := range w {
+		if math.Abs(ws[k]/scale-w[k]) > 1e-12*top {
+			t.Fatalf("eigenvalue %d: %g of 2^-40·A scales back to %g, A's is %g", k, ws[k], ws[k]/scale, w[k])
+		}
+	}
+}
+
 func TestEigSymRejectsAsymmetric(t *testing.T) {
 	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
 	if _, _, err := EigSym(a); err == nil {

@@ -51,14 +51,15 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 	vt := Identity(n).Data // row p is eigenvector p
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal Frobenius norm decides convergence.
+		// Off-diagonal Frobenius norm relative to the largest entry
+		// decides convergence, so A and 2^-40·A take the same sweeps.
 		var off float64
 		for i := 0; i < n; i++ {
 			for _, x := range md[i*n+i+1 : (i+1)*n] {
 				off += x * x
 			}
 		}
-		if math.Sqrt(2*off) <= 1e-12*(1+maxAbs)*float64(n) {
+		if math.Sqrt(2*off) <= 1e-12*maxAbs*float64(n) {
 			break
 		}
 		for p := 0; p < n-1; p++ {

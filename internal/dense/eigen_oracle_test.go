@@ -44,7 +44,7 @@ func eigSymOracle(a *Matrix) (w []float64, v *Matrix, err error) {
 				off += m.At(i, j) * m.At(i, j)
 			}
 		}
-		if math.Sqrt(2*off) <= 1e-12*(1+maxAbs)*float64(n) {
+		if math.Sqrt(2*off) <= 1e-12*maxAbs*float64(n) {
 			break
 		}
 		for p := 0; p < n-1; p++ {

@@ -60,10 +60,10 @@ var removedBackends = map[int]string{1: "forced brute-force", 2: "forced IVF", 3
 func ReadConfig(br *binio.Reader) (*GraphConfig, error) {
 	cfg := &GraphConfig{}
 	cfg.K = br.Int()
-	mutual := br.Int()
+	cfg.Mutual = br.Bool()
 	cfg.Sigma = br.Float64()
 	backend := br.Int()
-	approx := br.Int()
+	cfg.Approximate = br.Bool()
 	cfg.ApproxThreshold = br.Int()
 	cfg.NProbe = br.Int()
 	cfg.Seed = int64(br.Uint64())
@@ -72,9 +72,6 @@ func ReadConfig(br *binio.Reader) (*GraphConfig, error) {
 	}
 	if cfg.K < 1 || cfg.K > binio.MaxCount {
 		return nil, fmt.Errorf("knn: corrupt graph config: k=%d", cfg.K)
-	}
-	if mutual != 0 && mutual != 1 || approx != 0 && approx != 1 {
-		return nil, fmt.Errorf("knn: corrupt graph config: flags %d/%d", mutual, approx)
 	}
 	if backend != 0 {
 		// The slot once selected a forced search structure. Those are
@@ -92,8 +89,6 @@ func ReadConfig(br *binio.Reader) (*GraphConfig, error) {
 		cfg.NProbe < 0 || cfg.NProbe > binio.MaxCount {
 		return nil, fmt.Errorf("knn: corrupt graph config: threshold=%d nprobe=%d", cfg.ApproxThreshold, cfg.NProbe)
 	}
-	cfg.Mutual = mutual == 1
-	cfg.Approximate = approx == 1
 	return cfg, nil
 }
 

@@ -210,7 +210,7 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 // shard stream, and hands the id maps to newShardedIndex, which
 // cross-validates them against the loaded shard states.
 func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*ShardedIndex, error) {
-	mr := binio.NewReader(bytes.NewReader(meta))
+	mr := binio.NewBytesReader(meta)
 	numShards := mr.Int()
 	part := mr.Int()
 	globals := mr.Int()
@@ -249,7 +249,7 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 		if centroids == nil {
 			return nil, fmt.Errorf("mogul: k-means sharded index is missing its centroid section")
 		}
-		cr := binio.NewReader(bytes.NewReader(centroids))
+		cr := binio.NewBytesReader(centroids)
 		count := cr.Int()
 		if err := cr.Err(); err != nil {
 			return nil, fmt.Errorf("mogul: decoding centroids: %w", err)
@@ -288,7 +288,7 @@ func assembleSharded(meta, centroids, idMaps []byte, shardPayloads [][]byte) (*S
 		return nil, fmt.Errorf("mogul: corrupt sharded metadata: %d global ids for %d shard slots", globals, totalSlots)
 	}
 	partition := make([][]int, numShards)
-	ir := binio.NewReader(bytes.NewReader(idMaps))
+	ir := binio.NewBytesReader(idMaps)
 	for s := range partition {
 		partition[s] = ir.Ints(globals)
 		if err := ir.Err(); err != nil {

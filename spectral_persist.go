@@ -149,8 +149,8 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 	mr := secs[tagSpMet].Reader(0)
 	m.readHead(mr)
 	graphK := mr.Int()
-	approx := mr.Int()
-	mutual := mr.Int()
+	approx := mr.Bool()
+	mutual := mr.Bool()
 	sigmaOpt := mr.Float64()
 	sopts := SpectralOptions{Rank: mr.Int(), Steps: mr.Int(), Hops: mr.Int(), HopBudget: mr.Int(), AttachK: mr.Int()}
 	m.hdr.dim = mr.Int()
@@ -161,8 +161,8 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 	}
 	n, baseN := m.n, m.hdr.baseN
 	switch {
-	case graphK < 0 || approx < 0 || approx > 1 || mutual < 0 || mutual > 1:
-		return nil, fmt.Errorf("mogul: corrupt spectral metadata: graph recipe %d/%d/%d", graphK, approx, mutual)
+	case graphK < 0:
+		return nil, fmt.Errorf("mogul: corrupt spectral metadata: graph k %d", graphK)
 	case math.IsNaN(sigmaOpt) || math.IsInf(sigmaOpt, 0) || sigmaOpt < 0:
 		return nil, fmt.Errorf("mogul: corrupt spectral metadata: recipe bandwidth %g", sigmaOpt)
 	case sopts.Rank < 1 || sopts.Steps < 0 || sopts.Hops < 1 || sopts.HopBudget < 1 || sopts.AttachK < 1:
@@ -288,8 +288,8 @@ func assembleSpectral(version uint32, secs map[[4]byte]binio.Payload) (*Spectral
 
 	ropts := Options{
 		GraphK:              graphK,
-		ApproximateGraph:    approx == 1,
-		MutualGraph:         mutual == 1,
+		ApproximateGraph:    approx,
+		MutualGraph:         mutual,
 		Sigma:               sigmaOpt,
 		Alpha:               m.alpha,
 		Seed:                int64(m.seed),
