@@ -12,12 +12,12 @@ type BatchResult struct {
 	Err error
 }
 
-// topKBatch and topKVectorBatch are the batch entry points of every
-// engine: the queries fan out over a bounded worker pool, each worker
-// pinning one private Querier for its whole run, so a batch of
-// thousands of queries performs thousands of searches on a handful of
-// reusable workspaces. Results land in input order; per-query failures
-// are recorded, never fatal. parallelism <= 0 selects GOMAXPROCS.
+// topKBatch is the batch entry point of every engine: the queries fan
+// out over a bounded worker pool, each worker pinning one private
+// Querier for its whole run, so a batch of thousands of queries
+// performs thousands of searches on a handful of reusable workspaces.
+// Results land in input order; per-query failures are recorded, never
+// fatal. parallelism <= 0 selects GOMAXPROCS.
 func topKBatch(newQuerier func() Querier, queries []int, k, parallelism int) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	fanout.ForEach(len(queries), parallelism, func() func(int) {
@@ -25,18 +25,6 @@ func topKBatch(newQuerier func() Querier, queries []int, k, parallelism int) []B
 		return func(i int) {
 			res, err := sr.TopK(queries[i], k)
 			out[i] = BatchResult{Query: queries[i], Results: res, Err: err}
-		}
-	})
-	return out
-}
-
-func topKVectorBatch(newQuerier func() Querier, queries []Vector, k, parallelism int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	fanout.ForEach(len(queries), parallelism, func() func(int) {
-		sr := newQuerier()
-		return func(i int) {
-			res, err := sr.TopKVector(queries[i], k)
-			out[i] = BatchResult{Query: i, Results: res, Err: err}
 		}
 	})
 	return out

@@ -49,33 +49,4 @@ func TestTopKBatchEmpty(t *testing.T) {
 	if got := ix.TopKBatch(nil, 5, 2); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	if got := ix.TopKVectorBatch(nil, 5, 2); len(got) != 0 {
-		t.Fatalf("empty vector batch returned %d results", len(got))
-	}
-}
-
-func TestTopKVectorBatch(t *testing.T) {
-	ix, ds := buildTestIndex(t, Options{})
-	queries := []Vector{
-		ds.Points[3].Clone(),
-		ds.Points[50].Clone(),
-		make(Vector, 12),
-	}
-	batch := ix.TopKVectorBatch(queries, 4, 2)
-	for i, br := range batch {
-		if br.Err != nil {
-			t.Fatalf("vector query %d: %v", i, br.Err)
-		}
-		if br.Query != i {
-			t.Fatalf("vector result %d attributed to %d", i, br.Query)
-		}
-		if len(br.Results) != 4 {
-			t.Fatalf("vector query %d returned %d results", i, len(br.Results))
-		}
-	}
-	// A dimension mismatch surfaces per query, not as a panic.
-	bad := ix.TopKVectorBatch([]Vector{{1, 2}}, 4, 1)
-	if bad[0].Err == nil {
-		t.Fatal("wrong-dimension vector accepted")
-	}
 }

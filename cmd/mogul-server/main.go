@@ -2,11 +2,11 @@
 // image-retrieval-system deployment the paper's introduction
 // motivates. It builds (or loads) a Mogul index once and mounts the
 // serve package's production query service over it (version-keyed
-// result caching, micro-batched execution, backpressure, /metrics):
+// result caching, backpressure, /metrics):
 //
 //	mogul-datagen -dataset coil -o coil.gob
 //	mogul-server -data coil.gob -save-index coil.mogul
-//	mogul-server -load-index coil.mogul -addr :8080 -batch-window 200us
+//	mogul-server -load-index coil.mogul -addr :8080
 //	curl 'localhost:8080/search?id=17&k=5'
 //	curl -X POST localhost:8080/search/vector -d '{"vector":[...],"k":5}'
 //	curl 'localhost:8080/metrics'
@@ -79,8 +79,6 @@ func main() {
 		useMmap   = flag.Bool("mmap", false, "with -load-index: serve through a read-only memory map so concurrent server processes share one physical copy of the file")
 
 		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "query-result cache budget in bytes (0 disables)")
-		batchWindow = flag.Duration("batch-window", 0, "micro-batch window for /search/vector (0 disables, try 200us)")
-		maxBatch    = flag.Int("max-batch", 64, "max queries coalesced into one micro-batch")
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently executing searches (0 = GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "max searches queued for a slot before shedding 429 (0 = 4x max-inflight)")
 
@@ -110,8 +108,6 @@ func main() {
 	}
 	serveOpts := serve.Options{
 		CacheBytes:  *cacheBytes,
-		BatchWindow: *batchWindow,
-		MaxBatch:    *maxBatch,
 		MaxInFlight: *maxInflight,
 		MaxQueue:    *maxQueue,
 	}

@@ -689,29 +689,16 @@ func (c *Coordinator) TopKSet(seeds []int, k int) ([]mogul.Result, error) {
 // TopKBatch answers many in-database queries with a bounded worker
 // pool of concurrent fan-outs (default 4).
 func (c *Coordinator) TopKBatch(queries []int, k, parallelism int) []mogul.BatchResult {
-	out := make([]mogul.BatchResult, len(queries))
-	c.forEach(len(queries), parallelism, func(i int) {
-		res, err := c.TopK(queries[i], k)
-		out[i] = mogul.BatchResult{Query: queries[i], Results: res, Err: err}
-	})
-	return out
-}
-
-// TopKVectorBatch answers many out-of-sample queries concurrently.
-func (c *Coordinator) TopKVectorBatch(queries []mogul.Vector, k, parallelism int) []mogul.BatchResult {
-	out := make([]mogul.BatchResult, len(queries))
-	c.forEach(len(queries), parallelism, func(i int) {
-		res, err := c.TopKVector(queries[i], k)
-		out[i] = mogul.BatchResult{Query: i, Results: res, Err: err}
-	})
-	return out
-}
-
-func (c *Coordinator) forEach(n, parallelism int, work func(int)) {
 	if parallelism <= 0 {
 		parallelism = 4
 	}
-	fanout.ForEach(n, parallelism, func() func(int) { return work })
+	out := make([]mogul.BatchResult, len(queries))
+	work := func(i int) {
+		res, err := c.TopK(queries[i], k)
+		out[i] = mogul.BatchResult{Query: queries[i], Results: res, Err: err}
+	}
+	fanout.ForEach(len(queries), parallelism, func() func(int) { return work })
+	return out
 }
 
 // Neighbors returns an item's graph context inside its owning shard,

@@ -277,11 +277,11 @@ func TestEMRInsertCompactEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestEMRBatch: the batch entry points answer per-item, record
+// TestEMRBatch: the batch entry point answers per-item, record
 // per-item failures without failing the batch, and agree with the
 // sequential paths.
 func TestEMRBatch(t *testing.T) {
-	e, _, points := buildEMRPair(t, 90, 6, 12, 4, 17)
+	e, _, _ := buildEMRPair(t, 90, 6, 12, 4, 17)
 	queries := []int{0, 5, -3, 88, 9000}
 	out := e.TopKBatch(queries, 6, 4)
 	if len(out) != len(queries) {
@@ -303,12 +303,6 @@ func TestEMRBatch(t *testing.T) {
 		want, _ := e.TopK(q, 6)
 		sameResults(t, "batch vs sequential", out[i].Results, want)
 	}
-	vout := e.TopKVectorBatch([]Vector{points[0], points[1], {1}}, 6, 2)
-	if vout[2].Err == nil {
-		t.Fatal("wrong-dimension vector accepted in batch")
-	}
-	want, _ := e.TopKVector(points[0], 6)
-	sameResults(t, "vector batch vs sequential", vout[0].Results, want)
 }
 
 // TestEMRRetrieverSurface: the introspection half of the Retriever

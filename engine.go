@@ -754,13 +754,6 @@ func (e *engine[S]) TopKBatch(queries []int, k, parallelism int) []BatchResult {
 	return topKBatch(e.newQuerier, queries, k, parallelism)
 }
 
-// TopKVectorBatch answers many out-of-sample queries on a bounded
-// worker pool; see TopKBatch. The i-th BatchResult's Query field holds i
-// (the position in the input slice).
-func (e *engine[S]) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return topKVectorBatch(e.newQuerier, queries, k, parallelism)
-}
-
 func (e *engine[S]) newQuerier() Querier { return e.be.newSearcher() }
 
 // --- Persistence shared by the MOGULEMR and MOGULSPC containers ---

@@ -559,7 +559,6 @@ func TestEngineRejectsNonFiniteQuery(t *testing.T) {
 				refused("TopKVector", err)
 				_, err = e.NewQuerier().TopKVector(q, 5)
 				refused("Querier.TopKVector", err)
-				refused("TopKVectorBatch", e.TopKVectorBatch([]Vector{ds.Points[0], q}, 5, 2)[1].Err)
 				if le, ok := e.(lifecycleEngine); ok {
 					_, _, err = le.TopKVectorWithAffinity(q, 5)
 					refused("TopKVectorWithAffinity", err)

@@ -197,6 +197,12 @@ func TestEigSymStopsRelative(t *testing.T) {
 	if err != nil || math.Abs(w[0]+1e-13) > 1e-25 || math.Abs(w[1]-1e-13) > 1e-25 {
 		t.Fatalf("eigenvalues = %v (err %v), want [-1e-13 1e-13]", w, err)
 	}
+	// 1e-200 squared underflows to 0: a stopping test on the unscaled
+	// off-diagonal sum would stop before the first rotation, at [0 0].
+	w, _, err = EigSym(NewMatrixFrom([][]float64{{0, 1e-200}, {1e-200, 0}}))
+	if err != nil || math.Abs(w[0]+1e-200) > 1e-212 || math.Abs(w[1]-1e-200) > 1e-212 {
+		t.Fatalf("eigenvalues = %v (err %v), want [-1e-200 1e-200]", w, err)
+	}
 	rng := rand.New(rand.NewSource(6))
 	const n, scale = 8, 0x1p-40
 	a, small := NewMatrix(n, n), NewMatrix(n, n)
@@ -226,6 +232,11 @@ func TestEigSymRejectsAsymmetric(t *testing.T) {
 	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
 	if _, _, err := EigSym(a); err == nil {
 		t.Fatal("asymmetric matrix accepted")
+	}
+	// The tolerance is relative to max|a|: an absolute floor of 1e-9
+	// would let a matrix whose entries are all far below it through.
+	if _, _, err := EigSym(NewMatrixFrom([][]float64{{0, 1e-13}, {5e-13, 0}})); err == nil {
+		t.Fatal("asymmetric matrix of small entries accepted")
 	}
 	if _, _, err := EigSym(NewMatrix(2, 3)); err == nil {
 		t.Fatal("non-square matrix accepted")

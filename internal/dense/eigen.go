@@ -38,7 +38,7 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 			maxAbs = v
 		}
 	}
-	tol := 1e-9 * (1 + maxAbs)
+	tol := 1e-9 * maxAbs
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if math.Abs(a.At(i, j)-a.At(j, i)) > tol {
@@ -47,7 +47,16 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 		}
 	}
 
+	// The sweeps run on a copy scaled by a power of two to unit max-abs
+	// entry (exact, as in EigTridiag), so the squared off-diagonal sum of
+	// a matrix of tiny entries cannot underflow to 0 and stop them before
+	// the first rotation; the eigenvalues are scaled back at the end.
+	_, exp := math.Frexp(maxAbs)
+	maxAbs = math.Ldexp(maxAbs, -exp)
 	md := a.Clone().Data
+	for i, x := range md {
+		md[i] = math.Ldexp(x, -exp)
+	}
 	vt := Identity(n).Data // row p is eigenvector p
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -94,7 +103,7 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 	// Extract eigenvalues and sort ascending with their vectors.
 	w = make([]float64, n)
 	for i := 0; i < n; i++ {
-		w[i] = md[i*n+i]
+		w[i] = math.Ldexp(md[i*n+i], exp)
 	}
 	idx := make([]int, n)
 	for i := range idx {

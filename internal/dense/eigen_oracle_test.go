@@ -11,7 +11,10 @@ import (
 // eigSymOracle is EigSym as it was before the rotations accumulated into
 // the transpose of V and the sweeps indexed the storage directly: every
 // access through At/Set, the eigenvector rotation a strided column
-// update. EigSym must return its eigenpairs to the bit on finite input.
+// update. It carries EigSym's two later rules, the symmetry tolerance
+// relative to max|a| and the sweeps on a copy scaled by a power of two
+// to unit max-abs entry. EigSym must return its eigenpairs to the bit
+// on finite input.
 func eigSymOracle(a *Matrix) (w []float64, v *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("dense: EigSym of non-square %dx%d matrix", a.Rows, a.Cols)
@@ -25,7 +28,7 @@ func eigSymOracle(a *Matrix) (w []float64, v *Matrix, err error) {
 			}
 		}
 	}
-	tol := 1e-9 * (1 + maxAbs)
+	tol := 1e-9 * maxAbs
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if math.Abs(a.At(i, j)-a.At(j, i)) > tol {
@@ -34,7 +37,12 @@ func eigSymOracle(a *Matrix) (w []float64, v *Matrix, err error) {
 		}
 	}
 
+	_, exp := math.Frexp(maxAbs)
+	maxAbs = math.Ldexp(maxAbs, -exp)
 	m := a.Clone()
+	for i, x := range m.Data {
+		m.Data[i] = math.Ldexp(x, -exp)
+	}
 	vec := Identity(n)
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -84,7 +92,7 @@ func eigSymOracle(a *Matrix) (w []float64, v *Matrix, err error) {
 
 	w = make([]float64, n)
 	for i := 0; i < n; i++ {
-		w[i] = m.At(i, i)
+		w[i] = math.Ldexp(m.At(i, i), exp)
 	}
 	idx := make([]int, n)
 	for i := range idx {

@@ -148,13 +148,6 @@ func TestElementwiseKernelsMatchScalar(t *testing.T) {
 			}
 		}
 		v = Vector(append([]float64(nil), y0...))
-		v.Sub(Vector(x))
-		for i := range v {
-			if want := y0[i] - x[i]; v[i] != want {
-				t.Fatalf("n=%d: Sub[%d]=%v, want %v", n, i, v[i], want)
-			}
-		}
-		v = Vector(append([]float64(nil), y0...))
 		v.Scale(alpha)
 		for i := range v {
 			if want := y0[i] * alpha; v[i] != want {

@@ -1,5 +1,6 @@
-// Package vec provides dense feature vectors, distance metrics, and the
-// small vector kernels shared by every other package in the repository.
+// Package vec provides dense feature vectors, the squared Euclidean
+// distance, and the small vector kernels shared by every other package
+// in the repository.
 //
 // Manifold Ranking operates on image feature vectors (RGB pixels,
 // attribute scores, color moments, SIFT descriptors in the paper); this
@@ -42,24 +43,6 @@ func (v Vector) Add(w Vector) {
 	}
 }
 
-// Sub subtracts w from v in place. It panics if lengths differ.
-func (v Vector) Sub(w Vector) {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("vec: Sub dimension mismatch %d != %d", len(v), len(w)))
-	}
-	w = w[:len(v)]
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		v[i] -= w[i]
-		v[i+1] -= w[i+1]
-		v[i+2] -= w[i+2]
-		v[i+3] -= w[i+3]
-	}
-	for ; i < len(v); i++ {
-		v[i] -= w[i]
-	}
-}
-
 // Scale multiplies every element of v by s in place.
 func (v Vector) Scale(s float64) {
 	i := 0
@@ -78,11 +61,6 @@ func (v Vector) Scale(s float64) {
 // summation contract (see kernels.go). It panics if lengths differ.
 func (v Vector) Dot(w Vector) float64 {
 	return Dot(v, w)
-}
-
-// Norm returns the Euclidean (L2) norm of v.
-func (v Vector) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
 }
 
 // Dataset is a collection of n feature vectors of equal dimension with
@@ -136,22 +114,6 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Metric measures distance between two equal-length vectors. The paper
-// uses Euclidean distance in L_p feature space (Section 3).
-type Metric interface {
-	// Distance returns the distance between a and b. Implementations
-	// must be symmetric, non-negative, and zero for identical inputs.
-	Distance(a, b Vector) float64
-}
-
-// Euclidean is the L2 metric, the paper's default (Section 3).
-type Euclidean struct{}
-
-// Distance returns the L2 distance between a and b.
-func (Euclidean) Distance(a, b Vector) float64 {
-	return math.Sqrt(SquaredEuclidean(a, b))
-}
-
 // SquaredEuclidean returns the squared L2 distance between a and b
 // without the final square root; useful in inner loops where only the
 // ordering of distances matters. It accumulates under the four-lane
@@ -161,43 +123,6 @@ func SquaredEuclidean(a, b Vector) float64 {
 		panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", len(a), len(b)))
 	}
 	return sqdist(a, b)
-}
-
-// Manhattan is the L1 metric, provided for completeness with the
-// paper's discussion of general L_p spaces.
-type Manhattan struct{}
-
-// Distance returns the L1 distance between a and b.
-func (Manhattan) Distance(a, b Vector) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: distance dimension mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, x := range a {
-		s += math.Abs(x - b[i])
-	}
-	return s
-}
-
-// Cosine is 1 - cosine similarity, commonly used for high-dimensional
-// sparse image descriptors. Zero vectors are at distance 1 from
-// everything (including each other) to keep the metric total.
-type Cosine struct{}
-
-// Distance returns 1 minus the cosine of the angle between a and b.
-func (Cosine) Distance(a, b Vector) float64 {
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	c := a.Dot(b) / (na * nb)
-	// Clamp against floating-point drift outside [-1, 1].
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return 1 - c
 }
 
 // Stddev returns the standard deviation of the values. It returns 0 for

@@ -2,9 +2,7 @@ package vec
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -17,31 +15,20 @@ func TestVectorOps(t *testing.T) {
 	if c[0] != 5 || c[1] != 7 || c[2] != 9 {
 		t.Fatalf("Add: got %v", c)
 	}
-	c.Sub(w)
-	for i := range c {
-		if c[i] != v[i] {
-			t.Fatalf("Sub did not invert Add: %v", c)
-		}
-	}
 	c.Scale(2)
-	if c[2] != 6 {
+	if c[0] != 10 || c[1] != 14 || c[2] != 18 {
 		t.Fatalf("Scale: got %v", c)
 	}
 	if got := v.Dot(w); got != 32 {
 		t.Fatalf("Dot = %g, want 32", got)
-	}
-	if got := (Vector{3, 4}).Norm(); got != 5 {
-		t.Fatalf("Norm = %g, want 5", got)
 	}
 }
 
 func TestDimensionMismatchesPanic(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Add":       func() { Vector{1}.Add(Vector{1, 2}) },
-		"Sub":       func() { Vector{1}.Sub(Vector{1, 2}) },
 		"Dot":       func() { Vector{1}.Dot(Vector{1, 2}) },
 		"Euclidean": func() { SquaredEuclidean(Vector{1}, Vector{1, 2}) },
-		"Manhattan": func() { Manhattan{}.Distance(Vector{1}, Vector{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -51,51 +38,6 @@ func TestDimensionMismatchesPanic(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestMetricsAxioms(t *testing.T) {
-	// Symmetry, identity, non-negativity for each metric on random
-	// vectors (testing/quick with a fixed generator).
-	metrics := map[string]Metric{
-		"euclidean": Euclidean{},
-		"manhattan": Manhattan{},
-		"cosine":    Cosine{},
-	}
-	rng := rand.New(rand.NewSource(1))
-	gen := func() Vector {
-		v := make(Vector, 6)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
-	}
-	for name, m := range metrics {
-		prop := func(_ int) bool {
-			a, b := gen(), gen()
-			dab, dba := m.Distance(a, b), m.Distance(b, a)
-			if !almostEqual(dab, dba, 1e-12) || dab < 0 {
-				return false
-			}
-			return almostEqual(m.Distance(a, a), 0, 1e-9)
-		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-}
-
-func TestCosineEdgeCases(t *testing.T) {
-	z := Vector{0, 0}
-	if got := (Cosine{}).Distance(z, Vector{1, 0}); got != 1 {
-		t.Fatalf("cosine with zero vector = %g, want 1", got)
-	}
-	// Parallel vectors at distance 0, antiparallel at 2.
-	if got := (Cosine{}).Distance(Vector{1, 0}, Vector{2, 0}); !almostEqual(got, 0, 1e-12) {
-		t.Fatalf("parallel cosine = %g", got)
-	}
-	if got := (Cosine{}).Distance(Vector{1, 0}, Vector{-3, 0}); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("antiparallel cosine = %g", got)
 	}
 }
 

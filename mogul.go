@@ -499,7 +499,6 @@ type Retriever interface {
 	TopKVector(q Vector, k int) ([]Result, error)
 	TopKSet(seeds []int, k int) ([]Result, error)
 	TopKBatch(queries []int, k, parallelism int) []BatchResult
-	TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult
 	Neighbors(item int) (ids []int, weights []float64, err error)
 	Insert(v Vector) (int, error)
 	Delete(id int) error

@@ -15,15 +15,14 @@ import (
 )
 
 // BenchmarkServeThroughput measures the serving layer end to end —
-// HTTP handler, JSON codec, cache, batcher, limiter — over one shared
+// HTTP handler, JSON codec, cache, limiter — over one shared
 // index, in the configurations that matter operationally:
 //
 //   - uncached:          every query runs the engine (the baseline)
 //   - cold-cache:        cache on, but every query is new (miss path tax)
 //   - warm-cache:        cache on, repeating working set (the hit path;
 //     the acceptance bar is >= 5x over uncached)
-//   - unbatched-parallel: concurrent clients, direct execution
-//   - batched-parallel:   concurrent clients, micro-batched execution
+//   - parallel:          concurrent clients, uncached
 //   - uncached-d512:      uncached over unit-norm d = 512 points, where
 //     the 10 KB body is as much of the request as the search
 //   - get-id-miss:        GET /search?id= — the request four of the six
@@ -103,11 +102,10 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 	})
 
-	// The parallel pair compares direct vs micro-batched execution
-	// under concurrent clients (SetParallelism keeps real concurrency
-	// even on small CI machines). Caching is off in both so the
-	// comparison isolates the execution layer.
-	b.Run("unbatched-parallel", func(b *testing.B) {
+	// Concurrent clients through the limiter (SetParallelism keeps real
+	// concurrency even on small CI machines). Caching is off so the row
+	// measures the execution layer.
+	b.Run("parallel", func(b *testing.B) {
 		s := New(idx, Options{MaxInFlight: 8, MaxQueue: 4096})
 		defer s.Close()
 		b.SetParallelism(32)
@@ -122,30 +120,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 				i++
 			}
 		})
-	})
-
-	b.Run("batched-parallel", func(b *testing.B) {
-		s := New(idx, Options{
-			MaxInFlight: 8, MaxQueue: 4096,
-			BatchWindow: 100 * time.Microsecond, MaxBatch: 32,
-		})
-		defer s.Close()
-		b.SetParallelism(32)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			post := newPoster()
-			i := 0
-			for pb.Next() {
-				if code := post(s, bodies[i%working]); code != http.StatusOK {
-					b.Fatalf("status %d", code)
-				}
-				i++
-			}
-		})
-		b.StopTimer()
-		if n := s.met.batches.Load(); n > 0 {
-			b.ReportMetric(float64(s.met.batchedQueries.Load())/float64(n), "queries/batch")
-		}
 	})
 
 	b.Run("uncached-d512", func(b *testing.B) {

@@ -215,6 +215,11 @@ func TestSearchHugeK(t *testing.T) {
 // that answers an unterminated JSON body with 400 — so one added later
 // is covered without editing this test.
 func TestOversizedBodyRejected(t *testing.T) {
+	// The cap is a network-facing bound, pinned here by value: moving it
+	// is a decision this test has to be edited for.
+	if maxBodyBytes != 33_554_432 {
+		t.Fatalf("maxBodyBytes = %d, want 33554432 (32 MiB)", maxBodyBytes)
+	}
 	idx, _ := testIndex(t)
 	s := New(idx, Options{})
 	defer s.Close()

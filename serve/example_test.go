@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"time"
 
 	"mogul"
 	"mogul/serve"
@@ -14,8 +13,8 @@ import (
 
 // ExampleNew mounts the production serving layer over a freshly built
 // index: result caching keyed by the index mutation version,
-// micro-batched vector search, backpressure, and /metrics — the same
-// stack cmd/mogul-server runs, usable over any mogul.Retriever.
+// backpressure, and /metrics — the same stack cmd/mogul-server runs,
+// usable over any mogul.Retriever.
 func ExampleNew() {
 	ds := mogul.NewMixture(mogul.MixtureConfig{
 		N: 300, Classes: 6, Dim: 8, WithinStd: 0.2, Separation: 2.5, Seed: 4,
@@ -27,9 +26,8 @@ func ExampleNew() {
 
 	srv := serve.New(idx, serve.Options{
 		Labels:      ds.Labels,
-		CacheBytes:  16 << 20,               // version-stamped result cache
-		BatchWindow: 200 * time.Microsecond, // micro-batch /search/vector
-		MaxInFlight: 4,                      // backpressure: 429 past the queue
+		CacheBytes:  16 << 20, // version-stamped result cache
+		MaxInFlight: 4,        // backpressure: 429 past the queue
 	})
 	defer srv.Close()
 	// In production: l, _ := net.Listen("tcp", ":8080") and

@@ -26,9 +26,6 @@ var latencyBoundsUS = []int64{
 	100000, 250000, 500000, 1000000,
 }
 
-// batchSizeBounds are the batch occupancy bucket upper bounds.
-var batchSizeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // hist is a lock-free fixed-bucket histogram over int64 observations.
 // Buckets store per-bin counts; the Prometheus cumulative form is
 // produced at export time.
@@ -71,14 +68,6 @@ func (em *endpointMetrics) observe(status int, took time.Duration) {
 
 // metrics is the server-wide registry.
 type metrics struct {
-	// Batching effectiveness: batches executed, queries they carried,
-	// queries answered by coalescing onto an identical in-flight one,
-	// and the occupancy distribution.
-	batches        atomic.Int64
-	batchedQueries atomic.Int64
-	coalesced      atomic.Int64
-	batchSize      *hist
-
 	// shed counts requests refused with 429.
 	shed atomic.Int64
 
@@ -135,23 +124,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP mogul_cache_evictions_total Result cache evictions (byte budget).\n# TYPE mogul_cache_evictions_total counter\nmogul_cache_evictions_total %d\n", cs.Evictions)
 		fmt.Fprintf(w, "# HELP mogul_cache_entries Resident result cache entries.\n# TYPE mogul_cache_entries gauge\nmogul_cache_entries %d\n", cs.Entries)
 		fmt.Fprintf(w, "# HELP mogul_cache_bytes Resident result cache bytes.\n# TYPE mogul_cache_bytes gauge\nmogul_cache_bytes %d\n", cs.Bytes)
-	}
-
-	if s.bat != nil {
-		fmt.Fprintf(w, "# HELP mogul_batches_total Micro-batches executed.\n# TYPE mogul_batches_total counter\nmogul_batches_total %d\n", m.batches.Load())
-		fmt.Fprintf(w, "# HELP mogul_batched_queries_total Queries served through micro-batches.\n# TYPE mogul_batched_queries_total counter\nmogul_batched_queries_total %d\n", m.batchedQueries.Load())
-		fmt.Fprintf(w, "# HELP mogul_batch_coalesced_total Queries answered by deduplicating onto an identical in-flight query.\n# TYPE mogul_batch_coalesced_total counter\nmogul_batch_coalesced_total %d\n", m.coalesced.Load())
-		fmt.Fprintf(w, "# HELP mogul_batch_size Queries per executed micro-batch.\n")
-		fmt.Fprintf(w, "# TYPE mogul_batch_size histogram\n")
-		cum := int64(0)
-		for i, b := range m.batchSize.bounds {
-			cum += m.batchSize.buckets[i].Load()
-			fmt.Fprintf(w, "mogul_batch_size_bucket{le=\"%d\"} %d\n", b, cum)
-		}
-		cum += m.batchSize.buckets[len(m.batchSize.bounds)].Load()
-		fmt.Fprintf(w, "mogul_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "mogul_batch_size_sum %d\n", m.batchSize.sum.Load())
-		fmt.Fprintf(w, "mogul_batch_size_count %d\n", cum)
 	}
 
 	fmt.Fprintf(w, "# HELP mogul_shed_total Requests shed with 429 by backpressure.\n# TYPE mogul_shed_total counter\nmogul_shed_total %d\n", m.shed.Load())

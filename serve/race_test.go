@@ -15,12 +15,12 @@ import (
 	"mogul"
 )
 
-// TestServeRaceTraffic drives the full serving stack — cache,
-// micro-batcher, limiter, metrics — with concurrent search and
-// mutation HTTP traffic. Meaningful under -race (CI runs it there);
-// afterwards, with mutators quiescent, every warm cache entry must
-// agree with a fresh computation: the version stamp may never let a
-// pre-mutation ranking survive as current.
+// TestServeRaceTraffic drives the full serving stack — cache, limiter,
+// metrics — with concurrent search and mutation HTTP traffic.
+// Meaningful under -race (CI runs it there); afterwards, with mutators
+// quiescent, every warm cache entry must agree with a fresh
+// computation: the version stamp may never let a pre-mutation ranking
+// survive as current.
 func TestServeRaceTraffic(t *testing.T) {
 	ds := mogul.NewMixture(mogul.MixtureConfig{
 		N: 200, Classes: 4, Dim: 6, WithinStd: 0.25, Separation: 2.0, Seed: 33,
@@ -31,7 +31,6 @@ func TestServeRaceTraffic(t *testing.T) {
 	}
 	s := New(idx, Options{
 		CacheBytes:  1 << 20,
-		BatchWindow: 200 * time.Microsecond,
 		MaxInFlight: 8,
 		MaxQueue:    1024,
 	})
@@ -164,11 +163,6 @@ func (g *gated) NewQuerier() mogul.Querier {
 	return &gatedQuerier{g.Retriever.NewQuerier(), g.gate}
 }
 
-func (g *gated) TopKVectorBatch(qs []mogul.Vector, k, par int) []mogul.BatchResult {
-	<-g.gate
-	return g.Retriever.TopKVectorBatch(qs, k, par)
-}
-
 type gatedQuerier struct {
 	mogul.Querier
 	gate chan struct{}
@@ -191,7 +185,6 @@ func TestShedBackpressure(t *testing.T) {
 		MaxInFlight: 1,
 		MaxQueue:    1,
 		RetryAfter:  3 * time.Second,
-		BatchWindow: time.Millisecond, // exercise the batch queue's shed door too
 	})
 
 	const clients = 10
@@ -241,53 +234,9 @@ func TestShedBackpressure(t *testing.T) {
 		t.Fatalf("shed metric %d, want %d", got, shed)
 	}
 
-	// Micro-batched vector traffic sheds too: with the backend blocked,
-	// one batch holds the execution slot, one waits in the limiter
-	// queue, and every further batch's clients get 429 while the gate
-	// is still closed — backpressure, not pile-up.
-	gate2 := make(chan struct{})
-	s2 := New(&gated{Retriever: idx, gate: gate2}, Options{
-		MaxInFlight: 1, MaxQueue: 1, MaxBatch: 2,
-		BatchWindow: time.Millisecond, RetryAfter: time.Second,
-	})
-	var wg2 sync.WaitGroup
-	vcodes := make(chan int, clients)
-	for c := 0; c < clients; c++ {
-		wg2.Add(1)
-		go func(i int) {
-			defer wg2.Done()
-			v := make([]float64, 8)
-			v[0] = float64(i) // distinct queries: no coalescing escape hatch
-			rec, _ := doJSONQuiet(s2, http.MethodPost, "/search/vector", map[string]interface{}{"vector": v, "k": 3})
-			vcodes <- rec.Code
-		}(c)
-	}
-	// With batches of at most 2, ten clients cannot all fit into the
-	// executing batch plus the queued one: at least one 429 must land
-	// before the gate opens.
-	select {
-	case code := <-vcodes:
-		if code != http.StatusTooManyRequests {
-			t.Fatalf("batched flood: pre-unblock completion with status %d, want 429", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("batched flood: nothing was shed with the backend blocked")
-	}
-	close(gate2)
-	wg2.Wait()
-	close(vcodes)
-	for code := range vcodes {
-		switch code {
-		case http.StatusOK, http.StatusTooManyRequests:
-		default:
-			t.Fatalf("batched flood: unexpected status %d", code)
-		}
-	}
-
-	// No goroutine leaks: after Close, we are back to the baseline
-	// (give the runtime a moment to reap).
+	// No goroutine leaks: we are back to the baseline (give the runtime
+	// a moment to reap).
 	s.Close()
-	s2.Close()
 	for i := 0; ; i++ {
 		if runtime.NumGoroutine() <= baseline+2 {
 			break

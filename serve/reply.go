@@ -15,9 +15,9 @@ import (
 // the rows (a json.RawMessage) were validated and compacted again on
 // every request, hits included. The functions here append the same bytes
 // directly: the rows once, when a search ran (appendRows, the one
-// renderer behind answer, the micro-batcher and /search/batch), and the
-// envelope per request into a pooled buffer that leaves in one Write of
-// known length (jsonwire.WriteReply).
+// renderer behind answer and /search/batch), and the envelope per
+// request into a pooled buffer that leaves in one Write of known length
+// (jsonwire.WriteReply).
 //
 // The bytes are encoding/json's, which FuzzWriteSearchReply holds them
 // to: fields in declaration order, omitempty honoured, a trailing

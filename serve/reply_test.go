@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mogul"
 	"mogul/internal/jsonwire"
@@ -373,14 +372,6 @@ func (p *poisoned) plant(res []mogul.Result) []mogul.Result {
 
 func (p *poisoned) NewQuerier() mogul.Querier { return &poisonedQuerier{p.Retriever.NewQuerier(), p} }
 
-func (p *poisoned) TopKVectorBatch(qs []mogul.Vector, k, par int) []mogul.BatchResult {
-	brs := p.Retriever.TopKVectorBatch(qs, k, par)
-	for i := range brs {
-		p.plant(brs[i].Results)
-	}
-	return brs
-}
-
 // TopKBatch poisons every second query, so a batch reply shows failed
 // and healthy entries side by side.
 func (p *poisoned) TopKBatch(ids []int, k, par int) []mogul.BatchResult {
@@ -412,7 +403,7 @@ func (q *poisonedQuerier) TopKSet(ids []int, k int) ([]mogul.Result, error) {
 }
 
 // TestNonFiniteScoreIsAnError: a NaN or Inf score on any search route,
-// cache on, micro-batcher on or off, is a 500 in the canonical error
+// cache on, is a 500 in the canonical error
 // shape naming the score, counted as an error — never a 200 with the
 // rows missing — and is not cached: the identical request runs the
 // engine again. On /search/batch it is the error of the entry it
@@ -423,17 +414,14 @@ func TestNonFiniteScoreIsAnError(t *testing.T) {
 	for _, score := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, tc := range []struct {
 			name, method, path, body, endpoint string
-			opts                               Options
 		}{
-			{"id", http.MethodGet, "/search?id=5&k=4", "", "search", Options{}},
-			{"vector", http.MethodPost, "/search/vector", vector, "search_vector", Options{}},
-			{"vector batched", http.MethodPost, "/search/vector", vector, "search_vector", Options{BatchWindow: time.Millisecond}},
-			{"set", http.MethodPost, "/search/set", `{"ids":[1,2],"k":4}`, "search_set", Options{}},
+			{"id", http.MethodGet, "/search?id=5&k=4", "", "search"},
+			{"vector", http.MethodPost, "/search/vector", vector, "search_vector"},
+			{"set", http.MethodPost, "/search/set", `{"ids":[1,2],"k":4}`, "search_set"},
 		} {
 			t.Run(fmt.Sprintf("%s %v", tc.name, score), func(t *testing.T) {
 				p := &poisoned{Retriever: idx, score: score}
-				tc.opts.CacheBytes, tc.opts.Labels = 1<<20, ds.Labels
-				s := New(p, tc.opts)
+				s := New(p, Options{CacheBytes: 1 << 20, Labels: ds.Labels})
 				defer s.Close()
 				for attempt := int64(1); attempt <= 2; attempt++ {
 					rec := httptest.NewRecorder()

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -79,17 +78,6 @@ func keyVector(v mogul.Vector, k int) string {
 	return string(b)
 }
 
-// vectorGroupKey is keyVector without k: the batch executor groups
-// identical in-flight vectors across different k values (the ranking
-// for a smaller k is a prefix of the larger one).
-func vectorGroupKey(v mogul.Vector) string {
-	b := make([]byte, 0, 8*len(v))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return string(b)
-}
-
 func keySet(ids []int, k int) string {
 	b := make([]byte, 0, 1+(len(ids)+1)*binary.MaxVarintLen64)
 	b = append(b, 's')
@@ -140,11 +128,8 @@ func (s *Server) cacheSet(key string, ver uint64, res []mogul.Result, info mogul
 }
 
 // errShed reports that admission was refused because the wait queue is
-// full; errClosed that the server is shutting down.
-var (
-	errShed   = errors.New("serve: overloaded")
-	errClosed = errors.New("serve: server closed")
-)
+// full.
+var errShed = errors.New("serve: overloaded")
 
 // limiter is the backpressure gate: a semaphore bounds executing
 // search work, a queue-depth counter bounds waiting work, and
@@ -191,9 +176,6 @@ type query struct {
 	// a string that is JSON as written between quotes ("vector").
 	echo interface{}
 	k    int
-	// vec is set for an out-of-sample query, the one kind the
-	// micro-batcher takes.
-	vec mogul.Vector
 	// run is the engine call; info is nil for the kinds that report no
 	// work counters.
 	run func(mogul.Querier) (res []mogul.Result, info *mogul.SearchInfo, err error)
@@ -203,9 +185,8 @@ type query struct {
 //
 //	cache lookup -> admission -> version stamp -> run -> cache fill -> envelope
 //
-// Admission is the micro-batcher for a vector query when batching is
-// on, the limiter otherwise; either way the answer rows come back
-// rendered, and the envelope is the same on a hit and on a miss.
+// Admission is the limiter; the answer rows come back rendered, and
+// the envelope is the same on a hit and on a miss.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 	t0 := time.Now()
 	// The key of a d = 512 query is 4 KB; with the cache off nothing
@@ -217,15 +198,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query) {
 	e, hit := s.cacheGet(key)
 	if !hit {
 		var err error
-		if q.vec != nil && s.bat != nil {
-			// The batcher keeps the vector past this call. Handing it a copy
-			// keeps q — and with it the two closures and the boxed echo
-			// every handler builds — off the heap on every other path.
-			e.answers, err = s.bat.do(r.Context(), slices.Clone(q.vec), q.k, key)
-		} else {
-			e, err = s.runDirect(r.Context(), q, key)
-		}
-		if err != nil {
+		if e, err = s.runDirect(r.Context(), q, key); err != nil {
 			s.searchError(w, err)
 			return
 		}
@@ -255,15 +228,13 @@ func (s *Server) runDirect(ctx context.Context, q query, key string) (cacheEntry
 	return s.cacheSet(key, ver, res, *info)
 }
 
-// searchError renders a failed search: the limiter's and the batcher's
-// refusals by what they mean, a result the writer could not render as
-// the server's fault, anything else as the engine rejecting the query.
+// searchError renders a failed search: the limiter's refusals by what
+// they mean, a result the writer could not render as the server's
+// fault, anything else as the engine rejecting the query.
 func (s *Server) searchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errShed):
 		s.shed(w)
-	case errors.Is(err, errClosed):
-		WriteError(w, http.StatusServiceUnavailable, "server shutting down")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The client went away while queued; 503 documents the outcome
 		// for any middlebox still listening.
@@ -315,7 +286,7 @@ func (s *Server) handleSearchVector(w http.ResponseWriter, r *http.Request) {
 	if !readQuery(w, r, &req, &req.K) {
 		return
 	}
-	s.answer(w, r, query{echo: "vector", k: req.K, vec: req.Vector,
+	s.answer(w, r, query{echo: "vector", k: req.K,
 		key: func() string { return keyVector(req.Vector, req.K) },
 		run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
 			res, err := q.TopKVector(req.Vector, req.K)

@@ -8,23 +8,21 @@
 //     stamped with the index's mutation Version, so every Insert,
 //     Delete, or Compact invalidates the whole cache implicitly — no
 //     explicit flush, no stale answers;
-//   - micro-batched execution: concurrent out-of-sample queries inside
-//     a small window are coalesced (identical in-flight queries
-//     deduplicated) into one TopKVectorBatch call on a bounded worker
-//     pool, trading a bounded latency floor for much higher throughput
-//     under load;
+//   - pooled execution: every search borrows a reusable mogul.Querier
+//     and runs on its request's goroutine, one path for every kind of
+//     query;
 //   - backpressure: a semaphore plus a queue-depth limit shed excess
 //     load with 429 and a Retry-After header instead of letting
 //     latency collapse;
 //   - observability: per-endpoint request/error counters and latency
-//     histograms, cache and batching effectiveness, and index state,
+//     histograms, cache effectiveness, and index state,
 //     exported at /metrics in Prometheus text format with no external
 //     dependencies.
 //
-// Construct with New, mount the returned *Server as an http.Handler,
-// and Close it on shutdown; Run provides the graceful serve loop a
-// production main wants. See docs/SERVING.md for architecture,
-// tuning, and the metrics reference.
+// Construct with New and mount the returned *Server as an
+// http.Handler; Run provides the graceful serve loop a production main
+// wants. See docs/SERVING.md for architecture, tuning, and the metrics
+// reference.
 //
 // Endpoints:
 //
@@ -33,7 +31,7 @@
 //	GET  /metrics                  -> Prometheus text format
 //	GET  /search?id=17&k=10        -> in-database query
 //	POST /search/vector {"vector":[...], "k":10}
-//	                               -> out-of-sample query (micro-batched)
+//	                               -> out-of-sample query
 //	POST /search/set {"ids":[1,2,3], "k":10}
 //	                               -> multi-seed query
 //	POST /search/batch {"ids":[...], "k":10}
@@ -63,8 +61,7 @@ import (
 )
 
 // Options configures a Server. The zero value serves correctly with
-// caching and micro-batching disabled and backpressure at GOMAXPROCS
-// concurrent searches.
+// caching disabled and backpressure at GOMAXPROCS concurrent searches.
 type Options struct {
 	// Labels attaches per-item labels (by id) to search answers; nil
 	// serves unlabelled. Labels index base items, so they are dropped
@@ -76,17 +73,8 @@ type Options struct {
 	// any Insert/Delete/Compact invalidates the cache implicitly.
 	CacheBytes int64
 
-	// BatchWindow enables micro-batching of /search/vector traffic:
-	// the first query of a batch waits up to this long for company
-	// before the batch executes as one TopKVectorBatch call. 0
-	// disables batching (each query runs individually). 100-500µs is a
-	// reasonable production window; see docs/SERVING.md.
-	BatchWindow time.Duration
-	// MaxBatch caps the queries coalesced into one batch (default 64).
-	MaxBatch int
-
-	// MaxInFlight bounds concurrently executing search work — direct
-	// queries and batch executions each hold one slot (default
+	// MaxInFlight bounds concurrently executing search work — each
+	// query and each /search/batch call holds one slot (default
 	// GOMAXPROCS).
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for a slot; arrivals beyond it
@@ -99,9 +87,6 @@ type Options struct {
 
 // withDefaults resolves zero fields to their documented defaults.
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = defaultMaxBatch
-	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = runtime.GOMAXPROCS(0)
 	}
@@ -115,8 +100,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the serving layer around one Retriever. It implements
-// http.Handler; construct with New, release background resources with
-// Close. All handlers are safe for concurrent use.
+// http.Handler; construct with New. All handlers are safe for
+// concurrent use.
 type Server struct {
 	idx  mogul.Retriever
 	mux  *http.ServeMux
@@ -129,18 +114,9 @@ type Server struct {
 	// cache is the version-stamped query-result cache; nil when
 	// disabled.
 	cache *lru.Cache[string, cacheEntry]
-	// lim backpressures search execution (direct queries and batch
-	// executions alike).
+	// lim backpressures search execution.
 	lim *limiter
-	// bat coalesces /search/vector traffic; nil when disabled.
-	bat *batcher
 	met *metrics
-
-	// baseCtx is cancelled by Close: batch executors and queued
-	// waiters unwind through it.
-	baseCtx   context.Context
-	baseStop  context.CancelFunc
-	closeOnce sync.Once
 
 	// mutateMu serializes the mutating handlers (/insert, /delete,
 	// /compact) so that "index mutated" and "label bookkeeping
@@ -165,22 +141,16 @@ type Server struct {
 }
 
 // New builds the serving layer over idx. The returned Server is an
-// http.Handler ready to mount; callers should Close it on shutdown to
-// stop the batching goroutines (requests in flight finish first).
+// http.Handler ready to mount; it starts no goroutines.
 func New(idx mogul.Retriever, opts Options) *Server {
 	o := opts.withDefaults()
-	s := &Server{idx: idx, opts: o, mux: http.NewServeMux(), labels: o.Labels}
-	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
-	s.met = &metrics{batchSize: newHist(batchSizeBounds)}
+	s := &Server{idx: idx, opts: o, mux: http.NewServeMux(), labels: o.Labels, met: &metrics{}}
 	s.lim = &limiter{
 		sem:      make(chan struct{}, o.MaxInFlight),
 		maxQueue: int64(o.MaxQueue),
 	}
 	if o.CacheBytes > 0 {
 		s.cache = lru.New[string, cacheEntry](o.CacheBytes, cacheShards)
-	}
-	if o.BatchWindow > 0 {
-		s.bat = newBatcher(s, o.BatchWindow, o.MaxBatch, o.MaxQueue)
 	}
 	s.Handle(http.MethodGet, "/healthz", "healthz", s.handleHealth)
 	s.Handle(http.MethodGet, "/stats", "stats", s.handleStats)
@@ -198,15 +168,10 @@ func New(idx mogul.Retriever, opts Options) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the background batching machinery and unblocks queued
-// waiters. In-flight handler calls finish; subsequent batched queries
-// fail with 503. Close is idempotent and does not close the Retriever.
-func (s *Server) Close() {
-	s.closeOnce.Do(s.baseStop)
-	if s.bat != nil {
-		s.bat.wg.Wait()
-	}
-}
+// Close is a no-op kept for callers that pair New with it: the Server
+// holds no goroutines or other resources beyond its handlers' own. It
+// does not close the Retriever.
+func (s *Server) Close() {}
 
 // Run serves h on l until ctx is cancelled (what SIGTERM should do in
 // production), then shuts down gracefully: the listener closes
@@ -539,19 +504,13 @@ func CheckK(k int) error {
 	return nil
 }
 
-// Request bodies are bounded by a fixed cap sized for the largest body
-// any endpoint has a use for — a default batch's worth (defaultMaxBatch)
-// of vectors of maxBodyDim components at maxFloatBytes of JSON each, far
-// above a single d = 512 query (~10 KB) — so a client cannot make the
-// server buffer an arbitrary amount of memory per connection. Bodies are
-// read into jsonwire's pooled read buffers; on the cache-hit path the
-// decode is most of the remaining work.
-const (
-	defaultMaxBatch = 64
-	maxBodyDim      = 1 << 14
-	maxFloatBytes   = 32
-	maxBodyBytes    = defaultMaxBatch * maxBodyDim * maxFloatBytes // 32 MiB
-)
+// Request bodies are bounded by a fixed cap, 32 MiB: 64 vectors of
+// 2¹⁴ components at 32 bytes of JSON each, far above a single d = 512
+// query (~10 KB), so a client cannot make the server buffer an
+// arbitrary amount of memory per connection. Bodies are read into
+// jsonwire's pooled read buffers; on the cache-hit path the decode is
+// most of the remaining work.
+const maxBodyBytes = 32 << 20
 
 // The work one request may ask for is bounded like its body. The engine
 // clamps k to the corpus, so without MaxK one GET ranks and renders

@@ -558,7 +558,7 @@ func TestShardedBackend(t *testing.T) {
 // cache families appear when their features are on.
 func TestMetricsEndpoint(t *testing.T) {
 	idx, ds := testIndex(t)
-	s := New(idx, Options{Labels: ds.Labels, CacheBytes: 1 << 20, BatchWindow: 100 * time.Microsecond})
+	s := New(idx, Options{Labels: ds.Labels, CacheBytes: 1 << 20})
 	t.Cleanup(s.Close)
 
 	doJSON(t, s, http.MethodGet, "/search?id=5&k=3", nil)
@@ -581,9 +581,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mogul_request_duration_seconds_count{endpoint="search"} 2`,
 		`mogul_cache_hits_total 1`,
 		`mogul_cache_misses_total`,
-		`mogul_batches_total 1`,
-		`mogul_batched_queries_total 1`,
-		`mogul_batch_size_bucket{le="1"} 1`,
+		`mogul_requests_total{endpoint="search_vector"} 1`,
 		`mogul_shed_total 0`,
 		`mogul_index_version 1`,
 		fmt.Sprintf(`mogul_index_items %d`, ds.Len()),
@@ -656,7 +654,7 @@ func TestCachedSearch(t *testing.T) {
 
 // TestCacheKeyBuiltOnlyForTheCache: the exact cache key — 4 KB for a
 // d = 512 query — is built when there is a cache to look in and at no
-// other time, batching on or off.
+// other time.
 func TestCacheKeyBuiltOnlyForTheCache(t *testing.T) {
 	idx, ds := testIndex(t)
 	vec := ds.Points[3]
@@ -666,14 +664,12 @@ func TestCacheKeyBuiltOnlyForTheCache(t *testing.T) {
 		want int
 	}{
 		{"plain", Options{}, 0},
-		{"batched", Options{BatchWindow: time.Millisecond}, 0},
 		{"cached", Options{CacheBytes: 1 << 20}, 1},
-		{"cached and batched", Options{CacheBytes: 1 << 20, BatchWindow: time.Millisecond}, 1},
 	} {
 		s := New(idx, tc.opts)
 		built := 0
 		rec := httptest.NewRecorder()
-		s.answer(rec, httptest.NewRequest(http.MethodPost, "/search/vector", nil), query{echo: "vector", k: 4, vec: vec,
+		s.answer(rec, httptest.NewRequest(http.MethodPost, "/search/vector", nil), query{echo: "vector", k: 4,
 			key: func() string { built++; return keyVector(vec, 4) },
 			run: func(q mogul.Querier) ([]mogul.Result, *mogul.SearchInfo, error) {
 				res, err := q.TopKVector(vec, 4)
@@ -683,71 +679,6 @@ func TestCacheKeyBuiltOnlyForTheCache(t *testing.T) {
 		if rec.Code != http.StatusOK || built != tc.want {
 			t.Errorf("%s: status %d, key built %d times, want %d", tc.name, rec.Code, built, tc.want)
 		}
-	}
-}
-
-// TestBatchedVectorSearch: with a batch window on, concurrent
-// identical queries coalesce into shared executions and still return
-// exactly the direct-path answers.
-func TestBatchedVectorSearch(t *testing.T) {
-	idx, ds := testIndex(t)
-	// Explicit, generous admission bounds: this test is about result
-	// correctness under coalescing, not about shedding (which the race
-	// detector's scheduling would otherwise trip on small machines).
-	batched := New(idx, Options{BatchWindow: 2 * time.Millisecond, MaxBatch: 32, MaxInFlight: 4, MaxQueue: 64})
-	direct := New(idx, Options{})
-	t.Cleanup(batched.Close)
-	t.Cleanup(direct.Close)
-
-	// Reference answers from the direct path.
-	_, want := doJSON(t, direct, http.MethodPost, "/search/vector", map[string]interface{}{
-		"vector": ds.Points[11], "k": 6,
-	})
-	wantAnswers, _ := json.Marshal(want["answers"])
-
-	const clients = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rec, body := doJSONQuiet(batched, http.MethodPost, "/search/vector", map[string]interface{}{
-				"vector": ds.Points[11], "k": 6,
-			})
-			if rec.Code != http.StatusOK {
-				errs <- fmt.Errorf("status %d: %v", rec.Code, body)
-				return
-			}
-			got, _ := json.Marshal(body["answers"])
-			if !bytes.Equal(got, wantAnswers) {
-				errs <- fmt.Errorf("batched answers differ: %s vs %s", got, wantAnswers)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// The herd coalesced: far fewer engine calls than clients.
-	if got := batched.met.coalesced.Load(); got == 0 {
-		t.Fatal("no coalescing for 24 identical concurrent queries")
-	}
-	// Different k over the same vector shares the computation and gets
-	// a correct prefix.
-	rec, body := doJSON(t, batched, http.MethodPost, "/search/vector", map[string]interface{}{
-		"vector": ds.Points[11], "k": 3,
-	})
-	if rec.Code != http.StatusOK || len(body["answers"].([]interface{})) != 3 {
-		t.Fatalf("k=3 after k=6: %d %v", rec.Code, body)
-	}
-	got, _ := json.Marshal(body["answers"])
-	var wantPrefix []interface{}
-	_ = json.Unmarshal(wantAnswers, &wantPrefix)
-	prefix, _ := json.Marshal(wantPrefix[:3])
-	if !bytes.Equal(got, prefix) {
-		t.Fatalf("k=3 not a prefix of k=6: %s vs %s", got, prefix)
 	}
 }
 

@@ -502,12 +502,6 @@ func (six *ShardedIndex) TopKBatch(queries []int, k, parallelism int) []BatchRes
 	return topKBatch(six.NewQuerier, queries, k, parallelism)
 }
 
-// TopKVectorBatch answers many out-of-sample queries concurrently,
-// mirroring Index.TopKVectorBatch.
-func (six *ShardedIndex) TopKVectorBatch(queries []Vector, k, parallelism int) []BatchResult {
-	return topKVectorBatch(six.NewQuerier, queries, k, parallelism)
-}
-
 // Insert adds a new point to its owning shard (the nearest k-means
 // centroid, or the least-loaded shard under contiguous partitioning)
 // and returns its global id. The point is immediately searchable

@@ -499,20 +499,6 @@ func TestShardedBatchAndInterfaces(t *testing.T) {
 		t.Fatalf("batch error routing wrong: %+v", bad)
 	}
 
-	vecBatch := six.TopKVectorBatch([]Vector{ds.Points[5], ds.Points[50]}, 4, 2)
-	for i, br := range vecBatch {
-		if br.Err != nil {
-			t.Fatal(br.Err)
-		}
-		want, err := six.TopKVector([]Vector{ds.Points[5], ds.Points[50]}[i], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(br.Results, want) {
-			t.Fatalf("vector batch %d differs from sequential", i)
-		}
-	}
-
 	// The Retriever surface serves both kinds interchangeably.
 	var r Retriever = six
 	qr := r.NewQuerier()

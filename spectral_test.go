@@ -265,15 +265,6 @@ func TestSpectralRetrieverSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vbatch := e.TopKVectorBatch([]Vector{pts[3]}, 10, 0)
-	if vbatch[0].Err != nil {
-		t.Fatal(vbatch[0].Err)
-	}
-	for i := range vres {
-		if vbatch[0].Results[i] != vres[i] {
-			t.Fatalf("TopKVectorBatch diverges at %d", i)
-		}
-	}
 	// The dist-facing extended surface.
 	wres, qvec, aff, err := e.TopKWithVector(3, 10)
 	if err != nil {
