@@ -2,10 +2,11 @@
 // reproduction needs: LU factorization (the O(n^3) inverse-matrix
 // baseline of the paper and the exactness oracle for tests), a
 // deterministic parallel inversion of symmetric positive definite
-// matrices (the EMR engine's gram system, spd.go), a Jacobi symmetric
-// eigensolver (spectral clustering inside the FMR baseline and the
-// spectral engine's Rayleigh-Ritz step), and a
-// one-sided Jacobi thin SVD (FMR's per-block low-rank approximation).
+// matrices (the EMR engine's gram system, spd.go), and one symmetric
+// eigensolver: the implicit QL on a tridiagonal (tridiag.go; the
+// spectral engine's Rayleigh-Ritz step), which a Householder reduction
+// feeds for a dense matrix (eigen.go; FMR's per-block low-rank
+// approximation).
 //
 // Everything is written against the Go standard library; no BLAS. The
 // point of these kernels is correctness and clarity at the baseline

@@ -189,16 +189,16 @@ func TestEigSymReconstruction(t *testing.T) {
 	}
 }
 
-// TestEigSymStopsRelative: the stopping rule scales with the matrix, so
-// a tiny coupling is resolved rather than reported as converged, and a
-// power-of-two scaling of A scales its eigenvalues and nothing else.
+// TestEigSymStopsRelative: the work runs on A scaled to unit max-abs
+// entry, so a tiny coupling is resolved rather than taken for zero, and
+// a power-of-two scaling of A scales its eigenvalues and nothing else.
 func TestEigSymStopsRelative(t *testing.T) {
 	w, _, err := EigSym(NewMatrixFrom([][]float64{{0, 1e-13}, {1e-13, 0}}))
 	if err != nil || math.Abs(w[0]+1e-13) > 1e-25 || math.Abs(w[1]-1e-13) > 1e-25 {
 		t.Fatalf("eigenvalues = %v (err %v), want [-1e-13 1e-13]", w, err)
 	}
-	// 1e-200 squared underflows to 0: a stopping test on the unscaled
-	// off-diagonal sum would stop before the first rotation, at [0 0].
+	// 1e-200 squared underflows to 0: a test on the unscaled coupling
+	// would split the matrix before the first rotation, at [0 0].
 	w, _, err = EigSym(NewMatrixFrom([][]float64{{0, 1e-200}, {1e-200, 0}}))
 	if err != nil || math.Abs(w[0]+1e-200) > 1e-212 || math.Abs(w[1]-1e-200) > 1e-212 {
 		t.Fatalf("eigenvalues = %v (err %v), want [-1e-200 1e-200]", w, err)

@@ -3,23 +3,27 @@ package dense
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mogul/internal/vec"
 )
 
-// EigSym computes the full eigendecomposition of a symmetric matrix
-// using the cyclic Jacobi rotation method: A = V diag(w) V^T with
-// orthonormal columns of V. Eigenvalues are returned in ascending
-// order. Its caller is the FMR baseline's spectral clustering (the
-// smallest eigenvectors of the normalized Laplacian); a tridiagonal
-// matrix goes to EigTridiag instead. Input with a NaN or infinite
-// element is an error.
+// EigSym computes the full eigendecomposition A = V diag(w) Vᵀ of a
+// symmetric matrix, with orthonormal columns of V. The eigenvalues come
+// back ascending, and column k of V is the unit eigenvector of w[k],
+// its largest-magnitude component (the first such on ties) made
+// positive, as EigTridiag's are. Its caller is the FMR baseline's
+// per-block low-rank step, which keeps the pairs of largest |λ|; a
+// tridiagonal matrix goes to EigTridiag instead. Non-square,
+// non-symmetric or non-finite input is an error, and so are a QL that
+// does not converge and an eigenvalue past the float64 range.
 //
-// Jacobi is O(n^3) per sweep but unconditionally stable and simple,
-// which is the right trade-off for the baseline sizes used here. The
-// rotations accumulate into the transpose of V, so eigenvector p is a
-// contiguous row while the sweeps run.
+// Householder reflectors H = I − 2uuᵀ reduce A to the tridiagonal
+// T = QᵀAQ (Golub & Van Loan §8.3.1; EISPACK's tred2) and accumulate
+// Qᵀ's rows as they go; EigTridiag's implicit QL then rotates those
+// rows into Vᵀ (EISPACK's tql2), so V = QZ takes no matrix product.
+// The work runs on a copy of A scaled by a power of two to unit max-abs
+// entry (exact); the eigenvalues are scaled back at the end. The solver
+// is serial, so its bits do not depend on GOMAXPROCS.
 func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("dense: EigSym of non-square %dx%d matrix", a.Rows, a.Cols)
@@ -47,76 +51,65 @@ func EigSym(a *Matrix) (w []float64, v *Matrix, err error) {
 		}
 	}
 
-	// The sweeps run on a copy scaled by a power of two to unit max-abs
-	// entry (exact, as in EigTridiag), so the squared off-diagonal sum of
-	// a matrix of tiny entries cannot underflow to 0 and stop them before
-	// the first rotation; the eigenvalues are scaled back at the end.
 	_, exp := math.Frexp(maxAbs)
-	maxAbs = math.Ldexp(maxAbs, -exp)
 	md := a.Clone().Data
 	for i, x := range md {
 		md[i] = math.Ldexp(x, -exp)
 	}
-	vt := Identity(n).Data // row p is eigenvector p
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal Frobenius norm relative to the largest entry
-		// decides convergence, so A and 2^-40·A take the same sweeps.
-		var off float64
-		for i := 0; i < n; i++ {
-			for _, x := range md[i*n+i+1 : (i+1)*n] {
-				off += x * x
-			}
+	qt := Identity(n)
+	u, p, r := make([]float64, n), make([]float64, n), make([]float64, n)
+	for k := 0; k+2 < n; k++ {
+		// Column k below the diagonal, read as row k right of it, is
+		// reflected onto its first entry. A tail under 2⁻⁵⁰⁰ of the unit
+		// scale is dropped instead: that moves no eigenvalue past
+		// rounding, and a reflector built from it would not be unit.
+		x := md[k*n+k+1 : (k+1)*n]
+		ss := vec.Dot(x[1:], x[1:])
+		if ss < 0x1p-1000 {
+			continue
 		}
-		if math.Sqrt(2*off) <= 1e-12*maxAbs*float64(n) {
-			break
+		alpha := -math.Copysign(math.Sqrt(x[0]*x[0]+ss), x[0])
+		uk, pk := u[k+1:], p[k+1:]
+		copy(uk, x)
+		uk[0] -= alpha
+		vec.Vector(uk).Scale(1 / math.Sqrt(uk[0]*uk[0]+ss))
+		x[0] = alpha
+		// The trailing block B becomes HBH = B − 2uwᵀ − 2wuᵀ, where
+		// p = Bu and w = p − (uᵀp)u; w overwrites p.
+		for i := range pk {
+			pk[i] = vec.Dot(md[(k+1+i)*n+k+1:(k+2+i)*n], uk)
 		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := md[p*n+q]
-				if math.Abs(apq) <= 1e-300 {
-					continue
-				}
-				app, aqq := md[p*n+p], md[q*n+q]
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				// Apply the rotation J(p, q, theta) on both sides: columns
-				// p and q, then rows p and q, then rows p and q of V^T.
-				for k := p; k < n*n; k += n {
-					akp, akq := md[k], md[k+q-p]
-					md[k] = c*akp - s*akq
-					md[k+q-p] = s*akp + c*akq
-				}
-				vec.Rot(md[p*n:(p+1)*n], md[q*n:(q+1)*n], c, s)
-				vec.Rot(vt[p*n:(p+1)*n], vt[q*n:(q+1)*n], c, s)
-			}
+		vec.Axpy(pk, -vec.Dot(uk, pk), uk)
+		for i := range pk {
+			row := md[(k+1+i)*n+k+1 : (k+2+i)*n]
+			vec.Axpy(row, -2*uk[i], pk)
+			vec.Axpy(row, -2*pk[i], uk)
 		}
+		// Qᵀ becomes HQᵀ: row k+1+i less 2uᵢr, where r = Σ uᵢ·row k+1+i.
+		clear(r)
+		for i, ui := range uk {
+			vec.Axpy(r, ui, qt.Row(k+1+i))
+		}
+		for i, ui := range uk {
+			vec.Axpy(qt.Row(k+1+i), -2*ui, r)
+		}
+	}
+	d, e := make([]float64, n), make([]float64, max(n-1, 0))
+	for k := range d {
+		d[k] = md[k*n+k]
+	}
+	for k := range e {
+		e[k] = md[k*n+k+1]
 	}
 
-	// Extract eigenvalues and sort ascending with their vectors.
-	w = make([]float64, n)
-	for i := 0; i < n; i++ {
-		w[i] = math.Ldexp(md[i*n+i], exp)
+	w, qt, err = eigTridiag(d, e, qt)
+	if err != nil {
+		return nil, nil, err
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return w[idx[i]] < w[idx[j]] })
-	sortedW := make([]float64, n)
-	sortedV := NewMatrix(n, n)
-	for newCol, oldCol := range idx {
-		sortedW[newCol] = w[oldCol]
-		for r, x := range vt[oldCol*n : (oldCol+1)*n] {
-			sortedV.Data[r*n+newCol] = x
+	for k := range w {
+		if w[k] = math.Ldexp(w[k], exp); math.IsInf(w[k], 0) {
+			return nil, nil, fmt.Errorf("dense: EigSym: eigenvalue %d overflows float64", k)
 		}
 	}
-	return sortedW, sortedV, nil
+	return w, qt.Transpose(), nil
 }

@@ -34,10 +34,18 @@ const maxQLIter = 30
 // scaled back at the end. The solver is serial, so its bits do not
 // depend on GOMAXPROCS.
 func EigTridiag(d, e []float64) (w []float64, zt *Matrix, err error) {
-	m := len(d)
-	if len(e) != max(m-1, 0) {
-		return nil, nil, fmt.Errorf("dense: EigTridiag with %d diagonal and %d off-diagonal entries", m, len(e))
+	if len(e) != max(len(d)-1, 0) {
+		return nil, nil, fmt.Errorf("dense: EigTridiag with %d diagonal and %d off-diagonal entries", len(d), len(e))
 	}
+	return eigTridiag(d, e, Identity(len(d)))
+}
+
+// eigTridiag is EigTridiag with the QL rotations applied to the rows of
+// zt instead of the identity's, as EISPACK's tql2 takes tred2's Q: when
+// T = QᵀAQ and zt is Qᵀ, the rows it returns are A's eigenvectors.
+// len(e) must be len(d) - 1.
+func eigTridiag(d, e []float64, zt *Matrix) (w []float64, _ *Matrix, err error) {
+	m := len(d)
 	w, off := slices.Clone(d), append(slices.Clone(e), 0) // off[m-1] stays 0
 	var norm float64
 	for i := range w {
@@ -52,7 +60,6 @@ func EigTridiag(d, e []float64) (w []float64, zt *Matrix, err error) {
 		w[i], off[i] = math.Ldexp(w[i], -exp), math.Ldexp(off[i], -exp)
 	}
 
-	zt = Identity(m)
 	iters := 0
 	for l := 0; l < m; l++ {
 		for {

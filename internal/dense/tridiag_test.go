@@ -11,11 +11,11 @@ import (
 // of the tridiagonal T must be. Every check runs on T and its
 // eigenvalues scaled by a power of two to unit max-abs entry (exact, and
 // clear of overflow), where ‖T‖ is the largest absolute row sum and m
-// the order: eigenvalues ascending and within 32·m·ε·‖T‖ of the dense
-// Jacobi eigensolver's on the explicit T (whose stopping test is
-// absolute, hence the scale); every residual ‖Tz − λz‖∞ within the same
-// bound; ZᵀZ within 32·m·ε of the identity; and each eigenvector's
-// largest-magnitude component, the first such on ties, positive.
+// the order: eigenvalues ascending and within 32·m·ε·‖T‖ of the frozen
+// dense Jacobi eigensolver's (eigSymOracle) on the explicit T; every
+// residual ‖Tz − λz‖∞ within the same bound; ZᵀZ within 32·m·ε of the
+// identity; and each eigenvector's largest-magnitude component, the
+// first such on ties, positive.
 func checkEigTridiag(t *testing.T, d, e []float64) {
 	t.Helper()
 	m := len(d)
@@ -49,7 +49,7 @@ func checkEigTridiag(t *testing.T, d, e []float64) {
 	}
 	eps := 0x1p-52
 	tol := 32 * float64(m) * eps * norm
-	wj, _, err := EigSym(T)
+	wj, _, err := eigSymOracle(T)
 	if err != nil {
 		t.Fatalf("m=%d: Jacobi: %v", m, err)
 	}

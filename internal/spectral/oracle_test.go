@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"mogul/internal/dense"
 	"mogul/internal/par"
 	"mogul/internal/sparse"
+	"mogul/internal/vec"
 )
 
 // decomposeOracle is Decompose as it was before the reorthogonalization
@@ -26,9 +28,10 @@ func decomposeOracle(S *sparse.CSR, rank, steps int, seed int64) (*Basis, error)
 // rayleighRitz is.
 type ritzStep func(alphas, betas []float64, rank int) (vals, Yt []float64, err error)
 
-// jacobiRitz is rayleighRitz through the dense Jacobi eigensolver on
-// the explicit m x m T, the step Decompose took before it solved the
-// tridiagonal by QL. Its eigenvectors carry no sign convention.
+// jacobiRitz is rayleighRitz through the dense cyclic Jacobi eigensolver
+// (jacobiEigSym) on the explicit m x m T, the step Decompose took before
+// it solved the tridiagonal by QL. Its eigenvectors carry no sign
+// convention.
 func jacobiRitz(alphas, betas []float64, rank int) (vals, Yt []float64, err error) {
 	m := len(alphas)
 	T := dense.NewMatrix(m, m)
@@ -39,10 +42,7 @@ func jacobiRitz(alphas, betas []float64, rank int) (vals, Yt []float64, err erro
 			T.Set(j+1, j, betas[j])
 		}
 	}
-	ritz, Y, err := dense.EigSym(T)
-	if err != nil {
-		return nil, nil, fmt.Errorf("spectral: Rayleigh-Ritz eigensolve: %w", err)
-	}
+	ritz, Y := jacobiEigSym(T)
 	rank = min(rank, m)
 	vals = make([]float64, rank)
 	Yt = make([]float64, m*rank)
@@ -53,6 +53,82 @@ func jacobiRitz(alphas, betas []float64, rank int) (vals, Yt []float64, err erro
 		}
 	}
 	return vals, Yt, nil
+}
+
+// jacobiEigSym is dense.EigSym as it was before it became a Householder
+// reduction into dense.EigTridiag's QL, frozen here so that jacobiRitz
+// stays independent of the QL it checks: cyclic Jacobi sweeps on a copy
+// of the symmetric a scaled by a power of two to unit max-abs entry,
+// until the off-diagonal Frobenius norm is at most 1e-12·n·max|a| or 64
+// sweeps have run, then eigenvalues ascending with V's columns. Its
+// input checks are left out: T is symmetric and finite.
+func jacobiEigSym(a *dense.Matrix) (w []float64, v *dense.Matrix) {
+	n := a.Rows
+	var maxAbs float64
+	for _, x := range a.Data {
+		maxAbs = max(maxAbs, math.Abs(x))
+	}
+	_, exp := math.Frexp(maxAbs)
+	maxAbs = math.Ldexp(maxAbs, -exp)
+	md := a.Clone().Data
+	for i, x := range md {
+		md[i] = math.Ldexp(x, -exp)
+	}
+	vt := dense.Identity(n).Data // row p is eigenvector p
+	for sweep := 0; sweep < 64; sweep++ {
+		var off float64
+		for i := 0; i < n; i++ {
+			for _, x := range md[i*n+i+1 : (i+1)*n] {
+				off += x * x
+			}
+		}
+		if math.Sqrt(2*off) <= 1e-12*maxAbs*float64(n) {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := md[p*n+q]
+				if math.Abs(apq) <= 1e-300 {
+					continue
+				}
+				app, aqq := md[p*n+p], md[q*n+q]
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(1+theta*theta))
+				} else {
+					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+				}
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
+				for k := p; k < n*n; k += n {
+					akp, akq := md[k], md[k+q-p]
+					md[k] = c*akp - s*akq
+					md[k+q-p] = s*akp + c*akq
+				}
+				vec.Rot(md[p*n:(p+1)*n], md[q*n:(q+1)*n], c, s)
+				vec.Rot(vt[p*n:(p+1)*n], vt[q*n:(q+1)*n], c, s)
+			}
+		}
+	}
+	w = make([]float64, n)
+	for i := 0; i < n; i++ {
+		w[i] = math.Ldexp(md[i*n+i], exp)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return w[idx[i]] < w[idx[j]] })
+	sortedW := make([]float64, n)
+	sortedV := dense.NewMatrix(n, n)
+	for newCol, oldCol := range idx {
+		sortedW[newCol] = w[oldCol]
+		for r, x := range vt[oldCol*n : (oldCol+1)*n] {
+			sortedV.Data[r*n+newCol] = x
+		}
+	}
+	return sortedW, sortedV
 }
 
 // decomposeOracleZeros is decomposeOracle that also counts the exact-zero

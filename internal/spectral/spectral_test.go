@@ -45,8 +45,11 @@ func denseOf(m *sparse.CSR) *dense.Matrix {
 }
 
 // TestDecomposeMatchesDenseOracle: the Lanczos pairs must match the
-// dense Jacobi eigensolver on a full decomposition (values and vectors
-// up to sign), and the top-r truncation must pick the same values.
+// dense eigensolver on a full decomposition (values and vectors up to
+// sign), and the top-r truncation must pick the same values. dense.EigSym
+// reduces the whole 60 x 60 matrix by Householder reflectors, a
+// different route to a tridiagonal than the Lanczos; the QL the two
+// share is held to the frozen Jacobi by TestDecomposeMatchesJacobiRitz.
 func TestDecomposeMatchesDenseOracle(t *testing.T) {
 	const n = 60
 	S := symTestMatrix(t, n, 4)

@@ -267,8 +267,8 @@ func BenchmarkKernelAxpyF32(b *testing.B) {
 
 // BenchmarkKernelRot rotates 64 disjoint row pairs per op at m = 144,
 // the order 2·64 + 16 of a rank-64 spectral build's Lanczos
-// tridiagonal (the row rotation of dense.EigTridiag's QL and of
-// dense.EigSym's Jacobi sweeps), and at p = 1024, the Axpy
+// tridiagonal (the row rotation of dense.EigTridiag's QL), and at
+// p = 1024, the Axpy
 // rows' long length. A rotation is orthogonal, so repeating it keeps
 // the rows bounded.
 func BenchmarkKernelRot(b *testing.B) {
